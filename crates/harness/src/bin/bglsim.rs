@@ -76,6 +76,7 @@
 //! error to stderr and exits with status 2. Unknown flags are rejected.
 
 use bgl_core::*;
+use bgl_harness::cli::Cli;
 use bgl_harness::conformance::{run_validation, Tier};
 use bgl_harness::runner::{RunPoint, Runner, Scale};
 use bgl_model::MachineParams;
@@ -83,10 +84,10 @@ use bgl_sim::{EngineMode, FaultPlan, LinkFault, NodeFault, SimConfig};
 use bgl_torus::{Coord, Dim, Direction, Partition, Sign};
 use std::collections::HashMap;
 
-/// Print a one-line error and exit with the conventional usage status.
+const CLI: Cli = Cli("bglsim");
+
 fn fail(msg: &str) -> ! {
-    eprintln!("bglsim: {msg}");
-    std::process::exit(2);
+    CLI.fail(msg)
 }
 
 /// Value flags that may repeat on the command line; repeats accumulate
@@ -140,9 +141,9 @@ fn parse_shape(s: &str) -> Partition {
 
 /// Resolve `--engine full-scan|active-set|event` (default: active-set).
 fn parse_engine(flags: &HashMap<String, String>) -> EngineMode {
-    flags.get("engine").map_or_else(EngineMode::default, |s| {
-        s.parse().unwrap_or_else(|e: String| fail(&e))
-    })
+    flags
+        .get("engine")
+        .map_or_else(EngineMode::default, |s| CLI.engine(s))
 }
 
 /// Resolve `--shards N` (default 1): intra-run torus sharding, run on N
@@ -151,12 +152,21 @@ fn parse_engine(flags: &HashMap<String, String>) -> EngineMode {
 fn parse_shards(flags: &HashMap<String, String>) -> std::num::NonZeroUsize {
     flags
         .get("shards")
-        .map_or(std::num::NonZeroUsize::MIN, |s| {
-            s.parse::<usize>()
-                .ok()
-                .and_then(std::num::NonZeroUsize::new)
-                .unwrap_or_else(|| fail(&format!("--shards needs a positive integer, got {s:?}")))
-        })
+        .map_or(std::num::NonZeroUsize::MIN, |s| CLI.shards(s))
+}
+
+/// The runner every simulating subcommand builds from its flags
+/// (`--jobs` defaults to all cores).
+fn runner_from_flags(scale: Scale, flags: &HashMap<String, String>, perf: bool) -> Runner {
+    let runner = Runner::new(scale)
+        .with_engine(parse_engine(flags))
+        .with_shards(parse_shards(flags))
+        .with_perf(perf)
+        .with_progress(flags.contains_key("progress"));
+    match flags.get("jobs") {
+        Some(n) => runner.with_jobs(CLI.jobs(n)),
+        None => runner,
+    }
 }
 
 /// Parse a fault direction token: `x+ x- y+ y- z+ z-`.
@@ -428,19 +438,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     // also enables it (the trace then rides the --json output).
     let tracing = trace_out.is_some() || report || flags.contains_key("trace-interval");
     let fault = parse_fault(flags, &part);
-    let mut runner = Runner::new(Scale::Paper)
-        .with_engine(parse_engine(flags))
-        .with_shards(parse_shards(flags))
-        .with_perf(flags.contains_key("perf"))
-        .with_progress(flags.contains_key("progress"));
-    if let Some(n) = flags.get("jobs") {
-        let jobs = n
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| fail(&format!("--jobs needs a positive integer, got {n:?}")));
-        runner = runner.with_jobs(jobs);
-    }
+    let runner = runner_from_flags(Scale::Paper, flags, flags.contains_key("perf"));
     let points: Vec<RunPoint> = sizes
         .iter()
         .flat_map(|&m| {
@@ -462,7 +460,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
         })
         .collect();
     runner.run_points(&points);
-    print_perf_summary(&runner);
+    CLI.perf_summary(&runner);
     if let Some(path) = &trace_out {
         write_traces(path, &points, &runner);
     }
@@ -513,21 +511,6 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
             }
         }
     }
-}
-
-/// With `--perf`, one stderr line of runner-level host timing: points
-/// executed vs served from cache, execute seconds, and queue wait
-/// (summed across workers, so it can exceed wall-clock under `--jobs`).
-fn print_perf_summary(runner: &Runner) {
-    if !runner.perf_enabled() {
-        return;
-    }
-    let t = runner.timing();
-    eprintln!(
-        "bglsim: perf: {} point(s) executed in {:.3}s host time \
-         (queue wait {:.3}s), {} cache hit(s)",
-        t.points_executed, t.execute_secs, t.queue_wait_secs, t.cache_hits,
-    );
 }
 
 /// Write traced runs to `path`: RFC-4180 CSV for a `.csv` path (exactly
@@ -636,21 +619,9 @@ fn cmd_validate(flags: &HashMap<String, String>) {
     let tier = flags.get("tier").map_or(Tier::Quick, |s| {
         Tier::parse(s).unwrap_or_else(|| fail(&format!("--tier must be quick or full, got {s:?}")))
     });
-    let mut runner = Runner::new(tier.scale())
-        .with_engine(parse_engine(flags))
-        .with_shards(parse_shards(flags))
-        .with_perf(flags.contains_key("perf"))
-        .with_progress(flags.contains_key("progress"));
-    if let Some(n) = flags.get("jobs") {
-        let jobs = n
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| fail(&format!("--jobs needs a positive integer, got {n:?}")));
-        runner = runner.with_jobs(jobs);
-    }
+    let runner = runner_from_flags(tier.scale(), flags, flags.contains_key("perf"));
     let report = run_validation(&runner, tier, flags.contains_key("bless"));
-    print_perf_summary(&runner);
+    CLI.perf_summary(&runner);
     print!("{}", report.render());
     if let Some(path) = flags.get("out") {
         std::fs::write(path, report.to_json())
@@ -686,11 +657,7 @@ fn cmd_profile(flags: &HashMap<String, String>) {
     if flags.contains_key("json") && flags.contains_key("csv") {
         fail("--json and --csv conflict; pass at most one");
     }
-    let runner = Runner::new(Scale::Paper)
-        .with_engine(parse_engine(flags))
-        .with_shards(parse_shards(flags))
-        .with_perf(true)
-        .with_progress(flags.contains_key("progress"));
+    let runner = runner_from_flags(Scale::Paper, flags, true);
     let point = RunPoint::new(part, strategy, m, coverage);
     let report = runner
         .report(&point)
@@ -710,7 +677,7 @@ fn cmd_profile(flags: &HashMap<String, String>) {
         }
         None => print!("{body}"),
     }
-    print_perf_summary(&runner);
+    CLI.perf_summary(&runner);
 }
 
 fn main() {

@@ -22,13 +22,15 @@
 //! byte-identical) and prints a runner timing summary to stderr;
 //! `--progress` adds a rate-limited stderr heartbeat to each run.
 
+use bgl_harness::cli::Cli;
 use bgl_harness::{experiments, run_suite, Runner, Scale};
 use bgl_sim::EngineMode;
 use std::path::PathBuf;
 
+const CLI: Cli = Cli("repro");
+
 fn fail(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    std::process::exit(2);
+    CLI.fail(msg)
 }
 
 fn main() {
@@ -53,20 +55,8 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--engine" => {
-                let v = it.next().unwrap_or_default();
-                engine = v.parse().unwrap_or_else(|e: String| fail(&e));
-            }
-            "--shards" => {
-                let v = it.next().unwrap_or_default();
-                shards = v
-                    .parse::<usize>()
-                    .ok()
-                    .and_then(std::num::NonZeroUsize::new)
-                    .unwrap_or_else(|| {
-                        fail(&format!("--shards needs a positive integer, got {v:?}"))
-                    });
-            }
+            "--engine" => engine = CLI.engine(&it.next().unwrap_or_default()),
+            "--shards" => shards = CLI.shards(&it.next().unwrap_or_default()),
             "--scale" => {
                 let v = it.next().unwrap_or_default();
                 scale = match v.as_str() {
@@ -75,13 +65,7 @@ fn main() {
                     other => fail(&format!("unknown scale {other:?} (quick|paper)")),
                 };
             }
-            "--jobs" => {
-                let v = it.next().unwrap_or_default();
-                match v.parse::<usize>() {
-                    Ok(n) if n >= 1 => jobs = Some(n),
-                    _ => fail(&format!("--jobs needs a positive integer, got {v:?}")),
-                }
-            }
+            "--jobs" => jobs = Some(CLI.jobs(&it.next().unwrap_or_default())),
             "--json" => json = true,
             "--perf" => perf = true,
             "--progress" => progress = true,
@@ -113,14 +97,7 @@ fn main() {
     let id_refs: Vec<&str> = ids.iter().map(String::as_str).collect();
     let t0 = std::time::Instant::now();
     let reports = run_suite(&runner, &id_refs);
-    if perf {
-        let t = runner.timing();
-        eprintln!(
-            "repro: perf: {} point(s) executed in {:.3}s host time \
-             (queue wait {:.3}s), {} cache hit(s)",
-            t.points_executed, t.execute_secs, t.queue_wait_secs, t.cache_hits,
-        );
-    }
+    CLI.perf_summary(&runner);
     eprintln!(
         "[{} experiments, {} simulation runs, {} jobs, {:.1?}]",
         reports.len(),

@@ -9,6 +9,7 @@
 //! * [`experiment`] — report rendering (text/CSV/JSON).
 //! * [`conformance`] — the DESIGN.md §7 validation targets as a
 //!   machine-checked PASS/FAIL suite (`bglsim validate`).
+//! * [`cli`] — the flag parsing and failure contract the two binaries share.
 //!
 //! The `repro` binary drives everything:
 //!
@@ -18,6 +19,7 @@
 //! repro all --scale quick     # regenerate everything, scaled down
 //! ```
 
+pub mod cli;
 pub mod conformance;
 pub mod experiment;
 pub mod experiments;

@@ -1,6 +1,6 @@
-//! CLI hardening tests: malformed input to `bglsim`, `repro`, and
-//! `calib` must produce a one-line stderr message and exit status 2 —
-//! never a panic (which would exit 101 with a backtrace).
+//! CLI hardening tests: malformed input to `bglsim` and `repro` must
+//! produce a one-line stderr message and exit status 2 — never a panic
+//! (which would exit 101 with a backtrace).
 
 use std::process::Command;
 
@@ -48,6 +48,7 @@ fn bglsim_rejects_malformed_input() {
     assert_clean_failure(bin, &["sweep", "--strategies", "warp"], "unknown strategy");
     assert_clean_failure(bin, &["sweep", "--coverage", "1.5"], "within 0..=1");
     assert_clean_failure(bin, &["sweep", "--jobs", "0"], "positive integer");
+    assert_clean_failure(bin, &["sweep", "--jobs", "zero"], "positive integer");
     assert_clean_failure(bin, &["sweep", "--frobnicate"], "unknown flag");
     assert_clean_failure(bin, &["sweep", "--shape"], "needs a value");
     assert_clean_failure(bin, &["sweep", "--shape", "--csv"], "needs a value");
@@ -134,6 +135,40 @@ fn bglsim_pacer_happy_paths() {
         );
         assert_eq!(code, Some(0), "--pacer {pacer} failed: {stderr}");
         assert!(stdout.contains("TPS"), "--pacer {pacer}: {stdout}");
+    }
+}
+
+/// `sweep --json` carries the per-dimension link and hop counters that a
+/// per-dimension utilization is derived from: one entry per dimension of
+/// the shape, every dimension of a full all-to-all used.
+#[test]
+fn bglsim_sweep_json_carries_per_dimension_counters() {
+    let bin = env!("CARGO_BIN_EXE_bglsim");
+    let (code, json, stderr) = run(
+        bin,
+        &[
+            "sweep",
+            "--shape",
+            "4x4x2",
+            "--strategies",
+            "ar",
+            "--sizes",
+            "240",
+            "--json",
+        ],
+    );
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let reports: Vec<bgl_core::AaReport> = serde_json::from_str(&json).expect("round-trips");
+    assert_eq!(reports.len(), 1);
+    let stats = &reports[0].stats;
+    let part: bgl_torus::Partition = "4x4x2".parse().unwrap();
+    for counters in [&stats.link_busy_chunks, &stats.hops_taken] {
+        assert_eq!(counters.len(), part.ndims(), "{counters:?}");
+        assert!(counters.iter().all(|&n| n > 0), "{counters:?}");
+    }
+    for dim in part.dims() {
+        let u = stats.dim_utilization(&part, dim);
+        assert!(u > 0.0 && u <= 1.0, "{dim} utilization {u}");
     }
 }
 
@@ -255,16 +290,11 @@ fn shape_arity_accepted_and_rejected_consistently() {
     assert_clean_failure(bglsim, &sweep("2x2x2x2x2x2x2"), "expected 2..=6");
     assert_clean_failure(bglsim, &["profile", "--shape", "8"], "expected 2..=6");
     assert_clean_failure(bglsim, &["fit", "--shape", "4x0x4"], "zero size");
-    let calib = env!("CARGO_BIN_EXE_calib");
-    assert_clean_failure(calib, &["8"], "expected 2..=6");
-    assert_clean_failure(calib, &["4x"], "bad size");
-    assert_clean_failure(calib, &["4x0x4"], "zero size");
-    assert_clean_failure(calib, &["2x2x2x2x2x2x2"], "expected 2..=6");
 }
 
 /// The 3-D-only indirect strategies fail fast on higher-arity tori:
-/// exit 2 with the typed one-line message, never a hang — on sweep,
-/// profile, and calib.
+/// exit 2 with the typed one-line message, never a hang — on sweep and
+/// profile.
 #[test]
 fn indirect_strategies_on_high_arity_tori_exit_2() {
     let bglsim = env!("CARGO_BIN_EXE_bglsim");
@@ -300,9 +330,6 @@ fn indirect_strategies_on_high_arity_tori_exit_2() {
         &["profile", "--shape", "4x4x4x4", "--strategy", "tps"],
         needle,
     );
-    let calib = env!("CARGO_BIN_EXE_calib");
-    assert_clean_failure(calib, &["4x4x4x4", "TPS", "64", "1.0"], needle);
-    assert_clean_failure(calib, &["4x4x4x4", "VM", "64", "1.0"], needle);
 }
 
 #[test]
@@ -329,26 +356,6 @@ fn bglsim_validate_rejects_malformed_input() {
 }
 
 #[test]
-fn calib_rejects_malformed_input() {
-    let bin = env!("CARGO_BIN_EXE_calib");
-    assert_clean_failure(bin, &["8xbogus"], "invalid shape");
-    assert_clean_failure(bin, &["4x4", "WARP"], "unknown strategy");
-    assert_clean_failure(bin, &["4x4", "AR", "lots"], "needs a number");
-    assert_clean_failure(bin, &["4x4", "AR", "64", "2.0"], "within 0..=1");
-    assert_clean_failure(
-        bin,
-        &["4x4", "AR", "64", "1.0", "--jobs", "zero"],
-        "positive integer",
-    );
-    assert_clean_failure(bin, &["4x4", "--frobnicate"], "unknown flag");
-    assert_clean_failure(
-        bin,
-        &["4x4", "AR", "64", "1.0", "extra"],
-        "unexpected argument",
-    );
-}
-
-#[test]
 fn repro_rejects_malformed_input() {
     let bin = env!("CARGO_BIN_EXE_repro");
     assert_clean_failure(bin, &["table3", "--scale", "huge"], "unknown scale");
@@ -367,12 +374,6 @@ fn engine_flag_rejects_unknown_mode() {
     assert_clean_failure(bglsim, &["sweep", "--engine"], "needs a value");
     assert_clean_failure(bglsim, &["pattern", "--engine", "warp"], "unknown engine");
     assert_clean_failure(bglsim, &["validate", "--engine", "warp"], "unknown engine");
-    let calib = env!("CARGO_BIN_EXE_calib");
-    assert_clean_failure(
-        calib,
-        &["4x4", "AR", "64", "1.0", "--engine", "warp"],
-        "unknown engine",
-    );
     let repro = env!("CARGO_BIN_EXE_repro");
     assert_clean_failure(repro, &["table3", "--engine", "warp"], "unknown engine");
 }
@@ -387,12 +388,6 @@ fn shards_flag_rejects_malformed_counts() {
     }
     assert_clean_failure(bglsim, &["pattern", "--shards", "0"], "positive integer");
     assert_clean_failure(bglsim, &["validate", "--shards", "0"], "positive integer");
-    let calib = env!("CARGO_BIN_EXE_calib");
-    assert_clean_failure(
-        calib,
-        &["4x4", "AR", "64", "1.0", "--shards", "0"],
-        "positive integer",
-    );
     let repro = env!("CARGO_BIN_EXE_repro");
     assert_clean_failure(repro, &["table3", "--shards", "0"], "positive integer");
 }

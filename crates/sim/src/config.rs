@@ -356,19 +356,6 @@ impl SimConfig {
             fault: FaultPlan::default(),
         }
     }
-
-    /// Back-compat shim for the retired `full_scan_engine: bool` knob.
-    #[deprecated(
-        since = "0.6.0",
-        note = "set `engine = EngineMode::FullScan` / `EngineMode::ActiveSet` instead"
-    )]
-    pub fn set_full_scan_engine(&mut self, full_scan: bool) {
-        self.engine = if full_scan {
-            EngineMode::FullScan
-        } else {
-            EngineMode::ActiveSet
-        };
-    }
 }
 
 #[cfg(test)]
@@ -421,17 +408,6 @@ mod tests {
             EngineMode::ActiveSet
         );
         assert!("warp-drive".parse::<EngineMode>().is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn full_scan_shim_maps_onto_engine_mode() {
-        let mut c = SimConfig::new("4x4".parse().unwrap());
-        assert_eq!(c.engine, EngineMode::ActiveSet);
-        c.set_full_scan_engine(true);
-        assert_eq!(c.engine, EngineMode::FullScan);
-        c.set_full_scan_engine(false);
-        assert_eq!(c.engine, EngineMode::ActiveSet);
     }
 
     #[test]
