@@ -46,7 +46,7 @@
 //! periodic sample (frozen deltas, live occupancy snapshot) is recorded
 //! there, so traced runs are byte-identical too.
 
-use super::phases::{sendable_dirs, PULL_THRESHOLD};
+use super::phases::PULL_THRESHOLD;
 use super::{Engine, RING};
 
 /// What the last completed CPU visit learned about a node's ability to
@@ -245,26 +245,26 @@ impl Engine {
     /// (fresh marks handle that); so the only timed wake is a busy link
     /// becoming usable. `busy_until == now` must wake now: the link was
     /// busy during the last stepped cycle but is usable this cycle.
+    ///
+    /// Only links some head requests count (the request masks: exactly
+    /// the links arbitration probes). Against a bound over every head's
+    /// whole minimal quadrant this can only wake *later*, and only where
+    /// no head wants the link, so no win is slept through.
     fn arb_wake(&self, g: usize) -> u64 {
         let node = &self.nodes[g];
         if node.vc_mask == 0 && node.inj_mask == 0 {
             return u64::MAX;
         }
-        // Under an active fault plan, fault detours may route heads along
-        // directions outside their minimal quadrant, so the sendable
-        // summary is no longer a superset of what arbitration may try:
-        // consider every direction (waking early is always safe). Fault
-        // transitions themselves mark both endpoints fresh, so dead links
-        // becoming live never rely on this bound.
+        // Under a fault plan a detour may take a head along a link no mask
+        // names: consider every direction (waking early is always safe).
+        // Fault transitions themselves mark both endpoints fresh, so dead
+        // links becoming live never rely on this bound.
+        let faulted = !self.fault_alive.is_empty();
         let ports = self.ports;
-        let dirs = if self.fault_alive.is_empty() {
-            sendable_dirs(node, ports)
-        } else {
-            (1u16 << ports) - 1
-        };
         let mut wake = u64::MAX;
         for d in 0..ports {
-            if dirs & (1 << d) == 0 || self.neighbors[g][d] == u32::MAX {
+            let requested = faulted || node.want[d] != 0 || node.inj_want[d] != 0;
+            if !requested || self.neighbors[g][d] == u32::MAX {
                 continue;
             }
             let busy = self.link_busy_until[g * ports + d];

@@ -14,6 +14,7 @@
 //! cycle-boundary sweep can read the credit array at rest.
 
 use super::Engine;
+use crate::fifo::ChunkFifo;
 use crate::node::vc_fifo_index;
 use crate::packet::Packet;
 use std::sync::atomic::Ordering::Relaxed;
@@ -165,7 +166,9 @@ impl Engine {
     /// in flight toward the cell = capacity. The conservation law is the
     /// sharded engine's load-bearing invariant — a credit leaked (or
     /// double-released) by any section of any shard breaks it at the very
-    /// next boundary.
+    /// next boundary. Last, every cached request-mask bit must equal what
+    /// `Router::wants` says of the FIFO's current head: a head change that
+    /// skipped its refresh shows at the boundary of the cycle that made it.
     pub(super) fn oracle_cycle_check(&self, t: u64) {
         let o = self.oracle.as_ref().expect("caller checked");
         let injected = o.planned_hops.len() as u64;
@@ -204,6 +207,7 @@ impl Engine {
                 }
             }
         }
+        let router = self.router();
         for (ni, node) in self.nodes.iter().enumerate() {
             for (c, f) in node.vcs.iter().enumerate() {
                 let cell = ni * vc_cells + c;
@@ -226,6 +230,22 @@ impl Engine {
                     f.occupied_chunks(),
                     f.capacity_chunks()
                 );
+            }
+            for d in self.part.directions() {
+                let (want, inj_want) = (node.want[d.index()], node.inj_want[d.index()]);
+                let check = |kind: &str, f: usize, fifo: &ChunkFifo, cached: bool| {
+                    assert!(
+                        cached == fifo.head().is_some_and(|pkt| router.wants(pkt, d)),
+                        "invariant violated: request mask stale at node {ni} {kind}fifo {f} dir {d} \
+                         (cycle {t})"
+                    );
+                };
+                for (f, fifo) in node.vcs.iter().enumerate() {
+                    check("", f, fifo, want >> f & 1 != 0);
+                }
+                for (f, fifo) in node.inj.iter().enumerate() {
+                    check("injection ", f, fifo, inj_want >> f & 1 != 0);
+                }
             }
         }
     }

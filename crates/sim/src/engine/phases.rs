@@ -50,14 +50,6 @@ pub(super) const PULL_THRESHOLD: usize = 8;
 /// packets stuck behind a congested phase-2 forward).
 const INJECT_SCAN: usize = 16;
 
-/// Occupied-FIFO count above which the sendable-directions summary is
-/// skipped. Building the summary costs one pass over every head; the
-/// per-direction probes it can skip are passes that *stop at the
-/// first winner*. With many heads queued, probes win almost
-/// immediately and the full build costs more than it saves — the
-/// summary pays off exactly in the sparse regime it exists for.
-const SUMMARY_MAX_HEADS: u32 = 6;
-
 /// The read-only routing-feasibility view: configuration, topology and
 /// the shared downstream-credit array. Everything phase 4 needs to know
 /// about *other* nodes flows through here, which is why it is equally
@@ -171,6 +163,49 @@ impl Router<'_> {
         }
     }
 
+    /// Every output [`wants`](Self::wants) approves for `pkt`, as a bitmask
+    /// over direction indices, in one pass over the plan: the
+    /// dimension-order direction plus, for an adaptive packet, its minimal
+    /// quadrant (only the longest remaining dimensions when shaped). It
+    /// reads the packet and the router config and nothing else, which is
+    /// why a node can cache it per FIFO head ([`NodeState::want`]).
+    pub(super) fn request_dirs(&self, pkt: &Packet) -> u16 {
+        let plan = &pkt.plan;
+        let mut dirs = plan.dimension_order_next().map_or(0, |d| 1 << d.index());
+        if pkt.routing == RoutingMode::Adaptive {
+            let dims = || Dim::all(self.ndims);
+            let longest = if self.shaped(pkt) {
+                dims().map(|o| plan.hops(o)).max().unwrap_or(0)
+            } else {
+                0
+            };
+            for d in dims().filter_map(|o| plan.direction(o)) {
+                if plan.hops(d.dim) >= longest {
+                    dirs |= 1 << d.index();
+                }
+            }
+        }
+        dirs
+    }
+
+    /// Re-derive transit FIFO `f`'s bit of each of `node`'s request masks
+    /// from its current head (none: clear). Called, like `refresh_inj`,
+    /// wherever a head changes: a push into an empty FIFO and every pop.
+    fn refresh_vc(&self, node: &mut NodeState, f: usize) {
+        let dirs = node.vcs[f].head().map_or(0, |p| self.request_dirs(p));
+        for (d, w) in node.want[..self.ports].iter_mut().enumerate() {
+            *w = *w & !(1 << f) | u64::from(dirs >> d & 1) << f;
+        }
+    }
+
+    /// [`refresh_vc`](Self::refresh_vc) for injection FIFO `f`.
+    fn refresh_inj(&self, node: &mut NodeState, f: usize) {
+        let dirs = node.inj[f].head().map_or(0, |p| self.request_dirs(p));
+        for (d, w) in node.inj_want[..self.ports].iter_mut().enumerate() {
+            *w = *w & !(1 << f) | u32::from(dirs >> d & 1) << f;
+        }
+    }
+
     /// Choose the downstream VC for `pkt` over output `d`, or `None` if no
     /// VC has credit. `from_dim` is the dimension of the input port the
     /// packet currently occupies (`None` for injection); `n` and `nb` are
@@ -183,7 +218,6 @@ impl Router<'_> {
         d: Direction,
         nb: usize,
     ) -> Option<Vc> {
-        let chunks = pkt.chunks as u32;
         let nb_port = d.opposite().index();
         match pkt.routing {
             RoutingMode::Adaptive => {
@@ -202,39 +236,34 @@ impl Router<'_> {
                     }
                     return None;
                 }
-                let f0 = self.credit(nb, nb_port, 0);
-                let f1 = self.credit(nb, nb_port, 1);
-                let c0 = f0 >= chunks;
-                let c1 = f1 >= chunks;
-                match (c0, c1) {
-                    // Join the shorter queue = the FIFO with more free space.
-                    (true, true) => Some(match f0.cmp(&f1) {
-                        std::cmp::Ordering::Greater => Vc::Dynamic0,
-                        std::cmp::Ordering::Less => Vc::Dynamic1,
-                        std::cmp::Ordering::Equal => {
-                            if pkt.id & 1 == 0 {
-                                Vc::Dynamic0
-                            } else {
-                                Vc::Dynamic1
-                            }
-                        }
-                    }),
-                    (true, false) => Some(Vc::Dynamic0),
-                    (false, true) => Some(Vc::Dynamic1),
-                    (false, false) => {
-                        // Escape onto the bubble VC, dimension-ordered only.
-                        if self.cfg.router.adaptive_bubble_escape
-                            && pkt.plan.dimension_order_next() == Some(d)
-                        {
-                            self.bubble_feasible(pkt, from_dim, d, nb, nb_port)
-                        } else {
-                            None
-                        }
-                    }
+                if let Some(vc) = self.dynamic_vc(pkt, nb, nb_port) {
+                    return Some(vc);
+                }
+                // Escape onto the bubble VC, dimension-ordered only.
+                if self.cfg.router.adaptive_bubble_escape
+                    && pkt.plan.dimension_order_next() == Some(d)
+                {
+                    self.bubble_feasible(pkt, from_dim, d, nb, nb_port)
+                } else {
+                    None
                 }
             }
             RoutingMode::Deterministic => self.bubble_feasible(pkt, from_dim, d, nb, nb_port),
         }
+    }
+
+    /// Join the shorter queue: of the two dynamic VC FIFOs behind port
+    /// `nb_port` of node `nb`, the one with more free space (ties broken by
+    /// packet-id parity) — if `pkt` fits there, else it fits in neither.
+    fn dynamic_vc(&self, pkt: &Packet, nb: usize, nb_port: usize) -> Option<Vc> {
+        let f0 = self.credit(nb, nb_port, 0);
+        let f1 = self.credit(nb, nb_port, 1);
+        let (vc, free) = if f0 > f1 || (f0 == f1 && pkt.id & 1 == 0) {
+            (Vc::Dynamic0, f0)
+        } else {
+            (Vc::Dynamic1, f1)
+        };
+        (free >= pkt.chunks as u32).then_some(vc)
     }
 
     /// The bubble rule: a packet *continuing* along the same dimension on
@@ -302,26 +331,7 @@ impl Router<'_> {
         {
             return None;
         }
-        let chunks = pkt.chunks as u32;
-        let nb_port = d.opposite().index();
-        let f0 = self.credit(nb, nb_port, 0);
-        let f1 = self.credit(nb, nb_port, 1);
-        match (f0 >= chunks, f1 >= chunks) {
-            (true, true) => Some(match f0.cmp(&f1) {
-                std::cmp::Ordering::Greater => Vc::Dynamic0,
-                std::cmp::Ordering::Less => Vc::Dynamic1,
-                std::cmp::Ordering::Equal => {
-                    if pkt.id & 1 == 0 {
-                        Vc::Dynamic0
-                    } else {
-                        Vc::Dynamic1
-                    }
-                }
-            }),
-            (true, false) => Some(Vc::Dynamic0),
-            (false, true) => Some(Vc::Dynamic1),
-            (false, false) => None,
-        }
+        self.dynamic_vc(pkt, nb, d.opposite().index())
     }
 
     /// A freshly detoured head must not immediately bounce back through
@@ -340,45 +350,6 @@ impl Router<'_> {
             .minimal_directions()
             .any(|o| o != d && self.neighbors[n][o.index()] != u32::MAX && self.alive(n, o))
     }
-}
-
-/// Bitmask of output directions `pkt` may take: a conservative
-/// superset of the directions [`Router::wants`] approves. Every
-/// direction `wants` can return true for — preferred, unshaped
-/// minimal, dimension-ordered escape, deterministic next hop — lies
-/// along the packet's remaining minimal quadrant, so the quadrant
-/// bits suffice. Over-inclusion only costs a wasted probe (identical
-/// to what the full scan does on every direction); under-inclusion
-/// would change results, so this must stay a superset of `wants`.
-fn wanted_dirs(pkt: &Packet) -> u16 {
-    let mut dirs = 0u16;
-    for d in pkt.plan.minimal_directions() {
-        dirs |= 1 << d.index();
-    }
-    dirs
-}
-
-/// Union of [`wanted_dirs`] over every FIFO head of `node`: the only
-/// output directions arbitration could possibly assign this cycle.
-/// Stops as soon as all `ports` directions are covered — under
-/// saturation a couple of heads suffice, so the build stays O(1) in the
-/// dense regime where the summary cannot skip anything.
-pub(super) fn sendable_dirs(node: &NodeState, ports: usize) -> u16 {
-    let all: u16 = (1 << ports) - 1;
-    let mut dirs = 0u16;
-    let mut vcs = node.vc_mask;
-    while vcs != 0 && dirs != all {
-        let f = vcs.trailing_zeros() as usize;
-        vcs &= vcs - 1;
-        dirs |= wanted_dirs(node.vcs[f].head().expect("mask says non-empty"));
-    }
-    let mut inj = node.inj_mask;
-    while inj != 0 && dirs != all {
-        let f = inj.trailing_zeros() as usize;
-        inj &= inj - 1;
-        dirs |= wanted_dirs(node.inj[f].head().expect("mask says non-empty"));
-    }
-    dirs
 }
 
 /// One shard's view of the engine for the duration of a section: shared
@@ -450,7 +421,7 @@ impl Shard<'_> {
         let mut clk = self.perf_clock();
         self.phase_arrivals(t);
         self.perf_lap(&mut clk, |p| &mut p.phases.arrivals);
-        self.phase_deliveries(t);
+        self.phase_deliveries();
         self.perf_lap(&mut clk, |p| &mut p.phases.deliveries);
         self.phase_cpu(t);
         self.counts[self.si].store(self.sd.injected.len() as u64, Relaxed);
@@ -505,10 +476,7 @@ impl Shard<'_> {
         }
         let mut injected = std::mem::take(&mut self.sd.injected);
         for (j, &(i, f, pos)) in injected.iter().enumerate() {
-            let pkt = self.nodes[i as usize].inj[f as usize]
-                .get_mut(pos as usize)
-                .expect("injected this cycle, not yet arbitrated");
-            pkt.id = b + j as u64;
+            let pkt = self.nodes[i as usize].inj[f as usize].set_id(pos as usize, b + j as u64);
             if let Some(o) = self.oracle.as_deref_mut() {
                 o.on_inject(pkt);
             }
@@ -531,6 +499,9 @@ impl Shard<'_> {
             // Space was spent from the credit cell at the upstream win.
             n.vcs[fi].push(pkt);
             n.vc_mask |= 1 << fi;
+            if was_empty {
+                self.router.refresh_vc(n, fi);
+            }
             self.sd.arb_active.mark(i);
             if was_empty && done {
                 self.sd.deliver_q.push((node, fi as u8));
@@ -542,13 +513,13 @@ impl Shard<'_> {
 
     // ---- Phase 2: deliveries ----------------------------------------------
 
-    fn phase_deliveries(&mut self, t: u64) {
+    fn phase_deliveries(&mut self) {
         if self.sd.deliver_q.is_empty() {
             return;
         }
         let mut dq = std::mem::take(&mut self.sd.deliver_q);
         for (node, fi) in dq.drain(..) {
-            self.try_deliver(node as usize - self.base, fi as usize, t);
+            self.try_deliver(node as usize - self.base, fi as usize);
         }
         // Hand the allocation back. `try_deliver` parks stalled FIFOs in
         // the node's `blocked_deliveries` (re-queued here only after the
@@ -560,7 +531,7 @@ impl Shard<'_> {
 
     /// Move deliverable head packets of `fifo` into the reception FIFO.
     /// `i` is shard-local.
-    fn try_deliver(&mut self, i: usize, fifo: usize, t: u64) {
+    fn try_deliver(&mut self, i: usize, fifo: usize) {
         let g = self.base + i;
         loop {
             let n = &mut self.nodes[i];
@@ -582,6 +553,7 @@ impl Shard<'_> {
             if n.vcs[fifo].is_empty() {
                 n.vc_mask &= !(1 << fifo);
             }
+            self.router.refresh_vc(n, fifo);
             assert!(n.reception.try_push(pkt).is_ok(), "space checked");
             // The pop freed downstream space: release the credit now —
             // the upstream reads it only in section B, barrier-ordered
@@ -595,7 +567,6 @@ impl Shard<'_> {
                 self.event_note_vc_pop(g, fifo);
             }
             self.cs.progress = true;
-            let _ = t;
         }
     }
 
@@ -817,7 +788,6 @@ impl Shard<'_> {
     /// section-B fix-up rewrites it before anything reads it.
     fn cpu_inject_one(&mut self, i: usize, t: u64) -> bool {
         let g = self.base + i;
-        let nfifos = self.nodes[i].inj.len();
         let mut chosen = None;
         let reactive_len = self.nodes[i].pending.len().min(INJECT_SCAN);
         let pulled_len = self.nodes[i].pulled.len().min(INJECT_SCAN);
@@ -838,31 +808,26 @@ impl Shard<'_> {
             let dst = self.part.coord_of(spec.dst_rank);
             let plan = HopPlan::new(self.part, self.nodes[i].coord, dst, TieBreak::SrcParity);
             let primary = plan.dimension_order_next().map_or(0, |d| d.index());
-            let mask = 1u8 << class;
             let node = &self.nodes[i];
-            let eligible_count = (0..nfifos)
-                .filter(|&f| node.inj_class[f] & mask != 0)
-                .count();
-            if eligible_count == 0 {
+            let eligible = node.class_fifos[class as usize];
+            if eligible == 0 {
                 continue;
             }
-            let target = primary % eligible_count;
-            let pref = (0..nfifos)
-                .filter(|&f| node.inj_class[f] & mask != 0)
-                .nth(target)
-                .expect("target < eligible_count");
-            if node.inj[pref].free_chunks() >= chunks as u32 {
-                chosen = Some((qi, pref, plan));
+            // The `primary`-th (mod count) eligible FIFO, else the lowest
+            // eligible one with room.
+            let mut from_pref = eligible;
+            for _ in 0..primary % eligible.count_ones() as usize {
+                from_pref &= from_pref - 1;
+            }
+            let pref = from_pref.trailing_zeros() as usize;
+            let fits = |f: usize| node.inj[f].free_chunks() >= chunks as u32;
+            let ascending = (0..node.inj.len()).filter(|&f| eligible >> f & 1 != 0);
+            if let Some(f) = std::iter::once(pref).chain(ascending).find(|&f| fits(f)) {
+                chosen = Some((qi, f, plan, dst));
                 break 'scan;
             }
-            for f in 0..nfifos {
-                if node.inj_class[f] & mask != 0 && node.inj[f].free_chunks() >= chunks as u32 {
-                    chosen = Some((qi, f, plan));
-                    break 'scan;
-                }
-            }
         }
-        let Some((qi, f, plan)) = chosen else {
+        let Some((qi, f, plan, dst)) = chosen else {
             return false;
         };
         let node = &mut self.nodes[i];
@@ -880,7 +845,6 @@ impl Shard<'_> {
             + spec.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
-        let dst = self.part.coord_of(spec.dst_rank);
         assert_ne!(dst, node.coord, "programs must not send to themselves");
         let pkt = Packet {
             // Provisional: shard-local injection index of this cycle,
@@ -905,6 +869,9 @@ impl Shard<'_> {
         let pos = node.inj[f].len() - 1;
         self.sd.injected.push((i as u32, f as u8, pos as u16));
         node.inj_mask |= 1 << f;
+        if pos == 0 {
+            self.router.refresh_inj(node, f);
+        }
         self.sd.arb_active.mark(i);
         self.cs.live += 1;
         self.cs.injected += 1;
@@ -921,7 +888,7 @@ impl Shard<'_> {
                 if self.nodes[i].vc_mask == 0 && self.nodes[i].inj_mask == 0 {
                     continue;
                 }
-                self.arbitrate_node(i, t, false);
+                self.arbitrate_node(i, t);
             }
         } else {
             // A node acquires arbitration work only through an arrival
@@ -938,75 +905,37 @@ impl Shard<'_> {
                         self.sd.arb_active.clear(i);
                         continue;
                     }
-                    self.arbitrate_node(i, t, true);
+                    self.arbitrate_node(i, t);
                 }
             }
         }
     }
 
-    /// Arbitrate every output link of local node `i`. With `use_summary`,
-    /// probe only the directions some queued head actually wants (a
-    /// per-direction bit summary built from the FIFO heads, extended when
-    /// a win exposes a new head) instead of scanning all FIFOs per link. The summary is
-    /// built lazily, on the first *free* link: under saturation most
-    /// links are mid-transmission and the busy check alone disposes of
-    /// them, so an eager build would cost a head scan per node-cycle for
-    /// nothing. Nodes with many occupied FIFOs skip it entirely (see
-    /// [`SUMMARY_MAX_HEADS`]).
-    fn arbitrate_node(&mut self, i: usize, t: u64, use_summary: bool) {
+    /// Arbitrate every output link of local node `i`. On a healthy run the
+    /// request masks name each link's candidates exactly, and a link no
+    /// head asks for costs two loads. Under a fault plan every occupied
+    /// FIFO is a candidate for every live link (a detour leaves the minimal
+    /// quadrant; link liveness is not cached) and the mask bit only picks
+    /// between the minimal move and the detour.
+    fn arbitrate_node(&mut self, i: usize, t: u64) {
         let g = self.base + i;
-        let use_summary = use_summary && {
-            let node = &self.nodes[i];
-            node.vc_mask.count_ones() + node.inj_mask.count_ones() <= SUMMARY_MAX_HEADS
-        };
-        // Under an active fault plan the summary is disabled: detours send
-        // packets along directions outside their minimal quadrant, so
-        // `wanted_dirs` is no longer a superset of what arbitration may
-        // assign. Probing all 2n directions keeps refusal + detour exact.
         let ports = self.router.ports;
-        let all_dirs: u16 = (1 << ports) - 1;
-        let mut summary: Option<u16> = if use_summary && self.router.link_alive.is_none() {
-            None
-        } else {
-            Some(all_dirs)
-        };
+        let healthy = self.router.link_alive.is_none();
         for d in Direction::all(self.router.ndims) {
-            let link = i * ports + d.index();
-            if self.link_busy_until[link] > t {
+            let node = &self.nodes[i];
+            if healthy && node.want[d.index()] == 0 && node.inj_want[d.index()] == 0 {
+                continue;
+            }
+            if self.link_busy_until[i * ports + d.index()] > t {
                 continue;
             }
             let nb = self.router.neighbors[g][d.index()];
-            if nb == u32::MAX {
-                continue;
-            }
             // A dead output link refuses arbitration outright.
-            if !self.router.alive(g, d) {
-                continue;
-            }
-            let s = match summary {
-                Some(s) => s,
-                None => {
-                    let s = sendable_dirs(&self.nodes[i], ports);
-                    summary = Some(s);
-                    s
-                }
-            };
-            if s & (1 << d.index()) == 0 {
+            if nb == u32::MAX || !self.router.alive(g, d) {
                 continue;
             }
             if let Some(win) = self.arbitrate_output(i, d, nb as usize, t) {
                 self.apply_win(i, d, nb as usize, win, t);
-                if use_summary && s != all_dirs {
-                    // The pop exposed a new head whose wanted directions
-                    // the start-of-visit summary may not cover.
-                    let head = match win.source {
-                        WinSource::Transit { fifo } => self.nodes[i].vcs[fifo as usize].head(),
-                        WinSource::Inject { fifo } => self.nodes[i].inj[fifo as usize].head(),
-                    };
-                    if let Some(pkt) = head {
-                        summary = Some(s | wanted_dirs(pkt));
-                    }
-                }
             }
         }
     }
@@ -1015,53 +944,61 @@ impl Shard<'_> {
     fn arbitrate_output(&self, i: usize, d: Direction, nb: usize, t: u64) -> Option<Win> {
         let inject_first = !self.router.cfg.router.transit_priority && (t & 1) == 1;
         if inject_first {
-            if let Some(w) = self.arbitrate_inject(i, d, nb) {
-                return Some(w);
+            self.arbitrate_inject(i, d, nb)
+                .or_else(|| self.arbitrate_transit(i, d, nb))
+        } else {
+            self.arbitrate_transit(i, d, nb)
+                .or_else(|| self.arbitrate_inject(i, d, nb))
+        }
+    }
+
+    /// Try `pkt`, the head of `source`, on output `d` of global node `g`:
+    /// its minimal move if its request bit (`wanted`) is set, else — only
+    /// ever feasible under a fault plan — a non-minimal detour.
+    fn try_head(
+        &self,
+        g: usize,
+        pkt: &Packet,
+        wanted: bool,
+        source: WinSource,
+        d: Direction,
+        nb: usize,
+    ) -> Option<Win> {
+        let (vc, detour) = if wanted {
+            if self.router.suppress_return(pkt, g, d) {
+                return None;
             }
-        }
-        if let Some(w) = self.arbitrate_transit(i, d, nb) {
-            return Some(w);
-        }
-        if !inject_first {
-            return self.arbitrate_inject(i, d, nb);
-        }
-        None
+            let from_dim = match source {
+                WinSource::Transit { fifo } => Some(fifo as usize / NUM_VCS / 2), // port / 2 = dimension
+                WinSource::Inject { .. } => None,
+            };
+            (self.router.feasible_vc(pkt, g, from_dim, d, nb)?, false)
+        } else {
+            (self.router.detour_vc(pkt, g, d, nb)?, true)
+        };
+        Some(Win { source, vc, detour })
     }
 
     fn arbitrate_transit(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
         let node = &self.nodes[i];
-        if node.vc_mask == 0 {
-            return None;
-        }
-        let g = self.base + i;
-        let total = self.router.vc_cells;
-        let start = node.rr[d.index()] as usize % total;
-        // Visit only the set bits, in round-robin order from `start`:
+        let want = node.want[d.index()];
+        let cand = match self.router.link_alive {
+            None => want,
+            Some(_) => node.vc_mask,
+        };
+        let start = node.rr[d.index()] as usize % self.router.vc_cells;
+        // Visit only the candidate bits, in round-robin order from `start`:
         // first the bits at indices >= start (ascending), then the wrap.
-        let below_start = node.vc_mask & ((1u64 << start) - 1);
-        for mut half in [node.vc_mask ^ below_start, below_start] {
+        let below_start = cand & ((1u64 << start) - 1);
+        for mut half in [cand ^ below_start, below_start] {
             while half != 0 {
                 let f = half.trailing_zeros() as usize;
                 half &= half - 1;
                 let pkt = node.vcs[f].head().expect("mask says non-empty");
-                if self.router.wants(pkt, d) {
-                    if self.router.suppress_return(pkt, g, d) {
-                        continue;
-                    }
-                    let from_dim = Some(f / NUM_VCS / 2); // port index / 2 = dimension
-                    if let Some(vc) = self.router.feasible_vc(pkt, g, from_dim, d, nb) {
-                        return Some(Win {
-                            source: WinSource::Transit { fifo: f as u8 },
-                            vc,
-                            detour: false,
-                        });
-                    }
-                } else if let Some(vc) = self.router.detour_vc(pkt, g, d, nb) {
-                    return Some(Win {
-                        source: WinSource::Transit { fifo: f as u8 },
-                        vc,
-                        detour: true,
-                    });
+                let source = WinSource::Transit { fifo: f as u8 };
+                let win = self.try_head(self.base + i, pkt, want >> f & 1 != 0, source, d, nb);
+                if win.is_some() {
+                    return win;
                 }
             }
         }
@@ -1070,29 +1007,19 @@ impl Shard<'_> {
 
     fn arbitrate_inject(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
         let node = &self.nodes[i];
-        let g = self.base + i;
-        let mut mask = node.inj_mask;
-        while mask != 0 {
-            let f = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
+        let want = node.inj_want[d.index()];
+        let mut cand = match self.router.link_alive {
+            None => want,
+            Some(_) => node.inj_mask,
+        };
+        while cand != 0 {
+            let f = cand.trailing_zeros() as usize;
+            cand &= cand - 1;
             let pkt = node.inj[f].head().expect("mask says non-empty");
-            if self.router.wants(pkt, d) {
-                if self.router.suppress_return(pkt, g, d) {
-                    continue;
-                }
-                if let Some(vc) = self.router.feasible_vc(pkt, g, None, d, nb) {
-                    return Some(Win {
-                        source: WinSource::Inject { fifo: f as u8 },
-                        vc,
-                        detour: false,
-                    });
-                }
-            } else if let Some(vc) = self.router.detour_vc(pkt, g, d, nb) {
-                return Some(Win {
-                    source: WinSource::Inject { fifo: f as u8 },
-                    vc,
-                    detour: true,
-                });
+            let source = WinSource::Inject { fifo: f as u8 };
+            let win = self.try_head(self.base + i, pkt, want >> f & 1 != 0, source, d, nb);
+            if win.is_some() {
+                return win;
             }
         }
         None
@@ -1112,6 +1039,7 @@ impl Shard<'_> {
                 } else if node.vcs[f].head().expect("non-empty").plan.is_done() {
                     self.sd.deliver_q.push((g as u32, fifo));
                 }
+                self.router.refresh_vc(node, f);
                 // The freed space becomes upstream credit only at the
                 // cycle boundary: deferring the release gives arbitration
                 // a credit snapshot independent of node visit order, the
@@ -1127,6 +1055,7 @@ impl Shard<'_> {
                 if node.inj[fifo as usize].is_empty() {
                     node.inj_mask &= !(1 << fifo);
                 }
+                self.router.refresh_inj(node, fifo as usize);
                 pkt
             }
         };
@@ -1191,8 +1120,8 @@ impl Shard<'_> {
     // ---- Event-mode bookkeeping hooks -------------------------------------
 
     /// Note an arbitration win out of global node `g` toward `nb` (event
-    /// mode): the pop changed `g`'s own head lineup mid-visit (directions
-    /// the per-visit summary already passed must be retried next cycle), a
+    /// mode): the pop changed `g`'s own head lineup mid-visit (the new head
+    /// may want a direction this visit already passed: retry next cycle), a
     /// transit pop freed upstream credit, an injection pop freed local
     /// injection space, and the reservation at `nb` may flip the
     /// bubble-escape eligibility (`preferred_blocked`) of any of `nb`'s
@@ -1229,6 +1158,53 @@ impl Shard<'_> {
                 .as_deref_mut()
                 .expect("event mode")
                 .mark_fresh(up as usize);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The direct mask computation is `wants` asked of every direction, for
+    /// every (src, dst) pair — `src == dst` is an arrived head — of a 2-D, an
+    /// asymmetric 3-D and a 4-D partition, for deterministic, unshaped and
+    /// shaped heads (shaped by the packet's own flag or by the router's).
+    #[test]
+    fn request_dirs_is_wants_over_every_direction() {
+        for dims in [&[4u16, 3][..], &[2, 5, 3], &[2, 3, 2, 4]] {
+            let part = Partition::torus_nd(dims);
+            let n = part.num_nodes();
+            let mut cfg = SimConfig::new(part);
+            for (bias, routing, longest_first) in [
+                (None, RoutingMode::Deterministic, false),
+                (None, RoutingMode::Adaptive, false),
+                (None, RoutingMode::Adaptive, true),
+                (Some(true), RoutingMode::Adaptive, false),
+            ] {
+                cfg.router.longest_first_bias = bias;
+                let router = Router {
+                    cfg: &cfg,
+                    neighbors: &[],
+                    credits: &[],
+                    link_alive: None,
+                    ports: part.ports(),
+                    vc_cells: part.ports() * NUM_VCS,
+                    ndims: part.ndims(),
+                };
+                for (src, dst) in (0..n * n).map(|k| (k / n, k % n)) {
+                    let pkt = Packet {
+                        routing,
+                        longest_first,
+                        ..Packet::for_test(&part, src, dst)
+                    };
+                    let dirs = router.request_dirs(&pkt);
+                    for d in Direction::all(MAX_DIMS) {
+                        let cached = dirs >> d.index() & 1 != 0;
+                        assert_eq!(cached, router.wants(&pkt, d), "{pkt:?} dir {d}");
+                    }
+                }
+            }
         }
     }
 }

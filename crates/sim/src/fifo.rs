@@ -97,18 +97,19 @@ impl ChunkFifo {
         self.queue.front()
     }
 
-    /// Mutable head access (the router updates `plan`/`vc` in place).
+    /// Rewrite the id of the packet at queue position `idx` (head = 0) and
+    /// return it: the per-cycle fix-up of provisional packet ids. The id
+    /// is the only field writable in place — routing never reads it, so a
+    /// queued packet's request-mask bits (`NodeState::want`) cannot go
+    /// stale behind the engine's back.
+    ///
+    /// # Panics
+    /// Panics if `idx` is past the end of the queue.
     #[inline]
-    pub fn head_mut(&mut self) -> Option<&mut Packet> {
-        self.queue.front_mut()
-    }
-
-    /// Mutable access to the packet at queue position `idx` (head = 0).
-    /// The sharded engine uses this to rewrite provisional packet ids in
-    /// place during the per-cycle id fix-up.
-    #[inline]
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut Packet> {
-        self.queue.get_mut(idx)
+    pub fn set_id(&mut self, idx: usize, id: u64) -> &Packet {
+        let pkt = &mut self.queue[idx];
+        pkt.id = id;
+        pkt
     }
 
     /// Remove and return the head packet, freeing its chunks.
@@ -127,31 +128,14 @@ impl ChunkFifo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Vc;
-    use crate::packet::{PacketMeta, RoutingMode, NO_DETOUR};
-    use bgl_torus::{Coord, HopPlan, Partition, TieBreak};
+    use bgl_torus::Partition;
 
     fn pkt(id: u64, chunks: u8) -> Packet {
-        let part = Partition::torus(4, 4, 4);
         Packet {
             id,
-            src_rank: 0,
-            dst: Coord::new(1, 0, 0),
             chunks,
             payload_bytes: chunks as u32 * 32,
-            plan: HopPlan::new(
-                &part,
-                Coord::new(0, 0, 0),
-                Coord::new(1, 0, 0),
-                TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: Vc::Dynamic0,
-            class: 0,
-            meta: PacketMeta::default(),
-            longest_first: false,
-            injected_at: 0,
-            detour: NO_DETOUR,
+            ..Packet::for_test(&Partition::torus(4, 4, 4), 0, 1)
         }
     }
 
@@ -192,13 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_rewrites_in_place() {
+    fn set_id_rewrites_in_place() {
         let mut f = ChunkFifo::new(32);
         for i in 0..3 {
             f.try_push(pkt(i, 2)).unwrap();
         }
-        f.get_mut(1).unwrap().id = 42;
-        assert!(f.get_mut(3).is_none());
+        assert_eq!(f.set_id(1, 42).id, 42);
         f.pop();
         assert_eq!(f.head().unwrap().id, 42);
     }

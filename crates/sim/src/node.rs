@@ -32,9 +32,18 @@ pub struct NodeState {
     /// mirroring [`vc_mask`](Self::vc_mask) so arbitration never probes
     /// empty FIFOs.
     pub inj_mask: u32,
-    /// Per-injection-FIFO class masks: FIFO `f` accepts class `c` iff
-    /// `inj_class[f] & (1 << c) != 0`.
-    pub inj_class: Vec<u8>,
+    /// Per-output-direction request masks over the transit FIFOs: bit `f`
+    /// of `want[d]` is set iff `vcs[f]` is non-empty and its head's routing
+    /// allows output `d` (`Router::wants`). A function of the head packet
+    /// and the router config alone, so the engine refreshes FIFO `f`'s bits
+    /// exactly where `vcs[f]`'s head changes and arbitration reads them
+    /// instead of re-routing every head for every link every cycle.
+    pub want: [u64; MAX_PORTS],
+    /// The same over the injection FIFOs (bit `f` ⇔ `inj[f]`).
+    pub inj_want: [u32; MAX_PORTS],
+    /// Per-class eligible injection FIFOs: bit `f` of `class_fifos[c]` is
+    /// set iff FIFO `f` accepts class `c` (`SimConfig::inj_class_masks`).
+    pub class_fifos: [u32; 8],
     /// Reception FIFO.
     pub reception: ChunkFifo,
     /// Reactive sends queued by the program (api.send from hooks), not yet
@@ -55,8 +64,6 @@ pub struct NodeState {
     /// Round-robin arbitration pointers, one per output direction (only the
     /// first `2n` entries are used).
     pub rr: [u8; MAX_PORTS],
-    /// Round-robin pointer over injection FIFOs for placement.
-    pub inj_rr: u8,
     /// VC FIFO indices whose head is deliverable but found the reception
     /// FIFO full; retried after the CPU drains a packet.
     pub blocked_deliveries: Vec<u8>,
@@ -77,15 +84,19 @@ impl NodeState {
         let inj = (0..cfg.inj_fifo_count)
             .map(|_| ChunkFifo::new(cfg.inj_fifo_chunks))
             .collect();
-        let inj_class = if cfg.inj_class_masks.is_empty() {
-            vec![u8::MAX; cfg.inj_fifo_count as usize]
+        let class_fifos = if cfg.inj_class_masks.is_empty() {
+            [((1u64 << cfg.inj_fifo_count) - 1) as u32; 8]
         } else {
             assert_eq!(
                 cfg.inj_class_masks.len(),
                 cfg.inj_fifo_count as usize,
                 "inj_class_masks length must equal inj_fifo_count"
             );
-            cfg.inj_class_masks.clone()
+            let accepting = |c: usize| {
+                let fifos = cfg.inj_class_masks.iter().enumerate();
+                fifos.fold(0, |m, (f, &classes)| m | u32::from(classes >> c & 1) << f)
+            };
+            std::array::from_fn(accepting)
         };
         NodeState {
             coord,
@@ -93,14 +104,15 @@ impl NodeState {
             vc_mask: 0,
             inj,
             inj_mask: 0,
-            inj_class,
+            want: [0; MAX_PORTS],
+            inj_want: [0; MAX_PORTS],
+            class_fifos,
             reception: ChunkFifo::new(cfg.reception_fifo_chunks),
             pending: VecDeque::new(),
             pulled: VecDeque::new(),
             cpu_free: 0.0,
             cpu_busy: 0.0,
             rr: [0; MAX_PORTS],
-            inj_rr: 0,
             blocked_deliveries: Vec::new(),
             flow: FlowLedger::new(cfg.flow),
             program_done: false,

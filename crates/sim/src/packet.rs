@@ -105,6 +105,28 @@ impl Packet {
     pub fn clear_detour_from(&mut self) {
         self.detour |= NO_DETOUR;
     }
+
+    /// A freshly injected full-size adaptive packet from rank `src` to rank
+    /// `dst` of `part`: the base the crate's unit tests vary.
+    #[cfg(test)]
+    pub(crate) fn for_test(part: &bgl_torus::Partition, src: u32, dst: u32) -> Packet {
+        let (from, to) = (part.coord_of(src), part.coord_of(dst));
+        Packet {
+            id: 0,
+            src_rank: src,
+            dst: to,
+            chunks: 8,
+            payload_bytes: 240,
+            plan: HopPlan::new(part, from, to, bgl_torus::TieBreak::SrcParity),
+            routing: RoutingMode::Adaptive,
+            vc: Vc::Dynamic0,
+            class: 0,
+            meta: PacketMeta::default(),
+            longest_first: false,
+            injected_at: 0,
+            detour: NO_DETOUR,
+        }
+    }
 }
 
 /// What a node program asks the runtime to send.
@@ -183,7 +205,7 @@ impl SendSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_torus::{Partition, TieBreak};
+    use bgl_torus::Partition;
 
     #[test]
     fn send_spec_builders() {
@@ -209,27 +231,7 @@ mod tests {
 
     #[test]
     fn detour_state_packs_and_unpacks() {
-        let part = Partition::torus(2, 2, 2);
-        let mut k = Packet {
-            id: 0,
-            src_rank: 0,
-            dst: Coord::new(1, 0, 0),
-            chunks: 1,
-            payload_bytes: 0,
-            plan: HopPlan::new(
-                &part,
-                Coord::new(0, 0, 0),
-                Coord::new(1, 0, 0),
-                TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: Vc::Dynamic0,
-            class: 0,
-            meta: PacketMeta::default(),
-            longest_first: false,
-            injected_at: 0,
-            detour: NO_DETOUR,
-        };
+        let mut k = Packet::for_test(&Partition::torus(2, 2, 2), 0, 1);
         assert_eq!(k.detour_from(), None);
         assert_eq!(k.detour_count(), 0);
         k.note_detour(3);

@@ -120,25 +120,77 @@ fn shard_counts_are_invisible() {
     ];
     for (shape, k, chunks, det) in grid {
         let part: Partition = shape.parse().unwrap();
-        let mut reference: Option<NetStats> = None;
-        for shards in [1usize, 2, 4, 7] {
-            for mode in EngineMode::ALL {
-                let mut cfg = SimConfig::new(part);
-                cfg.engine = mode;
-                cfg.shards = NonZeroUsize::new(shards).unwrap();
-                cfg.detailed_link_stats = true;
-                let stats = Engine::new(cfg, uniform(&part, k, chunks, det))
-                    .run()
-                    .unwrap_or_else(|e| panic!("{shape} shards={shards} {mode}: {e}"));
-                match &reference {
-                    None => reference = Some(stats),
-                    Some(r) => {
-                        assert_eq!(&stats, r, "{shape} shards={shards} {mode} must match");
-                    }
-                }
+        run_modes_by_shards(
+            part,
+            &[1, 2, 4, 7],
+            |_| {},
+            || uniform(&part, k, chunks, det),
+        );
+    }
+}
+
+/// Run `programs` under every engine mode × each of `shard_counts`, on the
+/// default config of `part` after `tweak`, with detailed link stats on:
+/// every cell must produce one byte-identical `NetStats`.
+fn run_modes_by_shards(
+    part: Partition,
+    shard_counts: &[usize],
+    tweak: impl Fn(&mut SimConfig),
+    programs: impl Fn() -> Vec<Box<dyn NodeProgram>>,
+) -> NetStats {
+    let mut reference: Option<NetStats> = None;
+    for &shards in shard_counts {
+        for mode in EngineMode::ALL {
+            let mut cfg = SimConfig::new(part);
+            tweak(&mut cfg);
+            cfg.engine = mode;
+            cfg.shards = NonZeroUsize::new(shards).unwrap();
+            cfg.detailed_link_stats = true;
+            let stats = Engine::new(cfg, programs())
+                .run()
+                .unwrap_or_else(|e| panic!("{part} shards={shards} {mode}: {e}"));
+            match &reference {
+                None => reference = Some(stats),
+                Some(r) => assert_eq!(&stats, r, "{part} shards={shards} {mode} must match"),
             }
         }
     }
+    reference.expect("at least one cell ran")
+}
+
+/// One row per router branch a head's cached request mask depends on beyond
+/// the default config: longest-first shaping forced by the router on an
+/// asymmetric shape (preferred dimensions plus the dimension-order escape),
+/// and adaptive routing without the bubble escape. Each row once more under
+/// the oracle, which compares every cached mask bit with the router's own
+/// answer at every cycle boundary.
+#[test]
+fn shaped_and_escapeless_routing_match_across_modes_and_shards() {
+    let part: Partition = "8x4x2".parse().unwrap();
+    type Tweak = fn(&mut SimConfig);
+    let rows: [(Tweak, u64, u8); 2] = [
+        (|c| c.router.longest_first_bias = Some(true), 2, 8),
+        (|c| c.router.adaptive_bubble_escape = false, 1, 4),
+    ];
+    let [shaped, escapeless] = rows.map(|(tweak, k, chunks)| {
+        let programs = || uniform(&part, k, chunks, false);
+        let stats = run_modes_by_shards(part, &[1, 4], tweak, programs);
+        let with_oracle = |c: &mut SimConfig| {
+            tweak(c);
+            c.check_invariants = true;
+        };
+        assert_eq!(
+            run_modes_by_shards(part, &[1], with_oracle, programs),
+            stats
+        );
+        stats
+    });
+    // The rows must really have left the default router's path.
+    assert!(
+        shaped.bubble_hops > 0,
+        "shaping took dimension-order escapes"
+    );
+    assert_eq!(escapeless.bubble_hops, 0, "no escape, no bubble-VC hop");
 }
 
 /// The invariant oracle must hold on a sharded engine too (it forces the
