@@ -15,7 +15,7 @@
 
 use crate::experiment::ExperimentReport;
 use crate::experiments::pct;
-use crate::runner::{RunPoint, Runner, Scale};
+use crate::runner::{RunPoint, Runner, Scale, SharedTweak};
 use bgl_core::{CreditConfig, Pacer, StrategyKind};
 use bgl_sim::SimConfig;
 use bgl_torus::Partition;
@@ -29,11 +29,7 @@ pub fn shape(scale: Scale) -> &'static str {
     }
 }
 
-/// A shareable config tweak (the same closure backs the declared
-/// [`RunPoint`] and the sequential fetch in [`run`]).
-type Tweak = Arc<dyn Fn(&mut SimConfig) + Send + Sync>;
-
-fn tweak(f: impl Fn(&mut SimConfig) + Send + Sync + 'static) -> Tweak {
+fn tweak(f: impl Fn(&mut SimConfig) + Send + Sync + 'static) -> SharedTweak {
     Arc::new(f)
 }
 
@@ -42,17 +38,23 @@ struct Case {
     variant: &'static str,
     row: &'static str,
     strategy: StrategyKind,
-    tweak: Tweak,
+    tweak: SharedTweak,
 }
 
 impl Case {
-    fn new(label: &'static str, strategy: StrategyKind, tweak: Tweak) -> Case {
+    fn new(label: &'static str, strategy: StrategyKind, tweak: SharedTweak) -> Case {
         Case {
             variant: label,
             row: label,
             strategy,
             tweak,
         }
+    }
+
+    /// The simulation point this case stands for on testbed `(part, m, cov)`.
+    fn point(&self, part: Partition, m: u64, cov: f64) -> RunPoint {
+        let t = self.tweak.clone();
+        RunPoint::new(part, self.strategy.clone(), m, cov).variant(self.variant, move |c| t(c))
     }
 }
 
@@ -152,22 +154,25 @@ fn pinned_cases() -> Vec<Case> {
 /// The pinned testbed: partition, message size, coverage.
 const PINNED: (&str, u64, f64) = ("8x4x4", 1872, 1.0);
 
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
+/// Every case behind the simulation point it stands for, in row order: the
+/// budgeted sweep on the scale's testbed, then the pinned cases.
+fn cases(runner: &Runner) -> Vec<(RunPoint, Case)> {
     let part: Partition = shape(runner.scale).parse().unwrap();
     let m = runner.large_m_for(&part);
     let cov = runner.budget_coverage(&part, m);
     let pinned_part: Partition = PINNED.0.parse().unwrap();
-    let budget = budget_cases().into_iter().map(move |case| {
-        let t = case.tweak;
-        RunPoint::new(part, case.strategy, m, cov).variant(case.variant, move |c| t(c))
-    });
-    let pinned = pinned_cases().into_iter().map(move |case| {
-        let t = case.tweak;
-        RunPoint::new(pinned_part, case.strategy, PINNED.1, PINNED.2)
-            .variant(case.variant, move |c| t(c))
-    });
+    let budget = budget_cases()
+        .into_iter()
+        .map(|case| (case.point(part, m, cov), case));
+    let pinned = pinned_cases()
+        .into_iter()
+        .map(|case| (case.point(pinned_part, PINNED.1, PINNED.2), case));
     budget.chain(pinned).collect()
+}
+
+/// Declare every simulation point this experiment needs.
+pub fn points(runner: &Runner) -> Vec<RunPoint> {
+    cases(runner).into_iter().map(|(point, _)| point).collect()
 }
 
 /// Run the ablation suite.
@@ -178,12 +183,8 @@ pub fn run(runner: &Runner) -> ExperimentReport {
         "Design-choice ablations on an asymmetric torus",
         &["variant", "strategy", "% of peak / outcome"],
     );
-    let shape = shape(runner.scale);
-    let m = runner.large_m_for(&shape.parse().unwrap());
-    let cov = runner.budget_coverage(&shape.parse().unwrap(), m);
-    let mut case = |case: &Case, shape: &str, m: u64, cov: f64| {
-        let t = &case.tweak;
-        let cell = match runner.aa_variant(shape, &case.strategy, m, cov, case.variant, |c| t(c)) {
+    for (point, case) in cases(runner) {
+        let cell = match runner.report(&point) {
             Ok(r) => pct(r.percent_of_peak),
             Err(e) => format!("{e}"),
         };
@@ -192,12 +193,6 @@ pub fn run(runner: &Runner) -> ExperimentReport {
             case.strategy.name().to_string(),
             cell,
         ]);
-    };
-    for c in &budget_cases() {
-        case(c, shape, m, cov);
-    }
-    for c in &pinned_cases() {
-        case(c, PINNED.0, PINNED.1, PINNED.2);
     }
     rep.note("a Stalled outcome is the expected deadlock when the bubble machinery is disabled");
     rep.note(

@@ -18,64 +18,57 @@ pub mod table4;
 use crate::experiment::ExperimentReport;
 use crate::runner::{RunPoint, Runner};
 
-/// All experiment ids, in paper order.
-pub const ALL_IDS: &[&str] = &[
-    "fig1",
-    "fig2",
-    "table1",
-    "table2",
-    "fig3",
-    "fig4",
-    "table3",
-    "table4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "ablations",
-    "flow",
+/// One experiment: id, point declaration, renderer.
+type Entry = (
+    &'static str,
+    fn(&Runner) -> Vec<RunPoint>,
+    fn(&Runner) -> ExperimentReport,
+);
+
+/// The registry: every experiment in paper order. [`ALL_IDS`],
+/// [`points_by_id`] and [`run_by_id`] all read this one table.
+const REGISTRY: [Entry; 13] = [
+    ("fig1", fig1::points, fig1::run),
+    ("fig2", fig2::points, fig2::run),
+    ("table1", table1::points, table1::run),
+    ("table2", table2::points, table2::run),
+    ("fig3", fig3::points, fig3::run),
+    ("fig4", fig4::points, fig4::run),
+    ("table3", table3::points, table3::run),
+    ("table4", table4::points, table4::run),
+    ("fig5", fig5::points, fig5::run),
+    ("fig6", fig6::points, fig6::run),
+    ("fig7", fig7::points, fig7::run),
+    ("ablations", ablations::points, ablations::run),
+    ("flow", flow_ablation::points, flow_ablation::run),
 ];
+
+/// All experiment ids, in paper order.
+pub const ALL_IDS: &[&str] = &{
+    let mut ids = [""; REGISTRY.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = REGISTRY[i].0;
+        i += 1;
+    }
+    ids
+};
+
+fn entry(id: &str) -> Option<&'static Entry> {
+    REGISTRY.iter().find(|e| e.0 == id)
+}
 
 /// The simulation points one experiment needs, by id. Feeding these to
 /// [`Runner::run_points`](crate::runner::Runner::run_points) ahead of
 /// `run_by_id` lets a whole suite's point set execute on the thread
 /// pool at once instead of experiment by experiment.
 pub fn points_by_id(runner: &Runner, id: &str) -> Option<Vec<RunPoint>> {
-    Some(match id {
-        "table1" => table1::points(runner),
-        "table2" => table2::points(runner),
-        "table3" => table3::points(runner),
-        "table4" => table4::points(runner),
-        "fig1" => fig1::points(runner),
-        "fig2" => fig2::points(runner),
-        "fig3" => fig3::points(runner),
-        "fig4" => fig4::points(runner),
-        "fig5" => fig5::points(runner),
-        "fig6" => fig6::points(runner),
-        "fig7" => fig7::points(runner),
-        "ablations" => ablations::points(runner),
-        "flow" => flow_ablation::points(runner),
-        _ => return None,
-    })
+    entry(id).map(|e| e.1(runner))
 }
 
 /// Run one experiment by id.
 pub fn run_by_id(runner: &Runner, id: &str) -> Option<ExperimentReport> {
-    Some(match id {
-        "table1" => table1::run(runner),
-        "table2" => table2::run(runner),
-        "table3" => table3::run(runner),
-        "table4" => table4::run(runner),
-        "fig1" => fig1::run(runner),
-        "fig2" => fig2::run(runner),
-        "fig3" => fig3::run(runner),
-        "fig4" => fig4::run(runner),
-        "fig5" => fig5::run(runner),
-        "fig6" => fig6::run(runner),
-        "fig7" => fig7::run(runner),
-        "ablations" => ablations::run(runner),
-        "flow" => flow_ablation::run(runner),
-        _ => return None,
-    })
+    entry(id).map(|e| e.2(runner))
 }
 
 /// Format a percent cell.
@@ -109,6 +102,21 @@ mod tests {
         let rep = run_by_id(&r, "fig5").unwrap();
         assert_eq!(rep.id, "fig5");
         assert!(!rep.rows.is_empty());
+    }
+
+    /// `points()` must declare everything `run()` fetches: an undeclared
+    /// point still renders correctly, but it is simulated by the
+    /// single-threaded render loop instead of the worker pool. Checked on
+    /// the ids cheap enough for every test run.
+    #[test]
+    fn run_simulates_nothing_its_points_did_not_declare() {
+        for id in ["fig2", "table2", "fig4", "fig5", "fig6", "fig7", "flow"] {
+            let r = Runner::new(Scale::Quick);
+            r.run_points(&points_by_id(&r, id).expect("known id"));
+            let declared = r.cached_runs();
+            run_by_id(&r, id).expect("known id");
+            assert_eq!(r.cached_runs(), declared, "{id}: undeclared simulations");
+        }
     }
 
     #[test]

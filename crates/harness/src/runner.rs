@@ -26,17 +26,12 @@ use bgl_sim::{
 };
 use bgl_torus::Partition;
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Coverage is stored in parts per million: f64 never enters the key.
 pub const COVERAGE_PPM_FULL: u32 = 1_000_000;
-
-/// Cache shard count (a power of two; shards cut lock contention when
-/// many worker threads finish runs at once).
-const SHARDS: usize = 16;
 
 /// How hard to push the simulations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -255,7 +250,7 @@ impl std::fmt::Debug for RunPoint {
 
 /// Wall-clock accounting of a profiling-enabled runner
 /// ([`Runner::with_perf`]), aggregated across every worker thread of
-/// [`Runner::run_points`] and every sequential `aa*` call. Queue wait is
+/// [`Runner::run_points`] and every sequential fetch. Queue wait is
 /// the time a declared point sat behind other points before a worker
 /// picked it up; execute time is the simulation call itself. Cache hits
 /// cost neither.
@@ -297,7 +292,10 @@ pub struct Runner {
     /// Like `perf`, byte-identical results — not part of the cache key.
     progress: bool,
     timing: Mutex<RunnerTiming>,
-    shards: [Mutex<HashMap<RunKey, Result<AaReport, SimError>>>; SHARDS],
+    /// The memo cache: every completed (or failed) run by key. One map
+    /// behind one lock — a suite holds tens of entries and touches the
+    /// lock twice per simulation.
+    results: Mutex<HashMap<RunKey, Result<AaReport, SimError>>>,
 }
 
 impl Runner {
@@ -317,7 +315,7 @@ impl Runner {
             perf: false,
             progress: false,
             timing: Mutex::new(RunnerTiming::default()),
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
+            results: Mutex::new(HashMap::new()),
         }
     }
 
@@ -419,55 +417,34 @@ impl Runner {
         self.report(&self.point(shape, strategy, m))
     }
 
-    /// Run (or fetch) with explicit coverage and a config tweak. Callers
-    /// that pass a real tweak must use [`Runner::aa_variant`] with a
-    /// distinct label instead — an unlabeled tweak shares the default
-    /// config's cache slot.
-    pub fn aa_with(
-        &self,
-        shape: &str,
-        strategy: &StrategyKind,
-        m: u64,
-        coverage: f64,
-        tweak: impl Fn(&mut SimConfig),
-    ) -> Result<AaReport, SimError> {
-        self.aa_variant(shape, strategy, m, coverage, "", tweak)
-    }
-
-    /// Like [`Runner::aa_with`] but with an explicit variant label that
-    /// keys the configuration tweak (ablations).
-    pub fn aa_variant(
-        &self,
-        shape: &str,
-        strategy: &StrategyKind,
-        m: u64,
-        coverage: f64,
-        variant: &'static str,
-        tweak: impl Fn(&mut SimConfig),
-    ) -> Result<AaReport, SimError> {
-        let part: Partition = shape.parse().expect("valid shape");
-        let key = RunKey {
-            part,
-            strategy: strategy.clone(),
-            m,
-            coverage_ppm: RunKey::quantize(coverage),
-            variant,
-            trace_interval: 0,
-            fault: FaultPlan::default(),
-        };
-        self.run_keyed(&key, &tweak)
-    }
-
     /// Run (or fetch) a declared point.
     pub fn report(&self, point: &RunPoint) -> Result<AaReport, SimError> {
-        self.run_keyed(&point.key, &|cfg| point.apply(cfg))
+        let key = &point.key;
+        if let Some(hit) = self.lookup(key) {
+            if self.perf {
+                self.timing.lock().expect("timing lock").cache_hits += 1;
+            }
+            return hit;
+        }
+        let t0 = self.perf.then(Instant::now);
+        let result = self.execute(point);
+        if let Some(t0) = t0 {
+            let mut timing = self.timing.lock().expect("timing lock");
+            timing.points_executed += 1;
+            timing.execute_secs += t0.elapsed().as_secs_f64();
+        }
+        self.results
+            .lock()
+            .expect("cache lock")
+            .insert(key.clone(), result.clone());
+        result
     }
 
     /// Execute a point set: deduplicate by key, drop what the cache
     /// already holds, and run the rest across `jobs` worker threads.
     /// Results land in the cache (including errors, so a failing
     /// configuration is never re-simulated); fetch them afterwards with
-    /// [`Runner::report`] or the `aa*` methods. Thread count affects
+    /// [`Runner::report`] or [`Runner::aa`]. Thread count affects
     /// wall-clock only — every run is deterministic given its key.
     pub fn run_points(&self, points: &[RunPoint]) {
         let mut seen = HashSet::new();
@@ -515,10 +492,7 @@ impl Runner {
 
     /// How many distinct runs the cache holds (completed or failed).
     pub fn cached_runs(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache lock").len())
-            .sum()
+        self.results.lock().expect("cache lock").len()
     }
 
     /// A large-message size that packs into full 256-byte packets
@@ -539,49 +513,15 @@ impl Runner {
         }
     }
 
-    fn shard(&self, key: &RunKey) -> &Mutex<HashMap<RunKey, Result<AaReport, SimError>>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
-    }
-
     fn lookup(&self, key: &RunKey) -> Option<Result<AaReport, SimError>> {
-        self.shard(key)
-            .lock()
-            .expect("cache lock")
-            .get(key)
-            .cloned()
-    }
-
-    fn run_keyed(
-        &self,
-        key: &RunKey,
-        tweak: &dyn Fn(&mut SimConfig),
-    ) -> Result<AaReport, SimError> {
-        if let Some(hit) = self.lookup(key) {
-            if self.perf {
-                self.timing.lock().expect("timing lock").cache_hits += 1;
-            }
-            return hit;
-        }
-        let t0 = self.perf.then(Instant::now);
-        let result = self.execute(key, tweak);
-        if let Some(t0) = t0 {
-            let mut timing = self.timing.lock().expect("timing lock");
-            timing.points_executed += 1;
-            timing.execute_secs += t0.elapsed().as_secs_f64();
-        }
-        self.shard(key)
-            .lock()
-            .expect("cache lock")
-            .insert(key.clone(), result.clone());
-        result
+        self.results.lock().expect("cache lock").get(key).cloned()
     }
 
     /// One deterministic run: the workload is rebuilt from the key (the
     /// quantized coverage, not the caller's f64) and the runner's fixed
     /// seed, so identical keys produce identical reports on any thread.
-    fn execute(&self, key: &RunKey, tweak: &dyn Fn(&mut SimConfig)) -> Result<AaReport, SimError> {
+    fn execute(&self, point: &RunPoint) -> Result<AaReport, SimError> {
+        let key = &point.key;
         let mut workload = if key.is_full() {
             AaWorkload::full(key.m)
         } else {
@@ -593,7 +533,7 @@ impl Runner {
         cfg.shards = self.sim_shards;
         cfg.perf = self.perf.then(PerfConfig::default);
         cfg.progress = self.progress.then(ProgressConfig::default);
-        tweak(&mut cfg);
+        point.apply(&mut cfg);
         // The key's trace interval and fault plan win over any tweak:
         // the key is the identity of the run, so what it says must be
         // what executes.
@@ -642,24 +582,16 @@ mod tests {
     #[test]
     fn variants_do_not_collide() {
         let r = Runner::new(Scale::Quick);
-        let base = r
-            .aa_variant("4x4", &StrategyKind::ar(), 240, 1.0, "", |_| {})
-            .unwrap();
-        let tweaked = r
-            .aa_variant("4x4", &StrategyKind::ar(), 240, 1.0, "vc8", |c| {
-                c.router.vc_fifo_chunks = 8
-            })
-            .unwrap();
+        let plain = RunPoint::new("4x4".parse().unwrap(), StrategyKind::ar(), 240, 1.0);
+        let vc8 = plain
+            .clone()
+            .variant("vc8", |c| c.router.vc_fifo_chunks = 8);
+        let base = r.report(&plain).unwrap();
+        let tweaked = r.report(&vc8).unwrap();
         assert_eq!(r.cached_runs(), 2);
         // Each label re-fetches its own cached result.
-        let base2 = r
-            .aa_variant("4x4", &StrategyKind::ar(), 240, 1.0, "", |_| {})
-            .unwrap();
-        let tweaked2 = r
-            .aa_variant("4x4", &StrategyKind::ar(), 240, 1.0, "vc8", |c| {
-                c.router.vc_fifo_chunks = 8
-            })
-            .unwrap();
+        let base2 = r.report(&plain).unwrap();
+        let tweaked2 = r.report(&vc8).unwrap();
         assert_eq!(base.cycles, base2.cycles);
         assert_eq!(tweaked.cycles, tweaked2.cycles);
         assert_ne!(base.cycles, tweaked.cycles, "vc8 tweak must change the run");

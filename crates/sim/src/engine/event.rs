@@ -47,7 +47,7 @@
 //! there, so traced runs are byte-identical too.
 
 use super::phases::PULL_THRESHOLD;
-use super::{Engine, RING};
+use super::{Engine, ShardData, RING};
 
 /// What the last completed CPU visit learned about a node's ability to
 /// make progress on its own (without a delivery).
@@ -169,17 +169,16 @@ impl Engine {
         if e == now {
             return (now, cause);
         }
-        for (s, sd) in self.shards.iter().enumerate() {
-            let base = self.bounds[s];
+        for sd in &self.shards {
             for w in 0..sd.cpu_active.words.len() {
                 let mut bits = sd.cpu_active.words[w];
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let wake = self.cpu_wake(base + i);
+                    let wake = self.cpu_wake(sd, i);
                     if wake < e {
                         e = wake;
-                        cause = WakeCause::Cpu(base + i);
+                        cause = WakeCause::Cpu(sd.base + i);
                     }
                     if e <= now {
                         return (now, cause);
@@ -191,7 +190,7 @@ impl Engine {
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let wake = self.arb_wake(base + i);
+                    let wake = self.arb_wake(sd, i);
                     if wake < e {
                         e = wake;
                         cause = WakeCause::LinkBusy;
@@ -205,13 +204,13 @@ impl Engine {
         (e, cause)
     }
 
-    /// Next cycle global node `g`'s CPU phase could do anything but a
-    /// replayable blocked poll. `cpu_visit` skips cycles with
+    /// Next cycle the CPU phase of `sd`'s local node `i` could do anything
+    /// but a replayable blocked poll. `cpu_visit` skips cycles with
     /// `cpu_free >= t + 1`, so the first visitable cycle is
     /// `floor(cpu_free)` — before that, even a pending drain cannot run.
-    fn cpu_wake(&self, g: usize) -> u64 {
-        let n = &self.nodes[g];
-        let ev = self.events.as_ref().expect("event mode").nodes[g];
+    fn cpu_wake(&self, sd: &ShardData, i: usize) -> u64 {
+        let n = &sd.nodes[i];
+        let ev = self.events.as_ref().expect("event mode").nodes[sd.base + i];
         let ready = (n.cpu_free as u64).max(self.now);
         if !n.reception.is_empty() {
             // A drain mutates real state: never skip past it.
@@ -239,7 +238,8 @@ impl Engine {
         wake
     }
 
-    /// Next cycle global node `g`'s arbitration could win an output.
+    /// Next cycle the arbitration of `sd`'s local node `i` could win an
+    /// output.
     /// Heads on *free* links already lost their last stepped arbitration
     /// on downstream feasibility, which only a stepped event can change
     /// (fresh marks handle that); so the only timed wake is a busy link
@@ -250,8 +250,8 @@ impl Engine {
     /// the links arbitration probes). Against a bound over every head's
     /// whole minimal quadrant this can only wake *later*, and only where
     /// no head wants the link, so no win is slept through.
-    fn arb_wake(&self, g: usize) -> u64 {
-        let node = &self.nodes[g];
+    fn arb_wake(&self, sd: &ShardData, i: usize) -> u64 {
+        let node = &sd.nodes[i];
         if node.vc_mask == 0 && node.inj_mask == 0 {
             return u64::MAX;
         }
@@ -259,15 +259,15 @@ impl Engine {
         // names: consider every direction (waking early is always safe).
         // Fault transitions themselves mark both endpoints fresh, so dead
         // links becoming live never rely on this bound.
-        let faulted = !self.fault_alive.is_empty();
-        let ports = self.ports;
+        let faulted = !self.shared.healthy();
+        let ports = self.shared.ports;
         let mut wake = u64::MAX;
         for d in 0..ports {
             let requested = faulted || node.want[d] != 0 || node.inj_want[d] != 0;
-            if !requested || self.neighbors[g][d] == u32::MAX {
+            if !requested || self.shared.neighbors[sd.base + i][d] == u32::MAX {
                 continue;
             }
-            let busy = self.link_busy_until[g * ports + d];
+            let busy = sd.link_busy_until[i * ports + d];
             if busy >= self.now {
                 wake = wake.min(busy);
             }
@@ -283,15 +283,14 @@ impl Engine {
     /// node's own wake, so a `Rate` window is closed and an `Asleep`
     /// decline repeats verbatim across the whole eligible span.
     fn replay_blocked_counters(&mut self, stop: u64) {
-        for s in 0..self.shards.len() {
-            let base = self.bounds[s];
-            for w in 0..self.shards[s].cpu_active.words.len() {
-                let mut bits = self.shards[s].cpu_active.words[w];
+        for sd in &self.shards {
+            for w in 0..sd.cpu_active.words.len() {
+                let mut bits = sd.cpu_active.words[w];
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let g = base + i;
-                    let n = &self.nodes[g];
+                    let g = sd.base + i;
+                    let n = &sd.nodes[i];
                     if n.program_done || n.pulled.len() >= PULL_THRESHOLD || !n.reception.is_empty()
                     {
                         continue;
@@ -330,14 +329,14 @@ impl Engine {
         }
         let watchdog_fire = self
             .last_progress
-            .saturating_add(self.cfg.watchdog_cycles)
+            .saturating_add(self.shared.cfg.watchdog_cycles)
             .saturating_add(1);
         // Never skip over a scheduled fault transition: the transition
         // cycle is stepped in every engine mode, keeping fault runs
         // byte-identical across modes.
         let e = raw
             .min(watchdog_fire)
-            .min(self.cfg.max_cycles)
+            .min(self.shared.cfg.max_cycles)
             .min(self.next_fault_cycle());
         if self.perf.is_some() {
             self.perf_note_skip(raw, e, watchdog_fire, cause);

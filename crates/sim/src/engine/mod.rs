@@ -43,11 +43,17 @@
 //!   reproduces the global ascending-node win order exactly) and applies
 //!   the cycle's deferred credit releases.
 //!
-//! With `shards > 1` (and neither the invariant oracle nor event-driven
-//! time in play) the sections run on one thread per shard, separated by
-//! barriers; otherwise they run on the caller's thread in ascending shard
-//! order. Both drive the *same* section code over the same data layout,
-//! so results are byte-identical for every shard count, threaded or not.
+//! Each shard *owns* its slab ([`ShardData`]: nodes, programs, link
+//! timers, per-cycle statistics, rings and outboxes); everything sections
+//! only read or touch atomically lives in one [`Shared`]. `Engine::step`
+//! is therefore a loop over `self.shards`: with `shards > 1` (and neither
+//! the invariant oracle nor event-driven time in play) each shard's three
+//! sections run on a scoped thread of their own, separated by two
+//! barriers (A→B orders credit releases before credit reads, B→C the
+//! mailbox hand-off before its drain; the scope join closes the cycle);
+//! otherwise they run on the caller's thread in ascending shard order.
+//! Both drive the *same* section code over the same data, so results are
+//! byte-identical for every shard count, threaded or not.
 //!
 //! Two accounting rules make the sections order-independent (and apply
 //! identically at `shards = 1`): credit freed by a phase-4 pop is
@@ -67,7 +73,6 @@
 
 mod event;
 mod oracle;
-mod parallel;
 mod perf;
 mod phases;
 mod tracer;
@@ -75,15 +80,16 @@ mod tracer;
 use crate::config::{EngineMode, SimConfig, Vc};
 use crate::node::{vc_fifo_index, NodeState};
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
+use crate::perf::ShardPerf;
 use crate::program::{NodeApi, NodeProgram};
 use crate::stats::{NetStats, LATENCY_BUCKETS};
 use bgl_torus::{Coord, Dim, Direction, Partition, MAX_DIMS, MAX_PORTS};
 use event::EventState;
 use oracle::Oracle;
 use perf::{PerfState, ProgressState};
-use phases::{Router, Shard};
+use phases::{Shard, Shared};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 use tracer::Tracer;
 
 /// In-flight ring size; must exceed max packet chunks + hop latency.
@@ -322,10 +328,22 @@ impl ActiveSet {
     }
 }
 
-/// Per-shard simulation state. Indices stored here (`deliver_q`, ring
-/// arrivals) are *global* node ranks; the active sets use shard-local bit
-/// positions (`global - base`).
+/// One shard: a contiguous slab of global ranks `base..base + nodes.len()`
+/// and every piece of simulation state only that slab's sections mutate.
+/// The per-node vectors and the active sets are indexed *locally*
+/// (`global - base`); `deliver_q` and ring arrivals carry global ranks.
 struct ShardData {
+    /// This shard's index (ascending shard = ascending rank).
+    si: usize,
+    /// First global rank of the slab.
+    base: usize,
+    nodes: Vec<NodeState>,
+    programs: Vec<Box<dyn NodeProgram>>,
+    /// `busy_until[local * ports + dir]`.
+    link_busy_until: Vec<u64>,
+    /// The slab's rows of `NetStats::link_busy_per_link` (folded in at
+    /// observation points); empty when detailed link stats are off.
+    link_stats: Vec<u64>,
     /// In-flight ring: slot `t % RING` holds the packets arriving at this
     /// shard's nodes at cycle `t`.
     ring: Vec<Vec<Arrival>>,
@@ -345,20 +363,12 @@ struct ShardData {
     /// Credit releases from this cycle's phase-4 pops, applied at the
     /// cycle boundary (section C): `(credit cell, chunks)`.
     deferred: Vec<(u32, u32)>,
-}
-
-impl ShardData {
-    fn new(len: usize, nshards: usize) -> ShardData {
-        ShardData {
-            ring: (0..RING).map(|_| Vec::new()).collect(),
-            deliver_q: Vec::new(),
-            cpu_active: ActiveSet::all(len),
-            arb_active: ActiveSet::all(len),
-            outbox: (0..nshards).map(|_| Vec::new()).collect(),
-            injected: Vec::new(),
-            deferred: Vec::new(),
-        }
-    }
+    /// This cycle's statistics, merged into `NetStats` at the boundary.
+    cs: CycleStats,
+    /// This shard's record of the host profiler (`SimConfig::perf`). The
+    /// profiler only reads the host clock and writes its own accumulator,
+    /// so enabling it can never perturb simulation results.
+    perf: Option<ShardPerf>,
 }
 
 /// Statistics a single shard accumulates over one cycle, merged into the
@@ -399,55 +409,17 @@ struct FaultEvent {
 
 /// The simulator.
 pub struct Engine {
-    cfg: SimConfig,
-    part: Partition,
+    /// Configuration, topology, credits and mailboxes: what every shard
+    /// reads (see [`Shared`]).
+    shared: Shared,
     now: u64,
-    nodes: Vec<NodeState>,
-    programs: Vec<Box<dyn NodeProgram>>,
-    /// `neighbors[n][dir]`: node on the other end of the link, or
-    /// `u32::MAX` at a mesh edge (and for directions beyond the
-    /// partition's `2n` ports).
-    neighbors: Vec<[u32; MAX_PORTS]>,
-    /// Directed output ports per node (`2 · partition.ndims()`): the
-    /// stride of every dense per-link array below.
-    ports: usize,
-    /// Credit cells per node (`ports · NUM_VCS`, one per transit VC FIFO).
-    vc_cells: usize,
-    /// `busy_until[n*ports+dir]`.
-    link_busy_until: Vec<u64>,
-    /// Available downstream space per transit VC FIFO, indexed
-    /// `node * vc_cells + vc_fifo_index(port, vc)`, counting in-flight
-    /// reservations (spent at the upstream win, released when the packet
-    /// is popped). Atomic so threaded shards can share it, but every cell
-    /// has a single accessor per section: the unique upstream node's
-    /// shard spends during phase 4, the owning node's shard releases
-    /// during phase 2 and at the boundary — so plain relaxed ordering is
-    /// exact, not approximate.
-    credits: Vec<AtomicU32>,
-    /// Shard boundaries: shard `s` owns global ranks
-    /// `bounds[s]..bounds[s+1]`.
-    bounds: Vec<usize>,
-    /// Owning shard of each global rank.
-    shard_of: Vec<u16>,
+    /// The slabs, ascending by rank; each owns its nodes and programs.
     shards: Vec<ShardData>,
-    /// Per-(src,dst)-shard mailboxes (`src * nshards + dst`), swapped
-    /// against shard outboxes at the end of section B and drained by the
-    /// destination in section C. Uncontended by construction; the mutex
-    /// exists to let threaded shards exchange the vectors safely.
-    staging: Vec<Mutex<Vec<OutMsg>>>,
-    /// Per-shard injection counts of the current cycle, published at the
-    /// end of section A and prefix-summed by every shard in section B to
-    /// place its packet ids.
-    counts: Vec<AtomicU64>,
-    cycle_stats: Vec<CycleStats>,
     /// Run sections on one thread per shard. Requires > 1 shard and
     /// neither the oracle (whose ledgers are inherently global) nor
     /// event-driven time (whose skip decisions are global); both of those
     /// still run the sharded *structure* sequentially, byte-identically.
     parallel: bool,
-    /// Reference mode: scan every node every cycle (see
-    /// [`EngineMode::FullScan`]).
-    full_scan: bool,
     /// Event-driven wake bookkeeping; `None` unless `cfg.engine` is
     /// [`EngineMode::EventDriven`].
     events: Option<Box<EventState>>,
@@ -469,11 +441,6 @@ pub struct Engine {
     /// Stderr progress heartbeat; `None` unless `SimConfig::progress` is
     /// set.
     progress: Option<Box<ProgressState>>,
-    /// Per-directed-link liveness (`node·ports + dir`), *empty* on a healthy
-    /// run so the hot paths keep a `None` fast path instead of a bounds
-    /// check per probe. Mutated only by `apply_fault_transitions`, at the
-    /// top of a cycle, single-threaded.
-    fault_alive: Vec<bool>,
     /// The fault plan expanded to per-link liveness flips, sorted by
     /// (cycle, link).
     fault_schedule: Vec<FaultEvent>,
@@ -506,9 +473,41 @@ impl Engine {
         }
         let ports = part.ports();
         let vc_cells = ports * crate::config::NUM_VCS;
-        let nodes: Vec<NodeState> = (0..p as u32)
-            .map(|r| NodeState::new(part.coord_of(r), &cfg, ports))
-            .collect();
+        // Contiguous rank slabs (shard `s` owns ranks `s·p/n..(s+1)·p/n`);
+        // u16::MAX shards is plenty and keeps the ownership map compact.
+        // The slabs are built before the shared tables on purpose: with
+        // the per-node allocations first, glibc keeps the heap across a
+        // drop-and-rebuild instead of trimming it and faulting every page
+        // back in (measured on 16x8x8: `Engine::new` 170 µs this way round,
+        // 410 µs the other) — what a caller that builds many engines pays.
+        let nshards = cfg.shards.get().min(p).min(u16::MAX as usize);
+        let mut shard_of = vec![0u16; p];
+        let mut programs = programs.into_iter();
+        let mut shards: Vec<ShardData> = Vec::with_capacity(nshards);
+        for s in 0..nshards {
+            let (base, end) = (s * p / nshards, (s + 1) * p / nshards);
+            shard_of[base..end].fill(s as u16);
+            let links = (end - base) * ports;
+            shards.push(ShardData {
+                si: s,
+                base,
+                nodes: (base..end)
+                    .map(|r| NodeState::new(part.coord_of(r as u32), &cfg, ports))
+                    .collect(),
+                programs: programs.by_ref().take(end - base).collect(),
+                link_busy_until: vec![0; links],
+                link_stats: vec![0; if cfg.detailed_link_stats { links } else { 0 }],
+                ring: (0..RING).map(|_| Vec::new()).collect(),
+                deliver_q: Vec::new(),
+                cpu_active: ActiveSet::all(end - base),
+                arb_active: ActiveSet::all(end - base),
+                outbox: (0..nshards).map(|_| Vec::new()).collect(),
+                injected: Vec::new(),
+                deferred: Vec::new(),
+                cs: CycleStats::default(),
+                perf: cfg.perf.is_some().then(ShardPerf::default),
+            });
+        }
         let neighbors: Vec<[u32; MAX_PORTS]> = (0..p as u32)
             .map(|r| {
                 let c = part.coord_of(r);
@@ -532,21 +531,6 @@ impl Engine {
             },
             ..NetStats::default()
         };
-        // Contiguous rank slabs; u16::MAX shards is plenty and keeps the
-        // ownership map compact.
-        let nshards = cfg.shards.get().min(p).min(u16::MAX as usize);
-        let bounds: Vec<usize> = (0..=nshards).map(|s| s * p / nshards).collect();
-        let mut shard_of = vec![0u16; p];
-        for s in 0..nshards {
-            shard_of[bounds[s]..bounds[s + 1]].fill(s as u16);
-        }
-        let shards = (0..nshards)
-            .map(|s| ShardData::new(bounds[s + 1] - bounds[s], nshards))
-            .collect();
-        let credits = (0..p * vc_cells)
-            .map(|_| AtomicU32::new(cfg.router.vc_fifo_chunks))
-            .collect();
-        let full_scan = cfg.engine == EngineMode::FullScan;
         let events = (cfg.engine == EngineMode::EventDriven).then(|| Box::new(EventState::new(p)));
         let tracer = cfg
             .trace
@@ -556,7 +540,7 @@ impl Engine {
         let perf = cfg
             .perf
             .is_some()
-            .then(|| Box::new(PerfState::new(nshards, events.is_some())));
+            .then(|| Box::new(PerfState::new(events.is_some())));
         let progress = cfg
             .progress
             .as_ref()
@@ -582,27 +566,28 @@ impl Engine {
             }
             fault_schedule.sort_by_key(|e| (e.cycle, e.link));
         }
-        Engine {
+        let shared = Shared {
+            credits: (0..p * vc_cells)
+                .map(|_| AtomicU32::new(cfg.router.vc_fifo_chunks))
+                .collect(),
+            full_scan: cfg.engine == EngineMode::FullScan,
             cfg,
             part,
-            now: 0,
-            nodes,
-            programs,
             neighbors,
             ports,
             vc_cells,
-            link_busy_until: vec![0; p * ports],
-            credits,
-            bounds,
             shard_of,
-            shards,
             staging: (0..nshards * nshards)
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
             counts: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
-            cycle_stats: (0..nshards).map(|_| CycleStats::default()).collect(),
+            fault_alive,
+        };
+        Engine {
+            shared,
+            now: 0,
+            shards,
             parallel,
-            full_scan,
             events,
             live_packets: 0,
             pending_total: 0,
@@ -615,7 +600,6 @@ impl Engine {
             oracle,
             perf,
             progress,
-            fault_alive,
             fault_schedule,
             fault_cursor: 0,
         }
@@ -623,7 +607,7 @@ impl Engine {
 
     /// The configuration in use.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        &self.shared.cfg
     }
 
     /// Current cycle.
@@ -631,16 +615,17 @@ impl Engine {
         self.now
     }
 
-    /// Statistics so far. `cpu_busy_cycles` is folded from the per-node
-    /// accumulators only at observation points (trace samples, run end),
-    /// so mid-run reads of that one field may lag.
+    /// Statistics so far. `cpu_busy_cycles` and `link_busy_per_link` are
+    /// folded from the per-node and per-shard accumulators only at
+    /// observation points (trace samples, run end), so mid-run reads of
+    /// those two fields may lag.
     pub fn stats(&self) -> &NetStats {
         &self.stats
     }
 
     /// Number of shards in use (after clamping to the node count).
     pub fn shard_count(&self) -> usize {
-        self.bounds.len() - 1
+        self.shards.len()
     }
 
     /// Run to completion. Returns the final statistics.
@@ -665,20 +650,20 @@ impl Engine {
             if self.progress_due() {
                 self.progress_heartbeat();
             }
-            if self.now >= self.cfg.max_cycles {
-                self.sync_cpu_busy();
+            if self.now >= self.shared.cfg.max_cycles {
+                self.sync_ledgers();
                 return Err(SimError::CycleLimit {
-                    limit: self.cfg.max_cycles,
+                    limit: self.shared.cfg.max_cycles,
                 });
             }
-            if self.now.saturating_sub(self.last_progress) > self.cfg.watchdog_cycles {
+            if self.now.saturating_sub(self.last_progress) > self.shared.cfg.watchdog_cycles {
                 // Capture the stalled queue state itself as a final
                 // sample, then report the tail: the last windows before
                 // the deadlock plus the frozen snapshot.
                 if self.tracer.is_some() {
                     self.record_trace_sample(true);
                 }
-                self.sync_cpu_busy();
+                self.sync_ledgers();
                 let breakdown = self.stall_breakdown();
                 // Heads parked purely behind dead links, with no recovery
                 // left in the schedule, will never move: report the
@@ -699,7 +684,7 @@ impl Engine {
                 return Err(SimError::Stalled {
                     cycle: self.now,
                     live_packets: self.live_packets + self.pending_total,
-                    incomplete_programs: self.programs.len() - self.done_programs,
+                    incomplete_programs: self.num_nodes() - self.done_programs,
                     breakdown,
                     trace_tail,
                 });
@@ -712,7 +697,7 @@ impl Engine {
                 self.fast_forward();
             }
         }
-        self.sync_cpu_busy();
+        self.sync_ledgers();
         if self.oracle.is_some() {
             self.oracle_quiesce_check();
         }
@@ -725,44 +710,60 @@ impl Engine {
         self.started
             && self.live_packets == 0
             && self.pending_total == 0
-            && self.done_programs == self.programs.len()
+            && self.done_programs == self.num_nodes()
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.shared.shard_of.len()
+    }
+
+    /// Every node's state in ascending global rank (ascending shard =
+    /// ascending rank) — the order every fold and diagnostic sweep uses.
+    fn nodes(&self) -> impl Iterator<Item = &NodeState> {
+        self.shards.iter().flat_map(|sd| &sd.nodes)
+    }
+
+    /// The shard owning global rank `g` and `g`'s local index in it.
+    fn locate(&self, g: usize) -> (&ShardData, usize) {
+        let sd = &self.shards[self.shared.shard_of[g] as usize];
+        (sd, g - sd.base)
     }
 
     fn start_programs(&mut self) {
         self.started = true;
-        let mut programs = std::mem::take(&mut self.programs);
-        for (i, prog) in programs.iter_mut().enumerate() {
-            let node = &mut self.nodes[i];
-            let before = node.pending.len();
-            let mut api = NodeApi::new(i as u32, node.coord, 0, &self.part, &mut node.pending)
-                .with_flow(&mut node.flow);
-            prog.start(&mut api);
-            let extra = api.take_extra_cpu();
-            self.stats.credit_blocked_events += api.take_credit_blocked();
-            let after = node.pending.len();
-            // Anchoring at `max(cpu_free, now)` is implicit here: `start`
-            // runs at cycle 0 with every `cpu_free` still 0.0.
-            node.cpu_free += extra;
-            self.pending_total += (after - before) as u64;
-            if prog.is_complete() {
-                node.program_done = true;
-                self.done_programs += 1;
+        for sd in &mut self.shards {
+            for (i, (prog, node)) in sd.programs.iter_mut().zip(&mut sd.nodes).enumerate() {
+                let before = node.pending.len();
+                let rank = (sd.base + i) as u32;
+                let mut api =
+                    NodeApi::new(rank, node.coord, 0, &self.shared.part, &mut node.pending)
+                        .with_flow(&mut node.flow);
+                prog.start(&mut api);
+                let extra = api.take_extra_cpu();
+                self.stats.credit_blocked_events += api.take_credit_blocked();
+                let after = node.pending.len();
+                // Anchoring at `max(cpu_free, now)` is implicit here: `start`
+                // runs at cycle 0 with every `cpu_free` still 0.0.
+                node.cpu_free += extra;
+                self.pending_total += (after - before) as u64;
+                if prog.is_complete() {
+                    node.program_done = true;
+                    self.done_programs += 1;
+                }
             }
         }
-        self.programs = programs;
     }
 
     /// Fold the per-node CPU-busy accumulators into
     /// `stats.cpu_busy_cycles`, in ascending node order — the one float
-    /// reduction in the stats, pinned to a shard-independent order.
-    fn sync_cpu_busy(&mut self) {
-        self.stats.cpu_busy_cycles = self.nodes.iter().map(|n| n.cpu_busy).sum();
-    }
-
-    /// The shared link-liveness view, `None` on a healthy run so the hot
-    /// paths keep a branch-free fast path.
-    fn fault_link_alive(&self) -> Option<&[bool]> {
-        (!self.fault_alive.is_empty()).then_some(&self.fault_alive[..])
+    /// reduction in the stats, pinned to a shard-independent order — and
+    /// the shards' detailed link counters into `stats.link_busy_per_link`.
+    fn sync_ledgers(&mut self) {
+        self.stats.cpu_busy_cycles = self.nodes().map(|n| n.cpu_busy).sum();
+        let per_link = self.shards.iter().flat_map(|sd| &sd.link_stats);
+        for (total, &chunks) in self.stats.link_busy_per_link.iter_mut().zip(per_link) {
+            *total = chunks;
+        }
     }
 
     /// Cycle of the next unapplied fault transition (`u64::MAX` once the
@@ -787,10 +788,10 @@ impl Engine {
             }
             self.fault_cursor += 1;
             let link = ev.link as usize;
-            self.fault_alive[link] = ev.alive;
-            let u = link / self.ports;
-            let d = Direction::from_index(link % self.ports);
-            let v = self.neighbors[u][d.index()];
+            self.shared.fault_alive[link] = ev.alive;
+            let u = link / self.shared.ports;
+            let d = Direction::from_index(link % self.shared.ports);
+            let v = self.shared.neighbors[u][d.index()];
             debug_assert_ne!(v, u32::MAX, "validated plans never fault mesh edges");
             if !ev.alive {
                 self.drop_in_flight(d, v as usize);
@@ -811,10 +812,9 @@ impl Engine {
             if let Some(ev) = &mut self.events {
                 ev.mark_fresh(g);
             }
-            let s = self.shard_of[g] as usize;
-            let local = g - self.bounds[s];
-            self.shards[s].arb_active.mark(local);
-            self.shards[s].cpu_active.mark(local);
+            let sd = &mut self.shards[self.shared.shard_of[g] as usize];
+            sd.arb_active.mark(g - sd.base);
+            sd.cpu_active.mark(g - sd.base);
         }
     }
 
@@ -826,7 +826,7 @@ impl Engine {
     /// once", which the oracle checks at quiesce.
     fn drop_in_flight(&mut self, d: Direction, v: usize) {
         let dp = d.opposite().index();
-        let sv = self.shard_of[v] as usize;
+        let sv = self.shared.shard_of[v] as usize;
         let keep = (self.now % RING as u64) as usize;
         let mut dropped: Vec<Packet> = Vec::new();
         for (slot, ring) in self.shards[sv].ring.iter_mut().enumerate() {
@@ -846,64 +846,25 @@ impl Engine {
             }
         }
         for pkt in dropped {
-            let cell = v * self.vc_cells + vc_fifo_index(dp, pkt.vc.index());
-            self.credits[cell].fetch_add(pkt.chunks as u32, Relaxed);
+            let cell = v * self.shared.vc_cells + vc_fifo_index(dp, pkt.vc.index());
+            self.shared.credits[cell].fetch_add(pkt.chunks as u32, Relaxed);
             self.live_packets -= 1;
             self.stats.dropped_by_fault += 1;
             if let Some(o) = self.oracle.as_deref_mut() {
                 o.on_drop(&pkt);
             }
-            let dst = self.part.rank_of(pkt.dst) as usize;
-            let prog = &mut self.programs[dst];
-            prog.on_packet_dropped(&pkt);
-            if prog.is_complete() && !self.nodes[dst].program_done {
-                self.nodes[dst].program_done = true;
-                self.done_programs += 1;
-            }
+            let dst = self.shared.part.rank_of(pkt.dst) as usize;
             if let Some(ev) = &mut self.events {
                 ev.mark_fresh(dst);
             }
-            let s = self.shard_of[dst] as usize;
-            self.shards[s].cpu_active.mark(dst - self.bounds[s]);
-        }
-    }
-
-    /// Borrow shard `s`'s slice of the engine as a section context.
-    fn shard_ctx(&mut self, s: usize) -> Shard<'_> {
-        let (lo, hi) = (self.bounds[s], self.bounds[s + 1]);
-        let ports = self.ports;
-        Shard {
-            router: Router {
-                cfg: &self.cfg,
-                neighbors: &self.neighbors,
-                credits: &self.credits,
-                link_alive: (!self.fault_alive.is_empty()).then_some(&self.fault_alive[..]),
-                ports,
-                vc_cells: self.vc_cells,
-                ndims: self.part.ndims(),
-            },
-            part: &self.part,
-            shard_of: &self.shard_of,
-            counts: &self.counts,
-            staging: &self.staging,
-            nshards: self.bounds.len() - 1,
-            si: s,
-            base: lo,
-            next_id0: self.next_packet_id,
-            full_scan: self.full_scan,
-            nodes: &mut self.nodes[lo..hi],
-            programs: &mut self.programs[lo..hi],
-            link_busy_until: &mut self.link_busy_until[lo * ports..hi * ports],
-            link_stats: if self.cfg.detailed_link_stats {
-                &mut self.stats.link_busy_per_link[lo * ports..hi * ports]
-            } else {
-                &mut []
-            },
-            sd: &mut self.shards[s],
-            cs: &mut self.cycle_stats[s],
-            events: self.events.as_deref_mut(),
-            oracle: self.oracle.as_deref_mut(),
-            perf: self.perf.as_deref_mut().map(|p| &mut p.profile.shards[s]),
+            let sd = &mut self.shards[self.shared.shard_of[dst] as usize];
+            let i = dst - sd.base;
+            sd.programs[i].on_packet_dropped(&pkt);
+            if sd.programs[i].is_complete() && !sd.nodes[i].program_done {
+                sd.nodes[i].program_done = true;
+                self.done_programs += 1;
+            }
+            sd.cpu_active.mark(i);
         }
     }
 
@@ -918,10 +879,10 @@ impl Engine {
     fn cycle_is_wide(&self, t: u64) -> bool {
         /// Minimum estimated active nodes per shard before threads pay.
         const MIN_ACTIVE_PER_SHARD: usize = 128;
-        let floor = (self.bounds.len() - 1) * MIN_ACTIVE_PER_SHARD;
-        if self.full_scan {
+        let floor = self.shards.len() * MIN_ACTIVE_PER_SHARD;
+        if self.shared.full_scan {
             // The full scan visits every node every cycle by definition.
-            return self.nodes.len() >= floor;
+            return self.num_nodes() >= floor;
         }
         let mut active = 0usize;
         for sd in &self.shards {
@@ -948,25 +909,41 @@ impl Engine {
             self.apply_fault_transitions();
         }
         let t = self.now;
-        for cs in &mut self.cycle_stats {
-            *cs = CycleStats::default();
-        }
-        let nshards = self.bounds.len() - 1;
         let wide = self.parallel && self.cycle_is_wide(t);
         if self.perf.is_some() {
             self.perf_note_step(wide);
         }
+        let (shared, next_id0) = (&self.shared, self.next_packet_id);
         if wide {
-            self.step_parallel(t);
+            // One scoped thread per shard, spawned fresh each cycle (the
+            // gate above keeps thin cycles off this path): no persistent
+            // worker state, and a panicking section propagates out of the
+            // scope immediately. `parallel` guarantees the two global
+            // observers (oracle, event bookkeeping) are absent.
+            let barrier = &Barrier::new(self.shards.len());
+            std::thread::scope(|scope| {
+                for sd in &mut self.shards {
+                    scope.spawn(move || {
+                        let mut shard = Shard::new(shared, sd, None, None);
+                        shard.section_a(t);
+                        shard.timed_wait(barrier, |p| &mut p.barrier_a_wait_secs);
+                        shard.section_b(t, next_id0);
+                        shard.timed_wait(barrier, |p| &mut p.barrier_b_wait_secs);
+                        shard.section_c();
+                    });
+                }
+            });
         } else {
-            for s in 0..nshards {
-                self.shard_ctx(s).section_a(t);
+            let (events, oracle) = (&mut self.events, &mut self.oracle);
+            for sd in &mut self.shards {
+                Shard::new(shared, sd, events.as_deref_mut(), oracle.as_deref_mut()).section_a(t);
             }
-            for s in 0..nshards {
-                self.shard_ctx(s).section_b(t);
+            for sd in &mut self.shards {
+                Shard::new(shared, sd, events.as_deref_mut(), oracle.as_deref_mut())
+                    .section_b(t, next_id0);
             }
-            for s in 0..nshards {
-                self.shard_ctx(s).section_c();
+            for sd in &mut self.shards {
+                Shard::new(shared, sd, events.as_deref_mut(), oracle.as_deref_mut()).section_c();
             }
         }
         self.merge_cycle(t);
@@ -986,13 +963,15 @@ impl Engine {
         }
     }
 
-    /// Fold the cycle's per-shard statistics into the run totals. Every
-    /// merge is order-independent (sums, maxima), so the ascending shard
-    /// order here is a convention, not a requirement.
+    /// Fold the cycle's per-shard statistics into the run totals, leaving
+    /// each shard's slate clean for the next cycle. Every merge is
+    /// order-independent (sums, maxima), so the ascending shard order here
+    /// is a convention, not a requirement.
     fn merge_cycle(&mut self, t: u64) {
         let mut id_total = 0;
-        for (s, cs) in self.cycle_stats.iter().enumerate() {
-            id_total += self.counts[s].load(Relaxed);
+        for sd in &mut self.shards {
+            let cs = std::mem::take(&mut sd.cs);
+            id_total += self.shared.counts[sd.si].load(Relaxed);
             if cs.progress {
                 self.last_progress = t;
             }
@@ -1026,7 +1005,7 @@ impl Engine {
 
     /// Diagnostic: dimension utilization snapshot helper.
     pub fn partition(&self) -> &Partition {
-        &self.part
+        &self.shared.part
     }
 
     /// Diagnostic: where packets currently are (for stall reports/tests).
@@ -1036,32 +1015,18 @@ impl Engine {
 
     /// Diagnostic: coordinate of a rank.
     pub fn coord_of(&self, rank: u32) -> Coord {
-        self.part.coord_of(rank)
+        self.shared.part.coord_of(rank)
     }
 
     /// Diagnostic: hops between two ranks under the engine's partition.
     pub fn hops_between(&self, a: u32, b: u32) -> u32 {
-        self.part.hops(self.part.coord_of(a), self.part.coord_of(b))
+        let part = &self.shared.part;
+        part.hops(part.coord_of(a), part.coord_of(b))
     }
 
     /// Diagnostic: per-dimension utilization so far.
     pub fn dim_utilization(&self, dim: Dim) -> f64 {
-        self.stats.dim_utilization(&self.part, dim)
-    }
-
-    /// The routing-feasibility view shared by phase 4 and the engine-side
-    /// diagnostics (HOL probes read only the credit array, never another
-    /// node's FIFO state).
-    fn router(&self) -> Router<'_> {
-        Router {
-            cfg: &self.cfg,
-            neighbors: &self.neighbors,
-            credits: &self.credits,
-            link_alive: self.fault_link_alive(),
-            ports: self.ports,
-            vc_cells: self.vc_cells,
-            ndims: self.part.ndims(),
-        }
+        self.stats.dim_utilization(&self.shared.part, dim)
     }
 
     /// Whether the head packet of transit FIFO `fifo` at node `n` cannot
@@ -1071,14 +1036,15 @@ impl Engine {
     /// VC credit. This is the paper's head-of-line blocking signal —
     /// packets parked behind saturated long-dimension links.
     fn head_is_hol_blocked(&self, n: usize, fifo: usize, pkt: &Packet) -> bool {
-        let router = self.router();
+        let router = &self.shared;
         let from_dim = Some(fifo / crate::config::NUM_VCS / 2); // port index / 2 = dimension
+        let (sd, i) = self.locate(n);
         let mut any_dir = false;
-        for d in self.part.directions() {
+        for d in router.part.directions() {
             if !router.wants(pkt, d) {
                 continue;
             }
-            let nb = self.neighbors[n][d.index()];
+            let nb = router.neighbors[n][d.index()];
             if nb == u32::MAX {
                 continue;
             }
@@ -1089,7 +1055,7 @@ impl Engine {
                 continue;
             }
             any_dir = true;
-            if self.link_busy_until[n * self.ports + d.index()] <= self.now
+            if sd.link_busy_until[i * router.ports + d.index()] <= self.now
                 && router
                     .feasible_vc(pkt, n, from_dim, d, nb as usize)
                     .is_some()
@@ -1106,16 +1072,16 @@ impl Engine {
     /// to sidestep through either. Returns the first dead direction the
     /// packet wanted, attributing the park to that link.
     fn head_is_fault_blocked(&self, n: usize, pkt: &Packet) -> Option<Direction> {
-        if self.fault_alive.is_empty() {
+        let router = &self.shared;
+        if router.healthy() {
             return None;
         }
-        let router = self.router();
         let mut first_dead = None;
-        for d in self.part.directions() {
+        for d in router.part.directions() {
             if !router.wants(pkt, d) {
                 continue;
             }
-            if self.neighbors[n][d.index()] == u32::MAX {
+            if router.neighbors[n][d.index()] == u32::MAX {
                 continue;
             }
             if router.alive(n, d) {
@@ -1129,8 +1095,8 @@ impl Engine {
         }
         let first_dead = first_dead?;
         if pkt.routing == RoutingMode::Adaptive && pkt.detour_count() < DETOUR_BUDGET {
-            for d in self.part.directions() {
-                if self.neighbors[n][d.index()] != u32::MAX
+            for d in router.part.directions() {
+                if router.neighbors[n][d.index()] != u32::MAX
                     && router.alive(n, d)
                     && pkt.detour_from() != Some(d.index())
                 {
@@ -1146,10 +1112,10 @@ impl Engine {
     /// Visit every fault-blocked transit- and injection-FIFO head with
     /// the dead link it is parked behind.
     fn scan_fault_blocked<F: FnMut(usize, Direction)>(&self, mut f: F) {
-        if self.fault_alive.is_empty() {
+        if self.shared.healthy() {
             return;
         }
-        for (ni, node) in self.nodes.iter().enumerate() {
+        for (ni, node) in self.nodes().enumerate() {
             let mut mask = node.vc_mask;
             while mask != 0 {
                 let fifo = mask.trailing_zeros() as usize;
@@ -1189,7 +1155,7 @@ impl Engine {
     /// [`SimError::Unreachable`].
     fn fault_block_report(&self) -> Vec<FaultBlock> {
         let mut counts: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
-        let ports = self.ports;
+        let ports = self.shared.ports;
         self.scan_fault_blocked(|n, d| {
             *counts.entry(n * ports + d.index()).or_insert(0) += 1;
         });
@@ -1208,7 +1174,7 @@ impl Engine {
     /// [`SimError::Stalled`] payload).
     fn stall_breakdown(&self) -> StallBreakdown {
         let mut b = StallBreakdown::default();
-        for (ni, node) in self.nodes.iter().enumerate() {
+        for (ni, node) in self.nodes().enumerate() {
             if !node.program_done {
                 let closed = node.flow.closed_windows();
                 if closed > 0 {

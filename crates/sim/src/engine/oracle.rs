@@ -167,7 +167,7 @@ impl Engine {
     /// sharded engine's load-bearing invariant — a credit leaked (or
     /// double-released) by any section of any shard breaks it at the very
     /// next boundary. Last, every cached request-mask bit must equal what
-    /// `Router::wants` says of the FIFO's current head: a head change that
+    /// `Shared::wants` says of the FIFO's current head: a head change that
     /// skipped its refresh shows at the boundary of the cycle that made it.
     pub(super) fn oracle_cycle_check(&self, t: u64) {
         let o = self.oracle.as_ref().expect("caller checked");
@@ -196,8 +196,8 @@ impl Engine {
         // at a cycle boundary every such packet sits in some shard's
         // in-flight ring (outboxes and staging mailboxes drain within
         // the cycle that filled them).
-        let vc_cells = self.vc_cells;
-        let mut inflight = vec![0u64; self.nodes.len() * vc_cells];
+        let vc_cells = self.shared.vc_cells;
+        let mut inflight = vec![0u64; self.num_nodes() * vc_cells];
         for sd in &self.shards {
             for slot in &sd.ring {
                 for arr in slot {
@@ -207,11 +207,11 @@ impl Engine {
                 }
             }
         }
-        let router = self.router();
-        for (ni, node) in self.nodes.iter().enumerate() {
+        let router = &self.shared;
+        for (ni, node) in self.nodes().enumerate() {
             for (c, f) in node.vcs.iter().enumerate() {
                 let cell = ni * vc_cells + c;
-                let credit = self.credits[cell].load(Relaxed) as u64;
+                let credit = router.credits[cell].load(Relaxed) as u64;
                 let occupied = f.occupied_chunks() as u64;
                 assert_eq!(
                     credit + occupied + inflight[cell],
@@ -231,7 +231,7 @@ impl Engine {
                     f.capacity_chunks()
                 );
             }
-            for d in self.part.directions() {
+            for d in router.part.directions() {
                 let (want, inj_want) = (node.want[d.index()], node.inj_want[d.index()]);
                 let check = |kind: &str, f: usize, fifo: &ChunkFifo, cached: bool| {
                     assert!(
@@ -302,13 +302,13 @@ impl Engine {
             ledger_hops, stats_hops,
             "invariant violated: per-packet hop ledger disagrees with stats"
         );
-        for (ni, node) in self.nodes.iter().enumerate() {
+        for (ni, node) in self.nodes().enumerate() {
             assert!(
                 !node.holds_packets(),
                 "invariant violated: node {ni} still holds packets at quiesce"
             );
             for (c, f) in node.vcs.iter().enumerate() {
-                let credit = self.credits[ni * self.vc_cells + c].load(Relaxed);
+                let credit = self.shared.credits[ni * self.shared.vc_cells + c].load(Relaxed);
                 assert!(
                     f.is_empty() && f.occupied_chunks() == 0 && credit == f.capacity_chunks(),
                     "invariant violated: transit FIFO (node {ni}, fifo {c}) not drained at \

@@ -9,7 +9,7 @@
 
 use super::event::{PollState, WakeCause};
 use super::Engine;
-use crate::perf::{EventPerf, PerfProfile, ProgressConfig, ShardPerf};
+use crate::perf::{EventPerf, PerfProfile, ProgressConfig};
 use std::time::Instant;
 
 /// Live profiler state: the profile under construction plus accumulators
@@ -22,10 +22,9 @@ pub(super) struct PerfState {
 }
 
 impl PerfState {
-    pub(super) fn new(nshards: usize, event_mode: bool) -> PerfState {
+    pub(super) fn new(event_mode: bool) -> PerfState {
         PerfState {
             profile: PerfProfile {
-                shards: vec![ShardPerf::default(); nshards],
                 event: event_mode.then(EventPerf::default),
                 ..PerfProfile::default()
             },
@@ -62,8 +61,9 @@ impl ProgressState {
 
 impl Engine {
     /// The profile collected so far; `None` unless `SimConfig::perf` was
-    /// set (or after [`Engine::take_perf`]). Derived fields (occupancy
-    /// mean) are only finalized by `take_perf`.
+    /// set (or after [`Engine::take_perf`]). The per-shard records (each
+    /// shard keeps its own while running) and derived fields (occupancy
+    /// mean) are only filled in by `take_perf`.
     pub fn perf(&self) -> Option<&PerfProfile> {
         self.perf.as_ref().map(|p| &p.profile)
     }
@@ -75,6 +75,11 @@ impl Engine {
     pub fn take_perf(&mut self) -> Option<PerfProfile> {
         let state = self.perf.take()?;
         let mut profile = state.profile;
+        profile.shards = self
+            .shards
+            .iter_mut()
+            .filter_map(|sd| sd.perf.take())
+            .collect();
         if profile.stepped_cycles > 0 {
             profile.active_occupancy_mean =
                 state.occupancy_sum as f64 / profile.stepped_cycles as f64;
@@ -168,6 +173,7 @@ impl Engine {
     /// interval has elapsed prints one status line to stderr; either way
     /// it re-aims the cycle stride at ~8 clock reads per interval.
     pub(super) fn progress_heartbeat(&mut self) {
+        let total = self.num_nodes();
         let Some(pr) = self.progress.as_deref_mut() else {
             return;
         };
@@ -175,7 +181,6 @@ impl Engine {
         if since_emit >= pr.interval_secs {
             let elapsed = pr.started.elapsed().as_secs_f64();
             let done = self.done_programs;
-            let total = self.programs.len();
             let eta = if done > 0 && done < total && elapsed > 0.0 {
                 let rate = done as f64 / elapsed;
                 format!("~{:.0}s", (total - done) as f64 / rate)

@@ -12,7 +12,7 @@
 //! **C** = staged-arrival drain + deferred credit releases. Cross-shard
 //! state is touched only through:
 //!
-//! - the shared **credit array** ([`Router::credit`]): during phase 4 a
+//! - the shared **credit array** ([`Shared::credit`]): during phase 4 a
 //!   cell is read and spent exclusively by the unique upstream node of
 //!   its FIFO; releases happen in phase 2 (section A) or at the cycle
 //!   boundary (section C), never concurrently with the reads;
@@ -23,12 +23,13 @@
 //!   event-driven mode never runs threaded).
 //!
 //! Arbitration never reads another node's FIFOs directly; every
-//! downstream-feasibility probe ([`Router::feasible_vc`] and friends) is
+//! downstream-feasibility probe ([`Shared::feasible_vc`] and friends) is
 //! a credit-array load. That single indirection is what makes the phase
 //! order within a cycle immaterial across shards.
 
 use super::event::{EventState, NodeEvent, PollState};
-use super::{Arrival, CycleStats, OutMsg, ShardData, Win, WinSource, RING};
+use super::oracle::Oracle;
+use super::{Arrival, OutMsg, ShardData, Win, WinSource, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::flow::FlowSpec;
 use crate::node::{vc_fifo_index, NodeState};
@@ -37,7 +38,7 @@ use crate::perf::ShardPerf;
 use crate::program::{NodeApi, NodeProgram, PollHint};
 use bgl_torus::{Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use std::sync::{Barrier, Mutex};
 
 /// Below this pending-queue depth the engine keeps pulling the
 /// program's own sends, so reactive sends waiting for FIFO space do not
@@ -50,29 +51,61 @@ pub(super) const PULL_THRESHOLD: usize = 8;
 /// packets stuck behind a congested phase-2 forward).
 const INJECT_SCAN: usize = 16;
 
-/// The read-only routing-feasibility view: configuration, topology and
-/// the shared downstream-credit array. Everything phase 4 needs to know
-/// about *other* nodes flows through here, which is why it is equally
-/// usable from a shard section and from the engine's own diagnostics
-/// (HOL probes, stall breakdowns).
-#[derive(Clone, Copy)]
-pub(super) struct Router<'a> {
-    pub(super) cfg: &'a SimConfig,
-    pub(super) neighbors: &'a [[u32; MAX_PORTS]],
-    pub(super) credits: &'a [AtomicU32],
-    /// Per-directed-link liveness under an active fault plan; `None` on a
-    /// healthy run, so every probe below stays one branch.
-    pub(super) link_alive: Option<&'a [bool]>,
-    /// Directed ports per node (`2 · ndims`): stride of the per-link
-    /// arrays and bound of every direction scan.
+/// Everything a section only reads or touches atomically: configuration,
+/// topology, shard ownership, the downstream-credit array and the
+/// cross-shard mailboxes. Built once in `Engine::new` and shared by every
+/// shard (and by the engine's own diagnostics — HOL probes, stall
+/// breakdowns); its methods are the routing-feasibility rules, which is
+/// why everything phase 4 needs to know about *other* nodes flows through
+/// here.
+pub(super) struct Shared {
+    pub(super) cfg: SimConfig,
+    pub(super) part: Partition,
+    /// `neighbors[n][dir]`: node on the other end of the link, or
+    /// `u32::MAX` at a mesh edge (and for directions beyond the
+    /// partition's `2n` ports).
+    pub(super) neighbors: Vec<[u32; MAX_PORTS]>,
+    /// Directed output ports per node (`2 · ndims`): stride of the
+    /// per-link arrays and bound of every direction scan.
     pub(super) ports: usize,
-    /// Credit cells per node (`ports · NUM_VCS`).
+    /// Credit cells per node (`ports · NUM_VCS`, one per transit VC FIFO).
     pub(super) vc_cells: usize,
-    /// Partition dimensionality.
-    pub(super) ndims: usize,
+    /// Available downstream space per transit VC FIFO, indexed
+    /// `node * vc_cells + vc_fifo_index(port, vc)`, counting in-flight
+    /// reservations (spent at the upstream win, released when the packet
+    /// is popped). Atomic so threaded shards can share it, but every cell
+    /// has a single accessor per section: the unique upstream node's
+    /// shard spends during phase 4, the owning node's shard releases
+    /// during phase 2 and at the boundary — so plain relaxed ordering is
+    /// exact, not approximate.
+    pub(super) credits: Vec<AtomicU32>,
+    /// Owning shard of each global rank.
+    pub(super) shard_of: Vec<u16>,
+    /// Per-(src,dst)-shard mailboxes (`src * nshards + dst`), swapped
+    /// against shard outboxes at the end of section B and drained by the
+    /// destination in section C. Uncontended by construction; the mutex
+    /// exists to let threaded shards exchange the vectors safely.
+    pub(super) staging: Vec<Mutex<Vec<OutMsg>>>,
+    /// Per-shard injection counts of the current cycle, published at the
+    /// end of section A and prefix-summed by every shard in section B to
+    /// place its packet ids.
+    pub(super) counts: Vec<AtomicU64>,
+    /// Reference mode: scan every node every cycle (see
+    /// [`EngineMode::FullScan`](crate::EngineMode)).
+    pub(super) full_scan: bool,
+    /// Per-directed-link liveness (`node·ports + dir`), *empty* on a healthy
+    /// run so every probe below stays one branch. Mutated only by
+    /// `apply_fault_transitions`, at the top of a cycle, single-threaded.
+    pub(super) fault_alive: Vec<bool>,
 }
 
-impl Router<'_> {
+impl Shared {
+    /// Whether no fault plan is active (no liveness map to consult).
+    #[inline]
+    pub(super) fn healthy(&self) -> bool {
+        self.fault_alive.is_empty()
+    }
+
     /// Available space (counting in-flight reservations) of the transit
     /// VC FIFO at global node `n`, input port `port`, VC `vc`.
     #[inline]
@@ -85,10 +118,7 @@ impl Router<'_> {
     /// probes, escape preconditions) treats them as permanently blocked.
     #[inline]
     pub(super) fn alive(&self, n: usize, d: Direction) -> bool {
-        match self.link_alive {
-            None => true,
-            Some(a) => a[n * self.ports + d.index()],
-        }
+        self.healthy() || self.fault_alive[n * self.ports + d.index()]
     }
 
     /// Whether this packet routes with the longest-first shaping (its own
@@ -173,7 +203,7 @@ impl Router<'_> {
         let plan = &pkt.plan;
         let mut dirs = plan.dimension_order_next().map_or(0, |d| 1 << d.index());
         if pkt.routing == RoutingMode::Adaptive {
-            let dims = || Dim::all(self.ndims);
+            let dims = || self.part.dims();
             let longest = if self.shaped(pkt) {
                 dims().map(|o| plan.hops(o)).max().unwrap_or(0)
             } else {
@@ -297,16 +327,16 @@ impl Router<'_> {
     /// link — the precondition for a non-minimal fault detour. `false` on
     /// a healthy run (no liveness map) or while any minimal link is up.
     fn minimal_dead(&self, n: usize, pkt: &Packet) -> bool {
-        let Some(alive) = self.link_alive else {
+        if self.healthy() {
             return false;
-        };
+        }
         let mut any = false;
         for d in pkt.plan.minimal_directions() {
             if self.neighbors[n][d.index()] == u32::MAX {
                 continue;
             }
             any = true;
-            if alive[n * self.ports + d.index()] {
+            if self.alive(n, d) {
                 return false;
             }
         }
@@ -322,8 +352,8 @@ impl Router<'_> {
     /// deadlock freedom is untouched by rerouting. After a detour win the
     /// packet re-plans from the downstream node (see `apply_win`).
     pub(super) fn detour_vc(&self, pkt: &Packet, n: usize, d: Direction, nb: usize) -> Option<Vc> {
-        self.link_alive?;
-        if pkt.routing != RoutingMode::Adaptive
+        if self.healthy()
+            || pkt.routing != RoutingMode::Adaptive
             || pkt.detour_count() >= DETOUR_BUDGET
             || pkt.detour_from() == Some(d.index())
             || !self.alive(n, d)
@@ -343,7 +373,7 @@ impl Router<'_> {
     /// direction it stays allowed — it is a normal minimal move and
     /// clears the detour mark on a win.
     pub(super) fn suppress_return(&self, pkt: &Packet, n: usize, d: Direction) -> bool {
-        if self.link_alive.is_none() || pkt.detour_from() != Some(d.index()) {
+        if self.healthy() || pkt.detour_from() != Some(d.index()) {
             return false;
         }
         pkt.plan
@@ -352,40 +382,35 @@ impl Router<'_> {
     }
 }
 
-/// One shard's view of the engine for the duration of a section: shared
-/// read-only state (topology, credits, mailboxes), exclusive slices of
-/// the per-node state for the shard's own rank range, and the shard's
-/// private scratch. `nodes`/`programs`/`link_busy_until`/`link_stats`
-/// are indexed *locally* (global rank − `base`); everything else uses
-/// global ranks.
+/// One shard's section context: the engine-wide [`Shared`] state, the
+/// shard's own slab ([`ShardData`], indexed *locally* — global rank −
+/// `sd.base`), and the two observers whose state is inherently global.
 pub(super) struct Shard<'a> {
-    pub(super) router: Router<'a>,
-    pub(super) part: &'a Partition,
-    pub(super) shard_of: &'a [u16],
-    pub(super) counts: &'a [AtomicU64],
-    pub(super) staging: &'a [Mutex<Vec<OutMsg>>],
-    pub(super) nshards: usize,
-    pub(super) si: usize,
-    pub(super) base: usize,
-    pub(super) next_id0: u64,
-    pub(super) full_scan: bool,
-    pub(super) nodes: &'a mut [NodeState],
-    pub(super) programs: &'a mut [Box<dyn NodeProgram>],
-    pub(super) link_busy_until: &'a mut [u64],
-    /// Shard's slice of `NetStats::link_busy_per_link`; empty when
-    /// detailed link stats are off.
-    pub(super) link_stats: &'a mut [u64],
-    pub(super) sd: &'a mut ShardData,
-    pub(super) cs: &'a mut CycleStats,
+    shared: &'a Shared,
+    sd: &'a mut ShardData,
     /// Event-driven bookkeeping (global node indices). `Some` only under
     /// sequential execution — the event mode never runs threaded.
-    pub(super) events: Option<&'a mut EventState>,
+    events: Option<&'a mut EventState>,
     /// Invariant oracle. `Some` only under sequential execution.
-    pub(super) oracle: Option<&'a mut crate::engine::oracle::Oracle>,
-    /// This shard's slot of the host profiler (`SimConfig::perf`). The
-    /// profiler only reads the host clock and writes its own accumulator,
-    /// so enabling it can never perturb simulation results.
-    pub(super) perf: Option<&'a mut ShardPerf>,
+    oracle: Option<&'a mut Oracle>,
+}
+
+impl<'a> Shard<'a> {
+    /// The one place a section context is built: `Engine::step` calls it
+    /// per shard and section inline, and once per shard thread.
+    pub(super) fn new(
+        shared: &'a Shared,
+        sd: &'a mut ShardData,
+        events: Option<&'a mut EventState>,
+        oracle: Option<&'a mut Oracle>,
+    ) -> Shard<'a> {
+        Shard {
+            shared,
+            sd,
+            events,
+            oracle,
+        }
+    }
 }
 
 impl Shard<'_> {
@@ -393,7 +418,7 @@ impl Shard<'_> {
     /// off-path cost of every lap call site is one predictable branch.
     #[inline]
     fn perf_clock(&self) -> Option<std::time::Instant> {
-        self.perf.as_ref().map(|_| std::time::Instant::now())
+        self.sd.perf.as_ref().map(|_| std::time::Instant::now())
     }
 
     /// Accumulate the time since the last lap into the phase slot chosen
@@ -406,13 +431,23 @@ impl Shard<'_> {
     ) {
         if let Some(t0) = clk {
             let p = self
+                .sd
                 .perf
-                .as_deref_mut()
+                .as_mut()
                 .expect("lap clock only runs with profiling on");
             let now = std::time::Instant::now();
             *slot(p) += now.duration_since(*t0).as_secs_f64();
             *t0 = now;
         }
+    }
+
+    /// `barrier.wait()` on a shard thread, attributing the park time to
+    /// the profiler slot chosen by `slot` when profiling is on. With
+    /// profiling off this is the bare wait plus one predictable branch.
+    pub(super) fn timed_wait(&mut self, barrier: &Barrier, slot: fn(&mut ShardPerf) -> &mut f64) {
+        let mut clk = self.perf_clock();
+        barrier.wait();
+        self.perf_lap(&mut clk, slot);
     }
 
     /// Section A: phases 1–3 over this shard's nodes, then publish the
@@ -424,20 +459,21 @@ impl Shard<'_> {
         self.phase_deliveries();
         self.perf_lap(&mut clk, |p| &mut p.phases.deliveries);
         self.phase_cpu(t);
-        self.counts[self.si].store(self.sd.injected.len() as u64, Relaxed);
+        self.shared.counts[self.sd.si].store(self.sd.injected.len() as u64, Relaxed);
         self.perf_lap(&mut clk, |p| &mut p.phases.cpu);
     }
 
     /// Section B: rewrite this cycle's provisional packet ids to their
     /// final global values (prefix sum over the published per-shard
     /// counts), run phase 4, and hand the staged wins to the mailboxes.
-    pub(super) fn section_b(&mut self, t: u64) {
+    pub(super) fn section_b(&mut self, t: u64, next_id0: u64) {
         let mut clk = self.perf_clock();
-        self.fixup_ids();
+        self.fixup_ids(next_id0);
         self.perf_lap(&mut clk, |p| &mut p.phases.id_fixup);
         self.phase_arbitration(t);
-        for dest in 0..self.nshards {
-            let cell = &self.staging[self.si * self.nshards + dest];
+        let nshards = self.shared.counts.len();
+        for dest in 0..nshards {
+            let cell = &self.shared.staging[self.sd.si * nshards + dest];
             std::mem::swap(
                 &mut *cell.lock().expect("staging poisoned"),
                 &mut self.sd.outbox[dest],
@@ -451,15 +487,16 @@ impl Shard<'_> {
     /// the credits freed by this shard's phase-4 pops.
     pub(super) fn section_c(&mut self) {
         let mut clk = self.perf_clock();
-        for src in 0..self.nshards {
-            let cell = &self.staging[src * self.nshards + self.si];
+        let nshards = self.shared.counts.len();
+        for src in 0..nshards {
+            let cell = &self.shared.staging[src * nshards + self.sd.si];
             let mut inbox = cell.lock().expect("staging poisoned");
             for OutMsg { arrive, arr } in inbox.drain(..) {
                 self.sd.ring[(arrive % RING as u64) as usize].push(arr);
             }
         }
         for (cell, chunks) in self.sd.deferred.drain(..) {
-            self.router.credits[cell as usize].fetch_add(chunks, Relaxed);
+            self.shared.credits[cell as usize].fetch_add(chunks, Relaxed);
         }
         self.perf_lap(&mut clk, |p| &mut p.phases.drain);
     }
@@ -469,14 +506,14 @@ impl Shard<'_> {
     /// injection order), exactly the sequence an unsharded phase 3
     /// produces. The oracle learns of injections here — the earliest
     /// point the final ids exist.
-    fn fixup_ids(&mut self) {
-        let mut b = self.next_id0;
-        for k in 0..self.si {
-            b += self.counts[k].load(Relaxed);
+    fn fixup_ids(&mut self, next_id0: u64) {
+        let mut b = next_id0;
+        for k in 0..self.sd.si {
+            b += self.shared.counts[k].load(Relaxed);
         }
         let mut injected = std::mem::take(&mut self.sd.injected);
         for (j, &(i, f, pos)) in injected.iter().enumerate() {
-            let pkt = self.nodes[i as usize].inj[f as usize].set_id(pos as usize, b + j as u64);
+            let pkt = self.sd.nodes[i as usize].inj[f as usize].set_id(pos as usize, b + j as u64);
             if let Some(o) = self.oracle.as_deref_mut() {
                 o.on_inject(pkt);
             }
@@ -491,8 +528,8 @@ impl Shard<'_> {
         let slot = (t % RING as u64) as usize;
         let mut arrivals = std::mem::take(&mut self.sd.ring[slot]);
         for Arrival { node, port, pkt } in arrivals.drain(..) {
-            let i = node as usize - self.base;
-            let n = &mut self.nodes[i];
+            let i = node as usize - self.sd.base;
+            let n = &mut self.sd.nodes[i];
             let fi = vc_fifo_index(port as usize, pkt.vc.index());
             let was_empty = n.vcs[fi].is_empty();
             let done = pkt.plan.is_done();
@@ -500,13 +537,13 @@ impl Shard<'_> {
             n.vcs[fi].push(pkt);
             n.vc_mask |= 1 << fi;
             if was_empty {
-                self.router.refresh_vc(n, fi);
+                self.shared.refresh_vc(n, fi);
             }
             self.sd.arb_active.mark(i);
             if was_empty && done {
                 self.sd.deliver_q.push((node, fi as u8));
             }
-            self.cs.progress = true;
+            self.sd.cs.progress = true;
         }
         self.sd.ring[slot] = arrivals; // hand the allocation back
     }
@@ -519,7 +556,7 @@ impl Shard<'_> {
         }
         let mut dq = std::mem::take(&mut self.sd.deliver_q);
         for (node, fi) in dq.drain(..) {
-            self.try_deliver(node as usize - self.base, fi as usize);
+            self.try_deliver(node as usize - self.sd.base, fi as usize);
         }
         // Hand the allocation back. `try_deliver` parks stalled FIFOs in
         // the node's `blocked_deliveries` (re-queued here only after the
@@ -532,9 +569,9 @@ impl Shard<'_> {
     /// Move deliverable head packets of `fifo` into the reception FIFO.
     /// `i` is shard-local.
     fn try_deliver(&mut self, i: usize, fifo: usize) {
-        let g = self.base + i;
+        let g = self.sd.base + i;
         loop {
-            let n = &mut self.nodes[i];
+            let n = &mut self.sd.nodes[i];
             let Some(head) = n.vcs[fifo].head() else {
                 return;
             };
@@ -543,7 +580,7 @@ impl Shard<'_> {
             }
             let chunks = head.chunks as u32;
             if n.reception.free_chunks() < chunks {
-                self.cs.reception_stalls += 1;
+                self.sd.cs.reception_stalls += 1;
                 if !n.blocked_deliveries.contains(&(fifo as u8)) {
                     n.blocked_deliveries.push(fifo as u8);
                 }
@@ -553,28 +590,28 @@ impl Shard<'_> {
             if n.vcs[fifo].is_empty() {
                 n.vc_mask &= !(1 << fifo);
             }
-            self.router.refresh_vc(n, fifo);
+            self.shared.refresh_vc(n, fifo);
             assert!(n.reception.try_push(pkt).is_ok(), "space checked");
             // The pop freed downstream space: release the credit now —
             // the upstream reads it only in section B, barrier-ordered
             // after every shard's phase 2, matching the unsharded
             // same-cycle visibility of a phase-2 pop.
-            self.router.credits[g * self.router.vc_cells + fifo].fetch_add(chunks, Relaxed);
+            self.shared.credits[g * self.shared.vc_cells + fifo].fetch_add(chunks, Relaxed);
             self.sd.cpu_active.mark(i);
             if self.events.is_some() {
                 // The freed credit means the upstream neighbour may win
                 // this link again.
                 self.event_note_vc_pop(g, fifo);
             }
-            self.cs.progress = true;
+            self.sd.cs.progress = true;
         }
     }
 
     // ---- Phase 3: CPU ------------------------------------------------------
 
     fn phase_cpu(&mut self, t: u64) {
-        let programs = std::mem::take(&mut self.programs);
-        if self.full_scan {
+        let mut programs = std::mem::take(&mut self.sd.programs);
+        if self.shared.full_scan {
             for (i, prog) in programs.iter_mut().enumerate() {
                 self.cpu_visit(i, prog, t, false);
             }
@@ -592,7 +629,7 @@ impl Shard<'_> {
                 }
             }
         }
-        self.programs = programs;
+        self.sd.programs = programs;
     }
 
     /// Run one node's CPU for cycle `t` if it has work; with `prune`,
@@ -601,7 +638,7 @@ impl Shard<'_> {
     fn cpu_visit(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64, prune: bool) {
         let horizon = (t + 1) as f64;
         {
-            let n = &self.nodes[i];
+            let n = &self.sd.nodes[i];
             if n.cpu_free >= horizon {
                 // Still booked into the future: keep it marked.
                 return;
@@ -623,7 +660,7 @@ impl Shard<'_> {
     }
 
     fn cpu_node(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
-        let g = self.base + i;
+        let g = self.sd.base + i;
         let horizon = (t + 1) as f64;
         let mut declined = false;
         if let Some(ev) = self.events.as_deref_mut() {
@@ -632,17 +669,17 @@ impl Shard<'_> {
             ev.nodes[g] = NodeEvent::default();
         }
         for _guard in 0..64 {
-            if self.nodes[i].cpu_free >= horizon {
+            if self.sd.nodes[i].cpu_free >= horizon {
                 break;
             }
             // Reception drain has priority: it keeps the network moving.
-            if !self.nodes[i].reception.is_empty() {
+            if !self.sd.nodes[i].reception.is_empty() {
                 self.cpu_drain_one(i, prog, t);
                 continue;
             }
             // Top up the pulled queue from the program's schedule.
-            if self.nodes[i].pulled.len() < PULL_THRESHOLD
-                && !self.nodes[i].program_done
+            if self.sd.nodes[i].pulled.len() < PULL_THRESHOLD
+                && !self.sd.nodes[i].program_done
                 && !declined
             {
                 if self.rate_blocked(i, t) {
@@ -651,24 +688,24 @@ impl Shard<'_> {
                     // completion check still runs, exactly as if the
                     // program had declined the pull itself.
                     declined = true;
-                    self.cs.pacing += 1;
+                    self.sd.cs.pacing += 1;
                     if let Some(ev) = self.events.as_deref_mut() {
                         ev.nodes[g].poll = PollState::Rate;
                     }
-                    if prog.is_complete() && !self.nodes[i].program_done {
-                        self.nodes[i].program_done = true;
-                        self.cs.done += 1;
+                    if prog.is_complete() && !self.sd.nodes[i].program_done {
+                        self.sd.nodes[i].program_done = true;
+                        self.sd.cs.done += 1;
                     }
                 } else {
-                    let node = &mut self.nodes[i];
+                    let node = &mut self.sd.nodes[i];
                     let before = node.pending.len();
-                    let mut api =
-                        NodeApi::new(g as u32, node.coord, t, self.part, &mut node.pending)
-                            .with_flow(&mut node.flow);
+                    let part = &self.shared.part;
+                    let mut api = NodeApi::new(g as u32, node.coord, t, part, &mut node.pending)
+                        .with_flow(&mut node.flow);
                     let spec = prog.next_send(&mut api);
                     let extra = api.take_extra_cpu();
                     let denials = api.take_credit_blocked();
-                    self.cs.credit_blocked += denials;
+                    self.sd.cs.credit_blocked += denials;
                     let after = node.pending.len();
                     if extra > 0.0 {
                         // Anchor at now: a node idle since an earlier cycle
@@ -677,12 +714,12 @@ impl Shard<'_> {
                         node.cpu_free = node.cpu_free.max(t as f64) + extra;
                         node.cpu_busy += extra;
                     }
-                    self.cs.pending += (after - before) as i64;
+                    self.sd.cs.pending += (after - before) as i64;
                     match spec {
                         Some(s) => {
                             self.rate_charge(i, t, s.chunks);
-                            self.nodes[i].pulled.push_back(s);
-                            self.cs.pending += 1;
+                            self.sd.nodes[i].pulled.push_back(s);
+                            self.sd.cs.pending += 1;
                         }
                         None => {
                             declined = true;
@@ -698,15 +735,15 @@ impl Shard<'_> {
                                     ev.nodes[g].poll = PollState::Asleep { denials };
                                 }
                             }
-                            if prog.is_complete() && !self.nodes[i].program_done {
-                                self.nodes[i].program_done = true;
-                                self.cs.done += 1;
+                            if prog.is_complete() && !self.sd.nodes[i].program_done {
+                                self.sd.nodes[i].program_done = true;
+                                self.sd.cs.done += 1;
                             }
                         }
                     }
                 }
             }
-            if self.nodes[i].pending.is_empty() && self.nodes[i].pulled.is_empty() {
+            if self.sd.nodes[i].pending.is_empty() && self.sd.nodes[i].pulled.is_empty() {
                 break;
             }
             if !self.cpu_inject_one(i, t) {
@@ -723,15 +760,15 @@ impl Shard<'_> {
     /// Whether the engine-level rate window ([`FlowSpec::Rate`]) blocks
     /// pulling new sends from local node `i`'s program at cycle `t`.
     fn rate_blocked(&self, i: usize, t: u64) -> bool {
-        matches!(self.router.cfg.flow, FlowSpec::Rate { .. })
-            && (t as f64) < self.nodes[i].flow.next_allowed
+        matches!(self.shared.cfg.flow, FlowSpec::Rate { .. })
+            && (t as f64) < self.sd.nodes[i].flow.next_allowed
     }
 
     /// Advance local node `i`'s rate window after pulling a `chunks`-chunk
     /// send at cycle `t`. No-op unless the flow spec is [`FlowSpec::Rate`].
     fn rate_charge(&mut self, i: usize, t: u64, chunks: u8) {
-        if let FlowSpec::Rate { chunks_per_cycle } = self.router.cfg.flow {
-            let ledger = &mut self.nodes[i].flow;
+        if let FlowSpec::Rate { chunks_per_cycle } = self.shared.cfg.flow {
+            let ledger = &mut self.sd.nodes[i].flow;
             ledger.next_allowed =
                 ledger.next_allowed.max(t as f64) + chunks as f64 / chunks_per_cycle;
         }
@@ -739,46 +776,47 @@ impl Shard<'_> {
 
     /// Drain one packet from the reception FIFO and run `on_packet`.
     fn cpu_drain_one(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
-        let g = self.base + i;
-        let cpu = &self.router.cfg.cpu;
-        let node = &mut self.nodes[i];
+        let g = self.sd.base + i;
+        let cpu = &self.shared.cfg.cpu;
+        let node = &mut self.sd.nodes[i];
         let pkt = node.reception.pop().expect("checked non-empty");
         let cost = cpu.per_packet_receive_cycles + pkt.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
-        self.cs.delivered += 1;
-        self.cs.payload += pkt.payload_bytes as u64;
+        self.sd.cs.delivered += 1;
+        self.sd.cs.payload += pkt.payload_bytes as u64;
         let latency = t - pkt.injected_at;
-        self.cs.latency_sum += latency;
-        self.cs.latency_max = self.cs.latency_max.max(latency);
+        self.sd.cs.latency_sum += latency;
+        self.sd.cs.latency_max = self.sd.cs.latency_max.max(latency);
         let bucket = (64 - latency.max(1).leading_zeros() as usize - 1)
             .min(crate::stats::LATENCY_BUCKETS - 1);
-        self.cs.hist[bucket] += 1;
+        self.sd.cs.hist[bucket] += 1;
         if let Some(o) = self.oracle.as_deref_mut() {
             o.on_deliver(&pkt, t);
         }
-        let node = &mut self.nodes[i];
+        let node = &mut self.sd.nodes[i];
         let before = node.pending.len();
-        let mut api = NodeApi::new(g as u32, node.coord, t, self.part, &mut node.pending)
+        let part = &self.shared.part;
+        let mut api = NodeApi::new(g as u32, node.coord, t, part, &mut node.pending)
             .with_flow(&mut node.flow);
         prog.on_packet(&mut api, &pkt);
         let extra = api.take_extra_cpu();
-        self.cs.credit_blocked += api.take_credit_blocked();
+        self.sd.cs.credit_blocked += api.take_credit_blocked();
         let after = node.pending.len();
         node.cpu_free += extra;
         node.cpu_busy += extra;
-        self.cs.pending += (after - before) as i64;
-        self.cs.live -= 1;
+        self.sd.cs.pending += (after - before) as i64;
+        self.sd.cs.live -= 1;
         if !node.program_done && prog.is_complete() {
             node.program_done = true;
-            self.cs.done += 1;
+            self.sd.cs.done += 1;
         }
         // Freed reception space: retry stalled deliveries.
-        let blocked = std::mem::take(&mut self.nodes[i].blocked_deliveries);
+        let blocked = std::mem::take(&mut self.sd.nodes[i].blocked_deliveries);
         self.sd
             .deliver_q
             .extend(blocked.into_iter().map(|f| (g as u32, f)));
-        self.cs.progress = true;
+        self.sd.cs.progress = true;
     }
 
     /// Pay for and inject the first injectable pending send. Returns false
@@ -787,15 +825,15 @@ impl Shard<'_> {
     /// *provisional* (this cycle's shard-local injection index); the
     /// section-B fix-up rewrites it before anything reads it.
     fn cpu_inject_one(&mut self, i: usize, t: u64) -> bool {
-        let g = self.base + i;
+        let g = self.sd.base + i;
         let mut chosen = None;
-        let reactive_len = self.nodes[i].pending.len().min(INJECT_SCAN);
-        let pulled_len = self.nodes[i].pulled.len().min(INJECT_SCAN);
+        let reactive_len = self.sd.nodes[i].pending.len().min(INJECT_SCAN);
+        let pulled_len = self.sd.nodes[i].pulled.len().min(INJECT_SCAN);
         'scan: for qi in 0..reactive_len + pulled_len {
             let spec = if qi < reactive_len {
-                &self.nodes[i].pending[qi]
+                &self.sd.nodes[i].pending[qi]
             } else {
-                &self.nodes[i].pulled[qi - reactive_len]
+                &self.sd.nodes[i].pulled[qi - reactive_len]
             };
             let chunks = spec.chunks;
             let class = spec.class;
@@ -805,10 +843,11 @@ impl Shard<'_> {
             // never starves an idle link of a different direction. Map the
             // packet's first route direction onto the FIFOs of its class,
             // falling back to any class FIFO with space.
-            let dst = self.part.coord_of(spec.dst_rank);
-            let plan = HopPlan::new(self.part, self.nodes[i].coord, dst, TieBreak::SrcParity);
+            let part = &self.shared.part;
+            let dst = part.coord_of(spec.dst_rank);
+            let plan = HopPlan::new(part, self.sd.nodes[i].coord, dst, TieBreak::SrcParity);
             let primary = plan.dimension_order_next().map_or(0, |d| d.index());
-            let node = &self.nodes[i];
+            let node = &self.sd.nodes[i];
             let eligible = node.class_fifos[class as usize];
             if eligible == 0 {
                 continue;
@@ -830,7 +869,7 @@ impl Shard<'_> {
         let Some((qi, f, plan, dst)) = chosen else {
             return false;
         };
-        let node = &mut self.nodes[i];
+        let node = &mut self.sd.nodes[i];
         let spec = if qi < reactive_len {
             node.pending.remove(qi).expect("scanned index exists")
         } else {
@@ -838,8 +877,8 @@ impl Shard<'_> {
                 .remove(qi - reactive_len)
                 .expect("scanned index exists")
         };
-        self.cs.pending -= 1;
-        let cpu = &self.router.cfg.cpu;
+        self.sd.cs.pending -= 1;
+        let cpu = &self.shared.cfg.cpu;
         let cost = spec.cpu_cost_cycles
             + cpu.per_packet_inject_cycles
             + spec.chunks as f64 / cpu.chunks_per_cycle;
@@ -870,22 +909,22 @@ impl Shard<'_> {
         self.sd.injected.push((i as u32, f as u8, pos as u16));
         node.inj_mask |= 1 << f;
         if pos == 0 {
-            self.router.refresh_inj(node, f);
+            self.shared.refresh_inj(node, f);
         }
         self.sd.arb_active.mark(i);
-        self.cs.live += 1;
-        self.cs.injected += 1;
-        self.cs.progress = true;
+        self.sd.cs.live += 1;
+        self.sd.cs.injected += 1;
+        self.sd.cs.progress = true;
         true
     }
 
     // ---- Phase 4: arbitration ----------------------------------------------
 
     fn phase_arbitration(&mut self, t: u64) {
-        if self.full_scan {
-            for i in 0..self.nodes.len() {
+        if self.shared.full_scan {
+            for i in 0..self.sd.nodes.len() {
                 // Quick skip: nothing to move out of this node.
-                if self.nodes[i].vc_mask == 0 && self.nodes[i].inj_mask == 0 {
+                if self.sd.nodes[i].vc_mask == 0 && self.sd.nodes[i].inj_mask == 0 {
                     continue;
                 }
                 self.arbitrate_node(i, t);
@@ -901,7 +940,7 @@ impl Shard<'_> {
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if self.nodes[i].vc_mask == 0 && self.nodes[i].inj_mask == 0 {
+                    if self.sd.nodes[i].vc_mask == 0 && self.sd.nodes[i].inj_mask == 0 {
                         self.sd.arb_active.clear(i);
                         continue;
                     }
@@ -918,20 +957,20 @@ impl Shard<'_> {
     /// quadrant; link liveness is not cached) and the mask bit only picks
     /// between the minimal move and the detour.
     fn arbitrate_node(&mut self, i: usize, t: u64) {
-        let g = self.base + i;
-        let ports = self.router.ports;
-        let healthy = self.router.link_alive.is_none();
-        for d in Direction::all(self.router.ndims) {
-            let node = &self.nodes[i];
+        let g = self.sd.base + i;
+        let ports = self.shared.ports;
+        let healthy = self.shared.healthy();
+        for d in self.shared.part.directions() {
+            let node = &self.sd.nodes[i];
             if healthy && node.want[d.index()] == 0 && node.inj_want[d.index()] == 0 {
                 continue;
             }
-            if self.link_busy_until[i * ports + d.index()] > t {
+            if self.sd.link_busy_until[i * ports + d.index()] > t {
                 continue;
             }
-            let nb = self.router.neighbors[g][d.index()];
+            let nb = self.shared.neighbors[g][d.index()];
             // A dead output link refuses arbitration outright.
-            if nb == u32::MAX || !self.router.alive(g, d) {
+            if nb == u32::MAX || !self.shared.alive(g, d) {
                 continue;
             }
             if let Some(win) = self.arbitrate_output(i, d, nb as usize, t) {
@@ -942,7 +981,7 @@ impl Shard<'_> {
 
     /// Pick a winner for output `d` of local node `i`, or `None`.
     fn arbitrate_output(&self, i: usize, d: Direction, nb: usize, t: u64) -> Option<Win> {
-        let inject_first = !self.router.cfg.router.transit_priority && (t & 1) == 1;
+        let inject_first = !self.shared.cfg.router.transit_priority && (t & 1) == 1;
         if inject_first {
             self.arbitrate_inject(i, d, nb)
                 .or_else(|| self.arbitrate_transit(i, d, nb))
@@ -965,28 +1004,29 @@ impl Shard<'_> {
         nb: usize,
     ) -> Option<Win> {
         let (vc, detour) = if wanted {
-            if self.router.suppress_return(pkt, g, d) {
+            if self.shared.suppress_return(pkt, g, d) {
                 return None;
             }
             let from_dim = match source {
                 WinSource::Transit { fifo } => Some(fifo as usize / NUM_VCS / 2), // port / 2 = dimension
                 WinSource::Inject { .. } => None,
             };
-            (self.router.feasible_vc(pkt, g, from_dim, d, nb)?, false)
+            (self.shared.feasible_vc(pkt, g, from_dim, d, nb)?, false)
         } else {
-            (self.router.detour_vc(pkt, g, d, nb)?, true)
+            (self.shared.detour_vc(pkt, g, d, nb)?, true)
         };
         Some(Win { source, vc, detour })
     }
 
     fn arbitrate_transit(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
-        let node = &self.nodes[i];
+        let node = &self.sd.nodes[i];
         let want = node.want[d.index()];
-        let cand = match self.router.link_alive {
-            None => want,
-            Some(_) => node.vc_mask,
+        let cand = if self.shared.healthy() {
+            want
+        } else {
+            node.vc_mask
         };
-        let start = node.rr[d.index()] as usize % self.router.vc_cells;
+        let start = node.rr[d.index()] as usize % self.shared.vc_cells;
         // Visit only the candidate bits, in round-robin order from `start`:
         // first the bits at indices >= start (ascending), then the wrap.
         let below_start = cand & ((1u64 << start) - 1);
@@ -996,7 +1036,7 @@ impl Shard<'_> {
                 half &= half - 1;
                 let pkt = node.vcs[f].head().expect("mask says non-empty");
                 let source = WinSource::Transit { fifo: f as u8 };
-                let win = self.try_head(self.base + i, pkt, want >> f & 1 != 0, source, d, nb);
+                let win = self.try_head(self.sd.base + i, pkt, want >> f & 1 != 0, source, d, nb);
                 if win.is_some() {
                     return win;
                 }
@@ -1006,18 +1046,19 @@ impl Shard<'_> {
     }
 
     fn arbitrate_inject(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
-        let node = &self.nodes[i];
+        let node = &self.sd.nodes[i];
         let want = node.inj_want[d.index()];
-        let mut cand = match self.router.link_alive {
-            None => want,
-            Some(_) => node.inj_mask,
+        let mut cand = if self.shared.healthy() {
+            want
+        } else {
+            node.inj_mask
         };
         while cand != 0 {
             let f = cand.trailing_zeros() as usize;
             cand &= cand - 1;
             let pkt = node.inj[f].head().expect("mask says non-empty");
             let source = WinSource::Inject { fifo: f as u8 };
-            let win = self.try_head(self.base + i, pkt, want >> f & 1 != 0, source, d, nb);
+            let win = self.try_head(self.sd.base + i, pkt, want >> f & 1 != 0, source, d, nb);
             if win.is_some() {
                 return win;
             }
@@ -1026,12 +1067,12 @@ impl Shard<'_> {
     }
 
     fn apply_win(&mut self, i: usize, d: Direction, nb: usize, win: Win, t: u64) {
-        let g = self.base + i;
+        let g = self.sd.base + i;
         // Pop the winner from its source FIFO.
         let mut pkt = match win.source {
             WinSource::Transit { fifo } => {
                 let f = fifo as usize;
-                let node = &mut self.nodes[i];
+                let node = &mut self.sd.nodes[i];
                 node.rr[d.index()] = fifo.wrapping_add(1);
                 let pkt = node.vcs[f].pop().expect("winner exists");
                 if node.vcs[f].is_empty() {
@@ -1039,31 +1080,31 @@ impl Shard<'_> {
                 } else if node.vcs[f].head().expect("non-empty").plan.is_done() {
                     self.sd.deliver_q.push((g as u32, fifo));
                 }
-                self.router.refresh_vc(node, f);
+                self.shared.refresh_vc(node, f);
                 // The freed space becomes upstream credit only at the
                 // cycle boundary: deferring the release gives arbitration
                 // a credit snapshot independent of node visit order, the
                 // invariant that makes sharded cycles byte-identical.
                 self.sd
                     .deferred
-                    .push(((g * self.router.vc_cells + f) as u32, pkt.chunks as u32));
+                    .push(((g * self.shared.vc_cells + f) as u32, pkt.chunks as u32));
                 pkt
             }
             WinSource::Inject { fifo } => {
-                let node = &mut self.nodes[i];
+                let node = &mut self.sd.nodes[i];
                 let pkt = node.inj[fifo as usize].pop().expect("winner exists");
                 if node.inj[fifo as usize].is_empty() {
                     node.inj_mask &= !(1 << fifo);
                 }
-                self.router.refresh_inj(node, fifo as usize);
+                self.shared.refresh_inj(node, fifo as usize);
                 pkt
             }
         };
         // Spend downstream credit and launch.
         let nb_port = d.opposite().index();
         let chunks = pkt.chunks as u32;
-        let cell = &self.router.credits
-            [nb * self.router.vc_cells + vc_fifo_index(nb_port, win.vc.index())];
+        let cell = &self.shared.credits
+            [nb * self.shared.vc_cells + vc_fifo_index(nb_port, win.vc.index())];
         debug_assert!(cell.load(Relaxed) >= chunks, "feasible_vc checked credit");
         cell.fetch_sub(chunks, Relaxed);
         pkt.vc = win.vc;
@@ -1071,12 +1112,8 @@ impl Shard<'_> {
             // Non-minimal fault sidestep: re-plan the whole route from the
             // downstream node and remember not to bounce straight back
             // through the link just crossed (its reverse is `nb_port`).
-            pkt.plan = HopPlan::new(
-                self.part,
-                self.part.coord_of(nb as u32),
-                pkt.dst,
-                TieBreak::SrcParity,
-            );
+            let part = &self.shared.part;
+            pkt.plan = HopPlan::new(part, part.coord_of(nb as u32), pkt.dst, TieBreak::SrcParity);
             pkt.note_detour(nb_port);
         } else {
             pkt.plan.advance(d.dim);
@@ -1093,8 +1130,8 @@ impl Shard<'_> {
         if self.events.is_some() {
             self.event_note_win(g, nb, win);
         }
-        let arrive = t + chunks as u64 + self.router.cfg.router.hop_latency_cycles as u64;
-        self.sd.outbox[self.shard_of[nb] as usize].push(OutMsg {
+        let arrive = t + chunks as u64 + self.shared.cfg.router.hop_latency_cycles as u64;
+        self.sd.outbox[self.shared.shard_of[nb] as usize].push(OutMsg {
             arrive,
             arr: Arrival {
                 node: nb as u32,
@@ -1102,19 +1139,19 @@ impl Shard<'_> {
                 pkt,
             },
         });
-        let ports = self.router.ports;
-        self.link_busy_until[i * ports + d.index()] = t + chunks as u64;
+        let ports = self.shared.ports;
+        self.sd.link_busy_until[i * ports + d.index()] = t + chunks as u64;
         let di = d.dim.index();
-        self.cs.link_busy[di] += chunks as u64;
-        if !self.link_stats.is_empty() {
-            self.link_stats[i * ports + d.index()] += chunks as u64;
+        self.sd.cs.link_busy[di] += chunks as u64;
+        if !self.sd.link_stats.is_empty() {
+            self.sd.link_stats[i * ports + d.index()] += chunks as u64;
         }
-        self.cs.hops[di] += 1;
+        self.sd.cs.hops[di] += 1;
         match win.vc {
-            Vc::Bubble => self.cs.bubble += 1,
-            _ => self.cs.dynamic += 1,
+            Vc::Bubble => self.sd.cs.bubble += 1,
+            _ => self.sd.cs.dynamic += 1,
         }
-        self.cs.progress = true;
+        self.sd.cs.progress = true;
     }
 
     // ---- Event-mode bookkeeping hooks -------------------------------------
@@ -1127,7 +1164,7 @@ impl Shard<'_> {
     /// bubble-escape eligibility (`preferred_blocked`) of any of `nb`'s
     /// neighbours.
     fn event_note_win(&mut self, g: usize, nb: usize, win: Win) {
-        let neighbors = self.router.neighbors;
+        let neighbors = &self.shared.neighbors;
         let ev = self.events.as_deref_mut().expect("event mode");
         ev.mark_fresh(g);
         match win.source {
@@ -1152,7 +1189,7 @@ impl Shard<'_> {
     /// (event mode): the freed space is new credit for the upstream
     /// neighbour on that port.
     fn event_note_vc_pop(&mut self, g: usize, fifo: usize) {
-        let up = self.router.neighbors[g][fifo / NUM_VCS];
+        let up = self.shared.neighbors[g][fifo / NUM_VCS];
         if up != u32::MAX {
             self.events
                 .as_deref_mut()
@@ -1165,6 +1202,7 @@ impl Shard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Engine, ScriptedProgram};
 
     /// The direct mask computation is `wants` asked of every direction, for
     /// every (src, dst) pair — `src == dst` is an arrived head — of a 2-D, an
@@ -1183,15 +1221,9 @@ mod tests {
                 (Some(true), RoutingMode::Adaptive, false),
             ] {
                 cfg.router.longest_first_bias = bias;
-                let router = Router {
-                    cfg: &cfg,
-                    neighbors: &[],
-                    credits: &[],
-                    link_alive: None,
-                    ports: part.ports(),
-                    vc_cells: part.ports() * NUM_VCS,
-                    ndims: part.ndims(),
-                };
+                let idle = (0..n).map(|_| Box::new(ScriptedProgram::idle()) as _);
+                let engine = Engine::new(cfg.clone(), idle.collect());
+                let router = &engine.shared;
                 for (src, dst) in (0..n * n).map(|k| (k / n, k % n)) {
                     let pkt = Packet {
                         routing,

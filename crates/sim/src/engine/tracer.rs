@@ -75,7 +75,7 @@ impl Engine {
     /// was disabled.
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.tracer.as_ref()?;
-        self.sync_cpu_busy();
+        self.sync_ledgers();
         if self.trace_counters_moved() {
             self.record_trace_sample(true);
         }
@@ -107,7 +107,7 @@ impl Engine {
         // Fold the per-node CPU ledgers into `stats.cpu_busy_cycles` so
         // the sampled delta is exact (the fold order is fixed ascending,
         // independent of sharding).
-        self.sync_cpu_busy();
+        self.sync_ledgers();
         let Some(mut tracer) = self.tracer.take() else {
             return;
         };
@@ -156,7 +156,7 @@ impl Engine {
 
         // Instantaneous FIFO occupancy, split by input-port dimension and
         // by bubble-vs-dynamic VC.
-        let ndims = self.part.ndims();
+        let ndims = self.shared.part.ndims();
         let mut dyn_sum = vec![0u64; ndims];
         let mut dyn_max = vec![0u32; ndims];
         let mut bub_sum = vec![0u64; ndims];
@@ -165,8 +165,8 @@ impl Engine {
         let mut inj_max = 0u32;
         let mut recv_sum = 0u64;
         let mut recv_max = 0u32;
-        for node in &self.nodes {
-            for port in 0..self.ports {
+        for node in self.nodes() {
+            for port in 0..self.shared.ports {
                 let dim = port / 2; // two directions per dimension
                 for vc in 0..NUM_VCS {
                     let occ = node.vcs[vc_fifo_index(port, vc)].occupied_chunks();
@@ -188,7 +188,7 @@ impl Engine {
             recv_sum += occ as u64;
             recv_max = recv_max.max(occ);
         }
-        let p = self.nodes.len() as f64;
+        let p = self.num_nodes() as f64;
         let occ_stat = |sum: u64, max: u32, fifos_per_node: f64| OccStat {
             mean_chunks: sum as f64 / (p * fifos_per_node),
             max_chunks: max,
@@ -200,7 +200,8 @@ impl Engine {
         sample.bubble_vc_occupancy = (0..ndims)
             .map(|d| occ_stat(bub_sum[d], bub_max[d], 2.0))
             .collect();
-        sample.inj_occupancy = occ_stat(inj_sum, inj_max, self.cfg.inj_fifo_count.max(1) as f64);
+        let inj_fifos = self.shared.cfg.inj_fifo_count.max(1) as f64;
+        sample.inj_occupancy = occ_stat(inj_sum, inj_max, inj_fifos);
         sample.reception_occupancy = occ_stat(recv_sum, recv_max, 1.0);
 
         // Phase attribution and head-of-line blocking. Only occupied
@@ -214,7 +215,7 @@ impl Engine {
             _ => {}
         };
         let mut hol = 0u64;
-        for (ni, node) in self.nodes.iter().enumerate() {
+        for (ni, node) in self.nodes().enumerate() {
             let mut mask = node.vc_mask;
             while mask != 0 {
                 let f = mask.trailing_zeros() as usize;

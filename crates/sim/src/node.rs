@@ -34,7 +34,7 @@ pub struct NodeState {
     pub inj_mask: u32,
     /// Per-output-direction request masks over the transit FIFOs: bit `f`
     /// of `want[d]` is set iff `vcs[f]` is non-empty and its head's routing
-    /// allows output `d` (`Router::wants`). A function of the head packet
+    /// allows output `d` (the engine's `wants` rule). A function of the head packet
     /// and the router config alone, so the engine refreshes FIFO `f`'s bits
     /// exactly where `vcs[f]`'s head changes and arbitration reads them
     /// instead of re-routing every head for every link every cycle.

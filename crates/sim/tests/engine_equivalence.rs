@@ -4,7 +4,8 @@
 //! full-scan engine (see [`EngineMode`]).
 
 use bgl_sim::{
-    Engine, EngineMode, NetStats, NodeProgram, PerfConfig, ScriptedProgram, SendSpec, SimConfig,
+    Engine, EngineMode, FaultPlan, NetStats, NodeFault, NodeProgram, PerfConfig, ScriptedProgram,
+    SendSpec, SimConfig,
 };
 use bgl_torus::Partition;
 use std::num::NonZeroUsize;
@@ -126,6 +127,63 @@ fn shard_counts_are_invisible() {
             |_| {},
             || uniform(&part, k, chunks, det),
         );
+    }
+}
+
+/// The threaded path, asserted rather than hoped for: the shapes above are
+/// too small for the per-cycle width gate (128 estimated active nodes per
+/// shard), so their sharded cells step almost every cycle inline. On 8x8x4
+/// an all-to-all keeps all 256 nodes busy, and each sharded cell must both
+/// really have spawned its shard threads (`wide_cycles > 0`) and match the
+/// unsharded run byte for byte — healthy under both cycle-stepped modes,
+/// and once with a node dying and recovering mid-run (fault transitions
+/// and in-flight drops interleaved with threaded cycles).
+#[test]
+fn threaded_shards_match_the_unsharded_engine() {
+    let part: Partition = "8x8x4".parse().unwrap();
+    let outage = FaultPlan {
+        links: vec![],
+        nodes: vec![NodeFault {
+            rank: 21,
+            fail_at: 300,
+            recover_at: Some(700),
+        }],
+    };
+    for (mode, fault) in [
+        (EngineMode::FullScan, FaultPlan::default()),
+        (EngineMode::ActiveSet, FaultPlan::default()),
+        (EngineMode::ActiveSet, outage),
+    ] {
+        let run = |shards: usize| {
+            let mut cfg = SimConfig::new(part);
+            cfg.engine = mode;
+            cfg.shards = NonZeroUsize::new(shards).unwrap();
+            cfg.detailed_link_stats = true;
+            cfg.fault = fault.clone();
+            cfg.perf = Some(PerfConfig::default());
+            let mut engine = Engine::new(cfg, uniform(&part, 1, 8, false));
+            let stats = engine
+                .run()
+                .unwrap_or_else(|e| panic!("{mode} shards={shards}: {e}"));
+            (stats, engine.take_perf().expect("profiling on").wide_cycles)
+        };
+        let (reference, wide) = run(1);
+        assert_eq!(wide, 0, "{mode}: one shard never spawns");
+        if !fault.is_empty() {
+            assert!(
+                reference.dropped_by_fault > 0,
+                "the outage hit live traffic"
+            );
+        }
+        for shards in [2, 4] {
+            let (stats, wide) = run(shards);
+            assert_eq!(stats, reference, "{mode} shards={shards} must match");
+            // The full scan's gate counts each node once: 256 nodes clear
+            // two shards' floor but not four's, so that one cell is inline.
+            if mode != EngineMode::FullScan || shards == 2 {
+                assert!(wide > 0, "{mode} shards={shards}: no cycle ran threaded");
+            }
+        }
     }
 }
 
