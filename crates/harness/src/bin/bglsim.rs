@@ -12,11 +12,13 @@
 //! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--shards N] [--json|--csv] [--out FILE]
 //! ```
 //!
-//! `--engine` selects the simulator scheduling core
-//! ([`EngineMode`](bgl_sim::EngineMode)): the `full-scan` reference, the
-//! default `active-set`, or the `event`-driven skip-ahead engine. Every
-//! mode produces byte-identical results; the flag only changes
-//! wall-clock. An unknown mode exits with status 2.
+//! `--engine` selects the simulator clock
+//! ([`EngineMode`](bgl_sim::EngineMode); default: `event`, which skips
+//! the cycles in which nothing can move). `active-set` and `full-scan`
+//! are the cycle-stepped and every-node references, for timing
+//! comparisons and equivalence checks. Every mode produces
+//! byte-identical results; the flag only changes wall-clock. An unknown
+//! mode exits with status 2.
 //!
 //! `--shards N` splits each simulated torus into `N` rank slabs stepped
 //! on `N` threads (`SimConfig::shards`). Orthogonal to `--jobs`, which
@@ -60,7 +62,7 @@
 //! (points executed, execute seconds, queue wait, cache hits) goes to
 //! stderr. `profile` runs a single point with profiling on and renders
 //! the human-readable report (per-phase/per-shard wall-clock breakdown,
-//! event-engine skip histogram); `--json` emits the full report, `--csv`
+//! skip histogram); `--json` emits the full report, `--csv`
 //! the profile as RFC-4180 `metric,value` rows. `--progress` (also on
 //! `sweep` and `validate`) prints a rate-limited stderr heartbeat for
 //! long runs. All profile times are *host* seconds, distinct from the
@@ -139,7 +141,7 @@ fn parse_shape(s: &str) -> Partition {
         .unwrap_or_else(|e| fail(&format!("invalid shape {s:?}: {e}")))
 }
 
-/// Resolve `--engine full-scan|active-set|event` (default: active-set).
+/// Resolve `--engine full-scan|active-set|event` (default: event).
 fn parse_engine(flags: &HashMap<String, String>) -> EngineMode {
     flags
         .get("engine")
@@ -728,7 +730,7 @@ fn main() {
             eprintln!(
                 "          [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]"
             );
-            eprintln!("          [--engine full-scan|active-set|event] [--shards N] [--perf] [--progress]");
+            eprintln!("          [--engine full-scan|active-set|event (default: event)] [--shards N] [--perf] [--progress]");
             eprintln!("          [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]");
             eprintln!("  fit     --shape 8x8x8");
             eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--engine MODE] [--shards N] [--fault SPEC]");

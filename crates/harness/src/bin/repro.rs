@@ -13,9 +13,9 @@
 //! are identical for any thread count. `--json` replaces the text
 //! tables on stdout with a machine-readable JSON array. With `--out`,
 //! each report is written as `<id>.txt` and `<id>.csv` plus a combined
-//! `results.json`. `--engine` picks the simulator scheduling core
-//! ([`EngineMode`](bgl_sim::EngineMode)); every mode produces identical
-//! results, so the flag only changes wall-clock. `--shards` splits each
+//! `results.json`. `--engine` picks the simulator clock
+//! ([`EngineMode`](bgl_sim::EngineMode); default: `event`); every mode
+//! produces identical results, so the flag only changes wall-clock. `--shards` splits each
 //! individual simulation across N threads (orthogonal to `--jobs`, which
 //! parallelizes *across* simulations); results are byte-identical for
 //! any shard count. `--perf` collects host-side profiles (results stay
@@ -38,7 +38,8 @@ fn main() {
     if args.is_empty() || args[0] == "--help" || args[0] == "help" {
         eprintln!(
             "usage: repro <id>...|all|list [--scale quick|paper] [--jobs N] [--shards N] [--json] \
-             [--out DIR] [--engine full-scan|active-set|event] [--perf] [--progress]"
+             [--out DIR] [--engine full-scan|active-set|event (default: event)] [--perf] \
+             [--progress]"
         );
         eprintln!("ids: {}", experiments::ALL_IDS.join(", "));
         std::process::exit(2);

@@ -17,7 +17,7 @@ impl Cli {
         std::process::exit(2);
     }
 
-    /// `--engine full-scan|active-set|event`.
+    /// `--engine full-scan|active-set|event` (default: event).
     pub fn engine(&self, v: &str) -> EngineMode {
         v.parse().unwrap_or_else(|e: String| self.fail(&e))
     }

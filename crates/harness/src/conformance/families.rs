@@ -181,7 +181,8 @@ fn f8_midrun_plan() -> FaultPlan {
 }
 
 /// Engine-mode and shard twins of the dead-link AR point (oracle on in
-/// every one). The baseline runs the default active-set engine.
+/// every one). The baseline runs the runner's engine (the skipping clock
+/// unless `--engine` says otherwise).
 fn f8_twins() -> Vec<(&'static str, RunPoint)> {
     let part: Partition = F8_SHAPE.parse().expect("valid shape");
     vec![
@@ -416,8 +417,9 @@ pub fn points(runner: &Runner, tier: Tier) -> Vec<RunPoint> {
         pts.push(checked(runner, shape, &ar(), g.vm_small));
         pts.push(checked(runner, shape, &tps(), g.vm_small));
     }
-    // F6: active-set, full-scan, and event-driven twins of the
-    // equivalence slice. F7: the slab-sharded twin of the same slice.
+    // F6: the runner's own engine (`--engine`; the skipping clock by
+    // default), full-scan, and event-driven twins of the equivalence
+    // slice. F7: the slab-sharded twin of the same slice.
     for (shape, strategy, m) in equivalence_grid(runner) {
         pts.push(checked(runner, shape, &strategy, m));
         pts.push(checked_full_scan(runner, shape, &strategy, m));

@@ -127,7 +127,7 @@ fn render_shard_balance(out: &mut String, p: &PerfProfile) {
     );
 }
 
-/// Event-engine section: jump totals, wake-cause breakdown and the
+/// Skipping-clock section: jump totals, wake-cause breakdown and the
 /// skip-length histogram (only non-empty buckets are printed).
 fn render_event_counters(out: &mut String, ev: &EventPerf) {
     let avg = if ev.skips > 0 {

@@ -68,24 +68,25 @@ impl Vc {
 ///   cycle: the reference semantics, O(nodes) per cycle regardless of
 ///   activity. Exists for equivalence testing and before/after
 ///   benchmarking, never for speed.
-/// * [`EngineMode::ActiveSet`] (the default) keeps lazily-pruned worklists
-///   of nodes with CPU or arbitration work, skipping idle *space* while
-///   still ticking every cycle.
-/// * [`EngineMode::EventDriven`] additionally skips idle *time*: when
-///   every component is asleep — FIFOs empty or blocked, no pending
-///   credits, no open pacer window — the simulator computes the earliest
-///   next wake-up (arrival, credit ack, rate-window boundary, trace
-///   boundary) and jumps straight to it. Latency-dominated workloads with
-///   long quiet gaps run order-of-magnitude faster; saturated workloads
-///   pay a small bookkeeping overhead.
+/// * [`EngineMode::ActiveSet`] keeps lazily-pruned worklists of nodes with
+///   CPU or arbitration work, skipping idle *space* while still ticking
+///   every cycle: the cycle-stepped reference the skipping clock is
+///   compared against.
+/// * [`EngineMode::EventDriven`] (the default) additionally skips idle
+///   *time*: after a stepped cycle in which nothing moved, the simulator
+///   computes the earliest next wake-up (arrival, CPU timeline,
+///   rate-window boundary, link release) and jumps straight to it.
+///   Latency-dominated workloads with long quiet gaps run
+///   order-of-magnitude faster; on a saturated one every cycle makes
+///   progress, so the clock costs one compare per cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// Reference engine: scan every node every cycle.
     FullScan,
     /// Active-set worklists, cycle-stepped time.
-    #[default]
     ActiveSet,
-    /// Active-set worklists plus event-driven time skipping.
+    /// Active-set worklists plus time skipping.
+    #[default]
     EventDriven,
 }
 
@@ -153,7 +154,7 @@ impl Deserialize for EngineMode {
 
     /// Configs predating the field deserialize to the default mode.
     fn from_missing(_field: &str) -> Result<EngineMode, serde::Error> {
-        Ok(EngineMode::ActiveSet)
+        Ok(EngineMode::default())
     }
 }
 
@@ -402,12 +403,20 @@ mod tests {
             EngineMode::from_value(&serde::Value::Bool(false)).unwrap(),
             EngineMode::ActiveSet
         );
-        // Absent field → default mode.
-        assert_eq!(
-            EngineMode::from_missing("engine").unwrap(),
-            EngineMode::ActiveSet
-        );
         assert!("warp-drive".parse::<EngineMode>().is_err());
+    }
+
+    #[test]
+    fn the_skipping_clock_is_the_default() {
+        let c = SimConfig::new("4x4".parse().unwrap());
+        assert_eq!(c.engine, EngineMode::EventDriven);
+        // A config stored before the field existed takes the default too.
+        let serde::Value::Object(mut fields) = c.to_value() else {
+            panic!("config serializes as an object")
+        };
+        fields.retain(|(k, _)| k != "engine");
+        let stored = SimConfig::from_value(&serde::Value::Object(fields)).unwrap();
+        assert_eq!(stored.engine, EngineMode::EventDriven);
     }
 
     #[test]

@@ -1,21 +1,25 @@
-//! Event-driven time: skip from interesting cycle to interesting cycle.
+//! Time-skipping: jump from interesting cycle to interesting cycle.
 //!
-//! [`EngineMode::EventDriven`](crate::EngineMode) keeps the four
-//! cycle-stepped phases untouched and adds a *skip-ahead* layer on top:
-//! after each stepped cycle, [`Engine::fast_forward`] computes a
-//! conservative earliest next-event cycle from per-component wake-ups —
-//! in-flight arrivals (the rings), pending deliveries, CPU timelines,
-//! program poll hints, rate windows, and link-busy horizons — and jumps
-//! `now` straight there.
+//! [`EngineMode::EventDriven`](crate::EngineMode), the default clock,
+//! keeps the four cycle-stepped phases untouched and adds a *skip-ahead*
+//! layer on top: after a stepped cycle that made no progress (the
+//! watchdog's own flag — see the gate in `Engine::run_inner`),
+//! [`Engine::fast_forward`] computes a conservative earliest next-event
+//! cycle from per-component wake-ups — in-flight arrivals (the rings),
+//! pending deliveries, CPU timelines, program poll hints, rate windows,
+//! and link-busy horizons — and jumps `now` straight there.
 //!
-//! Event mode always executes the shards *sequentially* (see the module
-//! docs of [`super`]): freshness marks cross shard boundaries freely, so
-//! the bookkeeping here stays plain single-threaded state.
+//! The clock keeps no state of its own: everything it reads is state the
+//! phases maintain anyway, plus two per-node hints the CPU phase leaves on
+//! the node it is visiting ([`NodeState::poll`](crate::node::NodeState),
+//! `inject_blocked`). Nothing here is global to a cycle's sections, so
+//! skipping composes with shard threads: the jump is decided between
+//! stepped cycles, on the caller's thread.
 //!
 //! ## Why the skip is exact
 //!
-//! A cycle may be skipped only when the cycle-stepped engine, run over
-//! that same cycle, would have mutated *nothing* except two closed-form
+//! A cycle may be skipped only when a cycle-stepped clock, run over that
+//! same cycle, would have mutated *nothing* except two closed-form
 //! counters:
 //!
 //! - no arrivals (the in-flight rings are empty until the next wake-up),
@@ -30,16 +34,17 @@
 //! - no arbitration win is possible: every candidate head lost its last
 //!   stepped arbitration on *feasibility* (downstream credit), which only
 //!   changes when a downstream FIFO pops or a win spends credit — both
-//!   stepped events that mark the affected node *fresh* — or on a busy
-//!   link, whose release cycle is known exactly (`link_busy_until`).
+//!   *progress*, after which no skip is attempted, so the heads are
+//!   re-arbitrated on the next stepped cycle — or on a busy link, whose
+//!   release cycle is known exactly (`link_busy_until`).
 //!
 //! The wake-up invariant (see DESIGN.md): **no component may be woken
 //! later than its true next state change.** Waking too early merely steps
-//! a provably-inert cycle (identical to what the cycle-stepped engines
+//! a provably-inert cycle (identical to what the cycle-stepped references
 //! do); waking too late would diverge. Every bound below is therefore
 //! conservative — `u64::MAX` is only ever reported by a component that
-//! provably cannot act until another component's stepped event re-marks
-//! it.
+//! provably cannot act until another component's stepped event (progress,
+//! by definition) changes its inputs.
 //!
 //! Trace samples land at exactly the cycles the stepped engines would
 //! produce: a skip is segmented at every tracer `next_at` boundary and a
@@ -48,75 +53,7 @@
 
 use super::phases::PULL_THRESHOLD;
 use super::{Engine, ShardData, RING};
-
-/// What the last completed CPU visit learned about a node's ability to
-/// make progress on its own (without a delivery).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(super) enum PollState {
-    /// No standing decline: the node may accept a pull whenever its CPU is
-    /// free (also the conservative state for programs that decline with
-    /// [`PollHint::EveryCycle`](crate::PollHint) — they force a wake every
-    /// cycle, trading skips for unconditional correctness).
-    #[default]
-    Open,
-    /// The engine-level rate window was closed; re-poll no earlier than
-    /// `next_allowed` (read live from the node's flow ledger at wake
-    /// computation, since `rate_charge` may move it).
-    Rate,
-    /// The program declined with `SleepUntilDelivery`: no timed wake at
-    /// all. `denials` credit acquisitions failed during the declining
-    /// poll; the decline is pure, so the cycle-stepped engines would
-    /// repeat exactly that count every idle cycle — replayed in closed
-    /// form over skipped windows.
-    Asleep { denials: u64 },
-}
-
-/// Per-node event-mode bookkeeping, rewritten at each CPU visit.
-#[derive(Debug, Clone, Copy, Default)]
-pub(super) struct NodeEvent {
-    pub(super) poll: PollState,
-    /// The last visit ended with queued sends that no injection FIFO
-    /// could take: pulling more is pointless until an arbitration win
-    /// drains an injection FIFO (which clears this).
-    pub(super) inject_blocked: bool,
-}
-
-/// Engine-wide event-mode state: per-node wake hints plus a one-cycle
-/// "freshness" bitset of nodes whose arbitration inputs changed during
-/// the current stepped cycle (downstream pop or credit spend). A fresh
-/// node must be re-arbitrated next cycle, so any freshness suppresses
-/// skipping entirely. Indexed by *global* rank.
-pub(super) struct EventState {
-    pub(super) nodes: Vec<NodeEvent>,
-    fresh: Vec<u64>,
-    any_fresh: bool,
-}
-
-impl EventState {
-    pub(super) fn new(n: usize) -> EventState {
-        EventState {
-            nodes: vec![NodeEvent::default(); n],
-            fresh: vec![0; n.div_ceil(64)],
-            any_fresh: false,
-        }
-    }
-
-    #[inline]
-    pub(super) fn mark_fresh(&mut self, i: usize) {
-        self.fresh[i >> 6] |= 1 << (i & 63);
-        self.any_fresh = true;
-    }
-
-    /// Forget last cycle's freshness marks (called at the start of each
-    /// stepped cycle; the marks have served their purpose by suppressing
-    /// the skip decision at the previous cycle boundary).
-    pub(super) fn clear_fresh(&mut self) {
-        if self.any_fresh {
-            self.fresh.fill(0);
-            self.any_fresh = false;
-        }
-    }
-}
+use crate::node::PollState;
 
 /// Which component's bound won the earliest-event minimum. Tracked for
 /// the host profiler's wake-cause breakdown only — the skip logic itself
@@ -125,15 +62,12 @@ impl EventState {
 /// minimum value itself exactly as the plain `min` fold computed it).
 #[derive(Clone, Copy)]
 pub(super) enum WakeCause {
-    /// Freshness marks forced an immediate re-step.
-    Fresh,
     /// A pending delivery forced an immediate re-step.
     DeliverQ,
     /// The earliest in-flight ring arrival.
     Arrival,
-    /// A CPU-phase wake of global node `g` (classified for the profile by
-    /// the node's [`PollState`] at skip time).
-    Cpu(usize),
+    /// A CPU-phase wake of a node whose last visit left this hint.
+    Cpu(PollState),
     /// A busy output link's release cycle.
     LinkBusy,
     /// No component has any scheduled wake at all.
@@ -147,10 +81,6 @@ impl Engine {
     /// with the component that set the bound.
     fn next_event_cycle(&self) -> (u64, WakeCause) {
         let now = self.now;
-        let ev = self.events.as_ref().expect("event mode");
-        if ev.any_fresh {
-            return (now, WakeCause::Fresh);
-        }
         if self.shards.iter().any(|sd| !sd.deliver_q.is_empty()) {
             return (now, WakeCause::DeliverQ);
         }
@@ -178,7 +108,7 @@ impl Engine {
                     let wake = self.cpu_wake(sd, i);
                     if wake < e {
                         e = wake;
-                        cause = WakeCause::Cpu(sd.base + i);
+                        cause = WakeCause::Cpu(sd.nodes[i].poll);
                     }
                     if e <= now {
                         return (now, cause);
@@ -210,20 +140,19 @@ impl Engine {
     /// `floor(cpu_free)` — before that, even a pending drain cannot run.
     fn cpu_wake(&self, sd: &ShardData, i: usize) -> u64 {
         let n = &sd.nodes[i];
-        let ev = self.events.as_ref().expect("event mode").nodes[sd.base + i];
         let ready = (n.cpu_free as u64).max(self.now);
         if !n.reception.is_empty() {
             // A drain mutates real state: never skip past it.
             return ready;
         }
         let mut wake = u64::MAX;
-        if (!n.pending.is_empty() || !n.pulled.is_empty()) && !ev.inject_blocked {
+        if (!n.pending.is_empty() || !n.pulled.is_empty()) && !n.inject_blocked {
             // Queued sends with injection space available: injections
             // happen as soon as the CPU frees up.
             wake = ready;
         }
         if !n.program_done && n.pulled.len() < PULL_THRESHOLD {
-            match ev.poll {
+            match n.poll {
                 PollState::Open => wake = wake.min(ready),
                 PollState::Rate => {
                     // First cycle `t` with `t >= next_allowed`; every
@@ -242,7 +171,7 @@ impl Engine {
     /// output.
     /// Heads on *free* links already lost their last stepped arbitration
     /// on downstream feasibility, which only a stepped event can change
-    /// (fresh marks handle that); so the only timed wake is a busy link
+    /// (progress: no skip is attempted after it); so the only timed wake is a busy link
     /// becoming usable. `busy_until == now` must wake now: the link was
     /// busy during the last stepped cycle but is usable this cycle.
     ///
@@ -257,8 +186,8 @@ impl Engine {
         }
         // Under a fault plan a detour may take a head along a link no mask
         // names: consider every direction (waking early is always safe).
-        // Fault transitions themselves mark both endpoints fresh, so dead
-        // links becoming live never rely on this bound.
+        // Fault transitions themselves count as progress, so dead links
+        // becoming live never rely on this bound.
         let faulted = !self.shared.healthy();
         let ports = self.shared.ports;
         let mut wake = u64::MAX;
@@ -289,7 +218,6 @@ impl Engine {
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let g = sd.base + i;
                     let n = &sd.nodes[i];
                     if n.program_done || n.pulled.len() >= PULL_THRESHOLD || !n.reception.is_empty()
                     {
@@ -300,7 +228,7 @@ impl Engine {
                         continue;
                     }
                     let cycles = stop - from;
-                    match self.events.as_ref().expect("event mode").nodes[g].poll {
+                    match n.poll {
                         PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
                         PollState::Asleep { denials } if denials > 0 => {
                             self.stats.credit_blocked_events += denials * cycles;
@@ -320,11 +248,6 @@ impl Engine {
     pub(super) fn fast_forward(&mut self) {
         let (raw, cause) = self.next_event_cycle();
         if raw <= self.now {
-            // Profiling only: count the skips suppressed purely by a
-            // freshness mark (arbitration inputs changed last cycle).
-            if matches!(cause, WakeCause::Fresh) && self.perf.is_some() {
-                self.perf_note_fresh_suppression();
-            }
             return;
         }
         let watchdog_fire = self

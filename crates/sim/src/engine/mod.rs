@@ -20,11 +20,15 @@
 //!    use the bubble VC only, honouring the bubble deadlock-avoidance rule.
 //!
 //! How *time* advances between those phases is the
-//! [`EngineMode`](crate::EngineMode): the full scan visits every node every
-//! cycle, the active-set mode visits only marked nodes every cycle, and the
-//! event-driven mode additionally skips from stepped cycle to stepped cycle
-//! when it can prove the intervening cycles inert (see [`event`]). All
-//! three produce byte-identical [`NetStats`] and traces.
+//! [`EngineMode`](crate::EngineMode): the default clock visits only marked
+//! nodes and, after any stepped cycle in which nothing moved, skips to the
+//! next cycle it cannot prove inert (see [`event`]); the two references
+//! step every cycle — the active-set mode over marked nodes, the full scan
+//! over every node. All three produce byte-identical [`NetStats`] and
+//! traces. The mode steers the simulation in three places only: the two
+//! full-scan iteration forks of phases 3 and 4, and the skip decision in
+//! the run loop (the profiler reads it once more, to know whether its
+//! profile carries skip counters).
 //!
 //! ## Sharding
 //!
@@ -34,7 +38,7 @@
 //!
 //! - **A** (phases 1–3): touches only the shard's own nodes, plus
 //!   commutative cross-shard effects (credit releases on this shard's own
-//!   cells, event freshness marks);
+//!   cells);
 //! - **B** (packet-id fix-up + phase 4): arbitration reads neighbour
 //!   state *only* through the shared credit array, whose cells each have
 //!   exactly one reading/spending shard (the unique upstream of the
@@ -46,14 +50,14 @@
 //! Each shard *owns* its slab ([`ShardData`]: nodes, programs, link
 //! timers, per-cycle statistics, rings and outboxes); everything sections
 //! only read or touch atomically lives in one [`Shared`]. `Engine::step`
-//! is therefore a loop over `self.shards`: with `shards > 1` (and neither
-//! the invariant oracle nor event-driven time in play) each shard's three
-//! sections run on a scoped thread of their own, separated by two
-//! barriers (A→B orders credit releases before credit reads, B→C the
-//! mailbox hand-off before its drain; the scope join closes the cycle);
-//! otherwise they run on the caller's thread in ascending shard order.
-//! Both drive the *same* section code over the same data, so results are
-//! byte-identical for every shard count, threaded or not.
+//! is therefore a loop over `self.shards`: with `shards > 1` (and the
+//! invariant oracle off) each shard's three sections run on a scoped
+//! thread of their own, separated by two barriers (A→B orders credit
+//! releases before credit reads, B→C the mailbox hand-off before its
+//! drain; the scope join closes the cycle); otherwise they run on the
+//! caller's thread in ascending shard order. Both drive the *same*
+//! section code over the same data, so results are byte-identical for
+//! every shard count, threaded or not.
 //!
 //! Two accounting rules make the sections order-independent (and apply
 //! identically at `shards = 1`): credit freed by a phase-4 pop is
@@ -83,8 +87,7 @@ use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
 use crate::perf::ShardPerf;
 use crate::program::{NodeApi, NodeProgram};
 use crate::stats::{NetStats, LATENCY_BUCKETS};
-use bgl_torus::{Coord, Dim, Direction, Partition, MAX_DIMS, MAX_PORTS};
-use event::EventState;
+use bgl_torus::{Direction, MAX_DIMS, MAX_PORTS};
 use oracle::Oracle;
 use perf::{PerfState, ProgressState};
 use phases::{Shard, Shared};
@@ -415,14 +418,10 @@ pub struct Engine {
     now: u64,
     /// The slabs, ascending by rank; each owns its nodes and programs.
     shards: Vec<ShardData>,
-    /// Run sections on one thread per shard. Requires > 1 shard and
-    /// neither the oracle (whose ledgers are inherently global) nor
-    /// event-driven time (whose skip decisions are global); both of those
-    /// still run the sharded *structure* sequentially, byte-identically.
+    /// Run sections on one thread per shard. Requires > 1 shard and no
+    /// oracle (whose ledgers are inherently global; it still runs the
+    /// sharded *structure* sequentially, byte-identically).
     parallel: bool,
-    /// Event-driven wake bookkeeping; `None` unless `cfg.engine` is
-    /// [`EngineMode::EventDriven`].
-    events: Option<Box<EventState>>,
     live_packets: u64,
     pending_total: u64,
     done_programs: usize,
@@ -531,7 +530,6 @@ impl Engine {
             },
             ..NetStats::default()
         };
-        let events = (cfg.engine == EngineMode::EventDriven).then(|| Box::new(EventState::new(p)));
         let tracer = cfg
             .trace
             .as_ref()
@@ -540,12 +538,12 @@ impl Engine {
         let perf = cfg
             .perf
             .is_some()
-            .then(|| Box::new(PerfState::new(events.is_some())));
+            .then(|| Box::new(PerfState::new(cfg.engine == EngineMode::EventDriven)));
         let progress = cfg
             .progress
             .as_ref()
             .map(|pc| Box::new(ProgressState::new(pc)));
-        let parallel = nshards > 1 && oracle.is_none() && events.is_none();
+        let parallel = nshards > 1 && oracle.is_none();
         let mut fault_alive = Vec::new();
         let mut fault_schedule = Vec::new();
         if !cfg.fault.is_empty() {
@@ -588,7 +586,6 @@ impl Engine {
             now: 0,
             shards,
             parallel,
-            events,
             live_packets: 0,
             pending_total: 0,
             done_programs: 0,
@@ -603,29 +600,6 @@ impl Engine {
             fault_schedule,
             fault_cursor: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.shared.cfg
-    }
-
-    /// Current cycle.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Statistics so far. `cpu_busy_cycles` and `link_busy_per_link` are
-    /// folded from the per-node and per-shard accumulators only at
-    /// observation points (trace samples, run end), so mid-run reads of
-    /// those two fields may lag.
-    pub fn stats(&self) -> &NetStats {
-        &self.stats
-    }
-
-    /// Number of shards in use (after clamping to the node count).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Run to completion. Returns the final statistics.
@@ -689,12 +663,21 @@ impl Engine {
                     trace_tail,
                 });
             }
+            let t = self.now;
             self.step();
-            // Event-driven mode: jump over cycles no component can act in.
-            // Stepped cycles behave identically in every mode, so this is
-            // the *only* place the modes differ.
-            if self.events.is_some() && !self.is_complete() {
-                self.fast_forward();
+            // The skipping clock: jump over cycles no component can act
+            // in. Stepped cycles behave identically in every mode, so this
+            // is the *only* place the clocks differ. Progress at `t`
+            // (a move, a drain, a fault transition) may have changed what
+            // its neighbours can do at `t + 1`, so only a cycle without
+            // any is followed by a wake computation — a busy cycle costs
+            // this compare and nothing else.
+            if self.shared.cfg.engine == EngineMode::EventDriven && !self.is_complete() {
+                if self.last_progress != t {
+                    self.fast_forward();
+                } else if let Some(evp) = self.perf_event_counters() {
+                    evp.fresh_suppressions += 1;
+                }
             }
         }
         self.sync_ledgers();
@@ -706,7 +689,7 @@ impl Engine {
 
     /// Whether the simulation has fully drained and every program reports
     /// complete.
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.started
             && self.live_packets == 0
             && self.pending_total == 0
@@ -767,8 +750,7 @@ impl Engine {
     }
 
     /// Cycle of the next unapplied fault transition (`u64::MAX` once the
-    /// schedule is exhausted) — the event-driven skip must never jump over
-    /// it.
+    /// schedule is exhausted) — a skip must never jump over it.
     fn next_fault_cycle(&self) -> u64 {
         self.fault_schedule
             .get(self.fault_cursor)
@@ -804,14 +786,10 @@ impl Engine {
         }
     }
 
-    /// Mark both endpoints of a flipped link active (and event-fresh):
-    /// a recovery can unpark their heads, a failure changes what their
-    /// arbitration may do.
+    /// Mark both endpoints of a flipped link active: a recovery can
+    /// unpark their heads, a failure changes what their arbitration may do.
     fn wake_for_fault(&mut self, u: usize, v: usize) {
         for g in [u, v] {
-            if let Some(ev) = &mut self.events {
-                ev.mark_fresh(g);
-            }
             let sd = &mut self.shards[self.shared.shard_of[g] as usize];
             sd.arb_active.mark(g - sd.base);
             sd.cpu_active.mark(g - sd.base);
@@ -854,9 +832,6 @@ impl Engine {
                 o.on_drop(&pkt);
             }
             let dst = self.shared.part.rank_of(pkt.dst) as usize;
-            if let Some(ev) = &mut self.events {
-                ev.mark_fresh(dst);
-            }
             let sd = &mut self.shards[self.shared.shard_of[dst] as usize];
             let i = dst - sd.base;
             sd.programs[i].on_packet_dropped(&pkt);
@@ -897,14 +872,8 @@ impl Engine {
         false
     }
 
-    /// Advance one cycle (starting the programs first if needed).
-    pub fn step(&mut self) {
-        if !self.started {
-            self.start_programs();
-        }
-        if let Some(ev) = &mut self.events {
-            ev.clear_fresh();
-        }
+    /// Advance one cycle.
+    fn step(&mut self) {
         if self.fault_cursor < self.fault_schedule.len() {
             self.apply_fault_transitions();
         }
@@ -918,13 +887,13 @@ impl Engine {
             // One scoped thread per shard, spawned fresh each cycle (the
             // gate above keeps thin cycles off this path): no persistent
             // worker state, and a panicking section propagates out of the
-            // scope immediately. `parallel` guarantees the two global
-            // observers (oracle, event bookkeeping) are absent.
+            // scope immediately. `parallel` guarantees the one global
+            // observer (the oracle) is absent.
             let barrier = &Barrier::new(self.shards.len());
             std::thread::scope(|scope| {
                 for sd in &mut self.shards {
                     scope.spawn(move || {
-                        let mut shard = Shard::new(shared, sd, None, None);
+                        let mut shard = Shard::new(shared, sd, None);
                         shard.section_a(t);
                         shard.timed_wait(barrier, |p| &mut p.barrier_a_wait_secs);
                         shard.section_b(t, next_id0);
@@ -934,16 +903,15 @@ impl Engine {
                 }
             });
         } else {
-            let (events, oracle) = (&mut self.events, &mut self.oracle);
+            let oracle = &mut self.oracle;
             for sd in &mut self.shards {
-                Shard::new(shared, sd, events.as_deref_mut(), oracle.as_deref_mut()).section_a(t);
+                Shard::new(shared, sd, oracle.as_deref_mut()).section_a(t);
             }
             for sd in &mut self.shards {
-                Shard::new(shared, sd, events.as_deref_mut(), oracle.as_deref_mut())
-                    .section_b(t, next_id0);
+                Shard::new(shared, sd, oracle.as_deref_mut()).section_b(t, next_id0);
             }
             for sd in &mut self.shards {
-                Shard::new(shared, sd, events.as_deref_mut(), oracle.as_deref_mut()).section_c();
+                Shard::new(shared, sd, oracle.as_deref_mut()).section_c();
             }
         }
         self.merge_cycle(t);
@@ -1001,32 +969,6 @@ impl Engine {
             st.dynamic_hops += cs.dynamic;
         }
         self.next_packet_id += id_total;
-    }
-
-    /// Diagnostic: dimension utilization snapshot helper.
-    pub fn partition(&self) -> &Partition {
-        &self.shared.part
-    }
-
-    /// Diagnostic: where packets currently are (for stall reports/tests).
-    pub fn live_packet_count(&self) -> u64 {
-        self.live_packets + self.pending_total
-    }
-
-    /// Diagnostic: coordinate of a rank.
-    pub fn coord_of(&self, rank: u32) -> Coord {
-        self.shared.part.coord_of(rank)
-    }
-
-    /// Diagnostic: hops between two ranks under the engine's partition.
-    pub fn hops_between(&self, a: u32, b: u32) -> u32 {
-        let part = &self.shared.part;
-        part.hops(part.coord_of(a), part.coord_of(b))
-    }
-
-    /// Diagnostic: per-dimension utilization so far.
-    pub fn dim_utilization(&self, dim: Dim) -> f64 {
-        self.stats.dim_utilization(&self.shared.part, dim)
     }
 
     /// Whether the head packet of transit FIFO `fifo` at node `n` cannot

@@ -7,8 +7,9 @@
 //! perturb results — the profiler touches only the host clock and its own
 //! counters, the heartbeat only stderr.
 
-use super::event::{PollState, WakeCause};
+use super::event::WakeCause;
 use super::Engine;
+use crate::node::PollState;
 use crate::perf::{EventPerf, PerfProfile, ProgressConfig};
 use std::time::Instant;
 
@@ -60,14 +61,6 @@ impl ProgressState {
 }
 
 impl Engine {
-    /// The profile collected so far; `None` unless `SimConfig::perf` was
-    /// set (or after [`Engine::take_perf`]). The per-shard records (each
-    /// shard keeps its own while running) and derived fields (occupancy
-    /// mean) are only filled in by `take_perf`.
-    pub fn perf(&self) -> Option<&PerfProfile> {
-        self.perf.as_ref().map(|p| &p.profile)
-    }
-
     /// Detach the collected [`PerfProfile`], finalizing derived fields.
     /// Returns `None` if profiling was off or the profile was already
     /// taken. Call after [`Engine::run`] (also meaningful after an `Err`:
@@ -109,18 +102,10 @@ impl Engine {
         p.profile.active_occupancy_max = p.profile.active_occupancy_max.max(occ);
     }
 
-    /// Count a fast-forward suppressed purely by a freshness mark. Only
-    /// called in event mode with profiling on.
-    pub(super) fn perf_note_fresh_suppression(&mut self) {
-        if let Some(evp) = self.perf_event_counters() {
-            evp.fresh_suppressions += 1;
-        }
-    }
-
     /// Record one fast-forward jump: `raw` is the unclamped earliest
     /// event, `clamped` what the engine will actually jump to, `cause`
     /// the component that set the raw bound. Called before `now` moves.
-    /// Only called in event mode with profiling on.
+    /// Only called with profiling on.
     pub(super) fn perf_note_skip(
         &mut self,
         raw: u64,
@@ -129,12 +114,7 @@ impl Engine {
         cause: WakeCause,
     ) {
         let len = clamped - self.now;
-        // Classify before touching the profile so the event-state read
-        // and the profile write never borrow `self` simultaneously.
-        let poll = match cause {
-            WakeCause::Cpu(g) => Some(self.events.as_ref().expect("event mode").nodes[g].poll),
-            _ => None,
-        };
+        let fault_at = self.next_fault_cycle();
         let Some(evp) = self.perf_event_counters() else {
             return;
         };
@@ -143,6 +123,8 @@ impl Engine {
             // The jump was cut short by a safety horizon, not a wake.
             if clamped == watchdog_fire {
                 evp.wake_watchdog_clamp += 1;
+            } else if clamped == fault_at {
+                evp.wake_fault_transition += 1;
             } else {
                 evp.wake_cycle_limit_clamp += 1;
             }
@@ -150,21 +132,21 @@ impl Engine {
         }
         match cause {
             WakeCause::Arrival => evp.wake_arrival_ring += 1,
-            WakeCause::Cpu(_) => match poll.expect("classified above") {
+            WakeCause::Cpu(poll) => match poll {
                 PollState::Open => evp.wake_open_poll += 1,
                 PollState::Rate => evp.wake_rate_window += 1,
                 PollState::Asleep { .. } => evp.wake_credit_sleeper += 1,
             },
             WakeCause::LinkBusy => evp.wake_link_busy += 1,
-            // Fresh/DeliverQ return `now` (never a jump); Idle without a
-            // clamp cannot reach here because `u64::MAX` always clamps.
-            WakeCause::Fresh | WakeCause::DeliverQ | WakeCause::Idle => {}
+            // DeliverQ returns `now` (never a jump); Idle without a clamp
+            // cannot reach here because `u64::MAX` always clamps.
+            WakeCause::DeliverQ | WakeCause::Idle => {}
         }
     }
 
-    /// The event-counter block of the profile, if both profiling and
-    /// event mode are on.
-    fn perf_event_counters(&mut self) -> Option<&mut EventPerf> {
+    /// The skip-counter block of the profile, if both profiling and the
+    /// skipping clock are on.
+    pub(super) fn perf_event_counters(&mut self) -> Option<&mut EventPerf> {
         self.perf.as_deref_mut()?.profile.event.as_mut()
     }
 

@@ -2,7 +2,7 @@
 //! and their helpers, expressed over one shard of the torus. Identical
 //! code serves all three [`EngineMode`](crate::EngineMode)s — the full
 //! scan and the active-set scan differ only in which nodes a phase
-//! visits, and the event-driven mode steps the same phases at the cycles
+//! visits, and the time-skipping clock steps the same phases at the cycles
 //! it cannot prove frozen — and every shard count, threaded or not.
 //!
 //! ## Section layout
@@ -18,21 +18,18 @@
 //!   boundary (section C), never concurrently with the reads;
 //! - the **staging mailboxes**: written at the end of section B, drained
 //!   in section C in ascending source-shard order, which reproduces the
-//!   global ascending-node win order of an unsharded engine exactly;
-//! - event **freshness marks** (sequential execution only — the
-//!   event-driven mode never runs threaded).
+//!   global ascending-node win order of an unsharded engine exactly.
 //!
 //! Arbitration never reads another node's FIFOs directly; every
 //! downstream-feasibility probe ([`Shared::feasible_vc`] and friends) is
 //! a credit-array load. That single indirection is what makes the phase
 //! order within a cycle immaterial across shards.
 
-use super::event::{EventState, NodeEvent, PollState};
 use super::oracle::Oracle;
 use super::{Arrival, OutMsg, ShardData, Win, WinSource, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::flow::FlowSpec;
-use crate::node::{vc_fifo_index, NodeState};
+use crate::node::{vc_fifo_index, NodeState, PollState};
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET, NO_DETOUR};
 use crate::perf::ShardPerf;
 use crate::program::{NodeApi, NodeProgram, PollHint};
@@ -384,13 +381,10 @@ impl Shared {
 
 /// One shard's section context: the engine-wide [`Shared`] state, the
 /// shard's own slab ([`ShardData`], indexed *locally* — global rank −
-/// `sd.base`), and the two observers whose state is inherently global.
+/// `sd.base`), and the one observer whose state is inherently global.
 pub(super) struct Shard<'a> {
     shared: &'a Shared,
     sd: &'a mut ShardData,
-    /// Event-driven bookkeeping (global node indices). `Some` only under
-    /// sequential execution — the event mode never runs threaded.
-    events: Option<&'a mut EventState>,
     /// Invariant oracle. `Some` only under sequential execution.
     oracle: Option<&'a mut Oracle>,
 }
@@ -401,15 +395,9 @@ impl<'a> Shard<'a> {
     pub(super) fn new(
         shared: &'a Shared,
         sd: &'a mut ShardData,
-        events: Option<&'a mut EventState>,
         oracle: Option<&'a mut Oracle>,
     ) -> Shard<'a> {
-        Shard {
-            shared,
-            sd,
-            events,
-            oracle,
-        }
+        Shard { shared, sd, oracle }
     }
 }
 
@@ -598,11 +586,8 @@ impl Shard<'_> {
             // same-cycle visibility of a phase-2 pop.
             self.shared.credits[g * self.shared.vc_cells + fifo].fetch_add(chunks, Relaxed);
             self.sd.cpu_active.mark(i);
-            if self.events.is_some() {
-                // The freed credit means the upstream neighbour may win
-                // this link again.
-                self.event_note_vc_pop(g, fifo);
-            }
+            // Progress — the freed credit means the upstream neighbour may
+            // win this link again, so no skip follows this cycle.
             self.sd.cs.progress = true;
         }
     }
@@ -663,11 +648,10 @@ impl Shard<'_> {
         let g = self.sd.base + i;
         let horizon = (t + 1) as f64;
         let mut declined = false;
-        if let Some(ev) = self.events.as_deref_mut() {
-            // Re-derive this node's sleep hints from scratch: the branches
-            // below overwrite the defaults with whatever actually blocked.
-            ev.nodes[g] = NodeEvent::default();
-        }
+        // Re-derive this node's sleep hints from scratch: the branches
+        // below overwrite the defaults with whatever actually blocked.
+        self.sd.nodes[i].poll = PollState::Open;
+        self.sd.nodes[i].inject_blocked = false;
         for _guard in 0..64 {
             if self.sd.nodes[i].cpu_free >= horizon {
                 break;
@@ -689,9 +673,7 @@ impl Shard<'_> {
                     // program had declined the pull itself.
                     declined = true;
                     self.sd.cs.pacing += 1;
-                    if let Some(ev) = self.events.as_deref_mut() {
-                        ev.nodes[g].poll = PollState::Rate;
-                    }
+                    self.sd.nodes[i].poll = PollState::Rate;
                     if prog.is_complete() && !self.sd.nodes[i].program_done {
                         self.sd.nodes[i].program_done = true;
                         self.sd.cs.done += 1;
@@ -723,17 +705,15 @@ impl Shard<'_> {
                         }
                         None => {
                             declined = true;
-                            if let Some(ev) = self.events.as_deref_mut() {
-                                if prog.poll_hint() == PollHint::SleepUntilDelivery {
-                                    // The SleepUntilDelivery contract: a decline
-                                    // is pure (frozen program state, repeatable
-                                    // denial count) until a delivery.
-                                    debug_assert!(
-                                        extra == 0.0 && after == before,
-                                        "SleepUntilDelivery program mutated state on decline"
-                                    );
-                                    ev.nodes[g].poll = PollState::Asleep { denials };
-                                }
+                            if prog.poll_hint() == PollHint::SleepUntilDelivery {
+                                // The SleepUntilDelivery contract: a decline
+                                // is pure (frozen program state, repeatable
+                                // denial count) until a delivery.
+                                debug_assert!(
+                                    extra == 0.0 && after == before,
+                                    "SleepUntilDelivery program mutated state on decline"
+                                );
+                                node.poll = PollState::Asleep { denials };
                             }
                             if prog.is_complete() && !self.sd.nodes[i].program_done {
                                 self.sd.nodes[i].program_done = true;
@@ -747,12 +727,10 @@ impl Shard<'_> {
                 break;
             }
             if !self.cpu_inject_one(i, t) {
-                if let Some(ev) = self.events.as_deref_mut() {
-                    // Every queued packet is stuck on injection-FIFO space;
-                    // only an arbitration win here can free some.
-                    ev.nodes[g].inject_blocked = true;
-                }
-                break; // no injection FIFO can take any queued packet now
+                // Every queued packet is stuck on injection-FIFO space;
+                // only an arbitration win here can free some.
+                self.sd.nodes[i].inject_blocked = true;
+                break;
             }
         }
     }
@@ -1097,6 +1075,7 @@ impl Shard<'_> {
                     node.inj_mask &= !(1 << fifo);
                 }
                 self.shared.refresh_inj(node, fifo as usize);
+                node.inject_blocked = false;
                 pkt
             }
         };
@@ -1127,9 +1106,6 @@ impl Shard<'_> {
             }
             o.on_hop(pkt.id, t);
         }
-        if self.events.is_some() {
-            self.event_note_win(g, nb, win);
-        }
         let arrive = t + chunks as u64 + self.shared.cfg.router.hop_latency_cycles as u64;
         self.sd.outbox[self.shared.shard_of[nb] as usize].push(OutMsg {
             arrive,
@@ -1152,50 +1128,6 @@ impl Shard<'_> {
             _ => self.sd.cs.dynamic += 1,
         }
         self.sd.cs.progress = true;
-    }
-
-    // ---- Event-mode bookkeeping hooks -------------------------------------
-
-    /// Note an arbitration win out of global node `g` toward `nb` (event
-    /// mode): the pop changed `g`'s own head lineup mid-visit (the new head
-    /// may want a direction this visit already passed: retry next cycle), a
-    /// transit pop freed upstream credit, an injection pop freed local
-    /// injection space, and the reservation at `nb` may flip the
-    /// bubble-escape eligibility (`preferred_blocked`) of any of `nb`'s
-    /// neighbours.
-    fn event_note_win(&mut self, g: usize, nb: usize, win: Win) {
-        let neighbors = &self.shared.neighbors;
-        let ev = self.events.as_deref_mut().expect("event mode");
-        ev.mark_fresh(g);
-        match win.source {
-            WinSource::Transit { fifo } => {
-                let up = neighbors[g][fifo as usize / NUM_VCS];
-                if up != u32::MAX {
-                    ev.mark_fresh(up as usize);
-                }
-            }
-            WinSource::Inject { .. } => {
-                ev.nodes[g].inject_blocked = false;
-            }
-        }
-        for &m in &neighbors[nb] {
-            if m != u32::MAX {
-                ev.mark_fresh(m as usize);
-            }
-        }
-    }
-
-    /// Note a delivery pop out of transit FIFO `fifo` at global node `g`
-    /// (event mode): the freed space is new credit for the upstream
-    /// neighbour on that port.
-    fn event_note_vc_pop(&mut self, g: usize, fifo: usize) {
-        let up = self.shared.neighbors[g][fifo / NUM_VCS];
-        if up != u32::MAX {
-            self.events
-                .as_deref_mut()
-                .expect("event mode")
-                .mark_fresh(up as usize);
-        }
     }
 }
 

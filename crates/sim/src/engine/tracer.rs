@@ -61,13 +61,6 @@ impl Tracer {
 }
 
 impl Engine {
-    /// The trace recorded so far, if tracing is enabled. Does not include
-    /// the final partial-window sample — use [`Engine::take_trace`] after
-    /// the run for the completed series.
-    pub fn trace(&self) -> Option<&Trace> {
-        self.tracer.as_ref().map(|t| &t.trace)
-    }
-
     /// Finalize and return the trace: records one last partial-window
     /// sample if any counter moved since the previous sample (so the
     /// per-sample deltas sum exactly to the [`NetStats`](crate::NetStats)

@@ -16,6 +16,32 @@ pub fn vc_fifo_index(port: usize, vc: usize) -> usize {
     port * NUM_VCS + vc
 }
 
+/// What a node's last CPU visit learned about its ability to make
+/// progress on its own (without a delivery) — the time-skipping clock's
+/// per-node wake hint (see `engine/event.rs`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum PollState {
+    /// No standing decline: the node may accept a pull whenever its CPU is
+    /// free (also the conservative state for programs that decline with
+    /// [`PollHint::EveryCycle`](crate::PollHint) — they force a wake every
+    /// cycle, trading skips for unconditional correctness).
+    #[default]
+    Open,
+    /// The engine-level rate window was closed; re-poll no earlier than
+    /// `next_allowed` (read live from the node's flow ledger at wake
+    /// computation, since `rate_charge` may move it).
+    Rate,
+    /// The program declined with `SleepUntilDelivery`: no timed wake at
+    /// all. `denials` credit acquisitions failed during the declining
+    /// poll; the decline is pure, so a cycle-stepped clock would repeat
+    /// exactly that count every idle cycle — replayed in closed form over
+    /// skipped windows.
+    Asleep {
+        /// Failed credit acquisitions of the declining poll.
+        denials: u64,
+    },
+}
+
 /// All simulator state for one node.
 pub struct NodeState {
     /// Node coordinate.
@@ -72,6 +98,12 @@ pub struct NodeState {
     pub flow: FlowLedger,
     /// Cached program completion flag.
     pub program_done: bool,
+    /// Wake hint, rewritten at each CPU visit.
+    pub poll: PollState,
+    /// The last CPU visit ended with queued sends that no injection FIFO
+    /// could take: pulling more is pointless until an arbitration win
+    /// drains an injection FIFO (which clears this).
+    pub inject_blocked: bool,
 }
 
 impl NodeState {
@@ -116,6 +148,8 @@ impl NodeState {
             blocked_deliveries: Vec::new(),
             flow: FlowLedger::new(cfg.flow),
             program_done: false,
+            poll: PollState::Open,
+            inject_blocked: false,
         }
     }
 

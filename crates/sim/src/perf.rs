@@ -16,8 +16,8 @@
 //!   story of `SimConfig::shards`;
 //! * event-engine counters: a power-of-two skip-length histogram, the
 //!   wake-up cause breakdown (arrival ring, open poll, rate window,
-//!   credit sleeper, link busy, watchdog/cycle-limit clamps) and
-//!   fresh-activity suppressions;
+//!   credit sleeper, link busy, watchdog/cycle-limit/fault-transition
+//!   clamps) and skip attempts suppressed by fresh progress;
 //! * active-set occupancy and the per-cycle `cycle_is_wide`
 //!   spawn-vs-inline decisions.
 //!
@@ -142,7 +142,8 @@ impl ShardPerf {
 /// Event-engine counters: what the skip-ahead layer did and why it woke.
 /// Wake-cause counts classify each actual fast-forward jump by the
 /// component whose bound won the earliest-event minimum; clamp counts
-/// record jumps cut short by the watchdog or cycle-limit horizon.
+/// record jumps cut short by the watchdog or cycle-limit horizon or by a
+/// scheduled fault transition.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct EventPerf {
     /// Cycles the engine never stepped (total fast-forward distance).
@@ -151,9 +152,9 @@ pub struct EventPerf {
     pub skips: u64,
     /// Power-of-two histogram of jump lengths (see [`SKIP_BUCKETS`]).
     pub skip_histogram: [u64; SKIP_BUCKETS],
-    /// Skip decisions suppressed because a stepped event marked a node
-    /// fresh during the previous cycle (arbitration inputs changed — the
-    /// engine must re-arbitrate next cycle).
+    /// Skip attempts refused because the stepped cycle made progress
+    /// (something moved, so its neighbours must be re-arbitrated next
+    /// cycle and no wake computation is run).
     pub fresh_suppressions: u64,
     /// Jumps bounded by the earliest in-flight ring arrival.
     pub wake_arrival_ring: u64,
@@ -172,6 +173,11 @@ pub struct EventPerf {
     pub wake_watchdog_clamp: u64,
     /// Jumps clamped to the `max_cycles` safety limit.
     pub wake_cycle_limit_clamp: u64,
+    /// Jumps cut short by the next scheduled fault transition (its cycle
+    /// is stepped under every clock). Absent in profiles stored before
+    /// the counter existed, which read as 0.
+    #[serde(default)]
+    pub wake_fault_transition: u64,
 }
 
 impl EventPerf {
@@ -186,7 +192,7 @@ impl EventPerf {
 
     /// `(label, count)` pairs for the wake-cause breakdown, in the order
     /// reports render them.
-    pub fn wake_causes(&self) -> [(&'static str, u64); 7] {
+    pub fn wake_causes(&self) -> [(&'static str, u64); 8] {
         [
             ("arrival_ring", self.wake_arrival_ring),
             ("open_poll", self.wake_open_poll),
@@ -195,6 +201,7 @@ impl EventPerf {
             ("link_busy", self.wake_link_busy),
             ("watchdog_clamp", self.wake_watchdog_clamp),
             ("cycle_limit_clamp", self.wake_cycle_limit_clamp),
+            ("fault_transition", self.wake_fault_transition),
         ]
     }
 }
@@ -434,6 +441,17 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: PerfProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);
+        // A profile stored before `wake_fault_transition` existed reads it
+        // as zero.
+        let ev = p.event.as_ref().unwrap();
+        let serde::Value::Object(mut fields) = ev.to_value() else {
+            panic!("EventPerf serializes as an object")
+        };
+        fields.retain(|(k, _)| k != "wake_fault_transition");
+        assert_eq!(
+            &EventPerf::from_value(&serde::Value::Object(fields)).unwrap(),
+            ev
+        );
         // The config structs round-trip through the value tree too.
         let cfg = PerfConfig::default();
         assert_eq!(PerfConfig::from_value(&cfg.to_value()).unwrap(), cfg);

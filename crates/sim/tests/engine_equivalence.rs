@@ -4,8 +4,8 @@
 //! full-scan engine (see [`EngineMode`]).
 
 use bgl_sim::{
-    Engine, EngineMode, FaultPlan, NetStats, NodeFault, NodeProgram, PerfConfig, ScriptedProgram,
-    SendSpec, SimConfig,
+    Engine, EngineMode, FaultPlan, FlowSpec, NetStats, NodeFault, NodeProgram, PerfConfig,
+    ScriptedProgram, SendSpec, SimConfig,
 };
 use bgl_torus::Partition;
 use std::num::NonZeroUsize;
@@ -135,9 +135,11 @@ fn shard_counts_are_invisible() {
 /// shard), so their sharded cells step almost every cycle inline. On 8x8x4
 /// an all-to-all keeps all 256 nodes busy, and each sharded cell must both
 /// really have spawned its shard threads (`wide_cycles > 0`) and match the
-/// unsharded run byte for byte — healthy under both cycle-stepped modes,
-/// and once with a node dying and recovering mid-run (fault transitions
-/// and in-flight drops interleaved with threaded cycles).
+/// unsharded run byte for byte — healthy under all three clocks, once with
+/// a node dying and recovering mid-run (fault transitions and in-flight
+/// drops interleaved with threaded cycles), and once rate-paced under the
+/// skipping clock, where one run must both skip and spawn: shard threads
+/// and time-skipping do not exclude each other.
 #[test]
 fn threaded_shards_match_the_unsharded_engine() {
     let part: Partition = "8x8x4".parse().unwrap();
@@ -149,10 +151,36 @@ fn threaded_shards_match_the_unsharded_engine() {
             recover_at: Some(700),
         }],
     };
-    for (mode, fault) in [
-        (EngineMode::FullScan, FaultPlan::default()),
-        (EngineMode::ActiveSet, FaultPlan::default()),
-        (EngineMode::ActiveSet, outage),
+    // One 8-chunk packet per node per 256 cycles: the torus drains long
+    // before the next window opens, and all 256 nodes stay marked.
+    let paced = FlowSpec::Rate {
+        chunks_per_cycle: 1.0 / 32.0,
+    };
+    type Programs = fn(&Partition) -> Vec<Box<dyn NodeProgram>>;
+    let all_to_all: Programs = |part| uniform(part, 1, 8, false);
+    let streams: Programs = |part| shifted_streams(part, 6);
+    let healthy = FaultPlan::default;
+    for (mode, fault, flow, programs) in [
+        (
+            EngineMode::FullScan,
+            healthy(),
+            FlowSpec::Unpaced,
+            all_to_all,
+        ),
+        (
+            EngineMode::ActiveSet,
+            healthy(),
+            FlowSpec::Unpaced,
+            all_to_all,
+        ),
+        (EngineMode::ActiveSet, outage, FlowSpec::Unpaced, all_to_all),
+        (
+            EngineMode::EventDriven,
+            healthy(),
+            FlowSpec::Unpaced,
+            all_to_all,
+        ),
+        (EngineMode::EventDriven, healthy(), paced, streams),
     ] {
         let run = |shards: usize| {
             let mut cfg = SimConfig::new(part);
@@ -160,15 +188,16 @@ fn threaded_shards_match_the_unsharded_engine() {
             cfg.shards = NonZeroUsize::new(shards).unwrap();
             cfg.detailed_link_stats = true;
             cfg.fault = fault.clone();
+            cfg.flow = flow;
             cfg.perf = Some(PerfConfig::default());
-            let mut engine = Engine::new(cfg, uniform(&part, 1, 8, false));
+            let mut engine = Engine::new(cfg, programs(&part));
             let stats = engine
                 .run()
                 .unwrap_or_else(|e| panic!("{mode} shards={shards}: {e}"));
-            (stats, engine.take_perf().expect("profiling on").wide_cycles)
+            (stats, engine.take_perf().expect("profiling on"))
         };
-        let (reference, wide) = run(1);
-        assert_eq!(wide, 0, "{mode}: one shard never spawns");
+        let (reference, perf) = run(1);
+        assert_eq!(perf.wide_cycles, 0, "{mode}: one shard never spawns");
         if !fault.is_empty() {
             assert!(
                 reference.dropped_by_fault > 0,
@@ -176,15 +205,37 @@ fn threaded_shards_match_the_unsharded_engine() {
             );
         }
         for shards in [2, 4] {
-            let (stats, wide) = run(shards);
+            let (stats, perf) = run(shards);
             assert_eq!(stats, reference, "{mode} shards={shards} must match");
             // The full scan's gate counts each node once: 256 nodes clear
             // two shards' floor but not four's, so that one cell is inline.
             if mode != EngineMode::FullScan || shards == 2 {
-                assert!(wide > 0, "{mode} shards={shards}: no cycle ran threaded");
+                assert!(
+                    perf.wide_cycles > 0,
+                    "{mode} shards={shards}: no cycle ran threaded"
+                );
+            }
+            if flow == paced {
+                assert!(
+                    perf.skipped_cycles() > 0,
+                    "{mode} shards={shards}: a paced run has idle gaps to skip"
+                );
             }
         }
     }
+}
+
+/// Every node streams `packets` full-size packets to the node half the
+/// torus (plus one) away, and so receives as many.
+fn shifted_streams(part: &Partition, packets: u64) -> Vec<Box<dyn NodeProgram>> {
+    let p = part.num_nodes();
+    (0..p)
+        .map(|r| {
+            let dst = (r + p / 2 + 1) % p;
+            let sends = (0..packets).map(|_| SendSpec::adaptive(dst, 8, 240));
+            Box::new(ScriptedProgram::new(sends.collect(), packets)) as Box<dyn NodeProgram>
+        })
+        .collect()
 }
 
 /// Run `programs` under every engine mode × each of `shard_counts`, on the

@@ -1,37 +1,45 @@
-//! Regression tests for the event-driven engine's hard corners: the
+//! Regression tests for the skipping clock's hard corners: the
 //! closed-form replay of per-cycle blocked counters under rate pacing,
 //! credit stop-and-wait wake-ups (the ack is itself a packet), tracer
-//! sample boundaries that do not divide the skip intervals, and the
-//! watchdog firing at the same cycle whether or not cycles were stepped.
+//! sample boundaries that do not divide the skip intervals, progress that
+//! moves no packet, and the watchdog firing at the same cycle whether or
+//! not cycles were stepped.
 //!
-//! Each test pins the event-driven engine byte-for-byte against the
-//! full-scan reference and the active-set engine on a workload that
-//! specifically exercises the skip-ahead machinery.
+//! Each test pins the skipping clock (`EngineMode::EventDriven`, the
+//! default) byte-for-byte against the full-scan and active-set references
+//! on a workload that specifically exercises the skip-ahead machinery.
 
 use std::collections::VecDeque;
 
 use bgl_sim::{
-    Engine, EngineMode, FlowSpec, NetStats, NodeApi, NodeProgram, Packet, PacketMeta, PollHint,
-    ScriptedProgram, SendSpec, SimConfig, SimError, Trace, TraceConfig,
+    Engine, EngineMode, FlowSpec, NetStats, NodeApi, NodeProgram, Packet, PacketMeta, PerfConfig,
+    PollHint, ScriptedProgram, SendSpec, SimConfig, SimError, Trace, TraceConfig,
 };
 use bgl_torus::Partition;
 
 /// Run the same workload under every [`EngineMode`]; assert byte-equal
-/// `NetStats` and return the full-scan reference.
+/// `NetStats` — and, with `cfg.trace` set, byte-equal trace series — and
+/// return the full-scan reference.
 fn run_all_modes(cfg: &SimConfig, programs: impl Fn() -> Vec<Box<dyn NodeProgram>>) -> NetStats {
-    let mut reference: Option<NetStats> = None;
+    let mut reference: Option<(NetStats, Option<Trace>)> = None;
     for mode in EngineMode::ALL {
         let mut c = cfg.clone();
         c.engine = mode;
-        let stats = Engine::new(c, programs())
+        let mut engine = Engine::new(c, programs());
+        let stats = engine
             .run()
             .unwrap_or_else(|e| panic!("{mode} run completes: {e}"));
+        let trace = engine.take_trace();
+        assert_eq!(trace.is_some(), cfg.trace.is_some());
         match &reference {
-            None => reference = Some(stats),
-            Some(r) => assert_eq!(&stats, r, "{mode} must match full-scan"),
+            None => reference = Some((stats, trace)),
+            Some((r_stats, r_trace)) => {
+                assert_eq!(&stats, r_stats, "{mode} must match full-scan");
+                assert_eq!(&trace, r_trace, "{mode} trace series");
+            }
         }
     }
-    reference.expect("full-scan ran")
+    reference.expect("full-scan ran").0
 }
 
 /// Sparse streams on an idle partition: the event engine's best case.
@@ -194,21 +202,62 @@ fn traced_odd_interval_produces_identical_series() {
         chunks_per_cycle: 1.0 / 32.0,
     };
     cfg.trace = Some(TraceConfig::every(7));
-    let mut reference: Option<(NetStats, Trace)> = None;
-    for mode in EngineMode::ALL {
-        let mut c = cfg.clone();
-        c.engine = mode;
-        let mut engine = Engine::new(c, stream_programs(&part, 16));
-        let stats = engine.run().unwrap_or_else(|e| panic!("{mode}: {e}"));
-        let trace = engine.take_trace().expect("trace recorded");
-        match &reference {
-            None => reference = Some((stats, trace)),
-            Some((r_stats, r_trace)) => {
-                assert_eq!(&stats, r_stats, "{mode} stats");
-                assert_eq!(&trace, r_trace, "{mode} trace series");
-            }
-        }
-    }
+    run_all_modes(&cfg, || stream_programs(&part, 16));
+}
+
+/// Progress that moves no packet: the sink books its CPU far ahead with
+/// one expensive send, so the stream lands in its reception FIFO (and,
+/// once that is full, stalls in the VC FIFOs) long before the drains run.
+/// Each drain is progress without a FIFO pop or an arbitration win — the
+/// one kind of cycle the progress gate refuses to skip after and a
+/// per-node freshness rule would not — and the drains re-queue the
+/// stalled deliveries. Byte-identical in every mode, traced and not.
+#[test]
+fn late_reception_drains_match_across_modes() {
+    let part: Partition = "4x4".parse().unwrap();
+    let mut cfg = SimConfig::new(part);
+    let programs = || {
+        let mut programs: Vec<Box<dyn NodeProgram>> = (0..16)
+            .map(|_| Box::new(ScriptedProgram::idle()) as Box<dyn NodeProgram>)
+            .collect();
+        programs[0] = Box::new(ScriptedProgram::new(
+            (0..12).map(|_| SendSpec::adaptive(5, 8, 240)).collect(),
+            0,
+        ));
+        let booking = SendSpec::adaptive(6, 1, 1).with_cpu_cost(400.0);
+        programs[5] = Box::new(ScriptedProgram::new(vec![booking], 12));
+        programs[6] = Box::new(ScriptedProgram::new(vec![], 1));
+        programs
+    };
+    let untraced = run_all_modes(&cfg, programs);
+    assert_eq!(untraced.packets_delivered, 13);
+    assert!(
+        untraced.reception_stall_events > 0 && untraced.completion_cycle > 400,
+        "the stream must wait on the booked CPU: {untraced:?}"
+    );
+    cfg.trace = Some(TraceConfig::every(7));
+    assert_eq!(run_all_modes(&cfg, programs), untraced);
+}
+
+/// The default config is the skipping clock: a paced stream on an
+/// otherwise idle torus skips cycles without anyone asking for it.
+#[test]
+fn the_default_config_skips_idle_cycles() {
+    let part: Partition = "8x4x4".parse().unwrap();
+    let mut cfg = SimConfig::new(part);
+    cfg.flow = FlowSpec::Rate {
+        chunks_per_cycle: 1.0 / 64.0,
+    };
+    cfg.perf = Some(PerfConfig::default());
+    let mut engine = Engine::new(cfg, stream_programs(&part, 8));
+    let stats = engine.run().expect("streams complete");
+    let perf = engine.take_perf().expect("profiling on");
+    assert!(perf.skipped_cycles() > 0, "{perf:?}");
+    assert_eq!(
+        perf.stepped_cycles + perf.skipped_cycles(),
+        stats.completion_cycle + 1,
+        "stepped and skipped cycles partition the run"
+    );
 }
 
 /// Pin the link-release wake edge: `link_busy_until == now` means the

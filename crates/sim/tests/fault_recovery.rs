@@ -5,8 +5,8 @@
 //! dropped_by_fault` plus byte-equality across all three engine modes.
 
 use bgl_sim::{
-    Engine, EngineMode, FaultPlan, LinkFault, NetStats, NodeProgram, ScriptedProgram, SendSpec,
-    SimConfig,
+    Engine, EngineMode, FaultPlan, FlowSpec, LinkFault, NetStats, NodeProgram, PerfConfig,
+    ScriptedProgram, SendSpec, SimConfig,
 };
 use bgl_torus::{Dim, Direction, Partition, Sign};
 
@@ -188,4 +188,41 @@ fn permanent_node_fault_is_reported_unreachable_with_breakdown() {
         }
         other => panic!("expected Unreachable, got {other:?}"),
     }
+}
+
+/// A fault transition inside an idle gap cuts the skip short — the
+/// transition cycle is stepped under every clock — and the profiler says
+/// so: the clamp is a fault transition, not the cycle limit.
+#[test]
+fn skips_clamped_by_a_fault_transition_are_reported_as_such() {
+    let part: Partition = "4x4x4".parse().unwrap();
+    let mut cfg = SimConfig::new(part);
+    assert_eq!(cfg.engine, EngineMode::EventDriven);
+    // One 8-chunk packet per 512 cycles: each lands well inside 100
+    // cycles, so cycles 300 and 800 sit in gaps the clock would jump.
+    cfg.flow = FlowSpec::Rate {
+        chunks_per_cycle: 1.0 / 64.0,
+    };
+    cfg.fault.links.push(LinkFault {
+        node: 21,
+        dir: dir(Dim::Y, Sign::Minus),
+        fail_at: 300,
+        recover_at: Some(800),
+    });
+    cfg.perf = Some(PerfConfig::default());
+    let p = part.num_nodes();
+    let mut programs: Vec<Box<dyn NodeProgram>> = (0..p)
+        .map(|_| Box::new(ScriptedProgram::idle()) as Box<dyn NodeProgram>)
+        .collect();
+    programs[0] = Box::new(ScriptedProgram::new(
+        (0..4).map(|_| SendSpec::adaptive(p - 1, 8, 240)).collect(),
+        0,
+    ));
+    programs[p as usize - 1] = Box::new(ScriptedProgram::new(vec![], 4));
+    let mut engine = Engine::new(cfg, programs);
+    let stats = engine.run().expect("paced stream completes");
+    assert_eq!(stats.packets_delivered, 4);
+    let skips = engine.take_perf().expect("profiling on").event.unwrap();
+    assert_eq!(skips.wake_fault_transition, 2, "{skips:?}");
+    assert_eq!(skips.wake_cycle_limit_clamp, 0, "{skips:?}");
 }
