@@ -4,21 +4,13 @@
 //! bglsim sweep --shape 8x8x8 --strategies ar,dr,tps --sizes 64,240,912 [--coverage 0.25] [--jobs N] [--csv|--json]
 //!              [--pacer none|rate:F|credit:W,E] [--credit W,E]
 //!              [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]
-//!              [--engine full-scan|active-set|event] [--shards N]
+//!              [--shards N]
 //!              [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]
 //! bglsim fit   --shape 8x8x8
-//! bglsim pattern --shape 4x4x4 --pattern transpose:8|shift:3|random:8|plane:z --m 480 [--engine MODE] [--shards N] [--fault SPEC]
-//! bglsim validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--engine MODE] [--shards N]
-//! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--shards N] [--json|--csv] [--out FILE]
+//! bglsim pattern --shape 4x4x4 --pattern transpose:8|shift:3|random:8|plane:z --m 480 [--shards N] [--fault SPEC]
+//! bglsim validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--shards N]
+//! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--shards N] [--json|--csv] [--out FILE]
 //! ```
-//!
-//! `--engine` selects the simulator clock
-//! ([`EngineMode`](bgl_sim::EngineMode); default: `event`, which skips
-//! the cycles in which nothing can move). `active-set` and `full-scan`
-//! are the cycle-stepped and every-node references, for timing
-//! comparisons and equivalence checks. Every mode produces
-//! byte-identical results; the flag only changes wall-clock. An unknown
-//! mode exits with status 2.
 //!
 //! `--shards N` splits each simulated torus into `N` rank slabs stepped
 //! on `N` threads (`SimConfig::shards`). Orthogonal to `--jobs`, which
@@ -82,7 +74,7 @@ use bgl_harness::cli::Cli;
 use bgl_harness::conformance::{run_validation, Tier};
 use bgl_harness::runner::{RunPoint, Runner, Scale};
 use bgl_model::MachineParams;
-use bgl_sim::{EngineMode, FaultPlan, LinkFault, NodeFault, SimConfig};
+use bgl_sim::{FaultPlan, LinkFault, NodeFault, SimConfig};
 use bgl_torus::{Coord, Dim, Direction, Partition, Sign};
 use std::collections::HashMap;
 
@@ -92,60 +84,23 @@ fn fail(msg: &str) -> ! {
     CLI.fail(msg)
 }
 
-/// Value flags that may repeat on the command line; repeats accumulate
-/// into one `;`-joined value (every other flag is last-wins).
-const REPEAT_FLAGS: [&str; 1] = ["fault"];
-
-/// Parse `--flag value` / `--flag` pairs against the declared flag sets.
-/// Anything not listed — including bare positionals — is an error, as is
-/// a value flag without a following value.
+/// Parse a subcommand's flags. `bglsim` takes nothing but flags after
+/// the subcommand, so a bare positional is an error.
 fn parse_flags(
     args: &[String],
     value_flags: &[&str],
     bool_flags: &[&str],
 ) -> HashMap<String, String> {
-    let mut map: HashMap<String, String> = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(key) = args[i].strip_prefix("--") else {
-            fail(&format!("unexpected argument {:?}", args[i]));
-        };
-        if bool_flags.contains(&key) {
-            map.insert(key.to_string(), "true".to_string());
-            i += 1;
-        } else if value_flags.contains(&key) {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
-                    match map.get_mut(key) {
-                        Some(prev) if REPEAT_FLAGS.contains(&key) => {
-                            prev.push(';');
-                            prev.push_str(v);
-                        }
-                        _ => {
-                            map.insert(key.to_string(), v.clone());
-                        }
-                    }
-                    i += 2;
-                }
-                _ => fail(&format!("--{key} needs a value")),
-            }
-        } else {
-            fail(&format!("unknown flag --{key}"));
-        }
+    let (flags, positionals) = CLI.parse_flags(args, value_flags, bool_flags);
+    if let Some(stray) = positionals.first() {
+        fail(&format!("unexpected argument {stray:?}"));
     }
-    map
+    flags
 }
 
 fn parse_shape(s: &str) -> Partition {
     s.parse()
         .unwrap_or_else(|e| fail(&format!("invalid shape {s:?}: {e}")))
-}
-
-/// Resolve `--engine full-scan|active-set|event` (default: event).
-fn parse_engine(flags: &HashMap<String, String>) -> EngineMode {
-    flags
-        .get("engine")
-        .map_or_else(EngineMode::default, |s| CLI.engine(s))
 }
 
 /// Resolve `--shards N` (default 1): intra-run torus sharding, run on N
@@ -161,7 +116,6 @@ fn parse_shards(flags: &HashMap<String, String>) -> std::num::NonZeroUsize {
 /// (`--jobs` defaults to all cores).
 fn runner_from_flags(scale: Scale, flags: &HashMap<String, String>, perf: bool) -> Runner {
     let runner = Runner::new(scale)
-        .with_engine(parse_engine(flags))
         .with_shards(parse_shards(flags))
         .with_perf(perf)
         .with_progress(flags.contains_key("progress"));
@@ -602,7 +556,6 @@ fn cmd_pattern(flags: &HashMap<String, String>) {
         )),
     };
     let mut cfg = SimConfig::new(part);
-    cfg.engine = parse_engine(flags);
     cfg.shards = parse_shards(flags);
     cfg.fault = parse_fault(flags, &part);
     match run_pattern(part, &pattern, m, &params, cfg, 7) {
@@ -699,7 +652,6 @@ fn main() {
                 "credit",
                 "trace-interval",
                 "trace-out",
-                "engine",
                 "shards",
                 "fault",
             ],
@@ -708,19 +660,17 @@ fn main() {
         "fit" => cmd_fit(&parse_flags(rest, &["shape"], &[])),
         "pattern" => cmd_pattern(&parse_flags(
             rest,
-            &["shape", "pattern", "m", "engine", "shards", "fault"],
+            &["shape", "pattern", "m", "shards", "fault"],
             &[],
         )),
         "validate" => cmd_validate(&parse_flags(
             rest,
-            &["tier", "jobs", "out", "engine", "shards"],
+            &["tier", "jobs", "out", "shards"],
             &["bless", "perf", "progress"],
         )),
         "profile" => cmd_profile(&parse_flags(
             rest,
-            &[
-                "shape", "strategy", "m", "coverage", "engine", "shards", "out",
-            ],
+            &["shape", "strategy", "m", "coverage", "shards", "out"],
             &["json", "csv", "progress"],
         )),
         _ => {
@@ -730,12 +680,12 @@ fn main() {
             eprintln!(
                 "          [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]"
             );
-            eprintln!("          [--engine full-scan|active-set|event (default: event)] [--shards N] [--perf] [--progress]");
+            eprintln!("          [--shards N] [--perf] [--progress]");
             eprintln!("          [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]");
             eprintln!("  fit     --shape 8x8x8");
-            eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--engine MODE] [--shards N] [--fault SPEC]");
-            eprintln!("  validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--engine MODE] [--shards N] [--perf] [--progress]");
-            eprintln!("  profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--engine MODE] [--shards N] [--json|--csv] [--out FILE]");
+            eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--shards N] [--fault SPEC]");
+            eprintln!("  validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--shards N] [--perf] [--progress]");
+            eprintln!("  profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--shards N] [--json|--csv] [--out FILE]");
             std::process::exit(2);
         }
     }

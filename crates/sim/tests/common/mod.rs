@@ -1,0 +1,135 @@
+//! The one differential helper. Every test that claims "the clock mode,
+//! the shard count and the observers cannot change a result" says so by
+//! calling [`run_modes_by_shards`]: `engine_equivalence.rs` and
+//! `event_engine.rs` beside this file, and — through `#[path]` — the
+//! workspace fuzzer `tests/engine_equivalence.rs`.
+#![allow(dead_code)] // each including test crate uses its own subset
+
+use bgl_sim::{
+    Engine, EngineMode, NetStats, NodeProgram, PerfConfig, PerfProfile, SimConfig, SimError, Trace,
+    TraceConfig,
+};
+use std::num::NonZeroUsize;
+
+/// The shard counts the suites draw from: the sequential baseline, even
+/// splits, and a prime that never divides the node counts (uneven slabs).
+pub const SHARDS: [usize; 4] = [1, 2, 4, 7];
+
+/// The values each axis takes, beside the three engine modes; the helper
+/// runs their full cross product.
+#[derive(Clone, Copy)]
+pub struct Axes<'a> {
+    /// `SimConfig::shards`.
+    pub shards: &'a [usize],
+    /// `SimConfig::trace` sampling intervals; `None` is tracing off.
+    pub trace: &'a [Option<u64>],
+    /// `SimConfig::check_invariants`.
+    pub oracle: &'a [bool],
+    /// `SimConfig::perf`.
+    pub perf: &'a [bool],
+}
+
+impl Axes<'static> {
+    /// The three modes at one shard, every observer off.
+    pub const MODES: Axes<'static> = Axes {
+        shards: &[1],
+        trace: &[None],
+        oracle: &[false],
+        perf: &[false],
+    };
+}
+
+/// What one run shows the comparison.
+pub struct Cell {
+    pub result: Result<NetStats, SimError>,
+    pub trace: Option<Trace>,
+    pub perf: Option<PerfProfile>,
+}
+
+/// Run `programs` on a bare engine.
+pub fn engine_cell(cfg: SimConfig, programs: Vec<Box<dyn NodeProgram>>) -> Cell {
+    let mut engine = Engine::new(cfg, programs);
+    let result = engine.run();
+    Cell {
+        result,
+        trace: engine.take_trace(),
+        perf: engine.take_perf(),
+    }
+}
+
+/// Run `base` under every engine mode × every combination of `axes`. Each
+/// cell's whole `Result` — `NetStats` byte for byte, or the same
+/// `SimError` — must equal the reference's: full-scan, one shard, every
+/// observer off. Traced cells must also agree on the series, sample for
+/// sample, and its busy deltas must sum to the run's totals; profiled
+/// cells must carry a structurally consistent profile. Returns the
+/// reference.
+pub fn run_modes_by_shards(
+    base: &SimConfig,
+    axes: Axes<'_>,
+    run: impl Fn(SimConfig) -> Cell,
+) -> Result<NetStats, SimError> {
+    let reference_cell = (EngineMode::FullScan, 1, None, false, false);
+    let configure = |(mode, shards, trace, oracle, perf): (_, usize, Option<u64>, bool, bool)| {
+        let mut cfg = base.clone();
+        cfg.engine = mode;
+        cfg.shards = NonZeroUsize::new(shards).expect("nonzero shard count");
+        cfg.trace = trace.map(TraceConfig::every);
+        cfg.check_invariants = oracle;
+        cfg.perf = perf.then(PerfConfig::default);
+        cfg
+    };
+    let reference = run(configure(reference_cell)).result;
+    // The first traced cell at an interval sets the series for the rest.
+    let mut series: Vec<(u64, Trace)> = Vec::new();
+    let mut cells = Vec::new();
+    for &trace in axes.trace {
+        for &oracle in axes.oracle {
+            for &perf in axes.perf {
+                for &shards in axes.shards {
+                    for mode in EngineMode::ALL {
+                        cells.push((mode, shards, trace, oracle, perf));
+                    }
+                }
+            }
+        }
+    }
+    for id in cells.into_iter().filter(|&id| id != reference_cell) {
+        let (mode, shards, trace, oracle, perf) = id;
+        let ctx = format!(
+            "{} {mode} shards={shards} trace={trace:?} oracle={oracle} perf={perf}",
+            base.partition
+        );
+        let cell = run(configure(id));
+        assert_eq!(cell.result, reference, "{ctx} vs full-scan at one shard");
+        let Ok(stats) = &cell.result else { continue };
+        assert_eq!(cell.trace.is_some(), trace.is_some(), "{ctx}: trace");
+        if let (Some(got), Some(every)) = (cell.trace, trace) {
+            assert_eq!(
+                got.link_busy_totals(),
+                stats.link_busy_chunks,
+                "{ctx}: busy deltas must sum to the totals"
+            );
+            match series.iter().find(|(e, _)| *e == every) {
+                Some((_, want)) => assert_eq!(&got, want, "{ctx}: trace series"),
+                None => series.push((every, got)),
+            }
+        }
+        assert_eq!(cell.perf.is_some(), perf, "{ctx}: profile");
+        if let Some(p) = &cell.perf {
+            assert!(p.stepped_cycles > 0, "{ctx}: cycles were stepped");
+            assert_eq!(
+                p.wide_cycles + p.inline_cycles,
+                p.stepped_cycles,
+                "{ctx}: every stepped cycle is wide or inline"
+            );
+            assert_eq!(p.shards.len(), shards, "{ctx}: one record per shard");
+            assert_eq!(
+                p.event.is_some(),
+                mode == EngineMode::EventDriven,
+                "{ctx}: event counters iff the skipping clock"
+            );
+        }
+    }
+    reference
+}

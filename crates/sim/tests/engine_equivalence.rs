@@ -1,13 +1,17 @@
-//! The active-set and event-driven engines must be pure optimizations:
-//! for any workload, every statistic they produce — cycle counts,
+//! The active-set and event-driven engines, the shard count and the
+//! observers (tracer, oracle, profiler) must be pure optimizations and
+//! pure observations: for any workload, every statistic — cycle counts,
 //! histograms, per-link counters — is byte-identical to the reference
-//! full-scan engine (see [`EngineMode`]).
+//! full-scan engine at one shard (see `common::run_modes_by_shards`).
+
+mod common;
 
 use bgl_sim::{
-    Engine, EngineMode, FaultPlan, FlowSpec, NetStats, NodeFault, NodeProgram, PerfConfig,
-    ScriptedProgram, SendSpec, SimConfig,
+    Engine, EngineMode, FaultPlan, FlowSpec, NodeFault, NodeProgram, PerfConfig, ScriptedProgram,
+    SendSpec, SimConfig,
 };
 use bgl_torus::Partition;
+use common::{engine_cell, run_modes_by_shards, Axes, SHARDS};
 use std::num::NonZeroUsize;
 
 fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box<dyn NodeProgram>> {
@@ -32,44 +36,79 @@ fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box
         .collect()
 }
 
-/// Run the same workload under every [`EngineMode`] and assert all three
-/// `NetStats` are byte-identical; returns the reference (full-scan) stats.
-fn run_all_modes(cfg: &SimConfig, programs: impl Fn() -> Vec<Box<dyn NodeProgram>>) -> NetStats {
-    let mut results = EngineMode::ALL.map(|mode| {
-        let mut c = cfg.clone();
-        c.engine = mode;
-        Some(
-            Engine::new(c, programs())
-                .run()
-                .unwrap_or_else(|e| panic!("{mode} run completes: {e}")),
-        )
-    });
-    let reference = results[0].take().expect("full-scan ran");
-    for (mode, got) in EngineMode::ALL.iter().zip(&results).skip(1) {
-        assert_eq!(
-            got.as_ref().expect("ran"),
-            &reference,
-            "{mode} must match full-scan"
-        );
+/// The pinned grid of scripted all-to-alls: symmetric and asymmetric
+/// shapes, adaptive and deterministic routing, sparse and saturating load.
+/// Every row runs under all three modes; the rows that are cheap enough
+/// also cross every shard count with the oracle and the profiler, which
+/// pins the sharded engine's ordering guarantees — staged-arrival drain
+/// order, the section-B id fix-up, deferred credit releases — under the
+/// oracle's per-cell credit check, independent of the randomized fuzzers.
+#[test]
+fn scripted_workloads_match_on_every_axis() {
+    let observed = Axes {
+        shards: &SHARDS,
+        oracle: &[false, true],
+        perf: &[false, true],
+        ..Axes::MODES
+    };
+    let sharded = Axes {
+        shards: &SHARDS,
+        ..Axes::MODES
+    };
+    let grid: [(&str, u64, u8, bool, Axes); 7] = [
+        ("4x4x4", 1, 8, false, Axes::MODES), // symmetric, one round, adaptive
+        ("8x4x4", 4, 8, false, Axes::MODES), // asymmetric, saturating, adaptive
+        ("8x4x4", 2, 8, true, Axes::MODES),  // asymmetric, deterministic (bubble VC)
+        ("8x1x1", 8, 8, false, Axes::MODES), // ring
+        ("8x4x4", 2, 8, false, sharded),     // asymmetric, adaptive, every slab split
+        ("4x4x4", 1, 4, true, observed),     // symmetric, deterministic
+        ("4x3x2", 1, 2, false, observed),    // odd shape: 7 shards > 24/7 nodes each
+    ];
+    for (shape, k, chunks, det, axes) in grid {
+        let part: Partition = shape.parse().unwrap();
+        let mut cfg = SimConfig::new(part);
+        cfg.detailed_link_stats = true;
+        run_modes_by_shards(&cfg, axes, |cfg| {
+            let mode = cfg.engine;
+            let cell = engine_cell(cfg, uniform(&part, k, chunks, det));
+            if let Some(p) = &cell.perf {
+                check_profile_timing(&format!("{shape} {mode}"), mode, p);
+            }
+            cell
+        })
+        .unwrap_or_else(|e| panic!("{shape}: {e}"));
     }
-    reference
 }
 
-/// Scripted all-to-alls across symmetric and asymmetric shapes, adaptive
-/// and deterministic routing, sparse and saturating load: identical stats.
-#[test]
-fn scripted_workloads_match_across_modes() {
-    let grid: [(&str, u64, u8, bool); 5] = [
-        ("4x4x4", 1, 8, false), // symmetric, one round, adaptive
-        ("8x4x4", 4, 8, false), // asymmetric, saturating, adaptive
-        ("8x4x4", 2, 8, true),  // asymmetric, deterministic (bubble VC)
-        ("8x1x1", 8, 8, false), // ring
-        ("4x3x2", 1, 2, false), // odd shape, small packets
-    ];
-    for (shape, k, chunks, det) in grid {
-        let part: Partition = shape.parse().unwrap();
-        let cfg = SimConfig::new(part);
-        run_all_modes(&cfg, || uniform(&part, k, chunks, det));
+/// Loose wall-clock sanity of a collected profile (threaded shards time in
+/// parallel, so only gross misattribution trips these): phase laps are
+/// disjoint slices of each shard thread's time, so no shard's busy total
+/// can exceed the run's wall-clock by more than clock quantization; and
+/// outside the skipping clock, whose fast-forward is deliberately not a
+/// phase, the phases account for the bulk of it (10 % is far below the
+/// ~90 % seen in practice). Host-dependent, so checked on this grid's
+/// known workloads, not in the shared helper.
+fn check_profile_timing(ctx: &str, mode: EngineMode, p: &bgl_sim::PerfProfile) {
+    assert!(p.total_secs > 0.0, "{ctx}: wall-clock measured");
+    assert!(
+        p.active_occupancy_mean <= p.active_occupancy_max as f64,
+        "{ctx}: occupancy mean bounded by max"
+    );
+    for (i, s) in p.shards.iter().enumerate() {
+        assert!(
+            s.busy_secs() <= 1e-3 + p.total_secs,
+            "{ctx}: shard {i} busy {} vs total {}",
+            s.busy_secs(),
+            p.total_secs
+        );
+    }
+    if mode != EngineMode::EventDriven {
+        assert!(
+            p.busy_secs() >= 0.1 * p.total_secs,
+            "{ctx}: phases sum to {} of total {}",
+            p.busy_secs(),
+            p.total_secs
+        );
     }
 }
 
@@ -98,36 +137,13 @@ fn sparse_point_traffic_matches_across_modes() {
         }
         programs
     };
-    let reference = run_all_modes(&cfg, programs);
+    let reference = run_modes_by_shards(&cfg, Axes::MODES, |c| engine_cell(c, programs()))
+        .expect("streams complete");
     assert_eq!(reference.packets_delivered, 60);
     assert!(
         !reference.link_busy_per_link.is_empty(),
         "detailed stats compared"
     );
-}
-
-/// Pinned shard-count grid: the same workloads under every engine mode ×
-/// shard count in {1, 2, 4, 7} (even splits and a prime that leaves
-/// uneven slabs) must produce one byte-identical `NetStats`. This is the
-/// committed regression for the sharded engine's ordering guarantees —
-/// staged-arrival drain order, the section-B id fix-up, deferred credit
-/// releases — independent of the randomized fuzzer.
-#[test]
-fn shard_counts_are_invisible() {
-    let grid: [(&str, u64, u8, bool); 3] = [
-        ("8x4x4", 2, 8, false), // asymmetric, saturating, adaptive
-        ("4x4x4", 1, 4, true),  // symmetric, deterministic (bubble VC)
-        ("4x3x2", 1, 2, false), // odd shape: 7 shards > 24/7 nodes each
-    ];
-    for (shape, k, chunks, det) in grid {
-        let part: Partition = shape.parse().unwrap();
-        run_modes_by_shards(
-            part,
-            &[1, 2, 4, 7],
-            |_| {},
-            || uniform(&part, k, chunks, det),
-        );
-    }
 }
 
 /// The threaded path, asserted rather than hoped for: the shapes above are
@@ -238,41 +254,12 @@ fn shifted_streams(part: &Partition, packets: u64) -> Vec<Box<dyn NodeProgram>> 
         .collect()
 }
 
-/// Run `programs` under every engine mode × each of `shard_counts`, on the
-/// default config of `part` after `tweak`, with detailed link stats on:
-/// every cell must produce one byte-identical `NetStats`.
-fn run_modes_by_shards(
-    part: Partition,
-    shard_counts: &[usize],
-    tweak: impl Fn(&mut SimConfig),
-    programs: impl Fn() -> Vec<Box<dyn NodeProgram>>,
-) -> NetStats {
-    let mut reference: Option<NetStats> = None;
-    for &shards in shard_counts {
-        for mode in EngineMode::ALL {
-            let mut cfg = SimConfig::new(part);
-            tweak(&mut cfg);
-            cfg.engine = mode;
-            cfg.shards = NonZeroUsize::new(shards).unwrap();
-            cfg.detailed_link_stats = true;
-            let stats = Engine::new(cfg, programs())
-                .run()
-                .unwrap_or_else(|e| panic!("{part} shards={shards} {mode}: {e}"));
-            match &reference {
-                None => reference = Some(stats),
-                Some(r) => assert_eq!(&stats, r, "{part} shards={shards} {mode} must match"),
-            }
-        }
-    }
-    reference.expect("at least one cell ran")
-}
-
 /// One row per router branch a head's cached request mask depends on beyond
 /// the default config: longest-first shaping forced by the router on an
 /// asymmetric shape (preferred dimensions plus the dimension-order escape),
-/// and adaptive routing without the bubble escape. Each row once more under
-/// the oracle, which compares every cached mask bit with the router's own
-/// answer at every cycle boundary.
+/// and adaptive routing without the bubble escape. Each row with and
+/// without the oracle, which compares every cached mask bit with the
+/// router's own answer at every cycle boundary.
 #[test]
 fn shaped_and_escapeless_routing_match_across_modes_and_shards() {
     let part: Partition = "8x4x2".parse().unwrap();
@@ -281,18 +268,19 @@ fn shaped_and_escapeless_routing_match_across_modes_and_shards() {
         (|c| c.router.longest_first_bias = Some(true), 2, 8),
         (|c| c.router.adaptive_bubble_escape = false, 1, 4),
     ];
+    let axes = Axes {
+        shards: &[1, 4],
+        oracle: &[false, true],
+        ..Axes::MODES
+    };
     let [shaped, escapeless] = rows.map(|(tweak, k, chunks)| {
-        let programs = || uniform(&part, k, chunks, false);
-        let stats = run_modes_by_shards(part, &[1, 4], tweak, programs);
-        let with_oracle = |c: &mut SimConfig| {
-            tweak(c);
-            c.check_invariants = true;
-        };
-        assert_eq!(
-            run_modes_by_shards(part, &[1], with_oracle, programs),
-            stats
-        );
-        stats
+        let mut cfg = SimConfig::new(part);
+        cfg.detailed_link_stats = true;
+        tweak(&mut cfg);
+        run_modes_by_shards(&cfg, axes, |c| {
+            engine_cell(c, uniform(&part, k, chunks, false))
+        })
+        .expect("exchange completes")
     });
     // The rows must really have left the default router's path.
     assert!(
@@ -302,140 +290,33 @@ fn shaped_and_escapeless_routing_match_across_modes_and_shards() {
     assert_eq!(escapeless.bubble_hops, 0, "no escape, no bubble-VC hop");
 }
 
-/// The invariant oracle must hold on a sharded engine too (it forces the
-/// sharded structure onto one thread and additionally checks per-cell
-/// credit conservation every cycle), and its presence must not change
-/// results.
-#[test]
-fn sharded_run_passes_the_oracle() {
-    let part: Partition = "8x4x4".parse().unwrap();
-    let mut reference: Option<NetStats> = None;
-    for (shards, check) in [(1, false), (1, true), (4, true), (7, true)] {
-        let mut cfg = SimConfig::new(part);
-        cfg.shards = NonZeroUsize::new(shards).unwrap();
-        cfg.check_invariants = check;
-        let stats = Engine::new(cfg, uniform(&part, 2, 8, false))
-            .run()
-            .unwrap_or_else(|e| panic!("shards={shards} oracle={check}: {e}"));
-        match &reference {
-            None => reference = Some(stats),
-            Some(r) => assert_eq!(&stats, r, "shards={shards} oracle={check} must match"),
-        }
-    }
-}
-
-/// Host profiling must be provably non-perturbing: the same workload with
-/// `SimConfig::perf` on and off, across every engine mode × shard count
-/// in {1, 4}, produces byte-identical `NetStats` — and the collected
-/// profile is internally consistent (every stepped cycle classified as
-/// wide or inline, one record per shard, event counters present exactly
-/// in event mode, per-shard busy time bounded by the run's wall-clock;
-/// wall-clock bounds are deliberately loose upper bounds — threaded
-/// shards time in parallel, so only gross misattribution would trip
-/// them).
-#[test]
-fn perf_profiling_is_invisible_and_consistent() {
-    let grid: [(&str, u64, u8, bool); 2] = [
-        ("8x4x4", 2, 8, false), // asymmetric, saturating, adaptive
-        ("4x3x2", 1, 2, true),  // odd shape, deterministic (bubble VC)
-    ];
-    for (shape, k, chunks, det) in grid {
-        let part: Partition = shape.parse().unwrap();
-        for shards in [1usize, 4] {
-            for mode in EngineMode::ALL {
-                let mut cfg = SimConfig::new(part);
-                cfg.engine = mode;
-                cfg.shards = NonZeroUsize::new(shards).unwrap();
-                cfg.detailed_link_stats = true;
-                let plain = Engine::new(cfg.clone(), uniform(&part, k, chunks, det))
-                    .run()
-                    .unwrap_or_else(|e| panic!("{shape} shards={shards} {mode} plain: {e}"));
-                cfg.perf = Some(PerfConfig::default());
-                let mut engine = Engine::new(cfg, uniform(&part, k, chunks, det));
-                let profiled = engine
-                    .run()
-                    .unwrap_or_else(|e| panic!("{shape} shards={shards} {mode} profiled: {e}"));
-                assert_eq!(
-                    profiled, plain,
-                    "{shape} shards={shards} {mode}: --perf must not perturb NetStats"
-                );
-                let p = engine.take_perf().expect("profile collected");
-                let ctx = format!("{shape} shards={shards} {mode}");
-                assert_eq!(
-                    p.wide_cycles + p.inline_cycles,
-                    p.stepped_cycles,
-                    "{ctx}: every stepped cycle is wide or inline"
-                );
-                assert!(p.stepped_cycles > 0, "{ctx}: cycles were stepped");
-                assert_eq!(p.shards.len(), shards, "{ctx}: one record per shard");
-                assert_eq!(
-                    p.event.is_some(),
-                    mode == EngineMode::EventDriven,
-                    "{ctx}: event counters iff event mode"
-                );
-                assert!(p.total_secs > 0.0, "{ctx}: wall-clock measured");
-                assert!(
-                    p.active_occupancy_mean <= p.active_occupancy_max as f64,
-                    "{ctx}: occupancy mean bounded by max"
-                );
-                // Loose timing sanity: phase laps are disjoint slices of
-                // each shard thread's time, so no shard's busy total can
-                // (grossly) exceed the whole run's wall-clock. A little
-                // slack absorbs clock quantization on near-zero laps.
-                let slack = 1e-3 + p.total_secs;
-                for (i, s) in p.shards.iter().enumerate() {
-                    assert!(
-                        s.busy_secs() <= slack,
-                        "{ctx}: shard {i} busy {} vs total {}",
-                        s.busy_secs(),
-                        p.total_secs
-                    );
-                }
-                // Outside event mode every stepped cycle's work happens
-                // inside a timed phase lap, so the phase sum must account
-                // for the bulk of the wall-clock (10 % is far below the
-                // ~90 % seen in practice; event mode spends its time in
-                // fast-forward, which is deliberately not a phase).
-                if mode != EngineMode::EventDriven {
-                    assert!(
-                        p.busy_secs() >= 0.1 * p.total_secs,
-                        "{ctx}: phases sum to {} of total {}",
-                        p.busy_secs(),
-                        p.total_secs
-                    );
-                }
-            }
-        }
-    }
-}
-
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
 
-    /// Randomized equivalence fuzzer with a perf on/off dimension: any
-    /// (shape, routing, engine mode, shard count, perf) cell must match
-    /// the byte-identical reference stats of its perf-off sibling.
+    /// Randomized cells of the same cross product on small scripted
+    /// exchanges: a drawn shard count, trace interval, oracle and profiler
+    /// setting, under all three modes.
     #[test]
-    fn fuzzed_configs_match_with_and_without_perf(
+    fn fuzzed_configs_match_on_every_axis(
         shape_i in 0usize..4,
         deterministic in proptest::arbitrary::any::<bool>(),
-        engine_i in 0usize..EngineMode::ALL.len(),
-        shards_i in 0usize..3,
+        shards_i in 0usize..SHARDS.len(),
+        interval in 5u64..200,
+        oracle in proptest::arbitrary::any::<bool>(),
         perf in proptest::arbitrary::any::<bool>(),
     ) {
         let shapes = ["4x4", "4x2x2", "8x1x1", "3x3x2"];
         let part: Partition = shapes[shape_i].parse().unwrap();
-        let mut cfg = SimConfig::new(part);
-        cfg.engine = EngineMode::ALL[engine_i];
-        cfg.shards = NonZeroUsize::new([1usize, 2, 4][shards_i]).unwrap();
-        let reference = Engine::new(cfg.clone(), uniform(&part, 1, 4, deterministic))
-            .run()
-            .expect("reference run completes");
-        cfg.perf = perf.then(PerfConfig::default);
-        let got = Engine::new(cfg, uniform(&part, 1, 4, deterministic))
-            .run()
-            .expect("run completes");
-        proptest::prop_assert_eq!(got, reference);
+        let axes = Axes {
+            shards: &[SHARDS[shards_i]],
+            trace: &[None, Some(interval)],
+            oracle: &[oracle],
+            perf: &[perf],
+        };
+        run_modes_by_shards(&SimConfig::new(part), axes, |c| {
+            engine_cell(c, uniform(&part, 1, 4, deterministic))
+        })
+        .expect("exchange completes");
     }
 }
 
@@ -461,6 +342,7 @@ fn hotspot_backpressure_matches_across_modes() {
             })
             .collect()
     };
-    let reference = run_all_modes(&cfg, programs);
+    let reference = run_modes_by_shards(&cfg, Axes::MODES, |c| engine_cell(c, programs()))
+        .expect("hotspot drains");
     assert!(reference.reception_stall_events > 0);
 }

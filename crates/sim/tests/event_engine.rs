@@ -7,40 +7,26 @@
 //!
 //! Each test pins the skipping clock (`EngineMode::EventDriven`, the
 //! default) byte-for-byte against the full-scan and active-set references
-//! on a workload that specifically exercises the skip-ahead machinery.
+//! (`common::run_modes_by_shards`) on a workload that specifically
+//! exercises the skip-ahead machinery.
+
+mod common;
 
 use std::collections::VecDeque;
 
 use bgl_sim::{
-    Engine, EngineMode, FlowSpec, NetStats, NodeApi, NodeProgram, Packet, PacketMeta, PerfConfig,
-    PollHint, ScriptedProgram, SendSpec, SimConfig, SimError, Trace, TraceConfig,
+    Engine, FlowSpec, NodeApi, NodeProgram, Packet, PacketMeta, PerfConfig, PollHint,
+    ScriptedProgram, SendSpec, SimConfig, SimError,
 };
 use bgl_torus::Partition;
+use common::{engine_cell, run_modes_by_shards, Axes};
 
-/// Run the same workload under every [`EngineMode`]; assert byte-equal
-/// `NetStats` — and, with `cfg.trace` set, byte-equal trace series — and
-/// return the full-scan reference.
-fn run_all_modes(cfg: &SimConfig, programs: impl Fn() -> Vec<Box<dyn NodeProgram>>) -> NetStats {
-    let mut reference: Option<(NetStats, Option<Trace>)> = None;
-    for mode in EngineMode::ALL {
-        let mut c = cfg.clone();
-        c.engine = mode;
-        let mut engine = Engine::new(c, programs());
-        let stats = engine
-            .run()
-            .unwrap_or_else(|e| panic!("{mode} run completes: {e}"));
-        let trace = engine.take_trace();
-        assert_eq!(trace.is_some(), cfg.trace.is_some());
-        match &reference {
-            None => reference = Some((stats, trace)),
-            Some((r_stats, r_trace)) => {
-                assert_eq!(&stats, r_stats, "{mode} must match full-scan");
-                assert_eq!(&trace, r_trace, "{mode} trace series");
-            }
-        }
-    }
-    reference.expect("full-scan ran").0
-}
+/// Every corner runs unsharded and split four ways: a skip is decided
+/// between stepped cycles, whatever the slab layout.
+const CORNER: Axes = Axes {
+    shards: &[1, 4],
+    ..Axes::MODES
+};
 
 /// Sparse streams on an idle partition: the event engine's best case.
 fn stream_programs(part: &Partition, packets: u64) -> Vec<Box<dyn NodeProgram>> {
@@ -70,7 +56,9 @@ fn rate_paced_streams_replay_blocked_cycles_exactly() {
     cfg.flow = FlowSpec::Rate {
         chunks_per_cycle: 1.0 / 64.0,
     };
-    let reference = run_all_modes(&cfg, || stream_programs(&part, 24));
+    let reference =
+        run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, stream_programs(&part, 24)))
+            .expect("streams complete");
     assert!(
         reference.pacing_blocked_cycles > 0,
         "rate window must actually block: {reference:?}"
@@ -182,7 +170,8 @@ fn credit_stop_and_wait_matches_across_modes() {
         });
         programs
     };
-    let reference = run_all_modes(&cfg, programs);
+    let reference = run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, programs()))
+        .expect("every packet is acknowledged");
     assert!(
         reference.credit_blocked_events > 0,
         "window of 1 must block between ack round-trips: {reference:?}"
@@ -201,8 +190,12 @@ fn traced_odd_interval_produces_identical_series() {
     cfg.flow = FlowSpec::Rate {
         chunks_per_cycle: 1.0 / 32.0,
     };
-    cfg.trace = Some(TraceConfig::every(7));
-    run_all_modes(&cfg, || stream_programs(&part, 16));
+    let traced = Axes {
+        trace: &[Some(7)],
+        ..CORNER
+    };
+    run_modes_by_shards(&cfg, traced, |c| engine_cell(c, stream_programs(&part, 16)))
+        .expect("streams complete");
 }
 
 /// Progress that moves no packet: the sink books its CPU far ahead with
@@ -215,7 +208,7 @@ fn traced_odd_interval_produces_identical_series() {
 #[test]
 fn late_reception_drains_match_across_modes() {
     let part: Partition = "4x4".parse().unwrap();
-    let mut cfg = SimConfig::new(part);
+    let cfg = SimConfig::new(part);
     let programs = || {
         let mut programs: Vec<Box<dyn NodeProgram>> = (0..16)
             .map(|_| Box::new(ScriptedProgram::idle()) as Box<dyn NodeProgram>)
@@ -229,14 +222,17 @@ fn late_reception_drains_match_across_modes() {
         programs[6] = Box::new(ScriptedProgram::new(vec![], 1));
         programs
     };
-    let untraced = run_all_modes(&cfg, programs);
-    assert_eq!(untraced.packets_delivered, 13);
+    let both = Axes {
+        trace: &[None, Some(7)],
+        ..CORNER
+    };
+    let stats =
+        run_modes_by_shards(&cfg, both, |c| engine_cell(c, programs())).expect("the drains run");
+    assert_eq!(stats.packets_delivered, 13);
     assert!(
-        untraced.reception_stall_events > 0 && untraced.completion_cycle > 400,
-        "the stream must wait on the booked CPU: {untraced:?}"
+        stats.reception_stall_events > 0 && stats.completion_cycle > 400,
+        "the stream must wait on the booked CPU: {stats:?}"
     );
-    cfg.trace = Some(TraceConfig::every(7));
-    assert_eq!(run_all_modes(&cfg, programs), untraced);
 }
 
 /// The default config is the skipping clock: a paced stream on an
@@ -281,7 +277,8 @@ fn link_release_edge_wakes_exactly_on_busy_until() {
         programs[1] = Box::new(ScriptedProgram::new(vec![], 16));
         programs
     };
-    let reference = run_all_modes(&cfg, programs);
+    let reference = run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, programs()))
+        .expect("the stream completes");
     assert_eq!(reference.packets_delivered, 16);
     // 16 packets × 8 chunks back-to-back over one link: the stream must
     // sustain one win per 8 cycles, so completion stays close to the
@@ -319,28 +316,15 @@ fn watchdog_clamps_skips_with_a_distant_timed_wake() {
         programs[15] = Box::new(ScriptedProgram::new(vec![], 2));
         programs
     };
-    let mut reference: Option<SimError> = None;
-    for mode in EngineMode::ALL {
-        let mut c = cfg.clone();
-        c.engine = mode;
-        let err = Engine::new(c, programs())
-            .run()
-            .expect_err("rate window far exceeds the watchdog: run must stall");
-        match (&err, &reference) {
-            (SimError::Stalled { cycle, .. }, None) => {
-                // The stepped engines fire at the first cycle with
-                // now − last_progress > watchdog_cycles; the clamp must
-                // hold the event engine to the same horizon.
-                assert!(
-                    *cycle < 1000,
-                    "{mode}: stall must fire near the watchdog horizon, not the rate wake \
-                     (cycle {cycle})"
-                );
-                reference = Some(err);
-            }
-            (_, None) => panic!("{mode}: expected a stall, got {err}"),
-            (_, Some(r)) => assert_eq!(&err, r, "{mode} must stall identically"),
-        }
+    // The stepped engines fire at the first cycle with
+    // now − last_progress > watchdog_cycles; the clamp must hold the
+    // skipping clock to the same horizon.
+    match run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, programs())) {
+        Err(SimError::Stalled { cycle, .. }) => assert!(
+            cycle < 1000,
+            "stall must fire near the watchdog horizon, not the rate wake (cycle {cycle})"
+        ),
+        other => panic!("rate window far exceeds the watchdog: run must stall, got {other:?}"),
     }
 }
 
@@ -360,17 +344,9 @@ fn watchdog_fires_at_the_same_cycle_in_event_mode() {
         programs[5] = Box::new(ScriptedProgram::new(vec![], 3));
         programs
     };
-    let mut reference: Option<SimError> = None;
-    for mode in EngineMode::ALL {
-        let mut c = cfg.clone();
-        c.engine = mode;
-        let err = Engine::new(c, programs())
-            .run()
-            .expect_err("run must stall");
-        assert!(matches!(err, SimError::Stalled { .. }), "{mode}: {err}");
-        match &reference {
-            None => reference = Some(err),
-            Some(r) => assert_eq!(&err, r, "{mode} must stall identically"),
-        }
-    }
+    let outcome = run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, programs()));
+    assert!(
+        matches!(outcome, Err(SimError::Stalled { .. })),
+        "{outcome:?}"
+    );
 }

@@ -1,52 +1,64 @@
 //! Differential fuzzer for the engine's observational equivalences.
 //!
-//! Random (partition, strategy, message size, coverage, trace interval)
-//! configurations drawn across the real strategy stack, asserting three
-//! independences the simulator promises:
+//! Random (partition, strategy, message size, coverage) configurations
+//! drawn across the real strategy stack, each run through the one
+//! differential helper (`crates/sim/tests/common/mod.rs`) on a drawn cell
+//! of its axes — shard count, trace interval, oracle, profiler — under all
+//! three engine modes. The simulator promises:
 //!
-//! 1. **Engine mode**: the active-set and event-driven engines produce
-//!    byte-identical `NetStats` — cycle counts, latency histograms,
-//!    per-dimension link counters — to the reference full-scan path
-//!    (`SimConfig::engine`, see `EngineMode`).
-//! 2. **Tracing**: enabling `SimConfig::trace` changes nothing in
-//!    `NetStats`, in any engine mode, and the recorded per-dimension
-//!    link-busy deltas sum exactly to the run's `link_busy_chunks`.
+//! 1. **Engine mode and shard count**: the active-set and event-driven
+//!    engines, at any shard count, produce byte-identical `NetStats` —
+//!    cycle counts, latency histograms, per-dimension link counters — to
+//!    the reference full-scan path at one shard, healthy or under a fault
+//!    plan (where the whole `Result` must match).
+//! 2. **Observers**: enabling `SimConfig::trace`, `check_invariants` or
+//!    `perf` changes nothing in `NetStats`; the recorded series is the same
+//!    in every cell and its per-dimension link-busy deltas sum exactly to
+//!    the run's `link_busy_chunks`.
 //! 3. **Runner parallelism**: `Runner` results are byte-identical
 //!    between `--jobs 1` and a many-thread pool.
 //!
-//! This replaces an earlier hand-picked 8-configuration grid: the fuzzer
-//! spans the same symmetric/asymmetric × full/sampled × direct/indirect
-//! space but resamples it freshly each run (seeds are deterministic per
-//! test; failing cases persist to `proptest-regressions/` for replay).
+//! Seeds are deterministic per test; failing cases persist to
+//! `proptest-regressions/` for replay. Every case prints what it drew
+//! (`--nocapture`).
+
+#[path = "../crates/sim/tests/common/mod.rs"]
+mod common;
 
 use bgl_alltoall::harness::runner::{RunPoint, Runner, Scale};
 use bgl_alltoall::prelude::*;
-use bgl_sim::{EngineMode, FaultPlan, LinkFault, TraceConfig};
+use bgl_sim::{FaultPlan, LinkFault};
+use common::{run_modes_by_shards, Axes, Cell, SHARDS};
 use proptest::prelude::*;
-use std::num::NonZeroUsize;
 
-/// Shard counts drawn by the fuzzer: the sequential baseline, even splits,
-/// and a prime that never divides the node counts (uneven slabs).
-const SHARD_POOL: [usize; 4] = [1, 2, 4, 7];
-
-/// The strategy pool: every class once — direct adaptive/deterministic,
-/// throttled, and the three software-forwarding schemes.
+/// The strategy pool: every class once — the four direct schemes, which
+/// run at any arity, then the two 3-D-only software-forwarding ones.
 fn strategy_pool() -> [StrategyKind; 6] {
     [
         StrategyKind::ar(),
         StrategyKind::dr(),
         StrategyKind::throttled(1.25),
+        StrategyKind::xyz(),
         StrategyKind::tps(),
         StrategyKind::vmesh(),
-        StrategyKind::xyz(),
     ]
 }
 
-/// Shapes spanning 1D/2D/3D, symmetric and asymmetric, torus and mesh.
-const SHAPES: [&str; 6] = ["8x1x1", "4x4", "4x4x4", "8x4x4", "4x4x8", "8x8x4M"];
+/// Shapes spanning 1-D to 5-D, symmetric and asymmetric, torus and mesh.
+const SHAPES: [&str; 8] = [
+    "8x1x1",
+    "4x4",
+    "8x8",
+    "4x4x4",
+    "8x4x4",
+    "4x4x8",
+    "8x8x4M",
+    "4x4x4x4x2",
+];
 
 /// One drawn configuration, with coverage scaled down on the larger
-/// partitions so a fuzz case stays sub-second.
+/// partitions so a fuzz case stays sub-second, and the strategy drawn from
+/// the direct schemes alone above 3-D (`StrategyKind::check_dims`).
 fn config(
     shape_i: usize,
     strat_i: usize,
@@ -54,12 +66,13 @@ fn config(
     cov_i: usize,
 ) -> (Partition, StrategyKind, u64, f64) {
     let part: Partition = SHAPES[shape_i % SHAPES.len()].parse().unwrap();
-    let strategy = strategy_pool()[strat_i % 6].clone();
+    let any_arity = if part.ndims() > 3 { 4 } else { 6 };
+    let strategy = strategy_pool()[strat_i % any_arity].clone();
     let m = [1u64, 64, 240, 912][m_i % 4];
-    let cov = if part.num_nodes() >= 256 {
-        [0.125, 0.25][cov_i % 2]
-    } else {
-        [1.0, 0.5][cov_i % 2]
+    let cov = match part.num_nodes() {
+        512.. => [0.03125, 0.0625][cov_i % 2],
+        256.. => [0.125, 0.25][cov_i % 2],
+        _ => [1.0, 0.5][cov_i % 2],
     };
     (part, strategy, m, cov)
 }
@@ -72,69 +85,73 @@ fn workload(m: u64, coverage: f64) -> AaWorkload {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+/// One `run_aa` as a cell of the differential helper.
+fn aa_cell(
+    part: Partition,
+    workload: &AaWorkload,
+    strategy: &StrategyKind,
+    cfg: SimConfig,
+) -> Cell {
+    match run_aa(part, workload, strategy, &MachineParams::bgl(), cfg) {
+        Ok(report) => Cell {
+            result: Ok(report.stats),
+            trace: report.trace,
+            perf: report.perf,
+        },
+        Err(e) => Cell {
+            result: Err(e),
+            trace: None,
+            perf: None,
+        },
+    }
+}
 
-    /// Equivalences 1 and 2: every engine mode vs the full-scan
-    /// reference, traced and untraced, on a random configuration with a
-    /// random trace interval — and, for every comparison run, a random
-    /// shard count (the reference always runs unsharded, so every drawn
-    /// case also checks sharding changes nothing).
+/// Case count: `default` in a normal run, raised via `PROPTEST_CASES` by
+/// the weekly chaos CI job (an explicit `with_cases` would silently
+/// override the environment variable).
+fn cases(default: u32) -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(10)))]
+
+    /// Equivalences 1 and 2 on a healthy torus: every engine mode, traced
+    /// at a random interval and untraced, at a random shard count, oracle
+    /// and profiler setting, against the full-scan reference.
     #[test]
-    fn engine_modes_and_tracing_agree(
-        shape_i in 0usize..6,
+    fn modes_shards_and_observers_agree(
+        shape_i in 0usize..SHAPES.len(),
         strat_i in 0usize..6,
         m_i in 0usize..4,
         cov_i in 0usize..2,
         interval in 100u64..2000,
-        shard_i in 0usize..4,
+        shard_i in 0usize..SHARDS.len(),
+        oracle in proptest::arbitrary::any::<bool>(),
+        perf in proptest::arbitrary::any::<bool>(),
     ) {
         let (part, strategy, m, cov) = config(shape_i, strat_i, m_i, cov_i);
-        let shards = NonZeroUsize::new(SHARD_POOL[shard_i]).unwrap();
-        let workload = workload(m, cov);
-        let params = MachineParams::bgl();
-        let label = format!(
-            "{part} {} m={m} cov={cov} every={interval} shards={shards}",
+        let shards = SHARDS[shard_i];
+        eprintln!(
+            "case: {part} ({}-D) {} m={m} cov={cov} every={interval} shards={shards} \
+             oracle={oracle} perf={perf}",
+            part.ndims(),
             strategy.name()
         );
-        let mut cfg = SimConfig::new(part);
-        cfg.engine = EngineMode::FullScan;
-        let reference =
-            run_aa(part, &workload, &strategy, &params, cfg).expect("full-scan run completes");
-        for mode in EngineMode::ALL {
-            if mode == EngineMode::FullScan && shards.get() == 1 {
-                continue; // identical to the reference run by construction
-            }
-            let mut cfg = SimConfig::new(part);
-            cfg.engine = mode;
-            cfg.shards = shards;
-            let got = run_aa(part, &workload, &strategy, &params, cfg)
-                .expect("optimized run completes");
-            prop_assert_eq!(got.cycles, reference.cycles, "{} {}", &label, mode);
-            prop_assert_eq!(&got.stats, &reference.stats, "{} {}", &label, mode);
-        }
-
-        // Tracing on, all three engine modes: NetStats must stay
-        // identical and the trace's busy deltas must telescope to the
-        // run totals.
-        for mode in EngineMode::ALL {
-            let mut cfg = SimConfig::new(part);
-            cfg.engine = mode;
-            cfg.shards = shards;
-            cfg.trace = Some(TraceConfig::every(interval));
-            let traced =
-                run_aa(part, &workload, &strategy, &params, cfg).expect("traced run completes");
-            prop_assert_eq!(
-                &traced.stats, &reference.stats,
-                "{} traced {}", &label, mode
-            );
-            let trace = traced.trace.expect("trace recorded");
-            prop_assert_eq!(
-                trace.link_busy_totals(),
-                traced.stats.link_busy_chunks,
-                "{} busy deltas must sum to totals ({})", &label, mode
-            );
-        }
+        let workload = workload(m, cov);
+        let axes = Axes {
+            shards: &[shards],
+            trace: &[None, Some(interval)],
+            oracle: &[oracle],
+            perf: &[perf],
+        };
+        run_modes_by_shards(&SimConfig::new(part), axes, |cfg| {
+            aa_cell(part, &workload, &strategy, cfg)
+        })
+        .expect("healthy run completes");
     }
 }
 
@@ -142,13 +159,14 @@ proptest! {
 /// links from the partition (mesh edges have no wrap link and are
 /// skipped). May legitimately come up empty for unlucky draws.
 fn draw_dead_links(part: &Partition, picks: &[u32]) -> Vec<LinkFault> {
-    let n = part.num_nodes() as usize * 6;
+    let ports = part.ports();
+    let n = part.num_nodes() as usize * ports;
     let mut seen = vec![false; n];
     let mut out = Vec::new();
     for &p in picks {
         let idx = p as usize % n;
-        let node = (idx / 6) as u32;
-        let dir = bgl_torus::Direction::from_index(idx % 6);
+        let node = (idx / ports) as u32;
+        let dir = bgl_torus::Direction::from_index(idx % ports);
         if seen[idx] || part.neighbor(part.coord_of(node), dir).is_none() {
             continue;
         }
@@ -158,46 +176,37 @@ fn draw_dead_links(part: &Partition, picks: &[u32]) -> Vec<LinkFault> {
     out
 }
 
-/// Case count for the chaos suite: 8 in a normal run, raised via
-/// `PROPTEST_CASES` by the weekly chaos CI job (an explicit
-/// `with_cases` would silently override the environment variable).
-fn chaos_cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
-}
-
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(chaos_cases()))]
+    #![proptest_config(ProptestConfig::with_cases(cases(8)))]
 
     /// Fault dimension of equivalence 1: a random set of statically dead
     /// links must leave the run's entire `Result` — completed `NetStats`
     /// byte-for-byte, or the exact same `SimError` — invariant across
-    /// all three engine modes and across shard counts. Also pins the
-    /// no-op guarantee: a fault scheduled far past completion runs the
-    /// degraded-mode arbitration code yet stays byte-identical to the
-    /// healthy run.
+    /// all three engine modes, a random shard count and the oracle. Also
+    /// pins the no-op guarantee: a fault scheduled far past completion
+    /// runs the degraded-mode arbitration code yet stays byte-identical to
+    /// the healthy run.
     #[test]
     fn fault_plans_are_engine_and_shard_invariant(
-        shape_i in 0usize..6,
+        shape_i in 0usize..SHAPES.len(),
         strat_i in 0usize..6,
         m_i in 0usize..2,
         cov_i in 0usize..2,
         picks in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..4),
-        shard_i in 0usize..4,
+        shard_i in 0usize..SHARDS.len(),
+        oracle in proptest::arbitrary::any::<bool>(),
     ) {
         let (part, strategy, _, cov) = config(shape_i, strat_i, 0, cov_i);
         let m = [64u64, 240][m_i];
-        let shards = NonZeroUsize::new(SHARD_POOL[shard_i]).unwrap();
+        let shards = SHARDS[shard_i];
         let workload = workload(m, cov);
-        let params = MachineParams::bgl();
         let plan = FaultPlan {
             links: draw_dead_links(&part, &picks),
             nodes: vec![],
         };
-        let label = format!(
-            "{part} {} m={m} cov={cov} shards={shards} faults={:?}",
+        eprintln!(
+            "case: {part} ({}-D) {} m={m} cov={cov} shards={shards} oracle={oracle} faults={:?}",
+            part.ndims(),
             strategy.name(),
             plan.links
         );
@@ -205,42 +214,22 @@ proptest! {
         // An unreachable pair parks its packets until the watchdog; a
         // short (but progress-based, so never spuriously firing) fuse
         // keeps those fuzz cases fast. Identical in every compared run.
-        let fuse = 10_000;
-        let base = |mode: EngineMode, shards: NonZeroUsize, fault: FaultPlan| {
+        let faulty = |fault: FaultPlan| {
             let mut cfg = SimConfig::new(part);
-            cfg.engine = mode;
-            cfg.shards = shards;
-            cfg.watchdog_cycles = fuse;
+            cfg.watchdog_cycles = 10_000;
             cfg.fault = fault;
             cfg
         };
-
-        let one = NonZeroUsize::new(1).unwrap();
-        let reference = run_aa(
-            part, &workload, &strategy, &params,
-            base(EngineMode::FullScan, one, plan.clone()),
-        );
-        for mode in EngineMode::ALL {
-            if mode == EngineMode::FullScan && shards.get() == 1 {
-                continue;
-            }
-            let got = run_aa(
-                part, &workload, &strategy, &params,
-                base(mode, shards, plan.clone()),
-            );
-            match (&reference, &got) {
-                (Ok(a), Ok(b)) => {
-                    prop_assert_eq!(a.cycles, b.cycles, "{} {}", &label, mode);
-                    prop_assert_eq!(&a.stats, &b.stats, "{} {}", &label, mode);
-                }
-                (Err(a), Err(b)) => prop_assert_eq!(a, b, "{} {}", &label, mode),
-                (a, b) => prop_assert!(
-                    false,
-                    "{} {}: reference {:?} vs {:?}",
-                    &label, mode, a.is_ok(), b.is_ok()
-                ),
-            }
-        }
+        let axes = Axes {
+            shards: &[shards],
+            oracle: &[oracle],
+            ..Axes::MODES
+        };
+        // The helper compares whole `Result`s: an unreachable pair must be
+        // the same `SimError` in every cell.
+        let _ = run_modes_by_shards(&faulty(plan.clone()), axes, |cfg| {
+            aa_cell(part, &workload, &strategy, cfg)
+        });
 
         // No-op plan: same links, dead only at a cycle no run reaches.
         let noop = FaultPlan {
@@ -251,16 +240,13 @@ proptest! {
             }).collect(),
             nodes: vec![],
         };
-        let healthy = run_aa(
-            part, &workload, &strategy, &params,
-            base(EngineMode::FullScan, one, FaultPlan::default()),
-        ).expect("healthy run completes");
-        let nooped = run_aa(
-            part, &workload, &strategy, &params,
-            base(EngineMode::FullScan, one, noop),
-        ).expect("noop-fault run completes");
-        prop_assert_eq!(healthy.cycles, nooped.cycles, "{} noop", &label);
-        prop_assert_eq!(&healthy.stats, &nooped.stats, "{} noop", &label);
+        let healthy = aa_cell(part, &workload, &strategy, faulty(FaultPlan::default()))
+            .result
+            .expect("healthy run completes");
+        let nooped = aa_cell(part, &workload, &strategy, faulty(noop))
+            .result
+            .expect("noop-fault run completes");
+        prop_assert_eq!(&healthy, &nooped, "noop plan");
     }
 }
 
