@@ -358,13 +358,19 @@ impl StrategyKind {
         }
     }
 
-    /// `Ok` iff this strategy supports `part`'s dimensionality; otherwise
-    /// the [`SimError::UnsupportedDims`] that a run would return. Checked
+    /// `Ok` iff this strategy can run an all-to-all on `part`: the
+    /// partition has a peer to exchange with and a dimensionality the
+    /// schedule supports; otherwise the [`SimError::TooFewNodes`] or
+    /// [`SimError::UnsupportedDims`] that a run would return. Checked
     /// before any simulation state is built, so an unsupported pairing
     /// fails fast instead of hanging or panicking mid-run.
-    pub fn check_dims(&self, part: &Partition) -> Result<(), SimError> {
+    pub fn check_partition(&self, part: &Partition) -> Result<(), SimError> {
         let supported = self.supported_dims();
-        if supported.contains(&part.ndims()) {
+        if part.num_nodes() < 2 {
+            Err(SimError::TooFewNodes {
+                nodes: part.num_nodes(),
+            })
+        } else if supported.contains(&part.ndims()) {
             Ok(())
         } else {
             Err(SimError::UnsupportedDims {
@@ -562,9 +568,8 @@ fn execute(
 ) -> Result<AaReport, SimError> {
     let mut base = config.unwrap_or_else(|| SimConfig::new(part));
     let strategy = strategy.resolve(&part, workload.m_bytes);
-    strategy.check_dims(&part)?;
+    strategy.check_partition(&part)?;
     let p = part.num_nodes();
-    assert!(p >= 2, "all-to-all needs at least two nodes");
     base.partition = part;
 
     // The strategy's pacer becomes the engine-enforced flow spec. An
@@ -1137,7 +1142,21 @@ mod tests {
                 other => panic!("expected UnsupportedDims, got {other:?}"),
             }
             // The error is its own one-line story.
-            assert!(s.check_dims(&part).unwrap_err().to_string().contains("4"));
+            assert!(s
+                .check_partition(&part)
+                .unwrap_err()
+                .to_string()
+                .contains("4"));
+        }
+    }
+
+    #[test]
+    fn a_one_node_partition_is_a_typed_error_for_every_strategy() {
+        let part: Partition = "1x1x1".parse().unwrap();
+        let w = AaWorkload::full(64);
+        for s in [StrategyKind::ar(), StrategyKind::tps(), StrategyKind::Auto] {
+            let err = run_aa(part, &w, &s, &params(), SimConfig::new(part)).unwrap_err();
+            assert_eq!(err, SimError::TooFewNodes { nodes: 1 }, "{}", s.name());
         }
     }
 

@@ -93,7 +93,7 @@ pub struct TpsProgram {
     schedule: Vec<u32>,
     shapes: Vec<PacketShape>,
     alpha_sim_cycles: f64,
-    copy_cycles_per_chunk: f64,
+    gamma_cycles_per_chunk: f64,
     planar_longest_first: bool,
     idx: usize,
     pkt_i: usize,
@@ -130,7 +130,7 @@ impl TpsProgram {
             schedule,
             shapes,
             alpha_sim_cycles: params.alpha_direct_cycles / params.cpu_cycles_per_sim_cycle(),
-            copy_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
+            gamma_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
                 / params.secs_per_sim_cycle(),
             idx: 0,
             pkt_i: 0,
@@ -266,7 +266,7 @@ impl NodeProgram for TpsProgram {
                             b: pkt.meta.b,
                         },
                         longest_first: self.planar_longest_first,
-                        cpu_cost_cycles: self.copy_cycles_per_chunk * pkt.chunks as f64,
+                        cpu_cost_cycles: self.gamma_cycles_per_chunk * pkt.chunks as f64,
                     });
                 }
             }

@@ -48,7 +48,7 @@ impl Default for VmeshConfig {
 pub struct VmeshProgram {
     rank: u32,
     alpha_sim_cycles: f64,
-    copy_cycles_per_chunk: f64,
+    gamma_cycles_per_chunk: f64,
     /// Row-message packet shapes (every row message is the same size).
     p1_shapes: Vec<PacketShape>,
     /// Column-message packet shapes.
@@ -98,7 +98,7 @@ impl VmeshProgram {
         VmeshProgram {
             rank,
             alpha_sim_cycles: params.alpha_message_cycles / params.cpu_cycles_per_sim_cycle(),
-            copy_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
+            gamma_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
                 / params.secs_per_sim_cycle(),
             p1_shapes,
             p2_shapes,
@@ -190,7 +190,7 @@ impl NodeProgram for VmeshProgram {
         } else {
             0.0
         };
-        let copy = self.copy_cycles_per_chunk * shape.chunks as f64;
+        let copy = self.gamma_cycles_per_chunk * shape.chunks as f64;
         self.p2_pkt += 1;
         if self.p2_pkt >= self.p2_shapes.len() {
             self.p2_pkt = 0;

@@ -50,7 +50,7 @@ pub struct XyzProgram {
     schedule: Vec<u32>,
     shapes: Vec<PacketShape>,
     alpha_sim_cycles: f64,
-    copy_cycles_per_chunk: f64,
+    gamma_cycles_per_chunk: f64,
     idx: usize,
     pkt_i: usize,
     done_sending: bool,
@@ -80,7 +80,7 @@ impl XyzProgram {
             schedule,
             shapes,
             alpha_sim_cycles: params.alpha_direct_cycles / params.cpu_cycles_per_sim_cycle(),
-            copy_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
+            gamma_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
                 / params.secs_per_sim_cycle(),
             idx: 0,
             pkt_i: 0,
@@ -214,7 +214,7 @@ impl NodeProgram for XyzProgram {
                 b: pkt.meta.b,
             },
             longest_first: false,
-            cpu_cost_cycles: self.copy_cycles_per_chunk * pkt.chunks as f64,
+            cpu_cost_cycles: self.gamma_cycles_per_chunk * pkt.chunks as f64,
         });
     }
 

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! bglsim sweep --shape 8x8x8 --strategies ar,dr,tps --sizes 64,240,912 [--coverage 0.25] [--jobs N] [--csv|--json]
-//!              [--pacer none|rate:F|credit:W,E] [--credit W,E]
+//!              [--pacer none|rate:F|credit:W,E]
 //!              [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]
 //!              [--shards N]
 //!              [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]
@@ -21,9 +21,8 @@
 //! Pacing: `--pacer` overrides every swept strategy's injection pacing —
 //! `none` strips it, `rate:F` throttles injection to `F×` the bisection-
 //! derived peak rate, `credit:W,E` bounds each intermediate's unacked
-//! window at `W` packets with acknowledgements every `E` (the `--credit
-//! W,E` shorthand is equivalent). `--pacer` and `--credit` together, a
-//! malformed spec, or pacing `auto` exit with status 2.
+//! window at `W` packets with acknowledgements every `E`. A malformed
+//! spec, or pacing `auto`, exits with status 2.
 //!
 //! Fault injection: `--fault` (repeatable, or several `;`-separated
 //! specs in one flag) kills links mid-run — `link:X,Y,Z,DIR` one
@@ -110,6 +109,21 @@ fn parse_shards(flags: &HashMap<String, String>) -> std::num::NonZeroUsize {
     flags
         .get("shards")
         .map_or(std::num::NonZeroUsize::MIN, |s| CLI.shards(s))
+}
+
+/// Resolve `--coverage F` (default 1, the full exchange): the fraction of
+/// destinations each node sends to, in (0, 1]. Zero would select nobody.
+fn parse_coverage(flags: &HashMap<String, String>) -> f64 {
+    let coverage: f64 = flags.get("coverage").map_or(1.0, |s| {
+        s.parse()
+            .unwrap_or_else(|_| fail(&format!("--coverage needs a fraction, got {s:?}")))
+    });
+    if coverage.is_nan() || coverage <= 0.0 || coverage > 1.0 {
+        fail(&format!(
+            "--coverage must be a fraction in (0, 1], got {coverage}"
+        ));
+    }
+    coverage
 }
 
 /// The runner every simulating subcommand builds from its flags
@@ -284,7 +298,7 @@ fn parse_pacer(spec: &str) -> Pacer {
     ))
 }
 
-/// Parse the `--credit <window>,<every>` shorthand.
+/// Parse the `<window>,<every>` of a `credit:` pacer.
 fn parse_credit(spec: &str) -> Pacer {
     let (w, e) = spec.split_once(',').unwrap_or_else(|| {
         fail(&format!(
@@ -320,23 +334,20 @@ fn parse_credit(spec: &str) -> Pacer {
     Pacer::credit(window, every)
 }
 
-/// Resolve the sweep's pacer flags: `--pacer` and `--credit` conflict,
-/// and `auto` picks its own pacing so an explicit pacer is an error.
-fn apply_pacer_flags(
+/// Apply the sweep's `--pacer` to every strategy; `auto` picks its own
+/// pacing, so an explicit pacer on it is an error.
+fn apply_pacer_flag(
     flags: &HashMap<String, String>,
     strategies: Vec<StrategyKind>,
 ) -> Vec<StrategyKind> {
-    let pacer = match (flags.get("pacer"), flags.get("credit")) {
-        (Some(_), Some(_)) => fail("--pacer and --credit conflict; pass exactly one"),
-        (Some(p), None) => parse_pacer(p),
-        (None, Some(c)) => parse_credit(c),
-        (None, None) => return strategies,
+    let Some(pacer) = flags.get("pacer").map(|p| parse_pacer(p)) else {
+        return strategies;
     };
     strategies
         .into_iter()
         .map(|s| {
             if matches!(s, StrategyKind::Auto) {
-                fail("--pacer/--credit cannot apply to strategy \"auto\"; name a strategy");
+                fail("--pacer cannot apply to strategy \"auto\"; name a strategy");
             }
             s.with_pacer(pacer)
         })
@@ -353,11 +364,12 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
         .split(',')
         .map(strategy_by_name)
         .collect();
-    let strategies = apply_pacer_flags(flags, strategies);
+    let strategies = apply_pacer_flag(flags, strategies);
     // Strategy × shape compatibility is knowable before any simulation:
-    // reject e.g. TPS on a 4-D torus here with exit 2, not mid-sweep.
+    // reject e.g. TPS on a 4-D torus, or a one-node shape, here with
+    // exit 2, not mid-sweep.
     for s in &strategies {
-        if let Err(e) = s.check_dims(&part) {
+        if let Err(e) = s.check_partition(&part) {
             fail(&e.to_string());
         }
     }
@@ -372,13 +384,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
                 .unwrap_or_else(|_| fail(&format!("--sizes needs numeric bytes, got {s:?}")))
         })
         .collect();
-    let coverage: f64 = flags.get("coverage").map_or(1.0, |s| {
-        s.parse()
-            .unwrap_or_else(|_| fail(&format!("--coverage needs a fraction, got {s:?}")))
-    });
-    if !(0.0..=1.0).contains(&coverage) {
-        fail(&format!("--coverage must be within 0..=1, got {coverage}"));
-    }
+    let coverage = parse_coverage(flags);
     let csv = flags.contains_key("csv");
     let json = flags.contains_key("json");
     let report = flags.contains_key("report");
@@ -501,6 +507,11 @@ fn write_traces(path: &str, points: &[RunPoint], runner: &Runner) {
 fn cmd_fit(flags: &HashMap<String, String>) {
     let shape = flags.get("shape").map(String::as_str).unwrap_or("8x8x8");
     let part = parse_shape(shape);
+    if part.num_nodes() < 2 {
+        fail(&format!(
+            "a ping-pong needs at least two nodes, got the one-node shape {part}"
+        ));
+    }
     let params = MachineParams::bgl();
     let fit = fit_ptp_params(&part, &params);
     println!("ping-pong fit on {part} (Equation 1, T = α + m·β):");
@@ -514,6 +525,9 @@ fn cmd_fit(flags: &HashMap<String, String>) {
         println!("    m={m:<7} {t} cycles");
     }
 }
+
+/// Seed of the `random:` pattern's destination draw.
+const PATTERN_SEED: u64 = 7;
 
 fn cmd_pattern(flags: &HashMap<String, String>) {
     let shape = flags.get("shape").map(String::as_str).unwrap_or("4x4x4");
@@ -555,10 +569,28 @@ fn cmd_pattern(flags: &HashMap<String, String>) {
             "unknown pattern {other:?} (a2a|shift|transpose|random|plane)"
         )),
     };
+    if pattern.pair_count(&part, PATTERN_SEED) == 0 {
+        let p = part.num_nodes();
+        let why = match pattern {
+            _ if p < 2 => "one node has no peer".to_string(),
+            Pattern::Shift { offset } => {
+                format!("offset {offset} is a multiple of the {p} nodes")
+            }
+            Pattern::Transpose { rows } if rows == 0 || !p.is_multiple_of(rows) => {
+                format!("{rows} rows do not divide the {p} nodes")
+            }
+            Pattern::RandomPairs { .. } => "degree 0".to_string(),
+            // 1×P and P×1 transposes, planes of one node.
+            _ => "every rank is its own only target".to_string(),
+        };
+        fail(&format!(
+            "--pattern {spec} selects no (source, destination) pair on {part}: {why}"
+        ));
+    }
     let mut cfg = SimConfig::new(part);
     cfg.shards = parse_shards(flags);
     cfg.fault = parse_fault(flags, &part);
-    match run_pattern(part, &pattern, m, &params, cfg, 7) {
+    match run_pattern(part, &pattern, m, &params, cfg, PATTERN_SEED) {
         Ok(rep) => {
             println!("{pattern:?} on {part}, m={m} B/pair:");
             println!("  pairs            : {}", rep.pairs);
@@ -595,20 +627,14 @@ fn cmd_profile(flags: &HashMap<String, String>) {
     let shape = flags.get("shape").map(String::as_str).unwrap_or("8x8x8");
     let part = parse_shape(shape);
     let strategy = strategy_by_name(flags.get("strategy").map(String::as_str).unwrap_or("ar"));
-    if let Err(e) = strategy.check_dims(&part) {
+    if let Err(e) = strategy.check_partition(&part) {
         fail(&e.to_string());
     }
     let m: u64 = flags.get("m").map_or(240, |s| {
         s.parse()
             .unwrap_or_else(|_| fail(&format!("--m needs numeric bytes, got {s:?}")))
     });
-    let coverage: f64 = flags.get("coverage").map_or(1.0, |s| {
-        s.parse()
-            .unwrap_or_else(|_| fail(&format!("--coverage needs a fraction, got {s:?}")))
-    });
-    if !(0.0..=1.0).contains(&coverage) {
-        fail(&format!("--coverage must be within 0..=1, got {coverage}"));
-    }
+    let coverage = parse_coverage(flags);
     if flags.contains_key("json") && flags.contains_key("csv") {
         fail("--json and --csv conflict; pass at most one");
     }
@@ -649,7 +675,6 @@ fn main() {
                 "coverage",
                 "jobs",
                 "pacer",
-                "credit",
                 "trace-interval",
                 "trace-out",
                 "shards",
@@ -676,7 +701,7 @@ fn main() {
         _ => {
             eprintln!("usage: bglsim sweep|fit|pattern|validate|profile [--flags]");
             eprintln!("  sweep   --shape 8x8x8 --strategies ar,dr,tps,vmesh,xyz --sizes 64,912 [--coverage 0.25] [--jobs N] [--csv|--json]");
-            eprintln!("          [--pacer none|rate:F|credit:W,E] [--credit W,E]");
+            eprintln!("          [--pacer none|rate:F|credit:W,E]");
             eprintln!(
                 "          [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]"
             );

@@ -15,13 +15,14 @@
 //! `bglsim validate --bless` and commit the diff — the review of that
 //! diff is the point of the tier.
 
+use super::families::Checks;
 use super::CheckResult;
-use crate::runner::{RunKey, RunPoint, Runner};
+use crate::runner::{RunKey, RunPoint, RunResult, Unit};
 use bgl_core::{Pacer, StrategyKind};
 use bgl_sim::{FaultPlan, LinkFault, NetStats};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// The committed fingerprint file (crate-relative, so the binary and the
 /// tests resolve the same path from any working directory).
@@ -29,11 +30,11 @@ pub const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/golden/netst
 
 /// The pinned grid: one point per strategy class, small shapes at full
 /// coverage so the tier costs seconds and is identical at both tiers.
-fn grid() -> Vec<RunPoint> {
+fn grid() -> [RunPoint; 11] {
     let pt = |shape: &str, strategy: StrategyKind, m: u64| {
         RunPoint::new(shape.parse().expect("valid shape"), strategy, m, 1.0)
     };
-    vec![
+    [
         pt("4x4x1", StrategyKind::ar(), 240),
         pt("4x2x2", StrategyKind::dr(), 240),
         pt("8x1x1", StrategyKind::tps(), 64),
@@ -138,11 +139,6 @@ fn load(path: &Path) -> Result<HashMap<RunKey, String>, String> {
         .collect())
 }
 
-/// The golden grid's simulation points (for the batched run).
-pub fn points() -> Vec<RunPoint> {
-    grid()
-}
-
 /// The committed fingerprint (hex) for `key`, if the golden file holds
 /// one. The F9 family uses this to pin that the n-dimensional topology
 /// refactor reproduces the stored 3-D fingerprints byte-for-byte.
@@ -150,22 +146,24 @@ pub fn committed_fingerprint(key: &RunKey) -> Option<String> {
     load(Path::new(GOLDEN_PATH)).ok()?.remove(key)
 }
 
-/// Compare the measured grid against the committed file — or, with
-/// `bless`, rewrite the file from the measured runs.
-pub fn evaluate(runner: &Runner, bless: bool) -> Vec<CheckResult> {
-    evaluate_at(runner, bless, Path::new(GOLDEN_PATH))
+/// The golden tier: compare the measured grid against the committed
+/// file — or, with `bless`, rewrite the file from the measured runs.
+pub fn unit(bless: bool) -> Checks {
+    unit_at(bless, GOLDEN_PATH.into())
 }
 
-fn evaluate_at(runner: &Runner, bless: bool, path: &Path) -> Vec<CheckResult> {
+fn unit_at(bless: bool, path: PathBuf) -> Checks {
+    let grid = grid();
+    let keys = grid.each_ref().map(|p| p.key.clone());
+    Unit::new(grid, move |runs| evaluate(&keys, runs, bless, &path))
+}
+
+fn evaluate(keys: &[RunKey], runs: &[RunResult], bless: bool, path: &Path) -> Vec<CheckResult> {
     const FAM: &str = "G golden-snapshot";
-    let measured: Vec<(RunKey, Option<u64>)> = grid()
+    let measured: Vec<(&RunKey, Option<u64>)> = keys
         .iter()
-        .map(|p| {
-            (
-                p.key.clone(),
-                runner.report(p).ok().map(|r| fingerprint(&r.stats)),
-            )
-        })
+        .zip(runs)
+        .map(|(key, run)| (key, run.as_ref().ok().map(|r| fingerprint(&r.stats))))
         .collect();
 
     if bless {
@@ -173,7 +171,7 @@ fn evaluate_at(runner: &Runner, bless: bool, path: &Path) -> Vec<CheckResult> {
             .iter()
             .filter_map(|(key, fp)| {
                 fp.map(|fp| GoldenEntry {
-                    key: key.clone(),
+                    key: (*key).clone(),
                     fingerprint: hex(fp),
                 })
             })
@@ -228,7 +226,7 @@ fn evaluate_at(runner: &Runner, bless: bool, path: &Path) -> Vec<CheckResult> {
     measured
         .iter()
         .map(|(key, fp)| {
-            let want = golden.get(key);
+            let want = golden.get(*key);
             let got = fp.map(hex);
             let (passed, measured, expected) = match (&got, want) {
                 (Some(g), Some(w)) => (g == w, g.clone(), w.clone()),
@@ -248,6 +246,10 @@ fn evaluate_at(runner: &Runner, bless: bool, path: &Path) -> Vec<CheckResult> {
 mod tests {
     use super::*;
     use crate::runner::{Runner, Scale};
+
+    fn evaluate_at(runner: &Runner, bless: bool, path: &Path) -> Vec<CheckResult> {
+        runner.render(vec![unit_at(bless, path.into())]).remove(0)
+    }
 
     #[test]
     fn fingerprint_is_stable_and_discriminating() {
@@ -281,7 +283,6 @@ mod tests {
     #[test]
     fn bless_then_verify_round_trips() {
         let runner = Runner::new(Scale::Quick);
-        runner.run_points(&points());
         let dir = std::env::temp_dir().join("bgl-golden-test");
         let path = dir.join("netstats.json");
         let blessed = evaluate_at(&runner, true, &path);
@@ -296,7 +297,6 @@ mod tests {
     #[test]
     fn missing_golden_file_fails_cleanly() {
         let runner = Runner::new(Scale::Quick);
-        runner.run_points(&points());
         let res = evaluate_at(&runner, false, Path::new("/nonexistent/golden.json"));
         assert_eq!(res.len(), 1);
         assert!(!res[0].passed);

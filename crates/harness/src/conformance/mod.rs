@@ -203,17 +203,14 @@ impl ValidationReport {
     }
 }
 
-/// Run the whole suite at `tier` on `runner`: gather every family's
-/// simulation points plus the golden grid, execute them as one
-/// deduplicated parallel batch, then evaluate the families. With
-/// `bless`, the golden fingerprint file is rewritten from the measured
-/// runs instead of compared.
+/// Run the whole suite at `tier` on `runner`: every family's units plus
+/// the golden grid's execute as one deduplicated parallel batch, then
+/// render their checks. With `bless`, the golden fingerprint file is
+/// rewritten from the measured runs instead of compared.
 pub fn run_validation(runner: &Runner, tier: Tier, bless: bool) -> ValidationReport {
-    let mut points = families::points(runner, tier);
-    points.extend(golden::points());
-    runner.run_points(&points);
-    let mut results = families::evaluate(runner, tier);
-    results.extend(golden::evaluate(runner, bless));
+    let mut units = families::units(runner, tier);
+    units.push(golden::unit(bless));
+    let results = runner.render(units).into_iter().flatten().collect();
     ValidationReport { tier, results }
 }
 

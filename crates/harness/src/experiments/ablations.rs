@@ -13,203 +13,125 @@
 //! * **TPS credit-based flow control** → bounding intermediate memory
 //!   costs little bandwidth (the paper's future-work claim).
 
-use crate::experiment::ExperimentReport;
-use crate::experiments::pct;
-use crate::runner::{RunPoint, Runner, Scale, SharedTweak};
+use super::{pct, Experiment, Line, Rows};
+use crate::runner::{RunPoint, Runner, Scale, Unit};
 use bgl_core::{CreditConfig, Pacer, StrategyKind};
 use bgl_sim::SimConfig;
 use bgl_torus::Partition;
-use std::sync::Arc;
 
-/// The asymmetric testbed partition per scale.
-pub fn shape(scale: Scale) -> &'static str {
-    match scale {
+pub(super) const ABLATIONS: Experiment = Experiment {
+    id: "ablations",
+    title: "Design-choice ablations on an asymmetric torus",
+    columns: &["variant", "strategy", "% of peak / outcome"],
+    notes: &[
+        "a Stalled outcome is the expected deadlock when the bubble machinery is disabled",
+        "tps-shared-inj-fifos removes the per-phase reservation that enables phase pipelining",
+    ],
+    rows,
+};
+
+/// An all-to-all the cases vary: partition, message size, coverage.
+#[derive(Clone, Copy)]
+struct Testbed(Partition, u64, f64);
+
+impl Testbed {
+    /// One case: `strategy` on this testbed under `tweak`. `label` names
+    /// the row and, as the variant label, keys the run.
+    fn case(
+        self,
+        label: &'static str,
+        strategy: &StrategyKind,
+        tweak: impl Fn(&mut SimConfig) + Send + Sync + 'static,
+    ) -> (&'static str, RunPoint) {
+        let Testbed(part, m, cov) = self;
+        let point = RunPoint::new(part, strategy.clone(), m, cov).variant(label, tweak);
+        (label, point)
+    }
+}
+
+/// One row per case: the budgeted sweep on the scale's asymmetric
+/// testbed, then the pinned high-pressure cases.
+fn rows(runner: &Runner) -> Rows {
+    let part: Partition = match runner.scale {
         Scale::Quick => "8x4x4",
         Scale::Paper => "16x8x8",
     }
-}
-
-fn tweak(f: impl Fn(&mut SimConfig) + Send + Sync + 'static) -> SharedTweak {
-    Arc::new(f)
-}
-
-/// One ablation case: variant label, row label, strategy, config tweak.
-struct Case {
-    variant: &'static str,
-    row: &'static str,
-    strategy: StrategyKind,
-    tweak: SharedTweak,
-}
-
-impl Case {
-    fn new(label: &'static str, strategy: StrategyKind, tweak: SharedTweak) -> Case {
-        Case {
-            variant: label,
-            row: label,
-            strategy,
-            tweak,
-        }
-    }
-
-    /// The simulation point this case stands for on testbed `(part, m, cov)`.
-    fn point(&self, part: Partition, m: u64, cov: f64) -> RunPoint {
-        let t = self.tweak.clone();
-        RunPoint::new(part, self.strategy.clone(), m, cov).variant(self.variant, move |c| t(c))
-    }
-}
-
-/// The budgeted sweep on the scale-dependent asymmetric testbed.
-fn budget_cases() -> Vec<Case> {
-    let ar = StrategyKind::ar();
-    let tps = StrategyKind::tps();
+    .parse()
+    .unwrap();
+    let m = runner.large_m_for(&part);
+    let sweep = Testbed(part, m, runner.budget_coverage(&part, m));
+    // Full (unsampled) exchanges on 8x4x4 at any scale: the congestion
+    // collapse of classical adaptivity, its longest-first mitigation, and
+    // the textbook deadlock (no bubble slack, tight VC FIFOs) all need
+    // the full pressure to show at small scale.
+    let pinned = Testbed("8x4x4".parse().unwrap(), 1872, 1.0);
+    let (ar, tps) = (StrategyKind::ar(), StrategyKind::tps());
     let tps_credit = StrategyKind::tps().with_pacer(Pacer::CreditWindow {
         credit: CreditConfig::default(),
     });
-    vec![
-        Case::new("baseline", ar.clone(), tweak(|_| {})),
-        Case::new(
-            "no-bubble-rule (slack=0)",
-            ar.clone(),
-            tweak(|c| c.router.bubble_slack_chunks = 0),
-        ),
-        Case::new(
-            "no-escape-vc",
-            ar.clone(),
-            tweak(|c| c.router.adaptive_bubble_escape = false),
-        ),
-        Case::new(
-            "vc-fifo-8-chunks",
-            ar.clone(),
-            tweak(|c| c.router.vc_fifo_chunks = 8),
-        ),
-        Case::new(
-            "vc-fifo-16-chunks",
-            ar.clone(),
-            tweak(|c| c.router.vc_fifo_chunks = 16),
-        ),
-        Case::new(
-            "vc-fifo-256-chunks",
-            ar.clone(),
-            tweak(|c| c.router.vc_fifo_chunks = 256),
-        ),
-        Case::new(
-            "longest-first-shaping",
-            ar.clone(),
-            tweak(|c| c.router.longest_first_bias = Some(true)),
-        ),
-        Case::new(
-            "injection-priority",
-            ar,
-            tweak(|c| c.router.transit_priority = false),
-        ),
-        Case::new("tps-baseline", tps.clone(), tweak(|_| {})),
-        Case::new(
-            "tps-shared-inj-fifos",
-            tps,
-            tweak(|c| c.inj_class_masks = vec![u8::MAX; 6]),
-        ),
-        Case::new("tps-credit-flow-control", tps_credit, tweak(|_| {})),
+    let pinned_bias = |label, bias| {
+        pinned.case(label, &ar, move |c| {
+            c.router.longest_first_bias = Some(bias);
+            c.router.vc_fifo_chunks = 32; // BG/L's literal 1 KB VC FIFOs
+        })
+    };
+    let (_, deadlock) = pinned.case("deadlock-demo", &ar, |c| {
+        c.router.bubble_slack_chunks = 0;
+        c.router.vc_fifo_chunks = 32;
+        c.watchdog_cycles = 100_000;
+    });
+    let cases = [
+        sweep.case("baseline", &ar, |_| {}),
+        sweep.case("no-bubble-rule (slack=0)", &ar, |c| {
+            c.router.bubble_slack_chunks = 0
+        }),
+        sweep.case("no-escape-vc", &ar, |c| {
+            c.router.adaptive_bubble_escape = false
+        }),
+        sweep.case("vc-fifo-8-chunks", &ar, |c| c.router.vc_fifo_chunks = 8),
+        sweep.case("vc-fifo-16-chunks", &ar, |c| c.router.vc_fifo_chunks = 16),
+        sweep.case("vc-fifo-256-chunks", &ar, |c| c.router.vc_fifo_chunks = 256),
+        sweep.case("longest-first-shaping", &ar, |c| {
+            c.router.longest_first_bias = Some(true)
+        }),
+        sweep.case("injection-priority", &ar, |c| {
+            c.router.transit_priority = false
+        }),
+        sweep.case("tps-baseline", &tps, |_| {}),
+        sweep.case("tps-shared-inj-fifos", &tps, |c| {
+            c.inj_class_masks = vec![u8::MAX; 6]
+        }),
+        sweep.case("tps-credit-flow-control", &tps_credit, |_| {}),
         // The HPCC-Randomaccess-style three-phase scheme the paper argues
         // TPS beats ("gains from lower overheads as it has only one
         // forwarding phase"): two software forwarding hops instead of one.
-        Case::new("xyz-three-phase", StrategyKind::xyz(), tweak(|_| {})),
-    ]
-}
-
-/// The pinned high-pressure cases: full (unsampled) exchanges on 8x4x4
-/// at any scale. The congestion collapse of classical adaptivity, its
-/// longest-first mitigation, and the textbook deadlock (no bubble slack,
-/// tight VC FIFOs) all need the full pressure to show at small scale.
-fn pinned_cases() -> Vec<Case> {
-    let ar = StrategyKind::ar();
-    let mut cases: Vec<Case> = [
-        ("pinned-baseline (full AA 8x4x4)", false),
-        ("pinned-shaped (full AA 8x4x4)", true),
-    ]
-    .into_iter()
-    .map(|(label, bias)| {
-        Case::new(
-            label,
-            ar.clone(),
-            tweak(move |c| {
-                c.router.longest_first_bias = Some(bias);
-                c.router.vc_fifo_chunks = 32; // BG/L's literal 1 KB VC FIFOs
-            }),
-        )
-    })
-    .collect();
-    cases.push(Case {
-        variant: "deadlock-demo",
-        row: "no-bubble-rule, vc=32, full AA on 8x4x4",
-        strategy: ar,
-        tweak: tweak(|c| {
-            c.router.bubble_slack_chunks = 0;
-            c.router.vc_fifo_chunks = 32;
-            c.watchdog_cycles = 100_000;
-        }),
-    });
-    cases
-}
-
-/// The pinned testbed: partition, message size, coverage.
-const PINNED: (&str, u64, f64) = ("8x4x4", 1872, 1.0);
-
-/// Every case behind the simulation point it stands for, in row order: the
-/// budgeted sweep on the scale's testbed, then the pinned cases.
-fn cases(runner: &Runner) -> Vec<(RunPoint, Case)> {
-    let part: Partition = shape(runner.scale).parse().unwrap();
-    let m = runner.large_m_for(&part);
-    let cov = runner.budget_coverage(&part, m);
-    let pinned_part: Partition = PINNED.0.parse().unwrap();
-    let budget = budget_cases()
-        .into_iter()
-        .map(|case| (case.point(part, m, cov), case));
-    let pinned = pinned_cases()
-        .into_iter()
-        .map(|case| (case.point(pinned_part, PINNED.1, PINNED.2), case));
-    budget.chain(pinned).collect()
-}
-
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    cases(runner).into_iter().map(|(point, _)| point).collect()
-}
-
-/// Run the ablation suite.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "ablations",
-        "Design-choice ablations on an asymmetric torus",
-        &["variant", "strategy", "% of peak / outcome"],
-    );
-    for (point, case) in cases(runner) {
-        let cell = match runner.report(&point) {
-            Ok(r) => pct(r.percent_of_peak),
-            Err(e) => format!("{e}"),
-        };
-        rep.push_row(vec![
-            case.row.to_string(),
-            case.strategy.name().to_string(),
-            cell,
-        ]);
-    }
-    rep.note("a Stalled outcome is the expected deadlock when the bubble machinery is disabled");
-    rep.note(
-        "tps-shared-inj-fifos removes the per-phase reservation that enables phase pipelining",
-    );
-    rep
+        sweep.case("xyz-three-phase", &StrategyKind::xyz(), |_| {}),
+        pinned_bias("pinned-baseline (full AA 8x4x4)", false),
+        pinned_bias("pinned-shaped (full AA 8x4x4)", true),
+        ("no-bubble-rule, vc=32, full AA on 8x4x4", deadlock),
+    ];
+    let row = |(label, point): (&'static str, RunPoint)| {
+        let strategy = point.key.strategy.name();
+        Unit::new([point], move |[r]| {
+            let outcome = match r {
+                Ok(r) => pct(r.percent_of_peak),
+                Err(e) => e.to_string(),
+            };
+            Line::Row(vec![label.to_string(), strategy.to_string(), outcome])
+        })
+    };
+    cases.map(row).into()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runner::Runner;
+    use super::rows;
+    use crate::experiments::quick;
+    use crate::runner::{Runner, Scale};
 
     #[test]
     fn quick_ablations_show_expected_shape() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("ablations");
         let get = |label: &str| -> String {
             rep.rows.iter().find(|row| row[0] == label).unwrap()[2].clone()
         };
@@ -231,13 +153,13 @@ mod tests {
         assert!(credit > 30.0, "{credit}");
     }
 
+    /// Every case is its own run: a variant label shared by two tweaks
+    /// would alias their cache slots.
     #[test]
     fn declared_points_cover_every_row() {
-        let r = Runner::new(Scale::Quick);
-        // One point per case, all distinct keys.
-        let pts = points(&r);
-        assert_eq!(pts.len(), budget_cases().len() + pinned_cases().len());
-        let keys: std::collections::HashSet<_> = pts.iter().map(|p| p.key.clone()).collect();
-        assert_eq!(keys.len(), pts.len());
+        let rows = rows(&Runner::new(Scale::Quick));
+        let keys: std::collections::HashSet<_> =
+            rows.iter().map(|unit| &unit.points[0].key).collect();
+        assert_eq!(keys.len(), rows.len());
     }
 }

@@ -1,54 +1,34 @@
 //! Figure 2: AR measured vs model vs peak on a 16×16×16 (4096-node)
 //! partition.
 
-use crate::experiment::ExperimentReport;
-use crate::experiments::fig1::ar_vs_model;
-use crate::runner::{RunPoint, Runner, Scale};
-use bgl_core::StrategyKind;
+use super::fig1::{ar_vs_model, COLUMNS, NOTE, TITLE};
+use super::{Experiment, Line};
+use crate::runner::{Scale, Unit};
 
-/// The partition this figure sweeps (shrunk for quick scale).
-pub fn shape(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Quick => "8x8x4",
-        Scale::Paper => "16x16x16",
-    }
-}
-
-/// Message sizes per scale.
-pub fn sizes(scale: Scale) -> Vec<u64> {
-    match scale {
-        Scale::Quick => vec![240, 912],
-        Scale::Paper => vec![64, 240, 912, 1872, 3792],
-    }
-}
-
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    sizes(runner.scale)
-        .iter()
-        .map(|&m| runner.point(shape(runner.scale), &StrategyKind::ar(), m))
-        .collect()
-}
-
-/// Run Figure 2.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ar_vs_model("fig2", shape(runner.scale), &sizes(runner.scale), runner);
-    if runner.scale == Scale::Quick {
-        rep.note("quick scale substitutes 8x8x4 for the paper's 16x16x16");
-    }
-    rep
-}
+pub(super) const FIG2: Experiment = Experiment {
+    id: "fig2",
+    title: TITLE,
+    columns: COLUMNS,
+    notes: &[NOTE],
+    rows: |runner| match runner.scale {
+        Scale::Quick => {
+            let mut rows = ar_vs_model("8x8x4", &[240, 912], runner);
+            rows.push(Unit::new([], |[]| {
+                Line::Note("quick scale substitutes 8x8x4 for the paper's 16x16x16".into())
+            }));
+            rows
+        }
+        Scale::Paper => ar_vs_model("16x16x16", &[64, 240, 912, 1872, 3792], runner),
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runner::Runner;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_fig2_runs() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("fig2");
         assert_eq!(rep.rows.len(), 2);
         assert_eq!(rep.id, "fig2");
     }

@@ -2,17 +2,17 @@
 //! bisection bandwidth per node vs what AR achieves with one packet and
 //! with large messages.
 
-use crate::experiment::ExperimentReport;
-use crate::runner::{RunPoint, Runner, Scale};
+use super::{pct, Experiment, Line, Rows};
+use crate::runner::{RunResult, Runner, Scale, Unit};
 use bgl_core::StrategyKind;
 use bgl_model::peak;
 use bgl_torus::Partition;
 
 /// Partitions plotted per scale (the paper plots its Table 1/2 set).
-pub fn shapes(scale: Scale) -> Vec<&'static str> {
+fn shapes(scale: Scale) -> &'static [&'static str] {
     match scale {
-        Scale::Quick => vec!["8x1x1", "8x8", "8x8x8", "8x4x4"],
-        Scale::Paper => vec![
+        Scale::Quick => &["8x1x1", "8x8", "8x8x8", "8x4x4"],
+        Scale::Paper => &[
             "8x1x1", "16x1x1", "8x8", "16x16", "8x8x8", "8x8x16", "8x16x16", "8x32x16", "16x16x16",
         ],
     }
@@ -21,73 +21,60 @@ pub fn shapes(scale: Scale) -> Vec<&'static str> {
 /// One 240-byte payload packet per destination (the paper's "1 packet"
 /// series; 240+48 B rides two packets, so we use 192 B = exactly one full
 /// packet with the header).
-pub const ONE_PACKET_M: u64 = 192;
+const ONE_PACKET_M: u64 = 192;
 
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
+pub(super) const FIG3: Experiment = Experiment {
+    id: "fig3",
+    title: "Per-node throughput: peak vs AR one-packet vs AR large (paper Figure 3)",
+    columns: &[
+        "Partition",
+        "Peak MB/s/node",
+        "AR 1-pkt MB/s/node",
+        "AR large MB/s/node",
+        "AR large %",
+    ],
+    notes: &[
+        "peak per-node bandwidth falls as the longest dimension grows (≈ 8/(M·β))",
+        "a one-packet AA already runs close to the large-message bandwidth",
+    ],
+    rows,
+};
+
+fn rows(runner: &Runner) -> Rows {
     let ar = StrategyKind::ar();
-    shapes(runner.scale)
-        .iter()
-        .flat_map(|shape| {
-            let part: Partition = shape.parse().unwrap();
-            [
-                runner.point(shape, &ar, ONE_PACKET_M),
-                runner.point(shape, &ar, runner.large_m_for(&part)),
-            ]
-        })
-        .collect()
-}
-
-/// Run Figure 3.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "fig3",
-        "Per-node throughput: peak vs AR one-packet vs AR large (paper Figure 3)",
-        &[
-            "Partition",
-            "Peak MB/s/node",
-            "AR 1-pkt MB/s/node",
-            "AR large MB/s/node",
-            "AR large %",
-        ],
-    );
-    for shape in shapes(runner.scale) {
+    let row = |&shape: &&'static str| {
         let part: Partition = shape.parse().unwrap();
-        let m_large = runner.large_m_for(&part);
         let peak_bw = peak::peak_per_node_bandwidth(&part, &runner.params) / 1e6;
-        let one = runner.aa(shape, &StrategyKind::ar(), ONE_PACKET_M);
-        let large = runner.aa(shape, &StrategyKind::ar(), m_large);
-        let fmt_bw = |r: &Result<bgl_core::AaReport, bgl_sim::SimError>| match r {
-            Ok(r) => format!("{:.1}", r.per_node_bandwidth / 1e6),
-            Err(e) => format!("ERROR: {e}"),
-        };
-        let large_pct = match &large {
-            Ok(r) => format!("{:.1}", r.percent_of_peak),
-            Err(_) => "-".into(),
-        };
-        rep.push_row(vec![
-            shape.to_string(),
-            format!("{peak_bw:.1}"),
-            fmt_bw(&one),
-            fmt_bw(&large),
-            large_pct,
-        ]);
-    }
-    rep.note("peak per-node bandwidth falls as the longest dimension grows (≈ 8/(M·β))");
-    rep.note("a one-packet AA already runs close to the large-message bandwidth");
-    rep
+        let points = [
+            runner.point(shape, &ar, ONE_PACKET_M),
+            runner.point(shape, &ar, runner.large_m_for(&part)),
+        ];
+        Unit::new(points, move |[one, large]| {
+            let bw = |r: &RunResult| match r {
+                Ok(r) => format!("{:.1}", r.per_node_bandwidth / 1e6),
+                Err(e) => format!("ERROR: {e}"),
+            };
+            Line::Row(vec![
+                shape.to_string(),
+                format!("{peak_bw:.1}"),
+                bw(one),
+                bw(large),
+                large
+                    .as_ref()
+                    .map_or("-".into(), |r| pct(r.percent_of_peak)),
+            ])
+        })
+    };
+    shapes(runner.scale).iter().map(row).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runner::Runner;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_fig3_bandwidth_sane() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("fig3");
         for row in &rep.rows {
             let peak_bw: f64 = row[1].parse().unwrap();
             let large: f64 = row[3].parse().unwrap();
@@ -98,8 +85,7 @@ mod tests {
 
     #[test]
     fn peak_bw_drops_with_longest_dimension() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("fig3");
         let bw_of = |shape: &str| -> f64 {
             rep.rows.iter().find(|row| row[0] == shape).unwrap()[1]
                 .parse()

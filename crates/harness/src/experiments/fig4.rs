@@ -1,76 +1,58 @@
 //! Figure 4: the direct strategies compared — AR vs DR vs throttled AR —
 //! across partition shapes, for large messages.
 
-use crate::experiment::ExperimentReport;
-use crate::experiments::pct;
-use crate::runner::{RunPoint, Runner, Scale};
+use super::{pct, Experiment, Line, Rows};
+use crate::runner::{Runner, Scale, Unit};
 use bgl_core::StrategyKind;
 
-/// The three direct strategies this figure compares.
-fn strategies() -> [StrategyKind; 3] {
-    [
-        StrategyKind::ar(),
-        StrategyKind::dr(),
-        StrategyKind::throttled(1.0),
-    ]
-}
-
 /// Partitions compared per scale.
-pub fn shapes(scale: Scale) -> Vec<&'static str> {
+fn shapes(scale: Scale) -> &'static [&'static str] {
     match scale {
-        Scale::Quick => vec!["8x4x4", "4x4x8", "4x4x4"],
-        Scale::Paper => vec!["8x8x8", "16x8x8", "8x16x8", "8x8x16", "8x16x16", "8x32x16"],
+        Scale::Quick => &["8x4x4", "4x4x8", "4x4x4"],
+        Scale::Paper => &["8x8x8", "16x8x8", "8x16x8", "8x8x16", "8x16x16", "8x32x16"],
     }
 }
 
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    shapes(runner.scale)
-        .iter()
-        .flat_map(|shape| {
-            let m = runner.large_m_for(&shape.parse().unwrap());
-            strategies().map(|s| runner.point(shape, &s, m))
-        })
-        .collect()
-}
-
-/// Run Figure 4.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "fig4",
-        "Direct strategies, % of peak, large messages (paper Figure 4)",
-        &["Partition", "AR %", "DR %", "AR-throttled %"],
-    );
-    for shape in shapes(runner.scale) {
-        let m = runner.large_m_for(&shape.parse().unwrap());
-        let cell = |s: &StrategyKind| match runner.aa(shape, s, m) {
-            Ok(r) => pct(r.percent_of_peak),
-            Err(e) => format!("ERR:{e}"),
-        };
-        rep.push_row(vec![
-            shape.to_string(),
-            cell(&StrategyKind::ar()),
-            cell(&StrategyKind::dr()),
-            cell(&StrategyKind::throttled(1.0)),
-        ]);
-    }
-    rep.note("DR is best when X is the longest dimension (packets start on the bottleneck links)");
-    rep.note(
+pub(super) const FIG4: Experiment = Experiment {
+    id: "fig4",
+    title: "Direct strategies, % of peak, large messages (paper Figure 4)",
+    columns: &["Partition", "AR %", "DR %", "AR-throttled %"],
+    notes: &[
+        "DR is best when X is the longest dimension (packets start on the bottleneck links)",
         "throttling at the bisection rate changes little — congestion happens inside the network",
-    );
-    rep
+    ],
+    rows,
+};
+
+fn rows(runner: &Runner) -> Rows {
+    let row = |&shape: &&'static str| {
+        let m = runner.large_m_for(&shape.parse().unwrap());
+        // The three direct strategies, in column order.
+        let points = [
+            StrategyKind::ar(),
+            StrategyKind::dr(),
+            StrategyKind::throttled(1.0),
+        ]
+        .map(|s| runner.point(shape, &s, m));
+        Unit::new(points, move |results| {
+            let mut cells = vec![shape.to_string()];
+            cells.extend(results.iter().map(|r| match r {
+                Ok(r) => pct(r.percent_of_peak),
+                Err(e) => format!("ERR:{e}"),
+            }));
+            Line::Row(cells)
+        })
+    };
+    shapes(runner.scale).iter().map(row).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runner::Runner;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_fig4_dr_orientation_effect() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("fig4");
         let dr = |shape: &str| -> f64 {
             rep.rows.iter().find(|row| row[0] == shape).unwrap()[2]
                 .parse()

@@ -1,87 +1,59 @@
 //! Figure 6: measured VMesh vs AR on 512 nodes across short message
 //! sizes — combining wins below the 32–64-byte crossover.
 
-use crate::experiment::ExperimentReport;
-use crate::runner::{RunPoint, Runner, Scale};
+use super::{full_aa_ms, Experiment, Line, Rows};
+use crate::runner::{RunResult, Runner, Scale, Unit};
 use bgl_core::StrategyKind;
 
-/// The partition (shrunk for quick scale).
-pub fn shape(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Quick => "4x4x4",
-        Scale::Paper => "8x8x8",
-    }
-}
+pub(super) const FIG6: Experiment = Experiment {
+    id: "fig6",
+    title: "Short-message AA: VMesh vs AR measured (paper Figure 6)",
+    columns: &["m (B)", "VMesh ms", "AR ms", "AR/VMesh", "winner"],
+    notes: &["paper: VMesh ≈ 2× AR for very short messages; crossover between 32 and 64 B"],
+    rows,
+};
 
-/// Message sizes swept.
-pub fn sizes(scale: Scale) -> Vec<u64> {
-    match scale {
-        Scale::Quick => vec![8, 32, 256],
-        Scale::Paper => vec![1, 8, 16, 32, 64, 128, 256, 512, 1024],
-    }
-}
-
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    let shape = shape(runner.scale);
-    let vmesh = StrategyKind::vmesh();
-    let ar = StrategyKind::ar();
-    sizes(runner.scale)
-        .iter()
-        .flat_map(|&m| [runner.point(shape, &vmesh, m), runner.point(shape, &ar, m)])
-        .collect()
-}
-
-/// Run Figure 6.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "fig6",
-        "Short-message AA: VMesh vs AR measured (paper Figure 6)",
-        &["m (B)", "VMesh ms", "AR ms", "AR/VMesh", "winner"],
-    );
-    let shape = shape(runner.scale);
-    let vmesh = StrategyKind::vmesh();
-    let ar = StrategyKind::ar();
-    for m in sizes(runner.scale) {
-        let v = runner.aa(shape, &vmesh, m);
-        let a = runner.aa(shape, &ar, m);
-        match (v, a) {
-            (Ok(v), Ok(a)) => {
-                let tv = v.time_secs * 1e3 / v.workload.coverage;
-                let ta = a.time_secs * 1e3 / a.workload.coverage;
-                rep.push_row(vec![
-                    m.to_string(),
-                    format!("{tv:.4}"),
-                    format!("{ta:.4}"),
-                    format!("{:.2}", ta / tv),
-                    if tv < ta { "vmesh" } else { "direct" }.to_string(),
-                ]);
-            }
-            (v, a) => rep.push_row(vec![
-                m.to_string(),
-                v.map(|r| format!("{:.4}", r.time_secs * 1e3))
-                    .unwrap_or_else(|e| e.to_string()),
-                a.map(|r| format!("{:.4}", r.time_secs * 1e3))
-                    .unwrap_or_else(|e| e.to_string()),
-                "-".into(),
-                "-".into(),
-            ]),
-        }
-    }
-    rep.note("paper: VMesh ≈ 2× AR for very short messages; crossover between 32 and 64 B");
-    rep
+fn rows(runner: &Runner) -> Rows {
+    // The partition (shrunk for quick scale) and the message sizes swept.
+    let (shape, sizes): (_, &[u64]) = match runner.scale {
+        Scale::Quick => ("4x4x4", &[8, 32, 256]),
+        Scale::Paper => ("8x8x8", &[1, 8, 16, 32, 64, 128, 256, 512, 1024]),
+    };
+    let row = |&m: &u64| {
+        let points =
+            [StrategyKind::vmesh(), StrategyKind::ar()].map(|s| runner.point(shape, &s, m));
+        Unit::new(points, move |results| {
+            let cells = match results {
+                [Ok(v), Ok(a)] => {
+                    let (tv, ta) = (full_aa_ms(v), full_aa_ms(a));
+                    [
+                        format!("{tv:.4}"),
+                        format!("{ta:.4}"),
+                        format!("{:.2}", ta / tv),
+                        if tv < ta { "vmesh" } else { "direct" }.to_string(),
+                    ]
+                }
+                [v, a] => {
+                    let raw_ms = |r: &RunResult| match r {
+                        Ok(r) => format!("{:.4}", r.time_secs * 1e3),
+                        Err(e) => e.to_string(),
+                    };
+                    [raw_ms(v), raw_ms(a), "-".into(), "-".into()]
+                }
+            };
+            Line::Row([m.to_string()].into_iter().chain(cells).collect())
+        })
+    };
+    sizes.iter().map(row).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runner::Runner;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_fig6_vmesh_wins_small_loses_large() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("fig6");
         assert_eq!(rep.rows[0][4], "vmesh", "8 B: {:?}", rep.rows[0]);
         assert_eq!(
             rep.rows.last().unwrap()[4],

@@ -2,124 +2,89 @@
 //! torus — AR vs TPS vs VMesh. VMesh wins small, TPS takes over at
 //! ~64 bytes, AR trails throughout because of asymmetric contention.
 
-use crate::experiment::ExperimentReport;
-use crate::runner::{RunPoint, Runner, Scale};
-
+use super::{full_aa_ms, Experiment, Line, Rows};
+use crate::runner::{RunPoint, RunResult, Runner, Scale, Unit};
 use bgl_core::{Pacer, StrategyKind};
 use bgl_torus::Partition;
 
-/// The partition (shrunk for quick scale but still asymmetric).
-pub fn shape(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Quick => "4x8x4",
-        Scale::Paper => "8x32x16",
-    }
-}
+pub(super) const FIG7: Experiment = Experiment {
+    id: "fig7",
+    title: "Short-message AA on asymmetric torus: AR vs TPS vs VMesh (paper Figure 7)",
+    columns: &["m (B)", "AR ms", "TPS ms", "VMesh ms", "best"],
+    notes: &["paper: at 8 B VMesh ≈ 2× TPS and ≈ 3× AR; TPS/VMesh crossover at 64 B"],
+    rows,
+};
 
-/// Message sizes swept.
-pub fn sizes(scale: Scale) -> Vec<u64> {
-    match scale {
-        Scale::Quick => vec![8, 64],
-        Scale::Paper => vec![8, 16, 32, 64, 128],
-    }
-}
-
-/// The strategies compared, in column order. At paper scale VMesh
-/// carries the stop-and-wait credit window: its full-coverage phase-1
-/// burst on the 4096-node 8×32×16 wedges the network unpaced (the
-/// conformance suite's old known limitation — see
-/// `conformance::families::vmesh_paced`), and a one-packet window per
-/// row intermediate keeps it live.
-fn strategies(scale: Scale) -> [(&'static str, StrategyKind); 3] {
-    let vmesh = match scale {
-        Scale::Quick => StrategyKind::vmesh(),
-        Scale::Paper => StrategyKind::vmesh().with_pacer(Pacer::credit(1, 1)),
-    };
-    [
-        ("AR", StrategyKind::ar()),
-        ("TPS", StrategyKind::tps()),
-        ("VMesh", vmesh),
-    ]
-}
-
-/// A fig7 cell's run point. VMesh is pinned at full coverage (a combined
-/// message carries a whole column's data, so destination sampling cannot
-/// shrink its traffic and the budgeted coverage would misreport); the
-/// direct and forwarding schemes run at the runner's budgeted coverage.
-fn point_for(runner: &Runner, strategy: &StrategyKind, m: u64) -> RunPoint {
-    let shape = shape(runner.scale);
-    if matches!(strategy, StrategyKind::VirtualMesh { .. }) {
-        let part: Partition = shape.parse().expect("valid shape");
-        RunPoint::new(part, strategy.clone(), m, 1.0)
-    } else {
-        runner.point(shape, strategy, m)
-    }
-}
-
-/// Whether a (strategy, size) cell is simulated at this scale. The
-/// congestion-collapsed AR runs are the slowest to simulate and the
-/// paper only needs AR's (bad) level: sample it at two sizes at paper
-/// scale.
-fn simulated(name: &str, m: u64, scale: Scale) -> bool {
-    !(name == "AR" && scale == Scale::Paper && !(m == 8 || m == 64))
-}
-
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    sizes(runner.scale)
-        .iter()
-        .flat_map(|&m| {
-            strategies(runner.scale)
-                .into_iter()
-                .filter(move |(name, _)| simulated(name, m, runner.scale))
-                .map(move |(_, s)| point_for(runner, &s, m))
-        })
-        .collect()
-}
-
-/// Run Figure 7.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "fig7",
-        "Short-message AA on asymmetric torus: AR vs TPS vs VMesh (paper Figure 7)",
-        &["m (B)", "AR ms", "TPS ms", "VMesh ms", "best"],
-    );
-    for m in sizes(runner.scale) {
-        let mut cells = vec![m.to_string()];
-        let mut best = ("-", f64::INFINITY);
-        for (name, s) in &strategies(runner.scale) {
-            if !simulated(name, m, runner.scale) {
-                cells.push("-".into());
-                continue;
-            }
-            match runner.report(&point_for(runner, s, m)) {
-                Ok(r) => {
-                    let t = r.time_secs * 1e3 / r.workload.coverage;
-                    if t < best.1 {
-                        best = (name, t);
-                    }
-                    cells.push(format!("{t:.4}"));
+/// One row from its cells, in column order; `None` is a cell this scale
+/// does not simulate.
+fn row(m: u64, cells: [Option<&RunResult>; 3]) -> Line {
+    let mut out = vec![m.to_string()];
+    let mut best = ("-", f64::INFINITY);
+    for (name, cell) in ["AR", "TPS", "VMesh"].into_iter().zip(cells) {
+        out.push(match cell {
+            None => "-".into(),
+            Some(Ok(r)) => {
+                let t = full_aa_ms(r);
+                if t < best.1 {
+                    best = (name, t);
                 }
-                Err(e) => cells.push(format!("ERR:{e}")),
+                format!("{t:.4}")
             }
-        }
-        cells.push(best.0.to_string());
-        rep.push_row(cells);
+            Some(Err(e)) => format!("ERR:{e}"),
+        });
     }
-    rep.note("paper: at 8 B VMesh ≈ 2× TPS and ≈ 3× AR; TPS/VMesh crossover at 64 B");
-    rep
+    out.push(best.0.to_string());
+    Line::Row(out)
+}
+
+fn rows(runner: &Runner) -> Rows {
+    // The partition (shrunk for quick scale but still asymmetric), the
+    // message sizes swept, and VMesh. At paper scale VMesh carries the
+    // stop-and-wait credit window: its full-coverage phase-1 burst on the
+    // 4096-node 8×32×16 wedges the network unpaced (the conformance
+    // suite's old known limitation — see
+    // `conformance::families::vmesh_paced`), and a one-packet window per
+    // row intermediate keeps it live.
+    let (shape, sizes, vmesh): (_, &[u64], _) = match runner.scale {
+        Scale::Quick => ("4x8x4", &[8, 64], StrategyKind::vmesh()),
+        Scale::Paper => (
+            "8x32x16",
+            &[8, 16, 32, 64, 128],
+            StrategyKind::vmesh().with_pacer(Pacer::credit(1, 1)),
+        ),
+    };
+    let part: Partition = shape.parse().unwrap();
+    let row_for = |&m: &u64| {
+        let tps = runner.point(shape, &StrategyKind::tps(), m);
+        // VMesh is pinned at full coverage (a combined message carries a
+        // whole column's data, so destination sampling cannot shrink its
+        // traffic and the budgeted coverage would misreport); the direct
+        // and forwarding schemes run at the runner's budgeted coverage.
+        let vm = RunPoint::new(part, vmesh.clone(), m, 1.0);
+        // The congestion-collapsed AR runs are the slowest to simulate
+        // and the paper only needs AR's (bad) level: paper scale samples
+        // it at two sizes.
+        if runner.scale == Scale::Quick || m == 8 || m == 64 {
+            let ar = runner.point(shape, &StrategyKind::ar(), m);
+            Unit::new([ar, tps, vm], move |[ar, tps, vm]| {
+                row(m, [Some(ar), Some(tps), Some(vm)])
+            })
+        } else {
+            Unit::new([tps, vm], move |[tps, vm]| {
+                row(m, [None, Some(tps), Some(vm)])
+            })
+        }
+    };
+    sizes.iter().map(row_for).collect()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::runner::Runner;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_fig7_vmesh_best_at_8_bytes() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("fig7");
         assert_eq!(rep.rows[0][4], "VMesh", "{:?}", rep.rows[0]);
     }
 }

@@ -14,148 +14,109 @@
 //! A rate-window row (`Pacer::RateWindow` at the bisection-derived peak)
 //! rides along per strategy as the throttling reference point.
 
-use crate::experiment::ExperimentReport;
-use crate::experiments::pct;
-use crate::runner::{RunPoint, Runner, Scale};
+use super::{pct, Experiment, Line, Rows};
+use crate::runner::{RunPoint, Runner, Scale, Unit};
 use bgl_core::{Pacer, StrategyKind};
 use bgl_torus::Partition;
 
-/// The asymmetric testbed partition per scale (same as `ablations`).
-pub fn shape(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Quick => "8x4x4",
-        Scale::Paper => "16x8x8",
-    }
-}
+pub(super) const FLOW: Experiment = Experiment {
+    id: "flow",
+    title: "Credit-window flow-control ablation",
+    columns: &[
+        "pacer",
+        "strategy",
+        "% of peak",
+        "credit-blocked",
+        "pacing-blocked cycles",
+    ],
+    notes: &[
+        "window 1,1 serializes every intermediate hand-off: the floor of the sweep",
+        "efficiency flattening by the default window is the paper's cheap-flow-control claim",
+    ],
+    rows,
+};
 
-/// The swept credit windows as (window, quantum); `None` = unpaced.
-const WINDOWS: &[Option<(u32, u32)>] = &[
-    Some((1, 1)),
-    Some((2, 1)),
-    Some((4, 2)),
-    Some((8, 4)),
-    Some((16, 8)),
-    Some((40, 10)), // the default CreditConfig
-    None,
-];
-
-/// Label a swept pacer for the row/variant column.
-fn label(pacer: &Option<(u32, u32)>) -> String {
-    match pacer {
-        Some((w, e)) => format!("credit {w},{e}"),
-        None => "unpaced".to_string(),
-    }
-}
-
-/// The strategies with intermediate-memory pressure to bound.
-fn strategies() -> Vec<StrategyKind> {
-    vec![
-        StrategyKind::tps(),
-        StrategyKind::vmesh(),
-        StrategyKind::xyz(),
+/// The swept pacers, in row order: credit windows as (window, quantum)
+/// from the tightest to the default, unpaced, and the rate window at the
+/// bisection-derived peak.
+fn sweep() -> [Pacer; 8] {
+    [
+        Pacer::credit(1, 1),
+        Pacer::credit(2, 1),
+        Pacer::credit(4, 2),
+        Pacer::credit(8, 4),
+        Pacer::credit(16, 8),
+        Pacer::credit(40, 10), // the default CreditConfig
+        Pacer::Unpaced,
+        Pacer::rate(1.0),
     ]
 }
 
-fn paced(base: &StrategyKind, w: &Option<(u32, u32)>) -> StrategyKind {
-    match w {
-        Some((win, every)) => base.clone().with_pacer(Pacer::credit(*win, *every)),
-        None => base.clone(),
-    }
-}
-
-/// Each strategy's sweep point: VMesh always runs the full exchange (a
-/// combined message carries a whole column, so sampling would misreport
-/// coverage); TPS and XYZ run at the budgeted coverage.
-fn point_for(runner: &Runner, strategy: &StrategyKind, m: u64) -> RunPoint {
-    let part: Partition = shape(runner.scale).parse().unwrap();
-    if matches!(strategy, StrategyKind::VirtualMesh { .. }) {
-        RunPoint::new(part, strategy.clone(), m, 1.0)
-    } else {
-        runner.point(shape(runner.scale), strategy, m)
-    }
-}
-
-/// Message size per strategy: short messages for the combining VMesh
-/// (its regime, and what keeps the full exchange tractable), the
-/// budgeted large size for the forwarding strategies.
-fn m_for(runner: &Runner, strategy: &StrategyKind) -> u64 {
-    if matches!(strategy, StrategyKind::VirtualMesh { .. }) {
-        8
-    } else {
-        runner.large_m_for(&shape(runner.scale).parse::<Partition>().unwrap())
-    }
-}
-
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    let mut pts = Vec::new();
-    for base in strategies() {
-        let m = m_for(runner, &base);
-        for w in WINDOWS {
-            pts.push(point_for(runner, &paced(&base, w), m));
+/// The pacer column's cell.
+fn label(pacer: Pacer) -> String {
+    match pacer {
+        Pacer::CreditWindow { credit } => {
+            format!("credit {},{}", credit.window_packets, credit.credit_every)
         }
-        pts.push(point_for(
-            runner,
-            &base.clone().with_pacer(Pacer::rate(1.0)),
-            m,
-        ));
+        Pacer::Unpaced => "unpaced".to_string(),
+        Pacer::RateWindow { factor } => format!("rate {factor:.1}"),
     }
-    pts
 }
 
-/// Run the credit-window sweep.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "flow",
-        "Credit-window flow-control ablation",
-        &[
-            "pacer",
-            "strategy",
-            "% of peak",
-            "credit-blocked",
-            "pacing-blocked cycles",
-        ],
-    );
-    for base in strategies() {
-        let m = m_for(runner, &base);
-        let mut row = |strategy: &StrategyKind, label: String| {
-            let cells = match runner.report(&point_for(runner, strategy, m)) {
-                Ok(r) => vec![
+/// The whole sweep for every strategy with intermediate-memory pressure
+/// to bound, one row per swept pacer.
+fn rows(runner: &Runner) -> Rows {
+    // The asymmetric testbed partition per scale (same as `ablations`).
+    let shape = match runner.scale {
+        Scale::Quick => "8x4x4",
+        Scale::Paper => "16x8x8",
+    };
+    let part: Partition = shape.parse().unwrap();
+    let row = |(base, pacer): (&StrategyKind, Pacer)| {
+        let strategy = base.clone().with_pacer(pacer);
+        // The combining VMesh always runs the full exchange (a combined
+        // message carries a whole column, so sampling would misreport
+        // coverage) at short messages, its regime and what keeps that
+        // tractable; the forwarding strategies run the budgeted large size.
+        let point = if matches!(base, StrategyKind::VirtualMesh { .. }) {
+            RunPoint::new(part, strategy, 8, 1.0)
+        } else {
+            runner.point(shape, &strategy, runner.large_m_for(&part))
+        };
+        let name = base.name();
+        Unit::new([point], move |[r]| {
+            let cells = match r {
+                Ok(r) => [
                     pct(r.percent_of_peak),
                     r.stats.credit_blocked_events.to_string(),
                     r.stats.pacing_blocked_cycles.to_string(),
                 ],
-                Err(e) => vec![format!("{e}"), String::new(), String::new()],
+                Err(e) => [e.to_string(), String::new(), String::new()],
             };
-            let mut full = vec![label, base.name().to_string()];
-            full.extend(cells);
-            rep.push_row(full);
-        };
-        for w in WINDOWS {
-            row(&paced(&base, w), label(w));
-        }
-        row(
-            &base.clone().with_pacer(Pacer::rate(1.0)),
-            "rate 1.0".to_string(),
-        );
-    }
-    rep.note("window 1,1 serializes every intermediate hand-off: the floor of the sweep");
-    rep.note("efficiency flattening by the default window is the paper's cheap-flow-control claim");
-    rep
+            let labels = [label(pacer), name.to_string()];
+            Line::Row(labels.into_iter().chain(cells).collect())
+        })
+    };
+    let strategies = [
+        StrategyKind::tps(),
+        StrategyKind::vmesh(),
+        StrategyKind::xyz(),
+    ];
+    let cases = strategies
+        .iter()
+        .flat_map(|base| sweep().map(|pacer| (base, pacer)));
+    cases.map(row).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::Runner;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_sweep_engages_and_flattens() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
-        // 3 strategies × (7 windows + 1 rate row).
-        assert_eq!(rep.rows.len(), 3 * (WINDOWS.len() + 1));
+        let rep = quick("flow");
+        assert_eq!(rep.rows.len(), 3 * sweep().len());
         let cell = |pacer: &str, strat: &str, col: usize| -> String {
             rep.rows
                 .iter()
@@ -166,13 +127,12 @@ mod tests {
         // The tightest window visibly engages the credit machinery…
         let blocked: u64 = cell("credit 1,1", "TPS", 3).parse().unwrap();
         assert!(blocked > 0, "tight window never blocked");
-        // …and every paced TPS point still completes.
-        for w in WINDOWS {
-            let pct_cell = cell(&label(w), "TPS", 2);
+        // …and every TPS point still completes.
+        for pacer in sweep().map(label) {
+            let pct_cell = cell(&pacer, "TPS", 2);
             assert!(
                 pct_cell.parse::<f64>().is_ok(),
-                "TPS {} failed: {pct_cell}",
-                label(w)
+                "TPS {pacer} failed: {pct_cell}"
             );
         }
         // Unpaced rows report no credit blocking at all.
@@ -182,12 +142,13 @@ mod tests {
         assert!(paced_cycles > 0, "rate window never paced");
     }
 
+    /// Every row is its own run: two swept pacers resolving to one
+    /// strategy would alias their cache slots.
     #[test]
     fn declared_points_cover_every_row() {
-        let r = Runner::new(Scale::Quick);
-        let pts = points(&r);
-        assert_eq!(pts.len(), 3 * (WINDOWS.len() + 1));
-        let keys: std::collections::HashSet<_> = pts.iter().map(|p| p.key.clone()).collect();
-        assert_eq!(keys.len(), pts.len());
+        let rows = rows(&Runner::new(Scale::Quick));
+        let keys: std::collections::HashSet<_> =
+            rows.iter().map(|unit| &unit.points[0].key).collect();
+        assert_eq!(keys.len(), rows.len());
     }
 }

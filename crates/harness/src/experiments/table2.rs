@@ -1,81 +1,27 @@
 //! Table 2: AR percent of peak on asymmetric meshes and tori for large
 //! messages.
 
-use crate::experiment::ExperimentReport;
-use crate::experiments::{cov, pct};
+use super::table1::{ar_percent_rows, COLUMNS};
+use super::Experiment;
 use crate::paper::TABLE2_AR_ASYMMETRIC;
-use crate::runner::{RunPoint, Runner, Scale};
-use bgl_core::StrategyKind;
 
-/// Partitions evaluated at each scale.
-pub fn shapes(scale: Scale) -> Vec<&'static str> {
-    match scale {
-        Scale::Quick => vec!["8x2M", "8x16", "8x8x2M", "8x4x4"],
-        Scale::Paper => TABLE2_AR_ASYMMETRIC.iter().map(|(s, _)| *s).collect(),
-    }
-}
-
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    shapes(runner.scale)
-        .iter()
-        .map(|shape| {
-            let m = runner.large_m_for(&shape.parse().unwrap());
-            runner.point(shape, &StrategyKind::ar(), m)
-        })
-        .collect()
-}
-
-/// Run Table 2.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "table2",
-        "AR % of peak, asymmetric meshes and tori, large messages (paper Table 2)",
-        &[
-            "Partition",
-            "AR % (sim)",
-            "AR % (paper)",
-            "m (B)",
-            "coverage",
-        ],
-    );
-    for shape in shapes(runner.scale) {
-        let m = runner.large_m_for(&shape.parse().unwrap());
-        let paper = TABLE2_AR_ASYMMETRIC
-            .iter()
-            .find(|(s, _)| *s == shape)
-            .map(|(_, v)| pct(*v))
-            .unwrap_or_else(|| "-".into());
-        match runner.aa(shape, &StrategyKind::ar(), m) {
-            Ok(r) => rep.push_row(vec![
-                shape.to_string(),
-                pct(r.percent_of_peak),
-                paper,
-                m.to_string(),
-                cov(r.workload.coverage),
-            ]),
-            Err(e) => rep.push_row(vec![
-                shape.to_string(),
-                format!("ERROR: {e}"),
-                paper,
-                m.to_string(),
-                "-".into(),
-            ]),
-        }
-    }
-    rep.note("asymmetric partitions degrade AR: packets burn short-dimension hops and queue for the long dimension");
-    rep
-}
+pub(super) const TABLE2: Experiment = Experiment {
+    id: "table2",
+    title: "AR % of peak, asymmetric meshes and tori, large messages (paper Table 2)",
+    columns: COLUMNS,
+    notes: &["asymmetric partitions degrade AR: packets burn short-dimension hops and queue for the long dimension"],
+    rows: |runner| {
+        ar_percent_rows(runner, &["8x2M", "8x16", "8x8x2M", "8x4x4"], TABLE2_AR_ASYMMETRIC)
+    },
+};
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_table2_runs_and_shows_degradation_vs_symmetric() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("table2");
         assert_eq!(rep.rows.len(), 4);
         for row in &rep.rows {
             let v: f64 = row[1].parse().expect("numeric percent");

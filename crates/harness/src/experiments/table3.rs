@@ -1,92 +1,62 @@
 //! Table 3: Two Phase Schedule percent of peak and chosen phase-1
 //! dimension on partitions from 512 to 20,480 nodes.
 
-use crate::experiment::ExperimentReport;
-use crate::experiments::{cov, pct};
+use super::{cov, pct, Experiment, Line, Rows};
 use crate::paper::TABLE3_TPS;
-use crate::runner::{RunPoint, Runner, Scale};
+use crate::runner::{Runner, Scale, Unit};
 use bgl_core::{choose_linear_dim, StrategyKind};
 use bgl_torus::Partition;
 
-/// Partitions evaluated at each scale.
-pub fn shapes(scale: Scale) -> Vec<&'static str> {
-    match scale {
-        Scale::Quick => vec!["8x4x4", "4x8x4", "8x8x8", "8x8x4M"],
-        Scale::Paper => TABLE3_TPS.iter().map(|(s, _, _)| *s).collect(),
-    }
-}
+pub(super) const TABLE3: Experiment = Experiment {
+    id: "table3",
+    title: "Two Phase Schedule % of peak and phase-1 dimension (paper Table 3)",
+    columns: &[
+        "Nodes",
+        "Partition",
+        "TPS % (sim)",
+        "TPS % (paper)",
+        "Phase1 (sim)",
+        "Phase1 (paper)",
+        "coverage",
+    ],
+    notes: &["phase-1 dimension chosen automatically: symmetric-plane preference, else the longest dimension"],
+    rows,
+};
 
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    let strategy = StrategyKind::tps();
-    shapes(runner.scale)
-        .iter()
-        .map(|shape| {
-            let m = runner.large_m_for(&shape.parse().unwrap());
-            runner.point(shape, &strategy, m)
-        })
-        .collect()
-}
-
-/// Run Table 3.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "table3",
-        "Two Phase Schedule % of peak and phase-1 dimension (paper Table 3)",
-        &[
-            "Nodes",
-            "Partition",
-            "TPS % (sim)",
-            "TPS % (paper)",
-            "Phase1 (sim)",
-            "Phase1 (paper)",
-            "coverage",
-        ],
-    );
-    let strategy = StrategyKind::tps();
-    for shape in shapes(runner.scale) {
+fn rows(runner: &Runner) -> Rows {
+    let row = |shape: &'static str| {
         let part: Partition = shape.parse().unwrap();
         let m = runner.large_m_for(&part);
-        let (paper_pct, paper_dim) = TABLE3_TPS
-            .iter()
-            .find(|(s, _, _)| *s == shape)
-            .map(|(_, v, d)| (pct(*v), d.to_string()))
-            .unwrap_or_else(|| ("-".into(), "-".into()));
-        let linear = choose_linear_dim(&part).to_string();
-        match runner.aa(shape, &strategy, m) {
-            Ok(r) => rep.push_row(vec![
+        Unit::new([runner.point(shape, &StrategyKind::tps(), m)], move |[r]| {
+            let (percent, coverage) = match r {
+                Ok(r) => (pct(r.percent_of_peak), cov(r.workload.coverage)),
+                Err(e) => (format!("ERROR: {e}"), "-".into()),
+            };
+            let in_paper = TABLE3_TPS.iter().find(|(s, _, _)| *s == shape);
+            Line::Row(vec![
                 part.num_nodes().to_string(),
                 shape.to_string(),
-                pct(r.percent_of_peak),
-                paper_pct,
-                linear,
-                paper_dim,
-                cov(r.workload.coverage),
-            ]),
-            Err(e) => rep.push_row(vec![
-                part.num_nodes().to_string(),
-                shape.to_string(),
-                format!("ERROR: {e}"),
-                paper_pct,
-                linear,
-                paper_dim,
-                "-".into(),
-            ]),
-        }
+                percent,
+                in_paper.map_or("-".into(), |(_, v, _)| pct(*v)),
+                choose_linear_dim(&part).to_string(),
+                in_paper.map_or("-".into(), |(_, _, d)| d.to_string()),
+                coverage,
+            ])
+        })
+    };
+    match runner.scale {
+        Scale::Quick => ["8x4x4", "4x8x4", "8x8x8", "8x8x4M"].map(row).into(),
+        Scale::Paper => TABLE3_TPS.iter().map(|(s, _, _)| *s).map(row).collect(),
     }
-    rep.note("phase-1 dimension chosen automatically: symmetric-plane preference, else the longest dimension");
-    rep
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_table3_runs() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("table3");
         assert_eq!(rep.rows.len(), 4);
         for row in &rep.rows {
             let v: f64 = row[2].parse().expect("numeric percent");

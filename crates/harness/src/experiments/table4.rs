@@ -4,92 +4,67 @@
 //! past ~4096 nodes network contention on even 64-byte packets makes the
 //! indirect schedule *faster* — the paper's crossover.
 
-use crate::experiment::ExperimentReport;
+use super::{full_aa_ms, Experiment, Line, Rows};
 use crate::paper::TABLE4_LATENCY_MS;
-use crate::runner::{RunPoint, Runner, Scale};
+use crate::runner::{RunResult, Runner, Scale, Unit};
 use bgl_core::StrategyKind;
 
-/// Partitions evaluated at each scale.
-pub fn shapes(scale: Scale) -> Vec<&'static str> {
-    match scale {
-        Scale::Quick => vec!["8x8x8", "8x8x16"],
-        Scale::Paper => TABLE4_LATENCY_MS.iter().map(|(s, _, _)| *s).collect(),
-    }
-}
-
-/// Declare every simulation point this experiment needs.
-pub fn points(runner: &Runner) -> Vec<RunPoint> {
-    let tps = StrategyKind::tps();
-    let ar = StrategyKind::ar();
-    shapes(runner.scale)
-        .iter()
-        .flat_map(|shape| [runner.point(shape, &tps, 1), runner.point(shape, &ar, 1)])
-        .collect()
-}
-
-/// Run Table 4.
-pub fn run(runner: &Runner) -> ExperimentReport {
-    runner.run_points(&points(runner));
-    let mut rep = ExperimentReport::new(
-        "table4",
-        "1-byte all-to-all latency in ms, TPS vs AR (paper Table 4)",
-        &[
-            "Partition",
-            "TPS ms (sim)",
-            "AR ms (sim)",
-            "TPS ms (paper)",
-            "AR ms (paper)",
-            "TPS/AR (sim)",
-        ],
-    );
-    let tps = StrategyKind::tps();
-    let ar = StrategyKind::ar();
-    for shape in shapes(runner.scale) {
-        let (p_tps, p_ar) = TABLE4_LATENCY_MS
-            .iter()
-            .find(|(s, _, _)| *s == shape)
-            .map(|(_, t, a)| (format!("{t}"), format!("{a}")))
-            .unwrap_or_else(|| ("-".into(), "-".into()));
-        let run_ms = |strategy: &StrategyKind| -> Result<f64, String> {
-            let r = runner.aa(shape, strategy, 1).map_err(|e| e.to_string())?;
-            // When the run was coverage-sampled, extrapolate the full-AA
-            // latency linearly in the traffic volume (the regime is
-            // bandwidth-dominated even at 64-byte packets — Section 4.1).
-            Ok(r.time_secs * 1e3 / r.workload.coverage)
-        };
-        match (run_ms(&tps), run_ms(&ar)) {
-            (Ok(t), Ok(a)) => rep.push_row(vec![
-                shape.to_string(),
-                format!("{t:.2}"),
-                format!("{a:.2}"),
-                p_tps,
-                p_ar,
-                format!("{:.2}", t / a),
-            ]),
-            (t, a) => rep.push_row(vec![
-                shape.to_string(),
-                t.map(|v| format!("{v:.2}")).unwrap_or_else(|e| e),
-                a.map(|v| format!("{v:.2}")).unwrap_or_else(|e| e),
-                p_tps,
-                p_ar,
-                "-".into(),
-            ]),
-        }
-    }
-    rep.note(
+pub(super) const TABLE4: Experiment = Experiment {
+    id: "table4",
+    title: "1-byte all-to-all latency in ms, TPS vs AR (paper Table 4)",
+    columns: &[
+        "Partition",
+        "TPS ms (sim)",
+        "AR ms (sim)",
+        "TPS ms (paper)",
+        "AR ms (paper)",
+        "TPS/AR (sim)",
+    ],
+    notes: &[
         "1-byte payload rides the 64-byte minimum packet; sampled runs extrapolated by 1/coverage",
-    );
-    rep
+    ],
+    rows,
+};
+
+fn rows(runner: &Runner) -> Rows {
+    let row = |shape: &'static str| {
+        let points = [StrategyKind::tps(), StrategyKind::ar()].map(|s| runner.point(shape, &s, 1));
+        Unit::new(points, move |[tps, ar]| {
+            let run_ms = |r: &RunResult| r.as_ref().map(full_aa_ms).map_err(|e| e.to_string());
+            let (tps, ar) = (run_ms(tps), run_ms(ar));
+            let ratio = match (&tps, &ar) {
+                (Ok(t), Ok(a)) => format!("{:.2}", t / a),
+                _ => "-".into(),
+            };
+            let ms = |r: Result<f64, String>| r.map_or_else(|e| e, |v| format!("{v:.2}"));
+            let in_paper = TABLE4_LATENCY_MS.iter().find(|(s, _, _)| *s == shape);
+            Line::Row(vec![
+                shape.to_string(),
+                ms(tps),
+                ms(ar),
+                in_paper.map_or("-".into(), |(_, t, _)| t.to_string()),
+                in_paper.map_or("-".into(), |(_, _, a)| a.to_string()),
+                ratio,
+            ])
+        })
+    };
+    match runner.scale {
+        Scale::Quick => ["8x8x8", "8x8x16"].map(row).into(),
+        Scale::Paper => TABLE4_LATENCY_MS
+            .iter()
+            .map(|(s, _, _)| *s)
+            .map(row)
+            .collect(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::experiments::quick;
 
     #[test]
     fn quick_table4_tps_slower_on_midplane() {
-        let r = Runner::new(Scale::Quick);
-        let rep = run(&r);
+        let rep = quick("table4");
         // On 8x8x8, TPS pays the forwarding hop: TPS/AR > 1.
         let ratio: f64 = rep.rows[0][5].parse().expect("ratio");
         assert!(ratio > 1.0, "TPS/AR = {ratio}");

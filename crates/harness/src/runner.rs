@@ -7,12 +7,14 @@
 //! million, variant label) rather than a formatted string, so lookups
 //! allocate nothing and cannot collide on formatting.
 //!
-//! Experiments declare their simulation points up front as [`RunPoint`]s;
-//! [`Runner::run_points`] deduplicates them and executes the remainder
-//! across a scoped thread pool ([`Runner::with_jobs`]). Each run is
-//! independent and fully deterministic given its key, so results are
-//! byte-identical regardless of the number of threads or completion
-//! order.
+//! Output is declared as [`Unit`]s: the [`RunPoint`]s a piece of output
+//! reads, next to the closure that renders it from exactly those points'
+//! results. [`Runner::render`] deduplicates every unit's points, executes
+//! them across a scoped thread pool ([`Runner::with_jobs`]) and then
+//! renders; [`Runner::run_points`] is the same batch for a bare point
+//! list. Each run is independent and fully deterministic given its key,
+//! so results are byte-identical regardless of the number of threads or
+//! completion order.
 //!
 //! For large partitions the runner automatically samples the all-to-all
 //! (uniform destination subsets, see [`bgl_core::AaWorkload::coverage`])
@@ -169,9 +171,8 @@ impl serde::Deserialize for RunKey {
     }
 }
 
-/// A shareable simulator-configuration tweak, as carried by a
-/// [`RunPoint`] variant.
-pub type SharedTweak = Arc<dyn Fn(&mut SimConfig) + Send + Sync>;
+/// The simulator-configuration tweak a variant label stands for.
+type Tweak = Arc<dyn Fn(&mut SimConfig) + Send + Sync>;
 
 /// A declared simulation point: a [`RunKey`] plus the configuration
 /// tweak the variant label stands for. Cheap to clone (the tweak is
@@ -180,7 +181,7 @@ pub type SharedTweak = Arc<dyn Fn(&mut SimConfig) + Send + Sync>;
 pub struct RunPoint {
     /// The identity of the run.
     pub key: RunKey,
-    tweak: Option<SharedTweak>,
+    tweak: Option<Tweak>,
 }
 
 impl RunPoint {
@@ -245,6 +246,48 @@ impl std::fmt::Debug for RunPoint {
     }
 }
 
+/// What a run ends in: the report, or the error that stopped it.
+pub type RunResult = Result<AaReport, SimError>;
+
+type Render<T> = Box<dyn FnOnce(&[RunResult]) -> T>;
+
+/// One piece of output — a table row, a family's conformance checks —
+/// declared together with the runs it reads: the points, and the closure
+/// that renders the output from exactly those points' results, in
+/// declaration order. The closure is `'static` and is handed no
+/// [`Runner`], so it cannot fetch a run it did not declare: what
+/// [`Runner::render`] batches onto the pool is, by construction,
+/// everything rendering reads.
+pub struct Unit<T> {
+    /// The runs this piece of output reads, in the order its closure
+    /// receives their results.
+    pub points: Vec<RunPoint>,
+    render: Render<T>,
+}
+
+impl<T> Unit<T> {
+    /// Declare `points` and the closure that renders from their results.
+    /// It destructures one result per point (`|[tps, ar]| …`; `|[]| …`
+    /// for model-only output), so reading more runs than were declared
+    /// does not compile.
+    pub fn new<const N: usize>(
+        points: [RunPoint; N],
+        render: impl FnOnce(&[RunResult; N]) -> T + 'static,
+    ) -> Unit<T> {
+        Unit {
+            points: points.into(),
+            render: Box::new(move |results| {
+                render(results.try_into().expect("one result per declared point"))
+            }),
+        }
+    }
+
+    /// Render from `results`: one per declared point, in order.
+    pub fn render(self, results: &[RunResult]) -> T {
+        (self.render)(results)
+    }
+}
+
 /// Wall-clock accounting of a profiling-enabled runner
 /// ([`Runner::with_perf`]), aggregated across every worker thread of
 /// [`Runner::run_points`] and every sequential fetch. Queue wait is
@@ -289,7 +332,7 @@ pub struct Runner {
     /// The memo cache: every completed (or failed) run by key. One map
     /// behind one lock — a suite holds tens of entries and touches the
     /// lock twice per simulation.
-    results: Mutex<HashMap<RunKey, Result<AaReport, SimError>>>,
+    results: Mutex<HashMap<RunKey, RunResult>>,
 }
 
 impl Runner {
@@ -396,13 +439,8 @@ impl Runner {
         RunPoint::new(part, strategy.clone(), m, cov)
     }
 
-    /// Run (or fetch) an all-to-all with automatic coverage.
-    pub fn aa(&self, shape: &str, strategy: &StrategyKind, m: u64) -> Result<AaReport, SimError> {
-        self.report(&self.point(shape, strategy, m))
-    }
-
     /// Run (or fetch) a declared point.
-    pub fn report(&self, point: &RunPoint) -> Result<AaReport, SimError> {
+    pub fn report(&self, point: &RunPoint) -> RunResult {
         let key = &point.key;
         if let Some(hit) = self.lookup(key) {
             if self.perf {
@@ -424,18 +462,38 @@ impl Runner {
         result
     }
 
+    /// Run every unit's points as one deduplicated batch on the worker
+    /// pool, then render the units in order, each from its own points'
+    /// results.
+    pub fn render<T>(&self, units: Vec<Unit<T>>) -> Vec<T> {
+        self.run_batch(units.iter().flat_map(|u| &u.points));
+        units
+            .into_iter()
+            .map(|u| {
+                let results: Vec<RunResult> = u.points.iter().map(|p| self.report(p)).collect();
+                u.render(&results)
+            })
+            .collect()
+    }
+
     /// Execute a point set: deduplicate by key, drop what the cache
     /// already holds, and run the rest across `jobs` worker threads.
     /// Results land in the cache (including errors, so a failing
     /// configuration is never re-simulated); fetch them afterwards with
-    /// [`Runner::report`] or [`Runner::aa`]. Thread count affects
-    /// wall-clock only — every run is deterministic given its key.
+    /// [`Runner::report`]. Thread count affects wall-clock only — every
+    /// run is deterministic given its key.
     pub fn run_points(&self, points: &[RunPoint]) {
+        self.run_batch(points.iter());
+    }
+
+    fn run_batch<'a>(&self, points: impl Iterator<Item = &'a RunPoint>) {
         let mut seen = HashSet::new();
-        let todo: Vec<&RunPoint> = points
-            .iter()
-            .filter(|p| seen.insert(p.key.clone()) && self.lookup(&p.key).is_none())
-            .collect();
+        let todo: Vec<&RunPoint> = {
+            let cached = self.results.lock().expect("cache lock");
+            points
+                .filter(|p| seen.insert(&p.key) && !cached.contains_key(&p.key))
+                .collect()
+        };
         if todo.is_empty() {
             return;
         }
@@ -497,14 +555,14 @@ impl Runner {
         }
     }
 
-    fn lookup(&self, key: &RunKey) -> Option<Result<AaReport, SimError>> {
+    fn lookup(&self, key: &RunKey) -> Option<RunResult> {
         self.results.lock().expect("cache lock").get(key).cloned()
     }
 
     /// One deterministic run: the workload is rebuilt from the key (the
     /// quantized coverage, not the caller's f64) and the runner's fixed
     /// seed, so identical keys produce identical reports on any thread.
-    fn execute(&self, point: &RunPoint) -> Result<AaReport, SimError> {
+    fn execute(&self, point: &RunPoint) -> RunResult {
         let key = &point.key;
         let mut workload = if key.is_full() {
             AaWorkload::full(key.m)
@@ -556,8 +614,8 @@ mod tests {
     #[test]
     fn cache_hits_return_identical_reports() {
         let r = Runner::new(Scale::Quick);
-        let a = r.aa("4x4", &StrategyKind::ar(), 240).unwrap();
-        let b = r.aa("4x4", &StrategyKind::ar(), 240).unwrap();
+        let a = r.report(&r.point("4x4", &StrategyKind::ar(), 240)).unwrap();
+        let b = r.report(&r.point("4x4", &StrategyKind::ar(), 240)).unwrap();
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(r.cached_runs(), 1);
     }
@@ -584,7 +642,9 @@ mod tests {
     #[test]
     fn quick_scale_is_cheap() {
         let r = Runner::new(Scale::Quick);
-        let rep = r.aa("8x8x8", &StrategyKind::ar(), 912).unwrap();
+        let rep = r
+            .report(&r.point("8x8x8", &StrategyKind::ar(), 912))
+            .unwrap();
         // Budgeted coverage keeps the run small.
         assert!(rep.workload.coverage < 1.0);
     }
@@ -733,9 +793,24 @@ mod tests {
         r.run_points(&[p1.clone(), p2, p3]);
         assert_eq!(r.cached_runs(), 2);
         // The sequential fetch is now a pure cache hit.
-        let warm = r.report(&p1).unwrap();
-        let direct = r.aa("4x4", &StrategyKind::ar(), 240).unwrap();
-        assert_eq!(warm.cycles, direct.cycles);
+        r.report(&p1).unwrap();
+        assert_eq!(r.cached_runs(), 2);
+    }
+
+    #[test]
+    fn render_hands_each_unit_its_own_results_in_declaration_order() {
+        let r = Runner::new(Scale::Quick).with_jobs(2);
+        let [ar, dr] = [StrategyKind::ar(), StrategyKind::dr()].map(|s| r.point("4x4", &s, 240));
+        let names = |runs: &[RunResult; 2]| {
+            runs.each_ref()
+                .map(|run| run.as_ref().unwrap().strategy.name())
+        };
+        let rendered = r.render(vec![
+            Unit::new([ar.clone(), dr.clone()], names),
+            Unit::new([dr, ar], names),
+        ]);
+        assert_eq!(rendered, [["AR", "DR"], ["DR", "AR"]]);
+        // Both units read both keys: each ran once.
         assert_eq!(r.cached_runs(), 2);
     }
 
@@ -756,7 +831,9 @@ mod tests {
     fn perf_off_is_free_and_profile_free() {
         let r = Runner::new(Scale::Quick);
         assert!(!r.perf_enabled());
-        let report = r.aa("4x4", &StrategyKind::ar(), 240).expect("runs");
+        let report = r
+            .report(&r.point("4x4", &StrategyKind::ar(), 240))
+            .expect("runs");
         assert!(report.perf.is_none(), "no profile unless asked");
         assert_eq!(r.timing(), RunnerTiming::default());
     }
@@ -772,8 +849,8 @@ mod tests {
             .collect();
         profiled.run_points(&pts);
         for s in &strategies {
-            let a = plain.aa("4x4", s, 240).unwrap();
-            let b = profiled.aa("4x4", s, 240).unwrap();
+            let a = plain.report(&plain.point("4x4", s, 240)).unwrap();
+            let b = profiled.report(&profiled.point("4x4", s, 240)).unwrap();
             assert_eq!(a.cycles, b.cycles, "{}", s.name());
             assert_eq!(a.stats, b.stats, "{}", s.name());
         }
@@ -792,8 +869,8 @@ mod tests {
             r.run_points(&pts);
         }
         for s in &strategies {
-            let a = serial.aa("4x4", s, 240).unwrap();
-            let b = parallel.aa("4x4", s, 240).unwrap();
+            let a = serial.report(&serial.point("4x4", s, 240)).unwrap();
+            let b = parallel.report(&parallel.point("4x4", s, 240)).unwrap();
             assert_eq!(a.cycles, b.cycles, "{}", s.name());
             assert_eq!(a.stats, b.stats, "{}", s.name());
         }

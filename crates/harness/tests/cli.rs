@@ -46,7 +46,9 @@ fn bglsim_rejects_malformed_input() {
     assert_clean_failure(bin, &["sweep", "--shape", "8xbogus"], "invalid shape");
     assert_clean_failure(bin, &["sweep", "--sizes", "12,notanumber"], "numeric bytes");
     assert_clean_failure(bin, &["sweep", "--strategies", "warp"], "unknown strategy");
-    assert_clean_failure(bin, &["sweep", "--coverage", "1.5"], "within 0..=1");
+    for none in ["1.5", "0", "-0.0"] {
+        assert_clean_failure(bin, &["sweep", "--coverage", none], "in (0, 1]");
+    }
     assert_clean_failure(bin, &["sweep", "--jobs", "0"], "positive integer");
     assert_clean_failure(bin, &["sweep", "--jobs", "zero"], "positive integer");
     assert_clean_failure(bin, &["sweep", "--frobnicate"], "unknown flag");
@@ -56,6 +58,30 @@ fn bglsim_rejects_malformed_input() {
     assert_clean_failure(bin, &["pattern", "--pattern", "plane:w"], "plane:x|y|z");
     assert_clean_failure(bin, &["pattern", "--pattern", "swirl:3"], "unknown pattern");
     assert_clean_failure(bin, &["pattern", "--m", "many"], "numeric bytes");
+    // A pattern that pairs nobody is an error that says why, not a
+    // "0 cycles, 0.0 %" report.
+    for (pattern, why) in [
+        ("transpose:7", "do not divide the 64 nodes"),
+        ("transpose:0", "do not divide the 64 nodes"),
+        ("shift:0", "multiple of the 64 nodes"),
+        ("random:0", "degree 0"),
+    ] {
+        assert_clean_failure(bin, &["pattern", "--pattern", pattern], why);
+    }
+    // One node has nobody to exchange with, whatever the subcommand.
+    let one_node = ["--shape", "1x1x1"];
+    for cmd in [
+        &["sweep", "--strategies", "ar", "--sizes", "64"][..],
+        &["profile"],
+        &["fit"],
+    ] {
+        assert_clean_failure(bin, &[cmd, &one_node].concat(), "at least two nodes");
+    }
+    assert_clean_failure(
+        bin,
+        &[&["pattern", "--pattern", "a2a"], &one_node[..]].concat(),
+        "no peer",
+    );
 }
 
 #[test]
@@ -90,16 +116,8 @@ fn bglsim_rejects_malformed_pacer_flags() {
         &sweep(&["--pacer", "credit:2,5"]),
         "must not exceed the window",
     );
-    assert_clean_failure(
-        bin,
-        &sweep(&["--credit", "2,5"]),
-        "must not exceed the window",
-    );
-    assert_clean_failure(
-        bin,
-        &sweep(&["--pacer", "credit:4,2", "--credit", "4,2"]),
-        "conflict",
-    );
+    // `credit:W,E` has one spelling: the old shorthand flag is unknown.
+    assert_clean_failure(bin, &sweep(&["--credit", "4,2"]), "unknown flag");
     assert_clean_failure(bin, &sweep(&["--pacer"]), "needs a value");
     // Pacing `auto` is meaningless: the resolved strategy picks its own.
     let mut auto_args = vec![
@@ -590,7 +608,7 @@ fn bglsim_profile_rejects_malformed_input() {
     let bin = env!("CARGO_BIN_EXE_bglsim");
     assert_clean_failure(bin, &["profile", "--shape", "8xbogus"], "invalid shape");
     assert_clean_failure(bin, &["profile", "--m", "lots"], "numeric bytes");
-    assert_clean_failure(bin, &["profile", "--coverage", "2.0"], "within 0..=1");
+    assert_clean_failure(bin, &["profile", "--coverage", "2.0"], "in (0, 1]");
     assert_clean_failure(bin, &["profile", "--shards", "0"], "positive integer");
     assert_clean_failure(bin, &["profile", "--strategy", "warp"], "unknown strategy");
     assert_clean_failure(bin, &["profile", "--frobnicate"], "unknown flag");

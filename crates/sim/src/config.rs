@@ -61,8 +61,8 @@ impl Vc {
 ///
 /// All three modes produce byte-identical results — `NetStats`, traces,
 /// error cycles — on every workload; they differ only in wall-clock cost.
-/// The differential fuzzer (`tests/engine_equivalence.rs`) and conformance
-/// family F6 pin the equivalence.
+/// The differential suite (`crates/sim/tests/common/mod.rs` and its
+/// callers) pins the equivalence.
 ///
 /// * [`EngineMode::FullScan`] visits every node in every phase of every
 ///   cycle: the reference semantics, O(nodes) per cycle regardless of
@@ -172,10 +172,6 @@ pub struct CpuConfig {
     pub per_packet_inject_cycles: f64,
     /// Fixed CPU time per packet drained from the reception FIFO, cycles.
     pub per_packet_receive_cycles: f64,
-    /// Memory-copy bandwidth cost γ for software forwarding/combining, in
-    /// cycles per chunk (the paper's 1.6 ns/B ≈ 0.247 cycles per 32-byte
-    /// chunk).
-    pub copy_cycles_per_chunk: f64,
 }
 
 impl Default for CpuConfig {
@@ -184,7 +180,6 @@ impl Default for CpuConfig {
             chunks_per_cycle: 4.0,
             per_packet_inject_cycles: 0.35,
             per_packet_receive_cycles: 0.35,
-            copy_cycles_per_chunk: 0.247,
         }
     }
 }
@@ -262,9 +257,6 @@ pub struct SimConfig {
     /// throttles pulls to a chunks-per-cycle budget; [`FlowSpec::Credit`]
     /// bounds unacknowledged packets per intermediate node.
     pub flow: FlowSpec,
-    /// RNG seed: identical (config, seed, programs) runs produce identical
-    /// cycle counts.
-    pub seed: u64,
     /// Abort the run if no packet moves and no CPU work happens for this
     /// many consecutive cycles while traffic remains (deadlock/livelock
     /// watchdog).
@@ -292,7 +284,8 @@ pub struct SimConfig {
     /// thread with boundary arrivals exchanged at a per-cycle barrier.
     /// Like [`engine`](Self::engine), this is a performance knob and never
     /// a correctness one: `NetStats` and traces are byte-identical for any
-    /// shard count (pinned by the differential fuzzer and conformance F7).
+    /// shard count (pinned by the differential suite,
+    /// `crates/sim/tests/common/mod.rs`).
     /// Clamped to the node count; `1` (the default, and what configs
     /// serialized before the knob existed deserialize to) disables
     /// threading entirely. Runs with `check_invariants` keep the sharded
@@ -344,7 +337,6 @@ impl SimConfig {
             reception_fifo_chunks: 64,
             inj_class_masks: Vec::new(),
             flow: FlowSpec::Unpaced,
-            seed: 0x5eed_b61c,
             watchdog_cycles: 200_000,
             max_cycles: 2_000_000_000,
             detailed_link_stats: false,

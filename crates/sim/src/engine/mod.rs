@@ -201,6 +201,12 @@ pub enum SimError {
         /// Highest dimensionality the component supports.
         max_dims: usize,
     },
+    /// A collective was asked of a partition with nobody to exchange
+    /// with. Raised up front, never after cycles have run.
+    TooFewNodes {
+        /// The partition's node count.
+        nodes: u32,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -251,6 +257,10 @@ impl std::fmt::Display for SimError {
                 f,
                 "{what} supports partitions of at most {max_dims} dimensions, \
                  got a {ndims}-dimensional shape"
+            ),
+            SimError::TooFewNodes { nodes } => write!(
+                f,
+                "an all-to-all needs at least two nodes, got a {nodes}-node partition"
             ),
         }
     }

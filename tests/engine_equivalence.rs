@@ -58,7 +58,7 @@ const SHAPES: [&str; 8] = [
 
 /// One drawn configuration, with coverage scaled down on the larger
 /// partitions so a fuzz case stays sub-second, and the strategy drawn from
-/// the direct schemes alone above 3-D (`StrategyKind::check_dims`).
+/// the direct schemes alone above 3-D (`StrategyKind::check_partition`).
 fn config(
     shape_i: usize,
     strat_i: usize,
