@@ -10,15 +10,15 @@
 //! reserves a credit per packet toward its destination and the receiver
 //! acknowledges via small credit packets, bounding per-receiver memory.
 
-use crate::workload::{destination_schedule, packetize, AaWorkload, PacketShape};
+use crate::flow::{self, KIND_CREDIT};
+use crate::walk::SendWalk;
+use crate::workload::AaWorkload;
 use bgl_model::MachineParams;
-use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
+use bgl_sim::{NodeApi, NodeProgram, Packet, PollHint, RoutingMode, SendSpec};
 use bgl_torus::Partition;
 
-/// Payload packet kind.
+/// Payload packet kind (the default [`bgl_sim::PacketMeta`]).
 const KIND_DATA: u8 = 0;
-/// Credit-acknowledgement packet kind (credit-window pacing only).
-const KIND_CREDIT: u8 = 1;
 
 /// Tuning of a direct strategy.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,21 +64,14 @@ impl DirectConfig {
     }
 }
 
-/// Per-node program implementing a direct all-to-all.
+/// Per-node program implementing a direct all-to-all: the next hop of
+/// every packet is its final destination. Routing is plain BG/L — no
+/// longest-dimension preference, which is exactly why asymmetric tori
+/// degrade (Section 3.2); the hint-bit-style shaping is a router extension
+/// (`RouterConfig::longest_first_bias`) the ablation suite turns on.
 pub struct DirectProgram {
-    rank: u32,
-    schedule: Vec<u32>,
-    shapes: Vec<PacketShape>,
     routing: RoutingMode,
-    longest_first: bool,
-    alpha_sim_cycles: f64,
-    packets_per_visit: u32,
-    // Iteration state: visit-major, destination-minor, packet within visit.
-    visit: u32,
-    n_visits: u32,
-    idx: usize,
-    in_visit: u32,
-    done: bool,
+    walk: SendWalk,
 }
 
 impl DirectProgram {
@@ -90,66 +83,10 @@ impl DirectProgram {
         cfg: &DirectConfig,
         params: &MachineParams,
     ) -> DirectProgram {
-        let p = part.num_nodes();
-        let dests = workload.dests_per_node(p);
-        let schedule = destination_schedule(rank, p, dests, workload.seed);
-        let shapes = packetize(
-            workload.m_bytes,
-            params.software_header_bytes,
-            params.min_packet_bytes,
-            params,
-        );
-        let k = cfg
-            .packets_per_visit
-            .unwrap_or(workload.packets_per_visit)
-            .max(1);
-        let n_visits = (shapes.len() as u32).div_ceil(k);
-        let done = schedule.is_empty();
+        let k = cfg.packets_per_visit.unwrap_or(workload.packets_per_visit);
         DirectProgram {
-            rank,
-            schedule,
-            shapes,
             routing: cfg.routing,
-            // Hardware-faithful default: BG/L's adaptive routing has no
-            // longest-dimension preference — that is exactly why asymmetric
-            // tori degrade (Section 3.2). The hint-bit-style shaping is
-            // available as an extension (see RouterConfig) and the
-            // ablation suite shows it mitigates the collapse.
-            longest_first: false,
-            alpha_sim_cycles: cfg.alpha_cpu_cycles / params.cpu_cycles_per_sim_cycle(),
-            packets_per_visit: k,
-            visit: 0,
-            n_visits,
-            idx: 0,
-            in_visit: 0,
-            done,
-        }
-    }
-
-    /// Total packets this node will inject.
-    pub fn total_packets(&self) -> u64 {
-        self.schedule.len() as u64 * self.shapes.len() as u64
-    }
-
-    fn current_packet_index(&self) -> Option<usize> {
-        let i = (self.visit * self.packets_per_visit + self.in_visit) as usize;
-        (i < self.shapes.len()).then_some(i)
-    }
-
-    fn advance(&mut self) {
-        self.in_visit += 1;
-        let exhausted_visit =
-            self.in_visit >= self.packets_per_visit || self.current_packet_index().is_none();
-        if exhausted_visit {
-            self.in_visit = 0;
-            self.idx += 1;
-            if self.idx >= self.schedule.len() {
-                self.idx = 0;
-                self.visit += 1;
-                if self.visit >= self.n_visits {
-                    self.done = true;
-                }
-            }
+            walk: SendWalk::direct(rank, part, workload, k, cfg.alpha_cpu_cycles, params),
         }
     }
 }
@@ -162,74 +99,33 @@ impl NodeProgram for DirectProgram {
     }
 
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
-        if self.done {
-            return None;
-        }
-        let pkt_i = self.current_packet_index()?;
-        let dst = self.schedule[self.idx];
+        let step = self.walk.peek()?;
         // Under credit-window pacing the destination is the bounded
         // "intermediate": reserve a credit or retry once acks return.
-        if !api.try_acquire_credit(dst) {
+        if !api.try_acquire_credit(step.target) {
             return None;
         }
-        let shape = self.shapes[pkt_i];
-        let alpha = if pkt_i == 0 {
-            self.alpha_sim_cycles
-        } else {
-            0.0
-        };
-        let spec = SendSpec {
-            dst_rank: dst,
-            chunks: shape.chunks,
-            payload_bytes: shape.payload,
-            routing: self.routing,
-            class: 0,
-            meta: PacketMeta {
-                kind: KIND_DATA,
-                a: 0,
-                b: 0,
-            },
-            longest_first: self.longest_first,
-            cpu_cost_cycles: alpha,
-        };
-        self.advance();
-        Some(spec)
+        self.walk.advance();
+        Some(step.send(step.target, self.routing))
     }
 
     fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: &Packet) {
         match pkt.meta.kind {
-            KIND_DATA => {
-                if let Some(n) = api.credit_receipt(pkt.src_rank) {
-                    api.send(SendSpec {
-                        dst_rank: pkt.src_rank,
-                        chunks: 1,
-                        payload_bytes: 0,
-                        routing: self.routing,
-                        class: 0,
-                        meta: PacketMeta {
-                            kind: KIND_CREDIT,
-                            a: self.rank,
-                            b: n,
-                        },
-                        longest_first: false,
-                        cpu_cost_cycles: 0.0,
-                    });
-                }
-            }
-            KIND_CREDIT => api.apply_credit(pkt.meta.a, pkt.meta.b),
+            KIND_DATA => flow::acknowledge(api, pkt),
+            KIND_CREDIT => flow::apply_ack(api, pkt),
             other => panic!("direct program received unknown packet kind {other}"),
         }
     }
 
     fn is_complete(&self) -> bool {
-        self.done
+        self.walk.is_done()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_sim::{FlowLedger, FlowSpec};
+    use bgl_sim::{FlowLedger, FlowSpec, PacketMeta};
     use std::collections::HashMap;
 
     fn params() -> MachineParams {
@@ -331,29 +227,11 @@ mod tests {
         assert!(prog.next_send(&mut api).is_none(), "window of 2 must close");
         assert!(!prog.is_complete());
         // A credit ack from that destination reopens the window.
-        let credit = Packet {
-            id: 0,
-            src_rank: first.dst_rank,
-            dst: part.coord_of(0),
-            chunks: 1,
-            payload_bytes: 0,
-            plan: bgl_torus::HopPlan::new(
-                &part,
-                part.coord_of(first.dst_rank),
-                part.coord_of(0),
-                bgl_torus::TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: bgl_sim::Vc::Dynamic0,
-            class: 0,
-            meta: PacketMeta {
-                kind: KIND_CREDIT,
-                a: first.dst_rank,
-                b: 1,
-            },
-            longest_first: false,
-            injected_at: 0,
-            detour: bgl_sim::NO_DETOUR,
+        let mut credit = Packet::new(&part, first.dst_rank, 0);
+        credit.meta = PacketMeta {
+            kind: KIND_CREDIT,
+            a: first.dst_rank,
+            b: 1,
         };
         prog.on_packet(&mut api, &credit);
         assert!(
@@ -372,30 +250,7 @@ mod tests {
             credit_every: 2,
         });
         let mut q = std::collections::VecDeque::new();
-        let data = Packet {
-            id: 0,
-            src_rank: 5,
-            dst: part.coord_of(1),
-            chunks: 8,
-            payload_bytes: 240,
-            plan: bgl_torus::HopPlan::new(
-                &part,
-                part.coord_of(5),
-                part.coord_of(1),
-                bgl_torus::TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: bgl_sim::Vc::Dynamic0,
-            class: 0,
-            meta: PacketMeta {
-                kind: KIND_DATA,
-                a: 0,
-                b: 0,
-            },
-            longest_first: false,
-            injected_at: 0,
-            detour: bgl_sim::NO_DETOUR,
-        };
+        let data = Packet::new(&part, 5, 1);
         {
             let mut api =
                 NodeApi::new(1, part.coord_of(1), 0, &part, &mut q).with_flow(&mut ledger);
@@ -416,6 +271,6 @@ mod tests {
         let part: Partition = "16x16".parse().unwrap();
         let w = AaWorkload::sampled(100, 0.25);
         let prog = DirectProgram::new(0, &part, &w, &DirectConfig::ar(&params()), &params());
-        assert_eq!(prog.schedule.len(), 64);
+        assert_eq!(prog.walk.targets().len(), 64);
     }
 }

@@ -10,9 +10,10 @@
 //! consistency check: the recovered β must match the link bandwidth the
 //! simulator was built around.
 
-use crate::workload::packetize;
+use crate::walk::SendWalk;
+use crate::workload::direct_shapes;
 use bgl_model::MachineParams;
-use bgl_sim::{Engine, NodeProgram, ScriptedProgram, SendSpec, SimConfig};
+use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig};
 use bgl_torus::Partition;
 
 /// Result of a parameter fit.
@@ -34,24 +35,11 @@ pub struct FittedModel {
 pub fn one_way_message_cycles(part: &Partition, m: u64, params: &MachineParams) -> u64 {
     let p = part.num_nodes();
     assert!(p >= 2, "need two nodes");
-    let shapes = packetize(
-        m,
-        params.software_header_bytes,
-        params.min_packet_bytes,
-        params,
-    );
-    let alpha = params.alpha_direct_cycles / params.cpu_cycles_per_sim_cycle();
-    let n = shapes.len() as u64;
-    let sends: Vec<SendSpec> = shapes
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            SendSpec::adaptive(1, s.chunks, s.payload).with_cpu_cost(if i == 0 {
-                alpha
-            } else {
-                0.0
-            })
-        })
+    let alpha = params.cpu_to_sim_cycles(params.alpha_direct_cycles);
+    let walk = SendWalk::new(vec![1], direct_shapes(m, params), 1, alpha);
+    let n = walk.shapes().len() as u64;
+    let sends = walk
+        .map(|s| s.send(s.target, RoutingMode::Adaptive))
         .collect();
     let mut programs: Vec<Box<dyn NodeProgram>> = vec![
         Box::new(ScriptedProgram::new(sends, 0)),

@@ -9,8 +9,15 @@
 //! the future-work credit window bounding intermediate memory — are
 //! defined; direct, TPS, XYZ and VMesh strategies all compose with it
 //! rather than growing private knobs.
+//!
+//! The credit window's wire protocol lives here too, written once for every
+//! scheme: a sender reserves toward whichever node its scheme bounds
+//! (`NodeApi::try_acquire_credit` — the one decision a scheme keeps), the
+//! receiver counts the receipt and acknowledges per quantum
+//! (`acknowledge`), and the sender applies the returned credits
+//! (`apply_ack`).
 
-use bgl_sim::FlowSpec;
+use bgl_sim::{FlowSpec, NodeApi, Packet, PacketMeta, SendSpec};
 
 /// Credit-based flow control bounding intermediate-node memory (the
 /// paper's future-work sketch): a source may have at most
@@ -120,15 +127,38 @@ impl Pacer {
             },
         }
     }
+}
 
-    /// Short suffix for report names: `""`, `"-throttled"`, `"-credit"`.
-    pub fn name_suffix(&self) -> &'static str {
-        match self {
-            Pacer::Unpaced => "",
-            Pacer::RateWindow { .. } => "-throttled",
-            Pacer::CreditWindow { .. } => "-credit",
-        }
+/// Packet kind of a credit acknowledgement, the same under every scheme.
+/// It sits outside the kinds a trace buckets as phase-1 / phase-2 traffic
+/// (1 and 2), above XYZ's per-dimension kinds (`1..=MAX_DIMS`) and below its
+/// `FRESH` bit (`0x80`).
+pub(crate) const KIND_CREDIT: u8 = 0x7f;
+
+/// Receive half of the credit handshake, step one: count the credited
+/// data packet `pkt` against its sender's window and, once the quantum
+/// fills, return the credits in one minimum-size packet that travels as
+/// the data did (its routing mode, its injection class). Whom a sender
+/// reserves toward — and so which of its packets a receiver acknowledges —
+/// is each scheme's own decision; without credit flow control this is a
+/// no-op.
+pub(crate) fn acknowledge(api: &mut NodeApi<'_>, pkt: &Packet) {
+    if let Some(n) = api.credit_receipt(pkt.src_rank) {
+        let meta = PacketMeta {
+            kind: KIND_CREDIT,
+            a: api.rank,
+            b: n,
+        };
+        let ack = SendSpec::new(pkt.src_rank, 1, 0, pkt.routing);
+        api.send(ack.with_class(pkt.class).with_meta(meta));
     }
+}
+
+/// Step two, back at the sender: the [`KIND_CREDIT`] packet `ack` reopens
+/// the window toward the node that sent it.
+pub(crate) fn apply_ack(api: &mut NodeApi<'_>, ack: &Packet) {
+    debug_assert_eq!(ack.meta.kind, KIND_CREDIT);
+    api.apply_credit(ack.meta.a, ack.meta.b);
 }
 
 #[cfg(test)]

@@ -13,7 +13,22 @@
 //!   algorithm" rule).
 //! * [`strategy`] — the [`run_aa`] runner producing percent-of-peak
 //!   reports; [`workload`] — message sizes, packetization, randomized
-//!   schedules.
+//!   schedules; [`walk`] — the send order every scheme shares.
+//!
+//! # What a scheme is
+//!
+//! The schemes differ in one thing: where a packet's next software hop is.
+//! A scheme supplies its *targets* (the randomized destination schedule, or
+//! VMesh's row and column members), the *next hop* of a packet bound for a
+//! target (the target itself; TPS's line intermediate; XYZ's next dimension
+//! corner) with the data kind, injection class and routing mode it travels
+//! under, and *whom it reserves a credit toward* before sending. It inherits
+//! the rest: the [`walk`] over targets × packet shapes with α on packet 0,
+//! the receive half of the credit handshake ([`flow`]: receipt → ack →
+//! apply, one ack kind for all), the α/γ unit conversions on
+//! [`MachineParams`](bgl_model::MachineParams), and `bgl-sim`'s three hooks
+//! with [`SendSpec`](bgl_sim::SendSpec)'s builders as the only way to make
+//! a send.
 //!
 //! # Quickstart
 //!
@@ -54,6 +69,7 @@ pub mod select;
 pub mod strategy;
 pub mod tps;
 pub mod vmesh;
+pub mod walk;
 pub mod workload;
 pub mod xyz;
 
@@ -67,5 +83,8 @@ pub use strategy::{
 };
 pub use tps::{choose_linear_dim, tps_inj_class_masks, TpsConfig, TpsProgram};
 pub use vmesh::{VmeshConfig, VmeshProgram};
-pub use workload::{destination_schedule, packetize, total_chunks, AaWorkload, PacketShape};
+pub use walk::{SendWalk, Step};
+pub use workload::{
+    destination_schedule, direct_shapes, packetize, total_chunks, AaWorkload, PacketShape,
+};
 pub use xyz::{xyz_inj_class_masks, XyzProgram};

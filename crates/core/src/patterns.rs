@@ -8,9 +8,10 @@
 //! minimal hop counts), and runs them through the simulator with the
 //! direct runtime.
 
-use crate::workload::packetize;
+use crate::walk::SendWalk;
+use crate::workload::direct_shapes;
 use bgl_model::MachineParams;
-use bgl_sim::{Engine, NodeProgram, ScriptedProgram, SendSpec, SimConfig, SimError};
+use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig, SimError};
 use bgl_torus::{Partition, Rank};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -166,13 +167,8 @@ pub fn run_pattern(
     base: SimConfig,
     seed: u64,
 ) -> Result<PatternReport, SimError> {
-    let shapes = packetize(
-        m,
-        params.software_header_bytes,
-        params.min_packet_bytes,
-        params,
-    );
-    let alpha = params.alpha_direct_cycles / params.cpu_cycles_per_sim_cycle();
+    let shapes = direct_shapes(m, params);
+    let alpha = params.cpu_to_sim_cycles(params.alpha_direct_cycles);
     let programs: Vec<Box<dyn NodeProgram>> = (0..part.num_nodes())
         .map(|r| {
             let mut dests = pattern.destinations(&part, r, seed);
@@ -182,20 +178,10 @@ pub fn run_pattern(
                 let j = rng.gen_range(0..=i);
                 dests.swap(i, j);
             }
-            // Round-major packet interleave.
-            let mut sends = Vec::with_capacity(dests.len() * shapes.len());
-            for (pi, s) in shapes.iter().enumerate() {
-                for &d in &dests {
-                    sends.push(
-                        SendSpec::adaptive(d, s.chunks, s.payload).with_cpu_cost(if pi == 0 {
-                            alpha
-                        } else {
-                            0.0
-                        }),
-                    );
-                }
-            }
-            Box::new(ScriptedProgram::new(sends, 0)) as Box<dyn NodeProgram>
+            // The AR walk, scripted up front: round-major, α on packet 0.
+            let sends = SendWalk::new(dests, shapes.clone(), 1, alpha)
+                .map(|s| s.send(s.target, RoutingMode::Adaptive));
+            Box::new(ScriptedProgram::new(sends.collect(), 0)) as Box<dyn NodeProgram>
         })
         .collect();
     let mut cfg = base;
@@ -350,7 +336,7 @@ mod tests {
                 .expect("pattern completes");
             assert_eq!(
                 rep.stats.packets_delivered,
-                rep.pairs * packetize(480, 48, 64, &params).len() as u64,
+                rep.pairs * direct_shapes(480, &params).len() as u64,
                 "{pattern:?}"
             );
             assert!(

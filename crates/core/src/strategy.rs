@@ -5,7 +5,8 @@ use crate::direct::{DirectConfig, DirectProgram};
 use crate::flow::{CreditConfig, Pacer};
 use crate::tps::{tps_inj_class_masks, TpsConfig, TpsProgram};
 use crate::vmesh::{VmeshConfig, VmeshProgram};
-use crate::workload::AaWorkload;
+use crate::workload::{destination_schedule, direct_shapes, total_chunks, AaWorkload};
+use crate::xyz::{xyz_inj_class_masks, XyzProgram};
 use bgl_model::MachineParams;
 use bgl_sim::{Engine, NetStats, NodeProgram, SimConfig, SimError};
 use bgl_torus::{AaLoadAnalysis, Dim, Partition, VmeshLayout};
@@ -278,14 +279,6 @@ impl StrategyKind {
         }
     }
 
-    /// VMesh with an explicit layout, unpaced.
-    pub fn vmesh_with(layout: VmeshLayout) -> StrategyKind {
-        StrategyKind::VirtualMesh {
-            layout,
-            pacer: Pacer::Unpaced,
-        }
-    }
-
     /// The same strategy with `pacer` attached.
     ///
     /// # Panics
@@ -474,7 +467,7 @@ impl AaRun {
             &self.workload,
             &self.strategy,
             &self.params,
-            Some(self.config),
+            self.config,
         )
     }
 }
@@ -556,7 +549,7 @@ pub fn run_aa(
     params: &MachineParams,
     base: SimConfig,
 ) -> Result<AaReport, SimError> {
-    execute(part, workload, strategy, params, Some(base))
+    execute(part, workload, strategy, params, base)
 }
 
 fn execute(
@@ -564,9 +557,8 @@ fn execute(
     workload: &AaWorkload,
     strategy: &StrategyKind,
     params: &MachineParams,
-    config: Option<SimConfig>,
+    mut base: SimConfig,
 ) -> Result<AaReport, SimError> {
-    let mut base = config.unwrap_or_else(|| SimConfig::new(part));
     let strategy = strategy.resolve(&part, workload.m_bytes);
     strategy.check_partition(&part)?;
     let p = part.num_nodes();
@@ -591,47 +583,27 @@ fn execute(
         }
     }
 
-    let programs: Vec<Box<dyn NodeProgram>> = match &strategy {
-        StrategyKind::MpiBaseline { .. } => {
-            build_direct(&part, workload, &DirectConfig::mpi(params), params)
-        }
-        StrategyKind::AdaptiveRandomized { .. } => {
-            build_direct(&part, workload, &DirectConfig::ar(params), params)
-        }
-        StrategyKind::DeterministicRouted { .. } => {
-            build_direct(&part, workload, &DirectConfig::dr(params), params)
-        }
+    let direct =
+        |cfg: DirectConfig| per_node(p, |r| DirectProgram::new(r, &part, workload, &cfg, params));
+    let programs = match &strategy {
+        StrategyKind::MpiBaseline { .. } => direct(DirectConfig::mpi(params)),
+        StrategyKind::AdaptiveRandomized { .. } => direct(DirectConfig::ar(params)),
+        StrategyKind::DeterministicRouted { .. } => direct(DirectConfig::dr(params)),
         StrategyKind::TwoPhaseSchedule { linear, .. } => {
             base.inj_class_masks = tps_inj_class_masks(base.inj_fifo_count);
             let cfg = TpsConfig { linear: *linear };
-            (0..p)
-                .map(|r| {
-                    Box::new(TpsProgram::new(r, &part, workload, &cfg, params))
-                        as Box<dyn NodeProgram>
-                })
-                .collect()
+            per_node(p, |r| TpsProgram::new(r, &part, workload, &cfg, params))
         }
         StrategyKind::VirtualMesh { layout, .. } => {
             let cfg = VmeshConfig {
                 layout: *layout,
                 ..VmeshConfig::default()
             };
-            (0..p)
-                .map(|r| {
-                    Box::new(VmeshProgram::new(r, &part, workload, &cfg, params))
-                        as Box<dyn NodeProgram>
-                })
-                .collect()
+            per_node(p, |r| VmeshProgram::new(r, &part, workload, &cfg, params))
         }
         StrategyKind::XyzRouting { .. } => {
-            base.inj_class_masks =
-                crate::xyz::xyz_inj_class_masks(base.inj_fifo_count, part.ndims());
-            (0..p)
-                .map(|r| {
-                    Box::new(crate::xyz::XyzProgram::new(r, &part, workload, params))
-                        as Box<dyn NodeProgram>
-                })
-                .collect()
+            base.inj_class_masks = xyz_inj_class_masks(base.inj_fifo_count, part.ndims());
+            per_node(p, |r| XyzProgram::new(r, &part, workload, params))
         }
         StrategyKind::Auto => unreachable!("Auto resolved above"),
     };
@@ -661,6 +633,11 @@ fn execute(
         trace,
         perf,
     })
+}
+
+/// One boxed program per rank of a `p`-node partition, built by `new`.
+fn per_node<P: NodeProgram + 'static>(p: u32, new: impl Fn(u32) -> P) -> Vec<Box<dyn NodeProgram>> {
+    (0..p).map(|r| Box::new(new(r)) as _).collect()
 }
 
 /// Static-fault reachability preflight for deterministic routing: walk
@@ -694,19 +671,13 @@ fn dr_static_preflight(
     }
     let p = part.num_nodes();
     let dests = workload.dests_per_node(p);
-    let pkts_per_pair = crate::workload::packetize(
-        workload.m_bytes,
-        params.software_header_bytes,
-        params.min_packet_bytes,
-        params,
-    )
-    .len() as u64;
+    let pkts_per_pair = direct_shapes(workload.m_bytes, params).len() as u64;
     let mut blocked: std::collections::BTreeMap<(u32, Direction), u64> =
         std::collections::BTreeMap::new();
     let mut stranded = 0u64;
     for src in 0..p {
         let here = part.coord_of(src);
-        for dst in crate::workload::destination_schedule(src, p, dests, workload.seed) {
+        for dst in destination_schedule(src, p, dests, workload.seed) {
             let hit = DimensionOrder::first_blocked(
                 part,
                 here,
@@ -737,19 +708,6 @@ fn dr_static_preflight(
     })
 }
 
-fn build_direct(
-    part: &Partition,
-    workload: &AaWorkload,
-    cfg: &DirectConfig,
-    params: &MachineParams,
-) -> Vec<Box<dyn NodeProgram>> {
-    (0..part.num_nodes())
-        .map(|r| {
-            Box::new(DirectProgram::new(r, part, workload, cfg, params)) as Box<dyn NodeProgram>
-        })
-        .collect()
-}
-
 /// Equation-2 peak time, in cycles, for the (possibly sampled) workload.
 ///
 /// The peak moves `m` *payload* bytes per pair across the bottleneck links
@@ -768,14 +726,8 @@ pub fn peak_cycles_for(part: &Partition, workload: &AaWorkload, params: &Machine
 pub fn peak_injection_rate(part: &Partition, workload: &AaWorkload, params: &MachineParams) -> f64 {
     let p = part.num_nodes();
     let peak = peak_cycles_for(part, workload, params);
-    let shapes = crate::workload::packetize(
-        workload.m_bytes,
-        params.software_header_bytes,
-        params.min_packet_bytes,
-        params,
-    );
-    let chunks_per_node =
-        workload.dests_per_node(p) as f64 * crate::workload::total_chunks(&shapes) as f64;
+    let shapes = direct_shapes(workload.m_bytes, params);
+    let chunks_per_node = workload.dests_per_node(p) as f64 * total_chunks(&shapes) as f64;
     if peak > 0.0 {
         chunks_per_node / peak
     } else {

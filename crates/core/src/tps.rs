@@ -10,7 +10,9 @@
 //! are never queued behind phase-2 packets — use
 //! [`tps_inj_class_masks`] when building the simulator configuration.
 
-use crate::workload::{destination_schedule, packetize, AaWorkload, PacketShape};
+use crate::flow::{self, KIND_CREDIT};
+use crate::walk::SendWalk;
+use crate::workload::AaWorkload;
 use bgl_model::MachineParams;
 use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
 use bgl_torus::{Coord, Dim, Partition};
@@ -25,7 +27,6 @@ pub const CLASS_PLANAR: u8 = 1;
 /// Packet-meta kinds used by TPS.
 const KIND_PHASE1: u8 = 1;
 const KIND_PHASE2: u8 = 2;
-const KIND_CREDIT: u8 = 3;
 
 /// TPS tuning. Credit-based flow control is no longer configured here:
 /// attach a [`Pacer::CreditWindow`](crate::Pacer) to the strategy and the
@@ -85,19 +86,16 @@ pub fn tps_inj_class_masks(fifo_count: u32) -> Vec<u8> {
         .collect()
 }
 
-/// Per-node TPS program.
+/// Per-node TPS program: the next hop of a packet is the node of the
+/// source's line that shares the destination's linear coordinate (phase 1),
+/// which forwards it across its plane (phase 2). Routing within the plane
+/// is plain adaptive — TPS changes schedules, not the router.
 pub struct TpsProgram {
     rank: u32,
     coord: Coord,
     linear: Dim,
-    schedule: Vec<u32>,
-    shapes: Vec<PacketShape>,
-    alpha_sim_cycles: f64,
+    walk: SendWalk,
     gamma_cycles_per_chunk: f64,
-    planar_longest_first: bool,
-    idx: usize,
-    pkt_i: usize,
-    done_sending: bool,
 }
 
 impl TpsProgram {
@@ -109,58 +107,25 @@ impl TpsProgram {
         cfg: &TpsConfig,
         params: &MachineParams,
     ) -> TpsProgram {
-        let p = part.num_nodes();
-        let dests = workload.dests_per_node(p);
-        let schedule = destination_schedule(rank, p, dests, workload.seed);
-        let shapes = packetize(
-            workload.m_bytes,
-            params.software_header_bytes,
-            params.min_packet_bytes,
-            params,
-        );
-        let done_sending = schedule.is_empty();
-        let linear = cfg.linear.unwrap_or_else(|| choose_linear_dim(part));
         TpsProgram {
             rank,
             coord: part.coord_of(rank),
-            linear,
-            // Hardware-faithful: plain adaptive routing within the plane
-            // (the paper's TPS changes schedules, not the router).
-            planar_longest_first: false,
-            schedule,
-            shapes,
-            alpha_sim_cycles: params.alpha_direct_cycles / params.cpu_cycles_per_sim_cycle(),
-            gamma_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
-                / params.secs_per_sim_cycle(),
-            idx: 0,
-            pkt_i: 0,
-            done_sending,
+            linear: cfg.linear.unwrap_or_else(|| choose_linear_dim(part)),
+            walk: SendWalk::direct(rank, part, workload, 1, params.alpha_direct_cycles, params),
+            gamma_cycles_per_chunk: params.gamma_sim_cycles_per_chunk(),
         }
     }
 
-    /// The linear dimension in use.
-    pub fn linear_dim(&self) -> Dim {
-        self.linear
-    }
-
-    /// Round-major iteration: packet `r` of every destination's message is
-    /// sent (in randomized destination order) before packet `r+1` of any —
-    /// the same interleaving the AR schedule uses. Sending a whole message
-    /// back-to-back would stream one path for hundreds of cycles and leave
-    /// the opposite-direction links idle at the source.
-    fn advance(&mut self) {
-        self.idx += 1;
-        if self.idx >= self.schedule.len() {
-            self.idx = 0;
-            self.pkt_i += 1;
-            if self.pkt_i >= self.shapes.len() {
-                self.done_sending = true;
-            }
-        }
-    }
-
-    fn intermediate_for(&self, dst: Coord) -> Coord {
-        self.coord.with(self.linear, dst.get(self.linear))
+    /// A phase-2 (planar) send of `chunks`/`payload` to final destination
+    /// `dst`, on behalf of source `src`.
+    fn planar(dst: u32, src: u32, chunks: u8, payload: u32) -> SendSpec {
+        SendSpec::adaptive(dst, chunks, payload)
+            .with_class(CLASS_PLANAR)
+            .with_meta(PacketMeta {
+                kind: KIND_PHASE2,
+                a: dst,
+                b: src,
+            })
     }
 }
 
@@ -173,35 +138,14 @@ impl NodeProgram for TpsProgram {
     }
 
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
-        if self.done_sending {
-            return None;
-        }
-        let part = *api.partition();
-        let dst_rank = self.schedule[self.idx];
-        let dst = part.coord_of(dst_rank);
-        let inter = self.intermediate_for(dst);
-        let shape = self.shapes[self.pkt_i];
-        let alpha = if self.pkt_i == 0 {
-            self.alpha_sim_cycles
-        } else {
-            0.0
-        };
+        let step = self.walk.peek()?;
+        let part = api.partition();
+        let dst = part.coord_of(step.target);
+        let inter = self.coord.with(self.linear, dst.get(self.linear));
         let spec = if inter == self.coord {
             // Destination lies in this node's own plane: a direct planar send.
-            SendSpec {
-                dst_rank,
-                chunks: shape.chunks,
-                payload_bytes: shape.payload,
-                routing: RoutingMode::Adaptive,
-                class: CLASS_PLANAR,
-                meta: PacketMeta {
-                    kind: KIND_PHASE2,
-                    a: dst_rank,
-                    b: self.rank,
-                },
-                longest_first: self.planar_longest_first,
-                cpu_cost_cycles: alpha,
-            }
+            let s = step.shape;
+            Self::planar(step.target, self.rank, s.chunks, s.payload).with_cpu_cost(step.alpha)
         } else {
             // Phase 1: travel the linear dimension to the intermediate.
             // Under credit-window pacing, reserve a credit toward the
@@ -211,22 +155,15 @@ impl NodeProgram for TpsProgram {
             if !api.try_acquire_credit(inter_rank) {
                 return None;
             }
-            SendSpec {
-                dst_rank: inter_rank,
-                chunks: shape.chunks,
-                payload_bytes: shape.payload,
-                routing: RoutingMode::Adaptive,
-                class: CLASS_LINEAR,
-                meta: PacketMeta {
+            step.send(inter_rank, RoutingMode::Adaptive)
+                .with_class(CLASS_LINEAR)
+                .with_meta(PacketMeta {
                     kind: KIND_PHASE1,
-                    a: dst_rank,
+                    a: step.target,
                     b: self.rank,
-                },
-                longest_first: false,
-                cpu_cost_cycles: alpha,
-            }
+                })
         };
-        self.advance();
+        self.walk.advance();
         Some(spec)
     }
 
@@ -235,55 +172,42 @@ impl NodeProgram for TpsProgram {
             KIND_PHASE1 => {
                 // Credit accounting happens for every linear-phase packet,
                 // whether or not it needs forwarding.
-                if let Some(n) = api.credit_receipt(pkt.meta.b) {
-                    api.send(SendSpec {
-                        dst_rank: pkt.meta.b,
-                        chunks: 1,
-                        payload_bytes: 0,
-                        routing: RoutingMode::Adaptive,
-                        class: CLASS_LINEAR,
-                        meta: PacketMeta {
-                            kind: KIND_CREDIT,
-                            a: self.rank,
-                            b: n,
-                        },
-                        longest_first: false,
-                        cpu_cost_cycles: 0.0,
-                    });
-                }
+                flow::acknowledge(api, pkt);
                 if pkt.meta.a != self.rank {
                     // Software-forward across the plane (phase 2); the copy
                     // cost γ is charged with the injection.
-                    api.send(SendSpec {
-                        dst_rank: pkt.meta.a,
-                        chunks: pkt.chunks,
-                        payload_bytes: pkt.payload_bytes,
-                        routing: RoutingMode::Adaptive,
-                        class: CLASS_PLANAR,
-                        meta: PacketMeta {
-                            kind: KIND_PHASE2,
-                            a: pkt.meta.a,
-                            b: pkt.meta.b,
-                        },
-                        longest_first: self.planar_longest_first,
-                        cpu_cost_cycles: self.gamma_cycles_per_chunk * pkt.chunks as f64,
-                    });
+                    let copy = self.gamma_cycles_per_chunk * pkt.chunks as f64;
+                    let fwd = Self::planar(pkt.meta.a, pkt.meta.b, pkt.chunks, pkt.payload_bytes);
+                    api.send(fwd.with_cpu_cost(copy));
                 }
             }
             KIND_PHASE2 => {} // final delivery
-            KIND_CREDIT => api.apply_credit(pkt.meta.a, pkt.meta.b),
+            KIND_CREDIT => flow::apply_ack(api, pkt),
             other => panic!("TPS received unknown packet kind {other}"),
         }
     }
 
     fn is_complete(&self) -> bool {
-        self.done_sending
+        self.walk.is_done()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A 4-chunk phase-1 packet from rank 0, delivered to its intermediate
+    /// rank 1, whose final destination is `final_dst`.
+    fn phase1_packet(part: &Partition, final_dst: u32) -> Packet {
+        let mut pkt = Packet::new(part, 0, 1);
+        (pkt.chunks, pkt.payload_bytes, pkt.class) = (4, 64, CLASS_LINEAR);
+        pkt.meta = PacketMeta {
+            kind: KIND_PHASE1,
+            a: final_dst,
+            b: 0,
+        };
+        pkt
+    }
 
     #[test]
     fn linear_dim_matches_table_3() {
@@ -365,31 +289,7 @@ mod tests {
         let mut prog = TpsProgram::new(1, &part, &w, &cfg, &MachineParams::bgl());
         let mut q = std::collections::VecDeque::new();
         let mut api = NodeApi::new(1, part.coord_of(1), 10, &part, &mut q);
-        let pkt = Packet {
-            id: 0,
-            src_rank: 0,
-            dst: part.coord_of(1),
-            chunks: 4,
-            payload_bytes: 64,
-            plan: bgl_torus::HopPlan::new(
-                &part,
-                part.coord_of(0),
-                part.coord_of(1),
-                bgl_torus::TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: bgl_sim::Vc::Dynamic0,
-            class: CLASS_LINEAR,
-            meta: PacketMeta {
-                kind: KIND_PHASE1,
-                a: 5,
-                b: 0,
-            },
-            longest_first: false,
-            injected_at: 0,
-            detour: bgl_sim::NO_DETOUR,
-        };
-        prog.on_packet(&mut api, &pkt);
+        prog.on_packet(&mut api, &phase1_packet(&part, 5));
         assert_eq!(q.len(), 1);
         let fwd = &q[0];
         assert_eq!(fwd.dst_rank, 5);
@@ -411,32 +311,7 @@ mod tests {
         let mut prog = TpsProgram::new(1, &part, &w, &cfg, &MachineParams::bgl());
         let mut q = std::collections::VecDeque::new();
         let mut api = NodeApi::new(1, part.coord_of(1), 10, &part, &mut q);
-        let pkt_meta = PacketMeta {
-            kind: KIND_PHASE1,
-            a: 1,
-            b: 0,
-        };
-        let pkt = Packet {
-            id: 0,
-            src_rank: 0,
-            dst: part.coord_of(1),
-            chunks: 4,
-            payload_bytes: 64,
-            plan: bgl_torus::HopPlan::new(
-                &part,
-                part.coord_of(0),
-                part.coord_of(1),
-                bgl_torus::TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: bgl_sim::Vc::Dynamic0,
-            class: CLASS_LINEAR,
-            meta: pkt_meta,
-            longest_first: false,
-            injected_at: 0,
-            detour: bgl_sim::NO_DETOUR,
-        };
-        prog.on_packet(&mut api, &pkt);
+        prog.on_packet(&mut api, &phase1_packet(&part, 1));
         assert!(q.is_empty());
     }
 
@@ -466,30 +341,12 @@ mod tests {
         assert!(!prog.is_complete(), "window must close before completion");
         // A credit from the blocking intermediate reopens the window. The
         // blocked head is the current schedule entry.
-        let blocked_dst = prog.schedule[prog.idx];
-        let credit = Packet {
-            id: 1,
-            src_rank: blocked_dst,
-            dst: part.coord_of(0),
-            chunks: 1,
-            payload_bytes: 0,
-            plan: bgl_torus::HopPlan::new(
-                &part,
-                part.coord_of(blocked_dst),
-                part.coord_of(0),
-                bgl_torus::TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: bgl_sim::Vc::Dynamic0,
-            class: CLASS_LINEAR,
-            meta: PacketMeta {
-                kind: KIND_CREDIT,
-                a: blocked_dst,
-                b: 1,
-            },
-            longest_first: false,
-            injected_at: 0,
-            detour: bgl_sim::NO_DETOUR,
+        let blocked_dst = prog.walk.peek().expect("blocked, not done").target;
+        let mut credit = Packet::new(&part, blocked_dst, 0);
+        credit.meta = PacketMeta {
+            kind: KIND_CREDIT,
+            a: blocked_dst,
+            b: 1,
         };
         prog.on_packet(&mut api, &credit);
         assert!(

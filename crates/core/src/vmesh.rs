@@ -12,7 +12,9 @@
 //! the price of every byte crossing the network twice plus one memory copy
 //! (γ) — Equation 4.
 
-use crate::workload::{packetize, AaWorkload, PacketShape};
+use crate::flow::{self, KIND_CREDIT};
+use crate::walk::SendWalk;
+use crate::workload::{packetize, AaWorkload};
 use bgl_model::MachineParams;
 use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
 use bgl_torus::{Partition, VirtualMesh, VmeshLayout};
@@ -21,8 +23,6 @@ use bgl_torus::{Partition, VirtualMesh, VmeshLayout};
 const KIND_ROW: u8 = 1;
 /// Phase-2 (column) packet kind.
 const KIND_COL: u8 = 2;
-/// Credit-acknowledgement packet kind (credit-window pacing only).
-const KIND_CREDIT: u8 = 3;
 
 /// VMesh tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,23 +44,17 @@ impl Default for VmeshConfig {
     }
 }
 
-/// Per-node virtual-mesh combining program.
+/// Per-node virtual-mesh combining program: two message-major walks, one
+/// combined message to every other row member (phase 1), then — after a
+/// barrier on the row messages it is owed — one to every other column
+/// member (phase 2).
 pub struct VmeshProgram {
     rank: u32,
-    alpha_sim_cycles: f64,
     gamma_cycles_per_chunk: f64,
-    /// Row-message packet shapes (every row message is the same size).
-    p1_shapes: Vec<PacketShape>,
-    /// Column-message packet shapes.
-    p2_shapes: Vec<PacketShape>,
-    /// Ranks of the other row members, visited in rotated order.
-    p1_targets: Vec<u32>,
-    /// Ranks of the other column members.
-    p2_targets: Vec<u32>,
-    p1_idx: usize,
-    p1_pkt: usize,
-    p2_idx: usize,
-    p2_pkt: usize,
+    /// Row messages, other row members in rotated order.
+    p1: SendWalk,
+    /// Column messages, other column members in rotated order.
+    p2: SendWalk,
     /// Phase-1 packets still expected from row neighbours.
     expect_p1_packets: u64,
     got_p1_packets: u64,
@@ -82,10 +76,8 @@ impl VmeshProgram {
         let pos = vm.pos_in_row(coord);
         let m = workload.m_bytes;
         let proto = params.proto_header_bytes;
-        let p1_bytes = vm.pvy() as u64 * m;
-        let p2_bytes = vm.pvx() as u64 * m;
-        let p1_shapes = packetize(p1_bytes, proto, cfg.min_packet_bytes, params);
-        let p2_shapes = packetize(p2_bytes, proto, cfg.min_packet_bytes, params);
+        let p1_shapes = packetize(vm.pvy() as u64 * m, proto, cfg.min_packet_bytes, params);
+        let p2_shapes = packetize(vm.pvx() as u64 * m, proto, cfg.min_packet_bytes, params);
         // Rotated visiting order spreads instantaneous load across the row
         // (every node starts on a different neighbour).
         let p1_targets: Vec<u32> = (1..vm.pvx())
@@ -94,36 +86,20 @@ impl VmeshProgram {
         let p2_targets: Vec<u32> = (1..vm.pvy())
             .map(|i| vm.rank_at((row + i) % vm.pvy(), pos))
             .collect();
-        let expect_p1_packets = p1_targets.len() as u64 * p1_shapes.len() as u64;
+        let alpha = params.cpu_to_sim_cycles(params.alpha_message_cycles);
         VmeshProgram {
             rank,
-            alpha_sim_cycles: params.alpha_message_cycles / params.cpu_cycles_per_sim_cycle(),
-            gamma_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
-                / params.secs_per_sim_cycle(),
-            p1_shapes,
-            p2_shapes,
-            p1_targets,
-            p2_targets,
-            p1_idx: 0,
-            p1_pkt: 0,
-            p2_idx: 0,
-            p2_pkt: 0,
-            expect_p1_packets,
+            gamma_cycles_per_chunk: params.gamma_sim_cycles_per_chunk(),
+            expect_p1_packets: p1_targets.len() as u64 * p1_shapes.len() as u64,
+            p1: SendWalk::new(p1_targets, p1_shapes, u32::MAX, alpha),
+            p2: SendWalk::new(p2_targets, p2_shapes, u32::MAX, alpha),
             got_p1_packets: 0,
             phase2_started: false,
         }
     }
 
-    fn p1_done(&self) -> bool {
-        self.p1_idx >= self.p1_targets.len()
-    }
-
-    fn p2_done(&self) -> bool {
-        self.p2_idx >= self.p2_targets.len()
-    }
-
     fn ready_for_phase2(&self) -> bool {
-        self.p1_done() && self.got_p1_packets >= self.expect_p1_packets
+        self.p1.is_done() && self.got_p1_packets >= self.expect_p1_packets
     }
 }
 
@@ -136,41 +112,23 @@ impl NodeProgram for VmeshProgram {
     }
 
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
-        if !self.p1_done() {
-            let dst = self.p1_targets[self.p1_idx];
+        let meta = |kind| PacketMeta {
+            kind,
+            a: self.rank,
+            b: 0,
+        };
+        if let Some(step) = self.p1.peek() {
             // Under credit-window pacing, row receivers are the bounded
             // intermediates: every row member bursts Pvy·m bytes at every
             // other member at t=0, which is exactly the reception-memory
             // blow-up that stalls full-coverage runs on large asymmetric
             // tori. Reserve a credit or retry once acks return.
-            if !api.try_acquire_credit(dst) {
+            if !api.try_acquire_credit(step.target) {
                 return None;
             }
-            let shape = self.p1_shapes[self.p1_pkt];
-            let alpha = if self.p1_pkt == 0 {
-                self.alpha_sim_cycles
-            } else {
-                0.0
-            };
-            self.p1_pkt += 1;
-            if self.p1_pkt >= self.p1_shapes.len() {
-                self.p1_pkt = 0;
-                self.p1_idx += 1;
-            }
-            return Some(SendSpec {
-                dst_rank: dst,
-                chunks: shape.chunks,
-                payload_bytes: shape.payload,
-                routing: RoutingMode::Adaptive,
-                class: 0,
-                meta: PacketMeta {
-                    kind: KIND_ROW,
-                    a: self.rank,
-                    b: 0,
-                },
-                longest_first: false,
-                cpu_cost_cycles: alpha,
-            });
+            let row = step.send(step.target, RoutingMode::Adaptive);
+            self.p1.advance();
+            return Some(row.with_meta(meta(KIND_ROW)));
         }
         if !self.phase2_started {
             if !self.ready_for_phase2() {
@@ -178,38 +136,16 @@ impl NodeProgram for VmeshProgram {
             }
             self.phase2_started = true;
         }
-        if self.p2_done() {
-            return None;
-        }
-        let dst = self.p2_targets[self.p2_idx];
-        let shape = self.p2_shapes[self.p2_pkt];
+        let step = self.p2.peek()?;
         // α per column message on its first packet, plus the γ sort/copy
         // cost spread across the message's packets.
-        let alpha = if self.p2_pkt == 0 {
-            self.alpha_sim_cycles
-        } else {
-            0.0
-        };
-        let copy = self.gamma_cycles_per_chunk * shape.chunks as f64;
-        self.p2_pkt += 1;
-        if self.p2_pkt >= self.p2_shapes.len() {
-            self.p2_pkt = 0;
-            self.p2_idx += 1;
-        }
-        Some(SendSpec {
-            dst_rank: dst,
-            chunks: shape.chunks,
-            payload_bytes: shape.payload,
-            routing: RoutingMode::Adaptive,
-            class: 0,
-            meta: PacketMeta {
-                kind: KIND_COL,
-                a: self.rank,
-                b: 0,
-            },
-            longest_first: false,
-            cpu_cost_cycles: alpha + copy,
-        })
+        let copy = self.gamma_cycles_per_chunk * step.shape.chunks as f64;
+        let col = step.send(step.target, RoutingMode::Adaptive);
+        self.p2.advance();
+        Some(
+            col.with_meta(meta(KIND_COL))
+                .with_cpu_cost(step.alpha + copy),
+        )
     }
 
     fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: &Packet) {
@@ -218,32 +154,17 @@ impl NodeProgram for VmeshProgram {
                 // Credit packets never count toward `expect_p1_packets`:
                 // only real row data advances the phase-2 barrier.
                 self.got_p1_packets += 1;
-                if let Some(n) = api.credit_receipt(pkt.meta.a) {
-                    api.send(SendSpec {
-                        dst_rank: pkt.meta.a,
-                        chunks: 1,
-                        payload_bytes: 0,
-                        routing: RoutingMode::Adaptive,
-                        class: 0,
-                        meta: PacketMeta {
-                            kind: KIND_CREDIT,
-                            a: self.rank,
-                            b: n,
-                        },
-                        longest_first: false,
-                        cpu_cost_cycles: 0.0,
-                    });
-                }
+                flow::acknowledge(api, pkt);
             }
             KIND_COL => {} // final delivery
-            KIND_CREDIT => api.apply_credit(pkt.meta.a, pkt.meta.b),
+            KIND_CREDIT => flow::apply_ack(api, pkt),
             other => panic!("VMesh received unknown packet kind {other}"),
         }
     }
 
     fn is_complete(&self) -> bool {
-        self.p1_done() && self.phase2_started && self.p2_done()
-            || (self.p1_targets.is_empty() && self.p2_targets.is_empty())
+        self.p1.is_done() && self.phase2_started && self.p2.is_done()
+            || (self.p1.targets().is_empty() && self.p2.targets().is_empty())
     }
 }
 
@@ -263,30 +184,14 @@ mod tests {
     }
 
     fn fake_row_packet(part: &Partition, from: u32, to: u32) -> Packet {
-        Packet {
-            id: 0,
-            src_rank: from,
-            dst: part.coord_of(to),
-            chunks: 1,
-            payload_bytes: 8,
-            plan: bgl_torus::HopPlan::new(
-                part,
-                part.coord_of(from),
-                part.coord_of(to),
-                bgl_torus::TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: bgl_sim::Vc::Dynamic0,
-            class: 0,
-            meta: PacketMeta {
-                kind: KIND_ROW,
-                a: from,
-                b: 0,
-            },
-            longest_first: false,
-            injected_at: 0,
-            detour: bgl_sim::NO_DETOUR,
-        }
+        let mut pkt = Packet::new(part, from, to);
+        (pkt.chunks, pkt.payload_bytes) = (1, 8);
+        pkt.meta = PacketMeta {
+            kind: KIND_ROW,
+            a: from,
+            b: 0,
+        };
+        pkt
     }
 
     #[test]
@@ -294,7 +199,7 @@ mod tests {
         let part: Partition = "4x4".parse().unwrap();
         let w = AaWorkload::full(8);
         let mut prog = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
-        let pvx = prog.p1_targets.len() + 1;
+        let pvx = prog.p1.targets().len() + 1;
         let mut dests = std::collections::HashSet::new();
         for _ in 0..pvx - 1 {
             let s = pull(&mut prog, &part, 0).expect("phase-1 send");
@@ -313,8 +218,8 @@ mod tests {
         let w = AaWorkload::full(8);
         let mut prog = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
         while pull(&mut prog, &part, 0).is_some() {}
-        let sources: Vec<u32> = prog.p1_targets.clone();
-        let per_msg = prog.p1_shapes.len();
+        let sources: Vec<u32> = prog.p1.targets().to_vec();
+        let per_msg = prog.p1.shapes().len();
         let mut q = VecDeque::new();
         for (i, &src) in sources.iter().enumerate() {
             // Still blocked with one message missing.
@@ -338,12 +243,12 @@ mod tests {
         let part: Partition = "8x8x8".parse().unwrap();
         let w = AaWorkload::full(8);
         let prog = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
-        let p1_payload: u64 = prog.p1_shapes.iter().map(|s| s.payload as u64).sum();
-        let p2_payload: u64 = prog.p2_shapes.iter().map(|s| s.payload as u64).sum();
+        let p1_payload: u64 = prog.p1.shapes().iter().map(|s| s.payload as u64).sum();
+        let p2_payload: u64 = prog.p2.shapes().iter().map(|s| s.payload as u64).sum();
         assert_eq!(p1_payload, 16 * 8); // Pvy = 16 on the 32×16 mesh
         assert_eq!(p2_payload, 32 * 8); // Pvx = 32
-        assert_eq!(prog.p1_targets.len(), 31);
-        assert_eq!(prog.p2_targets.len(), 15);
+        assert_eq!(prog.p1.targets().len(), 31);
+        assert_eq!(prog.p2.targets().len(), 15);
     }
 
     #[test]
@@ -356,8 +261,8 @@ mod tests {
         assert!(pull(&mut prog, &part, 0).is_some());
         assert!(!prog.is_complete());
         // Receive the row message.
-        let src = prog.p1_targets[0];
-        let n = prog.p1_shapes.len();
+        let src = prog.p1.targets()[0];
+        let n = prog.p1.shapes().len();
         let mut q = VecDeque::new();
         let mut api = NodeApi::new(0, part.coord_of(0), 1, &part, &mut q);
         for _ in 0..n {
@@ -374,6 +279,6 @@ mod tests {
         let w = AaWorkload::full(8);
         let a = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
         let b = VmeshProgram::new(1, &part, &w, &VmeshConfig::default(), &params());
-        assert_ne!(a.p1_targets.first(), b.p1_targets.first());
+        assert_ne!(a.p1.targets().first(), b.p1.targets().first());
     }
 }

@@ -111,6 +111,18 @@ pub fn packetize(m: u64, header: u32, min_packet: u32, params: &MachineParams) -
     out
 }
 
+/// How the direct runtime (MPI, AR, DR, TPS, XYZ, patterns) frames an
+/// `m`-byte message: the software header `h` rides in the first packet and
+/// no packet is shorter than the AA runtime's 64-byte floor.
+pub fn direct_shapes(m: u64, params: &MachineParams) -> Vec<PacketShape> {
+    packetize(
+        m,
+        params.software_header_bytes,
+        params.min_packet_bytes,
+        params,
+    )
+}
+
 /// Total wire chunks of a packetized message.
 pub fn total_chunks(shapes: &[PacketShape]) -> u64 {
     shapes.iter().map(|s| s.chunks as u64).sum()

@@ -11,7 +11,9 @@
 //! copy and re-injection CPU costs at **two** intermediates instead of
 //! TPS's one.
 
-use crate::workload::{destination_schedule, packetize, AaWorkload, PacketShape};
+use crate::flow::{self, KIND_CREDIT};
+use crate::walk::SendWalk;
+use crate::workload::AaWorkload;
 use bgl_model::MachineParams;
 use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
 use bgl_torus::{Coord, Partition};
@@ -27,9 +29,6 @@ pub const CLASS_Z: u8 = 2;
 /// Packet kind: the dimension the packet is currently travelling,
 /// encoded as `dim.index() + 1` (1..=MAX_DIMS).
 const KIND_X: u8 = 1;
-/// Credit-acknowledgement packet kind (credit-window pacing only). Sits
-/// above every per-dimension kind, which top out at `MAX_DIMS`.
-const KIND_CREDIT: u8 = bgl_torus::MAX_DIMS as u8 + 1;
 /// Kind-byte flag marking a source-leg packet that reserved a credit
 /// toward its first-hop intermediate; the intermediate acknowledges and
 /// forwards with the flag cleared (later legs hold no reservation).
@@ -43,17 +42,13 @@ pub fn xyz_inj_class_masks(fifo_count: u32, ndims: usize) -> Vec<u8> {
         .collect()
 }
 
-/// Per-node program for the XYZ scheme.
+/// Per-node program for the XYZ scheme: the next hop of a packet corrects
+/// the lowest dimension in which it is still off its destination.
 pub struct XyzProgram {
     rank: u32,
     coord: Coord,
-    schedule: Vec<u32>,
-    shapes: Vec<PacketShape>,
-    alpha_sim_cycles: f64,
+    walk: SendWalk,
     gamma_cycles_per_chunk: f64,
-    idx: usize,
-    pkt_i: usize,
-    done_sending: bool,
 }
 
 impl XyzProgram {
@@ -64,27 +59,11 @@ impl XyzProgram {
         workload: &AaWorkload,
         params: &MachineParams,
     ) -> XyzProgram {
-        let p = part.num_nodes();
-        let dests = workload.dests_per_node(p);
-        let schedule = destination_schedule(rank, p, dests, workload.seed);
-        let shapes = packetize(
-            workload.m_bytes,
-            params.software_header_bytes,
-            params.min_packet_bytes,
-            params,
-        );
-        let done_sending = schedule.is_empty();
         XyzProgram {
             rank,
             coord: part.coord_of(rank),
-            schedule,
-            shapes,
-            alpha_sim_cycles: params.alpha_direct_cycles / params.cpu_cycles_per_sim_cycle(),
-            gamma_cycles_per_chunk: params.gamma_ns_per_byte * params.chunk_bytes as f64 * 1e-9
-                / params.secs_per_sim_cycle(),
-            idx: 0,
-            pkt_i: 0,
-            done_sending,
+            walk: SendWalk::direct(rank, part, workload, 1, params.alpha_direct_cycles, params),
+            gamma_cycles_per_chunk: params.gamma_sim_cycles_per_chunk(),
         }
     }
 
@@ -103,17 +82,6 @@ impl XyzProgram {
         }
         None
     }
-
-    fn advance(&mut self) {
-        self.idx += 1;
-        if self.idx >= self.schedule.len() {
-            self.idx = 0;
-            self.pkt_i += 1;
-            if self.pkt_i >= self.shapes.len() {
-                self.done_sending = true;
-            }
-        }
-    }
 }
 
 impl NodeProgram for XyzProgram {
@@ -125,26 +93,17 @@ impl NodeProgram for XyzProgram {
     }
 
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
-        if self.done_sending {
-            return None;
-        }
-        let part = *api.partition();
-        let dst_rank = self.schedule[self.idx];
-        let dst = part.coord_of(dst_rank);
-        let shape = self.shapes[self.pkt_i];
-        let alpha = if self.pkt_i == 0 {
-            self.alpha_sim_cycles
-        } else {
-            0.0
-        };
+        let step = self.walk.peek()?;
+        let part = api.partition();
+        let dst = part.coord_of(step.target);
         let (hop, class, kind) =
-            Self::next_leg(&part, self.coord, dst).expect("schedule never includes self");
+            Self::next_leg(part, self.coord, dst).expect("schedule never includes self");
         let hop_rank = part.rank_of(hop);
         // Under credit-window pacing, reserve a credit toward the first-hop
         // intermediate (not a final destination — those hold no forwarding
         // memory) and mark the packet FRESH so the intermediate knows an
         // acknowledgement is owed.
-        let kind = if hop_rank != dst_rank {
+        let kind = if hop_rank != step.target {
             if !api.try_acquire_credit(hop_rank) {
                 return None;
             }
@@ -152,74 +111,41 @@ impl NodeProgram for XyzProgram {
         } else {
             kind
         };
-        self.advance();
-        Some(SendSpec {
-            dst_rank: hop_rank,
-            chunks: shape.chunks,
-            payload_bytes: shape.payload,
-            routing: RoutingMode::Adaptive,
-            class,
-            meta: PacketMeta {
-                kind,
-                a: dst_rank,
-                b: self.rank,
-            },
-            longest_first: false,
-            cpu_cost_cycles: alpha,
-        })
+        self.walk.advance();
+        let meta = PacketMeta {
+            kind,
+            a: step.target,
+            b: self.rank,
+        };
+        let leg = step.send(hop_rank, RoutingMode::Adaptive);
+        Some(leg.with_class(class).with_meta(meta))
     }
 
     fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: &Packet) {
         if pkt.meta.kind == KIND_CREDIT {
-            api.apply_credit(pkt.meta.a, pkt.meta.b);
-            return;
+            return flow::apply_ack(api, pkt);
         }
-        debug_assert!((KIND_X..KIND_CREDIT).contains(&(pkt.meta.kind & !FRESH)));
+        debug_assert!((KIND_X..=bgl_torus::MAX_DIMS as u8).contains(&(pkt.meta.kind & !FRESH)));
         if pkt.meta.kind & FRESH != 0 {
             // We are the source's first-hop intermediate: acknowledge its
             // reservation once the quantum fills.
-            if let Some(n) = api.credit_receipt(pkt.meta.b) {
-                api.send(SendSpec {
-                    dst_rank: pkt.meta.b,
-                    chunks: 1,
-                    payload_bytes: 0,
-                    routing: RoutingMode::Adaptive,
-                    class: pkt.class,
-                    meta: PacketMeta {
-                        kind: KIND_CREDIT,
-                        a: self.rank,
-                        b: n,
-                    },
-                    longest_first: false,
-                    cpu_cost_cycles: 0.0,
-                });
-            }
+            flow::acknowledge(api, pkt);
         }
         if pkt.meta.a == self.rank {
             return; // final delivery
         }
-        let part = *api.partition();
+        let part = api.partition();
         let dst = part.coord_of(pkt.meta.a);
         let (hop, class, kind) =
-            Self::next_leg(&part, self.coord, dst).expect("not final, so a leg remains");
-        api.send(SendSpec {
-            dst_rank: part.rank_of(hop),
-            chunks: pkt.chunks,
-            payload_bytes: pkt.payload_bytes,
-            routing: RoutingMode::Adaptive,
-            class,
-            meta: PacketMeta {
-                kind,
-                a: pkt.meta.a,
-                b: pkt.meta.b,
-            },
-            longest_first: false,
-            cpu_cost_cycles: self.gamma_cycles_per_chunk * pkt.chunks as f64,
-        });
+            Self::next_leg(part, self.coord, dst).expect("not final, so a leg remains");
+        let meta = PacketMeta { kind, ..pkt.meta };
+        let copy = self.gamma_cycles_per_chunk * pkt.chunks as f64;
+        let leg = SendSpec::adaptive(part.rank_of(hop), pkt.chunks, pkt.payload_bytes);
+        api.send(leg.with_class(class).with_meta(meta).with_cpu_cost(copy));
     }
 
     fn is_complete(&self) -> bool {
-        self.done_sending
+        self.walk.is_done()
     }
 }
 
@@ -282,29 +208,12 @@ mod tests {
         let mut prog = XyzProgram::new(me, &part, &w, &params());
         let mut q = VecDeque::new();
         let mut api = NodeApi::new(me, part.coord_of(me), 5, &part, &mut q);
-        let pkt = Packet {
-            id: 0,
-            src_rank: 0,
-            dst: part.coord_of(me),
-            chunks: 4,
-            payload_bytes: 64,
-            plan: bgl_torus::HopPlan::new(
-                &part,
-                part.coord_of(0),
-                part.coord_of(me),
-                bgl_torus::TieBreak::SrcParity,
-            ),
-            routing: RoutingMode::Adaptive,
-            vc: bgl_sim::Vc::Dynamic0,
-            class: CLASS_X,
-            meta: PacketMeta {
-                kind: 1,
-                a: final_dst,
-                b: 0,
-            },
-            longest_first: false,
-            injected_at: 0,
-            detour: bgl_sim::NO_DETOUR,
+        let mut pkt = Packet::new(&part, 0, me);
+        (pkt.chunks, pkt.payload_bytes, pkt.class) = (4, 64, CLASS_X);
+        pkt.meta = PacketMeta {
+            kind: KIND_X,
+            a: final_dst,
+            b: 0,
         };
         prog.on_packet(&mut api, &pkt);
         assert_eq!(q.len(), 1);

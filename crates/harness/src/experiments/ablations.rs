@@ -71,7 +71,7 @@ fn rows(runner: &Runner) -> Rows {
     });
     let pinned_bias = |label, bias| {
         pinned.case(label, &ar, move |c| {
-            c.router.longest_first_bias = Some(bias);
+            c.router.longest_first_bias = bias;
             c.router.vc_fifo_chunks = 32; // BG/L's literal 1 KB VC FIFOs
         })
     };
@@ -92,7 +92,7 @@ fn rows(runner: &Runner) -> Rows {
         sweep.case("vc-fifo-16-chunks", &ar, |c| c.router.vc_fifo_chunks = 16),
         sweep.case("vc-fifo-256-chunks", &ar, |c| c.router.vc_fifo_chunks = 256),
         sweep.case("longest-first-shaping", &ar, |c| {
-            c.router.longest_first_bias = Some(true)
+            c.router.longest_first_bias = true
         }),
         sweep.case("injection-priority", &ar, |c| {
             c.router.transit_priority = false

@@ -129,6 +129,18 @@ impl MachineParams {
         self.secs_per_sim_cycle() / self.secs_per_cpu_cycle()
     }
 
+    /// `cpu_cycles` of software time (a startup α) in simulator cycles.
+    #[inline]
+    pub fn cpu_to_sim_cycles(&self, cpu_cycles: f64) -> f64 {
+        cpu_cycles / self.cpu_cycles_per_sim_cycle()
+    }
+
+    /// The memory-copy cost γ of one chunk, in simulator cycles.
+    #[inline]
+    pub fn gamma_sim_cycles_per_chunk(&self) -> f64 {
+        self.gamma_ns_per_byte * self.chunk_bytes as f64 * 1e-9 / self.secs_per_sim_cycle()
+    }
+
     /// Maximum payload bytes per packet (240 on BG/L).
     #[inline]
     pub fn max_packet_payload(&self) -> u32 {

@@ -34,12 +34,6 @@ impl<'a> PointToPoint<'a> {
     pub fn pair_time_secs(&self, part: &Partition, src: Coord, dst: Coord, m: u64) -> f64 {
         self.time_secs(m, 1.0, part.hops(src, dst))
     }
-
-    /// Idle-network half round-trip of a ping-pong benchmark, the quantity
-    /// the paper fits α and β from.
-    pub fn ping_pong_half_rtt_secs(&self, part: &Partition, src: Coord, dst: Coord, m: u64) -> f64 {
-        self.pair_time_secs(part, src, dst, m)
-    }
 }
 
 #[cfg(test)]

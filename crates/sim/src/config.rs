@@ -11,7 +11,6 @@ use crate::flow::FlowSpec;
 use crate::perf::{PerfConfig, ProgressConfig};
 use crate::trace::TraceConfig;
 use bgl_torus::Partition;
-use serde::{Deserialize, Serialize};
 
 /// Number of torus virtual channels the simulator models.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 pub const NUM_VCS: usize = 3;
 
 /// Virtual channel indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Vc {
     /// First dynamic (adaptively routed) VC.
@@ -132,35 +131,9 @@ impl std::str::FromStr for EngineMode {
     }
 }
 
-impl Serialize for EngineMode {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.name().to_string())
-    }
-}
-
-impl Deserialize for EngineMode {
-    fn from_value(v: &serde::Value) -> Result<EngineMode, serde::Error> {
-        match v {
-            serde::Value::Str(s) => s.parse().map_err(|e: String| serde::Error::custom(e)),
-            // Legacy alias: configs serialized before the `EngineMode`
-            // redesign carried `full_scan_engine: bool` in this slot.
-            serde::Value::Bool(true) => Ok(EngineMode::FullScan),
-            serde::Value::Bool(false) => Ok(EngineMode::ActiveSet),
-            other => Err(serde::Error::custom(format!(
-                "expected engine mode string, got {other:?}"
-            ))),
-        }
-    }
-
-    /// Configs predating the field deserialize to the default mode.
-    fn from_missing(_field: &str) -> Result<EngineMode, serde::Error> {
-        Ok(EngineMode::default())
-    }
-}
-
 /// Node CPU model: the cores inject packets into injection FIFOs, drain
 /// reception FIFOs and perform software copies; BG/L has no DMA engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuConfig {
     /// Sustained CPU data bandwidth, in chunks per cycle, shared between
     /// injection, reception and copies. The paper's "the processor can only
@@ -185,7 +158,7 @@ impl Default for CpuConfig {
 }
 
 /// Router microarchitecture knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouterConfig {
     /// Per-(input port, VC) FIFO capacity in chunks. The default of 64
     /// chunks (2 KB, eight full packets) calibrates the model against the
@@ -209,11 +182,12 @@ pub struct RouterConfig {
     /// Pipeline latency per hop, cycles, added after the last chunk of a
     /// packet crosses a link before it is visible downstream.
     pub hop_latency_cycles: u32,
-    /// Machine-wide override of the per-packet longest-first shaping
-    /// (`Packet::longest_first`): `None` honours each packet's flag,
-    /// `Some(true)` forces the shaping on, `Some(false)` disables it —
-    /// the ablation reproducing the full congestion collapse.
-    pub longest_first_bias: Option<bool>,
+    /// Longest-first shaping (an extension beyond the hardware, off by
+    /// default): adaptive packets move only along their longest remaining
+    /// dimension(s), keeping the dimension-ordered direction as the bubble
+    /// escape — hint-bit style software shaping against the tree
+    /// saturation of Section 3.2. Deterministic packets ignore it.
+    pub longest_first_bias: bool,
 }
 
 impl Default for RouterConfig {
@@ -224,13 +198,13 @@ impl Default for RouterConfig {
             bubble_slack_chunks: 8,
             adaptive_bubble_escape: true,
             hop_latency_cycles: 1,
-            longest_first_bias: None,
+            longest_first_bias: false,
         }
     }
 }
 
 /// Full simulator configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The partition to simulate.
     pub partition: Partition,
@@ -286,9 +260,8 @@ pub struct SimConfig {
     /// a correctness one: `NetStats` and traces are byte-identical for any
     /// shard count (pinned by the differential suite,
     /// `crates/sim/tests/common/mod.rs`).
-    /// Clamped to the node count; `1` (the default, and what configs
-    /// serialized before the knob existed deserialize to) disables
-    /// threading entirely. Runs with `check_invariants` keep the sharded
+    /// Clamped to the node count; `1` (the default) disables threading
+    /// entirely. Runs with `check_invariants` keep the sharded
     /// *structure* but execute the shards on one thread, because the
     /// oracle's ledger is inherently sequential.
     pub shards: std::num::NonZeroUsize,
@@ -318,8 +291,7 @@ pub struct SimConfig {
     pub progress: Option<ProgressConfig>,
     /// Fault injection plan (see [`crate::fault`]): directed links and
     /// whole nodes that are dead from the start or fail/recover at
-    /// scheduled cycles. The empty plan (the default, and what configs
-    /// serialized before fault injection deserialize to) is the healthy
+    /// scheduled cycles. The empty plan (the default) is the healthy
     /// machine and costs nothing. Fault semantics are identical in every
     /// engine mode and at every shard count.
     pub fault: FaultPlan,
@@ -379,108 +351,13 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_round_trips_and_accepts_legacy_bool() {
+    fn engine_mode_names_parse_back_and_the_skipping_clock_is_the_default() {
         for mode in EngineMode::ALL {
-            let v = mode.to_value();
-            assert_eq!(EngineMode::from_value(&v).unwrap(), mode);
             assert_eq!(mode.name().parse::<EngineMode>().unwrap(), mode);
         }
-        // Stored configs from before the redesign spelled the knob as a
-        // bool; both polarities keep deserializing.
-        assert_eq!(
-            EngineMode::from_value(&serde::Value::Bool(true)).unwrap(),
-            EngineMode::FullScan
-        );
-        assert_eq!(
-            EngineMode::from_value(&serde::Value::Bool(false)).unwrap(),
-            EngineMode::ActiveSet
-        );
         assert!("warp-drive".parse::<EngineMode>().is_err());
-    }
-
-    #[test]
-    fn the_skipping_clock_is_the_default() {
         let c = SimConfig::new("4x4".parse().unwrap());
         assert_eq!(c.engine, EngineMode::EventDriven);
-        // A config stored before the field existed takes the default too.
-        let serde::Value::Object(mut fields) = c.to_value() else {
-            panic!("config serializes as an object")
-        };
-        fields.retain(|(k, _)| k != "engine");
-        let stored = SimConfig::from_value(&serde::Value::Object(fields)).unwrap();
-        assert_eq!(stored.engine, EngineMode::EventDriven);
-    }
-
-    #[test]
-    fn shards_knob_round_trips_and_defaults_to_one() {
-        let mut c = SimConfig::new("4x4".parse().unwrap());
-        c.shards = std::num::NonZeroUsize::new(4).unwrap();
-        let v = c.to_value();
-        assert_eq!(SimConfig::from_value(&v).unwrap(), c);
-        // Configs serialized before the knob existed have no `shards`
-        // field: they must keep deserializing, with sharding off.
-        let serde::Value::Object(mut fields) = v else {
-            panic!("config serializes as an object")
-        };
-        fields.retain(|(k, _)| k != "shards");
-        let legacy = SimConfig::from_value(&serde::Value::Object(fields)).unwrap();
-        assert_eq!(legacy.shards.get(), 1);
-        // Zero shards is not a meaningful configuration; the wire format
-        // rejects it rather than silently clamping.
-        let mut zeroed = c.to_value();
-        if let serde::Value::Object(fields) = &mut zeroed {
-            for (k, v) in fields.iter_mut() {
-                if k == "shards" {
-                    *v = serde::Value::U64(0);
-                }
-            }
-        }
-        assert!(SimConfig::from_value(&zeroed).is_err());
-    }
-
-    #[test]
-    fn perf_knobs_round_trip_and_default_to_off() {
-        let mut c = SimConfig::new("4x4".parse().unwrap());
-        c.perf = Some(PerfConfig::default());
-        c.progress = Some(ProgressConfig { interval_secs: 2.5 });
-        let v = c.to_value();
-        assert_eq!(SimConfig::from_value(&v).unwrap(), c);
-        // Configs serialized before the profiling layer existed have
-        // neither field: they must keep deserializing, with both off.
-        let serde::Value::Object(mut fields) = v else {
-            panic!("config serializes as an object")
-        };
-        fields.retain(|(k, _)| k != "perf" && k != "progress");
-        let legacy = SimConfig::from_value(&serde::Value::Object(fields)).unwrap();
-        assert_eq!(legacy.perf, None);
-        assert_eq!(legacy.progress, None);
-    }
-
-    #[test]
-    fn fault_plan_round_trips_and_defaults_to_empty() {
-        use crate::fault::{LinkFault, NodeFault};
-        use bgl_torus::{Dim, Direction, Sign};
-        let mut c = SimConfig::new("4x4".parse().unwrap());
-        c.fault.links.push(LinkFault {
-            node: 2,
-            dir: Direction {
-                dim: Dim::X,
-                sign: Sign::Minus,
-            },
-            fail_at: 100,
-            recover_at: Some(400),
-        });
-        c.fault.nodes.push(NodeFault::dead(5));
-        let v = c.to_value();
-        assert_eq!(SimConfig::from_value(&v).unwrap(), c);
-        // Configs serialized before fault injection existed have no
-        // `fault` field: they must keep deserializing, healthy.
-        let serde::Value::Object(mut fields) = v else {
-            panic!("config serializes as an object")
-        };
-        fields.retain(|(k, _)| k != "fault");
-        let legacy = SimConfig::from_value(&serde::Value::Object(fields)).unwrap();
-        assert!(legacy.fault.is_empty());
     }
 
     #[test]

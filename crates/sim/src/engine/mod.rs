@@ -85,7 +85,7 @@ use crate::config::{EngineMode, SimConfig, Vc};
 use crate::node::{vc_fifo_index, NodeState};
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
 use crate::perf::ShardPerf;
-use crate::program::{NodeApi, NodeProgram};
+use crate::program::NodeProgram;
 use crate::stats::{NetStats, LATENCY_BUCKETS};
 use bgl_torus::{Direction, MAX_DIMS, MAX_PORTS};
 use oracle::Oracle;
@@ -438,7 +438,6 @@ pub struct Engine {
     next_packet_id: u64,
     stats: NetStats,
     last_progress: u64,
-    started: bool,
     /// Time-series sampler; `None` unless `SimConfig::trace` is set.
     tracer: Option<Box<Tracer>>,
     /// Conservation-law oracle; `None` unless
@@ -493,17 +492,23 @@ impl Engine {
         let mut shard_of = vec![0u16; p];
         let mut programs = programs.into_iter();
         let mut shards: Vec<ShardData> = Vec::with_capacity(nshards);
+        // Programs with nothing to do are complete before cycle 0.
+        let mut done_programs = 0;
         for s in 0..nshards {
             let (base, end) = (s * p / nshards, (s + 1) * p / nshards);
             shard_of[base..end].fill(s as u16);
             let links = (end - base) * ports;
+            let programs: Vec<Box<dyn NodeProgram>> = programs.by_ref().take(end - base).collect();
+            let nodes = (base..end).zip(&programs).map(|(r, prog)| {
+                let mut node = NodeState::new(part.coord_of(r as u32), &cfg, ports);
+                done_programs += usize::from(node.latch_done(prog.as_ref()));
+                node
+            });
             shards.push(ShardData {
                 si: s,
                 base,
-                nodes: (base..end)
-                    .map(|r| NodeState::new(part.coord_of(r as u32), &cfg, ports))
-                    .collect(),
-                programs: programs.by_ref().take(end - base).collect(),
+                nodes: nodes.collect(),
+                programs,
                 link_busy_until: vec![0; links],
                 link_stats: vec![0; if cfg.detailed_link_stats { links } else { 0 }],
                 ring: (0..RING).map(|_| Vec::new()).collect(),
@@ -598,11 +603,10 @@ impl Engine {
             parallel,
             live_packets: 0,
             pending_total: 0,
-            done_programs: 0,
+            done_programs,
             next_packet_id: 0,
             stats,
             last_progress: 0,
-            started: false,
             tracer,
             oracle,
             perf,
@@ -627,9 +631,6 @@ impl Engine {
     }
 
     fn run_inner(&mut self) -> Result<NetStats, SimError> {
-        if !self.started {
-            self.start_programs();
-        }
         while !self.is_complete() {
             if self.progress_due() {
                 self.progress_heartbeat();
@@ -700,10 +701,7 @@ impl Engine {
     /// Whether the simulation has fully drained and every program reports
     /// complete.
     fn is_complete(&self) -> bool {
-        self.started
-            && self.live_packets == 0
-            && self.pending_total == 0
-            && self.done_programs == self.num_nodes()
+        self.live_packets == 0 && self.pending_total == 0 && self.done_programs == self.num_nodes()
     }
 
     fn num_nodes(&self) -> usize {
@@ -720,31 +718,6 @@ impl Engine {
     fn locate(&self, g: usize) -> (&ShardData, usize) {
         let sd = &self.shards[self.shared.shard_of[g] as usize];
         (sd, g - sd.base)
-    }
-
-    fn start_programs(&mut self) {
-        self.started = true;
-        for sd in &mut self.shards {
-            for (i, (prog, node)) in sd.programs.iter_mut().zip(&mut sd.nodes).enumerate() {
-                let before = node.pending.len();
-                let rank = (sd.base + i) as u32;
-                let mut api =
-                    NodeApi::new(rank, node.coord, 0, &self.shared.part, &mut node.pending)
-                        .with_flow(&mut node.flow);
-                prog.start(&mut api);
-                let extra = api.take_extra_cpu();
-                self.stats.credit_blocked_events += api.take_credit_blocked();
-                let after = node.pending.len();
-                // Anchoring at `max(cpu_free, now)` is implicit here: `start`
-                // runs at cycle 0 with every `cpu_free` still 0.0.
-                node.cpu_free += extra;
-                self.pending_total += (after - before) as u64;
-                if prog.is_complete() {
-                    node.program_done = true;
-                    self.done_programs += 1;
-                }
-            }
-        }
     }
 
     /// Fold the per-node CPU-busy accumulators into
@@ -845,10 +818,7 @@ impl Engine {
             let sd = &mut self.shards[self.shared.shard_of[dst] as usize];
             let i = dst - sd.base;
             sd.programs[i].on_packet_dropped(&pkt);
-            if sd.programs[i].is_complete() && !sd.nodes[i].program_done {
-                sd.nodes[i].program_done = true;
-                self.done_programs += 1;
-            }
+            self.done_programs += usize::from(sd.nodes[i].latch_done(sd.programs[i].as_ref()));
             sd.cpu_active.mark(i);
         }
     }

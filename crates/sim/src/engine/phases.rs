@@ -30,7 +30,7 @@ use super::{Arrival, OutMsg, ShardData, Win, WinSource, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::flow::FlowSpec;
 use crate::node::{vc_fifo_index, NodeState, PollState};
-use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET, NO_DETOUR};
+use crate::packet::{Packet, RoutingMode, SendSpec, DETOUR_BUDGET};
 use crate::perf::ShardPerf;
 use crate::program::{NodeApi, NodeProgram, PollHint};
 use bgl_torus::{Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
@@ -118,15 +118,6 @@ impl Shared {
         self.healthy() || self.fault_alive[n * self.ports + d.index()]
     }
 
-    /// Whether this packet routes with the longest-first shaping (its own
-    /// flag unless the router config overrides it).
-    fn shaped(&self, pkt: &Packet) -> bool {
-        self.cfg
-            .router
-            .longest_first_bias
-            .unwrap_or(pkt.longest_first)
-    }
-
     /// Longest-remaining-dimension preference: true when no other dimension
     /// has more hops left than `d.dim`. With the bias enabled, adaptive
     /// packets move only along their longest remaining dimension(s): on an
@@ -181,7 +172,7 @@ impl Shared {
                 if pkt.plan.direction(d.dim) != Some(d) {
                     return false;
                 }
-                if !self.shaped(pkt) {
+                if !self.cfg.router.longest_first_bias {
                     return true;
                 }
                 Self::prefers(pkt, d) || pkt.plan.dimension_order_next() == Some(d)
@@ -201,7 +192,7 @@ impl Shared {
         let mut dirs = plan.dimension_order_next().map_or(0, |d| 1 << d.index());
         if pkt.routing == RoutingMode::Adaptive {
             let dims = || self.part.dims();
-            let longest = if self.shaped(pkt) {
+            let longest = if self.cfg.router.longest_first_bias {
                 dims().map(|o| plan.hops(o)).max().unwrap_or(0)
             } else {
                 0
@@ -254,7 +245,7 @@ impl Shared {
                 // otherwise the escape becomes a side door that leaks
                 // short-dimension hops and recreates the congestion it
                 // exists to break.
-                if self.shaped(pkt) && !Self::prefers(pkt, d) {
+                if self.cfg.router.longest_first_bias && !Self::prefers(pkt, d) {
                     if self.cfg.router.adaptive_bubble_escape
                         && pkt.plan.dimension_order_next() == Some(d)
                         && self.preferred_blocked(n, pkt)
@@ -645,7 +636,6 @@ impl Shard<'_> {
     }
 
     fn cpu_node(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
-        let g = self.sd.base + i;
         let horizon = (t + 1) as f64;
         let mut declined = false;
         // Re-derive this node's sleep hints from scratch: the branches
@@ -674,29 +664,10 @@ impl Shard<'_> {
                     declined = true;
                     self.sd.cs.pacing += 1;
                     self.sd.nodes[i].poll = PollState::Rate;
-                    if prog.is_complete() && !self.sd.nodes[i].program_done {
-                        self.sd.nodes[i].program_done = true;
-                        self.sd.cs.done += 1;
-                    }
+                    self.sd.cs.done += usize::from(self.sd.nodes[i].latch_done(prog.as_ref()));
                 } else {
-                    let node = &mut self.sd.nodes[i];
-                    let before = node.pending.len();
-                    let part = &self.shared.part;
-                    let mut api = NodeApi::new(g as u32, node.coord, t, part, &mut node.pending)
-                        .with_flow(&mut node.flow);
-                    let spec = prog.next_send(&mut api);
-                    let extra = api.take_extra_cpu();
-                    let denials = api.take_credit_blocked();
-                    self.sd.cs.credit_blocked += denials;
-                    let after = node.pending.len();
-                    if extra > 0.0 {
-                        // Anchor at now: a node idle since an earlier cycle
-                        // must not absorb the charge retroactively (its stale
-                        // `cpu_free` may lie far in the past).
-                        node.cpu_free = node.cpu_free.max(t as f64) + extra;
-                        node.cpu_busy += extra;
-                    }
-                    self.sd.cs.pending += (after - before) as i64;
+                    let reactive = self.sd.nodes[i].pending.len();
+                    let (spec, denials) = self.run_hook(i, prog, t, |p, api| p.next_send(api));
                     match spec {
                         Some(s) => {
                             self.rate_charge(i, t, s.chunks);
@@ -710,14 +681,10 @@ impl Shard<'_> {
                                 // is pure (frozen program state, repeatable
                                 // denial count) until a delivery.
                                 debug_assert!(
-                                    extra == 0.0 && after == before,
+                                    self.sd.nodes[i].pending.len() == reactive,
                                     "SleepUntilDelivery program mutated state on decline"
                                 );
-                                node.poll = PollState::Asleep { denials };
-                            }
-                            if prog.is_complete() && !self.sd.nodes[i].program_done {
-                                self.sd.nodes[i].program_done = true;
-                                self.sd.cs.done += 1;
+                                self.sd.nodes[i].poll = PollState::Asleep { denials };
                             }
                         }
                     }
@@ -733,6 +700,35 @@ impl Shard<'_> {
                 break;
             }
         }
+    }
+
+    /// The one seam between the engine and a node program: build local node
+    /// `i`'s [`NodeApi`] for cycle `t`, run `hook` on it, and settle what the
+    /// hook did — reactive sends it queued join the pending count, credit
+    /// denials the cycle's statistics, and a hook that hands back no send
+    /// may have finished the program, so its completion is latched (one that
+    /// does is polled again first; the goldens pin that order). Returns the
+    /// hook's send and its credit denials.
+    fn run_hook(
+        &mut self,
+        i: usize,
+        prog: &mut Box<dyn NodeProgram>,
+        t: u64,
+        hook: impl FnOnce(&mut dyn NodeProgram, &mut NodeApi<'_>) -> Option<SendSpec>,
+    ) -> (Option<SendSpec>, u64) {
+        let rank = (self.sd.base + i) as u32;
+        let node = &mut self.sd.nodes[i];
+        let before = node.pending.len();
+        let mut api = NodeApi::new(rank, node.coord, t, &self.shared.part, &mut node.pending)
+            .with_flow(&mut node.flow);
+        let spec = hook(prog.as_mut(), &mut api);
+        let denials = api.take_credit_blocked();
+        self.sd.cs.credit_blocked += denials;
+        self.sd.cs.pending += (node.pending.len() - before) as i64;
+        if spec.is_none() {
+            self.sd.cs.done += usize::from(node.latch_done(prog.as_ref()));
+        }
+        (spec, denials)
     }
 
     /// Whether the engine-level rate window ([`FlowSpec::Rate`]) blocks
@@ -772,23 +768,11 @@ impl Shard<'_> {
         if let Some(o) = self.oracle.as_deref_mut() {
             o.on_deliver(&pkt, t);
         }
-        let node = &mut self.sd.nodes[i];
-        let before = node.pending.len();
-        let part = &self.shared.part;
-        let mut api = NodeApi::new(g as u32, node.coord, t, part, &mut node.pending)
-            .with_flow(&mut node.flow);
-        prog.on_packet(&mut api, &pkt);
-        let extra = api.take_extra_cpu();
-        self.sd.cs.credit_blocked += api.take_credit_blocked();
-        let after = node.pending.len();
-        node.cpu_free += extra;
-        node.cpu_busy += extra;
-        self.sd.cs.pending += (after - before) as i64;
+        self.run_hook(i, prog, t, |p, api| {
+            p.on_packet(api, &pkt);
+            None
+        });
         self.sd.cs.live -= 1;
-        if !node.program_done && prog.is_complete() {
-            node.program_done = true;
-            self.sd.cs.done += 1;
-        }
         // Freed reception space: retry stalled deliveries.
         let blocked = std::mem::take(&mut self.sd.nodes[i].blocked_deliveries);
         self.sd
@@ -863,25 +847,12 @@ impl Shard<'_> {
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
         assert_ne!(dst, node.coord, "programs must not send to themselves");
-        let pkt = Packet {
-            // Provisional: shard-local injection index of this cycle,
-            // rewritten to the dense global id by `fixup_ids` before
-            // phase 4 (the first reader) runs.
-            id: self.sd.injected.len() as u64,
-            src_rank: g as u32,
-            dst,
-            chunks: spec.chunks,
-            payload_bytes: spec.payload_bytes,
-            // The plan computed for FIFO affinity during the scan, reused.
-            plan,
-            routing: spec.routing,
-            vc: Vc::Dynamic0,
-            class: spec.class,
-            meta: spec.meta,
-            longest_first: spec.longest_first,
-            injected_at: t,
-            detour: NO_DETOUR,
-        };
+        // The id is provisional — this cycle's shard-local injection index,
+        // rewritten to the dense global id by `fixup_ids` before phase 4 (the
+        // first reader) runs; the plan is the one computed for FIFO affinity
+        // during the scan, reused.
+        let id = self.sd.injected.len() as u64;
+        let pkt = Packet::inject(&spec, g as u32, dst, plan, id, t);
         assert!(node.inj[f].try_push(pkt).is_ok(), "space checked");
         let pos = node.inj[f].len() - 1;
         self.sd.injected.push((i as u32, f as u8, pos as u16));
@@ -1138,30 +1109,26 @@ mod tests {
 
     /// The direct mask computation is `wants` asked of every direction, for
     /// every (src, dst) pair — `src == dst` is an arrived head — of a 2-D, an
-    /// asymmetric 3-D and a 4-D partition, for deterministic, unshaped and
-    /// shaped heads (shaped by the packet's own flag or by the router's).
+    /// asymmetric 3-D and a 4-D partition, for deterministic and adaptive
+    /// heads, with the router's longest-first shaping off and on.
     #[test]
     fn request_dirs_is_wants_over_every_direction() {
         for dims in [&[4u16, 3][..], &[2, 5, 3], &[2, 3, 2, 4]] {
             let part = Partition::torus_nd(dims);
             let n = part.num_nodes();
             let mut cfg = SimConfig::new(part);
-            for (bias, routing, longest_first) in [
-                (None, RoutingMode::Deterministic, false),
-                (None, RoutingMode::Adaptive, false),
-                (None, RoutingMode::Adaptive, true),
-                (Some(true), RoutingMode::Adaptive, false),
+            for (bias, routing) in [
+                (false, RoutingMode::Deterministic),
+                (false, RoutingMode::Adaptive),
+                (true, RoutingMode::Adaptive),
             ] {
                 cfg.router.longest_first_bias = bias;
                 let idle = (0..n).map(|_| Box::new(ScriptedProgram::idle()) as _);
                 let engine = Engine::new(cfg.clone(), idle.collect());
                 let router = &engine.shared;
                 for (src, dst) in (0..n * n).map(|k| (k / n, k % n)) {
-                    let pkt = Packet {
-                        routing,
-                        longest_first,
-                        ..Packet::for_test(&part, src, dst)
-                    };
+                    let mut pkt = Packet::new(&part, src, dst);
+                    pkt.routing = routing;
                     let dirs = router.request_dirs(&pkt);
                     for d in Direction::all(MAX_DIMS) {
                         let cached = dirs >> d.index() & 1 != 0;

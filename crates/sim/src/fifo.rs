@@ -131,12 +131,9 @@ mod tests {
     use bgl_torus::Partition;
 
     fn pkt(id: u64, chunks: u8) -> Packet {
-        Packet {
-            id,
-            chunks,
-            payload_bytes: chunks as u32 * 32,
-            ..Packet::for_test(&Partition::torus(4, 4, 4), 0, 1)
-        }
+        let mut pkt = Packet::new(&Partition::torus(4, 4, 4), 0, 1);
+        (pkt.id, pkt.chunks, pkt.payload_bytes) = (id, chunks, chunks as u32 * 32);
+        pkt
     }
 
     #[test]

@@ -26,11 +26,10 @@
 //!
 //! [`NetStats::pacing_blocked_cycles`]: crate::NetStats
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// An injection flow-control policy, resolved to engine units.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub enum FlowSpec {
     /// No pacing: programs inject as fast as the CPU and FIFOs allow.
     #[default]
@@ -223,23 +222,5 @@ mod tests {
             credit_every: 3,
         }
         .validate();
-    }
-
-    #[test]
-    fn flow_spec_round_trips_serde() {
-        for spec in [
-            FlowSpec::Unpaced,
-            FlowSpec::Rate {
-                chunks_per_cycle: 1.25,
-            },
-            FlowSpec::Credit {
-                window_packets: 8,
-                credit_every: 2,
-            },
-        ] {
-            let v = serde::Serialize::to_value(&spec);
-            let back: FlowSpec = serde::Deserialize::from_value(&v).unwrap();
-            assert_eq!(back, spec);
-        }
     }
 }

@@ -5,6 +5,7 @@ use crate::config::{SimConfig, NUM_VCS};
 use crate::fifo::ChunkFifo;
 use crate::flow::FlowLedger;
 use crate::packet::SendSpec;
+use crate::program::NodeProgram;
 use bgl_torus::{Coord, MAX_PORTS};
 use std::collections::VecDeque;
 
@@ -151,6 +152,17 @@ impl NodeState {
             poll: PollState::Open,
             inject_blocked: false,
         }
+    }
+
+    /// Latch `prog`'s completion into [`program_done`](Self::program_done):
+    /// `true` exactly once, the first time the program reports complete —
+    /// the caller's cue to count it. The one place the flag is set.
+    pub fn latch_done(&mut self, prog: &dyn NodeProgram) -> bool {
+        let newly = !self.program_done && prog.is_complete();
+        if newly {
+            self.program_done = true;
+        }
+        newly
     }
 
     /// Whether any packet sits anywhere in this node (diagnostics /

@@ -1,7 +1,7 @@
 //! Packets and send specifications.
 
 use crate::config::Vc;
-use bgl_torus::{Coord, HopPlan};
+use bgl_torus::{Coord, HopPlan, Partition, TieBreak};
 use serde::{Deserialize, Serialize};
 
 /// How a packet is routed through the torus.
@@ -38,7 +38,20 @@ pub const DETOUR_BUDGET: u8 = 31;
 pub const NO_DETOUR: u16 = 15;
 
 /// A packet in flight or in a FIFO.
+///
+/// Only this crate spells out the fields: the engine builds packets from
+/// [`SendSpec`]s at injection, and everyone else starts from
+/// [`Packet::new`] and assigns what differs, so a layout change is an edit
+/// here and nowhere else.
+///
+/// ```compile_fail
+/// use bgl_sim::{Packet, PacketMeta};
+/// let part: bgl_torus::Partition = "4x4".parse().unwrap();
+/// // error[E0639]: cannot create non-exhaustive struct using struct expression
+/// let _ = Packet { meta: PacketMeta::default(), ..Packet::new(&part, 0, 1) };
+/// ```
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct Packet {
     /// Unique id (assigned at injection, monotonically increasing).
     pub id: u64,
@@ -62,11 +75,6 @@ pub struct Packet {
     pub class: u8,
     /// Strategy metadata.
     pub meta: PacketMeta,
-    /// Adaptive-routing restriction: move only along the longest remaining
-    /// dimension(s) (hint-bit style software shaping; see
-    /// `RouterConfig::longest_first_bias`). Ignored for deterministic
-    /// packets.
-    pub longest_first: bool,
     /// Cycle the packet entered an injection FIFO.
     pub injected_at: u64,
     /// Packed fault-detour state, [`NO_DETOUR`] while unused. Low 4 bits:
@@ -106,31 +114,56 @@ impl Packet {
         self.detour |= NO_DETOUR;
     }
 
-    /// A freshly injected full-size adaptive packet from rank `src` to rank
-    /// `dst` of `part`: the base the crate's unit tests vary.
-    #[cfg(test)]
-    pub(crate) fn for_test(part: &bgl_torus::Partition, src: u32, dst: u32) -> Packet {
+    /// A full-size adaptive packet from rank `src` to rank `dst` of `part`,
+    /// as if injected at cycle 0 with id 0: the base that tests driving a
+    /// program's `on_packet` by hand vary field by field.
+    pub fn new(part: &Partition, src: u32, dst: u32) -> Packet {
         let (from, to) = (part.coord_of(src), part.coord_of(dst));
+        let plan = HopPlan::new(part, from, to, TieBreak::SrcParity);
+        Packet::inject(&SendSpec::adaptive(dst, 8, 240), src, to, plan, 0, 0)
+    }
+
+    /// The packet `spec` becomes when rank `src_rank` injects it at cycle
+    /// `t`, bound for coordinate `dst` along `plan`.
+    #[inline]
+    pub(crate) fn inject(
+        spec: &SendSpec,
+        src_rank: u32,
+        dst: Coord,
+        plan: HopPlan,
+        id: u64,
+        t: u64,
+    ) -> Packet {
         Packet {
-            id: 0,
-            src_rank: src,
-            dst: to,
-            chunks: 8,
-            payload_bytes: 240,
-            plan: HopPlan::new(part, from, to, bgl_torus::TieBreak::SrcParity),
-            routing: RoutingMode::Adaptive,
+            id,
+            src_rank,
+            dst,
+            chunks: spec.chunks,
+            payload_bytes: spec.payload_bytes,
+            plan,
+            routing: spec.routing,
             vc: Vc::Dynamic0,
-            class: 0,
-            meta: PacketMeta::default(),
-            longest_first: false,
-            injected_at: 0,
+            class: spec.class,
+            meta: spec.meta,
+            injected_at: t,
             detour: NO_DETOUR,
         }
     }
 }
 
 /// What a node program asks the runtime to send.
+///
+/// Built through [`SendSpec::new`] (or its [`adaptive`](SendSpec::adaptive)
+/// / [`deterministic`](SendSpec::deterministic) shorthands) and the `with_*`
+/// builders, never as a literal outside this crate:
+///
+/// ```compile_fail
+/// use bgl_sim::SendSpec;
+/// // error[E0639]: cannot create non-exhaustive struct using struct expression
+/// let _ = SendSpec { class: 1, ..SendSpec::adaptive(7, 8, 240) };
+/// ```
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct SendSpec {
     /// Destination rank.
     pub dst_rank: u32,
@@ -144,36 +177,36 @@ pub struct SendSpec {
     pub class: u8,
     /// Metadata delivered to the destination program.
     pub meta: PacketMeta,
-    /// Restrict adaptive routing to the longest remaining dimension(s);
-    /// the anti-tree-saturation shaping strategies enable on asymmetric
-    /// partitions.
-    pub longest_first: bool,
     /// Extra CPU cycles to charge before this packet can be injected
-    /// (per-message α, software-copy γ, …). Charged once.
+    /// (per-message α, software-copy γ, …). Charged once, from
+    /// `max(cpu_free, now)` at injection — the one way a program charges
+    /// CPU time.
     pub cpu_cost_cycles: f64,
 }
 
 impl SendSpec {
-    /// A plain adaptive data packet with no extra CPU cost.
-    pub fn adaptive(dst_rank: u32, chunks: u8, payload_bytes: u32) -> SendSpec {
+    /// A plain data packet routed by `routing`: class 0, default metadata,
+    /// no extra CPU cost.
+    pub fn new(dst_rank: u32, chunks: u8, payload_bytes: u32, routing: RoutingMode) -> SendSpec {
         SendSpec {
             dst_rank,
             chunks,
             payload_bytes,
-            routing: RoutingMode::Adaptive,
+            routing,
             class: 0,
             meta: PacketMeta::default(),
-            longest_first: false,
             cpu_cost_cycles: 0.0,
         }
     }
 
+    /// A plain adaptive data packet with no extra CPU cost.
+    pub fn adaptive(dst_rank: u32, chunks: u8, payload_bytes: u32) -> SendSpec {
+        SendSpec::new(dst_rank, chunks, payload_bytes, RoutingMode::Adaptive)
+    }
+
     /// A plain deterministically routed data packet.
     pub fn deterministic(dst_rank: u32, chunks: u8, payload_bytes: u32) -> SendSpec {
-        SendSpec {
-            routing: RoutingMode::Deterministic,
-            ..SendSpec::adaptive(dst_rank, chunks, payload_bytes)
-        }
+        SendSpec::new(dst_rank, chunks, payload_bytes, RoutingMode::Deterministic)
     }
 
     /// Builder: set metadata.
@@ -193,19 +226,11 @@ impl SendSpec {
         self.cpu_cost_cycles = cycles;
         self
     }
-
-    /// Builder: restrict adaptive routing to the longest remaining
-    /// dimension(s) (see [`SendSpec::longest_first`]).
-    pub fn with_longest_first(mut self, on: bool) -> SendSpec {
-        self.longest_first = on;
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_torus::Partition;
 
     #[test]
     fn send_spec_builders() {
@@ -231,7 +256,7 @@ mod tests {
 
     #[test]
     fn detour_state_packs_and_unpacks() {
-        let mut k = Packet::for_test(&Partition::torus(2, 2, 2), 0, 1);
+        let mut k = Packet::new(&Partition::torus(2, 2, 2), 0, 1);
         assert_eq!(k.detour_from(), None);
         assert_eq!(k.detour_count(), 0);
         k.note_detour(3);

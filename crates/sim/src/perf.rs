@@ -39,9 +39,8 @@ pub const SKIP_BUCKETS: usize = 24;
 
 /// Profiler configuration; attach to
 /// [`SimConfig::perf`](crate::SimConfig::perf) to enable collection.
-/// Carries no knobs today — the struct exists so future sampling options
-/// (e.g. occupancy sampling stride) extend the wire format compatibly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Carries no knobs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PerfConfig {}
 
 /// Progress-heartbeat configuration; attach to
@@ -49,7 +48,7 @@ pub struct PerfConfig {}
 /// print a rate-limited status line to **stderr** during long runs
 /// (current cycle, packets delivered, elapsed wall time, ETA). Stdout is
 /// never touched, so piped output stays byte-identical. Off by default.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProgressConfig {
     /// Minimum wall-clock seconds between heartbeat lines.
     pub interval_secs: f64,
@@ -174,9 +173,7 @@ pub struct EventPerf {
     /// Jumps clamped to the `max_cycles` safety limit.
     pub wake_cycle_limit_clamp: u64,
     /// Jumps cut short by the next scheduled fault transition (its cycle
-    /// is stepped under every clock). Absent in profiles stored before
-    /// the counter existed, which read as 0.
-    #[serde(default)]
+    /// is stepped under every clock).
     pub wake_fault_transition: u64,
 }
 
@@ -441,21 +438,5 @@ mod tests {
         let json = serde_json::to_string(&p).unwrap();
         let back: PerfProfile = serde_json::from_str(&json).unwrap();
         assert_eq!(p, back);
-        // A profile stored before `wake_fault_transition` existed reads it
-        // as zero.
-        let ev = p.event.as_ref().unwrap();
-        let serde::Value::Object(mut fields) = ev.to_value() else {
-            panic!("EventPerf serializes as an object")
-        };
-        fields.retain(|(k, _)| k != "wake_fault_transition");
-        assert_eq!(
-            &EventPerf::from_value(&serde::Value::Object(fields)).unwrap(),
-            ev
-        );
-        // The config structs round-trip through the value tree too.
-        let cfg = PerfConfig::default();
-        assert_eq!(PerfConfig::from_value(&cfg.to_value()).unwrap(), cfg);
-        let pr = ProgressConfig::default();
-        assert_eq!(ProgressConfig::from_value(&pr.to_value()).unwrap(), pr);
     }
 }

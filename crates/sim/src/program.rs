@@ -3,8 +3,20 @@
 //! The BG/L cores do all communication work themselves (no DMA): they build
 //! packets, stuff injection FIFOs, drain reception FIFOs, and — for the
 //! indirect strategies — forward or combine data in software. A
-//! [`NodeProgram`] models exactly that: the engine charges CPU time for
-//! every action and calls the program's hooks from the simulated CPU.
+//! [`NodeProgram`] models exactly that through three hooks, all called from
+//! the simulated CPU:
+//!
+//! * [`next_send`](NodeProgram::next_send) — the engine *pulls* the
+//!   program's own schedule one packet at a time;
+//! * [`on_packet`](NodeProgram::on_packet) — a delivery, to which the
+//!   program may react with [`NodeApi::send`] (forwards, credit acks);
+//! * [`on_packet_dropped`](NodeProgram::on_packet_dropped) — a fault
+//!   notification for a packet that will never arrive.
+//!
+//! The engine charges the fixed costs of every injection and drain itself.
+//! A program charges software time — per-message α, copy γ — in exactly one
+//! way: [`SendSpec::with_cpu_cost`] on the send the work belongs to, served
+//! from `max(cpu_free, now)` when that packet is injected.
 
 use crate::flow::FlowLedger;
 use crate::packet::{Packet, SendSpec};
@@ -34,16 +46,10 @@ pub enum PollHint {
 /// Per-node software hooks. One boxed instance per node; all calls run "on"
 /// the node's simulated CPU.
 pub trait NodeProgram: Send {
-    /// Called once at cycle 0, before any traffic moves. May enqueue sends
-    /// via [`NodeApi::send`].
-    fn start(&mut self, api: &mut NodeApi<'_>) {
-        let _ = api;
-    }
-
     /// A packet addressed to this node has been drained from the reception
     /// FIFO. The engine has already charged the drain cost; charge any
-    /// additional software cost (forwarding, copies) via
-    /// [`NodeApi::charge_cpu`] or by attaching `cpu_cost_cycles` to sends.
+    /// additional software cost (forwarding, copies) by attaching
+    /// `cpu_cost_cycles` to the sends it causes.
     fn on_packet(&mut self, api: &mut NodeApi<'_>, pkt: &Packet) {
         let _ = (api, pkt);
     }
@@ -93,7 +99,6 @@ pub struct NodeApi<'a> {
     pub now: u64,
     part: &'a Partition,
     sends: &'a mut VecDeque<SendSpec>,
-    extra_cpu: f64,
     /// Flow-control ledger, attached by the engine. `None` (tests that
     /// drive programs directly) behaves like an unpaced ledger.
     flow: Option<&'a mut FlowLedger>,
@@ -117,7 +122,6 @@ impl<'a> NodeApi<'a> {
             now,
             part,
             sends,
-            extra_cpu: 0.0,
             flow: None,
             credit_blocked: 0,
         }
@@ -146,18 +150,6 @@ impl<'a> NodeApi<'a> {
     /// to tests that drive programs directly).
     pub fn queued(&self) -> usize {
         self.sends.len()
-    }
-
-    /// Charge additional CPU time (cycles) to this node right now —
-    /// software copies, message bookkeeping, etc.
-    pub fn charge_cpu(&mut self, cycles: f64) {
-        debug_assert!(cycles >= 0.0 && cycles.is_finite());
-        self.extra_cpu += cycles;
-    }
-
-    /// Total extra CPU charged during this hook invocation (engine use).
-    pub(crate) fn take_extra_cpu(&mut self) -> f64 {
-        std::mem::take(&mut self.extra_cpu)
     }
 
     /// Reserve one flow-control credit toward `intermediate` before
@@ -281,17 +273,13 @@ mod tests {
     }
 
     #[test]
-    fn api_send_enqueues_and_charge_accumulates() {
+    fn api_send_enqueues_in_order() {
         let part: Partition = "4x1x1".parse().unwrap();
         let mut q = VecDeque::new();
         let mut api = NodeApi::new(1, part.coord_of(1), 7, &part, &mut q);
         api.send(SendSpec::adaptive(2, 4, 100));
         api.send(SendSpec::adaptive(3, 4, 100));
-        api.charge_cpu(1.5);
-        api.charge_cpu(2.0);
-        assert_eq!(api.take_extra_cpu(), 3.5);
-        assert_eq!(api.take_extra_cpu(), 0.0);
-        assert_eq!(q.len(), 2);
+        assert_eq!(api.queued(), 2);
         assert_eq!(q[0].dst_rank, 2);
     }
 }

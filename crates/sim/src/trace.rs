@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 /// Tracer configuration; attach to
 /// [`SimConfig::trace`](crate::SimConfig::trace) to enable sampling.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Cycles between samples. Each sample covers the window since the
     /// previous one; the engine records a final partial sample at

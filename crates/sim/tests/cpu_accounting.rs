@@ -23,10 +23,8 @@ impl NodeProgram for LateCharger {
             return None;
         }
         self.sent += 1;
-        if self.sent == 1 {
-            api.charge_cpu(self.charge);
-        }
-        Some(SendSpec::adaptive(1, 1, 32))
+        let charge = if self.sent == 1 { self.charge } else { 0.0 };
+        Some(SendSpec::adaptive(1, 1, 32).with_cpu_cost(charge))
     }
 
     fn is_complete(&self) -> bool {
@@ -40,7 +38,7 @@ impl NodeProgram for LateCharger {
 /// entirely, and the follow-up send injects at `release` instead of
 /// `release + charge` — visible as an early completion cycle.
 #[test]
-fn idle_node_cannot_absorb_extra_cpu_retroactively() {
+fn idle_node_cannot_absorb_a_late_cpu_charge_retroactively() {
     let part: Partition = "2x1x1".parse().unwrap();
     let release = 500u64;
     let charge = 100.0;

@@ -265,7 +265,7 @@ fn shaped_and_escapeless_routing_match_across_modes_and_shards() {
     let part: Partition = "8x4x2".parse().unwrap();
     type Tweak = fn(&mut SimConfig);
     let rows: [(Tweak, u64, u8); 2] = [
-        (|c| c.router.longest_first_bias = Some(true), 2, 8),
+        (|c| c.router.longest_first_bias = true, 2, 8),
         (|c| c.router.adaptive_bubble_escape = false, 1, 4),
     ];
     let axes = Axes {

@@ -220,15 +220,15 @@ proptest::proptest! {
 #[test]
 fn shaping_override_preserves_delivery() {
     let part: Partition = "8x4x4".parse().unwrap();
-    let run = |bias: Option<bool>| {
+    let run = |bias: bool| {
         let mut cfg = SimConfig::new(part);
         cfg.router.longest_first_bias = bias;
         Engine::new(cfg, uniform(&part, 2, 8))
             .run()
             .expect("drains")
     };
-    let off = run(Some(false));
-    let on = run(Some(true));
+    let off = run(false);
+    let on = run(true);
     assert_eq!(off.packets_delivered, on.packets_delivered);
     assert_eq!(off.payload_bytes_delivered, on.payload_bytes_delivered);
     // Minimal routing: per-dimension hop totals match exactly.

@@ -180,12 +180,6 @@ impl Partition {
         best
     }
 
-    /// `M = max(Pᵢ)`.
-    #[inline]
-    pub fn max_dim_size(&self) -> u16 {
-        *self.sizes().iter().max().expect("at least one dim")
-    }
-
     /// Whether this partition is *symmetric* in the paper's sense: every
     /// active dimension has the same size, and every active dimension is a
     /// torus. A line is symmetric; `8x8` and `16x16x16` are symmetric;

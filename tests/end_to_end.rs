@@ -129,6 +129,27 @@ fn credit_flow_control_overhead_is_small() {
     assert!(slowdown < 1.25, "credit slowdown {slowdown}");
 }
 
+/// Credit acks are not a phase: a traced credit-paced AR run (one phase,
+/// every packet acknowledged) never shows phase-1 traffic, while TPS under
+/// the same pacer still shows both of its phases.
+#[test]
+fn credit_acks_are_not_traced_as_a_phase() {
+    let traced = |strategy: StrategyKind| {
+        AaRun::builder("4x4x4".parse().unwrap(), AaWorkload::full(912))
+            .strategy(strategy.with_pacer(Pacer::credit(4, 2)))
+            .sim(|c| c.trace = Some(bgl_alltoall::sim::TraceConfig::every(64)))
+            .run()
+            .expect("simulation completes")
+    };
+    let ar = traced(StrategyKind::ar());
+    let data_packets = 64 * 63 * 4; // 912 B + h = four 240-byte payloads
+    assert!(ar.stats.packets_delivered > data_packets, "acks must flow");
+    let trace = ar.trace.expect("traced");
+    assert_eq!((trace.phase_span(1), trace.phase_span(2)), (None, None));
+    let trace = traced(StrategyKind::tps()).trace.expect("traced");
+    assert!(trace.phase_span(1).is_some() && trace.phase_span(2).is_some());
+}
+
 /// The same (partition, workload, strategy) is cycle-for-cycle
 /// reproducible across the whole stack.
 #[test]
