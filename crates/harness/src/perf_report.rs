@@ -52,6 +52,12 @@ pub fn render_perf_report(report: &AaReport) -> String {
         "  active set: mean {:.1}, max {} marked nodes per stepped cycle",
         p.active_occupancy_mean, p.active_occupancy_max,
     );
+    let [(_, cpu), (_, cpu_parked), (_, arb), (_, arb_parked)] = p.visit_totals();
+    let _ = writeln!(
+        out,
+        "  visits: cpu {cpu} made / {cpu_parked} parked, \
+         arbitration {arb} made / {arb_parked} parked",
+    );
     out.push('\n');
     render_phase_breakdown(&mut out, p);
     render_shard_balance(&mut out, p);
@@ -201,6 +207,7 @@ mod tests {
         assert!(report.perf.is_some(), "profile must be recorded");
         let text = render_perf_report(&report);
         assert!(text.contains("perf profile: AR on 4x4"), "{text}");
+        assert!(text.contains("  visits: cpu "), "{text}");
         assert!(text.contains("phase breakdown"), "{text}");
         assert!(text.contains("arbitration"), "{text}");
         assert!(text.contains("imbalance ratio"), "{text}");

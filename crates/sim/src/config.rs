@@ -321,6 +321,27 @@ impl SimConfig {
             fault: FaultPlan::default(),
         }
     }
+
+    /// Per-class eligible injection FIFOs: bit `f` of entry `c` is set iff
+    /// FIFO `f` accepts class `c` — [`inj_class_masks`](Self::inj_class_masks)
+    /// transposed, which is how the injector reads it.
+    ///
+    /// # Panics
+    /// Panics if the masks are neither empty nor one per injection FIFO.
+    pub fn class_fifos(&self) -> [u32; 8] {
+        if self.inj_class_masks.is_empty() {
+            return [((1u64 << self.inj_fifo_count) - 1) as u32; 8];
+        }
+        assert_eq!(
+            self.inj_class_masks.len(),
+            self.inj_fifo_count as usize,
+            "inj_class_masks length must equal inj_fifo_count"
+        );
+        std::array::from_fn(|c| {
+            let fifos = self.inj_class_masks.iter().enumerate();
+            fifos.fold(0, |m, (f, &classes)| m | u32::from(classes >> c & 1) << f)
+        })
+    }
 }
 
 #[cfg(test)]

@@ -16,6 +16,13 @@
 //! skipping composes with shard threads: the jump is decided between
 //! stepped cycles, on the caller's thread.
 //!
+//! This is the *global* half of one idea. A loaded run never has a cycle
+//! without progress, so it never jumps; there the phases apply the same
+//! bounds node by node and pass over the ones that cannot act (see
+//! "Parking" in [`super::phases`]). A parked node keeps its mark and its
+//! state is what a visit would have left, so what this module reads — the
+//! active sets, the node hints — is the same with or without parking.
+//!
 //! ## Why the skip is exact
 //!
 //! A cycle may be skipped only when a cycle-stepped clock, run over that
@@ -51,7 +58,6 @@
 //! periodic sample (frozen deltas, live occupancy snapshot) is recorded
 //! there, so traced runs are byte-identical too.
 
-use super::phases::PULL_THRESHOLD;
 use super::{Engine, ShardData, RING};
 use crate::node::PollState;
 
@@ -151,7 +157,7 @@ impl Engine {
             // happen as soon as the CPU frees up.
             wake = ready;
         }
-        if !n.program_done && n.pulled.len() < PULL_THRESHOLD {
+        if n.pull_due() {
             match n.poll {
                 PollState::Open => wake = wake.min(ready),
                 PollState::Rate => {
@@ -219,8 +225,7 @@ impl Engine {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let n = &sd.nodes[i];
-                    if n.program_done || n.pulled.len() >= PULL_THRESHOLD || !n.reception.is_empty()
-                    {
+                    if !n.pull_due() || !n.reception.is_empty() {
                         continue;
                     }
                     let from = (n.cpu_free as u64).max(self.now);

@@ -367,6 +367,12 @@ struct ShardData {
     /// Nodes that may have a packet to arbitrate out (non-zero `vc_mask`
     /// or `inj_mask`).
     arb_active: ActiveSet,
+    /// Per local node, the earliest cycle at which a CPU-phase visit could
+    /// change anything (0: visit; `u64::MAX`: not until re-armed) — see
+    /// "Parking" in [`phases`]. The full scan never reads it.
+    cpu_at: Vec<u64>,
+    /// The same for phase 4.
+    arb_at: Vec<u64>,
     /// Per-destination-shard staged wins of the current cycle.
     outbox: Vec<Vec<OutMsg>>,
     /// Packets injected this cycle, in injection order: `(local node,
@@ -515,6 +521,8 @@ impl Engine {
                 deliver_q: Vec::new(),
                 cpu_active: ActiveSet::all(end - base),
                 arb_active: ActiveSet::all(end - base),
+                cpu_at: vec![0; end - base],
+                arb_at: vec![0; end - base],
                 outbox: (0..nshards).map(|_| Vec::new()).collect(),
                 injected: Vec::new(),
                 deferred: Vec::new(),
@@ -580,6 +588,7 @@ impl Engine {
             fault_schedule.sort_by_key(|e| (e.cycle, e.link));
         }
         let shared = Shared {
+            class_fifos: cfg.class_fifos(),
             credits: (0..p * vc_cells)
                 .map(|_| AtomicU32::new(cfg.router.vc_fifo_chunks))
                 .collect(),
@@ -776,6 +785,7 @@ impl Engine {
             let sd = &mut self.shards[self.shared.shard_of[g] as usize];
             sd.arb_active.mark(g - sd.base);
             sd.cpu_active.mark(g - sd.base);
+            (sd.arb_at[g - sd.base], sd.cpu_at[g - sd.base]) = (0, 0);
         }
     }
 
@@ -808,7 +818,7 @@ impl Engine {
         }
         for pkt in dropped {
             let cell = v * self.shared.vc_cells + vc_fifo_index(dp, pkt.vc.index());
-            self.shared.credits[cell].fetch_add(pkt.chunks as u32, Relaxed);
+            self.shared.release(cell, pkt.chunks as u32);
             self.live_packets -= 1;
             self.stats.dropped_by_fault += 1;
             if let Some(o) = self.oracle.as_deref_mut() {
@@ -820,6 +830,7 @@ impl Engine {
             sd.programs[i].on_packet_dropped(&pkt);
             self.done_programs += usize::from(sd.nodes[i].latch_done(sd.programs[i].as_ref()));
             sd.cpu_active.mark(i);
+            sd.cpu_at[i] = 0;
         }
     }
 

@@ -166,9 +166,11 @@ impl Engine {
     /// in flight toward the cell = capacity. The conservation law is the
     /// sharded engine's load-bearing invariant — a credit leaked (or
     /// double-released) by any section of any shard breaks it at the very
-    /// next boundary. Last, every cached request-mask bit must equal what
+    /// next boundary. Every cached request-mask bit must equal what
     /// `Shared::wants` says of the FIFO's current head: a head change that
     /// skipped its refresh shows at the boundary of the cycle that made it.
+    /// Last, a node still parked past `t` must be one whose visit at `t`
+    /// could not have acted ([`Engine::oracle_parking_check`]).
     pub(super) fn oracle_cycle_check(&self, t: u64) {
         let o = self.oracle.as_ref().expect("caller checked");
         let injected = o.planned_hops.len() as u64;
@@ -246,6 +248,42 @@ impl Engine {
                 for (f, fifo) in node.inj.iter().enumerate() {
                     check("injection ", f, fifo, inj_want >> f & 1 != 0);
                 }
+            }
+        }
+        self.oracle_parking_check(t);
+    }
+
+    /// The parking rule, re-derived from the state at the end of cycle `t`:
+    /// a node whose wake cycle lies past `t` was passed over (or parked) at
+    /// `t`, so a visit at `t` must have been unable to change anything. A
+    /// missed re-arm shows here at the first cycle the node could have
+    /// moved. Vacuous under the full scan, which never parks.
+    fn oracle_parking_check(&self, t: u64) {
+        let ports = self.shared.ports;
+        for sd in &self.shards {
+            for (i, node) in sd.nodes.iter().enumerate() {
+                let ni = sd.base + i;
+                let free = |d: usize| {
+                    (node.want[d] != 0 || node.inj_want[d] != 0)
+                        && self.shared.neighbors[ni][d] != u32::MAX
+                        && sd.link_busy_until[i * ports + d] <= t
+                };
+                let cpu_idle = match sd.cpu_at[i] {
+                    u64::MAX => {
+                        node.inject_blocked
+                            && node.reception.is_empty()
+                            && !node.pull_due()
+                            && self.shared.inject_slot(node).is_none()
+                    }
+                    at => at <= t || node.cpu_free >= (t + 1) as f64,
+                };
+                assert!(
+                    cpu_idle && (sd.arb_at[i] <= t || !(0..ports).any(free)),
+                    "invariant violated: parked node {ni} could have acted (cpu_at {}, \
+                     arb_at {}, cycle {t})",
+                    sd.cpu_at[i],
+                    sd.arb_at[i]
+                );
             }
         }
     }

@@ -5,6 +5,21 @@
 //! visits, and the time-skipping clock steps the same phases at the cycles
 //! it cannot prove frozen — and every shard count, threaded or not.
 //!
+//! ## Parking
+//!
+//! The active-set scans of phases 3 and 4 visit a marked node only if it
+//! can act. A visit that learns the next one cannot change anything,
+//! counters included, before some cycle leaves that cycle in
+//! `ShardData::cpu_at` / `arb_at`: the CPU is booked until then, or stuck
+//! on injection-FIFO space with nothing to drain and no pull due; or
+//! every link the node's heads request is mid-transmission. Until then the
+//! scan passes the node over on one word, its mark untouched. Whatever can
+//! change what the skipped visit would have found is an event at the node
+//! itself — an arrival commit, a delivery, an injection, an injection-FIFO
+//! pop, a fault transition — and writes 0. The full scan reads neither
+//! array, so every comparison against it is parked against unparked
+//! (DESIGN.md §6).
+//!
 //! ## Section layout
 //!
 //! A cycle is three sections per shard (see the module docs of
@@ -33,14 +48,9 @@ use crate::node::{vc_fifo_index, NodeState, PollState};
 use crate::packet::{Packet, RoutingMode, SendSpec, DETOUR_BUDGET};
 use crate::perf::ShardPerf;
 use crate::program::{NodeApi, NodeProgram, PollHint};
-use bgl_torus::{Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
+use bgl_torus::{Coord, Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Barrier, Mutex};
-
-/// Below this pending-queue depth the engine keeps pulling the
-/// program's own sends, so reactive sends waiting for FIFO space do not
-/// starve a node's proactive schedule.
-pub(super) const PULL_THRESHOLD: usize = 8;
 
 /// How far into the pending queue the injector looks for a packet whose
 /// class FIFO has room: without this, one full class FIFO would
@@ -73,9 +83,15 @@ pub(super) struct Shared {
     /// is popped). Atomic so threaded shards can share it, but every cell
     /// has a single accessor per section: the unique upstream node's
     /// shard spends during phase 4, the owning node's shard releases
-    /// during phase 2 and at the boundary — so plain relaxed ordering is
-    /// exact, not approximate.
+    /// during phase 2 and at the boundary, and the barriers between the
+    /// sections order one section's stores before the next one's loads.
+    /// No two threads ever race on a cell, so an update is a relaxed load
+    /// and a relaxed store ([`Shared::release`]) — exact without the locked
+    /// read-modify-write of a `fetch_add`.
     pub(super) credits: Vec<AtomicU32>,
+    /// Per-class eligible injection FIFOs: bit `f` of `class_fifos[c]` is
+    /// set iff FIFO `f` accepts class `c` (`SimConfig::inj_class_masks`).
+    pub(super) class_fifos: [u32; 8],
     /// Owning shard of each global rank.
     pub(super) shard_of: Vec<u16>,
     /// Per-(src,dst)-shard mailboxes (`src * nshards + dst`), swapped
@@ -108,6 +124,15 @@ impl Shared {
     #[inline]
     fn credit(&self, n: usize, port: usize, vc: usize) -> u32 {
         self.credits[n * self.vc_cells + vc_fifo_index(port, vc)].load(Relaxed)
+    }
+
+    /// Return `chunks` of space to credit cell `cell`: a plain load and
+    /// store, which the single-accessor rule of [`credits`](Self::credits)
+    /// makes exact.
+    #[inline]
+    pub(super) fn release(&self, cell: usize, chunks: u32) {
+        let c = &self.credits[cell];
+        c.store(c.load(Relaxed) + chunks, Relaxed);
     }
 
     /// Whether the directed link out of global node `n` along `d` is up.
@@ -207,21 +232,24 @@ impl Shared {
     }
 
     /// Re-derive transit FIFO `f`'s bit of each of `node`'s request masks
-    /// from its current head (none: clear). Called, like `refresh_inj`,
+    /// from its current head (none: clear) and return that head's
+    /// [`request_dirs`](Self::request_dirs). Called, like `refresh_inj`,
     /// wherever a head changes: a push into an empty FIFO and every pop.
-    fn refresh_vc(&self, node: &mut NodeState, f: usize) {
+    fn refresh_vc(&self, node: &mut NodeState, f: usize) -> u16 {
         let dirs = node.vcs[f].head().map_or(0, |p| self.request_dirs(p));
         for (d, w) in node.want[..self.ports].iter_mut().enumerate() {
             *w = *w & !(1 << f) | u64::from(dirs >> d & 1) << f;
         }
+        dirs
     }
 
     /// [`refresh_vc`](Self::refresh_vc) for injection FIFO `f`.
-    fn refresh_inj(&self, node: &mut NodeState, f: usize) {
+    fn refresh_inj(&self, node: &mut NodeState, f: usize) -> u16 {
         let dirs = node.inj[f].head().map_or(0, |p| self.request_dirs(p));
         for (d, w) in node.inj_want[..self.ports].iter_mut().enumerate() {
             *w = *w & !(1 << f) | u32::from(dirs >> d & 1) << f;
         }
+        dirs
     }
 
     /// Choose the downstream VC for `pkt` over output `d`, or `None` if no
@@ -309,6 +337,45 @@ impl Shared {
         } else {
             None
         }
+    }
+
+    /// The first queued send of `node` some injection FIFO accepts now —
+    /// reactive queue first, [`INJECT_SCAN`] deep into each: its scan
+    /// index, the FIFO, its hop plan and destination. `None` when every
+    /// scanned send is stuck on injection-FIFO space, which only an
+    /// arbitration win at this node can free.
+    pub(super) fn inject_slot(&self, node: &NodeState) -> Option<(usize, usize, HopPlan, Coord)> {
+        let reactive = node.pending.iter().take(INJECT_SCAN);
+        let queued = reactive.chain(node.pulled.iter().take(INJECT_SCAN));
+        for (qi, spec) in queued.enumerate() {
+            let chunks = spec.chunks;
+            debug_assert!((1..=8).contains(&chunks), "packet must be 1..=8 chunks");
+            // Direction-affine placement: BG/L messaging software binds
+            // injection FIFOs to link directions so one FIFO's blocked head
+            // never starves an idle link of a different direction. Map the
+            // packet's first route direction onto the FIFOs of its class,
+            // falling back to any class FIFO with space.
+            let eligible = self.class_fifos[spec.class as usize];
+            if eligible == 0 {
+                continue;
+            }
+            let dst = self.part.coord_of(spec.dst_rank);
+            let plan = HopPlan::new(&self.part, node.coord, dst, TieBreak::SrcParity);
+            let primary = plan.dimension_order_next().map_or(0, |d| d.index());
+            // The `primary`-th (mod count) eligible FIFO, else the lowest
+            // eligible one with room.
+            let mut from_pref = eligible;
+            for _ in 0..primary % eligible.count_ones() as usize {
+                from_pref &= from_pref - 1;
+            }
+            let pref = from_pref.trailing_zeros() as usize;
+            let fits = |f: usize| node.inj[f].free_chunks() >= chunks as u32;
+            let ascending = (0..node.inj.len()).filter(|&f| eligible >> f & 1 != 0);
+            if let Some(f) = std::iter::once(pref).chain(ascending).find(|&f| fits(f)) {
+                return Some((qi, f, plan, dst));
+            }
+        }
+        None
     }
 
     /// Whether every minimal direction of `pkt` at node `n` is a dead
@@ -475,7 +542,7 @@ impl Shard<'_> {
             }
         }
         for (cell, chunks) in self.sd.deferred.drain(..) {
-            self.shared.credits[cell as usize].fetch_add(chunks, Relaxed);
+            self.shared.release(cell as usize, chunks);
         }
         self.perf_lap(&mut clk, |p| &mut p.phases.drain);
     }
@@ -519,6 +586,7 @@ impl Shard<'_> {
                 self.shared.refresh_vc(n, fi);
             }
             self.sd.arb_active.mark(i);
+            self.sd.arb_at[i] = 0;
             if was_empty && done {
                 self.sd.deliver_q.push((node, fi as u8));
             }
@@ -575,8 +643,10 @@ impl Shard<'_> {
             // the upstream reads it only in section B, barrier-ordered
             // after every shard's phase 2, matching the unsharded
             // same-cycle visibility of a phase-2 pop.
-            self.shared.credits[g * self.shared.vc_cells + fifo].fetch_add(chunks, Relaxed);
+            self.shared.release(g * self.shared.vc_cells + fifo, chunks);
             self.sd.cpu_active.mark(i);
+            // A new head to arbitrate, a packet to drain: un-park both.
+            (self.sd.arb_at[i], self.sd.cpu_at[i]) = (0, 0);
             // Progress — the freed credit means the upstream neighbour may
             // win this link again, so no skip follows this cycle.
             self.sd.cs.progress = true;
@@ -587,7 +657,9 @@ impl Shard<'_> {
 
     fn phase_cpu(&mut self, t: u64) {
         let mut programs = std::mem::take(&mut self.sd.programs);
+        let (mut visits, mut parked) = (0u64, 0u64);
         if self.shared.full_scan {
+            visits = programs.len() as u64;
             for (i, prog) in programs.iter_mut().enumerate() {
                 self.cpu_visit(i, prog, t, false);
             }
@@ -595,17 +667,28 @@ impl Shard<'_> {
             // A node acquires CPU work only through a reception-FIFO push
             // (which marks it) or through its own hooks (it is being
             // visited), so iterating a snapshot of each word misses
-            // nothing. Idle marked nodes are cleared as they are visited.
+            // nothing. Idle marked nodes are cleared as they are visited;
+            // parked ones (`ShardData::cpu_at`) stay marked and cost one
+            // word.
             for w in 0..self.sd.cpu_active.words.len() {
                 let mut bits = self.sd.cpu_active.words[w];
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
+                    if self.sd.cpu_at[i] > t {
+                        parked += 1;
+                        continue;
+                    }
+                    visits += 1;
                     self.cpu_visit(i, &mut programs[i], t, true);
                 }
             }
         }
         self.sd.programs = programs;
+        if let Some(p) = &mut self.sd.perf {
+            p.cpu_visits += visits;
+            p.cpu_parked += parked;
+        }
     }
 
     /// Run one node's CPU for cycle `t` if it has work; with `prune`,
@@ -616,7 +699,9 @@ impl Shard<'_> {
         {
             let n = &self.sd.nodes[i];
             if n.cpu_free >= horizon {
-                // Still booked into the future: keep it marked.
+                // Still booked into the future: keep it marked, parked
+                // until the first cycle this test fails.
+                self.sd.cpu_at[i] = n.cpu_free as u64;
                 return;
             }
             if n.reception.is_empty()
@@ -644,6 +729,7 @@ impl Shard<'_> {
         self.sd.nodes[i].inject_blocked = false;
         for _guard in 0..64 {
             if self.sd.nodes[i].cpu_free >= horizon {
+                self.sd.cpu_at[i] = self.sd.nodes[i].cpu_free as u64;
                 break;
             }
             // Reception drain has priority: it keeps the network moving.
@@ -652,10 +738,7 @@ impl Shard<'_> {
                 continue;
             }
             // Top up the pulled queue from the program's schedule.
-            if self.sd.nodes[i].pulled.len() < PULL_THRESHOLD
-                && !self.sd.nodes[i].program_done
-                && !declined
-            {
+            if self.sd.nodes[i].pull_due() && !declined {
                 if self.rate_blocked(i, t) {
                     // Engine-enforced rate window: the program is not
                     // polled for new sends until `next_allowed`. The
@@ -695,8 +778,13 @@ impl Shard<'_> {
             }
             if !self.cpu_inject_one(i, t) {
                 // Every queued packet is stuck on injection-FIFO space;
-                // only an arbitration win here can free some.
+                // only an arbitration win here can free some. With nothing
+                // to drain (checked above) and no pull due, every later
+                // visit would repeat this one to the letter: park.
                 self.sd.nodes[i].inject_blocked = true;
+                if !self.sd.nodes[i].pull_due() {
+                    self.sd.cpu_at[i] = u64::MAX;
+                }
                 break;
             }
         }
@@ -781,64 +869,21 @@ impl Shard<'_> {
         self.sd.cs.progress = true;
     }
 
-    /// Pay for and inject the first injectable pending send. Returns false
-    /// if no injection FIFO currently accepts any of the first
-    /// [`INJECT_SCAN`] pending packets. The packet id written here is
-    /// *provisional* (this cycle's shard-local injection index); the
-    /// section-B fix-up rewrites it before anything reads it.
+    /// Pay for and inject the first injectable pending send
+    /// ([`Shared::inject_slot`]); false if there is none. The packet id
+    /// written here is *provisional* (this cycle's shard-local injection
+    /// index); the section-B fix-up rewrites it before anything reads it.
     fn cpu_inject_one(&mut self, i: usize, t: u64) -> bool {
         let g = self.sd.base + i;
-        let mut chosen = None;
-        let reactive_len = self.sd.nodes[i].pending.len().min(INJECT_SCAN);
-        let pulled_len = self.sd.nodes[i].pulled.len().min(INJECT_SCAN);
-        'scan: for qi in 0..reactive_len + pulled_len {
-            let spec = if qi < reactive_len {
-                &self.sd.nodes[i].pending[qi]
-            } else {
-                &self.sd.nodes[i].pulled[qi - reactive_len]
-            };
-            let chunks = spec.chunks;
-            let class = spec.class;
-            debug_assert!((1..=8).contains(&chunks), "packet must be 1..=8 chunks");
-            // Direction-affine placement: BG/L messaging software binds
-            // injection FIFOs to link directions so one FIFO's blocked head
-            // never starves an idle link of a different direction. Map the
-            // packet's first route direction onto the FIFOs of its class,
-            // falling back to any class FIFO with space.
-            let part = &self.shared.part;
-            let dst = part.coord_of(spec.dst_rank);
-            let plan = HopPlan::new(part, self.sd.nodes[i].coord, dst, TieBreak::SrcParity);
-            let primary = plan.dimension_order_next().map_or(0, |d| d.index());
-            let node = &self.sd.nodes[i];
-            let eligible = node.class_fifos[class as usize];
-            if eligible == 0 {
-                continue;
-            }
-            // The `primary`-th (mod count) eligible FIFO, else the lowest
-            // eligible one with room.
-            let mut from_pref = eligible;
-            for _ in 0..primary % eligible.count_ones() as usize {
-                from_pref &= from_pref - 1;
-            }
-            let pref = from_pref.trailing_zeros() as usize;
-            let fits = |f: usize| node.inj[f].free_chunks() >= chunks as u32;
-            let ascending = (0..node.inj.len()).filter(|&f| eligible >> f & 1 != 0);
-            if let Some(f) = std::iter::once(pref).chain(ascending).find(|&f| fits(f)) {
-                chosen = Some((qi, f, plan, dst));
-                break 'scan;
-            }
-        }
-        let Some((qi, f, plan, dst)) = chosen else {
+        let Some((qi, f, plan, dst)) = self.shared.inject_slot(&self.sd.nodes[i]) else {
             return false;
         };
         let node = &mut self.sd.nodes[i];
-        let spec = if qi < reactive_len {
-            node.pending.remove(qi).expect("scanned index exists")
-        } else {
-            node.pulled
-                .remove(qi - reactive_len)
-                .expect("scanned index exists")
-        };
+        let spec = match qi.checked_sub(node.pending.len().min(INJECT_SCAN)) {
+            None => node.pending.remove(qi),
+            Some(pi) => node.pulled.remove(pi),
+        }
+        .expect("scanned index exists");
         self.sd.cs.pending -= 1;
         let cpu = &self.shared.cfg.cpu;
         let cost = spec.cpu_cost_cycles
@@ -861,6 +906,7 @@ impl Shard<'_> {
             self.shared.refresh_inj(node, f);
         }
         self.sd.arb_active.mark(i);
+        self.sd.arb_at[i] = 0;
         self.sd.cs.live += 1;
         self.sd.cs.injected += 1;
         self.sd.cs.progress = true;
@@ -870,12 +916,14 @@ impl Shard<'_> {
     // ---- Phase 4: arbitration ----------------------------------------------
 
     fn phase_arbitration(&mut self, t: u64) {
+        let (mut visits, mut parked) = (0u64, 0u64);
         if self.shared.full_scan {
             for i in 0..self.sd.nodes.len() {
                 // Quick skip: nothing to move out of this node.
                 if self.sd.nodes[i].vc_mask == 0 && self.sd.nodes[i].inj_mask == 0 {
                     continue;
                 }
+                visits += 1;
                 self.arbitrate_node(i, t);
             }
         } else {
@@ -883,19 +931,30 @@ impl Shard<'_> {
             // commit (which marks it) or its own injections (phase 3
             // marks it), never from another node's arbitration — wins
             // hand packets to the staged outboxes, not directly to the
-            // neighbour's FIFOs — so a snapshot scan misses nothing.
+            // neighbour's FIFOs — so a snapshot scan misses nothing. A
+            // node whose requested links are all mid-transmission
+            // (`ShardData::arb_at`) stays marked and costs one word.
             for w in 0..self.sd.arb_active.words.len() {
                 let mut bits = self.sd.arb_active.words[w];
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
+                    if self.sd.arb_at[i] > t {
+                        parked += 1;
+                        continue;
+                    }
                     if self.sd.nodes[i].vc_mask == 0 && self.sd.nodes[i].inj_mask == 0 {
                         self.sd.arb_active.clear(i);
                         continue;
                     }
-                    self.arbitrate_node(i, t);
+                    visits += 1;
+                    self.sd.arb_at[i] = self.arbitrate_node(i, t);
                 }
             }
+        }
+        if let Some(p) = &mut self.sd.perf {
+            p.arb_visits += visits;
+            p.arb_parked += parked;
         }
     }
 
@@ -905,16 +964,26 @@ impl Shard<'_> {
     /// FIFO is a candidate for every live link (a detour leaves the minimal
     /// quadrant; link liveness is not cached) and the mask bit only picks
     /// between the minimal move and the detour.
-    fn arbitrate_node(&mut self, i: usize, t: u64) {
+    ///
+    /// Returns the node's next useful arbitration cycle: the earliest
+    /// release among its requested links if every one of them is now
+    /// mid-transmission, else 0. A requested link that was free and had no
+    /// feasible head keeps the node awake — the credit it waits for arrives
+    /// from another node, possibly another shard, with no local event — and
+    /// so does a fault plan, whose detours take links no mask names.
+    fn arbitrate_node(&mut self, i: usize, t: u64) -> u64 {
         let g = self.sd.base + i;
         let ports = self.shared.ports;
         let healthy = self.shared.healthy();
+        let mut wake = if healthy { u64::MAX } else { 0 };
         for d in self.shared.part.directions() {
             let node = &self.sd.nodes[i];
             if healthy && node.want[d.index()] == 0 && node.inj_want[d.index()] == 0 {
                 continue;
             }
-            if self.sd.link_busy_until[i * ports + d.index()] > t {
+            let busy = self.sd.link_busy_until[i * ports + d.index()];
+            if busy > t {
+                wake = wake.min(busy);
                 continue;
             }
             let nb = self.shared.neighbors[g][d.index()];
@@ -922,10 +991,26 @@ impl Shard<'_> {
             if nb == u32::MAX || !self.shared.alive(g, d) {
                 continue;
             }
-            if let Some(win) = self.arbitrate_output(i, d, nb as usize, t) {
-                self.apply_win(i, d, nb as usize, win, t);
+            let Some(win) = self.arbitrate_output(i, d, nb as usize, t) else {
+                wake = 0;
+                continue;
+            };
+            // The pop exposed a new head. A link it requests from `d` on is
+            // still ahead of this loop (`d` itself is busy as of now); one
+            // the loop has passed was judged under the old masks, so the
+            // node stays awake to look again.
+            let exposed = self.apply_win(i, d, nb as usize, win, t);
+            if exposed & ((1 << d.index()) - 1) != 0 {
+                wake = 0;
             }
+            wake = wake.min(self.sd.link_busy_until[i * ports + d.index()]);
         }
+        // An emptied node is un-marked by its next visit, as ever.
+        let node = &self.sd.nodes[i];
+        if node.vc_mask == 0 && node.inj_mask == 0 {
+            return 0;
+        }
+        wake
     }
 
     /// Pick a winner for output `d` of local node `i`, or `None`.
@@ -1015,10 +1100,12 @@ impl Shard<'_> {
         None
     }
 
-    fn apply_win(&mut self, i: usize, d: Direction, nb: usize, win: Win, t: u64) {
+    /// Move the winner out over `d`. Returns the request mask of the head
+    /// its pop exposed (0: the FIFO emptied, or the new head has arrived).
+    fn apply_win(&mut self, i: usize, d: Direction, nb: usize, win: Win, t: u64) -> u16 {
         let g = self.sd.base + i;
         // Pop the winner from its source FIFO.
-        let mut pkt = match win.source {
+        let (mut pkt, exposed) = match win.source {
             WinSource::Transit { fifo } => {
                 let f = fifo as usize;
                 let node = &mut self.sd.nodes[i];
@@ -1029,7 +1116,7 @@ impl Shard<'_> {
                 } else if node.vcs[f].head().expect("non-empty").plan.is_done() {
                     self.sd.deliver_q.push((g as u32, fifo));
                 }
-                self.shared.refresh_vc(node, f);
+                let exposed = self.shared.refresh_vc(node, f);
                 // The freed space becomes upstream credit only at the
                 // cycle boundary: deferring the release gives arbitration
                 // a credit snapshot independent of node visit order, the
@@ -1037,7 +1124,7 @@ impl Shard<'_> {
                 self.sd
                     .deferred
                     .push(((g * self.shared.vc_cells + f) as u32, pkt.chunks as u32));
-                pkt
+                (pkt, exposed)
             }
             WinSource::Inject { fifo } => {
                 let node = &mut self.sd.nodes[i];
@@ -1045,9 +1132,11 @@ impl Shard<'_> {
                 if node.inj[fifo as usize].is_empty() {
                     node.inj_mask &= !(1 << fifo);
                 }
-                self.shared.refresh_inj(node, fifo as usize);
+                let exposed = self.shared.refresh_inj(node, fifo as usize);
+                // Injection space opened: the CPU's stuck sends may fit now.
                 node.inject_blocked = false;
-                pkt
+                self.sd.cpu_at[i] = 0;
+                (pkt, exposed)
             }
         };
         // Spend downstream credit and launch.
@@ -1056,7 +1145,7 @@ impl Shard<'_> {
         let cell = &self.shared.credits
             [nb * self.shared.vc_cells + vc_fifo_index(nb_port, win.vc.index())];
         debug_assert!(cell.load(Relaxed) >= chunks, "feasible_vc checked credit");
-        cell.fetch_sub(chunks, Relaxed);
+        cell.store(cell.load(Relaxed) - chunks, Relaxed);
         pkt.vc = win.vc;
         if win.detour {
             // Non-minimal fault sidestep: re-plan the whole route from the
@@ -1099,6 +1188,7 @@ impl Shard<'_> {
             _ => self.sd.cs.dynamic += 1,
         }
         self.sd.cs.progress = true;
+        exposed
     }
 }
 

@@ -17,6 +17,11 @@ pub fn vc_fifo_index(port: usize, vc: usize) -> usize {
     port * NUM_VCS + vc
 }
 
+/// Below this pulled-queue depth the engine keeps pulling the program's
+/// own sends, so reactive sends waiting for FIFO space do not starve a
+/// node's proactive schedule.
+pub(crate) const PULL_THRESHOLD: usize = 8;
+
 /// What a node's last CPU visit learned about its ability to make
 /// progress on its own (without a delivery) — the time-skipping clock's
 /// per-node wake hint (see `engine/event.rs`).
@@ -68,9 +73,6 @@ pub struct NodeState {
     pub want: [u64; MAX_PORTS],
     /// The same over the injection FIFOs (bit `f` ⇔ `inj[f]`).
     pub inj_want: [u32; MAX_PORTS],
-    /// Per-class eligible injection FIFOs: bit `f` of `class_fifos[c]` is
-    /// set iff FIFO `f` accepts class `c` (`SimConfig::inj_class_masks`).
-    pub class_fifos: [u32; 8],
     /// Reception FIFO.
     pub reception: ChunkFifo,
     /// Reactive sends queued by the program (api.send from hooks), not yet
@@ -117,20 +119,6 @@ impl NodeState {
         let inj = (0..cfg.inj_fifo_count)
             .map(|_| ChunkFifo::new(cfg.inj_fifo_chunks))
             .collect();
-        let class_fifos = if cfg.inj_class_masks.is_empty() {
-            [((1u64 << cfg.inj_fifo_count) - 1) as u32; 8]
-        } else {
-            assert_eq!(
-                cfg.inj_class_masks.len(),
-                cfg.inj_fifo_count as usize,
-                "inj_class_masks length must equal inj_fifo_count"
-            );
-            let accepting = |c: usize| {
-                let fifos = cfg.inj_class_masks.iter().enumerate();
-                fifos.fold(0, |m, (f, &classes)| m | u32::from(classes >> c & 1) << f)
-            };
-            std::array::from_fn(accepting)
-        };
         NodeState {
             coord,
             vcs,
@@ -139,7 +127,6 @@ impl NodeState {
             inj_mask: 0,
             want: [0; MAX_PORTS],
             inj_want: [0; MAX_PORTS],
-            class_fifos,
             reception: ChunkFifo::new(cfg.reception_fifo_chunks),
             pending: VecDeque::new(),
             pulled: VecDeque::new(),
@@ -163,6 +150,15 @@ impl NodeState {
             self.program_done = true;
         }
         newly
+    }
+
+    /// Whether the CPU phase would poll the program for its next send: the
+    /// program has not completed and the pulled queue is below
+    /// `PULL_THRESHOLD`. [`poll`](Self::poll) is read only while this
+    /// holds.
+    #[inline]
+    pub fn pull_due(&self) -> bool {
+        !self.program_done && self.pulled.len() < PULL_THRESHOLD
     }
 
     /// Whether any packet sits anywhere in this node (diagnostics /

@@ -124,6 +124,17 @@ pub struct ShardPerf {
     pub barrier_a_wait_secs: f64,
     /// Seconds parked at the section B→C barrier.
     pub barrier_b_wait_secs: f64,
+    /// Marked nodes the CPU phase visited, summed over stepped cycles.
+    pub cpu_visits: u64,
+    /// Marked nodes the CPU phase passed over because no visit could have
+    /// changed anything yet (booked CPU, or stuck on injection-FIFO
+    /// space); always 0 under the full scan, which visits every node.
+    pub cpu_parked: u64,
+    /// Nodes with a queued packet that phase 4 arbitrated.
+    pub arb_visits: u64,
+    /// Marked nodes phase 4 passed over because every link they request
+    /// was mid-transmission; always 0 under the full scan.
+    pub arb_parked: u64,
 }
 
 impl ShardPerf {
@@ -252,6 +263,19 @@ impl PerfProfile {
         self.shards.iter().map(ShardPerf::barrier_wait_secs).sum()
     }
 
+    /// `[cpu_visits, cpu_parked, arb_visits, arb_parked]` summed over
+    /// every shard: how many marked nodes phases 3 and 4 visited, and how
+    /// many they passed over because no visit could have changed anything.
+    pub fn visit_totals(&self) -> [(&'static str, u64); 4] {
+        let sum = |f: fn(&ShardPerf) -> u64| self.shards.iter().map(f).sum();
+        [
+            ("cpu_visits", sum(|s| s.cpu_visits)),
+            ("cpu_parked", sum(|s| s.cpu_parked)),
+            ("arb_visits", sum(|s| s.arb_visits)),
+            ("arb_parked", sum(|s| s.arb_parked)),
+        ]
+    }
+
     /// Cycles skipped by the event engine (0 outside event mode).
     pub fn skipped_cycles(&self) -> u64 {
         self.event.as_ref().map_or(0, |e| e.skipped_cycles)
@@ -280,8 +304,9 @@ impl PerfProfile {
 
     /// RFC-4180 CSV rendering (CRLF rows, via the shared
     /// [`crate::csv::push_row`] writer): a `metric,value` pair per row —
-    /// run totals, per-phase totals, per-shard busy/barrier splits, and
-    /// the event counters + skip histogram when present.
+    /// run totals, visit/park totals, per-phase totals, per-shard
+    /// busy/barrier splits, and the event counters + skip histogram when
+    /// present.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let mut row = |metric: String, value: String| {
@@ -300,6 +325,9 @@ impl PerfProfile {
             "active_occupancy_max".into(),
             self.active_occupancy_max.to_string(),
         );
+        for (label, count) in self.visit_totals() {
+            row(label.into(), count.to_string());
+        }
         for (label, secs) in self.phase_totals().named() {
             row(format!("phase_{label}_secs"), secs.to_string());
         }
@@ -412,6 +440,7 @@ mod tests {
             assert_eq!(r.len(), 2, "{r:?}");
         }
         assert!(rows.iter().any(|r| r[0] == "total_secs" && r[1] == "0.5"));
+        assert!(rows.iter().any(|r| r[0] == "arb_parked" && r[1] == "0"));
         assert!(rows.iter().any(|r| r[0] == "phase_cpu_secs"));
         assert!(rows.iter().any(|r| r[0] == "shard0_busy_secs"));
         assert!(rows.iter().any(|r| r[0] == "wake_rate_window"));

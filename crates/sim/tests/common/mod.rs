@@ -57,13 +57,20 @@ pub fn engine_cell(cfg: SimConfig, programs: Vec<Box<dyn NodeProgram>>) -> Cell 
     }
 }
 
+/// `(cpu_parked, arb_parked)` over every shard of `p`.
+pub fn parked(p: &PerfProfile) -> (u64, u64) {
+    let [_, (_, cpu), _, (_, arb)] = p.visit_totals();
+    (cpu, arb)
+}
+
 /// Run `base` under every engine mode × every combination of `axes`. Each
 /// cell's whole `Result` — `NetStats` byte for byte, or the same
 /// `SimError` — must equal the reference's: full-scan, one shard, every
 /// observer off. Traced cells must also agree on the series, sample for
 /// sample, and its busy deltas must sum to the run's totals; profiled
-/// cells must carry a structurally consistent profile. Returns the
-/// reference.
+/// cells must carry a structurally consistent profile, in which the full
+/// scan — the reference that visits every node — parked nothing. Returns
+/// the reference.
 pub fn run_modes_by_shards(
     base: &SimConfig,
     axes: Axes<'_>,
@@ -129,6 +136,9 @@ pub fn run_modes_by_shards(
                 mode == EngineMode::EventDriven,
                 "{ctx}: event counters iff the skipping clock"
             );
+            if mode == EngineMode::FullScan {
+                assert_eq!(parked(p), (0, 0), "{ctx}: the full scan never parks");
+            }
         }
     }
     reference

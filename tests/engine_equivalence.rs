@@ -27,8 +27,8 @@ mod common;
 
 use bgl_alltoall::harness::runner::{RunPoint, Runner, Scale};
 use bgl_alltoall::prelude::*;
-use bgl_sim::{FaultPlan, LinkFault};
-use common::{run_modes_by_shards, Axes, Cell, SHARDS};
+use bgl_sim::{EngineMode, FaultPlan, LinkFault};
+use common::{parked, run_modes_by_shards, Axes, Cell, SHARDS};
 use proptest::prelude::*;
 
 /// The strategy pool: every class once — the four direct schemes, which
@@ -153,6 +153,34 @@ proptest! {
         })
         .expect("healthy run completes");
     }
+}
+
+/// Parking, asserted rather than hoped for: TPS with its reserved injection
+/// FIFOs on 4x8x4 at m = 912 fills them (CPUs stuck on injection space) and
+/// keeps the long dimension's links busy (arbiters with nothing free to
+/// ask for), so both scans must really have passed nodes over — and, cell
+/// by cell, have changed nothing against the full scan, which never parks;
+/// the oracle cells re-derive the parking rule at every cycle boundary.
+#[test]
+fn parked_nodes_change_nothing() {
+    let part: Partition = "4x8x4".parse().unwrap();
+    let workload = AaWorkload::full(912);
+    let axes = Axes {
+        shards: &[1, 4],
+        oracle: &[false, true],
+        perf: &[true],
+        ..Axes::MODES
+    };
+    run_modes_by_shards(&SimConfig::new(part), axes, |cfg| {
+        let mode = cfg.engine;
+        let cell = aa_cell(part, &workload, &StrategyKind::tps(), cfg);
+        if let (Some(p), true) = (&cell.perf, mode != EngineMode::FullScan) {
+            let (cpu, arb) = parked(p);
+            assert!(cpu > 0 && arb > 0, "{mode}: parked {cpu} cpu, {arb} arb");
+        }
+        cell
+    })
+    .expect("exchange completes");
 }
 
 /// Draw up to `picks.len()` distinct, topologically present directed
