@@ -58,6 +58,11 @@ pub fn render_perf_report(report: &AaReport) -> String {
         "  visits: cpu {cpu} made / {cpu_parked} parked, \
          arbitration {arb} made / {arb_parked} parked",
     );
+    let [(_, live), (_, slots), (_, copies)] = p.packet_totals();
+    let _ = writeln!(
+        out,
+        "  packets: peak {live} live in {slots} slab slots, {copies} cross-shard copies",
+    );
     out.push('\n');
     render_phase_breakdown(&mut out, p);
     render_shard_balance(&mut out, p);
@@ -208,6 +213,7 @@ mod tests {
         let text = render_perf_report(&report);
         assert!(text.contains("perf profile: AR on 4x4"), "{text}");
         assert!(text.contains("  visits: cpu "), "{text}");
+        assert!(text.contains(" slab slots, 0 cross-shard copies"), "{text}");
         assert!(text.contains("phase breakdown"), "{text}");
         assert!(text.contains("arbitration"), "{text}");
         assert!(text.contains("imbalance ratio"), "{text}");

@@ -147,7 +147,7 @@ impl Engine {
     fn cpu_wake(&self, sd: &ShardData, i: usize) -> u64 {
         let n = &sd.nodes[i];
         let ready = (n.cpu_free as u64).max(self.now);
-        if !n.reception.is_empty() {
+        if !sd.fifos.reception(i).is_empty() {
             // A drain mutates real state: never skip past it.
             return ready;
         }
@@ -198,11 +198,12 @@ impl Engine {
         let ports = self.shared.ports;
         let mut wake = u64::MAX;
         for d in 0..ports {
-            let requested = faulted || node.want[d] != 0 || node.inj_want[d] != 0;
+            let link = i * ports + d;
+            let requested = faulted || sd.want[link] != 0 || sd.inj_want[link] != 0;
             if !requested || self.shared.neighbors[sd.base + i][d] == u32::MAX {
                 continue;
             }
-            let busy = sd.link_busy_until[i * ports + d];
+            let busy = sd.link_busy_until[link];
             if busy >= self.now {
                 wake = wake.min(busy);
             }
@@ -225,7 +226,7 @@ impl Engine {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
                     let n = &sd.nodes[i];
-                    if !n.pull_due() || !n.reception.is_empty() {
+                    if !n.pull_due() || !sd.fifos.reception(i).is_empty() {
                         continue;
                     }
                     let from = (n.cpu_free as u64).max(self.now);

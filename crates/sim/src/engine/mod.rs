@@ -42,14 +42,17 @@
 //! - **B** (packet-id fix-up + phase 4): arbitration reads neighbour
 //!   state *only* through the shared credit array, whose cells each have
 //!   exactly one reading/spending shard (the unique upstream of the
-//!   FIFO), and stages cross-shard arrivals into per-(src,dst) outboxes;
-//! - **C**: drains staged arrivals in ascending source-shard order (which
-//!   reproduces the global ascending-node win order exactly) and applies
-//!   the cycle's deferred credit releases.
+//!   FIFO), and stages its wins: into the shard's own list, or — the
+//!   downstream node being another shard's — into that shard's outbox;
+//! - **C**: files the staged wins into the in-flight ring in ascending
+//!   source-shard order (which reproduces the global ascending-node win
+//!   order exactly) and applies the cycle's deferred credit releases.
 //!
-//! Each shard *owns* its slab ([`ShardData`]: nodes, programs, link
-//! timers, per-cycle statistics, rings and outboxes); everything sections
-//! only read or touch atomically lives in one [`Shared`]. `Engine::step`
+//! Each shard *owns* its rank range ([`ShardData`]: nodes, their FIFO
+//! header rows and per-link tables, the packets queued at or flying
+//! towards them, programs, per-cycle statistics, ring and outboxes);
+//! everything sections only read or touch atomically lives in one
+//! [`Shared`]. `Engine::step`
 //! is therefore a loop over `self.shards`: with `shards > 1` (and the
 //! invariant oracle off) each shard's three sections run on a scoped
 //! thread of their own, separated by two barriers (A→B orders credit
@@ -58,6 +61,12 @@
 //! caller's thread in ascending shard order. Both drive the *same*
 //! section code over the same data, so results are byte-identical for
 //! every shard count, threaded or not.
+//!
+//! A packet is written into its shard's slab at injection and stays in
+//! that slot, advanced in place hop by hop, until it is drained or won by
+//! a node of another shard — the one hop that copies it; FIFOs, ring and
+//! win lists hold `u32` handles (`fifo.rs`; DESIGN.md §6, "Memory
+//! layout").
 //!
 //! Two accounting rules make the sections order-independent (and apply
 //! identically at `shards = 1`): credit freed by a phase-4 pop is
@@ -81,8 +90,9 @@ mod perf;
 mod phases;
 mod tracer;
 
-use crate::config::{EngineMode, SimConfig, Vc};
-use crate::node::{vc_fifo_index, NodeState};
+use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
+use crate::fifo::{ChunkFifo, FifoRows, Slab};
+use crate::node::NodeState;
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
 use crate::perf::ShardPerf;
 use crate::program::NodeProgram;
@@ -268,18 +278,45 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// A packet crossing a link into one of this shard's nodes: everything
+/// phase 1 needs to commit it, computed once at the win, so an arrival
+/// behind a queued packet never touches the packet itself.
 struct Arrival {
+    /// Global rank of the receiving node.
     node: u32,
-    port: u8,
-    pkt: Packet,
+    /// The packet's slot in the receiving shard's slab.
+    h: u32,
+    /// Transit FIFO it joins (`vc_fifo_index(port, vc)`).
+    fifo: u8,
+    chunks: u8,
+    /// The hop it is finishing is its last (`plan.is_done()`).
+    done: bool,
 }
 
-/// A staged cross-shard (or same-shard) arrival: phase 4 appends these to
-/// the winner shard's outbox; section C moves them into the destination
-/// shard's in-flight ring.
+impl Arrival {
+    /// The record of `pkt`, stored in slot `h` of the receiving shard's
+    /// slab with the hop already written into it, on its way into transit
+    /// FIFO `fifo` of node `node`.
+    fn new(node: u32, h: u32, fifo: u8, pkt: &Packet) -> Arrival {
+        Arrival {
+            node,
+            h,
+            fifo,
+            chunks: pkt.chunks,
+            done: pkt.plan.is_done(),
+        }
+    }
+}
+
+/// A staged cross-shard win — the one place a packet changes owner, hence
+/// the one hop that copies it: phase 4 takes it out of the winner's slab
+/// into the outbox; section C of the destination shard stores it in its
+/// own slab and files the [`Arrival`].
 struct OutMsg {
     arrive: u64,
-    arr: Arrival,
+    node: u32,
+    fifo: u8,
+    pkt: Packet,
 }
 
 #[derive(Clone, Copy)]
@@ -351,9 +388,27 @@ struct ShardData {
     /// First global rank of the slab.
     base: usize,
     nodes: Vec<NodeState>,
+    /// The nodes' FIFO headers, one row per local node.
+    fifos: FifoRows,
+    /// Every packet queued at, or in flight towards, this shard's nodes.
+    slab: Slab,
     programs: Vec<Box<dyn NodeProgram>>,
-    /// `busy_until[local * ports + dir]`.
+    /// `busy_until[local * ports + dir]`. This and the three tables below
+    /// are per output link, `ports` entries per node: sized by the
+    /// partition's arity.
     link_busy_until: Vec<u64>,
+    /// Request masks over the transit FIFOs: bit `f` of `want[link]` is set
+    /// iff the node's transit FIFO `f` is non-empty and its head's routing
+    /// allows that output (`Shared::wants`). A function of the head packet
+    /// and the router config alone, so the engine refreshes FIFO `f`'s bits
+    /// exactly where its head changes, and arbitration reads them instead
+    /// of re-routing every head for every link every cycle. At the
+    /// 6-dimension maximum there are 12 ports × 3 VCs = 36 FIFOs.
+    want: Vec<u64>,
+    /// The same over the injection FIFOs.
+    inj_want: Vec<u32>,
+    /// Round-robin arbitration pointer of each output link.
+    rr: Vec<u8>,
     /// The slab's rows of `NetStats::link_busy_per_link` (folded in at
     /// observation points); empty when detailed link stats are off.
     link_stats: Vec<u64>,
@@ -373,12 +428,16 @@ struct ShardData {
     cpu_at: Vec<u64>,
     /// The same for phase 4.
     arb_at: Vec<u64>,
-    /// Per-destination-shard staged wins of the current cycle.
+    /// This cycle's wins into this shard's own nodes, with their arrival
+    /// cycles: the handle stays put, and section C files the record at its
+    /// place among the other shards' mailboxes.
+    own: Vec<(u64, Arrival)>,
+    /// Per-destination-shard staged wins of the current cycle (this
+    /// shard's own entry stays empty).
     outbox: Vec<Vec<OutMsg>>,
-    /// Packets injected this cycle, in injection order: `(local node,
-    /// fifo, queue position)` of each provisional-id packet, rewritten to
-    /// its final global id at the section-B fix-up.
-    injected: Vec<(u32, u8, u16)>,
+    /// Handles of the packets injected this cycle, in injection order:
+    /// their provisional ids become final at the section-B fix-up.
+    injected: Vec<u32>,
     /// Credit releases from this cycle's phase-4 pops, applied at the
     /// cycle boundary (section C): `(credit cell, chunks)`.
     deferred: Vec<(u32, u32)>,
@@ -388,6 +447,30 @@ struct ShardData {
     /// profiler only reads the host clock and writes its own accumulator,
     /// so enabling it can never perturb simulation results.
     perf: Option<ShardPerf>,
+}
+
+/// The set bits of `mask`, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let b = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            b
+        })
+    })
+}
+
+impl ShardData {
+    /// The head packet of every occupied FIFO of local node `i` (only the
+    /// masks' bits are walked): `(Some(f), head)` for transit FIFO `f`,
+    /// ascending, then `(None, head)` per injection FIFO.
+    fn heads(&self, i: usize) -> impl Iterator<Item = (Option<usize>, &Packet)> {
+        let node = &self.nodes[i];
+        let head = |f: &ChunkFifo| &self.slab[f.head().expect("mask says non-empty")];
+        let transit = bits(node.vc_mask).map(move |f| (Some(f), head(&self.fifos.vcs(i)[f])));
+        let inj = bits(node.inj_mask.into()).map(move |f| (None, head(&self.fifos.inj(i)[f])));
+        transit.chain(inj)
+    }
 }
 
 /// Statistics a single shard accumulates over one cycle, merged into the
@@ -486,14 +569,21 @@ impl Engine {
             panic!("invalid fault plan: {e}");
         }
         let ports = part.ports();
-        let vc_cells = ports * crate::config::NUM_VCS;
-        // Contiguous rank slabs (shard `s` owns ranks `s·p/n..(s+1)·p/n`);
+        let vc_cells = ports * NUM_VCS;
+        // Contiguous rank ranges (shard `s` owns ranks `s·p/n..(s+1)·p/n`);
         // u16::MAX shards is plenty and keeps the ownership map compact.
-        // The slabs are built before the shared tables on purpose: with
+        // The shards are built before the shared tables on purpose: with
         // the per-node allocations first, glibc keeps the heap across a
         // drop-and-rebuild instead of trimming it and faulting every page
         // back in (measured on 16x8x8: `Engine::new` 170 µs this way round,
         // 410 µs the other) — what a caller that builds many engines pays.
+        // "Per-node allocations" is one small block per node today, the
+        // pulled queue (`NodeState::new`), and it carries that effect alone:
+        // with no block per node, every table here being one large
+        // allocation, the same caller paid +50 % on 16x8x8 (0.26 → 0.39 ms,
+        // 0/6 pairs; its own program vectors faulted back in too); with it,
+        // 0.18 ms. The packet slabs start empty and grow with the traffic,
+        // after and above everything built here.
         let nshards = cfg.shards.get().min(p).min(u16::MAX as usize);
         let mut shard_of = vec![0u16; p];
         let mut programs = programs.into_iter();
@@ -506,7 +596,7 @@ impl Engine {
             let links = (end - base) * ports;
             let programs: Vec<Box<dyn NodeProgram>> = programs.by_ref().take(end - base).collect();
             let nodes = (base..end).zip(&programs).map(|(r, prog)| {
-                let mut node = NodeState::new(part.coord_of(r as u32), &cfg, ports);
+                let mut node = NodeState::new(part.coord_of(r as u32), &cfg);
                 done_programs += usize::from(node.latch_done(prog.as_ref()));
                 node
             });
@@ -514,8 +604,13 @@ impl Engine {
                 si: s,
                 base,
                 nodes: nodes.collect(),
+                fifos: FifoRows::new(end - base, vc_cells, cfg.inj_fifo_count as usize),
+                slab: Slab::new(),
                 programs,
                 link_busy_until: vec![0; links],
+                want: vec![0; links],
+                inj_want: vec![0; links],
+                rr: vec![0; links],
                 link_stats: vec![0; if cfg.detailed_link_stats { links } else { 0 }],
                 ring: (0..RING).map(|_| Vec::new()).collect(),
                 deliver_q: Vec::new(),
@@ -523,6 +618,7 @@ impl Engine {
                 arb_active: ActiveSet::all(end - base),
                 cpu_at: vec![0; end - base],
                 arb_at: vec![0; end - base],
+                own: Vec::new(),
                 outbox: (0..nshards).map(|_| Vec::new()).collect(),
                 injected: Vec::new(),
                 deferred: Vec::new(),
@@ -599,7 +695,7 @@ impl Engine {
             ports,
             vc_cells,
             shard_of,
-            staging: (0..nshards * nshards)
+            staging: (0..nshards * (nshards - 1))
                 .map(|_| Mutex::new(Vec::new()))
                 .collect(),
             counts: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
@@ -799,7 +895,7 @@ impl Engine {
         let dp = d.opposite().index();
         let sv = self.shared.shard_of[v] as usize;
         let keep = (self.now % RING as u64) as usize;
-        let mut dropped: Vec<Packet> = Vec::new();
+        let mut dropped: Vec<Arrival> = Vec::new();
         for (slot, ring) in self.shards[sv].ring.iter_mut().enumerate() {
             // Arrivals of the current cycle finished crossing before the
             // transition; they arrive normally. Every other slot holds
@@ -809,16 +905,17 @@ impl Engine {
             }
             let mut i = 0;
             while i < ring.len() {
-                if ring[i].node as usize == v && ring[i].port as usize == dp {
-                    dropped.push(ring.remove(i).pkt);
+                if ring[i].node as usize == v && ring[i].fifo as usize / NUM_VCS == dp {
+                    dropped.push(ring.remove(i));
                 } else {
                     i += 1;
                 }
             }
         }
-        for pkt in dropped {
-            let cell = v * self.shared.vc_cells + vc_fifo_index(dp, pkt.vc.index());
-            self.shared.release(cell, pkt.chunks as u32);
+        for arr in dropped {
+            let cell = v * self.shared.vc_cells + arr.fifo as usize;
+            self.shared.release(cell, arr.chunks as u32);
+            let pkt = self.shards[sv].slab.take(arr.h);
             self.live_packets -= 1;
             self.stats.dropped_by_fault += 1;
             if let Some(o) = self.oracle.as_deref_mut() {
@@ -970,7 +1067,7 @@ impl Engine {
     /// packets parked behind saturated long-dimension links.
     fn head_is_hol_blocked(&self, n: usize, fifo: usize, pkt: &Packet) -> bool {
         let router = &self.shared;
-        let from_dim = Some(fifo / crate::config::NUM_VCS / 2); // port index / 2 = dimension
+        let from_dim = Some(fifo / NUM_VCS / 2); // port index / 2 = dimension
         let (sd, i) = self.locate(n);
         let mut any_dir = false;
         for d in router.part.directions() {
@@ -1048,26 +1145,14 @@ impl Engine {
         if self.shared.healthy() {
             return;
         }
-        for (ni, node) in self.nodes().enumerate() {
-            let mut mask = node.vc_mask;
-            while mask != 0 {
-                let fifo = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if let Some(head) = node.vcs[fifo].head() {
-                    if !head.plan.is_done() {
-                        if let Some(d) = self.head_is_fault_blocked(ni, head) {
-                            f(ni, d);
-                        }
+        for sd in &self.shards {
+            for i in 0..sd.nodes.len() {
+                for (_, head) in sd.heads(i) {
+                    if head.plan.is_done() {
+                        continue;
                     }
-                }
-            }
-            let mut imask = node.inj_mask;
-            while imask != 0 {
-                let fifo = imask.trailing_zeros() as usize;
-                imask &= imask - 1;
-                if let Some(head) = node.inj[fifo].head() {
-                    if let Some(d) = self.head_is_fault_blocked(ni, head) {
-                        f(ni, d);
+                    if let Some(d) = self.head_is_fault_blocked(sd.base + i, head) {
+                        f(sd.base + i, d);
                     }
                 }
             }
@@ -1107,38 +1192,27 @@ impl Engine {
     /// [`SimError::Stalled`] payload).
     fn stall_breakdown(&self) -> StallBreakdown {
         let mut b = StallBreakdown::default();
-        for (ni, node) in self.nodes().enumerate() {
-            if !node.program_done {
-                let closed = node.flow.closed_windows();
-                if closed > 0 {
-                    b.credit_blocked_nodes += 1;
-                    b.closed_credit_windows += closed as u64;
-                }
-            }
-            b.reception_stalled_fifos += node.blocked_deliveries.len() as u64;
-            let mut mask = node.vc_mask;
-            while mask != 0 {
-                let f = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                if let Some(head) = node.vcs[f].head() {
-                    if !head.plan.is_done() {
-                        // Fault parks are classified first so a head with
-                        // only dead exits never inflates the HOL count.
-                        if self.head_is_fault_blocked(ni, head).is_some() {
-                            b.fault_blocked_heads += 1;
-                        } else if self.head_is_hol_blocked(ni, f, head) {
-                            b.hol_blocked_heads += 1;
-                        }
+        for sd in &self.shards {
+            for (i, node) in sd.nodes.iter().enumerate() {
+                let ni = sd.base + i;
+                if !node.program_done {
+                    let closed = node.flow.closed_windows();
+                    if closed > 0 {
+                        b.credit_blocked_nodes += 1;
+                        b.closed_credit_windows += closed as u64;
                     }
                 }
-            }
-            let mut imask = node.inj_mask;
-            while imask != 0 {
-                let f = imask.trailing_zeros() as usize;
-                imask &= imask - 1;
-                if let Some(head) = node.inj[f].head() {
+                b.reception_stalled_fifos += node.blocked_deliveries.len() as u64;
+                for (transit, head) in sd.heads(i) {
+                    if head.plan.is_done() {
+                        continue;
+                    }
+                    // Fault parks are classified first so a head with
+                    // only dead exits never inflates the HOL count.
                     if self.head_is_fault_blocked(ni, head).is_some() {
                         b.fault_blocked_heads += 1;
+                    } else if transit.is_some_and(|f| self.head_is_hol_blocked(ni, f, head)) {
+                        b.hol_blocked_heads += 1;
                     }
                 }
             }

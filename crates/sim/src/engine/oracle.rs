@@ -14,8 +14,8 @@
 //! cycle-boundary sweep can read the credit array at rest.
 
 use super::Engine;
+use crate::config::NUM_VCS;
 use crate::fifo::ChunkFifo;
-use crate::node::vc_fifo_index;
 use crate::packet::Packet;
 use std::sync::atomic::Ordering::Relaxed;
 
@@ -196,61 +196,126 @@ impl Engine {
         );
         // Chunks launched toward each transit cell but not yet arrived:
         // at a cycle boundary every such packet sits in some shard's
-        // in-flight ring (outboxes and staging mailboxes drain within
-        // the cycle that filled them).
+        // in-flight ring (own-win lists, outboxes and staging mailboxes
+        // drain within the cycle that filled them). The sum reads the ring
+        // records, which `oracle_slab_check` holds to the packets.
         let vc_cells = self.shared.vc_cells;
         let mut inflight = vec![0u64; self.num_nodes() * vc_cells];
-        for sd in &self.shards {
-            for slot in &sd.ring {
-                for arr in slot {
-                    let cell = arr.node as usize * vc_cells
-                        + vc_fifo_index(arr.port as usize, arr.pkt.vc.index());
-                    inflight[cell] += arr.pkt.chunks as u64;
-                }
-            }
+        for arr in self.shards.iter().flat_map(|sd| sd.ring.iter().flatten()) {
+            inflight[arr.node as usize * vc_cells + arr.fifo as usize] += arr.chunks as u64;
         }
         let router = &self.shared;
-        for (ni, node) in self.nodes().enumerate() {
-            for (c, f) in node.vcs.iter().enumerate() {
-                let cell = ni * vc_cells + c;
-                let credit = router.credits[cell].load(Relaxed) as u64;
-                let occupied = f.occupied_chunks() as u64;
-                assert_eq!(
-                    credit + occupied + inflight[cell],
-                    f.capacity_chunks() as u64,
-                    "invariant violated: credit cell (node {ni}, fifo {c}) leaked \
-                     ({credit} credit + {occupied} occupied + {} in flight ≠ {} capacity, cycle {t})",
-                    inflight[cell],
-                    f.capacity_chunks()
-                );
-            }
-            for f in node.inj.iter().chain(std::iter::once(&node.reception)) {
-                assert!(
-                    f.occupied_chunks() <= f.capacity_chunks(),
-                    "invariant violated: FIFO at node {ni} over capacity \
-                     ({} occupied > {}, cycle {t})",
-                    f.occupied_chunks(),
-                    f.capacity_chunks()
-                );
-            }
-            for d in router.part.directions() {
-                let (want, inj_want) = (node.want[d.index()], node.inj_want[d.index()]);
-                let check = |kind: &str, f: usize, fifo: &ChunkFifo, cached: bool| {
-                    assert!(
-                        cached == fifo.head().is_some_and(|pkt| router.wants(pkt, d)),
-                        "invariant violated: request mask stale at node {ni} {kind}fifo {f} dir {d} \
-                         (cycle {t})"
+        let cfg = &router.cfg;
+        for sd in &self.shards {
+            for i in 0..sd.nodes.len() {
+                let ni = sd.base + i;
+                for (c, f) in sd.fifos.vcs(i).iter().enumerate() {
+                    let cell = ni * vc_cells + c;
+                    let credit = router.credits[cell].load(Relaxed) as u64;
+                    let occupied = f.occupied_chunks() as u64;
+                    assert_eq!(
+                        credit + occupied + inflight[cell],
+                        cfg.router.vc_fifo_chunks as u64,
+                        "invariant violated: credit cell (node {ni}, fifo {c}) leaked \
+                         ({credit} credit + {occupied} occupied + {} in flight ≠ {} capacity, cycle {t})",
+                        inflight[cell],
+                        cfg.router.vc_fifo_chunks
                     );
-                };
-                for (f, fifo) in node.vcs.iter().enumerate() {
-                    check("", f, fifo, want >> f & 1 != 0);
                 }
-                for (f, fifo) in node.inj.iter().enumerate() {
-                    check("injection ", f, fifo, inj_want >> f & 1 != 0);
+                let inj = sd.fifos.inj(i).iter().map(|f| (f, cfg.inj_fifo_chunks));
+                for (f, capacity) in inj.chain([(sd.fifos.reception(i), cfg.reception_fifo_chunks)])
+                {
+                    assert!(
+                        f.occupied_chunks() <= capacity,
+                        "invariant violated: FIFO at node {ni} over capacity \
+                         ({} occupied > {capacity}, cycle {t})",
+                        f.occupied_chunks()
+                    );
+                }
+                for d in router.part.directions() {
+                    let link = i * router.ports + d.index();
+                    let (want, inj_want) = (sd.want[link], sd.inj_want[link]);
+                    let check = |kind: &str, f: usize, fifo: &ChunkFifo, cached: bool| {
+                        let wanted = fifo.head().is_some_and(|h| router.wants(&sd.slab[h], d));
+                        assert!(
+                            cached == wanted,
+                            "invariant violated: request mask stale at node {ni} {kind}fifo {f} dir {d} \
+                             (cycle {t})"
+                        );
+                    };
+                    for (f, fifo) in sd.fifos.vcs(i).iter().enumerate() {
+                        check("", f, fifo, want >> f & 1 != 0);
+                    }
+                    for (f, fifo) in sd.fifos.inj(i).iter().enumerate() {
+                        check("injection ", f, fifo, inj_want >> f & 1 != 0);
+                    }
                 }
             }
         }
+        self.oracle_slab_check(t);
         self.oracle_parking_check(t);
+    }
+
+    /// The slab's conservation law at the end of cycle `t`, per shard: every
+    /// live slot is reachable exactly once — from one FIFO's list or one
+    /// ring record — and nothing else is; each header's chunk count is the
+    /// sum over its list; and each ring record says of its packet what the
+    /// packet says itself (phase 1 and the credit sum above trust the
+    /// record). A slot leaked, released twice or queued twice shows at the
+    /// boundary of the cycle that did it.
+    fn oracle_slab_check(&self, t: u64) {
+        for sd in &self.shards {
+            let mut seen = vec![false; sd.slab.slots()];
+            let mut reach = |h: u32| {
+                assert!(
+                    !std::mem::replace(&mut seen[h as usize], true),
+                    "invariant violated: packet slot {h} of shard {} reachable twice (cycle {t})",
+                    sd.si
+                );
+                &sd.slab[h]
+            };
+            let mut reached = 0;
+            for i in 0..sd.nodes.len() {
+                let row = sd.fifos.vcs(i).iter().chain(sd.fifos.inj(i));
+                for (f, fifo) in row.chain([sd.fifos.reception(i)]).enumerate() {
+                    let mut chunks = 0;
+                    for h in fifo.iter(&sd.slab) {
+                        chunks += reach(h).chunks as u32;
+                        reached += 1;
+                    }
+                    assert_eq!(
+                        chunks,
+                        fifo.occupied_chunks(),
+                        "invariant violated: header {f} of node {} counts {} chunks, its list \
+                         holds {chunks} (cycle {t})",
+                        sd.base + i,
+                        fifo.occupied_chunks()
+                    );
+                }
+            }
+            for arr in sd.ring.iter().flatten() {
+                let pkt = reach(arr.h);
+                assert!(
+                    (arr.fifo as usize % NUM_VCS, arr.chunks, arr.done)
+                        == (pkt.vc.index(), pkt.chunks, pkt.plan.is_done()),
+                    "invariant violated: in-flight record of packet {} (fifo {}, {} chunks, \
+                     done {}) disagrees with the packet (cycle {t})",
+                    pkt.id,
+                    arr.fifo,
+                    arr.chunks,
+                    arr.done
+                );
+                reached += 1;
+            }
+            assert_eq!(
+                reached,
+                sd.slab.live(),
+                "invariant violated: shard {} holds {} live packet slots, {reached} are queued \
+                 or in flight (cycle {t})",
+                sd.si,
+                sd.slab.live()
+            );
+        }
     }
 
     /// The parking rule, re-derived from the state at the end of cycle `t`:
@@ -264,16 +329,16 @@ impl Engine {
             for (i, node) in sd.nodes.iter().enumerate() {
                 let ni = sd.base + i;
                 let free = |d: usize| {
-                    (node.want[d] != 0 || node.inj_want[d] != 0)
+                    (sd.want[i * ports + d] != 0 || sd.inj_want[i * ports + d] != 0)
                         && self.shared.neighbors[ni][d] != u32::MAX
                         && sd.link_busy_until[i * ports + d] <= t
                 };
                 let cpu_idle = match sd.cpu_at[i] {
                     u64::MAX => {
                         node.inject_blocked
-                            && node.reception.is_empty()
+                            && sd.fifos.reception(i).is_empty()
                             && !node.pull_due()
-                            && self.shared.inject_slot(node).is_none()
+                            && self.shared.inject_slot(node, sd.fifos.inj(i)).is_none()
                     }
                     at => at <= t || node.cpu_free >= (t + 1) as f64,
                 };
@@ -340,31 +405,38 @@ impl Engine {
             ledger_hops, stats_hops,
             "invariant violated: per-packet hop ledger disagrees with stats"
         );
-        for (ni, node) in self.nodes().enumerate() {
+        let full = self.shared.cfg.router.vc_fifo_chunks;
+        for sd in &self.shards {
+            for (i, node) in sd.nodes.iter().enumerate() {
+                let ni = sd.base + i;
+                assert!(
+                    !node.holds_packets(),
+                    "invariant violated: node {ni} still holds packets at quiesce"
+                );
+                for (c, f) in sd.fifos.vcs(i).iter().enumerate() {
+                    let credit = self.shared.credits[ni * self.shared.vc_cells + c].load(Relaxed);
+                    assert!(
+                        f.is_empty() && f.occupied_chunks() == 0 && credit == full,
+                        "invariant violated: transit FIFO (node {ni}, fifo {c}) not drained at \
+                         quiesce ({} occupied, {credit} of {full} credits returned)",
+                        f.occupied_chunks()
+                    );
+                }
+                for f in sd.fifos.inj(i).iter().chain([sd.fifos.reception(i)]) {
+                    assert!(
+                        f.is_empty() && f.occupied_chunks() == 0,
+                        "invariant violated: FIFO at node {ni} not drained at quiesce \
+                         ({} occupied)",
+                        f.occupied_chunks()
+                    );
+                }
+            }
             assert!(
-                !node.holds_packets(),
-                "invariant violated: node {ni} still holds packets at quiesce"
+                sd.slab.live() == 0,
+                "invariant violated: {} packet slots leaked (shard {})",
+                sd.slab.live(),
+                sd.si
             );
-            for (c, f) in node.vcs.iter().enumerate() {
-                let credit = self.shared.credits[ni * self.shared.vc_cells + c].load(Relaxed);
-                assert!(
-                    f.is_empty() && f.occupied_chunks() == 0 && credit == f.capacity_chunks(),
-                    "invariant violated: transit FIFO (node {ni}, fifo {c}) not drained at \
-                     quiesce ({} packets, {} occupied, {credit} of {} credits returned)",
-                    f.len(),
-                    f.occupied_chunks(),
-                    f.capacity_chunks()
-                );
-            }
-            for f in node.inj.iter().chain(std::iter::once(&node.reception)) {
-                assert!(
-                    f.is_empty() && f.occupied_chunks() == 0,
-                    "invariant violated: FIFO at node {ni} not drained at quiesce \
-                     ({} packets, {} occupied)",
-                    f.len(),
-                    f.occupied_chunks()
-                );
-            }
         }
         assert!(
             self.shards

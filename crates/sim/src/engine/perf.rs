@@ -68,11 +68,12 @@ impl Engine {
     pub fn take_perf(&mut self) -> Option<PerfProfile> {
         let state = self.perf.take()?;
         let mut profile = state.profile;
-        profile.shards = self
-            .shards
-            .iter_mut()
-            .filter_map(|sd| sd.perf.take())
-            .collect();
+        let finish = |sd: &mut super::ShardData| {
+            let mut p = sd.perf.take()?;
+            p.slab_slots = sd.slab.slots() as u64;
+            Some(p)
+        };
+        profile.shards = self.shards.iter_mut().filter_map(finish).collect();
         if profile.stepped_cycles > 0 {
             profile.active_occupancy_mean =
                 state.occupancy_sum as f64 / profile.stepped_cycles as f64;
@@ -100,6 +101,7 @@ impl Engine {
         }
         p.occupancy_sum += occ;
         p.profile.active_occupancy_max = p.profile.active_occupancy_max.max(occ);
+        p.profile.peak_live_packets = p.profile.peak_live_packets.max(self.live_packets);
     }
 
     /// Record one fast-forward jump: `raw` is the unclamped earliest

@@ -31,9 +31,23 @@
 //!   cell is read and spent exclusively by the unique upstream node of
 //!   its FIFO; releases happen in phase 2 (section A) or at the cycle
 //!   boundary (section C), never concurrently with the reads;
-//! - the **staging mailboxes**: written at the end of section B, drained
-//!   in section C in ascending source-shard order, which reproduces the
-//!   global ascending-node win order of an unsharded engine exactly.
+//! - the **staging mailboxes**, which carry the wins whose downstream node
+//!   another shard owns: written at the end of section B, drained in
+//!   section C in ascending source-shard order, which reproduces the
+//!   global ascending-node win order of an unsharded engine exactly. A
+//!   win into the shard's own nodes waits in `ShardData::own` and is filed
+//!   at the shard's own place in that order; a one-shard run has no
+//!   mailbox and locks nothing.
+//!
+//! ## Packets
+//!
+//! A packet lives in one slot of its shard's slab from `cpu_inject_one` to
+//! `cpu_drain_one` (or `drop_in_flight`); FIFOs, the own-win list and the
+//! in-flight ring hold its `u32` handle, and `apply_win` writes each hop
+//! into it in place. The engine copies a `Packet` in three places only:
+//! the injection into the slab, a cross-shard win (out of the winner's
+//! slab into the mailbox, into the destination's slab in section C) and
+//! the drain (DESIGN.md §6, "Memory layout").
 //!
 //! Arbitration never reads another node's FIFOs directly; every
 //! downstream-feasibility probe ([`Shared::feasible_vc`] and friends) is
@@ -43,6 +57,7 @@
 use super::oracle::Oracle;
 use super::{Arrival, OutMsg, ShardData, Win, WinSource, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
+use crate::fifo::{ChunkFifo, Slab};
 use crate::flow::FlowSpec;
 use crate::node::{vc_fifo_index, NodeState, PollState};
 use crate::packet::{Packet, RoutingMode, SendSpec, DETOUR_BUDGET};
@@ -57,6 +72,12 @@ use std::sync::{Barrier, Mutex};
 /// head-of-line block packets of other classes (e.g. TPS phase-1
 /// packets stuck behind a congested phase-2 forward).
 const INJECT_SCAN: usize = 16;
+
+/// Local node `i`'s row of a per-link table (`local * ports + dir`).
+#[inline]
+fn row<T>(table: &mut [T], i: usize, ports: usize) -> &mut [T] {
+    &mut table[i * ports..][..ports]
+}
 
 /// Everything a section only reads or touches atomically: configuration,
 /// topology, shard ownership, the downstream-credit array and the
@@ -94,10 +115,11 @@ pub(super) struct Shared {
     pub(super) class_fifos: [u32; 8],
     /// Owning shard of each global rank.
     pub(super) shard_of: Vec<u16>,
-    /// Per-(src,dst)-shard mailboxes (`src * nshards + dst`), swapped
-    /// against shard outboxes at the end of section B and drained by the
-    /// destination in section C. Uncontended by construction; the mutex
-    /// exists to let threaded shards exchange the vectors safely.
+    /// One mailbox per ordered pair of *distinct* shards
+    /// ([`mailbox`](Self::mailbox)), swapped against the source's outbox at
+    /// the end of section B and drained by the destination in section C.
+    /// Uncontended by construction; the mutex exists to let threaded
+    /// shards exchange the vectors safely. A one-shard run has none.
     pub(super) staging: Vec<Mutex<Vec<OutMsg>>>,
     /// Per-shard injection counts of the current cycle, published at the
     /// end of section A and prefix-summed by every shard in section B to
@@ -117,6 +139,13 @@ impl Shared {
     #[inline]
     pub(super) fn healthy(&self) -> bool {
         self.fault_alive.is_empty()
+    }
+
+    /// The mailbox shard `src` fills for shard `dst` (`src != dst`).
+    fn mailbox(&self, src: usize, dst: usize) -> &Mutex<Vec<OutMsg>> {
+        debug_assert_ne!(src, dst, "a shard's wins into itself never leave it");
+        let others = self.counts.len() - 1;
+        &self.staging[src * others + dst - usize::from(dst > src)]
     }
 
     /// Available space (counting in-flight reservations) of the transit
@@ -211,7 +240,8 @@ impl Shared {
     /// dimension-order direction plus, for an adaptive packet, its minimal
     /// quadrant (only the longest remaining dimensions when shaped). It
     /// reads the packet and the router config and nothing else, which is
-    /// why a node can cache it per FIFO head ([`NodeState::want`]).
+    /// why a node can cache it per FIFO head (`ShardData::want`). Zero
+    /// exactly when the plan is done: an arrived head requests no output.
     pub(super) fn request_dirs(&self, pkt: &Packet) -> u16 {
         let plan = &pkt.plan;
         let mut dirs = plan.dimension_order_next().map_or(0, |d| 1 << d.index());
@@ -231,25 +261,31 @@ impl Shared {
         dirs
     }
 
-    /// Re-derive transit FIFO `f`'s bit of each of `node`'s request masks
-    /// from its current head (none: clear) and return that head's
-    /// [`request_dirs`](Self::request_dirs). Called, like `refresh_inj`,
-    /// wherever a head changes: a push into an empty FIFO and every pop.
-    fn refresh_vc(&self, node: &mut NodeState, f: usize) -> u16 {
-        let dirs = node.vcs[f].head().map_or(0, |p| self.request_dirs(p));
-        for (d, w) in node.want[..self.ports].iter_mut().enumerate() {
+    /// Set transit FIFO `f`'s bit of each of a node's request masks (`want`,
+    /// the node's row of `ShardData::want`, one mask per output) to `dirs`,
+    /// its current head's [`request_dirs`](Self::request_dirs) (0: no
+    /// head). Called, like `refresh_inj`, wherever a head changes: a push
+    /// into an empty FIFO and every pop.
+    fn refresh_vc(want: &mut [u64], f: usize, dirs: u16) {
+        for (d, w) in want.iter_mut().enumerate() {
             *w = *w & !(1 << f) | u64::from(dirs >> d & 1) << f;
         }
-        dirs
     }
 
-    /// [`refresh_vc`](Self::refresh_vc) for injection FIFO `f`.
-    fn refresh_inj(&self, node: &mut NodeState, f: usize) -> u16 {
-        let dirs = node.inj[f].head().map_or(0, |p| self.request_dirs(p));
-        for (d, w) in node.inj_want[..self.ports].iter_mut().enumerate() {
+    /// [`refresh_vc`](Self::refresh_vc) for injection FIFO `f` and the
+    /// node's row of `ShardData::inj_want`.
+    fn refresh_inj(inj_want: &mut [u32], f: usize, dirs: u16) {
+        for (d, w) in inj_want.iter_mut().enumerate() {
             *w = *w & !(1 << f) | u32::from(dirs >> d & 1) << f;
         }
-        dirs
+    }
+
+    /// Pop `q`'s head: its handle, and the
+    /// [`request_dirs`](Self::request_dirs) of the head this exposes —
+    /// `None` if the FIFO emptied, `Some(0)` for a head that has arrived.
+    fn pop(&self, q: &mut ChunkFifo, slab: &Slab) -> (u32, Option<u16>) {
+        let h = q.pop(slab);
+        (h, q.head().map(|next| self.request_dirs(&slab[next])))
     }
 
     /// Choose the downstream VC for `pkt` over output `d`, or `None` if no
@@ -339,12 +375,16 @@ impl Shared {
         }
     }
 
-    /// The first queued send of `node` some injection FIFO accepts now —
-    /// reactive queue first, [`INJECT_SCAN`] deep into each: its scan
-    /// index, the FIFO, its hop plan and destination. `None` when every
-    /// scanned send is stuck on injection-FIFO space, which only an
+    /// The first queued send of `node` one of its injection FIFOs `inj`
+    /// accepts now — reactive queue first, [`INJECT_SCAN`] deep into each:
+    /// its scan index, the FIFO, its hop plan and destination. `None` when
+    /// every scanned send is stuck on injection-FIFO space, which only an
     /// arbitration win at this node can free.
-    pub(super) fn inject_slot(&self, node: &NodeState) -> Option<(usize, usize, HopPlan, Coord)> {
+    pub(super) fn inject_slot(
+        &self,
+        node: &NodeState,
+        inj: &[ChunkFifo],
+    ) -> Option<(usize, usize, HopPlan, Coord)> {
         let reactive = node.pending.iter().take(INJECT_SCAN);
         let queued = reactive.chain(node.pulled.iter().take(INJECT_SCAN));
         for (qi, spec) in queued.enumerate() {
@@ -369,8 +409,9 @@ impl Shared {
                 from_pref &= from_pref - 1;
             }
             let pref = from_pref.trailing_zeros() as usize;
-            let fits = |f: usize| node.inj[f].free_chunks() >= chunks as u32;
-            let ascending = (0..node.inj.len()).filter(|&f| eligible >> f & 1 != 0);
+            let capacity = self.cfg.inj_fifo_chunks;
+            let fits = |f: usize| inj[f].occupied_chunks() + chunks as u32 <= capacity;
+            let ascending = (0..inj.len()).filter(|&f| eligible >> f & 1 != 0);
             if let Some(f) = std::iter::once(pref).chain(ascending).find(|&f| fits(f)) {
                 return Some((qi, f, plan, dst));
             }
@@ -517,28 +558,39 @@ impl Shard<'_> {
         self.fixup_ids(next_id0);
         self.perf_lap(&mut clk, |p| &mut p.phases.id_fixup);
         self.phase_arbitration(t);
-        let nshards = self.shared.counts.len();
-        for dest in 0..nshards {
-            let cell = &self.shared.staging[self.sd.si * nshards + dest];
+        let me = self.sd.si;
+        for dest in (0..self.shared.counts.len()).filter(|&dest| dest != me) {
+            let mut cell = self.shared.mailbox(me, dest).lock();
             std::mem::swap(
-                &mut *cell.lock().expect("staging poisoned"),
+                &mut *cell.as_deref_mut().expect("staging poisoned"),
                 &mut self.sd.outbox[dest],
             );
         }
         self.perf_lap(&mut clk, |p| &mut p.phases.arbitration);
     }
 
-    /// Section C: move staged arrivals (ascending source shard — the
-    /// global win order) into this shard's in-flight ring, and release
-    /// the credits freed by this shard's phase-4 pops.
+    /// Section C: file the cycle's wins into this shard's in-flight ring
+    /// in ascending source shard — the global win order — and release the
+    /// credits freed by this shard's phase-4 pops. This shard's own wins
+    /// take their turn among the mailboxes (filing them at the win would
+    /// put them ahead of a lower shard's in the same ring slot); only a
+    /// packet from another shard is stored here, into this shard's slab.
     pub(super) fn section_c(&mut self) {
         let mut clk = self.perf_clock();
-        let nshards = self.shared.counts.len();
-        for src in 0..nshards {
-            let cell = &self.shared.staging[src * nshards + self.sd.si];
-            let mut inbox = cell.lock().expect("staging poisoned");
-            for OutMsg { arrive, arr } in inbox.drain(..) {
-                self.sd.ring[(arrive % RING as u64) as usize].push(arr);
+        let sd = &mut *self.sd;
+        for src in 0..self.shared.counts.len() {
+            if src == sd.si {
+                for (arrive, arr) in sd.own.drain(..) {
+                    sd.ring[(arrive % RING as u64) as usize].push(arr);
+                }
+                continue;
+            }
+            let mut inbox = self.shared.mailbox(src, sd.si).lock();
+            let inbox = inbox.as_deref_mut().expect("staging poisoned");
+            for msg in inbox.drain(..) {
+                let h = sd.slab.alloc(msg.pkt);
+                let arr = Arrival::new(msg.node, h, msg.fifo, &sd.slab[h]);
+                sd.ring[(msg.arrive % RING as u64) as usize].push(arr);
             }
         }
         for (cell, chunks) in self.sd.deferred.drain(..) {
@@ -557,15 +609,14 @@ impl Shard<'_> {
         for k in 0..self.sd.si {
             b += self.shared.counts[k].load(Relaxed);
         }
-        let mut injected = std::mem::take(&mut self.sd.injected);
-        for (j, &(i, f, pos)) in injected.iter().enumerate() {
-            let pkt = self.sd.nodes[i as usize].inj[f as usize].set_id(pos as usize, b + j as u64);
+        for (j, h) in self.sd.injected.drain(..).enumerate() {
+            // The id is the one field written behind a queued packet:
+            // routing never reads it, so no request mask can go stale.
+            self.sd.slab[h].id = b + j as u64;
             if let Some(o) = self.oracle.as_deref_mut() {
-                o.on_inject(pkt);
+                o.on_inject(&self.sd.slab[h]);
             }
         }
-        injected.clear();
-        self.sd.injected = injected; // hand the allocation back
     }
 
     // ---- Phase 1: arrivals -------------------------------------------------
@@ -573,17 +624,17 @@ impl Shard<'_> {
     fn phase_arrivals(&mut self, t: u64) {
         let slot = (t % RING as u64) as usize;
         let mut arrivals = std::mem::take(&mut self.sd.ring[slot]);
-        for Arrival { node, port, pkt } in arrivals.drain(..) {
-            let i = node as usize - self.sd.base;
-            let n = &mut self.sd.nodes[i];
-            let fi = vc_fifo_index(port as usize, pkt.vc.index());
-            let was_empty = n.vcs[fi].is_empty();
-            let done = pkt.plan.is_done();
+        for arr in arrivals.drain(..) {
+            let Arrival { node, h, done, .. } = arr;
+            let (i, fi) = (node as usize - self.sd.base, arr.fifo as usize);
+            let q = self.sd.fifos.vc_mut(i, fi);
+            let was_empty = q.is_empty();
             // Space was spent from the credit cell at the upstream win.
-            n.vcs[fi].push(pkt);
-            n.vc_mask |= 1 << fi;
+            q.push(&mut self.sd.slab, h, arr.chunks as u32);
+            self.sd.nodes[i].vc_mask |= 1 << fi;
             if was_empty {
-                self.shared.refresh_vc(n, fi);
+                let dirs = self.shared.request_dirs(&self.sd.slab[h]);
+                Shared::refresh_vc(row(&mut self.sd.want, i, self.shared.ports), fi, dirs);
             }
             self.sd.arb_active.mark(i);
             self.sd.arb_at[i] = 0;
@@ -617,28 +668,31 @@ impl Shard<'_> {
     /// `i` is shard-local.
     fn try_deliver(&mut self, i: usize, fifo: usize) {
         let g = self.sd.base + i;
+        let capacity = self.shared.cfg.reception_fifo_chunks;
         loop {
-            let n = &mut self.sd.nodes[i];
-            let Some(head) = n.vcs[fifo].head() else {
+            let (n, slab) = (&mut self.sd.nodes[i], &mut self.sd.slab);
+            let Some(h) = self.sd.fifos.vcs(i)[fifo].head() else {
                 return;
             };
-            if !head.plan.is_done() {
+            if !slab[h].plan.is_done() {
                 return;
             }
-            let chunks = head.chunks as u32;
-            if n.reception.free_chunks() < chunks {
+            let chunks = slab[h].chunks as u32;
+            if self.sd.fifos.reception(i).occupied_chunks() + chunks > capacity {
                 self.sd.cs.reception_stalls += 1;
                 if !n.blocked_deliveries.contains(&(fifo as u8)) {
                     n.blocked_deliveries.push(fifo as u8);
                 }
                 return;
             }
-            let pkt = n.vcs[fifo].pop().expect("head exists");
-            if n.vcs[fifo].is_empty() {
+            // The handle changes FIFO; the packet stays in its slot.
+            let (_, exposed) = self.shared.pop(self.sd.fifos.vc_mut(i, fifo), slab);
+            if exposed.is_none() {
                 n.vc_mask &= !(1 << fifo);
             }
-            self.shared.refresh_vc(n, fifo);
-            assert!(n.reception.try_push(pkt).is_ok(), "space checked");
+            let want = row(&mut self.sd.want, i, self.shared.ports);
+            Shared::refresh_vc(want, fifo, exposed.unwrap_or(0));
+            self.sd.fifos.reception_mut(i).push(slab, h, chunks);
             // The pop freed downstream space: release the credit now —
             // the upstream reads it only in section B, barrier-ordered
             // after every shard's phase 2, matching the unsharded
@@ -704,7 +758,7 @@ impl Shard<'_> {
                 self.sd.cpu_at[i] = n.cpu_free as u64;
                 return;
             }
-            if n.reception.is_empty()
+            if self.sd.fifos.reception(i).is_empty()
                 && n.pending.is_empty()
                 && n.pulled.is_empty()
                 && n.program_done
@@ -733,7 +787,7 @@ impl Shard<'_> {
                 break;
             }
             // Reception drain has priority: it keeps the network moving.
-            if !self.sd.nodes[i].reception.is_empty() {
+            if !self.sd.fifos.reception(i).is_empty() {
                 self.cpu_drain_one(i, prog, t);
                 continue;
             }
@@ -841,7 +895,10 @@ impl Shard<'_> {
         let g = self.sd.base + i;
         let cpu = &self.shared.cfg.cpu;
         let node = &mut self.sd.nodes[i];
-        let pkt = node.reception.pop().expect("checked non-empty");
+        // The packet leaves the network here, and its slot with it: taken
+        // out before the hook runs, which borrows the whole shard.
+        let h = self.sd.fifos.reception_mut(i).pop(&self.sd.slab);
+        let pkt = self.sd.slab.take(h);
         let cost = cpu.per_packet_receive_cycles + pkt.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
@@ -875,7 +932,10 @@ impl Shard<'_> {
     /// index); the section-B fix-up rewrites it before anything reads it.
     fn cpu_inject_one(&mut self, i: usize, t: u64) -> bool {
         let g = self.sd.base + i;
-        let Some((qi, f, plan, dst)) = self.shared.inject_slot(&self.sd.nodes[i]) else {
+        let slot = self
+            .shared
+            .inject_slot(&self.sd.nodes[i], self.sd.fifos.inj(i));
+        let Some((qi, f, plan, dst)) = slot else {
             return false;
         };
         let node = &mut self.sd.nodes[i];
@@ -898,13 +958,16 @@ impl Shard<'_> {
         // during the scan, reused.
         let id = self.sd.injected.len() as u64;
         let pkt = Packet::inject(&spec, g as u32, dst, plan, id, t);
-        assert!(node.inj[f].try_push(pkt).is_ok(), "space checked");
-        let pos = node.inj[f].len() - 1;
-        self.sd.injected.push((i as u32, f as u8, pos as u16));
-        node.inj_mask |= 1 << f;
-        if pos == 0 {
-            self.shared.refresh_inj(node, f);
+        let q = self.sd.fifos.inj_mut(i, f);
+        if q.is_empty() {
+            let inj_want = row(&mut self.sd.inj_want, i, self.shared.ports);
+            Shared::refresh_inj(inj_want, f, self.shared.request_dirs(&pkt));
         }
+        // The one write of the packet until it is drained or changes shard.
+        let h = self.sd.slab.alloc(pkt);
+        q.push(&mut self.sd.slab, h, spec.chunks as u32);
+        self.sd.injected.push(h);
+        node.inj_mask |= 1 << f;
         self.sd.arb_active.mark(i);
         self.sd.arb_at[i] = 0;
         self.sd.cs.live += 1;
@@ -977,11 +1040,11 @@ impl Shard<'_> {
         let healthy = self.shared.healthy();
         let mut wake = if healthy { u64::MAX } else { 0 };
         for d in self.shared.part.directions() {
-            let node = &self.sd.nodes[i];
-            if healthy && node.want[d.index()] == 0 && node.inj_want[d.index()] == 0 {
+            let link = i * ports + d.index();
+            if healthy && self.sd.want[link] == 0 && self.sd.inj_want[link] == 0 {
                 continue;
             }
-            let busy = self.sd.link_busy_until[i * ports + d.index()];
+            let busy = self.sd.link_busy_until[link];
             if busy > t {
                 wake = wake.min(busy);
                 continue;
@@ -1003,7 +1066,7 @@ impl Shard<'_> {
             if exposed & ((1 << d.index()) - 1) != 0 {
                 wake = 0;
             }
-            wake = wake.min(self.sd.link_busy_until[i * ports + d.index()]);
+            wake = wake.min(self.sd.link_busy_until[link]);
         }
         // An emptied node is un-marked by its next visit, as ever.
         let node = &self.sd.nodes[i];
@@ -1053,14 +1116,14 @@ impl Shard<'_> {
     }
 
     fn arbitrate_transit(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
-        let node = &self.sd.nodes[i];
-        let want = node.want[d.index()];
+        let link = i * self.shared.ports + d.index();
+        let want = self.sd.want[link];
         let cand = if self.shared.healthy() {
             want
         } else {
-            node.vc_mask
+            self.sd.nodes[i].vc_mask
         };
-        let start = node.rr[d.index()] as usize % self.shared.vc_cells;
+        let start = self.sd.rr[link] as usize % self.shared.vc_cells;
         // Visit only the candidate bits, in round-robin order from `start`:
         // first the bits at indices >= start (ascending), then the wrap.
         let below_start = cand & ((1u64 << start) - 1);
@@ -1068,7 +1131,8 @@ impl Shard<'_> {
             while half != 0 {
                 let f = half.trailing_zeros() as usize;
                 half &= half - 1;
-                let pkt = node.vcs[f].head().expect("mask says non-empty");
+                let h = self.sd.fifos.vcs(i)[f].head().expect("mask says non-empty");
+                let pkt = &self.sd.slab[h];
                 let source = WinSource::Transit { fifo: f as u8 };
                 let win = self.try_head(self.sd.base + i, pkt, want >> f & 1 != 0, source, d, nb);
                 if win.is_some() {
@@ -1080,17 +1144,17 @@ impl Shard<'_> {
     }
 
     fn arbitrate_inject(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
-        let node = &self.sd.nodes[i];
-        let want = node.inj_want[d.index()];
+        let want = self.sd.inj_want[i * self.shared.ports + d.index()];
         let mut cand = if self.shared.healthy() {
             want
         } else {
-            node.inj_mask
+            self.sd.nodes[i].inj_mask
         };
         while cand != 0 {
             let f = cand.trailing_zeros() as usize;
             cand &= cand - 1;
-            let pkt = node.inj[f].head().expect("mask says non-empty");
+            let h = self.sd.fifos.inj(i)[f].head().expect("mask says non-empty");
+            let pkt = &self.sd.slab[h];
             let source = WinSource::Inject { fifo: f as u8 };
             let win = self.try_head(self.sd.base + i, pkt, want >> f & 1 != 0, source, d, nb);
             if win.is_some() {
@@ -1103,47 +1167,52 @@ impl Shard<'_> {
     /// Move the winner out over `d`. Returns the request mask of the head
     /// its pop exposed (0: the FIFO emptied, or the new head has arrived).
     fn apply_win(&mut self, i: usize, d: Direction, nb: usize, win: Win, t: u64) -> u16 {
-        let g = self.sd.base + i;
-        // Pop the winner from its source FIFO.
-        let (mut pkt, exposed) = match win.source {
+        let (g, ports) = (self.sd.base + i, self.shared.ports);
+        // Pop the winner's handle from its source FIFO and refresh the
+        // masks from the head behind it.
+        let (node, slab) = (&mut self.sd.nodes[i], &mut self.sd.slab);
+        let (h, exposed) = match win.source {
             WinSource::Transit { fifo } => {
                 let f = fifo as usize;
-                let node = &mut self.sd.nodes[i];
-                node.rr[d.index()] = fifo.wrapping_add(1);
-                let pkt = node.vcs[f].pop().expect("winner exists");
-                if node.vcs[f].is_empty() {
-                    node.vc_mask &= !(1 << f);
-                } else if node.vcs[f].head().expect("non-empty").plan.is_done() {
-                    self.sd.deliver_q.push((g as u32, fifo));
+                self.sd.rr[i * ports + d.index()] = fifo.wrapping_add(1);
+                let (h, exposed) = self.shared.pop(self.sd.fifos.vc_mut(i, f), slab);
+                match exposed {
+                    Some(0) => self.sd.deliver_q.push((g as u32, fifo)),
+                    Some(_) => {}
+                    None => node.vc_mask &= !(1 << f),
                 }
-                let exposed = self.shared.refresh_vc(node, f);
+                let exposed = exposed.unwrap_or(0);
+                Shared::refresh_vc(row(&mut self.sd.want, i, ports), f, exposed);
                 // The freed space becomes upstream credit only at the
                 // cycle boundary: deferring the release gives arbitration
                 // a credit snapshot independent of node visit order, the
                 // invariant that makes sharded cycles byte-identical.
                 self.sd
                     .deferred
-                    .push(((g * self.shared.vc_cells + f) as u32, pkt.chunks as u32));
-                (pkt, exposed)
+                    .push(((g * self.shared.vc_cells + f) as u32, slab[h].chunks as u32));
+                (h, exposed)
             }
             WinSource::Inject { fifo } => {
-                let node = &mut self.sd.nodes[i];
-                let pkt = node.inj[fifo as usize].pop().expect("winner exists");
-                if node.inj[fifo as usize].is_empty() {
+                let f = fifo as usize;
+                let (h, exposed) = self.shared.pop(self.sd.fifos.inj_mut(i, f), slab);
+                if exposed.is_none() {
                     node.inj_mask &= !(1 << fifo);
                 }
-                let exposed = self.shared.refresh_inj(node, fifo as usize);
+                let exposed = exposed.unwrap_or(0);
+                Shared::refresh_inj(row(&mut self.sd.inj_want, i, ports), f, exposed);
                 // Injection space opened: the CPU's stuck sends may fit now.
                 node.inject_blocked = false;
                 self.sd.cpu_at[i] = 0;
-                (pkt, exposed)
+                (h, exposed)
             }
         };
-        // Spend downstream credit and launch.
+        // Spend downstream credit and launch: the hop is written into the
+        // packet where it lies.
+        let pkt = &mut slab[h];
         let nb_port = d.opposite().index();
         let chunks = pkt.chunks as u32;
-        let cell = &self.shared.credits
-            [nb * self.shared.vc_cells + vc_fifo_index(nb_port, win.vc.index())];
+        let fifo = vc_fifo_index(nb_port, win.vc.index());
+        let cell = &self.shared.credits[nb * self.shared.vc_cells + fifo];
         debug_assert!(cell.load(Relaxed) >= chunks, "feasible_vc checked credit");
         cell.store(cell.load(Relaxed) - chunks, Relaxed);
         pkt.vc = win.vc;
@@ -1167,15 +1236,23 @@ impl Shard<'_> {
             o.on_hop(pkt.id, t);
         }
         let arrive = t + chunks as u64 + self.shared.cfg.router.hop_latency_cycles as u64;
-        self.sd.outbox[self.shared.shard_of[nb] as usize].push(OutMsg {
-            arrive,
-            arr: Arrival {
-                node: nb as u32,
-                port: nb_port as u8,
+        let (node, fifo) = (nb as u32, fifo as u8);
+        let dest = self.shared.shard_of[nb] as usize;
+        if dest == self.sd.si {
+            self.sd.own.push((arrive, Arrival::new(node, h, fifo, pkt)));
+        } else {
+            // The neighbour's shard owns the packet from here.
+            let pkt = slab.take(h);
+            self.sd.outbox[dest].push(OutMsg {
+                arrive,
+                node,
+                fifo,
                 pkt,
-            },
-        });
-        let ports = self.shared.ports;
+            });
+            if let Some(p) = &mut self.sd.perf {
+                p.cross_shard_copies += 1;
+            }
+        }
         self.sd.link_busy_until[i * ports + d.index()] = t + chunks as u64;
         let di = d.dim.index();
         self.sd.cs.link_busy[di] += chunks as u64;
@@ -1196,6 +1273,35 @@ impl Shard<'_> {
 mod tests {
     use super::*;
     use crate::{Engine, ScriptedProgram};
+
+    /// What a hop touches, pinned byte for byte: a field added to any of
+    /// these is a cost on the memory-bound rows (EXPERIMENTS.md, "packet
+    /// layout"), and this is the test that names it.
+    #[test]
+    fn hot_path_layout_is_pinned() {
+        use std::mem::size_of;
+        // One record per hop goes through the own-win list and a ring slot;
+        // at 88 bytes (it used to carry the packet) filing and committing it
+        // were a fifth of the 4,096-node TPS row.
+        assert_eq!(size_of::<Arrival>(), 12);
+        // 25 headers per 3-D node: at 16 bytes a row is 400 bytes, at 32
+        // (a `VecDeque`) it was 800 plus a heap buffer each.
+        assert_eq!(size_of::<ChunkFifo>(), 12);
+        // A 3-D node is its `NodeState`, its row of 18 transit, 6 injection
+        // and 1 reception header, and 6 entries in each per-link table
+        // (`want`, `inj_want`, `rr`, `link_busy_until`): 698 bytes, 2.9 MB
+        // for the 4,096 nodes of 8x32x16. Row and table entries, 426 of the
+        // 698, are sized by the partition's arity — at `MAX_PORTS` they
+        // would be 768 for every shape.
+        let part = Partition::torus(4, 4, 4);
+        let idle = (0..64).map(|_| Box::new(ScriptedProgram::idle()) as _);
+        let engine = Engine::new(SimConfig::new(part), idle.collect());
+        let sd = &engine.shards[0];
+        assert_eq!(sd.fifos.row_bytes(), 25 * 12);
+        let per_link = [sd.want.len() * 8, sd.inj_want.len() * 4, sd.rr.len()];
+        assert_eq!(per_link, [64 * 6 * 8, 64 * 6 * 4, 64 * 6]);
+        assert_eq!(size_of::<NodeState>(), 272);
+    }
 
     /// The direct mask computation is `wants` asked of every direction, for
     /// every (src, dst) pair — `src == dst` is an arrived head — of a 2-D, an
@@ -1220,6 +1326,7 @@ mod tests {
                     let mut pkt = Packet::new(&part, src, dst);
                     pkt.routing = routing;
                     let dirs = router.request_dirs(&pkt);
+                    assert_eq!(dirs == 0, pkt.plan.is_done(), "{pkt:?}");
                     for d in Direction::all(MAX_DIMS) {
                         let cached = dirs >> d.index() & 1 != 0;
                         assert_eq!(cached, router.wants(&pkt, d), "{pkt:?} dir {d}");

@@ -9,9 +9,8 @@
 //! recorded there, so per-window deltas telescope to the run totals
 //! exactly as they do under cycle-stepped time.
 
-use super::Engine;
+use super::{bits, Engine};
 use crate::config::{Vc, NUM_VCS};
-use crate::node::vc_fifo_index;
 use crate::trace::{OccStat, Trace, TraceSample};
 
 /// Sampling state for an enabled tracer: the accumulating [`Trace`] plus
@@ -158,12 +157,12 @@ impl Engine {
         let mut inj_max = 0u32;
         let mut recv_sum = 0u64;
         let mut recv_max = 0u32;
-        for node in self.nodes() {
-            for port in 0..self.shared.ports {
-                let dim = port / 2; // two directions per dimension
-                for vc in 0..NUM_VCS {
-                    let occ = node.vcs[vc_fifo_index(port, vc)].occupied_chunks();
-                    if vc == Vc::Bubble.index() {
+        for sd in &self.shards {
+            for i in 0..sd.nodes.len() {
+                for (f, fifo) in sd.fifos.vcs(i).iter().enumerate() {
+                    let dim = f / NUM_VCS / 2; // two input ports per dimension
+                    let occ = fifo.occupied_chunks();
+                    if f % NUM_VCS == Vc::Bubble.index() {
                         bub_sum[dim] += occ as u64;
                         bub_max[dim] = bub_max[dim].max(occ);
                     } else {
@@ -171,15 +170,15 @@ impl Engine {
                         dyn_max[dim] = dyn_max[dim].max(occ);
                     }
                 }
+                for fifo in sd.fifos.inj(i) {
+                    let occ = fifo.occupied_chunks();
+                    inj_sum += occ as u64;
+                    inj_max = inj_max.max(occ);
+                }
+                let occ = sd.fifos.reception(i).occupied_chunks();
+                recv_sum += occ as u64;
+                recv_max = recv_max.max(occ);
             }
-            for fifo in &node.inj {
-                let occ = fifo.occupied_chunks();
-                inj_sum += occ as u64;
-                inj_max = inj_max.max(occ);
-            }
-            let occ = node.reception.occupied_chunks();
-            recv_sum += occ as u64;
-            recv_max = recv_max.max(occ);
         }
         let p = self.num_nodes() as f64;
         let occ_stat = |sum: u64, max: u32, fifos_per_node: f64| OccStat {
@@ -208,34 +207,20 @@ impl Engine {
             _ => {}
         };
         let mut hol = 0u64;
-        for (ni, node) in self.nodes().enumerate() {
-            let mut mask = node.vc_mask;
-            while mask != 0 {
-                let f = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                for pkt in node.vcs[f].iter() {
-                    count_kind(pkt.meta.kind);
-                }
-                if let Some(head) = node.vcs[f].head() {
-                    if !head.plan.is_done() && self.head_is_hol_blocked(ni, f, head) {
-                        hol += 1;
-                    }
-                }
-            }
-            let mut mask = node.inj_mask;
-            while mask != 0 {
-                let f = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                for pkt in node.inj[f].iter() {
-                    count_kind(pkt.meta.kind);
-                }
-            }
-        }
         for sd in &self.shards {
-            for slot in &sd.ring {
-                for arrival in slot {
-                    count_kind(arrival.pkt.meta.kind);
+            for (i, node) in sd.nodes.iter().enumerate() {
+                let transit = bits(node.vc_mask).map(|f| &sd.fifos.vcs(i)[f]);
+                let inj = bits(node.inj_mask.into()).map(|f| &sd.fifos.inj(i)[f]);
+                for h in transit.chain(inj).flat_map(|fifo| fifo.iter(&sd.slab)) {
+                    count_kind(sd.slab[h].meta.kind);
                 }
+                for (transit, head) in sd.heads(i) {
+                    let blocked = |f| self.head_is_hol_blocked(sd.base + i, f, head);
+                    hol += u64::from(!head.plan.is_done() && transit.is_some_and(blocked));
+                }
+            }
+            for arrival in sd.ring.iter().flatten() {
+                count_kind(sd.slab[arrival.h].meta.kind);
             }
         }
         sample.phase1_in_flight = p1;

@@ -1,127 +1,241 @@
-//! Chunk-accounted packet FIFOs.
+//! Packet storage: one [`Slab`] per shard, and chunk-accounted FIFOs that
+//! thread `u32` handles through it.
 //!
-//! Used for VC FIFOs, injection FIFOs and reception FIFOs. Capacity is in
-//! chunks, not packets, matching the byte-granular BG/L buffers. The FIFO
-//! itself tracks only *physical* occupancy; in-flight credit for the
+//! A packet is written once, where it is injected, and stays in that slot
+//! until it is drained (or leaves the shard): VC FIFOs, injection FIFOs,
+//! the reception FIFO and the in-flight ring all hold its handle. A
+//! [`ChunkFifo`] is therefore a plain 12-byte header — no buffer of its
+//! own — and a node's headers sit side by side in one row of
+//! [`FifoRows`], sized by the partition's arity, so a head packet is two
+//! dependent loads away: row, then slot. Nothing is allocated per FIFO.
+//!
+//! Capacity is in chunks, not packets, matching the byte-granular BG/L
+//! buffers, and is a property of the FIFO *kind* (transit, injection,
+//! reception — three `SimConfig` values), so the header does not carry it.
+//! The header tracks only *physical* occupancy; in-flight credit for the
 //! transit VC FIFOs (space spent by an upstream arbitration win before the
 //! packet physically arrives) lives in the engine's shared credit array
 //! (see `engine`), which is what makes the sharded engine's credit
 //! accounting a single source of truth for sequential and parallel
 //! execution alike. Injection and reception FIFOs are only ever probed by
-//! their own node, so plain occupancy-based `free_chunks`/`try_push`
-//! remain the right interface for them.
+//! their own node, which gates on `capacity − occupied_chunks`.
 
 use crate::packet::Packet;
-use std::collections::VecDeque;
 
-/// A packet FIFO with chunk-granular occupancy.
-#[derive(Debug, Default)]
-pub struct ChunkFifo {
-    queue: VecDeque<Packet>,
-    capacity_chunks: u32,
+/// "No handle": the end of the free list.
+const NIL: u32 = u32::MAX;
+
+/// One shard's packet store. Slots are recycled through a free list and
+/// never returned to the allocator, so [`slots`](Self::slots) is the
+/// high-water mark of packets alive at once.
+pub(crate) struct Slab {
+    pkts: Vec<Packet>,
+    /// Per slot: the next handle in whichever list holds the slot — a
+    /// FIFO's queue or the free list. Kept apart from the packets so a
+    /// push behind a queued packet touches this word and nothing else.
+    next: Vec<u32>,
+    free: u32,
+    live: usize,
+}
+
+impl Slab {
+    pub(crate) fn new() -> Slab {
+        Slab {
+            pkts: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            live: 0,
+        }
+    }
+
+    /// Store `pkt` and return its handle.
+    #[inline]
+    pub(crate) fn alloc(&mut self, pkt: Packet) -> u32 {
+        self.live += 1;
+        let h = self.free;
+        if h == NIL {
+            self.pkts.push(pkt);
+            self.next.push(NIL);
+            return (self.pkts.len() - 1) as u32;
+        }
+        self.free = self.next[h as usize];
+        self.pkts[h as usize] = pkt;
+        h
+    }
+
+    /// Give slot `h` back. The handle must not be used again.
+    #[inline]
+    pub(crate) fn release(&mut self, h: u32) {
+        self.live -= 1;
+        self.next[h as usize] = self.free;
+        self.free = h;
+    }
+
+    /// Copy the packet out of slot `h` and release the slot: the packet
+    /// leaves this shard (drained, dropped, or won by another shard).
+    #[inline]
+    pub(crate) fn take(&mut self, h: u32) -> Packet {
+        let pkt = self.pkts[h as usize].clone();
+        self.release(h);
+        pkt
+    }
+
+    /// Packets currently stored.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// Slots ever allocated.
+    pub(crate) fn slots(&self) -> usize {
+        self.pkts.len()
+    }
+}
+
+impl std::ops::Index<u32> for Slab {
+    type Output = Packet;
+    #[inline]
+    fn index(&self, h: u32) -> &Packet {
+        &self.pkts[h as usize]
+    }
+}
+
+impl std::ops::IndexMut<u32> for Slab {
+    #[inline]
+    fn index_mut(&mut self, h: u32) -> &mut Packet {
+        &mut self.pkts[h as usize]
+    }
+}
+
+/// A packet FIFO with chunk-granular occupancy: the header of a list of
+/// handles linked through [`Slab::next`]. Every packet has at least one
+/// chunk, so a FIFO is empty exactly when it holds no chunks, and `head` /
+/// `tail` mean something only when it is not: the default, all-zero header
+/// is the empty FIFO.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ChunkFifo {
+    head: u32,
+    tail: u32,
     occupied_chunks: u32,
 }
 
 impl ChunkFifo {
-    /// An empty FIFO holding up to `capacity_chunks` chunks.
-    pub fn new(capacity_chunks: u32) -> ChunkFifo {
-        ChunkFifo {
-            queue: VecDeque::new(),
-            capacity_chunks,
-            occupied_chunks: 0,
-        }
-    }
-
-    /// Chunks not physically occupied. For transit VC FIFOs this is *not*
-    /// the available credit — in-flight reservations live in the engine's
-    /// credit array — so only same-node users (injection/reception) should
-    /// gate on it.
+    /// Chunks physically present. For transit VC FIFOs the space left is
+    /// *not* the available credit — in-flight reservations live in the
+    /// engine's credit array — so only same-node users (injection,
+    /// reception) gate on it.
     #[inline]
-    pub fn free_chunks(&self) -> u32 {
-        self.capacity_chunks - self.occupied_chunks
-    }
-
-    /// Chunks physically present.
-    #[inline]
-    pub fn occupied_chunks(&self) -> u32 {
+    pub(crate) fn occupied_chunks(&self) -> u32 {
         self.occupied_chunks
-    }
-
-    /// Total capacity in chunks.
-    #[inline]
-    pub fn capacity_chunks(&self) -> u32 {
-        self.capacity_chunks
     }
 
     /// Whether the FIFO holds no packets.
     #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+    pub(crate) fn is_empty(&self) -> bool {
+        self.occupied_chunks == 0
     }
 
-    /// Number of packets physically present.
+    /// Handle of the head packet, if any.
     #[inline]
-    pub fn len(&self) -> usize {
-        self.queue.len()
+    pub(crate) fn head(&self) -> Option<u32> {
+        (!self.is_empty()).then_some(self.head)
     }
 
-    /// Push a packet whose space was already accounted for externally
-    /// (transit-VC arrival: the upstream arbiter spent the credit before
-    /// launch, so physical space is guaranteed).
+    /// Append the `chunks`-chunk packet behind handle `h`. The caller has
+    /// checked the space (an injection or reception push) or spent it from
+    /// the credit array at the upstream win (a transit arrival). `chunks`
+    /// is an argument so that an arrival need not touch the packet.
     #[inline]
-    pub fn push(&mut self, pkt: Packet) {
-        let chunks = pkt.chunks as u32;
-        debug_assert!(
-            self.occupied_chunks + chunks <= self.capacity_chunks,
-            "externally credited push exceeds capacity"
-        );
-        self.occupied_chunks += chunks;
-        self.queue.push_back(pkt);
-    }
-
-    /// Push without external credit (injection/reception-side use).
-    /// Returns the packet back if there is no space.
-    pub fn try_push(&mut self, pkt: Packet) -> Result<(), Packet> {
-        let chunks = pkt.chunks as u32;
-        if chunks > self.free_chunks() {
-            return Err(pkt);
+    pub(crate) fn push(&mut self, slab: &mut Slab, h: u32, chunks: u32) {
+        debug_assert!(chunks > 0, "emptiness is read off the chunk count");
+        if self.is_empty() {
+            self.head = h;
+        } else {
+            slab.next[self.tail as usize] = h;
         }
+        self.tail = h;
         self.occupied_chunks += chunks;
-        self.queue.push_back(pkt);
-        Ok(())
     }
 
-    /// The head packet, if any.
+    /// Remove the head packet, freeing its chunks, and return its handle
+    /// (still allocated: the caller moves it on or releases it). The FIFO
+    /// must not be empty.
     #[inline]
-    pub fn head(&self) -> Option<&Packet> {
-        self.queue.front()
+    pub(crate) fn pop(&mut self, slab: &Slab) -> u32 {
+        debug_assert!(!self.is_empty(), "pop from an empty FIFO");
+        let h = self.head;
+        self.occupied_chunks -= slab[h].chunks as u32;
+        self.head = slab.next[h as usize];
+        h
     }
 
-    /// Rewrite the id of the packet at queue position `idx` (head = 0) and
-    /// return it: the per-cycle fix-up of provisional packet ids. The id
-    /// is the only field writable in place — routing never reads it, so a
-    /// queued packet's request-mask bits (`NodeState::want`) cannot go
-    /// stale behind the engine's back.
-    ///
-    /// # Panics
-    /// Panics if `idx` is past the end of the queue.
+    /// Handles head-first (diagnostics and the oracle).
+    pub(crate) fn iter<'a>(&self, slab: &'a Slab) -> impl Iterator<Item = u32> + 'a {
+        let (mut at, tail) = (self.head(), self.tail);
+        std::iter::from_fn(move || {
+            let cur = at?;
+            at = (cur != tail).then(|| slab.next[cur as usize]);
+            Some(cur)
+        })
+    }
+}
+
+/// Every FIFO header of one shard: per node one row of `vcs` transit
+/// headers (indexed by [`vc_fifo_index`](crate::node::vc_fifo_index)),
+/// then the injection headers, then the reception header.
+pub(crate) struct FifoRows {
+    cells: Box<[ChunkFifo]>,
+    vcs: usize,
+    stride: usize,
+}
+
+impl FifoRows {
+    /// Empty rows for `nodes` nodes of `vcs` transit and `inj` injection
+    /// FIFOs each.
+    pub(crate) fn new(nodes: usize, vcs: usize, inj: usize) -> FifoRows {
+        let stride = vcs + inj + 1;
+        let cells = vec![ChunkFifo::default(); nodes * stride].into_boxed_slice();
+        FifoRows { cells, vcs, stride }
+    }
+
+    /// Bytes of one node's row.
+    #[cfg(test)]
+    pub(crate) fn row_bytes(&self) -> usize {
+        self.stride * std::mem::size_of::<ChunkFifo>()
+    }
+
+    /// Node `i`'s transit headers.
     #[inline]
-    pub fn set_id(&mut self, idx: usize, id: u64) -> &Packet {
-        let pkt = &mut self.queue[idx];
-        pkt.id = id;
-        pkt
+    pub(crate) fn vcs(&self, i: usize) -> &[ChunkFifo] {
+        &self.cells[i * self.stride..][..self.vcs]
     }
 
-    /// Remove and return the head packet, freeing its chunks.
-    pub fn pop(&mut self) -> Option<Packet> {
-        let pkt = self.queue.pop_front()?;
-        self.occupied_chunks -= pkt.chunks as u32;
-        Some(pkt)
+    /// Node `i`'s injection headers.
+    #[inline]
+    pub(crate) fn inj(&self, i: usize) -> &[ChunkFifo] {
+        &self.cells[i * self.stride + self.vcs..(i + 1) * self.stride - 1]
     }
 
-    /// Iterate packets head-first (diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = &Packet> {
-        self.queue.iter()
+    /// Node `i`'s reception header.
+    #[inline]
+    pub(crate) fn reception(&self, i: usize) -> &ChunkFifo {
+        &self.cells[(i + 1) * self.stride - 1]
+    }
+
+    #[inline]
+    pub(crate) fn vc_mut(&mut self, i: usize, f: usize) -> &mut ChunkFifo {
+        debug_assert!(f < self.vcs);
+        &mut self.cells[i * self.stride + f]
+    }
+
+    #[inline]
+    pub(crate) fn inj_mut(&mut self, i: usize, f: usize) -> &mut ChunkFifo {
+        debug_assert!(self.vcs + f < self.stride - 1);
+        &mut self.cells[i * self.stride + self.vcs + f]
+    }
+
+    #[inline]
+    pub(crate) fn reception_mut(&mut self, i: usize) -> &mut ChunkFifo {
+        &mut self.cells[(i + 1) * self.stride - 1]
     }
 }
 
@@ -136,62 +250,70 @@ mod tests {
         pkt
     }
 
+    fn push(f: &mut ChunkFifo, slab: &mut Slab, id: u64, chunks: u8) -> u32 {
+        let h = slab.alloc(pkt(id, chunks));
+        f.push(slab, h, chunks as u32);
+        h
+    }
+
     #[test]
     fn push_pop_accounting() {
-        let mut f = ChunkFifo::new(16);
-        assert!(f.is_empty());
-        f.try_push(pkt(1, 8)).unwrap();
-        f.try_push(pkt(2, 4)).unwrap();
-        assert_eq!(f.len(), 2);
+        let (mut slab, mut f) = (Slab::new(), ChunkFifo::default());
+        assert!(f.is_empty() && f.head().is_none());
+        push(&mut f, &mut slab, 1, 8);
+        push(&mut f, &mut slab, 2, 4);
         assert_eq!(f.occupied_chunks(), 12);
-        assert_eq!(f.free_chunks(), 4);
-        assert_eq!(f.pop().unwrap().id, 1);
-        assert_eq!(f.free_chunks(), 12);
-        assert_eq!(f.pop().unwrap().id, 2);
-        assert!(f.pop().is_none());
-        assert_eq!(f.free_chunks(), 16);
+        assert_eq!(f.iter(&slab).count(), 2);
+        assert_eq!(slab[f.pop(&slab)].id, 1);
+        assert_eq!(f.occupied_chunks(), 4);
+        assert_eq!(slab[f.pop(&slab)].id, 2);
+        assert!(f.is_empty());
+        assert_eq!(f.occupied_chunks(), 0);
     }
 
     #[test]
-    fn try_push_rejects_overflow_without_losing_packet() {
-        let mut f = ChunkFifo::new(8);
-        f.try_push(pkt(1, 8)).unwrap();
-        let back = f.try_push(pkt(2, 1)).unwrap_err();
-        assert_eq!(back.id, 2);
-        assert_eq!(f.len(), 1);
-    }
-
-    #[test]
-    fn credited_push_accounts_occupancy() {
-        let mut f = ChunkFifo::new(16);
-        f.push(pkt(1, 8));
-        f.push(pkt(2, 8));
-        assert_eq!(f.occupied_chunks(), 16);
-        assert_eq!(f.len(), 2);
-        assert_eq!(f.pop().unwrap().id, 1);
-        assert_eq!(f.occupied_chunks(), 8);
-    }
-
-    #[test]
-    fn set_id_rewrites_in_place() {
-        let mut f = ChunkFifo::new(32);
-        for i in 0..3 {
-            f.try_push(pkt(i, 2)).unwrap();
-        }
-        assert_eq!(f.set_id(1, 42).id, 42);
-        f.pop();
-        assert_eq!(f.head().unwrap().id, 42);
-    }
-
-    #[test]
-    fn head_is_fifo_order() {
-        let mut f = ChunkFifo::new(32);
+    fn head_is_fifo_order_and_a_handle_moves_between_fifos() {
+        let (mut slab, mut f, mut g) = (Slab::new(), ChunkFifo::default(), ChunkFifo::default());
         for i in 0..4 {
-            f.try_push(pkt(i, 2)).unwrap();
+            push(&mut f, &mut slab, i, 2);
         }
-        assert_eq!(f.head().unwrap().id, 0);
-        f.pop();
-        assert_eq!(f.head().unwrap().id, 1);
-        assert_eq!(f.iter().count(), 3);
+        assert_eq!(slab[f.head().unwrap()].id, 0);
+        // The popped handle joins another FIFO; the packet does not move.
+        let h = f.pop(&slab);
+        g.push(&mut slab, h, 2);
+        assert_eq!(slab[f.head().unwrap()].id, 1);
+        let ids = |q: &ChunkFifo| q.iter(&slab).map(|h| slab[h].id).collect::<Vec<_>>();
+        assert_eq!((ids(&f), ids(&g)), (vec![1, 2, 3], vec![0]));
+    }
+
+    #[test]
+    fn released_slots_are_reused_before_the_slab_grows() {
+        let mut slab = Slab::new();
+        let hs: Vec<u32> = (0..3).map(|i| slab.alloc(pkt(i, 1))).collect();
+        assert_eq!((slab.live(), slab.slots()), (3, 3));
+        assert_eq!(slab.take(hs[1]).id, 1);
+        slab.release(hs[0]);
+        assert_eq!(slab.live(), 1);
+        let again = [slab.alloc(pkt(7, 1)), slab.alloc(pkt(8, 1))];
+        assert_eq!(again, [hs[0], hs[1]]);
+        assert_eq!((slab.live(), slab.slots()), (3, 3));
+        assert_eq!(slab[hs[0]].id, 7);
+    }
+
+    #[test]
+    fn rows_keep_each_nodes_headers_apart() {
+        let (mut slab, mut rows) = (Slab::new(), FifoRows::new(3, 18, 6));
+        push(rows.vc_mut(1, 17), &mut slab, 1, 8);
+        push(rows.inj_mut(1, 0), &mut slab, 2, 4);
+        push(rows.inj_mut(1, 5), &mut slab, 3, 2);
+        push(rows.reception_mut(1), &mut slab, 4, 1);
+        let occ = |fs: &[ChunkFifo]| fs.iter().map(|f| f.occupied_chunks()).collect::<Vec<_>>();
+        assert_eq!(occ(rows.vcs(1))[17], 8);
+        assert_eq!(occ(rows.inj(1)), [4, 0, 0, 0, 0, 2]);
+        assert_eq!(rows.reception(1).occupied_chunks(), 1);
+        for i in [0, 2] {
+            let all = rows.vcs(i).iter().chain(rows.inj(i));
+            assert!(all.chain([rows.reception(i)]).all(|f| f.is_empty()));
+        }
     }
 }

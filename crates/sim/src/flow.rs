@@ -18,7 +18,7 @@
 //!   strategy-defined credit packet that reopens the window
 //!   ([`NodeApi::apply_credit`](crate::NodeApi::apply_credit)).
 //!
-//! The ledger lives in [`NodeState`](crate::node::NodeState) so both
+//! The ledger lives in the engine's per-node state (`NodeState`) so both
 //! engine modes (active-set and full-scan) see identical state, and the
 //! counters it feeds ([`NetStats::pacing_blocked_cycles`] and
 //! [`NetStats::credit_blocked_events`](crate::NetStats)) stay

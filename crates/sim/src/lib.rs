@@ -35,9 +35,9 @@ pub mod config;
 pub mod csv;
 pub mod engine;
 pub mod fault;
-pub mod fifo;
+pub(crate) mod fifo;
 pub mod flow;
-pub mod node;
+pub(crate) mod node;
 pub mod packet;
 pub mod perf;
 pub mod program;
@@ -47,7 +47,6 @@ pub mod trace;
 pub use config::{CpuConfig, EngineMode, RouterConfig, SimConfig, Vc, NUM_VCS};
 pub use engine::{Engine, FaultBlock, SimError, StallBreakdown};
 pub use fault::{FaultPlan, LinkFault, LinkSchedule, NodeFault};
-pub use fifo::ChunkFifo;
 pub use flow::{FlowLedger, FlowSpec};
 pub use packet::{Packet, PacketMeta, RoutingMode, SendSpec, NO_DETOUR};
 pub use perf::{EventPerf, PerfConfig, PerfProfile, PhaseSecs, ProgressConfig, ShardPerf};

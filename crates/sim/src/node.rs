@@ -1,12 +1,14 @@
-//! Per-node simulator state: VC FIFOs, injection FIFOs, reception FIFO and
-//! CPU accounting.
+//! Per-node simulator state: FIFO occupancy masks, send queues and CPU
+//! accounting. The FIFO headers themselves are the node's row of the
+//! shard's [`FifoRows`](crate::fifo::FifoRows), and what the engine keeps
+//! per output link — request masks, round-robin pointer, busy-until — the
+//! node's rows of the shard's per-link tables.
 
 use crate::config::{SimConfig, NUM_VCS};
-use crate::fifo::ChunkFifo;
 use crate::flow::FlowLedger;
 use crate::packet::SendSpec;
 use crate::program::NodeProgram;
-use bgl_torus::{Coord, MAX_PORTS};
+use bgl_torus::Coord;
 use std::collections::VecDeque;
 
 /// Index of the VC FIFO for (input port, VC). The number of ports — and so
@@ -52,29 +54,13 @@ pub enum PollState {
 pub struct NodeState {
     /// Node coordinate.
     pub coord: Coord,
-    /// Input VC FIFOs, indexed by [`vc_fifo_index`].
-    pub vcs: Vec<ChunkFifo>,
-    /// Bitmask of non-empty VC FIFOs (bit `i` ⇔ `vcs[i]` non-empty). At the
-    /// 6-dimension maximum there are 12 ports × 3 VCs = 36 FIFOs, so this
-    /// must be wider than 32 bits.
+    /// Bitmask of non-empty VC FIFOs (bit `f` ⇔ transit FIFO `f`, indexed
+    /// by [`vc_fifo_index`], non-empty). At the 6-dimension maximum there
+    /// are 12 ports × 3 VCs = 36 FIFOs, so this must be wider than 32 bits.
     pub vc_mask: u64,
-    /// Injection FIFOs.
-    pub inj: Vec<ChunkFifo>,
-    /// Bitmask of non-empty injection FIFOs (bit `f` ⇔ `inj[f]` non-empty),
-    /// mirroring [`vc_mask`](Self::vc_mask) so arbitration never probes
-    /// empty FIFOs.
+    /// Bitmask of non-empty injection FIFOs, mirroring
+    /// [`vc_mask`](Self::vc_mask) so arbitration never probes empty FIFOs.
     pub inj_mask: u32,
-    /// Per-output-direction request masks over the transit FIFOs: bit `f`
-    /// of `want[d]` is set iff `vcs[f]` is non-empty and its head's routing
-    /// allows output `d` (the engine's `wants` rule). A function of the head packet
-    /// and the router config alone, so the engine refreshes FIFO `f`'s bits
-    /// exactly where `vcs[f]`'s head changes and arbitration reads them
-    /// instead of re-routing every head for every link every cycle.
-    pub want: [u64; MAX_PORTS],
-    /// The same over the injection FIFOs (bit `f` ⇔ `inj[f]`).
-    pub inj_want: [u32; MAX_PORTS],
-    /// Reception FIFO.
-    pub reception: ChunkFifo,
     /// Reactive sends queued by the program (api.send from hooks), not yet
     /// paid for / injected.
     pub pending: VecDeque<SendSpec>,
@@ -90,9 +76,6 @@ pub struct NodeState {
     /// these values — an order that does not depend on how the torus is
     /// sharded, keeping the statistic byte-identical for any shard count.
     pub cpu_busy: f64,
-    /// Round-robin arbitration pointers, one per output direction (only the
-    /// first `2n` entries are used).
-    pub rr: [u8; MAX_PORTS],
     /// VC FIFO indices whose head is deliverable but found the reception
     /// FIFO full; retried after the CPU drains a packet.
     pub blocked_deliveries: Vec<u8>,
@@ -110,29 +93,20 @@ pub struct NodeState {
 }
 
 impl NodeState {
-    /// Fresh state per `cfg`, with `ports = 2n` transit input ports.
-    pub fn new(coord: Coord, cfg: &SimConfig, ports: usize) -> NodeState {
-        debug_assert!(ports <= MAX_PORTS && ports.is_multiple_of(2));
-        let vcs = (0..ports * NUM_VCS)
-            .map(|_| ChunkFifo::new(cfg.router.vc_fifo_chunks))
-            .collect();
-        let inj = (0..cfg.inj_fifo_count)
-            .map(|_| ChunkFifo::new(cfg.inj_fifo_chunks))
-            .collect();
+    /// Fresh state per `cfg`.
+    pub fn new(coord: Coord, cfg: &SimConfig) -> NodeState {
         NodeState {
             coord,
-            vcs,
             vc_mask: 0,
-            inj,
             inj_mask: 0,
-            want: [0; MAX_PORTS],
-            inj_want: [0; MAX_PORTS],
-            reception: ChunkFifo::new(cfg.reception_fifo_chunks),
             pending: VecDeque::new(),
-            pulled: VecDeque::new(),
+            // Sized here, once, to the depth the engine tops it up to (a
+            // sending node would grow it there in two steps). It is also the
+            // engine's one allocation per node, and kept on purpose: see the
+            // allocation-order comment in `Engine::new`.
+            pulled: VecDeque::with_capacity(PULL_THRESHOLD),
             cpu_free: 0.0,
             cpu_busy: 0.0,
-            rr: [0; MAX_PORTS],
             blocked_deliveries: Vec::new(),
             flow: FlowLedger::new(cfg.flow),
             program_done: false,
@@ -161,13 +135,13 @@ impl NodeState {
         !self.program_done && self.pulled.len() < PULL_THRESHOLD
     }
 
-    /// Whether any packet sits anywhere in this node (diagnostics /
-    /// completion checking).
+    /// Whether a packet sits in a transit or injection FIFO of this node,
+    /// or a send in its queues (the quiesce check; the reception FIFO is
+    /// the caller's to look at).
     pub fn holds_packets(&self) -> bool {
         self.vc_mask != 0
             || self.inj_mask != 0
             || !self.pending.is_empty()
             || !self.pulled.is_empty()
-            || !self.reception.is_empty()
     }
 }

@@ -135,6 +135,15 @@ pub struct ShardPerf {
     /// Marked nodes phase 4 passed over because every link they request
     /// was mid-transmission; always 0 under the full scan.
     pub arb_parked: u64,
+    /// Length of this shard's packet slab at the end of the run. Slots are
+    /// recycled but never returned to the allocator, so this is the
+    /// high-water mark of packets queued at, or in flight towards, the
+    /// shard's nodes — what the run's packet memory was sized by.
+    pub slab_slots: u64,
+    /// Arbitration wins whose downstream node belongs to another shard:
+    /// the only hops that copy a packet (out of this shard's slab, into
+    /// the neighbour's). 0 at one shard.
+    pub cross_shard_copies: u64,
 }
 
 impl ShardPerf {
@@ -236,6 +245,9 @@ pub struct PerfProfile {
     pub active_occupancy_mean: f64,
     /// Largest marked active-set population seen in any stepped cycle.
     pub active_occupancy_max: u64,
+    /// Most packets alive at once (queued or in flight, whole machine), as
+    /// seen at the start of a stepped cycle.
+    pub peak_live_packets: u64,
     /// One record per shard (a single entry when sharding is off).
     pub shards: Vec<ShardPerf>,
     /// Event-engine counters; `None` unless the run used
@@ -267,13 +279,28 @@ impl PerfProfile {
     /// every shard: how many marked nodes phases 3 and 4 visited, and how
     /// many they passed over because no visit could have changed anything.
     pub fn visit_totals(&self) -> [(&'static str, u64); 4] {
-        let sum = |f: fn(&ShardPerf) -> u64| self.shards.iter().map(f).sum();
         [
-            ("cpu_visits", sum(|s| s.cpu_visits)),
-            ("cpu_parked", sum(|s| s.cpu_parked)),
-            ("arb_visits", sum(|s| s.arb_visits)),
-            ("arb_parked", sum(|s| s.arb_parked)),
+            ("cpu_visits", self.sum(|s| s.cpu_visits)),
+            ("cpu_parked", self.sum(|s| s.cpu_parked)),
+            ("arb_visits", self.sum(|s| s.arb_visits)),
+            ("arb_parked", self.sum(|s| s.arb_parked)),
         ]
+    }
+
+    /// `[peak_live_packets, slab_slots, cross_shard_copies]`: the most
+    /// packets alive at once, the slab slots that held them (summed over
+    /// the shards, whose peaks need not coincide) and the wins that copied
+    /// a packet from one shard's slab to another's.
+    pub fn packet_totals(&self) -> [(&'static str, u64); 3] {
+        [
+            ("peak_live_packets", self.peak_live_packets),
+            ("slab_slots", self.sum(|s| s.slab_slots)),
+            ("cross_shard_copies", self.sum(|s| s.cross_shard_copies)),
+        ]
+    }
+
+    fn sum(&self, f: fn(&ShardPerf) -> u64) -> u64 {
+        self.shards.iter().map(f).sum()
     }
 
     /// Cycles skipped by the event engine (0 outside event mode).
@@ -304,7 +331,7 @@ impl PerfProfile {
 
     /// RFC-4180 CSV rendering (CRLF rows, via the shared
     /// [`crate::csv::push_row`] writer): a `metric,value` pair per row —
-    /// run totals, visit/park totals, per-phase totals, per-shard
+    /// run totals, visit/park and packet totals, per-phase totals, per-shard
     /// busy/barrier splits, and the event counters + skip histogram when
     /// present.
     pub fn to_csv(&self) -> String {
@@ -325,7 +352,7 @@ impl PerfProfile {
             "active_occupancy_max".into(),
             self.active_occupancy_max.to_string(),
         );
-        for (label, count) in self.visit_totals() {
+        for (label, count) in self.visit_totals().into_iter().chain(self.packet_totals()) {
             row(label.into(), count.to_string());
         }
         for (label, secs) in self.phase_totals().named() {
@@ -441,6 +468,8 @@ mod tests {
         }
         assert!(rows.iter().any(|r| r[0] == "total_secs" && r[1] == "0.5"));
         assert!(rows.iter().any(|r| r[0] == "arb_parked" && r[1] == "0"));
+        assert!(rows.iter().any(|r| r[0] == "slab_slots" && r[1] == "0"));
+        assert!(rows.iter().any(|r| r[0] == "cross_shard_copies"));
         assert!(rows.iter().any(|r| r[0] == "phase_cpu_secs"));
         assert!(rows.iter().any(|r| r[0] == "shard0_busy_secs"));
         assert!(rows.iter().any(|r| r[0] == "wake_rate_window"));
@@ -461,6 +490,7 @@ mod tests {
             inline_cycles: 6,
             active_occupancy_mean: 3.5,
             active_occupancy_max: 9,
+            peak_live_packets: 12,
             shards: vec![shard(0.5), shard(0.75)],
             event: Some(ev),
         };
