@@ -32,33 +32,26 @@
 //!
 //! # Quickstart
 //!
-//! Runs are constructed through the [`AaRun`] builder — partition and
-//! workload up front, everything else (strategy, machine parameters,
-//! simulator tweaks) optional:
+//! [`run_aa`] is the one way to run an all-to-all: partition, workload,
+//! strategy, machine parameters, and the simulator configuration to start
+//! from — `SimConfig::new(part)` for the defaults, or one with an ablation
+//! applied:
 //!
 //! ```
-//! use bgl_core::{AaRun, AaWorkload, StrategyKind};
+//! use bgl_core::{run_aa, AaWorkload, StrategyKind};
+//! use bgl_model::MachineParams;
+//! use bgl_sim::SimConfig;
 //!
 //! let part = "4x4x4".parse().unwrap();
-//! let report = AaRun::builder(part, AaWorkload::full(1872)) // ~8 full packets/destination
-//!     .strategy(StrategyKind::ar())
-//!     .run()
-//!     .unwrap();
+//! let workload = AaWorkload::full(1872); // ~8 full packets/destination
+//! let params = MachineParams::bgl();
+//! let report = run_aa(part, &workload, &StrategyKind::ar(), &params, SimConfig::new(part)).unwrap();
 //! assert!(report.percent_of_peak > 70.0);
-//! ```
 //!
-//! Simulator ablations chain a config tweak:
-//!
-//! ```
-//! use bgl_core::{AaRun, AaWorkload, StrategyKind};
-//!
-//! let part = "4x4".parse().unwrap();
-//! let report = AaRun::builder(part, AaWorkload::full(240))
-//!     .strategy(StrategyKind::dr())
-//!     .sim(|cfg| cfg.router.vc_fifo_chunks = 64)
-//!     .run()
-//!     .unwrap();
-//! assert!(report.cycles > 0);
+//! let mut shallow = SimConfig::new(part);
+//! shallow.router.vc_fifo_chunks = 16;
+//! let ablated = run_aa(part, &workload, &StrategyKind::ar(), &params, shallow).unwrap();
+//! assert!(ablated.cycles > 0);
 //! ```
 
 pub mod direct;
@@ -78,9 +71,7 @@ pub use fit::{fit_ptp_params, FittedModel};
 pub use flow::{CreditConfig, Pacer};
 pub use patterns::{run_pattern, Pattern, PatternReport};
 pub use select::{auto_select, combining_crossover_bytes};
-pub use strategy::{
-    peak_cycles_for, peak_injection_rate, run_aa, AaReport, AaRun, AaRunBuilder, StrategyKind,
-};
+pub use strategy::{peak_cycles_for, peak_injection_rate, run_aa, AaReport, StrategyKind};
 pub use tps::{choose_linear_dim, tps_inj_class_masks, TpsConfig, TpsProgram};
 pub use vmesh::{VmeshConfig, VmeshProgram};
 pub use walk::{SendWalk, Step};

@@ -408,151 +408,13 @@ pub struct AaReport {
     pub perf: Option<bgl_sim::PerfProfile>,
 }
 
-/// A fully specified all-to-all run; build one with [`AaRun::builder`].
-///
-/// The builder is the one typed entry point through which strategy code,
-/// experiments and binaries construct runs:
-///
-/// ```
-/// use bgl_core::{AaRun, AaWorkload, StrategyKind};
-///
-/// let part = "4x4".parse().unwrap();
-/// let report = AaRun::builder(part, AaWorkload::full(240))
-///     .strategy(StrategyKind::ar())
-///     .sim(|cfg| cfg.router.vc_fifo_chunks = 64)
-///     .run()
-///     .unwrap();
-/// assert!(report.cycles > 0);
-/// ```
-pub struct AaRun {
-    part: Partition,
-    workload: AaWorkload,
-    strategy: StrategyKind,
-    params: MachineParams,
-    config: SimConfig,
-}
-
-/// A queued simulator-configuration tweak; see [`AaRunBuilder::sim`].
-type ConfigTweak = Box<dyn FnOnce(&mut SimConfig)>;
-
-/// Builder for [`AaRun`]; see [`AaRun::builder`].
-pub struct AaRunBuilder {
-    part: Partition,
-    workload: AaWorkload,
-    strategy: StrategyKind,
-    params: Option<MachineParams>,
-    config: Option<SimConfig>,
-    tweaks: Vec<ConfigTweak>,
-}
-
-impl AaRun {
-    /// Start building a run of `workload` on `part`. Defaults: strategy
-    /// [`StrategyKind::Auto`], BG/L machine parameters, the default
-    /// simulator configuration for `part`.
-    pub fn builder(part: Partition, workload: AaWorkload) -> AaRunBuilder {
-        AaRunBuilder {
-            part,
-            workload,
-            strategy: StrategyKind::Auto,
-            params: None,
-            config: None,
-            tweaks: Vec::new(),
-        }
-    }
-
-    /// Execute the run.
-    pub fn run(self) -> Result<AaReport, SimError> {
-        execute(
-            self.part,
-            &self.workload,
-            &self.strategy,
-            &self.params,
-            self.config,
-        )
-    }
-}
-
-impl AaRunBuilder {
-    /// Set the strategy (default [`StrategyKind::Auto`]).
-    pub fn strategy(mut self, strategy: StrategyKind) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Attach a pacer to the current strategy (see
-    /// [`StrategyKind::with_pacer`]).
-    pub fn pacer(mut self, pacer: Pacer) -> Self {
-        self.strategy = self.strategy.with_pacer(pacer);
-        self
-    }
-
-    /// Set the machine parameters (default [`MachineParams::bgl`]).
-    pub fn params(mut self, params: MachineParams) -> Self {
-        self.params = Some(params);
-        self
-    }
-
-    /// Replace the base simulator configuration wholesale (default
-    /// `SimConfig::new(part)`). Tweaks queued via [`Self::sim`] are still
-    /// applied on top.
-    pub fn config(mut self, config: SimConfig) -> Self {
-        self.config = Some(config);
-        self
-    }
-
-    /// Queue a simulator-configuration tweak (FIFO depths, CPU model,
-    /// ablation switches). Tweaks run in the order added, after the base
-    /// configuration is in place.
-    pub fn sim(mut self, tweak: impl FnOnce(&mut SimConfig) + 'static) -> Self {
-        self.tweaks.push(Box::new(tweak));
-        self
-    }
-
-    /// Set the workload seed (destination-order randomization).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.workload.seed = seed;
-        self
-    }
-
-    /// Finalize into an [`AaRun`].
-    pub fn build(self) -> AaRun {
-        let mut config = self.config.unwrap_or_else(|| SimConfig::new(self.part));
-        for tweak in self.tweaks {
-            tweak(&mut config);
-        }
-        AaRun {
-            part: self.part,
-            workload: self.workload,
-            strategy: self.strategy,
-            params: self.params.unwrap_or_else(MachineParams::bgl),
-            config,
-        }
-    }
-
-    /// Finalize and execute in one step.
-    pub fn run(self) -> Result<AaReport, SimError> {
-        self.build().run()
-    }
-}
-
 /// Run an all-to-all of `workload` on `part` with `strategy`.
 ///
 /// `base` lets callers tweak the simulator (FIFO depths, CPU model,
 /// ablations); pass `SimConfig::new(part)` for the defaults. Strategy
 /// requirements (TPS injection-FIFO reservation, the strategy's pacer)
-/// are applied on top. Equivalent to the [`AaRun::builder`] chain with
-/// an explicit config.
+/// are applied on top.
 pub fn run_aa(
-    part: Partition,
-    workload: &AaWorkload,
-    strategy: &StrategyKind,
-    params: &MachineParams,
-    base: SimConfig,
-) -> Result<AaReport, SimError> {
-    execute(part, workload, strategy, params, base)
-}
-
-fn execute(
     part: Partition,
     workload: &AaWorkload,
     strategy: &StrategyKind,
@@ -876,57 +738,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_run_aa() {
-        let part: Partition = "4x4".parse().unwrap();
-        let w = AaWorkload::full(240);
-        let s = StrategyKind::ar();
-        let direct = run_aa(part, &w, &s, &params(), SimConfig::new(part)).unwrap();
-        let built = AaRun::builder(part, w)
-            .strategy(s)
-            .params(params())
-            .run()
-            .unwrap();
-        assert_eq!(direct.cycles, built.cycles);
-        assert_eq!(direct.stats, built.stats);
-    }
-
-    #[test]
-    fn builder_pacer_matches_throttled_constructor() {
-        let part: Partition = "4x4".parse().unwrap();
-        let via_builder = AaRun::builder(part, AaWorkload::full(480))
-            .strategy(StrategyKind::ar())
-            .pacer(Pacer::rate(1.0))
-            .run()
-            .unwrap();
-        let via_ctor = AaRun::builder(part, AaWorkload::full(480))
-            .strategy(StrategyKind::throttled(1.0))
-            .run()
-            .unwrap();
-        assert_eq!(via_builder.cycles, via_ctor.cycles);
-        assert_eq!(via_builder.stats, via_ctor.stats);
-    }
-
-    #[test]
-    fn builder_sim_tweaks_apply_in_order() {
-        let part: Partition = "4x4".parse().unwrap();
-        // Two queued tweaks of the same knob: the later one wins, so the
-        // run must be cycle-identical to setting only the final value.
-        let chained = AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::ar())
-            .sim(|c| c.router.vc_fifo_chunks = 256)
-            .sim(|c| c.router.vc_fifo_chunks = 8)
-            .run()
-            .unwrap();
-        let last_only = AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::ar())
-            .sim(|c| c.router.vc_fifo_chunks = 8)
-            .run()
-            .unwrap();
-        assert_eq!(chained.cycles, last_only.cycles);
-        assert_eq!(chained.stats, last_only.stats);
-    }
-
-    #[test]
     fn strategy_hash_matches_eq() {
         use std::collections::HashSet;
         let mut set = HashSet::new();
@@ -1016,14 +827,10 @@ mod tests {
             links: vec![LinkFault::dead(0, Direction::new(Dim::X, Sign::Plus))],
             nodes: vec![],
         };
-        let faulty = AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::ar())
-            .sim({
-                let plan = plan.clone();
-                move |c| c.fault = plan
-            })
-            .run()
-            .unwrap();
+        let workload = AaWorkload::full(240);
+        let mut cfg = SimConfig::new(part);
+        cfg.fault = plan;
+        let faulty = run_aa(part, &workload, &StrategyKind::ar(), &params(), cfg).unwrap();
         // Everything still arrives — adaptively, around the dead link —
         // and nothing was in flight on it at cycle 0, so nothing dropped.
         assert_eq!(
@@ -1032,10 +839,7 @@ mod tests {
             "AR must deliver the full all-to-all around a dead link"
         );
         assert_eq!(faulty.stats.dropped_by_fault, 0);
-        let healthy = AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::ar())
-            .run()
-            .unwrap();
+        let healthy = quick("4x4", 240, StrategyKind::ar());
         // Losing a link perturbs arbitration, so exact cycle counts may
         // wobble either way on a tiny run; the payload totals must agree.
         assert_eq!(
@@ -1054,11 +858,16 @@ mod tests {
             links: vec![LinkFault::dead(0, dir)],
             nodes: vec![],
         };
-        let err = AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::dr())
-            .sim(move |c| c.fault = plan)
-            .run()
-            .unwrap_err();
+        let mut cfg = SimConfig::new(part);
+        cfg.fault = plan;
+        let err = run_aa(
+            part,
+            &AaWorkload::full(240),
+            &StrategyKind::dr(),
+            &params(),
+            cfg,
+        )
+        .unwrap_err();
         match err {
             SimError::Unreachable {
                 cycle,

@@ -4,19 +4,15 @@
 //! bglsim sweep --shape 8x8x8 --strategies ar,dr,tps --sizes 64,240,912 [--coverage 0.25] [--jobs N] [--csv|--json]
 //!              [--pacer none|rate:F|credit:W,E]
 //!              [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]
-//!              [--shards N]
 //!              [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]
 //! bglsim fit   --shape 8x8x8
-//! bglsim pattern --shape 4x4x4 --pattern transpose:8|shift:3|random:8|plane:z --m 480 [--shards N] [--fault SPEC]
-//! bglsim validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--shards N]
-//! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--shards N] [--json|--csv] [--out FILE]
+//! bglsim pattern --shape 4x4x4 --pattern transpose:8|shift:3|random:8|plane:z --m 480 [--fault SPEC]
+//! bglsim validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json]
+//! bglsim profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--json|--csv] [--out FILE]
 //! ```
 //!
-//! `--shards N` splits each simulated torus into `N` rank slabs stepped
-//! on `N` threads (`SimConfig::shards`). Orthogonal to `--jobs`, which
-//! parallelizes *across* sweep points: use `--shards` when one big run
-//! dominates, `--jobs` when many small runs do. Results are
-//! byte-identical for every `N`; `--shards 0` exits with status 2.
+//! One simulation runs on one thread; `--jobs` parallelizes *across*
+//! sweep points.
 //!
 //! Pacing: `--pacer` overrides every swept strategy's injection pacing —
 //! `none` strips it, `rate:F` throttles injection to `F×` the bisection-
@@ -26,7 +22,9 @@
 //!
 //! Fault injection: `--fault` (repeatable, or several `;`-separated
 //! specs in one flag) kills links mid-run — `link:X,Y,Z,DIR` one
-//! directed link at coordinate (X,Y,Z) with DIR in `x+ x- y+ y- z+ z-`,
+//! directed link at coordinate (X,Y,Z) with DIR in `x+ x- y+ y- z+ z-`
+//! (one coordinate per dimension of `--shape`: `link:X,Y,DIR` on a 2-D
+//! shape, `link:X,Y,Z,W,DIR` with `d3+ d3-` on a 4-D one),
 //! `node:RANK` every link of one node. An optional `:@FAIL[-RECOVER]`
 //! suffix schedules the outage window in cycles; without it the link is
 //! dead from cycle 0 forever. Adaptive strategies route around the
@@ -52,8 +50,8 @@
 //! profile rides `--json` output per report and a runner timing summary
 //! (points executed, execute seconds, queue wait, cache hits) goes to
 //! stderr. `profile` runs a single point with profiling on and renders
-//! the human-readable report (per-phase/per-shard wall-clock breakdown,
-//! skip histogram); `--json` emits the full report, `--csv`
+//! the human-readable report (per-phase wall-clock breakdown, skip
+//! histogram); `--json` emits the full report, `--csv`
 //! the profile as RFC-4180 `metric,value` rows. `--progress` (also on
 //! `sweep` and `validate`) prints a rate-limited stderr heartbeat for
 //! long runs. All profile times are *host* seconds, distinct from the
@@ -102,13 +100,15 @@ fn parse_shape(s: &str) -> Partition {
         .unwrap_or_else(|e| fail(&format!("invalid shape {s:?}: {e}")))
 }
 
-/// Resolve `--shards N` (default 1): intra-run torus sharding, run on N
-/// threads when N > 1. Results are byte-identical for every N; zero or a
-/// non-number exits with status 2.
-fn parse_shards(flags: &HashMap<String, String>) -> std::num::NonZeroUsize {
-    flags
-        .get("shards")
-        .map_or(std::num::NonZeroUsize::MIN, |s| CLI.shards(s))
+/// The dimension of `part` called `name` (`x y z d3 d4 d5`, either case).
+fn dim_by_name(part: &Partition, name: &str) -> Option<Dim> {
+    part.dims().find(|d| d.name().eq_ignore_ascii_case(name))
+}
+
+/// `part`'s dimension names joined by `sep`: `x|y|z`.
+fn dim_names(part: &Partition, sep: &str) -> String {
+    let names: Vec<&str> = part.dims().map(Dim::name).collect();
+    names.join(sep)
 }
 
 /// Resolve `--coverage F` (default 1, the full exchange): the fraction of
@@ -130,7 +130,6 @@ fn parse_coverage(flags: &HashMap<String, String>) -> f64 {
 /// (`--jobs` defaults to all cores).
 fn runner_from_flags(scale: Scale, flags: &HashMap<String, String>, perf: bool) -> Runner {
     let runner = Runner::new(scale)
-        .with_shards(parse_shards(flags))
         .with_perf(perf)
         .with_progress(flags.contains_key("progress"));
     match flags.get("jobs") {
@@ -139,22 +138,23 @@ fn runner_from_flags(scale: Scale, flags: &HashMap<String, String>, perf: bool) 
     }
 }
 
-/// Parse a fault direction token: `x+ x- y+ y- z+ z-`.
-fn parse_fault_dir(s: &str, spec: &str) -> Direction {
-    let dim = match s.as_bytes().first() {
-        Some(b'x') | Some(b'X') => Dim::X,
-        Some(b'y') | Some(b'Y') => Dim::Y,
-        Some(b'z') | Some(b'Z') => Dim::Z,
-        _ => fail(&format!(
-            "--fault {spec:?}: direction must be x+|x-|y+|y-|z+|z-, got {s:?}"
-        )),
-    };
-    let sign = match &s[1..] {
-        "+" => Sign::Plus,
-        "-" => Sign::Minus,
-        _ => fail(&format!(
-            "--fault {spec:?}: direction must be x+|x-|y+|y-|z+|z-, got {s:?}"
-        )),
+/// Parse a fault direction token: a dimension of `part` by name, then
+/// `+` or `-` (`x+ x- y+ y- z+ z-` on a 3-D shape, `d3+ d3-` beyond).
+fn parse_fault_dir(s: &str, spec: &str, part: &Partition) -> Direction {
+    let signed = s
+        .strip_suffix('+')
+        .map(|name| (name, Sign::Plus))
+        .or_else(|| s.strip_suffix('-').map(|name| (name, Sign::Minus)));
+    let dir = signed.and_then(|(name, sign)| Some((dim_by_name(part, name)?, sign)));
+    let Some((dim, sign)) = dir else {
+        let all: Vec<String> = part
+            .directions()
+            .map(|d| d.to_string().to_lowercase())
+            .collect();
+        fail(&format!(
+            "--fault {spec:?}: direction must be {}, got {s:?}",
+            all.join("|")
+        ));
     };
     Direction { dim, sign }
 }
@@ -187,7 +187,8 @@ fn parse_fault_window(window: Option<&str>, spec: &str) -> (u64, Option<u64>) {
 ///
 /// Grammar (specs separated by `;` or by repeating the flag):
 ///   `link:X,Y,Z,DIR[:@FAIL[-RECOVER]]` — one directed link at coordinate
-///   (X,Y,Z), DIR in `x+ x- y+ y- z+ z-`;
+///   (X,Y,Z), DIR in `x+ x- y+ y- z+ z-`; exactly one coordinate per
+///   dimension of `part` and its dimension names at any arity;
 ///   `node:RANK[:@FAIL[-RECOVER]]` — every link of one node.
 /// No schedule means dead from cycle 0 forever. Any malformed spec, an
 /// out-of-range coordinate or rank, a mesh-edge link, a duplicate, or a
@@ -213,19 +214,23 @@ fn parse_fault(flags: &HashMap<String, String>, part: &Partition) -> FaultPlan {
         match kind {
             "link" => {
                 let fields: Vec<&str> = body.split(',').collect();
-                let [x, y, z, d] = fields[..] else {
+                let n = part.ndims();
+                let Some((d, coords)) = fields.split_last().filter(|(_, c)| c.len() == n) else {
                     fail(&format!(
-                        "--fault link needs X,Y,Z,DIR (4 fields), got {body:?}"
+                        "--fault link needs {},DIR on the {n}-dimensional {part} \
+                         ({} fields), got {body:?}",
+                        dim_names(part, ",").to_uppercase(),
+                        n + 1
                     ));
                 };
-                let coord = |s: &str| -> u16 {
+                let coord = |s: &&str| -> u16 {
                     s.parse().unwrap_or_else(|_| {
                         fail(&format!(
                             "--fault {spec:?}: coordinates must be numeric, got {s:?}"
                         ))
                     })
                 };
-                let c = Coord::new(coord(x), coord(y), coord(z));
+                let c = Coord::from_slice(&coords.iter().map(coord).collect::<Vec<_>>());
                 if !part.contains(c) {
                     fail(&format!(
                         "--fault {spec:?}: coordinate {c} outside partition {part}"
@@ -233,7 +238,7 @@ fn parse_fault(flags: &HashMap<String, String>, part: &Partition) -> FaultPlan {
                 }
                 plan.links.push(LinkFault {
                     node: part.rank_of(c),
-                    dir: parse_fault_dir(d, spec),
+                    dir: parse_fault_dir(d, spec, part),
                     fail_at,
                     recover_at,
                 });
@@ -558,12 +563,12 @@ fn cmd_pattern(flags: &HashMap<String, String>) {
             degree: numeric("degree"),
         },
         "plane" => Pattern::PlaneAllToAll {
-            fixed: match arg {
-                "x" => Dim::X,
-                "y" => Dim::Y,
-                "z" => Dim::Z,
-                _ => fail(&format!("plane pattern needs plane:x|y|z, got {arg:?}")),
-            },
+            fixed: dim_by_name(&part, arg).unwrap_or_else(|| {
+                fail(&format!(
+                    "plane pattern needs plane:{} on {part}, got {arg:?}",
+                    dim_names(&part, "|")
+                ))
+            }),
         },
         other => fail(&format!(
             "unknown pattern {other:?} (a2a|shift|transpose|random|plane)"
@@ -588,7 +593,6 @@ fn cmd_pattern(flags: &HashMap<String, String>) {
         ));
     }
     let mut cfg = SimConfig::new(part);
-    cfg.shards = parse_shards(flags);
     cfg.fault = parse_fault(flags, &part);
     match run_pattern(part, &pattern, m, &params, cfg, PATTERN_SEED) {
         Ok(rep) => {
@@ -677,25 +681,20 @@ fn main() {
                 "pacer",
                 "trace-interval",
                 "trace-out",
-                "shards",
                 "fault",
             ],
             &["csv", "json", "report", "perf", "progress"],
         )),
         "fit" => cmd_fit(&parse_flags(rest, &["shape"], &[])),
-        "pattern" => cmd_pattern(&parse_flags(
-            rest,
-            &["shape", "pattern", "m", "shards", "fault"],
-            &[],
-        )),
+        "pattern" => cmd_pattern(&parse_flags(rest, &["shape", "pattern", "m", "fault"], &[])),
         "validate" => cmd_validate(&parse_flags(
             rest,
-            &["tier", "jobs", "out", "shards"],
+            &["tier", "jobs", "out"],
             &["bless", "perf", "progress"],
         )),
         "profile" => cmd_profile(&parse_flags(
             rest,
-            &["shape", "strategy", "m", "coverage", "shards", "out"],
+            &["shape", "strategy", "m", "coverage", "out"],
             &["json", "csv", "progress"],
         )),
         _ => {
@@ -705,12 +704,12 @@ fn main() {
             eprintln!(
                 "          [--trace-interval CYCLES] [--trace-out FILE.json|FILE.csv] [--report]"
             );
-            eprintln!("          [--shards N] [--perf] [--progress]");
+            eprintln!("          [--perf] [--progress]");
             eprintln!("          [--fault link:X,Y,Z,DIR[:@FAIL[-RECOVER]]] [--fault node:RANK[:@FAIL[-RECOVER]]]");
             eprintln!("  fit     --shape 8x8x8");
-            eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--shards N] [--fault SPEC]");
-            eprintln!("  validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--shards N] [--perf] [--progress]");
-            eprintln!("  profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--shards N] [--json|--csv] [--out FILE]");
+            eprintln!("  pattern --shape 4x4x4 --pattern a2a|shift:3|transpose:8|random:8|plane:z --m 480 [--fault SPEC]");
+            eprintln!("  validate [--tier quick|full] [--jobs N] [--bless] [--out FILE.json] [--perf] [--progress]");
+            eprintln!("  profile --shape 8x8x8 --strategy ar --m 240 [--coverage F] [--json|--csv] [--out FILE]");
             std::process::exit(2);
         }
     }

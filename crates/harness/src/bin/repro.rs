@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! repro list
-//! repro <id>... [--scale quick|paper] [--jobs N] [--shards N] [--json] [--out DIR]
+//! repro <id>... [--scale quick|paper] [--jobs N] [--json] [--out DIR]
 //!               [--perf] [--progress]
-//! repro all     [--scale quick|paper] [--jobs N] [--shards N] [--json] [--out DIR]
+//! repro all     [--scale quick|paper] [--jobs N] [--json] [--out DIR]
 //!               [--perf] [--progress]
 //! ```
 //!
@@ -13,10 +13,7 @@
 //! are identical for any thread count. `--json` replaces the text
 //! tables on stdout with a machine-readable JSON array. With `--out`,
 //! each report is written as `<id>.txt` and `<id>.csv` plus a combined
-//! `results.json`. `--shards` splits each individual simulation across N
-//! threads (orthogonal to `--jobs`, which parallelizes *across*
-//! simulations); results are byte-identical for any shard count. `--perf`
-//! collects host-side profiles (results stay byte-identical) and prints a
+//! `results.json`. `--perf` collects host-side profiles (results stay byte-identical) and prints a
 //! runner timing summary to stderr; `--progress` adds a rate-limited
 //! stderr heartbeat to each run.
 //!
@@ -37,7 +34,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() || args[0] == "--help" || args[0] == "help" {
         eprintln!(
-            "usage: repro <id>...|all|list [--scale quick|paper] [--jobs N] [--shards N] [--json] \
+            "usage: repro <id>...|all|list [--scale quick|paper] [--jobs N] [--json] \
              [--out DIR] [--perf] [--progress]"
         );
         eprintln!("ids: {}", experiments::ALL_IDS.join(", "));
@@ -45,7 +42,7 @@ fn main() {
     }
     let (flags, positionals) = CLI.parse_flags(
         &args,
-        &["scale", "jobs", "shards", "out"],
+        &["scale", "jobs", "out"],
         &["json", "perf", "progress"],
     );
     if positionals.iter().any(|p| p == "list") {
@@ -74,9 +71,6 @@ fn main() {
     let mut runner = Runner::new(scale)
         .with_perf(flags.contains_key("perf"))
         .with_progress(flags.contains_key("progress"));
-    if let Some(n) = flags.get("shards") {
-        runner = runner.with_shards(CLI.shards(n));
-    }
     if let Some(n) = flags.get("jobs") {
         runner = runner.with_jobs(CLI.jobs(n));
     }

@@ -1,6 +1,6 @@
 //! What the `bglsim` and `repro` binaries share: the one-line exit-2
-//! failure contract, the flag parser, the runner flags both accept
-//! (`--shards`, `--jobs`) and the `--perf` summary line. One copy, so a
+//! failure contract, the flag parser, the runner flag both accept
+//! (`--jobs`) and the `--perf` summary line. One copy, so a
 //! message cannot differ between the two.
 
 use crate::Runner;
@@ -63,12 +63,6 @@ impl Cli {
             }
         }
         (map, positionals)
-    }
-
-    /// `--shards N`: a positive shard count.
-    pub fn shards(&self, v: &str) -> NonZeroUsize {
-        v.parse()
-            .unwrap_or_else(|_| self.fail(&format!("--shards needs a positive integer, got {v:?}")))
     }
 
     /// `--jobs N`: a positive worker-thread count.

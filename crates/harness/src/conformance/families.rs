@@ -13,9 +13,9 @@
 //! Every point runs with the simulator's invariant oracle enabled
 //! (`SimConfig::check_invariants`), so each PASS also certifies packet,
 //! byte, hop and credit conservation on that configuration. Every point
-//! runs once, under the default clock and one shard: that clocks and shard
-//! counts cannot change a result is the differential suite's job
-//! (`crates/sim/tests/common/mod.rs`), not this one's.
+//! runs once, under the default clock: that clocks cannot change a result
+//! is the differential suite's job (`crates/sim/tests/common/mod.rs`), not
+//! this one's.
 
 use super::{CheckResult, Tier};
 use crate::runner::{RunPoint, RunResult, Runner, Unit};

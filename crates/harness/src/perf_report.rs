@@ -2,8 +2,7 @@
 //!
 //! [`render_perf_report`] turns an [`AaReport`] that carries a
 //! [`PerfProfile`](bgl_sim::PerfProfile) into the `bglsim profile` text:
-//! a per-phase wall-clock breakdown, the per-shard busy/barrier-wait
-//! split with the load-imbalance ratio, and — for event-mode runs — the
+//! a per-phase wall-clock breakdown and — for event-mode runs — the
 //! wake-cause breakdown and the power-of-two skip-length histogram.
 //! Everything here is *host* time (seconds on the machine running the
 //! simulator); the simulated-cycle figures next to it exist precisely so
@@ -41,10 +40,8 @@ pub fn render_perf_report(report: &AaReport) -> String {
     );
     let _ = writeln!(
         out,
-        "  stepped {} cycles ({} wide, {} inline), skipped {} cycles",
+        "  stepped {} cycles, skipped {} cycles",
         p.stepped_cycles,
-        p.wide_cycles,
-        p.inline_cycles,
         p.skipped_cycles(),
     );
     let _ = writeln!(
@@ -58,14 +55,10 @@ pub fn render_perf_report(report: &AaReport) -> String {
         "  visits: cpu {cpu} made / {cpu_parked} parked, \
          arbitration {arb} made / {arb_parked} parked",
     );
-    let [(_, live), (_, slots), (_, copies)] = p.packet_totals();
-    let _ = writeln!(
-        out,
-        "  packets: peak {live} live in {slots} slab slots, {copies} cross-shard copies",
-    );
+    let [(_, live), (_, slots)] = p.packet_totals();
+    let _ = writeln!(out, "  packets: peak {live} live in {slots} slab slots");
     out.push('\n');
     render_phase_breakdown(&mut out, p);
-    render_shard_balance(&mut out, p);
     if let Some(ev) = &p.event {
         render_event_counters(&mut out, ev);
     }
@@ -78,16 +71,16 @@ fn bar(share: f64) -> String {
     "#".repeat(filled) + &"-".repeat(BAR_WIDTH - filled)
 }
 
-/// Per-phase host seconds summed over all shards, as shares of the
-/// phase-attributed busy total.
+/// Per-phase host seconds, as shares of the phase-attributed busy total.
 fn render_phase_breakdown(out: &mut String, p: &PerfProfile) {
     let totals = p.phase_totals();
     let busy = totals.total();
     let _ = writeln!(
         out,
-        "phase breakdown (host seconds, all shards; bar = share of busy time):"
+        "phase breakdown (host seconds; bar = share of busy time):"
     );
-    for (label, secs) in totals.named() {
+    // `id_fixup` is a slot the engine no longer fills (`PhaseSecs`).
+    for (label, secs) in totals.named().into_iter().filter(|r| r.0 != "id_fixup") {
         let share = if busy > 0.0 { secs / busy } else { 0.0 };
         let _ = writeln!(
             out,
@@ -101,41 +94,7 @@ fn render_phase_breakdown(out: &mut String, p: &PerfProfile) {
     } else {
         0.0
     };
-    let _ = writeln!(
-        out,
-        "  busy {busy:.4}s ({attributed:.1}% of wall-clock), barrier wait {:.4}s",
-        p.barrier_wait_secs(),
-    );
-}
-
-/// Per-shard busy/barrier table plus the imbalance ratio. Barrier-wait
-/// columns only accumulate on threaded (wide) cycles.
-fn render_shard_balance(out: &mut String, p: &PerfProfile) {
-    let _ = writeln!(
-        out,
-        "shard balance ({} shard{}):",
-        p.shards.len(),
-        if p.shards.len() == 1 { "" } else { "s" },
-    );
-    let _ = writeln!(
-        out,
-        "  {:>6}  {:>10}  {:>12}  {:>12}",
-        "shard", "busy s", "barrier A s", "barrier B s",
-    );
-    for (i, s) in p.shards.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {i:>6}  {:>10.4}  {:>12.4}  {:>12.4}",
-            s.busy_secs(),
-            s.barrier_a_wait_secs,
-            s.barrier_b_wait_secs,
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  imbalance ratio (busiest / mean busy): {:.3}",
-        p.shard_imbalance(),
-    );
+    let _ = writeln!(out, "  busy {busy:.4}s ({attributed:.1}% of wall-clock)");
 }
 
 /// Skipping-clock section: jump totals, wake-cause breakdown and the
@@ -190,33 +149,41 @@ fn render_event_counters(out: &mut String, ev: &EventPerf) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_core::{AaRun, AaWorkload, StrategyKind};
-    use bgl_sim::{EngineMode, PerfConfig};
+    use bgl_core::{run_aa, AaWorkload, StrategyKind};
+    use bgl_model::MachineParams;
+    use bgl_sim::{EngineMode, PerfConfig, SimConfig};
     use bgl_torus::Partition;
 
-    fn profiled_report(engine: EngineMode) -> AaReport {
+    /// AR with 240 B per destination on 4x4 under `engine`.
+    fn report(engine: EngineMode, perf: Option<PerfConfig>) -> AaReport {
         let part: Partition = "4x4".parse().unwrap();
-        AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::ar())
-            .sim(move |c| {
-                c.engine = engine;
-                c.perf = Some(PerfConfig::default());
-            })
-            .run()
-            .unwrap()
+        let mut cfg = SimConfig::new(part);
+        (cfg.engine, cfg.perf) = (engine, perf);
+        let workload = AaWorkload::full(240);
+        run_aa(
+            part,
+            &workload,
+            &StrategyKind::ar(),
+            &MachineParams::bgl(),
+            cfg,
+        )
+        .unwrap()
+    }
+
+    fn profiled_report(engine: EngineMode) -> AaReport {
+        report(engine, Some(PerfConfig::default()))
     }
 
     #[test]
-    fn report_renders_phase_and_shard_sections() {
+    fn report_renders_the_phase_section() {
         let report = profiled_report(EngineMode::ActiveSet);
         assert!(report.perf.is_some(), "profile must be recorded");
         let text = render_perf_report(&report);
         assert!(text.contains("perf profile: AR on 4x4"), "{text}");
         assert!(text.contains("  visits: cpu "), "{text}");
-        assert!(text.contains(" slab slots, 0 cross-shard copies"), "{text}");
+        assert!(text.contains(" slab slots\n"), "{text}");
         assert!(text.contains("phase breakdown"), "{text}");
         assert!(text.contains("arbitration"), "{text}");
-        assert!(text.contains("imbalance ratio"), "{text}");
         assert!(
             !text.contains("event engine:"),
             "no event section outside event mode: {text}"
@@ -234,12 +201,7 @@ mod tests {
 
     #[test]
     fn report_without_profile_suggests_flag() {
-        let part: Partition = "4x4".parse().unwrap();
-        let report = AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::ar())
-            .run()
-            .unwrap();
-        let text = render_perf_report(&report);
+        let text = render_perf_report(&report(EngineMode::default(), None));
         assert!(text.contains("no profile recorded"), "{text}");
     }
 

@@ -83,9 +83,9 @@ pub struct RunKey {
     /// `NetStats` are identical by construction, but only the former
     /// carries an `AaReport::trace`).
     pub trace_interval: u64,
-    /// Injected faults (empty = healthy run). Unlike the shard count, a
-    /// fault plan *changes the result*, so it is part of the key: a
-    /// faulty run and its healthy twin never share a cache slot.
+    /// Injected faults (empty = healthy run). A fault plan *changes the
+    /// result*, so it is part of the key: a faulty run and its healthy
+    /// twin never share a cache slot.
     pub fault: FaultPlan,
 }
 
@@ -315,15 +315,10 @@ pub struct Runner {
     pub scale: Scale,
     /// Workload/schedule seed.
     pub seed: u64,
-    /// Intra-run torus shard count applied to every run (see
-    /// `SimConfig::shards`). Results are byte-identical across values, so
-    /// it is not part of the cache key.
-    pub sim_shards: std::num::NonZeroUsize,
     jobs: usize,
     /// Host profiling: pass `SimConfig::perf` to every run (so reports
     /// carry `AaReport::perf`) and aggregate [`RunnerTiming`]. Results
-    /// are byte-identical on or off, so — like `sim_shards` — it is not
-    /// part of the cache key.
+    /// are byte-identical on or off, so it is not part of the cache key.
     perf: bool,
     /// Opt-in stderr heartbeat (`SimConfig::progress`) for every run.
     /// Like `perf`, byte-identical results — not part of the cache key.
@@ -346,24 +341,12 @@ impl Runner {
             params: MachineParams::bgl(),
             scale,
             seed: 0xaa11,
-            sim_shards: std::num::NonZeroUsize::MIN,
             jobs,
             perf: false,
             progress: false,
             timing: Mutex::new(RunnerTiming::default()),
             results: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Select the intra-run torus shard count for every run this runner
-    /// executes (`SimConfig::shards`). Orthogonal to
-    /// [`with_jobs`](Self::with_jobs): jobs parallelize *across* runs,
-    /// shards parallelize *within* one. Results are byte-identical across
-    /// shard counts (pinned by the engine equivalence suite), so the
-    /// cache key does not include it — sharding only changes wall-clock.
-    pub fn with_shards(mut self, shards: std::num::NonZeroUsize) -> Runner {
-        self.sim_shards = shards;
-        self
     }
 
     /// Set the worker-thread count for [`Runner::run_points`] (clamped
@@ -566,7 +549,6 @@ impl Runner {
         };
         workload.seed = self.seed;
         let mut cfg = SimConfig::new(key.part);
-        cfg.shards = self.sim_shards;
         cfg.perf = self.perf.then(PerfConfig::default);
         cfg.progress = self.progress.then(ProgressConfig::default);
         point.apply(&mut cfg);

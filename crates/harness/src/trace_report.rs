@@ -206,19 +206,23 @@ fn render_hottest_links(out: &mut String, stats: &NetStats, part: &Partition) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_core::{AaRun, AaWorkload, StrategyKind};
-    use bgl_sim::TraceConfig;
+    use bgl_core::{run_aa, AaWorkload, StrategyKind};
+    use bgl_model::MachineParams;
+    use bgl_sim::{SimConfig, TraceConfig};
+
+    /// `strategy` with 240 B per destination on `shape`, traced every
+    /// `interval` cycles if given.
+    fn report(shape: &str, strategy: StrategyKind, interval: Option<u64>) -> AaReport {
+        let part: Partition = shape.parse().unwrap();
+        let mut cfg = SimConfig::new(part);
+        cfg.trace = interval.map(TraceConfig::every);
+        cfg.detailed_link_stats = true;
+        let workload = AaWorkload::full(240);
+        run_aa(part, &workload, &strategy, &MachineParams::bgl(), cfg).unwrap()
+    }
 
     fn traced_report() -> AaReport {
-        let part: Partition = "4x4".parse().unwrap();
-        AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::ar())
-            .sim(|c| {
-                c.trace = Some(TraceConfig::every(200));
-                c.detailed_link_stats = true;
-            })
-            .run()
-            .unwrap()
+        report("4x4", StrategyKind::ar(), Some(200))
     }
 
     #[test]
@@ -234,24 +238,13 @@ mod tests {
 
     #[test]
     fn report_without_trace_suggests_flag() {
-        let part: Partition = "4x4".parse().unwrap();
-        let report = AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::ar())
-            .run()
-            .unwrap();
-        let text = render_run_report(&report);
+        let text = render_run_report(&report("4x4", StrategyKind::ar(), None));
         assert!(text.contains("no trace recorded"), "{text}");
     }
 
     #[test]
     fn tps_report_shows_phase_spans() {
-        let part: Partition = "4x2x2".parse().unwrap();
-        let report = AaRun::builder(part, AaWorkload::full(240))
-            .strategy(StrategyKind::tps())
-            .sim(|c| c.trace = Some(TraceConfig::every(100)))
-            .run()
-            .unwrap();
-        let text = render_run_report(&report);
+        let text = render_run_report(&report("4x2x2", StrategyKind::tps(), Some(100)));
         assert!(text.contains("phases: phase 1 in flight"), "{text}");
     }
 

@@ -97,37 +97,16 @@ impl EngineMode {
         EngineMode::ActiveSet,
         EngineMode::EventDriven,
     ];
+}
 
-    /// The CLI/config spelling: `full-scan`, `active-set` or `event`.
-    pub fn name(self) -> &'static str {
-        match self {
+/// `full-scan`, `active-set` or `event`, for test and benchmark messages.
+impl std::fmt::Display for EngineMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
             EngineMode::FullScan => "full-scan",
             EngineMode::ActiveSet => "active-set",
             EngineMode::EventDriven => "event",
-        }
-    }
-}
-
-impl std::fmt::Display for EngineMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Parses the CLI spelling (`full-scan|active-set|event`); the error
-/// message lists the accepted values for the binaries' exit-2 path.
-impl std::str::FromStr for EngineMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<EngineMode, String> {
-        match s {
-            "full-scan" => Ok(EngineMode::FullScan),
-            "active-set" => Ok(EngineMode::ActiveSet),
-            "event" => Ok(EngineMode::EventDriven),
-            other => Err(format!(
-                "unknown engine {other:?} (full-scan|active-set|event)"
-            )),
-        }
+        })
     }
 }
 
@@ -253,17 +232,14 @@ pub struct SimConfig {
     /// wall-clock cost — so this is a performance knob, never a
     /// correctness one.
     pub engine: EngineMode,
-    /// Intra-run parallelism: partition the torus into this many
-    /// contiguous-rank slabs, each running the phase pipeline on its own
-    /// thread with boundary arrivals exchanged at a per-cycle barrier.
-    /// Like [`engine`](Self::engine), this is a performance knob and never
-    /// a correctness one: `NetStats` and traces are byte-identical for any
-    /// shard count (pinned by the differential suite,
-    /// `crates/sim/tests/common/mod.rs`).
-    /// Clamped to the node count; `1` (the default) disables threading
-    /// entirely. Runs with `check_invariants` keep the sharded
-    /// *structure* but execute the shards on one thread, because the
-    /// oracle's ledger is inherently sequential.
+    /// Unread. The engine runs on one thread (EXPERIMENTS.md, "Why the
+    /// engine has no threads"); this was the thread count of the removed
+    /// intra-run parallelism. It stays declared only because the ladder
+    /// benchmark's `sim.shards2_run_s` probe assigns it and the benchmark
+    /// may not change together with the code it measures; the benchmark
+    /// change that retires the probe deletes the field. Nothing else may
+    /// name it (CI greps), and `the_shards_field_is_inert` below keeps it
+    /// from regaining a meaning.
     pub shards: std::num::NonZeroUsize,
     /// Invariant oracle: independently re-derive the simulator's
     /// conservation laws and panic on the first violation — every injected
@@ -276,13 +252,13 @@ pub struct SimConfig {
     /// predictable branch per cycle, like the tracer.
     pub check_invariants: bool,
     /// Host-side performance profiling: `Some(cfg)` makes the engine
-    /// record where *wall-clock* time goes (per-phase/per-shard timing,
-    /// barrier waits, event-engine skip and wake counters — see
+    /// record where *wall-clock* time goes (per-phase timing, visit and
+    /// park counts, event-engine skip and wake counters — see
     /// [`crate::perf`]), retrievable after the run via
     /// `Engine::take_perf`. `None` (the default) costs one predictable
     /// branch beside the tracer's. Profiling never perturbs results:
     /// `NetStats` is byte-identical with profiling on or off, in every
-    /// engine mode and at every shard count.
+    /// engine mode.
     pub perf: Option<PerfConfig>,
     /// Opt-in progress heartbeat: `Some(cfg)` makes the engine print a
     /// rate-limited status line (cycle, packets delivered, elapsed, ETA)
@@ -293,7 +269,7 @@ pub struct SimConfig {
     /// whole nodes that are dead from the start or fail/recover at
     /// scheduled cycles. The empty plan (the default) is the healthy
     /// machine and costs nothing. Fault semantics are identical in every
-    /// engine mode and at every shard count.
+    /// engine mode.
     pub fault: FaultPlan,
 }
 
@@ -372,13 +348,40 @@ mod tests {
     }
 
     #[test]
-    fn engine_mode_names_parse_back_and_the_skipping_clock_is_the_default() {
-        for mode in EngineMode::ALL {
-            assert_eq!(mode.name().parse::<EngineMode>().unwrap(), mode);
-        }
-        assert!("warp-drive".parse::<EngineMode>().is_err());
+    fn the_skipping_clock_is_the_default() {
         let c = SimConfig::new("4x4".parse().unwrap());
         assert_eq!(c.engine, EngineMode::EventDriven);
+    }
+
+    /// `SimConfig::shards` is a leftover (see its docs): a run with it set
+    /// is the default run — same statistics, same trace, same profile
+    /// counts.
+    #[test]
+    fn the_shards_field_is_inert() {
+        use crate::{Engine, NodeProgram, ScriptedProgram, SendSpec, TraceConfig};
+        let part: Partition = "4x4x2".parse().unwrap();
+        let run = |shards: usize| {
+            let mut cfg = SimConfig::new(part);
+            cfg.shards = std::num::NonZeroUsize::new(shards).unwrap();
+            cfg.trace = Some(TraceConfig::every(50));
+            cfg.perf = Some(PerfConfig::default());
+            let n = part.num_nodes();
+            let programs = (0..n).map(|r| {
+                let sends = (1..n).map(|k| SendSpec::adaptive((r + k) % n, 8, 240));
+                Box::new(ScriptedProgram::new(sends.collect(), n as u64 - 1))
+                    as Box<dyn NodeProgram>
+            });
+            let mut engine = Engine::new(cfg, programs.collect());
+            let stats = engine.run().expect("the exchange completes");
+            let perf = engine.take_perf().expect("profiled");
+            let counts = (
+                perf.stepped_cycles,
+                perf.visit_totals(),
+                perf.packet_totals(),
+            );
+            (stats, engine.take_trace(), counts, perf.skipped_cycles())
+        };
+        assert_eq!(run(7), run(1));
     }
 
     #[test]

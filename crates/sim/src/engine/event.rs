@@ -5,16 +5,14 @@
 //! layer on top: after a stepped cycle that made no progress (the
 //! watchdog's own flag — see the gate in `Engine::run_inner`),
 //! [`Engine::fast_forward`] computes a conservative earliest next-event
-//! cycle from per-component wake-ups — in-flight arrivals (the rings),
+//! cycle from per-component wake-ups — in-flight arrivals (the ring),
 //! pending deliveries, CPU timelines, program poll hints, rate windows,
 //! and link-busy horizons — and jumps `now` straight there.
 //!
 //! The clock keeps no state of its own: everything it reads is state the
 //! phases maintain anyway, plus two per-node hints the CPU phase leaves on
 //! the node it is visiting ([`NodeState::poll`](crate::node::NodeState),
-//! `inject_blocked`). Nothing here is global to a cycle's sections, so
-//! skipping composes with shard threads: the jump is decided between
-//! stepped cycles, on the caller's thread.
+//! `inject_blocked`). The jump is decided between stepped cycles.
 //!
 //! This is the *global* half of one idea. A loaded run never has a cycle
 //! without progress, so it never jumps; there the phases apply the same
@@ -29,8 +27,8 @@
 //! same cycle, would have mutated *nothing* except two closed-form
 //! counters:
 //!
-//! - no arrivals (the in-flight rings are empty until the next wake-up),
-//! - no deliveries (every shard's `deliver_q` empty, and stalled
+//! - no arrivals (the in-flight ring is empty until the next wake-up),
+//! - no deliveries (`deliver_q` empty, and stalled
 //!   deliveries are only re-queued by a CPU drain, which is itself a
 //!   stepped event),
 //! - every CPU visit is a blocked poll — a rate-window check or a pure
@@ -58,7 +56,7 @@
 //! periodic sample (frozen deltas, live occupancy snapshot) is recorded
 //! there, so traced runs are byte-identical too.
 
-use super::{Engine, ShardData, RING};
+use super::{Engine, RING};
 use crate::node::PollState;
 
 /// Which component's bound won the earliest-event minimum. Tracked for
@@ -86,8 +84,8 @@ impl Engine {
     /// Returns `self.now` as soon as any immediate work is found, along
     /// with the component that set the bound.
     fn next_event_cycle(&self) -> (u64, WakeCause) {
-        let now = self.now;
-        if self.shards.iter().any(|sd| !sd.deliver_q.is_empty()) {
+        let (now, st) = (self.now, &self.state);
+        if !st.deliver_q.is_empty() {
             return (now, WakeCause::DeliverQ);
         }
         // Earliest in-flight arrival. Every launched packet lands within
@@ -96,7 +94,7 @@ impl Engine {
         let mut cause = WakeCause::Idle;
         'lap: for off in 0..RING as u64 {
             let slot = ((now + off) % RING as u64) as usize;
-            if self.shards.iter().any(|sd| !sd.ring[slot].is_empty()) {
+            if !st.ring[slot].is_empty() {
                 e = now + off;
                 cause = WakeCause::Arrival;
                 break 'lap;
@@ -105,49 +103,47 @@ impl Engine {
         if e == now {
             return (now, cause);
         }
-        for sd in &self.shards {
-            for w in 0..sd.cpu_active.words.len() {
-                let mut bits = sd.cpu_active.words[w];
-                while bits != 0 {
-                    let i = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let wake = self.cpu_wake(sd, i);
-                    if wake < e {
-                        e = wake;
-                        cause = WakeCause::Cpu(sd.nodes[i].poll);
-                    }
-                    if e <= now {
-                        return (now, cause);
-                    }
+        for w in 0..st.cpu_active.words.len() {
+            let mut bits = st.cpu_active.words[w];
+            while bits != 0 {
+                let i = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let wake = self.cpu_wake(i);
+                if wake < e {
+                    e = wake;
+                    cause = WakeCause::Cpu(st.nodes[i].poll);
+                }
+                if e <= now {
+                    return (now, cause);
                 }
             }
-            for w in 0..sd.arb_active.words.len() {
-                let mut bits = sd.arb_active.words[w];
-                while bits != 0 {
-                    let i = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let wake = self.arb_wake(sd, i);
-                    if wake < e {
-                        e = wake;
-                        cause = WakeCause::LinkBusy;
-                    }
-                    if e <= now {
-                        return (now, cause);
-                    }
+        }
+        for w in 0..st.arb_active.words.len() {
+            let mut bits = st.arb_active.words[w];
+            while bits != 0 {
+                let i = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let wake = self.arb_wake(i);
+                if wake < e {
+                    e = wake;
+                    cause = WakeCause::LinkBusy;
+                }
+                if e <= now {
+                    return (now, cause);
                 }
             }
         }
         (e, cause)
     }
 
-    /// Next cycle the CPU phase of `sd`'s local node `i` could do anything
+    /// Next cycle the CPU phase of node `i` could do anything
     /// but a replayable blocked poll. `cpu_visit` skips cycles with
     /// `cpu_free >= t + 1`, so the first visitable cycle is
     /// `floor(cpu_free)` — before that, even a pending drain cannot run.
-    fn cpu_wake(&self, sd: &ShardData, i: usize) -> u64 {
-        let n = &sd.nodes[i];
+    fn cpu_wake(&self, i: usize) -> u64 {
+        let n = &self.state.nodes[i];
         let ready = (n.cpu_free as u64).max(self.now);
-        if !sd.fifos.reception(i).is_empty() {
+        if !self.state.fifos.reception(i).is_empty() {
             // A drain mutates real state: never skip past it.
             return ready;
         }
@@ -173,20 +169,20 @@ impl Engine {
         wake
     }
 
-    /// Next cycle the arbitration of `sd`'s local node `i` could win an
-    /// output.
+    /// Next cycle the arbitration of node `i` could win an output.
     /// Heads on *free* links already lost their last stepped arbitration
     /// on downstream feasibility, which only a stepped event can change
-    /// (progress: no skip is attempted after it); so the only timed wake is a busy link
-    /// becoming usable. `busy_until == now` must wake now: the link was
+    /// (progress: no skip is attempted after it); so the only timed wake
+    /// is a busy link becoming usable. `busy_until == now` must wake now: the link was
     /// busy during the last stepped cycle but is usable this cycle.
     ///
     /// Only links some head requests count (the request masks: exactly
     /// the links arbitration probes). Against a bound over every head's
     /// whole minimal quadrant this can only wake *later*, and only where
     /// no head wants the link, so no win is slept through.
-    fn arb_wake(&self, sd: &ShardData, i: usize) -> u64 {
-        let node = &sd.nodes[i];
+    fn arb_wake(&self, i: usize) -> u64 {
+        let st = &self.state;
+        let node = &st.nodes[i];
         if node.vc_mask == 0 && node.inj_mask == 0 {
             return u64::MAX;
         }
@@ -199,11 +195,11 @@ impl Engine {
         let mut wake = u64::MAX;
         for d in 0..ports {
             let link = i * ports + d;
-            let requested = faulted || sd.want[link] != 0 || sd.inj_want[link] != 0;
-            if !requested || self.shared.neighbors[sd.base + i][d] == u32::MAX {
+            let requested = faulted || st.want[link] != 0 || st.inj_want[link] != 0;
+            if !requested || self.shared.neighbors[i][d] == u32::MAX {
                 continue;
             }
-            let busy = sd.link_busy_until[link];
+            let busy = st.link_busy_until[link];
             if busy >= self.now {
                 wake = wake.min(busy);
             }
@@ -219,28 +215,27 @@ impl Engine {
     /// node's own wake, so a `Rate` window is closed and an `Asleep`
     /// decline repeats verbatim across the whole eligible span.
     fn replay_blocked_counters(&mut self, stop: u64) {
-        for sd in &self.shards {
-            for w in 0..sd.cpu_active.words.len() {
-                let mut bits = sd.cpu_active.words[w];
-                while bits != 0 {
-                    let i = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let n = &sd.nodes[i];
-                    if !n.pull_due() || !sd.fifos.reception(i).is_empty() {
-                        continue;
+        let st = &self.state;
+        for w in 0..st.cpu_active.words.len() {
+            let mut bits = st.cpu_active.words[w];
+            while bits != 0 {
+                let i = (w << 6) + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let n = &st.nodes[i];
+                if !n.pull_due() || !st.fifos.reception(i).is_empty() {
+                    continue;
+                }
+                let from = (n.cpu_free as u64).max(self.now);
+                if stop <= from {
+                    continue;
+                }
+                let cycles = stop - from;
+                match n.poll {
+                    PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
+                    PollState::Asleep { denials } if denials > 0 => {
+                        self.stats.credit_blocked_events += denials * cycles;
                     }
-                    let from = (n.cpu_free as u64).max(self.now);
-                    if stop <= from {
-                        continue;
-                    }
-                    let cycles = stop - from;
-                    match n.poll {
-                        PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
-                        PollState::Asleep { denials } if denials > 0 => {
-                            self.stats.credit_blocked_events += denials * cycles;
-                        }
-                        _ => {}
-                    }
+                    _ => {}
                 }
             }
         }

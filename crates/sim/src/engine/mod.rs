@@ -1,7 +1,8 @@
 //! The simulation engine.
 //!
 //! One cycle is the time a 32-byte chunk takes to cross a link. Each cycle
-//! runs four phases (see [`phases`]), in an order fixed for determinism:
+//! runs four phases (see [`phases`]) and a boundary, on one thread, in an
+//! order fixed for determinism:
 //!
 //! 1. **Arrivals** — packets whose last chunk crossed a link this cycle are
 //!    committed into the downstream VC FIFO (space was reserved at
@@ -19,6 +20,8 @@
 //!    optional dimension-ordered bubble-VC escape; deterministic packets
 //!    use the bubble VC only, honouring the bubble deadlock-avoidance rule.
 //!
+//! The **boundary** returns the credit freed by phase 4's pops (below).
+//!
 //! How *time* advances between those phases is the
 //! [`EngineMode`](crate::EngineMode): the default clock visits only marked
 //! nodes and, after any stepped cycle in which nothing moved, skips to the
@@ -30,51 +33,30 @@
 //! the run loop (the profiler reads it once more, to know whether its
 //! profile carries skip counters).
 //!
-//! ## Sharding
+//! ## State and order
 //!
-//! The torus is partitioned into `SimConfig::shards` contiguous rank
-//! ranges (slabs along the outermost dimension, since ranks are
-//! x-innermost). Each cycle runs as three *sections* per shard:
+//! Everything a cycle mutates lives in one [`State`] (nodes, their FIFO
+//! header rows and per-link tables, the packet slab, programs, the
+//! in-flight ring, the cycle's statistics); everything it only reads, plus
+//! the downstream-credit cells, in one [`Shared`], whose methods are the
+//! routing-feasibility rules the engine's diagnostics reuse. There is no
+//! parallelism inside a run and nothing to configure about it: the
+//! reproduction's parallelism is across runs (EXPERIMENTS.md, "Why the
+//! engine has no threads").
 //!
-//! - **A** (phases 1–3): touches only the shard's own nodes, plus
-//!   commutative cross-shard effects (credit releases on this shard's own
-//!   cells);
-//! - **B** (packet-id fix-up + phase 4): arbitration reads neighbour
-//!   state *only* through the shared credit array, whose cells each have
-//!   exactly one reading/spending shard (the unique upstream of the
-//!   FIFO), and stages its wins: into the shard's own list, or — the
-//!   downstream node being another shard's — into that shard's outbox;
-//! - **C**: files the staged wins into the in-flight ring in ascending
-//!   source-shard order (which reproduces the global ascending-node win
-//!   order exactly) and applies the cycle's deferred credit releases.
+//! A packet is written into the slab at injection and stays in that slot,
+//! advanced in place hop by hop, until it is drained or dropped by a
+//! fault; FIFOs and the ring hold `u32` handles (`fifo.rs`; DESIGN.md §6,
+//! "Memory layout").
 //!
-//! Each shard *owns* its rank range ([`ShardData`]: nodes, their FIFO
-//! header rows and per-link tables, the packets queued at or flying
-//! towards them, programs, per-cycle statistics, ring and outboxes);
-//! everything sections only read or touch atomically lives in one
-//! [`Shared`]. `Engine::step`
-//! is therefore a loop over `self.shards`: with `shards > 1` (and the
-//! invariant oracle off) each shard's three sections run on a scoped
-//! thread of their own, separated by two barriers (A→B orders credit
-//! releases before credit reads, B→C the mailbox hand-off before its
-//! drain; the scope join closes the cycle); otherwise they run on the
-//! caller's thread in ascending shard order. Both drive the *same*
-//! section code over the same data, so results are byte-identical for
-//! every shard count, threaded or not.
-//!
-//! A packet is written into its shard's slab at injection and stays in
-//! that slot, advanced in place hop by hop, until it is drained or won by
-//! a node of another shard — the one hop that copies it; FIFOs, ring and
-//! win lists hold `u32` handles (`fifo.rs`; DESIGN.md §6, "Memory
-//! layout").
-//!
-//! Two accounting rules make the sections order-independent (and apply
-//! identically at `shards = 1`): credit freed by a phase-4 pop is
-//! released at the cycle boundary, not mid-phase, so arbitration sees a
-//! fixed credit snapshot regardless of node visit order; and CPU-busy
-//! time accumulates per node, folded into `NetStats::cpu_busy_cycles` in
-//! ascending node order only at observation points, so the float sum
-//! never depends on execution interleaving.
+//! Two accounting rules make a cycle's outcome independent of the order in
+//! which a phase visits nodes — which is what lets the active-set scans,
+//! parking and the full scan agree byte for byte: credit freed by a
+//! phase-4 pop is released at the cycle boundary, not mid-phase, so
+//! arbitration sees one credit snapshot whichever node it visits first;
+//! and CPU-busy time accumulates per node, folded into
+//! `NetStats::cpu_busy_cycles` in ascending node order only at observation
+//! points, so the float sum has one order.
 //!
 //! The run ends when every program reports complete and no packet remains
 //! anywhere; a watchdog aborts with diagnostics if traffic stops moving.
@@ -94,15 +76,13 @@ use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
 use crate::fifo::{ChunkFifo, FifoRows, Slab};
 use crate::node::NodeState;
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
-use crate::perf::ShardPerf;
 use crate::program::NodeProgram;
 use crate::stats::{NetStats, LATENCY_BUCKETS};
 use bgl_torus::{Direction, MAX_DIMS, MAX_PORTS};
 use oracle::Oracle;
 use perf::{PerfState, ProgressState};
-use phases::{Shard, Shared};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::{Barrier, Mutex};
+use phases::{Phases, Shared};
+use std::cell::Cell;
 use tracer::Tracer;
 
 /// In-flight ring size; must exceed max packet chunks + hop latency.
@@ -278,13 +258,13 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// A packet crossing a link into one of this shard's nodes: everything
-/// phase 1 needs to commit it, computed once at the win, so an arrival
-/// behind a queued packet never touches the packet itself.
+/// A packet crossing a link: everything phase 1 needs to commit it,
+/// computed once at the win, so an arrival behind a queued packet never
+/// touches the packet itself.
 struct Arrival {
-    /// Global rank of the receiving node.
+    /// Rank of the receiving node.
     node: u32,
-    /// The packet's slot in the receiving shard's slab.
+    /// The packet's slot in the slab.
     h: u32,
     /// Transit FIFO it joins (`vc_fifo_index(port, vc)`).
     fifo: u8,
@@ -294,9 +274,9 @@ struct Arrival {
 }
 
 impl Arrival {
-    /// The record of `pkt`, stored in slot `h` of the receiving shard's
-    /// slab with the hop already written into it, on its way into transit
-    /// FIFO `fifo` of node `node`.
+    /// The record of `pkt`, stored in slot `h` of the slab with the hop
+    /// already written into it, on its way into transit FIFO `fifo` of
+    /// node `node`.
     fn new(node: u32, h: u32, fifo: u8, pkt: &Packet) -> Arrival {
         Arrival {
             node,
@@ -306,17 +286,6 @@ impl Arrival {
             done: pkt.plan.is_done(),
         }
     }
-}
-
-/// A staged cross-shard win — the one place a packet changes owner, hence
-/// the one hop that copies it: phase 4 takes it out of the winner's slab
-/// into the outbox; section C of the destination shard stores it in its
-/// own slab and files the [`Arrival`].
-struct OutMsg {
-    arrive: u64,
-    node: u32,
-    fifo: u8,
-    pkt: Packet,
 }
 
 #[derive(Clone, Copy)]
@@ -340,9 +309,9 @@ struct Win {
 ///
 /// The engine maintains the invariant that every node with work is marked;
 /// a marked node that turns out to be idle is cleared when visited. Bits
-/// are only ever *set* for nodes of the same shard between phases
-/// (arrivals mark arbitration work, deliveries mark CPU work), so a phase
-/// can iterate a snapshot of each word without missing work.
+/// are only ever *set* between phases (arrivals mark arbitration work,
+/// deliveries mark CPU work), so a phase can iterate a snapshot of each
+/// word without missing work.
 struct ActiveSet {
     words: Vec<u64>,
 }
@@ -371,29 +340,24 @@ impl ActiveSet {
         self.words[i >> 6] &= !(1 << (i & 63));
     }
 
-    /// Marked-node count. Conservative marks make this an upper bound on
-    /// real work — exactly the right direction for the threading gate.
+    /// Marked-node count: an upper bound on real work (marks are
+    /// conservative), sampled by the profiler.
     fn popcount(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 }
 
-/// One shard: a contiguous slab of global ranks `base..base + nodes.len()`
-/// and every piece of simulation state only that slab's sections mutate.
-/// The per-node vectors and the active sets are indexed *locally*
-/// (`global - base`); `deliver_q` and ring arrivals carry global ranks.
-struct ShardData {
-    /// This shard's index (ascending shard = ascending rank).
-    si: usize,
-    /// First global rank of the slab.
-    base: usize,
+/// Every piece of simulation state a cycle mutates, the credit cells
+/// apart ([`Shared::credits`]). Per-node vectors and the active sets are
+/// indexed by rank.
+struct State {
     nodes: Vec<NodeState>,
-    /// The nodes' FIFO headers, one row per local node.
+    /// The nodes' FIFO headers, one row per node.
     fifos: FifoRows,
-    /// Every packet queued at, or in flight towards, this shard's nodes.
+    /// Every packet queued at, or in flight towards, a node.
     slab: Slab,
     programs: Vec<Box<dyn NodeProgram>>,
-    /// `busy_until[local * ports + dir]`. This and the three tables below
+    /// `busy_until[node * ports + dir]`. This and the three tables below
     /// are per output link, `ports` entries per node: sized by the
     /// partition's arity.
     link_busy_until: Vec<u64>,
@@ -409,11 +373,15 @@ struct ShardData {
     inj_want: Vec<u32>,
     /// Round-robin arbitration pointer of each output link.
     rr: Vec<u8>,
-    /// The slab's rows of `NetStats::link_busy_per_link` (folded in at
+    /// `NetStats::link_busy_per_link` in the making (copied out at
     /// observation points); empty when detailed link stats are off.
     link_stats: Vec<u64>,
-    /// In-flight ring: slot `t % RING` holds the packets arriving at this
-    /// shard's nodes at cycle `t`.
+    /// In-flight ring: slot `t % RING` holds the packets arriving at cycle
+    /// `t`, in the order they won their links — ascending node, then
+    /// direction, within a cycle, since phase 4 files each win as it makes
+    /// it and every arrival is later than its win (`arrive − t < RING`,
+    /// asserted at construction, keeps the slot phase 1 is emptying out of
+    /// reach).
     ring: Vec<Vec<Arrival>>,
     deliver_q: Vec<(u32, u8)>,
     /// Nodes that may have CPU work (non-empty reception/pending/pulled
@@ -422,31 +390,20 @@ struct ShardData {
     /// Nodes that may have a packet to arbitrate out (non-zero `vc_mask`
     /// or `inj_mask`).
     arb_active: ActiveSet,
-    /// Per local node, the earliest cycle at which a CPU-phase visit could
+    /// Per node, the earliest cycle at which a CPU-phase visit could
     /// change anything (0: visit; `u64::MAX`: not until re-armed) — see
     /// "Parking" in [`phases`]. The full scan never reads it.
     cpu_at: Vec<u64>,
     /// The same for phase 4.
     arb_at: Vec<u64>,
-    /// This cycle's wins into this shard's own nodes, with their arrival
-    /// cycles: the handle stays put, and section C files the record at its
-    /// place among the other shards' mailboxes.
-    own: Vec<(u64, Arrival)>,
-    /// Per-destination-shard staged wins of the current cycle (this
-    /// shard's own entry stays empty).
-    outbox: Vec<Vec<OutMsg>>,
-    /// Handles of the packets injected this cycle, in injection order:
-    /// their provisional ids become final at the section-B fix-up.
-    injected: Vec<u32>,
+    /// Id of the next packet injected: ids are dense and ascend with
+    /// (cycle, node, injection order).
+    next_packet_id: u64,
     /// Credit releases from this cycle's phase-4 pops, applied at the
-    /// cycle boundary (section C): `(credit cell, chunks)`.
+    /// cycle boundary: `(credit cell, chunks)`.
     deferred: Vec<(u32, u32)>,
     /// This cycle's statistics, merged into `NetStats` at the boundary.
     cs: CycleStats,
-    /// This shard's record of the host profiler (`SimConfig::perf`). The
-    /// profiler only reads the host clock and writes its own accumulator,
-    /// so enabling it can never perturb simulation results.
-    perf: Option<ShardPerf>,
 }
 
 /// The set bits of `mask`, ascending.
@@ -460,8 +417,8 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-impl ShardData {
-    /// The head packet of every occupied FIFO of local node `i` (only the
+impl State {
+    /// The head packet of every occupied FIFO of node `i` (only the
     /// masks' bits are walked): `(Some(f), head)` for transit FIFO `f`,
     /// ascending, then `(None, head)` per injection FIFO.
     fn heads(&self, i: usize) -> impl Iterator<Item = (Option<usize>, &Packet)> {
@@ -473,9 +430,8 @@ impl ShardData {
     }
 }
 
-/// Statistics a single shard accumulates over one cycle, merged into the
-/// engine's `NetStats` (in ascending shard order, though every merge is
-/// order-independent) at the cycle boundary.
+/// Statistics of one cycle, merged into the engine's `NetStats` at the
+/// cycle boundary.
 #[derive(Default)]
 struct CycleStats {
     progress: bool,
@@ -511,20 +467,15 @@ struct FaultEvent {
 
 /// The simulator.
 pub struct Engine {
-    /// Configuration, topology, credits and mailboxes: what every shard
-    /// reads (see [`Shared`]).
+    /// Configuration, topology and credits: what the phases only read,
+    /// credit cells apart (see [`Shared`]).
     shared: Shared,
     now: u64,
-    /// The slabs, ascending by rank; each owns its nodes and programs.
-    shards: Vec<ShardData>,
-    /// Run sections on one thread per shard. Requires > 1 shard and no
-    /// oracle (whose ledgers are inherently global; it still runs the
-    /// sharded *structure* sequentially, byte-identically).
-    parallel: bool,
+    /// What the phases mutate: nodes, FIFOs, packets, programs.
+    state: State,
     live_packets: u64,
     pending_total: u64,
     done_programs: usize,
-    next_packet_id: u64,
     stats: NetStats,
     last_progress: u64,
     /// Time-series sampler; `None` unless `SimConfig::trace` is set.
@@ -570,10 +521,9 @@ impl Engine {
         }
         let ports = part.ports();
         let vc_cells = ports * NUM_VCS;
-        // Contiguous rank ranges (shard `s` owns ranks `s·p/n..(s+1)·p/n`);
-        // u16::MAX shards is plenty and keeps the ownership map compact.
-        // The shards are built before the shared tables on purpose: with
-        // the per-node allocations first, glibc keeps the heap across a
+        let links = p * ports;
+        // The per-node state is built before the shared tables on purpose:
+        // with the per-node allocations first, glibc keeps the heap across a
         // drop-and-rebuild instead of trimming it and faulting every page
         // back in (measured on 16x8x8: `Engine::new` 170 µs this way round,
         // 410 µs the other) — what a caller that builds many engines pays.
@@ -582,50 +532,36 @@ impl Engine {
         // with no block per node, every table here being one large
         // allocation, the same caller paid +50 % on 16x8x8 (0.26 → 0.39 ms,
         // 0/6 pairs; its own program vectors faulted back in too); with it,
-        // 0.18 ms. The packet slabs start empty and grow with the traffic,
+        // 0.18 ms. The packet slab starts empty and grows with the traffic,
         // after and above everything built here.
-        let nshards = cfg.shards.get().min(p).min(u16::MAX as usize);
-        let mut shard_of = vec![0u16; p];
-        let mut programs = programs.into_iter();
-        let mut shards: Vec<ShardData> = Vec::with_capacity(nshards);
+        //
         // Programs with nothing to do are complete before cycle 0.
         let mut done_programs = 0;
-        for s in 0..nshards {
-            let (base, end) = (s * p / nshards, (s + 1) * p / nshards);
-            shard_of[base..end].fill(s as u16);
-            let links = (end - base) * ports;
-            let programs: Vec<Box<dyn NodeProgram>> = programs.by_ref().take(end - base).collect();
-            let nodes = (base..end).zip(&programs).map(|(r, prog)| {
-                let mut node = NodeState::new(part.coord_of(r as u32), &cfg);
-                done_programs += usize::from(node.latch_done(prog.as_ref()));
-                node
-            });
-            shards.push(ShardData {
-                si: s,
-                base,
-                nodes: nodes.collect(),
-                fifos: FifoRows::new(end - base, vc_cells, cfg.inj_fifo_count as usize),
-                slab: Slab::new(),
-                programs,
-                link_busy_until: vec![0; links],
-                want: vec![0; links],
-                inj_want: vec![0; links],
-                rr: vec![0; links],
-                link_stats: vec![0; if cfg.detailed_link_stats { links } else { 0 }],
-                ring: (0..RING).map(|_| Vec::new()).collect(),
-                deliver_q: Vec::new(),
-                cpu_active: ActiveSet::all(end - base),
-                arb_active: ActiveSet::all(end - base),
-                cpu_at: vec![0; end - base],
-                arb_at: vec![0; end - base],
-                own: Vec::new(),
-                outbox: (0..nshards).map(|_| Vec::new()).collect(),
-                injected: Vec::new(),
-                deferred: Vec::new(),
-                cs: CycleStats::default(),
-                perf: cfg.perf.is_some().then(ShardPerf::default),
-            });
-        }
+        let nodes = (0..p as u32).zip(&programs).map(|(r, prog)| {
+            let mut node = NodeState::new(part.coord_of(r), &cfg);
+            done_programs += usize::from(node.latch_done(prog.as_ref()));
+            node
+        });
+        let state = State {
+            nodes: nodes.collect(),
+            fifos: FifoRows::new(p, vc_cells, cfg.inj_fifo_count as usize),
+            slab: Slab::new(),
+            programs,
+            link_busy_until: vec![0; links],
+            want: vec![0; links],
+            inj_want: vec![0; links],
+            rr: vec![0; links],
+            link_stats: vec![0; if cfg.detailed_link_stats { links } else { 0 }],
+            ring: (0..RING).map(|_| Vec::new()).collect(),
+            deliver_q: Vec::new(),
+            cpu_active: ActiveSet::all(p),
+            arb_active: ActiveSet::all(p),
+            cpu_at: vec![0; p],
+            arb_at: vec![0; p],
+            next_packet_id: 0,
+            deferred: Vec::new(),
+            cs: CycleStats::default(),
+        };
         let neighbors: Vec<[u32; MAX_PORTS]> = (0..p as u32)
             .map(|r| {
                 let c = part.coord_of(r);
@@ -662,7 +598,6 @@ impl Engine {
             .progress
             .as_ref()
             .map(|pc| Box::new(ProgressState::new(pc)));
-        let parallel = nshards > 1 && oracle.is_none();
         let mut fault_alive = Vec::new();
         let mut fault_schedule = Vec::new();
         if !cfg.fault.is_empty() {
@@ -685,31 +620,22 @@ impl Engine {
         }
         let shared = Shared {
             class_fifos: cfg.class_fifos(),
-            credits: (0..p * vc_cells)
-                .map(|_| AtomicU32::new(cfg.router.vc_fifo_chunks))
-                .collect(),
+            credits: vec![Cell::new(cfg.router.vc_fifo_chunks); p * vc_cells],
             full_scan: cfg.engine == EngineMode::FullScan,
             cfg,
             part,
             neighbors,
             ports,
             vc_cells,
-            shard_of,
-            staging: (0..nshards * (nshards - 1))
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            counts: (0..nshards).map(|_| AtomicU64::new(0)).collect(),
             fault_alive,
         };
         Engine {
             shared,
             now: 0,
-            shards,
-            parallel,
+            state,
             live_packets: 0,
             pending_total: 0,
             done_programs,
-            next_packet_id: 0,
             stats,
             last_progress: 0,
             tracer,
@@ -810,31 +736,18 @@ impl Engine {
     }
 
     fn num_nodes(&self) -> usize {
-        self.shared.shard_of.len()
-    }
-
-    /// Every node's state in ascending global rank (ascending shard =
-    /// ascending rank) — the order every fold and diagnostic sweep uses.
-    fn nodes(&self) -> impl Iterator<Item = &NodeState> {
-        self.shards.iter().flat_map(|sd| &sd.nodes)
-    }
-
-    /// The shard owning global rank `g` and `g`'s local index in it.
-    fn locate(&self, g: usize) -> (&ShardData, usize) {
-        let sd = &self.shards[self.shared.shard_of[g] as usize];
-        (sd, g - sd.base)
+        self.state.nodes.len()
     }
 
     /// Fold the per-node CPU-busy accumulators into
     /// `stats.cpu_busy_cycles`, in ascending node order — the one float
-    /// reduction in the stats, pinned to a shard-independent order — and
-    /// the shards' detailed link counters into `stats.link_busy_per_link`.
+    /// reduction in the stats — and copy the detailed link counters into
+    /// `stats.link_busy_per_link`.
     fn sync_ledgers(&mut self) {
-        self.stats.cpu_busy_cycles = self.nodes().map(|n| n.cpu_busy).sum();
-        let per_link = self.shards.iter().flat_map(|sd| &sd.link_stats);
-        for (total, &chunks) in self.stats.link_busy_per_link.iter_mut().zip(per_link) {
-            *total = chunks;
-        }
+        self.stats.cpu_busy_cycles = self.state.nodes.iter().map(|n| n.cpu_busy).sum();
+        self.stats
+            .link_busy_per_link
+            .clone_from(&self.state.link_stats);
     }
 
     /// Cycle of the next unapplied fault transition (`u64::MAX` once the
@@ -848,9 +761,8 @@ impl Engine {
     /// Apply every fault transition scheduled at or before the current
     /// cycle: flip link liveness, drop packets in flight on dying links,
     /// and wake the affected endpoints. Runs at the top of `step()` —
-    /// before any phase, on one thread — so every engine mode and shard
-    /// count observes transitions at exactly the same point and results
-    /// stay byte-identical.
+    /// before any phase — so every engine mode observes transitions at
+    /// exactly the same point and results stay byte-identical.
     fn apply_fault_transitions(&mut self) {
         while let Some(&ev) = self.fault_schedule.get(self.fault_cursor) {
             if ev.cycle > self.now {
@@ -877,11 +789,11 @@ impl Engine {
     /// Mark both endpoints of a flipped link active: a recovery can
     /// unpark their heads, a failure changes what their arbitration may do.
     fn wake_for_fault(&mut self, u: usize, v: usize) {
-        for g in [u, v] {
-            let sd = &mut self.shards[self.shared.shard_of[g] as usize];
-            sd.arb_active.mark(g - sd.base);
-            sd.cpu_active.mark(g - sd.base);
-            (sd.arb_at[g - sd.base], sd.cpu_at[g - sd.base]) = (0, 0);
+        let st = &mut self.state;
+        for i in [u, v] {
+            st.arb_active.mark(i);
+            st.cpu_active.mark(i);
+            (st.arb_at[i], st.cpu_at[i]) = (0, 0);
         }
     }
 
@@ -893,10 +805,9 @@ impl Engine {
     /// once", which the oracle checks at quiesce.
     fn drop_in_flight(&mut self, d: Direction, v: usize) {
         let dp = d.opposite().index();
-        let sv = self.shared.shard_of[v] as usize;
         let keep = (self.now % RING as u64) as usize;
         let mut dropped: Vec<Arrival> = Vec::new();
-        for (slot, ring) in self.shards[sv].ring.iter_mut().enumerate() {
+        for (slot, ring) in self.state.ring.iter_mut().enumerate() {
             // Arrivals of the current cycle finished crossing before the
             // transition; they arrive normally. Every other slot holds
             // future arrivals: chunks still on the dying wire.
@@ -915,49 +826,19 @@ impl Engine {
         for arr in dropped {
             let cell = v * self.shared.vc_cells + arr.fifo as usize;
             self.shared.release(cell, arr.chunks as u32);
-            let pkt = self.shards[sv].slab.take(arr.h);
+            let pkt = self.state.slab.take(arr.h);
             self.live_packets -= 1;
             self.stats.dropped_by_fault += 1;
             if let Some(o) = self.oracle.as_deref_mut() {
                 o.on_drop(&pkt);
             }
-            let dst = self.shared.part.rank_of(pkt.dst) as usize;
-            let sd = &mut self.shards[self.shared.shard_of[dst] as usize];
-            let i = dst - sd.base;
-            sd.programs[i].on_packet_dropped(&pkt);
-            self.done_programs += usize::from(sd.nodes[i].latch_done(sd.programs[i].as_ref()));
-            sd.cpu_active.mark(i);
-            sd.cpu_at[i] = 0;
+            let i = self.shared.part.rank_of(pkt.dst) as usize;
+            let st = &mut self.state;
+            st.programs[i].on_packet_dropped(&pkt);
+            self.done_programs += usize::from(st.nodes[i].latch_done(st.programs[i].as_ref()));
+            st.cpu_active.mark(i);
+            st.cpu_at[i] = 0;
         }
-    }
-
-    /// Per-cycle gate for the threaded path: spawning the shard threads
-    /// costs tens of microseconds, so thin cycles — sparse traffic,
-    /// warm-up, drain tails — run the same three sections inline on this
-    /// thread instead. Both paths execute identical section code in the
-    /// same order, so the choice is invisible in every statistic; it only
-    /// moves wall-clock. The estimate is the marked active-set population
-    /// plus the pending delivery retries and this cycle's ring arrivals,
-    /// an upper bound on nodes actually visited.
-    fn cycle_is_wide(&self, t: u64) -> bool {
-        /// Minimum estimated active nodes per shard before threads pay.
-        const MIN_ACTIVE_PER_SHARD: usize = 128;
-        let floor = self.shards.len() * MIN_ACTIVE_PER_SHARD;
-        if self.shared.full_scan {
-            // The full scan visits every node every cycle by definition.
-            return self.num_nodes() >= floor;
-        }
-        let mut active = 0usize;
-        for sd in &self.shards {
-            active += sd.cpu_active.popcount()
-                + sd.arb_active.popcount()
-                + sd.deliver_q.len()
-                + sd.ring[(t % RING as u64) as usize].len();
-            if active >= floor {
-                return true;
-            }
-        }
-        false
     }
 
     /// Advance one cycle.
@@ -966,42 +847,16 @@ impl Engine {
             self.apply_fault_transitions();
         }
         let t = self.now;
-        let wide = self.parallel && self.cycle_is_wide(t);
         if self.perf.is_some() {
-            self.perf_note_step(wide);
+            self.perf_note_step();
         }
-        let (shared, next_id0) = (&self.shared, self.next_packet_id);
-        if wide {
-            // One scoped thread per shard, spawned fresh each cycle (the
-            // gate above keeps thin cycles off this path): no persistent
-            // worker state, and a panicking section propagates out of the
-            // scope immediately. `parallel` guarantees the one global
-            // observer (the oracle) is absent.
-            let barrier = &Barrier::new(self.shards.len());
-            std::thread::scope(|scope| {
-                for sd in &mut self.shards {
-                    scope.spawn(move || {
-                        let mut shard = Shard::new(shared, sd, None);
-                        shard.section_a(t);
-                        shard.timed_wait(barrier, |p| &mut p.barrier_a_wait_secs);
-                        shard.section_b(t, next_id0);
-                        shard.timed_wait(barrier, |p| &mut p.barrier_b_wait_secs);
-                        shard.section_c();
-                    });
-                }
-            });
-        } else {
-            let oracle = &mut self.oracle;
-            for sd in &mut self.shards {
-                Shard::new(shared, sd, oracle.as_deref_mut()).section_a(t);
-            }
-            for sd in &mut self.shards {
-                Shard::new(shared, sd, oracle.as_deref_mut()).section_b(t, next_id0);
-            }
-            for sd in &mut self.shards {
-                Shard::new(shared, sd, oracle.as_deref_mut()).section_c();
-            }
+        Phases {
+            shared: &self.shared,
+            st: &mut self.state,
+            oracle: self.oracle.as_deref_mut(),
+            perf: self.perf.as_deref_mut().map(|p| &mut p.profile),
         }
+        .cycle(t);
         self.merge_cycle(t);
         self.now = t + 1;
         // Cycle-boundary oracle sweep: all four phases have run, so the
@@ -1019,44 +874,37 @@ impl Engine {
         }
     }
 
-    /// Fold the cycle's per-shard statistics into the run totals, leaving
-    /// each shard's slate clean for the next cycle. Every merge is
-    /// order-independent (sums, maxima), so the ascending shard order here
-    /// is a convention, not a requirement.
+    /// Fold the cycle's statistics into the run totals, leaving the slate
+    /// clean for the next cycle.
     fn merge_cycle(&mut self, t: u64) {
-        let mut id_total = 0;
-        for sd in &mut self.shards {
-            let cs = std::mem::take(&mut sd.cs);
-            id_total += self.shared.counts[sd.si].load(Relaxed);
-            if cs.progress {
-                self.last_progress = t;
-            }
-            self.live_packets = (self.live_packets as i64 + cs.live) as u64;
-            self.pending_total = (self.pending_total as i64 + cs.pending) as u64;
-            self.done_programs += cs.done;
-            let st = &mut self.stats;
-            st.packets_injected += cs.injected;
-            st.packets_delivered += cs.delivered;
-            st.payload_bytes_delivered += cs.payload;
-            st.total_latency_cycles += cs.latency_sum;
-            st.max_latency_cycles = st.max_latency_cycles.max(cs.latency_max);
-            if cs.delivered > 0 {
-                st.completion_cycle = t;
-            }
-            for (h, d) in st.latency_histogram.iter_mut().zip(cs.hist) {
-                *h += d;
-            }
-            st.reception_stall_events += cs.reception_stalls;
-            st.pacing_blocked_cycles += cs.pacing;
-            st.credit_blocked_events += cs.credit_blocked;
-            for d in 0..st.link_busy_chunks.len() {
-                st.link_busy_chunks[d] += cs.link_busy[d];
-                st.hops_taken[d] += cs.hops[d];
-            }
-            st.bubble_hops += cs.bubble;
-            st.dynamic_hops += cs.dynamic;
+        let cs = std::mem::take(&mut self.state.cs);
+        if cs.progress {
+            self.last_progress = t;
         }
-        self.next_packet_id += id_total;
+        self.live_packets = (self.live_packets as i64 + cs.live) as u64;
+        self.pending_total = (self.pending_total as i64 + cs.pending) as u64;
+        self.done_programs += cs.done;
+        let st = &mut self.stats;
+        st.packets_injected += cs.injected;
+        st.packets_delivered += cs.delivered;
+        st.payload_bytes_delivered += cs.payload;
+        st.total_latency_cycles += cs.latency_sum;
+        st.max_latency_cycles = st.max_latency_cycles.max(cs.latency_max);
+        if cs.delivered > 0 {
+            st.completion_cycle = t;
+        }
+        for (h, d) in st.latency_histogram.iter_mut().zip(cs.hist) {
+            *h += d;
+        }
+        st.reception_stall_events += cs.reception_stalls;
+        st.pacing_blocked_cycles += cs.pacing;
+        st.credit_blocked_events += cs.credit_blocked;
+        for d in 0..st.link_busy_chunks.len() {
+            st.link_busy_chunks[d] += cs.link_busy[d];
+            st.hops_taken[d] += cs.hops[d];
+        }
+        st.bubble_hops += cs.bubble;
+        st.dynamic_hops += cs.dynamic;
     }
 
     /// Whether the head packet of transit FIFO `fifo` at node `n` cannot
@@ -1068,7 +916,6 @@ impl Engine {
     fn head_is_hol_blocked(&self, n: usize, fifo: usize, pkt: &Packet) -> bool {
         let router = &self.shared;
         let from_dim = Some(fifo / NUM_VCS / 2); // port index / 2 = dimension
-        let (sd, i) = self.locate(n);
         let mut any_dir = false;
         for d in router.part.directions() {
             if !router.wants(pkt, d) {
@@ -1085,7 +932,7 @@ impl Engine {
                 continue;
             }
             any_dir = true;
-            if sd.link_busy_until[i * router.ports + d.index()] <= self.now
+            if self.state.link_busy_until[n * router.ports + d.index()] <= self.now
                 && router
                     .feasible_vc(pkt, n, from_dim, d, nb as usize)
                     .is_some()
@@ -1145,15 +992,13 @@ impl Engine {
         if self.shared.healthy() {
             return;
         }
-        for sd in &self.shards {
-            for i in 0..sd.nodes.len() {
-                for (_, head) in sd.heads(i) {
-                    if head.plan.is_done() {
-                        continue;
-                    }
-                    if let Some(d) = self.head_is_fault_blocked(sd.base + i, head) {
-                        f(sd.base + i, d);
-                    }
+        for i in 0..self.num_nodes() {
+            for (_, head) in self.state.heads(i) {
+                if head.plan.is_done() {
+                    continue;
+                }
+                if let Some(d) = self.head_is_fault_blocked(i, head) {
+                    f(i, d);
                 }
             }
         }
@@ -1192,28 +1037,25 @@ impl Engine {
     /// [`SimError::Stalled`] payload).
     fn stall_breakdown(&self) -> StallBreakdown {
         let mut b = StallBreakdown::default();
-        for sd in &self.shards {
-            for (i, node) in sd.nodes.iter().enumerate() {
-                let ni = sd.base + i;
-                if !node.program_done {
-                    let closed = node.flow.closed_windows();
-                    if closed > 0 {
-                        b.credit_blocked_nodes += 1;
-                        b.closed_credit_windows += closed as u64;
-                    }
+        for (i, node) in self.state.nodes.iter().enumerate() {
+            if !node.program_done {
+                let closed = node.flow.closed_windows();
+                if closed > 0 {
+                    b.credit_blocked_nodes += 1;
+                    b.closed_credit_windows += closed as u64;
                 }
-                b.reception_stalled_fifos += node.blocked_deliveries.len() as u64;
-                for (transit, head) in sd.heads(i) {
-                    if head.plan.is_done() {
-                        continue;
-                    }
-                    // Fault parks are classified first so a head with
-                    // only dead exits never inflates the HOL count.
-                    if self.head_is_fault_blocked(ni, head).is_some() {
-                        b.fault_blocked_heads += 1;
-                    } else if transit.is_some_and(|f| self.head_is_hol_blocked(ni, f, head)) {
-                        b.hol_blocked_heads += 1;
-                    }
+            }
+            b.reception_stalled_fifos += node.blocked_deliveries.len() as u64;
+            for (transit, head) in self.state.heads(i) {
+                if head.plan.is_done() {
+                    continue;
+                }
+                // Fault parks are classified first so a head with
+                // only dead exits never inflates the HOL count.
+                if self.head_is_fault_blocked(i, head).is_some() {
+                    b.fault_blocked_heads += 1;
+                } else if transit.is_some_and(|f| self.head_is_hol_blocked(i, f, head)) {
+                    b.hol_blocked_heads += 1;
                 }
             }
         }

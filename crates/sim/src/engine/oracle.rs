@@ -8,16 +8,13 @@
 //! when the network state is provably frozen, so the checks would examine
 //! the same state they just passed on.
 //!
-//! Oracle runs execute the sharded engine *sequentially* regardless of
-//! the configured shard count (see the module docs of [`super`]): the
-//! hooks fire in the exact global order the checks assume, and the
-//! cycle-boundary sweep can read the credit array at rest.
+//! The oracle only watches: a run executes the same code in the same
+//! order with it on or off.
 
 use super::Engine;
 use crate::config::NUM_VCS;
 use crate::fifo::ChunkFifo;
 use crate::packet::Packet;
-use std::sync::atomic::Ordering::Relaxed;
 
 /// Independent re-derivation of the simulator's conservation laws, enabled
 /// by [`SimConfig::check_invariants`](crate::SimConfig). Per-packet state
@@ -62,8 +59,8 @@ impl Oracle {
         }
     }
 
-    /// Record a freshly injected packet (plan not yet advanced). Called at
-    /// the section-B id fix-up — the first point the final id exists.
+    /// Record a freshly injected packet (plan not yet advanced): ids are
+    /// handed out at injection, dense and in injection order.
     pub(super) fn on_inject(&mut self, pkt: &Packet) {
         assert_eq!(
             pkt.id as usize,
@@ -163,10 +160,9 @@ impl Engine {
     /// counter must telescope (injected − delivered), every FIFO's
     /// occupancy must fit its capacity, and every transit-VC credit cell
     /// must conserve chunks: available credit + physically occupied +
-    /// in flight toward the cell = capacity. The conservation law is the
-    /// sharded engine's load-bearing invariant — a credit leaked (or
-    /// double-released) by any section of any shard breaks it at the very
-    /// next boundary. Every cached request-mask bit must equal what
+    /// in flight toward the cell = capacity — a credit leaked (or
+    /// double-released) by any phase breaks it at the very next boundary.
+    /// Every cached request-mask bit must equal what
     /// `Shared::wants` says of the FIFO's current head: a head change that
     /// skipped its refresh shows at the boundary of the cycle that made it.
     /// Last, a node still parked past `t` must be one whose visit at `t`
@@ -195,60 +191,55 @@ impl Engine {
             "invariant violated: live packets must equal injected − delivered − dropped (cycle {t})"
         );
         // Chunks launched toward each transit cell but not yet arrived:
-        // at a cycle boundary every such packet sits in some shard's
-        // in-flight ring (own-win lists, outboxes and staging mailboxes
-        // drain within the cycle that filled them). The sum reads the ring
-        // records, which `oracle_slab_check` holds to the packets.
+        // every such packet sits in the in-flight ring. The sum reads the
+        // ring records, which `oracle_slab_check` holds to the packets.
         let vc_cells = self.shared.vc_cells;
+        let st = &self.state;
         let mut inflight = vec![0u64; self.num_nodes() * vc_cells];
-        for arr in self.shards.iter().flat_map(|sd| sd.ring.iter().flatten()) {
+        for arr in st.ring.iter().flatten() {
             inflight[arr.node as usize * vc_cells + arr.fifo as usize] += arr.chunks as u64;
         }
         let router = &self.shared;
         let cfg = &router.cfg;
-        for sd in &self.shards {
-            for i in 0..sd.nodes.len() {
-                let ni = sd.base + i;
-                for (c, f) in sd.fifos.vcs(i).iter().enumerate() {
-                    let cell = ni * vc_cells + c;
-                    let credit = router.credits[cell].load(Relaxed) as u64;
-                    let occupied = f.occupied_chunks() as u64;
-                    assert_eq!(
-                        credit + occupied + inflight[cell],
-                        cfg.router.vc_fifo_chunks as u64,
-                        "invariant violated: credit cell (node {ni}, fifo {c}) leaked \
-                         ({credit} credit + {occupied} occupied + {} in flight ≠ {} capacity, cycle {t})",
-                        inflight[cell],
-                        cfg.router.vc_fifo_chunks
-                    );
-                }
-                let inj = sd.fifos.inj(i).iter().map(|f| (f, cfg.inj_fifo_chunks));
-                for (f, capacity) in inj.chain([(sd.fifos.reception(i), cfg.reception_fifo_chunks)])
-                {
+        for ni in 0..self.num_nodes() {
+            for (c, f) in st.fifos.vcs(ni).iter().enumerate() {
+                let cell = ni * vc_cells + c;
+                let credit = router.credits[cell].get() as u64;
+                let occupied = f.occupied_chunks() as u64;
+                assert_eq!(
+                    credit + occupied + inflight[cell],
+                    cfg.router.vc_fifo_chunks as u64,
+                    "invariant violated: credit cell (node {ni}, fifo {c}) leaked \
+                     ({credit} credit + {occupied} occupied + {} in flight ≠ {} capacity, cycle {t})",
+                    inflight[cell],
+                    cfg.router.vc_fifo_chunks
+                );
+            }
+            let inj = st.fifos.inj(ni).iter().map(|f| (f, cfg.inj_fifo_chunks));
+            for (f, capacity) in inj.chain([(st.fifos.reception(ni), cfg.reception_fifo_chunks)]) {
+                assert!(
+                    f.occupied_chunks() <= capacity,
+                    "invariant violated: FIFO at node {ni} over capacity \
+                     ({} occupied > {capacity}, cycle {t})",
+                    f.occupied_chunks()
+                );
+            }
+            for d in router.part.directions() {
+                let link = ni * router.ports + d.index();
+                let (want, inj_want) = (st.want[link], st.inj_want[link]);
+                let check = |kind: &str, f: usize, fifo: &ChunkFifo, cached: bool| {
+                    let wanted = fifo.head().is_some_and(|h| router.wants(&st.slab[h], d));
                     assert!(
-                        f.occupied_chunks() <= capacity,
-                        "invariant violated: FIFO at node {ni} over capacity \
-                         ({} occupied > {capacity}, cycle {t})",
-                        f.occupied_chunks()
+                        cached == wanted,
+                        "invariant violated: request mask stale at node {ni} {kind}fifo {f} dir {d} \
+                         (cycle {t})"
                     );
+                };
+                for (f, fifo) in st.fifos.vcs(ni).iter().enumerate() {
+                    check("", f, fifo, want >> f & 1 != 0);
                 }
-                for d in router.part.directions() {
-                    let link = i * router.ports + d.index();
-                    let (want, inj_want) = (sd.want[link], sd.inj_want[link]);
-                    let check = |kind: &str, f: usize, fifo: &ChunkFifo, cached: bool| {
-                        let wanted = fifo.head().is_some_and(|h| router.wants(&sd.slab[h], d));
-                        assert!(
-                            cached == wanted,
-                            "invariant violated: request mask stale at node {ni} {kind}fifo {f} dir {d} \
-                             (cycle {t})"
-                        );
-                    };
-                    for (f, fifo) in sd.fifos.vcs(i).iter().enumerate() {
-                        check("", f, fifo, want >> f & 1 != 0);
-                    }
-                    for (f, fifo) in sd.fifos.inj(i).iter().enumerate() {
-                        check("injection ", f, fifo, inj_want >> f & 1 != 0);
-                    }
+                for (f, fifo) in st.fifos.inj(ni).iter().enumerate() {
+                    check("injection ", f, fifo, inj_want >> f & 1 != 0);
                 }
             }
         }
@@ -256,66 +247,62 @@ impl Engine {
         self.oracle_parking_check(t);
     }
 
-    /// The slab's conservation law at the end of cycle `t`, per shard: every
-    /// live slot is reachable exactly once — from one FIFO's list or one
-    /// ring record — and nothing else is; each header's chunk count is the
-    /// sum over its list; and each ring record says of its packet what the
-    /// packet says itself (phase 1 and the credit sum above trust the
-    /// record). A slot leaked, released twice or queued twice shows at the
-    /// boundary of the cycle that did it.
+    /// The slab's conservation law at the end of cycle `t`: every live slot
+    /// is reachable exactly once — from one FIFO's list or one ring record —
+    /// and nothing else is; each header's chunk count is the sum over its
+    /// list; and each ring record says of its packet what the packet says
+    /// itself (phase 1 and the credit sum above trust the record). A slot
+    /// leaked, released twice or queued twice shows at the boundary of the
+    /// cycle that did it.
     fn oracle_slab_check(&self, t: u64) {
-        for sd in &self.shards {
-            let mut seen = vec![false; sd.slab.slots()];
-            let mut reach = |h: u32| {
-                assert!(
-                    !std::mem::replace(&mut seen[h as usize], true),
-                    "invariant violated: packet slot {h} of shard {} reachable twice (cycle {t})",
-                    sd.si
-                );
-                &sd.slab[h]
-            };
-            let mut reached = 0;
-            for i in 0..sd.nodes.len() {
-                let row = sd.fifos.vcs(i).iter().chain(sd.fifos.inj(i));
-                for (f, fifo) in row.chain([sd.fifos.reception(i)]).enumerate() {
-                    let mut chunks = 0;
-                    for h in fifo.iter(&sd.slab) {
-                        chunks += reach(h).chunks as u32;
-                        reached += 1;
-                    }
-                    assert_eq!(
-                        chunks,
-                        fifo.occupied_chunks(),
-                        "invariant violated: header {f} of node {} counts {} chunks, its list \
-                         holds {chunks} (cycle {t})",
-                        sd.base + i,
-                        fifo.occupied_chunks()
-                    );
-                }
-            }
-            for arr in sd.ring.iter().flatten() {
-                let pkt = reach(arr.h);
-                assert!(
-                    (arr.fifo as usize % NUM_VCS, arr.chunks, arr.done)
-                        == (pkt.vc.index(), pkt.chunks, pkt.plan.is_done()),
-                    "invariant violated: in-flight record of packet {} (fifo {}, {} chunks, \
-                     done {}) disagrees with the packet (cycle {t})",
-                    pkt.id,
-                    arr.fifo,
-                    arr.chunks,
-                    arr.done
-                );
-                reached += 1;
-            }
-            assert_eq!(
-                reached,
-                sd.slab.live(),
-                "invariant violated: shard {} holds {} live packet slots, {reached} are queued \
-                 or in flight (cycle {t})",
-                sd.si,
-                sd.slab.live()
+        let st = &self.state;
+        let mut seen = vec![false; st.slab.slots()];
+        let mut reach = |h: u32| {
+            assert!(
+                !std::mem::replace(&mut seen[h as usize], true),
+                "invariant violated: packet slot {h} reachable twice (cycle {t})"
             );
+            &st.slab[h]
+        };
+        let mut reached = 0;
+        for i in 0..st.nodes.len() {
+            let row = st.fifos.vcs(i).iter().chain(st.fifos.inj(i));
+            for (f, fifo) in row.chain([st.fifos.reception(i)]).enumerate() {
+                let mut chunks = 0;
+                for h in fifo.iter(&st.slab) {
+                    chunks += reach(h).chunks as u32;
+                    reached += 1;
+                }
+                assert_eq!(
+                    chunks,
+                    fifo.occupied_chunks(),
+                    "invariant violated: header {f} of node {i} counts {} chunks, its list \
+                     holds {chunks} (cycle {t})",
+                    fifo.occupied_chunks()
+                );
+            }
         }
+        for arr in st.ring.iter().flatten() {
+            let pkt = reach(arr.h);
+            assert!(
+                (arr.fifo as usize % NUM_VCS, arr.chunks, arr.done)
+                    == (pkt.vc.index(), pkt.chunks, pkt.plan.is_done()),
+                "invariant violated: in-flight record of packet {} (fifo {}, {} chunks, \
+                 done {}) disagrees with the packet (cycle {t})",
+                pkt.id,
+                arr.fifo,
+                arr.chunks,
+                arr.done
+            );
+            reached += 1;
+        }
+        assert_eq!(
+            reached,
+            st.slab.live(),
+            "invariant violated: {} live packet slots, {reached} are queued or in flight \
+             (cycle {t})",
+            st.slab.live()
+        );
     }
 
     /// The parking rule, re-derived from the state at the end of cycle `t`:
@@ -324,32 +311,29 @@ impl Engine {
     /// missed re-arm shows here at the first cycle the node could have
     /// moved. Vacuous under the full scan, which never parks.
     fn oracle_parking_check(&self, t: u64) {
-        let ports = self.shared.ports;
-        for sd in &self.shards {
-            for (i, node) in sd.nodes.iter().enumerate() {
-                let ni = sd.base + i;
-                let free = |d: usize| {
-                    (sd.want[i * ports + d] != 0 || sd.inj_want[i * ports + d] != 0)
-                        && self.shared.neighbors[ni][d] != u32::MAX
-                        && sd.link_busy_until[i * ports + d] <= t
-                };
-                let cpu_idle = match sd.cpu_at[i] {
-                    u64::MAX => {
-                        node.inject_blocked
-                            && sd.fifos.reception(i).is_empty()
-                            && !node.pull_due()
-                            && self.shared.inject_slot(node, sd.fifos.inj(i)).is_none()
-                    }
-                    at => at <= t || node.cpu_free >= (t + 1) as f64,
-                };
-                assert!(
-                    cpu_idle && (sd.arb_at[i] <= t || !(0..ports).any(free)),
-                    "invariant violated: parked node {ni} could have acted (cpu_at {}, \
-                     arb_at {}, cycle {t})",
-                    sd.cpu_at[i],
-                    sd.arb_at[i]
-                );
-            }
+        let (ports, st) = (self.shared.ports, &self.state);
+        for (i, node) in st.nodes.iter().enumerate() {
+            let free = |d: usize| {
+                (st.want[i * ports + d] != 0 || st.inj_want[i * ports + d] != 0)
+                    && self.shared.neighbors[i][d] != u32::MAX
+                    && st.link_busy_until[i * ports + d] <= t
+            };
+            let cpu_idle = match st.cpu_at[i] {
+                u64::MAX => {
+                    node.inject_blocked
+                        && st.fifos.reception(i).is_empty()
+                        && !node.pull_due()
+                        && self.shared.inject_slot(node, st.fifos.inj(i)).is_none()
+                }
+                at => at <= t || node.cpu_free >= (t + 1) as f64,
+            };
+            assert!(
+                cpu_idle && (st.arb_at[i] <= t || !(0..ports).any(free)),
+                "invariant violated: parked node {i} could have acted (cpu_at {}, \
+                 arb_at {}, cycle {t})",
+                st.cpu_at[i],
+                st.arb_at[i]
+            );
         }
     }
 
@@ -405,43 +389,37 @@ impl Engine {
             ledger_hops, stats_hops,
             "invariant violated: per-packet hop ledger disagrees with stats"
         );
-        let full = self.shared.cfg.router.vc_fifo_chunks;
-        for sd in &self.shards {
-            for (i, node) in sd.nodes.iter().enumerate() {
-                let ni = sd.base + i;
-                assert!(
-                    !node.holds_packets(),
-                    "invariant violated: node {ni} still holds packets at quiesce"
-                );
-                for (c, f) in sd.fifos.vcs(i).iter().enumerate() {
-                    let credit = self.shared.credits[ni * self.shared.vc_cells + c].load(Relaxed);
-                    assert!(
-                        f.is_empty() && f.occupied_chunks() == 0 && credit == full,
-                        "invariant violated: transit FIFO (node {ni}, fifo {c}) not drained at \
-                         quiesce ({} occupied, {credit} of {full} credits returned)",
-                        f.occupied_chunks()
-                    );
-                }
-                for f in sd.fifos.inj(i).iter().chain([sd.fifos.reception(i)]) {
-                    assert!(
-                        f.is_empty() && f.occupied_chunks() == 0,
-                        "invariant violated: FIFO at node {ni} not drained at quiesce \
-                         ({} occupied)",
-                        f.occupied_chunks()
-                    );
-                }
-            }
+        let (full, st) = (self.shared.cfg.router.vc_fifo_chunks, &self.state);
+        for (i, node) in st.nodes.iter().enumerate() {
             assert!(
-                sd.slab.live() == 0,
-                "invariant violated: {} packet slots leaked (shard {})",
-                sd.slab.live(),
-                sd.si
+                !node.holds_packets(),
+                "invariant violated: node {i} still holds packets at quiesce"
             );
+            for (c, f) in st.fifos.vcs(i).iter().enumerate() {
+                let credit = self.shared.credits[i * self.shared.vc_cells + c].get();
+                assert!(
+                    f.is_empty() && f.occupied_chunks() == 0 && credit == full,
+                    "invariant violated: transit FIFO (node {i}, fifo {c}) not drained at \
+                     quiesce ({} occupied, {credit} of {full} credits returned)",
+                    f.occupied_chunks()
+                );
+            }
+            for f in st.fifos.inj(i).iter().chain([st.fifos.reception(i)]) {
+                assert!(
+                    f.is_empty() && f.occupied_chunks() == 0,
+                    "invariant violated: FIFO at node {i} not drained at quiesce \
+                     ({} occupied)",
+                    f.occupied_chunks()
+                );
+            }
         }
         assert!(
-            self.shards
-                .iter()
-                .all(|sd| sd.ring.iter().all(|slot| slot.is_empty())),
+            st.slab.live() == 0,
+            "invariant violated: {} packet slots leaked",
+            st.slab.live()
+        );
+        assert!(
+            st.ring.iter().all(|slot| slot.is_empty()),
             "invariant violated: packets still in flight at quiesce"
         );
     }

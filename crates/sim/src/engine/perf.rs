@@ -68,12 +68,7 @@ impl Engine {
     pub fn take_perf(&mut self) -> Option<PerfProfile> {
         let state = self.perf.take()?;
         let mut profile = state.profile;
-        let finish = |sd: &mut super::ShardData| {
-            let mut p = sd.perf.take()?;
-            p.slab_slots = sd.slab.slots() as u64;
-            Some(p)
-        };
-        profile.shards = self.shards.iter_mut().filter_map(finish).collect();
+        profile.slab_slots = self.state.slab.slots() as u64;
         if profile.stepped_cycles > 0 {
             profile.active_occupancy_mean =
                 state.occupancy_sum as f64 / profile.stepped_cycles as f64;
@@ -81,24 +76,16 @@ impl Engine {
         Some(profile)
     }
 
-    /// Per-stepped-cycle bookkeeping: occupancy sample plus the
-    /// spawn-vs-inline decision. Only called when profiling is on.
-    pub(super) fn perf_note_step(&mut self, wide: bool) {
-        let occ: u64 = self
-            .shards
-            .iter()
-            .map(|sd| (sd.cpu_active.popcount() + sd.arb_active.popcount()) as u64)
-            .sum();
+    /// Per-stepped-cycle bookkeeping: the occupancy sample. Only called
+    /// when profiling is on.
+    pub(super) fn perf_note_step(&mut self) {
+        let st = &self.state;
+        let occ = (st.cpu_active.popcount() + st.arb_active.popcount()) as u64;
         let p = self
             .perf
             .as_deref_mut()
             .expect("perf_note_step requires profiling on");
         p.profile.stepped_cycles += 1;
-        if wide {
-            p.profile.wide_cycles += 1;
-        } else {
-            p.profile.inline_cycles += 1;
-        }
         p.occupancy_sum += occ;
         p.profile.active_occupancy_max = p.profile.active_occupancy_max.max(occ);
         p.profile.peak_live_packets = p.profile.peak_live_packets.max(self.live_packets);

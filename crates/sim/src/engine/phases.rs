@@ -1,16 +1,16 @@
-//! The four per-cycle phases (arrivals → deliveries → CPU → arbitration)
-//! and their helpers, expressed over one shard of the torus. Identical
-//! code serves all three [`EngineMode`](crate::EngineMode)s — the full
-//! scan and the active-set scan differ only in which nodes a phase
-//! visits, and the time-skipping clock steps the same phases at the cycles
-//! it cannot prove frozen — and every shard count, threaded or not.
+//! The four per-cycle phases (arrivals → deliveries → CPU → arbitration),
+//! the boundary that closes a cycle, and their helpers. Identical code
+//! serves all three [`EngineMode`](crate::EngineMode)s — the full scan and
+//! the active-set scan differ only in which nodes a phase visits, and the
+//! time-skipping clock steps the same phases at the cycles it cannot prove
+//! frozen.
 //!
 //! ## Parking
 //!
 //! The active-set scans of phases 3 and 4 visit a marked node only if it
 //! can act. A visit that learns the next one cannot change anything,
 //! counters included, before some cycle leaves that cycle in
-//! `ShardData::cpu_at` / `arb_at`: the CPU is booked until then, or stuck
+//! `State::cpu_at` / `arb_at`: the CPU is booked until then, or stuck
 //! on injection-FIFO space with nothing to drain and no pull due; or
 //! every link the node's heads request is mid-transmission. Until then the
 //! scan passes the node over on one word, its mark untouched. Whatever can
@@ -20,52 +20,39 @@
 //! array, so every comparison against it is parked against unparked
 //! (DESIGN.md §6).
 //!
-//! ## Section layout
+//! ## Why node visit order does not matter
 //!
-//! A cycle is three sections per shard (see the module docs of
-//! [`super`]): **A** = phases 1–3, **B** = packet-id fix-up + phase 4,
-//! **C** = staged-arrival drain + deferred credit releases. Cross-shard
-//! state is touched only through:
-//!
-//! - the shared **credit array** ([`Shared::credit`]): during phase 4 a
-//!   cell is read and spent exclusively by the unique upstream node of
-//!   its FIFO; releases happen in phase 2 (section A) or at the cycle
-//!   boundary (section C), never concurrently with the reads;
-//! - the **staging mailboxes**, which carry the wins whose downstream node
-//!   another shard owns: written at the end of section B, drained in
-//!   section C in ascending source-shard order, which reproduces the
-//!   global ascending-node win order of an unsharded engine exactly. A
-//!   win into the shard's own nodes waits in `ShardData::own` and is filed
-//!   at the shard's own place in that order; a one-shard run has no
-//!   mailbox and locks nothing.
+//! Arbitration never reads another node's FIFOs; every
+//! downstream-feasibility probe ([`Shared::feasible_vc`] and friends) reads
+//! a credit cell ([`Shared::credits`]), and during phase 4 a cell is spent
+//! only by the unique upstream node of its FIFO. Cells are *released* in
+//! phase 2 — before any arbitration of the cycle — or at the boundary,
+//! after all of it ([`Phases::cycle`]), never in between. So each node
+//! arbitrates against the same credit snapshot whether the scan reaches it
+//! first or last, visited or passed over by its neighbours: the property
+//! the three clocks and parking rely on to agree byte for byte, and the
+//! goldens pin.
 //!
 //! ## Packets
 //!
-//! A packet lives in one slot of its shard's slab from `cpu_inject_one` to
-//! `cpu_drain_one` (or `drop_in_flight`); FIFOs, the own-win list and the
-//! in-flight ring hold its `u32` handle, and `apply_win` writes each hop
-//! into it in place. The engine copies a `Packet` in three places only:
-//! the injection into the slab, a cross-shard win (out of the winner's
-//! slab into the mailbox, into the destination's slab in section C) and
-//! the drain (DESIGN.md §6, "Memory layout").
-//!
-//! Arbitration never reads another node's FIFOs directly; every
-//! downstream-feasibility probe ([`Shared::feasible_vc`] and friends) is
-//! a credit-array load. That single indirection is what makes the phase
-//! order within a cycle immaterial across shards.
+//! A packet lives in one slot of the slab from `cpu_inject_one` to
+//! `cpu_drain_one` (or `drop_in_flight`); FIFOs and the in-flight ring
+//! hold its `u32` handle, and `apply_win` writes each hop into it in
+//! place. The engine copies a `Packet` in two places only: the injection
+//! into the slab, and out of it at the drain or a fault drop (DESIGN.md
+//! §6, "Memory layout").
 
 use super::oracle::Oracle;
-use super::{Arrival, OutMsg, ShardData, Win, WinSource, RING};
+use super::{Arrival, State, Win, WinSource, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::fifo::{ChunkFifo, Slab};
 use crate::flow::FlowSpec;
 use crate::node::{vc_fifo_index, NodeState, PollState};
 use crate::packet::{Packet, RoutingMode, SendSpec, DETOUR_BUDGET};
-use crate::perf::ShardPerf;
+use crate::perf::{PerfProfile, PhaseSecs};
 use crate::program::{NodeApi, NodeProgram, PollHint};
 use bgl_torus::{Coord, Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::{Barrier, Mutex};
+use std::cell::Cell;
 
 /// How far into the pending queue the injector looks for a packet whose
 /// class FIFO has room: without this, one full class FIFO would
@@ -73,19 +60,18 @@ use std::sync::{Barrier, Mutex};
 /// packets stuck behind a congested phase-2 forward).
 const INJECT_SCAN: usize = 16;
 
-/// Local node `i`'s row of a per-link table (`local * ports + dir`).
+/// Node `i`'s row of a per-link table (`node * ports + dir`).
 #[inline]
 fn row<T>(table: &mut [T], i: usize, ports: usize) -> &mut [T] {
     &mut table[i * ports..][..ports]
 }
 
-/// Everything a section only reads or touches atomically: configuration,
-/// topology, shard ownership, the downstream-credit array and the
-/// cross-shard mailboxes. Built once in `Engine::new` and shared by every
-/// shard (and by the engine's own diagnostics — HOL probes, stall
-/// breakdowns); its methods are the routing-feasibility rules, which is
-/// why everything phase 4 needs to know about *other* nodes flows through
-/// here.
+/// Everything the phases only read — configuration, topology, link
+/// liveness — plus the downstream-credit cells. Built once in
+/// `Engine::new` and shared by the phases and the engine's own diagnostics
+/// (HOL probes, stall breakdowns); its methods are the routing-feasibility
+/// rules, which is why everything phase 4 needs to know about *other*
+/// nodes flows through here.
 pub(super) struct Shared {
     pub(super) cfg: SimConfig,
     pub(super) part: Partition,
@@ -101,36 +87,19 @@ pub(super) struct Shared {
     /// Available downstream space per transit VC FIFO, indexed
     /// `node * vc_cells + vc_fifo_index(port, vc)`, counting in-flight
     /// reservations (spent at the upstream win, released when the packet
-    /// is popped). Atomic so threaded shards can share it, but every cell
-    /// has a single accessor per section: the unique upstream node's
-    /// shard spends during phase 4, the owning node's shard releases
-    /// during phase 2 and at the boundary, and the barriers between the
-    /// sections order one section's stores before the next one's loads.
-    /// No two threads ever race on a cell, so an update is a relaxed load
-    /// and a relaxed store ([`Shared::release`]) — exact without the locked
-    /// read-modify-write of a `fetch_add`.
-    pub(super) credits: Vec<AtomicU32>,
+    /// is popped: in phase 2, or at the boundary for a phase-4 pop). Cells,
+    /// because the routing rules below take `&self` while the phases hold
+    /// the rest of the simulation mutably.
+    pub(super) credits: Vec<Cell<u32>>,
     /// Per-class eligible injection FIFOs: bit `f` of `class_fifos[c]` is
     /// set iff FIFO `f` accepts class `c` (`SimConfig::inj_class_masks`).
     pub(super) class_fifos: [u32; 8],
-    /// Owning shard of each global rank.
-    pub(super) shard_of: Vec<u16>,
-    /// One mailbox per ordered pair of *distinct* shards
-    /// ([`mailbox`](Self::mailbox)), swapped against the source's outbox at
-    /// the end of section B and drained by the destination in section C.
-    /// Uncontended by construction; the mutex exists to let threaded
-    /// shards exchange the vectors safely. A one-shard run has none.
-    pub(super) staging: Vec<Mutex<Vec<OutMsg>>>,
-    /// Per-shard injection counts of the current cycle, published at the
-    /// end of section A and prefix-summed by every shard in section B to
-    /// place its packet ids.
-    pub(super) counts: Vec<AtomicU64>,
     /// Reference mode: scan every node every cycle (see
     /// [`EngineMode::FullScan`](crate::EngineMode)).
     pub(super) full_scan: bool,
     /// Per-directed-link liveness (`node·ports + dir`), *empty* on a healthy
     /// run so every probe below stays one branch. Mutated only by
-    /// `apply_fault_transitions`, at the top of a cycle, single-threaded.
+    /// `apply_fault_transitions`, at the top of a cycle.
     pub(super) fault_alive: Vec<bool>,
 }
 
@@ -141,30 +110,21 @@ impl Shared {
         self.fault_alive.is_empty()
     }
 
-    /// The mailbox shard `src` fills for shard `dst` (`src != dst`).
-    fn mailbox(&self, src: usize, dst: usize) -> &Mutex<Vec<OutMsg>> {
-        debug_assert_ne!(src, dst, "a shard's wins into itself never leave it");
-        let others = self.counts.len() - 1;
-        &self.staging[src * others + dst - usize::from(dst > src)]
-    }
-
     /// Available space (counting in-flight reservations) of the transit
-    /// VC FIFO at global node `n`, input port `port`, VC `vc`.
+    /// VC FIFO at node `n`, input port `port`, VC `vc`.
     #[inline]
     fn credit(&self, n: usize, port: usize, vc: usize) -> u32 {
-        self.credits[n * self.vc_cells + vc_fifo_index(port, vc)].load(Relaxed)
+        self.credits[n * self.vc_cells + vc_fifo_index(port, vc)].get()
     }
 
-    /// Return `chunks` of space to credit cell `cell`: a plain load and
-    /// store, which the single-accessor rule of [`credits`](Self::credits)
-    /// makes exact.
+    /// Return `chunks` of space to credit cell `cell`.
     #[inline]
     pub(super) fn release(&self, cell: usize, chunks: u32) {
         let c = &self.credits[cell];
-        c.store(c.load(Relaxed) + chunks, Relaxed);
+        c.set(c.get() + chunks);
     }
 
-    /// Whether the directed link out of global node `n` along `d` is up.
+    /// Whether the directed link out of node `n` along `d` is up.
     /// Arbitration refuses dead links outright; everything else (HOL
     /// probes, escape preconditions) treats them as permanently blocked.
     #[inline]
@@ -240,7 +200,7 @@ impl Shared {
     /// dimension-order direction plus, for an adaptive packet, its minimal
     /// quadrant (only the longest remaining dimensions when shaped). It
     /// reads the packet and the router config and nothing else, which is
-    /// why a node can cache it per FIFO head (`ShardData::want`). Zero
+    /// why a node can cache it per FIFO head (`State::want`). Zero
     /// exactly when the plan is done: an arrived head requests no output.
     pub(super) fn request_dirs(&self, pkt: &Packet) -> u16 {
         let plan = &pkt.plan;
@@ -262,7 +222,7 @@ impl Shared {
     }
 
     /// Set transit FIFO `f`'s bit of each of a node's request masks (`want`,
-    /// the node's row of `ShardData::want`, one mask per output) to `dirs`,
+    /// the node's row of `State::want`, one mask per output) to `dirs`,
     /// its current head's [`request_dirs`](Self::request_dirs) (0: no
     /// head). Called, like `refresh_inj`, wherever a head changes: a push
     /// into an empty FIFO and every pop.
@@ -273,7 +233,7 @@ impl Shared {
     }
 
     /// [`refresh_vc`](Self::refresh_vc) for injection FIFO `f` and the
-    /// node's row of `ShardData::inj_want`.
+    /// node's row of `State::inj_want`.
     fn refresh_inj(inj_want: &mut [u32], f: usize, dirs: u16) {
         for (d, w) in inj_want.iter_mut().enumerate() {
             *w = *w & !(1 << f) | u32::from(dirs >> d & 1) << f;
@@ -291,7 +251,7 @@ impl Shared {
     /// Choose the downstream VC for `pkt` over output `d`, or `None` if no
     /// VC has credit. `from_dim` is the dimension of the input port the
     /// packet currently occupies (`None` for injection); `n` and `nb` are
-    /// global ranks.
+    /// ranks.
     pub(super) fn feasible_vc(
         &self,
         pkt: &Packet,
@@ -478,34 +438,25 @@ impl Shared {
     }
 }
 
-/// One shard's section context: the engine-wide [`Shared`] state, the
-/// shard's own slab ([`ShardData`], indexed *locally* — global rank −
-/// `sd.base`), and the one observer whose state is inherently global.
-pub(super) struct Shard<'a> {
-    shared: &'a Shared,
-    sd: &'a mut ShardData,
-    /// Invariant oracle. `Some` only under sequential execution.
-    oracle: Option<&'a mut Oracle>,
+/// One cycle's context: the read-mostly [`Shared`] state, the mutable
+/// [`State`], and the two observers that watch packet events.
+pub(super) struct Phases<'a> {
+    pub(super) shared: &'a Shared,
+    pub(super) st: &'a mut State,
+    /// Invariant oracle (`SimConfig::check_invariants`).
+    pub(super) oracle: Option<&'a mut Oracle>,
+    /// The host profile under construction (`SimConfig::perf`). The
+    /// profiler only reads the host clock and writes its own counters, so
+    /// enabling it can never perturb simulation results.
+    pub(super) perf: Option<&'a mut PerfProfile>,
 }
 
-impl<'a> Shard<'a> {
-    /// The one place a section context is built: `Engine::step` calls it
-    /// per shard and section inline, and once per shard thread.
-    pub(super) fn new(
-        shared: &'a Shared,
-        sd: &'a mut ShardData,
-        oracle: Option<&'a mut Oracle>,
-    ) -> Shard<'a> {
-        Shard { shared, sd, oracle }
-    }
-}
-
-impl Shard<'_> {
+impl Phases<'_> {
     /// Start a lap clock — `Some` only when profiling is on, so the
     /// off-path cost of every lap call site is one predictable branch.
     #[inline]
     fn perf_clock(&self) -> Option<std::time::Instant> {
-        self.sd.perf.as_ref().map(|_| std::time::Instant::now())
+        self.perf.as_ref().map(|_| std::time::Instant::now())
     }
 
     /// Accumulate the time since the last lap into the phase slot chosen
@@ -514,203 +465,128 @@ impl Shard<'_> {
     fn perf_lap(
         &mut self,
         clk: &mut Option<std::time::Instant>,
-        slot: fn(&mut ShardPerf) -> &mut f64,
+        slot: fn(&mut PhaseSecs) -> &mut f64,
     ) {
         if let Some(t0) = clk {
             let p = self
-                .sd
                 .perf
                 .as_mut()
                 .expect("lap clock only runs with profiling on");
             let now = std::time::Instant::now();
-            *slot(p) += now.duration_since(*t0).as_secs_f64();
+            *slot(&mut p.phases) += now.duration_since(*t0).as_secs_f64();
             *t0 = now;
         }
     }
 
-    /// `barrier.wait()` on a shard thread, attributing the park time to
-    /// the profiler slot chosen by `slot` when profiling is on. With
-    /// profiling off this is the bare wait plus one predictable branch.
-    pub(super) fn timed_wait(&mut self, barrier: &Barrier, slot: fn(&mut ShardPerf) -> &mut f64) {
-        let mut clk = self.perf_clock();
-        barrier.wait();
-        self.perf_lap(&mut clk, slot);
-    }
-
-    /// Section A: phases 1–3 over this shard's nodes, then publish the
-    /// cycle's injection count for the section-B id fix-up.
-    pub(super) fn section_a(&mut self, t: u64) {
+    /// Cycle `t`: the four phases, then the boundary — the credit freed by
+    /// this cycle's phase-4 pops goes back to its cells only now, after
+    /// every node has arbitrated (see the module docs).
+    pub(super) fn cycle(&mut self, t: u64) {
         let mut clk = self.perf_clock();
         self.phase_arrivals(t);
-        self.perf_lap(&mut clk, |p| &mut p.phases.arrivals);
+        self.perf_lap(&mut clk, |p| &mut p.arrivals);
         self.phase_deliveries();
-        self.perf_lap(&mut clk, |p| &mut p.phases.deliveries);
+        self.perf_lap(&mut clk, |p| &mut p.deliveries);
         self.phase_cpu(t);
-        self.shared.counts[self.sd.si].store(self.sd.injected.len() as u64, Relaxed);
-        self.perf_lap(&mut clk, |p| &mut p.phases.cpu);
-    }
-
-    /// Section B: rewrite this cycle's provisional packet ids to their
-    /// final global values (prefix sum over the published per-shard
-    /// counts), run phase 4, and hand the staged wins to the mailboxes.
-    pub(super) fn section_b(&mut self, t: u64, next_id0: u64) {
-        let mut clk = self.perf_clock();
-        self.fixup_ids(next_id0);
-        self.perf_lap(&mut clk, |p| &mut p.phases.id_fixup);
+        self.perf_lap(&mut clk, |p| &mut p.cpu);
         self.phase_arbitration(t);
-        let me = self.sd.si;
-        for dest in (0..self.shared.counts.len()).filter(|&dest| dest != me) {
-            let mut cell = self.shared.mailbox(me, dest).lock();
-            std::mem::swap(
-                &mut *cell.as_deref_mut().expect("staging poisoned"),
-                &mut self.sd.outbox[dest],
-            );
-        }
-        self.perf_lap(&mut clk, |p| &mut p.phases.arbitration);
-    }
-
-    /// Section C: file the cycle's wins into this shard's in-flight ring
-    /// in ascending source shard — the global win order — and release the
-    /// credits freed by this shard's phase-4 pops. This shard's own wins
-    /// take their turn among the mailboxes (filing them at the win would
-    /// put them ahead of a lower shard's in the same ring slot); only a
-    /// packet from another shard is stored here, into this shard's slab.
-    pub(super) fn section_c(&mut self) {
-        let mut clk = self.perf_clock();
-        let sd = &mut *self.sd;
-        for src in 0..self.shared.counts.len() {
-            if src == sd.si {
-                for (arrive, arr) in sd.own.drain(..) {
-                    sd.ring[(arrive % RING as u64) as usize].push(arr);
-                }
-                continue;
-            }
-            let mut inbox = self.shared.mailbox(src, sd.si).lock();
-            let inbox = inbox.as_deref_mut().expect("staging poisoned");
-            for msg in inbox.drain(..) {
-                let h = sd.slab.alloc(msg.pkt);
-                let arr = Arrival::new(msg.node, h, msg.fifo, &sd.slab[h]);
-                sd.ring[(msg.arrive % RING as u64) as usize].push(arr);
-            }
-        }
-        for (cell, chunks) in self.sd.deferred.drain(..) {
+        self.perf_lap(&mut clk, |p| &mut p.arbitration);
+        for (cell, chunks) in self.st.deferred.drain(..) {
             self.shared.release(cell as usize, chunks);
         }
-        self.perf_lap(&mut clk, |p| &mut p.phases.drain);
-    }
-
-    /// Assign final ids to this cycle's injections, in global injection
-    /// order: ids are dense and ascend with (cycle, shard, node,
-    /// injection order), exactly the sequence an unsharded phase 3
-    /// produces. The oracle learns of injections here — the earliest
-    /// point the final ids exist.
-    fn fixup_ids(&mut self, next_id0: u64) {
-        let mut b = next_id0;
-        for k in 0..self.sd.si {
-            b += self.shared.counts[k].load(Relaxed);
-        }
-        for (j, h) in self.sd.injected.drain(..).enumerate() {
-            // The id is the one field written behind a queued packet:
-            // routing never reads it, so no request mask can go stale.
-            self.sd.slab[h].id = b + j as u64;
-            if let Some(o) = self.oracle.as_deref_mut() {
-                o.on_inject(&self.sd.slab[h]);
-            }
-        }
+        self.perf_lap(&mut clk, |p| &mut p.drain);
     }
 
     // ---- Phase 1: arrivals -------------------------------------------------
 
     fn phase_arrivals(&mut self, t: u64) {
         let slot = (t % RING as u64) as usize;
-        let mut arrivals = std::mem::take(&mut self.sd.ring[slot]);
+        let mut arrivals = std::mem::take(&mut self.st.ring[slot]);
         for arr in arrivals.drain(..) {
             let Arrival { node, h, done, .. } = arr;
-            let (i, fi) = (node as usize - self.sd.base, arr.fifo as usize);
-            let q = self.sd.fifos.vc_mut(i, fi);
+            let (i, fi) = (node as usize, arr.fifo as usize);
+            let q = self.st.fifos.vc_mut(i, fi);
             let was_empty = q.is_empty();
             // Space was spent from the credit cell at the upstream win.
-            q.push(&mut self.sd.slab, h, arr.chunks as u32);
-            self.sd.nodes[i].vc_mask |= 1 << fi;
+            q.push(&mut self.st.slab, h, arr.chunks as u32);
+            self.st.nodes[i].vc_mask |= 1 << fi;
             if was_empty {
-                let dirs = self.shared.request_dirs(&self.sd.slab[h]);
-                Shared::refresh_vc(row(&mut self.sd.want, i, self.shared.ports), fi, dirs);
+                let dirs = self.shared.request_dirs(&self.st.slab[h]);
+                Shared::refresh_vc(row(&mut self.st.want, i, self.shared.ports), fi, dirs);
             }
-            self.sd.arb_active.mark(i);
-            self.sd.arb_at[i] = 0;
+            self.st.arb_active.mark(i);
+            self.st.arb_at[i] = 0;
             if was_empty && done {
-                self.sd.deliver_q.push((node, fi as u8));
+                self.st.deliver_q.push((node, fi as u8));
             }
-            self.sd.cs.progress = true;
+            self.st.cs.progress = true;
         }
-        self.sd.ring[slot] = arrivals; // hand the allocation back
+        self.st.ring[slot] = arrivals; // hand the allocation back
     }
 
     // ---- Phase 2: deliveries ----------------------------------------------
 
     fn phase_deliveries(&mut self) {
-        if self.sd.deliver_q.is_empty() {
+        if self.st.deliver_q.is_empty() {
             return;
         }
-        let mut dq = std::mem::take(&mut self.sd.deliver_q);
+        let mut dq = std::mem::take(&mut self.st.deliver_q);
         for (node, fi) in dq.drain(..) {
-            self.try_deliver(node as usize - self.sd.base, fi as usize);
+            self.try_deliver(node as usize, fi as usize);
         }
         // Hand the allocation back. `try_deliver` parks stalled FIFOs in
         // the node's `blocked_deliveries` (re-queued here only after the
         // CPU frees reception space), so nothing lands in `deliver_q`
         // during the loop above.
-        debug_assert!(self.sd.deliver_q.is_empty());
-        self.sd.deliver_q = dq;
+        debug_assert!(self.st.deliver_q.is_empty());
+        self.st.deliver_q = dq;
     }
 
-    /// Move deliverable head packets of `fifo` into the reception FIFO.
-    /// `i` is shard-local.
+    /// Move deliverable head packets of `fifo` of node `i` into the
+    /// reception FIFO.
     fn try_deliver(&mut self, i: usize, fifo: usize) {
-        let g = self.sd.base + i;
         let capacity = self.shared.cfg.reception_fifo_chunks;
         loop {
-            let (n, slab) = (&mut self.sd.nodes[i], &mut self.sd.slab);
-            let Some(h) = self.sd.fifos.vcs(i)[fifo].head() else {
+            let (n, slab) = (&mut self.st.nodes[i], &mut self.st.slab);
+            let Some(h) = self.st.fifos.vcs(i)[fifo].head() else {
                 return;
             };
             if !slab[h].plan.is_done() {
                 return;
             }
             let chunks = slab[h].chunks as u32;
-            if self.sd.fifos.reception(i).occupied_chunks() + chunks > capacity {
-                self.sd.cs.reception_stalls += 1;
+            if self.st.fifos.reception(i).occupied_chunks() + chunks > capacity {
+                self.st.cs.reception_stalls += 1;
                 if !n.blocked_deliveries.contains(&(fifo as u8)) {
                     n.blocked_deliveries.push(fifo as u8);
                 }
                 return;
             }
             // The handle changes FIFO; the packet stays in its slot.
-            let (_, exposed) = self.shared.pop(self.sd.fifos.vc_mut(i, fifo), slab);
+            let (_, exposed) = self.shared.pop(self.st.fifos.vc_mut(i, fifo), slab);
             if exposed.is_none() {
                 n.vc_mask &= !(1 << fifo);
             }
-            let want = row(&mut self.sd.want, i, self.shared.ports);
+            let want = row(&mut self.st.want, i, self.shared.ports);
             Shared::refresh_vc(want, fifo, exposed.unwrap_or(0));
-            self.sd.fifos.reception_mut(i).push(slab, h, chunks);
-            // The pop freed downstream space: release the credit now —
-            // the upstream reads it only in section B, barrier-ordered
-            // after every shard's phase 2, matching the unsharded
-            // same-cycle visibility of a phase-2 pop.
-            self.shared.release(g * self.shared.vc_cells + fifo, chunks);
-            self.sd.cpu_active.mark(i);
+            self.st.fifos.reception_mut(i).push(slab, h, chunks);
+            // The pop freed downstream space: release the credit now, for
+            // this cycle's arbitration to see — all of it, since phase 4
+            // has not begun.
+            self.shared.release(i * self.shared.vc_cells + fifo, chunks);
+            self.st.cpu_active.mark(i);
             // A new head to arbitrate, a packet to drain: un-park both.
-            (self.sd.arb_at[i], self.sd.cpu_at[i]) = (0, 0);
+            (self.st.arb_at[i], self.st.cpu_at[i]) = (0, 0);
             // Progress — the freed credit means the upstream neighbour may
             // win this link again, so no skip follows this cycle.
-            self.sd.cs.progress = true;
+            self.st.cs.progress = true;
         }
     }
 
     // ---- Phase 3: CPU ------------------------------------------------------
 
     fn phase_cpu(&mut self, t: u64) {
-        let mut programs = std::mem::take(&mut self.sd.programs);
+        let mut programs = std::mem::take(&mut self.st.programs);
         let (mut visits, mut parked) = (0u64, 0u64);
         if self.shared.full_scan {
             visits = programs.len() as u64;
@@ -722,14 +598,13 @@ impl Shard<'_> {
             // (which marks it) or through its own hooks (it is being
             // visited), so iterating a snapshot of each word misses
             // nothing. Idle marked nodes are cleared as they are visited;
-            // parked ones (`ShardData::cpu_at`) stay marked and cost one
-            // word.
-            for w in 0..self.sd.cpu_active.words.len() {
-                let mut bits = self.sd.cpu_active.words[w];
+            // parked ones (`State::cpu_at`) stay marked and cost one word.
+            for w in 0..self.st.cpu_active.words.len() {
+                let mut bits = self.st.cpu_active.words[w];
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if self.sd.cpu_at[i] > t {
+                    if self.st.cpu_at[i] > t {
                         parked += 1;
                         continue;
                     }
@@ -738,27 +613,26 @@ impl Shard<'_> {
                 }
             }
         }
-        self.sd.programs = programs;
-        if let Some(p) = &mut self.sd.perf {
+        self.st.programs = programs;
+        if let Some(p) = &mut self.perf {
             p.cpu_visits += visits;
             p.cpu_parked += parked;
         }
     }
 
     /// Run one node's CPU for cycle `t` if it has work; with `prune`,
-    /// drop provably workless nodes from the active set. `i` is
-    /// shard-local.
+    /// drop provably workless nodes from the active set.
     fn cpu_visit(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64, prune: bool) {
         let horizon = (t + 1) as f64;
         {
-            let n = &self.sd.nodes[i];
+            let n = &self.st.nodes[i];
             if n.cpu_free >= horizon {
                 // Still booked into the future: keep it marked, parked
                 // until the first cycle this test fails.
-                self.sd.cpu_at[i] = n.cpu_free as u64;
+                self.st.cpu_at[i] = n.cpu_free as u64;
                 return;
             }
-            if self.sd.fifos.reception(i).is_empty()
+            if self.st.fifos.reception(i).is_empty()
                 && n.pending.is_empty()
                 && n.pulled.is_empty()
                 && n.program_done
@@ -766,7 +640,7 @@ impl Shard<'_> {
                 if prune {
                     // Only a delivery can give this node CPU work again,
                     // and deliveries re-mark it.
-                    self.sd.cpu_active.clear(i);
+                    self.st.cpu_active.clear(i);
                 }
                 return;
             }
@@ -779,37 +653,37 @@ impl Shard<'_> {
         let mut declined = false;
         // Re-derive this node's sleep hints from scratch: the branches
         // below overwrite the defaults with whatever actually blocked.
-        self.sd.nodes[i].poll = PollState::Open;
-        self.sd.nodes[i].inject_blocked = false;
+        self.st.nodes[i].poll = PollState::Open;
+        self.st.nodes[i].inject_blocked = false;
         for _guard in 0..64 {
-            if self.sd.nodes[i].cpu_free >= horizon {
-                self.sd.cpu_at[i] = self.sd.nodes[i].cpu_free as u64;
+            if self.st.nodes[i].cpu_free >= horizon {
+                self.st.cpu_at[i] = self.st.nodes[i].cpu_free as u64;
                 break;
             }
             // Reception drain has priority: it keeps the network moving.
-            if !self.sd.fifos.reception(i).is_empty() {
+            if !self.st.fifos.reception(i).is_empty() {
                 self.cpu_drain_one(i, prog, t);
                 continue;
             }
             // Top up the pulled queue from the program's schedule.
-            if self.sd.nodes[i].pull_due() && !declined {
+            if self.st.nodes[i].pull_due() && !declined {
                 if self.rate_blocked(i, t) {
                     // Engine-enforced rate window: the program is not
                     // polled for new sends until `next_allowed`. The
                     // completion check still runs, exactly as if the
                     // program had declined the pull itself.
                     declined = true;
-                    self.sd.cs.pacing += 1;
-                    self.sd.nodes[i].poll = PollState::Rate;
-                    self.sd.cs.done += usize::from(self.sd.nodes[i].latch_done(prog.as_ref()));
+                    self.st.cs.pacing += 1;
+                    self.st.nodes[i].poll = PollState::Rate;
+                    self.st.cs.done += usize::from(self.st.nodes[i].latch_done(prog.as_ref()));
                 } else {
-                    let reactive = self.sd.nodes[i].pending.len();
+                    let reactive = self.st.nodes[i].pending.len();
                     let (spec, denials) = self.run_hook(i, prog, t, |p, api| p.next_send(api));
                     match spec {
                         Some(s) => {
                             self.rate_charge(i, t, s.chunks);
-                            self.sd.nodes[i].pulled.push_back(s);
-                            self.sd.cs.pending += 1;
+                            self.st.nodes[i].pulled.push_back(s);
+                            self.st.cs.pending += 1;
                         }
                         None => {
                             declined = true;
@@ -818,16 +692,16 @@ impl Shard<'_> {
                                 // is pure (frozen program state, repeatable
                                 // denial count) until a delivery.
                                 debug_assert!(
-                                    self.sd.nodes[i].pending.len() == reactive,
+                                    self.st.nodes[i].pending.len() == reactive,
                                     "SleepUntilDelivery program mutated state on decline"
                                 );
-                                self.sd.nodes[i].poll = PollState::Asleep { denials };
+                                self.st.nodes[i].poll = PollState::Asleep { denials };
                             }
                         }
                     }
                 }
             }
-            if self.sd.nodes[i].pending.is_empty() && self.sd.nodes[i].pulled.is_empty() {
+            if self.st.nodes[i].pending.is_empty() && self.st.nodes[i].pulled.is_empty() {
                 break;
             }
             if !self.cpu_inject_one(i, t) {
@@ -835,16 +709,16 @@ impl Shard<'_> {
                 // only an arbitration win here can free some. With nothing
                 // to drain (checked above) and no pull due, every later
                 // visit would repeat this one to the letter: park.
-                self.sd.nodes[i].inject_blocked = true;
-                if !self.sd.nodes[i].pull_due() {
-                    self.sd.cpu_at[i] = u64::MAX;
+                self.st.nodes[i].inject_blocked = true;
+                if !self.st.nodes[i].pull_due() {
+                    self.st.cpu_at[i] = u64::MAX;
                 }
                 break;
             }
         }
     }
 
-    /// The one seam between the engine and a node program: build local node
+    /// The one seam between the engine and a node program: build node
     /// `i`'s [`NodeApi`] for cycle `t`, run `hook` on it, and settle what the
     /// hook did — reactive sends it queued join the pending count, credit
     /// denials the cycle's statistics, and a hook that hands back no send
@@ -858,33 +732,38 @@ impl Shard<'_> {
         t: u64,
         hook: impl FnOnce(&mut dyn NodeProgram, &mut NodeApi<'_>) -> Option<SendSpec>,
     ) -> (Option<SendSpec>, u64) {
-        let rank = (self.sd.base + i) as u32;
-        let node = &mut self.sd.nodes[i];
+        let node = &mut self.st.nodes[i];
         let before = node.pending.len();
-        let mut api = NodeApi::new(rank, node.coord, t, &self.shared.part, &mut node.pending)
-            .with_flow(&mut node.flow);
+        let mut api = NodeApi::new(
+            i as u32,
+            node.coord,
+            t,
+            &self.shared.part,
+            &mut node.pending,
+        )
+        .with_flow(&mut node.flow);
         let spec = hook(prog.as_mut(), &mut api);
         let denials = api.take_credit_blocked();
-        self.sd.cs.credit_blocked += denials;
-        self.sd.cs.pending += (node.pending.len() - before) as i64;
+        self.st.cs.credit_blocked += denials;
+        self.st.cs.pending += (node.pending.len() - before) as i64;
         if spec.is_none() {
-            self.sd.cs.done += usize::from(node.latch_done(prog.as_ref()));
+            self.st.cs.done += usize::from(node.latch_done(prog.as_ref()));
         }
         (spec, denials)
     }
 
     /// Whether the engine-level rate window ([`FlowSpec::Rate`]) blocks
-    /// pulling new sends from local node `i`'s program at cycle `t`.
+    /// pulling new sends from node `i`'s program at cycle `t`.
     fn rate_blocked(&self, i: usize, t: u64) -> bool {
         matches!(self.shared.cfg.flow, FlowSpec::Rate { .. })
-            && (t as f64) < self.sd.nodes[i].flow.next_allowed
+            && (t as f64) < self.st.nodes[i].flow.next_allowed
     }
 
-    /// Advance local node `i`'s rate window after pulling a `chunks`-chunk
+    /// Advance node `i`'s rate window after pulling a `chunks`-chunk
     /// send at cycle `t`. No-op unless the flow spec is [`FlowSpec::Rate`].
     fn rate_charge(&mut self, i: usize, t: u64, chunks: u8) {
         if let FlowSpec::Rate { chunks_per_cycle } = self.shared.cfg.flow {
-            let ledger = &mut self.sd.nodes[i].flow;
+            let ledger = &mut self.st.nodes[i].flow;
             ledger.next_allowed =
                 ledger.next_allowed.max(t as f64) + chunks as f64 / chunks_per_cycle;
         }
@@ -892,24 +771,23 @@ impl Shard<'_> {
 
     /// Drain one packet from the reception FIFO and run `on_packet`.
     fn cpu_drain_one(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
-        let g = self.sd.base + i;
         let cpu = &self.shared.cfg.cpu;
-        let node = &mut self.sd.nodes[i];
+        let node = &mut self.st.nodes[i];
         // The packet leaves the network here, and its slot with it: taken
-        // out before the hook runs, which borrows the whole shard.
-        let h = self.sd.fifos.reception_mut(i).pop(&self.sd.slab);
-        let pkt = self.sd.slab.take(h);
+        // out before the hook runs, which borrows all of `self`.
+        let h = self.st.fifos.reception_mut(i).pop(&self.st.slab);
+        let pkt = self.st.slab.take(h);
         let cost = cpu.per_packet_receive_cycles + pkt.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
-        self.sd.cs.delivered += 1;
-        self.sd.cs.payload += pkt.payload_bytes as u64;
+        self.st.cs.delivered += 1;
+        self.st.cs.payload += pkt.payload_bytes as u64;
         let latency = t - pkt.injected_at;
-        self.sd.cs.latency_sum += latency;
-        self.sd.cs.latency_max = self.sd.cs.latency_max.max(latency);
+        self.st.cs.latency_sum += latency;
+        self.st.cs.latency_max = self.st.cs.latency_max.max(latency);
         let bucket = (64 - latency.max(1).leading_zeros() as usize - 1)
             .min(crate::stats::LATENCY_BUCKETS - 1);
-        self.sd.cs.hist[bucket] += 1;
+        self.st.cs.hist[bucket] += 1;
         if let Some(o) = self.oracle.as_deref_mut() {
             o.on_deliver(&pkt, t);
         }
@@ -917,34 +795,31 @@ impl Shard<'_> {
             p.on_packet(api, &pkt);
             None
         });
-        self.sd.cs.live -= 1;
+        self.st.cs.live -= 1;
         // Freed reception space: retry stalled deliveries.
-        let blocked = std::mem::take(&mut self.sd.nodes[i].blocked_deliveries);
-        self.sd
+        let blocked = std::mem::take(&mut self.st.nodes[i].blocked_deliveries);
+        self.st
             .deliver_q
-            .extend(blocked.into_iter().map(|f| (g as u32, f)));
-        self.sd.cs.progress = true;
+            .extend(blocked.into_iter().map(|f| (i as u32, f)));
+        self.st.cs.progress = true;
     }
 
     /// Pay for and inject the first injectable pending send
-    /// ([`Shared::inject_slot`]); false if there is none. The packet id
-    /// written here is *provisional* (this cycle's shard-local injection
-    /// index); the section-B fix-up rewrites it before anything reads it.
+    /// ([`Shared::inject_slot`]); false if there is none.
     fn cpu_inject_one(&mut self, i: usize, t: u64) -> bool {
-        let g = self.sd.base + i;
         let slot = self
             .shared
-            .inject_slot(&self.sd.nodes[i], self.sd.fifos.inj(i));
+            .inject_slot(&self.st.nodes[i], self.st.fifos.inj(i));
         let Some((qi, f, plan, dst)) = slot else {
             return false;
         };
-        let node = &mut self.sd.nodes[i];
+        let node = &mut self.st.nodes[i];
         let spec = match qi.checked_sub(node.pending.len().min(INJECT_SCAN)) {
             None => node.pending.remove(qi),
             Some(pi) => node.pulled.remove(pi),
         }
         .expect("scanned index exists");
-        self.sd.cs.pending -= 1;
+        self.st.cs.pending -= 1;
         let cpu = &self.shared.cfg.cpu;
         let cost = spec.cpu_cost_cycles
             + cpu.per_packet_inject_cycles
@@ -952,27 +827,28 @@ impl Shard<'_> {
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
         assert_ne!(dst, node.coord, "programs must not send to themselves");
-        // The id is provisional — this cycle's shard-local injection index,
-        // rewritten to the dense global id by `fixup_ids` before phase 4 (the
-        // first reader) runs; the plan is the one computed for FIFO affinity
-        // during the scan, reused.
-        let id = self.sd.injected.len() as u64;
-        let pkt = Packet::inject(&spec, g as u32, dst, plan, id, t);
-        let q = self.sd.fifos.inj_mut(i, f);
+        // The plan is the one computed for FIFO affinity during the scan,
+        // reused.
+        let id = self.st.next_packet_id;
+        self.st.next_packet_id += 1;
+        let pkt = Packet::inject(&spec, i as u32, dst, plan, id, t);
+        if let Some(o) = self.oracle.as_deref_mut() {
+            o.on_inject(&pkt);
+        }
+        let q = self.st.fifos.inj_mut(i, f);
         if q.is_empty() {
-            let inj_want = row(&mut self.sd.inj_want, i, self.shared.ports);
+            let inj_want = row(&mut self.st.inj_want, i, self.shared.ports);
             Shared::refresh_inj(inj_want, f, self.shared.request_dirs(&pkt));
         }
-        // The one write of the packet until it is drained or changes shard.
-        let h = self.sd.slab.alloc(pkt);
-        q.push(&mut self.sd.slab, h, spec.chunks as u32);
-        self.sd.injected.push(h);
+        // The one write of the packet until it is drained.
+        let h = self.st.slab.alloc(pkt);
+        q.push(&mut self.st.slab, h, spec.chunks as u32);
         node.inj_mask |= 1 << f;
-        self.sd.arb_active.mark(i);
-        self.sd.arb_at[i] = 0;
-        self.sd.cs.live += 1;
-        self.sd.cs.injected += 1;
-        self.sd.cs.progress = true;
+        self.st.arb_active.mark(i);
+        self.st.arb_at[i] = 0;
+        self.st.cs.live += 1;
+        self.st.cs.injected += 1;
+        self.st.cs.progress = true;
         true
     }
 
@@ -981,9 +857,9 @@ impl Shard<'_> {
     fn phase_arbitration(&mut self, t: u64) {
         let (mut visits, mut parked) = (0u64, 0u64);
         if self.shared.full_scan {
-            for i in 0..self.sd.nodes.len() {
+            for i in 0..self.st.nodes.len() {
                 // Quick skip: nothing to move out of this node.
-                if self.sd.nodes[i].vc_mask == 0 && self.sd.nodes[i].inj_mask == 0 {
+                if self.st.nodes[i].vc_mask == 0 && self.st.nodes[i].inj_mask == 0 {
                     continue;
                 }
                 visits += 1;
@@ -993,35 +869,35 @@ impl Shard<'_> {
             // A node acquires arbitration work only through an arrival
             // commit (which marks it) or its own injections (phase 3
             // marks it), never from another node's arbitration — wins
-            // hand packets to the staged outboxes, not directly to the
+            // go into the in-flight ring, not directly into the
             // neighbour's FIFOs — so a snapshot scan misses nothing. A
             // node whose requested links are all mid-transmission
-            // (`ShardData::arb_at`) stays marked and costs one word.
-            for w in 0..self.sd.arb_active.words.len() {
-                let mut bits = self.sd.arb_active.words[w];
+            // (`State::arb_at`) stays marked and costs one word.
+            for w in 0..self.st.arb_active.words.len() {
+                let mut bits = self.st.arb_active.words[w];
                 while bits != 0 {
                     let i = (w << 6) + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    if self.sd.arb_at[i] > t {
+                    if self.st.arb_at[i] > t {
                         parked += 1;
                         continue;
                     }
-                    if self.sd.nodes[i].vc_mask == 0 && self.sd.nodes[i].inj_mask == 0 {
-                        self.sd.arb_active.clear(i);
+                    if self.st.nodes[i].vc_mask == 0 && self.st.nodes[i].inj_mask == 0 {
+                        self.st.arb_active.clear(i);
                         continue;
                     }
                     visits += 1;
-                    self.sd.arb_at[i] = self.arbitrate_node(i, t);
+                    self.st.arb_at[i] = self.arbitrate_node(i, t);
                 }
             }
         }
-        if let Some(p) = &mut self.sd.perf {
+        if let Some(p) = &mut self.perf {
             p.arb_visits += visits;
             p.arb_parked += parked;
         }
     }
 
-    /// Arbitrate every output link of local node `i`. On a healthy run the
+    /// Arbitrate every output link of node `i`. On a healthy run the
     /// request masks name each link's candidates exactly, and a link no
     /// head asks for costs two loads. Under a fault plan every occupied
     /// FIFO is a candidate for every live link (a detour leaves the minimal
@@ -1032,26 +908,25 @@ impl Shard<'_> {
     /// release among its requested links if every one of them is now
     /// mid-transmission, else 0. A requested link that was free and had no
     /// feasible head keeps the node awake — the credit it waits for arrives
-    /// from another node, possibly another shard, with no local event — and
-    /// so does a fault plan, whose detours take links no mask names.
+    /// from another node, with no event at this one — and so does a fault
+    /// plan, whose detours take links no mask names.
     fn arbitrate_node(&mut self, i: usize, t: u64) -> u64 {
-        let g = self.sd.base + i;
         let ports = self.shared.ports;
         let healthy = self.shared.healthy();
         let mut wake = if healthy { u64::MAX } else { 0 };
         for d in self.shared.part.directions() {
             let link = i * ports + d.index();
-            if healthy && self.sd.want[link] == 0 && self.sd.inj_want[link] == 0 {
+            if healthy && self.st.want[link] == 0 && self.st.inj_want[link] == 0 {
                 continue;
             }
-            let busy = self.sd.link_busy_until[link];
+            let busy = self.st.link_busy_until[link];
             if busy > t {
                 wake = wake.min(busy);
                 continue;
             }
-            let nb = self.shared.neighbors[g][d.index()];
+            let nb = self.shared.neighbors[i][d.index()];
             // A dead output link refuses arbitration outright.
-            if nb == u32::MAX || !self.shared.alive(g, d) {
+            if nb == u32::MAX || !self.shared.alive(i, d) {
                 continue;
             }
             let Some(win) = self.arbitrate_output(i, d, nb as usize, t) else {
@@ -1066,17 +941,17 @@ impl Shard<'_> {
             if exposed & ((1 << d.index()) - 1) != 0 {
                 wake = 0;
             }
-            wake = wake.min(self.sd.link_busy_until[link]);
+            wake = wake.min(self.st.link_busy_until[link]);
         }
         // An emptied node is un-marked by its next visit, as ever.
-        let node = &self.sd.nodes[i];
+        let node = &self.st.nodes[i];
         if node.vc_mask == 0 && node.inj_mask == 0 {
             return 0;
         }
         wake
     }
 
-    /// Pick a winner for output `d` of local node `i`, or `None`.
+    /// Pick a winner for output `d` of node `i`, or `None`.
     fn arbitrate_output(&self, i: usize, d: Direction, nb: usize, t: u64) -> Option<Win> {
         let inject_first = !self.shared.cfg.router.transit_priority && (t & 1) == 1;
         if inject_first {
@@ -1088,7 +963,7 @@ impl Shard<'_> {
         }
     }
 
-    /// Try `pkt`, the head of `source`, on output `d` of global node `g`:
+    /// Try `pkt`, the head of `source`, on output `d` of node `g`:
     /// its minimal move if its request bit (`wanted`) is set, else — only
     /// ever feasible under a fault plan — a non-minimal detour.
     fn try_head(
@@ -1117,13 +992,13 @@ impl Shard<'_> {
 
     fn arbitrate_transit(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
         let link = i * self.shared.ports + d.index();
-        let want = self.sd.want[link];
+        let want = self.st.want[link];
         let cand = if self.shared.healthy() {
             want
         } else {
-            self.sd.nodes[i].vc_mask
+            self.st.nodes[i].vc_mask
         };
-        let start = self.sd.rr[link] as usize % self.shared.vc_cells;
+        let start = self.st.rr[link] as usize % self.shared.vc_cells;
         // Visit only the candidate bits, in round-robin order from `start`:
         // first the bits at indices >= start (ascending), then the wrap.
         let below_start = cand & ((1u64 << start) - 1);
@@ -1131,10 +1006,10 @@ impl Shard<'_> {
             while half != 0 {
                 let f = half.trailing_zeros() as usize;
                 half &= half - 1;
-                let h = self.sd.fifos.vcs(i)[f].head().expect("mask says non-empty");
-                let pkt = &self.sd.slab[h];
+                let h = self.st.fifos.vcs(i)[f].head().expect("mask says non-empty");
+                let pkt = &self.st.slab[h];
                 let source = WinSource::Transit { fifo: f as u8 };
-                let win = self.try_head(self.sd.base + i, pkt, want >> f & 1 != 0, source, d, nb);
+                let win = self.try_head(i, pkt, want >> f & 1 != 0, source, d, nb);
                 if win.is_some() {
                     return win;
                 }
@@ -1144,19 +1019,19 @@ impl Shard<'_> {
     }
 
     fn arbitrate_inject(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
-        let want = self.sd.inj_want[i * self.shared.ports + d.index()];
+        let want = self.st.inj_want[i * self.shared.ports + d.index()];
         let mut cand = if self.shared.healthy() {
             want
         } else {
-            self.sd.nodes[i].inj_mask
+            self.st.nodes[i].inj_mask
         };
         while cand != 0 {
             let f = cand.trailing_zeros() as usize;
             cand &= cand - 1;
-            let h = self.sd.fifos.inj(i)[f].head().expect("mask says non-empty");
-            let pkt = &self.sd.slab[h];
+            let h = self.st.fifos.inj(i)[f].head().expect("mask says non-empty");
+            let pkt = &self.st.slab[h];
             let source = WinSource::Inject { fifo: f as u8 };
-            let win = self.try_head(self.sd.base + i, pkt, want >> f & 1 != 0, source, d, nb);
+            let win = self.try_head(i, pkt, want >> f & 1 != 0, source, d, nb);
             if win.is_some() {
                 return win;
             }
@@ -1167,42 +1042,41 @@ impl Shard<'_> {
     /// Move the winner out over `d`. Returns the request mask of the head
     /// its pop exposed (0: the FIFO emptied, or the new head has arrived).
     fn apply_win(&mut self, i: usize, d: Direction, nb: usize, win: Win, t: u64) -> u16 {
-        let (g, ports) = (self.sd.base + i, self.shared.ports);
+        let ports = self.shared.ports;
         // Pop the winner's handle from its source FIFO and refresh the
         // masks from the head behind it.
-        let (node, slab) = (&mut self.sd.nodes[i], &mut self.sd.slab);
+        let (node, slab) = (&mut self.st.nodes[i], &mut self.st.slab);
         let (h, exposed) = match win.source {
             WinSource::Transit { fifo } => {
                 let f = fifo as usize;
-                self.sd.rr[i * ports + d.index()] = fifo.wrapping_add(1);
-                let (h, exposed) = self.shared.pop(self.sd.fifos.vc_mut(i, f), slab);
+                self.st.rr[i * ports + d.index()] = fifo.wrapping_add(1);
+                let (h, exposed) = self.shared.pop(self.st.fifos.vc_mut(i, f), slab);
                 match exposed {
-                    Some(0) => self.sd.deliver_q.push((g as u32, fifo)),
+                    Some(0) => self.st.deliver_q.push((i as u32, fifo)),
                     Some(_) => {}
                     None => node.vc_mask &= !(1 << f),
                 }
                 let exposed = exposed.unwrap_or(0);
-                Shared::refresh_vc(row(&mut self.sd.want, i, ports), f, exposed);
+                Shared::refresh_vc(row(&mut self.st.want, i, ports), f, exposed);
                 // The freed space becomes upstream credit only at the
                 // cycle boundary: deferring the release gives arbitration
-                // a credit snapshot independent of node visit order, the
-                // invariant that makes sharded cycles byte-identical.
-                self.sd
+                // a credit snapshot independent of node visit order.
+                self.st
                     .deferred
-                    .push(((g * self.shared.vc_cells + f) as u32, slab[h].chunks as u32));
+                    .push(((i * self.shared.vc_cells + f) as u32, slab[h].chunks as u32));
                 (h, exposed)
             }
             WinSource::Inject { fifo } => {
                 let f = fifo as usize;
-                let (h, exposed) = self.shared.pop(self.sd.fifos.inj_mut(i, f), slab);
+                let (h, exposed) = self.shared.pop(self.st.fifos.inj_mut(i, f), slab);
                 if exposed.is_none() {
                     node.inj_mask &= !(1 << fifo);
                 }
                 let exposed = exposed.unwrap_or(0);
-                Shared::refresh_inj(row(&mut self.sd.inj_want, i, ports), f, exposed);
+                Shared::refresh_inj(row(&mut self.st.inj_want, i, ports), f, exposed);
                 // Injection space opened: the CPU's stuck sends may fit now.
                 node.inject_blocked = false;
-                self.sd.cpu_at[i] = 0;
+                self.st.cpu_at[i] = 0;
                 (h, exposed)
             }
         };
@@ -1213,8 +1087,8 @@ impl Shard<'_> {
         let chunks = pkt.chunks as u32;
         let fifo = vc_fifo_index(nb_port, win.vc.index());
         let cell = &self.shared.credits[nb * self.shared.vc_cells + fifo];
-        debug_assert!(cell.load(Relaxed) >= chunks, "feasible_vc checked credit");
-        cell.store(cell.load(Relaxed) - chunks, Relaxed);
+        debug_assert!(cell.get() >= chunks, "feasible_vc checked credit");
+        cell.set(cell.get() - chunks);
         pkt.vc = win.vc;
         if win.detour {
             // Non-minimal fault sidestep: re-plan the whole route from the
@@ -1235,36 +1109,24 @@ impl Shard<'_> {
             }
             o.on_hop(pkt.id, t);
         }
+        // Filed as won, so a ring slot lists its arrivals in win order;
+        // `Engine::new` checked that no flight outlasts the ring.
         let arrive = t + chunks as u64 + self.shared.cfg.router.hop_latency_cycles as u64;
-        let (node, fifo) = (nb as u32, fifo as u8);
-        let dest = self.shared.shard_of[nb] as usize;
-        if dest == self.sd.si {
-            self.sd.own.push((arrive, Arrival::new(node, h, fifo, pkt)));
-        } else {
-            // The neighbour's shard owns the packet from here.
-            let pkt = slab.take(h);
-            self.sd.outbox[dest].push(OutMsg {
-                arrive,
-                node,
-                fifo,
-                pkt,
-            });
-            if let Some(p) = &mut self.sd.perf {
-                p.cross_shard_copies += 1;
-            }
-        }
-        self.sd.link_busy_until[i * ports + d.index()] = t + chunks as u64;
+        debug_assert!(arrive - t < RING as u64, "a flight must fit the ring");
+        let arr = Arrival::new(nb as u32, h, fifo as u8, pkt);
+        self.st.ring[(arrive % RING as u64) as usize].push(arr);
+        self.st.link_busy_until[i * ports + d.index()] = t + chunks as u64;
         let di = d.dim.index();
-        self.sd.cs.link_busy[di] += chunks as u64;
-        if !self.sd.link_stats.is_empty() {
-            self.sd.link_stats[i * ports + d.index()] += chunks as u64;
+        self.st.cs.link_busy[di] += chunks as u64;
+        if !self.st.link_stats.is_empty() {
+            self.st.link_stats[i * ports + d.index()] += chunks as u64;
         }
-        self.sd.cs.hops[di] += 1;
+        self.st.cs.hops[di] += 1;
         match win.vc {
-            Vc::Bubble => self.sd.cs.bubble += 1,
-            _ => self.sd.cs.dynamic += 1,
+            Vc::Bubble => self.st.cs.bubble += 1,
+            _ => self.st.cs.dynamic += 1,
         }
-        self.sd.cs.progress = true;
+        self.st.cs.progress = true;
         exposed
     }
 }
@@ -1280,9 +1142,9 @@ mod tests {
     #[test]
     fn hot_path_layout_is_pinned() {
         use std::mem::size_of;
-        // One record per hop goes through the own-win list and a ring slot;
-        // at 88 bytes (it used to carry the packet) filing and committing it
-        // were a fifth of the 4,096-node TPS row.
+        // One record per hop goes through a ring slot; at 88 bytes (it used
+        // to carry the packet) filing and committing it were a fifth of the
+        // 4,096-node TPS row.
         assert_eq!(size_of::<Arrival>(), 12);
         // 25 headers per 3-D node: at 16 bytes a row is 400 bytes, at 32
         // (a `VecDeque`) it was 800 plus a heap buffer each.
@@ -1296,9 +1158,9 @@ mod tests {
         let part = Partition::torus(4, 4, 4);
         let idle = (0..64).map(|_| Box::new(ScriptedProgram::idle()) as _);
         let engine = Engine::new(SimConfig::new(part), idle.collect());
-        let sd = &engine.shards[0];
-        assert_eq!(sd.fifos.row_bytes(), 25 * 12);
-        let per_link = [sd.want.len() * 8, sd.inj_want.len() * 4, sd.rr.len()];
+        let st = &engine.state;
+        assert_eq!(st.fifos.row_bytes(), 25 * 12);
+        let per_link = [st.want.len() * 8, st.inj_want.len() * 4, st.rr.len()];
         assert_eq!(per_link, [64 * 6 * 8, 64 * 6 * 4, 64 * 6]);
         assert_eq!(size_of::<NodeState>(), 272);
     }

@@ -97,8 +97,7 @@ impl Engine {
             return;
         }
         // Fold the per-node CPU ledgers into `stats.cpu_busy_cycles` so
-        // the sampled delta is exact (the fold order is fixed ascending,
-        // independent of sharding).
+        // the sampled delta is exact.
         self.sync_ledgers();
         let Some(mut tracer) = self.tracer.take() else {
             return;
@@ -157,28 +156,27 @@ impl Engine {
         let mut inj_max = 0u32;
         let mut recv_sum = 0u64;
         let mut recv_max = 0u32;
-        for sd in &self.shards {
-            for i in 0..sd.nodes.len() {
-                for (f, fifo) in sd.fifos.vcs(i).iter().enumerate() {
-                    let dim = f / NUM_VCS / 2; // two input ports per dimension
-                    let occ = fifo.occupied_chunks();
-                    if f % NUM_VCS == Vc::Bubble.index() {
-                        bub_sum[dim] += occ as u64;
-                        bub_max[dim] = bub_max[dim].max(occ);
-                    } else {
-                        dyn_sum[dim] += occ as u64;
-                        dyn_max[dim] = dyn_max[dim].max(occ);
-                    }
+        let st = &self.state;
+        for i in 0..st.nodes.len() {
+            for (f, fifo) in st.fifos.vcs(i).iter().enumerate() {
+                let dim = f / NUM_VCS / 2; // two input ports per dimension
+                let occ = fifo.occupied_chunks();
+                if f % NUM_VCS == Vc::Bubble.index() {
+                    bub_sum[dim] += occ as u64;
+                    bub_max[dim] = bub_max[dim].max(occ);
+                } else {
+                    dyn_sum[dim] += occ as u64;
+                    dyn_max[dim] = dyn_max[dim].max(occ);
                 }
-                for fifo in sd.fifos.inj(i) {
-                    let occ = fifo.occupied_chunks();
-                    inj_sum += occ as u64;
-                    inj_max = inj_max.max(occ);
-                }
-                let occ = sd.fifos.reception(i).occupied_chunks();
-                recv_sum += occ as u64;
-                recv_max = recv_max.max(occ);
             }
+            for fifo in st.fifos.inj(i) {
+                let occ = fifo.occupied_chunks();
+                inj_sum += occ as u64;
+                inj_max = inj_max.max(occ);
+            }
+            let occ = st.fifos.reception(i).occupied_chunks();
+            recv_sum += occ as u64;
+            recv_max = recv_max.max(occ);
         }
         let p = self.num_nodes() as f64;
         let occ_stat = |sum: u64, max: u32, fifos_per_node: f64| OccStat {
@@ -207,21 +205,19 @@ impl Engine {
             _ => {}
         };
         let mut hol = 0u64;
-        for sd in &self.shards {
-            for (i, node) in sd.nodes.iter().enumerate() {
-                let transit = bits(node.vc_mask).map(|f| &sd.fifos.vcs(i)[f]);
-                let inj = bits(node.inj_mask.into()).map(|f| &sd.fifos.inj(i)[f]);
-                for h in transit.chain(inj).flat_map(|fifo| fifo.iter(&sd.slab)) {
-                    count_kind(sd.slab[h].meta.kind);
-                }
-                for (transit, head) in sd.heads(i) {
-                    let blocked = |f| self.head_is_hol_blocked(sd.base + i, f, head);
-                    hol += u64::from(!head.plan.is_done() && transit.is_some_and(blocked));
-                }
+        for (i, node) in st.nodes.iter().enumerate() {
+            let transit = bits(node.vc_mask).map(|f| &st.fifos.vcs(i)[f]);
+            let inj = bits(node.inj_mask.into()).map(|f| &st.fifos.inj(i)[f]);
+            for h in transit.chain(inj).flat_map(|fifo| fifo.iter(&st.slab)) {
+                count_kind(st.slab[h].meta.kind);
             }
-            for arrival in sd.ring.iter().flatten() {
-                count_kind(sd.slab[arrival.h].meta.kind);
+            for (transit, head) in st.heads(i) {
+                let blocked = |f| self.head_is_hol_blocked(i, f, head);
+                hol += u64::from(!head.plan.is_done() && transit.is_some_and(blocked));
             }
+        }
+        for arrival in st.ring.iter().flatten() {
+            count_kind(st.slab[arrival.h].meta.kind);
         }
         sample.phase1_in_flight = p1;
         sample.phase2_in_flight = p2;

@@ -4,9 +4,9 @@
 //! directed links (and, by expansion, whole nodes) are faulted and when.
 //! Faults are either *static* (dead from cycle 0, forever) or *scheduled*
 //! (`fail_at` a cycle, optionally `recover_at` a later cycle). The engine
-//! applies the plan identically in every engine mode and at every shard
-//! count: fault transitions happen at the top of the faulting cycle, before
-//! any phase runs, so results stay byte-identical across modes.
+//! applies the plan identically in every engine mode: fault transitions
+//! happen at the top of the faulting cycle, before any phase runs, so
+//! results stay byte-identical across modes.
 //!
 //! Semantics:
 //! * A faulted directed link refuses arbitration: no packet may start

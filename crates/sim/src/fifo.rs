@@ -1,8 +1,8 @@
-//! Packet storage: one [`Slab`] per shard, and chunk-accounted FIFOs that
+//! Packet storage: one [`Slab`] per engine, and chunk-accounted FIFOs that
 //! thread `u32` handles through it.
 //!
 //! A packet is written once, where it is injected, and stays in that slot
-//! until it is drained (or leaves the shard): VC FIFOs, injection FIFOs,
+//! until it is drained (or dropped by a fault): VC FIFOs, injection FIFOs,
 //! the reception FIFO and the in-flight ring all hold its handle. A
 //! [`ChunkFifo`] is therefore a plain 12-byte header — no buffer of its
 //! own — and a node's headers sit side by side in one row of
@@ -14,10 +14,9 @@
 //! reception — three `SimConfig` values), so the header does not carry it.
 //! The header tracks only *physical* occupancy; in-flight credit for the
 //! transit VC FIFOs (space spent by an upstream arbitration win before the
-//! packet physically arrives) lives in the engine's shared credit array
-//! (see `engine`), which is what makes the sharded engine's credit
-//! accounting a single source of truth for sequential and parallel
-//! execution alike. Injection and reception FIFOs are only ever probed by
+//! packet physically arrives) lives in the engine's credit cells (see
+//! `engine`), the one source of truth arbitration reads. Injection and
+//! reception FIFOs are only ever probed by
 //! their own node, which gates on `capacity − occupied_chunks`.
 
 use crate::packet::Packet;
@@ -25,7 +24,7 @@ use crate::packet::Packet;
 /// "No handle": the end of the free list.
 const NIL: u32 = u32::MAX;
 
-/// One shard's packet store. Slots are recycled through a free list and
+/// The engine's packet store. Slots are recycled through a free list and
 /// never returned to the allocator, so [`slots`](Self::slots) is the
 /// high-water mark of packets alive at once.
 pub(crate) struct Slab {
@@ -72,7 +71,7 @@ impl Slab {
     }
 
     /// Copy the packet out of slot `h` and release the slot: the packet
-    /// leaves this shard (drained, dropped, or won by another shard).
+    /// leaves the network (drained, or dropped by a fault).
     #[inline]
     pub(crate) fn take(&mut self, h: u32) -> Packet {
         let pkt = self.pkts[h as usize].clone();
@@ -179,7 +178,7 @@ impl ChunkFifo {
     }
 }
 
-/// Every FIFO header of one shard: per node one row of `vcs` transit
+/// Every FIFO header of the machine: per node one row of `vcs` transit
 /// headers (indexed by [`vc_fifo_index`](crate::node::vc_fifo_index)),
 /// then the injection headers, then the reception header.
 pub(crate) struct FifoRows {

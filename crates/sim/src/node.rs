@@ -1,8 +1,8 @@
 //! Per-node simulator state: FIFO occupancy masks, send queues and CPU
 //! accounting. The FIFO headers themselves are the node's row of the
-//! shard's [`FifoRows`](crate::fifo::FifoRows), and what the engine keeps
+//! engine's [`FifoRows`](crate::fifo::FifoRows), and what the engine keeps
 //! per output link — request masks, round-robin pointer, busy-until — the
-//! node's rows of the shard's per-link tables.
+//! node's rows of its per-link tables.
 
 use crate::config::{SimConfig, NUM_VCS};
 use crate::flow::FlowLedger;
@@ -73,8 +73,8 @@ pub struct NodeState {
     /// Total CPU-cycles this node has been charged so far. Kept per node
     /// (not accumulated straight into `NetStats`) so the global
     /// `cpu_busy_cycles` float is always the ascending-node-order fold of
-    /// these values — an order that does not depend on how the torus is
-    /// sharded, keeping the statistic byte-identical for any shard count.
+    /// these values — an order that does not depend on which nodes a
+    /// clock visits, or when.
     pub cpu_busy: f64,
     /// VC FIFO indices whose head is deliverable but found the reception
     /// FIFO full; retried after the CPU drains a packet.

@@ -1,33 +1,30 @@
 //! Host-side performance profiling: where *wall-clock* time goes inside
 //! the engine, as opposed to [`crate::trace`], which records *simulated*
 //! time. A [`Trace`](crate::Trace) answers "at which cycle did the Y
-//! FIFOs fill up?"; a [`PerfProfile`] answers "which engine phase, shard
-//! or skip decision did the host spend its seconds on?".
+//! FIFOs fill up?"; a [`PerfProfile`] answers "which engine phase or skip
+//! decision did the host spend its seconds on?".
 //!
 //! Enable collection by setting [`SimConfig::perf`](crate::SimConfig::perf)
 //! to a [`PerfConfig`]; retrieve the profile after the run via
 //! [`Engine::take_perf`](crate::Engine::take_perf). The collector records:
 //!
-//! * per-phase wall-clock time for every engine phase (arrivals,
-//!   deliveries, CPU, packet-id fix-up, arbitration, staged-arrival
-//!   drain), accumulated per shard;
-//! * per-shard section timing with barrier-wait attribution for threaded
-//!   cycles — the numbers that finally measure the multi-core scaling
-//!   story of `SimConfig::shards`;
+//! * wall-clock time per engine phase (arrivals, deliveries, CPU,
+//!   arbitration, the cycle boundary);
+//! * how many marked nodes phases 3 and 4 visited and how many they passed
+//!   over as parked, and the packet slab's high-water mark;
 //! * event-engine counters: a power-of-two skip-length histogram, the
 //!   wake-up cause breakdown (arrival ring, open poll, rate window,
 //!   credit sleeper, link busy, watchdog/cycle-limit/fault-transition
 //!   clamps) and skip attempts suppressed by fresh progress;
-//! * active-set occupancy and the per-cycle `cycle_is_wide`
-//!   spawn-vs-inline decisions.
+//! * active-set occupancy.
 //!
 //! Collection is purely observational: the profiler reads the host clock
 //! and its own counters, never simulation state, so `NetStats`, traces
 //! and error cycles are byte-identical with profiling on or off in every
-//! engine mode and at every shard count (pinned by the engine
-//! equivalence tests). Disabled, it costs one predictable branch beside
-//! the tracer's. Wall-clock fields are host-dependent by nature and are
-//! excluded from golden fingerprints and run-cache identity.
+//! engine mode (pinned by the engine equivalence tests). Disabled, it
+//! costs one predictable branch beside the tracer's. Wall-clock fields are
+//! host-dependent by nature and are excluded from golden fingerprints and
+//! run-cache identity.
 
 use serde::{Deserialize, Serialize};
 
@@ -60,11 +57,11 @@ impl Default for ProgressConfig {
     }
 }
 
-/// Wall-clock seconds spent in each engine phase (see the phase walk in
-/// `crates/sim/src/engine/phases.rs`). Section A of a cycle is
-/// `arrivals + deliveries + cpu`, section B is `id_fixup + arbitration`,
-/// section C is `drain`, so the six slots also reconstruct the
-/// per-section split exactly.
+/// Wall-clock seconds spent in each engine phase (see `Phases::cycle` in
+/// `crates/sim/src/engine/phases.rs`). The labels are rows of the ladder
+/// benchmark, which is why `id_fixup` — the packet-id rewrite of the
+/// removed threaded engine — is still a slot: it reports 0 until a
+/// benchmark change retires the row.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct PhaseSecs {
     /// Phase 1: committing in-flight ring arrivals into VC FIFOs.
@@ -73,12 +70,12 @@ pub struct PhaseSecs {
     pub deliveries: f64,
     /// Phase 3: reception drains, program pulls and injections.
     pub cpu: f64,
-    /// Section-B packet-id fix-up (prefix sum + provisional-id rewrite).
+    /// Always 0: packets take their final id at injection (phase 3).
     pub id_fixup: f64,
-    /// Phase 4: output-link arbitration, including the staging-mailbox
-    /// hand-off at the end of section B.
+    /// Phase 4: output-link arbitration, wins filed into the in-flight
+    /// ring included.
     pub arbitration: f64,
-    /// Section C: staged-arrival inbox drain + deferred credit releases.
+    /// The cycle boundary: the deferred credit releases.
     pub drain: f64,
 }
 
@@ -108,53 +105,6 @@ impl PhaseSecs {
             ("arbitration", self.arbitration),
             ("drain", self.drain),
         ]
-    }
-}
-
-/// One shard's wall-clock account: phase time plus, for threaded cycles,
-/// the time the shard's thread spent parked at the two per-cycle
-/// barriers. High `barrier_wait` relative to `busy` on one shard means
-/// the others are the bottleneck — the load-imbalance signal.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
-pub struct ShardPerf {
-    /// Phase-attributed busy time of this shard.
-    pub phases: PhaseSecs,
-    /// Seconds parked at the section A→B barrier (threaded cycles only;
-    /// inline cycles have no barrier).
-    pub barrier_a_wait_secs: f64,
-    /// Seconds parked at the section B→C barrier.
-    pub barrier_b_wait_secs: f64,
-    /// Marked nodes the CPU phase visited, summed over stepped cycles.
-    pub cpu_visits: u64,
-    /// Marked nodes the CPU phase passed over because no visit could have
-    /// changed anything yet (booked CPU, or stuck on injection-FIFO
-    /// space); always 0 under the full scan, which visits every node.
-    pub cpu_parked: u64,
-    /// Nodes with a queued packet that phase 4 arbitrated.
-    pub arb_visits: u64,
-    /// Marked nodes phase 4 passed over because every link they request
-    /// was mid-transmission; always 0 under the full scan.
-    pub arb_parked: u64,
-    /// Length of this shard's packet slab at the end of the run. Slots are
-    /// recycled but never returned to the allocator, so this is the
-    /// high-water mark of packets queued at, or in flight towards, the
-    /// shard's nodes — what the run's packet memory was sized by.
-    pub slab_slots: u64,
-    /// Arbitration wins whose downstream node belongs to another shard:
-    /// the only hops that copy a packet (out of this shard's slab, into
-    /// the neighbour's). 0 at one shard.
-    pub cross_shard_copies: u64,
-}
-
-impl ShardPerf {
-    /// Total busy (non-waiting) seconds of this shard.
-    pub fn busy_secs(&self) -> f64 {
-        self.phases.total()
-    }
-
-    /// Total barrier-wait seconds of this shard.
-    pub fn barrier_wait_secs(&self) -> f64 {
-        self.barrier_a_wait_secs + self.barrier_b_wait_secs
     }
 }
 
@@ -234,73 +184,63 @@ pub struct PerfProfile {
     /// Cycles actually stepped through the four phases. Equals the final
     /// cycle count except in event mode, where skipped cycles are absent.
     pub stepped_cycles: u64,
-    /// Stepped cycles that ran threaded (`cycle_is_wide` said the
-    /// active-set estimate justified spawning shard threads).
-    pub wide_cycles: u64,
-    /// Stepped cycles that ran inline on the caller's thread.
-    pub inline_cycles: u64,
-    /// Mean marked active-set population (CPU + arbitration sets, all
-    /// shards) over the stepped cycles — the quantity `cycle_is_wide`
-    /// estimates from.
+    /// Mean marked active-set population (CPU + arbitration sets) over the
+    /// stepped cycles.
     pub active_occupancy_mean: f64,
     /// Largest marked active-set population seen in any stepped cycle.
     pub active_occupancy_max: u64,
     /// Most packets alive at once (queued or in flight, whole machine), as
     /// seen at the start of a stepped cycle.
     pub peak_live_packets: u64,
-    /// One record per shard (a single entry when sharding is off).
-    pub shards: Vec<ShardPerf>,
+    /// Phase-attributed host time.
+    pub phases: PhaseSecs,
+    /// Marked nodes the CPU phase visited, summed over stepped cycles.
+    pub cpu_visits: u64,
+    /// Marked nodes the CPU phase passed over because no visit could have
+    /// changed anything yet (booked CPU, or stuck on injection-FIFO
+    /// space); always 0 under the full scan, which visits every node.
+    pub cpu_parked: u64,
+    /// Nodes with a queued packet that phase 4 arbitrated.
+    pub arb_visits: u64,
+    /// Marked nodes phase 4 passed over because every link they request
+    /// was mid-transmission; always 0 under the full scan.
+    pub arb_parked: u64,
+    /// Length of the packet slab at the end of the run. Slots are recycled
+    /// but never returned to the allocator, so this is the high-water mark
+    /// of packets queued or in flight — what the run's packet memory was
+    /// sized by.
+    pub slab_slots: u64,
     /// Event-engine counters; `None` unless the run used
     /// [`EngineMode::EventDriven`](crate::EngineMode).
     pub event: Option<EventPerf>,
 }
 
 impl PerfProfile {
-    /// Phase times summed over every shard.
+    /// The phase times (the ladder benchmark's spelling of
+    /// [`phases`](Self::phases)).
     pub fn phase_totals(&self) -> PhaseSecs {
-        let mut t = PhaseSecs::default();
-        for s in &self.shards {
-            t.add(&s.phases);
-        }
-        t
+        self.phases
     }
 
-    /// Total phase-attributed busy seconds across all shards.
-    pub fn busy_secs(&self) -> f64 {
-        self.shards.iter().map(ShardPerf::busy_secs).sum()
-    }
-
-    /// Total barrier-wait seconds across all shards.
-    pub fn barrier_wait_secs(&self) -> f64 {
-        self.shards.iter().map(ShardPerf::barrier_wait_secs).sum()
-    }
-
-    /// `[cpu_visits, cpu_parked, arb_visits, arb_parked]` summed over
-    /// every shard: how many marked nodes phases 3 and 4 visited, and how
-    /// many they passed over because no visit could have changed anything.
+    /// `[cpu_visits, cpu_parked, arb_visits, arb_parked]`: how many marked
+    /// nodes phases 3 and 4 visited, and how many they passed over because
+    /// no visit could have changed anything.
     pub fn visit_totals(&self) -> [(&'static str, u64); 4] {
         [
-            ("cpu_visits", self.sum(|s| s.cpu_visits)),
-            ("cpu_parked", self.sum(|s| s.cpu_parked)),
-            ("arb_visits", self.sum(|s| s.arb_visits)),
-            ("arb_parked", self.sum(|s| s.arb_parked)),
+            ("cpu_visits", self.cpu_visits),
+            ("cpu_parked", self.cpu_parked),
+            ("arb_visits", self.arb_visits),
+            ("arb_parked", self.arb_parked),
         ]
     }
 
-    /// `[peak_live_packets, slab_slots, cross_shard_copies]`: the most
-    /// packets alive at once, the slab slots that held them (summed over
-    /// the shards, whose peaks need not coincide) and the wins that copied
-    /// a packet from one shard's slab to another's.
-    pub fn packet_totals(&self) -> [(&'static str, u64); 3] {
+    /// `[peak_live_packets, slab_slots]`: the most packets alive at once
+    /// and the slab slots that held them.
+    pub fn packet_totals(&self) -> [(&'static str, u64); 2] {
         [
             ("peak_live_packets", self.peak_live_packets),
-            ("slab_slots", self.sum(|s| s.slab_slots)),
-            ("cross_shard_copies", self.sum(|s| s.cross_shard_copies)),
+            ("slab_slots", self.slab_slots),
         ]
-    }
-
-    fn sum(&self, f: fn(&ShardPerf) -> u64) -> u64 {
-        self.shards.iter().map(f).sum()
     }
 
     /// Cycles skipped by the event engine (0 outside event mode).
@@ -308,32 +248,10 @@ impl PerfProfile {
         self.event.as_ref().map_or(0, |e| e.skipped_cycles)
     }
 
-    /// Load-imbalance ratio: the busiest shard's phase time over the
-    /// mean shard phase time. 1.0 means perfectly balanced (and is also
-    /// returned for the degenerate no-work cases).
-    pub fn shard_imbalance(&self) -> f64 {
-        let n = self.shards.len();
-        if n == 0 {
-            return 1.0;
-        }
-        let busiest = self
-            .shards
-            .iter()
-            .map(ShardPerf::busy_secs)
-            .fold(0.0f64, f64::max);
-        let mean = self.busy_secs() / n as f64;
-        if mean > 0.0 {
-            busiest / mean
-        } else {
-            1.0
-        }
-    }
-
     /// RFC-4180 CSV rendering (CRLF rows, via the shared
     /// [`crate::csv::push_row`] writer): a `metric,value` pair per row —
-    /// run totals, visit/park and packet totals, per-phase totals, per-shard
-    /// busy/barrier splits, and the event counters + skip histogram when
-    /// present.
+    /// run totals, visit/park and packet totals, per-phase times, and the
+    /// event counters + skip histogram when present.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let mut row = |metric: String, value: String| {
@@ -342,8 +260,6 @@ impl PerfProfile {
         row("metric".into(), "value".into());
         row("total_secs".into(), self.total_secs.to_string());
         row("stepped_cycles".into(), self.stepped_cycles.to_string());
-        row("wide_cycles".into(), self.wide_cycles.to_string());
-        row("inline_cycles".into(), self.inline_cycles.to_string());
         row(
             "active_occupancy_mean".into(),
             self.active_occupancy_mean.to_string(),
@@ -357,17 +273,6 @@ impl PerfProfile {
         }
         for (label, secs) in self.phase_totals().named() {
             row(format!("phase_{label}_secs"), secs.to_string());
-        }
-        for (i, s) in self.shards.iter().enumerate() {
-            row(format!("shard{i}_busy_secs"), s.busy_secs().to_string());
-            row(
-                format!("shard{i}_barrier_a_wait_secs"),
-                s.barrier_a_wait_secs.to_string(),
-            );
-            row(
-                format!("shard{i}_barrier_b_wait_secs"),
-                s.barrier_b_wait_secs.to_string(),
-            );
         }
         if let Some(ev) = &self.event {
             row("skipped_cycles".into(), ev.skipped_cycles.to_string());
@@ -391,14 +296,11 @@ impl PerfProfile {
 mod tests {
     use super::*;
 
-    fn shard(busy: f64) -> ShardPerf {
-        ShardPerf {
-            phases: PhaseSecs {
-                cpu: busy * 0.5,
-                arbitration: busy * 0.5,
-                ..PhaseSecs::default()
-            },
-            ..ShardPerf::default()
+    fn phases(busy: f64) -> PhaseSecs {
+        PhaseSecs {
+            cpu: busy * 0.5,
+            arbitration: busy * 0.5,
+            ..PhaseSecs::default()
         }
     }
 
@@ -423,40 +325,11 @@ mod tests {
     }
 
     #[test]
-    fn phase_totals_sum_shards() {
-        let p = PerfProfile {
-            shards: vec![shard(1.0), shard(3.0)],
-            ..PerfProfile::default()
-        };
-        let t = p.phase_totals();
-        assert!((t.cpu - 2.0).abs() < 1e-12);
-        assert!((t.total() - 4.0).abs() < 1e-12);
-        assert!((p.busy_secs() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn imbalance_is_max_over_mean() {
-        let p = PerfProfile {
-            shards: vec![shard(1.0), shard(3.0)],
-            ..PerfProfile::default()
-        };
-        // Mean busy 2.0, busiest 3.0.
-        assert!((p.shard_imbalance() - 1.5).abs() < 1e-12);
-        // Degenerate cases report balance.
-        assert_eq!(PerfProfile::default().shard_imbalance(), 1.0);
-        let idle = PerfProfile {
-            shards: vec![ShardPerf::default(); 4],
-            ..PerfProfile::default()
-        };
-        assert_eq!(idle.shard_imbalance(), 1.0);
-    }
-
-    #[test]
     fn csv_is_metric_value_pairs() {
         let p = PerfProfile {
             total_secs: 0.5,
             stepped_cycles: 100,
-            shards: vec![shard(0.25)],
+            phases: phases(0.25),
             event: Some(EventPerf::default()),
             ..PerfProfile::default()
         };
@@ -469,9 +342,9 @@ mod tests {
         assert!(rows.iter().any(|r| r[0] == "total_secs" && r[1] == "0.5"));
         assert!(rows.iter().any(|r| r[0] == "arb_parked" && r[1] == "0"));
         assert!(rows.iter().any(|r| r[0] == "slab_slots" && r[1] == "0"));
-        assert!(rows.iter().any(|r| r[0] == "cross_shard_copies"));
-        assert!(rows.iter().any(|r| r[0] == "phase_cpu_secs"));
-        assert!(rows.iter().any(|r| r[0] == "shard0_busy_secs"));
+        assert!(rows
+            .iter()
+            .any(|r| r[0] == "phase_cpu_secs" && r[1] == "0.125"));
         assert!(rows.iter().any(|r| r[0] == "wake_rate_window"));
         assert!(rows.iter().any(|r| r[0] == "skip_len_2e0"));
         // No quoting ever triggers: metrics and numbers are comma-free.
@@ -486,13 +359,14 @@ mod tests {
         let p = PerfProfile {
             total_secs: 1.25,
             stepped_cycles: 10,
-            wide_cycles: 4,
-            inline_cycles: 6,
             active_occupancy_mean: 3.5,
             active_occupancy_max: 9,
             peak_live_packets: 12,
-            shards: vec![shard(0.5), shard(0.75)],
+            phases: phases(0.5),
+            cpu_parked: 7,
+            slab_slots: 16,
             event: Some(ev),
+            ..PerfProfile::default()
         };
         let json = serde_json::to_string(&p).unwrap();
         let back: PerfProfile = serde_json::from_str(&json).unwrap();

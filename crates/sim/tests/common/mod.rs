@@ -1,6 +1,6 @@
-//! The one differential helper. Every test that claims "the clock mode,
-//! the shard count and the observers cannot change a result" says so by
-//! calling [`run_modes_by_shards`]: `engine_equivalence.rs` and
+//! The one differential helper. Every test that claims "the clock mode
+//! and the observers cannot change a result" says so by calling
+//! [`run_modes`]: `engine_equivalence.rs` and
 //! `event_engine.rs` beside this file, and — through `#[path]` — the
 //! workspace fuzzer `tests/engine_equivalence.rs`.
 #![allow(dead_code)] // each including test crate uses its own subset
@@ -9,18 +9,11 @@ use bgl_sim::{
     Engine, EngineMode, NetStats, NodeProgram, PerfConfig, PerfProfile, SimConfig, SimError, Trace,
     TraceConfig,
 };
-use std::num::NonZeroUsize;
-
-/// The shard counts the suites draw from: the sequential baseline, even
-/// splits, and a prime that never divides the node counts (uneven slabs).
-pub const SHARDS: [usize; 4] = [1, 2, 4, 7];
 
 /// The values each axis takes, beside the three engine modes; the helper
 /// runs their full cross product.
 #[derive(Clone, Copy)]
 pub struct Axes<'a> {
-    /// `SimConfig::shards`.
-    pub shards: &'a [usize],
     /// `SimConfig::trace` sampling intervals; `None` is tracing off.
     pub trace: &'a [Option<u64>],
     /// `SimConfig::check_invariants`.
@@ -30,9 +23,8 @@ pub struct Axes<'a> {
 }
 
 impl Axes<'static> {
-    /// The three modes at one shard, every observer off.
+    /// The three modes, every observer off.
     pub const MODES: Axes<'static> = Axes {
-        shards: &[1],
         trace: &[None],
         oracle: &[false],
         perf: &[false],
@@ -57,7 +49,7 @@ pub fn engine_cell(cfg: SimConfig, programs: Vec<Box<dyn NodeProgram>>) -> Cell 
     }
 }
 
-/// `(cpu_parked, arb_parked)` over every shard of `p`.
+/// `(cpu_parked, arb_parked)` of `p`.
 pub fn parked(p: &PerfProfile) -> (u64, u64) {
     let [_, (_, cpu), _, (_, arb)] = p.visit_totals();
     (cpu, arb)
@@ -65,22 +57,21 @@ pub fn parked(p: &PerfProfile) -> (u64, u64) {
 
 /// Run `base` under every engine mode × every combination of `axes`. Each
 /// cell's whole `Result` — `NetStats` byte for byte, or the same
-/// `SimError` — must equal the reference's: full-scan, one shard, every
-/// observer off. Traced cells must also agree on the series, sample for
+/// `SimError` — must equal the reference's: full-scan, every observer
+/// off. Traced cells must also agree on the series, sample for
 /// sample, and its busy deltas must sum to the run's totals; profiled
 /// cells must carry a structurally consistent profile, in which the full
 /// scan — the reference that visits every node — parked nothing. Returns
 /// the reference.
-pub fn run_modes_by_shards(
+pub fn run_modes(
     base: &SimConfig,
     axes: Axes<'_>,
     run: impl Fn(SimConfig) -> Cell,
 ) -> Result<NetStats, SimError> {
-    let reference_cell = (EngineMode::FullScan, 1, None, false, false);
-    let configure = |(mode, shards, trace, oracle, perf): (_, usize, Option<u64>, bool, bool)| {
+    let reference_cell = (EngineMode::FullScan, None, false, false);
+    let configure = |(mode, trace, oracle, perf): (_, Option<u64>, bool, bool)| {
         let mut cfg = base.clone();
         cfg.engine = mode;
-        cfg.shards = NonZeroUsize::new(shards).expect("nonzero shard count");
         cfg.trace = trace.map(TraceConfig::every);
         cfg.check_invariants = oracle;
         cfg.perf = perf.then(PerfConfig::default);
@@ -93,22 +84,20 @@ pub fn run_modes_by_shards(
     for &trace in axes.trace {
         for &oracle in axes.oracle {
             for &perf in axes.perf {
-                for &shards in axes.shards {
-                    for mode in EngineMode::ALL {
-                        cells.push((mode, shards, trace, oracle, perf));
-                    }
+                for mode in EngineMode::ALL {
+                    cells.push((mode, trace, oracle, perf));
                 }
             }
         }
     }
     for id in cells.into_iter().filter(|&id| id != reference_cell) {
-        let (mode, shards, trace, oracle, perf) = id;
+        let (mode, trace, oracle, perf) = id;
         let ctx = format!(
-            "{} {mode} shards={shards} trace={trace:?} oracle={oracle} perf={perf}",
+            "{} {mode} trace={trace:?} oracle={oracle} perf={perf}",
             base.partition
         );
         let cell = run(configure(id));
-        assert_eq!(cell.result, reference, "{ctx} vs full-scan at one shard");
+        assert_eq!(cell.result, reference, "{ctx} vs the bare full scan");
         let Ok(stats) = &cell.result else { continue };
         assert_eq!(cell.trace.is_some(), trace.is_some(), "{ctx}: trace");
         if let (Some(got), Some(every)) = (cell.trace, trace) {
@@ -125,12 +114,6 @@ pub fn run_modes_by_shards(
         assert_eq!(cell.perf.is_some(), perf, "{ctx}: profile");
         if let Some(p) = &cell.perf {
             assert!(p.stepped_cycles > 0, "{ctx}: cycles were stepped");
-            assert_eq!(
-                p.wide_cycles + p.inline_cycles,
-                p.stepped_cycles,
-                "{ctx}: every stepped cycle is wide or inline"
-            );
-            assert_eq!(p.shards.len(), shards, "{ctx}: one record per shard");
             assert_eq!(
                 p.event.is_some(),
                 mode == EngineMode::EventDriven,

@@ -1,18 +1,14 @@
-//! The active-set and event-driven engines, the shard count and the
-//! observers (tracer, oracle, profiler) must be pure optimizations and
-//! pure observations: for any workload, every statistic — cycle counts,
-//! histograms, per-link counters — is byte-identical to the reference
-//! full-scan engine at one shard (see `common::run_modes_by_shards`).
+//! The active-set and event-driven engines and the observers (tracer,
+//! oracle, profiler) must be pure optimizations and pure observations: for
+//! any workload, every statistic — cycle counts, histograms, per-link
+//! counters — is byte-identical to the reference full-scan engine (see
+//! `common::run_modes`).
 
 mod common;
 
-use bgl_sim::{
-    Engine, EngineMode, FaultPlan, FlowSpec, NodeFault, NodeProgram, PerfConfig, ScriptedProgram,
-    SendSpec, SimConfig,
-};
+use bgl_sim::{EngineMode, NodeProgram, ScriptedProgram, SendSpec, SimConfig};
 use bgl_torus::Partition;
-use common::{engine_cell, run_modes_by_shards, Axes, SHARDS};
-use std::num::NonZeroUsize;
+use common::{engine_cell, run_modes, Axes};
 
 fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box<dyn NodeProgram>> {
     let p = part.num_nodes();
@@ -39,36 +35,29 @@ fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box
 /// The pinned grid of scripted all-to-alls: symmetric and asymmetric
 /// shapes, adaptive and deterministic routing, sparse and saturating load.
 /// Every row runs under all three modes; the rows that are cheap enough
-/// also cross every shard count with the oracle and the profiler, which
-/// pins the sharded engine's ordering guarantees — staged-arrival drain
-/// order, the section-B id fix-up, deferred credit releases — under the
-/// oracle's per-cell credit check, independent of the randomized fuzzers.
+/// also cross the oracle and the profiler, which pins the deferred credit
+/// releases and the ring's win order under the oracle's per-cell credit
+/// check, independent of the randomized fuzzers.
 #[test]
 fn scripted_workloads_match_on_every_axis() {
     let observed = Axes {
-        shards: &SHARDS,
         oracle: &[false, true],
         perf: &[false, true],
         ..Axes::MODES
     };
-    let sharded = Axes {
-        shards: &SHARDS,
-        ..Axes::MODES
-    };
-    let grid: [(&str, u64, u8, bool, Axes); 7] = [
+    let grid: [(&str, u64, u8, bool, Axes); 6] = [
         ("4x4x4", 1, 8, false, Axes::MODES), // symmetric, one round, adaptive
         ("8x4x4", 4, 8, false, Axes::MODES), // asymmetric, saturating, adaptive
         ("8x4x4", 2, 8, true, Axes::MODES),  // asymmetric, deterministic (bubble VC)
         ("8x1x1", 8, 8, false, Axes::MODES), // ring
-        ("8x4x4", 2, 8, false, sharded),     // asymmetric, adaptive, every slab split
         ("4x4x4", 1, 4, true, observed),     // symmetric, deterministic
-        ("4x3x2", 1, 2, false, observed),    // odd shape: 7 shards > 24/7 nodes each
+        ("4x3x2", 1, 2, false, observed),    // odd shape
     ];
     for (shape, k, chunks, det, axes) in grid {
         let part: Partition = shape.parse().unwrap();
         let mut cfg = SimConfig::new(part);
         cfg.detailed_link_stats = true;
-        run_modes_by_shards(&cfg, axes, |cfg| {
+        run_modes(&cfg, axes, |cfg| {
             let mode = cfg.engine;
             let cell = engine_cell(cfg, uniform(&part, k, chunks, det));
             if let Some(p) = &cell.perf {
@@ -80,33 +69,29 @@ fn scripted_workloads_match_on_every_axis() {
     }
 }
 
-/// Loose wall-clock sanity of a collected profile (threaded shards time in
-/// parallel, so only gross misattribution trips these): phase laps are
-/// disjoint slices of each shard thread's time, so no shard's busy total
-/// can exceed the run's wall-clock by more than clock quantization; and
-/// outside the skipping clock, whose fast-forward is deliberately not a
-/// phase, the phases account for the bulk of it (10 % is far below the
-/// ~90 % seen in practice). Host-dependent, so checked on this grid's
-/// known workloads, not in the shared helper.
+/// Loose wall-clock sanity of a collected profile (only gross
+/// misattribution trips these): phase laps are disjoint slices of the
+/// run, so their total cannot exceed the run's wall-clock by more than
+/// clock quantization; and outside the skipping clock, whose fast-forward
+/// is deliberately not a phase, the phases account for the bulk of it
+/// (10 % is far below the ~90 % seen in practice). Host-dependent, so
+/// checked on this grid's known workloads, not in the shared helper.
 fn check_profile_timing(ctx: &str, mode: EngineMode, p: &bgl_sim::PerfProfile) {
     assert!(p.total_secs > 0.0, "{ctx}: wall-clock measured");
     assert!(
         p.active_occupancy_mean <= p.active_occupancy_max as f64,
         "{ctx}: occupancy mean bounded by max"
     );
-    for (i, s) in p.shards.iter().enumerate() {
-        assert!(
-            s.busy_secs() <= 1e-3 + p.total_secs,
-            "{ctx}: shard {i} busy {} vs total {}",
-            s.busy_secs(),
-            p.total_secs
-        );
-    }
+    let busy = p.phase_totals().total();
+    assert!(
+        busy <= 1e-3 + p.total_secs,
+        "{ctx}: phases sum to {busy}, over the total {}",
+        p.total_secs
+    );
     if mode != EngineMode::EventDriven {
         assert!(
-            p.busy_secs() >= 0.1 * p.total_secs,
-            "{ctx}: phases sum to {} of total {}",
-            p.busy_secs(),
+            busy >= 0.1 * p.total_secs,
+            "{ctx}: phases sum to {busy} of total {}",
             p.total_secs
         );
     }
@@ -137,121 +122,13 @@ fn sparse_point_traffic_matches_across_modes() {
         }
         programs
     };
-    let reference = run_modes_by_shards(&cfg, Axes::MODES, |c| engine_cell(c, programs()))
-        .expect("streams complete");
+    let reference =
+        run_modes(&cfg, Axes::MODES, |c| engine_cell(c, programs())).expect("streams complete");
     assert_eq!(reference.packets_delivered, 60);
     assert!(
         !reference.link_busy_per_link.is_empty(),
         "detailed stats compared"
     );
-}
-
-/// The threaded path, asserted rather than hoped for: the shapes above are
-/// too small for the per-cycle width gate (128 estimated active nodes per
-/// shard), so their sharded cells step almost every cycle inline. On 8x8x4
-/// an all-to-all keeps all 256 nodes busy, and each sharded cell must both
-/// really have spawned its shard threads (`wide_cycles > 0`) and match the
-/// unsharded run byte for byte — healthy under all three clocks, once with
-/// a node dying and recovering mid-run (fault transitions and in-flight
-/// drops interleaved with threaded cycles), and once rate-paced under the
-/// skipping clock, where one run must both skip and spawn: shard threads
-/// and time-skipping do not exclude each other.
-#[test]
-fn threaded_shards_match_the_unsharded_engine() {
-    let part: Partition = "8x8x4".parse().unwrap();
-    let outage = FaultPlan {
-        links: vec![],
-        nodes: vec![NodeFault {
-            rank: 21,
-            fail_at: 300,
-            recover_at: Some(700),
-        }],
-    };
-    // One 8-chunk packet per node per 256 cycles: the torus drains long
-    // before the next window opens, and all 256 nodes stay marked.
-    let paced = FlowSpec::Rate {
-        chunks_per_cycle: 1.0 / 32.0,
-    };
-    type Programs = fn(&Partition) -> Vec<Box<dyn NodeProgram>>;
-    let all_to_all: Programs = |part| uniform(part, 1, 8, false);
-    let streams: Programs = |part| shifted_streams(part, 6);
-    let healthy = FaultPlan::default;
-    for (mode, fault, flow, programs) in [
-        (
-            EngineMode::FullScan,
-            healthy(),
-            FlowSpec::Unpaced,
-            all_to_all,
-        ),
-        (
-            EngineMode::ActiveSet,
-            healthy(),
-            FlowSpec::Unpaced,
-            all_to_all,
-        ),
-        (EngineMode::ActiveSet, outage, FlowSpec::Unpaced, all_to_all),
-        (
-            EngineMode::EventDriven,
-            healthy(),
-            FlowSpec::Unpaced,
-            all_to_all,
-        ),
-        (EngineMode::EventDriven, healthy(), paced, streams),
-    ] {
-        let run = |shards: usize| {
-            let mut cfg = SimConfig::new(part);
-            cfg.engine = mode;
-            cfg.shards = NonZeroUsize::new(shards).unwrap();
-            cfg.detailed_link_stats = true;
-            cfg.fault = fault.clone();
-            cfg.flow = flow;
-            cfg.perf = Some(PerfConfig::default());
-            let mut engine = Engine::new(cfg, programs(&part));
-            let stats = engine
-                .run()
-                .unwrap_or_else(|e| panic!("{mode} shards={shards}: {e}"));
-            (stats, engine.take_perf().expect("profiling on"))
-        };
-        let (reference, perf) = run(1);
-        assert_eq!(perf.wide_cycles, 0, "{mode}: one shard never spawns");
-        if !fault.is_empty() {
-            assert!(
-                reference.dropped_by_fault > 0,
-                "the outage hit live traffic"
-            );
-        }
-        for shards in [2, 4] {
-            let (stats, perf) = run(shards);
-            assert_eq!(stats, reference, "{mode} shards={shards} must match");
-            // The full scan's gate counts each node once: 256 nodes clear
-            // two shards' floor but not four's, so that one cell is inline.
-            if mode != EngineMode::FullScan || shards == 2 {
-                assert!(
-                    perf.wide_cycles > 0,
-                    "{mode} shards={shards}: no cycle ran threaded"
-                );
-            }
-            if flow == paced {
-                assert!(
-                    perf.skipped_cycles() > 0,
-                    "{mode} shards={shards}: a paced run has idle gaps to skip"
-                );
-            }
-        }
-    }
-}
-
-/// Every node streams `packets` full-size packets to the node half the
-/// torus (plus one) away, and so receives as many.
-fn shifted_streams(part: &Partition, packets: u64) -> Vec<Box<dyn NodeProgram>> {
-    let p = part.num_nodes();
-    (0..p)
-        .map(|r| {
-            let dst = (r + p / 2 + 1) % p;
-            let sends = (0..packets).map(|_| SendSpec::adaptive(dst, 8, 240));
-            Box::new(ScriptedProgram::new(sends.collect(), packets)) as Box<dyn NodeProgram>
-        })
-        .collect()
 }
 
 /// One row per router branch a head's cached request mask depends on beyond
@@ -261,7 +138,7 @@ fn shifted_streams(part: &Partition, packets: u64) -> Vec<Box<dyn NodeProgram>> 
 /// without the oracle, which compares every cached mask bit with the
 /// router's own answer at every cycle boundary.
 #[test]
-fn shaped_and_escapeless_routing_match_across_modes_and_shards() {
+fn shaped_and_escapeless_routing_match_across_modes() {
     let part: Partition = "8x4x2".parse().unwrap();
     type Tweak = fn(&mut SimConfig);
     let rows: [(Tweak, u64, u8); 2] = [
@@ -269,7 +146,6 @@ fn shaped_and_escapeless_routing_match_across_modes_and_shards() {
         (|c| c.router.adaptive_bubble_escape = false, 1, 4),
     ];
     let axes = Axes {
-        shards: &[1, 4],
         oracle: &[false, true],
         ..Axes::MODES
     };
@@ -277,7 +153,7 @@ fn shaped_and_escapeless_routing_match_across_modes_and_shards() {
         let mut cfg = SimConfig::new(part);
         cfg.detailed_link_stats = true;
         tweak(&mut cfg);
-        run_modes_by_shards(&cfg, axes, |c| {
+        run_modes(&cfg, axes, |c| {
             engine_cell(c, uniform(&part, k, chunks, false))
         })
         .expect("exchange completes")
@@ -294,13 +170,12 @@ proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(12))]
 
     /// Randomized cells of the same cross product on small scripted
-    /// exchanges: a drawn shard count, trace interval, oracle and profiler
-    /// setting, under all three modes.
+    /// exchanges: a drawn trace interval, oracle and profiler setting,
+    /// under all three modes.
     #[test]
     fn fuzzed_configs_match_on_every_axis(
         shape_i in 0usize..4,
         deterministic in proptest::arbitrary::any::<bool>(),
-        shards_i in 0usize..SHARDS.len(),
         interval in 5u64..200,
         oracle in proptest::arbitrary::any::<bool>(),
         perf in proptest::arbitrary::any::<bool>(),
@@ -308,12 +183,11 @@ proptest::proptest! {
         let shapes = ["4x4", "4x2x2", "8x1x1", "3x3x2"];
         let part: Partition = shapes[shape_i].parse().unwrap();
         let axes = Axes {
-            shards: &[SHARDS[shards_i]],
             trace: &[None, Some(interval)],
             oracle: &[oracle],
             perf: &[perf],
         };
-        run_modes_by_shards(&SimConfig::new(part), axes, |c| {
+        run_modes(&SimConfig::new(part), axes, |c| {
             engine_cell(c, uniform(&part, 1, 4, deterministic))
         })
         .expect("exchange completes");
@@ -342,7 +216,7 @@ fn hotspot_backpressure_matches_across_modes() {
             })
             .collect()
     };
-    let reference = run_modes_by_shards(&cfg, Axes::MODES, |c| engine_cell(c, programs()))
-        .expect("hotspot drains");
+    let reference =
+        run_modes(&cfg, Axes::MODES, |c| engine_cell(c, programs())).expect("hotspot drains");
     assert!(reference.reception_stall_events > 0);
 }

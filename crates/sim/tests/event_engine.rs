@@ -7,7 +7,7 @@
 //!
 //! Each test pins the skipping clock (`EngineMode::EventDriven`, the
 //! default) byte-for-byte against the full-scan and active-set references
-//! (`common::run_modes_by_shards`) on a workload that specifically
+//! (`common::run_modes`) on a workload that specifically
 //! exercises the skip-ahead machinery.
 
 mod common;
@@ -19,14 +19,7 @@ use bgl_sim::{
     ScriptedProgram, SendSpec, SimConfig, SimError,
 };
 use bgl_torus::Partition;
-use common::{engine_cell, run_modes_by_shards, Axes};
-
-/// Every corner runs unsharded and split four ways: a skip is decided
-/// between stepped cycles, whatever the slab layout.
-const CORNER: Axes = Axes {
-    shards: &[1, 4],
-    ..Axes::MODES
-};
+use common::{engine_cell, run_modes, Axes};
 
 /// Sparse streams on an idle partition: the event engine's best case.
 fn stream_programs(part: &Partition, packets: u64) -> Vec<Box<dyn NodeProgram>> {
@@ -56,9 +49,10 @@ fn rate_paced_streams_replay_blocked_cycles_exactly() {
     cfg.flow = FlowSpec::Rate {
         chunks_per_cycle: 1.0 / 64.0,
     };
-    let reference =
-        run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, stream_programs(&part, 24)))
-            .expect("streams complete");
+    let reference = run_modes(&cfg, Axes::MODES, |c| {
+        engine_cell(c, stream_programs(&part, 24))
+    })
+    .expect("streams complete");
     assert!(
         reference.pacing_blocked_cycles > 0,
         "rate window must actually block: {reference:?}"
@@ -170,7 +164,7 @@ fn credit_stop_and_wait_matches_across_modes() {
         });
         programs
     };
-    let reference = run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, programs()))
+    let reference = run_modes(&cfg, Axes::MODES, |c| engine_cell(c, programs()))
         .expect("every packet is acknowledged");
     assert!(
         reference.credit_blocked_events > 0,
@@ -192,9 +186,9 @@ fn traced_odd_interval_produces_identical_series() {
     };
     let traced = Axes {
         trace: &[Some(7)],
-        ..CORNER
+        ..Axes::MODES
     };
-    run_modes_by_shards(&cfg, traced, |c| engine_cell(c, stream_programs(&part, 16)))
+    run_modes(&cfg, traced, |c| engine_cell(c, stream_programs(&part, 16)))
         .expect("streams complete");
 }
 
@@ -224,10 +218,9 @@ fn late_reception_drains_match_across_modes() {
     };
     let both = Axes {
         trace: &[None, Some(7)],
-        ..CORNER
+        ..Axes::MODES
     };
-    let stats =
-        run_modes_by_shards(&cfg, both, |c| engine_cell(c, programs())).expect("the drains run");
+    let stats = run_modes(&cfg, both, |c| engine_cell(c, programs())).expect("the drains run");
     assert_eq!(stats.packets_delivered, 13);
     assert!(
         stats.reception_stall_events > 0 && stats.completion_cycle > 400,
@@ -277,8 +270,8 @@ fn link_release_edge_wakes_exactly_on_busy_until() {
         programs[1] = Box::new(ScriptedProgram::new(vec![], 16));
         programs
     };
-    let reference = run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, programs()))
-        .expect("the stream completes");
+    let reference =
+        run_modes(&cfg, Axes::MODES, |c| engine_cell(c, programs())).expect("the stream completes");
     assert_eq!(reference.packets_delivered, 16);
     // 16 packets × 8 chunks back-to-back over one link: the stream must
     // sustain one win per 8 cycles, so completion stays close to the
@@ -319,7 +312,7 @@ fn watchdog_clamps_skips_with_a_distant_timed_wake() {
     // The stepped engines fire at the first cycle with
     // now − last_progress > watchdog_cycles; the clamp must hold the
     // skipping clock to the same horizon.
-    match run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, programs())) {
+    match run_modes(&cfg, Axes::MODES, |c| engine_cell(c, programs())) {
         Err(SimError::Stalled { cycle, .. }) => assert!(
             cycle < 1000,
             "stall must fire near the watchdog horizon, not the rate wake (cycle {cycle})"
@@ -344,7 +337,7 @@ fn watchdog_fires_at_the_same_cycle_in_event_mode() {
         programs[5] = Box::new(ScriptedProgram::new(vec![], 3));
         programs
     };
-    let outcome = run_modes_by_shards(&cfg, CORNER, |c| engine_cell(c, programs()));
+    let outcome = run_modes(&cfg, Axes::MODES, |c| engine_cell(c, programs()));
     assert!(
         matches!(outcome, Err(SimError::Stalled { .. })),
         "{outcome:?}"

@@ -44,7 +44,7 @@ pub use bgl_torus as torus;
 /// The names most programs need.
 pub mod prelude {
     pub use bgl_core::{
-        auto_select, run_aa, AaReport, AaRun, AaWorkload, CreditConfig, Pacer, StrategyKind,
+        auto_select, run_aa, AaReport, AaWorkload, CreditConfig, Pacer, StrategyKind,
     };
     pub use bgl_model::MachineParams;
     pub use bgl_sim::{Engine, NodeApi, NodeProgram, SendSpec, SimConfig};

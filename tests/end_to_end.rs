@@ -135,11 +135,18 @@ fn credit_flow_control_overhead_is_small() {
 #[test]
 fn credit_acks_are_not_traced_as_a_phase() {
     let traced = |strategy: StrategyKind| {
-        AaRun::builder("4x4x4".parse().unwrap(), AaWorkload::full(912))
-            .strategy(strategy.with_pacer(Pacer::credit(4, 2)))
-            .sim(|c| c.trace = Some(bgl_alltoall::sim::TraceConfig::every(64)))
-            .run()
-            .expect("simulation completes")
+        let part: Partition = "4x4x4".parse().unwrap();
+        let mut cfg = SimConfig::new(part);
+        cfg.trace = Some(bgl_alltoall::sim::TraceConfig::every(64));
+        let paced = strategy.with_pacer(Pacer::credit(4, 2));
+        run_aa(
+            part,
+            &AaWorkload::full(912),
+            &paced,
+            &MachineParams::bgl(),
+            cfg,
+        )
+        .expect("simulation completes")
     };
     let ar = traced(StrategyKind::ar());
     let data_packets = 64 * 63 * 4; // 912 B + h = four 240-byte payloads
@@ -209,39 +216,4 @@ fn mixed_routing_modes_coexist() {
 #[test]
 fn facade_exposes_routing_mode() {
     assert_ne!(RoutingMode::Adaptive, RoutingMode::Deterministic);
-}
-
-/// The `AaRun` builder is exactly equivalent to calling `run_aa` with
-/// the same pieces — including config tweaks applied through `.sim`.
-#[test]
-fn builder_matches_run_aa() {
-    let part: Partition = "4x4x2".parse().unwrap();
-    let strategy = StrategyKind::ar();
-    let direct = {
-        let mut cfg = SimConfig::new(part);
-        cfg.router.vc_fifo_chunks = 16;
-        run_aa(
-            part,
-            &AaWorkload::full(240),
-            &strategy,
-            &MachineParams::bgl(),
-            cfg,
-        )
-        .unwrap()
-    };
-    let built = AaRun::builder(part, AaWorkload::full(240))
-        .strategy(strategy)
-        .sim(|cfg| cfg.router.vc_fifo_chunks = 16)
-        .run()
-        .unwrap();
-    assert_eq!(direct.cycles, built.cycles);
-    assert_eq!(direct.stats, built.stats);
-}
-
-/// Builder defaults: Auto strategy selection and BG/L parameters.
-#[test]
-fn builder_defaults_dispatch_auto() {
-    let part: Partition = "4x4x4".parse().unwrap();
-    let r = AaRun::builder(part, AaWorkload::full(432)).run().unwrap();
-    assert_eq!(r.strategy.name(), "AR");
 }

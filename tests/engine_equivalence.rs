@@ -3,14 +3,13 @@
 //! Random (partition, strategy, message size, coverage) configurations
 //! drawn across the real strategy stack, each run through the one
 //! differential helper (`crates/sim/tests/common/mod.rs`) on a drawn cell
-//! of its axes — shard count, trace interval, oracle, profiler — under all
-//! three engine modes. The simulator promises:
+//! of its axes — trace interval, oracle, profiler — under all three engine
+//! modes. The simulator promises:
 //!
-//! 1. **Engine mode and shard count**: the active-set and event-driven
-//!    engines, at any shard count, produce byte-identical `NetStats` —
-//!    cycle counts, latency histograms, per-dimension link counters — to
-//!    the reference full-scan path at one shard, healthy or under a fault
-//!    plan (where the whole `Result` must match).
+//! 1. **Engine mode**: the active-set and event-driven engines produce
+//!    byte-identical `NetStats` — cycle counts, latency histograms,
+//!    per-dimension link counters — to the reference full-scan path,
+//!    healthy or under a fault plan (where the whole `Result` must match).
 //! 2. **Observers**: enabling `SimConfig::trace`, `check_invariants` or
 //!    `perf` changes nothing in `NetStats`; the recorded series is the same
 //!    in every cell and its per-dimension link-busy deltas sum exactly to
@@ -28,7 +27,7 @@ mod common;
 use bgl_alltoall::harness::runner::{RunPoint, Runner, Scale};
 use bgl_alltoall::prelude::*;
 use bgl_sim::{EngineMode, FaultPlan, LinkFault};
-use common::{parked, run_modes_by_shards, Axes, Cell, SHARDS};
+use common::{parked, run_modes, Axes, Cell};
 use proptest::prelude::*;
 
 /// The strategy pool: every class once — the four direct schemes, which
@@ -120,35 +119,31 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(10)))]
 
     /// Equivalences 1 and 2 on a healthy torus: every engine mode, traced
-    /// at a random interval and untraced, at a random shard count, oracle
-    /// and profiler setting, against the full-scan reference.
+    /// at a random interval and untraced, at a random oracle and profiler
+    /// setting, against the full-scan reference.
     #[test]
-    fn modes_shards_and_observers_agree(
+    fn modes_and_observers_agree(
         shape_i in 0usize..SHAPES.len(),
         strat_i in 0usize..6,
         m_i in 0usize..4,
         cov_i in 0usize..2,
         interval in 100u64..2000,
-        shard_i in 0usize..SHARDS.len(),
         oracle in proptest::arbitrary::any::<bool>(),
         perf in proptest::arbitrary::any::<bool>(),
     ) {
         let (part, strategy, m, cov) = config(shape_i, strat_i, m_i, cov_i);
-        let shards = SHARDS[shard_i];
         eprintln!(
-            "case: {part} ({}-D) {} m={m} cov={cov} every={interval} shards={shards} \
-             oracle={oracle} perf={perf}",
+            "case: {part} ({}-D) {} m={m} cov={cov} every={interval} oracle={oracle} perf={perf}",
             part.ndims(),
             strategy.name()
         );
         let workload = workload(m, cov);
         let axes = Axes {
-            shards: &[shards],
             trace: &[None, Some(interval)],
             oracle: &[oracle],
             perf: &[perf],
         };
-        run_modes_by_shards(&SimConfig::new(part), axes, |cfg| {
+        run_modes(&SimConfig::new(part), axes, |cfg| {
             aa_cell(part, &workload, &strategy, cfg)
         })
         .expect("healthy run completes");
@@ -166,12 +161,11 @@ fn parked_nodes_change_nothing() {
     let part: Partition = "4x8x4".parse().unwrap();
     let workload = AaWorkload::full(912);
     let axes = Axes {
-        shards: &[1, 4],
         oracle: &[false, true],
         perf: &[true],
         ..Axes::MODES
     };
-    run_modes_by_shards(&SimConfig::new(part), axes, |cfg| {
+    run_modes(&SimConfig::new(part), axes, |cfg| {
         let mode = cfg.engine;
         let cell = aa_cell(part, &workload, &StrategyKind::tps(), cfg);
         if let (Some(p), true) = (&cell.perf, mode != EngineMode::FullScan) {
@@ -210,30 +204,28 @@ proptest! {
     /// Fault dimension of equivalence 1: a random set of statically dead
     /// links must leave the run's entire `Result` — completed `NetStats`
     /// byte-for-byte, or the exact same `SimError` — invariant across
-    /// all three engine modes, a random shard count and the oracle. Also
-    /// pins the no-op guarantee: a fault scheduled far past completion
-    /// runs the degraded-mode arbitration code yet stays byte-identical to
-    /// the healthy run.
+    /// all three engine modes and the oracle. Also pins the no-op
+    /// guarantee: a fault scheduled far past completion runs the
+    /// degraded-mode arbitration code yet stays byte-identical to the
+    /// healthy run.
     #[test]
-    fn fault_plans_are_engine_and_shard_invariant(
+    fn fault_plans_are_engine_invariant(
         shape_i in 0usize..SHAPES.len(),
         strat_i in 0usize..6,
         m_i in 0usize..2,
         cov_i in 0usize..2,
         picks in proptest::collection::vec(proptest::arbitrary::any::<u32>(), 1..4),
-        shard_i in 0usize..SHARDS.len(),
         oracle in proptest::arbitrary::any::<bool>(),
     ) {
         let (part, strategy, _, cov) = config(shape_i, strat_i, 0, cov_i);
         let m = [64u64, 240][m_i];
-        let shards = SHARDS[shard_i];
         let workload = workload(m, cov);
         let plan = FaultPlan {
             links: draw_dead_links(&part, &picks),
             nodes: vec![],
         };
         eprintln!(
-            "case: {part} ({}-D) {} m={m} cov={cov} shards={shards} oracle={oracle} faults={:?}",
+            "case: {part} ({}-D) {} m={m} cov={cov} oracle={oracle} faults={:?}",
             part.ndims(),
             strategy.name(),
             plan.links
@@ -249,13 +241,12 @@ proptest! {
             cfg
         };
         let axes = Axes {
-            shards: &[shards],
             oracle: &[oracle],
             ..Axes::MODES
         };
         // The helper compares whole `Result`s: an unreachable pair must be
         // the same `SimError` in every cell.
-        let _ = run_modes_by_shards(&faulty(plan.clone()), axes, |cfg| {
+        let _ = run_modes(&faulty(plan.clone()), axes, |cfg| {
             aa_cell(part, &workload, &strategy, cfg)
         });
 

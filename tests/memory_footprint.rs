@@ -6,8 +6,8 @@
 //! the run's own footprint — programs, engine, packets. What it pins is
 //! the packet layout (DESIGN.md §6, "Memory layout"): with a buffer behind
 //! every FIFO, kept at its high-water capacity, this run grew the process
-//! by 39.6 MB; with one slab of packets per shard and the FIFO headers in
-//! per-node rows it grows by 10.6 MB. The 20,480-node `32x32x20` check is
+//! by 39.6 MB; with one slab of packets and the FIFO headers in per-node
+//! rows it grows by 10.6 MB. The 20,480-node `32x32x20` check is
 //! manual (4 s in release; EXPERIMENTS.md, "packet layout").
 
 use bgl_alltoall::prelude::*;
@@ -35,10 +35,15 @@ fn tps_on_8x32x16_stays_within_its_memory_bound() {
     };
     let part: Partition = "8x32x16".parse().unwrap();
     let workload = AaWorkload::sampled(912, 4.0 / (part.num_nodes() - 1) as f64);
-    let report = AaRun::builder(part, workload)
-        .strategy(StrategyKind::tps())
-        .run()
-        .unwrap();
+    let tps = StrategyKind::tps();
+    let report = run_aa(
+        part,
+        &workload,
+        &tps,
+        &MachineParams::bgl(),
+        SimConfig::new(part),
+    )
+    .unwrap();
     assert_eq!(report.stats.packets_delivered, 128_540);
     let grown = peak_rss_mb().expect("read a moment ago") - before;
     assert!(

@@ -69,9 +69,8 @@ proptest! {
         let part: Partition = SHAPES[shape_i].parse().unwrap();
         let strategy = strategy_pool()[strat_i].clone().with_pacer(pacer(kind, num, den));
         let m = [8u64, 64, 240][m_i];
-        let report = AaRun::builder(part, AaWorkload::full(m))
-            .strategy(strategy.clone())
-            .run();
+        let workload = AaWorkload::full(m);
+        let report = run_aa(part, &workload, &strategy, &MachineParams::bgl(), SimConfig::new(part));
         let report = match report {
             Ok(r) => r,
             Err(e) => {
