@@ -15,10 +15,9 @@ use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig, SimE
 use bgl_torus::{Partition, Rank};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A many-to-many pattern: who sends `m` bytes to whom.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Pattern {
     /// The uniform all-to-all (for cross-checking against `run_aa`).
     AllToAll,

@@ -2,7 +2,7 @@
 //! configure the simulator, run, and report percent-of-peak.
 
 use crate::direct::{DirectConfig, DirectProgram};
-use crate::flow::{CreditConfig, Pacer};
+use crate::flow::Pacer;
 use crate::tps::{tps_inj_class_masks, TpsConfig, TpsProgram};
 use crate::vmesh::{VmeshConfig, VmeshProgram};
 use crate::workload::{destination_schedule, direct_shapes, total_chunks, AaWorkload};
@@ -95,12 +95,11 @@ impl std::hash::Hash for StrategyKind {
     }
 }
 
-/// Wire format: the historical encodings are preserved exactly so stored
-/// run keys and golden fingerprints survive the pacer refactor. Unpaced
-/// strategies serialize as bare variant names, AR with a rate window as
-/// the old `ThrottledAdaptive { factor }` form, and TPS's credit window
-/// as the old `credit: Option<CreditConfig>` field; only combinations
-/// that could not be expressed before gain a `pacer` field.
+/// The spelling the golden file's run keys are matched on (nothing reads
+/// it back): unpaced strategies serialize as bare variant names, AR with
+/// a rate window as `ThrottledAdaptive { factor }`, TPS's credit window
+/// as a `credit` field (`null` when unpaced); every other pacing is a
+/// `pacer` field.
 impl serde::Serialize for StrategyKind {
     fn to_value(&self) -> serde::Value {
         use serde::Value;
@@ -155,72 +154,6 @@ impl serde::Serialize for StrategyKind {
     }
 }
 
-impl serde::Deserialize for StrategyKind {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        use serde::Value;
-        fn opt_pacer(inner: &Value) -> Result<Pacer, serde::Error> {
-            Ok(serde::de_field::<Option<Pacer>>(inner, "pacer")?.unwrap_or_default())
-        }
-        match v {
-            Value::Str(s) => match s.as_str() {
-                "MpiBaseline" => Ok(StrategyKind::mpi()),
-                "AdaptiveRandomized" => Ok(StrategyKind::ar()),
-                "DeterministicRouted" => Ok(StrategyKind::dr()),
-                "XyzRouting" => Ok(StrategyKind::xyz()),
-                "Auto" => Ok(StrategyKind::Auto),
-                other => Err(serde::Error::custom(format!(
-                    "unknown variant `{other}` of StrategyKind"
-                ))),
-            },
-            Value::Object(fields) if fields.len() == 1 => {
-                let (variant, inner) = &fields[0];
-                match variant.as_str() {
-                    "MpiBaseline" => Ok(StrategyKind::MpiBaseline {
-                        pacer: opt_pacer(inner)?,
-                    }),
-                    "AdaptiveRandomized" => Ok(StrategyKind::AdaptiveRandomized {
-                        pacer: opt_pacer(inner)?,
-                    }),
-                    "DeterministicRouted" => Ok(StrategyKind::DeterministicRouted {
-                        pacer: opt_pacer(inner)?,
-                    }),
-                    "ThrottledAdaptive" => {
-                        Ok(StrategyKind::throttled(serde::de_field(inner, "factor")?))
-                    }
-                    "XyzRouting" => Ok(StrategyKind::XyzRouting {
-                        pacer: opt_pacer(inner)?,
-                    }),
-                    "TwoPhaseSchedule" => {
-                        let pacer = match serde::de_field::<Option<Pacer>>(inner, "pacer")? {
-                            Some(p) => p,
-                            None => {
-                                match serde::de_field::<Option<CreditConfig>>(inner, "credit")? {
-                                    Some(credit) => Pacer::CreditWindow { credit },
-                                    None => Pacer::Unpaced,
-                                }
-                            }
-                        };
-                        Ok(StrategyKind::TwoPhaseSchedule {
-                            linear: serde::de_field(inner, "linear")?,
-                            pacer,
-                        })
-                    }
-                    "VirtualMesh" => Ok(StrategyKind::VirtualMesh {
-                        layout: serde::de_field(inner, "layout")?,
-                        pacer: opt_pacer(inner)?,
-                    }),
-                    other => Err(serde::Error::custom(format!(
-                        "unknown variant `{other}` of StrategyKind"
-                    ))),
-                }
-            }
-            other => Err(serde::Error::custom(format!(
-                "expected StrategyKind, got {other:?}"
-            ))),
-        }
-    }
-}
-
 impl StrategyKind {
     /// Unpaced MPI-like baseline.
     pub fn mpi() -> StrategyKind {
@@ -264,11 +197,6 @@ impl StrategyKind {
             linear: None,
             pacer: Pacer::Unpaced,
         }
-    }
-
-    /// TPS with an explicit linear dimension and pacer.
-    pub fn tps_with(linear: Option<Dim>, pacer: Pacer) -> StrategyKind {
-        StrategyKind::TwoPhaseSchedule { linear, pacer }
     }
 
     /// VMesh with automatic layout, unpaced.
@@ -376,7 +304,7 @@ impl StrategyKind {
 }
 
 /// Result of one all-to-all run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize)]
 pub struct AaReport {
     /// The partition.
     pub partition: Partition,
@@ -761,42 +689,10 @@ mod tests {
     }
 
     #[test]
-    fn strategy_and_report_round_trip_json() {
-        for s in [
-            StrategyKind::ar(),
-            StrategyKind::mpi(),
-            StrategyKind::throttled(1.25),
-            StrategyKind::tps(),
-            StrategyKind::tps_with(
-                None,
-                Pacer::CreditWindow {
-                    credit: CreditConfig::default(),
-                },
-            ),
-            StrategyKind::tps_with(Some(Dim::Y), Pacer::rate(0.75)),
-            StrategyKind::vmesh(),
-            StrategyKind::vmesh().with_pacer(Pacer::credit(8, 2)),
-            StrategyKind::xyz().with_pacer(Pacer::credit(8, 2)),
-            StrategyKind::dr().with_pacer(Pacer::rate(0.5)),
-            StrategyKind::Auto,
-        ] {
-            let json = serde_json::to_string(&s).unwrap();
-            let back: StrategyKind = serde_json::from_str(&json).unwrap();
-            assert_eq!(s, back, "{json}");
-        }
-        let r = quick("4x4", 240, StrategyKind::ar());
-        let json = serde_json::to_string(&r).unwrap();
-        let back: AaReport = serde_json::from_str(&json).unwrap();
-        assert_eq!(r.cycles, back.cycles);
-        assert_eq!(r.stats, back.stats);
-    }
-
-    #[test]
-    fn legacy_wire_forms_still_parse_and_reserialize() {
-        // The pre-pacer encodings must keep deserializing (stored run
-        // keys, golden files) AND re-serializing byte-identically so run
-        // keys don't silently rename.
-        for (json, want) in [
+    fn strategies_serialize_as_the_committed_spellings() {
+        // The golden file is matched on these bytes: a run key whose
+        // strategy rendered differently would silently lose its entry.
+        for (json, s) in [
             ("\"AdaptiveRandomized\"", StrategyKind::ar()),
             ("\"MpiBaseline\"", StrategyKind::mpi()),
             (
@@ -809,12 +705,10 @@ mod tests {
             ),
             (
                 "{\"TwoPhaseSchedule\":{\"linear\":null,\"credit\":{\"window_packets\":4,\"credit_every\":2}}}",
-                StrategyKind::tps_with(None, Pacer::credit(4, 2)),
+                StrategyKind::tps().with_pacer(Pacer::credit(4, 2)),
             ),
         ] {
-            let back: StrategyKind = serde_json::from_str(json).unwrap();
-            assert_eq!(back, want, "{json}");
-            assert_eq!(serde_json::to_string(&back).unwrap(), json);
+            assert_eq!(serde_json::to_string(&s).unwrap(), json);
         }
     }
 

@@ -4,11 +4,11 @@
 use bgl_model::MachineParams;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// An all-to-all personalized exchange workload: every node sends
 /// `m_bytes` to each destination in its (possibly sampled) destination set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AaWorkload {
     /// Application bytes per (source, destination) pair.
     pub m_bytes: u64,
@@ -71,7 +71,7 @@ impl AaWorkload {
 }
 
 /// One packet of a packetized message: wire chunks and application payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketShape {
     /// Wire size in 32-byte chunks (1..=8).
     pub chunks: u8,

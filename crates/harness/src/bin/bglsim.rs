@@ -126,6 +126,15 @@ fn parse_coverage(flags: &HashMap<String, String>) -> f64 {
     coverage
 }
 
+/// `(--json, --csv)` of `sweep` and `profile`: at most one may be set.
+fn export_flags(flags: &HashMap<String, String>) -> (bool, bool) {
+    let (json, csv) = (flags.contains_key("json"), flags.contains_key("csv"));
+    if json && csv {
+        fail("--json and --csv conflict; pass at most one");
+    }
+    (json, csv)
+}
+
 /// The runner every simulating subcommand builds from its flags
 /// (`--jobs` defaults to all cores).
 fn runner_from_flags(scale: Scale, flags: &HashMap<String, String>, perf: bool) -> Runner {
@@ -390,8 +399,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
         })
         .collect();
     let coverage = parse_coverage(flags);
-    let csv = flags.contains_key("csv");
-    let json = flags.contains_key("json");
+    let (json, csv) = export_flags(flags);
     let report = flags.contains_key("report");
     let trace_out = flags.get("trace-out").cloned();
     let trace_interval: u64 = flags.get("trace-interval").map_or(1024, |s| {
@@ -639,17 +647,15 @@ fn cmd_profile(flags: &HashMap<String, String>) {
             .unwrap_or_else(|_| fail(&format!("--m needs numeric bytes, got {s:?}")))
     });
     let coverage = parse_coverage(flags);
-    if flags.contains_key("json") && flags.contains_key("csv") {
-        fail("--json and --csv conflict; pass at most one");
-    }
+    let (json, csv) = export_flags(flags);
     let runner = runner_from_flags(Scale::Paper, flags, true);
     let point = RunPoint::new(part, strategy, m, coverage);
     let report = runner
         .report(&point)
         .unwrap_or_else(|e| fail(&format!("profile run failed: {e}")));
-    let body = if flags.contains_key("json") {
+    let body = if json {
         serde_json::to_string_pretty(&report).expect("serialize")
-    } else if flags.contains_key("csv") {
+    } else if csv {
         report.perf.as_ref().expect("profiling was on").to_csv()
     } else {
         bgl_harness::render_perf_report(&report)

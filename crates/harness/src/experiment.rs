@@ -1,10 +1,10 @@
 //! Experiment report structure and rendering (aligned text tables, CSV,
 //! JSON).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A reproduced table or figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ExperimentReport {
     /// Short id ("table1", "fig6", …).
     pub id: String,

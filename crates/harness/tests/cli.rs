@@ -2,7 +2,25 @@
 //! produce a one-line stderr message and exit status 2 — never a panic
 //! (which would exit 101 with a backtrace).
 
+use serde_json::Value;
 use std::process::Command;
+
+/// A JSON number off the value tree: `0.0` is written `0` and reads back
+/// as an integer, so both spellings count.
+fn num(v: &Value) -> f64 {
+    match v {
+        Value::U64(n) => *n as f64,
+        Value::F64(x) => *x,
+        other => panic!("expected a number, got {other:?}"),
+    }
+}
+
+/// The `u64` array at `obj.field`.
+fn u64s(obj: &Value, field: &str) -> Vec<u64> {
+    let items = obj.get(field).and_then(Value::as_array);
+    let items = items.unwrap_or_else(|| panic!("{field} is an array in {obj:?}"));
+    items.iter().map(|v| num(v) as u64).collect()
+}
 
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(bin)
@@ -55,6 +73,7 @@ fn bglsim_rejects_malformed_input() {
     assert_clean_failure(bin, &["sweep", "--shape"], "needs a value");
     assert_clean_failure(bin, &["sweep", "--shape", "--csv"], "needs a value");
     assert_clean_failure(bin, &["sweep", "stray"], "unexpected argument");
+    assert_clean_failure(bin, &["sweep", "--csv", "--json"], "conflict");
     assert_clean_failure(bin, &["pattern", "--pattern", "plane:w"], "plane:x|y|z");
     let plane_4d = ["pattern", "--shape", "4x4x2x2", "--pattern", "plane:d4"];
     assert_clean_failure(bin, &plane_4d, "plane:x|y|z|d3 on 4x4x2x2");
@@ -178,16 +197,20 @@ fn bglsim_sweep_json_carries_per_dimension_counters() {
         ],
     );
     assert_eq!(code, Some(0), "stderr: {stderr}");
-    let reports: Vec<bgl_core::AaReport> = serde_json::from_str(&json).expect("round-trips");
+    let reports: Vec<Value> = serde_json::from_str(&json).expect("parses");
     assert_eq!(reports.len(), 1);
-    let stats = &reports[0].stats;
+    let stats = reports[0].get("stats").expect("stats present");
     let part: bgl_torus::Partition = "4x4x2".parse().unwrap();
-    for counters in [&stats.link_busy_chunks, &stats.hops_taken] {
+    let busy = u64s(stats, "link_busy_chunks");
+    for counters in [&busy, &u64s(stats, "hops_taken")] {
         assert_eq!(counters.len(), part.ndims(), "{counters:?}");
         assert!(counters.iter().all(|&n| n > 0), "{counters:?}");
     }
+    let cycles = num(stats
+        .get("completion_cycle")
+        .expect("completion_cycle present"));
     for dim in part.dims() {
-        let u = stats.dim_utilization(&part, dim);
+        let u = busy[dim.index()] as f64 / (part.directed_links(dim) as f64 * cycles);
         assert!(u > 0.0 && u <= 1.0, "{dim} utilization {u}");
     }
 }
@@ -352,6 +375,19 @@ fn shape_arity_accepted_and_rejected_consistently() {
     assert_clean_failure(bglsim, &sweep("2x2x2x2x2x2x2"), "expected 2..=6");
     assert_clean_failure(bglsim, &["profile", "--shape", "8"], "expected 2..=6");
     assert_clean_failure(bglsim, &["fit", "--shape", "4x0x4"], "zero size");
+    // More nodes than a rank can name: rejected where the shape is
+    // parsed, on every subcommand, instead of wrapping inside the engine.
+    let huge = "65535x65535x65535";
+    let needle = "more than 4294967295 nodes";
+    assert_clean_failure(bglsim, &sweep(huge), needle);
+    assert_clean_failure(
+        bglsim,
+        &sweep("65535x65535x65535x65535x65535x65535"),
+        needle,
+    );
+    for sub in ["fit", "pattern", "profile"] {
+        assert_clean_failure(bglsim, &[sub, "--shape", huge], needle);
+    }
 }
 
 /// The 3-D-only indirect strategies fail fast on higher-arity tori:
@@ -516,7 +552,7 @@ fn bglsim_report_happy_path() {
 }
 
 /// `--trace-out` writes parseable exports: RFC-4180 CSV for `.csv`
-/// paths, JSON that round-trips through the serde stubs otherwise.
+/// paths, JSON whose samples sum to the run's link counters otherwise.
 #[test]
 fn bglsim_trace_out_writes_csv_and_json() {
     let bin = env!("CARGO_BIN_EXE_bglsim");
@@ -549,11 +585,20 @@ fn bglsim_trace_out_writes_csv_and_json() {
     let (code, _stdout, stderr) = run(bin, &json_args);
     assert_eq!(code, Some(0), "stderr: {stderr}");
     let json = std::fs::read_to_string(&json_path).expect("json written");
-    let reports: Vec<bgl_core::AaReport> = serde_json::from_str(&json).expect("round-trips");
+    let reports: Vec<Value> = serde_json::from_str(&json).expect("parses");
     assert_eq!(reports.len(), 1);
-    let trace = reports[0].trace.as_ref().expect("trace present");
-    assert!(!trace.samples.is_empty());
-    assert_eq!(trace.link_busy_totals(), reports[0].stats.link_busy_chunks);
+    let trace = reports[0].get("trace").expect("trace present");
+    let samples = trace.get("samples").and_then(Value::as_array).unwrap();
+    assert!(!samples.is_empty());
+    let stats = reports[0].get("stats").expect("stats present");
+    let busy = u64s(stats, "link_busy_chunks");
+    let mut totals = vec![0u64; busy.len()];
+    for sample in samples {
+        for (total, delta) in totals.iter_mut().zip(u64s(sample, "link_busy_delta")) {
+            *total += delta;
+        }
+    }
+    assert_eq!(totals, busy);
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -583,7 +628,7 @@ fn bglsim_profile_happy_path() {
 }
 
 /// `profile --csv` emits RFC-4180 `metric,value` rows; `--json` a full
-/// report whose profile round-trips through the serde stubs.
+/// report that carries the profile.
 #[test]
 fn bglsim_profile_exports_csv_and_json() {
     let bin = env!("CARGO_BIN_EXE_bglsim");
@@ -607,10 +652,11 @@ fn bglsim_profile_exports_csv_and_json() {
     json_args.push("--json");
     let (code, json, stderr) = run(bin, &json_args);
     assert_eq!(code, Some(0), "stderr: {stderr}");
-    let report: bgl_core::AaReport = serde_json::from_str(&json).expect("round-trips");
-    let perf = report.perf.as_ref().expect("profile present");
-    assert!(perf.stepped_cycles > 0);
-    assert!(perf.phase_totals().total() > 0.0);
+    let report: Value = serde_json::from_str(&json).expect("parses");
+    let perf = report.get("perf").expect("profile present");
+    assert!(num(perf.get("stepped_cycles").unwrap()) > 0.0);
+    let phases = perf.get("phases").and_then(Value::as_object).unwrap();
+    assert!(phases.iter().map(|(_, secs)| num(secs)).sum::<f64>() > 0.0);
 }
 
 /// `profile` obeys the one-line exit-2 contract on malformed input.

@@ -36,16 +36,27 @@ fn quick_tier_declares_the_symmetric_ar_run() {
 }
 
 /// Moving the declarations into the units dropped no run: the full tier
-/// still declares every key of the point list it had at PR 16.
+/// still declares every key of the point list it had at PR 16. Keys are
+/// compared as rendered JSON text, the identity the golden file is
+/// matched on; the program has no reader that could rebuild a `RunKey`.
 #[test]
 fn full_tier_declares_every_run_it_did_at_pr16() {
-    let pr16: Vec<RunKey> =
+    let mut pr16: Vec<serde_json::Value> =
         serde_json::from_str(include_str!("data/full_tier_keys_pr16.json")).unwrap();
-    let now = declared(Tier::Full);
-    for key in pr16 {
-        assert!(
-            now.contains(&blank_coverage(key.clone())),
-            "dropped: {key:?}"
-        );
+    let now: HashSet<String> = declared(Tier::Full)
+        .iter()
+        .map(|key| serde_json::to_string(key).unwrap())
+        .collect();
+    for key in &mut pr16 {
+        let serde_json::Value::Object(fields) = key else {
+            panic!("a key is an object: {key:?}");
+        };
+        for (name, value) in fields {
+            if name == "coverage_ppm" {
+                *value = serde_json::Value::U64(0);
+            }
+        }
+        let text = serde_json::to_string(key).unwrap();
+        assert!(now.contains(&text), "dropped: {text}");
     }
 }

@@ -8,7 +8,6 @@
 //! contention factor is exact for meshes and odd sizes too.
 
 use crate::params::MachineParams;
-use crate::peak::aa_peak_time_secs;
 use bgl_torus::{AaLoadAnalysis, Partition};
 
 /// Direct all-to-all time in seconds (Equation 3).
@@ -18,35 +17,6 @@ pub fn aa_direct_time_secs(part: &Partition, m: u64, params: &MachineParams) -> 
     let header = params.software_header_bytes as f64;
     p * params.alpha_direct_secs()
         + p * contention * (m as f64 + header) * params.beta_secs_per_byte()
-}
-
-/// Efficiency the model predicts for the direct strategy: peak over modelled
-/// time. Approaches `m/(m+h)` (header overhead) for large `m`, collapses
-/// for small `m` where the `P·α` term dominates.
-pub fn predicted_percent_of_peak(part: &Partition, m: u64, params: &MachineParams) -> f64 {
-    crate::percent_of_peak(
-        aa_peak_time_secs(part, m, params),
-        aa_direct_time_secs(part, m, params),
-    )
-}
-
-/// The model curve for Figures 1 and 2: `(m, T_model_secs, T_peak_secs)`
-/// for each message size in `sizes`.
-pub fn model_curve(
-    part: &Partition,
-    sizes: &[u64],
-    params: &MachineParams,
-) -> Vec<(u64, f64, f64)> {
-    sizes
-        .iter()
-        .map(|&m| {
-            (
-                m,
-                aa_direct_time_secs(part, m, params),
-                aa_peak_time_secs(part, m, params),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -74,14 +44,20 @@ mod tests {
         assert!(t >= 2.0 * 1000.0 * params.beta_secs_per_byte());
     }
 
+    /// Peak over modelled time, percent.
+    fn efficiency(part: &Partition, m: u64, params: &MachineParams) -> f64 {
+        let peak = crate::peak::aa_peak_time_secs(part, m, params);
+        crate::percent_of_peak(peak, aa_direct_time_secs(part, m, params))
+    }
+
     #[test]
     fn large_message_efficiency_approaches_payload_fraction() {
         let params = MachineParams::bgl();
         let part: Partition = "8x8x8".parse().unwrap();
         // m/(m+h): 4096/(4096+48) ≈ 98.8 %.
-        let eff = predicted_percent_of_peak(&part, 4096, &params);
+        let eff = efficiency(&part, 4096, &params);
         assert!(eff > 95.0 && eff < 100.0, "{eff}");
-        let eff_huge = predicted_percent_of_peak(&part, 1 << 20, &params);
+        let eff_huge = efficiency(&part, 1 << 20, &params);
         assert!(eff_huge > 99.9, "{eff_huge}");
     }
 
@@ -89,21 +65,7 @@ mod tests {
     fn small_message_efficiency_is_startup_bound() {
         let params = MachineParams::bgl();
         let part: Partition = "8x8x8".parse().unwrap();
-        let eff = predicted_percent_of_peak(&part, 8, &params);
+        let eff = efficiency(&part, 8, &params);
         assert!(eff < 15.0, "{eff}");
-    }
-
-    #[test]
-    fn model_curve_is_monotone_in_m() {
-        let params = MachineParams::bgl();
-        let part: Partition = "8x8x8".parse().unwrap();
-        let sizes: Vec<u64> = (0..10).map(|i| 16u64 << i).collect();
-        let curve = model_curve(&part, &sizes, &params);
-        assert_eq!(curve.len(), 10);
-        for w in curve.windows(2) {
-            assert!(w[1].1 > w[0].1);
-            assert!(w[1].2 > w[0].2);
-            assert!(w[0].1 > w[0].2, "model must sit above peak");
-        }
     }
 }

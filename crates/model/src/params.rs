@@ -1,7 +1,5 @@
 //! Measured BG/L machine parameters and unit conversions.
 
-use serde::{Deserialize, Serialize};
-
 /// The measured constants of the paper's communication model, plus the BG/L
 /// packet geometry and clock, with unit-conversion helpers.
 ///
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// | minimum AA packet           | 64 B | [`min_packet_bytes`](Self::min_packet_bytes) |
 /// | CPU clock                   | 700 MHz | [`cpu_mhz`](Self::cpu_mhz) |
 /// | per-core link throughput    | ~4 links (data not in L1) | [`cpu_links_sustained`](Self::cpu_links_sustained) |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineParams {
     /// Per-destination startup overhead of the packetized direct (AR)
     /// runtime, in CPU cycles.
@@ -146,32 +144,6 @@ impl MachineParams {
     pub fn max_packet_payload(&self) -> u32 {
         self.max_packet_bytes - self.packet_overhead_bytes
     }
-
-    /// Number of packets needed to carry `m` payload bytes plus the
-    /// software header `h` in the first packet (the paper's AA message
-    /// layout: `h` rides in packet one, so the shortest AA packet is 64 B).
-    pub fn packets_for_message(&self, m: u64) -> u64 {
-        let total = m + self.software_header_bytes as u64;
-        total.div_ceil(self.max_packet_payload() as u64)
-    }
-
-    /// Size in bytes of the `i`-th packet (0-based) of an `m`-byte message,
-    /// rounded up to the chunk granularity and clamped to
-    /// [`min_packet_bytes`](Self::min_packet_bytes).
-    pub fn packet_bytes(&self, m: u64, i: u64) -> u32 {
-        let total = m + self.software_header_bytes as u64;
-        let n = self.packets_for_message(m);
-        debug_assert!(i < n);
-        let payload_per = self.max_packet_payload() as u64;
-        let this_payload = if i + 1 < n {
-            payload_per
-        } else {
-            total - payload_per * (n - 1)
-        };
-        let raw = this_payload as u32 + self.packet_overhead_bytes;
-        let rounded = raw.div_ceil(self.chunk_bytes) * self.chunk_bytes;
-        rounded.clamp(self.min_packet_bytes, self.max_packet_bytes)
-    }
 }
 
 impl Default for MachineParams {
@@ -200,63 +172,6 @@ mod tests {
         assert_eq!(p.payload_bytes_per_cycle(), 30.0);
         assert!((p.secs_per_sim_cycle() * 1e9 - 194.4).abs() < 0.1);
         assert!((p.cpu_cycles_per_sim_cycle() - 136.08).abs() < 0.1);
-    }
-
-    #[test]
-    fn packet_layout_small_messages() {
-        let p = MachineParams::bgl();
-        // 1-byte message: 48 B header + 1 B payload + 16 B overhead = 65 B
-        // → rounds to 96? No: payload+header = 49, +16 = 65 → 3 chunks = 96;
-        // but the paper says the shortest AA packet is 64 B, i.e. the 48-B
-        // header plus tiny payload fits the 64-B floor. Verify the floor
-        // binds at m = 0-ish and the value for m = 1.
-        assert_eq!(p.packets_for_message(1), 1);
-        let b = p.packet_bytes(1, 0);
-        assert!(b == 64 || b == 96, "got {b}");
-        assert!(b >= p.min_packet_bytes);
-    }
-
-    #[test]
-    fn packet_layout_full_packets() {
-        let p = MachineParams::bgl();
-        // 240-B payload + 48-B header = 288 → 2 packets.
-        assert_eq!(p.packets_for_message(240), 2);
-        // 192-B payload + 48 header = 240 → exactly 1 full packet.
-        assert_eq!(p.packets_for_message(192), 1);
-        assert_eq!(p.packet_bytes(192, 0), 256);
-        // Large message: all interior packets are 256 B.
-        let m = 4096;
-        let n = p.packets_for_message(m);
-        for i in 0..n - 1 {
-            assert_eq!(p.packet_bytes(m, i), 256);
-        }
-    }
-
-    #[test]
-    fn packets_cover_payload_exactly_once() {
-        let p = MachineParams::bgl();
-        for m in [1u64, 31, 32, 63, 64, 192, 193, 240, 1000, 4096, 65536] {
-            let n = p.packets_for_message(m);
-            // Payload capacity of n packets must cover header+m, and n-1
-            // packets must not.
-            let cap = n * p.max_packet_payload() as u64;
-            assert!(cap >= m + 48, "m={m}");
-            if n > 1 {
-                assert!((n - 1) * p.max_packet_payload() as u64 <= m + 48, "m={m}");
-            }
-        }
-    }
-
-    #[test]
-    fn packet_bytes_are_chunk_multiples_in_range() {
-        let p = MachineParams::bgl();
-        for m in [1u64, 100, 240, 241, 4096] {
-            for i in 0..p.packets_for_message(m) {
-                let b = p.packet_bytes(m, i);
-                assert_eq!(b % p.chunk_bytes, 0);
-                assert!(b >= p.min_packet_bytes && b <= p.max_packet_bytes);
-            }
-        }
     }
 
     #[test]

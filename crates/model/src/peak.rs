@@ -11,24 +11,10 @@ pub fn aa_peak_time_secs(part: &Partition, m: u64, params: &MachineParams) -> f6
     AaLoadAnalysis::new(*part).peak_time_byte_times(m) * params.beta_secs_per_byte()
 }
 
-/// Peak time in simulator cycles. A cycle moves one 32-byte chunk per link
-/// — 30 payload bytes when packets are full — and β is a payload byte-time,
-/// so the conversion divides by the payload rate.
-pub fn aa_peak_time_cycles(part: &Partition, m: u64, params: &MachineParams) -> f64 {
-    AaLoadAnalysis::new(*part).peak_time_byte_times(m) / params.payload_bytes_per_cycle()
-}
-
 /// Peak per-node send bandwidth during the all-to-all, bytes/second
 /// (Figure 3's "peak bisection bandwidth per node" curve).
 pub fn peak_per_node_bandwidth(part: &Partition, params: &MachineParams) -> f64 {
     AaLoadAnalysis::new(*part).peak_per_node_rate() / params.beta_secs_per_byte()
-}
-
-/// Achieved per-node bandwidth given a measured all-to-all time, for
-/// Figure 3's measured curves: `(P-1)·m / t`.
-pub fn achieved_per_node_bandwidth(part: &Partition, m: u64, t_secs: f64) -> f64 {
-    let p = part.num_nodes() as f64;
-    (p - 1.0) * m as f64 / t_secs
 }
 
 #[cfg(test)]
@@ -78,33 +64,12 @@ mod tests {
     }
 
     #[test]
-    fn cycles_and_seconds_agree() {
-        let params = MachineParams::bgl();
-        let part: Partition = "8x32x16".parse().unwrap();
-        let secs = aa_peak_time_secs(&part, 1024, &params);
-        let cycles = aa_peak_time_cycles(&part, 1024, &params);
-        assert!((cycles * params.secs_per_sim_cycle() - secs).abs() / secs < 1e-12);
-    }
-
-    #[test]
     fn per_node_bandwidth_for_midplane() {
         // ≈ 8/(M·β): for M = 8, ≈ 154 MB/s.
         let params = MachineParams::bgl();
         let part: Partition = "8x8x8".parse().unwrap();
         let bw = peak_per_node_bandwidth(&part, &params);
         assert!((bw / 1e6 - 154.0).abs() < 1.0, "{bw}");
-    }
-
-    #[test]
-    fn achieved_equals_peak_at_peak_time() {
-        let params = MachineParams::bgl();
-        let part: Partition = "16x16x16".parse().unwrap();
-        let m = 2048;
-        let t = aa_peak_time_secs(&part, m, &params);
-        let ach = achieved_per_node_bandwidth(&part, m, t);
-        let peak = peak_per_node_bandwidth(&part, &params);
-        // Both sides count (P-1) destinations, so the ratio is exactly 1.
-        assert!((ach / peak - 1.0).abs() < 1e-9);
     }
 
     #[test]

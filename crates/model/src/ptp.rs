@@ -2,7 +2,6 @@
 //! `T_ptp = α + (m+h)·C·β + L`.
 
 use crate::params::MachineParams;
-use bgl_torus::{Coord, Partition};
 
 /// The paper's point-to-point model (Equation 1).
 #[derive(Debug, Clone)]
@@ -28,18 +27,11 @@ impl<'a> PointToPoint<'a> {
             + (m as f64 + p.software_header_bytes as f64) * contention * p.beta_secs_per_byte()
             + hops as f64 * p.hop_latency_cycles * p.secs_per_cpu_cycle()
     }
-
-    /// `T_ptp` for a specific source/destination pair on `part`, assuming an
-    /// otherwise idle network (`C = 1`).
-    pub fn pair_time_secs(&self, part: &Partition, src: Coord, dst: Coord, m: u64) -> f64 {
-        self.time_secs(m, 1.0, part.hops(src, dst))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_torus::Coord;
 
     #[test]
     fn zero_byte_cost_is_alpha_plus_header_plus_latency() {
@@ -74,12 +66,7 @@ mod tests {
     fn hop_latency_counts() {
         let p = MachineParams::bgl();
         let m = PointToPoint::new(&p);
-        let part: Partition = "8x8x8".parse().unwrap();
-        let near = m.pair_time_secs(&part, Coord::new(0, 0, 0), Coord::new(1, 0, 0), 100);
-        let far = m.pair_time_secs(&part, Coord::new(0, 0, 0), Coord::new(4, 4, 4), 100);
-        let extra_hops = 11.0;
-        assert!(
-            (far - near - extra_hops * p.hop_latency_cycles * p.secs_per_cpu_cycle()).abs() < 1e-15
-        );
+        let extra = m.time_secs(100, 1.0, 12) - m.time_secs(100, 1.0, 1);
+        assert!((extra - 11.0 * p.hop_latency_cycles * p.secs_per_cpu_cycle()).abs() < 1e-15);
     }
 }

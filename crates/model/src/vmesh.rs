@@ -8,7 +8,6 @@
 //! (the doubled β term and the γ term).
 
 use crate::params::MachineParams;
-use crate::peak::aa_peak_time_secs;
 use bgl_torus::{AaLoadAnalysis, VirtualMesh};
 
 /// Virtual-mesh all-to-all time in seconds (Equation 4).
@@ -22,30 +21,6 @@ pub fn aa_vmesh_time_secs(vm: &VirtualMesh, m: u64, params: &MachineParams) -> f
             * p
             * (m as f64 + proto)
             * (contention * params.beta_secs_per_byte() + params.gamma_secs_per_byte())
-}
-
-/// Efficiency relative to the Equation 2 peak (above 50 % is impossible for
-/// large `m`, since every byte is injected twice).
-pub fn predicted_percent_of_peak(vm: &VirtualMesh, m: u64, params: &MachineParams) -> f64 {
-    crate::percent_of_peak(
-        aa_peak_time_secs(vm.partition(), m, params),
-        aa_vmesh_time_secs(vm, m, params),
-    )
-}
-
-/// The prediction curve for Figure 5: `(m, T_vmesh_secs)` per message size.
-pub fn model_curve(vm: &VirtualMesh, sizes: &[u64], params: &MachineParams) -> Vec<(u64, f64)> {
-    sizes
-        .iter()
-        .map(|&m| (m, aa_vmesh_time_secs(vm, m, params)))
-        .collect()
-}
-
-/// The paper's simplified crossover estimate between direct and combining:
-/// comparing only the β terms of Equations 3 and 4 gives
-/// `m* = h − 2·proto` (= 32 B with the BG/L defaults).
-pub fn crossover_beta_terms_only(params: &MachineParams) -> f64 {
-    params.software_header_bytes as f64 - 2.0 * params.proto_header_bytes as f64
 }
 
 /// Exact model crossover: the message size where Equation 3 equals
@@ -95,11 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_crossover_is_32_bytes() {
-        assert_eq!(crossover_beta_terms_only(&MachineParams::bgl()), 32.0);
-    }
-
-    #[test]
     fn exact_crossover_in_paper_range() {
         // The paper observes the measured change-over between 32 and 64
         // bytes; the full model (α terms included) must agree broadly.
@@ -129,21 +99,11 @@ mod tests {
     fn large_message_efficiency_capped_near_half() {
         // Twice-injected bytes: ≤ ~50 % of peak for large m.
         let params = MachineParams::bgl();
-        let eff = predicted_percent_of_peak(&vm512(), 65536, &params);
+        let vm = vm512();
+        let peak = crate::peak::aa_peak_time_secs(vm.partition(), 65536, &params);
+        let eff = crate::percent_of_peak(peak, aa_vmesh_time_secs(&vm, 65536, &params));
         assert!(eff < 51.0, "{eff}");
         assert!(eff > 30.0, "{eff}");
-    }
-
-    #[test]
-    fn model_curve_matches_pointwise_eval() {
-        let params = MachineParams::bgl();
-        let vm = vm512();
-        let sizes = [1u64, 8, 64, 512];
-        let curve = model_curve(&vm, &sizes, &params);
-        for (i, &(m, t)) in curve.iter().enumerate() {
-            assert_eq!(m, sizes[i]);
-            assert_eq!(t, aa_vmesh_time_secs(&vm, m, &params));
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::fault::FaultPlan;
 use crate::flow::FlowSpec;
-use crate::perf::{PerfConfig, ProgressConfig};
+use crate::perf::PerfConfig;
 use crate::trace::TraceConfig;
 use bgl_torus::Partition;
 
@@ -158,9 +158,6 @@ pub struct RouterConfig {
     /// Whether adaptive (dynamic-VC) packets may fall back to the bubble
     /// escape VC when every dynamic choice is blocked. BG/L behaviour: yes.
     pub adaptive_bubble_escape: bool,
-    /// Pipeline latency per hop, cycles, added after the last chunk of a
-    /// packet crosses a link before it is visible downstream.
-    pub hop_latency_cycles: u32,
     /// Longest-first shaping (an extension beyond the hardware, off by
     /// default): adaptive packets move only along their longest remaining
     /// dimension(s), keeping the dimension-ordered direction as the bubble
@@ -176,7 +173,6 @@ impl Default for RouterConfig {
             transit_priority: true,
             bubble_slack_chunks: 8,
             adaptive_bubble_escape: true,
-            hop_latency_cycles: 1,
             longest_first_bias: false,
         }
     }
@@ -194,8 +190,6 @@ pub struct SimConfig {
     /// Number of injection FIFOs per node (BG/L has eight; six is enough
     /// for every strategy here and keeps state small).
     pub inj_fifo_count: u32,
-    /// Capacity of each injection FIFO, chunks.
-    pub inj_fifo_chunks: u32,
     /// Reception FIFO capacity, chunks. When full, arriving packets stall
     /// in their VC FIFOs and back-pressure the network.
     pub reception_fifo_chunks: u32,
@@ -260,11 +254,11 @@ pub struct SimConfig {
     /// `NetStats` is byte-identical with profiling on or off, in every
     /// engine mode.
     pub perf: Option<PerfConfig>,
-    /// Opt-in progress heartbeat: `Some(cfg)` makes the engine print a
-    /// rate-limited status line (cycle, packets delivered, elapsed, ETA)
-    /// to **stderr** during the run. Stdout and results are untouched, so
-    /// piped output stays byte-identical. `None` (the default) is silent.
-    pub progress: Option<ProgressConfig>,
+    /// Opt-in progress heartbeat: `true` makes the engine print a status
+    /// line (cycle, packets delivered, elapsed, ETA) to **stderr** at most
+    /// once a second during the run. Stdout and results are untouched, so
+    /// piped output stays byte-identical. `false` (the default) is silent.
+    pub progress: bool,
     /// Fault injection plan (see [`crate::fault`]): directed links and
     /// whole nodes that are dead from the start or fail/recover at
     /// scheduled cycles. The empty plan (the default) is the healthy
@@ -281,7 +275,6 @@ impl SimConfig {
             router: RouterConfig::default(),
             cpu: CpuConfig::default(),
             inj_fifo_count: 6,
-            inj_fifo_chunks: 16,
             reception_fifo_chunks: 64,
             inj_class_masks: Vec::new(),
             flow: FlowSpec::Unpaced,
@@ -293,7 +286,7 @@ impl SimConfig {
             shards: std::num::NonZeroUsize::new(1).expect("1 is non-zero"),
             check_invariants: false,
             perf: None,
-            progress: None,
+            progress: false,
             fault: FaultPlan::default(),
         }
     }

@@ -81,12 +81,13 @@ use crate::stats::{NetStats, LATENCY_BUCKETS};
 use bgl_torus::{Direction, MAX_DIMS, MAX_PORTS};
 use oracle::Oracle;
 use perf::{PerfState, ProgressState};
-use phases::{Phases, Shared};
+use phases::{Phases, Shared, HOP_LATENCY_CYCLES};
 use std::cell::Cell;
 use tracer::Tracer;
 
 /// In-flight ring size; must exceed max packet chunks + hop latency.
 const RING: usize = 64;
+const _: () = assert!(8 + HOP_LATENCY_CYCLES < RING as u64);
 
 /// Why frozen traffic is frozen, computed from the queue state at the
 /// moment the watchdog fires so a stall is diagnosable without a trace
@@ -507,10 +508,6 @@ impl Engine {
         let p = part.num_nodes() as usize;
         assert_eq!(programs.len(), p, "need exactly one program per node");
         assert!(
-            (8 + cfg.router.hop_latency_cycles as usize) < RING,
-            "hop latency too large for the in-flight ring"
-        );
-        assert!(
             cfg.cpu.chunks_per_cycle > 0.0,
             "CPU bandwidth must be positive"
         );
@@ -594,10 +591,7 @@ impl Engine {
             .perf
             .is_some()
             .then(|| Box::new(PerfState::new(cfg.engine == EngineMode::EventDriven)));
-        let progress = cfg
-            .progress
-            .as_ref()
-            .map(|pc| Box::new(ProgressState::new(pc)));
+        let progress = cfg.progress.then(|| Box::new(ProgressState::new()));
         let mut fault_alive = Vec::new();
         let mut fault_schedule = Vec::new();
         if !cfg.fault.is_empty() {

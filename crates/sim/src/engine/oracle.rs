@@ -11,7 +11,7 @@
 //! The oracle only watches: a run executes the same code in the same
 //! order with it on or off.
 
-use super::Engine;
+use super::{phases::INJ_FIFO_CHUNKS, Engine};
 use crate::config::NUM_VCS;
 use crate::fifo::ChunkFifo;
 use crate::packet::Packet;
@@ -215,7 +215,7 @@ impl Engine {
                     cfg.router.vc_fifo_chunks
                 );
             }
-            let inj = st.fifos.inj(ni).iter().map(|f| (f, cfg.inj_fifo_chunks));
+            let inj = st.fifos.inj(ni).iter().map(|f| (f, INJ_FIFO_CHUNKS));
             for (f, capacity) in inj.chain([(st.fifos.reception(ni), cfg.reception_fifo_chunks)]) {
                 assert!(
                     f.occupied_chunks() <= capacity,

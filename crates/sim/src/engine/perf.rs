@@ -10,7 +10,7 @@
 use super::event::WakeCause;
 use super::Engine;
 use crate::node::PollState;
-use crate::perf::{EventPerf, PerfProfile, ProgressConfig};
+use crate::perf::{EventPerf, PerfProfile};
 use std::time::Instant;
 
 /// Live profiler state: the profile under construction plus accumulators
@@ -34,11 +34,13 @@ impl PerfState {
     }
 }
 
+/// Minimum wall-clock seconds between heartbeat lines.
+const PROGRESS_INTERVAL_SECS: f64 = 1.0;
+
 /// Rate-limited stderr heartbeat. Consulting the host clock every cycle
 /// would dominate thin cycles, so the state adapts a cycle stride aimed at
 /// a handful of clock reads per emit interval.
 pub(super) struct ProgressState {
-    interval_secs: f64,
     started: Instant,
     last_emit: Instant,
     /// Next cycle at which to consult the host clock.
@@ -48,10 +50,9 @@ pub(super) struct ProgressState {
 }
 
 impl ProgressState {
-    pub(super) fn new(cfg: &ProgressConfig) -> ProgressState {
+    pub(super) fn new() -> ProgressState {
         let now = Instant::now();
         ProgressState {
-            interval_secs: cfg.interval_secs.max(0.01),
             started: now,
             last_emit: now,
             next_check: 0,
@@ -140,7 +141,7 @@ impl Engine {
     }
 
     /// Rate-limited heartbeat, called from the run loop whenever
-    /// `now >= next_check`. Reads the host clock, and if the configured
+    /// `now >= next_check`. Reads the host clock, and if the emit
     /// interval has elapsed prints one status line to stderr; either way
     /// it re-aims the cycle stride at ~8 clock reads per interval.
     pub(super) fn progress_heartbeat(&mut self) {
@@ -149,7 +150,7 @@ impl Engine {
             return;
         };
         let since_emit = pr.last_emit.elapsed().as_secs_f64();
-        if since_emit >= pr.interval_secs {
+        if since_emit >= PROGRESS_INTERVAL_SECS {
             let elapsed = pr.started.elapsed().as_secs_f64();
             let done = self.done_programs;
             let eta = if done > 0 && done < total && elapsed > 0.0 {
@@ -169,7 +170,7 @@ impl Engine {
             // run-average cycle rate, clamped to stay responsive yet cheap.
             let elapsed = pr.started.elapsed().as_secs_f64();
             let cycles_per_sec = self.now as f64 / elapsed.max(1e-6);
-            let want = (cycles_per_sec * pr.interval_secs / 8.0) as u64;
+            let want = (cycles_per_sec * PROGRESS_INTERVAL_SECS / 8.0) as u64;
             pr.stride = want.clamp(256, 1 << 24);
         }
         pr.next_check = self.now + pr.stride;

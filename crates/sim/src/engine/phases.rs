@@ -60,6 +60,13 @@ use std::cell::Cell;
 /// packets stuck behind a congested phase-2 forward).
 const INJECT_SCAN: usize = 16;
 
+/// Capacity of each injection FIFO, chunks.
+pub(super) const INJ_FIFO_CHUNKS: u32 = 16;
+
+/// Pipeline latency per hop, cycles, added after the last chunk of a
+/// packet crosses a link before it is visible downstream.
+pub(super) const HOP_LATENCY_CYCLES: u64 = 1;
+
 /// Node `i`'s row of a per-link table (`node * ports + dir`).
 #[inline]
 fn row<T>(table: &mut [T], i: usize, ports: usize) -> &mut [T] {
@@ -369,8 +376,7 @@ impl Shared {
                 from_pref &= from_pref - 1;
             }
             let pref = from_pref.trailing_zeros() as usize;
-            let capacity = self.cfg.inj_fifo_chunks;
-            let fits = |f: usize| inj[f].occupied_chunks() + chunks as u32 <= capacity;
+            let fits = |f: usize| inj[f].occupied_chunks() + chunks as u32 <= INJ_FIFO_CHUNKS;
             let ascending = (0..inj.len()).filter(|&f| eligible >> f & 1 != 0);
             if let Some(f) = std::iter::once(pref).chain(ascending).find(|&f| fits(f)) {
                 return Some((qi, f, plan, dst));
@@ -1109,9 +1115,8 @@ impl Phases<'_> {
             }
             o.on_hop(pkt.id, t);
         }
-        // Filed as won, so a ring slot lists its arrivals in win order;
-        // `Engine::new` checked that no flight outlasts the ring.
-        let arrive = t + chunks as u64 + self.shared.cfg.router.hop_latency_cycles as u64;
+        // Filed as won, so a ring slot lists its arrivals in win order.
+        let arrive = t + chunks as u64 + HOP_LATENCY_CYCLES;
         debug_assert!(arrive - t < RING as u64, "a flight must fit the ring");
         let arr = Arrival::new(nb as u32, h, fifo as u8, pkt);
         self.st.ring[(arrive % RING as u64) as usize].push(arr);

@@ -25,11 +25,11 @@
 //!   or reach the node while it is down.
 
 use bgl_torus::{Direction, Partition};
-use serde::{de_field, Deserialize, Serialize};
+use serde::Serialize;
 
 /// A fault on one directed link, identified by its source node and output
 /// direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct LinkFault {
     /// Rank of the node the link leaves.
     pub node: u32,
@@ -54,7 +54,7 @@ impl LinkFault {
 }
 
 /// A fault on a whole node: every directed link into or out of it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct NodeFault {
     /// Rank of the faulted node.
     pub rank: u32,
@@ -79,28 +79,13 @@ impl NodeFault {
 ///
 /// Part of [`SimConfig`](crate::SimConfig) and of the harness `RunKey`, so
 /// a faulty run can never share a result-cache slot with a healthy one.
-/// The empty plan is the default and deserializes from configs written
-/// before fault injection existed.
+/// The empty plan is the default.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct FaultPlan {
     /// Individual directed-link faults.
     pub links: Vec<LinkFault>,
     /// Whole-node faults (expanded to all incident directed links).
     pub nodes: Vec<NodeFault>,
-}
-
-impl Deserialize for FaultPlan {
-    fn from_value(v: &serde::Value) -> Result<FaultPlan, serde::Error> {
-        Ok(FaultPlan {
-            links: de_field(v, "links")?,
-            nodes: de_field(v, "nodes")?,
-        })
-    }
-
-    /// Configs predating fault injection deserialize to the empty plan.
-    fn from_missing(_field: &str) -> Result<FaultPlan, serde::Error> {
-        Ok(FaultPlan::default())
-    }
 }
 
 /// One directed link's fail/recover schedule, produced by
@@ -226,7 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn link_fault_round_trips_through_serde() {
+    fn fault_plan_serializes_as_the_run_key_spells_it() {
         let plan = FaultPlan {
             links: vec![LinkFault {
                 node: 3,
@@ -236,12 +221,12 @@ mod tests {
             }],
             nodes: vec![NodeFault::dead(7)],
         };
-        let v = plan.to_value();
-        assert_eq!(FaultPlan::from_value(&v).unwrap(), plan);
-        // Configs written before fault injection have no `fault` field.
         assert_eq!(
-            FaultPlan::from_missing("fault").unwrap(),
-            FaultPlan::default()
+            serde_json::to_string(&plan).unwrap(),
+            concat!(
+                r#"{"links":[{"node":3,"dir":{"dim":"X","sign":"Plus"},"fail_at":100,"recover_at":200}],"#,
+                r#""nodes":[{"rank":7,"fail_at":0,"recover_at":null}]}"#
+            )
         );
     }
 

@@ -49,7 +49,7 @@ pub use engine::{Engine, FaultBlock, SimError, StallBreakdown};
 pub use fault::{FaultPlan, LinkFault, LinkSchedule, NodeFault};
 pub use flow::{FlowLedger, FlowSpec};
 pub use packet::{Packet, PacketMeta, RoutingMode, SendSpec, NO_DETOUR};
-pub use perf::{EventPerf, PerfConfig, PerfProfile, PhaseSecs, ProgressConfig};
+pub use perf::{EventPerf, PerfConfig, PerfProfile, PhaseSecs};
 pub use program::{NodeApi, NodeProgram, PollHint, ScriptedProgram};
 pub use stats::NetStats;
 pub use trace::{OccStat, Trace, TraceConfig, TraceSample};

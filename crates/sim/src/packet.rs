@@ -2,10 +2,9 @@
 
 use crate::config::Vc;
 use bgl_torus::{Coord, HopPlan, Partition, TieBreak};
-use serde::{Deserialize, Serialize};
 
 /// How a packet is routed through the torus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingMode {
     /// Minimal adaptive routing on the dynamic VCs (join-shortest-queue
     /// direction/VC choice), with optional bubble-VC escape.
@@ -17,7 +16,7 @@ pub enum RoutingMode {
 /// Strategy-defined metadata carried end-to-end in a packet's software
 /// header. The simulator never interprets it; node programs use it to
 /// implement forwarding and combining.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PacketMeta {
     /// Discriminator (e.g. phase number).
     pub kind: u8,

@@ -26,7 +26,7 @@
 //! host-dependent by nature and are excluded from golden fingerprints and
 //! run-cache identity.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of power-of-two skip-length buckets in
 /// [`EventPerf::skip_histogram`]: bucket `k` counts fast-forward jumps of
@@ -40,29 +40,12 @@ pub const SKIP_BUCKETS: usize = 24;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PerfConfig {}
 
-/// Progress-heartbeat configuration; attach to
-/// [`SimConfig::progress`](crate::SimConfig::progress) to make the engine
-/// print a rate-limited status line to **stderr** during long runs
-/// (current cycle, packets delivered, elapsed wall time, ETA). Stdout is
-/// never touched, so piped output stays byte-identical. Off by default.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProgressConfig {
-    /// Minimum wall-clock seconds between heartbeat lines.
-    pub interval_secs: f64,
-}
-
-impl Default for ProgressConfig {
-    fn default() -> Self {
-        ProgressConfig { interval_secs: 1.0 }
-    }
-}
-
 /// Wall-clock seconds spent in each engine phase (see `Phases::cycle` in
 /// `crates/sim/src/engine/phases.rs`). The labels are rows of the ladder
 /// benchmark, which is why `id_fixup` — the packet-id rewrite of the
 /// removed threaded engine — is still a slot: it reports 0 until a
 /// benchmark change retires the row.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct PhaseSecs {
     /// Phase 1: committing in-flight ring arrivals into VC FIFOs.
     pub arrivals: f64,
@@ -113,7 +96,7 @@ impl PhaseSecs {
 /// component whose bound won the earliest-event minimum; clamp counts
 /// record jumps cut short by the watchdog or cycle-limit horizon or by a
 /// scheduled fault transition.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct EventPerf {
     /// Cycles the engine never stepped (total fast-forward distance).
     pub skipped_cycles: u64,
@@ -176,7 +159,7 @@ impl EventPerf {
 /// A completed run's host-side performance profile (see the module docs
 /// for what is collected). All times are wall-clock seconds on the host;
 /// none of this data describes *simulated* time.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct PerfProfile {
     /// Wall-clock seconds of the whole `Engine::run` call, every exit
     /// path included (completion, stall, cycle limit).
@@ -349,27 +332,5 @@ mod tests {
         assert!(rows.iter().any(|r| r[0] == "skip_len_2e0"));
         // No quoting ever triggers: metrics and numbers are comma-free.
         assert!(!csv.contains('"'));
-    }
-
-    #[test]
-    fn profile_round_trips_json() {
-        let mut ev = EventPerf::default();
-        ev.record_skip(37);
-        ev.wake_rate_window += 1;
-        let p = PerfProfile {
-            total_secs: 1.25,
-            stepped_cycles: 10,
-            active_occupancy_mean: 3.5,
-            active_occupancy_max: 9,
-            peak_live_packets: 12,
-            phases: phases(0.5),
-            cpu_parked: 7,
-            slab_slots: 16,
-            event: Some(ev),
-            ..PerfProfile::default()
-        };
-        let json = serde_json::to_string(&p).unwrap();
-        let back: PerfProfile = serde_json::from_str(&json).unwrap();
-        assert_eq!(p, back);
     }
 }

@@ -2,14 +2,14 @@
 //! latency distribution and stall accounting.
 
 use bgl_torus::{Dim, Direction, Partition};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of power-of-two latency histogram buckets (bucket `i` counts
 /// deliveries with latency in `[2^i, 2^(i+1))` cycles).
 pub const LATENCY_BUCKETS: usize = 24;
 
 /// Statistics accumulated by a simulation run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct NetStats {
     /// Cycle at which the last payload packet was delivered (== total
     /// all-to-all time in cycles).
@@ -63,15 +63,6 @@ pub struct NetStats {
 }
 
 impl NetStats {
-    /// Mean delivered-packet latency in cycles.
-    pub fn mean_latency(&self) -> f64 {
-        if self.packets_delivered == 0 {
-            0.0
-        } else {
-            self.total_latency_cycles as f64 / self.packets_delivered as f64
-        }
-    }
-
     /// Mean utilization of the links of `dim` over the run: busy
     /// chunk-cycles divided by (directed links × completion cycles).
     pub fn dim_utilization(&self, part: &Partition, dim: Dim) -> f64 {
@@ -81,32 +72,6 @@ impl NetStats {
         }
         let busy = self.link_busy_chunks.get(dim.index()).copied().unwrap_or(0);
         busy as f64 / (links as f64 * self.completion_cycle as f64)
-    }
-
-    /// Utilization of the busiest dimension.
-    pub fn peak_dim_utilization(&self, part: &Partition) -> f64 {
-        part.dims()
-            .map(|d| self.dim_utilization(part, d))
-            .fold(0.0, f64::max)
-    }
-
-    /// Approximate latency percentile (cycles) from the power-of-two
-    /// histogram: returns the upper bound of the bucket containing the
-    /// `q`-quantile delivery (`q` in `[0,1]`).
-    pub fn latency_percentile(&self, q: f64) -> u64 {
-        let total: u64 = self.latency_histogram.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let want = ((total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &c) in self.latency_histogram.iter().enumerate() {
-            seen += c;
-            if seen >= want {
-                return 1u64 << (i + 1);
-            }
-        }
-        1u64 << LATENCY_BUCKETS
     }
 
     /// The `n` busiest directed links as `(node, direction, utilization)`,
@@ -157,22 +122,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mean_latency_handles_zero_packets() {
-        let s = NetStats::default();
-        assert_eq!(s.mean_latency(), 0.0);
-    }
-
-    #[test]
-    fn mean_latency_divides() {
-        let s = NetStats {
-            packets_delivered: 4,
-            total_latency_cycles: 100,
-            ..Default::default()
-        };
-        assert_eq!(s.mean_latency(), 25.0);
-    }
-
-    #[test]
     fn utilization_accounts_links_and_cycles() {
         let part: Partition = "8x8x8".parse().unwrap();
         let s = NetStats {
@@ -182,10 +131,6 @@ mod tests {
         };
         assert!((s.dim_utilization(&part, Dim::X) - 0.5).abs() < 1e-12);
         assert_eq!(s.dim_utilization(&part, Dim::Y), 0.0);
-        assert_eq!(
-            s.peak_dim_utilization(&part),
-            s.dim_utilization(&part, Dim::X)
-        );
     }
 
     #[test]
@@ -205,24 +150,6 @@ mod tests {
             ..Default::default()
         };
         assert!((s.dim_utilization(&part, Dim::from_index(3)) - 0.5).abs() < 1e-12);
-        assert_eq!(
-            s.peak_dim_utilization(&part),
-            s.dim_utilization(&part, Dim::from_index(3))
-        );
-    }
-
-    #[test]
-    fn latency_percentile_from_histogram() {
-        let mut h = vec![0u64; LATENCY_BUCKETS];
-        h[3] = 50; // latencies 8..16
-        h[6] = 50; // latencies 64..128
-        let s = NetStats {
-            latency_histogram: h,
-            ..Default::default()
-        };
-        assert_eq!(s.latency_percentile(0.25), 16);
-        assert_eq!(s.latency_percentile(0.75), 128);
-        assert_eq!(NetStats::default().latency_percentile(0.5), 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! per cycle and nothing else.
 
 use bgl_torus::Dim;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Tracer configuration; attach to
 /// [`SimConfig::trace`](crate::SimConfig::trace) to enable sampling.
@@ -68,7 +68,7 @@ impl TraceConfig {
 
 /// Mean + max occupancy (in chunks) over a population of FIFOs at one
 /// sampling instant.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct OccStat {
     /// Mean occupied chunks per FIFO.
     pub mean_chunks: f64,
@@ -78,7 +78,7 @@ pub struct OccStat {
 
 /// One trace record: counter deltas over the window ending at `cycle`
 /// plus an instantaneous snapshot of queue state at that cycle.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default, Serialize)]
 pub struct TraceSample {
     /// Cycle the sample was taken (end of its window, inclusive).
     pub cycle: u64,
@@ -162,7 +162,7 @@ impl TraceSample {
 }
 
 /// A completed run's time series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Trace {
     /// Configured sampling interval.
     pub interval_cycles: u64,
@@ -437,13 +437,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_interval_panics() {
         let _ = TraceConfig::every(0);
-    }
-
-    #[test]
-    fn trace_round_trips_json() {
-        let t = trace();
-        let json = serde_json::to_string(&t).unwrap();
-        let back: Trace = serde_json::from_str(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

@@ -83,7 +83,10 @@ fn check_invariants(cfg: &SimConfig, stats: &bgl_sim::NetStats, trace: &Trace) {
             assert!(occ.mean_chunks <= occ.max_chunks as f64 + 1e-12);
             assert!(occ.mean_chunks >= 0.0);
         }
-        assert!(s.inj_occupancy.max_chunks <= cfg.inj_fifo_chunks);
+        assert!(
+            s.inj_occupancy.max_chunks <= 16,
+            "an injection FIFO holds 16 chunks"
+        );
         assert!(s.reception_occupancy.max_chunks <= cfg.reception_fifo_chunks);
         // A quiesced network at the final sample: nothing left in flight.
         assert!(s.phase1_in_flight + s.phase2_in_flight <= s.packets_in_flight + s.pending_sends);

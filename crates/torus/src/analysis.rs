@@ -38,10 +38,9 @@
 
 use crate::coord::Dim;
 use crate::partition::Partition;
-use serde::{Deserialize, Serialize};
 
 /// Uniform-AA load statistics for one dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DimLoad {
     /// Which dimension.
     pub dim: Dim,
@@ -65,7 +64,7 @@ pub struct DimLoad {
 /// // Equation 2: bottleneck-link load factor P·M/8 = 512·8/8.
 /// assert_eq!(a.bottleneck().load_factor, 512.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AaLoadAnalysis {
     /// The analysed partition.
     pub partition: Partition,

@@ -7,7 +7,7 @@
 //! `2n` link [`Direction`]s. The first three dimensions keep their BG/L
 //! names (`x`, `y`, `z`); higher ones are named `d3`, `d4`, `d5`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Hard upper bound on the number of torus dimensions the workspace
 /// models.
@@ -122,38 +122,17 @@ impl std::fmt::Display for Dim {
     }
 }
 
-/// Serializes with the historical enum spelling (`"X"`, `"Y"`, `"Z"`) so
-/// committed golden RunKeys keep their bytes; higher dimensions use
-/// `"D3"`..`"D5"`.
+/// Serializes as the upper-case name (`"X"`, `"Y"`, `"Z"`, `"D3"`..`"D5"`):
+/// the spelling the golden file's run keys are matched on.
 impl Serialize for Dim {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.name_upper().to_string())
     }
 }
 
-impl Deserialize for Dim {
-    fn from_value(v: &serde::Value) -> Result<Dim, serde::Error> {
-        match v {
-            serde::Value::Str(s) => match s.as_str() {
-                "X" | "x" => Ok(Dim::X),
-                "Y" | "y" => Ok(Dim::Y),
-                "Z" | "z" => Ok(Dim::Z),
-                "D3" | "d3" => Ok(Dim(3)),
-                "D4" | "d4" => Ok(Dim(4)),
-                "D5" | "d5" => Ok(Dim(5)),
-                other => Err(serde::Error::custom(format!("unknown dimension {other:?}"))),
-            },
-            serde::Value::U64(i) if (*i as usize) < MAX_DIMS => Ok(Dim(*i as u8)),
-            other => Err(serde::Error::custom(format!(
-                "expected dimension name, got {other:?}"
-            ))),
-        }
-    }
-}
-
 /// Direction of travel along a dimension: towards higher (`Plus`) or lower
 /// (`Minus`) coordinates. On a torus dimension travel wraps around.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 #[repr(u8)]
 pub enum Sign {
     /// Towards increasing coordinate (with wrap on a torus dimension).
@@ -175,7 +154,7 @@ impl Sign {
 
 /// One of the `2n` link directions leaving a node of an n-dimensional
 /// partition (`X+`, `X-`, `Y+`, `Y-`, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Direction {
     /// Dimension the link runs along.
     pub dim: Dim,
@@ -342,43 +321,6 @@ impl std::fmt::Display for Coord {
     }
 }
 
-/// Serializes as a plain array of `MAX_DIMS` components. [`Coord`] never
-/// appears in committed golden files (packets and faults are rank-based
-/// on the wire), so the representation is free to be the simplest one.
-impl Serialize for Coord {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.c
-                .iter()
-                .map(|&v| serde::Value::U64(v as u64))
-                .collect(),
-        )
-    }
-}
-
-impl Deserialize for Coord {
-    fn from_value(v: &serde::Value) -> Result<Coord, serde::Error> {
-        match v {
-            serde::Value::Array(items) if items.len() <= MAX_DIMS => {
-                let mut c = [0u16; MAX_DIMS];
-                for (i, item) in items.iter().enumerate() {
-                    c[i] = u16::from_value(item)?;
-                }
-                Ok(Coord { c })
-            }
-            // Legacy 3D object form `{"x":..,"y":..,"z":..}`.
-            serde::Value::Object(_) => Ok(Coord::new(
-                serde::de_field(v, "x")?,
-                serde::de_field(v, "y")?,
-                serde::de_field(v, "z")?,
-            )),
-            other => Err(serde::Error::custom(format!(
-                "expected coordinate array, got {other:?}"
-            ))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,13 +361,9 @@ mod tests {
     }
 
     #[test]
-    fn dim_serde_keeps_legacy_spelling_and_extends() {
+    fn dim_serializes_as_its_upper_case_name() {
         assert_eq!(Dim::X.to_value(), serde::Value::Str("X".into()));
         assert_eq!(Dim::new(4).to_value(), serde::Value::Str("D4".into()));
-        for d in Dim::all(MAX_DIMS) {
-            assert_eq!(Dim::from_value(&d.to_value()).unwrap(), d);
-        }
-        assert!(Dim::from_value(&serde::Value::Str("Q".into())).is_err());
     }
 
     #[test]
@@ -493,19 +431,5 @@ mod tests {
         assert_eq!(std::mem::size_of::<Coord>(), 2 * MAX_DIMS);
         fn assert_copy<T: Copy>() {}
         assert_copy::<Coord>();
-    }
-
-    #[test]
-    fn coord_serde_roundtrip_and_legacy_object() {
-        let c = Coord::from_slice(&[3, 1, 4, 1, 5]);
-        assert_eq!(Coord::from_value(&c.to_value()).unwrap(), c);
-        // Coordinates serialized by the old 3D representation keep
-        // deserializing.
-        let legacy = serde::Value::Object(vec![
-            ("x".into(), serde::Value::U64(4)),
-            ("y".into(), serde::Value::U64(0)),
-            ("z".into(), serde::Value::U64(15)),
-        ]);
-        assert_eq!(Coord::from_value(&legacy).unwrap(), Coord::new(4, 0, 15));
     }
 }

@@ -2,7 +2,7 @@
 //! independently torus (wrapped) or mesh (unwrapped).
 
 use crate::coord::{Coord, Dim, Direction, Sign, MAX_DIMS};
-use serde::{de_field, Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::str::FromStr;
 
@@ -75,7 +75,8 @@ impl Partition {
     ///
     /// # Panics
     /// Panics if `dims` and `wrap` differ in length, if the arity is not
-    /// `1..=MAX_DIMS`, or if any dimension is zero.
+    /// `1..=MAX_DIMS`, if any dimension is zero, or if the node count
+    /// exceeds `u32::MAX` (a [`Rank`] could not name every node).
     pub fn new(dims: &[u16], wrap: &[bool]) -> Partition {
         assert_eq!(
             dims.len(),
@@ -90,6 +91,10 @@ impl Partition {
         assert!(
             dims.iter().all(|&d| d > 0),
             "partition dimensions must be positive, got {dims:?}"
+        );
+        assert!(
+            node_count(dims).is_some(),
+            "partition {dims:?} has more than u32::MAX nodes"
         );
         let mut d = [1u16; MAX_DIMS];
         let mut w = [false; MAX_DIMS];
@@ -306,10 +311,14 @@ impl Partition {
     }
 }
 
+/// `∏ dims` if it fits a [`Rank`].
+fn node_count(dims: &[u16]) -> Option<u32> {
+    dims.iter()
+        .try_fold(1u32, |p, &d| p.checked_mul(u32::from(d)))
+}
+
 /// Serializes as `{"dims": [..], "wrap": [..]}` with exactly `ndims()`
-/// entries — byte-identical to the old fixed-3D representation for every
-/// 3-dimensional partition, so committed golden RunKeys keep their bytes,
-/// while higher/lower arities extend the same shape.
+/// entries: the spelling the golden file's run keys are matched on.
 impl Serialize for Partition {
     fn to_value(&self) -> serde::Value {
         let n = self.n as usize;
@@ -333,32 +342,6 @@ impl Serialize for Partition {
                 ),
             ),
         ])
-    }
-}
-
-impl Deserialize for Partition {
-    fn from_value(v: &serde::Value) -> Result<Partition, serde::Error> {
-        let dims: Vec<u16> = de_field(v, "dims")?;
-        let wrap: Vec<bool> = de_field(v, "wrap")?;
-        if dims.len() != wrap.len() {
-            return Err(serde::Error::custom(format!(
-                "partition dims/wrap arity mismatch: {} vs {}",
-                dims.len(),
-                wrap.len()
-            )));
-        }
-        if dims.is_empty() || dims.len() > MAX_DIMS {
-            return Err(serde::Error::custom(format!(
-                "partition must have 1..={MAX_DIMS} dimensions, got {}",
-                dims.len()
-            )));
-        }
-        if dims.contains(&0) {
-            return Err(serde::Error::custom(format!(
-                "partition dimensions must be positive, got {dims:?}"
-            )));
-        }
-        Ok(Partition::new(&dims, &wrap))
     }
 }
 
@@ -426,6 +409,12 @@ impl FromStr for Partition {
             dims.push(size);
             wrap.push(!mesh);
         }
+        if node_count(&dims).is_none() {
+            let max = u32::MAX;
+            return Err(PartitionParseError(format!(
+                "{s:?} has more than {max} nodes"
+            )));
+        }
         Ok(Partition::new(&dims, &wrap))
     }
 }
@@ -480,6 +469,24 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_a_node_count_beyond_u32() {
+        // 65535² fits a `Rank`; one more factor does not, and a release
+        // build would wrap `num_nodes` instead of failing.
+        let p: Partition = "65535x65535".parse().unwrap();
+        assert_eq!(p.num_nodes(), 65535 * 65535);
+        for s in ["65535x65535x2", "65535x65535x65535x65535x65535x65535"] {
+            let err = s.parse::<Partition>().unwrap_err().to_string();
+            assert!(err.contains(s) && err.contains("nodes"), "{err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than u32::MAX nodes")]
+    fn new_rejects_a_node_count_beyond_u32() {
+        let _ = Partition::torus(65535, 65535, 2);
+    }
+
+    #[test]
     fn display_roundtrip() {
         for s in [
             "16x16",
@@ -509,29 +516,16 @@ mod tests {
     }
 
     #[test]
-    fn serde_matches_legacy_3d_bytes_and_extends() {
-        // The committed golden file stores 3-dim keys; the n-dim value
-        // must keep producing exactly that tree.
-        let p: Partition = "4x4x1".parse().unwrap();
-        let v = p.to_value();
-        let dims: Vec<u16> = de_field(&v, "dims").unwrap();
-        let wrap: Vec<bool> = de_field(&v, "wrap").unwrap();
-        assert_eq!(dims, vec![4, 4, 1]);
-        assert_eq!(wrap, vec![true, true, false]);
-        assert_eq!(Partition::from_value(&v).unwrap(), p);
-        // Arity survives the round trip at every dimensionality.
-        for s in ["8x8", "4x4x4x4", "4x4x4x4x2", "8x8x2M"] {
-            let p: Partition = s.parse().unwrap();
-            let q = Partition::from_value(&p.to_value()).unwrap();
-            assert_eq!(p, q, "{s}");
-            assert_eq!(p.ndims(), q.ndims(), "{s}");
-        }
-        // Degenerate wire forms are rejected, not asserted on.
-        let empty = serde::Value::Object(vec![
-            ("dims".into(), serde::Value::Array(vec![])),
-            ("wrap".into(), serde::Value::Array(vec![])),
-        ]);
-        assert!(Partition::from_value(&empty).is_err());
+    fn serializes_exactly_ndims_entries() {
+        use serde::Value::{Array, Bool, Object, U64};
+        let p: Partition = "4x2Mx1".parse().unwrap();
+        let dims = Array(vec![U64(4), U64(2), U64(1)]);
+        let wrap = Array(vec![Bool(true), Bool(false), Bool(false)]);
+        let want = Object(vec![("dims".into(), dims), ("wrap".into(), wrap)]);
+        assert_eq!(p.to_value(), want);
+        let flat: Partition = "8x8".parse().unwrap();
+        let two = Array(vec![U64(8), U64(8)]);
+        assert_eq!(flat.to_value().get("dims"), Some(&two));
     }
 
     #[test]

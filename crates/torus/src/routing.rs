@@ -11,11 +11,10 @@
 
 use crate::coord::{Coord, Dim, Direction, Sign, MAX_DIMS};
 use crate::partition::Partition;
-use serde::{Deserialize, Serialize};
 
 /// How to break the direction tie on an even-sized torus dimension when the
 /// destination is exactly `S/2` hops away (both directions are minimal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TieBreak {
     /// Always travel in the plus direction. Simple but loads plus links
     /// ~`S/(S-2)`× more than minus links on even tori.
@@ -35,7 +34,7 @@ pub enum TieBreak {
 /// is meaningless there). The arrays are fixed at [`MAX_DIMS`] so the plan
 /// stays a small `Copy` value inside packet headers; dimensions beyond the
 /// partition's arity simply carry zero hops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HopPlan {
     signs: [Sign; MAX_DIMS],
     hops: [u16; MAX_DIMS],

@@ -17,7 +17,7 @@
 
 use crate::coord::{Coord, Dim};
 use crate::partition::{Partition, Rank};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The three BG/L dimensions, the only ones a virtual mesh factorises:
 /// the combining strategy's row/column geometry is defined over at most a
@@ -27,7 +27,7 @@ use serde::{Deserialize, Serialize};
 const XYZ: [Dim; 3] = [Dim::X, Dim::Y, Dim::Z];
 
 /// How to lay the virtual mesh onto the physical partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum VmeshLayout {
     /// Pick automatically: plane-aligned on asymmetric 3-D partitions,
     /// otherwise the most nearly square contiguous factorisation
@@ -43,7 +43,7 @@ pub enum VmeshLayout {
 }
 
 /// A realised 2-D virtual mesh over a partition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VirtualMesh {
     part: Partition,
     /// Dimension order for the mixed-radix flattening, fastest first.
@@ -226,16 +226,6 @@ impl VirtualMesh {
         self.coord_of_flat(row * self.pvx + pos)
     }
 
-    /// All nodes of one row, in position order.
-    pub fn row_members(&self, row: u32) -> Vec<Coord> {
-        (0..self.pvx).map(|p| self.node_at(row, p)).collect()
-    }
-
-    /// All nodes of one column (fixed position), in row order.
-    pub fn col_members(&self, pos: u32) -> Vec<Coord> {
-        (0..self.pvy).map(|r| self.node_at(r, pos)).collect()
-    }
-
     /// Rank of the physical node at `(row, pos)` in the partition's
     /// canonical rank order.
     #[inline]
@@ -248,13 +238,21 @@ impl VirtualMesh {
 mod tests {
     use super::*;
 
+    fn row_members(vm: &VirtualMesh, row: u32) -> Vec<Coord> {
+        (0..vm.pvx()).map(|p| vm.node_at(row, p)).collect()
+    }
+
+    fn col_members(vm: &VirtualMesh, pos: u32) -> Vec<Coord> {
+        (0..vm.pvy()).map(|r| vm.node_at(r, pos)).collect()
+    }
+
     #[test]
     fn paper_512_choice_is_32x16() {
         let part: Partition = "8x8x8".parse().unwrap();
         let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
         assert_eq!((vm.pvx(), vm.pvy()), (32, 16));
         // Rows are half-XY planes: 32 consecutive X-fastest ranks.
-        let row0 = vm.row_members(0);
+        let row0 = row_members(&vm, 0);
         assert!(row0.iter().all(|c| c.get(Dim::Z) == 0 && c.get(Dim::Y) < 4));
         assert_eq!(row0.len(), 32);
     }
@@ -265,9 +263,9 @@ mod tests {
         let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
         assert_eq!((vm.pvx(), vm.pvy()), (128, 32));
         // Rows are XZ planes (constant Y), columns are Y lines.
-        let row0 = vm.row_members(0);
+        let row0 = row_members(&vm, 0);
         assert!(row0.iter().all(|c| c.get(Dim::Y) == 0));
-        let col0 = vm.col_members(0);
+        let col0 = col_members(&vm, 0);
         assert_eq!(col0.len(), 32);
         let (x0, z0) = (col0[0].get(Dim::X), col0[0].get(Dim::Z));
         assert!(col0
@@ -289,7 +287,7 @@ mod tests {
             assert_eq!(vm.pvx() * vm.pvy(), part.num_nodes(), "{spec}");
             let mut seen = std::collections::HashSet::new();
             for r in 0..vm.pvy() {
-                for c in vm.row_members(r) {
+                for c in row_members(&vm, r) {
                     assert_eq!(vm.row_of(c), r);
                     assert!(seen.insert(c), "{spec}: {c} in two rows");
                 }
@@ -297,7 +295,7 @@ mod tests {
             assert_eq!(seen.len() as u32, part.num_nodes());
             // Columns partition too, and cross every row exactly once.
             for pos in 0..vm.pvx() {
-                let col = vm.col_members(pos);
+                let col = col_members(&vm, pos);
                 let rows: std::collections::HashSet<u32> =
                     col.iter().map(|&c| vm.row_of(c)).collect();
                 assert_eq!(rows.len() as u32, vm.pvy(), "{spec}");
@@ -351,6 +349,6 @@ mod tests {
         );
         assert_eq!((vm.pvx(), vm.pvy()), (64, 8));
         // Rows are YZ planes (constant X).
-        assert!(vm.row_members(0).iter().all(|c| c.get(Dim::X) == 0));
+        assert!(row_members(&vm, 0).iter().all(|c| c.get(Dim::X) == 0));
     }
 }
