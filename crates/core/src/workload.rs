@@ -86,11 +86,17 @@ pub struct PacketShape {
 /// The direct strategies use `header = 48` (the software header `h`,
 /// carried in the first packet); the combining runtime uses `header = 8`
 /// (`proto`).
+///
+/// # Panics
+/// Panics if `m + header` overflows `u64` (a wrapped sum would packetize
+/// a huge message as a tiny one).
 pub fn packetize(m: u64, header: u32, min_packet: u32, params: &MachineParams) -> Vec<PacketShape> {
     let payload_cap = params.max_packet_payload() as u64;
     let overhead = params.packet_overhead_bytes as u64;
     let chunk = params.chunk_bytes as u64;
-    let total = m + header as u64;
+    let total = m.checked_add(header.into()).unwrap_or_else(|| {
+        panic!("a {m}-byte message plus its {header}-byte header overflows u64")
+    });
     let n = total.div_ceil(payload_cap).max(1);
     let mut out = Vec::with_capacity(n as usize);
     let mut app_left = m;
@@ -225,6 +231,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `u64::MAX` plus the header used to wrap to a 47-byte total in a
+    /// release build: one packet, reported as a percent of peak in the
+    /// quintillions.
+    #[test]
+    #[should_panic(expected = "18446744073709551615-byte message")]
+    fn packetize_rejects_a_size_that_overflows_with_its_header() {
+        let _ = packetize(u64::MAX, 48, 64, &params());
     }
 
     #[test]

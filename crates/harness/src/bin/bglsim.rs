@@ -64,7 +64,9 @@
 //! rewrites the committed golden fingerprints from the measured runs.
 //!
 //! Malformed input never panics: every parse failure prints a one-line
-//! error to stderr and exits with status 2. Unknown flags are rejected.
+//! error to stderr and exits with status 2. Unknown flags are rejected, and
+//! so are message sizes outside 1..=4294967295 bytes and shapes of more
+//! than 2^20 nodes.
 
 use bgl_core::*;
 use bgl_harness::cli::Cli;
@@ -95,9 +97,36 @@ fn parse_flags(
     flags
 }
 
+/// Largest partition `bglsim` simulates: 2^20 nodes, sixteen times the
+/// full 65,536-node BG/L machine. Every subcommand builds an engine with
+/// one program per node, and far beyond this that allocation alone aborts.
+const MAX_NODES: u32 = 1 << 20;
+
 fn parse_shape(s: &str) -> Partition {
-    s.parse()
-        .unwrap_or_else(|e| fail(&format!("invalid shape {s:?}: {e}")))
+    let part: Partition = s
+        .parse()
+        .unwrap_or_else(|e| fail(&format!("invalid shape {s:?}: {e}")));
+    if part.num_nodes() > MAX_NODES {
+        fail(&format!(
+            "shape {s:?} has {} nodes, more than the {MAX_NODES} bglsim simulates",
+            part.num_nodes()
+        ));
+    }
+    part
+}
+
+/// Parse a message size in bytes (`--sizes` entries, `--m`): 1 to
+/// `u32::MAX`. A zero-byte message has a zero Equation-2 peak, so its row
+/// could only read 0.0 %.
+fn parse_message_size(flag: &str, s: &str) -> u64 {
+    let m: u64 = s
+        .trim()
+        .parse()
+        .unwrap_or_else(|_| fail(&format!("{flag} needs numeric bytes, got {s:?}")));
+    if !(1..=u64::from(u32::MAX)).contains(&m) {
+        fail(&format!("{flag} must be 1..={} bytes, got {m}", u32::MAX));
+    }
+    m
 }
 
 /// The dimension of `part` called `name` (`x y z d3 d4 d5`, either case).
@@ -392,11 +421,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
         .map(String::as_str)
         .unwrap_or("64,240,912")
         .split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|_| fail(&format!("--sizes needs numeric bytes, got {s:?}")))
-        })
+        .map(|s| parse_message_size("--sizes", s))
         .collect();
     let coverage = parse_coverage(flags);
     let (json, csv) = export_flags(flags);
@@ -434,6 +459,15 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
             })
         })
         .collect();
+    // CSV has no framing for several series: refuse before simulating.
+    let csv_of_many = |p: &&String| p.ends_with(".csv") && points.len() != 1;
+    if let Some(path) = trace_out.as_ref().filter(csv_of_many) {
+        fail(&format!(
+            "--trace-out {path:?}: CSV export needs exactly one point \
+             (one strategy, one size); got {}",
+            points.len()
+        ));
+    }
     runner.run_points(&points);
     CLI.perf_summary(&runner);
     if let Some(path) = &trace_out {
@@ -488,27 +522,20 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     }
 }
 
-/// Write traced runs to `path`: RFC-4180 CSV for a `.csv` path (exactly
-/// one point — CSV has no framing for several series), JSON (the full
-/// reports, traces included) otherwise.
+/// Write traced runs to `path`: RFC-4180 CSV for a `.csv` path (the one
+/// point `cmd_sweep` admits), JSON (the full reports, traces included)
+/// otherwise.
 fn write_traces(path: &str, points: &[RunPoint], runner: &Runner) {
     let reports: Vec<AaReport> = points
         .iter()
         .filter_map(|p| runner.report(p).ok())
         .collect();
     let body = if path.ends_with(".csv") {
-        match &reports[..] {
-            [one] => one
-                .trace
-                .as_ref()
-                .unwrap_or_else(|| fail("--trace-out: run recorded no trace"))
-                .to_csv(),
-            _ => fail(&format!(
-                "--trace-out {path:?}: CSV export needs exactly one point \
-                 (one strategy, one size); got {}",
-                reports.len()
-            )),
-        }
+        reports
+            .first()
+            .and_then(|r| r.trace.as_ref())
+            .unwrap_or_else(|| fail(&format!("--trace-out {path:?}: the run failed, no trace")))
+            .to_csv()
     } else {
         serde_json::to_string_pretty(&reports).expect("serialize traces")
     };
@@ -546,10 +573,7 @@ fn cmd_pattern(flags: &HashMap<String, String>) {
     let shape = flags.get("shape").map(String::as_str).unwrap_or("4x4x4");
     let part = parse_shape(shape);
     let params = MachineParams::bgl();
-    let m: u64 = flags.get("m").map_or(480, |s| {
-        s.parse()
-            .unwrap_or_else(|_| fail(&format!("--m needs numeric bytes, got {s:?}")))
-    });
+    let m = flags.get("m").map_or(480, |s| parse_message_size("--m", s));
     let spec = flags
         .get("pattern")
         .map(String::as_str)
@@ -642,10 +666,7 @@ fn cmd_profile(flags: &HashMap<String, String>) {
     if let Err(e) = strategy.check_partition(&part) {
         fail(&e.to_string());
     }
-    let m: u64 = flags.get("m").map_or(240, |s| {
-        s.parse()
-            .unwrap_or_else(|_| fail(&format!("--m needs numeric bytes, got {s:?}")))
-    });
+    let m = flags.get("m").map_or(240, |s| parse_message_size("--m", s));
     let coverage = parse_coverage(flags);
     let (json, csv) = export_flags(flags);
     let runner = runner_from_flags(Scale::Paper, flags, true);

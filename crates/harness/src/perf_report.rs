@@ -2,8 +2,8 @@
 //!
 //! [`render_perf_report`] turns an [`AaReport`] that carries a
 //! [`PerfProfile`](bgl_sim::PerfProfile) into the `bglsim profile` text:
-//! a per-phase wall-clock breakdown and — for event-mode runs — the
-//! wake-cause breakdown and the power-of-two skip-length histogram.
+//! a per-phase wall-clock breakdown, the skipping clock's wake-cause
+//! breakdown and its power-of-two skip-length histogram.
 //! Everything here is *host* time (seconds on the machine running the
 //! simulator); the simulated-cycle figures next to it exist precisely so
 //! the two are never confused.
@@ -59,9 +59,7 @@ pub fn render_perf_report(report: &AaReport) -> String {
     let _ = writeln!(out, "  packets: peak {live} live in {slots} slab slots");
     out.push('\n');
     render_phase_breakdown(&mut out, p);
-    if let Some(ev) = &p.event {
-        render_event_counters(&mut out, ev);
-    }
+    render_event_counters(&mut out, &p.event);
     out
 }
 
@@ -176,7 +174,7 @@ mod tests {
 
     #[test]
     fn report_renders_the_phase_section() {
-        let report = profiled_report(EngineMode::ActiveSet);
+        let report = profiled_report(EngineMode::FullScan);
         assert!(report.perf.is_some(), "profile must be recorded");
         let text = render_perf_report(&report);
         assert!(text.contains("perf profile: AR on 4x4"), "{text}");
@@ -184,10 +182,6 @@ mod tests {
         assert!(text.contains(" slab slots\n"), "{text}");
         assert!(text.contains("phase breakdown"), "{text}");
         assert!(text.contains("arbitration"), "{text}");
-        assert!(
-            !text.contains("event engine:"),
-            "no event section outside event mode: {text}"
-        );
     }
 
     #[test]

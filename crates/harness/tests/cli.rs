@@ -63,6 +63,14 @@ fn bglsim_rejects_malformed_input() {
     let bin = env!("CARGO_BIN_EXE_bglsim");
     assert_clean_failure(bin, &["sweep", "--shape", "8xbogus"], "invalid shape");
     assert_clean_failure(bin, &["sweep", "--sizes", "12,notanumber"], "numeric bytes");
+    // Sizes are 1..=u32::MAX bytes: u64::MAX used to wrap into a one-packet
+    // message, and zero has a zero peak.
+    let bound = "1..=4294967295 bytes";
+    for size in ["18446744073709551615", "0"] {
+        assert_clean_failure(bin, &["sweep", "--sizes", size], bound);
+        assert_clean_failure(bin, &["pattern", "--m", size], bound);
+        assert_clean_failure(bin, &["profile", "--m", size], bound);
+    }
     assert_clean_failure(bin, &["sweep", "--strategies", "warp"], "unknown strategy");
     for none in ["1.5", "0", "-0.0"] {
         assert_clean_failure(bin, &["sweep", "--coverage", none], "in (0, 1]");
@@ -388,6 +396,14 @@ fn shape_arity_accepted_and_rejected_consistently() {
     for sub in ["fit", "pattern", "profile"] {
         assert_clean_failure(bglsim, &[sub, "--shape", huge], needle);
     }
+    // Nameable but far beyond the simulator (one program per node): capped
+    // at 2^20 nodes instead of aborting on the allocation.
+    let big = "65535x65535";
+    let needle = "4294836225 nodes, more than the 1048576";
+    assert_clean_failure(bglsim, &sweep(big), needle);
+    for sub in ["fit", "pattern", "profile"] {
+        assert_clean_failure(bglsim, &[sub, "--shape", big], needle);
+    }
 }
 
 /// The 3-D-only indirect strategies fail fast on higher-arity tori:
@@ -703,16 +719,16 @@ fn bglsim_perf_and_progress_do_not_change_sweep_output() {
     assert_eq!(stdout, reference, "--progress must not change the table");
 }
 
-/// CSV export is single-series by design: two points must fail cleanly.
+/// CSV export is single-series by design: two points must fail cleanly,
+/// before anything is simulated (with `--perf`, no runner summary line).
 #[test]
 fn bglsim_trace_out_csv_rejects_multiple_points() {
     let bin = env!("CARGO_BIN_EXE_bglsim");
     let dir = std::env::temp_dir().join(format!("bglsim-trace-multi-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("mk temp dir");
     let path = dir.join("two.csv");
-    assert_clean_failure(
-        bin,
-        &[
+    for extra in [&[][..], &["--perf"]] {
+        let args = [
             "sweep",
             "--shape",
             "4x4",
@@ -722,8 +738,8 @@ fn bglsim_trace_out_csv_rejects_multiple_points() {
             "240",
             "--trace-out",
             path.to_str().unwrap(),
-        ],
-        "exactly one point",
-    );
+        ];
+        assert_clean_failure(bin, &[&args[..], extra].concat(), "exactly one point");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }

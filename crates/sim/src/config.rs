@@ -56,9 +56,9 @@ impl Vc {
     pub const DYNAMIC: [Vc; 2] = [Vc::Dynamic0, Vc::Dynamic1];
 }
 
-/// Engine scheduling mode: how the simulator finds work each cycle.
+/// Engine scheduling mode: how the simulator advances time.
 ///
-/// All three modes produce byte-identical results — `NetStats`, traces,
+/// Both modes produce byte-identical results — `NetStats`, traces,
 /// error cycles — on every workload; they differ only in wall-clock cost.
 /// The differential suite (`crates/sim/tests/common/mod.rs` and its
 /// callers) pins the equivalence.
@@ -67,44 +67,33 @@ impl Vc {
 ///   cycle: the reference semantics, O(nodes) per cycle regardless of
 ///   activity. Exists for equivalence testing and before/after
 ///   benchmarking, never for speed.
-/// * [`EngineMode::ActiveSet`] keeps lazily-pruned worklists of nodes with
-///   CPU or arbitration work, skipping idle *space* while still ticking
-///   every cycle: the cycle-stepped reference the skipping clock is
-///   compared against.
-/// * [`EngineMode::EventDriven`] (the default) additionally skips idle
-///   *time*: after a stepped cycle in which nothing moved, the simulator
-///   computes the earliest next wake-up (arrival, CPU timeline,
-///   rate-window boundary, link release) and jumps straight to it.
-///   Latency-dominated workloads with long quiet gaps run
-///   order-of-magnitude faster; on a saturated one every cycle makes
-///   progress, so the clock costs one compare per cycle.
+/// * [`EngineMode::EventDriven`] (the default) visits only marked nodes
+///   that can act, and skips idle *time*: after a stepped cycle in which
+///   nothing moved, the simulator computes the earliest next wake-up
+///   (arrival, CPU timeline, rate-window boundary, link release) and
+///   jumps straight to it. Latency-dominated workloads with long quiet
+///   gaps run order-of-magnitude faster; on a saturated one every cycle
+///   makes progress, so the clock costs one compare per cycle.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineMode {
     /// Reference engine: scan every node every cycle.
     FullScan,
-    /// Active-set worklists, cycle-stepped time.
-    ActiveSet,
-    /// Active-set worklists plus time skipping.
+    /// Marked nodes that can act, plus time skipping.
     #[default]
     EventDriven,
 }
 
 impl EngineMode {
-    /// All modes, in reference-to-fastest order (handy for equivalence
-    /// loops in tests and benches).
-    pub const ALL: [EngineMode; 3] = [
-        EngineMode::FullScan,
-        EngineMode::ActiveSet,
-        EngineMode::EventDriven,
-    ];
+    /// Both modes, reference first (handy for equivalence loops in tests
+    /// and benches).
+    pub const ALL: [EngineMode; 2] = [EngineMode::FullScan, EngineMode::EventDriven];
 }
 
-/// `full-scan`, `active-set` or `event`, for test and benchmark messages.
+/// `full-scan` or `event`, for test and benchmark messages.
 impl std::fmt::Display for EngineMode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             EngineMode::FullScan => "full-scan",
-            EngineMode::ActiveSet => "active-set",
             EngineMode::EventDriven => "event",
         })
     }
@@ -222,7 +211,7 @@ pub struct SimConfig {
     /// tracing on or off.
     pub trace: Option<TraceConfig>,
     /// Engine scheduling mode (see [`EngineMode`]). Results are
-    /// byte-identical across all three modes — they differ only in
+    /// byte-identical across both modes — they differ only in
     /// wall-clock cost — so this is a performance knob, never a
     /// correctness one.
     pub engine: EngineMode,

@@ -19,7 +19,7 @@
 //! bounds node by node and pass over the ones that cannot act (see
 //! "Parking" in [`super::phases`]). A parked node keeps its mark and its
 //! state is what a visit would have left, so what this module reads — the
-//! active sets, the node hints — is the same with or without parking.
+//! marked node sets, the node hints — is the same with or without parking.
 //!
 //! ## Why the skip is exact
 //!
@@ -45,14 +45,14 @@
 //!
 //! The wake-up invariant (see DESIGN.md): **no component may be woken
 //! later than its true next state change.** Waking too early merely steps
-//! a provably-inert cycle (identical to what the cycle-stepped references
-//! do); waking too late would diverge. Every bound below is therefore
+//! a provably-inert cycle (identical to what the cycle-stepped full scan
+//! does); waking too late would diverge. Every bound below is therefore
 //! conservative — `u64::MAX` is only ever reported by a component that
 //! provably cannot act until another component's stepped event (progress,
 //! by definition) changes its inputs.
 //!
-//! Trace samples land at exactly the cycles the stepped engines would
-//! produce: a skip is segmented at every tracer `next_at` boundary and a
+//! Trace samples land at exactly the cycles the full scan would produce:
+//! a skip is segmented at every tracer `next_at` boundary and a
 //! periodic sample (frozen deltas, live occupancy snapshot) is recorded
 //! there, so traced runs are byte-identical too.
 
@@ -103,34 +103,24 @@ impl Engine {
         if e == now {
             return (now, cause);
         }
-        for w in 0..st.cpu_active.words.len() {
-            let mut bits = st.cpu_active.words[w];
-            while bits != 0 {
-                let i = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let wake = self.cpu_wake(i);
-                if wake < e {
-                    e = wake;
-                    cause = WakeCause::Cpu(st.nodes[i].poll);
-                }
-                if e <= now {
-                    return (now, cause);
-                }
+        for i in st.cpu_active.iter() {
+            let wake = self.cpu_wake(i);
+            if wake < e {
+                e = wake;
+                cause = WakeCause::Cpu(st.nodes[i].poll);
+            }
+            if e <= now {
+                return (now, cause);
             }
         }
-        for w in 0..st.arb_active.words.len() {
-            let mut bits = st.arb_active.words[w];
-            while bits != 0 {
-                let i = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let wake = self.arb_wake(i);
-                if wake < e {
-                    e = wake;
-                    cause = WakeCause::LinkBusy;
-                }
-                if e <= now {
-                    return (now, cause);
-                }
+        for i in st.arb_active.iter() {
+            let wake = self.arb_wake(i);
+            if wake < e {
+                e = wake;
+                cause = WakeCause::LinkBusy;
+            }
+            if e <= now {
+                return (now, cause);
             }
         }
         (e, cause)
@@ -208,35 +198,30 @@ impl Engine {
     }
 
     /// Apply the per-cycle blocked-poll counter increments the
-    /// cycle-stepped engines would have made over the skipped window
+    /// cycle-stepped full scan would have made over the skipped window
     /// `[self.now, stop)`, in closed form. For each cpu-active node the
     /// eligible cycles are those from `max(now, floor(cpu_free))` on
     /// (earlier ones are CPU-booked no-ops); `stop` never exceeds the
     /// node's own wake, so a `Rate` window is closed and an `Asleep`
     /// decline repeats verbatim across the whole eligible span.
     fn replay_blocked_counters(&mut self, stop: u64) {
-        let st = &self.state;
-        for w in 0..st.cpu_active.words.len() {
-            let mut bits = st.cpu_active.words[w];
-            while bits != 0 {
-                let i = (w << 6) + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let n = &st.nodes[i];
-                if !n.pull_due() || !st.fifos.reception(i).is_empty() {
-                    continue;
+        let st = &mut self.state;
+        for i in st.cpu_active.iter() {
+            let n = &st.nodes[i];
+            if !n.pull_due() || !st.fifos.reception(i).is_empty() {
+                continue;
+            }
+            let from = (n.cpu_free as u64).max(self.now);
+            if stop <= from {
+                continue;
+            }
+            let cycles = stop - from;
+            match n.poll {
+                PollState::Rate => st.stats.pacing_blocked_cycles += cycles,
+                PollState::Asleep { denials } if denials > 0 => {
+                    st.stats.credit_blocked_events += denials * cycles;
                 }
-                let from = (n.cpu_free as u64).max(self.now);
-                if stop <= from {
-                    continue;
-                }
-                let cycles = stop - from;
-                match n.poll {
-                    PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
-                    PollState::Asleep { denials } if denials > 0 => {
-                        self.stats.credit_blocked_events += denials * cycles;
-                    }
-                    _ => {}
-                }
+                _ => {}
             }
         }
     }
@@ -244,8 +229,8 @@ impl Engine {
     /// Jump `now` to the next event cycle, replaying blocked-poll
     /// counters over the skipped window and recording the periodic trace
     /// samples that fall inside it. Bounded so the `run` loop's watchdog
-    /// and cycle-limit checks fire at exactly the cycle the cycle-stepped
-    /// engines would report.
+    /// and cycle-limit checks fire at exactly the cycle the full scan
+    /// would report.
     pub(super) fn fast_forward(&mut self) {
         let (raw, cause) = self.next_event_cycle();
         if raw <= self.now {

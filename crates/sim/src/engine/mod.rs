@@ -24,20 +24,19 @@
 //!
 //! How *time* advances between those phases is the
 //! [`EngineMode`](crate::EngineMode): the default clock visits only marked
-//! nodes and, after any stepped cycle in which nothing moved, skips to the
-//! next cycle it cannot prove inert (see [`event`]); the two references
-//! step every cycle — the active-set mode over marked nodes, the full scan
-//! over every node. All three produce byte-identical [`NetStats`] and
-//! traces. The mode steers the simulation in three places only: the two
-//! full-scan iteration forks of phases 3 and 4, and the skip decision in
-//! the run loop (the profiler reads it once more, to know whether its
-//! profile carries skip counters).
+//! nodes that can act and, after any stepped cycle in which nothing moved,
+//! skips to the next cycle it cannot prove inert (see [`event`]); the
+//! reference, the full scan, steps every cycle and visits every node. Both
+//! produce byte-identical [`NetStats`] and traces. `Engine::new` turns the
+//! mode into one flag, `Shared::full_scan`, read in three places only:
+//! phases 3 and 4, whose node loop then clears no mark and parks no node,
+//! and the skip decision in the run loop.
 //!
 //! ## State and order
 //!
 //! Everything a cycle mutates lives in one [`State`] (nodes, their FIFO
 //! header rows and per-link tables, the packet slab, programs, the
-//! in-flight ring, the cycle's statistics); everything it only reads, plus
+//! in-flight ring, the run's statistics); everything it only reads, plus
 //! the downstream-credit cells, in one [`Shared`], whose methods are the
 //! routing-feasibility rules the engine's diagnostics reuse. There is no
 //! parallelism inside a run and nothing to configure about it: the
@@ -50,7 +49,7 @@
 //! "Memory layout").
 //!
 //! Two accounting rules make a cycle's outcome independent of the order in
-//! which a phase visits nodes — which is what lets the active-set scans,
+//! which a phase visits nodes — which is what lets the marked-node scans,
 //! parking and the full scan agree byte for byte: credit freed by a
 //! phase-4 pop is released at the cycle boundary, not mid-phase, so
 //! arbitration sees one credit snapshot whichever node it visits first;
@@ -78,7 +77,7 @@ use crate::node::NodeState;
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
 use crate::program::NodeProgram;
 use crate::stats::{NetStats, LATENCY_BUCKETS};
-use bgl_torus::{Direction, MAX_DIMS, MAX_PORTS};
+use bgl_torus::{Direction, MAX_PORTS};
 use oracle::Oracle;
 use perf::{PerfState, ProgressState};
 use phases::{Phases, Shared, HOP_LATENCY_CYCLES};
@@ -305,22 +304,23 @@ struct Win {
 }
 
 /// A lazily-cleared bitset over node indices, scanned in ascending index
-/// order (never hash order) so the active-set engine visits nodes in
-/// exactly the sequence the full scan would.
+/// order (never hash order) so a scan visits marked nodes in exactly the
+/// sequence a scan of every node would — which is what the full scan is:
+/// the same scan over a set it never clears.
 ///
 /// The engine maintains the invariant that every node with work is marked;
 /// a marked node that turns out to be idle is cleared when visited. Bits
 /// are only ever *set* between phases (arrivals mark arbitration work,
 /// deliveries mark CPU work), so a phase can iterate a snapshot of each
 /// word without missing work.
-struct ActiveSet {
+struct NodeSet {
     words: Vec<u64>,
 }
 
-impl ActiveSet {
+impl NodeSet {
     /// A set over `n` nodes with every node marked (the engine prunes
     /// lazily from the conservative side).
-    fn all(n: usize) -> ActiveSet {
+    fn all(n: usize) -> NodeSet {
         let mut words = vec![u64::MAX; n.div_ceil(64)];
         if let Some(last) = words.last_mut() {
             let tail = n % 64;
@@ -328,7 +328,14 @@ impl ActiveSet {
                 *last = (1u64 << tail) - 1;
             }
         }
-        ActiveSet { words }
+        NodeSet { words }
+    }
+
+    /// The marked nodes, ascending (the walks that only read the set; the
+    /// phases, which clear bits as they go, walk word snapshots).
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.words.iter().enumerate();
+        words.flat_map(|(w, &word)| bits(word).map(move |b| w << 6 | b))
     }
 
     #[inline]
@@ -349,7 +356,7 @@ impl ActiveSet {
 }
 
 /// Every piece of simulation state a cycle mutates, the credit cells
-/// apart ([`Shared::credits`]). Per-node vectors and the active sets are
+/// apart ([`Shared::credits`]). Per-node vectors and the node sets are
 /// indexed by rank.
 struct State {
     nodes: Vec<NodeState>,
@@ -374,9 +381,19 @@ struct State {
     inj_want: Vec<u32>,
     /// Round-robin arbitration pointer of each output link.
     rr: Vec<u8>,
-    /// `NetStats::link_busy_per_link` in the making (copied out at
-    /// observation points); empty when detailed link stats are off.
-    link_stats: Vec<u64>,
+    /// The run's statistics, written by the phases where each event
+    /// happens; `cpu_busy_cycles` alone is folded in at observation points
+    /// (`Engine::sync_ledgers`).
+    stats: NetStats,
+    /// Packets injected and neither drained nor dropped.
+    live_packets: u64,
+    /// Sends queued at the nodes (pending or pulled), not yet injected.
+    pending_total: u64,
+    /// Programs that have declared completion.
+    done_programs: usize,
+    /// Whether this cycle moved anything (a packet, a drain, an injection):
+    /// folded into `Engine::last_progress` at the end of the cycle.
+    progress: bool,
     /// In-flight ring: slot `t % RING` holds the packets arriving at cycle
     /// `t`, in the order they won their links — ascending node, then
     /// direction, within a cycle, since phase 4 files each win as it makes
@@ -387,13 +404,13 @@ struct State {
     deliver_q: Vec<(u32, u8)>,
     /// Nodes that may have CPU work (non-empty reception/pending/pulled
     /// queues, or a program that has not declared completion).
-    cpu_active: ActiveSet,
+    cpu_active: NodeSet,
     /// Nodes that may have a packet to arbitrate out (non-zero `vc_mask`
     /// or `inj_mask`).
-    arb_active: ActiveSet,
+    arb_active: NodeSet,
     /// Per node, the earliest cycle at which a CPU-phase visit could
     /// change anything (0: visit; `u64::MAX`: not until re-armed) — see
-    /// "Parking" in [`phases`]. The full scan never reads it.
+    /// "Parking" in [`phases`]. The full scan writes it and never reads it.
     cpu_at: Vec<u64>,
     /// The same for phase 4.
     arb_at: Vec<u64>,
@@ -403,8 +420,6 @@ struct State {
     /// Credit releases from this cycle's phase-4 pops, applied at the
     /// cycle boundary: `(credit cell, chunks)`.
     deferred: Vec<(u32, u32)>,
-    /// This cycle's statistics, merged into `NetStats` at the boundary.
-    cs: CycleStats,
 }
 
 /// The set bits of `mask`, ascending.
@@ -431,32 +446,6 @@ impl State {
     }
 }
 
-/// Statistics of one cycle, merged into the engine's `NetStats` at the
-/// cycle boundary.
-#[derive(Default)]
-struct CycleStats {
-    progress: bool,
-    live: i64,
-    pending: i64,
-    done: usize,
-    injected: u64,
-    delivered: u64,
-    payload: u64,
-    latency_sum: u64,
-    latency_max: u64,
-    hist: [u64; LATENCY_BUCKETS],
-    reception_stalls: u64,
-    pacing: u64,
-    credit_blocked: u64,
-    // Fixed-size per-dimension counters (only the first `ndims` entries are
-    // used): this struct is reset and merged every cycle, so it must stay
-    // allocation-free.
-    link_busy: [u64; MAX_DIMS],
-    hops: [u64; MAX_DIMS],
-    bubble: u64,
-    dynamic: u64,
-}
-
 /// One scheduled liveness flip of one directed link, expanded from the
 /// [`FaultPlan`](crate::FaultPlan) at engine construction.
 #[derive(Debug, Clone, Copy)]
@@ -472,12 +461,8 @@ pub struct Engine {
     /// credit cells apart (see [`Shared`]).
     shared: Shared,
     now: u64,
-    /// What the phases mutate: nodes, FIFOs, packets, programs.
+    /// What the phases mutate: nodes, FIFOs, packets, programs, counters.
     state: State,
-    live_packets: u64,
-    pending_total: u64,
-    done_programs: usize,
-    stats: NetStats,
     last_progress: u64,
     /// Time-series sampler; `None` unless `SimConfig::trace` is set.
     tracer: Option<Box<Tracer>>,
@@ -548,16 +533,25 @@ impl Engine {
             want: vec![0; links],
             inj_want: vec![0; links],
             rr: vec![0; links],
-            link_stats: vec![0; if cfg.detailed_link_stats { links } else { 0 }],
+            stats: NetStats {
+                link_busy_chunks: vec![0; part.ndims()],
+                hops_taken: vec![0; part.ndims()],
+                latency_histogram: vec![0; LATENCY_BUCKETS],
+                link_busy_per_link: vec![0; if cfg.detailed_link_stats { links } else { 0 }],
+                ..NetStats::default()
+            },
+            live_packets: 0,
+            pending_total: 0,
+            done_programs,
+            progress: false,
             ring: (0..RING).map(|_| Vec::new()).collect(),
             deliver_q: Vec::new(),
-            cpu_active: ActiveSet::all(p),
-            arb_active: ActiveSet::all(p),
+            cpu_active: NodeSet::all(p),
+            arb_active: NodeSet::all(p),
             cpu_at: vec![0; p],
             arb_at: vec![0; p],
             next_packet_id: 0,
             deferred: Vec::new(),
-            cs: CycleStats::default(),
         };
         let neighbors: Vec<[u32; MAX_PORTS]> = (0..p as u32)
             .map(|r| {
@@ -571,26 +565,12 @@ impl Engine {
                 row
             })
             .collect();
-        let stats = NetStats {
-            link_busy_chunks: vec![0; part.ndims()],
-            hops_taken: vec![0; part.ndims()],
-            latency_histogram: vec![0; LATENCY_BUCKETS],
-            link_busy_per_link: if cfg.detailed_link_stats {
-                vec![0; p * ports]
-            } else {
-                Vec::new()
-            },
-            ..NetStats::default()
-        };
         let tracer = cfg
             .trace
             .as_ref()
             .map(|tc| Box::new(Tracer::new(tc, part.ndims())));
         let oracle = cfg.check_invariants.then(|| Box::new(Oracle::new()));
-        let perf = cfg
-            .perf
-            .is_some()
-            .then(|| Box::new(PerfState::new(cfg.engine == EngineMode::EventDriven)));
+        let perf = cfg.perf.is_some().then(Box::<PerfState>::default);
         let progress = cfg.progress.then(|| Box::new(ProgressState::new()));
         let mut fault_alive = Vec::new();
         let mut fault_schedule = Vec::new();
@@ -627,10 +607,6 @@ impl Engine {
             shared,
             now: 0,
             state,
-            live_packets: 0,
-            pending_total: 0,
-            done_programs,
-            stats,
             last_progress: 0,
             tracer,
             oracle,
@@ -679,10 +655,11 @@ impl Engine {
                 // left in the schedule, will never move: report the
                 // topology problem (with its per-link breakdown) rather
                 // than a generic stall.
+                let st = &self.state;
                 if breakdown.fault_blocked_heads > 0 && !self.fault_recovery_pending() {
                     return Err(SimError::Unreachable {
                         cycle: self.now,
-                        blocked_packets: self.live_packets + self.pending_total,
+                        blocked_packets: st.live_packets + st.pending_total,
                         faults: self.fault_block_report(),
                     });
                 }
@@ -693,8 +670,8 @@ impl Engine {
                     .unwrap_or_default();
                 return Err(SimError::Stalled {
                     cycle: self.now,
-                    live_packets: self.live_packets + self.pending_total,
-                    incomplete_programs: self.num_nodes() - self.done_programs,
+                    live_packets: st.live_packets + st.pending_total,
+                    incomplete_programs: self.num_nodes() - st.done_programs,
                     breakdown,
                     trace_tail,
                 });
@@ -702,17 +679,15 @@ impl Engine {
             let t = self.now;
             self.step();
             // The skipping clock: jump over cycles no component can act
-            // in. Stepped cycles behave identically in every mode, so this
-            // is the *only* place the clocks differ. Progress at `t`
-            // (a move, a drain, a fault transition) may have changed what
-            // its neighbours can do at `t + 1`, so only a cycle without
-            // any is followed by a wake computation — a busy cycle costs
-            // this compare and nothing else.
-            if self.shared.cfg.engine == EngineMode::EventDriven && !self.is_complete() {
+            // in. Progress at `t` (a move, a drain, a fault transition)
+            // may have changed what its neighbours can do at `t + 1`, so
+            // only a cycle without any is followed by a wake computation —
+            // a busy cycle costs this compare and nothing else.
+            if !self.shared.full_scan && !self.is_complete() {
                 if self.last_progress != t {
                     self.fast_forward();
-                } else if let Some(evp) = self.perf_event_counters() {
-                    evp.fresh_suppressions += 1;
+                } else if let Some(p) = self.perf.as_deref_mut() {
+                    p.profile.event.fresh_suppressions += 1;
                 }
             }
         }
@@ -720,13 +695,14 @@ impl Engine {
         if self.oracle.is_some() {
             self.oracle_quiesce_check();
         }
-        Ok(self.stats.clone())
+        Ok(self.state.stats.clone())
     }
 
     /// Whether the simulation has fully drained and every program reports
     /// complete.
     fn is_complete(&self) -> bool {
-        self.live_packets == 0 && self.pending_total == 0 && self.done_programs == self.num_nodes()
+        let st = &self.state;
+        st.live_packets == 0 && st.pending_total == 0 && st.done_programs == self.num_nodes()
     }
 
     fn num_nodes(&self) -> usize {
@@ -735,13 +711,10 @@ impl Engine {
 
     /// Fold the per-node CPU-busy accumulators into
     /// `stats.cpu_busy_cycles`, in ascending node order — the one float
-    /// reduction in the stats — and copy the detailed link counters into
-    /// `stats.link_busy_per_link`.
+    /// reduction in the stats.
     fn sync_ledgers(&mut self) {
-        self.stats.cpu_busy_cycles = self.state.nodes.iter().map(|n| n.cpu_busy).sum();
-        self.stats
-            .link_busy_per_link
-            .clone_from(&self.state.link_stats);
+        let st = &mut self.state;
+        st.stats.cpu_busy_cycles = st.nodes.iter().map(|n| n.cpu_busy).sum();
     }
 
     /// Cycle of the next unapplied fault transition (`u64::MAX` once the
@@ -820,16 +793,16 @@ impl Engine {
         for arr in dropped {
             let cell = v * self.shared.vc_cells + arr.fifo as usize;
             self.shared.release(cell, arr.chunks as u32);
-            let pkt = self.state.slab.take(arr.h);
-            self.live_packets -= 1;
-            self.stats.dropped_by_fault += 1;
+            let st = &mut self.state;
+            let pkt = st.slab.take(arr.h);
+            st.live_packets -= 1;
+            st.stats.dropped_by_fault += 1;
             if let Some(o) = self.oracle.as_deref_mut() {
                 o.on_drop(&pkt);
             }
             let i = self.shared.part.rank_of(pkt.dst) as usize;
-            let st = &mut self.state;
             st.programs[i].on_packet_dropped(&pkt);
-            self.done_programs += usize::from(st.nodes[i].latch_done(st.programs[i].as_ref()));
+            st.done_programs += usize::from(st.nodes[i].latch_done(st.programs[i].as_ref()));
             st.cpu_active.mark(i);
             st.cpu_at[i] = 0;
         }
@@ -851,7 +824,9 @@ impl Engine {
             perf: self.perf.as_deref_mut().map(|p| &mut p.profile),
         }
         .cycle(t);
-        self.merge_cycle(t);
+        if std::mem::take(&mut self.state.progress) {
+            self.last_progress = t;
+        }
         self.now = t + 1;
         // Cycle-boundary oracle sweep: all four phases have run, so the
         // global counters must agree and no FIFO may be over its credit
@@ -866,39 +841,6 @@ impl Engine {
                 self.record_trace_sample(false);
             }
         }
-    }
-
-    /// Fold the cycle's statistics into the run totals, leaving the slate
-    /// clean for the next cycle.
-    fn merge_cycle(&mut self, t: u64) {
-        let cs = std::mem::take(&mut self.state.cs);
-        if cs.progress {
-            self.last_progress = t;
-        }
-        self.live_packets = (self.live_packets as i64 + cs.live) as u64;
-        self.pending_total = (self.pending_total as i64 + cs.pending) as u64;
-        self.done_programs += cs.done;
-        let st = &mut self.stats;
-        st.packets_injected += cs.injected;
-        st.packets_delivered += cs.delivered;
-        st.payload_bytes_delivered += cs.payload;
-        st.total_latency_cycles += cs.latency_sum;
-        st.max_latency_cycles = st.max_latency_cycles.max(cs.latency_max);
-        if cs.delivered > 0 {
-            st.completion_cycle = t;
-        }
-        for (h, d) in st.latency_histogram.iter_mut().zip(cs.hist) {
-            *h += d;
-        }
-        st.reception_stall_events += cs.reception_stalls;
-        st.pacing_blocked_cycles += cs.pacing;
-        st.credit_blocked_events += cs.credit_blocked;
-        for d in 0..st.link_busy_chunks.len() {
-            st.link_busy_chunks[d] += cs.link_busy[d];
-            st.hops_taken[d] += cs.hops[d];
-        }
-        st.bubble_hops += cs.bubble;
-        st.dynamic_hops += cs.dynamic;
     }
 
     /// Whether the head packet of transit FIFO `fifo` at node `n` cannot

@@ -3,8 +3,8 @@
 //! at quiesce. Enabled by [`SimConfig`](crate::SimConfig)
 //! `::check_invariants`.
 //!
-//! Under the event-driven engine mode, the per-cycle sweep runs at every
-//! *stepped* cycle. Skipped cycles need no sweep: skipping is only legal
+//! Under the skipping clock, the per-cycle sweep runs at every *stepped*
+//! cycle. Skipped cycles need no sweep: skipping is only legal
 //! when the network state is provably frozen, so the checks would examine
 //! the same state they just passed on.
 //!
@@ -171,22 +171,22 @@ impl Engine {
         let o = self.oracle.as_ref().expect("caller checked");
         let injected = o.planned_hops.len() as u64;
         assert_eq!(
-            injected, self.stats.packets_injected,
+            injected, self.state.stats.packets_injected,
             "invariant violated: oracle saw {injected} injections, stats say {} (cycle {t})",
-            self.stats.packets_injected
+            self.state.stats.packets_injected
         );
         assert_eq!(
-            o.delivered_count, self.stats.packets_delivered,
+            o.delivered_count, self.state.stats.packets_delivered,
             "invariant violated: oracle saw {} deliveries, stats say {} (cycle {t})",
-            o.delivered_count, self.stats.packets_delivered
+            o.delivered_count, self.state.stats.packets_delivered
         );
         assert_eq!(
-            o.dropped_count, self.stats.dropped_by_fault,
+            o.dropped_count, self.state.stats.dropped_by_fault,
             "invariant violated: oracle saw {} fault drops, stats say {} (cycle {t})",
-            o.dropped_count, self.stats.dropped_by_fault
+            o.dropped_count, self.state.stats.dropped_by_fault
         );
         assert_eq!(
-            self.live_packets,
+            self.state.live_packets,
             injected - o.delivered_count - o.dropped_count,
             "invariant violated: live packets must equal injected − delivered − dropped (cycle {t})"
         );
@@ -309,7 +309,8 @@ impl Engine {
     /// a node whose wake cycle lies past `t` was passed over (or parked) at
     /// `t`, so a visit at `t` must have been unable to change anything. A
     /// missed re-arm shows here at the first cycle the node could have
-    /// moved. Vacuous under the full scan, which never parks.
+    /// moved. The full scan parks nothing but writes the same wake cycles,
+    /// so the check covers the reference too.
     fn oracle_parking_check(&self, t: u64) {
         let (ports, st) = (self.shared.ports, &self.state);
         for (i, node) in st.nodes.iter().enumerate() {
@@ -376,15 +377,15 @@ impl Engine {
              (delivered + dropped_by_fault ≠ injected)"
         );
         assert_eq!(
-            o.dropped_count, self.stats.dropped_by_fault,
+            o.dropped_count, self.state.stats.dropped_by_fault,
             "invariant violated: oracle drop ledger disagrees with stats"
         );
         assert_eq!(
-            o.delivered_payload, self.stats.payload_bytes_delivered,
+            o.delivered_payload, self.state.stats.payload_bytes_delivered,
             "invariant violated: oracle payload ledger disagrees with stats"
         );
         let ledger_hops: u64 = o.taken_hops.iter().map(|&h| h as u64).sum();
-        let stats_hops: u64 = self.stats.hops_taken.iter().sum();
+        let stats_hops: u64 = self.state.stats.hops_taken.iter().sum();
         assert_eq!(
             ledger_hops, stats_hops,
             "invariant violated: per-packet hop ledger disagrees with stats"

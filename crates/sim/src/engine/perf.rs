@@ -10,28 +10,17 @@
 use super::event::WakeCause;
 use super::Engine;
 use crate::node::PollState;
-use crate::perf::{EventPerf, PerfProfile};
+use crate::perf::PerfProfile;
 use std::time::Instant;
 
 /// Live profiler state: the profile under construction plus accumulators
 /// that only make sense mid-run (the occupancy sum becomes a mean in
 /// [`Engine::take_perf`]).
+#[derive(Default)]
 pub(super) struct PerfState {
     pub(super) profile: PerfProfile,
-    /// Sum of per-cycle marked active-set populations over stepped cycles.
+    /// Sum of per-cycle marked node-set populations over stepped cycles.
     pub(super) occupancy_sum: u64,
-}
-
-impl PerfState {
-    pub(super) fn new(event_mode: bool) -> PerfState {
-        PerfState {
-            profile: PerfProfile {
-                event: event_mode.then(EventPerf::default),
-                ..PerfProfile::default()
-            },
-            occupancy_sum: 0,
-        }
-    }
 }
 
 /// Minimum wall-clock seconds between heartbeat lines.
@@ -89,7 +78,7 @@ impl Engine {
         p.profile.stepped_cycles += 1;
         p.occupancy_sum += occ;
         p.profile.active_occupancy_max = p.profile.active_occupancy_max.max(occ);
-        p.profile.peak_live_packets = p.profile.peak_live_packets.max(self.live_packets);
+        p.profile.peak_live_packets = p.profile.peak_live_packets.max(st.live_packets);
     }
 
     /// Record one fast-forward jump: `raw` is the unclamped earliest
@@ -105,9 +94,8 @@ impl Engine {
     ) {
         let len = clamped - self.now;
         let fault_at = self.next_fault_cycle();
-        let Some(evp) = self.perf_event_counters() else {
-            return;
-        };
+        let p = self.perf.as_deref_mut().expect("caller checked");
+        let evp = &mut p.profile.event;
         evp.record_skip(len);
         if clamped < raw {
             // The jump was cut short by a safety horizon, not a wake.
@@ -134,12 +122,6 @@ impl Engine {
         }
     }
 
-    /// The skip-counter block of the profile, if both profiling and the
-    /// skipping clock are on.
-    pub(super) fn perf_event_counters(&mut self) -> Option<&mut EventPerf> {
-        self.perf.as_deref_mut()?.profile.event.as_mut()
-    }
-
     /// Rate-limited heartbeat, called from the run loop whenever
     /// `now >= next_check`. Reads the host clock, and if the emit
     /// interval has elapsed prints one status line to stderr; either way
@@ -152,7 +134,7 @@ impl Engine {
         let since_emit = pr.last_emit.elapsed().as_secs_f64();
         if since_emit >= PROGRESS_INTERVAL_SECS {
             let elapsed = pr.started.elapsed().as_secs_f64();
-            let done = self.done_programs;
+            let done = self.state.done_programs;
             let eta = if done > 0 && done < total && elapsed > 0.0 {
                 let rate = done as f64 / elapsed;
                 format!("~{:.0}s", (total - done) as f64 / rate)
@@ -162,7 +144,7 @@ impl Engine {
             eprintln!(
                 "progress: cycle {}, {} packets delivered, {}/{} programs done, \
                  elapsed {:.1}s, eta {}",
-                self.now, self.stats.packets_delivered, done, total, elapsed, eta
+                self.now, self.state.stats.packets_delivered, done, total, elapsed, eta
             );
             pr.last_emit = Instant::now();
         } else {

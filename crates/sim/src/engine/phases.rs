@@ -1,13 +1,14 @@
 //! The four per-cycle phases (arrivals → deliveries → CPU → arbitration),
 //! the boundary that closes a cycle, and their helpers. Identical code
-//! serves all three [`EngineMode`](crate::EngineMode)s — the full scan and
-//! the active-set scan differ only in which nodes a phase visits, and the
+//! serves both [`EngineMode`](crate::EngineMode)s: phases 3 and 4 walk
+//! their marked nodes in ascending order, and under the full scan that
+//! walk clears no mark and parks no node, so it visits every node; the
 //! time-skipping clock steps the same phases at the cycles it cannot prove
-//! frozen.
+//! frozen. The phases write the run's `NetStats` where each event happens.
 //!
 //! ## Parking
 //!
-//! The active-set scans of phases 3 and 4 visit a marked node only if it
+//! Outside the full scan, phases 3 and 4 visit a marked node only if it
 //! can act. A visit that learns the next one cannot change anything,
 //! counters included, before some cycle leaves that cycle in
 //! `State::cpu_at` / `arb_at`: the CPU is booked until then, or stuck
@@ -16,8 +17,9 @@
 //! scan passes the node over on one word, its mark untouched. Whatever can
 //! change what the skipped visit would have found is an event at the node
 //! itself — an arrival commit, a delivery, an injection, an injection-FIFO
-//! pop, a fault transition — and writes 0. The full scan reads neither
-//! array, so every comparison against it is parked against unparked
+//! pop, a fault transition — and writes 0. The full scan writes both
+//! arrays and reads neither, so every comparison against it is parked
+//! against unparked, and the oracle's parking check covers both
 //! (DESIGN.md §6).
 //!
 //! ## Why node visit order does not matter
@@ -30,7 +32,7 @@
 //! after all of it ([`Phases::cycle`]), never in between. So each node
 //! arbitrates against the same credit snapshot whether the scan reaches it
 //! first or last, visited or passed over by its neighbours: the property
-//! the three clocks and parking rely on to agree byte for byte, and the
+//! the two clocks and parking rely on to agree byte for byte, and the
 //! goldens pin.
 //!
 //! ## Packets
@@ -43,7 +45,7 @@
 //! §6, "Memory layout").
 
 use super::oracle::Oracle;
-use super::{Arrival, State, Win, WinSource, RING};
+use super::{bits, Arrival, State, Win, WinSource, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::fifo::{ChunkFifo, Slab};
 use crate::flow::FlowSpec;
@@ -101,7 +103,7 @@ pub(super) struct Shared {
     /// Per-class eligible injection FIFOs: bit `f` of `class_fifos[c]` is
     /// set iff FIFO `f` accepts class `c` (`SimConfig::inj_class_masks`).
     pub(super) class_fifos: [u32; 8],
-    /// Reference mode: scan every node every cycle (see
+    /// Reference mode: clear no mark, park no node, skip no cycle (see
     /// [`EngineMode::FullScan`](crate::EngineMode)).
     pub(super) full_scan: bool,
     /// Per-directed-link liveness (`node·ports + dir`), *empty* on a healthy
@@ -525,7 +527,7 @@ impl Phases<'_> {
             if was_empty && done {
                 self.st.deliver_q.push((node, fi as u8));
             }
-            self.st.cs.progress = true;
+            self.st.progress = true;
         }
         self.st.ring[slot] = arrivals; // hand the allocation back
     }
@@ -562,7 +564,7 @@ impl Phases<'_> {
             }
             let chunks = slab[h].chunks as u32;
             if self.st.fifos.reception(i).occupied_chunks() + chunks > capacity {
-                self.st.cs.reception_stalls += 1;
+                self.st.stats.reception_stall_events += 1;
                 if !n.blocked_deliveries.contains(&(fifo as u8)) {
                     n.blocked_deliveries.push(fifo as u8);
                 }
@@ -585,7 +587,7 @@ impl Phases<'_> {
             (self.st.arb_at[i], self.st.cpu_at[i]) = (0, 0);
             // Progress — the freed credit means the upstream neighbour may
             // win this link again, so no skip follows this cycle.
-            self.st.cs.progress = true;
+            self.st.progress = true;
         }
     }
 
@@ -594,29 +596,21 @@ impl Phases<'_> {
     fn phase_cpu(&mut self, t: u64) {
         let mut programs = std::mem::take(&mut self.st.programs);
         let (mut visits, mut parked) = (0u64, 0u64);
-        if self.shared.full_scan {
-            visits = programs.len() as u64;
-            for (i, prog) in programs.iter_mut().enumerate() {
-                self.cpu_visit(i, prog, t, false);
-            }
-        } else {
-            // A node acquires CPU work only through a reception-FIFO push
-            // (which marks it) or through its own hooks (it is being
-            // visited), so iterating a snapshot of each word misses
-            // nothing. Idle marked nodes are cleared as they are visited;
-            // parked ones (`State::cpu_at`) stay marked and cost one word.
-            for w in 0..self.st.cpu_active.words.len() {
-                let mut bits = self.st.cpu_active.words[w];
-                while bits != 0 {
-                    let i = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if self.st.cpu_at[i] > t {
-                        parked += 1;
-                        continue;
-                    }
-                    visits += 1;
-                    self.cpu_visit(i, &mut programs[i], t, true);
+        // A node acquires CPU work only through a reception-FIFO push
+        // (which marks it) or through its own hooks (it is being visited),
+        // so iterating a snapshot of each word misses nothing. Idle marked
+        // nodes are cleared as they are visited; parked ones
+        // (`State::cpu_at`) stay marked and cost one word. The full scan
+        // does neither, so every node stays marked and is visited.
+        let prune = !self.shared.full_scan;
+        for w in 0..self.st.cpu_active.words.len() {
+            for i in bits(self.st.cpu_active.words[w]).map(|b| w << 6 | b) {
+                if prune && self.st.cpu_at[i] > t {
+                    parked += 1;
+                    continue;
                 }
+                visits += 1;
+                self.cpu_visit(i, &mut programs[i], t, prune);
             }
         }
         self.st.programs = programs;
@@ -627,7 +621,7 @@ impl Phases<'_> {
     }
 
     /// Run one node's CPU for cycle `t` if it has work; with `prune`,
-    /// drop provably workless nodes from the active set.
+    /// drop provably workless nodes from the CPU set.
     fn cpu_visit(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64, prune: bool) {
         let horizon = (t + 1) as f64;
         {
@@ -679,9 +673,10 @@ impl Phases<'_> {
                     // completion check still runs, exactly as if the
                     // program had declined the pull itself.
                     declined = true;
-                    self.st.cs.pacing += 1;
+                    self.st.stats.pacing_blocked_cycles += 1;
                     self.st.nodes[i].poll = PollState::Rate;
-                    self.st.cs.done += usize::from(self.st.nodes[i].latch_done(prog.as_ref()));
+                    let done = self.st.nodes[i].latch_done(prog.as_ref());
+                    self.st.done_programs += usize::from(done);
                 } else {
                     let reactive = self.st.nodes[i].pending.len();
                     let (spec, denials) = self.run_hook(i, prog, t, |p, api| p.next_send(api));
@@ -689,7 +684,7 @@ impl Phases<'_> {
                         Some(s) => {
                             self.rate_charge(i, t, s.chunks);
                             self.st.nodes[i].pulled.push_back(s);
-                            self.st.cs.pending += 1;
+                            self.st.pending_total += 1;
                         }
                         None => {
                             declined = true;
@@ -750,10 +745,10 @@ impl Phases<'_> {
         .with_flow(&mut node.flow);
         let spec = hook(prog.as_mut(), &mut api);
         let denials = api.take_credit_blocked();
-        self.st.cs.credit_blocked += denials;
-        self.st.cs.pending += (node.pending.len() - before) as i64;
+        self.st.stats.credit_blocked_events += denials;
+        self.st.pending_total += (node.pending.len() - before) as u64;
         if spec.is_none() {
-            self.st.cs.done += usize::from(node.latch_done(prog.as_ref()));
+            self.st.done_programs += usize::from(node.latch_done(prog.as_ref()));
         }
         (spec, denials)
     }
@@ -786,14 +781,16 @@ impl Phases<'_> {
         let cost = cpu.per_packet_receive_cycles + pkt.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
-        self.st.cs.delivered += 1;
-        self.st.cs.payload += pkt.payload_bytes as u64;
+        let stats = &mut self.st.stats;
+        stats.packets_delivered += 1;
+        stats.payload_bytes_delivered += pkt.payload_bytes as u64;
+        stats.completion_cycle = t;
         let latency = t - pkt.injected_at;
-        self.st.cs.latency_sum += latency;
-        self.st.cs.latency_max = self.st.cs.latency_max.max(latency);
+        stats.total_latency_cycles += latency;
+        stats.max_latency_cycles = stats.max_latency_cycles.max(latency);
         let bucket = (64 - latency.max(1).leading_zeros() as usize - 1)
             .min(crate::stats::LATENCY_BUCKETS - 1);
-        self.st.cs.hist[bucket] += 1;
+        stats.latency_histogram[bucket] += 1;
         if let Some(o) = self.oracle.as_deref_mut() {
             o.on_deliver(&pkt, t);
         }
@@ -801,13 +798,13 @@ impl Phases<'_> {
             p.on_packet(api, &pkt);
             None
         });
-        self.st.cs.live -= 1;
+        self.st.live_packets -= 1;
         // Freed reception space: retry stalled deliveries.
         let blocked = std::mem::take(&mut self.st.nodes[i].blocked_deliveries);
         self.st
             .deliver_q
             .extend(blocked.into_iter().map(|f| (i as u32, f)));
-        self.st.cs.progress = true;
+        self.st.progress = true;
     }
 
     /// Pay for and inject the first injectable pending send
@@ -825,7 +822,7 @@ impl Phases<'_> {
             Some(pi) => node.pulled.remove(pi),
         }
         .expect("scanned index exists");
-        self.st.cs.pending -= 1;
+        self.st.pending_total -= 1;
         let cpu = &self.shared.cfg.cpu;
         let cost = spec.cpu_cost_cycles
             + cpu.per_packet_inject_cycles
@@ -852,9 +849,9 @@ impl Phases<'_> {
         node.inj_mask |= 1 << f;
         self.st.arb_active.mark(i);
         self.st.arb_at[i] = 0;
-        self.st.cs.live += 1;
-        self.st.cs.injected += 1;
-        self.st.cs.progress = true;
+        self.st.live_packets += 1;
+        self.st.stats.packets_injected += 1;
+        self.st.progress = true;
         true
     }
 
@@ -862,39 +859,29 @@ impl Phases<'_> {
 
     fn phase_arbitration(&mut self, t: u64) {
         let (mut visits, mut parked) = (0u64, 0u64);
-        if self.shared.full_scan {
-            for i in 0..self.st.nodes.len() {
-                // Quick skip: nothing to move out of this node.
+        // A node acquires arbitration work only through an arrival commit
+        // (which marks it) or its own injections (phase 3 marks it), never
+        // from another node's arbitration — wins go into the in-flight
+        // ring, not directly into the neighbour's FIFOs — so a snapshot
+        // scan misses nothing. A node whose requested links are all
+        // mid-transmission (`State::arb_at`) stays marked and costs one
+        // word. The full scan clears and parks nothing, as in phase 3.
+        let prune = !self.shared.full_scan;
+        for w in 0..self.st.arb_active.words.len() {
+            for i in bits(self.st.arb_active.words[w]).map(|b| w << 6 | b) {
+                if prune && self.st.arb_at[i] > t {
+                    parked += 1;
+                    continue;
+                }
+                // Nothing to move out of this node.
                 if self.st.nodes[i].vc_mask == 0 && self.st.nodes[i].inj_mask == 0 {
+                    if prune {
+                        self.st.arb_active.clear(i);
+                    }
                     continue;
                 }
                 visits += 1;
-                self.arbitrate_node(i, t);
-            }
-        } else {
-            // A node acquires arbitration work only through an arrival
-            // commit (which marks it) or its own injections (phase 3
-            // marks it), never from another node's arbitration — wins
-            // go into the in-flight ring, not directly into the
-            // neighbour's FIFOs — so a snapshot scan misses nothing. A
-            // node whose requested links are all mid-transmission
-            // (`State::arb_at`) stays marked and costs one word.
-            for w in 0..self.st.arb_active.words.len() {
-                let mut bits = self.st.arb_active.words[w];
-                while bits != 0 {
-                    let i = (w << 6) + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    if self.st.arb_at[i] > t {
-                        parked += 1;
-                        continue;
-                    }
-                    if self.st.nodes[i].vc_mask == 0 && self.st.nodes[i].inj_mask == 0 {
-                        self.st.arb_active.clear(i);
-                        continue;
-                    }
-                    visits += 1;
-                    self.st.arb_at[i] = self.arbitrate_node(i, t);
-                }
+                self.st.arb_at[i] = self.arbitrate_node(i, t);
             }
         }
         if let Some(p) = &mut self.perf {
@@ -1121,17 +1108,17 @@ impl Phases<'_> {
         let arr = Arrival::new(nb as u32, h, fifo as u8, pkt);
         self.st.ring[(arrive % RING as u64) as usize].push(arr);
         self.st.link_busy_until[i * ports + d.index()] = t + chunks as u64;
-        let di = d.dim.index();
-        self.st.cs.link_busy[di] += chunks as u64;
-        if !self.st.link_stats.is_empty() {
-            self.st.link_stats[i * ports + d.index()] += chunks as u64;
+        let (di, stats) = (d.dim.index(), &mut self.st.stats);
+        stats.link_busy_chunks[di] += chunks as u64;
+        if !stats.link_busy_per_link.is_empty() {
+            stats.link_busy_per_link[i * ports + d.index()] += chunks as u64;
         }
-        self.st.cs.hops[di] += 1;
+        stats.hops_taken[di] += 1;
         match win.vc {
-            Vc::Bubble => self.st.cs.bubble += 1,
-            _ => self.st.cs.dynamic += 1,
+            Vc::Bubble => stats.bubble_hops += 1,
+            _ => stats.dynamic_hops += 1,
         }
-        self.st.cs.progress = true;
+        self.st.progress = true;
         exposed
     }
 }

@@ -2,12 +2,12 @@
 //! trace-recording methods.
 //!
 //! Sampling is purely observational — `NetStats` is byte-identical with
-//! tracing on or off, in every [`EngineMode`](crate::EngineMode). The
-//! event-driven engine guarantees this by treating each `next_at`
-//! boundary as a wake-up of its own: a skipped interval is split at every
-//! sample boundary and a (forced-position, regular-content) sample is
-//! recorded there, so per-window deltas telescope to the run totals
-//! exactly as they do under cycle-stepped time.
+//! tracing on or off, under both [`EngineMode`](crate::EngineMode)s. The
+//! skipping clock guarantees this by treating each `next_at` boundary as a
+//! wake-up of its own: a skipped interval is split at every sample
+//! boundary and a (forced-position, regular-content) sample is recorded
+//! there, so per-window deltas telescope to the run totals exactly as they
+//! do under the full scan's cycle-stepped time.
 
 use super::{bits, Engine};
 use crate::config::{Vc, NUM_VCS};
@@ -78,14 +78,15 @@ impl Engine {
     /// recorded sample.
     fn trace_counters_moved(&self) -> bool {
         let Some(tr) = &self.tracer else { return false };
-        self.stats.link_busy_chunks != tr.last_link_busy
-            || self.stats.hops_taken != tr.last_hops
-            || self.stats.cpu_busy_cycles != tr.last_cpu_busy
-            || self.stats.reception_stall_events != tr.last_stalls
-            || self.stats.packets_injected != tr.last_injected
-            || self.stats.packets_delivered != tr.last_delivered
-            || self.stats.pacing_blocked_cycles != tr.last_pacing_blocked
-            || self.stats.credit_blocked_events != tr.last_credit_blocked
+        let s = &self.state.stats;
+        s.link_busy_chunks != tr.last_link_busy
+            || s.hops_taken != tr.last_hops
+            || s.cpu_busy_cycles != tr.last_cpu_busy
+            || s.reception_stall_events != tr.last_stalls
+            || s.packets_injected != tr.last_injected
+            || s.packets_delivered != tr.last_delivered
+            || s.pacing_blocked_cycles != tr.last_pacing_blocked
+            || s.credit_blocked_events != tr.last_credit_blocked
     }
 
     /// Record one sample at the current cycle. Periodic calls (`force ==
@@ -119,7 +120,7 @@ impl Engine {
     /// tracer's counter snapshots. Read-only over the simulation state:
     /// sampling must never perturb results.
     fn build_trace_sample(&self, tracer: &mut Tracer) -> TraceSample {
-        let s = &self.stats;
+        let (st, s) = (&self.state, &self.state.stats);
         let sub =
             |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(x, y)| x - y).collect() };
         let mut sample = TraceSample {
@@ -132,8 +133,8 @@ impl Engine {
             delivered_delta: s.packets_delivered - tracer.last_delivered,
             pacing_blocked_delta: s.pacing_blocked_cycles - tracer.last_pacing_blocked,
             credit_blocked_delta: s.credit_blocked_events - tracer.last_credit_blocked,
-            packets_in_flight: self.live_packets,
-            pending_sends: self.pending_total,
+            packets_in_flight: st.live_packets,
+            pending_sends: st.pending_total,
             ..TraceSample::default()
         };
         tracer.last_link_busy = s.link_busy_chunks.clone();
@@ -156,7 +157,6 @@ impl Engine {
         let mut inj_max = 0u32;
         let mut recv_sum = 0u64;
         let mut recv_max = 0u32;
-        let st = &self.state;
         for i in 0..st.nodes.len() {
             for (f, fifo) in st.fifos.vcs(i).iter().enumerate() {
                 let dim = f / NUM_VCS / 2; // two input ports per dimension

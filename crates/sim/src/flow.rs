@@ -19,9 +19,9 @@
 //!   ([`NodeApi::apply_credit`](crate::NodeApi::apply_credit)).
 //!
 //! The ledger lives in the engine's per-node state (`NodeState`) so both
-//! engine modes (active-set and full-scan) see identical state, and the
-//! counters it feeds ([`NetStats::pacing_blocked_cycles`] and
-//! [`NetStats::credit_blocked_events`](crate::NetStats)) stay
+//! engine modes (the skipping clock and the full scan) see identical
+//! state, and the counters it feeds ([`NetStats::pacing_blocked_cycles`]
+//! and [`NetStats::credit_blocked_events`](crate::NetStats)) stay
 //! byte-identical across modes.
 //!
 //! [`NetStats::pacing_blocked_cycles`]: crate::NetStats

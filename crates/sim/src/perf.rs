@@ -12,16 +12,17 @@
 //!   arbitration, the cycle boundary);
 //! * how many marked nodes phases 3 and 4 visited and how many they passed
 //!   over as parked, and the packet slab's high-water mark;
-//! * event-engine counters: a power-of-two skip-length histogram, the
+//! * skipping-clock counters: a power-of-two skip-length histogram, the
 //!   wake-up cause breakdown (arrival ring, open poll, rate window,
 //!   credit sleeper, link busy, watchdog/cycle-limit/fault-transition
-//!   clamps) and skip attempts suppressed by fresh progress;
-//! * active-set occupancy.
+//!   clamps) and skip attempts suppressed by fresh progress — all zero
+//!   under the full scan, which never skips;
+//! * marked node-set occupancy.
 //!
 //! Collection is purely observational: the profiler reads the host clock
 //! and its own counters, never simulation state, so `NetStats`, traces
-//! and error cycles are byte-identical with profiling on or off in every
-//! engine mode (pinned by the engine equivalence tests). Disabled, it
+//! and error cycles are byte-identical with profiling on or off under
+//! both engine modes (pinned by the engine equivalence tests). Disabled, it
 //! costs one predictable branch beside the tracer's. Wall-clock fields are
 //! host-dependent by nature and are excluded from golden fingerprints and
 //! run-cache identity.
@@ -165,12 +166,13 @@ pub struct PerfProfile {
     /// path included (completion, stall, cycle limit).
     pub total_secs: f64,
     /// Cycles actually stepped through the four phases. Equals the final
-    /// cycle count except in event mode, where skipped cycles are absent.
+    /// cycle count except under the skipping clock, where skipped cycles
+    /// are absent.
     pub stepped_cycles: u64,
-    /// Mean marked active-set population (CPU + arbitration sets) over the
-    /// stepped cycles.
+    /// Mean marked population of the CPU and arbitration node sets over
+    /// the stepped cycles.
     pub active_occupancy_mean: f64,
-    /// Largest marked active-set population seen in any stepped cycle.
+    /// Largest marked node-set population seen in any stepped cycle.
     pub active_occupancy_max: u64,
     /// Most packets alive at once (queued or in flight, whole machine), as
     /// seen at the start of a stepped cycle.
@@ -193,9 +195,9 @@ pub struct PerfProfile {
     /// of packets queued or in flight — what the run's packet memory was
     /// sized by.
     pub slab_slots: u64,
-    /// Event-engine counters; `None` unless the run used
-    /// [`EngineMode::EventDriven`](crate::EngineMode).
-    pub event: Option<EventPerf>,
+    /// Skipping-clock counters; all zero under
+    /// [`EngineMode::FullScan`](crate::EngineMode).
+    pub event: EventPerf,
 }
 
 impl PerfProfile {
@@ -226,15 +228,15 @@ impl PerfProfile {
         ]
     }
 
-    /// Cycles skipped by the event engine (0 outside event mode).
+    /// Cycles skipped by the skipping clock (0 under the full scan).
     pub fn skipped_cycles(&self) -> u64 {
-        self.event.as_ref().map_or(0, |e| e.skipped_cycles)
+        self.event.skipped_cycles
     }
 
     /// RFC-4180 CSV rendering (CRLF rows, via the shared
     /// [`crate::csv::push_row`] writer): a `metric,value` pair per row —
     /// run totals, visit/park and packet totals, per-phase times, and the
-    /// event counters + skip histogram when present.
+    /// skip counters + skip histogram.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let mut row = |metric: String, value: String| {
@@ -257,19 +259,18 @@ impl PerfProfile {
         for (label, secs) in self.phase_totals().named() {
             row(format!("phase_{label}_secs"), secs.to_string());
         }
-        if let Some(ev) = &self.event {
-            row("skipped_cycles".into(), ev.skipped_cycles.to_string());
-            row("skips".into(), ev.skips.to_string());
-            row(
-                "fresh_suppressions".into(),
-                ev.fresh_suppressions.to_string(),
-            );
-            for (label, count) in ev.wake_causes() {
-                row(format!("wake_{label}"), count.to_string());
-            }
-            for (k, count) in ev.skip_histogram.iter().enumerate() {
-                row(format!("skip_len_2e{k}"), count.to_string());
-            }
+        let ev = &self.event;
+        row("skipped_cycles".into(), ev.skipped_cycles.to_string());
+        row("skips".into(), ev.skips.to_string());
+        row(
+            "fresh_suppressions".into(),
+            ev.fresh_suppressions.to_string(),
+        );
+        for (label, count) in ev.wake_causes() {
+            row(format!("wake_{label}"), count.to_string());
+        }
+        for (k, count) in ev.skip_histogram.iter().enumerate() {
+            row(format!("skip_len_2e{k}"), count.to_string());
         }
         out
     }
@@ -313,7 +314,6 @@ mod tests {
             total_secs: 0.5,
             stepped_cycles: 100,
             phases: phases(0.25),
-            event: Some(EventPerf::default()),
             ..PerfProfile::default()
         };
         let csv = p.to_csv();

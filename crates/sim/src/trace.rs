@@ -18,9 +18,9 @@
 //! for the indirect strategies, identified by `PacketMeta::kind`).
 //!
 //! Tracing is purely observational: a run produces byte-identical
-//! [`NetStats`](crate::NetStats) with tracing on or off, in every
-//! [`EngineMode`](crate::EngineMode) (pinned by the engine equivalence
-//! tests). In event-driven mode the engine forces a sample at each
+//! [`NetStats`](crate::NetStats) with tracing on or off, under both
+//! [`EngineMode`](crate::EngineMode)s (pinned by the engine equivalence
+//! tests). Under the skipping clock the engine forces a sample at each
 //! skipped-interval boundary so the delta series still telescopes. With
 //! tracing disabled the engine's hot loop pays one predictable branch
 //! per cycle and nothing else.

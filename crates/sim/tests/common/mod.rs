@@ -6,11 +6,11 @@
 #![allow(dead_code)] // each including test crate uses its own subset
 
 use bgl_sim::{
-    Engine, EngineMode, NetStats, NodeProgram, PerfConfig, PerfProfile, SimConfig, SimError, Trace,
-    TraceConfig,
+    Engine, EngineMode, EventPerf, NetStats, NodeProgram, PerfConfig, PerfProfile, SimConfig,
+    SimError, Trace, TraceConfig,
 };
 
-/// The values each axis takes, beside the three engine modes; the helper
+/// The values each axis takes, beside the two engine modes; the helper
 /// runs their full cross product.
 #[derive(Clone, Copy)]
 pub struct Axes<'a> {
@@ -23,7 +23,7 @@ pub struct Axes<'a> {
 }
 
 impl Axes<'static> {
-    /// The three modes, every observer off.
+    /// Both modes, every observer off.
     pub const MODES: Axes<'static> = Axes {
         trace: &[None],
         oracle: &[false],
@@ -61,8 +61,8 @@ pub fn parked(p: &PerfProfile) -> (u64, u64) {
 /// off. Traced cells must also agree on the series, sample for
 /// sample, and its busy deltas must sum to the run's totals; profiled
 /// cells must carry a structurally consistent profile, in which the full
-/// scan — the reference that visits every node — parked nothing. Returns
-/// the reference.
+/// scan — the reference — visited every node in every stepped cycle,
+/// parked nothing and skipped nothing. Returns the reference.
 pub fn run_modes(
     base: &SimConfig,
     axes: Axes<'_>,
@@ -114,13 +114,15 @@ pub fn run_modes(
         assert_eq!(cell.perf.is_some(), perf, "{ctx}: profile");
         if let Some(p) = &cell.perf {
             assert!(p.stepped_cycles > 0, "{ctx}: cycles were stepped");
-            assert_eq!(
-                p.event.is_some(),
-                mode == EngineMode::EventDriven,
-                "{ctx}: event counters iff the skipping clock"
-            );
             if mode == EngineMode::FullScan {
+                let nodes = u64::from(base.partition.num_nodes());
+                assert_eq!(
+                    p.cpu_visits,
+                    nodes * p.stepped_cycles,
+                    "{ctx}: the full scan visits every node"
+                );
                 assert_eq!(parked(p), (0, 0), "{ctx}: the full scan never parks");
+                assert_eq!(p.event, EventPerf::default(), "{ctx}: nor skips");
             }
         }
     }

@@ -1,5 +1,5 @@
-//! The active-set and event-driven engines and the observers (tracer,
-//! oracle, profiler) must be pure optimizations and pure observations: for
+//! The skipping clock and the observers (tracer, oracle, profiler) must
+//! be pure optimizations and pure observations: for
 //! any workload, every statistic — cycle counts, histograms, per-link
 //! counters — is byte-identical to the reference full-scan engine (see
 //! `common::run_modes`).
@@ -34,7 +34,7 @@ fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box
 
 /// The pinned grid of scripted all-to-alls: symmetric and asymmetric
 /// shapes, adaptive and deterministic routing, sparse and saturating load.
-/// Every row runs under all three modes; the rows that are cheap enough
+/// Every row runs under both modes; the rows that are cheap enough
 /// also cross the oracle and the profiler, which pins the deferred credit
 /// releases and the ring's win order under the oracle's per-cell credit
 /// check, independent of the randomized fuzzers.
@@ -97,7 +97,7 @@ fn check_profile_timing(ctx: &str, mode: EngineMode, p: &bgl_sim::PerfProfile) {
     }
 }
 
-/// Extremely sparse traffic — the regime the active sets and event skips
+/// Extremely sparse traffic — the regime the node sets and event skips
 /// exist for — with detailed per-link stats enabled so the comparison
 /// covers every counter.
 #[test]
@@ -171,7 +171,7 @@ proptest::proptest! {
 
     /// Randomized cells of the same cross product on small scripted
     /// exchanges: a drawn trace interval, oracle and profiler setting,
-    /// under all three modes.
+    /// under both modes.
     #[test]
     fn fuzzed_configs_match_on_every_axis(
         shape_i in 0usize..4,

@@ -6,7 +6,7 @@
 //! not cycles were stepped.
 //!
 //! Each test pins the skipping clock (`EngineMode::EventDriven`, the
-//! default) byte-for-byte against the full-scan and active-set references
+//! default) byte-for-byte against the full-scan reference
 //! (`common::run_modes`) on a workload that specifically
 //! exercises the skip-ahead machinery.
 
@@ -176,7 +176,7 @@ fn credit_stop_and_wait_matches_across_modes() {
 
 /// A sampling interval that divides nothing forces the event engine to
 /// segment every skip at tracer boundaries; the recorded series must be
-/// identical to the cycle-stepped engines', sample for sample.
+/// identical to the cycle-stepped full scan's, sample for sample.
 #[test]
 fn traced_odd_interval_produces_identical_series() {
     let part: Partition = "8x4x4".parse().unwrap();
@@ -289,7 +289,7 @@ fn link_release_edge_wakes_exactly_on_busy_until() {
 /// of thousands of cycles), the event engine must not jump past
 /// `last_progress + watchdog_cycles + 1` — unclamped it would sail to
 /// the rate wake, send the second packet, and *complete* instead of
-/// reporting the same stall the cycle-stepped engines see.
+/// reporting the same stall the cycle-stepped full scan sees.
 #[test]
 fn watchdog_clamps_skips_with_a_distant_timed_wake() {
     let part: Partition = "4x4".parse().unwrap();
@@ -309,7 +309,7 @@ fn watchdog_clamps_skips_with_a_distant_timed_wake() {
         programs[15] = Box::new(ScriptedProgram::new(vec![], 2));
         programs
     };
-    // The stepped engines fire at the first cycle with
+    // The full scan fires at the first cycle with
     // now − last_progress > watchdog_cycles; the clamp must hold the
     // skipping clock to the same horizon.
     match run_modes(&cfg, Axes::MODES, |c| engine_cell(c, programs())) {

@@ -1,5 +1,5 @@
 //! The invariant oracle (`SimConfig::check_invariants`): runs green on
-//! random configurations in all three engine modes, never perturbs results,
+//! random configurations in both engine modes, never perturbs results,
 //! composes with tracing, and tolerates error paths (a stalled run
 //! reports its watchdog error rather than a spurious quiesce violation).
 
@@ -33,10 +33,9 @@ fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
 
-    /// Random shapes × routing modes × FIFO depths × all three engine
-    /// modes: the
-    /// oracle's conservation sweeps stay green end-to-end, and enabling
-    /// them changes nothing observable.
+    /// Random shapes × routing modes × FIFO depths × both engine modes:
+    /// the oracle's conservation sweeps stay green end-to-end, and
+    /// enabling them changes nothing observable.
     #[test]
     fn oracle_green_and_non_perturbing(
         shape_i in 0usize..4,
@@ -60,8 +59,8 @@ proptest::proptest! {
     }
 }
 
-/// The oracle composes with tracing: all three observers (active-set
-/// engine, tracer, oracle) agree with the bare run.
+/// The oracle composes with tracing: the traced, oracle-checked run
+/// agrees with the bare run.
 #[test]
 fn oracle_composes_with_tracing() {
     let part: Partition = "4x2x2".parse().unwrap();

@@ -101,7 +101,7 @@ proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
 
     /// Random shapes × FIFO depths × sampling intervals: the schema
-    /// invariants hold for every configuration, in all three engine modes.
+    /// invariants hold for every configuration, in both engine modes.
     #[test]
     fn trace_invariants_hold(
         shape_i in 0usize..4,

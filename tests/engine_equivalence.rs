@@ -3,13 +3,13 @@
 //! Random (partition, strategy, message size, coverage) configurations
 //! drawn across the real strategy stack, each run through the one
 //! differential helper (`crates/sim/tests/common/mod.rs`) on a drawn cell
-//! of its axes — trace interval, oracle, profiler — under all three engine
+//! of its axes — trace interval, oracle, profiler — under both engine
 //! modes. The simulator promises:
 //!
-//! 1. **Engine mode**: the active-set and event-driven engines produce
-//!    byte-identical `NetStats` — cycle counts, latency histograms,
-//!    per-dimension link counters — to the reference full-scan path,
-//!    healthy or under a fault plan (where the whole `Result` must match).
+//! 1. **Engine mode**: the skipping clock produces byte-identical
+//!    `NetStats` — cycle counts, latency histograms, per-dimension link
+//!    counters — to the reference full-scan path, healthy or under a
+//!    fault plan (where the whole `Result` must match).
 //! 2. **Observers**: enabling `SimConfig::trace`, `check_invariants` or
 //!    `perf` changes nothing in `NetStats`; the recorded series is the same
 //!    in every cell and its per-dimension link-busy deltas sum exactly to
@@ -153,9 +153,10 @@ proptest! {
 /// Parking, asserted rather than hoped for: TPS with its reserved injection
 /// FIFOs on 4x8x4 at m = 912 fills them (CPUs stuck on injection space) and
 /// keeps the long dimension's links busy (arbiters with nothing free to
-/// ask for), so both scans must really have passed nodes over — and, cell
-/// by cell, have changed nothing against the full scan, which never parks;
-/// the oracle cells re-derive the parking rule at every cycle boundary.
+/// ask for), so the skipping clock must really have passed nodes over in
+/// both phases — and, cell by cell, have changed nothing against the full
+/// scan, which never parks; the oracle cells re-derive the parking rule at
+/// every cycle boundary.
 #[test]
 fn parked_nodes_change_nothing() {
     let part: Partition = "4x8x4".parse().unwrap();
@@ -204,7 +205,7 @@ proptest! {
     /// Fault dimension of equivalence 1: a random set of statically dead
     /// links must leave the run's entire `Result` — completed `NetStats`
     /// byte-for-byte, or the exact same `SimError` — invariant across
-    /// all three engine modes and the oracle. Also pins the no-op
+    /// both engine modes and the oracle. Also pins the no-op
     /// guarantee: a fault scheduled far past completion runs the
     /// degraded-mode arbitration code yet stays byte-identical to the
     /// healthy run.
