@@ -73,7 +73,7 @@ use bgl_harness::cli::Cli;
 use bgl_harness::conformance::{run_validation, Tier};
 use bgl_harness::runner::{RunPoint, Runner, Scale};
 use bgl_model::MachineParams;
-use bgl_sim::{FaultPlan, LinkFault, NodeFault, SimConfig};
+use bgl_sim::{FaultPlan, LinkFault, NodeFault, SimConfig, SimError};
 use bgl_torus::{Coord, Dim, Direction, Partition, Sign};
 use std::collections::HashMap;
 
@@ -473,11 +473,19 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     if let Some(path) = &trace_out {
         write_traces(path, &points, &runner);
     }
+    // `--json` and `--csv` stdout carries data rows only: a failed point
+    // is named on stderr, and the exit status stays what text mode says.
+    let failed = |p: &RunPoint, e: &SimError| {
+        eprintln!("bglsim: {} m={}: {e}", p.key.strategy.name(), p.key.m);
+    };
     if json {
-        let reports: Vec<AaReport> = points
-            .iter()
-            .filter_map(|p| runner.report(p).ok())
-            .collect();
+        let mut reports: Vec<AaReport> = Vec::new();
+        for p in &points {
+            match runner.report(p) {
+                Ok(r) => reports.push(r),
+                Err(e) => failed(p, &e),
+            }
+        }
         println!(
             "{}",
             serde_json::to_string_pretty(&reports).expect("serialize")
@@ -509,6 +517,7 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
                     );
                 }
             }
+            Err(e) if csv => failed(point, &e),
             Err(e) => println!("  m={m:<7} {:12} ERROR {e}", point.key.strategy.name()),
         }
     }

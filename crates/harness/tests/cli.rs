@@ -223,6 +223,55 @@ fn bglsim_sweep_json_carries_per_dimension_counters() {
     }
 }
 
+/// A sweep whose every point stalls: a rate pacer so slow the second
+/// packet of each node waits past the watchdog.
+const STALLING_SWEEP: [&str; 9] = [
+    "sweep",
+    "--shape",
+    "4x4x4",
+    "--strategies",
+    "ar,dr",
+    "--sizes",
+    "240",
+    "--pacer",
+    "rate:1e-6",
+];
+
+/// A failed point is not a failed sweep (exit 0, as in text mode), and a
+/// machine-readable stdout never carries it: stderr names each one.
+fn assert_stalls_on_stderr(stderr: &str) {
+    let lines: Vec<&str> = stderr.lines().collect();
+    assert_eq!(lines.len(), 2, "one line per failed point: {stderr}");
+    for (line, strategy) in lines.iter().zip(["AR-throttled", "DR"]) {
+        let head = format!("bglsim: {strategy} m=240: simulation stalled at cycle");
+        assert!(line.starts_with(&head), "{line:?} lacks {head:?}");
+    }
+}
+
+#[test]
+fn bglsim_sweep_csv_sends_failed_points_to_stderr() {
+    let bin = env!("CARGO_BIN_EXE_bglsim");
+    let (code, csv, stderr) = run(bin, &[&STALLING_SWEEP[..], &["--csv"]].concat());
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let mut lines = csv.lines();
+    let columns = lines.next().expect("a header").split(',').count();
+    for line in lines {
+        assert_eq!(line.split(',').count(), columns, "{line:?} in {csv}");
+    }
+    assert_eq!(csv.lines().count(), 1, "no point completed: {csv}");
+    assert_stalls_on_stderr(&stderr);
+}
+
+#[test]
+fn bglsim_sweep_json_sends_failed_points_to_stderr() {
+    let bin = env!("CARGO_BIN_EXE_bglsim");
+    let (code, json, stderr) = run(bin, &[&STALLING_SWEEP[..], &["--json"]].concat());
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    let reports: Vec<Value> = serde_json::from_str(&json).expect("parses");
+    assert!(reports.is_empty(), "{json}");
+    assert_stalls_on_stderr(&stderr);
+}
+
 /// Every malformed `--fault` spec obeys the one-line exit-2 contract:
 /// bad grammar, bad direction, out-of-range coordinate or rank, a
 /// mesh-edge link, a duplicate, and an inverted schedule window.

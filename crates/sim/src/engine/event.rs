@@ -6,26 +6,24 @@
 //! watchdog's own flag — see the gate in `Engine::run_inner`),
 //! [`Engine::fast_forward`] computes a conservative earliest next-event
 //! cycle from per-component wake-ups — in-flight arrivals (the ring),
-//! pending deliveries, CPU timelines, program poll hints, rate windows,
-//! and link-busy horizons — and jumps `now` straight there.
+//! pending deliveries, the CPU wakes each node's last visit computed
+//! (`State::cpu_at`), and link-busy horizons — and jumps `now` straight
+//! there.
 //!
 //! The clock keeps no state of its own: everything it reads is state the
-//! phases maintain anyway, plus two per-node hints the CPU phase leaves on
-//! the node it is visiting ([`NodeState::poll`](crate::node::NodeState),
-//! `inject_blocked`). The jump is decided between stepped cycles.
+//! phases maintain anyway. The jump is decided between stepped cycles.
 //!
 //! This is the *global* half of one idea. A loaded run never has a cycle
-//! without progress, so it never jumps; there the phases apply the same
-//! bounds node by node and pass over the ones that cannot act (see
-//! "Parking" in [`super::phases`]). A parked node keeps its mark and its
-//! state is what a visit would have left, so what this module reads — the
-//! marked node sets, the node hints — is the same with or without parking.
+//! without progress, so it never jumps; there the phases pass over the
+//! nodes that cannot act (see "Parking" in [`super::phases`]). A parked
+//! node keeps its mark and its state is what a visit would have left, so
+//! what this module reads — the marked node sets, the wakes — is the same
+//! with or without parking.
 //!
 //! ## Why the skip is exact
 //!
 //! A cycle may be skipped only when a cycle-stepped clock, run over that
-//! same cycle, would have mutated *nothing* except two closed-form
-//! counters:
+//! same cycle, would have mutated *nothing* except two counters:
 //!
 //! - no arrivals (the in-flight ring is empty until the next wake-up),
 //! - no deliveries (`deliver_q` empty, and stalled
@@ -34,8 +32,9 @@
 //! - every CPU visit is a blocked poll — a rate-window check or a pure
 //!   `next_send` decline ([`PollHint::SleepUntilDelivery`]) — whose only
 //!   effect is incrementing `pacing_blocked_cycles` /
-//!   `credit_blocked_events` by a per-cycle constant, replayed in closed
-//!   form by [`Engine::replay_blocked_counters`],
+//!   `credit_blocked_events` by a per-cycle constant: the node's own
+//!   `owed_from` already counts those cycles, settled when it is next
+//!   visited or the statistics are read, skipped or not,
 //! - no arbitration win is possible: every candidate head lost its last
 //!   stepped arbitration on *feasibility* (downstream credit), which only
 //!   changes when a downstream FIFO pops or a win spends credit — both
@@ -103,8 +102,11 @@ impl Engine {
         if e == now {
             return (now, cause);
         }
+        // A CPU wake is what the node's last visit computed (`cpu_park`):
+        // every event since that could move it re-armed it to 0, and none
+        // can be pending now, after a cycle without progress.
         for i in st.cpu_active.iter() {
-            let wake = self.cpu_wake(i);
+            let wake = st.cpu_at[i].max(now);
             if wake < e {
                 e = wake;
                 cause = WakeCause::Cpu(st.nodes[i].poll);
@@ -124,39 +126,6 @@ impl Engine {
             }
         }
         (e, cause)
-    }
-
-    /// Next cycle the CPU phase of node `i` could do anything
-    /// but a replayable blocked poll. `cpu_visit` skips cycles with
-    /// `cpu_free >= t + 1`, so the first visitable cycle is
-    /// `floor(cpu_free)` — before that, even a pending drain cannot run.
-    fn cpu_wake(&self, i: usize) -> u64 {
-        let n = &self.state.nodes[i];
-        let ready = (n.cpu_free as u64).max(self.now);
-        if !self.state.fifos.reception(i).is_empty() {
-            // A drain mutates real state: never skip past it.
-            return ready;
-        }
-        let mut wake = u64::MAX;
-        if (!n.pending.is_empty() || !n.pulled.is_empty()) && !n.inject_blocked {
-            // Queued sends with injection space available: injections
-            // happen as soon as the CPU frees up.
-            wake = ready;
-        }
-        if n.pull_due() {
-            match n.poll {
-                PollState::Open => wake = wake.min(ready),
-                PollState::Rate => {
-                    // First cycle `t` with `t >= next_allowed`; every
-                    // earlier visit is a pure `pacing_blocked_cycles`
-                    // increment, replayed in closed form.
-                    let open = n.flow.next_allowed.ceil() as u64;
-                    wake = wake.min(ready.max(open));
-                }
-                PollState::Asleep { .. } => {}
-            }
-        }
-        wake
     }
 
     /// Next cycle the arbitration of node `i` could win an output.
@@ -197,40 +166,10 @@ impl Engine {
         wake
     }
 
-    /// Apply the per-cycle blocked-poll counter increments the
-    /// cycle-stepped full scan would have made over the skipped window
-    /// `[self.now, stop)`, in closed form. For each cpu-active node the
-    /// eligible cycles are those from `max(now, floor(cpu_free))` on
-    /// (earlier ones are CPU-booked no-ops); `stop` never exceeds the
-    /// node's own wake, so a `Rate` window is closed and an `Asleep`
-    /// decline repeats verbatim across the whole eligible span.
-    fn replay_blocked_counters(&mut self, stop: u64) {
-        let st = &mut self.state;
-        for i in st.cpu_active.iter() {
-            let n = &st.nodes[i];
-            if !n.pull_due() || !st.fifos.reception(i).is_empty() {
-                continue;
-            }
-            let from = (n.cpu_free as u64).max(self.now);
-            if stop <= from {
-                continue;
-            }
-            let cycles = stop - from;
-            match n.poll {
-                PollState::Rate => st.stats.pacing_blocked_cycles += cycles,
-                PollState::Asleep { denials } if denials > 0 => {
-                    st.stats.credit_blocked_events += denials * cycles;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Jump `now` to the next event cycle, replaying blocked-poll
-    /// counters over the skipped window and recording the periodic trace
-    /// samples that fall inside it. Bounded so the `run` loop's watchdog
-    /// and cycle-limit checks fire at exactly the cycle the full scan
-    /// would report.
+    /// Jump `now` to the next event cycle, recording the periodic trace
+    /// samples that fall inside the skipped window. Bounded so the `run`
+    /// loop's watchdog and cycle-limit checks fire at exactly the cycle
+    /// the full scan would report.
     pub(super) fn fast_forward(&mut self) {
         let (raw, cause) = self.next_event_cycle();
         if raw <= self.now {
@@ -250,22 +189,14 @@ impl Engine {
         if self.perf.is_some() {
             self.perf_note_skip(raw, e, watchdog_fire, cause);
         }
-        while self.now < e {
-            let stop = match &self.tracer {
-                Some(tr) => e.min(tr.next_at),
-                None => e,
-            };
+        while let Some(tr) = self.tracer.as_ref().filter(|tr| tr.next_at <= e) {
             // `next_at > now` is an invariant here: `step`/`fast_forward`
             // record any due sample immediately, and recording advances
             // `next_at` past the sample cycle.
-            debug_assert!(stop > self.now, "tracer boundary must advance");
-            self.replay_blocked_counters(stop);
-            self.now = stop;
-            if let Some(tr) = &self.tracer {
-                if self.now >= tr.next_at {
-                    self.record_trace_sample(false);
-                }
-            }
+            debug_assert!(tr.next_at > self.now, "tracer boundary must advance");
+            self.now = tr.next_at;
+            self.record_trace_sample(false);
         }
+        self.now = e;
     }
 }

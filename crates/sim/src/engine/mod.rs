@@ -73,7 +73,7 @@ mod tracer;
 
 use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
 use crate::fifo::{ChunkFifo, FifoRows, Slab};
-use crate::node::NodeState;
+use crate::node::{NodeState, PollState};
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
 use crate::program::NodeProgram;
 use crate::stats::{NetStats, LATENCY_BUCKETS};
@@ -408,10 +408,14 @@ struct State {
     /// Nodes that may have a packet to arbitrate out (non-zero `vc_mask`
     /// or `inj_mask`).
     arb_active: NodeSet,
-    /// Per node, the earliest cycle at which a CPU-phase visit could
-    /// change anything (0: visit; `u64::MAX`: not until re-armed) — see
-    /// "Parking" in [`phases`]. The full scan writes it and never reads it.
+    /// Per node, the earliest cycle at which a CPU-phase visit could do
+    /// more than a blocked poll (0: visit; `u64::MAX`: not until re-armed)
+    /// — see "Parking" in [`phases`]. The full scan writes it and never
+    /// reads it; the skipping clock takes its minimum.
     cpu_at: Vec<u64>,
+    /// Per node, the first cycle of blocked polls not yet counted into the
+    /// statistics (`u64::MAX`: none owed), written beside `cpu_at`.
+    owed_from: Vec<u64>,
     /// The same for phase 4.
     arb_at: Vec<u64>,
     /// Id of the next packet injected: ids are dense and ascend with
@@ -443,6 +447,24 @@ impl State {
         let transit = bits(node.vc_mask).map(move |f| (Some(f), head(&self.fifos.vcs(i)[f])));
         let inj = bits(node.inj_mask.into()).map(move |f| (None, head(&self.fifos.inj(i)[f])));
         transit.chain(inj)
+    }
+
+    /// Count the blocked polls node `i` owes for the cycles `owed_from..upto`:
+    /// 1 `pacing_blocked_cycles` each under a closed rate window, the
+    /// sleeper's denials of `credit_blocked_events` — per `poll`, which only a
+    /// visit changes. Every visit and every reader of the statistics calls it.
+    fn settle_blocked(&mut self, i: usize, upto: u64) {
+        let from = self.owed_from[i];
+        if upto <= from {
+            return;
+        }
+        self.owed_from[i] = upto;
+        let cycles = upto - from;
+        match self.nodes[i].poll {
+            PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
+            PollState::Asleep { denials } => self.stats.credit_blocked_events += denials * cycles,
+            PollState::Open => unreachable!("an open poll owes nothing"),
+        }
     }
 }
 
@@ -549,6 +571,7 @@ impl Engine {
             cpu_active: NodeSet::all(p),
             arb_active: NodeSet::all(p),
             cpu_at: vec![0; p],
+            owed_from: vec![u64::MAX; p],
             arb_at: vec![0; p],
             next_packet_id: 0,
             deferred: Vec::new(),
@@ -709,11 +732,15 @@ impl Engine {
         self.state.nodes.len()
     }
 
-    /// Fold the per-node CPU-busy accumulators into
-    /// `stats.cpu_busy_cycles`, in ascending node order — the one float
+    /// Bring the statistics up to `now` for a reader: settle every node's
+    /// blocked polls, and fold the per-node CPU-busy accumulators into
+    /// `stats.cpu_busy_cycles` in ascending node order — the one float
     /// reduction in the stats.
     fn sync_ledgers(&mut self) {
         let st = &mut self.state;
+        for i in 0..st.nodes.len() {
+            st.settle_blocked(i, self.now);
+        }
         st.stats.cpu_busy_cycles = st.nodes.iter().map(|n| n.cpu_busy).sum();
     }
 

@@ -14,6 +14,7 @@
 use super::{phases::INJ_FIFO_CHUNKS, Engine};
 use crate::config::NUM_VCS;
 use crate::fifo::ChunkFifo;
+use crate::node::PollState;
 use crate::packet::Packet;
 
 /// Independent re-derivation of the simulator's conservation laws, enabled
@@ -165,8 +166,8 @@ impl Engine {
     /// Every cached request-mask bit must equal what
     /// `Shared::wants` says of the FIFO's current head: a head change that
     /// skipped its refresh shows at the boundary of the cycle that made it.
-    /// Last, a node still parked past `t` must be one whose visit at `t`
-    /// could not have acted ([`Engine::oracle_parking_check`]).
+    /// Last, a parked node must be one whose visit could not act
+    /// ([`Engine::oracle_parking_check`]).
     pub(super) fn oracle_cycle_check(&self, t: u64) {
         let o = self.oracle.as_ref().expect("caller checked");
         let injected = o.planned_hops.len() as u64;
@@ -305,29 +306,38 @@ impl Engine {
         );
     }
 
-    /// The parking rule, re-derived from the state at the end of cycle `t`:
-    /// a node whose wake cycle lies past `t` was passed over (or parked) at
-    /// `t`, so a visit at `t` must have been unable to change anything. A
+    /// The parking rules, re-derived from the state at the end of cycle `t`.
+    /// A node whose arbitration wake lies past `t` was passed over at `t`,
+    /// so its visit must have been unable to win a link. A node whose CPU
+    /// wake lies past `t + 1` will be passed over next, so a visit there
+    /// must be unable to do more than a blocked poll: its CPU is booked,
+    /// or there is nothing to drain, no queued send fits, and no pull is
+    /// due that the rate window or a sleeper's decline does not refuse. A
     /// missed re-arm shows here at the first cycle the node could have
     /// moved. The full scan parks nothing but writes the same wake cycles,
     /// so the check covers the reference too.
     fn oracle_parking_check(&self, t: u64) {
-        let (ports, st) = (self.shared.ports, &self.state);
+        let (ports, st, next) = (self.shared.ports, &self.state, t + 1);
         for (i, node) in st.nodes.iter().enumerate() {
             let free = |d: usize| {
                 (st.want[i * ports + d] != 0 || st.inj_want[i * ports + d] != 0)
                     && self.shared.neighbors[i][d] != u32::MAX
                     && st.link_busy_until[i * ports + d] <= t
             };
-            let cpu_idle = match st.cpu_at[i] {
-                u64::MAX => {
-                    node.inject_blocked
-                        && st.fifos.reception(i).is_empty()
-                        && !node.pull_due()
-                        && self.shared.inject_slot(node, st.fifos.inj(i)).is_none()
-                }
-                at => at <= t || node.cpu_free >= (t + 1) as f64,
+            let queued = !node.pending.is_empty() || !node.pulled.is_empty();
+            let polls = match node.poll {
+                _ if !node.pull_due() => false,
+                PollState::Rate => next as f64 >= node.flow.next_allowed,
+                PollState::Asleep { .. } => false,
+                PollState::Open => true,
             };
+            let cpu_idle = st.cpu_at[i] <= next
+                || node.cpu_free >= (next + 1) as f64
+                || st.fifos.reception(i).is_empty()
+                    && !(queued
+                        && (!node.inject_blocked
+                            || self.shared.inject_slot(node, st.fifos.inj(i)).is_some()))
+                    && !polls;
             assert!(
                 cpu_idle && (st.arb_at[i] <= t || !(0..ports).any(free)),
                 "invariant violated: parked node {i} could have acted (cpu_at {}, \

@@ -9,13 +9,17 @@
 //! ## Parking
 //!
 //! Outside the full scan, phases 3 and 4 visit a marked node only if it
-//! can act. A visit that learns the next one cannot change anything,
-//! counters included, before some cycle leaves that cycle in
-//! `State::cpu_at` / `arb_at`: the CPU is booked until then, or stuck
-//! on injection-FIFO space with nothing to drain and no pull due; or
-//! every link the node's heads request is mid-transmission. Until then the
-//! scan passes the node over on one word, its mark untouched. Whatever can
-//! change what the skipped visit would have found is an event at the node
+//! can act. Every CPU visit ends by leaving in `State::cpu_at` the first
+//! cycle the next one could do more than a blocked poll (`cpu_park`): the
+//! CPU is booked until then, or the rate window opens then, or nothing
+//! short of an event at the node can help — a sleeper's pure decline, or
+//! sends stuck on injection-FIFO space. A visit to arbitration leaves in
+//! `arb_at` the release of the links its heads request if all of them are
+//! mid-transmission. Until then the scan passes the node over on one word,
+//! its mark untouched. The blocked polls it is passed over for still count:
+//! `State::owed_from` says since when, and the next visit, or any reader
+//! of the statistics, settles them (`State::settle_blocked`). Whatever can
+//! change what a skipped visit would have found is an event at the node
 //! itself — an arrival commit, a delivery, an injection, an injection-FIFO
 //! pop, a fault transition — and writes 0. The full scan writes both
 //! arrays and reads neither, so every comparison against it is parked
@@ -598,10 +602,10 @@ impl Phases<'_> {
         let (mut visits, mut parked) = (0u64, 0u64);
         // A node acquires CPU work only through a reception-FIFO push
         // (which marks it) or through its own hooks (it is being visited),
-        // so iterating a snapshot of each word misses nothing. Idle marked
-        // nodes are cleared as they are visited; parked ones
-        // (`State::cpu_at`) stay marked and cost one word. The full scan
-        // does neither, so every node stays marked and is visited.
+        // so iterating a snapshot of each word misses nothing. A visit that
+        // leaves its node idle clears it; parked nodes (`State::cpu_at`)
+        // stay marked and cost one word. The full scan does neither, so
+        // every node stays marked and is visited.
         let prune = !self.shared.full_scan;
         for w in 0..self.st.cpu_active.words.len() {
             for i in bits(self.st.cpu_active.words[w]).map(|b| w << 6 | b) {
@@ -620,32 +624,48 @@ impl Phases<'_> {
         }
     }
 
-    /// Run one node's CPU for cycle `t` if it has work; with `prune`,
-    /// drop provably workless nodes from the CPU set.
+    /// Node `i`'s CPU at cycle `t`: count the blocked polls it owes from
+    /// the cycles it was passed over, run it unless it is still booked,
+    /// and leave what the visit learned ([`cpu_park`](Self::cpu_park)).
     fn cpu_visit(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64, prune: bool) {
-        let horizon = (t + 1) as f64;
-        {
-            let n = &self.st.nodes[i];
-            if n.cpu_free >= horizon {
-                // Still booked into the future: keep it marked, parked
-                // until the first cycle this test fails.
-                self.st.cpu_at[i] = n.cpu_free as u64;
-                return;
-            }
-            if self.st.fifos.reception(i).is_empty()
-                && n.pending.is_empty()
-                && n.pulled.is_empty()
-                && n.program_done
-            {
-                if prune {
-                    // Only a delivery can give this node CPU work again,
-                    // and deliveries re-mark it.
-                    self.st.cpu_active.clear(i);
-                }
-                return;
-            }
+        self.st.settle_blocked(i, t);
+        if self.st.nodes[i].cpu_free < (t + 1) as f64 {
+            self.cpu_node(i, prog, t);
         }
-        self.cpu_node(i, prog, t);
+        self.cpu_park(i, t, prune);
+    }
+
+    /// The end of every CPU visit of node `i` at `t`, the one place its wake
+    /// is computed: `cpu_at`, the first cycle a visit could do more than a
+    /// blocked poll (a visit before `ready` finds the CPU booked), and
+    /// `owed_from`, the first of the blocked polls between `ready` and the
+    /// wake, each worth the same counts while the rate window stays closed
+    /// or the sleeper's decline stays pure. Outside the full scan, a done
+    /// node with nothing queued leaves the CPU set: a delivery re-marks it.
+    fn cpu_park(&mut self, i: usize, t: u64, prune: bool) {
+        let (n, drain) = (&self.st.nodes[i], !self.st.fifos.reception(i).is_empty());
+        let ready = (n.cpu_free as u64).max(t + 1);
+        let queued = !n.pending.is_empty() || !n.pulled.is_empty();
+        // A drain, or a queued send that fits, runs as soon as the CPU is free.
+        let work = if drain || queued && !n.inject_blocked {
+            ready
+        } else {
+            u64::MAX
+        };
+        let (wake, owed) = match n.poll {
+            _ if drain || !n.pull_due() => (work, u64::MAX),
+            PollState::Open => (ready, u64::MAX),
+            PollState::Rate => (
+                work.min(ready.max(n.flow.next_allowed.ceil() as u64)),
+                ready,
+            ),
+            PollState::Asleep { denials: 0 } => (work, u64::MAX),
+            PollState::Asleep { .. } => (work, ready),
+        };
+        if prune && n.program_done && !queued && !drain {
+            self.st.cpu_active.clear(i);
+        }
+        (self.st.cpu_at[i], self.st.owed_from[i]) = (wake, owed);
     }
 
     fn cpu_node(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
@@ -657,7 +677,6 @@ impl Phases<'_> {
         self.st.nodes[i].inject_blocked = false;
         for _guard in 0..64 {
             if self.st.nodes[i].cpu_free >= horizon {
-                self.st.cpu_at[i] = self.st.nodes[i].cpu_free as u64;
                 break;
             }
             // Reception drain has priority: it keeps the network moving.
@@ -707,13 +726,8 @@ impl Phases<'_> {
             }
             if !self.cpu_inject_one(i, t) {
                 // Every queued packet is stuck on injection-FIFO space;
-                // only an arbitration win here can free some. With nothing
-                // to drain (checked above) and no pull due, every later
-                // visit would repeat this one to the letter: park.
+                // only an arbitration win here can free some.
                 self.st.nodes[i].inject_blocked = true;
-                if !self.st.nodes[i].pull_due() {
-                    self.st.cpu_at[i] = u64::MAX;
-                }
                 break;
             }
         }

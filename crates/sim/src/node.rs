@@ -25,8 +25,9 @@ pub fn vc_fifo_index(port: usize, vc: usize) -> usize {
 pub(crate) const PULL_THRESHOLD: usize = 8;
 
 /// What a node's last CPU visit learned about its ability to make
-/// progress on its own (without a delivery) — the time-skipping clock's
-/// per-node wake hint (see `engine/event.rs`).
+/// progress on its own (without a delivery): the visit's wake and the
+/// blocked-poll counters its node owes follow from it ("Parking" in
+/// `engine/phases.rs`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PollState {
     /// No standing decline: the node may accept a pull whenever its CPU is
@@ -36,14 +37,15 @@ pub enum PollState {
     #[default]
     Open,
     /// The engine-level rate window was closed; re-poll no earlier than
-    /// `next_allowed` (read live from the node's flow ledger at wake
-    /// computation, since `rate_charge` may move it).
+    /// `next_allowed`, read from the node's flow ledger when the visit
+    /// ends (a send it pulled first may have moved it). Every cycle until
+    /// then counts one `pacing_blocked_cycles`.
     Rate,
     /// The program declined with `SleepUntilDelivery`: no timed wake at
     /// all. `denials` credit acquisitions failed during the declining
     /// poll; the decline is pure, so a cycle-stepped clock would repeat
-    /// exactly that count every idle cycle — replayed in closed form over
-    /// skipped windows.
+    /// exactly that count every idle cycle — settled per node over the
+    /// cycles it is passed over for.
     Asleep {
         /// Failed credit acquisitions of the declining poll.
         denials: u64,

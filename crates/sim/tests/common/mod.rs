@@ -58,11 +58,14 @@ pub fn parked(p: &PerfProfile) -> (u64, u64) {
 /// Run `base` under every engine mode × every combination of `axes`. Each
 /// cell's whole `Result` — `NetStats` byte for byte, or the same
 /// `SimError` — must equal the reference's: full-scan, every observer
-/// off. Traced cells must also agree on the series, sample for
-/// sample, and its busy deltas must sum to the run's totals; profiled
-/// cells must carry a structurally consistent profile, in which the full
-/// scan — the reference — visited every node in every stepped cycle,
-/// parked nothing and skipped nothing. Returns the reference.
+/// off. Traced cells must also agree on the series, sample for sample,
+/// failed runs included (a traced stall also carries the series' tail,
+/// which the bare reference lacks: it is compared with the first traced
+/// cell at the interval instead), and a completed run's busy deltas must
+/// sum to its totals; profiled cells must carry a structurally consistent
+/// profile, in which the full scan — the reference — visited every node
+/// in every stepped cycle, parked nothing and skipped nothing. Returns
+/// the reference.
 pub fn run_modes(
     base: &SimConfig,
     axes: Axes<'_>,
@@ -78,8 +81,9 @@ pub fn run_modes(
         cfg
     };
     let reference = run(configure(reference_cell)).result;
-    // The first traced cell at an interval sets the series for the rest.
-    let mut series: Vec<(u64, Trace)> = Vec::new();
+    // The first traced cell at an interval sets the result and the series
+    // for the rest.
+    let mut series: Vec<(u64, Result<NetStats, SimError>, Trace)> = Vec::new();
     let mut cells = Vec::new();
     for &trace in axes.trace {
         for &oracle in axes.oracle {
@@ -97,18 +101,26 @@ pub fn run_modes(
             base.partition
         );
         let cell = run(configure(id));
-        assert_eq!(cell.result, reference, "{ctx} vs the bare full scan");
-        let Ok(stats) = &cell.result else { continue };
+        let mut bare = cell.result.clone();
+        if let Err(SimError::Stalled { trace_tail, .. }) = &mut bare {
+            trace_tail.clear();
+        }
+        assert_eq!(bare, reference, "{ctx} vs the bare full scan");
         assert_eq!(cell.trace.is_some(), trace.is_some(), "{ctx}: trace");
         if let (Some(got), Some(every)) = (cell.trace, trace) {
-            assert_eq!(
-                got.link_busy_totals(),
-                stats.link_busy_chunks,
-                "{ctx}: busy deltas must sum to the totals"
-            );
-            match series.iter().find(|(e, _)| *e == every) {
-                Some((_, want)) => assert_eq!(&got, want, "{ctx}: trace series"),
-                None => series.push((every, got)),
+            if let Ok(stats) = &cell.result {
+                assert_eq!(
+                    got.link_busy_totals(),
+                    stats.link_busy_chunks,
+                    "{ctx}: busy deltas must sum to the totals"
+                );
+            }
+            match series.iter().find(|(e, ..)| *e == every) {
+                Some((_, result, want)) => {
+                    assert_eq!(&cell.result, result, "{ctx}: traced result");
+                    assert_eq!(&got, want, "{ctx}: trace series");
+                }
+                None => series.push((every, cell.result, got)),
             }
         }
         assert_eq!(cell.perf.is_some(), perf, "{ctx}: profile");

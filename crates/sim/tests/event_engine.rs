@@ -1,6 +1,6 @@
-//! Regression tests for the skipping clock's hard corners: the
-//! closed-form replay of per-cycle blocked counters under rate pacing,
-//! credit stop-and-wait wake-ups (the ack is itself a packet), tracer
+//! Regression tests for the skipping clock's hard corners: the per-node
+//! settle of per-cycle blocked counters under rate pacing and credit
+//! sleeps, credit stop-and-wait wake-ups (the ack is itself a packet), tracer
 //! sample boundaries that do not divide the skip intervals, progress that
 //! moves no packet, and the watchdog firing at the same cycle whether or
 //! not cycles were stepped.
@@ -12,13 +12,14 @@
 
 mod common;
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use bgl_sim::{
-    Engine, FlowSpec, NodeApi, NodeProgram, Packet, PacketMeta, PerfConfig, PollHint,
-    ScriptedProgram, SendSpec, SimConfig, SimError,
+    Engine, FlowSpec, LinkFault, NetStats, NodeApi, NodeProgram, Packet, PacketMeta, PerfConfig,
+    PerfProfile, PollHint, ScriptedProgram, SendSpec, SimConfig, SimError,
 };
-use bgl_torus::Partition;
+use bgl_torus::{Dim, Direction, Partition, Sign};
 use common::{engine_cell, run_modes, Axes};
 
 /// Sparse streams on an idle partition: the event engine's best case.
@@ -39,9 +40,23 @@ fn stream_programs(part: &Partition, packets: u64) -> Vec<Box<dyn NodeProgram>> 
     programs
 }
 
-/// Rate pacing makes `pacing_blocked_cycles` a per-cycle counter; in
-/// event mode those cycles are skipped and replayed in closed form, so
-/// any off-by-one in the replay window shows up as a counter mismatch.
+/// Run `programs` on `cfg` under the default clock, profiled: the
+/// statistics and the profile.
+fn profiled(mut cfg: SimConfig, programs: Vec<Box<dyn NodeProgram>>) -> (NetStats, PerfProfile) {
+    cfg.perf = Some(PerfConfig::default());
+    let mut engine = Engine::new(cfg, programs);
+    let stats = engine.run().expect("the run completes");
+    (stats, engine.take_perf().expect("profiling on"))
+}
+
+/// Rate pacing makes `pacing_blocked_cycles` a per-cycle counter. Under
+/// the skipping clock a paced source is parked until its window opens,
+/// and the cycles it is passed over for — stepped or skipped — are
+/// settled on the node when it is next visited or the statistics are
+/// read, so any off-by-one in the settle shows up as a counter mismatch.
+/// A parked poller is not visited: beyond each node's first visit, the
+/// run makes fewer than two CPU visits per stepped cycle, where visiting
+/// every paced source and sleeping sink each cycle would make four.
 #[test]
 fn rate_paced_streams_replay_blocked_cycles_exactly() {
     let part: Partition = "8x4x4".parse().unwrap();
@@ -58,6 +73,55 @@ fn rate_paced_streams_replay_blocked_cycles_exactly() {
         "rate window must actually block: {reference:?}"
     );
     assert_eq!(reference.packets_delivered, 48);
+    let (stats, perf) = profiled(cfg, stream_programs(&part, 24));
+    assert_eq!(stats, reference);
+    let bound = u64::from(part.num_nodes()) + 2 * perf.stepped_cycles;
+    assert!(
+        perf.cpu_visits <= bound,
+        "{} CPU visits > {bound}",
+        perf.cpu_visits
+    );
+}
+
+/// A fault that drops the one packet a rate-parked node still waits for
+/// completes that node's program with no visit of its own: the drop must
+/// wake it, or the cycles after its program finished would still be
+/// counted as blocked polls when the statistics are read.
+#[test]
+fn a_drop_that_completes_a_parked_poller_wakes_it() {
+    let part: Partition = "8x1x1".parse().unwrap();
+    let mut cfg = SimConfig::new(part);
+    cfg.flow = FlowSpec::Rate {
+        chunks_per_cycle: 1.0 / 64.0,
+    };
+    // Node 0's packet to node 3 is crossing the 1→2 link at cycle 12.
+    cfg.fault.links.push(LinkFault {
+        node: 1,
+        dir: Direction {
+            dim: Dim::X,
+            sign: Sign::Plus,
+        },
+        fail_at: 12,
+        recover_at: None,
+    });
+    let programs = || {
+        let mut programs: Vec<Box<dyn NodeProgram>> = (0..8)
+            .map(|_| Box::new(ScriptedProgram::idle()) as Box<dyn NodeProgram>)
+            .collect();
+        programs[0] = Box::new(ScriptedProgram::new(vec![SendSpec::adaptive(3, 8, 240)], 0));
+        // One send at cycle 0 closes node 3's rate window for 512 cycles;
+        // it waits for node 0's packet, parked, until the drop.
+        programs[3] = Box::new(ScriptedProgram::new(vec![SendSpec::adaptive(2, 8, 240)], 1));
+        programs[2] = Box::new(ScriptedProgram::new(vec![], 1));
+        programs
+    };
+    let both = Axes {
+        oracle: &[false, true],
+        ..Axes::MODES
+    };
+    let stats = run_modes(&cfg, both, |c| engine_cell(c, programs())).expect("the drop completes");
+    assert_eq!(stats.dropped_by_fault, 1, "{stats:?}");
+    assert!(stats.completion_cycle < 512, "{stats:?}");
 }
 
 /// Stop-and-wait source: one outstanding packet toward `dst`, each
@@ -136,8 +200,9 @@ impl NodeProgram for AckingSink {
 
 /// Credit stop-and-wait is the hardest wake-up case: the source sleeps
 /// with a closed window and *must* be woken by the ack delivery, while
-/// `credit_blocked_events` accrues per denial per cycle — replayed in
-/// closed form across skipped intervals.
+/// `credit_blocked_events` accrues per denial per cycle. The sleeper is
+/// parked, denials and all, and the cycles it is passed over for are
+/// settled on the node.
 #[test]
 fn credit_stop_and_wait_matches_across_modes() {
     let part: Partition = "8x4x4".parse().unwrap();
@@ -172,6 +237,9 @@ fn credit_stop_and_wait_matches_across_modes() {
     );
     // 12 data packets one way, 12 acks back.
     assert_eq!(reference.packets_delivered, 24);
+    let (stats, perf) = profiled(cfg, programs());
+    assert_eq!(stats, reference);
+    assert!(perf.cpu_parked > 0, "the sleeper parks: {perf:?}");
 }
 
 /// A sampling interval that divides nothing forces the event engine to
@@ -289,7 +357,9 @@ fn link_release_edge_wakes_exactly_on_busy_until() {
 /// of thousands of cycles), the event engine must not jump past
 /// `last_progress + watchdog_cycles + 1` — unclamped it would sail to
 /// the rate wake, send the second packet, and *complete* instead of
-/// reporting the same stall the cycle-stepped full scan sees.
+/// reporting the same stall the cycle-stepped full scan sees. Traced, the
+/// stall's series must count every cycle the parked source was blocked:
+/// the error exit settles what the node owes, as a completed run does.
 #[test]
 fn watchdog_clamps_skips_with_a_distant_timed_wake() {
     let part: Partition = "4x4".parse().unwrap();
@@ -312,13 +382,33 @@ fn watchdog_clamps_skips_with_a_distant_timed_wake() {
     // The full scan fires at the first cycle with
     // now − last_progress > watchdog_cycles; the clamp must hold the
     // skipping clock to the same horizon.
-    match run_modes(&cfg, Axes::MODES, |c| engine_cell(c, programs())) {
+    let traced = Axes {
+        trace: &[None, Some(7), Some(64)],
+        ..Axes::MODES
+    };
+    let blocked = RefCell::new(Vec::new());
+    let outcome = run_modes(&cfg, traced, |c| {
+        let cell = engine_cell(c, programs());
+        if let Some(trace) = &cell.trace {
+            let deltas = trace.samples.iter().map(|s| s.pacing_blocked_delta);
+            blocked.borrow_mut().push(deltas.sum::<u64>());
+        }
+        cell
+    });
+    match outcome {
         Err(SimError::Stalled { cycle, .. }) => assert!(
             cycle < 1000,
             "stall must fire near the watchdog horizon, not the rate wake (cycle {cycle})"
         ),
         other => panic!("rate window far exceeds the watchdog: run must stall, got {other:?}"),
     }
+    // Both clocks at both intervals.
+    let blocked = blocked.into_inner();
+    assert_eq!(blocked.len(), 4);
+    assert!(
+        blocked[0] > 0 && blocked.iter().all(|&b| b == blocked[0]),
+        "{blocked:?}"
+    );
 }
 
 /// A deadlocked workload must stall at the same watchdog cycle in every
