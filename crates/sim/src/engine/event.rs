@@ -55,7 +55,7 @@
 //! periodic sample (frozen deltas, live occupancy snapshot) is recorded
 //! there, so traced runs are byte-identical too.
 
-use super::{Engine, RING};
+use super::{bits, Engine, RING};
 use crate::node::PollState;
 
 /// Which component's bound won the earliest-event minimum. Tracked for
@@ -135,10 +135,10 @@ impl Engine {
     /// is a busy link becoming usable. `busy_until == now` must wake now: the link was
     /// busy during the last stepped cycle but is usable this cycle.
     ///
-    /// Only links some head requests count (the request masks: exactly
-    /// the links arbitration probes). Against a bound over every head's
-    /// whole minimal quadrant this can only wake *later*, and only where
-    /// no head wants the link, so no win is slept through.
+    /// Only links some head requests count (`NodeState::requested_dirs`:
+    /// exactly the links arbitration probes). Against a bound over every
+    /// head's whole minimal quadrant this can only wake *later*, and only
+    /// where no head wants the link, so no win is slept through.
     fn arb_wake(&self, i: usize) -> u64 {
         let st = &self.state;
         let node = &st.nodes[i];
@@ -149,13 +149,11 @@ impl Engine {
         // names: consider every direction (waking early is always safe).
         // Fault transitions themselves count as progress, so dead links
         // becoming live never rely on this bound.
-        let faulted = !self.shared.healthy();
         let ports = self.shared.ports;
         let mut wake = u64::MAX;
-        for d in 0..ports {
+        for d in bits((node.requested_dirs() | self.shared.fault_dirs).into()) {
             let link = i * ports + d;
-            let requested = faulted || st.want[link] != 0 || st.inj_want[link] != 0;
-            if !requested || self.shared.neighbors[i][d] == u32::MAX {
+            if self.shared.neighbors[i][d] == u32::MAX {
                 continue;
             }
             let busy = st.link_busy_until[link];

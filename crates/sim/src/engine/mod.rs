@@ -197,6 +197,17 @@ pub enum SimError {
         /// The partition's node count.
         nodes: u32,
     },
+    /// A node program handed the engine a [`SendSpec`](crate::SendSpec)
+    /// it cannot inject. Checked where a send enters the node's queues;
+    /// the run stops at the end of that cycle.
+    InvalidSend {
+        /// Cycle of the offending hook call.
+        cycle: u64,
+        /// Rank of the sending node.
+        node: u32,
+        /// What is wrong with the send.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -251,6 +262,14 @@ impl std::fmt::Display for SimError {
             SimError::TooFewNodes { nodes } => write!(
                 f,
                 "an all-to-all needs at least two nodes, got a {nodes}-node partition"
+            ),
+            SimError::InvalidSend {
+                cycle,
+                node,
+                reason,
+            } => write!(
+                f,
+                "node {node} made an invalid send at cycle {cycle}: {reason}"
             ),
         }
     }
@@ -424,6 +443,8 @@ struct State {
     /// Credit releases from this cycle's phase-4 pops, applied at the
     /// cycle boundary: `(credit cell, chunks)`.
     deferred: Vec<(u32, u32)>,
+    /// The cycle's first [`SimError::InvalidSend`], returned at its end.
+    invalid_send: Option<SimError>,
 }
 
 /// The set bits of `mask`, ascending.
@@ -575,6 +596,7 @@ impl Engine {
             arb_at: vec![0; p],
             next_packet_id: 0,
             deferred: Vec::new(),
+            invalid_send: None,
         };
         let neighbors: Vec<[u32; MAX_PORTS]> = (0..p as u32)
             .map(|r| {
@@ -596,9 +618,9 @@ impl Engine {
         let perf = cfg.perf.is_some().then(Box::<PerfState>::default);
         let progress = cfg.progress.then(|| Box::new(ProgressState::new()));
         let mut fault_alive = Vec::new();
-        let mut fault_schedule = Vec::new();
+        let (mut fault_schedule, mut fault_dirs) = (Vec::new(), 0);
         if !cfg.fault.is_empty() {
-            fault_alive = vec![true; p * ports];
+            (fault_alive, fault_dirs) = (vec![true; p * ports], (1 << ports) - 1);
             for s in cfg.fault.link_schedules(&part) {
                 fault_schedule.push(FaultEvent {
                     cycle: s.fail_at,
@@ -624,6 +646,7 @@ impl Engine {
             neighbors,
             ports,
             vc_cells,
+            fault_dirs,
             fault_alive,
         };
         Engine {
@@ -701,6 +724,10 @@ impl Engine {
             }
             let t = self.now;
             self.step();
+            if let Some(e) = self.state.invalid_send.take() {
+                self.sync_ledgers();
+                return Err(e);
+            }
             // The skipping clock: jump over cycles no component can act
             // in. Progress at `t` (a move, a drain, a fault transition)
             // may have changed what its neighbours can do at `t + 1`, so

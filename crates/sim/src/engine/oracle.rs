@@ -165,7 +165,9 @@ impl Engine {
     /// double-released) by any phase breaks it at the very next boundary.
     /// Every cached request-mask bit must equal what
     /// `Shared::wants` says of the FIFO's current head: a head change that
-    /// skipped its refresh shows at the boundary of the cycle that made it.
+    /// skipped its refresh shows at the boundary of the cycle that made it,
+    /// and so does a node whose requested outputs (`NodeState::vc_dirs` /
+    /// `inj_dirs`) are not the non-zero directions of its masks.
     /// Last, a parked node must be one whose visit could not act
     /// ([`Engine::oracle_parking_check`]).
     pub(super) fn oracle_cycle_check(&self, t: u64) {
@@ -225,9 +227,12 @@ impl Engine {
                     f.occupied_chunks()
                 );
             }
+            let mut dirs = [0u16; 2];
             for d in router.part.directions() {
                 let link = ni * router.ports + d.index();
                 let (want, inj_want) = (st.want[link], st.inj_want[link]);
+                dirs[0] |= u16::from(st.want[link] != 0) << d.index();
+                dirs[1] |= u16::from(st.inj_want[link] != 0) << d.index();
                 let check = |kind: &str, f: usize, fifo: &ChunkFifo, cached: bool| {
                     let wanted = fifo.head().is_some_and(|h| router.wants(&st.slab[h], d));
                     assert!(
@@ -243,6 +248,11 @@ impl Engine {
                     check("injection ", f, fifo, inj_want >> f & 1 != 0);
                 }
             }
+            let node = &st.nodes[ni];
+            assert!(
+                [node.vc_dirs, node.inj_dirs] == dirs,
+                "invariant violated: requested outputs of node {ni} stale (cycle {t})"
+            );
         }
         self.oracle_slab_check(t);
         self.oracle_parking_check(t);

@@ -26,6 +26,12 @@
 //! against unparked, and the oracle's parking check covers both
 //! (DESIGN.md §6).
 //!
+//! Inside a visit, the two per-packet loops skip what cannot move. The
+//! injector plans a route only for a send that a FIFO of its class has room
+//! for (`Shared::inject_slot`). Arbitration walks only the outputs some head
+//! requests: the node's direction masks (`NodeState::vc_dirs` / `inj_dirs`),
+//! which every request-mask refresh returns and which are re-read after a win.
+//!
 //! ## Why node visit order does not matter
 //!
 //! Arbitration never reads another node's FIFOs; every
@@ -114,6 +120,9 @@ pub(super) struct Shared {
     /// run so every probe below stays one branch. Mutated only by
     /// `apply_fault_transitions`, at the top of a cycle.
     pub(super) fault_alive: Vec<bool>,
+    /// Every output under a fault plan (a detour takes links no request mask
+    /// names), none on a healthy run: OR-ed into a node's requested outputs.
+    pub(super) fault_dirs: u16,
 }
 
 impl Shared {
@@ -238,19 +247,28 @@ impl Shared {
     /// the node's row of `State::want`, one mask per output) to `dirs`,
     /// its current head's [`request_dirs`](Self::request_dirs) (0: no
     /// head). Called, like `refresh_inj`, wherever a head changes: a push
-    /// into an empty FIFO and every pop.
-    fn refresh_vc(want: &mut [u64], f: usize, dirs: u16) {
+    /// into an empty FIFO and every pop. Returns the row's requested
+    /// outputs, the caller's to store in `NodeState::vc_dirs`.
+    #[must_use]
+    fn refresh_vc(want: &mut [u64], f: usize, dirs: u16) -> u16 {
+        let mut live = 0;
         for (d, w) in want.iter_mut().enumerate() {
             *w = *w & !(1 << f) | u64::from(dirs >> d & 1) << f;
+            live |= u16::from(*w != 0) << d;
         }
+        live
     }
 
-    /// [`refresh_vc`](Self::refresh_vc) for injection FIFO `f` and the
-    /// node's row of `State::inj_want`.
-    fn refresh_inj(inj_want: &mut [u32], f: usize, dirs: u16) {
+    /// [`refresh_vc`](Self::refresh_vc) for injection FIFO `f`, the
+    /// node's row of `State::inj_want` and `NodeState::inj_dirs`.
+    #[must_use]
+    fn refresh_inj(inj_want: &mut [u32], f: usize, dirs: u16) -> u16 {
+        let mut live = 0;
         for (d, w) in inj_want.iter_mut().enumerate() {
             *w = *w & !(1 << f) | u32::from(dirs >> d & 1) << f;
+            live |= u16::from(*w != 0) << d;
         }
+        live
     }
 
     /// Pop `q`'s head: its handle, and the
@@ -352,7 +370,8 @@ impl Shared {
     /// accepts now — reactive queue first, [`INJECT_SCAN`] deep into each:
     /// its scan index, the FIFO, its hop plan and destination. `None` when
     /// every scanned send is stuck on injection-FIFO space, which only an
-    /// arbitration win at this node can free.
+    /// arbitration win at this node can free. A send no FIFO of its class
+    /// has room for is passed over before its route is planned.
     pub(super) fn inject_slot(
         &self,
         node: &NodeState,
@@ -361,32 +380,29 @@ impl Shared {
         let reactive = node.pending.iter().take(INJECT_SCAN);
         let queued = reactive.chain(node.pulled.iter().take(INJECT_SCAN));
         for (qi, spec) in queued.enumerate() {
-            let chunks = spec.chunks;
-            debug_assert!((1..=8).contains(&chunks), "packet must be 1..=8 chunks");
+            let (eligible, chunks) = (self.class_fifos[spec.class as usize], spec.chunks as u32);
+            let bit =
+                |f: usize| u32::from(inj[f].occupied_chunks() + chunks <= INJ_FIFO_CHUNKS) << f;
+            let room = bits(eligible.into()).fold(0, |m, f| m | bit(f));
+            if room == 0 {
+                continue;
+            }
             // Direction-affine placement: BG/L messaging software binds
             // injection FIFOs to link directions so one FIFO's blocked head
             // never starves an idle link of a different direction. Map the
             // packet's first route direction onto the FIFOs of its class,
-            // falling back to any class FIFO with space.
-            let eligible = self.class_fifos[spec.class as usize];
-            if eligible == 0 {
-                continue;
-            }
+            // falling back to the lowest class FIFO with space.
             let dst = self.part.coord_of(spec.dst_rank);
             let plan = HopPlan::new(&self.part, node.coord, dst, TieBreak::SrcParity);
             let primary = plan.dimension_order_next().map_or(0, |d| d.index());
-            // The `primary`-th (mod count) eligible FIFO, else the lowest
-            // eligible one with room.
+            // The `primary`-th (mod count) eligible FIFO, if it has room.
             let mut from_pref = eligible;
             for _ in 0..primary % eligible.count_ones() as usize {
                 from_pref &= from_pref - 1;
             }
-            let pref = from_pref.trailing_zeros() as usize;
-            let fits = |f: usize| inj[f].occupied_chunks() + chunks as u32 <= INJ_FIFO_CHUNKS;
-            let ascending = (0..inj.len()).filter(|&f| eligible >> f & 1 != 0);
-            if let Some(f) = std::iter::once(pref).chain(ascending).find(|&f| fits(f)) {
-                return Some((qi, f, plan, dst));
-            }
+            let pref = from_pref & from_pref.wrapping_neg();
+            let f = if room & pref != 0 { pref } else { room };
+            return Some((qi, f.trailing_zeros() as usize, plan, dst));
         }
         None
     }
@@ -524,7 +540,8 @@ impl Phases<'_> {
             self.st.nodes[i].vc_mask |= 1 << fi;
             if was_empty {
                 let dirs = self.shared.request_dirs(&self.st.slab[h]);
-                Shared::refresh_vc(row(&mut self.st.want, i, self.shared.ports), fi, dirs);
+                let want = row(&mut self.st.want, i, self.shared.ports);
+                self.st.nodes[i].vc_dirs = Shared::refresh_vc(want, fi, dirs);
             }
             self.st.arb_active.mark(i);
             self.st.arb_at[i] = 0;
@@ -580,7 +597,7 @@ impl Phases<'_> {
                 n.vc_mask &= !(1 << fifo);
             }
             let want = row(&mut self.st.want, i, self.shared.ports);
-            Shared::refresh_vc(want, fifo, exposed.unwrap_or(0));
+            n.vc_dirs = Shared::refresh_vc(want, fifo, exposed.unwrap_or(0));
             self.st.fifos.reception_mut(i).push(slab, h, chunks);
             // The pop freed downstream space: release the credit now, for
             // this cycle's arbitration to see — all of it, since phase 4
@@ -738,8 +755,9 @@ impl Phases<'_> {
     /// hook did — reactive sends it queued join the pending count, credit
     /// denials the cycle's statistics, and a hook that hands back no send
     /// may have finished the program, so its completion is latched (one that
-    /// does is polled again first; the goldens pin that order). Returns the
-    /// hook's send and its credit denials.
+    /// does is polled again first; the goldens pin that order), and a send
+    /// `SendSpec::invalid` refuses drops the hook's sends and ends the run.
+    /// Returns the hook's send and its credit denials.
     fn run_hook(
         &mut self,
         i: usize,
@@ -757,8 +775,15 @@ impl Phases<'_> {
             &mut node.pending,
         )
         .with_flow(&mut node.flow);
-        let spec = hook(prog.as_mut(), &mut api);
+        let mut spec = hook(prog.as_mut(), &mut api);
         let denials = api.take_credit_blocked();
+        let nodes = self.shared.part.num_nodes();
+        let mut sends = spec.iter().chain(node.pending.range(before..));
+        if let Some(e) = sends.find_map(|s| s.invalid(i as u32, nodes, t)) {
+            self.st.invalid_send.get_or_insert(e);
+            node.pending.truncate(before);
+            spec = None;
+        }
         self.st.stats.credit_blocked_events += denials;
         self.st.pending_total += (node.pending.len() - before) as u64;
         if spec.is_none() {
@@ -843,7 +868,6 @@ impl Phases<'_> {
             + spec.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
-        assert_ne!(dst, node.coord, "programs must not send to themselves");
         // The plan is the one computed for FIFO affinity during the scan,
         // reused.
         let id = self.st.next_packet_id;
@@ -855,7 +879,7 @@ impl Phases<'_> {
         let q = self.st.fifos.inj_mut(i, f);
         if q.is_empty() {
             let inj_want = row(&mut self.st.inj_want, i, self.shared.ports);
-            Shared::refresh_inj(inj_want, f, self.shared.request_dirs(&pkt));
+            node.inj_dirs = Shared::refresh_inj(inj_want, f, self.shared.request_dirs(&pkt));
         }
         // The one write of the packet until it is drained.
         let h = self.st.slab.alloc(pkt);
@@ -904,12 +928,13 @@ impl Phases<'_> {
         }
     }
 
-    /// Arbitrate every output link of node `i`. On a healthy run the
-    /// request masks name each link's candidates exactly, and a link no
-    /// head asks for costs two loads. Under a fault plan every occupied
-    /// FIFO is a candidate for every live link (a detour leaves the minimal
-    /// quadrant; link liveness is not cached) and the mask bit only picks
-    /// between the minimal move and the detour.
+    /// Arbitrate the output links of node `i` some head requests, the set
+    /// bits of `NodeState::requested_dirs`, re-read after a win (the head
+    /// it exposed may request a link still ahead); the request masks name
+    /// each link's candidates. Under a fault plan every occupied FIFO is a
+    /// candidate for every live link (a detour leaves the minimal quadrant;
+    /// link liveness is not cached) and the mask bit only picks between the
+    /// minimal move and the detour.
     ///
     /// Returns the node's next useful arbitration cycle: the earliest
     /// release among its requested links if every one of them is now
@@ -919,13 +944,12 @@ impl Phases<'_> {
     /// plan, whose detours take links no mask names.
     fn arbitrate_node(&mut self, i: usize, t: u64) -> u64 {
         let ports = self.shared.ports;
-        let healthy = self.shared.healthy();
-        let mut wake = if healthy { u64::MAX } else { 0 };
-        for d in self.shared.part.directions() {
+        let mut wake = if self.shared.healthy() { u64::MAX } else { 0 };
+        let mut todo = self.st.nodes[i].requested_dirs() | self.shared.fault_dirs;
+        while todo != 0 {
+            let d = Direction::from_index(todo.trailing_zeros() as usize);
+            todo &= todo - 1;
             let link = i * ports + d.index();
-            if healthy && self.st.want[link] == 0 && self.st.inj_want[link] == 0 {
-                continue;
-            }
             let busy = self.st.link_busy_until[link];
             if busy > t {
                 wake = wake.min(busy);
@@ -940,8 +964,8 @@ impl Phases<'_> {
                 wake = 0;
                 continue;
             };
-            // The pop exposed a new head. A link it requests from `d` on is
-            // still ahead of this loop (`d` itself is busy as of now); one
+            // The pop exposed a new head. A link it requests past `d` is in
+            // the masks re-read below (`d` itself is busy as of now); one
             // the loop has passed was judged under the old masks, so the
             // node stays awake to look again.
             let exposed = self.apply_win(i, d, nb as usize, win, t);
@@ -949,6 +973,8 @@ impl Phases<'_> {
                 wake = 0;
             }
             wake = wake.min(self.st.link_busy_until[link]);
+            let requested = self.st.nodes[i].requested_dirs() | self.shared.fault_dirs;
+            todo = requested & !((2 << d.index()) - 1);
         }
         // An emptied node is un-marked by its next visit, as ever.
         let node = &self.st.nodes[i];
@@ -1064,7 +1090,7 @@ impl Phases<'_> {
                     None => node.vc_mask &= !(1 << f),
                 }
                 let exposed = exposed.unwrap_or(0);
-                Shared::refresh_vc(row(&mut self.st.want, i, ports), f, exposed);
+                node.vc_dirs = Shared::refresh_vc(row(&mut self.st.want, i, ports), f, exposed);
                 // The freed space becomes upstream credit only at the
                 // cycle boundary: deferring the release gives arbitration
                 // a credit snapshot independent of node visit order.
@@ -1080,7 +1106,8 @@ impl Phases<'_> {
                     node.inj_mask &= !(1 << fifo);
                 }
                 let exposed = exposed.unwrap_or(0);
-                Shared::refresh_inj(row(&mut self.st.inj_want, i, ports), f, exposed);
+                let inj_want = row(&mut self.st.inj_want, i, ports);
+                node.inj_dirs = Shared::refresh_inj(inj_want, f, exposed);
                 // Injection space opened: the CPU's stuck sends may fit now.
                 node.inject_blocked = false;
                 self.st.cpu_at[i] = 0;
@@ -1168,7 +1195,94 @@ mod tests {
         assert_eq!(st.fifos.row_bytes(), 25 * 12);
         let per_link = [st.want.len() * 8, st.inj_want.len() * 4, st.rr.len()];
         assert_eq!(per_link, [64 * 6 * 8, 64 * 6 * 4, 64 * 6]);
+        // The two requested-output masks (`vc_dirs`, `inj_dirs`) fit in
+        // the struct's padding.
         assert_eq!(size_of::<NodeState>(), 272);
+    }
+
+    /// `inject_slot` as it was before it passed over sends with no room
+    /// unplanned, verbatim: a hop plan for every scanned send, then the
+    /// affinity FIFO, else the lowest eligible one, whichever fits first.
+    fn inject_slot_planning_every_send(
+        sh: &Shared,
+        node: &NodeState,
+        inj: &[ChunkFifo],
+    ) -> Option<(usize, usize, HopPlan, Coord)> {
+        let reactive = node.pending.iter().take(INJECT_SCAN);
+        let queued = reactive.chain(node.pulled.iter().take(INJECT_SCAN));
+        for (qi, spec) in queued.enumerate() {
+            let chunks = spec.chunks;
+            let eligible = sh.class_fifos[spec.class as usize];
+            if eligible == 0 {
+                continue;
+            }
+            let dst = sh.part.coord_of(spec.dst_rank);
+            let plan = HopPlan::new(&sh.part, node.coord, dst, TieBreak::SrcParity);
+            let primary = plan.dimension_order_next().map_or(0, |d| d.index());
+            let mut from_pref = eligible;
+            for _ in 0..primary % eligible.count_ones() as usize {
+                from_pref &= from_pref - 1;
+            }
+            let pref = from_pref.trailing_zeros() as usize;
+            let fits = |f: usize| inj[f].occupied_chunks() + chunks as u32 <= INJ_FIFO_CHUNKS;
+            let ascending = (0..inj.len()).filter(|&f| eligible >> f & 1 != 0);
+            if let Some(f) = std::iter::once(pref).chain(ascending).find(|&f| fits(f)) {
+                return Some((qi, f, plan, dst));
+            }
+        }
+        None
+    }
+
+    /// Seeded random injection-FIFO occupancies (above a per-case floor, so
+    /// some cases have every send stuck), send queues (reactive and pulled,
+    /// up to past the scan depth, 1 to 8 chunks, classes 0 to 2) and
+    /// sources, under the default class masks and the Two Phase Schedule's
+    /// (`bgl_core::tps_inj_class_masks(6)`: FIFOs 0–2 take class 0, 3–5
+    /// class 1, none class 2): the injector picks the same send, FIFO, plan
+    /// and destination as the scan it replaced.
+    #[test]
+    fn inject_slot_matches_the_scan_that_planned_every_send() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let part = Partition::torus(8, 4, 2);
+        let n = part.num_nodes();
+        let mut rng = SmallRng::seed_from_u64(20261015);
+        let (mut found, mut none) = (0, 0);
+        for masks in [vec![], vec![1, 1, 1, 2, 2, 2]] {
+            let mut cfg = SimConfig::new(part);
+            cfg.inj_class_masks = masks;
+            let idle = (0..n).map(|_| Box::new(ScriptedProgram::idle()) as _);
+            let engine = Engine::new(cfg.clone(), idle.collect());
+            for _ in 0..3000 {
+                let src = rng.gen_range(0..n);
+                let mut node = NodeState::new(part.coord_of(src), &cfg);
+                let (mut slab, mut inj) = (Slab::new(), vec![ChunkFifo::default(); 6]);
+                let floor = rng.gen_range(0..=INJ_FIFO_CHUNKS);
+                for f in &mut inj {
+                    let target = rng.gen_range(floor..=INJ_FIFO_CHUNKS);
+                    while f.occupied_chunks() < target {
+                        let chunks = rng.gen_range(1..=8u32).min(target - f.occupied_chunks());
+                        let h = slab.alloc(Packet::new(&part, src, (src + 1) % n));
+                        f.push(&mut slab, h, chunks);
+                    }
+                }
+                for q in [&mut node.pending, &mut node.pulled] {
+                    for _ in 0..rng.gen_range(0..=20usize) {
+                        let dst = (src + rng.gen_range(1..n)) % n;
+                        let spec = SendSpec::adaptive(dst, rng.gen_range(1..=8), 240);
+                        q.push_back(spec.with_class(rng.gen_range(0..=2)));
+                    }
+                }
+                let slot = engine.shared.inject_slot(&node, &inj);
+                let reference = inject_slot_planning_every_send(&engine.shared, &node, &inj);
+                assert_eq!(slot, reference);
+                (found, none) = (
+                    found + usize::from(slot.is_some()),
+                    none + usize::from(slot.is_none()),
+                );
+            }
+        }
+        // Both outcomes are exercised, not one of them vacuously.
+        assert!(found > 1000 && none > 100, "{found} found, {none} stuck");
     }
 
     /// The direct mask computation is `wants` asked of every direction, for

@@ -63,6 +63,12 @@ pub struct NodeState {
     /// Bitmask of non-empty injection FIFOs, mirroring
     /// [`vc_mask`](Self::vc_mask) so arbitration never probes empty FIFOs.
     pub inj_mask: u32,
+    /// Bit `d` set iff some transit FIFO head requests output `d`: the
+    /// non-zero directions of the node's row of the engine's transit request
+    /// masks, returned by each refresh of that row.
+    pub vc_dirs: u16,
+    /// The same over the injection FIFOs.
+    pub inj_dirs: u16,
     /// Reactive sends queued by the program (api.send from hooks), not yet
     /// paid for / injected.
     pub pending: VecDeque<SendSpec>,
@@ -101,6 +107,8 @@ impl NodeState {
             coord,
             vc_mask: 0,
             inj_mask: 0,
+            vc_dirs: 0,
+            inj_dirs: 0,
             pending: VecDeque::new(),
             // Sized here, once, to the depth the engine tops it up to (a
             // sending node would grow it there in two steps). It is also the
@@ -135,6 +143,13 @@ impl NodeState {
     #[inline]
     pub fn pull_due(&self) -> bool {
         !self.program_done && self.pulled.len() < PULL_THRESHOLD
+    }
+
+    /// The outputs some FIFO head requests, as a bitmask over direction
+    /// indices.
+    #[inline]
+    pub fn requested_dirs(&self) -> u16 {
+        self.vc_dirs | self.inj_dirs
     }
 
     /// Whether a packet sits in a transit or injection FIFO of this node,

@@ -1,6 +1,7 @@
 //! Packets and send specifications.
 
 use crate::config::Vc;
+use crate::SimError;
 use bgl_torus::{Coord, HopPlan, Partition, TieBreak};
 
 /// How a packet is routed through the torus.
@@ -224,6 +225,36 @@ impl SendSpec {
     pub fn with_cpu_cost(mut self, cycles: f64) -> SendSpec {
         self.cpu_cost_cycles = cycles;
         self
+    }
+
+    /// The [`SimError::InvalidSend`] of rank `src` of a `nodes`-node
+    /// partition handing the engine this send at `cycle`, or `None` if it
+    /// may: a BG/L packet is 1 to 8 chunks, a class is one of the 8 a class
+    /// mask names, the destination is another rank of the partition, and
+    /// CPU time is a finite, non-negative charge.
+    pub(crate) fn invalid(&self, src: u32, nodes: u32, cycle: u64) -> Option<SimError> {
+        let (dst, class, cost) = (self.dst_rank, self.class, self.cpu_cost_cycles);
+        let reason = if !(1..=8).contains(&self.chunks) {
+            format!(
+                "a packet of {} chunks (BG/L packets are 1 to 8)",
+                self.chunks
+            )
+        } else if class >= 8 {
+            format!("injection class {class} (classes are 0 to 7)")
+        } else if dst >= nodes {
+            format!("destination rank {dst} outside the {nodes}-node partition")
+        } else if dst == src {
+            format!("a send to itself (rank {dst})")
+        } else if !(cost >= 0.0 && cost.is_finite()) {
+            format!("a CPU cost of {cost} cycles")
+        } else {
+            return None;
+        };
+        Some(SimError::InvalidSend {
+            cycle,
+            node: src,
+            reason,
+        })
     }
 }
 
