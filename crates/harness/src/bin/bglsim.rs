@@ -69,7 +69,7 @@
 //! than 2^20 nodes.
 
 use bgl_core::*;
-use bgl_harness::cli::Cli;
+use bgl_harness::cli::{Cli, Output};
 use bgl_harness::conformance::{run_validation, Tier};
 use bgl_harness::runner::{RunPoint, Runner, Scale};
 use bgl_model::MachineParams;
@@ -81,6 +81,11 @@ const CLI: Cli = Cli("bglsim");
 
 fn fail(msg: &str) -> ! {
     CLI.fail(msg)
+}
+
+/// Open the output file `path`, given by `flag`, before any point runs.
+fn open_out(flag: &str, path: &str) -> Output {
+    CLI.open_output(path.as_ref(), format!("{flag}: cannot write {path:?}"))
 }
 
 /// Parse a subcommand's flags. `bglsim` takes nothing but flags after
@@ -468,10 +473,11 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
             points.len()
         ));
     }
+    let trace_file = trace_out.as_ref().map(|path| open_out("--trace-out", path));
     runner.run_points(&points);
     CLI.perf_summary(&runner);
-    if let Some(path) = &trace_out {
-        write_traces(path, &points, &runner);
+    if let (Some(path), Some(out)) = (&trace_out, trace_file) {
+        write_traces(path, out, &points, &runner);
     }
     // `--json` and `--csv` stdout carries data rows only: a failed point
     // is named on stderr, and the exit status stays what text mode says.
@@ -531,10 +537,10 @@ fn cmd_sweep(flags: &HashMap<String, String>) {
     }
 }
 
-/// Write traced runs to `path`: RFC-4180 CSV for a `.csv` path (the one
-/// point `cmd_sweep` admits), JSON (the full reports, traces included)
-/// otherwise.
-fn write_traces(path: &str, points: &[RunPoint], runner: &Runner) {
+/// Write traced runs to `out`, opened at `path`: RFC-4180 CSV for a `.csv`
+/// path (the one point `cmd_sweep` admits), JSON (the full reports, traces
+/// included) otherwise.
+fn write_traces(path: &str, out: Output, points: &[RunPoint], runner: &Runner) {
     let reports: Vec<AaReport> = points
         .iter()
         .filter_map(|p| runner.report(p).ok())
@@ -548,8 +554,7 @@ fn write_traces(path: &str, points: &[RunPoint], runner: &Runner) {
     } else {
         serde_json::to_string_pretty(&reports).expect("serialize traces")
     };
-    std::fs::write(path, body)
-        .unwrap_or_else(|e| fail(&format!("--trace-out: cannot write {path:?}: {e}")));
+    CLI.write(out, &body);
     eprintln!("bglsim: wrote {} traced run(s) to {path}", reports.len());
 }
 
@@ -651,13 +656,13 @@ fn cmd_validate(flags: &HashMap<String, String>) {
     let tier = flags.get("tier").map_or(Tier::Quick, |s| {
         Tier::parse(s).unwrap_or_else(|| fail(&format!("--tier must be quick or full, got {s:?}")))
     });
+    let out = flags.get("out").map(|path| (path, open_out("--out", path)));
     let runner = runner_from_flags(tier.scale(), flags, flags.contains_key("perf"));
     let report = run_validation(&runner, tier, flags.contains_key("bless"));
     CLI.perf_summary(&runner);
     print!("{}", report.render());
-    if let Some(path) = flags.get("out") {
-        std::fs::write(path, report.to_json())
-            .unwrap_or_else(|e| fail(&format!("--out: cannot write {path:?}: {e}")));
+    if let Some((path, out)) = out {
+        CLI.write(out, &report.to_json());
         eprintln!("bglsim: wrote check results to {path}");
     }
     if report.failures() > 0 {
@@ -678,6 +683,7 @@ fn cmd_profile(flags: &HashMap<String, String>) {
     let m = flags.get("m").map_or(240, |s| parse_message_size("--m", s));
     let coverage = parse_coverage(flags);
     let (json, csv) = export_flags(flags);
+    let out = flags.get("out").map(|path| (path, open_out("--out", path)));
     let runner = runner_from_flags(Scale::Paper, flags, true);
     let point = RunPoint::new(part, strategy, m, coverage);
     let report = runner
@@ -690,10 +696,9 @@ fn cmd_profile(flags: &HashMap<String, String>) {
     } else {
         bgl_harness::render_perf_report(&report)
     };
-    match flags.get("out") {
-        Some(path) => {
-            std::fs::write(path, &body)
-                .unwrap_or_else(|e| fail(&format!("--out: cannot write {path:?}: {e}")));
+    match out {
+        Some((path, out)) => {
+            CLI.write(out, &body);
             eprintln!("bglsim: wrote profile to {path}");
         }
         None => print!("{body}"),

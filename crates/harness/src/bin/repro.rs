@@ -74,6 +74,23 @@ fn main() {
     if let Some(n) = flags.get("jobs") {
         runner = runner.with_jobs(CLI.jobs(n));
     }
+    // Every output is opened before anything runs: an unwritable `--out`
+    // fails now, not after the suite.
+    let out = flags.get("out").map(PathBuf::from).map(|dir| {
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            fail(&format!("cannot create output dir {}: {e}", dir.display()));
+        }
+        let open = |name: String| {
+            let path = dir.join(name);
+            CLI.open_output(&path, format!("cannot write {}", path.display()))
+        };
+        let files: Vec<_> = ids
+            .iter()
+            .map(|id| (open(format!("{id}.txt")), open(format!("{id}.csv"))))
+            .collect();
+        let json = open("results.json".to_string());
+        (files, json, dir)
+    });
     let t0 = std::time::Instant::now();
     let reports = run_suite(&runner, &ids);
     CLI.perf_summary(&runner);
@@ -94,22 +111,15 @@ fn main() {
             println!("{}\n", rep.to_text());
         }
     }
-    if let Some(dir) = flags.get("out").map(PathBuf::from) {
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            fail(&format!("cannot create output dir {}: {e}", dir.display()));
+    if let Some((files, json, dir)) = out {
+        for (rep, (txt, csv)) in reports.iter().zip(files) {
+            CLI.write(txt, &rep.to_text());
+            CLI.write(csv, &rep.to_csv());
         }
-        let write = |name: String, body: String| {
-            let path = dir.join(name);
-            if let Err(e) = std::fs::write(&path, body) {
-                fail(&format!("cannot write {}: {e}", path.display()));
-            }
-        };
-        for rep in &reports {
-            write(format!("{}.txt", rep.id), rep.to_text());
-            write(format!("{}.csv", rep.id), rep.to_csv());
-        }
-        let json = serde_json::to_string_pretty(&reports).expect("serialize");
-        write("results.json".to_string(), json);
+        CLI.write(
+            json,
+            &serde_json::to_string_pretty(&reports).expect("serialize"),
+        );
         eprintln!("wrote {} reports to {}", reports.len(), dir.display());
     }
 }

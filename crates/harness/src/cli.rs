@@ -1,11 +1,15 @@
 //! What the `bglsim` and `repro` binaries share: the one-line exit-2
 //! failure contract, the flag parser, the runner flag both accept
-//! (`--jobs`) and the `--perf` summary line. One copy, so a
-//! message cannot differ between the two.
+//! (`--jobs`), output files opened before the work that fills them, and
+//! the `--perf` summary line. One copy, so a message cannot differ between
+//! the two.
 
 use crate::Runner;
 use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::io::Write;
 use std::num::NonZeroUsize;
+use std::path::Path;
 
 /// Value flags that may repeat on the command line; repeats accumulate
 /// into one `;`-joined value (every other flag is last-wins).
@@ -13,6 +17,14 @@ const REPEAT_FLAGS: [&str; 1] = ["fault"];
 
 /// A binary's command line, named for the `<bin>: <message>` prefix.
 pub struct Cli(pub &'static str);
+
+/// An output file, opened by [`Cli::open_output`] before any work runs and
+/// filled by [`Cli::write`] after it.
+pub struct Output {
+    file: File,
+    /// What a failure says before the I/O error: `<what>: <error>`.
+    what: String,
+}
 
 impl Cli {
     /// Print a one-line error and exit with the conventional usage status.
@@ -63,6 +75,30 @@ impl Cli {
             }
         }
         (map, positionals)
+    }
+
+    /// Open the output file `path` before the work that fills it, so a path
+    /// that cannot be written fails on one line (`<what>: <error>`, exit 2)
+    /// before anything runs. A missing file is created; an existing one is
+    /// truncated only by [`write`](Self::write), so a run that fails leaves
+    /// it intact.
+    pub fn open_output(&self, path: &Path, what: String) -> Output {
+        let mut options = OpenOptions::new();
+        match options.write(true).create(true).truncate(false).open(path) {
+            Ok(file) => Output { file, what },
+            Err(e) => self.fail(&format!("{what}: {e}")),
+        }
+    }
+
+    /// Replace `out`'s contents with `body`.
+    pub fn write(&self, mut out: Output, body: &str) {
+        let written = out
+            .file
+            .set_len(0)
+            .and_then(|()| out.file.write_all(body.as_bytes()));
+        if let Err(e) = written {
+            self.fail(&format!("{}: {e}", out.what));
+        }
     }
 
     /// `--jobs N`: a positive worker-thread count.

@@ -533,6 +533,43 @@ fn repro_rejects_malformed_input() {
     assert_clean_failure(bin, &["--scale", "quick"], "no experiment id");
 }
 
+/// An output that cannot be written fails before any point runs: exit 2,
+/// one stderr line naming it, nothing on stdout. Each path goes through a
+/// regular file, under which nobody, root included, can create one.
+#[test]
+fn unwritable_outputs_fail_before_anything_runs() {
+    let dir = std::env::temp_dir().join(format!("bgl-unwritable-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mk temp dir");
+    let file = dir.join("plain");
+    std::fs::write(&file, "").expect("a regular file");
+    let under = file.join("x.json");
+    let under = under.to_str().unwrap();
+    let (bglsim, repro) = (env!("CARGO_BIN_EXE_bglsim"), env!("CARGO_BIN_EXE_repro"));
+    let sweep = [
+        "sweep",
+        "--shape",
+        "4x4",
+        "--strategies",
+        "ar",
+        "--sizes",
+        "64",
+    ];
+    let cases: [(&str, &[&str]); 4] = [
+        (bglsim, &["validate", "--tier", "quick", "--out", under]),
+        (bglsim, &["profile", "--shape", "4x4", "--out", under]),
+        (bglsim, &[&sweep[..], &["--trace-out", under]].concat()),
+        (repro, &["all", "--scale", "quick", "--out", under]),
+    ];
+    for (bin, args) in cases {
+        let (code, stdout, stderr) = run(bin, args);
+        assert_eq!(code, Some(2), "{args:?} stderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?} stderr: {stderr:?}");
+        assert!(stderr.contains("cannot"), "{args:?} stderr: {stderr:?}");
+        assert!(stdout.is_empty(), "{args:?} ran before failing: {stdout:?}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// The clock is not a user option: the engine picks it, and the flag that
 /// once selected it is an unknown flag on every subcommand of both CLIs.
 /// (Spelled in two pieces so a grep for the retired flag comes up empty.)

@@ -135,14 +135,14 @@ impl Engine {
     /// is a busy link becoming usable. `busy_until == now` must wake now: the link was
     /// busy during the last stepped cycle but is usable this cycle.
     ///
-    /// Only links some head requests count (`NodeState::requested_dirs`:
+    /// Only links some head requests count (`NodeState::requested`:
     /// exactly the links arbitration probes). Against a bound over every
     /// head's whole minimal quadrant this can only wake *later*, and only
     /// where no head wants the link, so no win is slept through.
     fn arb_wake(&self, i: usize) -> u64 {
         let st = &self.state;
         let node = &st.nodes[i];
-        if node.vc_mask == 0 && node.inj_mask == 0 {
+        if node.occupied == 0 {
             return u64::MAX;
         }
         // Under a fault plan a detour may take a head along a link no mask
@@ -151,7 +151,7 @@ impl Engine {
         // becoming live never rely on this bound.
         let ports = self.shared.ports;
         let mut wake = u64::MAX;
-        for d in bits((node.requested_dirs() | self.shared.fault_dirs).into()) {
+        for d in bits((node.requested | self.shared.fault_dirs).into()) {
             let link = i * ports + d;
             if self.shared.neighbors[i][d] == u32::MAX {
                 continue;

@@ -72,7 +72,7 @@ mod phases;
 mod tracer;
 
 use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
-use crate::fifo::{ChunkFifo, FifoRows, Slab};
+use crate::fifo::{FifoRows, Slab};
 use crate::node::{NodeState, PollState};
 use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
 use crate::program::NodeProgram;
@@ -308,14 +308,10 @@ impl Arrival {
 }
 
 #[derive(Clone, Copy)]
-enum WinSource {
-    Transit { fifo: u8 },
-    Inject { fifo: u8 },
-}
-
-#[derive(Clone, Copy)]
 struct Win {
-    source: WinSource,
+    /// The winning FIFO, transit or injection (`NodeState::occupied`'s
+    /// index space).
+    fifo: u8,
     vc: Vc,
     /// Non-minimal fault sidestep: the winner re-plans its route from the
     /// downstream node (see `apply_win`). Always false on a healthy run.
@@ -388,16 +384,14 @@ struct State {
     /// are per output link, `ports` entries per node: sized by the
     /// partition's arity.
     link_busy_until: Vec<u64>,
-    /// Request masks over the transit FIFOs: bit `f` of `want[link]` is set
-    /// iff the node's transit FIFO `f` is non-empty and its head's routing
+    /// Request masks over the node's FIFOs, transit and injection
+    /// (`NodeState::occupied`'s index space): bit `f` of `want[link]` is
+    /// set iff the node's FIFO `f` is non-empty and its head's routing
     /// allows that output (`Shared::wants`). A function of the head packet
-    /// and the router config alone, so the engine refreshes FIFO `f`'s bits
-    /// exactly where its head changes, and arbitration reads them instead
-    /// of re-routing every head for every link every cycle. At the
-    /// 6-dimension maximum there are 12 ports × 3 VCs = 36 FIFOs.
+    /// and the router config alone, so [`State::set_head`] rewrites FIFO
+    /// `f`'s bits exactly where its head changes, and arbitration reads them
+    /// instead of re-routing every head for every link every cycle.
     want: Vec<u64>,
-    /// The same over the injection FIFOs.
-    inj_want: Vec<u32>,
     /// Round-robin arbitration pointer of each output link.
     rr: Vec<u8>,
     /// The run's statistics, written by the phases where each event
@@ -424,8 +418,8 @@ struct State {
     /// Nodes that may have CPU work (non-empty reception/pending/pulled
     /// queues, or a program that has not declared completion).
     cpu_active: NodeSet,
-    /// Nodes that may have a packet to arbitrate out (non-zero `vc_mask`
-    /// or `inj_mask`).
+    /// Nodes that may have a packet to arbitrate out (non-zero
+    /// `NodeState::occupied`).
     arb_active: NodeSet,
     /// Per node, the earliest cycle at which a CPU-phase visit could do
     /// more than a blocked poll (0: visit; `u64::MAX`: not until re-armed)
@@ -459,15 +453,28 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 impl State {
-    /// The head packet of every occupied FIFO of node `i` (only the
-    /// masks' bits are walked): `(Some(f), head)` for transit FIFO `f`,
-    /// ascending, then `(None, head)` per injection FIFO.
-    fn heads(&self, i: usize) -> impl Iterator<Item = (Option<usize>, &Packet)> {
-        let node = &self.nodes[i];
-        let head = |f: &ChunkFifo| &self.slab[f.head().expect("mask says non-empty")];
-        let transit = bits(node.vc_mask).map(move |f| (Some(f), head(&self.fifos.vcs(i)[f])));
-        let inj = bits(node.inj_mask.into()).map(move |f| (None, head(&self.fifos.inj(i)[f])));
-        transit.chain(inj)
+    /// The head packet of every occupied FIFO of node `i`, ascending (only
+    /// the occupancy mask's bits are walked): `(f, head)`.
+    fn heads(&self, i: usize) -> impl Iterator<Item = (usize, &Packet)> {
+        let row = self.fifos.row(i);
+        let head = move |f: usize| &self.slab[row[f].head().expect("mask says non-empty")];
+        bits(self.nodes[i].occupied).map(move |f| (f, head(f)))
+    }
+
+    /// The head of node `i`'s FIFO `f` changed to one requesting the
+    /// outputs `head` (`Shared::request_dirs`: `Some(0)` for a head that
+    /// has arrived), or the FIFO emptied (`None`). The one writer of the
+    /// node's occupancy bit, its row of [`want`](Self::want) and its
+    /// requested outputs.
+    fn set_head(&mut self, i: usize, ports: usize, f: usize, head: Option<u16>) {
+        let node = &mut self.nodes[i];
+        node.occupied = node.occupied & !(1 << f) | u64::from(head.is_some()) << f;
+        let (dirs, mut requested) = (head.unwrap_or(0), 0);
+        for (d, w) in self.want[i * ports..][..ports].iter_mut().enumerate() {
+            *w = *w & !(1 << f) | u64::from(dirs >> d & 1) << f;
+            requested |= u16::from(*w != 0) << d;
+        }
+        node.requested = requested;
     }
 
     /// Count the blocked polls node `i` owes for the cycles `owed_from..upto`:
@@ -539,13 +546,15 @@ impl Engine {
             cfg.cpu.chunks_per_cycle > 0.0,
             "CPU bandwidth must be positive"
         );
-        assert!(cfg.inj_fifo_count <= 32, "inj_mask is a u32 bitmask");
         cfg.flow.validate();
         if let Err(e) = cfg.fault.validate(&part) {
             panic!("invalid fault plan: {e}");
         }
         let ports = part.ports();
         let vc_cells = ports * NUM_VCS;
+        let inj = cfg.inj_fifo_count as usize;
+        assert!(inj <= 32, "a class's injection FIFOs are a u32 bitmask");
+        assert!(vc_cells + inj <= 64, "a node's FIFOs are a u64 bitmask");
         let links = p * ports;
         // The per-node state is built before the shared tables on purpose:
         // with the per-node allocations first, glibc keeps the heap across a
@@ -569,12 +578,11 @@ impl Engine {
         });
         let state = State {
             nodes: nodes.collect(),
-            fifos: FifoRows::new(p, vc_cells, cfg.inj_fifo_count as usize),
+            fifos: FifoRows::new(p, vc_cells, inj),
             slab: Slab::new(),
             programs,
             link_busy_until: vec![0; links],
             want: vec![0; links],
-            inj_want: vec![0; links],
             rr: vec![0; links],
             stats: NetStats {
                 link_busy_chunks: vec![0; part.ndims()],
@@ -897,15 +905,18 @@ impl Engine {
         }
     }
 
-    /// Whether the head packet of transit FIFO `fifo` at node `n` cannot
+    /// Whether `pkt`, the head of FIFO `fifo` at node `n`, cannot
     /// move right now: every output direction its routing mode allows
     /// (its minimal quadrant, shaped by the longest-first bias /
     /// dimension order) is either mid-transmission or out of downstream
     /// VC credit. This is the paper's head-of-line blocking signal —
-    /// packets parked behind saturated long-dimension links.
+    /// packets parked behind saturated long-dimension links. An injection
+    /// head is never HOL-blocked: it occupies no input port.
     fn head_is_hol_blocked(&self, n: usize, fifo: usize, pkt: &Packet) -> bool {
         let router = &self.shared;
-        let from_dim = Some(fifo / NUM_VCS / 2); // port index / 2 = dimension
+        let Some(from_dim) = router.input_dim(fifo) else {
+            return false;
+        };
         let mut any_dir = false;
         for d in router.part.directions() {
             if !router.wants(pkt, d) {
@@ -924,7 +935,7 @@ impl Engine {
             any_dir = true;
             if self.state.link_busy_until[n * router.ports + d.index()] <= self.now
                 && router
-                    .feasible_vc(pkt, n, from_dim, d, nb as usize)
+                    .feasible_vc(pkt, n, Some(from_dim), d, nb as usize)
                     .is_some()
             {
                 return false;
@@ -1036,7 +1047,7 @@ impl Engine {
                 }
             }
             b.reception_stalled_fifos += node.blocked_deliveries.len() as u64;
-            for (transit, head) in self.state.heads(i) {
+            for (f, head) in self.state.heads(i) {
                 if head.plan.is_done() {
                     continue;
                 }
@@ -1044,7 +1055,7 @@ impl Engine {
                 // only dead exits never inflates the HOL count.
                 if self.head_is_fault_blocked(i, head).is_some() {
                     b.fault_blocked_heads += 1;
-                } else if transit.is_some_and(|f| self.head_is_hol_blocked(i, f, head)) {
+                } else if self.head_is_hol_blocked(i, f, head) {
                     b.hol_blocked_heads += 1;
                 }
             }

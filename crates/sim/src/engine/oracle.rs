@@ -13,7 +13,6 @@
 
 use super::{phases::INJ_FIFO_CHUNKS, Engine};
 use crate::config::NUM_VCS;
-use crate::fifo::ChunkFifo;
 use crate::node::PollState;
 use crate::packet::Packet;
 
@@ -163,11 +162,12 @@ impl Engine {
     /// must conserve chunks: available credit + physically occupied +
     /// in flight toward the cell = capacity — a credit leaked (or
     /// double-released) by any phase breaks it at the very next boundary.
-    /// Every cached request-mask bit must equal what
-    /// `Shared::wants` says of the FIFO's current head: a head change that
-    /// skipped its refresh shows at the boundary of the cycle that made it,
-    /// and so does a node whose requested outputs (`NodeState::vc_dirs` /
-    /// `inj_dirs`) are not the non-zero directions of its masks.
+    /// What `State::set_head` writes is re-derived from the FIFOs: a node's
+    /// occupancy mask must name exactly its non-empty FIFOs, every cached
+    /// request-mask bit must equal what `Shared::wants` says of the FIFO's
+    /// current head, and its requested outputs must be the non-zero
+    /// directions of its masks — a head change that skipped the writer
+    /// shows at the boundary of the cycle that made it.
     /// Last, a parked node must be one whose visit could not act
     /// ([`Engine::oracle_parking_check`]).
     pub(super) fn oracle_cycle_check(&self, t: u64) {
@@ -227,30 +227,28 @@ impl Engine {
                     f.occupied_chunks()
                 );
             }
-            let mut dirs = [0u16; 2];
+            let (node, row) = (&st.nodes[ni], st.fifos.row(ni));
+            let occupied = row.iter().enumerate();
+            let occupied = occupied.fold(0u64, |m, (f, q)| m | u64::from(!q.is_empty()) << f);
+            assert!(
+                node.occupied == occupied,
+                "invariant violated: occupancy mask of node {ni} stale (cycle {t})"
+            );
+            let mut requested = 0u16;
             for d in router.part.directions() {
-                let link = ni * router.ports + d.index();
-                let (want, inj_want) = (st.want[link], st.inj_want[link]);
-                dirs[0] |= u16::from(st.want[link] != 0) << d.index();
-                dirs[1] |= u16::from(st.inj_want[link] != 0) << d.index();
-                let check = |kind: &str, f: usize, fifo: &ChunkFifo, cached: bool| {
+                let want = st.want[ni * router.ports + d.index()];
+                requested |= u16::from(want != 0) << d.index();
+                for (f, fifo) in row.iter().enumerate() {
                     let wanted = fifo.head().is_some_and(|h| router.wants(&st.slab[h], d));
                     assert!(
-                        cached == wanted,
-                        "invariant violated: request mask stale at node {ni} {kind}fifo {f} dir {d} \
+                        (want >> f & 1 != 0) == wanted,
+                        "invariant violated: request mask stale at node {ni} fifo {f} dir {d} \
                          (cycle {t})"
                     );
-                };
-                for (f, fifo) in st.fifos.vcs(ni).iter().enumerate() {
-                    check("", f, fifo, want >> f & 1 != 0);
-                }
-                for (f, fifo) in st.fifos.inj(ni).iter().enumerate() {
-                    check("injection ", f, fifo, inj_want >> f & 1 != 0);
                 }
             }
-            let node = &st.nodes[ni];
             assert!(
-                [node.vc_dirs, node.inj_dirs] == dirs,
+                node.requested == requested,
                 "invariant violated: requested outputs of node {ni} stale (cycle {t})"
             );
         }
@@ -277,8 +275,8 @@ impl Engine {
         };
         let mut reached = 0;
         for i in 0..st.nodes.len() {
-            let row = st.fifos.vcs(i).iter().chain(st.fifos.inj(i));
-            for (f, fifo) in row.chain([st.fifos.reception(i)]).enumerate() {
+            let row = st.fifos.row(i).iter().chain([st.fifos.reception(i)]);
+            for (f, fifo) in row.enumerate() {
                 let mut chunks = 0;
                 for h in fifo.iter(&st.slab) {
                     chunks += reach(h).chunks as u32;
@@ -330,7 +328,7 @@ impl Engine {
         let (ports, st, next) = (self.shared.ports, &self.state, t + 1);
         for (i, node) in st.nodes.iter().enumerate() {
             let free = |d: usize| {
-                (st.want[i * ports + d] != 0 || st.inj_want[i * ports + d] != 0)
+                st.want[i * ports + d] != 0
                     && self.shared.neighbors[i][d] != u32::MAX
                     && st.link_busy_until[i * ports + d] <= t
             };

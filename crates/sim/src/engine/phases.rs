@@ -29,8 +29,16 @@
 //! Inside a visit, the two per-packet loops skip what cannot move. The
 //! injector plans a route only for a send that a FIFO of its class has room
 //! for (`Shared::inject_slot`). Arbitration walks only the outputs some head
-//! requests: the node's direction masks (`NodeState::vc_dirs` / `inj_dirs`),
-//! which every request-mask refresh returns and which are re-read after a win.
+//! requests (`NodeState::requested`, re-read after a win).
+//!
+//! ## One FIFO index space
+//!
+//! A node's transit and injection FIFOs are one pool to its output links,
+//! as in the BG/L router, and one index space to the engine: injection FIFO
+//! `k` is FIFO `vc_cells + k`, the order of the node's row of headers. One
+//! function, `State::set_head`, writes the node's occupancy mask, request
+//! masks and requested outputs wherever a head changes; one walk, `pick`,
+//! tries a link's candidates of either kind.
 //!
 //! ## Why node visit order does not matter
 //!
@@ -55,7 +63,7 @@
 //! §6, "Memory layout").
 
 use super::oracle::Oracle;
-use super::{bits, Arrival, State, Win, WinSource, RING};
+use super::{bits, Arrival, State, Win, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::fifo::{ChunkFifo, Slab};
 use crate::flow::FlowSpec;
@@ -78,12 +86,6 @@ pub(super) const INJ_FIFO_CHUNKS: u32 = 16;
 /// Pipeline latency per hop, cycles, added after the last chunk of a
 /// packet crosses a link before it is visible downstream.
 pub(super) const HOP_LATENCY_CYCLES: u64 = 1;
-
-/// Node `i`'s row of a per-link table (`node * ports + dir`).
-#[inline]
-fn row<T>(table: &mut [T], i: usize, ports: usize) -> &mut [T] {
-    &mut table[i * ports..][..ports]
-}
 
 /// Everything the phases only read — configuration, topology, link
 /// liveness — plus the downstream-credit cells. Built once in
@@ -243,40 +245,21 @@ impl Shared {
         dirs
     }
 
-    /// Set transit FIFO `f`'s bit of each of a node's request masks (`want`,
-    /// the node's row of `State::want`, one mask per output) to `dirs`,
-    /// its current head's [`request_dirs`](Self::request_dirs) (0: no
-    /// head). Called, like `refresh_inj`, wherever a head changes: a push
-    /// into an empty FIFO and every pop. Returns the row's requested
-    /// outputs, the caller's to store in `NodeState::vc_dirs`.
-    #[must_use]
-    fn refresh_vc(want: &mut [u64], f: usize, dirs: u16) -> u16 {
-        let mut live = 0;
-        for (d, w) in want.iter_mut().enumerate() {
-            *w = *w & !(1 << f) | u64::from(dirs >> d & 1) << f;
-            live |= u16::from(*w != 0) << d;
-        }
-        live
-    }
-
-    /// [`refresh_vc`](Self::refresh_vc) for injection FIFO `f`, the
-    /// node's row of `State::inj_want` and `NodeState::inj_dirs`.
-    #[must_use]
-    fn refresh_inj(inj_want: &mut [u32], f: usize, dirs: u16) -> u16 {
-        let mut live = 0;
-        for (d, w) in inj_want.iter_mut().enumerate() {
-            *w = *w & !(1 << f) | u32::from(dirs >> d & 1) << f;
-            live |= u16::from(*w != 0) << d;
-        }
-        live
-    }
-
     /// Pop `q`'s head: its handle, and the
     /// [`request_dirs`](Self::request_dirs) of the head this exposes —
-    /// `None` if the FIFO emptied, `Some(0)` for a head that has arrived.
+    /// `None` if the FIFO emptied, `Some(0)` for a head that has arrived:
+    /// what `State::set_head` takes.
     fn pop(&self, q: &mut ChunkFifo, slab: &Slab) -> (u32, Option<u16>) {
         let h = q.pop(slab);
         (h, q.head().map(|next| self.request_dirs(&slab[next])))
+    }
+
+    /// The dimension of the input port FIFO `f` of a node sits behind:
+    /// `Some` for a transit FIFO (two ports per dimension), `None` for an
+    /// injection FIFO.
+    #[inline]
+    pub(super) fn input_dim(&self, f: usize) -> Option<usize> {
+        (f < self.vc_cells).then_some(f / NUM_VCS / 2)
     }
 
     /// Choose the downstream VC for `pkt` over output `d`, or `None` if no
@@ -533,15 +516,13 @@ impl Phases<'_> {
         for arr in arrivals.drain(..) {
             let Arrival { node, h, done, .. } = arr;
             let (i, fi) = (node as usize, arr.fifo as usize);
-            let q = self.st.fifos.vc_mut(i, fi);
+            let q = self.st.fifos.fifo_mut(i, fi);
             let was_empty = q.is_empty();
             // Space was spent from the credit cell at the upstream win.
             q.push(&mut self.st.slab, h, arr.chunks as u32);
-            self.st.nodes[i].vc_mask |= 1 << fi;
             if was_empty {
                 let dirs = self.shared.request_dirs(&self.st.slab[h]);
-                let want = row(&mut self.st.want, i, self.shared.ports);
-                self.st.nodes[i].vc_dirs = Shared::refresh_vc(want, fi, dirs);
+                self.st.set_head(i, self.shared.ports, fi, Some(dirs));
             }
             self.st.arb_active.mark(i);
             self.st.arb_at[i] = 0;
@@ -592,13 +573,9 @@ impl Phases<'_> {
                 return;
             }
             // The handle changes FIFO; the packet stays in its slot.
-            let (_, exposed) = self.shared.pop(self.st.fifos.vc_mut(i, fifo), slab);
-            if exposed.is_none() {
-                n.vc_mask &= !(1 << fifo);
-            }
-            let want = row(&mut self.st.want, i, self.shared.ports);
-            n.vc_dirs = Shared::refresh_vc(want, fifo, exposed.unwrap_or(0));
+            let (_, exposed) = self.shared.pop(self.st.fifos.fifo_mut(i, fifo), slab);
             self.st.fifos.reception_mut(i).push(slab, h, chunks);
+            self.st.set_head(i, self.shared.ports, fifo, exposed);
             // The pop freed downstream space: release the credit now, for
             // this cycle's arbitration to see — all of it, since phase 4
             // has not begun.
@@ -876,15 +853,16 @@ impl Phases<'_> {
         if let Some(o) = self.oracle.as_deref_mut() {
             o.on_inject(&pkt);
         }
-        let q = self.st.fifos.inj_mut(i, f);
-        if q.is_empty() {
-            let inj_want = row(&mut self.st.inj_want, i, self.shared.ports);
-            node.inj_dirs = Shared::refresh_inj(inj_want, f, self.shared.request_dirs(&pkt));
-        }
+        let f = self.shared.vc_cells + f;
+        let q = self.st.fifos.fifo_mut(i, f);
+        let was_empty = q.is_empty();
         // The one write of the packet until it is drained.
         let h = self.st.slab.alloc(pkt);
         q.push(&mut self.st.slab, h, spec.chunks as u32);
-        node.inj_mask |= 1 << f;
+        if was_empty {
+            let dirs = self.shared.request_dirs(&self.st.slab[h]);
+            self.st.set_head(i, self.shared.ports, f, Some(dirs));
+        }
         self.st.arb_active.mark(i);
         self.st.arb_at[i] = 0;
         self.st.live_packets += 1;
@@ -912,7 +890,7 @@ impl Phases<'_> {
                     continue;
                 }
                 // Nothing to move out of this node.
-                if self.st.nodes[i].vc_mask == 0 && self.st.nodes[i].inj_mask == 0 {
+                if self.st.nodes[i].occupied == 0 {
                     if prune {
                         self.st.arb_active.clear(i);
                     }
@@ -929,7 +907,7 @@ impl Phases<'_> {
     }
 
     /// Arbitrate the output links of node `i` some head requests, the set
-    /// bits of `NodeState::requested_dirs`, re-read after a win (the head
+    /// bits of `NodeState::requested`, re-read after a win (the head
     /// it exposed may request a link still ahead); the request masks name
     /// each link's candidates. Under a fault plan every occupied FIFO is a
     /// candidate for every live link (a detour leaves the minimal quadrant;
@@ -945,7 +923,7 @@ impl Phases<'_> {
     fn arbitrate_node(&mut self, i: usize, t: u64) -> u64 {
         let ports = self.shared.ports;
         let mut wake = if self.shared.healthy() { u64::MAX } else { 0 };
-        let mut todo = self.st.nodes[i].requested_dirs() | self.shared.fault_dirs;
+        let mut todo = self.st.nodes[i].requested | self.shared.fault_dirs;
         while todo != 0 {
             let d = Direction::from_index(todo.trailing_zeros() as usize);
             todo &= todo - 1;
@@ -973,100 +951,67 @@ impl Phases<'_> {
                 wake = 0;
             }
             wake = wake.min(self.st.link_busy_until[link]);
-            let requested = self.st.nodes[i].requested_dirs() | self.shared.fault_dirs;
+            let requested = self.st.nodes[i].requested | self.shared.fault_dirs;
             todo = requested & !((2 << d.index()) - 1);
         }
         // An emptied node is un-marked by its next visit, as ever.
-        let node = &self.st.nodes[i];
-        if node.vc_mask == 0 && node.inj_mask == 0 {
+        if self.st.nodes[i].occupied == 0 {
             return 0;
         }
         wake
     }
 
-    /// Pick a winner for output `d` of node `i`, or `None`.
+    /// Pick a winner for output `d` of node `i`, or `None`: the transit
+    /// FIFOs round-robin from the link's pointer, the injection FIFOs in
+    /// ascending order, injection first on odd cycles unless the router
+    /// gives transit traffic priority.
     fn arbitrate_output(&self, i: usize, d: Direction, nb: usize, t: u64) -> Option<Win> {
-        let inject_first = !self.shared.cfg.router.transit_priority && (t & 1) == 1;
-        if inject_first {
-            self.arbitrate_inject(i, d, nb)
-                .or_else(|| self.arbitrate_transit(i, d, nb))
+        let link = i * self.shared.ports + d.index();
+        let cand = if self.shared.healthy() {
+            self.st.want[link]
         } else {
-            self.arbitrate_transit(i, d, nb)
-                .or_else(|| self.arbitrate_inject(i, d, nb))
+            self.st.nodes[i].occupied
+        };
+        let transit = (1u64 << self.shared.vc_cells) - 1;
+        let (vcs, inj) = (cand & transit, cand & !transit);
+        let start = self.st.rr[link] as usize % self.shared.vc_cells;
+        if !self.shared.cfg.router.transit_priority && (t & 1) == 1 {
+            self.pick(i, d, nb, inj, 0)
+                .or_else(|| self.pick(i, d, nb, vcs, start))
+        } else {
+            self.pick(i, d, nb, vcs, start)
+                .or_else(|| self.pick(i, d, nb, inj, 0))
         }
     }
 
-    /// Try `pkt`, the head of `source`, on output `d` of node `g`:
-    /// its minimal move if its request bit (`wanted`) is set, else — only
-    /// ever feasible under a fault plan — a non-minimal detour.
-    fn try_head(
-        &self,
-        g: usize,
-        pkt: &Packet,
-        wanted: bool,
-        source: WinSource,
-        d: Direction,
-        nb: usize,
-    ) -> Option<Win> {
-        let (vc, detour) = if wanted {
-            if self.shared.suppress_return(pkt, g, d) {
-                return None;
-            }
-            let from_dim = match source {
-                WinSource::Transit { fifo } => Some(fifo as usize / NUM_VCS / 2), // port / 2 = dimension
-                WinSource::Inject { .. } => None,
-            };
-            (self.shared.feasible_vc(pkt, g, from_dim, d, nb)?, false)
-        } else {
-            (self.shared.detour_vc(pkt, g, d, nb)?, true)
-        };
-        Some(Win { source, vc, detour })
-    }
-
-    fn arbitrate_transit(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
-        let link = i * self.shared.ports + d.index();
-        let want = self.st.want[link];
-        let cand = if self.shared.healthy() {
-            want
-        } else {
-            self.st.nodes[i].vc_mask
-        };
-        let start = self.st.rr[link] as usize % self.shared.vc_cells;
-        // Visit only the candidate bits, in round-robin order from `start`:
-        // first the bits at indices >= start (ascending), then the wrap.
+    /// The first head among node `i`'s FIFOs `cand`, visited round-robin
+    /// from FIFO `start`, that output `d` can take: its minimal move if its
+    /// request bit is set, else — only ever feasible under a fault plan — a
+    /// non-minimal detour.
+    fn pick(&self, i: usize, d: Direction, nb: usize, cand: u64, start: usize) -> Option<Win> {
+        let (sh, want) = (self.shared, self.st.want[i * self.shared.ports + d.index()]);
+        // First the bits at indices >= start (ascending), then the wrap.
         let below_start = cand & ((1u64 << start) - 1);
         for mut half in [cand ^ below_start, below_start] {
             while half != 0 {
                 let f = half.trailing_zeros() as usize;
                 half &= half - 1;
-                let h = self.st.fifos.vcs(i)[f].head().expect("mask says non-empty");
-                let pkt = &self.st.slab[h];
-                let source = WinSource::Transit { fifo: f as u8 };
-                let win = self.try_head(i, pkt, want >> f & 1 != 0, source, d, nb);
-                if win.is_some() {
-                    return win;
+                let h = self.st.fifos.row(i)[f].head().expect("mask says non-empty");
+                let (pkt, wanted) = (&self.st.slab[h], want >> f & 1 != 0);
+                let vc = if !wanted {
+                    sh.detour_vc(pkt, i, d, nb)
+                } else if sh.suppress_return(pkt, i, d) {
+                    None
+                } else {
+                    sh.feasible_vc(pkt, i, sh.input_dim(f), d, nb)
+                };
+                if let Some(vc) = vc {
+                    return Some(Win {
+                        fifo: f as u8,
+                        vc,
+                        detour: !wanted,
+                    });
                 }
-            }
-        }
-        None
-    }
-
-    fn arbitrate_inject(&self, i: usize, d: Direction, nb: usize) -> Option<Win> {
-        let want = self.st.inj_want[i * self.shared.ports + d.index()];
-        let mut cand = if self.shared.healthy() {
-            want
-        } else {
-            self.st.nodes[i].inj_mask
-        };
-        while cand != 0 {
-            let f = cand.trailing_zeros() as usize;
-            cand &= cand - 1;
-            let h = self.st.fifos.inj(i)[f].head().expect("mask says non-empty");
-            let pkt = &self.st.slab[h];
-            let source = WinSource::Inject { fifo: f as u8 };
-            let win = self.try_head(i, pkt, want >> f & 1 != 0, source, d, nb);
-            if win.is_some() {
-                return win;
             }
         }
         None
@@ -1075,45 +1020,26 @@ impl Phases<'_> {
     /// Move the winner out over `d`. Returns the request mask of the head
     /// its pop exposed (0: the FIFO emptied, or the new head has arrived).
     fn apply_win(&mut self, i: usize, d: Direction, nb: usize, win: Win, t: u64) -> u16 {
-        let ports = self.shared.ports;
-        // Pop the winner's handle from its source FIFO and refresh the
-        // masks from the head behind it.
-        let (node, slab) = (&mut self.st.nodes[i], &mut self.st.slab);
-        let (h, exposed) = match win.source {
-            WinSource::Transit { fifo } => {
-                let f = fifo as usize;
-                self.st.rr[i * ports + d.index()] = fifo.wrapping_add(1);
-                let (h, exposed) = self.shared.pop(self.st.fifos.vc_mut(i, f), slab);
-                match exposed {
-                    Some(0) => self.st.deliver_q.push((i as u32, fifo)),
-                    Some(_) => {}
-                    None => node.vc_mask &= !(1 << f),
-                }
-                let exposed = exposed.unwrap_or(0);
-                node.vc_dirs = Shared::refresh_vc(row(&mut self.st.want, i, ports), f, exposed);
-                // The freed space becomes upstream credit only at the
-                // cycle boundary: deferring the release gives arbitration
-                // a credit snapshot independent of node visit order.
-                self.st
-                    .deferred
-                    .push(((i * self.shared.vc_cells + f) as u32, slab[h].chunks as u32));
-                (h, exposed)
+        let (ports, f) = (self.shared.ports, win.fifo as usize);
+        // Pop the winner's handle; the head behind it becomes the FIFO's.
+        let (h, exposed) = self.shared.pop(self.st.fifos.fifo_mut(i, f), &self.st.slab);
+        self.st.set_head(i, ports, f, exposed);
+        let slab = &mut self.st.slab;
+        if f < self.shared.vc_cells {
+            self.st.rr[i * ports + d.index()] = win.fifo + 1;
+            if exposed == Some(0) {
+                self.st.deliver_q.push((i as u32, win.fifo));
             }
-            WinSource::Inject { fifo } => {
-                let f = fifo as usize;
-                let (h, exposed) = self.shared.pop(self.st.fifos.inj_mut(i, f), slab);
-                if exposed.is_none() {
-                    node.inj_mask &= !(1 << fifo);
-                }
-                let exposed = exposed.unwrap_or(0);
-                let inj_want = row(&mut self.st.inj_want, i, ports);
-                node.inj_dirs = Shared::refresh_inj(inj_want, f, exposed);
-                // Injection space opened: the CPU's stuck sends may fit now.
-                node.inject_blocked = false;
-                self.st.cpu_at[i] = 0;
-                (h, exposed)
-            }
-        };
+            // The freed space becomes upstream credit only at the cycle
+            // boundary: deferring the release gives arbitration a credit
+            // snapshot independent of node visit order.
+            let cell = (i * self.shared.vc_cells + f) as u32;
+            self.st.deferred.push((cell, slab[h].chunks as u32));
+        } else {
+            // Injection space opened: the CPU's stuck sends may fit now.
+            self.st.nodes[i].inject_blocked = false;
+            self.st.cpu_at[i] = 0;
+        }
         // Spend downstream credit and launch: the hop is written into the
         // packet where it lies.
         let pkt = &mut slab[h];
@@ -1160,7 +1086,7 @@ impl Phases<'_> {
             _ => stats.dynamic_hops += 1,
         }
         self.st.progress = true;
-        exposed
+        exposed.unwrap_or(0)
     }
 }
 
@@ -1174,7 +1100,7 @@ mod tests {
     /// layout"), and this is the test that names it.
     #[test]
     fn hot_path_layout_is_pinned() {
-        use std::mem::size_of;
+        use std::mem::{size_of, size_of_val};
         // One record per hop goes through a ring slot; at 88 bytes (it used
         // to carry the packet) filing and committing it were a fifth of the
         // 4,096-node TPS row.
@@ -1184,20 +1110,19 @@ mod tests {
         assert_eq!(size_of::<ChunkFifo>(), 12);
         // A 3-D node is its `NodeState`, its row of 18 transit, 6 injection
         // and 1 reception header, and 6 entries in each per-link table
-        // (`want`, `inj_want`, `rr`, `link_busy_until`): 698 bytes, 2.9 MB
-        // for the 4,096 nodes of 8x32x16. Row and table entries, 426 of the
-        // 698, are sized by the partition's arity — at `MAX_PORTS` they
-        // would be 768 for every shape.
+        // (`want`, `rr`, `link_busy_until`): 666 bytes, 2.7 MB for the 4,096
+        // nodes of 8x32x16. Row and table entries, 402 of the 666, are sized
+        // by the partition's arity — at `MAX_PORTS` they would be 720 for
+        // every shape.
         let part = Partition::torus(4, 4, 4);
         let idle = (0..64).map(|_| Box::new(ScriptedProgram::idle()) as _);
         let engine = Engine::new(SimConfig::new(part), idle.collect());
         let st = &engine.state;
         assert_eq!(st.fifos.row_bytes(), 25 * 12);
-        let per_link = [st.want.len() * 8, st.inj_want.len() * 4, st.rr.len()];
-        assert_eq!(per_link, [64 * 6 * 8, 64 * 6 * 4, 64 * 6]);
-        // The two requested-output masks (`vc_dirs`, `inj_dirs`) fit in
-        // the struct's padding.
-        assert_eq!(size_of::<NodeState>(), 272);
+        // One request mask per link covers the transit and injection FIFOs.
+        let per_link = [st.want.len() * size_of_val(&st.want[0]), st.rr.len()];
+        assert_eq!(per_link, [64 * 6 * 8, 64 * 6]);
+        assert_eq!(size_of::<NodeState>(), 264);
     }
 
     /// `inject_slot` as it was before it passed over sends with no room

@@ -111,7 +111,7 @@ impl Engine {
         } else if !dup {
             let sample = self.build_trace_sample(&mut tracer);
             tracer.trace.samples.push(sample);
-            tracer.next_at = self.now + tracer.interval;
+            tracer.next_at = self.now.saturating_add(tracer.interval);
         }
         self.tracer = Some(tracer);
     }
@@ -158,21 +158,17 @@ impl Engine {
         let mut recv_sum = 0u64;
         let mut recv_max = 0u32;
         for i in 0..st.nodes.len() {
-            for (f, fifo) in st.fifos.vcs(i).iter().enumerate() {
-                let dim = f / NUM_VCS / 2; // two input ports per dimension
+            for (f, fifo) in st.fifos.row(i).iter().enumerate() {
                 let occ = fifo.occupied_chunks();
-                if f % NUM_VCS == Vc::Bubble.index() {
-                    bub_sum[dim] += occ as u64;
-                    bub_max[dim] = bub_max[dim].max(occ);
-                } else {
-                    dyn_sum[dim] += occ as u64;
-                    dyn_max[dim] = dyn_max[dim].max(occ);
-                }
-            }
-            for fifo in st.fifos.inj(i) {
-                let occ = fifo.occupied_chunks();
-                inj_sum += occ as u64;
-                inj_max = inj_max.max(occ);
+                let (sum, max) = match self.shared.input_dim(f) {
+                    None => (&mut inj_sum, &mut inj_max),
+                    Some(dim) if f % NUM_VCS == Vc::Bubble.index() => {
+                        (&mut bub_sum[dim], &mut bub_max[dim])
+                    }
+                    Some(dim) => (&mut dyn_sum[dim], &mut dyn_max[dim]),
+                };
+                *sum += occ as u64;
+                *max = (*max).max(occ);
             }
             let occ = st.fifos.reception(i).occupied_chunks();
             recv_sum += occ as u64;
@@ -206,14 +202,12 @@ impl Engine {
         };
         let mut hol = 0u64;
         for (i, node) in st.nodes.iter().enumerate() {
-            let transit = bits(node.vc_mask).map(|f| &st.fifos.vcs(i)[f]);
-            let inj = bits(node.inj_mask.into()).map(|f| &st.fifos.inj(i)[f]);
-            for h in transit.chain(inj).flat_map(|fifo| fifo.iter(&st.slab)) {
+            let queued = bits(node.occupied).flat_map(|f| st.fifos.row(i)[f].iter(&st.slab));
+            for h in queued {
                 count_kind(st.slab[h].meta.kind);
             }
-            for (transit, head) in st.heads(i) {
-                let blocked = |f| self.head_is_hol_blocked(i, f, head);
-                hol += u64::from(!head.plan.is_done() && transit.is_some_and(blocked));
+            for (f, head) in st.heads(i) {
+                hol += u64::from(!head.plan.is_done() && self.head_is_hol_blocked(i, f, head));
             }
         }
         for arrival in st.ring.iter().flatten() {

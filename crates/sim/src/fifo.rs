@@ -180,7 +180,9 @@ impl ChunkFifo {
 
 /// Every FIFO header of the machine: per node one row of `vcs` transit
 /// headers (indexed by [`vc_fifo_index`](crate::node::vc_fifo_index)),
-/// then the injection headers, then the reception header.
+/// then the injection headers, then the reception header. The transit and
+/// injection headers are the node's one FIFO index space: injection FIFO
+/// `k` is FIFO `vcs + k`.
 pub(crate) struct FifoRows {
     cells: Box<[ChunkFifo]>,
     vcs: usize,
@@ -202,16 +204,22 @@ impl FifoRows {
         self.stride * std::mem::size_of::<ChunkFifo>()
     }
 
+    /// Node `i`'s transit and injection headers, indexed by FIFO.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[ChunkFifo] {
+        &self.cells[i * self.stride..(i + 1) * self.stride - 1]
+    }
+
     /// Node `i`'s transit headers.
     #[inline]
     pub(crate) fn vcs(&self, i: usize) -> &[ChunkFifo] {
-        &self.cells[i * self.stride..][..self.vcs]
+        &self.row(i)[..self.vcs]
     }
 
     /// Node `i`'s injection headers.
     #[inline]
     pub(crate) fn inj(&self, i: usize) -> &[ChunkFifo] {
-        &self.cells[i * self.stride + self.vcs..(i + 1) * self.stride - 1]
+        &self.row(i)[self.vcs..]
     }
 
     /// Node `i`'s reception header.
@@ -220,16 +228,11 @@ impl FifoRows {
         &self.cells[(i + 1) * self.stride - 1]
     }
 
+    /// Node `i`'s FIFO `f`, transit or injection.
     #[inline]
-    pub(crate) fn vc_mut(&mut self, i: usize, f: usize) -> &mut ChunkFifo {
-        debug_assert!(f < self.vcs);
+    pub(crate) fn fifo_mut(&mut self, i: usize, f: usize) -> &mut ChunkFifo {
+        debug_assert!(f < self.stride - 1);
         &mut self.cells[i * self.stride + f]
-    }
-
-    #[inline]
-    pub(crate) fn inj_mut(&mut self, i: usize, f: usize) -> &mut ChunkFifo {
-        debug_assert!(self.vcs + f < self.stride - 1);
-        &mut self.cells[i * self.stride + self.vcs + f]
     }
 
     #[inline]
@@ -302,17 +305,18 @@ mod tests {
     #[test]
     fn rows_keep_each_nodes_headers_apart() {
         let (mut slab, mut rows) = (Slab::new(), FifoRows::new(3, 18, 6));
-        push(rows.vc_mut(1, 17), &mut slab, 1, 8);
-        push(rows.inj_mut(1, 0), &mut slab, 2, 4);
-        push(rows.inj_mut(1, 5), &mut slab, 3, 2);
+        push(rows.fifo_mut(1, 17), &mut slab, 1, 8);
+        push(rows.fifo_mut(1, 18), &mut slab, 2, 4);
+        push(rows.fifo_mut(1, 23), &mut slab, 3, 2);
         push(rows.reception_mut(1), &mut slab, 4, 1);
         let occ = |fs: &[ChunkFifo]| fs.iter().map(|f| f.occupied_chunks()).collect::<Vec<_>>();
         assert_eq!(occ(rows.vcs(1))[17], 8);
         assert_eq!(occ(rows.inj(1)), [4, 0, 0, 0, 0, 2]);
         assert_eq!(rows.reception(1).occupied_chunks(), 1);
+        assert_eq!(occ(&rows.row(1)[17..19]), [8, 4]);
         for i in [0, 2] {
-            let all = rows.vcs(i).iter().chain(rows.inj(i));
-            assert!(all.chain([rows.reception(i)]).all(|f| f.is_empty()));
+            let mut all = rows.row(i).iter().chain([rows.reception(i)]);
+            assert!(all.all(|f| f.is_empty()));
         }
     }
 }

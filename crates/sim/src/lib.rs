@@ -80,6 +80,31 @@ mod tests {
         let _ = Engine::new(cfg, vec![boxed(ScriptedProgram::idle())]);
     }
 
+    /// A 6-D node's 36 transit FIFOs leave a 64-bit mask room for `inj` ≤ 28
+    /// injection FIFOs; the last, class 1's only one, carries a packet.
+    fn six_d_engine(inj: u32) -> Engine {
+        let mut cfg = SimConfig::new(Partition::torus_nd(&[2; 6]));
+        cfg.inj_fifo_count = inj;
+        cfg.inj_class_masks = (1..=inj).map(|f| if f == inj { 2 } else { 1 }).collect();
+        cfg.check_invariants = true;
+        let send = SendSpec::adaptive(63, 8, 240).with_class(1);
+        let mut programs: Vec<_> = (0..64).map(|_| boxed(ScriptedProgram::idle())).collect();
+        programs[0] = boxed(ScriptedProgram::new(vec![send], 0));
+        programs[63] = boxed(ScriptedProgram::new(vec![], 1));
+        Engine::new(cfg, programs)
+    }
+
+    #[test]
+    fn six_d_node_takes_28_injection_fifos() {
+        assert_eq!(six_d_engine(28).run().unwrap().packets_delivered, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "a node's FIFOs are a u64 bitmask")]
+    fn six_d_node_refuses_29_injection_fifos() {
+        let _ = six_d_engine(29);
+    }
+
     /// One packet, one hop: delivery happens and latency is sane.
     #[test]
     fn single_packet_single_hop() {

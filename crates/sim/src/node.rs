@@ -56,19 +56,15 @@ pub enum PollState {
 pub struct NodeState {
     /// Node coordinate.
     pub coord: Coord,
-    /// Bitmask of non-empty VC FIFOs (bit `f` ⇔ transit FIFO `f`, indexed
-    /// by [`vc_fifo_index`], non-empty). At the 6-dimension maximum there
-    /// are 12 ports × 3 VCs = 36 FIFOs, so this must be wider than 32 bits.
-    pub vc_mask: u64,
-    /// Bitmask of non-empty injection FIFOs, mirroring
-    /// [`vc_mask`](Self::vc_mask) so arbitration never probes empty FIFOs.
-    pub inj_mask: u32,
-    /// Bit `d` set iff some transit FIFO head requests output `d`: the
-    /// non-zero directions of the node's row of the engine's transit request
-    /// masks, returned by each refresh of that row.
-    pub vc_dirs: u16,
-    /// The same over the injection FIFOs.
-    pub inj_dirs: u16,
+    /// Bitmask of non-empty FIFOs over the node's one FIFO index space:
+    /// transit FIFO `f` (indexed by [`vc_fifo_index`]) is bit `f`, injection
+    /// FIFO `k` bit `ports · NUM_VCS + k` — the order of its row of FIFO
+    /// headers. At the 6-dimension maximum the 36 transit FIFOs leave room
+    /// for 28 injection FIFOs.
+    pub occupied: u64,
+    /// Bit `d` set iff some FIFO head requests output `d`: the non-zero
+    /// directions of the node's row of the engine's request masks.
+    pub requested: u16,
     /// Reactive sends queued by the program (api.send from hooks), not yet
     /// paid for / injected.
     pub pending: VecDeque<SendSpec>,
@@ -105,10 +101,8 @@ impl NodeState {
     pub fn new(coord: Coord, cfg: &SimConfig) -> NodeState {
         NodeState {
             coord,
-            vc_mask: 0,
-            inj_mask: 0,
-            vc_dirs: 0,
-            inj_dirs: 0,
+            occupied: 0,
+            requested: 0,
             pending: VecDeque::new(),
             // Sized here, once, to the depth the engine tops it up to (a
             // sending node would grow it there in two steps). It is also the
@@ -145,20 +139,10 @@ impl NodeState {
         !self.program_done && self.pulled.len() < PULL_THRESHOLD
     }
 
-    /// The outputs some FIFO head requests, as a bitmask over direction
-    /// indices.
-    #[inline]
-    pub fn requested_dirs(&self) -> u16 {
-        self.vc_dirs | self.inj_dirs
-    }
-
     /// Whether a packet sits in a transit or injection FIFO of this node,
     /// or a send in its queues (the quiesce check; the reception FIFO is
     /// the caller's to look at).
     pub fn holds_packets(&self) -> bool {
-        self.vc_mask != 0
-            || self.inj_mask != 0
-            || !self.pending.is_empty()
-            || !self.pulled.is_empty()
+        self.occupied != 0 || !self.pending.is_empty() || !self.pulled.is_empty()
     }
 }

@@ -139,6 +139,24 @@ fn sample_cap_truncates_but_totals_stay_exact() {
     check_invariants(&cfg, &stats, &trace);
 }
 
+/// An interval longer than any run (`u64::MAX`, which the CLI accepts)
+/// never fires: the run completes and its one sample is the forced final
+/// one, whose deltas are the run's totals.
+#[test]
+fn an_interval_past_the_run_leaves_one_sample_of_totals() {
+    let part: Partition = "4x4".parse().unwrap();
+    let cfg = SimConfig::new(part);
+    let (stats, trace) = traced_run(&cfg, u64::MAX);
+    assert_eq!(trace.samples.len(), 1, "{:?}", trace.samples);
+    let sample = &trace.samples[0];
+    assert_eq!(sample.link_busy_delta, stats.link_busy_chunks);
+    assert_eq!(sample.hops_delta, stats.hops_taken);
+    assert_eq!(sample.injected_delta, stats.packets_injected);
+    assert_eq!(sample.delivered_delta, stats.packets_delivered);
+    assert_eq!(sample.cpu_busy_delta, stats.cpu_busy_cycles);
+    check_invariants(&cfg, &stats, &trace);
+}
+
 /// Tracing changes nothing observable: the exact `NetStats` equality is
 /// pinned broadly in `tests/engine_equivalence.rs`; this is the minimal
 /// in-crate version.
