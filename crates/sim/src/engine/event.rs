@@ -5,10 +5,9 @@
 //! layer on top: after a stepped cycle that made no progress (the
 //! watchdog's own flag — see the gate in `Engine::run_inner`),
 //! [`Engine::fast_forward`] computes a conservative earliest next-event
-//! cycle from per-component wake-ups — in-flight arrivals (the ring),
-//! pending deliveries, the CPU wakes each node's last visit computed
-//! (`State::cpu_at`), and link-busy horizons — and jumps `now` straight
-//! there.
+//! cycle from per-component wake-ups — in-flight arrivals (the ring) and
+//! the CPU and arbitration wakes the phases keep per node (`State::cpu_at`,
+//! `State::arb_at`) — and jumps `now` straight there.
 //!
 //! The clock keeps no state of its own: everything it reads is state the
 //! phases maintain anyway. The jump is decided between stepped cycles.
@@ -26,21 +25,20 @@
 //! same cycle, would have mutated *nothing* except two counters:
 //!
 //! - no arrivals (the in-flight ring is empty until the next wake-up),
-//! - no deliveries (`deliver_q` empty, and stalled
-//!   deliveries are only re-queued by a CPU drain, which is itself a
-//!   stepped event),
+//! - no deliveries (`deliver_q` is empty after a cycle without progress:
+//!   every push onto it is progress, and stalled deliveries are only
+//!   re-queued by a CPU drain),
 //! - every CPU visit is a blocked poll — a rate-window check or a pure
 //!   `next_send` decline ([`PollHint::SleepUntilDelivery`]) — whose only
 //!   effect is incrementing `pacing_blocked_cycles` /
 //!   `credit_blocked_events` by a per-cycle constant: the node's own
 //!   `owed_from` already counts those cycles, settled when it is next
 //!   visited or the statistics are read, skipped or not,
-//! - no arbitration win is possible: every candidate head lost its last
-//!   stepped arbitration on *feasibility* (downstream credit), which only
-//!   changes when a downstream FIFO pops or a win spends credit — both
-//!   *progress*, after which no skip is attempted, so the heads are
-//!   re-arbitrated on the next stepped cycle — or on a busy link, whose
-//!   release cycle is known exactly (`link_busy_until`).
+//! - no arbitration win is possible: every marked node's `arb_at` lies
+//!   ahead. A visit leaves there the release of the busy links its heads
+//!   request (`link_busy_until`, known exactly); a head refused on
+//!   downstream credit needs room, and the release that returns it lowers
+//!   the wake of the one node that can spend it (`State::release`).
 //!
 //! The wake-up invariant (see DESIGN.md): **no component may be woken
 //! later than its true next state change.** Waking too early merely steps
@@ -55,7 +53,7 @@
 //! periodic sample (frozen deltas, live occupancy snapshot) is recorded
 //! there, so traced runs are byte-identical too.
 
-use super::{bits, Engine, RING};
+use super::{Engine, RING};
 use crate::node::PollState;
 
 /// Which component's bound won the earliest-event minimum. Tracked for
@@ -65,8 +63,6 @@ use crate::node::PollState;
 /// minimum value itself exactly as the plain `min` fold computed it).
 #[derive(Clone, Copy)]
 pub(super) enum WakeCause {
-    /// A pending delivery forced an immediate re-step.
-    DeliverQ,
     /// The earliest in-flight ring arrival.
     Arrival,
     /// A CPU-phase wake of a node whose last visit left this hint.
@@ -84,9 +80,10 @@ impl Engine {
     /// with the component that set the bound.
     fn next_event_cycle(&self) -> (u64, WakeCause) {
         let (now, st) = (self.now, &self.state);
-        if !st.deliver_q.is_empty() {
-            return (now, WakeCause::DeliverQ);
-        }
+        debug_assert!(
+            st.deliver_q.is_empty(),
+            "every delivery-queue push is progress"
+        );
         // Earliest in-flight arrival. Every launched packet lands within
         // RING cycles (asserted at construction), so one lap suffices.
         let mut e = u64::MAX;
@@ -102,9 +99,9 @@ impl Engine {
         if e == now {
             return (now, cause);
         }
-        // A CPU wake is what the node's last visit computed (`cpu_park`):
-        // every event since that could move it re-armed it to 0, and none
-        // can be pending now, after a cycle without progress.
+        // A wake is what the node's last visit computed (`cpu_park`,
+        // `arbitrate_node`): every event since that could move it re-armed
+        // it, and none can be pending now, after a cycle without progress.
         for i in st.cpu_active.iter() {
             let wake = st.cpu_at[i].max(now);
             if wake < e {
@@ -116,7 +113,7 @@ impl Engine {
             }
         }
         for i in st.arb_active.iter() {
-            let wake = self.arb_wake(i);
+            let wake = st.arb_at[i].max(now);
             if wake < e {
                 e = wake;
                 cause = WakeCause::LinkBusy;
@@ -126,42 +123,6 @@ impl Engine {
             }
         }
         (e, cause)
-    }
-
-    /// Next cycle the arbitration of node `i` could win an output.
-    /// Heads on *free* links already lost their last stepped arbitration
-    /// on downstream feasibility, which only a stepped event can change
-    /// (progress: no skip is attempted after it); so the only timed wake
-    /// is a busy link becoming usable. `busy_until == now` must wake now: the link was
-    /// busy during the last stepped cycle but is usable this cycle.
-    ///
-    /// Only links some head requests count (`NodeState::requested`:
-    /// exactly the links arbitration probes). Against a bound over every
-    /// head's whole minimal quadrant this can only wake *later*, and only
-    /// where no head wants the link, so no win is slept through.
-    fn arb_wake(&self, i: usize) -> u64 {
-        let st = &self.state;
-        let node = &st.nodes[i];
-        if node.occupied == 0 {
-            return u64::MAX;
-        }
-        // Under a fault plan a detour may take a head along a link no mask
-        // names: consider every direction (waking early is always safe).
-        // Fault transitions themselves count as progress, so dead links
-        // becoming live never rely on this bound.
-        let ports = self.shared.ports;
-        let mut wake = u64::MAX;
-        for d in bits((node.requested | self.shared.fault_dirs).into()) {
-            let link = i * ports + d;
-            if self.shared.neighbors[i][d] == u32::MAX {
-                continue;
-            }
-            let busy = st.link_busy_until[link];
-            if busy >= self.now {
-                wake = wake.min(busy);
-            }
-        }
-        wake
     }
 
     /// Jump `now` to the next event cycle, recording the periodic trace

@@ -74,7 +74,7 @@ mod tracer;
 use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
 use crate::fifo::{FifoRows, Slab};
 use crate::node::{NodeState, PollState};
-use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET};
+use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET, MAX_PACKET_CHUNKS};
 use crate::program::NodeProgram;
 use crate::stats::{NetStats, LATENCY_BUCKETS};
 use bgl_torus::{Direction, MAX_PORTS};
@@ -86,7 +86,7 @@ use tracer::Tracer;
 
 /// In-flight ring size; must exceed max packet chunks + hop latency.
 const RING: usize = 64;
-const _: () = assert!(8 + HOP_LATENCY_CYCLES < RING as u64);
+const _: () = assert!(MAX_PACKET_CHUNKS as u64 + HOP_LATENCY_CYCLES < RING as u64);
 
 /// Why frozen traffic is frozen, computed from the queue state at the
 /// moment the watchdog fires so a stall is diagnosable without a trace
@@ -429,14 +429,15 @@ struct State {
     /// Per node, the first cycle of blocked polls not yet counted into the
     /// statistics (`u64::MAX`: none owed), written beside `cpu_at`.
     owed_from: Vec<u64>,
-    /// The same for phase 4.
+    /// The same for phase 4, lowered besides by a credit release that may
+    /// let the node win a link ([`State::release`]).
     arb_at: Vec<u64>,
     /// Id of the next packet injected: ids are dense and ascend with
     /// (cycle, node, injection order).
     next_packet_id: u64,
     /// Credit releases from this cycle's phase-4 pops, applied at the
-    /// cycle boundary: `(credit cell, chunks)`.
-    deferred: Vec<(u32, u32)>,
+    /// cycle boundary: `(node, transit FIFO, chunks)`.
+    deferred: Vec<(u32, u8, u8)>,
     /// The cycle's first [`SimError::InvalidSend`], returned at its end.
     invalid_send: Option<SimError>,
 }
@@ -492,6 +493,24 @@ impl State {
             PollState::Rate => self.stats.pacing_blocked_cycles += cycles,
             PollState::Asleep { denials } => self.stats.credit_blocked_events += denials * cycles,
             PollState::Open => unreachable!("an open poll owes nothing"),
+        }
+    }
+
+    /// Return `chunks` of space to transit FIFO `fifo` of node `node`, the one
+    /// place credit comes back, and wake `u`, the one node that can spend it,
+    /// at the release of its link `d` into the cell if a head there may take
+    /// `d` — unless the cell had room for any packet entering it already.
+    fn release(&mut self, sh: &Shared, node: usize, fifo: usize, chunks: u32) {
+        let cell = &sh.credits[node * sh.vc_cells + fifo];
+        let held = cell.get();
+        cell.set(held + chunks);
+        if held >= u32::from(MAX_PACKET_CHUNKS) + sh.cfg.router.bubble_slack_chunks {
+            return;
+        }
+        let port = fifo / NUM_VCS;
+        let (u, d) = (sh.neighbors[node][port] as usize, port ^ 1);
+        if (self.nodes[u].requested | sh.fault_dirs) >> d & 1 != 0 {
+            self.arb_at[u] = self.arb_at[u].min(self.link_busy_until[u * sh.ports + d]);
         }
     }
 }
@@ -853,9 +872,8 @@ impl Engine {
             }
         }
         for arr in dropped {
-            let cell = v * self.shared.vc_cells + arr.fifo as usize;
-            self.shared.release(cell, arr.chunks as u32);
             let st = &mut self.state;
+            st.release(&self.shared, v, arr.fifo.into(), arr.chunks.into());
             let pkt = st.slab.take(arr.h);
             st.live_packets -= 1;
             st.stats.dropped_by_fault += 1;

@@ -116,9 +116,9 @@ impl Engine {
                 PollState::Asleep { .. } => evp.wake_credit_sleeper += 1,
             },
             WakeCause::LinkBusy => evp.wake_link_busy += 1,
-            // DeliverQ returns `now` (never a jump); Idle without a clamp
-            // cannot reach here because `u64::MAX` always clamps.
-            WakeCause::DeliverQ | WakeCause::Idle => {}
+            // Idle without a clamp cannot reach here: `u64::MAX` always
+            // clamps.
+            WakeCause::Idle => {}
         }
     }
 

@@ -14,17 +14,17 @@
 //! CPU is booked until then, or the rate window opens then, or nothing
 //! short of an event at the node can help — a sleeper's pure decline, or
 //! sends stuck on injection-FIFO space. A visit to arbitration leaves in
-//! `arb_at` the release of the links its heads request if all of them are
-//! mid-transmission. Until then the scan passes the node over on one word,
-//! its mark untouched. The blocked polls it is passed over for still count:
-//! `State::owed_from` says since when, and the next visit, or any reader
-//! of the statistics, settles them (`State::settle_blocked`). Whatever can
-//! change what a skipped visit would have found is an event at the node
-//! itself — an arrival commit, a delivery, an injection, an injection-FIFO
-//! pop, a fault transition — and writes 0. The full scan writes both
-//! arrays and reads neither, so every comparison against it is parked
-//! against unparked, and the oracle's parking check covers both
-//! (DESIGN.md §6).
+//! `arb_at` the first release among the busy links its heads request, if
+//! no free one can take a head. Until then the scan passes the node over on
+//! one word, its mark untouched. The blocked polls it is passed over for
+//! still count: `State::owed_from` says since when, and the next visit, or
+//! any reader of the statistics, settles them (`State::settle_blocked`).
+//! Whatever can change what a skipped visit would have found writes 0 — an
+//! arrival commit, a delivery, an injection, an injection-FIFO pop, a fault
+//! transition at the node — or is a credit release giving its heads room
+//! (`State::release`). The full scan writes both arrays and reads neither,
+//! so every comparison against it is parked against unparked, and the
+//! oracle's parking check covers both (DESIGN.md §6).
 //!
 //! Inside a visit, the two per-packet loops skip what cannot move. The
 //! injector plans a route only for a send that a FIFO of its class has room
@@ -139,13 +139,6 @@ impl Shared {
     #[inline]
     fn credit(&self, n: usize, port: usize, vc: usize) -> u32 {
         self.credits[n * self.vc_cells + vc_fifo_index(port, vc)].get()
-    }
-
-    /// Return `chunks` of space to credit cell `cell`.
-    #[inline]
-    pub(super) fn release(&self, cell: usize, chunks: u32) {
-        let c = &self.credits[cell];
-        c.set(c.get() + chunks);
     }
 
     /// Whether the directed link out of node `n` along `d` is up.
@@ -418,7 +411,7 @@ impl Shared {
     /// bubble VC stays dimension-ordered, so the escape network's
     /// deadlock freedom is untouched by rerouting. After a detour win the
     /// packet re-plans from the downstream node (see `apply_win`).
-    pub(super) fn detour_vc(&self, pkt: &Packet, n: usize, d: Direction, nb: usize) -> Option<Vc> {
+    fn detour_vc(&self, pkt: &Packet, n: usize, d: Direction, nb: usize) -> Option<Vc> {
         if self.healthy()
             || pkt.routing != RoutingMode::Adaptive
             || pkt.detour_count() >= DETOUR_BUDGET
@@ -439,13 +432,35 @@ impl Shared {
     /// single dead link). When the return is the only live minimal
     /// direction it stays allowed — it is a normal minimal move and
     /// clears the detour mark on a win.
-    pub(super) fn suppress_return(&self, pkt: &Packet, n: usize, d: Direction) -> bool {
+    fn suppress_return(&self, pkt: &Packet, n: usize, d: Direction) -> bool {
         if self.healthy() || pkt.detour_from() != Some(d.index()) {
             return false;
         }
         pkt.plan
             .minimal_directions()
             .any(|o| o != d && self.neighbors[n][o.index()] != u32::MAX && self.alive(n, o))
+    }
+
+    /// The VC on which output `d` of node `n` (to `nb`) takes `pkt`, the head
+    /// of FIFO `f`: its minimal move if `wanted` (its request bit for `d`),
+    /// else — only ever under a fault plan — a detour. What `pick` and the
+    /// oracle ask.
+    pub(super) fn exit_vc(
+        &self,
+        pkt: &Packet,
+        n: usize,
+        f: usize,
+        d: Direction,
+        nb: usize,
+        wanted: bool,
+    ) -> Option<Vc> {
+        if !wanted {
+            self.detour_vc(pkt, n, d, nb)
+        } else if self.suppress_return(pkt, n, d) {
+            None
+        } else {
+            self.feasible_vc(pkt, n, self.input_dim(f), d, nb)
+        }
     }
 }
 
@@ -502,9 +517,12 @@ impl Phases<'_> {
         self.perf_lap(&mut clk, |p| &mut p.cpu);
         self.phase_arbitration(t);
         self.perf_lap(&mut clk, |p| &mut p.arbitration);
-        for (cell, chunks) in self.st.deferred.drain(..) {
-            self.shared.release(cell as usize, chunks);
+        let mut deferred = std::mem::take(&mut self.st.deferred);
+        for (node, fifo, chunks) in deferred.drain(..) {
+            self.st
+                .release(self.shared, node as usize, fifo.into(), chunks.into());
         }
+        self.st.deferred = deferred;
         self.perf_lap(&mut clk, |p| &mut p.drain);
     }
 
@@ -579,7 +597,7 @@ impl Phases<'_> {
             // The pop freed downstream space: release the credit now, for
             // this cycle's arbitration to see — all of it, since phase 4
             // has not begun.
-            self.shared.release(i * self.shared.vc_cells + fifo, chunks);
+            self.st.release(self.shared, i, fifo, chunks);
             self.st.cpu_active.mark(i);
             // A new head to arbitrate, a packet to drain: un-park both.
             (self.st.arb_at[i], self.st.cpu_at[i]) = (0, 0);
@@ -879,9 +897,9 @@ impl Phases<'_> {
         // (which marks it) or its own injections (phase 3 marks it), never
         // from another node's arbitration — wins go into the in-flight
         // ring, not directly into the neighbour's FIFOs — so a snapshot
-        // scan misses nothing. A node whose requested links are all
-        // mid-transmission (`State::arb_at`) stays marked and costs one
-        // word. The full scan clears and parks nothing, as in phase 3.
+        // scan misses nothing. A node that cannot win a link yet
+        // (`State::arb_at`) stays marked and costs one word. The full scan
+        // clears and parks nothing, as in phase 3.
         let prune = !self.shared.full_scan;
         for w in 0..self.st.arb_active.words.len() {
             for i in bits(self.st.arb_active.words[w]).map(|b| w << 6 | b) {
@@ -914,51 +932,53 @@ impl Phases<'_> {
     /// link liveness is not cached) and the mask bit only picks between the
     /// minimal move and the detour.
     ///
-    /// Returns the node's next useful arbitration cycle: the earliest
-    /// release among its requested links if every one of them is now
-    /// mid-transmission, else 0. A requested link that was free and had no
-    /// feasible head keeps the node awake — the credit it waits for arrives
-    /// from another node, with no event at this one — and so does a fault
-    /// plan, whose detours take links no mask names.
+    /// Returns the node's wake: the earliest release among the links this
+    /// visit found busy or won that a head still requests, taken once the
+    /// loop is over (a running minimum counts links only popped heads
+    /// wanted). A refused free link waits for the release that gives it
+    /// room (`State::release`); 0 if a win changed what a passed link finds.
     fn arbitrate_node(&mut self, i: usize, t: u64) -> u64 {
-        let ports = self.shared.ports;
-        let mut wake = if self.shared.healthy() { u64::MAX } else { 0 };
-        let mut todo = self.st.nodes[i].requested | self.shared.fault_dirs;
+        let (sh, ports) = (self.shared, self.shared.ports);
+        let shaped = sh.cfg.router.longest_first_bias && sh.cfg.router.adaptive_bubble_escape;
+        // Links found busy or won; free links no head could take.
+        let (mut timed, mut refused, mut again) = (0u16, 0u16, false);
+        let mut todo = self.st.nodes[i].requested | sh.fault_dirs;
         while todo != 0 {
             let d = Direction::from_index(todo.trailing_zeros() as usize);
             todo &= todo - 1;
             let link = i * ports + d.index();
-            let busy = self.st.link_busy_until[link];
-            if busy > t {
-                wake = wake.min(busy);
+            if self.st.link_busy_until[link] > t {
+                timed |= 1 << d.index();
                 continue;
             }
-            let nb = self.shared.neighbors[i][d.index()];
+            let nb = sh.neighbors[i][d.index()];
             // A dead output link refuses arbitration outright.
-            if nb == u32::MAX || !self.shared.alive(i, d) {
+            if nb == u32::MAX || !sh.alive(i, d) {
                 continue;
             }
             let Some(win) = self.arbitrate_output(i, d, nb as usize, t) else {
-                wake = 0;
+                refused |= 1 << d.index();
                 continue;
             };
             // The pop exposed a new head. A link it requests past `d` is in
-            // the masks re-read below (`d` itself is busy as of now); one
-            // the loop has passed was judged under the old masks, so the
-            // node stays awake to look again.
+            // the masks re-read below (`d` itself is busy as of now); a passed
+            // one it requests, or a refused one it may detour over under a
+            // fault plan, was judged without it; and a dynamic-VC spend may
+            // open a refused link's bubble escape (`preferred_blocked`).
             let exposed = self.apply_win(i, d, nb as usize, win, t);
-            if exposed & ((1 << d.index()) - 1) != 0 {
-                wake = 0;
-            }
-            wake = wake.min(self.st.link_busy_until[link]);
-            let requested = self.st.nodes[i].requested | self.shared.fault_dirs;
-            todo = requested & !((2 << d.index()) - 1);
+            let detours = sh.fault_dirs & if exposed != 0 { refused } else { 0 };
+            again |= (exposed | detours) & ((1 << d.index()) - 1) != 0;
+            again |= shaped && refused != 0 && win.vc != Vc::Bubble;
+            timed |= 1 << d.index();
+            todo = (self.st.nodes[i].requested | sh.fault_dirs) & !((2 << d.index()) - 1);
         }
         // An emptied node is un-marked by its next visit, as ever.
-        if self.st.nodes[i].occupied == 0 {
+        if again || self.st.nodes[i].occupied == 0 {
             return 0;
         }
-        wake
+        let timed = timed & (self.st.nodes[i].requested | sh.fault_dirs);
+        let busy = |d: usize| self.st.link_busy_until[i * ports + d];
+        bits(timed.into()).map(busy).min().unwrap_or(u64::MAX)
     }
 
     /// Pick a winner for output `d` of node `i`, or `None`: the transit
@@ -985,9 +1005,7 @@ impl Phases<'_> {
     }
 
     /// The first head among node `i`'s FIFOs `cand`, visited round-robin
-    /// from FIFO `start`, that output `d` can take: its minimal move if its
-    /// request bit is set, else — only ever feasible under a fault plan — a
-    /// non-minimal detour.
+    /// from FIFO `start`, that output `d` can take ([`Shared::exit_vc`]).
     fn pick(&self, i: usize, d: Direction, nb: usize, cand: u64, start: usize) -> Option<Win> {
         let (sh, want) = (self.shared, self.st.want[i * self.shared.ports + d.index()]);
         // First the bits at indices >= start (ascending), then the wrap.
@@ -997,15 +1015,8 @@ impl Phases<'_> {
                 let f = half.trailing_zeros() as usize;
                 half &= half - 1;
                 let h = self.st.fifos.row(i)[f].head().expect("mask says non-empty");
-                let (pkt, wanted) = (&self.st.slab[h], want >> f & 1 != 0);
-                let vc = if !wanted {
-                    sh.detour_vc(pkt, i, d, nb)
-                } else if sh.suppress_return(pkt, i, d) {
-                    None
-                } else {
-                    sh.feasible_vc(pkt, i, sh.input_dim(f), d, nb)
-                };
-                if let Some(vc) = vc {
+                let wanted = want >> f & 1 != 0;
+                if let Some(vc) = sh.exit_vc(&self.st.slab[h], i, f, d, nb, wanted) {
                     return Some(Win {
                         fifo: f as u8,
                         vc,
@@ -1033,8 +1044,7 @@ impl Phases<'_> {
             // The freed space becomes upstream credit only at the cycle
             // boundary: deferring the release gives arbitration a credit
             // snapshot independent of node visit order.
-            let cell = (i * self.shared.vc_cells + f) as u32;
-            self.st.deferred.push((cell, slab[h].chunks as u32));
+            self.st.deferred.push((i as u32, win.fifo, slab[h].chunks));
         } else {
             // Injection space opened: the CPU's stuck sends may fit now.
             self.st.nodes[i].inject_blocked = false;

@@ -37,6 +37,11 @@ pub const DETOUR_BUDGET: u8 = 31;
 /// full nibble; 15 is the none sentinel.
 pub const NO_DETOUR: u16 = 15;
 
+/// The largest BG/L packet, in 32-byte chunks: what a send may ask for, and
+/// the most space a packet entering a VC FIFO can need beyond the bubble
+/// slack.
+pub const MAX_PACKET_CHUNKS: u8 = 8;
+
 /// A packet in flight or in a FIFO.
 ///
 /// Only this crate spells out the fields: the engine builds packets from
@@ -234,9 +239,9 @@ impl SendSpec {
     /// CPU time is a finite, non-negative charge.
     pub(crate) fn invalid(&self, src: u32, nodes: u32, cycle: u64) -> Option<SimError> {
         let (dst, class, cost) = (self.dst_rank, self.class, self.cpu_cost_cycles);
-        let reason = if !(1..=8).contains(&self.chunks) {
+        let reason = if !(1..=MAX_PACKET_CHUNKS).contains(&self.chunks) {
             format!(
-                "a packet of {} chunks (BG/L packets are 1 to 8)",
+                "a packet of {} chunks (BG/L packets are 1 to {MAX_PACKET_CHUNKS})",
                 self.chunks
             )
         } else if class >= 8 {

@@ -187,8 +187,9 @@ pub struct PerfProfile {
     pub cpu_parked: u64,
     /// Nodes with a queued packet that phase 4 arbitrated.
     pub arb_visits: u64,
-    /// Marked nodes phase 4 passed over because every link they request
-    /// was mid-transmission; always 0 under the full scan.
+    /// Marked nodes phase 4 passed over because no visit could win a link
+    /// yet: every link their heads may take was mid-transmission or had no
+    /// room downstream for them; always 0 under the full scan.
     pub arb_parked: u64,
     /// Length of the packet slab at the end of the run. Slots are recycled
     /// but never returned to the allocator, so this is the high-water mark

@@ -16,8 +16,8 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use bgl_sim::{
-    Engine, FlowSpec, LinkFault, NetStats, NodeApi, NodeProgram, Packet, PacketMeta, PerfConfig,
-    PerfProfile, PollHint, ScriptedProgram, SendSpec, SimConfig, SimError,
+    Engine, EngineMode, FlowSpec, LinkFault, NetStats, NodeApi, NodeProgram, Packet, PacketMeta,
+    PerfConfig, PerfProfile, PollHint, ScriptedProgram, SendSpec, SimConfig, SimError,
 };
 use bgl_torus::{Dim, Direction, Partition, Sign};
 use common::{engine_cell, run_modes, Axes};
@@ -319,7 +319,8 @@ fn the_default_config_skips_idle_cycles() {
 
 /// Pin the link-release wake edge: `link_busy_until == now` means the
 /// link was busy *through the previous cycle* and is usable this cycle,
-/// so `arb_wake` must wake at exactly `busy_until`, not one later. A
+/// so the wake a visit leaves (`arb_at`) must be exactly `busy_until`, not
+/// one later. A
 /// back-to-back stream over a single link is paced purely by that edge —
 /// one win every `chunks` cycles — so an off-by-one would delay every
 /// subsequent win and shift the completion cycle visibly.
@@ -432,4 +433,58 @@ fn watchdog_fires_at_the_same_cycle_in_event_mode() {
         matches!(outcome, Err(SimError::Stalled { .. })),
         "{outcome:?}"
     );
+}
+
+/// A head refused on downstream credit is parked until the release that
+/// gives it room, not visited at every stepped cycle. Node 2's CPU is
+/// booked for 2,000 cycles, so stream A (64 packets, node 0 to node 2)
+/// backs up into nodes 1 and 0, whose links stay free while the cells
+/// ahead of them are full; stream B (node 16 to node 17) keeps the clock
+/// stepping meanwhile. The oracle cells check that no parked node could
+/// have won a link; the profiled skipping-clock cells must show the two
+/// refused nodes passed over, where visiting them at every stepped cycle
+/// would cost two visits per stepped cycle on their own.
+#[test]
+fn credit_blocked_heads_park_until_the_release() {
+    let part: Partition = "8x4".parse().unwrap();
+    let stream = |dst: u32, n: u64| -> Box<dyn NodeProgram> {
+        let sends = (0..n).map(|_| SendSpec::adaptive(dst, 8, 240)).collect();
+        Box::new(ScriptedProgram::new(sends, 0))
+    };
+    let sink = |n: u64, sends: Vec<SendSpec>| -> Box<dyn NodeProgram> {
+        Box::new(ScriptedProgram::new(sends, n))
+    };
+    let programs = || {
+        let mut programs: Vec<Box<dyn NodeProgram>> = (0..32)
+            .map(|_| Box::new(ScriptedProgram::idle()) as Box<dyn NodeProgram>)
+            .collect();
+        programs[0] = stream(2, 64);
+        programs[2] = sink(64, vec![SendSpec::adaptive(3, 1, 1).with_cpu_cost(2000.0)]);
+        programs[3] = sink(1, vec![]);
+        programs[16] = stream(17, 300);
+        programs[17] = sink(300, vec![]);
+        programs
+    };
+    let axes = Axes {
+        oracle: &[false, true],
+        perf: &[true],
+        ..Axes::MODES
+    };
+    let profiles = RefCell::new(Vec::new());
+    let stats = run_modes(&SimConfig::new(part), axes, |c| {
+        let event = c.engine == EngineMode::EventDriven;
+        let cell = engine_cell(c, programs());
+        if let (Some(p), true) = (&cell.perf, event) {
+            profiles.borrow_mut().push((p.arb_visits, p.stepped_cycles));
+        }
+        cell
+    })
+    .expect("both streams complete");
+    assert!(stats.completion_cycle > 2000, "{stats:?}");
+    for (visits, stepped) in profiles.into_inner() {
+        assert!(
+            visits < stepped,
+            "{visits} arbitration visits in {stepped} stepped cycles"
+        );
+    }
 }

@@ -107,11 +107,18 @@ fn fault_recovery_soak_oracle_green_and_accounting_telescopes() {
         "soak windows are placed mid-flight; expected in-flight drops"
     );
 
-    // Both engine modes agree byte-for-byte under the same plan (oracle
-    // off: the skipping clock is the path being pinned).
+    // Both engine modes agree byte-for-byte under the same plan, and the
+    // skipping clock parks arbitration under a fault plan too: a node whose
+    // heads were refused waits for the release, link or transition that
+    // can change that (the oracle checks every parked node).
     let full = run(part, EngineMode::FullScan, &plan, false);
-    let event = run(part, EngineMode::EventDriven, &plan, false);
-    assert_eq!(full, event);
+    let mut cfg = SimConfig::new(part);
+    (cfg.fault, cfg.check_invariants) = (plan.clone(), true);
+    cfg.perf = Some(PerfConfig::default());
+    let mut engine = Engine::new(cfg, uniform(&part, 4, 8));
+    assert_eq!(full, engine.run().expect("soak run completes"));
+    let perf = engine.take_perf().expect("profiling on");
+    assert!(perf.arb_parked > 0, "{perf:?}");
     // And the oracle never perturbs a faulty run.
     assert_eq!(full, faulty);
 }
