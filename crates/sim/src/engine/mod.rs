@@ -38,7 +38,10 @@
 //! header rows and per-link tables, the packet slab, programs, the
 //! in-flight ring, the run's statistics); everything it only reads, plus
 //! the downstream-credit cells, in one [`Shared`], whose methods are the
-//! routing-feasibility rules the engine's diagnostics reuse. There is no
+//! routing-feasibility rules. Whether a head can leave now has one answer,
+//! the arbiter's ([`State::can_leave`] over `Shared::exit_vc`): the oracle's
+//! parking law asks it, and so do the watchdog's stall and unreachable
+//! reports and the trace's HOL count, through [`Engine::stuck`]. There is no
 //! parallelism inside a run and nothing to configure about it: the
 //! reproduction's parallelism is across runs (EXPERIMENTS.md, "Why the
 //! engine has no threads").
@@ -69,6 +72,8 @@ mod event;
 mod oracle;
 mod perf;
 mod phases;
+#[cfg(test)]
+mod tests;
 mod tracer;
 
 use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
@@ -99,8 +104,9 @@ pub struct StallBreakdown {
     pub credit_blocked_nodes: usize,
     /// Total full credit windows across those nodes.
     pub closed_credit_windows: u64,
-    /// Transit-FIFO head packets with every allowed output direction
-    /// busy or out of downstream VC credit (head-of-line blocking).
+    /// Transit-FIFO head packets with no output the arbiter would give
+    /// them: every live output they request is busy, refused on credit, or
+    /// a suppressed return (head-of-line blocking).
     pub hol_blocked_heads: u64,
     /// VC FIFOs whose deliverable head found the reception FIFO full.
     pub reception_stalled_fifos: u64,
@@ -137,6 +143,17 @@ pub struct FaultBlock {
     pub dir: Direction,
     /// FIFO-head packets parked behind it at the watchdog snapshot.
     pub blocked: u64,
+}
+
+/// Why a queued head cannot leave its node now ([`Engine::stuck`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stuck {
+    /// Head-of-line blocked: a transit head refused by every live output it
+    /// requests — busy, out of downstream credit, or a suppressed return.
+    Hol,
+    /// Parked behind dead links, no detour open: the lowest dead output
+    /// the head requests.
+    Fault(Direction),
 }
 
 /// Simulation failure.
@@ -496,6 +513,21 @@ impl State {
         }
     }
 
+    /// Whether output `d` of node `i` takes `pkt`, the head of its FIFO `f`,
+    /// at cycle `t`: the link exists, is free and alive, and the arbiter's
+    /// test ([`Shared::exit_vc`], what `pick` asks) accepts the head — its
+    /// minimal move if it requests `d`, else a detour. The one answer to
+    /// "can this head leave?" that the stall report, the trace's HOL count
+    /// and the oracle's parking law share.
+    fn can_leave(&self, sh: &Shared, i: usize, f: usize, pkt: &Packet, d: usize, t: u64) -> bool {
+        let (nb, link) = (sh.neighbors[i][d], i * sh.ports + d);
+        let (dir, wanted) = (Direction::from_index(d), self.want[link] >> f & 1 != 0);
+        nb != u32::MAX
+            && self.link_busy_until[link] <= t
+            && sh.alive(i, dir)
+            && sh.exit_vc(pkt, i, f, dir, nb as usize, wanted).is_some()
+    }
+
     /// Return `chunks` of space to transit FIFO `fifo` of node `node`, the one
     /// place credit comes back, and wake `u`, the one node that can spend it,
     /// at the release of its link `d` into the cell if a head there may take
@@ -640,7 +672,7 @@ impl Engine {
         let tracer = cfg
             .trace
             .as_ref()
-            .map(|tc| Box::new(Tracer::new(tc, part.ndims())));
+            .map(|tc| Box::new(Tracer::new(tc, &state.stats)));
         let oracle = cfg.check_invariants.then(|| Box::new(Oracle::new()));
         let perf = cfg.perf.is_some().then(Box::<PerfState>::default);
         let progress = cfg.progress.then(|| Box::new(ProgressState::new()));
@@ -723,17 +755,20 @@ impl Engine {
                     self.record_trace_sample(true);
                 }
                 self.sync_ledgers();
-                let breakdown = self.stall_breakdown();
+                let (breakdown, faults) = self.stall_breakdown();
                 // Heads parked purely behind dead links, with no recovery
                 // left in the schedule, will never move: report the
                 // topology problem (with its per-link breakdown) rather
                 // than a generic stall.
                 let st = &self.state;
-                if breakdown.fault_blocked_heads > 0 && !self.fault_recovery_pending() {
+                let recovery = self.fault_schedule[self.fault_cursor..]
+                    .iter()
+                    .any(|e| e.alive);
+                if !faults.is_empty() && !recovery {
                     return Err(SimError::Unreachable {
                         cycle: self.now,
                         blocked_packets: st.live_packets + st.pending_total,
-                        faults: self.fault_block_report(),
+                        faults,
                     });
                 }
                 let trace_tail = self
@@ -923,139 +958,45 @@ impl Engine {
         }
     }
 
-    /// Whether `pkt`, the head of FIFO `fifo` at node `n`, cannot
-    /// move right now: every output direction its routing mode allows
-    /// (its minimal quadrant, shaped by the longest-first bias /
-    /// dimension order) is either mid-transmission or out of downstream
-    /// VC credit. This is the paper's head-of-line blocking signal —
-    /// packets parked behind saturated long-dimension links. An injection
-    /// head is never HOL-blocked: it occupies no input port.
-    fn head_is_hol_blocked(&self, n: usize, fifo: usize, pkt: &Packet) -> bool {
-        let router = &self.shared;
-        let Some(from_dim) = router.input_dim(fifo) else {
-            return false;
-        };
-        let mut any_dir = false;
-        for d in router.part.directions() {
-            if !router.wants(pkt, d) {
-                continue;
-            }
-            let nb = router.neighbors[n][d.index()];
-            if nb == u32::MAX {
-                continue;
-            }
-            // A dead link is not congestion: faulted directions neither
-            // count as available nor as HOL evidence (the fault-blocked
-            // classifier owns them).
-            if !router.alive(n, d) {
-                continue;
-            }
-            any_dir = true;
-            if self.state.link_busy_until[n * router.ports + d.index()] <= self.now
-                && router
-                    .feasible_vc(pkt, n, Some(from_dim), d, nb as usize)
-                    .is_some()
-            {
-                return false;
-            }
+    /// Why `pkt`, the head of node `i`'s FIFO `f`, cannot leave now, asked
+    /// of the arbiter's own rule ([`State::can_leave`]); `None` if some
+    /// output would take it, or it has arrived (it requests none). A head
+    /// whose every linked request is a dead link (only under a fault plan),
+    /// with no detour open, is a [`Stuck::Fault`] behind the lowest of
+    /// them; a transit head refused by every live output it requests is
+    /// [`Stuck::Hol`]. With a live request no detour is possible
+    /// (`minimal_dead` is false), so the live requests are every output the
+    /// arbiter could give it.
+    fn stuck(&self, i: usize, f: usize, pkt: &Packet) -> Option<Stuck> {
+        let sh = &self.shared;
+        let (mut linked, mut live) = (0u16, 0u16);
+        for d in 0..sh.ports {
+            let up = sh.neighbors[i][d] != u32::MAX;
+            linked |= u16::from(up) << d;
+            live |= u16::from(up && sh.alive(i, Direction::from_index(d))) << d;
         }
-        any_dir
-    }
-
-    /// Whether `pkt`, queued at node `n`, is parked purely behind dead
-    /// links: every direction its routing allows is faulted and, for an
-    /// adaptive packet with detour budget left, no live link is available
-    /// to sidestep through either. Returns the first dead direction the
-    /// packet wanted, attributing the park to that link.
-    fn head_is_fault_blocked(&self, n: usize, pkt: &Packet) -> Option<Direction> {
-        let router = &self.shared;
-        if router.healthy() {
-            return None;
+        let wanted = sh.request_dirs(pkt);
+        let back = pkt.detour_from().map_or(0, |p| 1 << p);
+        let detour = pkt.routing == RoutingMode::Adaptive
+            && pkt.detour_count() < DETOUR_BUDGET
+            && live & !back != 0;
+        let (linked, live) = (wanted & linked, wanted & live);
+        if linked != 0 && live == 0 && !detour {
+            let d = Direction::from_index(linked.trailing_zeros() as usize);
+            return Some(Stuck::Fault(d));
         }
-        let mut first_dead = None;
-        for d in router.part.directions() {
-            if !router.wants(pkt, d) {
-                continue;
-            }
-            if router.neighbors[n][d.index()] == u32::MAX {
-                continue;
-            }
-            if router.alive(n, d) {
-                // A live wanted direction exists: any park here is
-                // congestion (HOL/credit), not the fault's fault.
-                return None;
-            }
-            if first_dead.is_none() {
-                first_dead = Some(d);
-            }
-        }
-        let first_dead = first_dead?;
-        if pkt.routing == RoutingMode::Adaptive && pkt.detour_count() < DETOUR_BUDGET {
-            for d in router.part.directions() {
-                if router.neighbors[n][d.index()] != u32::MAX
-                    && router.alive(n, d)
-                    && pkt.detour_from() != Some(d.index())
-                {
-                    // A detour move is still open; the packet is waiting
-                    // on credit or a busy wire, not unroutable.
-                    return None;
-                }
-            }
-        }
-        Some(first_dead)
-    }
-
-    /// Visit every fault-blocked transit- and injection-FIFO head with
-    /// the dead link it is parked behind.
-    fn scan_fault_blocked<F: FnMut(usize, Direction)>(&self, mut f: F) {
-        if self.shared.healthy() {
-            return;
-        }
-        for i in 0..self.num_nodes() {
-            for (_, head) in self.state.heads(i) {
-                if head.plan.is_done() {
-                    continue;
-                }
-                if let Some(d) = self.head_is_fault_blocked(i, head) {
-                    f(i, d);
-                }
-            }
-        }
-    }
-
-    /// Whether any recovery remains in the unapplied tail of the fault
-    /// schedule (if so, parked heads may yet move and the watchdog
-    /// reports a stall, not unreachability).
-    fn fault_recovery_pending(&self) -> bool {
-        self.fault_schedule[self.fault_cursor..]
-            .iter()
-            .any(|e| e.alive)
-    }
-
-    /// Aggregate the fault-blocked heads per dead link, sorted by
-    /// (node, direction) — the `faults` payload of
-    /// [`SimError::Unreachable`].
-    fn fault_block_report(&self) -> Vec<FaultBlock> {
-        let mut counts: std::collections::BTreeMap<usize, u64> = std::collections::BTreeMap::new();
-        let ports = self.shared.ports;
-        self.scan_fault_blocked(|n, d| {
-            *counts.entry(n * ports + d.index()).or_insert(0) += 1;
-        });
-        counts
-            .into_iter()
-            .map(|(link, blocked)| FaultBlock {
-                node: (link / ports) as u32,
-                dir: Direction::from_index(link % ports),
-                blocked,
-            })
-            .collect()
+        let refused = |d| !self.state.can_leave(sh, i, f, pkt, d, self.now);
+        let hol = sh.input_dim(f).is_some() && live != 0 && bits(live.into()).all(refused);
+        hol.then_some(Stuck::Hol)
     }
 
     /// Diagnostic snapshot of why live traffic is blocked, taken when the
     /// watchdog fires (also usable from tests via [`Engine::run`]'s
-    /// [`SimError::Stalled`] payload).
-    fn stall_breakdown(&self) -> StallBreakdown {
-        let mut b = StallBreakdown::default();
+    /// [`SimError::Stalled`] payload), in one walk over the heads: with it,
+    /// the fault-blocked heads per dead link, sorted by (node, direction) —
+    /// the `faults` of [`SimError::Unreachable`].
+    fn stall_breakdown(&self) -> (StallBreakdown, Vec<FaultBlock>) {
+        let (mut b, mut faults) = (StallBreakdown::default(), Vec::new());
         for (i, node) in self.state.nodes.iter().enumerate() {
             if !node.program_done {
                 let closed = node.flow.closed_windows();
@@ -1065,19 +1006,20 @@ impl Engine {
                 }
             }
             b.reception_stalled_fifos += node.blocked_deliveries.len() as u64;
+            let mut dead = [0u64; MAX_PORTS];
             for (f, head) in self.state.heads(i) {
-                if head.plan.is_done() {
-                    continue;
-                }
-                // Fault parks are classified first so a head with
-                // only dead exits never inflates the HOL count.
-                if self.head_is_fault_blocked(i, head).is_some() {
-                    b.fault_blocked_heads += 1;
-                } else if self.head_is_hol_blocked(i, f, head) {
-                    b.hol_blocked_heads += 1;
+                match self.stuck(i, f, head) {
+                    Some(Stuck::Hol) => b.hol_blocked_heads += 1,
+                    Some(Stuck::Fault(d)) => dead[d.index()] += 1,
+                    None => {}
                 }
             }
+            for (d, &blocked) in dead.iter().enumerate().filter(|(_, &n)| n > 0) {
+                let (node, dir) = (i as u32, Direction::from_index(d));
+                faults.push(FaultBlock { node, dir, blocked });
+                b.fault_blocked_heads += blocked;
+            }
         }
-        b
+        (b, faults)
     }
 }

@@ -15,7 +15,6 @@ use super::{phases::INJ_FIFO_CHUNKS, Engine};
 use crate::config::NUM_VCS;
 use crate::node::PollState;
 use crate::packet::Packet;
-use bgl_torus::Direction;
 
 /// Independent re-derivation of the simulator's conservation laws, enabled
 /// by [`SimConfig::check_invariants`](crate::SimConfig). Per-packet state
@@ -317,29 +316,22 @@ impl Engine {
 
     /// The parking rules, re-derived from the state at the end of cycle `t`.
     /// A node whose arbitration wake lies past `t` is passed over, so none
-    /// of its free, live outputs may have a head that can take it
-    /// (`Shared::exit_vc`, what `pick` asks; a head not requesting the
-    /// output can only detour, under a fault plan). A node whose CPU
-    /// wake lies past `t + 1` will be passed over next, so a visit there
-    /// must be unable to do more than a blocked poll: its CPU is booked,
-    /// or there is nothing to drain, no queued send fits, and no pull is
-    /// due that the rate window or a sleeper's decline does not refuse. A
-    /// missed re-arm shows here at the first cycle the node could have
-    /// moved. The full scan parks nothing but writes the same wake cycles,
-    /// so the check covers the reference too.
+    /// of its outputs may take one of its heads (`State::can_leave`, the
+    /// arbiter's rule; a head not requesting the output can only detour,
+    /// under a fault plan). A node whose CPU wake lies past `t + 1` will
+    /// be passed over next, so a visit there must be unable to do more
+    /// than a blocked poll: its CPU is booked, or there is nothing to
+    /// drain, no queued send fits, and no pull is due that the rate window
+    /// or a sleeper's decline does not refuse. A missed re-arm shows here
+    /// at the first cycle the node could have moved. The full scan parks
+    /// nothing but writes the same wake cycles, so the check covers the
+    /// reference too.
     fn oracle_parking_check(&self, t: u64) {
         let (sh, st, next) = (&self.shared, &self.state, t + 1);
         for (i, node) in st.nodes.iter().enumerate() {
-            let open = |d: usize| {
-                let (nb, link) = (sh.neighbors[i][d], i * sh.ports + d);
-                let dir = Direction::from_index(d);
-                nb != u32::MAX
-                    && st.link_busy_until[link] <= t
-                    && sh.alive(i, dir)
-                    && st.heads(i).any(|(f, pkt)| {
-                        let wanted = st.want[link] >> f & 1 != 0;
-                        sh.exit_vc(pkt, i, f, dir, nb as usize, wanted).is_some()
-                    })
+            let open = |d| {
+                st.heads(i)
+                    .any(|(f, pkt)| st.can_leave(sh, i, f, pkt, d, t))
             };
             let queued = !node.pending.is_empty() || !node.pulled.is_empty();
             let polls = match node.poll {

@@ -89,10 +89,11 @@ pub(super) const HOP_LATENCY_CYCLES: u64 = 1;
 
 /// Everything the phases only read — configuration, topology, link
 /// liveness — plus the downstream-credit cells. Built once in
-/// `Engine::new` and shared by the phases and the engine's own diagnostics
-/// (HOL probes, stall breakdowns); its methods are the routing-feasibility
-/// rules, which is why everything phase 4 needs to know about *other*
-/// nodes flows through here.
+/// `Engine::new`; its methods are the routing-feasibility rules, which is
+/// why everything phase 4 needs to know about *other* nodes flows through
+/// here. The engine's diagnostics add none of their own: the oracle, the
+/// stall report and the trace ask `State::can_leave`, which asks
+/// [`exit_vc`](Self::exit_vc), the test `pick` makes.
 pub(super) struct Shared {
     pub(super) cfg: SimConfig,
     pub(super) part: Partition,
@@ -142,8 +143,9 @@ impl Shared {
     }
 
     /// Whether the directed link out of node `n` along `d` is up.
-    /// Arbitration refuses dead links outright; everything else (HOL
-    /// probes, escape preconditions) treats them as permanently blocked.
+    /// Arbitration refuses dead links outright; everything else (the
+    /// stuck-head report, escape preconditions) treats them as permanently
+    /// blocked.
     #[inline]
     pub(super) fn alive(&self, n: usize, d: Direction) -> bool {
         self.healthy() || self.fault_alive[n * self.ports + d.index()]
@@ -196,7 +198,9 @@ impl Shared {
     /// Does `pkt`'s routing allow it to take output `d`? Adaptive packets
     /// under the longest-first bias move only along preferred (longest
     /// remaining) dimensions, plus the dimension-ordered direction, which
-    /// stays available as the deadlock-free bubble escape.
+    /// stays available as the deadlock-free bubble escape. The engine reads
+    /// [`request_dirs`](Self::request_dirs); this per-direction form is the
+    /// oracle's independent reference for the cached request masks.
     pub(super) fn wants(&self, pkt: &Packet, d: Direction) -> bool {
         match pkt.routing {
             RoutingMode::Adaptive => {

@@ -1,0 +1,283 @@
+//! `Engine::stuck`, the one stuck-head classifier, pinned against the two
+//! walks it replaced.
+
+use super::*;
+use crate::{FaultPlan, LinkFault, ScriptedProgram, SendSpec};
+use bgl_torus::{Dim, Partition, Sign};
+use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+/// The engine's head-of-line walk as it was before `Engine::stuck`,
+/// verbatim but for its name and receiver: a second walk over `wants`,
+/// liveness and `feasible_vc`.
+fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Packet) -> bool {
+    let router = &e.shared;
+    let Some(from_dim) = router.input_dim(fifo) else {
+        return false;
+    };
+    let mut any_dir = false;
+    for d in router.part.directions() {
+        if !router.wants(pkt, d) {
+            continue;
+        }
+        let nb = router.neighbors[n][d.index()];
+        if nb == u32::MAX {
+            continue;
+        }
+        // A dead link is not congestion: faulted directions neither
+        // count as available nor as HOL evidence (the fault-blocked
+        // classifier owns them).
+        if !router.alive(n, d) {
+            continue;
+        }
+        any_dir = true;
+        if e.state.link_busy_until[n * router.ports + d.index()] <= e.now
+            && router
+                .feasible_vc(pkt, n, Some(from_dim), d, nb as usize)
+                .is_some()
+        {
+            return false;
+        }
+    }
+    any_dir
+}
+
+/// The engine's fault-park walk as it was before `Engine::stuck`, verbatim
+/// but for its name and receiver.
+fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Packet) -> Option<Direction> {
+    let router = &e.shared;
+    if router.healthy() {
+        return None;
+    }
+    let mut first_dead = None;
+    for d in router.part.directions() {
+        if !router.wants(pkt, d) {
+            continue;
+        }
+        if router.neighbors[n][d.index()] == u32::MAX {
+            continue;
+        }
+        if router.alive(n, d) {
+            // A live wanted direction exists: any park here is
+            // congestion (HOL/credit), not the fault's fault.
+            return None;
+        }
+        if first_dead.is_none() {
+            first_dead = Some(d);
+        }
+    }
+    let first_dead = first_dead?;
+    if pkt.routing == RoutingMode::Adaptive && pkt.detour_count() < DETOUR_BUDGET {
+        for d in router.part.directions() {
+            if router.neighbors[n][d.index()] != u32::MAX
+                && router.alive(n, d)
+                && pkt.detour_from() != Some(d.index())
+            {
+                // A detour move is still open; the packet is waiting
+                // on credit or a busy wire, not unroutable.
+                return None;
+            }
+        }
+    }
+    Some(first_dead)
+}
+
+/// What the old pair said of a head, as the stall report combined them:
+/// a fault park first, else head-of-line blocking.
+fn old_verdict(e: &Engine, i: usize, f: usize, pkt: &Packet) -> Option<Stuck> {
+    if pkt.plan.is_done() {
+        return None;
+    }
+    match fault_blocked_by_the_old_walk(e, i, pkt) {
+        Some(d) => Some(Stuck::Fault(d)),
+        None => hol_blocked_by_the_old_walk(e, i, f, pkt).then_some(Stuck::Hol),
+    }
+}
+
+/// Whether the old walk let `pkt` leave only over the link it just
+/// detoured through, which the arbiter refuses it (`suppress_return`): a
+/// free, live output with room downstream that `exit_vc` turns down.
+fn refused_return(e: &Engine, i: usize, f: usize, pkt: &Packet) -> bool {
+    let sh = &e.shared;
+    let accepted = |d: Direction| {
+        let nb = sh.neighbors[i][d.index()];
+        nb != u32::MAX
+            && sh.wants(pkt, d)
+            && sh.alive(i, d)
+            && e.state.link_busy_until[i * sh.ports + d.index()] <= e.now
+            && sh
+                .feasible_vc(pkt, i, sh.input_dim(f), d, nb as usize)
+                .is_some()
+    };
+    let mut open = sh.part.directions().filter(|&d| accepted(d));
+    let only = open.next().filter(|_| open.next().is_none());
+    only.is_some_and(|d| {
+        let nb = sh.neighbors[i][d.index()] as usize;
+        pkt.detour_from() == Some(d.index()) && sh.exit_vc(pkt, i, f, d, nb, true).is_none()
+    })
+}
+
+/// What a driven run showed: verdicts of each kind, the heads the two
+/// rules disagree on (each a refused return), and how the run ended.
+#[derive(Debug, Default)]
+struct Tally {
+    hol: u64,
+    fault: u64,
+    refused_returns: u64,
+    stalled: bool,
+}
+
+/// Step `engine` as [`Engine::run`] does, to completion or the watchdog,
+/// and after every stepped cycle ask `stuck` and the old pair of every
+/// head of every node.
+fn drive(mut e: Engine) -> Tally {
+    let mut tally = Tally::default();
+    let watchdog = e.shared.cfg.watchdog_cycles;
+    while !e.is_complete() && e.now.saturating_sub(e.last_progress) <= watchdog {
+        let t = e.now;
+        e.step();
+        for i in 0..e.num_nodes() {
+            for (f, head) in e.state.heads(i) {
+                let (new, old) = (e.stuck(i, f, head), old_verdict(&e, i, f, head));
+                match new {
+                    Some(Stuck::Hol) => tally.hol += 1,
+                    Some(Stuck::Fault(_)) => tally.fault += 1,
+                    None => {}
+                }
+                if new != old {
+                    assert!(
+                        (new, old) == (Some(Stuck::Hol), None) && refused_return(&e, i, f, head),
+                        "node {i} fifo {f} at cycle {}: stuck says {new:?}, the old walks \
+                         {old:?} ({head:?})",
+                        e.now
+                    );
+                    tally.refused_returns += 1;
+                }
+            }
+        }
+        if e.last_progress != t && !e.is_complete() {
+            e.fast_forward();
+        }
+    }
+    tally.stalled = !e.is_complete();
+    tally
+}
+
+/// Seeded random traffic: every node sends `k` packets of 1 to 8 chunks to
+/// random peers, one in four dimension-ordered.
+fn seeded(part: &Partition, k: u32, seed: u64) -> Vec<Box<dyn NodeProgram>> {
+    let (p, mut rng) = (part.num_nodes(), SmallRng::seed_from_u64(seed));
+    let mut expect = vec![0u64; p as usize];
+    let sends: Vec<Vec<SendSpec>> = (0..p)
+        .map(|src| {
+            let spec = |rng: &mut SmallRng| {
+                let dst = (src + rng.gen_range(1..p)) % p;
+                let chunks = rng.gen_range(1..=8u8);
+                let routing = [RoutingMode::Deterministic, RoutingMode::Adaptive]
+                    [usize::from(rng.gen_range(0..4u32) != 0)];
+                SendSpec::new(dst, chunks, u32::from(chunks) * 30, routing)
+            };
+            (0..k).map(|_| spec(&mut rng)).collect()
+        })
+        .collect();
+    for s in sends.iter().flatten() {
+        expect[s.dst_rank as usize] += 1;
+    }
+    let programs = sends.into_iter().zip(expect);
+    programs
+        .map(|(s, n)| Box::new(ScriptedProgram::new(s, n)) as Box<dyn NodeProgram>)
+        .collect()
+}
+
+fn link(node: u32, dim: Dim, sign: Sign, fail_at: u64, recover_at: Option<u64>) -> LinkFault {
+    let dir = Direction { dim, sign };
+    LinkFault {
+        node,
+        dir,
+        fail_at,
+        recover_at,
+    }
+}
+
+/// A seeded loaded run on 4x4x4 whose links fail mid-flight, three of them
+/// to recover and one for good: every head at every stepped cycle gets the
+/// old pair's verdict, bar a refused return.
+#[test]
+fn stuck_matches_the_old_walks_under_faults() {
+    let part = Partition::torus(4, 4, 4);
+    let mut cfg = SimConfig::new(part);
+    cfg.watchdog_cycles = 2_000;
+    cfg.fault = FaultPlan {
+        links: vec![
+            link(0, Dim::X, Sign::Plus, 200, Some(900)),
+            link(21, Dim::Y, Sign::Minus, 300, Some(1200)),
+            link(42, Dim::Z, Sign::Plus, 150, None),
+            link(5, Dim::X, Sign::Minus, 400, Some(700)),
+        ],
+        nodes: vec![],
+    };
+    let tally = drive(Engine::new(cfg, seeded(&part, 400, 20261017)));
+    // The permanent fault strands dimension-ordered packets: the run ends
+    // at the watchdog, having shown every verdict and the one difference.
+    assert!(
+        tally.stalled && tally.hol > 0 && tally.fault > 0,
+        "{tally:?}"
+    );
+    assert!(tally.refused_returns > 0, "{tally:?}");
+}
+
+/// Two healthy deadlocks of a full exchange on 8x4x4, held to the
+/// watchdog: adaptive routing with no bubble escape, and VC FIFOs one
+/// packet deep.
+#[test]
+fn stuck_matches_the_old_walks_in_healthy_deadlocks() {
+    let part = Partition::torus(8, 4, 4);
+    type Tweak = fn(&mut SimConfig);
+    let tweaks: [Tweak; 2] = [
+        |c| c.router.adaptive_bubble_escape = false,
+        |c| c.router.vc_fifo_chunks = 8,
+    ];
+    for tweak in tweaks {
+        let mut cfg = SimConfig::new(part);
+        cfg.watchdog_cycles = 500;
+        tweak(&mut cfg);
+        let p = part.num_nodes();
+        let programs = (0..p).map(|r| {
+            let sends = (0..p)
+                .filter(|&d| d != r)
+                .flat_map(|d| (0..8).map(move |_| SendSpec::adaptive(d, 8, 240)));
+            Box::new(ScriptedProgram::new(sends.collect(), (p as u64 - 1) * 8)) as _
+        });
+        let tally = drive(Engine::new(cfg, programs.collect()));
+        assert!(tally.stalled && tally.hol > 0, "{tally:?}");
+        assert_eq!((tally.fault, tally.refused_returns), (0, 0), "{tally:?}");
+    }
+}
+
+/// The difference built by hand: a head detoured into node 5 of a 4x4 torus
+/// (it came up from below) requests X+ and its way back, Y-. X+ is alive
+/// but busy, and the return is free and has room: the old walk let the head
+/// leave, the arbiter does not, so the stall report counts it as HOL-blocked.
+#[test]
+fn a_refused_return_is_head_of_line_blocking() {
+    let part = Partition::torus(4, 4, 1);
+    let mut cfg = SimConfig::new(part);
+    cfg.fault
+        .links
+        .push(link(0, Dim::X, Sign::Plus, 1_000, None));
+    let idle = (0..part.num_nodes()).map(|_| Box::new(ScriptedProgram::idle()) as _);
+    let mut e = Engine::new(cfg, idle.collect());
+    let (x_plus, y_minus) = (Direction::from_index(0), Direction::from_index(3));
+    let mut pkt = Packet::new(&part, 5, 2);
+    pkt.note_detour(y_minus.index());
+    let (f, dirs) = (y_minus.index() * NUM_VCS, e.shared.request_dirs(&pkt));
+    assert_eq!(dirs, 1 << x_plus.index() | 1 << y_minus.index());
+    let h = e.state.slab.alloc(pkt);
+    e.state.fifos.fifo_mut(5, f).push(&mut e.state.slab, h, 8);
+    e.state.set_head(5, e.shared.ports, f, Some(dirs));
+    e.state.link_busy_until[5 * e.shared.ports + x_plus.index()] = 100;
+    let head = &e.state.slab[h];
+    assert!(!hol_blocked_by_the_old_walk(&e, 5, f, head));
+    assert!(refused_return(&e, 5, f, head));
+    let (breakdown, faults) = e.stall_breakdown();
+    assert_eq!((breakdown.hol_blocked_heads, faults.len()), (1, 0));
+}

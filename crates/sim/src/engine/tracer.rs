@@ -9,47 +9,64 @@
 //! there, so per-window deltas telescope to the run totals exactly as they
 //! do under the full scan's cycle-stepped time.
 
-use super::{bits, Engine};
+use super::{bits, Engine, Stuck};
 use crate::config::{Vc, NUM_VCS};
+use crate::stats::NetStats;
 use crate::trace::{OccStat, Trace, TraceSample};
 
 /// Sampling state for an enabled tracer: the accumulating [`Trace`] plus
-/// a snapshot of every cumulative counter at the previous sample, so each
-/// [`TraceSample`] records exact per-window deltas. Boxed behind an
-/// `Option` on the engine — the disabled case costs one pointer and one
-/// predictable branch per cycle.
+/// the traced counters as of the previous sample, so each [`TraceSample`]
+/// records exact per-window deltas. Boxed behind an `Option` on the engine
+/// — the disabled case costs one pointer and one predictable branch per
+/// cycle.
 pub(super) struct Tracer {
     pub(super) interval: u64,
     pub(super) max_samples: usize,
     /// Cycle at which the next periodic sample fires (`u64::MAX` once the
     /// `max_samples` cap is hit).
     pub(super) next_at: u64,
-    pub(super) last_link_busy: Vec<u64>,
-    pub(super) last_hops: Vec<u64>,
-    pub(super) last_cpu_busy: f64,
-    pub(super) last_stalls: u64,
-    pub(super) last_injected: u64,
-    pub(super) last_delivered: u64,
-    pub(super) last_pacing_blocked: u64,
-    pub(super) last_credit_blocked: u64,
+    last: Counters,
     pub(super) trace: Trace,
 }
 
+/// The cumulative [`NetStats`] counters a sample reports the deltas of —
+/// not the whole `NetStats`, whose per-link table under `--report` would
+/// be copied at every sample.
+#[derive(Clone, PartialEq)]
+struct Counters {
+    link_busy: Vec<u64>,
+    hops: Vec<u64>,
+    cpu_busy: f64,
+    stalls: u64,
+    injected: u64,
+    delivered: u64,
+    pacing_blocked: u64,
+    credit_blocked: u64,
+}
+
+impl Counters {
+    fn of(s: &NetStats) -> Counters {
+        Counters {
+            link_busy: s.link_busy_chunks.clone(),
+            hops: s.hops_taken.clone(),
+            cpu_busy: s.cpu_busy_cycles,
+            stalls: s.reception_stall_events,
+            injected: s.packets_injected,
+            delivered: s.packets_delivered,
+            pacing_blocked: s.pacing_blocked_cycles,
+            credit_blocked: s.credit_blocked_events,
+        }
+    }
+}
+
 impl Tracer {
-    pub(super) fn new(cfg: &crate::trace::TraceConfig, ndims: usize) -> Tracer {
+    pub(super) fn new(cfg: &crate::trace::TraceConfig, stats: &NetStats) -> Tracer {
         assert!(cfg.interval_cycles > 0, "trace interval must be positive");
         Tracer {
             interval: cfg.interval_cycles,
             max_samples: cfg.max_samples,
             next_at: cfg.interval_cycles,
-            last_link_busy: vec![0; ndims],
-            last_hops: vec![0; ndims],
-            last_cpu_busy: 0.0,
-            last_stalls: 0,
-            last_injected: 0,
-            last_delivered: 0,
-            last_pacing_blocked: 0,
-            last_credit_blocked: 0,
+            last: Counters::of(stats),
             trace: Trace {
                 interval_cycles: cfg.interval_cycles,
                 samples: Vec::new(),
@@ -61,32 +78,16 @@ impl Tracer {
 
 impl Engine {
     /// Finalize and return the trace: records one last partial-window
-    /// sample if any counter moved since the previous sample (so the
-    /// per-sample deltas sum exactly to the [`NetStats`](crate::NetStats)
-    /// totals), then hands the series out. Returns `None` when tracing
-    /// was disabled.
+    /// sample if its deltas are not all zero (so the per-sample deltas sum
+    /// exactly to the [`NetStats`] totals), then hands the series out.
+    /// Returns `None` when tracing was disabled.
     pub fn take_trace(&mut self) -> Option<Trace> {
         self.tracer.as_ref()?;
         self.sync_ledgers();
-        if self.trace_counters_moved() {
+        if self.tracer.as_ref()?.last != Counters::of(&self.state.stats) {
             self.record_trace_sample(true);
         }
         self.tracer.take().map(|t| t.trace)
-    }
-
-    /// Whether any traced cumulative counter changed since the last
-    /// recorded sample.
-    fn trace_counters_moved(&self) -> bool {
-        let Some(tr) = &self.tracer else { return false };
-        let s = &self.state.stats;
-        s.link_busy_chunks != tr.last_link_busy
-            || s.hops_taken != tr.last_hops
-            || s.cpu_busy_cycles != tr.last_cpu_busy
-            || s.reception_stall_events != tr.last_stalls
-            || s.packets_injected != tr.last_injected
-            || s.packets_delivered != tr.last_delivered
-            || s.pacing_blocked_cycles != tr.last_pacing_blocked
-            || s.credit_blocked_events != tr.last_credit_blocked
     }
 
     /// Record one sample at the current cycle. Periodic calls (`force ==
@@ -117,34 +118,28 @@ impl Engine {
     }
 
     /// Build the sample for the window ending now and advance the
-    /// tracer's counter snapshots. Read-only over the simulation state:
+    /// tracer's counter snapshot. Read-only over the simulation state:
     /// sampling must never perturb results.
     fn build_trace_sample(&self, tracer: &mut Tracer) -> TraceSample {
         let (st, s) = (&self.state, &self.state.stats);
+        let last = std::mem::replace(&mut tracer.last, Counters::of(s));
+        let now = &tracer.last;
         let sub =
             |a: &[u64], b: &[u64]| -> Vec<u64> { a.iter().zip(b).map(|(x, y)| x - y).collect() };
         let mut sample = TraceSample {
             cycle: self.now,
-            link_busy_delta: sub(&s.link_busy_chunks, &tracer.last_link_busy),
-            hops_delta: sub(&s.hops_taken, &tracer.last_hops),
-            cpu_busy_delta: s.cpu_busy_cycles - tracer.last_cpu_busy,
-            reception_stall_delta: s.reception_stall_events - tracer.last_stalls,
-            injected_delta: s.packets_injected - tracer.last_injected,
-            delivered_delta: s.packets_delivered - tracer.last_delivered,
-            pacing_blocked_delta: s.pacing_blocked_cycles - tracer.last_pacing_blocked,
-            credit_blocked_delta: s.credit_blocked_events - tracer.last_credit_blocked,
+            link_busy_delta: sub(&now.link_busy, &last.link_busy),
+            hops_delta: sub(&now.hops, &last.hops),
+            cpu_busy_delta: now.cpu_busy - last.cpu_busy,
+            reception_stall_delta: now.stalls - last.stalls,
+            injected_delta: now.injected - last.injected,
+            delivered_delta: now.delivered - last.delivered,
+            pacing_blocked_delta: now.pacing_blocked - last.pacing_blocked,
+            credit_blocked_delta: now.credit_blocked - last.credit_blocked,
             packets_in_flight: st.live_packets,
             pending_sends: st.pending_total,
             ..TraceSample::default()
         };
-        tracer.last_link_busy = s.link_busy_chunks.clone();
-        tracer.last_hops = s.hops_taken.clone();
-        tracer.last_cpu_busy = s.cpu_busy_cycles;
-        tracer.last_stalls = s.reception_stall_events;
-        tracer.last_injected = s.packets_injected;
-        tracer.last_delivered = s.packets_delivered;
-        tracer.last_pacing_blocked = s.pacing_blocked_cycles;
-        tracer.last_credit_blocked = s.credit_blocked_events;
 
         // Instantaneous FIFO occupancy, split by input-port dimension and
         // by bubble-vs-dynamic VC.
@@ -207,7 +202,7 @@ impl Engine {
                 count_kind(st.slab[h].meta.kind);
             }
             for (f, head) in st.heads(i) {
-                hol += u64::from(!head.plan.is_done() && self.head_is_hol_blocked(i, f, head));
+                hol += u64::from(self.stuck(i, f, head) == Some(Stuck::Hol));
             }
         }
         for arrival in st.ring.iter().flatten() {

@@ -116,10 +116,11 @@ pub struct TraceSample {
     pub inj_occupancy: OccStat,
     /// Reception-FIFO occupancy at the instant (one FIFO per node).
     pub reception_occupancy: OccStat,
-    /// Transit VC-FIFO heads whose packet cannot move this cycle: every
-    /// output direction its routing mode allows is either mid-transmission
-    /// or out of downstream VC credit — the head-of-line blocking signal
-    /// of the paper's tree-saturation story.
+    /// Transit VC-FIFO heads with no output the arbiter would give them
+    /// this cycle: every live output their routing requests is busy,
+    /// refused on credit, or a suppressed return — the head-of-line
+    /// blocking signal of the paper's tree-saturation story. The watchdog's
+    /// [`StallBreakdown`](crate::StallBreakdown) counts by the same rule.
     pub hol_blocked_heads: u64,
     /// In-network packets with `PacketMeta::kind == 1` (phase 1 for
     /// TPS/VMesh/XYZ-style indirect strategies).

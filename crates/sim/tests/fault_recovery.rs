@@ -195,6 +195,40 @@ fn permanent_node_fault_is_reported_unreachable_with_breakdown() {
     }
 }
 
+/// A dimension-ordered stream behind a link that is down past the watchdog
+/// but scheduled to recover is a stall, not an unreachable destination:
+/// its heads are fault-blocked, and they may yet move.
+#[test]
+fn a_recovery_after_the_watchdog_reports_a_stall() {
+    use bgl_sim::SimError;
+    let part: Partition = "4x4x4".parse().unwrap();
+    let mut cfg = SimConfig::new(part);
+    cfg.watchdog_cycles = 500;
+    cfg.fault.links.push(LinkFault {
+        node: 0,
+        dir: dir(Dim::X, Sign::Plus),
+        fail_at: 0,
+        recover_at: Some(5_000),
+    });
+    let p = part.num_nodes();
+    let mut programs: Vec<Box<dyn NodeProgram>> = (0..p)
+        .map(|_| Box::new(ScriptedProgram::idle()) as Box<dyn NodeProgram>)
+        .collect();
+    let stream = (0..8).map(|_| SendSpec::deterministic(2, 8, 240)).collect();
+    programs[0] = Box::new(ScriptedProgram::new(stream, 0));
+    programs[2] = Box::new(ScriptedProgram::new(vec![], 8));
+    match Engine::new(cfg, programs).run() {
+        Err(SimError::Stalled {
+            cycle, breakdown, ..
+        }) => {
+            assert!(cycle < 5_000, "the watchdog fires before the recovery");
+            assert!(breakdown.fault_blocked_heads > 0, "{breakdown}");
+            assert_eq!(breakdown.hol_blocked_heads, 0, "{breakdown}");
+        }
+        other => panic!("expected a stall, got {other:?}"),
+    }
+}
+
 /// A fault transition inside an idle gap cuts the skip short — the
 /// transition cycle is stepped under every clock — and the profiler says
 /// so: the clamp is a fault transition, not the cycle limit.

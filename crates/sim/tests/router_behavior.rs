@@ -261,6 +261,29 @@ fn watchdog_reports_live_packets() {
     }
 }
 
+/// A full exchange with no bubble escape deadlocks: adaptive heads wait on
+/// each other's dynamic VCs in a cycle, and the watchdog's report says so —
+/// transit heads every output of which the arbiter refuses.
+#[test]
+fn escapeless_deadlock_reports_hol_blocked_heads() {
+    let part: Partition = "8x4x4".parse().unwrap();
+    let mut cfg = SimConfig::new(part);
+    cfg.router.adaptive_bubble_escape = false;
+    cfg.watchdog_cycles = 500;
+    match Engine::new(cfg, uniform(&part, 8, 8)).run() {
+        Err(SimError::Stalled {
+            live_packets,
+            breakdown,
+            ..
+        }) => {
+            assert!(live_packets > 0);
+            assert!(breakdown.hol_blocked_heads > 0, "{breakdown}");
+            assert_eq!(breakdown.fault_blocked_heads, 0, "{breakdown}");
+        }
+        other => panic!("expected stall, got {other:?}"),
+    }
+}
+
 /// Cycle limit aborts runaway configurations.
 #[test]
 fn cycle_limit_enforced() {

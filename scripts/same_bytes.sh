@@ -9,7 +9,9 @@
 # builds `bglsim` in both trees. Then it runs the same list through both
 # binaries: `sweep --json` over every strategy, unpaced and under each pacer,
 # around link and node faults, on a 4-D torus, at a multi-packet message
-# size and on a coverage-sampled 4,096-node torus; `validate --tier quick`;
+# size and on a coverage-sampled 4,096-node torus, and traced (healthy and
+# around faults), so every sample's HOL count and FIFO occupancy is
+# compared too; `validate --tier quick`;
 # and `profile --csv` on four points, keeping only its count rows (every row
 # but the `_secs` timings). It `cmp`s each output (stdout, stderr and exit
 # code) and exits 1 if any differs, naming the file. It edits nothing: a
@@ -50,6 +52,8 @@ cases=(
     "sweep_4x4x4x4|sweep --shape 4x4x4x4 --strategies ar,dr,xyz --sizes 64 --json"
     "sweep_4x4x4_14592|sweep --shape 4x4x4 --strategies ar,dr,tps,vmesh --sizes 14592 --json"
     "sweep_8x32x16_coverage|sweep --shape 8x32x16 --strategies tps,ar --sizes 912 --coverage 0.001 --json"
+    "sweep_8x4x4_traced|sweep --shape 8x4x4 --strategies ar,tps --sizes 912 --trace-interval 256 --json"
+    "sweep_8x8x4_link_node_fault_traced|sweep --shape 8x8x4 --strategies ar,dr,tps,xyz --sizes 240 --fault link:0,0,0,x+ --fault node:21:@500-900 --trace-interval 64 --json"
     "validate_quick|validate --tier quick"
     "profile_4x4x4_ar|profile --shape 4x4x4 --strategy ar --m 14592 --csv"
     "profile_4x8x4_tps|profile --shape 4x8x4 --strategy tps --m 912 --csv"
