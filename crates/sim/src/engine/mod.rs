@@ -405,9 +405,10 @@ struct State {
     /// (`NodeState::occupied`'s index space): bit `f` of `want[link]` is
     /// set iff the node's FIFO `f` is non-empty and its head's routing
     /// allows that output (`Shared::wants`). A function of the head packet
-    /// and the router config alone, so [`State::set_head`] rewrites FIFO
-    /// `f`'s bits exactly where its head changes, and arbitration reads them
-    /// instead of re-routing every head for every link every cycle.
+    /// and the router config alone, so [`State::set_head`] flips FIFO `f`'s
+    /// bits that change exactly where its head changes, and arbitration
+    /// reads them instead of re-routing every head for every link every
+    /// cycle.
     want: Vec<u64>,
     /// Round-robin arbitration pointer of each output link.
     rr: Vec<u8>,
@@ -479,20 +480,28 @@ impl State {
         bits(self.nodes[i].occupied).map(move |f| (f, head(f)))
     }
 
-    /// The head of node `i`'s FIFO `f` changed to one requesting the
-    /// outputs `head` (`Shared::request_dirs`: `Some(0)` for a head that
+    /// The head of node `i`'s FIFO `f`, which requested the outputs `old`
+    /// (0 for an empty FIFO or an arrived head), changed to one requesting
+    /// the outputs `head` (`Shared::request_dirs`: `Some(0)` for a head that
     /// has arrived), or the FIFO emptied (`None`). The one writer of the
     /// node's occupancy bit, its row of [`want`](Self::want) and its
-    /// requested outputs.
-    fn set_head(&mut self, i: usize, ports: usize, f: usize, head: Option<u16>) {
+    /// requested outputs; it flips only the request bits that change, and
+    /// an output leaves the requested set when its word empties.
+    #[inline]
+    fn set_head(&mut self, i: usize, ports: usize, f: usize, old: u16, head: Option<u16>) {
         let node = &mut self.nodes[i];
         node.occupied = node.occupied & !(1 << f) | u64::from(head.is_some()) << f;
-        let (dirs, mut requested) = (head.unwrap_or(0), 0);
-        for (d, w) in self.want[i * ports..][..ports].iter_mut().enumerate() {
-            *w = *w & !(1 << f) | u64::from(dirs >> d & 1) << f;
-            requested |= u16::from(*w != 0) << d;
+        let (row, new) = (&mut self.want[i * ports..][..ports], head.unwrap_or(0));
+        debug_assert!(
+            (0..ports).all(|d| row[d] >> f & 1 == u64::from(old >> d & 1)),
+            "FIFO {f} of node {i}: `old` {old:#b} is not its row of requests"
+        );
+        let mut requested = node.requested;
+        for d in bits((old ^ new).into()) {
+            row[d] ^= 1 << f;
+            requested &= !(u16::from(row[d] == 0) << d);
         }
-        node.requested = requested;
+        node.requested = requested | new;
     }
 
     /// Count the blocked polls node `i` owes for the cycles `owed_from..upto`:

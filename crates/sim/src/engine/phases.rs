@@ -28,8 +28,9 @@
 //!
 //! Inside a visit, the two per-packet loops skip what cannot move. The
 //! injector plans a route only for a send that a FIFO of its class has room
-//! for (`Shared::inject_slot`). Arbitration walks only the outputs some head
-//! requests (`NodeState::requested`, re-read after a win).
+//! for (`Shared::inject_slot`). Arbitration walks only the free outputs some
+//! head requests (`NodeState::requested`, re-read after a win, under a mask
+//! of the node's free links read once per visit).
 //!
 //! ## One FIFO index space
 //!
@@ -37,8 +38,9 @@
 //! as in the BG/L router, and one index space to the engine: injection FIFO
 //! `k` is FIFO `vc_cells + k`, the order of the node's row of headers. One
 //! function, `State::set_head`, writes the node's occupancy mask, request
-//! masks and requested outputs wherever a head changes; one walk, `pick`,
-//! tries a link's candidates of either kind.
+//! masks and requested outputs wherever a head changes, flipping only the
+//! request bits that change between the old head's hint bits and the new
+//! one's; one walk, `pick`, tries a link's candidates of either kind.
 //!
 //! ## Why node visit order does not matter
 //!
@@ -217,29 +219,33 @@ impl Shared {
     }
 
     /// Every output [`wants`](Self::wants) approves for `pkt`, as a bitmask
-    /// over direction indices, in one pass over the plan: the
-    /// dimension-order direction plus, for an adaptive packet, its minimal
-    /// quadrant (only the longest remaining dimensions when shaped). It
-    /// reads the packet and the router config and nothing else, which is
-    /// why a node can cache it per FIFO head (`State::want`). Zero
-    /// exactly when the plan is done: an arrived head requests no output.
+    /// over direction indices, read off the plan's hint bits
+    /// ([`HopPlan::dirs`]): the lowest one (the dimension-order direction)
+    /// for a deterministic packet, all of them (its minimal quadrant) for an
+    /// adaptive one, and under the longest-first shaping only those of the
+    /// longest remaining dimensions plus the lowest — the one case that
+    /// walks the hop counts. It reads the packet and the router config and
+    /// nothing else, which is why a node can cache it per FIFO head
+    /// (`State::want`). Zero exactly when the plan is done: an arrived head
+    /// requests no output.
     pub(super) fn request_dirs(&self, pkt: &Packet) -> u16 {
         let plan = &pkt.plan;
-        let mut dirs = plan.dimension_order_next().map_or(0, |d| 1 << d.index());
-        if pkt.routing == RoutingMode::Adaptive {
-            let dims = || self.part.dims();
-            let longest = if self.cfg.router.longest_first_bias {
-                dims().map(|o| plan.hops(o)).max().unwrap_or(0)
-            } else {
-                0
-            };
-            for d in dims().filter_map(|o| plan.direction(o)) {
-                if plan.hops(d.dim) >= longest {
-                    dirs |= 1 << d.index();
+        let dirs = plan.dirs();
+        match pkt.routing {
+            RoutingMode::Deterministic => dirs & dirs.wrapping_neg(),
+            RoutingMode::Adaptive if !self.cfg.router.longest_first_bias => dirs,
+            RoutingMode::Adaptive => {
+                let dims = || self.part.dims();
+                let longest = dims().map(|o| plan.hops(o)).max().unwrap_or(0);
+                let mut shaped = dirs & dirs.wrapping_neg();
+                for d in dims().filter_map(|o| plan.direction(o)) {
+                    if plan.hops(d.dim) >= longest {
+                        shaped |= 1 << d.index();
+                    }
                 }
+                shaped
             }
         }
-        dirs
     }
 
     /// Pop `q`'s head: its handle, and the
@@ -375,9 +381,16 @@ impl Shared {
             let dst = self.part.coord_of(spec.dst_rank);
             let plan = HopPlan::new(&self.part, node.coord, dst, TieBreak::SrcParity);
             let primary = plan.dimension_order_next().map_or(0, |d| d.index());
-            // The `primary`-th (mod count) eligible FIFO, if it has room.
+            // The `primary`-th (mod count) eligible FIFO, if it has room:
+            // the division only when the class has fewer FIFOs than ports.
+            let count = eligible.count_ones() as usize;
+            let skip = if primary < count {
+                primary
+            } else {
+                primary % count
+            };
             let mut from_pref = eligible;
-            for _ in 0..primary % eligible.count_ones() as usize {
+            for _ in 0..skip {
                 from_pref &= from_pref - 1;
             }
             let pref = from_pref & from_pref.wrapping_neg();
@@ -544,7 +557,7 @@ impl Phases<'_> {
             q.push(&mut self.st.slab, h, arr.chunks as u32);
             if was_empty {
                 let dirs = self.shared.request_dirs(&self.st.slab[h]);
-                self.st.set_head(i, self.shared.ports, fi, Some(dirs));
+                self.st.set_head(i, self.shared.ports, fi, 0, Some(dirs));
             }
             self.st.arb_active.mark(i);
             self.st.arb_at[i] = 0;
@@ -597,7 +610,8 @@ impl Phases<'_> {
             // The handle changes FIFO; the packet stays in its slot.
             let (_, exposed) = self.shared.pop(self.st.fifos.fifo_mut(i, fifo), slab);
             self.st.fifos.reception_mut(i).push(slab, h, chunks);
-            self.st.set_head(i, self.shared.ports, fifo, exposed);
+            // The popped head had arrived: it requested nothing.
+            self.st.set_head(i, self.shared.ports, fifo, 0, exposed);
             // The pop freed downstream space: release the credit now, for
             // this cycle's arbitration to see — all of it, since phase 4
             // has not begun.
@@ -883,7 +897,7 @@ impl Phases<'_> {
         q.push(&mut self.st.slab, h, spec.chunks as u32);
         if was_empty {
             let dirs = self.shared.request_dirs(&self.st.slab[h]);
-            self.st.set_head(i, self.shared.ports, f, Some(dirs));
+            self.st.set_head(i, self.shared.ports, f, 0, Some(dirs));
         }
         self.st.arb_active.mark(i);
         self.st.arb_at[i] = 0;
@@ -928,33 +942,34 @@ impl Phases<'_> {
         }
     }
 
-    /// Arbitrate the output links of node `i` some head requests, the set
-    /// bits of `NodeState::requested`, re-read after a win (the head
-    /// it exposed may request a link still ahead); the request masks name
-    /// each link's candidates. Under a fault plan every occupied FIFO is a
-    /// candidate for every live link (a detour leaves the minimal quadrant;
-    /// link liveness is not cached) and the mask bit only picks between the
-    /// minimal move and the detour.
+    /// Arbitrate the free output links of node `i` some head requests, the
+    /// set bits of `NodeState::requested` under the `free` mask read once
+    /// from the node's row of `link_busy_until`; the set is re-read after a
+    /// win (the head it exposed may request a link still ahead), and the
+    /// request masks name each link's candidates. Under a fault plan every
+    /// occupied FIFO is a candidate for every live link (a detour leaves the
+    /// minimal quadrant; link liveness is not cached) and the mask bit only
+    /// picks between the minimal move and the detour.
     ///
     /// Returns the node's wake: the earliest release among the links this
     /// visit found busy or won that a head still requests, taken once the
-    /// loop is over (a running minimum counts links only popped heads
-    /// wanted). A refused free link waits for the release that gives it
-    /// room (`State::release`); 0 if a win changed what a passed link finds.
+    /// loop is over (a head a win exposed may request a busy link). A
+    /// refused free link waits for the release that gives it room
+    /// (`State::release`); 0 if a win changed what a passed link finds.
     fn arbitrate_node(&mut self, i: usize, t: u64) -> u64 {
         let (sh, ports) = (self.shared, self.shared.ports);
         let shaped = sh.cfg.router.longest_first_bias && sh.cfg.router.adaptive_bubble_escape;
-        // Links found busy or won; free links no head could take.
-        let (mut timed, mut refused, mut again) = (0u16, 0u16, false);
-        let mut todo = self.st.nodes[i].requested | sh.fault_dirs;
+        let busy = &self.st.link_busy_until[i * ports..][..ports];
+        let free = busy
+            .iter()
+            .enumerate()
+            .fold(0u16, |m, (d, &until)| m | u16::from(until <= t) << d);
+        // Links won; free links no head could take.
+        let (mut won, mut refused, mut again) = (0u16, 0u16, false);
+        let mut todo = (self.st.nodes[i].requested | sh.fault_dirs) & free;
         while todo != 0 {
             let d = Direction::from_index(todo.trailing_zeros() as usize);
             todo &= todo - 1;
-            let link = i * ports + d.index();
-            if self.st.link_busy_until[link] > t {
-                timed |= 1 << d.index();
-                continue;
-            }
             let nb = sh.neighbors[i][d.index()];
             // A dead output link refuses arbitration outright.
             if nb == u32::MAX || !sh.alive(i, d) {
@@ -973,16 +988,20 @@ impl Phases<'_> {
             let detours = sh.fault_dirs & if exposed != 0 { refused } else { 0 };
             again |= (exposed | detours) & ((1 << d.index()) - 1) != 0;
             again |= shaped && refused != 0 && win.vc != Vc::Bubble;
-            timed |= 1 << d.index();
-            todo = (self.st.nodes[i].requested | sh.fault_dirs) & !((2 << d.index()) - 1);
+            won |= 1 << d.index();
+            let ahead = !((2u16 << d.index()) - 1);
+            todo = (self.st.nodes[i].requested | sh.fault_dirs) & free & ahead;
         }
         // An emptied node is un-marked by its next visit, as ever.
         if again || self.st.nodes[i].occupied == 0 {
             return 0;
         }
-        let timed = timed & (self.st.nodes[i].requested | sh.fault_dirs);
-        let busy = |d: usize| self.st.link_busy_until[i * ports + d];
-        bits(timed.into()).map(busy).min().unwrap_or(u64::MAX)
+        let timed = (won | !free) & (self.st.nodes[i].requested | sh.fault_dirs);
+        let busy = &self.st.link_busy_until[i * ports..][..ports];
+        bits(timed.into())
+            .map(|d| busy[d])
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
     /// Pick a winner for output `d` of node `i`, or `None`: the transit
@@ -998,7 +1017,10 @@ impl Phases<'_> {
         };
         let transit = (1u64 << self.shared.vc_cells) - 1;
         let (vcs, inj) = (cand & transit, cand & !transit);
-        let start = self.st.rr[link] as usize % self.shared.vc_cells;
+        // The pointer is the last transit winner plus one: it wraps at
+        // `vc_cells` only.
+        let rr = self.st.rr[link] as usize;
+        let start = if rr < self.shared.vc_cells { rr } else { 0 };
         if !self.shared.cfg.router.transit_priority && (t & 1) == 1 {
             self.pick(i, d, nb, inj, 0)
                 .or_else(|| self.pick(i, d, nb, vcs, start))
@@ -1036,9 +1058,11 @@ impl Phases<'_> {
     /// its pop exposed (0: the FIFO emptied, or the new head has arrived).
     fn apply_win(&mut self, i: usize, d: Direction, nb: usize, win: Win, t: u64) -> u16 {
         let (ports, f) = (self.shared.ports, win.fifo as usize);
-        // Pop the winner's handle; the head behind it becomes the FIFO's.
+        // Pop the winner's handle; the head behind it becomes the FIFO's,
+        // replacing the winner's requests, taken before its plan advances.
         let (h, exposed) = self.shared.pop(self.st.fifos.fifo_mut(i, f), &self.st.slab);
-        self.st.set_head(i, ports, f, exposed);
+        let old = self.shared.request_dirs(&self.st.slab[h]);
+        self.st.set_head(i, ports, f, old, exposed);
         let slab = &mut self.st.slab;
         if f < self.shared.vc_cells {
             self.st.rr[i * ports + d.index()] = win.fifo + 1;
@@ -1122,6 +1146,9 @@ mod tests {
         // 25 headers per 3-D node: at 16 bytes a row is 400 bytes, at 32
         // (a `VecDeque`) it was 800 plus a heap buffer each.
         assert_eq!(size_of::<ChunkFifo>(), 12);
+        // Six hop counts and the hint bits, read at every head change and
+        // written at every hop; 18 bytes with a sign per dimension.
+        assert_eq!(size_of::<HopPlan>(), 14);
         // A 3-D node is its `NodeState`, its row of 18 transit, 6 injection
         // and 1 reception header, and 6 entries in each per-link table
         // (`want`, `rr`, `link_busy_until`): 666 bytes, 2.7 MB for the 4,096
@@ -1226,12 +1253,13 @@ mod tests {
 
     /// The direct mask computation is `wants` asked of every direction, for
     /// every (src, dst) pair — `src == dst` is an arrived head — of a 2-D, an
-    /// asymmetric 3-D and a 4-D partition, for deterministic and adaptive
-    /// heads, with the router's longest-first shaping off and on.
+    /// asymmetric 3-D, a mesh-and-torus 3-D, a 4-D and a 6-D partition, for
+    /// deterministic and adaptive heads, with the router's longest-first
+    /// shaping off and on.
     #[test]
     fn request_dirs_is_wants_over_every_direction() {
-        for dims in [&[4u16, 3][..], &[2, 5, 3], &[2, 3, 2, 4]] {
-            let part = Partition::torus_nd(dims);
+        for shape in ["4x3", "2x5x3", "4Mx3x2M", "2x3x2x4", "2x2x3x2x2x2"] {
+            let part: Partition = shape.parse().unwrap();
             let n = part.num_nodes();
             let mut cfg = SimConfig::new(part);
             for (bias, routing) in [

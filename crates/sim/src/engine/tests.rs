@@ -1,5 +1,7 @@
-//! `Engine::stuck`, the one stuck-head classifier, pinned against the two
-//! walks it replaced.
+//! Engine internals pinned against the code they replaced: `Engine::stuck`,
+//! the one stuck-head classifier, against the two walks it replaced, and
+//! `State::set_head`, which flips only the request bits a head change
+//! changes, against the writer that rewrote the whole row.
 
 use super::*;
 use crate::{FaultPlan, LinkFault, ScriptedProgram, SendSpec};
@@ -273,11 +275,109 @@ fn a_refused_return_is_head_of_line_blocking() {
     assert_eq!(dirs, 1 << x_plus.index() | 1 << y_minus.index());
     let h = e.state.slab.alloc(pkt);
     e.state.fifos.fifo_mut(5, f).push(&mut e.state.slab, h, 8);
-    e.state.set_head(5, e.shared.ports, f, Some(dirs));
+    e.state.set_head(5, e.shared.ports, f, 0, Some(dirs));
     e.state.link_busy_until[5 * e.shared.ports + x_plus.index()] = 100;
     let head = &e.state.slab[h];
     assert!(!hol_blocked_by_the_old_walk(&e, 5, f, head));
     assert!(refused_return(&e, 5, f, head));
     let (breakdown, faults) = e.stall_breakdown();
     assert_eq!((breakdown.hol_blocked_heads, faults.len()), (1, 0));
+}
+
+/// `State::set_head` as it was before it flipped only the bits that change,
+/// verbatim but for its name and receiver: every request word of the row
+/// rewritten, the requested outputs re-derived from all of them.
+fn set_head_rewriting_every_word(
+    st: &mut State,
+    i: usize,
+    ports: usize,
+    f: usize,
+    head: Option<u16>,
+) {
+    let node = &mut st.nodes[i];
+    node.occupied = node.occupied & !(1 << f) | u64::from(head.is_some()) << f;
+    let (dirs, mut requested) = (head.unwrap_or(0), 0);
+    for (d, w) in st.want[i * ports..][..ports].iter_mut().enumerate() {
+        *w = *w & !(1 << f) | u64::from(dirs >> d & 1) << f;
+        requested |= u16::from(*w != 0) << d;
+    }
+    node.requested = requested;
+}
+
+/// A head's hint bits: per dimension, none, plus or minus.
+fn hint_bits(rng: &mut SmallRng, ports: usize) -> u16 {
+    (0..ports / 2).fold(0, |m, d| m | rng.gen_range(0..3u16) << (2 * d))
+}
+
+/// Seeded random sequences of the five head events on one node each of a
+/// 2-D, a 3-D and a 6-D partition (4, 6 and 12 ports; 44, 50 and 64 FIFOs),
+/// at a sparse and a dense FIFO occupancy: an arrival into an empty transit
+/// FIFO and a push into an empty injection FIFO (`old` 0), a delivery's pop
+/// of an arrived head (`old` 0), and an arbitration win's transit or
+/// injection pop (`old` the winner's requests). After every step the delta
+/// writer and the full-row writer leave the same request row, occupancy
+/// mask and requested outputs.
+#[test]
+fn set_head_flips_what_the_full_row_writer_rewrites() {
+    let mut rng = SmallRng::seed_from_u64(20261025);
+    let (mut events, mut cleared) = ([0u32; 5], 0u32);
+    for (shape, inj) in [("4x4", 32), ("4x2x3", 32), ("2x2x2x2x2x2", 28)] {
+        let part: Partition = shape.parse().unwrap();
+        let mut cfg = SimConfig::new(part);
+        cfg.inj_fifo_count = inj;
+        let engine = || {
+            let idle = (0..part.num_nodes()).map(|_| Box::new(ScriptedProgram::idle()) as _);
+            Engine::new(cfg.clone(), idle.collect())
+        };
+        let (mut delta, mut full) = (engine(), engine());
+        let (ports, vc_cells) = (delta.shared.ports, delta.shared.vc_cells);
+        let fifos = vc_cells + inj as usize;
+        // Per node, the chance an empty FIFO gets a head and a pop empties
+        // its FIFO: a node with a few heads, whose outputs drop out of the
+        // requested set, and a crowded one.
+        for (i, fill, empty) in [(0, 0.05, 0.9), (part.num_nodes() as usize - 1, 0.6, 0.3)] {
+            let mut heads: Vec<Option<u16>> = vec![None; fifos];
+            for _ in 0..20_000 {
+                let f = rng.gen_range(0..fifos);
+                let transit = f < vc_cells;
+                // A quarter of the transit heads have arrived; every other
+                // head, injected ones always, still travels.
+                let head = |rng: &mut SmallRng| {
+                    let arrived = transit && rng.gen::<f64>() < 0.25;
+                    let mut dirs = 0;
+                    while dirs == 0 && !arrived {
+                        dirs = hint_bits(rng, ports);
+                    }
+                    dirs
+                };
+                let (event, old) = match heads[f] {
+                    None if rng.gen::<f64>() >= fill => continue,
+                    None => (usize::from(!transit), 0),
+                    Some(0) => (2, 0),
+                    Some(dirs) => (3 + usize::from(!transit), dirs),
+                };
+                // A pop exposes the next head unless it empties the FIFO.
+                let pushed = heads[f].is_none() || rng.gen::<f64>() >= empty;
+                let new = pushed.then(|| head(&mut rng));
+                events[event] += 1;
+                heads[f] = new;
+                let before = delta.state.nodes[i].requested;
+                delta.state.set_head(i, ports, f, old, new);
+                set_head_rewriting_every_word(&mut full.state, i, ports, f, new);
+                cleared += u32::from(before & !delta.state.nodes[i].requested != 0);
+                let row = |e: &Engine| {
+                    let n = &e.state.nodes[i];
+                    (
+                        e.state.want[i * ports..][..ports].to_vec(),
+                        n.occupied,
+                        n.requested,
+                    )
+                };
+                assert_eq!(row(&delta), row(&full), "{shape} node {i} FIFO {f}");
+            }
+        }
+    }
+    // Every event is driven, and outputs do leave the requested set.
+    assert!(events.iter().all(|&n| n > 1000), "{events:?}");
+    assert!(cleared > 1000, "{cleared} steps cleared a requested output");
 }

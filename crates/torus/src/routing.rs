@@ -2,12 +2,16 @@
 //! torus "equator", and dimension-ordered (dimension 0 first) next-hop
 //! selection.
 //!
-//! The simulator's routers consume [`HopPlan`]s carried in packet headers:
-//! the plan fixes, at injection time, the travel *sign* per dimension and the
-//! number of hops remaining, exactly like BG/L's hint bits. Adaptive routing
-//! may service the dimensions in any order; deterministic routing services
-//! them in increasing dimension order (X, Y, Z on a 3D machine, continuing
-//! through D3..D5 on higher-dimensional ones).
+//! The simulator's routers consume [`HopPlan`]s carried in packet headers.
+//! A plan fixes, at injection time, the number of hops remaining per
+//! dimension and, as BG/L's hint bits do, one bit per direction the packet
+//! still has to travel: bit [`Direction::index`] is set while that
+//! dimension has hops left and cleared by the hop that reaches the
+//! destination's coordinate. A router reads the packet's candidate outputs
+//! off those bits without walking the hop counts. Adaptive routing may
+//! service the dimensions in any order; deterministic routing services them
+//! in increasing dimension order (X, Y, Z on a 3D machine, continuing
+//! through D3..D5 on higher-dimensional ones), the lowest set bit.
 
 use crate::coord::{Coord, Dim, Direction, Sign, MAX_DIMS};
 use crate::partition::Partition;
@@ -28,16 +32,19 @@ pub enum TieBreak {
     SrcParity,
 }
 
-/// A packet's routing state: travel sign and remaining hops per dimension.
+/// A packet's routing state: remaining hops per dimension and the hint
+/// bits, the directions it still travels.
 ///
-/// `hops[d] == 0` means the packet needs no movement along `d` (and `sign[d]`
-/// is meaningless there). The arrays are fixed at [`MAX_DIMS`] so the plan
-/// stays a small `Copy` value inside packet headers; dimensions beyond the
-/// partition's arity simply carry zero hops.
+/// `hops[d] == 0` means the packet needs no movement along `d`, and then
+/// neither of `d`'s two direction bits is set; otherwise exactly one is,
+/// the travel sign. The hop array is fixed at [`MAX_DIMS`] so the plan
+/// stays a small `Copy` value (14 bytes) inside packet headers; dimensions
+/// beyond the partition's arity simply carry zero hops and no bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct HopPlan {
-    signs: [Sign; MAX_DIMS],
     hops: [u16; MAX_DIMS],
+    /// Bit `Direction::index()` per direction with hops left.
+    dirs: u16,
 }
 
 impl HopPlan {
@@ -47,14 +54,16 @@ impl HopPlan {
     /// deciding exact-half distances; mesh dimensions always travel directly
     /// towards the destination.
     pub fn new(part: &Partition, src: Coord, dst: Coord, tie: TieBreak) -> HopPlan {
-        let mut signs = [Sign::Plus; MAX_DIMS];
-        let mut hops = [0u16; MAX_DIMS];
+        let mut plan = HopPlan {
+            hops: [0; MAX_DIMS],
+            dirs: 0,
+        };
         for d in part.dims() {
             let (sign, h) = dim_route(part, d, src.get(d), dst.get(d), tie);
-            signs[d.index()] = sign;
-            hops[d.index()] = h;
+            plan.hops[d.index()] = h;
+            plan.dirs |= u16::from(h > 0) << Direction::new(d, sign).index();
         }
-        HopPlan { signs, hops }
+        plan
     }
 
     /// Remaining hops along `dim`.
@@ -63,20 +72,31 @@ impl HopPlan {
         self.hops[dim.index()]
     }
 
+    /// The hint bits: bit [`Direction::index`] is set for each direction
+    /// the packet still travels, one per dimension with hops left.
+    #[inline]
+    pub fn dirs(&self) -> u16 {
+        self.dirs
+    }
+
     /// Travel sign along `dim` (only meaningful while `hops(dim) > 0`).
     #[inline]
     pub fn sign(&self, dim: Dim) -> Sign {
-        self.signs[dim.index()]
+        if self.dirs >> Direction::new(dim, Sign::Minus).index() & 1 != 0 {
+            Sign::Minus
+        } else {
+            Sign::Plus
+        }
     }
 
     /// The outgoing direction along `dim`, or `None` if that dimension is
     /// already satisfied.
     #[inline]
     pub fn direction(&self, dim: Dim) -> Option<Direction> {
-        if self.hops(dim) > 0 {
-            Some(Direction::new(dim, self.sign(dim)))
-        } else {
-            None
+        match self.dirs >> (2 * dim.index()) & 3 {
+            0 => None,
+            1 => Some(Direction::new(dim, Sign::Plus)),
+            _ => Some(Direction::new(dim, Sign::Minus)),
         }
     }
 
@@ -89,32 +109,43 @@ impl HopPlan {
     /// Whether the packet has arrived (no hops remaining anywhere).
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.hops == [0; MAX_DIMS]
+        self.dirs == 0
     }
 
     /// All directions the packet may minimally take from here (dimensions
-    /// with hops remaining), in increasing dimension order. Dimensions
-    /// beyond the partition's arity carry no hops, so iterating the fixed
-    /// bound is arity-correct.
-    pub fn minimal_directions(&self) -> impl Iterator<Item = Direction> + '_ {
-        Dim::all(MAX_DIMS).filter_map(|d| self.direction(d))
+    /// with hops remaining), in increasing dimension order: the set hint
+    /// bits, ascending.
+    pub fn minimal_directions(&self) -> impl Iterator<Item = Direction> {
+        let mut dirs = self.dirs;
+        std::iter::from_fn(move || {
+            (dirs != 0).then(|| {
+                let d = Direction::from_index(dirs.trailing_zeros() as usize);
+                dirs &= dirs - 1;
+                d
+            })
+        })
     }
 
-    /// Consume one hop along `dim`.
+    /// Consume one hop along `dim`; the hop that exhausts it clears the
+    /// dimension's hint bit.
     ///
     /// # Panics
     /// Panics (in debug builds) if no hops remain along `dim`.
     #[inline]
     pub fn advance(&mut self, dim: Dim) {
         debug_assert!(self.hops(dim) > 0, "advancing exhausted dimension {dim}");
-        self.hops[dim.index()] -= 1;
+        let h = &mut self.hops[dim.index()];
+        *h -= 1;
+        if *h == 0 {
+            self.dirs &= !(3 << (2 * dim.index()));
+        }
     }
 
     /// The next direction under dimension-ordered (X, then Y, then Z)
-    /// deterministic routing, or `None` on arrival.
+    /// deterministic routing, or `None` on arrival: the lowest hint bit.
     #[inline]
     pub fn dimension_order_next(&self) -> Option<Direction> {
-        self.minimal_directions().next()
+        (self.dirs != 0).then(|| Direction::from_index(self.dirs.trailing_zeros() as usize))
     }
 }
 
@@ -128,7 +159,9 @@ fn dim_route(part: &Partition, dim: Dim, a: u16, b: u16, tie: TieBreak) -> (Sign
         let sign = if b > a { Sign::Plus } else { Sign::Minus };
         return (sign, (b as i32 - a as i32).unsigned_abs() as u16);
     }
-    let fwd = (b as i32 - a as i32).rem_euclid(s as i32) as u16;
+    // Both coordinates lie in `0..s`: the forward distance wraps at most
+    // once, so a compare replaces the modulo.
+    let fwd = if b > a { b - a } else { s - (a - b) };
     let bwd = s - fwd;
     match fwd.cmp(&bwd) {
         std::cmp::Ordering::Less => (Sign::Plus, fwd),
