@@ -523,18 +523,17 @@ impl State {
     }
 
     /// Whether output `d` of node `i` takes `pkt`, the head of its FIFO `f`,
-    /// at cycle `t`: the link exists, is free and alive, and the arbiter's
-    /// test ([`Shared::exit_vc`], what `pick` asks) accepts the head — its
-    /// minimal move if it requests `d`, else a detour. The one answer to
-    /// "can this head leave?" that the stall report, the trace's HOL count
-    /// and the oracle's parking law share.
+    /// at cycle `t`: the link is up (bit `d` of `Shared::up`) and free, and
+    /// the arbiter's test ([`Shared::exit_vc`], what `pick` asks) accepts
+    /// the head — its minimal move if it requests `d`, else a detour. The
+    /// one answer to "can this head leave?" that the stall report, the
+    /// trace's HOL count and the oracle's parking law share.
     fn can_leave(&self, sh: &Shared, i: usize, f: usize, pkt: &Packet, d: usize, t: u64) -> bool {
-        let (nb, link) = (sh.neighbors[i][d], i * sh.ports + d);
+        let (nb, link) = (sh.neighbors[i][d] as usize, i * sh.ports + d);
         let (dir, wanted) = (Direction::from_index(d), self.want[link] >> f & 1 != 0);
-        nb != u32::MAX
+        sh.up[i] >> d & 1 != 0
             && self.link_busy_until[link] <= t
-            && sh.alive(i, dir)
-            && sh.exit_vc(pkt, i, f, dir, nb as usize, wanted).is_some()
+            && sh.exit_vc(pkt, i, f, dir, nb, wanted).is_some()
     }
 
     /// Return `chunks` of space to transit FIFO `fifo` of node `node`, the one
@@ -666,18 +665,20 @@ impl Engine {
             deferred: Vec::new(),
             invalid_send: None,
         };
-        let neighbors: Vec<[u32; MAX_PORTS]> = (0..p as u32)
+        // At cycle 0 every link is alive: `up` names the linked outputs.
+        let (neighbors, up): (Vec<[u32; MAX_PORTS]>, Vec<u16>) = (0..p as u32)
             .map(|r| {
                 let c = part.coord_of(r);
-                let mut row = [u32::MAX; MAX_PORTS];
+                let (mut row, mut up) = ([u32::MAX; MAX_PORTS], 0);
                 for d in part.directions() {
                     if let Some(nc) = part.neighbor(c, d) {
                         row[d.index()] = part.rank_of(nc);
+                        up |= 1 << d.index();
                     }
                 }
-                row
+                (row, up)
             })
-            .collect();
+            .unzip();
         let tracer = cfg
             .trace
             .as_ref()
@@ -685,10 +686,9 @@ impl Engine {
         let oracle = cfg.check_invariants.then(|| Box::new(Oracle::new()));
         let perf = cfg.perf.is_some().then(Box::<PerfState>::default);
         let progress = cfg.progress.then(|| Box::new(ProgressState::new()));
-        let mut fault_alive = Vec::new();
         let (mut fault_schedule, mut fault_dirs) = (Vec::new(), 0);
         if !cfg.fault.is_empty() {
-            (fault_alive, fault_dirs) = (vec![true; p * ports], (1 << ports) - 1);
+            fault_dirs = (1 << ports) - 1;
             for s in cfg.fault.link_schedules(&part) {
                 fault_schedule.push(FaultEvent {
                     cycle: s.fail_at,
@@ -714,8 +714,8 @@ impl Engine {
             neighbors,
             ports,
             vc_cells,
+            up,
             fault_dirs,
-            fault_alive,
         };
         Engine {
             shared,
@@ -851,7 +851,8 @@ impl Engine {
     }
 
     /// Apply every fault transition scheduled at or before the current
-    /// cycle: flip link liveness, drop packets in flight on dying links,
+    /// cycle: set or clear the link's bit of `Shared::up` (the one writer
+    /// after `Engine::new`), drop packets in flight on dying links,
     /// and wake the affected endpoints. Runs at the top of `step()` —
     /// before any phase — so every engine mode observes transitions at
     /// exactly the same point and results stay byte-identical.
@@ -862,9 +863,10 @@ impl Engine {
             }
             self.fault_cursor += 1;
             let link = ev.link as usize;
-            self.shared.fault_alive[link] = ev.alive;
             let u = link / self.shared.ports;
             let d = Direction::from_index(link % self.shared.ports);
+            let up = &mut self.shared.up[u];
+            *up = *up & !(1 << d.index()) | u16::from(ev.alive) << d.index();
             let v = self.shared.neighbors[u][d.index()];
             debug_assert_ne!(v, u32::MAX, "validated plans never fault mesh edges");
             if !ev.alive {
@@ -970,28 +972,23 @@ impl Engine {
     /// Why `pkt`, the head of node `i`'s FIFO `f`, cannot leave now, asked
     /// of the arbiter's own rule ([`State::can_leave`]); `None` if some
     /// output would take it, or it has arrived (it requests none). A head
-    /// whose every linked request is a dead link (only under a fault plan),
-    /// with no detour open, is a [`Stuck::Fault`] behind the lowest of
-    /// them; a transit head refused by every live output it requests is
+    /// none of whose requests is up (`Shared::up`: its hint bits name no
+    /// missing link, so each is a dead one, only under a fault plan), with
+    /// no detour open, is a [`Stuck::Fault`] behind the lowest of them; a
+    /// transit head refused by every live output it requests is
     /// [`Stuck::Hol`]. With a live request no detour is possible
     /// (`minimal_dead` is false), so the live requests are every output the
     /// arbiter could give it.
     fn stuck(&self, i: usize, f: usize, pkt: &Packet) -> Option<Stuck> {
-        let sh = &self.shared;
-        let (mut linked, mut live) = (0u16, 0u16);
-        for d in 0..sh.ports {
-            let up = sh.neighbors[i][d] != u32::MAX;
-            linked |= u16::from(up) << d;
-            live |= u16::from(up && sh.alive(i, Direction::from_index(d))) << d;
-        }
+        let (sh, up) = (&self.shared, self.shared.up[i]);
         let wanted = sh.request_dirs(pkt);
         let back = pkt.detour_from().map_or(0, |p| 1 << p);
         let detour = pkt.routing == RoutingMode::Adaptive
             && pkt.detour_count() < DETOUR_BUDGET
-            && live & !back != 0;
-        let (linked, live) = (wanted & linked, wanted & live);
-        if linked != 0 && live == 0 && !detour {
-            let d = Direction::from_index(linked.trailing_zeros() as usize);
+            && up & !back != 0;
+        let live = wanted & up;
+        if wanted != 0 && live == 0 && !detour {
+            let d = Direction::from_index(wanted.trailing_zeros() as usize);
             return Some(Stuck::Fault(d));
         }
         let refused = |d| !self.state.can_leave(sh, i, f, pkt, d, self.now);

@@ -168,7 +168,8 @@ impl Engine {
     /// current head, and its requested outputs must be the non-zero
     /// directions of its masks — a head change that skipped the writer
     /// shows at the boundary of the cycle that made it.
-    /// Last, a parked node must be one whose visit could not act
+    /// Then the link mask is re-derived ([`Engine::oracle_link_check`]), and
+    /// last, a parked node must be one whose visit could not act
     /// ([`Engine::oracle_parking_check`]).
     pub(super) fn oracle_cycle_check(&self, t: u64) {
         let o = self.oracle.as_ref().expect("caller checked");
@@ -253,7 +254,46 @@ impl Engine {
             );
         }
         self.oracle_slab_check(t);
+        self.oracle_link_check(t);
         self.oracle_parking_check(t);
+    }
+
+    /// The link mask at the end of cycle `t`, re-derived: a node's bits of
+    /// `Shared::up` are its outputs that lead to a neighbour
+    /// (`Partition::neighbor`) and that the fault transitions applied so far
+    /// (`fault_schedule[..fault_cursor]`, replayed link by link) left
+    /// alive. And every queued head's hint bits name only linked outputs,
+    /// the invariant that lets a routing rule test `dirs & up` alone. A
+    /// transition that missed its bit, or a plan routed over a mesh edge,
+    /// shows at the boundary of the cycle that made it.
+    fn oracle_link_check(&self, t: u64) {
+        let (sh, st, part) = (&self.shared, &self.state, &self.shared.part);
+        let mut alive = vec![true; st.nodes.len() * sh.ports];
+        for ev in &self.fault_schedule[..self.fault_cursor] {
+            alive[ev.link as usize] = ev.alive;
+        }
+        for (i, &mask) in sh.up.iter().enumerate() {
+            let (c, mut linked, mut up) = (part.coord_of(i as u32), 0u16, 0u16);
+            for d in part.directions() {
+                if part.neighbor(c, d).is_some() {
+                    linked |= 1 << d.index();
+                    up |= u16::from(alive[i * sh.ports + d.index()]) << d.index();
+                }
+            }
+            assert!(
+                mask == up,
+                "invariant violated: link mask of node {i} stale ({mask:#b}, links up \
+                 {up:#b}, cycle {t})"
+            );
+            for (f, pkt) in st.heads(i) {
+                assert!(
+                    pkt.plan.dirs() & !linked == 0,
+                    "invariant violated: head of node {i} fifo {f} (packet {}) routes over \
+                     a missing link (cycle {t})",
+                    pkt.id
+                );
+            }
+        }
     }
 
     /// The slab's conservation law at the end of cycle `t`: every live slot

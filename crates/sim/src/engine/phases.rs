@@ -28,9 +28,20 @@
 //!
 //! Inside a visit, the two per-packet loops skip what cannot move. The
 //! injector plans a route only for a send that a FIFO of its class has room
-//! for (`Shared::inject_slot`). Arbitration walks only the free outputs some
-//! head requests (`NodeState::requested`, re-read after a win, under a mask
-//! of the node's free links read once per visit).
+//! for (`Shared::inject_slot`). Arbitration walks only the free, live outputs
+//! some head requests (`NodeState::requested`, re-read after a win, under a
+//! mask of the node's free links read once per visit and its link mask).
+//!
+//! ## One link mask
+//!
+//! As the BG/L router does, every routing rule decides from two sets of
+//! bits: a head's hint bits ([`HopPlan::dirs`]) and its node's link mask
+//! (`Shared::up`, an output's bit set iff it leads to a neighbour and is
+//! alive). A minimal plan's hint bits never name a missing output, so
+//! `dirs & up` is a head's live minimal outputs and `dirs & !up` its dead
+//! ones. No rule walks the directions to ask whether each exists or is
+//! alive, and the oracle checks the mask and the invariant at every cycle
+//! boundary.
 //!
 //! ## One FIFO index space
 //!
@@ -93,9 +104,11 @@ pub(super) const HOP_LATENCY_CYCLES: u64 = 1;
 /// liveness — plus the downstream-credit cells. Built once in
 /// `Engine::new`; its methods are the routing-feasibility rules, which is
 /// why everything phase 4 needs to know about *other* nodes flows through
-/// here. The engine's diagnostics add none of their own: the oracle, the
-/// stall report and the trace ask `State::can_leave`, which asks
-/// [`exit_vc`](Self::exit_vc), the test `pick` makes.
+/// here. A rule asks about a node's links one way: bit arithmetic between a
+/// head's hint bits ([`HopPlan::dirs`]) and the node's link mask
+/// ([`up`](Self::up)). The engine's diagnostics add none of their own: the
+/// oracle, the stall report and the trace ask `State::can_leave`, which
+/// asks [`exit_vc`](Self::exit_vc), the test `pick` makes.
 pub(super) struct Shared {
     pub(super) cfg: SimConfig,
     pub(super) part: Partition,
@@ -121,22 +134,18 @@ pub(super) struct Shared {
     /// Reference mode: clear no mark, park no node, skip no cycle (see
     /// [`EngineMode::FullScan`](crate::EngineMode)).
     pub(super) full_scan: bool,
-    /// Per-directed-link liveness (`node·ports + dir`), *empty* on a healthy
-    /// run so every probe below stays one branch. Mutated only by
-    /// `apply_fault_transitions`, at the top of a cycle.
-    pub(super) fault_alive: Vec<bool>,
+    /// The link mask, one per node: bit `d` of `up[n]` is set iff output
+    /// `d` of node `n` leads to a neighbour and is alive now. `Engine::new`
+    /// builds it from `neighbors`; `apply_fault_transitions`, at the top of
+    /// a cycle, is the only writer after that. A head's hint bits never name
+    /// a missing output, so `dirs & up` is its live requests.
+    pub(super) up: Vec<u16>,
     /// Every output under a fault plan (a detour takes links no request mask
     /// names), none on a healthy run: OR-ed into a node's requested outputs.
     pub(super) fault_dirs: u16,
 }
 
 impl Shared {
-    /// Whether no fault plan is active (no liveness map to consult).
-    #[inline]
-    pub(super) fn healthy(&self) -> bool {
-        self.fault_alive.is_empty()
-    }
-
     /// Available space (counting in-flight reservations) of the transit
     /// VC FIFO at node `n`, input port `port`, VC `vc`.
     #[inline]
@@ -144,63 +153,24 @@ impl Shared {
         self.credits[n * self.vc_cells + vc_fifo_index(port, vc)].get()
     }
 
-    /// Whether the directed link out of node `n` along `d` is up.
-    /// Arbitration refuses dead links outright; everything else (the
-    /// stuck-head report, escape preconditions) treats them as permanently
-    /// blocked.
-    #[inline]
-    pub(super) fn alive(&self, n: usize, d: Direction) -> bool {
-        self.healthy() || self.fault_alive[n * self.ports + d.index()]
-    }
-
-    /// Longest-remaining-dimension preference: true when no other dimension
-    /// has more hops left than `d.dim`. With the bias enabled, adaptive
-    /// packets move only along their longest remaining dimension(s): on an
-    /// asymmetric torus they spend bottleneck-dimension hops while
-    /// bottleneck links are reachable instead of burning the short
-    /// dimensions first and piling up behind the long one — the tree
-    /// saturation Section 3.2 of the paper describes. On a symmetric torus
-    /// hop counts stay balanced, so near-full adaptivity is retained.
-    fn prefers(pkt: &Packet, d: Direction) -> bool {
-        // Iterating every representable dimension is arity-correct: a
-        // HopPlan carries zero hops in dimensions beyond its partition's
-        // arity, and 0 <= here always holds.
-        let here = pkt.plan.hops(d.dim);
-        Dim::all(MAX_DIMS).all(|o| pkt.plan.hops(o) <= here)
-    }
-
     /// True when every preferred direction of `pkt` at node `n` lacks
     /// dynamic-VC credit downstream — the precondition for taking the
-    /// dimension-ordered escape from a non-preferred output.
+    /// dimension-ordered escape from a non-preferred output. A dead
+    /// preferred link can never open: it counts as blocked, so the
+    /// dimension-ordered escape becomes reachable.
     fn preferred_blocked(&self, n: usize, pkt: &Packet) -> bool {
         let chunks = pkt.chunks as u32;
-        for dir in pkt.plan.minimal_directions() {
-            if !Self::prefers(pkt, dir) {
-                continue;
-            }
-            let nb = self.neighbors[n][dir.index()];
-            if nb == u32::MAX {
-                continue;
-            }
-            // A dead preferred link can never open: it counts as blocked,
-            // so the dimension-ordered escape becomes reachable.
-            if !self.alive(n, dir) {
-                continue;
-            }
-            let nb_port = dir.opposite().index();
-            for vc in 0..2 {
-                if self.credit(nb as usize, nb_port, vc) >= chunks {
-                    return false;
-                }
-            }
-        }
-        true
+        bits((pkt.plan.longest_dirs() & self.up[n]).into()).all(|d| {
+            let (nb, nb_port) = (self.neighbors[n][d] as usize, d ^ 1);
+            (0..2).all(|vc| self.credit(nb, nb_port, vc) < chunks)
+        })
     }
 
     /// Does `pkt`'s routing allow it to take output `d`? Adaptive packets
-    /// under the longest-first bias move only along preferred (longest
-    /// remaining) dimensions, plus the dimension-ordered direction, which
-    /// stays available as the deadlock-free bubble escape. The engine reads
+    /// under the longest-first bias move only along preferred dimensions,
+    /// those no other dimension has more hops left in, plus the
+    /// dimension-ordered direction, which stays available as the
+    /// deadlock-free bubble escape. The engine reads
     /// [`request_dirs`](Self::request_dirs); this per-direction form is the
     /// oracle's independent reference for the cached request masks.
     pub(super) fn wants(&self, pkt: &Packet, d: Direction) -> bool {
@@ -212,7 +182,11 @@ impl Shared {
                 if !self.cfg.router.longest_first_bias {
                     return true;
                 }
-                Self::prefers(pkt, d) || pkt.plan.dimension_order_next() == Some(d)
+                // Every representable dimension: one beyond the partition's
+                // arity carries zero hops.
+                let here = pkt.plan.hops(d.dim);
+                let prefers = Dim::all(MAX_DIMS).all(|o| pkt.plan.hops(o) <= here);
+                prefers || pkt.plan.dimension_order_next() == Some(d)
             }
             RoutingMode::Deterministic => pkt.plan.dimension_order_next() == Some(d),
         }
@@ -222,29 +196,25 @@ impl Shared {
     /// over direction indices, read off the plan's hint bits
     /// ([`HopPlan::dirs`]): the lowest one (the dimension-order direction)
     /// for a deterministic packet, all of them (its minimal quadrant) for an
-    /// adaptive one, and under the longest-first shaping only those of the
-    /// longest remaining dimensions plus the lowest — the one case that
-    /// walks the hop counts. It reads the packet and the router config and
-    /// nothing else, which is why a node can cache it per FIFO head
-    /// (`State::want`). Zero exactly when the plan is done: an arrived head
-    /// requests no output.
+    /// adaptive one, and under the longest-first shaping the lowest plus
+    /// those of the longest remaining dimensions
+    /// ([`HopPlan::longest_dirs`]). That shaping keeps adaptive packets on
+    /// their longest remaining dimension(s): on an asymmetric torus they
+    /// spend bottleneck-dimension hops while bottleneck links are reachable
+    /// instead of burning the short dimensions first and piling up behind
+    /// the long one — the tree saturation Section 3.2 of the paper
+    /// describes; on a symmetric torus hop counts stay balanced, so
+    /// near-full adaptivity is retained. It reads the packet and the router
+    /// config and nothing else, which is why a node can cache it per FIFO
+    /// head (`State::want`). Zero exactly when the plan is done: an arrived
+    /// head requests no output.
     pub(super) fn request_dirs(&self, pkt: &Packet) -> u16 {
-        let plan = &pkt.plan;
-        let dirs = plan.dirs();
+        let dirs = pkt.plan.dirs();
+        let lowest = dirs & dirs.wrapping_neg();
         match pkt.routing {
-            RoutingMode::Deterministic => dirs & dirs.wrapping_neg(),
+            RoutingMode::Deterministic => lowest,
             RoutingMode::Adaptive if !self.cfg.router.longest_first_bias => dirs,
-            RoutingMode::Adaptive => {
-                let dims = || self.part.dims();
-                let longest = dims().map(|o| plan.hops(o)).max().unwrap_or(0);
-                let mut shaped = dirs & dirs.wrapping_neg();
-                for d in dims().filter_map(|o| plan.direction(o)) {
-                    if plan.hops(d.dim) >= longest {
-                        shaped |= 1 << d.index();
-                    }
-                }
-                shaped
-            }
+            RoutingMode::Adaptive => lowest | pkt.plan.longest_dirs(),
         }
     }
 
@@ -286,7 +256,8 @@ impl Shared {
                 // otherwise the escape becomes a side door that leaks
                 // short-dimension hops and recreates the congestion it
                 // exists to break.
-                if self.cfg.router.longest_first_bias && !Self::prefers(pkt, d) {
+                let bias = self.cfg.router.longest_first_bias;
+                if bias && pkt.plan.longest_dirs() >> d.index() & 1 == 0 {
                     if self.cfg.router.adaptive_bubble_escape
                         && pkt.plan.dimension_order_next() == Some(d)
                         && self.preferred_blocked(n, pkt)
@@ -402,38 +373,24 @@ impl Shared {
 
     /// Whether every minimal direction of `pkt` at node `n` is a dead
     /// link — the precondition for a non-minimal fault detour. `false` on
-    /// a healthy run (no liveness map) or while any minimal link is up.
+    /// a healthy run (every link is up) or while any minimal link is up.
     fn minimal_dead(&self, n: usize, pkt: &Packet) -> bool {
-        if self.healthy() {
-            return false;
-        }
-        let mut any = false;
-        for d in pkt.plan.minimal_directions() {
-            if self.neighbors[n][d.index()] == u32::MAX {
-                continue;
-            }
-            any = true;
-            if self.alive(n, d) {
-                return false;
-            }
-        }
-        any
+        let dirs = pkt.plan.dirs();
+        dirs != 0 && dirs & self.up[n] == 0
     }
 
     /// Fault-detour feasibility: may `pkt` take the *non-minimal* output
-    /// `d` out of node `n`, and on which VC? Allowed only for adaptive
-    /// packets whose entire minimal quadrant is dead, onto a live link
+    /// `d` out of node `n`, a live link, and on which VC? Allowed only for
+    /// adaptive packets whose entire minimal quadrant is dead, onto a link
     /// that does not immediately undo the previous detour, with budget
     /// left ([`DETOUR_BUDGET`]) — and strictly on the dynamic VCs: the
     /// bubble VC stays dimension-ordered, so the escape network's
     /// deadlock freedom is untouched by rerouting. After a detour win the
     /// packet re-plans from the downstream node (see `apply_win`).
     fn detour_vc(&self, pkt: &Packet, n: usize, d: Direction, nb: usize) -> Option<Vc> {
-        if self.healthy()
-            || pkt.routing != RoutingMode::Adaptive
+        if pkt.routing != RoutingMode::Adaptive
             || pkt.detour_count() >= DETOUR_BUDGET
             || pkt.detour_from() == Some(d.index())
-            || !self.alive(n, d)
             || !self.minimal_dead(n, pkt)
         {
             return None;
@@ -443,25 +400,20 @@ impl Shared {
 
     /// A freshly detoured head must not immediately bounce back through
     /// the link it arrived on while any *other* minimal direction is
-    /// structurally alive at this node: waiting for credits on a live
-    /// forward link always beats burning detour budget on a ping-pong
-    /// (the systematic bounce would exhaust [`DETOUR_BUDGET`] against a
-    /// single dead link). When the return is the only live minimal
-    /// direction it stays allowed — it is a normal minimal move and
-    /// clears the detour mark on a win.
+    /// alive at this node: waiting for credits on a live forward link
+    /// always beats burning detour budget on a ping-pong (the systematic
+    /// bounce would exhaust [`DETOUR_BUDGET`] against a single dead link).
+    /// When the return is the only live minimal direction it stays allowed
+    /// — it is a normal minimal move and clears the detour mark on a win.
     fn suppress_return(&self, pkt: &Packet, n: usize, d: Direction) -> bool {
-        if self.healthy() || pkt.detour_from() != Some(d.index()) {
-            return false;
-        }
-        pkt.plan
-            .minimal_directions()
-            .any(|o| o != d && self.neighbors[n][o.index()] != u32::MAX && self.alive(n, o))
+        pkt.detour_from() == Some(d.index())
+            && pkt.plan.dirs() & self.up[n] & !(1 << d.index()) != 0
     }
 
-    /// The VC on which output `d` of node `n` (to `nb`) takes `pkt`, the head
-    /// of FIFO `f`: its minimal move if `wanted` (its request bit for `d`),
-    /// else — only ever under a fault plan — a detour. What `pick` and the
-    /// oracle ask.
+    /// The VC on which output `d` of node `n` (to `nb`), a live link, takes
+    /// `pkt`, the head of FIFO `f`: its minimal move if `wanted` (its request
+    /// bit for `d`), else — only ever under a fault plan — a detour. What
+    /// `pick` and the oracle ask.
     pub(super) fn exit_vc(
         &self,
         pkt: &Packet,
@@ -942,13 +894,14 @@ impl Phases<'_> {
         }
     }
 
-    /// Arbitrate the free output links of node `i` some head requests, the
-    /// set bits of `NodeState::requested` under the `free` mask read once
-    /// from the node's row of `link_busy_until`; the set is re-read after a
-    /// win (the head it exposed may request a link still ahead), and the
-    /// request masks name each link's candidates. Under a fault plan every
-    /// occupied FIFO is a candidate for every live link (a detour leaves the
-    /// minimal quadrant; link liveness is not cached) and the mask bit only
+    /// Arbitrate the free, live output links of node `i` some head
+    /// requests, the set bits of `NodeState::requested` under the `free`
+    /// mask read once from the node's row of `link_busy_until` and the link
+    /// mask `Shared::up`; the set is re-read after a win (the head it
+    /// exposed may request a link still ahead), and the request masks name
+    /// each link's candidates. Under a fault plan every occupied FIFO is a
+    /// candidate for every live link (a detour leaves the minimal quadrant;
+    /// link liveness is not in the request masks) and the mask bit only
     /// picks between the minimal move and the detour.
     ///
     /// Returns the node's wake: the earliest release among the links this
@@ -966,16 +919,14 @@ impl Phases<'_> {
             .fold(0u16, |m, (d, &until)| m | u16::from(until <= t) << d);
         // Links won; free links no head could take.
         let (mut won, mut refused, mut again) = (0u16, 0u16, false);
-        let mut todo = (self.st.nodes[i].requested | sh.fault_dirs) & free;
+        // A missing or dead output link refuses arbitration outright.
+        let open = free & sh.up[i];
+        let mut todo = (self.st.nodes[i].requested | sh.fault_dirs) & open;
         while todo != 0 {
             let d = Direction::from_index(todo.trailing_zeros() as usize);
             todo &= todo - 1;
-            let nb = sh.neighbors[i][d.index()];
-            // A dead output link refuses arbitration outright.
-            if nb == u32::MAX || !sh.alive(i, d) {
-                continue;
-            }
-            let Some(win) = self.arbitrate_output(i, d, nb as usize, t) else {
+            let nb = sh.neighbors[i][d.index()] as usize;
+            let Some(win) = self.arbitrate_output(i, d, nb, t) else {
                 refused |= 1 << d.index();
                 continue;
             };
@@ -984,13 +935,13 @@ impl Phases<'_> {
             // one it requests, or a refused one it may detour over under a
             // fault plan, was judged without it; and a dynamic-VC spend may
             // open a refused link's bubble escape (`preferred_blocked`).
-            let exposed = self.apply_win(i, d, nb as usize, win, t);
+            let exposed = self.apply_win(i, d, nb, win, t);
             let detours = sh.fault_dirs & if exposed != 0 { refused } else { 0 };
             again |= (exposed | detours) & ((1 << d.index()) - 1) != 0;
             again |= shaped && refused != 0 && win.vc != Vc::Bubble;
             won |= 1 << d.index();
             let ahead = !((2u16 << d.index()) - 1);
-            todo = (self.st.nodes[i].requested | sh.fault_dirs) & free & ahead;
+            todo = (self.st.nodes[i].requested | sh.fault_dirs) & open & ahead;
         }
         // An emptied node is un-marked by its next visit, as ever.
         if again || self.st.nodes[i].occupied == 0 {
@@ -1010,7 +961,7 @@ impl Phases<'_> {
     /// gives transit traffic priority.
     fn arbitrate_output(&self, i: usize, d: Direction, nb: usize, t: u64) -> Option<Win> {
         let link = i * self.shared.ports + d.index();
-        let cand = if self.shared.healthy() {
+        let cand = if self.shared.fault_dirs == 0 {
             self.st.want[link]
         } else {
             self.st.nodes[i].occupied

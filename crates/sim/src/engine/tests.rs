@@ -1,16 +1,23 @@
 //! Engine internals pinned against the code they replaced: `Engine::stuck`,
-//! the one stuck-head classifier, against the two walks it replaced, and
+//! the one stuck-head classifier, against the two walks it replaced (which
+//! read liveness through [`alive`], over the link mask), and
 //! `State::set_head`, which flips only the request bits a head change
 //! changes, against the writer that rewrote the whole row.
 
 use super::*;
 use crate::{FaultPlan, LinkFault, ScriptedProgram, SendSpec};
-use bgl_torus::{Dim, Partition, Sign};
+use bgl_torus::{Coord, Dim, Partition, Sign};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
+/// Whether output `d` of node `n` is alive, as the old walks asked it after
+/// their own `u32::MAX` test: its bit of the link mask `Shared::up`.
+fn alive(sh: &Shared, n: usize, d: Direction) -> bool {
+    sh.up[n] >> d.index() & 1 != 0
+}
+
 /// The engine's head-of-line walk as it was before `Engine::stuck`,
-/// verbatim but for its name and receiver: a second walk over `wants`,
-/// liveness and `feasible_vc`.
+/// verbatim but for its name, its receiver and its liveness test
+/// ([`alive`]): a second walk over `wants`, liveness and `feasible_vc`.
 fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Packet) -> bool {
     let router = &e.shared;
     let Some(from_dim) = router.input_dim(fifo) else {
@@ -28,7 +35,7 @@ fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Packet) 
         // A dead link is not congestion: faulted directions neither
         // count as available nor as HOL evidence (the fault-blocked
         // classifier owns them).
-        if !router.alive(n, d) {
+        if !alive(router, n, d) {
             continue;
         }
         any_dir = true;
@@ -44,10 +51,11 @@ fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Packet) 
 }
 
 /// The engine's fault-park walk as it was before `Engine::stuck`, verbatim
-/// but for its name and receiver.
+/// but for its name, its receiver and its liveness tests ([`alive`], and a
+/// healthy run's `fault_dirs == 0`).
 fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Packet) -> Option<Direction> {
     let router = &e.shared;
-    if router.healthy() {
+    if router.fault_dirs == 0 {
         return None;
     }
     let mut first_dead = None;
@@ -58,7 +66,7 @@ fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Packet) -> Option<D
         if router.neighbors[n][d.index()] == u32::MAX {
             continue;
         }
-        if router.alive(n, d) {
+        if alive(router, n, d) {
             // A live wanted direction exists: any park here is
             // congestion (HOL/credit), not the fault's fault.
             return None;
@@ -71,7 +79,7 @@ fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Packet) -> Option<D
     if pkt.routing == RoutingMode::Adaptive && pkt.detour_count() < DETOUR_BUDGET {
         for d in router.part.directions() {
             if router.neighbors[n][d.index()] != u32::MAX
-                && router.alive(n, d)
+                && alive(router, n, d)
                 && pkt.detour_from() != Some(d.index())
             {
                 // A detour move is still open; the packet is waiting
@@ -104,7 +112,7 @@ fn refused_return(e: &Engine, i: usize, f: usize, pkt: &Packet) -> bool {
         let nb = sh.neighbors[i][d.index()];
         nb != u32::MAX
             && sh.wants(pkt, d)
-            && sh.alive(i, d)
+            && alive(sh, i, d)
             && e.state.link_busy_until[i * sh.ports + d.index()] <= e.now
             && sh
                 .feasible_vc(pkt, i, sh.input_dim(f), d, nb as usize)
@@ -200,31 +208,49 @@ fn link(node: u32, dim: Dim, sign: Sign, fail_at: u64, recover_at: Option<u64>) 
     }
 }
 
-/// A seeded loaded run on 4x4x4 whose links fail mid-flight, three of them
-/// to recover and one for good: every head at every stepped cycle gets the
-/// old pair's verdict, bar a refused return.
+/// Seeded loaded runs whose links fail mid-flight, some to recover and one
+/// for good: every head at every stepped cycle gets the old pair's verdict,
+/// bar a refused return, and the oracle re-derives the link mask at every
+/// cycle boundary. On 4x4x4 three of four failed links recover; on 4Mx4x4,
+/// where X is a mesh, the faults sit beside its edges — the one X link of an
+/// edge node, the link into an edge node and, for good, an edge node's Y
+/// link — so the old walks' `u32::MAX` tests meet the link mask's missing
+/// outputs.
 #[test]
 fn stuck_matches_the_old_walks_under_faults() {
-    let part = Partition::torus(4, 4, 4);
-    let mut cfg = SimConfig::new(part);
-    cfg.watchdog_cycles = 2_000;
-    cfg.fault = FaultPlan {
-        links: vec![
-            link(0, Dim::X, Sign::Plus, 200, Some(900)),
-            link(21, Dim::Y, Sign::Minus, 300, Some(1200)),
-            link(42, Dim::Z, Sign::Plus, 150, None),
-            link(5, Dim::X, Sign::Minus, 400, Some(700)),
-        ],
-        nodes: vec![],
-    };
-    let tally = drive(Engine::new(cfg, seeded(&part, 400, 20261017)));
-    // The permanent fault strands dimension-ordered packets: the run ends
-    // at the watchdog, having shown every verdict and the one difference.
-    assert!(
-        tally.stalled && tally.hol > 0 && tally.fault > 0,
-        "{tally:?}"
-    );
-    assert!(tally.refused_returns > 0, "{tally:?}");
+    let mesh: Partition = "4Mx4x4".parse().unwrap();
+    let at = |x, y, z| mesh.rank_of(Coord::new(x, y, z));
+    let torus_faults = vec![
+        link(0, Dim::X, Sign::Plus, 200, Some(900)),
+        link(21, Dim::Y, Sign::Minus, 300, Some(1200)),
+        link(42, Dim::Z, Sign::Plus, 150, None),
+        link(5, Dim::X, Sign::Minus, 400, Some(700)),
+    ];
+    let mesh_faults = vec![
+        link(at(0, 1, 1), Dim::X, Sign::Plus, 150, Some(800)),
+        link(at(1, 2, 3), Dim::X, Sign::Minus, 300, Some(1100)),
+        link(at(3, 2, 0), Dim::Y, Sign::Plus, 200, None),
+    ];
+    for (part, links) in [
+        (Partition::torus(4, 4, 4), torus_faults),
+        (mesh, mesh_faults),
+    ] {
+        let mut cfg = SimConfig::new(part);
+        (cfg.watchdog_cycles, cfg.check_invariants) = (2_000, true);
+        cfg.fault = FaultPlan {
+            links,
+            nodes: vec![],
+        };
+        let tally = drive(Engine::new(cfg, seeded(&part, 400, 20261017)));
+        // The permanent fault strands dimension-ordered packets: the run
+        // ends at the watchdog, having shown every verdict and the one
+        // difference.
+        assert!(
+            tally.stalled && tally.hol > 0 && tally.fault > 0,
+            "{part} {tally:?}"
+        );
+        assert!(tally.refused_returns > 0, "{part} {tally:?}");
+    }
 }
 
 /// Two healthy deadlocks of a full exchange on 8x4x4, held to the

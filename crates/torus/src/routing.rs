@@ -8,7 +8,10 @@
 //! still has to travel: bit [`Direction::index`] is set while that
 //! dimension has hops left and cleared by the hop that reaches the
 //! destination's coordinate. A router reads the packet's candidate outputs
-//! off those bits without walking the hop counts. Adaptive routing may
+//! off those bits without walking the hop counts, and checks them against
+//! the mask of its own live links: a minimal plan's bits never name a
+//! missing link, since a mesh dimension travels straight towards the
+//! destination and a size-1 dimension has no hops. Adaptive routing may
 //! service the dimensions in any order; deterministic routing services them
 //! in increasing dimension order (X, Y, Z on a 3D machine, continuing
 //! through D3..D5 on higher-dimensional ones), the lowest set bit.
@@ -37,7 +40,9 @@ pub enum TieBreak {
 ///
 /// `hops[d] == 0` means the packet needs no movement along `d`, and then
 /// neither of `d`'s two direction bits is set; otherwise exactly one is,
-/// the travel sign. The hop array is fixed at [`MAX_DIMS`] so the plan
+/// the travel sign. [`dirs`](Self::dirs) is every such bit and
+/// [`longest_dirs`](Self::longest_dirs) those of the dimensions with the
+/// most hops left. The hop array is fixed at [`MAX_DIMS`] so the plan
 /// stays a small `Copy` value (14 bytes) inside packet headers; dimensions
 /// beyond the partition's arity simply carry zero hops and no bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,6 +82,15 @@ impl HopPlan {
     #[inline]
     pub fn dirs(&self) -> u16 {
         self.dirs
+    }
+
+    /// The hint bits of the dimensions with the most hops left: the
+    /// directions a longest-first router prefers (0 on arrival).
+    #[inline]
+    pub fn longest_dirs(&self) -> u16 {
+        let longest = self.hops.iter().max().copied().unwrap_or(0);
+        let dims = (0..MAX_DIMS).filter(|&i| self.hops[i] == longest);
+        self.dirs & dims.fold(0, |m, i| m | 3 << (2 * i))
     }
 
     /// Travel sign along `dim` (only meaningful while `hops(dim) > 0`).

@@ -3,7 +3,8 @@
 //! `rem_euclid`. Every route of a set of shapes that mixes torus, mesh,
 //! size-2 and size-1 dimensions and arities 1 to 6 is walked in dimension
 //! order and in a seeded random minimal order, and at every step each query
-//! must agree with the reference.
+//! must agree with the reference, and the longest dimensions' hint bits
+//! with the hop-count walk they replaced.
 
 use bgl_torus::{Coord, Dim, Direction, HopPlan, Partition, Sign, TieBreak, MAX_DIMS};
 
@@ -103,6 +104,21 @@ fn dim_route_by_remainder(
     }
 }
 
+/// The longest-first router's preferred directions as the engine's request
+/// mask computed them before `HopPlan::longest_dirs`, verbatim but for its
+/// receiver and the lowest hint bit it OR-ed in: a walk over the hop counts.
+fn longest_by_hop_counts(part: &Partition, plan: &SignedPlan) -> u16 {
+    let dims = || part.dims();
+    let longest = dims().map(|o| plan.hops(o)).max().unwrap_or(0);
+    let mut shaped = 0;
+    for d in dims().filter_map(|o| plan.direction(o)) {
+        if plan.hops(d.dim) >= longest {
+            shaped |= 1 << d.index();
+        }
+    }
+    shaped
+}
+
 const TIES: [TieBreak; 3] = [
     TieBreak::AlwaysPlus,
     TieBreak::AlwaysMinus,
@@ -169,6 +185,8 @@ fn hint_bits_agree_with_the_signed_plan_along_every_route() {
                         loop {
                             let at = || format!("{shape} {tie:?} {src:?}->{dst:?} at {here:?}");
                             assert_same(&plan, &reference, at);
+                            let longest = longest_by_hop_counts(&part, &reference);
+                            assert_eq!(plan.longest_dirs(), longest, "{}", at());
                             steps += 1;
                             let options: Vec<_> = reference.minimal_directions().collect();
                             let Some(&dir) = (if random {
