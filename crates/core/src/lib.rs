@@ -28,7 +28,8 @@
 //! apply, one ack kind for all), the α/γ unit conversions on
 //! [`MachineParams`](bgl_model::MachineParams), and `bgl-sim`'s three hooks
 //! with [`SendSpec`](bgl_sim::SendSpec)'s builders as the only way to make
-//! a send.
+//! a send. A [`StrategyKind`] is one [`Scheme`] under one [`Pacer`], which
+//! paces every scheme the same way.
 //!
 //! # Quickstart
 //!
@@ -71,7 +72,7 @@ pub use fit::{fit_ptp_params, FittedModel};
 pub use flow::{CreditConfig, Pacer};
 pub use patterns::{run_pattern, Pattern, PatternReport};
 pub use select::{auto_select, combining_crossover_bytes};
-pub use strategy::{peak_cycles_for, peak_injection_rate, run_aa, AaReport, StrategyKind};
+pub use strategy::{peak_cycles_for, peak_injection_rate, run_aa, AaReport, Scheme, StrategyKind};
 pub use tps::{choose_linear_dim, tps_inj_class_masks, TpsConfig, TpsProgram};
 pub use vmesh::{VmeshConfig, VmeshProgram};
 pub use walk::{SendWalk, Step};

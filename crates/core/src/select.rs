@@ -41,6 +41,7 @@ pub fn auto_select(part: &Partition, m: u64, params: &MachineParams) -> Strategy
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::Scheme;
 
     fn sel(shape: &str, m: u64) -> StrategyKind {
         auto_select(&shape.parse().unwrap(), m, &MachineParams::bgl())
@@ -54,27 +55,19 @@ mod tests {
 
     #[test]
     fn asymmetric_large_message_uses_tps() {
-        assert!(matches!(
-            sel("8x32x16", 4096),
-            StrategyKind::TwoPhaseSchedule { .. }
-        ));
-        assert!(matches!(
-            sel("40x32x16", 1024),
-            StrategyKind::TwoPhaseSchedule { .. }
-        ));
-        assert!(matches!(
-            sel("8x8x2M", 1024),
-            StrategyKind::TwoPhaseSchedule { .. }
-        ));
+        for (shape, m) in [("8x32x16", 4096), ("40x32x16", 1024), ("8x8x2M", 1024)] {
+            assert!(matches!(
+                sel(shape, m).scheme,
+                Scheme::TwoPhaseSchedule { .. }
+            ));
+        }
     }
 
     #[test]
     fn short_messages_use_vmesh() {
-        assert!(matches!(sel("8x8x8", 8), StrategyKind::VirtualMesh { .. }));
-        assert!(matches!(
-            sel("8x32x16", 16),
-            StrategyKind::VirtualMesh { .. }
-        ));
+        for (shape, m) in [("8x8x8", 8), ("8x32x16", 16)] {
+            assert!(matches!(sel(shape, m).scheme, Scheme::VirtualMesh { .. }));
+        }
     }
 
     #[test]

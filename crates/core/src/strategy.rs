@@ -11,45 +11,25 @@ use bgl_model::MachineParams;
 use bgl_sim::{Engine, NetStats, NodeProgram, SimConfig, SimError};
 use bgl_torus::{AaLoadAnalysis, Dim, Partition, VmeshLayout};
 
-/// The all-to-all strategies of the paper (plus automatic selection).
-///
-/// Every concrete strategy carries a [`Pacer`] describing its injection
-/// flow control; construct the common combinations through
-/// [`StrategyKind::ar`], [`StrategyKind::throttled`],
-/// [`StrategyKind::tps`] and friends, and attach a pacer to any strategy
-/// with [`StrategyKind::with_pacer`].
-///
-/// `Eq`/`Hash` are implemented manually (the pacer's rate factor is
-/// hashed by bit pattern) so a strategy can key caches and deduplicated
-/// run sets; a NaN factor is not meaningful and must not be constructed.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StrategyKind {
+/// Where a packet's next software hop is: the paper's all-to-all schemes,
+/// plus automatic selection. A [`StrategyKind`] runs one under a [`Pacer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Scheme {
     /// Production-MPI-like randomized direct baseline.
-    MpiBaseline {
-        /// Injection flow control.
-        pacer: Pacer,
-    },
+    MpiBaseline,
     /// The paper's low-overhead randomized adaptive direct scheme (AR).
-    /// With [`Pacer::RateWindow`] this is the historical
+    /// Under [`Pacer::RateWindow`] this is the historical
     /// "ThrottledAdaptive" strategy: injection paced at `factor ×` the
     /// bisection-peak rate.
-    AdaptiveRandomized {
-        /// Injection flow control.
-        pacer: Pacer,
-    },
+    AdaptiveRandomized,
     /// Deterministic dimension-order direct scheme (DR).
-    DeterministicRouted {
-        /// Injection flow control.
-        pacer: Pacer,
-    },
+    DeterministicRouted,
     /// Two Phase Schedule (Section 4.1). A [`Pacer::CreditWindow`]
     /// bounds per-intermediate memory (the paper's future-work credit
     /// flow control).
     TwoPhaseSchedule {
         /// Phase-1 dimension (`None` = automatic).
         linear: Option<Dim>,
-        /// Injection flow control.
-        pacer: Pacer,
     },
     /// Virtual-mesh message combining (Section 4.2). A
     /// [`Pacer::CreditWindow`] bounds phase-1 reception memory, which is
@@ -57,211 +37,158 @@ pub enum StrategyKind {
     VirtualMesh {
         /// Row/column factorization.
         layout: VmeshLayout,
-        /// Injection flow control.
-        pacer: Pacer,
     },
     /// Three-phase XYZ software routing (the HPCC-Randomaccess-style
     /// scheme Section 4.1 contrasts TPS against: two forwarding phases
     /// instead of one).
-    XyzRouting {
-        /// Injection flow control.
-        pacer: Pacer,
-    },
+    XyzRouting,
     /// The paper's recommendation: VMesh below the combining crossover,
-    /// a direct scheme on symmetric tori, TPS on asymmetric partitions.
+    /// a direct scheme on symmetric tori, TPS on asymmetric partitions
+    /// ([`auto_select`](crate::select::auto_select) with the run's
+    /// [`MachineParams`]).
     Auto,
 }
 
-impl Eq for StrategyKind {}
-
-impl std::hash::Hash for StrategyKind {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match self {
-            StrategyKind::MpiBaseline { pacer }
-            | StrategyKind::AdaptiveRandomized { pacer }
-            | StrategyKind::DeterministicRouted { pacer }
-            | StrategyKind::XyzRouting { pacer } => pacer.hash(state),
-            StrategyKind::TwoPhaseSchedule { linear, pacer } => {
-                linear.hash(state);
-                pacer.hash(state);
-            }
-            StrategyKind::VirtualMesh { layout, pacer } => {
-                layout.hash(state);
-                pacer.hash(state);
-            }
-            StrategyKind::Auto => {}
-        }
-    }
+/// An all-to-all strategy: a [`Scheme`] run under a [`Pacer`], its
+/// injection flow control. Construct the common combinations through
+/// [`StrategyKind::ar`], [`StrategyKind::throttled`], [`StrategyKind::tps`]
+/// and friends, and attach a pacer with [`StrategyKind::with_pacer`].
+///
+/// `Eq`/`Hash` are derived: the pacer hashes its rate factor by bit
+/// pattern, so a strategy can key caches and deduplicated run sets; a NaN
+/// factor is not meaningful and must not be constructed.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct StrategyKind {
+    /// Where a packet's next software hop is.
+    pub scheme: Scheme,
+    /// Injection flow control.
+    pub pacer: Pacer,
 }
 
 /// The spelling the golden file's run keys are matched on (nothing reads
-/// it back): unpaced strategies serialize as bare variant names, AR with
-/// a rate window as `ThrottledAdaptive { factor }`, TPS's credit window
-/// as a `credit` field (`null` when unpaced); every other pacing is a
-/// `pacer` field.
+/// it back): the scheme's name, bare when it has no fields and is unpaced,
+/// otherwise an object of its fields plus, when paced, a `pacer` field.
+/// Two legacy forms stay: AR with a rate window is
+/// `ThrottledAdaptive { factor }`, and TPS always carries a `credit` field
+/// (`null` when unpaced) in place of a credit `pacer`.
 impl serde::Serialize for StrategyKind {
     fn to_value(&self) -> serde::Value {
         use serde::Value;
-        fn unit_or_paced(name: &str, pacer: &Pacer) -> Value {
-            if pacer.is_unpaced() {
-                Value::Str(name.to_string())
-            } else {
-                Value::Object(vec![(
-                    name.to_string(),
-                    Value::Object(vec![("pacer".to_string(), pacer.to_value())]),
-                )])
+        let (mut name, mut fields) = match self.scheme {
+            Scheme::MpiBaseline => ("MpiBaseline", vec![]),
+            Scheme::AdaptiveRandomized => ("AdaptiveRandomized", vec![]),
+            Scheme::DeterministicRouted => ("DeterministicRouted", vec![]),
+            Scheme::TwoPhaseSchedule { linear } => {
+                ("TwoPhaseSchedule", vec![("linear", linear.to_value())])
             }
+            Scheme::VirtualMesh { layout } => ("VirtualMesh", vec![("layout", layout.to_value())]),
+            Scheme::XyzRouting => ("XyzRouting", vec![]),
+            Scheme::Auto => ("Auto", vec![]),
+        };
+        match (self.scheme, self.pacer) {
+            (Scheme::AdaptiveRandomized, Pacer::RateWindow { factor }) => {
+                name = "ThrottledAdaptive";
+                fields.push(("factor", factor.to_value()))
+            }
+            (Scheme::TwoPhaseSchedule { .. }, Pacer::Unpaced) => {
+                fields.push(("credit", Value::Null))
+            }
+            (Scheme::TwoPhaseSchedule { .. }, Pacer::CreditWindow { credit }) => {
+                fields.push(("credit", credit.to_value()))
+            }
+            (_, Pacer::Unpaced) => {}
+            (_, pacer) => fields.push(("pacer", pacer.to_value())),
         }
-        match self {
-            StrategyKind::MpiBaseline { pacer } => unit_or_paced("MpiBaseline", pacer),
-            StrategyKind::AdaptiveRandomized {
-                pacer: Pacer::RateWindow { factor },
-            } => Value::Object(vec![(
-                "ThrottledAdaptive".to_string(),
-                Value::Object(vec![("factor".to_string(), factor.to_value())]),
-            )]),
-            StrategyKind::AdaptiveRandomized { pacer } => {
-                unit_or_paced("AdaptiveRandomized", pacer)
-            }
-            StrategyKind::DeterministicRouted { pacer } => {
-                unit_or_paced("DeterministicRouted", pacer)
-            }
-            StrategyKind::TwoPhaseSchedule { linear, pacer } => {
-                let mut fields = vec![("linear".to_string(), linear.to_value())];
-                match pacer {
-                    Pacer::Unpaced => fields.push(("credit".to_string(), Value::Null)),
-                    Pacer::CreditWindow { credit } => {
-                        fields.push(("credit".to_string(), credit.to_value()))
-                    }
-                    rate => fields.push(("pacer".to_string(), rate.to_value())),
-                }
-                Value::Object(vec![(
-                    "TwoPhaseSchedule".to_string(),
-                    Value::Object(fields),
-                )])
-            }
-            StrategyKind::VirtualMesh { layout, pacer } => {
-                let mut fields = vec![("layout".to_string(), layout.to_value())];
-                if !pacer.is_unpaced() {
-                    fields.push(("pacer".to_string(), pacer.to_value()));
-                }
-                Value::Object(vec![("VirtualMesh".to_string(), Value::Object(fields))])
-            }
-            StrategyKind::XyzRouting { pacer } => unit_or_paced("XyzRouting", pacer),
-            StrategyKind::Auto => Value::Str("Auto".to_string()),
+        if fields.is_empty() {
+            return Value::Str(name.to_string());
         }
+        let fields = fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        Value::Object(vec![(name.to_string(), Value::Object(fields))])
     }
 }
 
 impl StrategyKind {
-    /// Unpaced MPI-like baseline.
-    pub fn mpi() -> StrategyKind {
-        StrategyKind::MpiBaseline {
+    fn unpaced(scheme: Scheme) -> StrategyKind {
+        StrategyKind {
+            scheme,
             pacer: Pacer::Unpaced,
         }
+    }
+
+    /// Unpaced MPI-like baseline.
+    pub fn mpi() -> StrategyKind {
+        StrategyKind::unpaced(Scheme::MpiBaseline)
     }
 
     /// Unpaced AR.
     pub fn ar() -> StrategyKind {
-        StrategyKind::AdaptiveRandomized {
-            pacer: Pacer::Unpaced,
-        }
+        StrategyKind::unpaced(Scheme::AdaptiveRandomized)
     }
 
     /// Unpaced DR.
     pub fn dr() -> StrategyKind {
-        StrategyKind::DeterministicRouted {
-            pacer: Pacer::Unpaced,
-        }
+        StrategyKind::unpaced(Scheme::DeterministicRouted)
     }
 
     /// Unpaced XYZ routing.
     pub fn xyz() -> StrategyKind {
-        StrategyKind::XyzRouting {
-            pacer: Pacer::Unpaced,
-        }
+        StrategyKind::unpaced(Scheme::XyzRouting)
     }
 
     /// AR paced at `factor ×` the bisection-peak injection rate (the
     /// historical "ThrottledAdaptive" strategy).
     pub fn throttled(factor: f64) -> StrategyKind {
-        StrategyKind::AdaptiveRandomized {
-            pacer: Pacer::rate(factor),
-        }
+        StrategyKind::ar().with_pacer(Pacer::rate(factor))
     }
 
     /// TPS with automatic linear dimension, unpaced.
     pub fn tps() -> StrategyKind {
-        StrategyKind::TwoPhaseSchedule {
-            linear: None,
-            pacer: Pacer::Unpaced,
-        }
+        StrategyKind::unpaced(Scheme::TwoPhaseSchedule { linear: None })
     }
 
     /// VMesh with automatic layout, unpaced.
     pub fn vmesh() -> StrategyKind {
-        StrategyKind::VirtualMesh {
+        StrategyKind::unpaced(Scheme::VirtualMesh {
             layout: VmeshLayout::Auto,
-            pacer: Pacer::Unpaced,
-        }
+        })
     }
 
-    /// The same strategy with `pacer` attached.
-    ///
-    /// # Panics
-    ///
-    /// [`StrategyKind::Auto`] carries no pacer (the resolved strategy
-    /// decides); attaching one panics.
+    /// Automatic selection, unpaced.
+    pub fn auto() -> StrategyKind {
+        StrategyKind::unpaced(Scheme::Auto)
+    }
+
+    /// The same scheme under `pacer`.
     pub fn with_pacer(self, pacer: Pacer) -> StrategyKind {
-        match self {
-            StrategyKind::MpiBaseline { .. } => StrategyKind::MpiBaseline { pacer },
-            StrategyKind::AdaptiveRandomized { .. } => StrategyKind::AdaptiveRandomized { pacer },
-            StrategyKind::DeterministicRouted { .. } => StrategyKind::DeterministicRouted { pacer },
-            StrategyKind::TwoPhaseSchedule { linear, .. } => {
-                StrategyKind::TwoPhaseSchedule { linear, pacer }
-            }
-            StrategyKind::VirtualMesh { layout, .. } => StrategyKind::VirtualMesh { layout, pacer },
-            StrategyKind::XyzRouting { .. } => StrategyKind::XyzRouting { pacer },
-            StrategyKind::Auto => panic!("Auto resolves to a concrete strategy; pace that instead"),
-        }
-    }
-
-    /// The strategy's pacer ([`Pacer::Unpaced`] for `Auto`).
-    pub fn pacer(&self) -> Pacer {
-        match self {
-            StrategyKind::MpiBaseline { pacer }
-            | StrategyKind::AdaptiveRandomized { pacer }
-            | StrategyKind::DeterministicRouted { pacer }
-            | StrategyKind::TwoPhaseSchedule { pacer, .. }
-            | StrategyKind::VirtualMesh { pacer, .. }
-            | StrategyKind::XyzRouting { pacer } => *pacer,
-            StrategyKind::Auto => Pacer::Unpaced,
-        }
+        StrategyKind { pacer, ..self }
     }
 
     /// Canonical short name for reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            StrategyKind::MpiBaseline { .. } => "MPI",
-            StrategyKind::AdaptiveRandomized {
-                pacer: Pacer::RateWindow { .. },
-            } => "AR-throttled",
-            StrategyKind::AdaptiveRandomized { .. } => "AR",
-            StrategyKind::DeterministicRouted { .. } => "DR",
-            StrategyKind::TwoPhaseSchedule { .. } => "TPS",
-            StrategyKind::VirtualMesh { .. } => "VMesh",
-            StrategyKind::XyzRouting { .. } => "XYZ",
-            StrategyKind::Auto => "Auto",
+        match self.scheme {
+            Scheme::MpiBaseline => "MPI",
+            Scheme::AdaptiveRandomized if matches!(self.pacer, Pacer::RateWindow { .. }) => {
+                "AR-throttled"
+            }
+            Scheme::AdaptiveRandomized => "AR",
+            Scheme::DeterministicRouted => "DR",
+            Scheme::TwoPhaseSchedule { .. } => "TPS",
+            Scheme::VirtualMesh { .. } => "VMesh",
+            Scheme::XyzRouting => "XYZ",
+            Scheme::Auto => "Auto",
         }
     }
 
-    /// Resolve `Auto` to a concrete strategy for `(part, m)`; concrete
-    /// strategies return themselves.
-    pub fn resolve(&self, part: &Partition, m: u64) -> StrategyKind {
-        match self {
-            StrategyKind::Auto => crate::select::auto_select(part, m, &MachineParams::bgl()),
-            other => other.clone(),
+    /// Resolve `Auto` to the scheme [`auto_select`](crate::select::auto_select)
+    /// picks for `(part, m)` on the machine `params`, under this strategy's
+    /// pacer; concrete strategies return themselves.
+    pub fn resolve(&self, part: &Partition, m: u64, params: &MachineParams) -> StrategyKind {
+        match self.scheme {
+            Scheme::Auto => crate::select::auto_select(part, m, params).with_pacer(self.pacer),
+            _ => self.clone(),
         }
     }
 
@@ -273,8 +200,8 @@ impl StrategyKind {
     /// `Auto` only ever resolves to a supported schedule, so it accepts
     /// everything.
     pub fn supported_dims(&self) -> std::ops::RangeInclusive<usize> {
-        match self {
-            StrategyKind::TwoPhaseSchedule { .. } | StrategyKind::VirtualMesh { .. } => 1..=3,
+        match self.scheme {
+            Scheme::TwoPhaseSchedule { .. } | Scheme::VirtualMesh { .. } => 1..=3,
             _ => 1..=bgl_torus::MAX_DIMS,
         }
     }
@@ -349,7 +276,7 @@ pub fn run_aa(
     params: &MachineParams,
     mut base: SimConfig,
 ) -> Result<AaReport, SimError> {
-    let strategy = strategy.resolve(&part, workload.m_bytes);
+    let strategy = strategy.resolve(&part, workload.m_bytes, params);
     strategy.check_partition(&part)?;
     let p = part.num_nodes();
     base.partition = part;
@@ -357,7 +284,7 @@ pub fn run_aa(
     // The strategy's pacer becomes the engine-enforced flow spec. An
     // unpaced strategy leaves `base.flow` alone so ablations can still
     // set `SimConfig::flow` directly.
-    let pacer = strategy.pacer();
+    let pacer = strategy.pacer;
     if !pacer.is_unpaced() {
         base.flow = pacer.resolve(peak_injection_rate(&part, workload, params));
     }
@@ -367,7 +294,7 @@ pub fn run_aa(
     // source→destination dimension-ordered path, the run can only end in
     // a watchdog timeout. Report the unreachable pairs up front instead
     // of simulating until the watchdog fires.
-    if matches!(&strategy, StrategyKind::DeterministicRouted { .. }) {
+    if strategy.scheme == Scheme::DeterministicRouted {
         if let Some(err) = dr_static_preflight(&part, workload, &base.fault, params) {
             return Err(err);
         }
@@ -375,27 +302,27 @@ pub fn run_aa(
 
     let direct =
         |cfg: DirectConfig| per_node(p, |r| DirectProgram::new(r, &part, workload, &cfg, params));
-    let programs = match &strategy {
-        StrategyKind::MpiBaseline { .. } => direct(DirectConfig::mpi(params)),
-        StrategyKind::AdaptiveRandomized { .. } => direct(DirectConfig::ar(params)),
-        StrategyKind::DeterministicRouted { .. } => direct(DirectConfig::dr(params)),
-        StrategyKind::TwoPhaseSchedule { linear, .. } => {
+    let programs = match strategy.scheme {
+        Scheme::MpiBaseline => direct(DirectConfig::mpi(params)),
+        Scheme::AdaptiveRandomized => direct(DirectConfig::ar(params)),
+        Scheme::DeterministicRouted => direct(DirectConfig::dr(params)),
+        Scheme::TwoPhaseSchedule { linear } => {
             base.inj_class_masks = tps_inj_class_masks(base.inj_fifo_count);
-            let cfg = TpsConfig { linear: *linear };
+            let cfg = TpsConfig { linear };
             per_node(p, |r| TpsProgram::new(r, &part, workload, &cfg, params))
         }
-        StrategyKind::VirtualMesh { layout, .. } => {
+        Scheme::VirtualMesh { layout } => {
             let cfg = VmeshConfig {
-                layout: *layout,
+                layout,
                 ..VmeshConfig::default()
             };
             per_node(p, |r| VmeshProgram::new(r, &part, workload, &cfg, params))
         }
-        StrategyKind::XyzRouting { .. } => {
+        Scheme::XyzRouting => {
             base.inj_class_masks = xyz_inj_class_masks(base.inj_fifo_count, part.ndims());
             per_node(p, |r| XyzProgram::new(r, &part, workload, params))
         }
-        StrategyKind::Auto => unreachable!("Auto resolved above"),
+        Scheme::Auto => unreachable!("Auto resolved above"),
     };
 
     let mut engine = Engine::new(base, programs);
@@ -665,6 +592,24 @@ mod tests {
         assert!((pf / ph - 63.0 / 32.0).abs() < 0.01, "{pf} {ph}");
     }
 
+    /// Every concrete scheme unpaced, under a rate window and under a
+    /// credit window, then `Auto` unpaced.
+    fn every_strategy() -> Vec<StrategyKind> {
+        let schemes = [
+            StrategyKind::mpi(),
+            StrategyKind::ar(),
+            StrategyKind::dr(),
+            StrategyKind::tps(),
+            StrategyKind::vmesh(),
+            StrategyKind::xyz(),
+        ];
+        let pacers = [Pacer::Unpaced, Pacer::rate(0.5), Pacer::credit(4, 2)];
+        let paced = schemes.map(|s| pacers.map(|p| s.clone().with_pacer(p)));
+        let mut all: Vec<_> = paced.into_iter().flatten().collect();
+        all.push(StrategyKind::auto());
+        all
+    }
+
     #[test]
     fn strategy_hash_matches_eq() {
         use std::collections::HashSet;
@@ -686,6 +631,10 @@ mod tests {
         set.insert(StrategyKind::vmesh());
         set.insert(StrategyKind::vmesh().with_pacer(Pacer::credit(4, 2)));
         assert_eq!(set.len(), 4);
+        // Every scheme × pacer is its own entry, and a repeat is not.
+        let all = every_strategy();
+        let set: HashSet<_> = all.iter().chain(&all).cloned().collect();
+        assert_eq!(set.len(), 19);
     }
 
     #[test]
@@ -708,6 +657,33 @@ mod tests {
                 StrategyKind::tps().with_pacer(Pacer::credit(4, 2)),
             ),
         ] {
+            assert_eq!(serde_json::to_string(&s).unwrap(), json);
+        }
+        // The spellings of `every_strategy()`, in its order.
+        let committed = [
+            r#""MpiBaseline""#,
+            r#"{"MpiBaseline":{"pacer":{"RateWindow":{"factor":0.5}}}}"#,
+            r#"{"MpiBaseline":{"pacer":{"CreditWindow":{"credit":{"window_packets":4,"credit_every":2}}}}}"#,
+            r#""AdaptiveRandomized""#,
+            r#"{"ThrottledAdaptive":{"factor":0.5}}"#,
+            r#"{"AdaptiveRandomized":{"pacer":{"CreditWindow":{"credit":{"window_packets":4,"credit_every":2}}}}}"#,
+            r#""DeterministicRouted""#,
+            r#"{"DeterministicRouted":{"pacer":{"RateWindow":{"factor":0.5}}}}"#,
+            r#"{"DeterministicRouted":{"pacer":{"CreditWindow":{"credit":{"window_packets":4,"credit_every":2}}}}}"#,
+            r#"{"TwoPhaseSchedule":{"linear":null,"credit":null}}"#,
+            r#"{"TwoPhaseSchedule":{"linear":null,"pacer":{"RateWindow":{"factor":0.5}}}}"#,
+            r#"{"TwoPhaseSchedule":{"linear":null,"credit":{"window_packets":4,"credit_every":2}}}"#,
+            r#"{"VirtualMesh":{"layout":"Auto"}}"#,
+            r#"{"VirtualMesh":{"layout":"Auto","pacer":{"RateWindow":{"factor":0.5}}}}"#,
+            r#"{"VirtualMesh":{"layout":"Auto","pacer":{"CreditWindow":{"credit":{"window_packets":4,"credit_every":2}}}}}"#,
+            r#""XyzRouting""#,
+            r#"{"XyzRouting":{"pacer":{"RateWindow":{"factor":0.5}}}}"#,
+            r#"{"XyzRouting":{"pacer":{"CreditWindow":{"credit":{"window_packets":4,"credit_every":2}}}}}"#,
+            r#""Auto""#,
+        ];
+        let all = every_strategy();
+        assert_eq!(all.len(), committed.len());
+        for (json, s) in committed.into_iter().zip(all) {
             assert_eq!(serde_json::to_string(&s).unwrap(), json);
         }
     }
@@ -809,7 +785,11 @@ mod tests {
     fn a_one_node_partition_is_a_typed_error_for_every_strategy() {
         let part: Partition = "1x1x1".parse().unwrap();
         let w = AaWorkload::full(64);
-        for s in [StrategyKind::ar(), StrategyKind::tps(), StrategyKind::Auto] {
+        for s in [
+            StrategyKind::ar(),
+            StrategyKind::tps(),
+            StrategyKind::auto(),
+        ] {
             let err = run_aa(part, &w, &s, &params(), SimConfig::new(part)).unwrap_err();
             assert_eq!(err, SimError::TooFewNodes { nodes: 1 }, "{}", s.name());
         }
@@ -824,8 +804,25 @@ mod tests {
             assert_eq!(r.stats.packets_delivered, r.stats.packets_injected);
         }
         // Auto resolves to a supported scheme rather than erroring.
-        let r = quick("2x2x2x2", 16, StrategyKind::Auto);
+        let r = quick("2x2x2x2", 16, StrategyKind::auto());
         assert_eq!(r.strategy, StrategyKind::ar());
+    }
+
+    #[test]
+    fn auto_resolves_with_the_runs_machine() {
+        // A 4× slower copy moves the combining crossover of 8x8x8 from
+        // 64 B down to 31 B: Auto must follow the machine it runs on.
+        let part: Partition = "8x8x8".parse().unwrap();
+        let mut slow_copy = params();
+        slow_copy.gamma_ns_per_byte *= 4.0;
+        let crossover = |params| crate::select::combining_crossover_bytes(&part, params);
+        assert_eq!((crossover(&params()), crossover(&slow_copy)), (64, 31));
+        for (m, name) in [(16, "VMesh"), (32, "AR"), (48, "AR"), (64, "AR")] {
+            let want = crate::select::auto_select(&part, m, &slow_copy);
+            let (w, cfg) = (AaWorkload::sampled(m, 0.05), SimConfig::new(part));
+            let r = run_aa(part, &w, &StrategyKind::auto(), &slow_copy, cfg).unwrap();
+            assert_eq!((r.strategy.name(), &r.strategy), (name, &want), "m={m}");
+        }
     }
 
     #[test]

@@ -316,7 +316,7 @@ fn strategy_by_name(name: &str) -> StrategyKind {
         "tps" => StrategyKind::tps(),
         "vmesh" | "vm" => StrategyKind::vmesh(),
         "xyz" => StrategyKind::xyz(),
-        "auto" => StrategyKind::Auto,
+        "auto" => StrategyKind::auto(),
         other => fail(&format!(
             "unknown strategy {other:?} (ar|dr|mpi|thr|tps|vmesh|xyz|auto)"
         )),
@@ -382,8 +382,8 @@ fn parse_credit(spec: &str) -> Pacer {
     Pacer::credit(window, every)
 }
 
-/// Apply the sweep's `--pacer` to every strategy; `auto` picks its own
-/// pacing, so an explicit pacer on it is an error.
+/// Apply the sweep's `--pacer` to every strategy; on `auto` it is an
+/// error: name the strategy to pace.
 fn apply_pacer_flag(
     flags: &HashMap<String, String>,
     strategies: Vec<StrategyKind>,
@@ -394,7 +394,7 @@ fn apply_pacer_flag(
     strategies
         .into_iter()
         .map(|s| {
-            if matches!(s, StrategyKind::Auto) {
+            if s.scheme == Scheme::Auto {
                 fail("--pacer cannot apply to strategy \"auto\"; name a strategy");
             }
             s.with_pacer(pacer)

@@ -107,7 +107,7 @@ fn label(key: &RunKey) -> String {
     // `name()` already folds the rate window in ("AR-throttled"); spell
     // out credit windows so the paced and unpaced rows stay tellable
     // apart in the rendered table.
-    let pacer = match key.strategy.pacer() {
+    let pacer = match key.strategy.pacer {
         Pacer::CreditWindow { credit } => {
             format!(" credit:{},{}", credit.window_packets, credit.credit_every)
         }

@@ -16,7 +16,7 @@
 
 use super::{pct, Experiment, Line, Rows};
 use crate::runner::{RunPoint, Runner, Scale, Unit};
-use bgl_core::{Pacer, StrategyKind};
+use bgl_core::{Pacer, Scheme, StrategyKind};
 use bgl_torus::Partition;
 
 pub(super) const FLOW: Experiment = Experiment {
@@ -78,7 +78,7 @@ fn rows(runner: &Runner) -> Rows {
         // message carries a whole column, so sampling would misreport
         // coverage) at short messages, its regime and what keeps that
         // tractable; the forwarding strategies run the budgeted large size.
-        let point = if matches!(base, StrategyKind::VirtualMesh { .. }) {
+        let point = if matches!(base.scheme, Scheme::VirtualMesh { .. }) {
             RunPoint::new(part, strategy, 8, 1.0)
         } else {
             runner.point(shape, &strategy, runner.large_m_for(&part))

@@ -643,7 +643,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.coverage_ppm, 250_000);
         assert!(!a.is_full());
-        assert!(RunKey::new(part, StrategyKind::Auto, 240, 1.0).is_full());
+        assert!(RunKey::new(part, StrategyKind::auto(), 240, 1.0).is_full());
     }
 
     #[test]

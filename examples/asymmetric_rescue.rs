@@ -43,7 +43,7 @@ fn main() {
             credit: CreditConfig::default(),
         }),
     ] {
-        let credit = strategy.pacer().credit_config().is_some();
+        let credit = strategy.pacer.credit_config().is_some();
         let report = run_aa(part, &workload, &strategy, &params, SimConfig::new(part))
             .expect("simulation completes");
         let utils: Vec<String> = part

@@ -46,7 +46,7 @@ fn main() {
     );
     for n in grids {
         let m = transpose_bytes_per_pair(n, p);
-        let strategy = StrategyKind::Auto;
+        let strategy = StrategyKind::auto();
         // Sample destinations on large machines to keep the demo quick.
         let coverage = (150_000.0 / p as f64).clamp(0.02, 1.0);
         let workload = if coverage >= 1.0 {

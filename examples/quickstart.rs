@@ -17,7 +17,7 @@ fn parse_strategy(name: &str) -> StrategyKind {
         "tps" => StrategyKind::tps(),
         "vmesh" => StrategyKind::vmesh(),
         "xyz" => StrategyKind::xyz(),
-        "auto" => StrategyKind::Auto,
+        "auto" => StrategyKind::auto(),
         other => panic!("unknown strategy {other:?} (ar|dr|mpi|throttle|tps|vmesh|xyz|auto)"),
     }
 }

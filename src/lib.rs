@@ -27,7 +27,7 @@
 //! let report = run_aa(
 //!     part,
 //!     &AaWorkload::sampled(912, 0.25),
-//!     &StrategyKind::Auto,
+//!     &StrategyKind::auto(),
 //!     &MachineParams::bgl(),
 //!     SimConfig::new(part),
 //! )

@@ -94,15 +94,21 @@ fn dr_prefers_x_longest() {
     );
 }
 
-/// Auto selection dispatches as Section 5 prescribes and actually runs.
+/// Auto selection dispatches as Section 5 prescribes and actually runs,
+/// unpaced or under a pacer, which its pick keeps.
 #[test]
 fn auto_dispatch_runs_the_right_strategy() {
-    let r = report("4x4x4", &StrategyKind::Auto, 432);
-    assert_eq!(r.strategy.name(), "AR");
-    let r = report("8x4x4", &StrategyKind::Auto, 432);
-    assert_eq!(r.strategy.name(), "TPS");
-    let r = report("4x4x4", &StrategyKind::Auto, 8);
-    assert_eq!(r.strategy.name(), "VMesh");
+    for pacer in [Pacer::Unpaced, Pacer::credit(4, 2)] {
+        let auto = StrategyKind::auto().with_pacer(pacer);
+        for (shape, m, name) in [
+            ("4x4x4", 432, "AR"),
+            ("8x4x4", 432, "TPS"),
+            ("4x4x4", 8, "VMesh"),
+        ] {
+            let r = report(shape, &auto, m);
+            assert_eq!((r.strategy.name(), r.strategy.pacer), (name, pacer));
+        }
+    }
 }
 
 /// Deterministic packets ride the bubble VC; adaptive packets mostly ride
