@@ -38,20 +38,6 @@ impl Vc {
         self as usize
     }
 
-    /// VC from a dense index.
-    ///
-    /// # Panics
-    /// Panics if `i >= NUM_VCS`.
-    #[inline]
-    pub fn from_index(i: usize) -> Vc {
-        match i {
-            0 => Vc::Dynamic0,
-            1 => Vc::Dynamic1,
-            2 => Vc::Bubble,
-            _ => panic!("VC index {i} out of range"),
-        }
-    }
-
     /// Both dynamic VCs.
     pub const DYNAMIC: [Vc; 2] = [Vc::Dynamic0, Vc::Dynamic1];
 }
@@ -305,19 +291,6 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn vc_index_roundtrip() {
-        for i in 0..NUM_VCS {
-            assert_eq!(Vc::from_index(i).index(), i);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn vc_bad_index_panics() {
-        let _ = Vc::from_index(3);
-    }
 
     #[test]
     fn defaults_are_bgl_like() {

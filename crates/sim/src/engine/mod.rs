@@ -47,9 +47,9 @@
 //! engine has no threads").
 //!
 //! A packet is written into the slab at injection and stays in that slot,
-//! advanced in place hop by hop, until it is drained or dropped by a
-//! fault; FIFOs and the ring hold `u32` handles (`fifo.rs`; DESIGN.md §6,
-//! "Memory layout").
+//! its 20-byte hop record advanced in place hop by hop and its body left
+//! cold, until it is drained or dropped by a fault; FIFOs and the ring hold
+//! `u32` handles (`fifo.rs`; DESIGN.md §6, "Memory layout").
 //!
 //! Two accounting rules make a cycle's outcome independent of the order in
 //! which a phase visits nodes — which is what lets the marked-node scans,
@@ -79,7 +79,7 @@ mod tracer;
 use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
 use crate::fifo::{FifoRows, Slab};
 use crate::node::{NodeState, PollState};
-use crate::packet::{Packet, RoutingMode, DETOUR_BUDGET, MAX_PACKET_CHUNKS};
+use crate::packet::{Hop, RoutingMode, DETOUR_BUDGET, MAX_PACKET_CHUNKS};
 use crate::program::NodeProgram;
 use crate::stats::{NetStats, LATENCY_BUCKETS};
 use bgl_torus::{Direction, MAX_PORTS};
@@ -310,10 +310,9 @@ struct Arrival {
 }
 
 impl Arrival {
-    /// The record of `pkt`, stored in slot `h` of the slab with the hop
-    /// already written into it, on its way into transit FIFO `fifo` of
-    /// node `node`.
-    fn new(node: u32, h: u32, fifo: u8, pkt: &Packet) -> Arrival {
+    /// The record of `pkt`, slot `h`'s hop record with the hop already
+    /// written into it, on its way into transit FIFO `fifo` of node `node`.
+    fn new(node: u32, h: u32, fifo: u8, pkt: &Hop) -> Arrival {
         Arrival {
             node,
             h,
@@ -326,7 +325,7 @@ impl Arrival {
 
 #[derive(Clone, Copy)]
 struct Win {
-    /// The winning FIFO, transit or injection (`NodeState::occupied`'s
+    /// The winning FIFO, transit or injection (`NodeMasks::occupied`'s
     /// index space).
     fifo: u8,
     vc: Vc,
@@ -387,11 +386,30 @@ impl NodeSet {
     }
 }
 
+/// What arbitration reads of a node before anything else, kept apart from
+/// its [`NodeState`] so the scan over marked nodes and a visit's first
+/// reads touch 16 bytes per node, not a 256-byte state. Both masks are
+/// written by [`State::set_head`] alone.
+#[derive(Debug, Clone, Copy, Default)]
+struct NodeMasks {
+    /// Bitmask of non-empty FIFOs over the node's one FIFO index space:
+    /// transit FIFO `f` (indexed by `vc_fifo_index`) is bit `f`, injection
+    /// FIFO `k` bit `ports · NUM_VCS + k` — the order of its row of FIFO
+    /// headers. At the 6-dimension maximum the 36 transit FIFOs leave room
+    /// for 28 injection FIFOs.
+    occupied: u64,
+    /// Bit `d` set iff some FIFO head requests output `d`: the non-zero
+    /// directions of the node's row of [`State::want`].
+    requested: u16,
+}
+
 /// Every piece of simulation state a cycle mutates, the credit cells
 /// apart ([`Shared::credits`]). Per-node vectors and the node sets are
 /// indexed by rank.
 struct State {
     nodes: Vec<NodeState>,
+    /// Per node, its occupancy mask and requested outputs.
+    masks: Vec<NodeMasks>,
     /// The nodes' FIFO headers, one row per node.
     fifos: FifoRows,
     /// Every packet queued at, or in flight towards, a node.
@@ -402,7 +420,7 @@ struct State {
     /// partition's arity.
     link_busy_until: Vec<u64>,
     /// Request masks over the node's FIFOs, transit and injection
-    /// (`NodeState::occupied`'s index space): bit `f` of `want[link]` is
+    /// ([`NodeMasks::occupied`]'s index space): bit `f` of `want[link]` is
     /// set iff the node's FIFO `f` is non-empty and its head's routing
     /// allows that output (`Shared::wants`). A function of the head packet
     /// and the router config alone, so [`State::set_head`] flips FIFO `f`'s
@@ -437,7 +455,7 @@ struct State {
     /// queues, or a program that has not declared completion).
     cpu_active: NodeSet,
     /// Nodes that may have a packet to arbitrate out (non-zero
-    /// `NodeState::occupied`).
+    /// [`NodeMasks::occupied`]).
     arb_active: NodeSet,
     /// Per node, the earliest cycle at which a CPU-phase visit could do
     /// more than a blocked poll (0: visit; `u64::MAX`: not until re-armed)
@@ -472,36 +490,36 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 impl State {
-    /// The head packet of every occupied FIFO of node `i`, ascending (only
-    /// the occupancy mask's bits are walked): `(f, head)`.
-    fn heads(&self, i: usize) -> impl Iterator<Item = (usize, &Packet)> {
+    /// The head packet's record of every occupied FIFO of node `i`,
+    /// ascending (only the occupancy mask's bits are walked): `(f, head)`.
+    fn heads(&self, i: usize) -> impl Iterator<Item = (usize, &Hop)> {
         let row = self.fifos.row(i);
         let head = move |f: usize| &self.slab[row[f].head().expect("mask says non-empty")];
-        bits(self.nodes[i].occupied).map(move |f| (f, head(f)))
+        bits(self.masks[i].occupied).map(move |f| (f, head(f)))
     }
 
     /// The head of node `i`'s FIFO `f`, which requested the outputs `old`
     /// (0 for an empty FIFO or an arrived head), changed to one requesting
     /// the outputs `head` (`Shared::request_dirs`: `Some(0)` for a head that
     /// has arrived), or the FIFO emptied (`None`). The one writer of the
-    /// node's occupancy bit, its row of [`want`](Self::want) and its
-    /// requested outputs; it flips only the request bits that change, and
-    /// an output leaves the requested set when its word empties.
+    /// node's [`NodeMasks`] and its row of [`want`](Self::want); it flips
+    /// only the request bits that change, and an output leaves the
+    /// requested set when its word empties.
     #[inline]
     fn set_head(&mut self, i: usize, ports: usize, f: usize, old: u16, head: Option<u16>) {
-        let node = &mut self.nodes[i];
-        node.occupied = node.occupied & !(1 << f) | u64::from(head.is_some()) << f;
+        let masks = &mut self.masks[i];
+        masks.occupied = masks.occupied & !(1 << f) | u64::from(head.is_some()) << f;
         let (row, new) = (&mut self.want[i * ports..][..ports], head.unwrap_or(0));
         debug_assert!(
             (0..ports).all(|d| row[d] >> f & 1 == u64::from(old >> d & 1)),
             "FIFO {f} of node {i}: `old` {old:#b} is not its row of requests"
         );
-        let mut requested = node.requested;
+        let mut requested = masks.requested;
         for d in bits((old ^ new).into()) {
             row[d] ^= 1 << f;
             requested &= !(u16::from(row[d] == 0) << d);
         }
-        node.requested = requested | new;
+        masks.requested = requested | new;
     }
 
     /// Count the blocked polls node `i` owes for the cycles `owed_from..upto`:
@@ -528,7 +546,7 @@ impl State {
     /// the head — its minimal move if it requests `d`, else a detour. The
     /// one answer to "can this head leave?" that the stall report, the
     /// trace's HOL count and the oracle's parking law share.
-    fn can_leave(&self, sh: &Shared, i: usize, f: usize, pkt: &Packet, d: usize, t: u64) -> bool {
+    fn can_leave(&self, sh: &Shared, i: usize, f: usize, pkt: &Hop, d: usize, t: u64) -> bool {
         let (nb, link) = (sh.neighbors[i][d] as usize, i * sh.ports + d);
         let (dir, wanted) = (Direction::from_index(d), self.want[link] >> f & 1 != 0);
         sh.up[i] >> d & 1 != 0
@@ -549,7 +567,7 @@ impl State {
         }
         let port = fifo / NUM_VCS;
         let (u, d) = (sh.neighbors[node][port] as usize, port ^ 1);
-        if (self.nodes[u].requested | sh.fault_dirs) >> d & 1 != 0 {
+        if (self.masks[u].requested | sh.fault_dirs) >> d & 1 != 0 {
             self.arb_at[u] = self.arb_at[u].min(self.link_busy_until[u * sh.ports + d]);
         }
     }
@@ -637,6 +655,7 @@ impl Engine {
         });
         let state = State {
             nodes: nodes.collect(),
+            masks: vec![NodeMasks::default(); p],
             fifos: FifoRows::new(p, vc_cells, inj),
             slab: Slab::new(),
             programs,
@@ -979,7 +998,7 @@ impl Engine {
     /// [`Stuck::Hol`]. With a live request no detour is possible
     /// (`minimal_dead` is false), so the live requests are every output the
     /// arbiter could give it.
-    fn stuck(&self, i: usize, f: usize, pkt: &Packet) -> Option<Stuck> {
+    fn stuck(&self, i: usize, f: usize, pkt: &Hop) -> Option<Stuck> {
         let (sh, up) = (&self.shared, self.shared.up[i]);
         let wanted = sh.request_dirs(pkt);
         let back = pkt.detour_from().map_or(0, |p| 1 << p);

@@ -228,11 +228,11 @@ impl Engine {
                     f.occupied_chunks()
                 );
             }
-            let (node, row) = (&st.nodes[ni], st.fifos.row(ni));
+            let (masks, row) = (&st.masks[ni], st.fifos.row(ni));
             let occupied = row.iter().enumerate();
             let occupied = occupied.fold(0u64, |m, (f, q)| m | u64::from(!q.is_empty()) << f);
             assert!(
-                node.occupied == occupied,
+                masks.occupied == occupied,
                 "invariant violated: occupancy mask of node {ni} stale (cycle {t})"
             );
             let mut requested = 0u16;
@@ -249,7 +249,7 @@ impl Engine {
                 }
             }
             assert!(
-                node.requested == requested,
+                masks.requested == requested,
                 "invariant violated: requested outputs of node {ni} stale (cycle {t})"
             );
         }
@@ -290,7 +290,7 @@ impl Engine {
                     pkt.plan.dirs() & !linked == 0,
                     "invariant violated: head of node {i} fifo {f} (packet {}) routes over \
                      a missing link (cycle {t})",
-                    pkt.id
+                    st.slab.body(st.fifos.row(i)[f].head().expect("a head")).id
                 );
             }
         }
@@ -338,7 +338,7 @@ impl Engine {
                     == (pkt.vc.index(), pkt.chunks, pkt.plan.is_done()),
                 "invariant violated: in-flight record of packet {} (fifo {}, {} chunks, \
                  done {}) disagrees with the packet (cycle {t})",
-                pkt.id,
+                st.slab.body(arr.h).id,
                 arr.fifo,
                 arr.chunks,
                 arr.done
@@ -452,7 +452,7 @@ impl Engine {
         let (full, st) = (self.shared.cfg.router.vc_fifo_chunks, &self.state);
         for (i, node) in st.nodes.iter().enumerate() {
             assert!(
-                !node.holds_packets(),
+                st.masks[i].occupied == 0 && !node.holds_sends(),
                 "invariant violated: node {i} still holds packets at quiesce"
             );
             for (c, f) in st.fifos.vcs(i).iter().enumerate() {

@@ -29,7 +29,7 @@
 //! Inside a visit, the two per-packet loops skip what cannot move. The
 //! injector plans a route only for a send that a FIFO of its class has room
 //! for (`Shared::inject_slot`). Arbitration walks only the free, live outputs
-//! some head requests (`NodeState::requested`, re-read after a win, under a
+//! some head requests (`State::masks`, re-read after a win, under a
 //! mask of the node's free links read once per visit and its link mask).
 //!
 //! ## One link mask
@@ -70,10 +70,17 @@
 //!
 //! A packet lives in one slot of the slab from `cpu_inject_one` to
 //! `cpu_drain_one` (or `drop_in_flight`); FIFOs and the in-flight ring
-//! hold its `u32` handle, and `apply_win` writes each hop into it in
-//! place. The engine copies a `Packet` in two places only: the injection
-//! into the slab, and out of it at the drain or a fault drop (DESIGN.md
-//! §6, "Memory layout").
+//! hold its `u32` handle. The slot is two records: the 20-byte [`Hop`]
+//! (plan, detour state, chunks, routing mode, VC, the id's parity), which
+//! every routing rule takes and `apply_win` writes each hop into in place,
+//! and the body, the rest of the [`Packet`]. The body is read in four
+//! places only: at the drain or a fault drop (`Slab::take` reassembles the
+//! packet), on a detour (its destination), by the oracle (its id) and by
+//! the tracer (its metadata). So a healthy run with the oracle off never
+//! reads it in `pick`, `apply_win`, `phase_arrivals` or `State::set_head`.
+//! The engine copies a `Packet` in two places only: the injection into the
+//! slab, and out of it at the drain or a fault drop (DESIGN.md §6, "Memory
+//! layout").
 
 use super::oracle::Oracle;
 use super::{bits, Arrival, State, Win, RING};
@@ -81,7 +88,7 @@ use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::fifo::{ChunkFifo, Slab};
 use crate::flow::FlowSpec;
 use crate::node::{vc_fifo_index, NodeState, PollState};
-use crate::packet::{Packet, RoutingMode, SendSpec, DETOUR_BUDGET};
+use crate::packet::{Hop, Packet, RoutingMode, SendSpec, DETOUR_BUDGET};
 use crate::perf::{PerfProfile, PhaseSecs};
 use crate::program::{NodeApi, NodeProgram, PollHint};
 use bgl_torus::{Coord, Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
@@ -158,7 +165,7 @@ impl Shared {
     /// dimension-ordered escape from a non-preferred output. A dead
     /// preferred link can never open: it counts as blocked, so the
     /// dimension-ordered escape becomes reachable.
-    fn preferred_blocked(&self, n: usize, pkt: &Packet) -> bool {
+    fn preferred_blocked(&self, n: usize, pkt: &Hop) -> bool {
         let chunks = pkt.chunks as u32;
         bits((pkt.plan.longest_dirs() & self.up[n]).into()).all(|d| {
             let (nb, nb_port) = (self.neighbors[n][d] as usize, d ^ 1);
@@ -173,7 +180,7 @@ impl Shared {
     /// deadlock-free bubble escape. The engine reads
     /// [`request_dirs`](Self::request_dirs); this per-direction form is the
     /// oracle's independent reference for the cached request masks.
-    pub(super) fn wants(&self, pkt: &Packet, d: Direction) -> bool {
+    pub(super) fn wants(&self, pkt: &Hop, d: Direction) -> bool {
         match pkt.routing {
             RoutingMode::Adaptive => {
                 if pkt.plan.direction(d.dim) != Some(d) {
@@ -208,7 +215,7 @@ impl Shared {
     /// config and nothing else, which is why a node can cache it per FIFO
     /// head (`State::want`). Zero exactly when the plan is done: an arrived
     /// head requests no output.
-    pub(super) fn request_dirs(&self, pkt: &Packet) -> u16 {
+    pub(super) fn request_dirs(&self, pkt: &Hop) -> u16 {
         let dirs = pkt.plan.dirs();
         let lowest = dirs & dirs.wrapping_neg();
         match pkt.routing {
@@ -241,7 +248,7 @@ impl Shared {
     /// ranks.
     pub(super) fn feasible_vc(
         &self,
-        pkt: &Packet,
+        pkt: &Hop,
         n: usize,
         from_dim: Option<usize>,
         d: Direction,
@@ -284,11 +291,12 @@ impl Shared {
 
     /// Join the shorter queue: of the two dynamic VC FIFOs behind port
     /// `nb_port` of node `nb`, the one with more free space (ties broken by
-    /// packet-id parity) — if `pkt` fits there, else it fits in neither.
-    fn dynamic_vc(&self, pkt: &Packet, nb: usize, nb_port: usize) -> Option<Vc> {
+    /// packet-id parity, [`Hop::parity`]) — if `pkt` fits there, else it
+    /// fits in neither.
+    fn dynamic_vc(&self, pkt: &Hop, nb: usize, nb_port: usize) -> Option<Vc> {
         let f0 = self.credit(nb, nb_port, 0);
         let f1 = self.credit(nb, nb_port, 1);
-        let (vc, free) = if f0 > f1 || (f0 == f1 && pkt.id & 1 == 0) {
+        let (vc, free) = if f0 > f1 || (f0 == f1 && pkt.parity == 0) {
             (Vc::Dynamic0, f0)
         } else {
             (Vc::Dynamic1, f1)
@@ -302,7 +310,7 @@ impl Shared {
     /// additionally leave `bubble_slack_chunks` free.
     fn bubble_feasible(
         &self,
-        pkt: &Packet,
+        pkt: &Hop,
         from_dim: Option<usize>,
         d: Direction,
         nb: usize,
@@ -374,7 +382,7 @@ impl Shared {
     /// Whether every minimal direction of `pkt` at node `n` is a dead
     /// link — the precondition for a non-minimal fault detour. `false` on
     /// a healthy run (every link is up) or while any minimal link is up.
-    fn minimal_dead(&self, n: usize, pkt: &Packet) -> bool {
+    fn minimal_dead(&self, n: usize, pkt: &Hop) -> bool {
         let dirs = pkt.plan.dirs();
         dirs != 0 && dirs & self.up[n] == 0
     }
@@ -387,7 +395,7 @@ impl Shared {
     /// bubble VC stays dimension-ordered, so the escape network's
     /// deadlock freedom is untouched by rerouting. After a detour win the
     /// packet re-plans from the downstream node (see `apply_win`).
-    fn detour_vc(&self, pkt: &Packet, n: usize, d: Direction, nb: usize) -> Option<Vc> {
+    fn detour_vc(&self, pkt: &Hop, n: usize, d: Direction, nb: usize) -> Option<Vc> {
         if pkt.routing != RoutingMode::Adaptive
             || pkt.detour_count() >= DETOUR_BUDGET
             || pkt.detour_from() == Some(d.index())
@@ -405,7 +413,7 @@ impl Shared {
     /// bounce would exhaust [`DETOUR_BUDGET`] against a single dead link).
     /// When the return is the only live minimal direction it stays allowed
     /// — it is a normal minimal move and clears the detour mark on a win.
-    fn suppress_return(&self, pkt: &Packet, n: usize, d: Direction) -> bool {
+    fn suppress_return(&self, pkt: &Hop, n: usize, d: Direction) -> bool {
         pkt.detour_from() == Some(d.index())
             && pkt.plan.dirs() & self.up[n] & !(1 << d.index()) != 0
     }
@@ -416,7 +424,7 @@ impl Shared {
     /// `pick` and the oracle ask.
     pub(super) fn exit_vc(
         &self,
-        pkt: &Packet,
+        pkt: &Hop,
         n: usize,
         f: usize,
         d: Direction,
@@ -878,7 +886,7 @@ impl Phases<'_> {
                     continue;
                 }
                 // Nothing to move out of this node.
-                if self.st.nodes[i].occupied == 0 {
+                if self.st.masks[i].occupied == 0 {
                     if prune {
                         self.st.arb_active.clear(i);
                     }
@@ -895,7 +903,7 @@ impl Phases<'_> {
     }
 
     /// Arbitrate the free, live output links of node `i` some head
-    /// requests, the set bits of `NodeState::requested` under the `free`
+    /// requests, the set bits of `State::masks` under the `free`
     /// mask read once from the node's row of `link_busy_until` and the link
     /// mask `Shared::up`; the set is re-read after a win (the head it
     /// exposed may request a link still ahead), and the request masks name
@@ -921,7 +929,7 @@ impl Phases<'_> {
         let (mut won, mut refused, mut again) = (0u16, 0u16, false);
         // A missing or dead output link refuses arbitration outright.
         let open = free & sh.up[i];
-        let mut todo = (self.st.nodes[i].requested | sh.fault_dirs) & open;
+        let mut todo = (self.st.masks[i].requested | sh.fault_dirs) & open;
         while todo != 0 {
             let d = Direction::from_index(todo.trailing_zeros() as usize);
             todo &= todo - 1;
@@ -941,13 +949,13 @@ impl Phases<'_> {
             again |= shaped && refused != 0 && win.vc != Vc::Bubble;
             won |= 1 << d.index();
             let ahead = !((2u16 << d.index()) - 1);
-            todo = (self.st.nodes[i].requested | sh.fault_dirs) & open & ahead;
+            todo = (self.st.masks[i].requested | sh.fault_dirs) & open & ahead;
         }
         // An emptied node is un-marked by its next visit, as ever.
-        if again || self.st.nodes[i].occupied == 0 {
+        if again || self.st.masks[i].occupied == 0 {
             return 0;
         }
-        let timed = (won | !free) & (self.st.nodes[i].requested | sh.fault_dirs);
+        let timed = (won | !free) & (self.st.masks[i].requested | sh.fault_dirs);
         let busy = &self.st.link_busy_until[i * ports..][..ports];
         bits(timed.into())
             .map(|d| busy[d])
@@ -964,7 +972,7 @@ impl Phases<'_> {
         let cand = if self.shared.fault_dirs == 0 {
             self.st.want[link]
         } else {
-            self.st.nodes[i].occupied
+            self.st.masks[i].occupied
         };
         let transit = (1u64 << self.shared.vc_cells) - 1;
         let (vcs, inj) = (cand & transit, cand & !transit);
@@ -1030,8 +1038,9 @@ impl Phases<'_> {
             self.st.cpu_at[i] = 0;
         }
         // Spend downstream credit and launch: the hop is written into the
-        // packet where it lies.
-        let pkt = &mut slab[h];
+        // packet's record where it lies. The body is read on a detour and
+        // by the oracle, never on a healthy, unwatched hop.
+        let (pkt, body) = slab.entry(h);
         let nb_port = d.opposite().index();
         let chunks = pkt.chunks as u32;
         let fifo = vc_fifo_index(nb_port, win.vc.index());
@@ -1044,7 +1053,12 @@ impl Phases<'_> {
             // downstream node and remember not to bounce straight back
             // through the link just crossed (its reverse is `nb_port`).
             let part = &self.shared.part;
-            pkt.plan = HopPlan::new(part, part.coord_of(nb as u32), pkt.dst, TieBreak::SrcParity);
+            pkt.plan = HopPlan::new(
+                part,
+                part.coord_of(nb as u32),
+                body.dst,
+                TieBreak::SrcParity,
+            );
             pkt.note_detour(nb_port);
         } else {
             pkt.plan.advance(d.dim);
@@ -1054,9 +1068,9 @@ impl Phases<'_> {
             if win.detour {
                 // Rebase the hop ledger before recording the hop: the
                 // replanned route supersedes the old planned count.
-                o.on_detour(pkt.id, pkt.plan.total_hops());
+                o.on_detour(body.id, pkt.plan.total_hops());
             }
-            o.on_hop(pkt.id, t);
+            o.on_hop(body.id, t);
         }
         // Filed as won, so a ring slot lists its arrivals in win order.
         let arrive = t + chunks as u64 + HOP_LATENCY_CYCLES;
@@ -1100,12 +1114,21 @@ mod tests {
         // Six hop counts and the hint bits, read at every head change and
         // written at every hop; 18 bytes with a sign per dimension.
         assert_eq!(size_of::<HopPlan>(), 14);
-        // A 3-D node is its `NodeState`, its row of 18 transit, 6 injection
-        // and 1 reception header, and 6 entries in each per-link table
-        // (`want`, `rr`, `link_busy_until`): 666 bytes, 2.7 MB for the 4,096
-        // nodes of 8x32x16. Row and table entries, 402 of the 666, are sized
-        // by the partition's arity — at `MAX_PORTS` they would be 720 for
-        // every shape.
+        // A slab slot is the record routing reads and a hop writes, the cold
+        // body and a 4-byte `next` word: 80 bytes against the 76 of a whole
+        // `Packet` and its link, but a hop pulls 20 of them through the cache
+        // instead of 72 (-11.7 % per hop, 10/10 pairs, on the 4,096-node TPS
+        // row, whose 41k live packets outgrow the L2; EXPERIMENTS.md, "packet
+        // layout"). A field routing reads belongs in `Hop`, and costs every
+        // hop; one it does not, in the body.
+        assert_eq!(size_of::<Hop>(), 20);
+        assert_eq!(size_of::<crate::packet::Body>(), 56);
+        // A 3-D node is its `NodeState`, its arbitration masks, its row of 18
+        // transit, 6 injection and 1 reception header, and 6 entries in each
+        // per-link table (`want`, `rr`, `link_busy_until`): 674 bytes, 2.8 MB
+        // for the 4,096 nodes of 8x32x16. Row and table entries, 402 of the
+        // 674, are sized by the partition's arity — at `MAX_PORTS` they would
+        // be 720 for every shape.
         let part = Partition::torus(4, 4, 4);
         let idle = (0..64).map(|_| Box::new(ScriptedProgram::idle()) as _);
         let engine = Engine::new(SimConfig::new(part), idle.collect());
@@ -1114,7 +1137,12 @@ mod tests {
         // One request mask per link covers the transit and injection FIFOs.
         let per_link = [st.want.len() * size_of_val(&st.want[0]), st.rr.len()];
         assert_eq!(per_link, [64 * 6 * 8, 64 * 6]);
-        assert_eq!(size_of::<NodeState>(), 264);
+        // The occupancy mask and requested outputs, what the arbitration scan
+        // and a visit read first, are 16 bytes of their own per node: inside
+        // the 264-byte `NodeState` they cost the scan a line of cold state
+        // per node.
+        assert_eq!(size_of_val(&st.masks[0]), 16);
+        assert_eq!(size_of::<NodeState>(), 256);
     }
 
     /// `inject_slot` as it was before it passed over sends with no room
@@ -1223,7 +1251,7 @@ mod tests {
                 let engine = Engine::new(cfg.clone(), idle.collect());
                 let router = &engine.shared;
                 for (src, dst) in (0..n * n).map(|k| (k / n, k % n)) {
-                    let mut pkt = Packet::new(&part, src, dst);
+                    let (mut pkt, _) = Packet::new(&part, src, dst).split();
                     pkt.routing = routing;
                     let dirs = router.request_dirs(&pkt);
                     assert_eq!(dirs == 0, pkt.plan.is_done(), "{pkt:?}");

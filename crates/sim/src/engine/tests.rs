@@ -5,7 +5,7 @@
 //! changes, against the writer that rewrote the whole row.
 
 use super::*;
-use crate::{FaultPlan, LinkFault, ScriptedProgram, SendSpec};
+use crate::{FaultPlan, LinkFault, Packet, ScriptedProgram, SendSpec};
 use bgl_torus::{Coord, Dim, Partition, Sign};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
@@ -16,9 +16,10 @@ fn alive(sh: &Shared, n: usize, d: Direction) -> bool {
 }
 
 /// The engine's head-of-line walk as it was before `Engine::stuck`,
-/// verbatim but for its name, its receiver and its liveness test
-/// ([`alive`]): a second walk over `wants`, liveness and `feasible_vc`.
-fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Packet) -> bool {
+/// verbatim but for its name, its receiver, the packet record it reads
+/// (`&Hop`) and its liveness test ([`alive`]): a second walk over `wants`,
+/// liveness and `feasible_vc`.
+fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Hop) -> bool {
     let router = &e.shared;
     let Some(from_dim) = router.input_dim(fifo) else {
         return false;
@@ -51,9 +52,9 @@ fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Packet) 
 }
 
 /// The engine's fault-park walk as it was before `Engine::stuck`, verbatim
-/// but for its name, its receiver and its liveness tests ([`alive`], and a
-/// healthy run's `fault_dirs == 0`).
-fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Packet) -> Option<Direction> {
+/// but for its name, its receiver, the packet record it reads (`&Hop`) and
+/// its liveness tests ([`alive`], and a healthy run's `fault_dirs == 0`).
+fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Hop) -> Option<Direction> {
     let router = &e.shared;
     if router.fault_dirs == 0 {
         return None;
@@ -93,7 +94,7 @@ fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Packet) -> Option<D
 
 /// What the old pair said of a head, as the stall report combined them:
 /// a fault park first, else head-of-line blocking.
-fn old_verdict(e: &Engine, i: usize, f: usize, pkt: &Packet) -> Option<Stuck> {
+fn old_verdict(e: &Engine, i: usize, f: usize, pkt: &Hop) -> Option<Stuck> {
     if pkt.plan.is_done() {
         return None;
     }
@@ -106,7 +107,7 @@ fn old_verdict(e: &Engine, i: usize, f: usize, pkt: &Packet) -> Option<Stuck> {
 /// Whether the old walk let `pkt` leave only over the link it just
 /// detoured through, which the arbiter refuses it (`suppress_return`): a
 /// free, live output with room downstream that `exit_vc` turns down.
-fn refused_return(e: &Engine, i: usize, f: usize, pkt: &Packet) -> bool {
+fn refused_return(e: &Engine, i: usize, f: usize, pkt: &Hop) -> bool {
     let sh = &e.shared;
     let accepted = |d: Direction| {
         let nb = sh.neighbors[i][d.index()];
@@ -295,11 +296,13 @@ fn a_refused_return_is_head_of_line_blocking() {
     let idle = (0..part.num_nodes()).map(|_| Box::new(ScriptedProgram::idle()) as _);
     let mut e = Engine::new(cfg, idle.collect());
     let (x_plus, y_minus) = (Direction::from_index(0), Direction::from_index(3));
-    let mut pkt = Packet::new(&part, 5, 2);
-    pkt.note_detour(y_minus.index());
-    let (f, dirs) = (y_minus.index() * NUM_VCS, e.shared.request_dirs(&pkt));
+    let h = e.state.slab.alloc(Packet::new(&part, 5, 2));
+    e.state.slab[h].note_detour(y_minus.index());
+    let (f, dirs) = (
+        y_minus.index() * NUM_VCS,
+        e.shared.request_dirs(&e.state.slab[h]),
+    );
     assert_eq!(dirs, 1 << x_plus.index() | 1 << y_minus.index());
-    let h = e.state.slab.alloc(pkt);
     e.state.fifos.fifo_mut(5, f).push(&mut e.state.slab, h, 8);
     e.state.set_head(5, e.shared.ports, f, 0, Some(dirs));
     e.state.link_busy_until[5 * e.shared.ports + x_plus.index()] = 100;
@@ -311,7 +314,8 @@ fn a_refused_return_is_head_of_line_blocking() {
 }
 
 /// `State::set_head` as it was before it flipped only the bits that change,
-/// verbatim but for its name and receiver: every request word of the row
+/// verbatim but for its name, its receiver and the mask array it writes
+/// (`State::masks`, once `NodeState`'s): every request word of the row
 /// rewritten, the requested outputs re-derived from all of them.
 fn set_head_rewriting_every_word(
     st: &mut State,
@@ -320,7 +324,7 @@ fn set_head_rewriting_every_word(
     f: usize,
     head: Option<u16>,
 ) {
-    let node = &mut st.nodes[i];
+    let node = &mut st.masks[i];
     node.occupied = node.occupied & !(1 << f) | u64::from(head.is_some()) << f;
     let (dirs, mut requested) = (head.unwrap_or(0), 0);
     for (d, w) in st.want[i * ports..][..ports].iter_mut().enumerate() {
@@ -387,12 +391,12 @@ fn set_head_flips_what_the_full_row_writer_rewrites() {
                 let new = pushed.then(|| head(&mut rng));
                 events[event] += 1;
                 heads[f] = new;
-                let before = delta.state.nodes[i].requested;
+                let before = delta.state.masks[i].requested;
                 delta.state.set_head(i, ports, f, old, new);
                 set_head_rewriting_every_word(&mut full.state, i, ports, f, new);
-                cleared += u32::from(before & !delta.state.nodes[i].requested != 0);
+                cleared += u32::from(before & !delta.state.masks[i].requested != 0);
                 let row = |e: &Engine| {
-                    let n = &e.state.nodes[i];
+                    let n = &e.state.masks[i];
                     (
                         e.state.want[i * ports..][..ports].to_vec(),
                         n.occupied,

@@ -196,17 +196,17 @@ impl Engine {
             _ => {}
         };
         let mut hol = 0u64;
-        for (i, node) in st.nodes.iter().enumerate() {
-            let queued = bits(node.occupied).flat_map(|f| st.fifos.row(i)[f].iter(&st.slab));
+        for (i, masks) in st.masks.iter().enumerate() {
+            let queued = bits(masks.occupied).flat_map(|f| st.fifos.row(i)[f].iter(&st.slab));
             for h in queued {
-                count_kind(st.slab[h].meta.kind);
+                count_kind(st.slab.body(h).meta.kind);
             }
             for (f, head) in st.heads(i) {
                 hol += u64::from(self.stuck(i, f, head) == Some(Stuck::Hol));
             }
         }
         for arrival in st.ring.iter().flatten() {
-            count_kind(st.slab[arrival.h].meta.kind);
+            count_kind(st.slab.body(arrival.h).meta.kind);
         }
         sample.phase1_in_flight = p1;
         sample.phase2_in_flight = p2;

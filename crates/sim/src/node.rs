@@ -1,8 +1,10 @@
-//! Per-node simulator state: FIFO occupancy masks, send queues and CPU
-//! accounting. The FIFO headers themselves are the node's row of the
-//! engine's [`FifoRows`](crate::fifo::FifoRows), and what the engine keeps
-//! per output link — request masks, round-robin pointer, busy-until — the
-//! node's rows of its per-link tables.
+//! Per-node simulator state: send queues, CPU accounting and flow control.
+//! The FIFO headers themselves are the node's row of the engine's
+//! [`FifoRows`](crate::fifo::FifoRows); its occupancy mask and requested
+//! outputs, which arbitration reads first, one entry of the engine's
+//! per-node mask array; and what the engine keeps per output link —
+//! request masks, round-robin pointer, busy-until — the node's rows of its
+//! per-link tables.
 
 use crate::config::{SimConfig, NUM_VCS};
 use crate::flow::FlowLedger;
@@ -56,15 +58,6 @@ pub enum PollState {
 pub struct NodeState {
     /// Node coordinate.
     pub coord: Coord,
-    /// Bitmask of non-empty FIFOs over the node's one FIFO index space:
-    /// transit FIFO `f` (indexed by [`vc_fifo_index`]) is bit `f`, injection
-    /// FIFO `k` bit `ports · NUM_VCS + k` — the order of its row of FIFO
-    /// headers. At the 6-dimension maximum the 36 transit FIFOs leave room
-    /// for 28 injection FIFOs.
-    pub occupied: u64,
-    /// Bit `d` set iff some FIFO head requests output `d`: the non-zero
-    /// directions of the node's row of the engine's request masks.
-    pub requested: u16,
     /// Reactive sends queued by the program (api.send from hooks), not yet
     /// paid for / injected.
     pub pending: VecDeque<SendSpec>,
@@ -101,8 +94,6 @@ impl NodeState {
     pub fn new(coord: Coord, cfg: &SimConfig) -> NodeState {
         NodeState {
             coord,
-            occupied: 0,
-            requested: 0,
             pending: VecDeque::new(),
             // Sized here, once, to the depth the engine tops it up to (a
             // sending node would grow it there in two steps). It is also the
@@ -139,10 +130,9 @@ impl NodeState {
         !self.program_done && self.pulled.len() < PULL_THRESHOLD
     }
 
-    /// Whether a packet sits in a transit or injection FIFO of this node,
-    /// or a send in its queues (the quiesce check; the reception FIFO is
-    /// the caller's to look at).
-    pub fn holds_packets(&self) -> bool {
-        self.occupied != 0 || !self.pending.is_empty() || !self.pulled.is_empty()
+    /// Whether a send waits in this node's queues (the quiesce check; the
+    /// FIFOs are the caller's to look at).
+    pub fn holds_sends(&self) -> bool {
+        !self.pending.is_empty() || !self.pulled.is_empty()
     }
 }

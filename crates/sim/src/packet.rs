@@ -44,6 +44,11 @@ pub const MAX_PACKET_CHUNKS: u8 = 8;
 
 /// A packet in flight or in a FIFO.
 ///
+/// This is the packet a program receives. While it is in the network the
+/// engine keeps it as two records, the fields routing reads and a hop
+/// writes apart from the rest (`Packet::split`), and reassembles it where
+/// it leaves.
+///
 /// Only this crate spells out the fields: the engine builds packets from
 /// [`SendSpec`]s at injection, and everyone else starts from
 /// [`Packet::new`] and assigns what differs, so a layout change is an edit
@@ -90,35 +95,6 @@ pub struct Packet {
 }
 
 impl Packet {
-    /// The direction index this packet must not exit through right now
-    /// (the reverse of its last detour hop), if any.
-    #[inline]
-    pub fn detour_from(&self) -> Option<usize> {
-        let p = (self.detour & 15) as usize;
-        (p != NO_DETOUR as usize).then_some(p)
-    }
-
-    /// Non-minimal hops taken so far.
-    #[inline]
-    pub fn detour_count(&self) -> u8 {
-        (self.detour >> 4) as u8
-    }
-
-    /// Record a detour hop whose reverse direction is `back`.
-    #[inline]
-    pub fn note_detour(&mut self, back: usize) {
-        debug_assert!(back < bgl_torus::MAX_PORTS);
-        self.detour = ((self.detour_count() as u16 + 1) << 4) | back as u16;
-    }
-
-    /// A minimal hop clears the don't-go-back restriction (the count is
-    /// kept: the budget bounds total non-minimal hops over the packet's
-    /// whole life).
-    #[inline]
-    pub fn clear_detour_from(&mut self) {
-        self.detour |= NO_DETOUR;
-    }
-
     /// A full-size adaptive packet from rank `src` to rank `dst` of `part`,
     /// as if injected at cycle 0 with id 0: the base that tests driving a
     /// program's `on_packet` by hand vary field by field.
@@ -154,6 +130,116 @@ impl Packet {
             detour: NO_DETOUR,
         }
     }
+
+    /// The packet as the slab stores it: the record every hop reads and
+    /// writes, and the body read only where the packet leaves the network,
+    /// detours, or is watched (the oracle, the tracer).
+    #[inline]
+    pub(crate) fn split(self) -> (Hop, Body) {
+        let hop = Hop {
+            plan: self.plan,
+            detour: self.detour,
+            chunks: self.chunks,
+            routing: self.routing,
+            vc: self.vc,
+            parity: (self.id & 1) as u8,
+        };
+        let body = Body {
+            id: self.id,
+            src_rank: self.src_rank,
+            dst: self.dst,
+            payload_bytes: self.payload_bytes,
+            class: self.class,
+            meta: self.meta,
+            injected_at: self.injected_at,
+        };
+        (hop, body)
+    }
+
+    /// The packet [`split`](Self::split) made `hop` and `body` of, with
+    /// the route, VC and detour state its hops have written since.
+    #[inline]
+    pub(crate) fn join(hop: &Hop, body: &Body) -> Packet {
+        Packet {
+            id: body.id,
+            src_rank: body.src_rank,
+            dst: body.dst,
+            chunks: hop.chunks,
+            payload_bytes: body.payload_bytes,
+            plan: hop.plan,
+            routing: hop.routing,
+            vc: hop.vc,
+            class: body.class,
+            meta: body.meta,
+            injected_at: body.injected_at,
+            detour: hop.detour,
+        }
+    }
+}
+
+/// What routing reads of a queued packet, and all that a hop writes: the
+/// first of the two records a slab slot holds (the other is its [`Body`]).
+/// Arbitration, a FIFO pop and a delivery check touch this and nothing
+/// else, so a hop pulls 20 bytes through the cache, not the 72 of a
+/// [`Packet`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Hop {
+    /// Remaining route ([`Packet::plan`]).
+    pub(crate) plan: HopPlan,
+    /// Packed fault-detour state ([`Packet::detour`]).
+    pub(crate) detour: u16,
+    /// Size on the wire in chunks.
+    pub(crate) chunks: u8,
+    pub(crate) routing: RoutingMode,
+    /// The VC the packet occupies.
+    pub(crate) vc: Vc,
+    /// `id & 1`: the join-shortest-queue tie-break (`Shared::dynamic_vc`).
+    pub(crate) parity: u8,
+}
+
+impl Hop {
+    /// The direction index this packet must not exit through right now
+    /// (the reverse of its last detour hop), if any.
+    #[inline]
+    pub(crate) fn detour_from(&self) -> Option<usize> {
+        let p = (self.detour & 15) as usize;
+        (p != NO_DETOUR as usize).then_some(p)
+    }
+
+    /// Non-minimal hops taken so far.
+    #[inline]
+    pub(crate) fn detour_count(&self) -> u8 {
+        (self.detour >> 4) as u8
+    }
+
+    /// Record a detour hop whose reverse direction is `back`.
+    #[inline]
+    pub(crate) fn note_detour(&mut self, back: usize) {
+        debug_assert!(back < bgl_torus::MAX_PORTS);
+        self.detour = ((self.detour_count() as u16 + 1) << 4) | back as u16;
+    }
+
+    /// A minimal hop clears the don't-go-back restriction (the count is
+    /// kept: the budget bounds total non-minimal hops over the packet's
+    /// whole life).
+    #[inline]
+    pub(crate) fn clear_detour_from(&mut self) {
+        self.detour |= NO_DETOUR;
+    }
+}
+
+/// The rest of a stored packet, written at injection and read only at the
+/// drain or a fault drop ([`Packet::join`]), on a detour (`dst`), by the
+/// oracle (`id`) and by the tracer (`meta.kind`): never on a healthy hop.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Body {
+    pub(crate) id: u64,
+    pub(crate) src_rank: u32,
+    pub(crate) dst: Coord,
+    pub(crate) payload_bytes: u32,
+    pub(crate) class: u8,
+    pub(crate) meta: PacketMeta,
+    pub(crate) injected_at: u64,
 }
 
 /// What a node program asks the runtime to send.
@@ -291,7 +377,7 @@ mod tests {
 
     #[test]
     fn detour_state_packs_and_unpacks() {
-        let mut k = Packet::new(&Partition::torus(2, 2, 2), 0, 1);
+        let (mut k, _) = Packet::new(&Partition::torus(2, 2, 2), 0, 1).split();
         assert_eq!(k.detour_from(), None);
         assert_eq!(k.detour_count(), 0);
         k.note_detour(3);
@@ -307,15 +393,14 @@ mod tests {
 
     #[test]
     fn packet_is_72_bytes() {
-        // A packet is written once, at injection, and then read and advanced
-        // in place at every hop: its size is bytes pulled through the cache
-        // per hop and bytes of slab per live packet. Padding it to 144 bytes
-        // cost the 4,096-node TPS row +20 % host time per hop and +28 MB
-        // (EXPERIMENTS.md, "packet layout"); a new field is weighed against
-        // that, and this number changed with it. Since the hop plan carries
-        // hint bits instead of a sign per dimension (18 → 14 bytes), 68 of
-        // the 72 bytes are fields and 4 are tail padding: a field of up to 4
-        // bytes fits there without growing the packet.
+        // The public packet is what a program's `on_packet` reads and what
+        // the slab reassembles at a drain or a fault drop, once per packet:
+        // it is no longer what a hop pulls through the cache. The slab keeps
+        // a packet as two records, the 20-byte `Hop` every hop reads and the
+        // cold body (both pinned in `hot_path_layout_is_pinned`), so a field
+        // added here costs bytes of slab per live packet, and a hop only if
+        // routing reads it. 68 of the 72 bytes are fields and 4 are tail
+        // padding: a field of up to 4 bytes fits there without growing it.
         assert_eq!(std::mem::size_of::<Packet>(), 72);
     }
 }
