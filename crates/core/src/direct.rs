@@ -28,9 +28,9 @@ pub struct DirectConfig {
     /// Per-destination startup α in CPU cycles (charged on the first packet
     /// of each message). The AR runtime pays 450; the MPI stack more.
     pub alpha_cpu_cycles: f64,
-    /// Packets sent per destination before moving on (overrides the
-    /// workload value when set).
-    pub packets_per_visit: Option<u32>,
+    /// Packets sent per destination before moving on: 1 for AR and DR,
+    /// the production MPI tuning of 2 for the baseline.
+    pub packets_per_visit: u32,
 }
 
 impl DirectConfig {
@@ -39,7 +39,7 @@ impl DirectConfig {
         DirectConfig {
             routing: RoutingMode::Adaptive,
             alpha_cpu_cycles: params.alpha_direct_cycles,
-            packets_per_visit: None,
+            packets_per_visit: 1,
         }
     }
 
@@ -58,7 +58,7 @@ impl DirectConfig {
     pub fn mpi(params: &MachineParams) -> DirectConfig {
         DirectConfig {
             alpha_cpu_cycles: params.alpha_message_cycles,
-            packets_per_visit: Some(2),
+            packets_per_visit: 2,
             ..DirectConfig::ar(params)
         }
     }
@@ -83,10 +83,10 @@ impl DirectProgram {
         cfg: &DirectConfig,
         params: &MachineParams,
     ) -> DirectProgram {
-        let k = cfg.packets_per_visit.unwrap_or(workload.packets_per_visit);
+        let (k, alpha) = (cfg.packets_per_visit, cfg.alpha_cpu_cycles);
         DirectProgram {
             routing: cfg.routing,
-            walk: SendWalk::direct(rank, part, workload, k, cfg.alpha_cpu_cycles, params),
+            walk: SendWalk::direct(rank, part, workload, k, alpha, params),
         }
     }
 }
@@ -176,8 +176,8 @@ mod tests {
     fn packets_per_visit_interleaves_destinations() {
         let part: Partition = "8x1x1".parse().unwrap();
         let w = AaWorkload::full(1000); // 5 packets per message
-        let mut cfg = DirectConfig::ar(&params());
-        cfg.packets_per_visit = Some(1);
+        let cfg = DirectConfig::ar(&params());
+        assert_eq!(cfg.packets_per_visit, 1);
         let prog = DirectProgram::new(0, &part, &w, &cfg, &params());
         let sends = drain_schedule(prog, &part);
         // With k=1: first 7 sends go to 7 distinct destinations.
@@ -204,7 +204,7 @@ mod tests {
         let ar = DirectConfig::ar(&p);
         let mpi = DirectConfig::mpi(&p);
         assert!(mpi.alpha_cpu_cycles > ar.alpha_cpu_cycles);
-        assert_eq!(mpi.packets_per_visit, Some(2));
+        assert_eq!(mpi.packets_per_visit, 2);
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
         let part: Partition = "8x1x1".parse().unwrap();
         let w = AaWorkload::full(1000); // 5 packets per destination
         let mut cfg = DirectConfig::ar(&params());
-        cfg.packets_per_visit = Some(u32::MAX); // whole message per visit
+        cfg.packets_per_visit = u32::MAX; // whole message per visit
         let mut prog = DirectProgram::new(0, &part, &w, &cfg, &params());
         let mut ledger = FlowLedger::new(FlowSpec::Credit {
             window_packets: 2,

@@ -13,7 +13,7 @@
 use crate::walk::SendWalk;
 use crate::workload::direct_shapes;
 use bgl_model::MachineParams;
-use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig};
+use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig, SimError};
 use bgl_torus::Partition;
 
 /// Result of a parameter fit.
@@ -32,9 +32,19 @@ pub struct FittedModel {
 /// One-way message time in cycles between two neighbouring nodes on
 /// `part`, sending `m` application bytes with the direct runtime's
 /// packetization and per-destination α.
-pub fn one_way_message_cycles(part: &Partition, m: u64, params: &MachineParams) -> u64 {
+///
+/// # Errors
+/// [`SimError::TooFewNodes`] on a one-node partition; the engine's error
+/// if the message does not arrive.
+pub fn one_way_message_cycles(
+    part: &Partition,
+    m: u64,
+    params: &MachineParams,
+) -> Result<u64, SimError> {
     let p = part.num_nodes();
-    assert!(p >= 2, "need two nodes");
+    if p < 2 {
+        return Err(SimError::TooFewNodes { nodes: p });
+    }
     let alpha = params.cpu_to_sim_cycles(params.alpha_direct_cycles);
     let walk = SendWalk::new(vec![1], direct_shapes(m, params), 1, alpha);
     let n = walk.shapes().len() as u64;
@@ -49,21 +59,21 @@ pub fn one_way_message_cycles(part: &Partition, m: u64, params: &MachineParams) 
         programs.push(Box::new(ScriptedProgram::idle()));
     }
     let cfg = SimConfig::new(*part);
-    Engine::new(cfg, programs)
-        .run()
-        .expect("idle-network message completes")
-        .completion_cycle
+    Ok(Engine::new(cfg, programs).run()?.completion_cycle)
 }
 
 /// Least-squares fit of `T(m) = α' + m·β` over one-way latencies measured
 /// on the simulator (α' absorbs the software header's wire time, exactly
 /// as the paper's ping-pong fit does).
-pub fn fit_ptp_params(part: &Partition, params: &MachineParams) -> FittedModel {
+///
+/// # Errors
+/// The first error of [`one_way_message_cycles`].
+pub fn fit_ptp_params(part: &Partition, params: &MachineParams) -> Result<FittedModel, SimError> {
     let sizes: Vec<u64> = vec![192, 432, 912, 1872, 3792, 7632, 15312];
     let samples: Vec<(u64, u64)> = sizes
         .iter()
-        .map(|&m| (m, one_way_message_cycles(part, m, params)))
-        .collect();
+        .map(|&m| Ok((m, one_way_message_cycles(part, m, params)?)))
+        .collect::<Result<_, SimError>>()?;
     let n = samples.len() as f64;
     let sx: f64 = samples.iter().map(|&(m, _)| m as f64).sum();
     let sy: f64 = samples.iter().map(|&(_, t)| t as f64).sum();
@@ -86,12 +96,12 @@ pub fn fit_ptp_params(part: &Partition, params: &MachineParams) -> FittedModel {
     } else {
         1.0
     };
-    FittedModel {
+    Ok(FittedModel {
         alpha_cycles: intercept,
         beta_ns_per_byte: slope * params.secs_per_sim_cycle() * 1e9,
         r_squared,
         samples,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -102,8 +112,8 @@ mod tests {
     fn one_way_latency_grows_with_size() {
         let part: Partition = "4x1x1".parse().unwrap();
         let params = MachineParams::bgl();
-        let small = one_way_message_cycles(&part, 192, &params);
-        let large = one_way_message_cycles(&part, 3792, &params);
+        let small = one_way_message_cycles(&part, 192, &params).unwrap();
+        let large = one_way_message_cycles(&part, 3792, &params).unwrap();
         assert!(large > small * 10, "{small} vs {large}");
     }
 
@@ -114,7 +124,7 @@ mod tests {
         // 6.48 ns/B within a few percent (granularity noise).
         let part: Partition = "4x1x1".parse().unwrap();
         let params = MachineParams::bgl();
-        let fit = fit_ptp_params(&part, &params);
+        let fit = fit_ptp_params(&part, &params).unwrap();
         let err = (fit.beta_ns_per_byte - params.beta_ns_per_byte).abs() / params.beta_ns_per_byte;
         assert!(
             err < 0.10,
@@ -131,7 +141,7 @@ mod tests {
         // wire time: positive and below ~50 cycles.
         let part: Partition = "4x1x1".parse().unwrap();
         let params = MachineParams::bgl();
-        let fit = fit_ptp_params(&part, &params);
+        let fit = fit_ptp_params(&part, &params).unwrap();
         assert!(fit.alpha_cycles > 0.0, "{}", fit.alpha_cycles);
         assert!(fit.alpha_cycles < 50.0, "{}", fit.alpha_cycles);
     }
@@ -139,8 +149,20 @@ mod tests {
     #[test]
     fn fit_samples_are_recorded() {
         let part: Partition = "2x1x1".parse().unwrap();
-        let fit = fit_ptp_params(&part, &MachineParams::bgl());
+        let fit = fit_ptp_params(&part, &MachineParams::bgl()).unwrap();
         assert_eq!(fit.samples.len(), 7);
         assert!(fit.samples.windows(2).all(|w| w[1].1 > w[0].1));
+    }
+
+    #[test]
+    fn a_one_node_partition_is_a_typed_error() {
+        let part: Partition = "1x1x1".parse().unwrap();
+        let params = MachineParams::bgl();
+        let err = SimError::TooFewNodes { nodes: 1 };
+        assert_eq!(
+            one_way_message_cycles(&part, 192, &params),
+            Err(err.clone())
+        );
+        assert_eq!(fit_ptp_params(&part, &params), Err(err));
     }
 }

@@ -74,7 +74,7 @@ pub use patterns::{run_pattern, Pattern, PatternReport};
 pub use select::{auto_select, combining_crossover_bytes};
 pub use strategy::{peak_cycles_for, peak_injection_rate, run_aa, AaReport, Scheme, StrategyKind};
 pub use tps::{choose_linear_dim, tps_inj_class_masks, TpsConfig, TpsProgram};
-pub use vmesh::{VmeshConfig, VmeshProgram};
+pub use vmesh::VmeshProgram;
 pub use walk::{SendWalk, Step};
 pub use workload::{
     destination_schedule, direct_shapes, packetize, total_chunks, AaWorkload, PacketShape,

@@ -6,13 +6,13 @@
 
 use crate::strategy::StrategyKind;
 use bgl_model::MachineParams;
-use bgl_torus::{Partition, VirtualMesh, VmeshLayout};
+use bgl_torus::{Partition, VirtualMesh};
 
 /// Message size (bytes) below which combining wins. The paper measures the
 /// crossover between 32 and 64 bytes; we use the exact Equation-3/4 model
 /// crossover when it exists, clamped into the paper's observed band.
 pub fn combining_crossover_bytes(part: &Partition, params: &MachineParams) -> u64 {
-    let vm = VirtualMesh::choose(*part, VmeshLayout::Auto);
+    let vm = VirtualMesh::choose(*part);
     let exact = bgl_model::vmesh::crossover_exact(&vm, params)
         .unwrap_or(params.software_header_bytes as f64 - 2.0 * params.proto_header_bytes as f64);
     (exact.round() as u64).clamp(16, 64)
@@ -56,17 +56,14 @@ mod tests {
     #[test]
     fn asymmetric_large_message_uses_tps() {
         for (shape, m) in [("8x32x16", 4096), ("40x32x16", 1024), ("8x8x2M", 1024)] {
-            assert!(matches!(
-                sel(shape, m).scheme,
-                Scheme::TwoPhaseSchedule { .. }
-            ));
+            assert_eq!(sel(shape, m).scheme, Scheme::TwoPhaseSchedule);
         }
     }
 
     #[test]
     fn short_messages_use_vmesh() {
         for (shape, m) in [("8x8x8", 8), ("8x32x16", 16)] {
-            assert!(matches!(sel(shape, m).scheme, Scheme::VirtualMesh { .. }));
+            assert_eq!(sel(shape, m).scheme, Scheme::VirtualMesh);
         }
     }
 

@@ -4,12 +4,12 @@
 use crate::direct::{DirectConfig, DirectProgram};
 use crate::flow::Pacer;
 use crate::tps::{tps_inj_class_masks, TpsConfig, TpsProgram};
-use crate::vmesh::{VmeshConfig, VmeshProgram};
+use crate::vmesh::VmeshProgram;
 use crate::workload::{destination_schedule, direct_shapes, total_chunks, AaWorkload};
 use crate::xyz::{xyz_inj_class_masks, XyzProgram};
 use bgl_model::MachineParams;
 use bgl_sim::{Engine, NetStats, NodeProgram, SimConfig, SimError};
-use bgl_torus::{AaLoadAnalysis, Dim, Partition, VmeshLayout};
+use bgl_torus::{AaLoadAnalysis, Partition};
 
 /// Where a packet's next software hop is: the paper's all-to-all schemes,
 /// plus automatic selection. A [`StrategyKind`] runs one under a [`Pacer`].
@@ -24,20 +24,16 @@ pub enum Scheme {
     AdaptiveRandomized,
     /// Deterministic dimension-order direct scheme (DR).
     DeterministicRouted,
-    /// Two Phase Schedule (Section 4.1). A [`Pacer::CreditWindow`]
-    /// bounds per-intermediate memory (the paper's future-work credit
-    /// flow control).
-    TwoPhaseSchedule {
-        /// Phase-1 dimension (`None` = automatic).
-        linear: Option<Dim>,
-    },
-    /// Virtual-mesh message combining (Section 4.2). A
+    /// Two Phase Schedule (Section 4.1), on the linear dimension
+    /// [`choose_linear_dim`](crate::tps::choose_linear_dim) picks. A
+    /// [`Pacer::CreditWindow`] bounds per-intermediate memory (the paper's
+    /// future-work credit flow control).
+    TwoPhaseSchedule,
+    /// Virtual-mesh message combining (Section 4.2), on the layout
+    /// [`VirtualMesh::choose`](bgl_torus::VirtualMesh::choose) picks. A
     /// [`Pacer::CreditWindow`] bounds phase-1 reception memory, which is
     /// what lets full-coverage runs survive large asymmetric tori.
-    VirtualMesh {
-        /// Row/column factorization.
-        layout: VmeshLayout,
-    },
+    VirtualMesh,
     /// Three-phase XYZ software routing (the HPCC-Randomaccess-style
     /// scheme Section 4.1 contrasts TPS against: two forwarding phases
     /// instead of one).
@@ -68,9 +64,11 @@ pub struct StrategyKind {
 /// The spelling the golden file's run keys are matched on (nothing reads
 /// it back): the scheme's name, bare when it has no fields and is unpaced,
 /// otherwise an object of its fields plus, when paced, a `pacer` field.
-/// Two legacy forms stay: AR with a rate window is
-/// `ThrottledAdaptive { factor }`, and TPS always carries a `credit` field
-/// (`null` when unpaced) in place of a credit `pacer`.
+/// Four legacy forms stay: AR with a rate window is
+/// `ThrottledAdaptive { factor }`; TPS always carries a `credit` field
+/// (`null` when unpaced) in place of a credit `pacer`; TPS always carries
+/// `"linear": null` and VMesh `"layout": "Auto"`, the settings they had
+/// when they could be set.
 impl serde::Serialize for StrategyKind {
     fn to_value(&self) -> serde::Value {
         use serde::Value;
@@ -78,10 +76,8 @@ impl serde::Serialize for StrategyKind {
             Scheme::MpiBaseline => ("MpiBaseline", vec![]),
             Scheme::AdaptiveRandomized => ("AdaptiveRandomized", vec![]),
             Scheme::DeterministicRouted => ("DeterministicRouted", vec![]),
-            Scheme::TwoPhaseSchedule { linear } => {
-                ("TwoPhaseSchedule", vec![("linear", linear.to_value())])
-            }
-            Scheme::VirtualMesh { layout } => ("VirtualMesh", vec![("layout", layout.to_value())]),
+            Scheme::TwoPhaseSchedule => ("TwoPhaseSchedule", vec![("linear", Value::Null)]),
+            Scheme::VirtualMesh => ("VirtualMesh", vec![("layout", Value::Str("Auto".into()))]),
             Scheme::XyzRouting => ("XyzRouting", vec![]),
             Scheme::Auto => ("Auto", vec![]),
         };
@@ -90,10 +86,8 @@ impl serde::Serialize for StrategyKind {
                 name = "ThrottledAdaptive";
                 fields.push(("factor", factor.to_value()))
             }
-            (Scheme::TwoPhaseSchedule { .. }, Pacer::Unpaced) => {
-                fields.push(("credit", Value::Null))
-            }
-            (Scheme::TwoPhaseSchedule { .. }, Pacer::CreditWindow { credit }) => {
+            (Scheme::TwoPhaseSchedule, Pacer::Unpaced) => fields.push(("credit", Value::Null)),
+            (Scheme::TwoPhaseSchedule, Pacer::CreditWindow { credit }) => {
                 fields.push(("credit", credit.to_value()))
             }
             (_, Pacer::Unpaced) => {}
@@ -144,16 +138,14 @@ impl StrategyKind {
         StrategyKind::ar().with_pacer(Pacer::rate(factor))
     }
 
-    /// TPS with automatic linear dimension, unpaced.
+    /// Unpaced TPS.
     pub fn tps() -> StrategyKind {
-        StrategyKind::unpaced(Scheme::TwoPhaseSchedule { linear: None })
+        StrategyKind::unpaced(Scheme::TwoPhaseSchedule)
     }
 
-    /// VMesh with automatic layout, unpaced.
+    /// Unpaced VMesh.
     pub fn vmesh() -> StrategyKind {
-        StrategyKind::unpaced(Scheme::VirtualMesh {
-            layout: VmeshLayout::Auto,
-        })
+        StrategyKind::unpaced(Scheme::VirtualMesh)
     }
 
     /// Automatic selection, unpaced.
@@ -175,8 +167,8 @@ impl StrategyKind {
             }
             Scheme::AdaptiveRandomized => "AR",
             Scheme::DeterministicRouted => "DR",
-            Scheme::TwoPhaseSchedule { .. } => "TPS",
-            Scheme::VirtualMesh { .. } => "VMesh",
+            Scheme::TwoPhaseSchedule => "TPS",
+            Scheme::VirtualMesh => "VMesh",
             Scheme::XyzRouting => "XYZ",
             Scheme::Auto => "Auto",
         }
@@ -201,7 +193,7 @@ impl StrategyKind {
     /// everything.
     pub fn supported_dims(&self) -> std::ops::RangeInclusive<usize> {
         match self.scheme {
-            Scheme::TwoPhaseSchedule { .. } | Scheme::VirtualMesh { .. } => 1..=3,
+            Scheme::TwoPhaseSchedule | Scheme::VirtualMesh => 1..=3,
             _ => 1..=bgl_torus::MAX_DIMS,
         }
     }
@@ -269,6 +261,11 @@ pub struct AaReport {
 /// ablations); pass `SimConfig::new(part)` for the defaults. Strategy
 /// requirements (TPS injection-FIFO reservation, the strategy's pacer)
 /// are applied on top.
+///
+/// # Panics
+/// With `base.check_invariants` set, panics where the oracle finds a
+/// broken law, and where a healthy full-coverage run finishes faster than
+/// its Equation-2 peak.
 pub fn run_aa(
     part: Partition,
     workload: &AaWorkload,
@@ -306,18 +303,12 @@ pub fn run_aa(
         Scheme::MpiBaseline => direct(DirectConfig::mpi(params)),
         Scheme::AdaptiveRandomized => direct(DirectConfig::ar(params)),
         Scheme::DeterministicRouted => direct(DirectConfig::dr(params)),
-        Scheme::TwoPhaseSchedule { linear } => {
+        Scheme::TwoPhaseSchedule => {
             base.inj_class_masks = tps_inj_class_masks(base.inj_fifo_count);
-            let cfg = TpsConfig { linear };
+            let cfg = TpsConfig::default();
             per_node(p, |r| TpsProgram::new(r, &part, workload, &cfg, params))
         }
-        Scheme::VirtualMesh { layout } => {
-            let cfg = VmeshConfig {
-                layout,
-                ..VmeshConfig::default()
-            };
-            per_node(p, |r| VmeshProgram::new(r, &part, workload, &cfg, params))
-        }
+        Scheme::VirtualMesh => per_node(p, |r| VmeshProgram::new(r, &part, workload, params)),
         Scheme::XyzRouting => {
             base.inj_class_masks = xyz_inj_class_masks(base.inj_fifo_count, part.ndims());
             per_node(p, |r| XyzProgram::new(r, &part, workload, params))
@@ -325,12 +316,22 @@ pub fn run_aa(
         Scheme::Auto => unreachable!("Auto resolved above"),
     };
 
+    // Equation 2 is a lower bound on a healthy full exchange: the
+    // bottleneck dimension's links must carry their average payload, at
+    // most 30 payload bytes per link per cycle. Checked with the oracle.
+    let check_peak = base.check_invariants && base.fault.is_empty() && workload.coverage >= 1.0;
     let mut engine = Engine::new(base, programs);
     let stats = engine.run()?;
     let trace = engine.take_trace();
     let perf = engine.take_perf();
     let peak_cycles = peak_cycles_for(&part, workload, params);
     let cycles = stats.completion_cycle;
+    assert!(
+        !check_peak || cycles as f64 >= peak_cycles,
+        "invariant violated: {} on {part} finished in {cycles} cycles, under the \
+         Equation-2 peak of {peak_cycles:.1}",
+        strategy.name()
+    );
     let time_secs = cycles as f64 * params.secs_per_sim_cycle();
     let sent_per_node = workload.dests_per_node(p) as u64 * workload.m_bytes;
     Ok(AaReport {
@@ -460,10 +461,14 @@ mod tests {
         MachineParams::bgl()
     }
 
+    /// A full exchange with the oracle on, so every run also checks
+    /// Equation 2 as a lower bound.
     fn quick(part: &str, m: u64, strategy: StrategyKind) -> AaReport {
         let part: Partition = part.parse().unwrap();
         let w = AaWorkload::full(m);
-        run_aa(part, &w, &strategy, &params(), SimConfig::new(part)).unwrap()
+        let mut cfg = SimConfig::new(part);
+        cfg.check_invariants = true;
+        run_aa(part, &w, &strategy, &params(), cfg).unwrap()
     }
 
     #[test]
@@ -579,6 +584,17 @@ mod tests {
         let b = quick("4x4", 240, StrategyKind::ar());
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.stats, b.stats);
+    }
+
+    /// At 912 bytes the link term dominates a run, so a network that moved
+    /// more than 30 payload bytes per link-cycle would beat the peak: the
+    /// oracle's Equation-2 law (on in `quick`) must hold for every scheme.
+    #[test]
+    fn full_exchanges_respect_the_equation_2_peak() {
+        for s in every_strategy().into_iter().step_by(3) {
+            let r = quick("8x8", 912, s);
+            assert!(r.percent_of_peak <= 100.0, "{}", r.percent_of_peak);
+        }
     }
 
     #[test]

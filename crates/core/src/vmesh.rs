@@ -15,34 +15,19 @@
 use crate::flow::{self, KIND_CREDIT};
 use crate::walk::SendWalk;
 use crate::workload::{packetize, AaWorkload};
-use bgl_model::MachineParams;
+use bgl_model::{MachineParams, CHUNK_BYTES};
 use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
-use bgl_torus::{Partition, VirtualMesh, VmeshLayout};
+use bgl_torus::{Partition, VirtualMesh};
 
 /// Phase-1 (row) packet kind.
 const KIND_ROW: u8 = 1;
 /// Phase-2 (column) packet kind.
 const KIND_COL: u8 = 2;
 
-/// VMesh tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct VmeshConfig {
-    /// How to factorize the partition into rows and columns.
-    pub layout: VmeshLayout,
-    /// Smallest packet of the combining (message-passing) runtime, bytes.
-    /// Unlike the 64-byte direct-runtime floor, combined messages carry
-    /// only the 8-byte proto header, so 32-byte packets are possible.
-    pub min_packet_bytes: u32,
-}
-
-impl Default for VmeshConfig {
-    fn default() -> Self {
-        VmeshConfig {
-            layout: VmeshLayout::Auto,
-            min_packet_bytes: 32,
-        }
-    }
-}
+/// Smallest packet of the combining (message-passing) runtime, bytes.
+/// Unlike the 64-byte direct-runtime floor, combined messages carry only
+/// the 8-byte proto header, so one-chunk packets are possible.
+const MIN_PACKET_BYTES: u32 = CHUNK_BYTES;
 
 /// Per-node virtual-mesh combining program: two message-major walks, one
 /// combined message to every other row member (phase 1), then — after a
@@ -62,22 +47,22 @@ pub struct VmeshProgram {
 }
 
 impl VmeshProgram {
-    /// Build the program for `rank`.
+    /// Build the program for `rank`, on the paper's virtual mesh for
+    /// `part` ([`VirtualMesh::choose`]).
     pub fn new(
         rank: u32,
         part: &Partition,
         workload: &AaWorkload,
-        cfg: &VmeshConfig,
         params: &MachineParams,
     ) -> VmeshProgram {
-        let vm = VirtualMesh::choose(*part, cfg.layout);
+        let vm = VirtualMesh::choose(*part);
         let coord = part.coord_of(rank);
         let row = vm.row_of(coord);
         let pos = vm.pos_in_row(coord);
         let m = workload.m_bytes;
         let proto = params.proto_header_bytes;
-        let p1_shapes = packetize(vm.pvy() as u64 * m, proto, cfg.min_packet_bytes, params);
-        let p2_shapes = packetize(vm.pvx() as u64 * m, proto, cfg.min_packet_bytes, params);
+        let p1_shapes = packetize(vm.pvy() as u64 * m, proto, MIN_PACKET_BYTES, params);
+        let p2_shapes = packetize(vm.pvx() as u64 * m, proto, MIN_PACKET_BYTES, params);
         // Rotated visiting order spreads instantaneous load across the row
         // (every node starts on a different neighbour).
         let p1_targets: Vec<u32> = (1..vm.pvx())
@@ -198,7 +183,7 @@ mod tests {
     fn phase1_visits_all_row_members() {
         let part: Partition = "4x4".parse().unwrap();
         let w = AaWorkload::full(8);
-        let mut prog = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
+        let mut prog = VmeshProgram::new(0, &part, &w, &params());
         let pvx = prog.p1.targets().len() + 1;
         let mut dests = std::collections::HashSet::new();
         for _ in 0..pvx - 1 {
@@ -216,7 +201,7 @@ mod tests {
     fn phase2_starts_only_after_all_row_messages() {
         let part: Partition = "4x4".parse().unwrap();
         let w = AaWorkload::full(8);
-        let mut prog = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
+        let mut prog = VmeshProgram::new(0, &part, &w, &params());
         while pull(&mut prog, &part, 0).is_some() {}
         let sources: Vec<u32> = prog.p1.targets().to_vec();
         let per_msg = prog.p1.shapes().len();
@@ -242,7 +227,7 @@ mod tests {
         // Phase-1 messages carry Pvy·m bytes, phase-2 messages Pvx·m.
         let part: Partition = "8x8x8".parse().unwrap();
         let w = AaWorkload::full(8);
-        let prog = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
+        let prog = VmeshProgram::new(0, &part, &w, &params());
         let p1_payload: u64 = prog.p1.shapes().iter().map(|s| s.payload as u64).sum();
         let p2_payload: u64 = prog.p2.shapes().iter().map(|s| s.payload as u64).sum();
         assert_eq!(p1_payload, 16 * 8); // Pvy = 16 on the 32×16 mesh
@@ -255,7 +240,7 @@ mod tests {
     fn completion_requires_both_phases() {
         let part: Partition = "2x2".parse().unwrap();
         let w = AaWorkload::full(4);
-        let mut prog = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
+        let mut prog = VmeshProgram::new(0, &part, &w, &params());
         assert!(!prog.is_complete());
         // Send phase 1 (one row neighbour).
         assert!(pull(&mut prog, &part, 0).is_some());
@@ -277,8 +262,8 @@ mod tests {
     fn rotated_start_spreads_row_targets() {
         let part: Partition = "4x4".parse().unwrap();
         let w = AaWorkload::full(8);
-        let a = VmeshProgram::new(0, &part, &w, &VmeshConfig::default(), &params());
-        let b = VmeshProgram::new(1, &part, &w, &VmeshConfig::default(), &params());
+        let a = VmeshProgram::new(0, &part, &w, &params());
+        let b = VmeshProgram::new(1, &part, &w, &params());
         assert_ne!(a.p1.targets().first(), b.p1.targets().first());
     }
 }

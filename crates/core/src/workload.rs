@@ -1,7 +1,10 @@
 //! All-to-all workload description: message sizes, packetization and
 //! randomized destination schedules.
 
-use bgl_model::MachineParams;
+use bgl_model::{
+    MachineParams, CHUNK_BYTES, MAX_PACKET_BYTES, MAX_PACKET_PAYLOAD, PACKET_OVERHEAD_BYTES,
+};
+use bgl_sim::packet::MAX_PACKET_CHUNKS;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -19,9 +22,6 @@ pub struct AaWorkload {
     /// shorter. Used to keep simulations of the very large partitions
     /// tractable (documented per-experiment in EXPERIMENTS.md).
     pub coverage: f64,
-    /// Packets sent to one destination before moving to the next (the
-    /// production MPI tuning parameter; usually 1 or 2).
-    pub packets_per_visit: u32,
     /// Workload RNG seed (destination-order randomization).
     pub seed: u64,
 }
@@ -32,7 +32,6 @@ impl AaWorkload {
         AaWorkload {
             m_bytes,
             coverage: 1.0,
-            packets_per_visit: 1,
             seed: 0xaa11,
         }
     }
@@ -73,27 +72,41 @@ impl AaWorkload {
 /// One packet of a packetized message: wire chunks and application payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PacketShape {
-    /// Wire size in 32-byte chunks (1..=8).
+    /// Wire size in [`CHUNK_BYTES`] chunks, `1..=MAX_PACKET_CHUNKS`.
     pub chunks: u8,
     /// Application payload bytes carried.
     pub payload: u32,
 }
 
+// The model's packet geometry and the simulator's packet limit are the
+// same machine.
+const _: () = assert!(MAX_PACKET_BYTES / CHUNK_BYTES == MAX_PACKET_CHUNKS as u32);
+
 /// Split a message of `m` application bytes plus `header` protocol bytes
 /// into BG/L packets: up to 240 payload-capacity bytes per 256-byte packet,
-/// rounded up to 32-byte chunks, with a floor of `min_packet` bytes.
+/// rounded up to 32-byte chunks, with a floor of `min_packet` bytes. A
+/// packet is never more than [`MAX_PACKET_CHUNKS`] chunks: the payload cap
+/// plus the overhead is exactly [`MAX_PACKET_BYTES`].
 ///
 /// The direct strategies use `header = 48` (the software header `h`,
 /// carried in the first packet); the combining runtime uses `header = 8`
-/// (`proto`).
+/// (`proto`). The geometry is the hardware's, so `params` is not read.
 ///
 /// # Panics
 /// Panics if `m + header` overflows `u64` (a wrapped sum would packetize
-/// a huge message as a tiny one).
-pub fn packetize(m: u64, header: u32, min_packet: u32, params: &MachineParams) -> Vec<PacketShape> {
-    let payload_cap = params.max_packet_payload() as u64;
-    let overhead = params.packet_overhead_bytes as u64;
-    let chunk = params.chunk_bytes as u64;
+/// a huge message as a tiny one), or if `min_packet` exceeds
+/// [`MAX_PACKET_BYTES`].
+pub fn packetize(
+    m: u64,
+    header: u32,
+    min_packet: u32,
+    _params: &MachineParams,
+) -> Vec<PacketShape> {
+    assert!(
+        min_packet <= MAX_PACKET_BYTES,
+        "a {min_packet}-byte packet floor exceeds the {MAX_PACKET_BYTES}-byte packet"
+    );
+    let payload_cap = MAX_PACKET_PAYLOAD as u64;
     let total = m.checked_add(header.into()).unwrap_or_else(|| {
         panic!("a {m}-byte message plus its {header}-byte header overflows u64")
     });
@@ -106,8 +119,8 @@ pub fn packetize(m: u64, header: u32, min_packet: u32, params: &MachineParams) -
         header_left -= head_part;
         let app_part = app_left.min(payload_cap - head_part);
         app_left -= app_part;
-        let wire = (head_part + app_part + overhead).max(min_packet as u64);
-        let chunks = wire.div_ceil(chunk).min(8);
+        let wire = (head_part + app_part + PACKET_OVERHEAD_BYTES as u64).max(min_packet as u64);
+        let chunks = wire.div_ceil(CHUNK_BYTES as u64);
         out.push(PacketShape {
             chunks: chunks as u8,
             payload: app_part as u32,
@@ -229,6 +242,22 @@ mod tests {
                     // Wire size must cover its share of payload.
                     assert!(s.chunks as u32 * 32 >= s.payload);
                 }
+            }
+        }
+        // Every size either runtime frames fits the simulator's packet: the
+        // direct runtime (48-byte `h`, 64-byte floor) and the combining one
+        // (8-byte proto, one-chunk floor), with nothing capping the chunks.
+        for (header, floor) in [(48, 64), (8, CHUNK_BYTES)] {
+            for m in 1..=20_000u64 {
+                let shapes = packetize(m, header, floor, &params());
+                for s in &shapes {
+                    assert!(
+                        (1..=MAX_PACKET_CHUNKS).contains(&s.chunks),
+                        "m={m} h={header}"
+                    );
+                }
+                let total: u64 = shapes.iter().map(|s| s.payload as u64).sum();
+                assert_eq!(total, m, "m={m} h={header}");
             }
         }
     }

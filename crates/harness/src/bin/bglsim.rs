@@ -561,13 +561,8 @@ fn write_traces(path: &str, out: Output, points: &[RunPoint], runner: &Runner) {
 fn cmd_fit(flags: &HashMap<String, String>) {
     let shape = flags.get("shape").map(String::as_str).unwrap_or("8x8x8");
     let part = parse_shape(shape);
-    if part.num_nodes() < 2 {
-        fail(&format!(
-            "a ping-pong needs at least two nodes, got the one-node shape {part}"
-        ));
-    }
     let params = MachineParams::bgl();
-    let fit = fit_ptp_params(&part, &params);
+    let fit = fit_ptp_params(&part, &params).unwrap_or_else(|e| fail(&e.to_string()));
     println!("ping-pong fit on {part} (Equation 1, T = α + m·β):");
     println!("  fitted α  : {:.2} cycles", fit.alpha_cycles);
     println!(

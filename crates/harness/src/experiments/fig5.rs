@@ -4,7 +4,7 @@
 use super::{Experiment, Line, Rows};
 use crate::runner::{Runner, Unit};
 use bgl_model::{direct, vmesh as vmesh_model, MachineParams};
-use bgl_torus::{Partition, VirtualMesh, VmeshLayout};
+use bgl_torus::{Partition, VirtualMesh};
 
 /// Message sizes plotted.
 const SIZES: [u64; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
@@ -24,7 +24,7 @@ pub(super) const FIG5: Experiment = Experiment {
 
 fn model() -> (Partition, VirtualMesh, MachineParams) {
     let part: Partition = "8x8x8".parse().unwrap();
-    let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
+    let vm = VirtualMesh::choose(part);
     assert_eq!((vm.pvx(), vm.pvy()), (32, 16), "paper's 32x16 mesh");
     (part, vm, MachineParams::bgl())
 }

@@ -351,7 +351,7 @@ impl Runner {
         let m = m.max(1);
         let full = peak_cycles_for(part, &AaWorkload::full(m), &self.params);
         let shapes = bgl_core::direct_shapes(m, &self.params);
-        let wire_bytes = bgl_core::total_chunks(&shapes) * self.params.chunk_bytes as u64;
+        let wire_bytes = bgl_core::total_chunks(&shapes) * bgl_model::CHUNK_BYTES as u64;
         let wire_factor = (wire_bytes as f64 / m as f64).max(1.0);
         let budget = self.scale.node_cycle_budget();
         let mut cov = (budget / (p as f64 * full * wire_factor)).min(1.0);

@@ -7,8 +7,9 @@
 //! models, exactly as the paper validates its measurements (Figures 1, 2
 //! and 5 overlay model prediction on measurement).
 //!
-//! * [`MachineParams`] — the measured BG/L constants (α, β, γ, h, proto,
-//!   packet geometry) and unit conversions.
+//! * [`MachineParams`] — the measured BG/L constants (α, β, γ, h, proto)
+//!   and unit conversions; [`CHUNK_BYTES`], [`MAX_PACKET_BYTES`] and
+//!   [`PACKET_OVERHEAD_BYTES`] — the fixed packet geometry.
 //! * [`PointToPoint`] — Equation 1, `T_ptp = α + (m+h)·C·β + L`.
 //! * [`peak`] — Equation 2, the contention-derived peak all-to-all time.
 //! * [`direct`] — Equation 3, the simple-direct all-to-all cost model.
@@ -37,7 +38,9 @@ pub mod peak;
 pub mod ptp;
 pub mod vmesh;
 
-pub use params::MachineParams;
+pub use params::{
+    MachineParams, CHUNK_BYTES, MAX_PACKET_BYTES, MAX_PACKET_PAYLOAD, PACKET_OVERHEAD_BYTES,
+};
 pub use ptp::PointToPoint;
 
 /// Percent of peak achieved: `100 · t_peak / t_measured`.

@@ -1,11 +1,22 @@
 //! Measured BG/L machine parameters and unit conversions.
 
-/// The measured constants of the paper's communication model, plus the BG/L
-/// packet geometry and clock, with unit-conversion helpers.
+/// Torus packet granularity, bytes: a packet is a whole number of chunks,
+/// and a link moves one chunk per simulator cycle.
+pub const CHUNK_BYTES: u32 = 32;
+/// Largest torus packet, bytes.
+pub const MAX_PACKET_BYTES: u32 = 256;
+/// Link-level header and trailer of every packet, bytes.
+pub const PACKET_OVERHEAD_BYTES: u32 = 16;
+/// Payload bytes of the largest packet (240).
+pub const MAX_PACKET_PAYLOAD: u32 = MAX_PACKET_BYTES - PACKET_OVERHEAD_BYTES;
+
+/// The measured constants of the paper's communication model and the BG/L
+/// clock, with unit-conversion helpers. The packet geometry is fixed by the
+/// hardware and lives in the constants above.
 ///
 /// All defaults come straight from the paper (Sections 2–4):
 ///
-/// | constant | paper value | field |
+/// | constant | paper value | field or constant |
 /// |---|---|---|
 /// | α (AR, per destination)     | 450 CPU cycles ≈ 0.64 µs | [`alpha_direct_cycles`](Self::alpha_direct_cycles) |
 /// | α (VMesh, per message)      | 1170 CPU cycles ≈ 1.7 µs | [`alpha_message_cycles`](Self::alpha_message_cycles) |
@@ -13,10 +24,10 @@
 /// | γ (copy, per byte)          | 1.6 ns/B (≈1.1 B/cycle) | [`gamma_ns_per_byte`](Self::gamma_ns_per_byte) |
 /// | h (software header)         | 48 B, first packet only | [`software_header_bytes`](Self::software_header_bytes) |
 /// | proto (combining header)    | 8 B | [`proto_header_bytes`](Self::proto_header_bytes) |
-/// | torus packet                | 32-B multiples up to 256 B, 240 B max payload | [`chunk_bytes`](Self::chunk_bytes), [`max_packet_bytes`](Self::max_packet_bytes) |
+/// | torus packet                | 32-B multiples up to 256 B, 240 B max payload | [`CHUNK_BYTES`], [`MAX_PACKET_BYTES`], [`PACKET_OVERHEAD_BYTES`] |
 /// | minimum AA packet           | 64 B | [`min_packet_bytes`](Self::min_packet_bytes) |
 /// | CPU clock                   | 700 MHz | [`cpu_mhz`](Self::cpu_mhz) |
-/// | per-core link throughput    | ~4 links (data not in L1) | [`cpu_links_sustained`](Self::cpu_links_sustained) |
+/// | per-core link throughput    | ~4 links (data not in L1) | the simulator's `CpuConfig::chunks_per_cycle` |
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineParams {
     /// Per-destination startup overhead of the packetized direct (AR)
@@ -34,20 +45,10 @@ pub struct MachineParams {
     pub software_header_bytes: u32,
     /// Combining-protocol header `proto` per combined message, bytes.
     pub proto_header_bytes: u32,
-    /// Torus packet granularity (packets are multiples of this), bytes.
-    pub chunk_bytes: u32,
-    /// Largest torus packet, bytes (256 on BG/L; 240 of payload).
-    pub max_packet_bytes: u32,
-    /// Packet overhead per packet: link-level header + trailer, bytes
-    /// (a 256-byte packet carries 240 payload bytes).
-    pub packet_overhead_bytes: u32,
     /// Smallest packet the AA runtime emits, bytes.
     pub min_packet_bytes: u32,
     /// CPU clock, MHz.
     pub cpu_mhz: f64,
-    /// How many links' worth of bandwidth one core sustains when the data
-    /// is not L1-resident.
-    pub cpu_links_sustained: f64,
     /// Network latency per hop, CPU cycles (used by the L term of Equation
     /// 1; insignificant for throughput, visible in Table 4 latencies).
     pub hop_latency_cycles: f64,
@@ -63,12 +64,8 @@ impl MachineParams {
             gamma_ns_per_byte: 1.6,
             software_header_bytes: 48,
             proto_header_bytes: 8,
-            chunk_bytes: 32,
-            max_packet_bytes: 256,
-            packet_overhead_bytes: 16,
             min_packet_bytes: 64,
             cpu_mhz: 700.0,
-            cpu_links_sustained: 4.0,
             hop_latency_cycles: 70.0,
         }
     }
@@ -110,7 +107,7 @@ impl MachineParams {
     /// β-based times and simulator cycles.
     #[inline]
     pub fn payload_bytes_per_cycle(&self) -> f64 {
-        self.max_packet_payload() as f64 / (self.max_packet_bytes / self.chunk_bytes) as f64
+        MAX_PACKET_PAYLOAD as f64 / (MAX_PACKET_BYTES / CHUNK_BYTES) as f64
     }
 
     /// Duration of one simulator cycle (one chunk crossing one link) in
@@ -136,13 +133,7 @@ impl MachineParams {
     /// The memory-copy cost γ of one chunk, in simulator cycles.
     #[inline]
     pub fn gamma_sim_cycles_per_chunk(&self) -> f64 {
-        self.gamma_ns_per_byte * self.chunk_bytes as f64 * 1e-9 / self.secs_per_sim_cycle()
-    }
-
-    /// Maximum payload bytes per packet (240 on BG/L).
-    #[inline]
-    pub fn max_packet_payload(&self) -> u32 {
-        self.max_packet_bytes - self.packet_overhead_bytes
+        self.gamma_ns_per_byte * CHUNK_BYTES as f64 * 1e-9 / self.secs_per_sim_cycle()
     }
 }
 

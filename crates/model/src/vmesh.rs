@@ -50,10 +50,10 @@ pub fn crossover_exact(vm: &VirtualMesh, params: &MachineParams) -> Option<f64> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_torus::{Partition, VmeshLayout};
+    use bgl_torus::Partition;
 
     fn vm512() -> VirtualMesh {
-        VirtualMesh::choose("8x8x8".parse().unwrap(), VmeshLayout::Auto)
+        VirtualMesh::choose("8x8x8".parse().unwrap())
     }
 
     #[test]
@@ -112,7 +112,7 @@ mod tests {
         // 8 bytes. The models should already show a large gap.
         let params = MachineParams::bgl();
         let part: Partition = "8x32x16".parse().unwrap();
-        let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
+        let vm = VirtualMesh::choose(part);
         let t_direct = crate::direct::aa_direct_time_secs(&part, 8, &params);
         let t_vmesh = aa_vmesh_time_secs(&vm, 8, &params);
         assert!(t_direct / t_vmesh > 1.5, "{}", t_direct / t_vmesh);

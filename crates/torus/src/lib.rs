@@ -44,4 +44,4 @@ pub use analysis::{AaLoadAnalysis, DimLoad};
 pub use coord::{Coord, Dim, Direction, Sign, MAX_DIMS, MAX_PORTS};
 pub use partition::{Partition, PartitionParseError, Rank};
 pub use routing::{DimensionOrder, HopPlan, TieBreak};
-pub use vmesh::{VirtualMesh, VmeshLayout};
+pub use vmesh::VirtualMesh;

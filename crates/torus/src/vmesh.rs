@@ -13,34 +13,18 @@
 //! * on the 8×32×16 torus it uses a 128×32 mesh whose rows are XZ planes and
 //!   whose columns are Y lines — permutation (X, Z, Y), `Pvx = 128`.
 //!
-//! [`VirtualMesh::choose`] reproduces both choices.
+//! [`VirtualMesh::choose`] reproduces both choices by rule; the layout is
+//! not a setting.
 
 use crate::coord::{Coord, Dim};
 use crate::partition::{Partition, Rank};
-use serde::Serialize;
 
 /// The three BG/L dimensions, the only ones a virtual mesh factorises:
 /// the combining strategy's row/column geometry is defined over at most a
 /// 3D physical block (higher-dimensional machines are rejected by
-/// [`VirtualMesh::with_layout`], and the VMesh strategy declares a 3D-only
+/// `VirtualMesh::with_layout`, and the VMesh strategy declares a 3D-only
 /// `supported_dims()` capability on top of this).
 const XYZ: [Dim; 3] = [Dim::X, Dim::Y, Dim::Z];
-
-/// How to lay the virtual mesh onto the physical partition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
-pub enum VmeshLayout {
-    /// Pick automatically: plane-aligned on asymmetric 3-D partitions,
-    /// otherwise the most nearly square contiguous factorisation
-    /// (see [`VirtualMesh::choose`]).
-    Auto,
-    /// Rows are the planes orthogonal to the partition's longest dimension;
-    /// columns are lines along it.
-    PlaneAligned,
-    /// Most nearly square contiguous rectangular factorisation.
-    Balanced,
-    /// Explicit dimension permutation (fastest-varying first) and row length.
-    Explicit { perm: [Dim; 3], pvx: u32 },
-}
 
 /// A realised 2-D virtual mesh over a partition.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,7 +43,7 @@ impl VirtualMesh {
     /// Returns `Err` if the partition has more than three dimensions, if
     /// `perm` is not a permutation of X, Y, Z, or if `pvx` does not divide
     /// the node count.
-    pub fn with_layout(part: Partition, perm: [Dim; 3], pvx: u32) -> Result<VirtualMesh, String> {
+    fn with_layout(part: Partition, perm: [Dim; 3], pvx: u32) -> Result<VirtualMesh, String> {
         if part.ndims() > 3 {
             return Err(format!(
                 "virtual mesh requires at most 3 dimensions, partition {part} has {}",
@@ -88,26 +72,15 @@ impl VirtualMesh {
         })
     }
 
-    /// Choose a layout per `layout` (see [`VmeshLayout`]).
-    ///
-    /// `Auto` reproduces the paper's choices: on an asymmetric 3-D partition
-    /// rows are the planes orthogonal to the longest dimension (128×32 on
+    /// The paper's layout for `part`: on an asymmetric 3-D partition rows
+    /// are the planes orthogonal to the longest dimension (128×32 on
     /// 8×32×16); otherwise the most nearly square contiguous rectangular
     /// factorisation is used (32×16 on 8×8×8).
-    pub fn choose(part: Partition, layout: VmeshLayout) -> VirtualMesh {
-        match layout {
-            VmeshLayout::Explicit { perm, pvx } => {
-                VirtualMesh::with_layout(part, perm, pvx).expect("explicit vmesh layout invalid")
-            }
-            VmeshLayout::PlaneAligned => Self::plane_aligned(part),
-            VmeshLayout::Balanced => Self::balanced(part),
-            VmeshLayout::Auto => {
-                if part.dimensionality() == 3 && !part.is_symmetric() {
-                    Self::plane_aligned(part)
-                } else {
-                    Self::balanced(part)
-                }
-            }
+    pub fn choose(part: Partition) -> VirtualMesh {
+        if part.dimensionality() == 3 && !part.is_symmetric() {
+            Self::plane_aligned(part)
+        } else {
+            Self::balanced(part)
         }
     }
 
@@ -249,7 +222,7 @@ mod tests {
     #[test]
     fn paper_512_choice_is_32x16() {
         let part: Partition = "8x8x8".parse().unwrap();
-        let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
+        let vm = VirtualMesh::choose(part);
         assert_eq!((vm.pvx(), vm.pvy()), (32, 16));
         // Rows are half-XY planes: 32 consecutive X-fastest ranks.
         let row0 = row_members(&vm, 0);
@@ -260,7 +233,7 @@ mod tests {
     #[test]
     fn paper_4096_choice_is_128x32_plane_aligned() {
         let part: Partition = "8x32x16".parse().unwrap();
-        let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
+        let vm = VirtualMesh::choose(part);
         assert_eq!((vm.pvx(), vm.pvy()), (128, 32));
         // Rows are XZ planes (constant Y), columns are Y lines.
         let row0 = row_members(&vm, 0);
@@ -275,7 +248,7 @@ mod tests {
 
     #[test]
     fn balanced_prefers_square() {
-        let vm = VirtualMesh::choose("16x16x16".parse().unwrap(), VmeshLayout::Balanced);
+        let vm = VirtualMesh::balanced("16x16x16".parse().unwrap());
         assert_eq!((vm.pvx(), vm.pvy()), (64, 64));
     }
 
@@ -283,7 +256,7 @@ mod tests {
     fn rows_and_columns_partition_the_machine() {
         for spec in ["8x8x8", "8x32x16", "4x6x2", "16x16"] {
             let part: Partition = spec.parse().unwrap();
-            let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
+            let vm = VirtualMesh::choose(part);
             assert_eq!(vm.pvx() * vm.pvy(), part.num_nodes(), "{spec}");
             let mut seen = std::collections::HashSet::new();
             for r in 0..vm.pvy() {
@@ -316,7 +289,7 @@ mod tests {
     #[test]
     fn node_at_inverts_row_pos() {
         let part: Partition = "8x8x8".parse().unwrap();
-        let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
+        let vm = VirtualMesh::choose(part);
         for c in part.coords() {
             assert_eq!(vm.node_at(vm.row_of(c), vm.pos_in_row(c)), c);
         }
@@ -340,13 +313,7 @@ mod tests {
     #[test]
     fn explicit_layout_is_honoured() {
         let part: Partition = "8x8x8".parse().unwrap();
-        let vm = VirtualMesh::choose(
-            part,
-            VmeshLayout::Explicit {
-                perm: [Dim::Y, Dim::Z, Dim::X],
-                pvx: 64,
-            },
-        );
+        let vm = VirtualMesh::with_layout(part, [Dim::Y, Dim::Z, Dim::X], 64).unwrap();
         assert_eq!((vm.pvx(), vm.pvy()), (64, 8));
         // Rows are YZ planes (constant X).
         assert!(row_members(&vm, 0).iter().all(|c| c.get(Dim::X) == 0));

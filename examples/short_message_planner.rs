@@ -20,15 +20,18 @@ fn main() {
     let params = MachineParams::bgl();
     let p = part.num_nodes();
 
-    let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
+    // The paper's layout, by `VirtualMesh::choose`'s rule: plane-aligned
+    // on an asymmetric 3-D partition, the most nearly square blocks
+    // otherwise.
+    let vm = VirtualMesh::choose(part);
     println!(
         "partition {part}: virtual mesh {}x{} ({})",
         vm.pvx(),
         vm.pvy(),
-        if part.is_symmetric() {
-            "balanced blocks"
-        } else {
+        if part.dimensionality() == 3 && !part.is_symmetric() {
             "plane-aligned"
+        } else {
+            "balanced blocks"
         }
     );
     if let Some(x) = vmesh_model::crossover_exact(&vm, &params) {

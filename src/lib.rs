@@ -48,7 +48,9 @@ pub mod prelude {
     };
     pub use bgl_model::MachineParams;
     pub use bgl_sim::{Engine, NodeApi, NodeProgram, SendSpec, SimConfig};
-    pub use bgl_torus::{AaLoadAnalysis, Coord, Dim, Partition, VirtualMesh, VmeshLayout};
+    /// `VirtualMesh::choose(part)` is the paper's layout for `part`; there
+    /// is no layout to pick.
+    pub use bgl_torus::{AaLoadAnalysis, Coord, Dim, Partition, VirtualMesh};
 }
 
 #[cfg(test)]

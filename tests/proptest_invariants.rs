@@ -106,7 +106,7 @@ proptest! {
     /// The virtual mesh factorization always tiles the machine exactly.
     #[test]
     fn vmesh_tiles_partition(part in small_partition()) {
-        let vm = VirtualMesh::choose(part, VmeshLayout::Auto);
+        let vm = VirtualMesh::choose(part);
         prop_assert_eq!(vm.pvx() * vm.pvy(), part.num_nodes());
         let mut seen = std::collections::HashSet::new();
         for row in 0..vm.pvy() {
