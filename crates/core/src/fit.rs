@@ -34,8 +34,8 @@ pub struct FittedModel {
 /// packetization and per-destination α.
 ///
 /// # Errors
-/// [`SimError::TooFewNodes`] on a one-node partition; the engine's error
-/// if the message does not arrive.
+/// [`SimError::TooFewNodes`] ("a one-way message") on a one-node
+/// partition; the engine's error if the message does not arrive.
 pub fn one_way_message_cycles(
     part: &Partition,
     m: u64,
@@ -43,7 +43,10 @@ pub fn one_way_message_cycles(
 ) -> Result<u64, SimError> {
     let p = part.num_nodes();
     if p < 2 {
-        return Err(SimError::TooFewNodes { nodes: p });
+        return Err(SimError::TooFewNodes {
+            what: "a one-way message",
+            nodes: p,
+        });
     }
     let alpha = params.cpu_to_sim_cycles(params.alpha_direct_cycles);
     let walk = SendWalk::new(vec![1], direct_shapes(m, params), 1, alpha);
@@ -67,8 +70,15 @@ pub fn one_way_message_cycles(
 /// as the paper's ping-pong fit does).
 ///
 /// # Errors
-/// The first error of [`one_way_message_cycles`].
+/// [`SimError::TooFewNodes`] ("a ping-pong fit") on a one-node partition;
+/// else the first error of [`one_way_message_cycles`].
 pub fn fit_ptp_params(part: &Partition, params: &MachineParams) -> Result<FittedModel, SimError> {
+    if part.num_nodes() < 2 {
+        return Err(SimError::TooFewNodes {
+            what: "a ping-pong fit",
+            nodes: part.num_nodes(),
+        });
+    }
     let sizes: Vec<u64> = vec![192, 432, 912, 1872, 3792, 7632, 15312];
     let samples: Vec<(u64, u64)> = sizes
         .iter()
@@ -158,11 +168,22 @@ mod tests {
     fn a_one_node_partition_is_a_typed_error() {
         let part: Partition = "1x1x1".parse().unwrap();
         let params = MachineParams::bgl();
-        let err = SimError::TooFewNodes { nodes: 1 };
+        let one_way = one_way_message_cycles(&part, 192, &params).unwrap_err();
         assert_eq!(
-            one_way_message_cycles(&part, 192, &params),
-            Err(err.clone())
+            one_way.to_string(),
+            "a one-way message needs at least two nodes, got a 1-node partition"
         );
-        assert_eq!(fit_ptp_params(&part, &params), Err(err));
+        let fit = fit_ptp_params(&part, &params).unwrap_err();
+        assert_eq!(
+            fit,
+            SimError::TooFewNodes {
+                what: "a ping-pong fit",
+                nodes: 1
+            }
+        );
+        assert_eq!(
+            fit.to_string(),
+            "a ping-pong fit needs at least two nodes, got a 1-node partition"
+        );
     }
 }

@@ -208,6 +208,7 @@ impl StrategyKind {
         let supported = self.supported_dims();
         if part.num_nodes() < 2 {
             Err(SimError::TooFewNodes {
+                what: "an all-to-all",
                 nodes: part.num_nodes(),
             })
         } else if supported.contains(&part.ndims()) {
@@ -807,7 +808,15 @@ mod tests {
             StrategyKind::auto(),
         ] {
             let err = run_aa(part, &w, &s, &params(), SimConfig::new(part)).unwrap_err();
-            assert_eq!(err, SimError::TooFewNodes { nodes: 1 }, "{}", s.name());
+            let want = SimError::TooFewNodes {
+                what: "an all-to-all",
+                nodes: 1,
+            };
+            assert_eq!(err, want, "{}", s.name());
+            assert_eq!(
+                err.to_string(),
+                "an all-to-all needs at least two nodes, got a 1-node partition"
+            );
         }
     }
 

@@ -97,14 +97,19 @@ fn bglsim_rejects_malformed_input() {
     ] {
         assert_clean_failure(bin, &["pattern", "--pattern", pattern], why);
     }
-    // One node has nobody to exchange with, whatever the subcommand.
+    // One node has nobody to exchange with, whatever the subcommand; the
+    // error names what needed a peer.
     let one_node = ["--shape", "1x1x1"];
-    for cmd in [
-        &["sweep", "--strategies", "ar", "--sizes", "64"][..],
-        &["profile"],
-        &["fit"],
+    for (cmd, what) in [
+        (
+            &["sweep", "--strategies", "ar", "--sizes", "64"][..],
+            "an all-to-all",
+        ),
+        (&["profile"], "an all-to-all"),
+        (&["fit"], "a ping-pong fit"),
     ] {
-        assert_clean_failure(bin, &[cmd, &one_node].concat(), "at least two nodes");
+        let needle = format!("{what} needs at least two nodes");
+        assert_clean_failure(bin, &[cmd, &one_node].concat(), &needle);
     }
     assert_clean_failure(
         bin,

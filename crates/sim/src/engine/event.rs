@@ -2,22 +2,23 @@
 //!
 //! [`EngineMode::EventDriven`](crate::EngineMode), the default clock,
 //! keeps the four cycle-stepped phases untouched and adds a *skip-ahead*
-//! layer on top: after a stepped cycle that made no progress (the
-//! watchdog's own flag — see the gate in `Engine::run_inner`),
+//! layer on top: after every stepped cycle, unless an arrival is due in the
+//! next ring slot or a delivery is queued (`Engine::may_skip`),
 //! [`Engine::fast_forward`] computes a conservative earliest next-event
-//! cycle from per-component wake-ups — in-flight arrivals (the ring) and
-//! the CPU and arbitration wakes the phases keep per node (`State::cpu_at`,
+//! cycle from per-component wake-ups — in-flight arrivals (the ring) and the
+//! CPU and arbitration wakes the phases keep per node (`State::cpu_at`,
 //! `State::arb_at`) — and jumps `now` straight there.
 //!
 //! The clock keeps no state of its own: everything it reads is state the
 //! phases maintain anyway. The jump is decided between stepped cycles.
 //!
-//! This is the *global* half of one idea. A loaded run never has a cycle
-//! without progress, so it never jumps; there the phases pass over the
+//! This is the *global* half of one idea. A loaded run has an arrival due
+//! almost every cycle, so it rarely jumps; there the phases pass over the
 //! nodes that cannot act (see "Parking" in [`super::phases`]). A parked
 //! node keeps its mark and its state is what a visit would have left, so
 //! what this module reads — the marked node sets, the wakes — is the same
-//! with or without parking.
+//! with or without parking, and a stepped cycle in which every marked node
+//! is parked does what a skipped one does: nothing.
 //!
 //! ## Why the skip is exact
 //!
@@ -25,9 +26,9 @@
 //! same cycle, would have mutated *nothing* except two counters:
 //!
 //! - no arrivals (the in-flight ring is empty until the next wake-up),
-//! - no deliveries (`deliver_q` is empty after a cycle without progress:
-//!   every push onto it is progress, and stalled deliveries are only
-//!   re-queued by a CPU drain),
+//! - no deliveries (the gate found `deliver_q` empty, and a push onto it
+//!   comes only from an arrival, a drain re-queueing stalled deliveries,
+//!   or a win exposing an arrived head — each in a stepped cycle),
 //! - every CPU visit is a blocked poll — a rate-window check or a pure
 //!   `next_send` decline ([`PollHint::SleepUntilDelivery`]) — whose only
 //!   effect is incrementing `pacing_blocked_cycles` /
@@ -36,9 +37,17 @@
 //!   visited or the statistics are read, skipped or not,
 //! - no arbitration win is possible: every marked node's `arb_at` lies
 //!   ahead. A visit leaves there the release of the busy links its heads
-//!   request (`link_busy_until`, known exactly); a head refused on
-//!   downstream credit needs room, and the release that returns it lowers
-//!   the wake of the one node that can spend it (`State::release`).
+//!   request (`link_busy_until`, known exactly); a new head lowers it to
+//!   the cycle one of its requested links is free (`State::wake_arb`); a
+//!   head refused on downstream credit needs room, and the release that
+//!   returns it lowers the wake of the one node that can spend it
+//!   (`State::release`).
+//!
+//! No bound needs a cycle without progress. Every event writes, at the node
+//! it reaches and in the cycle it happens, the cycle at which that node can
+//! next act — a CPU re-arm waits for the CPU (`State::wake_cpu`), an arrival
+//! behind a queued head writes nothing — so after a busy cycle the wakes are
+//! as exact as after an idle one, and the clock may skip after either.
 //!
 //! The wake-up invariant (see DESIGN.md): **no component may be woken
 //! later than its true next state change.** Waking too early merely steps
@@ -82,7 +91,7 @@ impl Engine {
         let (now, st) = (self.now, &self.state);
         debug_assert!(
             st.deliver_q.is_empty(),
-            "every delivery-queue push is progress"
+            "the skip gate saw the delivery queue empty"
         );
         // Earliest in-flight arrival. Every launched packet lands within
         // RING cycles (asserted at construction), so one lap suffices.
@@ -100,8 +109,8 @@ impl Engine {
             return (now, cause);
         }
         // A wake is what the node's last visit computed (`cpu_park`,
-        // `arbitrate_node`): every event since that could move it re-armed
-        // it, and none can be pending now, after a cycle without progress.
+        // `arbitrate_node`), lowered by every event since that could move
+        // it, in the cycle of that event: none is pending at a boundary.
         for i in st.cpu_active.iter() {
             let wake = st.cpu_at[i].max(now);
             if wake < e {
@@ -125,10 +134,22 @@ impl Engine {
         (e, cause)
     }
 
+    /// The skip gate, asked after every stepped cycle, busy or not: every
+    /// event of that cycle wrote the wake it enables, so only an arrival due
+    /// in the next ring slot or a queued delivery rules a skip out — at the
+    /// cost of these two compares, with no wake computation.
+    #[inline]
+    pub(super) fn may_skip(&self) -> bool {
+        let slot = (self.now % RING as u64) as usize;
+        self.state.ring[slot].is_empty() && self.state.deliver_q.is_empty()
+    }
+
     /// Jump `now` to the next event cycle, recording the periodic trace
     /// samples that fall inside the skipped window. Bounded so the `run`
     /// loop's watchdog and cycle-limit checks fire at exactly the cycle
-    /// the full scan would report.
+    /// the full scan would report. Only past the gate ([`may_skip`]).
+    ///
+    /// [`may_skip`]: Self::may_skip
     pub(super) fn fast_forward(&mut self) {
         let (raw, cause) = self.next_event_cycle();
         if raw <= self.now {

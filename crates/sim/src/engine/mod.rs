@@ -24,8 +24,9 @@
 //!
 //! How *time* advances between those phases is the
 //! [`EngineMode`](crate::EngineMode): the default clock visits only marked
-//! nodes that can act and, after any stepped cycle in which nothing moved,
-//! skips to the next cycle it cannot prove inert (see [`event`]); the
+//! nodes that can act and, after any stepped cycle with no arrival or
+//! delivery due next, skips to the next cycle it cannot prove inert (see
+//! [`event`]); the
 //! reference, the full scan, steps every cycle and visits every node. Both
 //! produce byte-identical [`NetStats`] and traces. `Engine::new` turns the
 //! mode into one flag, `Shared::full_scan`, read in three places only:
@@ -208,9 +209,11 @@ pub enum SimError {
         /// Highest dimensionality the component supports.
         max_dims: usize,
     },
-    /// A collective was asked of a partition with nobody to exchange
-    /// with. Raised up front, never after cycles have run.
+    /// A collective or a measurement was asked of a partition with nobody
+    /// to exchange with. Raised up front, never after cycles have run.
     TooFewNodes {
+        /// What needs a peer (e.g. "an all-to-all", "a ping-pong fit").
+        what: &'static str,
         /// The partition's node count.
         nodes: u32,
     },
@@ -276,9 +279,9 @@ impl std::fmt::Display for SimError {
                 "{what} supports partitions of at most {max_dims} dimensions, \
                  got a {ndims}-dimensional shape"
             ),
-            SimError::TooFewNodes { nodes } => write!(
+            SimError::TooFewNodes { what, nodes } => write!(
                 f,
-                "an all-to-all needs at least two nodes, got a {nodes}-node partition"
+                "{what} needs at least two nodes, got a {nodes}-node partition"
             ),
             SimError::InvalidSend {
                 cycle,
@@ -340,7 +343,8 @@ struct Win {
 /// the same scan over a set it never clears.
 ///
 /// The engine maintains the invariant that every node with work is marked;
-/// a marked node that turns out to be idle is cleared when visited. Bits
+/// a marked node that turns out to be idle is cleared when visited (an
+/// arbitration mark also by the delivery pop that empties the node). Bits
 /// are only ever *set* between phases (arrivals mark arbitration work,
 /// deliveries mark CPU work), so a phase can iterate a snapshot of each
 /// word without missing work.
@@ -538,6 +542,45 @@ impl State {
             PollState::Asleep { denials } => self.stats.credit_blocked_events += denials * cycles,
             PollState::Open => unreachable!("an open poll owes nothing"),
         }
+    }
+
+    /// Re-arm node `i`'s CPU after an event that may give it work: a
+    /// delivery into its reception FIFO, an injection-FIFO pop that frees
+    /// room for its stuck sends, a fault drop or a fault transition. The
+    /// visit comes no earlier than its CPU is free, where the visit's own
+    /// park would have put it. The one CPU re-arm: with `cpu_park`, it keeps
+    /// `cpu_at >= floor(cpu_free)`, so outside the full scan a CPU visit
+    /// never finds its CPU booked.
+    fn wake_cpu(&mut self, i: usize) {
+        self.cpu_active.mark(i);
+        self.cpu_at[i] = self.cpu_at[i].min(self.nodes[i].cpu_free as u64);
+    }
+
+    /// Wake node `i`'s arbitration for a new head, which requests the
+    /// outputs `dirs`, at cycle `t`: at `t` if one of them is free, else at
+    /// the earliest release among them (on a healthy run every requested
+    /// output is live); at once under a fault plan, where a detour may take
+    /// any link. An arrived head (`dirs == 0`) leaves the wake as it was.
+    fn wake_arb(&mut self, sh: &Shared, i: usize, dirs: u16, t: u64) {
+        let wake = if sh.fault_dirs != 0 {
+            0
+        } else {
+            let busy = &self.link_busy_until[i * sh.ports..][..sh.ports];
+            let releases = bits(dirs.into()).map(|d| busy[d].max(t));
+            releases.min().unwrap_or(u64::MAX)
+        };
+        self.arb_active.mark(i);
+        self.arb_at[i] = self.arb_at[i].min(wake);
+    }
+
+    /// Node `i` has nothing left to move out: it leaves the arbitration set,
+    /// its wake unset until a new head re-arms it ([`wake_arb`]). Outside
+    /// the full scan only.
+    ///
+    /// [`wake_arb`]: Self::wake_arb
+    fn leave_arb(&mut self, i: usize) {
+        self.arb_active.clear(i);
+        self.arb_at[i] = u64::MAX;
     }
 
     /// Whether output `d` of node `i` takes `pkt`, the head of its FIFO `f`,
@@ -812,19 +855,14 @@ impl Engine {
                     trace_tail,
                 });
             }
-            let t = self.now;
             self.step();
             if let Some(e) = self.state.invalid_send.take() {
                 self.sync_ledgers();
                 return Err(e);
             }
-            // The skipping clock: jump over cycles no component can act
-            // in. Progress at `t` (a move, a drain, a fault transition)
-            // may have changed what its neighbours can do at `t + 1`, so
-            // only a cycle without any is followed by a wake computation —
-            // a busy cycle costs this compare and nothing else.
+            // The skipping clock: jump over cycles no component can act in.
             if !self.shared.full_scan && !self.is_complete() {
-                if self.last_progress != t {
+                if self.may_skip() {
                     self.fast_forward();
                 } else if let Some(p) = self.perf.as_deref_mut() {
                     p.profile.event.fresh_suppressions += 1;
@@ -905,8 +943,8 @@ impl Engine {
         let st = &mut self.state;
         for i in [u, v] {
             st.arb_active.mark(i);
-            st.cpu_active.mark(i);
-            (st.arb_at[i], st.cpu_at[i]) = (0, 0);
+            st.arb_at[i] = 0;
+            st.wake_cpu(i);
         }
     }
 
@@ -948,8 +986,7 @@ impl Engine {
             let i = self.shared.part.rank_of(pkt.dst) as usize;
             st.programs[i].on_packet_dropped(&pkt);
             st.done_programs += usize::from(st.nodes[i].latch_done(st.programs[i].as_ref()));
-            st.cpu_active.mark(i);
-            st.cpu_at[i] = 0;
+            st.wake_cpu(i);
         }
     }
 

@@ -13,15 +13,25 @@
 //! cycle the next one could do more than a blocked poll (`cpu_park`): the
 //! CPU is booked until then, or the rate window opens then, or nothing
 //! short of an event at the node can help — a sleeper's pure decline, or
-//! sends stuck on injection-FIFO space. A visit to arbitration leaves in
-//! `arb_at` the first release among the busy links its heads request, if
-//! no free one can take a head. Until then the scan passes the node over on
-//! one word, its mark untouched. The blocked polls it is passed over for
-//! still count: `State::owed_from` says since when, and the next visit, or
-//! any reader of the statistics, settles them (`State::settle_blocked`).
-//! Whatever can change what a skipped visit would have found writes 0 — an
-//! arrival commit, a delivery, an injection, an injection-FIFO pop, a fault
-//! transition at the node — or is a credit release giving its heads room
+//! sends stuck on injection-FIFO space. An open poll the rate window will
+//! refuse once the CPU is free parks as a rate poll. A visit to arbitration
+//! leaves in `arb_at` the first release among the busy links its heads
+//! request, if no free one can take a head, and `u64::MAX` if it emptied
+//! the node, which leaves the set in that visit. Until then the scan passes
+//! the node over on one word, its mark untouched. The blocked polls it is
+//! passed over for still count: `State::owed_from` says since when, and the
+//! next visit, or any reader of the statistics, settles them
+//! (`State::settle_blocked`).
+//!
+//! Whatever can change what a skipped visit would have found writes the
+//! cycle it enables, never "now" for its own sake. A new head — an arrival
+//! into an empty FIFO, a delivery pop that exposes one, an injection into
+//! an empty injection FIFO — wakes arbitration when one of the links it
+//! requests is free (`State::wake_arb`); an arrival behind a queued head
+//! changes no head and writes nothing. A delivery into reception, an
+//! injection-FIFO pop that unblocks stuck sends, a fault drop and a fault
+//! transition wake the CPU when it is free (`State::wake_cpu`). A credit
+//! release giving a node's heads room wakes it at its link's release
 //! (`State::release`). The full scan writes both arrays and reads neither,
 //! so every comparison against it is parked against unparked, and the
 //! oracle's parking check covers both (DESIGN.md §6).
@@ -488,7 +498,7 @@ impl Phases<'_> {
         let mut clk = self.perf_clock();
         self.phase_arrivals(t);
         self.perf_lap(&mut clk, |p| &mut p.arrivals);
-        self.phase_deliveries();
+        self.phase_deliveries(t);
         self.perf_lap(&mut clk, |p| &mut p.deliveries);
         self.phase_cpu(t);
         self.perf_lap(&mut clk, |p| &mut p.cpu);
@@ -515,14 +525,15 @@ impl Phases<'_> {
             let was_empty = q.is_empty();
             // Space was spent from the credit cell at the upstream win.
             q.push(&mut self.st.slab, h, arr.chunks as u32);
+            // An arrival behind a queued head changes nothing arbitration
+            // reads; one into an empty FIFO is a new head.
             if was_empty {
                 let dirs = self.shared.request_dirs(&self.st.slab[h]);
                 self.st.set_head(i, self.shared.ports, fi, 0, Some(dirs));
-            }
-            self.st.arb_active.mark(i);
-            self.st.arb_at[i] = 0;
-            if was_empty && done {
-                self.st.deliver_q.push((node, fi as u8));
+                self.st.wake_arb(self.shared, i, dirs, t);
+                if done {
+                    self.st.deliver_q.push((node, fi as u8));
+                }
             }
             self.st.progress = true;
         }
@@ -531,13 +542,13 @@ impl Phases<'_> {
 
     // ---- Phase 2: deliveries ----------------------------------------------
 
-    fn phase_deliveries(&mut self) {
+    fn phase_deliveries(&mut self, t: u64) {
         if self.st.deliver_q.is_empty() {
             return;
         }
         let mut dq = std::mem::take(&mut self.st.deliver_q);
         for (node, fi) in dq.drain(..) {
-            self.try_deliver(node as usize, fi as usize);
+            self.try_deliver(node as usize, fi as usize, t);
         }
         // Hand the allocation back. `try_deliver` parks stalled FIFOs in
         // the node's `blocked_deliveries` (re-queued here only after the
@@ -548,8 +559,8 @@ impl Phases<'_> {
     }
 
     /// Move deliverable head packets of `fifo` of node `i` into the
-    /// reception FIFO.
-    fn try_deliver(&mut self, i: usize, fifo: usize) {
+    /// reception FIFO at cycle `t`.
+    fn try_deliver(&mut self, i: usize, fifo: usize, t: u64) {
         let capacity = self.shared.cfg.reception_fifo_chunks;
         loop {
             let (n, slab) = (&mut self.st.nodes[i], &mut self.st.slab);
@@ -576,11 +587,16 @@ impl Phases<'_> {
             // this cycle's arbitration to see — all of it, since phase 4
             // has not begun.
             self.st.release(self.shared, i, fifo, chunks);
-            self.st.cpu_active.mark(i);
-            // A new head to arbitrate, a packet to drain: un-park both.
-            (self.st.arb_at[i], self.st.cpu_at[i]) = (0, 0);
-            // Progress — the freed credit means the upstream neighbour may
-            // win this link again, so no skip follows this cycle.
+            // A packet to drain, and a new head to arbitrate if the pop
+            // exposed one; a node it emptied leaves the arbitration set.
+            self.st.wake_cpu(i);
+            if let Some(dirs) = exposed {
+                self.st.wake_arb(self.shared, i, dirs, t);
+            } else if !self.shared.full_scan && self.st.masks[i].occupied == 0 {
+                self.st.leave_arb(i);
+            }
+            // Progress for the watchdog; the upstream neighbour the freed
+            // credit may let win again was woken by the release.
             self.st.progress = true;
         }
     }
@@ -617,12 +633,20 @@ impl Phases<'_> {
     /// Node `i`'s CPU at cycle `t`: count the blocked polls it owes from
     /// the cycles it was passed over, run it unless it is still booked,
     /// and leave what the visit learned ([`cpu_park`](Self::cpu_park)).
+    /// Only the full scan visits a booked CPU: every park lies at or past
+    /// the CPU's release and every re-arm waits for it (`State::wake_cpu`).
     fn cpu_visit(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64, prune: bool) {
         self.st.settle_blocked(i, t);
-        if self.st.nodes[i].cpu_free < (t + 1) as f64 {
+        let booked = self.st.nodes[i].cpu_free >= (t + 1) as f64;
+        debug_assert!(
+            !(prune && booked),
+            "node {i} visited at cycle {t} with its CPU booked until {}",
+            self.st.nodes[i].cpu_free
+        );
+        if !booked {
             self.cpu_node(i, prog, t);
         }
-        self.cpu_park(i, t, prune);
+        self.cpu_park(i, prog.as_ref(), t, prune);
     }
 
     /// The end of every CPU visit of node `i` at `t`, the one place its wake
@@ -630,9 +654,12 @@ impl Phases<'_> {
     /// blocked poll (a visit before `ready` finds the CPU booked), and
     /// `owed_from`, the first of the blocked polls between `ready` and the
     /// wake, each worth the same counts while the rate window stays closed
-    /// or the sleeper's decline stays pure. Outside the full scan, a done
-    /// node with nothing queued leaves the CPU set: a delivery re-marks it.
-    fn cpu_park(&mut self, i: usize, t: u64, prune: bool) {
+    /// or the sleeper's decline stays pure. An open poll the rate window
+    /// will refuse at `ready` is a rate poll from there, unless `prog` is
+    /// already complete: that refusal latches its completion, so the visit
+    /// must happen. Outside the full scan, a done node with nothing queued
+    /// leaves the CPU set: a delivery re-marks it.
+    fn cpu_park(&mut self, i: usize, prog: &dyn NodeProgram, t: u64, prune: bool) {
         let (n, drain) = (&self.st.nodes[i], !self.st.fifos.reception(i).is_empty());
         let ready = (n.cpu_free as u64).max(t + 1);
         let queued = !n.pending.is_empty() || !n.pulled.is_empty();
@@ -642,7 +669,15 @@ impl Phases<'_> {
         } else {
             u64::MAX
         };
-        let (wake, owed) = match n.poll {
+        let poll = match n.poll {
+            PollState::Open
+                if !drain && n.pull_due() && self.rate_blocked(i, ready) && !prog.is_complete() =>
+            {
+                PollState::Rate
+            }
+            poll => poll,
+        };
+        let (wake, owed) = match poll {
             _ if drain || !n.pull_due() => (work, u64::MAX),
             PollState::Open => (ready, u64::MAX),
             PollState::Rate => (
@@ -655,6 +690,7 @@ impl Phases<'_> {
         if prune && n.program_done && !queued && !drain {
             self.st.cpu_active.clear(i);
         }
+        self.st.nodes[i].poll = poll;
         (self.st.cpu_at[i], self.st.owed_from[i]) = (wake, owed);
     }
 
@@ -858,9 +894,8 @@ impl Phases<'_> {
         if was_empty {
             let dirs = self.shared.request_dirs(&self.st.slab[h]);
             self.st.set_head(i, self.shared.ports, f, 0, Some(dirs));
+            self.st.wake_arb(self.shared, i, dirs, t);
         }
-        self.st.arb_active.mark(i);
-        self.st.arb_at[i] = 0;
         self.st.live_packets += 1;
         self.st.stats.packets_injected += 1;
         self.st.progress = true;
@@ -871,8 +906,9 @@ impl Phases<'_> {
 
     fn phase_arbitration(&mut self, t: u64) {
         let (mut visits, mut parked) = (0u64, 0u64);
-        // A node acquires arbitration work only through an arrival commit
-        // (which marks it) or its own injections (phase 3 marks it), never
+        // A node acquires arbitration work only through a new head: an
+        // arrival commit or a delivery pop (phases 1 and 2), or its own
+        // injections (phase 3), each marking it (`State::wake_arb`), never
         // from another node's arbitration — wins go into the in-flight
         // ring, not directly into the neighbour's FIFOs — so a snapshot
         // scan misses nothing. A node that cannot win a link yet
@@ -885,15 +921,14 @@ impl Phases<'_> {
                     parked += 1;
                     continue;
                 }
-                // Nothing to move out of this node.
-                if self.st.masks[i].occupied == 0 {
-                    if prune {
-                        self.st.arb_active.clear(i);
-                    }
-                    continue;
+                if self.st.masks[i].occupied != 0 {
+                    visits += 1;
+                    self.st.arb_at[i] = self.arbitrate_node(i, t);
                 }
-                visits += 1;
-                self.st.arb_at[i] = self.arbitrate_node(i, t);
+                // Nothing to move out, or nothing left after the visit.
+                if prune && self.st.masks[i].occupied == 0 {
+                    self.st.leave_arb(i);
+                }
             }
         }
         if let Some(p) = &mut self.perf {
@@ -916,7 +951,9 @@ impl Phases<'_> {
     /// visit found busy or won that a head still requests, taken once the
     /// loop is over (a head a win exposed may request a busy link). A
     /// refused free link waits for the release that gives it room
-    /// (`State::release`); 0 if a win changed what a passed link finds.
+    /// (`State::release`); 0 if a win changed what a passed link finds;
+    /// `u64::MAX` if the visit emptied the node, which then leaves the set
+    /// (`State::leave_arb`).
     fn arbitrate_node(&mut self, i: usize, t: u64) -> u64 {
         let (sh, ports) = (self.shared, self.shared.ports);
         let shaped = sh.cfg.router.longest_first_bias && sh.cfg.router.adaptive_bubble_escape;
@@ -951,8 +988,10 @@ impl Phases<'_> {
             let ahead = !((2u16 << d.index()) - 1);
             todo = (self.st.masks[i].requested | sh.fault_dirs) & open & ahead;
         }
-        // An emptied node is un-marked by its next visit, as ever.
-        if again || self.st.masks[i].occupied == 0 {
+        if self.st.masks[i].occupied == 0 {
+            return u64::MAX;
+        }
+        if again {
             return 0;
         }
         let timed = (won | !free) & (self.st.masks[i].requested | sh.fault_dirs);
@@ -1022,7 +1061,6 @@ impl Phases<'_> {
         let (h, exposed) = self.shared.pop(self.st.fifos.fifo_mut(i, f), &self.st.slab);
         let old = self.shared.request_dirs(&self.st.slab[h]);
         self.st.set_head(i, ports, f, old, exposed);
-        let slab = &mut self.st.slab;
         if f < self.shared.vc_cells {
             self.st.rr[i * ports + d.index()] = win.fifo + 1;
             if exposed == Some(0) {
@@ -1031,12 +1069,13 @@ impl Phases<'_> {
             // The freed space becomes upstream credit only at the cycle
             // boundary: deferring the release gives arbitration a credit
             // snapshot independent of node visit order.
-            self.st.deferred.push((i as u32, win.fifo, slab[h].chunks));
-        } else {
+            let chunks = self.st.slab[h].chunks;
+            self.st.deferred.push((i as u32, win.fifo, chunks));
+        } else if std::mem::take(&mut self.st.nodes[i].inject_blocked) {
             // Injection space opened: the CPU's stuck sends may fit now.
-            self.st.nodes[i].inject_blocked = false;
-            self.st.cpu_at[i] = 0;
+            self.st.wake_cpu(i);
         }
+        let slab = &mut self.st.slab;
         // Spend downstream credit and launch: the hop is written into the
         // packet's record where it lies. The body is read on a detour and
         // by the oracle, never on a healthy, unwatched hop.

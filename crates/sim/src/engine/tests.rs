@@ -144,7 +144,6 @@ fn drive(mut e: Engine) -> Tally {
     let mut tally = Tally::default();
     let watchdog = e.shared.cfg.watchdog_cycles;
     while !e.is_complete() && e.now.saturating_sub(e.last_progress) <= watchdog {
-        let t = e.now;
         e.step();
         for i in 0..e.num_nodes() {
             for (f, head) in e.state.heads(i) {
@@ -165,7 +164,7 @@ fn drive(mut e: Engine) -> Tally {
                 }
             }
         }
-        if e.last_progress != t && !e.is_complete() {
+        if !e.is_complete() && e.may_skip() {
             e.fast_forward();
         }
     }

@@ -105,9 +105,8 @@ pub struct EventPerf {
     pub skips: u64,
     /// Power-of-two histogram of jump lengths (see [`SKIP_BUCKETS`]).
     pub skip_histogram: [u64; SKIP_BUCKETS],
-    /// Skip attempts refused because the stepped cycle made progress
-    /// (something moved, so its neighbours must be re-arbitrated next
-    /// cycle and no wake computation is run).
+    /// Skip attempts refused outright, with no wake computation: an arrival
+    /// is due in the next cycle's ring slot, or a delivery is queued for it.
     pub fresh_suppressions: u64,
     /// Jumps bounded by the earliest in-flight ring arrival.
     pub wake_arrival_ring: u64,

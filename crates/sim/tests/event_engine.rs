@@ -19,7 +19,7 @@ use bgl_sim::{
     Engine, EngineMode, FlowSpec, LinkFault, NetStats, NodeApi, NodeProgram, Packet, PacketMeta,
     PerfConfig, PerfProfile, PollHint, ScriptedProgram, SendSpec, SimConfig, SimError,
 };
-use bgl_torus::{Dim, Direction, Partition, Sign};
+use bgl_torus::{Coord, Dim, Direction, Partition, Sign};
 use common::{engine_cell, run_modes, Axes};
 
 /// Sparse streams on an idle partition: the event engine's best case.
@@ -263,10 +263,10 @@ fn traced_odd_interval_produces_identical_series() {
 /// Progress that moves no packet: the sink books its CPU far ahead with
 /// one expensive send, so the stream lands in its reception FIFO (and,
 /// once that is full, stalls in the VC FIFOs) long before the drains run.
-/// Each drain is progress without a FIFO pop or an arbitration win — the
-/// one kind of cycle the progress gate refuses to skip after and a
-/// per-node freshness rule would not — and the drains re-queue the
-/// stalled deliveries. Byte-identical in every mode, traced and not.
+/// Each drain is progress without a FIFO pop or an arbitration win, and
+/// re-queues the stalled deliveries for the next cycle: the skip gate must
+/// see that queue, and the drain's CPU must wake when it is free.
+/// Byte-identical in every mode, traced and not.
 #[test]
 fn late_reception_drains_match_across_modes() {
     let part: Partition = "4x4".parse().unwrap();
@@ -486,5 +486,114 @@ fn credit_blocked_heads_park_until_the_release() {
             visits < stepped,
             "{visits} arbitration visits in {stepped} stepped cycles"
         );
+    }
+}
+
+/// One rate-paced stream of `k` packets over `h` hops on an idle torus,
+/// each packet sent after the one before has landed: the skipping clock
+/// steps only the cycles in which some node acts. Per packet those are
+/// `h + 2`: the injection (whose head wins its first link at once), the
+/// `h` arrivals (each winning the next link in its own cycle, the last
+/// one drained at once), and one more for a CPU — the sink's poll once its
+/// drain is paid for, or, after the last packet, the source's poll that
+/// finds its script done. Past cycle 0, when every node is visited, the
+/// CPU phase makes three visits per packet: the source's injection and
+/// the sink's drain and poll (for the first packet, injected at cycle 0,
+/// two; for the last, the source's closing poll stands in for the sink's).
+/// A wake written as "now" instead of the cycle the event enables, an
+/// arrival re-arming arbitration, or a rate-blocked poll visited when its
+/// CPU frees shows here as a count. The oracle cells check that no node
+/// was parked past a cycle it could have acted in.
+#[test]
+fn a_paced_stream_steps_h_plus_two_cycles_per_packet() {
+    let part: Partition = "8x4x4".parse().unwrap();
+    let (k, src) = (6u64, 0u32);
+    let dst = part.rank_of(Coord::from_slice(&[3, 1, 0]));
+    let h = u64::from(part.hops(part.coord_of(src), part.coord_of(dst)));
+    assert_eq!(h, 4);
+    let mut cfg = SimConfig::new(part);
+    cfg.flow = FlowSpec::Rate {
+        chunks_per_cycle: 1.0 / 64.0,
+    };
+    let programs = || {
+        let mut programs: Vec<Box<dyn NodeProgram>> = (0..part.num_nodes())
+            .map(|_| Box::new(ScriptedProgram::idle()) as Box<dyn NodeProgram>)
+            .collect();
+        let sends = (0..k).map(|_| SendSpec::adaptive(dst, 8, 240)).collect();
+        programs[src as usize] = Box::new(ScriptedProgram::new(sends, 0));
+        programs[dst as usize] = Box::new(ScriptedProgram::new(vec![], k));
+        programs
+    };
+    let axes = Axes {
+        oracle: &[false, true],
+        perf: &[true],
+        ..Axes::MODES
+    };
+    let profiles = RefCell::new(Vec::new());
+    let stats = run_modes(&cfg, axes, |c| {
+        let event = c.engine == EngineMode::EventDriven;
+        let cell = engine_cell(c, programs());
+        if let (Some(p), true) = (&cell.perf, event) {
+            profiles.borrow_mut().push(p.clone());
+        }
+        cell
+    })
+    .expect("the stream completes");
+    assert_eq!(stats.packets_delivered, k);
+    assert!(stats.pacing_blocked_cycles > 0, "{stats:?}");
+    let profiles = profiles.into_inner();
+    assert_eq!(profiles.len(), 2);
+    for p in profiles {
+        assert_eq!(p.stepped_cycles, k * (h + 2), "{p:?}");
+        let nodes = u64::from(part.num_nodes());
+        assert_eq!(p.cpu_visits - nodes, 3 * k - 1, "{p:?}");
+    }
+}
+
+/// Packets that arrive behind a queued head wake nothing. Node 1's CPU is
+/// booked for 2,000 cycles, so node 0's back-to-back stream fills its
+/// reception FIFO and then queues in its transit FIFOs behind heads that
+/// have arrived and request no link. Past its own booking send, node 1's
+/// arbitration never has a head to move: the run makes one arbitration
+/// visit per win and one more, node 0's visit that finds the FIFOs ahead
+/// out of credit. Re-arming node 1 at every arrival added a visit per
+/// queued packet (136 visits for these 41 wins).
+#[test]
+fn arrivals_behind_a_queued_head_make_no_arbitration_visit() {
+    let part: Partition = "8x1x1".parse().unwrap();
+    let n = 40u64;
+    let programs = || {
+        let mut programs: Vec<Box<dyn NodeProgram>> = (0..8)
+            .map(|_| Box::new(ScriptedProgram::idle()) as Box<dyn NodeProgram>)
+            .collect();
+        let stream = (0..n).map(|_| SendSpec::adaptive(1, 8, 240)).collect();
+        programs[0] = Box::new(ScriptedProgram::new(stream, 0));
+        let booking = SendSpec::adaptive(2, 1, 1).with_cpu_cost(2000.0);
+        programs[1] = Box::new(ScriptedProgram::new(vec![booking], n));
+        programs[2] = Box::new(ScriptedProgram::new(vec![], 1));
+        programs
+    };
+    let axes = Axes {
+        oracle: &[false, true],
+        perf: &[true],
+        ..Axes::MODES
+    };
+    let profiles = RefCell::new(Vec::new());
+    let stats = run_modes(&SimConfig::new(part), axes, |c| {
+        let event = c.engine == EngineMode::EventDriven;
+        let cell = engine_cell(c, programs());
+        if let (Some(p), true) = (&cell.perf, event) {
+            profiles.borrow_mut().push(p.clone());
+        }
+        cell
+    })
+    .expect("the stream completes");
+    assert!(stats.reception_stall_events > 0, "{stats:?}");
+    let wins: u64 = stats.hops_taken.iter().sum();
+    assert_eq!(wins, n + 1);
+    let profiles = profiles.into_inner();
+    assert_eq!(profiles.len(), 2);
+    for p in profiles {
+        assert_eq!(p.arb_visits, wins + 1, "{p:?}");
     }
 }
