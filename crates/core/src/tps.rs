@@ -44,9 +44,10 @@ pub struct TpsConfig {
 ///
 /// Reproduces every phase-1 choice in Table 3 (up to symmetric ties).
 pub fn choose_linear_dim(part: &Partition) -> Dim {
-    let active: Vec<Dim> = part.dims().filter(|&d| part.size(d) > 1).collect();
-    if active.len() == 3 {
-        for &d in &active {
+    // Called once per node: the active dimensions are walked, not collected.
+    let active = || part.dims().filter(|&d| part.size(d) > 1);
+    if active().count() == 3 {
+        for d in active() {
             let mut others = d.others(part.ndims()).filter(|&o| part.size(o) > 1);
             let (a, b) = (others.next(), others.next());
             if let (Some(a), Some(b)) = (a, b) {
@@ -58,8 +59,7 @@ pub fn choose_linear_dim(part: &Partition) -> Dim {
     }
     // No symmetric plane (or lower-dimensional partition): the longest
     // dimension is the bottleneck and must be the pipelined line.
-    active
-        .into_iter()
+    active()
         .reduce(|best, d| {
             if part.size(d) > part.size(best) {
                 d

@@ -160,9 +160,11 @@ pub fn destination_schedule(rank: u32, p: u32, dests: u32, seed: u64) -> Vec<u32
         list = (0..others).map(|o| (rank + 1 + o) % p).collect();
     } else {
         // Evenly spaced offsets with jitter keep the sample spatially
-        // uniform regardless of the partition shape.
+        // uniform regardless of the partition shape. Distinct offsets below
+        // `others` are distinct ranks, so dropping a repeated rank drops the
+        // repeated offset the clamp makes.
         let step = others as f64 / dests as f64;
-        let mut offsets = Vec::with_capacity(dests as usize);
+        list = Vec::with_capacity(dests as usize);
         let mut prev: i64 = -1;
         for i in 0..dests {
             let mut o = ((i as f64 + rng.gen::<f64>()) * step) as i64;
@@ -170,10 +172,9 @@ pub fn destination_schedule(rank: u32, p: u32, dests: u32, seed: u64) -> Vec<u32
                 o = prev + 1;
             }
             prev = o;
-            offsets.push(o.min(others as i64 - 1) as u32);
+            list.push((rank + 1 + o.min(others as i64 - 1) as u32) % p);
         }
-        offsets.dedup();
-        list = offsets.into_iter().map(|o| (rank + 1 + o) % p).collect();
+        list.dedup();
     }
     // Fisher–Yates: the randomized injection order is what smooths link
     // contention in the paper's AR scheme.
@@ -342,6 +343,59 @@ mod tests {
                 (c as f64) > avg * 0.5 && (c as f64) < avg * 1.6,
                 "destination {d} got {c} senders (avg {avg})"
             );
+        }
+    }
+
+    /// `destination_schedule` as it was when it sampled offsets into a list
+    /// of their own and mapped them to ranks in a second, verbatim but for
+    /// its name.
+    fn schedule_through_an_offset_list(rank: u32, p: u32, dests: u32, seed: u64) -> Vec<u32> {
+        assert!(p >= 2, "need at least two nodes");
+        let others = p - 1;
+        let dests = dests.clamp(1, others);
+        let mut rng =
+            SmallRng::seed_from_u64(seed ^ (rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let mut list: Vec<u32>;
+        if dests == others {
+            list = (0..others).map(|o| (rank + 1 + o) % p).collect();
+        } else {
+            let step = others as f64 / dests as f64;
+            let mut offsets = Vec::with_capacity(dests as usize);
+            let mut prev: i64 = -1;
+            for i in 0..dests {
+                let mut o = ((i as f64 + rng.gen::<f64>()) * step) as i64;
+                if o <= prev {
+                    o = prev + 1;
+                }
+                prev = o;
+                offsets.push(o.min(others as i64 - 1) as u32);
+            }
+            offsets.dedup();
+            list = offsets.into_iter().map(|o| (rank + 1 + o) % p).collect();
+        }
+        for i in (1..list.len()).rev() {
+            let j = rng.gen_range(0..=i);
+            list.swap(i, j);
+        }
+        list
+    }
+
+    #[test]
+    fn one_list_draws_the_schedule_the_offset_list_drew() {
+        // Dense samples, sparse ones, a full exchange and the two-node
+        // minimum.
+        for p in [2u32, 3, 4, 7, 12, 64, 1000] {
+            for dests in [1, 2, p / 3, p.saturating_sub(3), p - 2, p - 1, p + 5] {
+                for rank in [0, 1, p / 2, p - 1] {
+                    for seed in 0..16 {
+                        assert_eq!(
+                            destination_schedule(rank, p, dests, seed),
+                            schedule_through_an_offset_list(rank, p, dests, seed),
+                            "rank {rank} of {p}, {dests} destinations, seed {seed}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -590,7 +590,8 @@ impl State {
     /// one answer to "can this head leave?" that the stall report, the
     /// trace's HOL count and the oracle's parking law share.
     fn can_leave(&self, sh: &Shared, i: usize, f: usize, pkt: &Hop, d: usize, t: u64) -> bool {
-        let (nb, link) = (sh.neighbors[i][d] as usize, i * sh.ports + d);
+        let link = i * sh.ports + d;
+        let nb = sh.neighbors[link] as usize;
         let (dir, wanted) = (Direction::from_index(d), self.want[link] >> f & 1 != 0);
         sh.up[i] >> d & 1 != 0
             && self.link_busy_until[link] <= t
@@ -609,7 +610,7 @@ impl State {
             return;
         }
         let port = fifo / NUM_VCS;
-        let (u, d) = (sh.neighbors[node][port] as usize, port ^ 1);
+        let (u, d) = (sh.neighbors[node * sh.ports + port] as usize, port ^ 1);
         if (self.masks[u].requested | sh.fault_dirs) >> d & 1 != 0 {
             self.arb_at[u] = self.arb_at[u].min(self.link_busy_until[u * sh.ports + d]);
         }
@@ -689,10 +690,21 @@ impl Engine {
         // 0.18 ms. The packet slab starts empty and grows with the traffic,
         // after and above everything built here.
         //
+        // The machine is built by walking the ranks in order
+        // (`Partition::walk`): coordinates advance like an odometer and a
+        // neighbour is `rank ± stride`, so no rank becomes a coordinate and
+        // each of its 2n neighbours a rank again. The walk runs twice, the
+        // node states taking its coordinates first and the shared tables its
+        // neighbour ranks after, to keep the order above. The round trip
+        // built the tables in 165 µs on 16x8x8 and 628 µs on 8x32x16, the
+        // walk in 22 and 81; the sparse 16x8x8 row's `setup_s` reads
+        // 0.146 ms against 0.218 (10/10 pairs) and the 8x32x16 TPS row's
+        // 1.07 ms against 1.45 (EXPERIMENTS.md, "Building the machine").
+        //
         // Programs with nothing to do are complete before cycle 0.
         let mut done_programs = 0;
-        let nodes = (0..p as u32).zip(&programs).map(|(r, prog)| {
-            let mut node = NodeState::new(part.coord_of(r), &cfg);
+        let nodes = part.walk().zip(&programs).map(|(site, prog)| {
+            let mut node = NodeState::new(site.coord, &cfg);
             done_programs += usize::from(node.latch_done(prog.as_ref()));
             node
         });
@@ -728,19 +740,16 @@ impl Engine {
             invalid_send: None,
         };
         // At cycle 0 every link is alive: `up` names the linked outputs.
-        let (neighbors, up): (Vec<[u32; MAX_PORTS]>, Vec<u16>) = (0..p as u32)
-            .map(|r| {
-                let c = part.coord_of(r);
-                let (mut row, mut up) = ([u32::MAX; MAX_PORTS], 0);
-                for d in part.directions() {
-                    if let Some(nc) = part.neighbor(c, d) {
-                        row[d.index()] = part.rank_of(nc);
-                        up |= 1 << d.index();
-                    }
-                }
-                (row, up)
-            })
-            .unzip();
+        let (mut neighbors, mut up) = (Vec::with_capacity(links), Vec::with_capacity(p));
+        for site in part.walk() {
+            let mut linked = 0;
+            for d in part.directions() {
+                let nb = site.neighbor_rank(d);
+                neighbors.push(nb.unwrap_or(u32::MAX));
+                linked |= u16::from(nb.is_some()) << d.index();
+            }
+            up.push(linked);
+        }
         let tracer = cfg
             .trace
             .as_ref()
@@ -924,7 +933,7 @@ impl Engine {
             let d = Direction::from_index(link % self.shared.ports);
             let up = &mut self.shared.up[u];
             *up = *up & !(1 << d.index()) | u16::from(ev.alive) << d.index();
-            let v = self.shared.neighbors[u][d.index()];
+            let v = self.shared.neighbors[link];
             debug_assert_ne!(v, u32::MAX, "validated plans never fault mesh edges");
             if !ev.alive {
                 self.drop_in_flight(d, v as usize);

@@ -266,7 +266,7 @@ impl Engine {
     /// the invariant that lets a routing rule test `dirs & up` alone. A
     /// transition that missed its bit, or a plan routed over a mesh edge,
     /// shows at the boundary of the cycle that made it.
-    fn oracle_link_check(&self, t: u64) {
+    pub(super) fn oracle_link_check(&self, t: u64) {
         let (sh, st, part) = (&self.shared, &self.state, &self.shared.part);
         let mut alive = vec![true; st.nodes.len() * sh.ports];
         for ev in &self.fault_schedule[..self.fault_cursor] {

@@ -101,7 +101,7 @@ use crate::node::{vc_fifo_index, NodeState, PollState};
 use crate::packet::{Hop, Packet, RoutingMode, SendSpec, DETOUR_BUDGET};
 use crate::perf::{PerfProfile, PhaseSecs};
 use crate::program::{NodeApi, NodeProgram, PollHint};
-use bgl_torus::{Coord, Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS, MAX_PORTS};
+use bgl_torus::{Coord, Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS};
 use std::cell::Cell;
 
 /// How far into the pending queue the injector looks for a packet whose
@@ -129,10 +129,11 @@ pub(super) const HOP_LATENCY_CYCLES: u64 = 1;
 pub(super) struct Shared {
     pub(super) cfg: SimConfig,
     pub(super) part: Partition,
-    /// `neighbors[n][dir]`: node on the other end of the link, or
-    /// `u32::MAX` at a mesh edge (and for directions beyond the
-    /// partition's `2n` ports).
-    pub(super) neighbors: Vec<[u32; MAX_PORTS]>,
+    /// The node on the other end of each output link, indexed
+    /// `node * ports + dir` like the per-link tables: `u32::MAX` at a mesh
+    /// edge or along a size-1 dimension, where bit `dir` of [`up`](Self::up)
+    /// is never set. Built by `Engine::new` from [`Partition::walk`].
+    pub(super) neighbors: Vec<u32>,
     /// Directed output ports per node (`2 · ndims`): stride of the
     /// per-link arrays and bound of every direction scan.
     pub(super) ports: usize,
@@ -153,7 +154,7 @@ pub(super) struct Shared {
     pub(super) full_scan: bool,
     /// The link mask, one per node: bit `d` of `up[n]` is set iff output
     /// `d` of node `n` leads to a neighbour and is alive now. `Engine::new`
-    /// builds it from `neighbors`; `apply_fault_transitions`, at the top of
+    /// builds it with `neighbors`; `apply_fault_transitions`, at the top of
     /// a cycle, is the only writer after that. A head's hint bits never name
     /// a missing output, so `dirs & up` is its live requests.
     pub(super) up: Vec<u16>,
@@ -178,7 +179,7 @@ impl Shared {
     fn preferred_blocked(&self, n: usize, pkt: &Hop) -> bool {
         let chunks = pkt.chunks as u32;
         bits((pkt.plan.longest_dirs() & self.up[n]).into()).all(|d| {
-            let (nb, nb_port) = (self.neighbors[n][d] as usize, d ^ 1);
+            let (nb, nb_port) = (self.neighbors[n * self.ports + d] as usize, d ^ 1);
             (0..2).all(|vc| self.credit(nb, nb_port, vc) < chunks)
         })
     }
@@ -970,7 +971,7 @@ impl Phases<'_> {
         while todo != 0 {
             let d = Direction::from_index(todo.trailing_zeros() as usize);
             todo &= todo - 1;
-            let nb = sh.neighbors[i][d.index()] as usize;
+            let nb = sh.neighbors[i * ports + d.index()] as usize;
             let Some(win) = self.arbitrate_output(i, d, nb, t) else {
                 refused |= 1 << d.index();
                 continue;
@@ -1182,6 +1183,11 @@ mod tests {
         // per node.
         assert_eq!(size_of_val(&st.masks[0]), 16);
         assert_eq!(size_of::<NodeState>(), 256);
+        // The neighbour table is sized by arity too, and indexed like the
+        // per-link tables: 24 bytes per 3-D node, where `MAX_PORTS` rows
+        // cost 48 (98 KB more on 8x32x16).
+        let nb = &engine.shared.neighbors;
+        assert_eq!(nb.len() * size_of_val(&nb[0]), 64 * 6 * 4);
     }
 
     /// `inject_slot` as it was before it passed over sends with no room

@@ -2,7 +2,9 @@
 //! the one stuck-head classifier, against the two walks it replaced (which
 //! read liveness through [`alive`], over the link mask), and
 //! `State::set_head`, which flips only the request bits a head change
-//! changes, against the writer that rewrote the whole row.
+//! changes, against the writer that rewrote the whole row, and the tables
+//! `Engine::new` builds by walking the ranks, against the rank-to-coordinate
+//! round trip they were built by.
 
 use super::*;
 use crate::{FaultPlan, LinkFault, Packet, ScriptedProgram, SendSpec};
@@ -17,8 +19,9 @@ fn alive(sh: &Shared, n: usize, d: Direction) -> bool {
 
 /// The engine's head-of-line walk as it was before `Engine::stuck`,
 /// verbatim but for its name, its receiver, the packet record it reads
-/// (`&Hop`) and its liveness test ([`alive`]): a second walk over `wants`,
-/// liveness and `feasible_vc`.
+/// (`&Hop`), its liveness test ([`alive`]) and the neighbour table's index
+/// (`n * ports + d`): a second walk over `wants`, liveness and
+/// `feasible_vc`.
 fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Hop) -> bool {
     let router = &e.shared;
     let Some(from_dim) = router.input_dim(fifo) else {
@@ -29,7 +32,7 @@ fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Hop) -> 
         if !router.wants(pkt, d) {
             continue;
         }
-        let nb = router.neighbors[n][d.index()];
+        let nb = router.neighbors[n * router.ports + d.index()];
         if nb == u32::MAX {
             continue;
         }
@@ -52,8 +55,9 @@ fn hol_blocked_by_the_old_walk(e: &Engine, n: usize, fifo: usize, pkt: &Hop) -> 
 }
 
 /// The engine's fault-park walk as it was before `Engine::stuck`, verbatim
-/// but for its name, its receiver, the packet record it reads (`&Hop`) and
-/// its liveness tests ([`alive`], and a healthy run's `fault_dirs == 0`).
+/// but for its name, its receiver, the packet record it reads (`&Hop`), its
+/// liveness tests ([`alive`], and a healthy run's `fault_dirs == 0`) and the
+/// neighbour table's index (`n * ports + d`).
 fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Hop) -> Option<Direction> {
     let router = &e.shared;
     if router.fault_dirs == 0 {
@@ -64,7 +68,7 @@ fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Hop) -> Option<Dire
         if !router.wants(pkt, d) {
             continue;
         }
-        if router.neighbors[n][d.index()] == u32::MAX {
+        if router.neighbors[n * router.ports + d.index()] == u32::MAX {
             continue;
         }
         if alive(router, n, d) {
@@ -79,7 +83,7 @@ fn fault_blocked_by_the_old_walk(e: &Engine, n: usize, pkt: &Hop) -> Option<Dire
     let first_dead = first_dead?;
     if pkt.routing == RoutingMode::Adaptive && pkt.detour_count() < DETOUR_BUDGET {
         for d in router.part.directions() {
-            if router.neighbors[n][d.index()] != u32::MAX
+            if router.neighbors[n * router.ports + d.index()] != u32::MAX
                 && alive(router, n, d)
                 && pkt.detour_from() != Some(d.index())
             {
@@ -110,7 +114,7 @@ fn old_verdict(e: &Engine, i: usize, f: usize, pkt: &Hop) -> Option<Stuck> {
 fn refused_return(e: &Engine, i: usize, f: usize, pkt: &Hop) -> bool {
     let sh = &e.shared;
     let accepted = |d: Direction| {
-        let nb = sh.neighbors[i][d.index()];
+        let nb = sh.neighbors[i * sh.ports + d.index()];
         nb != u32::MAX
             && sh.wants(pkt, d)
             && alive(sh, i, d)
@@ -122,7 +126,7 @@ fn refused_return(e: &Engine, i: usize, f: usize, pkt: &Hop) -> bool {
     let mut open = sh.part.directions().filter(|&d| accepted(d));
     let only = open.next().filter(|_| open.next().is_none());
     only.is_some_and(|d| {
-        let nb = sh.neighbors[i][d.index()] as usize;
+        let nb = sh.neighbors[i * sh.ports + d.index()] as usize;
         pkt.detour_from() == Some(d.index()) && sh.exit_vc(pkt, i, f, d, nb, true).is_none()
     })
 }
@@ -409,4 +413,41 @@ fn set_head_flips_what_the_full_row_writer_rewrites() {
     // Every event is driven, and outputs do leave the requested set.
     assert!(events.iter().all(|&n| n > 1000), "{events:?}");
     assert!(cleared > 1000, "{cleared} steps cleared a requested output");
+}
+
+/// `Engine::new` builds the machine in one rank-order walk
+/// ([`Partition::walk`]); here every table it builds is re-derived the
+/// other way round, rank to coordinate to neighbour to rank: each node's
+/// coordinate, each output's neighbour (`u32::MAX` where there is none),
+/// and the link mask, by the oracle's own derivation. Shapes of 1 to 6
+/// dimensions with torus, mesh, size-2 and size-1 dimensions.
+#[test]
+fn the_walk_builds_what_the_round_trip_derives() {
+    let mut shapes: Vec<Partition> = [
+        "4x3",
+        "2x5x3",
+        "4Mx3x2M",
+        "8x1x4",
+        "2x3x2x4",
+        "3x2Mx1x2x3",
+        "2x2x3x2x2x2",
+    ]
+    .map(|s| s.parse().unwrap())
+    .into();
+    shapes.push(Partition::new(&[5], &[false]));
+    for part in shapes {
+        let idle = (0..part.num_nodes()).map(|_| Box::new(ScriptedProgram::idle()) as _);
+        let engine = Engine::new(SimConfig::new(part), idle.collect());
+        let sh = &engine.shared;
+        assert_eq!(sh.neighbors.len(), part.num_nodes() as usize * part.ports());
+        for (r, node) in engine.state.nodes.iter().enumerate() {
+            let c = part.coord_of(r as u32);
+            assert_eq!(node.coord, c, "{part} node {r}");
+            for d in part.directions() {
+                let nb = part.neighbor(c, d).map_or(u32::MAX, |n| part.rank_of(n));
+                assert_eq!(sh.neighbors[r * sh.ports + d.index()], nb, "{part} {r}:{d}");
+            }
+        }
+        engine.oracle_link_check(0);
+    }
 }

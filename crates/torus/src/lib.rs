@@ -9,7 +9,8 @@
 //! * coordinates, ranks and neighbours on a k-ary n-dimensional partition
 //!   (up to [`coord::MAX_DIMS`] dimensions) whose dimensions may
 //!   independently be a **torus** (wrap links present) or a **mesh**
-//!   ([`Partition`]),
+//!   ([`Partition`]), and the rank-order walk that visits every node with
+//!   its neighbours' ranks ([`Partition::walk`]),
 //! * minimal-hop distances, direction choices and dimension-ordered routes
 //!   ([`routing`]),
 //! * uniform all-to-all load analysis: average hops, per-dimension
@@ -42,6 +43,6 @@ pub mod vmesh;
 
 pub use analysis::{AaLoadAnalysis, DimLoad};
 pub use coord::{Coord, Dim, Direction, Sign, MAX_DIMS, MAX_PORTS};
-pub use partition::{Partition, PartitionParseError, Rank};
+pub use partition::{Partition, PartitionParseError, Rank, Site, Walk};
 pub use routing::{DimensionOrder, HopPlan, TieBreak};
 pub use vmesh::VirtualMesh;

@@ -243,9 +243,40 @@ impl Partition {
             .all(|(&v, &s)| v < s)
     }
 
-    /// Iterate over every coordinate in rank order.
+    /// Iterate over every coordinate in rank order (the [`walk`](Self::walk)'s
+    /// coordinates).
     pub fn coords(&self) -> impl Iterator<Item = Coord> + '_ {
-        (0..self.num_nodes()).map(|r| self.coord_of(r))
+        self.walk().map(|s| s.coord)
+    }
+
+    /// Every node in rank order, each a [`Site`]: its rank, its coordinate
+    /// and its neighbours' ranks. The coordinate advances like an odometer
+    /// and a neighbour is `rank ± stride`, so the walk divides nothing and
+    /// converts no coordinate back to a rank — what building a per-node,
+    /// per-link table over the whole machine wants.
+    ///
+    /// ```
+    /// use bgl_torus::{Direction, Partition};
+    /// let p: Partition = "4x3M".parse().unwrap();
+    /// let s = p.walk().nth(5).unwrap(); // (1, 1)
+    /// assert_eq!(s.coord, p.coord_of(5));
+    /// assert_eq!(s.neighbor_rank(Direction::from_index(3)), Some(1)); // Y-
+    /// let edge = p.walk().nth(9).unwrap(); // (1, 2): Y+ is a mesh edge
+    /// assert_eq!(edge.neighbor_rank(Direction::from_index(2)), None);
+    /// ```
+    pub fn walk(&self) -> Walk<'_> {
+        let (mut stride, mut s) = ([0; MAX_DIMS], 1);
+        for (st, &size) in stride.iter_mut().zip(self.sizes()) {
+            *st = s;
+            s *= Rank::from(size);
+        }
+        Walk {
+            part: self,
+            stride,
+            next: 0,
+            end: self.num_nodes(),
+            coord: Coord::zero(),
+        }
     }
 
     /// The neighbour of `c` in direction `dir`, or `None` when the move
@@ -308,6 +339,87 @@ impl Partition {
         let lines = self.num_nodes() as u64 / s;
         let per_line = if self.is_torus_dim(dim) { s } else { s - 1 };
         2 * lines * per_line
+    }
+}
+
+/// The nodes of a partition in rank order ([`Partition::walk`]).
+#[derive(Debug, Clone)]
+pub struct Walk<'a> {
+    part: &'a Partition,
+    /// Rank distance between neighbours along each dimension: the product
+    /// of the sizes of the dimensions before it.
+    stride: [Rank; MAX_DIMS],
+    /// Rank and coordinate of the next site; `end` is the node count.
+    next: Rank,
+    end: Rank,
+    coord: Coord,
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = Site<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Site<'a>> {
+        if self.next == self.end {
+            return None;
+        }
+        let site = Site {
+            rank: self.next,
+            coord: self.coord,
+            part: self.part,
+            stride: self.stride,
+        };
+        self.next += 1;
+        // Carry like an odometer; past the last rank every digit wraps to
+        // zero, and `next` ends the walk.
+        for d in self.part.dims() {
+            let v = self.coord.get(d) + 1;
+            if v < self.part.size(d) {
+                self.coord.set(d, v);
+                break;
+            }
+            self.coord.set(d, 0);
+        }
+        Some(site)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.end - self.next) as usize;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Walk<'_> {}
+
+/// One node of a [`Walk`].
+#[derive(Debug, Clone, Copy)]
+pub struct Site<'a> {
+    /// The node's rank.
+    pub rank: Rank,
+    /// Its coordinate, `coord_of(rank)`.
+    pub coord: Coord,
+    part: &'a Partition,
+    stride: [Rank; MAX_DIMS],
+}
+
+impl Site<'_> {
+    /// Rank of the neighbour in direction `dir`: `rank_of(neighbor(coord,
+    /// dir))`, found by stride — one step along the dimension, or the
+    /// whole line back across a torus dimension's wrap. `None` exactly where
+    /// [`Partition::neighbor`] is: off a mesh edge, or along a size-1
+    /// dimension.
+    #[inline]
+    pub fn neighbor_rank(&self, dir: Direction) -> Option<Rank> {
+        let (d, part) = (dir.dim, self.part);
+        let (s, v, stride) = (part.size(d), self.coord.get(d), self.stride[d.index()]);
+        let span = Rank::from(s - 1) * stride;
+        match dir.sign {
+            Sign::Plus if v + 1 < s => Some(self.rank + stride),
+            Sign::Minus if v > 0 => Some(self.rank - stride),
+            _ if !part.is_torus_dim(d) => None,
+            Sign::Plus => Some(self.rank - span),
+            Sign::Minus => Some(self.rank + span),
+        }
     }
 }
 
