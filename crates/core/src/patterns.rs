@@ -4,15 +4,15 @@
 //! the optimization techniques presented in this paper can be also applied
 //! for more complex many-to-many communication patterns". This module
 //! makes that checkable: it defines a family of patterns, generalizes the
-//! Equation-2 bottleneck analysis to any of them (numerically, from
-//! minimal hop counts), and runs them through the simulator with the
-//! direct runtime.
+//! Equation-2 bottleneck analysis to any of them (numerically, per directed
+//! link class, from the engine's own minimal routes), and runs them
+//! through the simulator with the direct runtime.
 
 use crate::walk::SendWalk;
 use crate::workload::direct_shapes;
 use bgl_model::MachineParams;
 use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig, SimError};
-use bgl_torus::{Partition, Rank};
+use bgl_torus::{HopPlan, Partition, Rank, TieBreak};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,25 +109,32 @@ impl Pattern {
         }
     }
 
-    /// Generalized Equation-2 peak: per-dimension bottleneck link time for
-    /// this pattern, computed numerically from minimal hop counts under the
-    /// balanced-direction assumption, in cycles for `m` bytes per pair.
+    /// Generalized Equation-2 peak: the busiest directed link class's time
+    /// for this pattern, in cycles for `m` bytes per pair. A class is one
+    /// dimension's links in one direction; each pair loads the classes its
+    /// route takes, planned as the engine plans it ([`HopPlan::new`] under
+    /// [`TieBreak::SrcParity`], which splits the half-way tie by source
+    /// parity), and a class's links share its bytes evenly. A lower bound
+    /// on any healthy run: adaptivity picks the order of a route's
+    /// dimensions, never their directions.
     pub fn peak_cycles(&self, part: &Partition, m: u64, params: &MachineParams, seed: u64) -> f64 {
-        let mut dim_bytes = vec![0f64; part.ndims()];
+        let mut class_bytes = vec![0f64; part.ports()];
         for src in 0..part.num_nodes() {
             let a = part.coord_of(src);
             for dst in self.destinations(part, src, seed) {
-                let b = part.coord_of(dst);
+                let plan = HopPlan::new(part, a, part.coord_of(dst), TieBreak::SrcParity);
                 for d in part.dims() {
-                    dim_bytes[d.index()] += part.dim_hops(d, a.get(d), b.get(d)) as f64 * m as f64;
+                    if let Some(dir) = plan.direction(d) {
+                        class_bytes[dir.index()] += plan.hops(d) as f64 * m as f64;
+                    }
                 }
             }
         }
         let mut worst: f64 = 0.0;
-        for d in part.dims() {
-            let links = part.directed_links(d);
+        for dir in part.directions() {
+            let links = part.directed_links(dir.dim) / 2;
             if links > 0 {
-                worst = worst.max(dim_bytes[d.index()] / links as f64);
+                worst = worst.max(class_bytes[dir.index()] / links as f64);
             }
         }
         worst / params.payload_bytes_per_cycle()
@@ -185,13 +192,22 @@ pub fn run_pattern(
         .collect();
     let mut cfg = base;
     cfg.partition = part;
+    // The bound holds on a healthy run (a detour leaves the planned
+    // directions): checked with the oracle, as `run_aa` checks Equation 2.
+    let check_peak = cfg.check_invariants && cfg.fault.is_empty();
     let stats = Engine::new(cfg, programs).run()?;
     let peak = pattern.peak_cycles(&part, m, params, seed);
+    let cycles = stats.completion_cycle;
+    assert!(
+        !check_peak || cycles as f64 >= peak,
+        "invariant violated: {pattern:?} on {part} finished in {cycles} cycles, under its \
+         directed-link peak of {peak:.1}"
+    );
     let pairs = pattern.pair_count(&part, seed);
     Ok(PatternReport {
-        cycles: stats.completion_cycle,
+        cycles,
         peak_cycles: peak,
-        percent_of_peak: bgl_model::percent_of_peak(peak, stats.completion_cycle as f64),
+        percent_of_peak: bgl_model::percent_of_peak(peak, cycles as f64),
         pairs,
         stats,
     })
@@ -331,8 +347,10 @@ mod tests {
             Pattern::RandomPairs { degree: 6 },
             Pattern::PlaneAllToAll { fixed: Dim::Z },
         ] {
-            let rep = run_pattern(p, &pattern, 480, &params, SimConfig::new(p), 7)
-                .expect("pattern completes");
+            // With the oracle on, `run_pattern` asserts the bound itself.
+            let mut cfg = SimConfig::new(p);
+            cfg.check_invariants = true;
+            let rep = run_pattern(p, &pattern, 480, &params, cfg, 7).expect("pattern completes");
             assert_eq!(
                 rep.stats.packets_delivered,
                 rep.pairs * direct_shapes(480, &params).len() as u64,
@@ -344,6 +362,20 @@ mod tests {
                 rep.percent_of_peak
             );
         }
+    }
+
+    /// A shift by one along a ring crosses only `+X` links: 912 bytes per
+    /// node at 30 payload bytes a cycle bound it at 30.4 cycles, twice what
+    /// a bound over both directions says, and the run comes within 10 %.
+    #[test]
+    fn a_shift_is_bound_by_its_one_direction() {
+        let p: Partition = "8x1x1".parse().unwrap();
+        let mut cfg = SimConfig::new(p);
+        cfg.check_invariants = true;
+        let shift = Pattern::Shift { offset: 1 };
+        let rep = run_pattern(p, &shift, 912, &MachineParams::bgl(), cfg, 7).expect("completes");
+        assert!((rep.peak_cycles - 30.4).abs() < 1e-9, "{}", rep.peak_cycles);
+        assert!(rep.percent_of_peak >= 90.0, "{}", rep.percent_of_peak);
     }
 
     #[test]

@@ -49,11 +49,11 @@ pub fn render_perf_report(report: &AaReport) -> String {
         "  active set: mean {:.1}, max {} marked nodes per stepped cycle",
         p.active_occupancy_mean, p.active_occupancy_max,
     );
-    let [(_, cpu), (_, cpu_parked), (_, arb), (_, arb_parked)] = p.visit_totals();
+    let [(_, cpu), (_, cpu_parked), (_, arb), (_, arb_parked), (_, refused)] = p.visit_totals();
     let _ = writeln!(
         out,
         "  visits: cpu {cpu} made / {cpu_parked} parked, \
-         arbitration {arb} made / {arb_parked} parked",
+         arbitration {arb} made / {arb_parked} parked ({refused} output attempts refused)",
     );
     let [(_, live), (_, slots)] = p.packet_totals();
     let _ = writeln!(out, "  packets: peak {live} live in {slots} slab slots");

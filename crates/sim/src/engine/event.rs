@@ -41,7 +41,7 @@
 //!   the cycle one of its requested links is free (`State::wake_arb`); a
 //!   head refused on downstream credit needs room, and the release that
 //!   returns it lowers the wake of the one node that can spend it
-//!   (`State::release`).
+//!   (`Shared::release`).
 //!
 //! No bound needs a cycle without progress. Every event writes, at the node
 //! it reaches and in the cycle it happens, the cycle at which that node can

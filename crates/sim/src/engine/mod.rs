@@ -38,11 +38,12 @@
 //! Everything a cycle mutates lives in one [`State`] (nodes, their FIFO
 //! header rows and per-link tables, the packet slab, programs, the
 //! in-flight ring, the run's statistics); everything it only reads, plus
-//! the downstream-credit cells, in one [`Shared`], whose methods are the
-//! routing-feasibility rules. Whether a head can leave now has one answer,
-//! the arbiter's ([`State::can_leave`] over `Shared::exit_vc`): the oracle's
-//! parking law asks it, and so do the watchdog's stall and unreachable
-//! reports and the trace's HOL count, through [`Engine::stuck`]. There is no
+//! the credit cells, in one [`Shared`], whose methods are the routing rules
+//! (those that read credit are the router's, [`router`]). Whether a head
+//! can leave now has one answer, the arbiter's ([`State::can_leave`] over
+//! `Shared::exit_vc`): the oracle's parking law asks it, and so do the
+//! watchdog's stall and unreachable reports and the trace's HOL count,
+//! through [`Engine::stuck`]. There is no
 //! parallelism inside a run and nothing to configure about it: the
 //! reproduction's parallelism is across runs (EXPERIMENTS.md, "Why the
 //! engine has no threads").
@@ -53,11 +54,9 @@
 //! `u32` handles (`fifo.rs`; DESIGN.md §6, "Memory layout").
 //!
 //! Two accounting rules make a cycle's outcome independent of the order in
-//! which a phase visits nodes — which is what lets the marked-node scans,
-//! parking and the full scan agree byte for byte: credit freed by a
-//! phase-4 pop is released at the cycle boundary, not mid-phase, so
-//! arbitration sees one credit snapshot whichever node it visits first;
-//! and CPU-busy time accumulates per node, folded into
+//! which a phase visits nodes, which lets the marked-node scans, parking
+//! and the full scan agree byte for byte: phase-4 pops release credit at
+//! the cycle boundary ([`router`]), and CPU-busy time is folded into
 //! `NetStats::cpu_busy_cycles` in ascending node order only at observation
 //! points, so the float sum has one order.
 //!
@@ -73,6 +72,7 @@ mod event;
 mod oracle;
 mod perf;
 mod phases;
+mod router;
 #[cfg(test)]
 mod tests;
 mod tracer;
@@ -80,14 +80,14 @@ mod tracer;
 use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
 use crate::fifo::{FifoRows, Slab};
 use crate::node::{NodeState, PollState};
-use crate::packet::{Hop, RoutingMode, DETOUR_BUDGET, MAX_PACKET_CHUNKS};
+use crate::packet::{Hop, MAX_PACKET_CHUNKS};
 use crate::program::NodeProgram;
 use crate::stats::{NetStats, LATENCY_BUCKETS};
 use bgl_torus::{Direction, MAX_PORTS};
 use oracle::Oracle;
 use perf::{PerfState, ProgressState};
 use phases::{Phases, Shared, HOP_LATENCY_CYCLES};
-use std::cell::Cell;
+use router::Credits;
 use tracer::Tracer;
 
 /// In-flight ring size; must exceed max packet chunks + hop latency.
@@ -408,7 +408,7 @@ struct NodeMasks {
 }
 
 /// Every piece of simulation state a cycle mutates, the credit cells
-/// apart ([`Shared::credits`]). Per-node vectors and the node sets are
+/// apart (the router's, [`router`]). Per-node vectors and the node sets are
 /// indexed by rank.
 struct State {
     nodes: Vec<NodeState>,
@@ -470,7 +470,7 @@ struct State {
     /// statistics (`u64::MAX`: none owed), written beside `cpu_at`.
     owed_from: Vec<u64>,
     /// The same for phase 4, lowered besides by a credit release that may
-    /// let the node win a link ([`State::release`]).
+    /// let the node win a link (`Shared::release`).
     arb_at: Vec<u64>,
     /// Id of the next packet injected: ids are dense and ascend with
     /// (cycle, node, injection order).
@@ -597,24 +597,6 @@ impl State {
             && self.link_busy_until[link] <= t
             && sh.exit_vc(pkt, i, f, dir, nb, wanted).is_some()
     }
-
-    /// Return `chunks` of space to transit FIFO `fifo` of node `node`, the one
-    /// place credit comes back, and wake `u`, the one node that can spend it,
-    /// at the release of its link `d` into the cell if a head there may take
-    /// `d` — unless the cell had room for any packet entering it already.
-    fn release(&mut self, sh: &Shared, node: usize, fifo: usize, chunks: u32) {
-        let cell = &sh.credits[node * sh.vc_cells + fifo];
-        let held = cell.get();
-        cell.set(held + chunks);
-        if held >= u32::from(MAX_PACKET_CHUNKS) + sh.cfg.router.bubble_slack_chunks {
-            return;
-        }
-        let port = fifo / NUM_VCS;
-        let (u, d) = (sh.neighbors[node * sh.ports + port] as usize, port ^ 1);
-        if (self.masks[u].requested | sh.fault_dirs) >> d & 1 != 0 {
-            self.arb_at[u] = self.arb_at[u].min(self.link_busy_until[u * sh.ports + d]);
-        }
-    }
 }
 
 /// One scheduled liveness flip of one directed link, expanded from the
@@ -678,30 +660,15 @@ impl Engine {
         assert!(vc_cells + inj <= 64, "a node's FIFOs are a u64 bitmask");
         let links = p * ports;
         // The per-node state is built before the shared tables on purpose:
-        // with the per-node allocations first, glibc keeps the heap across a
-        // drop-and-rebuild instead of trimming it and faulting every page
-        // back in (measured on 16x8x8: `Engine::new` 170 µs this way round,
-        // 410 µs the other) — what a caller that builds many engines pays.
-        // "Per-node allocations" is one small block per node today, the
-        // pulled queue (`NodeState::new`), and it carries that effect alone:
-        // with no block per node, every table here being one large
-        // allocation, the same caller paid +50 % on 16x8x8 (0.26 → 0.39 ms,
-        // 0/6 pairs; its own program vectors faulted back in too); with it,
-        // 0.18 ms. The packet slab starts empty and grows with the traffic,
-        // after and above everything built here.
-        //
-        // The machine is built by walking the ranks in order
-        // (`Partition::walk`): coordinates advance like an odometer and a
-        // neighbour is `rank ± stride`, so no rank becomes a coordinate and
-        // each of its 2n neighbours a rank again. The walk runs twice, the
-        // node states taking its coordinates first and the shared tables its
-        // neighbour ranks after, to keep the order above. The round trip
-        // built the tables in 165 µs on 16x8x8 and 628 µs on 8x32x16, the
-        // walk in 22 and 81; the sparse 16x8x8 row's `setup_s` reads
-        // 0.146 ms against 0.218 (10/10 pairs) and the 8x32x16 TPS row's
-        // 1.07 ms against 1.45 (EXPERIMENTS.md, "Building the machine").
-        //
-        // Programs with nothing to do are complete before cycle 0.
+        // with the per-node allocations (one small block per node, the pulled
+        // queue) first, glibc keeps the heap across a drop-and-rebuild
+        // instead of trimming it and faulting every page back in, which a
+        // caller that builds many engines pays (DESIGN.md §6, "Memory
+        // layout"). The machine is one rank-order walk (`Partition::walk`): a
+        // neighbour is `rank ± stride`, no coordinate round trip per link
+        // (EXPERIMENTS.md, "Building the machine"). It runs twice, node
+        // states first, to keep that order. Programs with nothing to do are
+        // complete before cycle 0.
         let mut done_programs = 0;
         let nodes = part.walk().zip(&programs).map(|(site, prog)| {
             let mut node = NodeState::new(site.coord, &cfg);
@@ -778,7 +745,7 @@ impl Engine {
         }
         let shared = Shared {
             class_fifos: cfg.class_fifos(),
-            credits: vec![Cell::new(cfg.router.vc_fifo_chunks); p * vc_cells],
+            credits: Credits::new(p * vc_cells, cfg.router.vc_fifo_chunks),
             full_scan: cfg.engine == EngineMode::FullScan,
             cfg,
             part,
@@ -985,7 +952,8 @@ impl Engine {
         }
         for arr in dropped {
             let st = &mut self.state;
-            st.release(&self.shared, v, arr.fifo.into(), arr.chunks.into());
+            self.shared
+                .release(st, v, arr.fifo.into(), arr.chunks.into());
             let pkt = st.slab.take(arr.h);
             st.live_packets -= 1;
             st.stats.dropped_by_fault += 1;
@@ -1041,18 +1009,13 @@ impl Engine {
     /// missing link, so each is a dead one, only under a fault plan), with
     /// no detour open, is a [`Stuck::Fault`] behind the lowest of them; a
     /// transit head refused by every live output it requests is
-    /// [`Stuck::Hol`]. With a live request no detour is possible
-    /// (`minimal_dead` is false), so the live requests are every output the
-    /// arbiter could give it.
+    /// [`Stuck::Hol`]: with a live request no detour opens, so the live
+    /// requests are every output the arbiter could give it.
     fn stuck(&self, i: usize, f: usize, pkt: &Hop) -> Option<Stuck> {
-        let (sh, up) = (&self.shared, self.shared.up[i]);
-        let wanted = sh.request_dirs(pkt);
-        let back = pkt.detour_from().map_or(0, |p| 1 << p);
-        let detour = pkt.routing == RoutingMode::Adaptive
-            && pkt.detour_count() < DETOUR_BUDGET
-            && up & !back != 0;
+        let sh = &self.shared;
+        let (wanted, up) = (sh.request_dirs(pkt), sh.up[i]);
         let live = wanted & up;
-        if wanted != 0 && live == 0 && !detour {
+        if wanted != 0 && live == 0 && sh.detour_dirs(pkt, i) == 0 {
             let d = Direction::from_index(wanted.trailing_zeros() as usize);
             return Some(Stuck::Fault(d));
         }

@@ -208,7 +208,7 @@ impl Engine {
         for ni in 0..self.num_nodes() {
             for (c, f) in st.fifos.vcs(ni).iter().enumerate() {
                 let cell = ni * vc_cells + c;
-                let credit = router.credits[cell].get() as u64;
+                let credit = router.credit(ni, c) as u64;
                 let occupied = f.occupied_chunks() as u64;
                 assert_eq!(
                     credit + occupied + inflight[cell],
@@ -456,7 +456,7 @@ impl Engine {
                 "invariant violated: node {i} still holds packets at quiesce"
             );
             for (c, f) in st.fifos.vcs(i).iter().enumerate() {
-                let credit = self.shared.credits[i * self.shared.vc_cells + c].get();
+                let credit = self.shared.credit(i, c);
                 assert!(
                     f.is_empty() && f.occupied_chunks() == 0 && credit == full,
                     "invariant violated: transit FIFO (node {i}, fifo {c}) not drained at \

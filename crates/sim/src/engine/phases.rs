@@ -32,7 +32,7 @@
 //! injection-FIFO pop that unblocks stuck sends, a fault drop and a fault
 //! transition wake the CPU when it is free (`State::wake_cpu`). A credit
 //! release giving a node's heads room wakes it at its link's release
-//! (`State::release`). The full scan writes both arrays and reads neither,
+//! (`Shared::release`). The full scan writes both arrays and reads neither,
 //! so every comparison against it is parked against unparked, and the
 //! oracle's parking check covers both (DESIGN.md §6).
 //!
@@ -61,20 +61,9 @@
 //! function, `State::set_head`, writes the node's occupancy mask, request
 //! masks and requested outputs wherever a head changes, flipping only the
 //! request bits that change between the old head's hint bits and the new
-//! one's; one walk, `pick`, tries a link's candidates of either kind.
-//!
-//! ## Why node visit order does not matter
-//!
-//! Arbitration never reads another node's FIFOs; every
-//! downstream-feasibility probe ([`Shared::feasible_vc`] and friends) reads
-//! a credit cell ([`Shared::credits`]), and during phase 4 a cell is spent
-//! only by the unique upstream node of its FIFO. Cells are *released* in
-//! phase 2 — before any arbitration of the cycle — or at the boundary,
-//! after all of it ([`Phases::cycle`]), never in between. So each node
-//! arbitrates against the same credit snapshot whether the scan reaches it
-//! first or last, visited or passed over by its neighbours: the property
-//! the two clocks and parking rely on to agree byte for byte, and the
-//! goldens pin.
+//! one's; one walk, `pick`, tries a link's candidates of either kind. What
+//! a win spends and a pop gives back, and why node visit order does not
+//! matter, is the router's (`router.rs`).
 //!
 //! ## Packets
 //!
@@ -93,16 +82,16 @@
 //! layout").
 
 use super::oracle::Oracle;
+use super::router::Credits;
 use super::{bits, Arrival, State, Win, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
 use crate::fifo::{ChunkFifo, Slab};
 use crate::flow::FlowSpec;
-use crate::node::{vc_fifo_index, NodeState, PollState};
-use crate::packet::{Hop, Packet, RoutingMode, SendSpec, DETOUR_BUDGET};
+use crate::node::{NodeState, PollState};
+use crate::packet::{Hop, Packet, RoutingMode, SendSpec};
 use crate::perf::{PerfProfile, PhaseSecs};
 use crate::program::{NodeApi, NodeProgram, PollHint};
 use bgl_torus::{Coord, Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS};
-use std::cell::Cell;
 
 /// How far into the pending queue the injector looks for a packet whose
 /// class FIFO has room: without this, one full class FIFO would
@@ -118,14 +107,11 @@ pub(super) const INJ_FIFO_CHUNKS: u32 = 16;
 pub(super) const HOP_LATENCY_CYCLES: u64 = 1;
 
 /// Everything the phases only read — configuration, topology, link
-/// liveness — plus the downstream-credit cells. Built once in
-/// `Engine::new`; its methods are the routing-feasibility rules, which is
-/// why everything phase 4 needs to know about *other* nodes flows through
-/// here. A rule asks about a node's links one way: bit arithmetic between a
-/// head's hint bits ([`HopPlan::dirs`]) and the node's link mask
-/// ([`up`](Self::up)). The engine's diagnostics add none of their own: the
-/// oracle, the stall report and the trace ask `State::can_leave`, which
-/// asks [`exit_vc`](Self::exit_vc), the test `pick` makes.
+/// liveness — plus the router's credit cells. Built once in `Engine::new`;
+/// its methods are the routing rules (those that read credit in
+/// `router.rs`). A rule asks about a node's links one way: bit arithmetic
+/// between a head's hint bits ([`HopPlan::dirs`]) and the node's link mask
+/// ([`up`](Self::up)).
 pub(super) struct Shared {
     pub(super) cfg: SimConfig,
     pub(super) part: Partition,
@@ -139,13 +125,8 @@ pub(super) struct Shared {
     pub(super) ports: usize,
     /// Credit cells per node (`ports · NUM_VCS`, one per transit VC FIFO).
     pub(super) vc_cells: usize,
-    /// Available downstream space per transit VC FIFO, indexed
-    /// `node * vc_cells + vc_fifo_index(port, vc)`, counting in-flight
-    /// reservations (spent at the upstream win, released when the packet
-    /// is popped: in phase 2, or at the boundary for a phase-4 pop). Cells,
-    /// because the routing rules below take `&self` while the phases hold
-    /// the rest of the simulation mutably.
-    pub(super) credits: Vec<Cell<u32>>,
+    /// The router's credit cells (`router.rs`), named nowhere else.
+    pub(super) credits: Credits,
     /// Per-class eligible injection FIFOs: bit `f` of `class_fifos[c]` is
     /// set iff FIFO `f` accepts class `c` (`SimConfig::inj_class_masks`).
     pub(super) class_fifos: [u32; 8],
@@ -164,26 +145,6 @@ pub(super) struct Shared {
 }
 
 impl Shared {
-    /// Available space (counting in-flight reservations) of the transit
-    /// VC FIFO at node `n`, input port `port`, VC `vc`.
-    #[inline]
-    fn credit(&self, n: usize, port: usize, vc: usize) -> u32 {
-        self.credits[n * self.vc_cells + vc_fifo_index(port, vc)].get()
-    }
-
-    /// True when every preferred direction of `pkt` at node `n` lacks
-    /// dynamic-VC credit downstream — the precondition for taking the
-    /// dimension-ordered escape from a non-preferred output. A dead
-    /// preferred link can never open: it counts as blocked, so the
-    /// dimension-ordered escape becomes reachable.
-    fn preferred_blocked(&self, n: usize, pkt: &Hop) -> bool {
-        let chunks = pkt.chunks as u32;
-        bits((pkt.plan.longest_dirs() & self.up[n]).into()).all(|d| {
-            let (nb, nb_port) = (self.neighbors[n * self.ports + d] as usize, d ^ 1);
-            (0..2).all(|vc| self.credit(nb, nb_port, vc) < chunks)
-        })
-    }
-
     /// Does `pkt`'s routing allow it to take output `d`? Adaptive packets
     /// under the longest-first bias move only along preferred dimensions,
     /// those no other dimension has more hops left in, plus the
@@ -216,16 +177,11 @@ impl Shared {
     /// for a deterministic packet, all of them (its minimal quadrant) for an
     /// adaptive one, and under the longest-first shaping the lowest plus
     /// those of the longest remaining dimensions
-    /// ([`HopPlan::longest_dirs`]). That shaping keeps adaptive packets on
-    /// their longest remaining dimension(s): on an asymmetric torus they
-    /// spend bottleneck-dimension hops while bottleneck links are reachable
-    /// instead of burning the short dimensions first and piling up behind
-    /// the long one — the tree saturation Section 3.2 of the paper
-    /// describes; on a symmetric torus hop counts stay balanced, so
-    /// near-full adaptivity is retained. It reads the packet and the router
-    /// config and nothing else, which is why a node can cache it per FIFO
-    /// head (`State::want`). Zero exactly when the plan is done: an arrived
-    /// head requests no output.
+    /// ([`HopPlan::longest_dirs`]), against the tree saturation of the
+    /// paper's Section 3.2 (DESIGN.md §6b, item 3). It reads the packet and
+    /// the router config and nothing else, which is why a node can cache it
+    /// per FIFO head (`State::want`). Zero exactly when the plan is done: an
+    /// arrived head requests no output.
     pub(super) fn request_dirs(&self, pkt: &Hop) -> u16 {
         let dirs = pkt.plan.dirs();
         let lowest = dirs & dirs.wrapping_neg();
@@ -251,95 +207,6 @@ impl Shared {
     #[inline]
     pub(super) fn input_dim(&self, f: usize) -> Option<usize> {
         (f < self.vc_cells).then_some(f / NUM_VCS / 2)
-    }
-
-    /// Choose the downstream VC for `pkt` over output `d`, or `None` if no
-    /// VC has credit. `from_dim` is the dimension of the input port the
-    /// packet currently occupies (`None` for injection); `n` and `nb` are
-    /// ranks.
-    pub(super) fn feasible_vc(
-        &self,
-        pkt: &Hop,
-        n: usize,
-        from_dim: Option<usize>,
-        d: Direction,
-        nb: usize,
-    ) -> Option<Vc> {
-        let nb_port = d.opposite().index();
-        match pkt.routing {
-            RoutingMode::Adaptive => {
-                // Under the bias, a non-preferred (dimension-order-only)
-                // direction is an escape path: bubble VC only, and only
-                // once every preferred direction is credit-blocked —
-                // otherwise the escape becomes a side door that leaks
-                // short-dimension hops and recreates the congestion it
-                // exists to break.
-                let bias = self.cfg.router.longest_first_bias;
-                if bias && pkt.plan.longest_dirs() >> d.index() & 1 == 0 {
-                    if self.cfg.router.adaptive_bubble_escape
-                        && pkt.plan.dimension_order_next() == Some(d)
-                        && self.preferred_blocked(n, pkt)
-                    {
-                        return self.bubble_feasible(pkt, from_dim, d, nb, nb_port);
-                    }
-                    return None;
-                }
-                if let Some(vc) = self.dynamic_vc(pkt, nb, nb_port) {
-                    return Some(vc);
-                }
-                // Escape onto the bubble VC, dimension-ordered only.
-                if self.cfg.router.adaptive_bubble_escape
-                    && pkt.plan.dimension_order_next() == Some(d)
-                {
-                    self.bubble_feasible(pkt, from_dim, d, nb, nb_port)
-                } else {
-                    None
-                }
-            }
-            RoutingMode::Deterministic => self.bubble_feasible(pkt, from_dim, d, nb, nb_port),
-        }
-    }
-
-    /// Join the shorter queue: of the two dynamic VC FIFOs behind port
-    /// `nb_port` of node `nb`, the one with more free space (ties broken by
-    /// packet-id parity, [`Hop::parity`]) — if `pkt` fits there, else it
-    /// fits in neither.
-    fn dynamic_vc(&self, pkt: &Hop, nb: usize, nb_port: usize) -> Option<Vc> {
-        let f0 = self.credit(nb, nb_port, 0);
-        let f1 = self.credit(nb, nb_port, 1);
-        let (vc, free) = if f0 > f1 || (f0 == f1 && pkt.parity == 0) {
-            (Vc::Dynamic0, f0)
-        } else {
-            (Vc::Dynamic1, f1)
-        };
-        (free >= pkt.chunks as u32).then_some(vc)
-    }
-
-    /// The bubble rule: a packet *continuing* along the same dimension on
-    /// the bubble VC needs space for itself; a packet *entering* the bubble
-    /// VC (from injection, from a dynamic VC, or turning a dimension) must
-    /// additionally leave `bubble_slack_chunks` free.
-    fn bubble_feasible(
-        &self,
-        pkt: &Hop,
-        from_dim: Option<usize>,
-        d: Direction,
-        nb: usize,
-        nb_port: usize,
-    ) -> Option<Vc> {
-        let chunks = pkt.chunks as u32;
-        let continuing = pkt.vc == Vc::Bubble && from_dim == Some(d.dim.index());
-        let required = chunks
-            + if continuing {
-                0
-            } else {
-                self.cfg.router.bubble_slack_chunks
-            };
-        if self.credit(nb, nb_port, Vc::Bubble.index()) >= required {
-            Some(Vc::Bubble)
-        } else {
-            None
-        }
     }
 
     /// The first queued send of `node` one of its injection FIFOs `inj`
@@ -388,67 +255,6 @@ impl Shared {
             return Some((qi, f.trailing_zeros() as usize, plan, dst));
         }
         None
-    }
-
-    /// Whether every minimal direction of `pkt` at node `n` is a dead
-    /// link — the precondition for a non-minimal fault detour. `false` on
-    /// a healthy run (every link is up) or while any minimal link is up.
-    fn minimal_dead(&self, n: usize, pkt: &Hop) -> bool {
-        let dirs = pkt.plan.dirs();
-        dirs != 0 && dirs & self.up[n] == 0
-    }
-
-    /// Fault-detour feasibility: may `pkt` take the *non-minimal* output
-    /// `d` out of node `n`, a live link, and on which VC? Allowed only for
-    /// adaptive packets whose entire minimal quadrant is dead, onto a link
-    /// that does not immediately undo the previous detour, with budget
-    /// left ([`DETOUR_BUDGET`]) — and strictly on the dynamic VCs: the
-    /// bubble VC stays dimension-ordered, so the escape network's
-    /// deadlock freedom is untouched by rerouting. After a detour win the
-    /// packet re-plans from the downstream node (see `apply_win`).
-    fn detour_vc(&self, pkt: &Hop, n: usize, d: Direction, nb: usize) -> Option<Vc> {
-        if pkt.routing != RoutingMode::Adaptive
-            || pkt.detour_count() >= DETOUR_BUDGET
-            || pkt.detour_from() == Some(d.index())
-            || !self.minimal_dead(n, pkt)
-        {
-            return None;
-        }
-        self.dynamic_vc(pkt, nb, d.opposite().index())
-    }
-
-    /// A freshly detoured head must not immediately bounce back through
-    /// the link it arrived on while any *other* minimal direction is
-    /// alive at this node: waiting for credits on a live forward link
-    /// always beats burning detour budget on a ping-pong (the systematic
-    /// bounce would exhaust [`DETOUR_BUDGET`] against a single dead link).
-    /// When the return is the only live minimal direction it stays allowed
-    /// — it is a normal minimal move and clears the detour mark on a win.
-    fn suppress_return(&self, pkt: &Hop, n: usize, d: Direction) -> bool {
-        pkt.detour_from() == Some(d.index())
-            && pkt.plan.dirs() & self.up[n] & !(1 << d.index()) != 0
-    }
-
-    /// The VC on which output `d` of node `n` (to `nb`), a live link, takes
-    /// `pkt`, the head of FIFO `f`: its minimal move if `wanted` (its request
-    /// bit for `d`), else — only ever under a fault plan — a detour. What
-    /// `pick` and the oracle ask.
-    pub(super) fn exit_vc(
-        &self,
-        pkt: &Hop,
-        n: usize,
-        f: usize,
-        d: Direction,
-        nb: usize,
-        wanted: bool,
-    ) -> Option<Vc> {
-        if !wanted {
-            self.detour_vc(pkt, n, d, nb)
-        } else if self.suppress_return(pkt, n, d) {
-            None
-        } else {
-            self.feasible_vc(pkt, n, self.input_dim(f), d, nb)
-        }
     }
 }
 
@@ -507,8 +313,8 @@ impl Phases<'_> {
         self.perf_lap(&mut clk, |p| &mut p.arbitration);
         let mut deferred = std::mem::take(&mut self.st.deferred);
         for (node, fifo, chunks) in deferred.drain(..) {
-            self.st
-                .release(self.shared, node as usize, fifo.into(), chunks.into());
+            let (node, fifo) = (node as usize, fifo.into());
+            self.shared.release(self.st, node, fifo, chunks.into());
         }
         self.st.deferred = deferred;
         self.perf_lap(&mut clk, |p| &mut p.drain);
@@ -587,7 +393,7 @@ impl Phases<'_> {
             // The pop freed downstream space: release the credit now, for
             // this cycle's arbitration to see — all of it, since phase 4
             // has not begun.
-            self.st.release(self.shared, i, fifo, chunks);
+            self.shared.release(self.st, i, fifo, chunks);
             // A packet to drain, and a new head to arbitrate if the pop
             // exposed one; a node it emptied leaves the arbitration set.
             self.st.wake_cpu(i);
@@ -952,9 +758,10 @@ impl Phases<'_> {
     /// visit found busy or won that a head still requests, taken once the
     /// loop is over (a head a win exposed may request a busy link). A
     /// refused free link waits for the release that gives it room
-    /// (`State::release`); 0 if a win changed what a passed link finds;
+    /// (`Shared::release`); 0 if a win changed what a passed link finds;
     /// `u64::MAX` if the visit emptied the node, which then leaves the set
-    /// (`State::leave_arb`).
+    /// (`State::leave_arb`). The profile counts the links it refused: free,
+    /// live and requested, with no head `arbitrate_output` could give them.
     fn arbitrate_node(&mut self, i: usize, t: u64) -> u64 {
         let (sh, ports) = (self.shared, self.shared.ports);
         let shaped = sh.cfg.router.longest_first_bias && sh.cfg.router.adaptive_bubble_escape;
@@ -989,6 +796,9 @@ impl Phases<'_> {
             let ahead = !((2u16 << d.index()) - 1);
             todo = (self.st.masks[i].requested | sh.fault_dirs) & open & ahead;
         }
+        if let Some(p) = self.perf.as_deref_mut() {
+            p.arb_refused += u64::from(refused.count_ones());
+        }
         if self.st.masks[i].occupied == 0 {
             return u64::MAX;
         }
@@ -997,10 +807,8 @@ impl Phases<'_> {
         }
         let timed = (won | !free) & (self.st.masks[i].requested | sh.fault_dirs);
         let busy = &self.st.link_busy_until[i * ports..][..ports];
-        bits(timed.into())
-            .map(|d| busy[d])
-            .min()
-            .unwrap_or(u64::MAX)
+        let wake = bits(timed.into()).map(|d| busy[d]).min();
+        wake.unwrap_or(u64::MAX)
     }
 
     /// Pick a winner for output `d` of node `i`, or `None`: the transit
@@ -1081,17 +889,13 @@ impl Phases<'_> {
         // packet's record where it lies. The body is read on a detour and
         // by the oracle, never on a healthy, unwatched hop.
         let (pkt, body) = slab.entry(h);
-        let nb_port = d.opposite().index();
         let chunks = pkt.chunks as u32;
-        let fifo = vc_fifo_index(nb_port, win.vc.index());
-        let cell = &self.shared.credits[nb * self.shared.vc_cells + fifo];
-        debug_assert!(cell.get() >= chunks, "feasible_vc checked credit");
-        cell.set(cell.get() - chunks);
+        let fifo = self.shared.debit(nb, d, win.vc, chunks);
         pkt.vc = win.vc;
         if win.detour {
             // Non-minimal fault sidestep: re-plan the whole route from the
             // downstream node and remember not to bounce straight back
-            // through the link just crossed (its reverse is `nb_port`).
+            // through the link just crossed (port `d.opposite()` of `nb`).
             let part = &self.shared.part;
             pkt.plan = HopPlan::new(
                 part,
@@ -1099,7 +903,7 @@ impl Phases<'_> {
                 body.dst,
                 TieBreak::SrcParity,
             );
-            pkt.note_detour(nb_port);
+            pkt.note_detour(d.opposite().index());
         } else {
             pkt.plan.advance(d.dim);
             pkt.clear_detour_from();

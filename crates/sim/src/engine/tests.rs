@@ -7,6 +7,7 @@
 //! round trip they were built by.
 
 use super::*;
+use crate::packet::{RoutingMode, DETOUR_BUDGET};
 use crate::{FaultPlan, LinkFault, Packet, ScriptedProgram, SendSpec};
 use bgl_torus::{Coord, Dim, Partition, Sign};
 use rand::{rngs::SmallRng, Rng, SeedableRng};

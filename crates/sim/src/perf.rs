@@ -11,7 +11,8 @@
 //! * wall-clock time per engine phase (arrivals, deliveries, CPU,
 //!   arbitration, the cycle boundary);
 //! * how many marked nodes phases 3 and 4 visited and how many they passed
-//!   over as parked, and the packet slab's high-water mark;
+//!   over as parked, the output attempts arbitration refused, and the
+//!   packet slab's high-water mark;
 //! * skipping-clock counters: a power-of-two skip-length histogram, the
 //!   wake-up cause breakdown (arrival ring, open poll, rate window,
 //!   credit sleeper, link busy, watchdog/cycle-limit/fault-transition
@@ -190,6 +191,10 @@ pub struct PerfProfile {
     /// yet: every link their heads may take was mid-transmission or had no
     /// room downstream for them; always 0 under the full scan.
     pub arb_parked: u64,
+    /// Output attempts phase 4 refused: a free, live link some head
+    /// requests that no head could take (no room downstream, or a rule such
+    /// as the shaped escape's turned it down). Each costs a candidate walk.
+    pub arb_refused: u64,
     /// Length of the packet slab at the end of the run. Slots are recycled
     /// but never returned to the allocator, so this is the high-water mark
     /// of packets queued or in flight — what the run's packet memory was
@@ -207,15 +212,17 @@ impl PerfProfile {
         self.phases
     }
 
-    /// `[cpu_visits, cpu_parked, arb_visits, arb_parked]`: how many marked
-    /// nodes phases 3 and 4 visited, and how many they passed over because
-    /// no visit could have changed anything.
-    pub fn visit_totals(&self) -> [(&'static str, u64); 4] {
+    /// `[cpu_visits, cpu_parked, arb_visits, arb_parked, arb_refused]`: how
+    /// many marked nodes phases 3 and 4 visited, how many they passed over
+    /// because no visit could have changed anything, and how many output
+    /// attempts the visits to arbitration refused.
+    pub fn visit_totals(&self) -> [(&'static str, u64); 5] {
         [
             ("cpu_visits", self.cpu_visits),
             ("cpu_parked", self.cpu_parked),
             ("arb_visits", self.arb_visits),
             ("arb_parked", self.arb_parked),
+            ("arb_refused", self.arb_refused),
         ]
     }
 
@@ -324,6 +331,7 @@ mod tests {
         }
         assert!(rows.iter().any(|r| r[0] == "total_secs" && r[1] == "0.5"));
         assert!(rows.iter().any(|r| r[0] == "arb_parked" && r[1] == "0"));
+        assert!(rows.iter().any(|r| r[0] == "arb_refused" && r[1] == "0"));
         assert!(rows.iter().any(|r| r[0] == "slab_slots" && r[1] == "0"));
         assert!(rows
             .iter()

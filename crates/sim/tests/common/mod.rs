@@ -51,7 +51,7 @@ pub fn engine_cell(cfg: SimConfig, programs: Vec<Box<dyn NodeProgram>>) -> Cell 
 
 /// `(cpu_parked, arb_parked)` of `p`.
 pub fn parked(p: &PerfProfile) -> (u64, u64) {
-    let [_, (_, cpu), _, (_, arb)] = p.visit_totals();
+    let [_, (_, cpu), _, (_, arb), _] = p.visit_totals();
     (cpu, arb)
 }
 

@@ -161,15 +161,16 @@ impl Partition {
         self.dims.iter().map(|&d| d as u32).product()
     }
 
-    /// Dimensions with more than one node, in dimension order.
-    pub fn active_dims(&self) -> Vec<Dim> {
-        self.dims().filter(|d| self.size(*d) > 1).collect()
+    /// Dimensions with more than one node, in dimension order: a walk of
+    /// [`dims`](Self::dims), nothing collected.
+    pub fn active_dims(&self) -> impl Iterator<Item = Dim> + Clone + '_ {
+        self.dims().filter(|d| self.size(*d) > 1)
     }
 
     /// Number of active (size > 1) dimensions: 0 for a single node, 1 for a
     /// line, 2 for a plane, 3 for a block, and so on.
     pub fn dimensionality(&self) -> usize {
-        self.active_dims().len()
+        self.active_dims().count()
     }
 
     /// The dimension with the most nodes, the paper's `M = max(Pᵢ)`
@@ -190,14 +191,9 @@ impl Partition {
     /// torus. A line is symmetric; `8x8` and `16x16x16` are symmetric;
     /// `16x8x8` and `8x8x2M` are not.
     pub fn is_symmetric(&self) -> bool {
-        let active = self.active_dims();
-        if active.is_empty() {
-            return true;
-        }
-        let s0 = self.size(active[0]);
-        active
-            .iter()
-            .all(|&d| self.size(d) == s0 && self.is_torus_dim(d))
+        let mut active = self.active_dims();
+        let s0 = active.clone().next().map(|d| self.size(d));
+        active.all(|d| Some(self.size(d)) == s0 && self.is_torus_dim(d))
     }
 
     /// Linear rank of a coordinate (dimension 0 varies fastest).

@@ -86,9 +86,10 @@ impl VirtualMesh {
 
     fn plane_aligned(part: Partition) -> VirtualMesh {
         let long = part.longest_dim();
-        let others: Vec<Dim> = long.others(3).collect();
+        let mut others = long.others(3);
+        let mut next = || others.next().expect("a 3-D shape has two plane dims");
         // Fastest-varying dims first: the two plane dims, then the long dim.
-        let perm = [others[0], others[1], long];
+        let perm = [next(), next(), long];
         let pvx = part.num_nodes() / part.size(long) as u32;
         VirtualMesh::with_layout(part, perm, pvx).expect("plane-aligned layout always divides")
     }
