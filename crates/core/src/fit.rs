@@ -11,7 +11,7 @@
 //! simulator was built around.
 
 use crate::walk::SendWalk;
-use crate::workload::direct_shapes;
+use crate::workload::Framing;
 use bgl_model::MachineParams;
 use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig, SimError};
 use bgl_torus::Partition;
@@ -49,8 +49,8 @@ pub fn one_way_message_cycles(
         });
     }
     let alpha = params.cpu_to_sim_cycles(params.alpha_direct_cycles);
-    let walk = SendWalk::new(vec![1], direct_shapes(m, params), 1, alpha);
-    let n = walk.shapes().len() as u64;
+    let walk = SendWalk::new(vec![1], Framing::direct(m, params), 1, alpha);
+    let n = walk.framing().packets() as u64;
     let sends = walk
         .map(|s| s.send(s.target, RoutingMode::Adaptive))
         .collect();

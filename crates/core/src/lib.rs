@@ -77,6 +77,6 @@ pub use tps::{choose_linear_dim, tps_inj_class_masks, TpsConfig, TpsProgram};
 pub use vmesh::VmeshProgram;
 pub use walk::{SendWalk, Step};
 pub use workload::{
-    destination_schedule, direct_shapes, packetize, total_chunks, AaWorkload, PacketShape,
+    destination_schedule, direct_shapes, packetize, total_chunks, AaWorkload, Framing, PacketShape,
 };
 pub use xyz::{xyz_inj_class_masks, XyzProgram};

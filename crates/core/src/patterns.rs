@@ -9,7 +9,7 @@
 //! through the simulator with the direct runtime.
 
 use crate::walk::SendWalk;
-use crate::workload::direct_shapes;
+use crate::workload::Framing;
 use bgl_model::MachineParams;
 use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig, SimError};
 use bgl_torus::{HopPlan, Partition, Rank, TieBreak};
@@ -173,7 +173,7 @@ pub fn run_pattern(
     base: SimConfig,
     seed: u64,
 ) -> Result<PatternReport, SimError> {
-    let shapes = direct_shapes(m, params);
+    let framing = Framing::direct(m, params);
     let alpha = params.cpu_to_sim_cycles(params.alpha_direct_cycles);
     let programs: Vec<Box<dyn NodeProgram>> = (0..part.num_nodes())
         .map(|r| {
@@ -185,7 +185,7 @@ pub fn run_pattern(
                 dests.swap(i, j);
             }
             // The AR walk, scripted up front: round-major, α on packet 0.
-            let sends = SendWalk::new(dests, shapes.clone(), 1, alpha)
+            let sends = SendWalk::new(dests, framing, 1, alpha)
                 .map(|s| s.send(s.target, RoutingMode::Adaptive));
             Box::new(ScriptedProgram::new(sends.collect(), 0)) as Box<dyn NodeProgram>
         })
@@ -353,7 +353,7 @@ mod tests {
             let rep = run_pattern(p, &pattern, 480, &params, cfg, 7).expect("pattern completes");
             assert_eq!(
                 rep.stats.packets_delivered,
-                rep.pairs * direct_shapes(480, &params).len() as u64,
+                rep.pairs * Framing::direct(480, &params).packets() as u64,
                 "{pattern:?}"
             );
             assert!(

@@ -309,7 +309,10 @@ pub fn run_aa(
             let cfg = TpsConfig::default();
             per_node(p, |r| TpsProgram::new(r, &part, workload, &cfg, params))
         }
-        Scheme::VirtualMesh => per_node(p, |r| VmeshProgram::new(r, &part, workload, params)),
+        Scheme::VirtualMesh => {
+            let vm = bgl_torus::VirtualMesh::choose(part);
+            per_node(p, |r| VmeshProgram::new(r, &vm, workload, params))
+        }
         Scheme::XyzRouting => {
             base.inj_class_masks = xyz_inj_class_masks(base.inj_fifo_count, part.ndims());
             per_node(p, |r| XyzProgram::new(r, &part, workload, params))

@@ -14,10 +14,10 @@
 
 use crate::flow::{self, KIND_CREDIT};
 use crate::walk::SendWalk;
-use crate::workload::{packetize, AaWorkload};
+use crate::workload::{AaWorkload, Framing};
 use bgl_model::{MachineParams, CHUNK_BYTES};
 use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
-use bgl_torus::{Partition, VirtualMesh};
+use bgl_torus::VirtualMesh;
 
 /// Phase-1 (row) packet kind.
 const KIND_ROW: u8 = 1;
@@ -47,22 +47,22 @@ pub struct VmeshProgram {
 }
 
 impl VmeshProgram {
-    /// Build the program for `rank`, on the paper's virtual mesh for
-    /// `part` ([`VirtualMesh::choose`]).
+    /// Build the program for `rank` on the virtual mesh `vm`: the run's
+    /// one layout ([`VirtualMesh::choose`] of its partition), chosen once by
+    /// the caller and shared by every node's program.
     pub fn new(
         rank: u32,
-        part: &Partition,
+        vm: &VirtualMesh,
         workload: &AaWorkload,
         params: &MachineParams,
     ) -> VmeshProgram {
-        let vm = VirtualMesh::choose(*part);
-        let coord = part.coord_of(rank);
+        let coord = vm.partition().coord_of(rank);
         let row = vm.row_of(coord);
         let pos = vm.pos_in_row(coord);
         let m = workload.m_bytes;
         let proto = params.proto_header_bytes;
-        let p1_shapes = packetize(vm.pvy() as u64 * m, proto, MIN_PACKET_BYTES, params);
-        let p2_shapes = packetize(vm.pvx() as u64 * m, proto, MIN_PACKET_BYTES, params);
+        let p1_framing = Framing::new(vm.pvy() as u64 * m, proto, MIN_PACKET_BYTES);
+        let p2_framing = Framing::new(vm.pvx() as u64 * m, proto, MIN_PACKET_BYTES);
         // Rotated visiting order spreads instantaneous load across the row
         // (every node starts on a different neighbour).
         let p1_targets: Vec<u32> = (1..vm.pvx())
@@ -75,9 +75,9 @@ impl VmeshProgram {
         VmeshProgram {
             rank,
             gamma_cycles_per_chunk: params.gamma_sim_cycles_per_chunk(),
-            expect_p1_packets: p1_targets.len() as u64 * p1_shapes.len() as u64,
-            p1: SendWalk::new(p1_targets, p1_shapes, u32::MAX, alpha),
-            p2: SendWalk::new(p2_targets, p2_shapes, u32::MAX, alpha),
+            expect_p1_packets: p1_targets.len() as u64 * p1_framing.packets() as u64,
+            p1: SendWalk::new(p1_targets, p1_framing, u32::MAX, alpha),
+            p2: SendWalk::new(p2_targets, p2_framing, u32::MAX, alpha),
             got_p1_packets: 0,
             phase2_started: false,
         }
@@ -156,6 +156,7 @@ impl NodeProgram for VmeshProgram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgl_torus::Partition;
     use std::collections::VecDeque;
 
     fn params() -> MachineParams {
@@ -183,7 +184,7 @@ mod tests {
     fn phase1_visits_all_row_members() {
         let part: Partition = "4x4".parse().unwrap();
         let w = AaWorkload::full(8);
-        let mut prog = VmeshProgram::new(0, &part, &w, &params());
+        let mut prog = VmeshProgram::new(0, &VirtualMesh::choose(part), &w, &params());
         let pvx = prog.p1.targets().len() + 1;
         let mut dests = std::collections::HashSet::new();
         for _ in 0..pvx - 1 {
@@ -201,10 +202,10 @@ mod tests {
     fn phase2_starts_only_after_all_row_messages() {
         let part: Partition = "4x4".parse().unwrap();
         let w = AaWorkload::full(8);
-        let mut prog = VmeshProgram::new(0, &part, &w, &params());
+        let mut prog = VmeshProgram::new(0, &VirtualMesh::choose(part), &w, &params());
         while pull(&mut prog, &part, 0).is_some() {}
         let sources: Vec<u32> = prog.p1.targets().to_vec();
-        let per_msg = prog.p1.shapes().len();
+        let per_msg = prog.p1.framing().packets();
         let mut q = VecDeque::new();
         for (i, &src) in sources.iter().enumerate() {
             // Still blocked with one message missing.
@@ -227,9 +228,9 @@ mod tests {
         // Phase-1 messages carry Pvy·m bytes, phase-2 messages Pvx·m.
         let part: Partition = "8x8x8".parse().unwrap();
         let w = AaWorkload::full(8);
-        let prog = VmeshProgram::new(0, &part, &w, &params());
-        let p1_payload: u64 = prog.p1.shapes().iter().map(|s| s.payload as u64).sum();
-        let p2_payload: u64 = prog.p2.shapes().iter().map(|s| s.payload as u64).sum();
+        let prog = VmeshProgram::new(0, &VirtualMesh::choose(part), &w, &params());
+        let p1_payload: u64 = prog.p1.framing().shapes().map(|s| s.payload as u64).sum();
+        let p2_payload: u64 = prog.p2.framing().shapes().map(|s| s.payload as u64).sum();
         assert_eq!(p1_payload, 16 * 8); // Pvy = 16 on the 32×16 mesh
         assert_eq!(p2_payload, 32 * 8); // Pvx = 32
         assert_eq!(prog.p1.targets().len(), 31);
@@ -240,14 +241,14 @@ mod tests {
     fn completion_requires_both_phases() {
         let part: Partition = "2x2".parse().unwrap();
         let w = AaWorkload::full(4);
-        let mut prog = VmeshProgram::new(0, &part, &w, &params());
+        let mut prog = VmeshProgram::new(0, &VirtualMesh::choose(part), &w, &params());
         assert!(!prog.is_complete());
         // Send phase 1 (one row neighbour).
         assert!(pull(&mut prog, &part, 0).is_some());
         assert!(!prog.is_complete());
         // Receive the row message.
         let src = prog.p1.targets()[0];
-        let n = prog.p1.shapes().len();
+        let n = prog.p1.framing().packets();
         let mut q = VecDeque::new();
         let mut api = NodeApi::new(0, part.coord_of(0), 1, &part, &mut q);
         for _ in 0..n {
@@ -262,8 +263,9 @@ mod tests {
     fn rotated_start_spreads_row_targets() {
         let part: Partition = "4x4".parse().unwrap();
         let w = AaWorkload::full(8);
-        let a = VmeshProgram::new(0, &part, &w, &params());
-        let b = VmeshProgram::new(1, &part, &w, &params());
+        let vm = VirtualMesh::choose(part);
+        let a = VmeshProgram::new(0, &vm, &w, &params());
+        let b = VmeshProgram::new(1, &vm, &w, &params());
         assert_ne!(a.p1.targets().first(), b.p1.targets().first());
     }
 }

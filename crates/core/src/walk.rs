@@ -2,11 +2,13 @@
 //! hands the network next.
 //!
 //! A node's own traffic is plain data — a list of *targets* (final
-//! destinations, in visiting order), the *packet shapes* every message
-//! splits into, and `k`, the packets sent to one target before moving to
-//! the next. The walk covers `targets × shapes` visit by visit: packets
+//! destinations, in visiting order), the [`Framing`] every message splits
+//! into packets by, and `k`, the packets sent to one target before moving
+//! to the next. The walk covers `targets × packets` visit by visit: packets
 //! `0..k` of every target in order, then `k..2k` of every target, and so
-//! on, charging the per-message startup α with packet 0.
+//! on, charging the per-message startup α with packet 0. A packet's shape
+//! is computed from its index when it is sent, so a node holds its targets
+//! and 24 bytes of framing, not its own copy of a message's shape list.
 //!
 //! * `k = 1` is the round-major interleave AR, DR, TPS and XYZ share
 //!   (packet `r` of every message before packet `r + 1` of any): a whole
@@ -20,7 +22,7 @@
 //! that finds its next hop credit-blocked [`peek`](SendWalk::peek)s, declines
 //! and sees the same packet again on the next poll.
 
-use crate::workload::{destination_schedule, direct_shapes, AaWorkload, PacketShape};
+use crate::workload::{destination_schedule, AaWorkload, Framing, PacketShape};
 use bgl_model::MachineParams;
 use bgl_sim::{RoutingMode, SendSpec};
 use bgl_torus::Partition;
@@ -45,13 +47,13 @@ impl Step {
     }
 }
 
-/// A cursor over `targets × shapes`, `k` packets per visit (see the module
-/// docs). Iterating it yields every remaining [`Step`] in order.
+/// A cursor over `targets × packets`, `k` packets per visit (see the
+/// module docs). Iterating it yields every remaining [`Step`] in order.
 #[derive(Debug, Clone)]
 pub struct SendWalk {
     targets: Vec<u32>,
-    shapes: Vec<PacketShape>,
-    /// Packets per visit, in `1..=shapes.len()`.
+    framing: Framing,
+    /// Packets per visit, in `1..=framing.packets()`.
     k: usize,
     alpha: f64,
     /// First packet index of the current round of visits (a multiple of `k`).
@@ -63,14 +65,14 @@ pub struct SendWalk {
 }
 
 impl SendWalk {
-    /// Walk `shapes` to each of `targets`, `k` packets per visit (clamped to
-    /// `1..=shapes.len()`), with `alpha` simulator cycles on every message's
-    /// packet 0.
-    pub fn new(targets: Vec<u32>, shapes: Vec<PacketShape>, k: u32, alpha: f64) -> SendWalk {
+    /// Walk a message framed by `framing` to each of `targets`, `k` packets
+    /// per visit (clamped to `1..=framing.packets()`), with `alpha`
+    /// simulator cycles on every message's packet 0.
+    pub fn new(targets: Vec<u32>, framing: Framing, k: u32, alpha: f64) -> SendWalk {
         SendWalk {
-            k: (k as usize).clamp(1, shapes.len().max(1)),
+            k: (k as usize).clamp(1, framing.packets()),
             targets,
-            shapes,
+            framing,
             alpha,
             round: 0,
             idx: 0,
@@ -79,7 +81,7 @@ impl SendWalk {
     }
 
     /// The direct runtime's walk for `rank`: the workload's randomized
-    /// destination schedule, `m` bytes framed by [`direct_shapes`], and a
+    /// destination schedule, `m` bytes framed by [`Framing::direct`], and a
     /// startup of `alpha_cpu_cycles` CPU cycles per destination.
     pub fn direct(
         rank: u32,
@@ -91,10 +93,9 @@ impl SendWalk {
     ) -> SendWalk {
         let p = part.num_nodes();
         let targets = destination_schedule(rank, p, workload.dests_per_node(p), workload.seed);
-        let shapes = direct_shapes(workload.m_bytes, params);
         SendWalk::new(
             targets,
-            shapes,
+            Framing::direct(workload.m_bytes, params),
             k,
             params.cpu_to_sim_cycles(alpha_cpu_cycles),
         )
@@ -105,9 +106,9 @@ impl SendWalk {
         &self.targets
     }
 
-    /// The packet shapes of one message.
-    pub fn shapes(&self) -> &[PacketShape] {
-        &self.shapes
+    /// How one message splits into packets.
+    pub fn framing(&self) -> Framing {
+        self.framing
     }
 
     /// The next packet, without moving the cursor; `None` once done.
@@ -115,7 +116,7 @@ impl SendWalk {
         let packet = self.round + self.in_visit;
         Some(Step {
             target: *self.targets.get(self.idx)?,
-            shape: *self.shapes.get(packet)?,
+            shape: self.framing.shape(packet)?,
             alpha: if packet == 0 { self.alpha } else { 0.0 },
         })
     }
@@ -123,7 +124,7 @@ impl SendWalk {
     /// Move past the packet [`peek`](Self::peek) returned.
     pub fn advance(&mut self) {
         self.in_visit += 1;
-        if self.in_visit == self.k || self.round + self.in_visit == self.shapes.len() {
+        if self.in_visit == self.k || self.round + self.in_visit == self.framing.packets() {
             self.in_visit = 0;
             self.idx += 1;
             if self.idx == self.targets.len() {
@@ -135,7 +136,7 @@ impl SendWalk {
 
     /// Whether every packet has been walked (at once, with no targets).
     pub fn is_done(&self) -> bool {
-        self.targets.is_empty() || self.round >= self.shapes.len()
+        self.targets.is_empty() || self.round >= self.framing.packets()
     }
 }
 
@@ -153,15 +154,26 @@ impl Iterator for SendWalk {
 mod tests {
     use super::*;
 
-    /// A walk over targets `10, 11, 12` of `len`-packet messages whose
-    /// packet `i` carries `i` payload bytes, so a step names its packet.
-    fn walk(len: u32, k: u32) -> SendWalk {
-        let shapes = (0..len).map(|payload| PacketShape { chunks: 8, payload });
-        SendWalk::new(vec![10, 11, 12], shapes.collect(), k, 3.5)
+    /// `len`-packet messages (`len` in 2..=3) whose packets carry distinct
+    /// payloads (192 then 208; 192, 240 then 68 bytes), so a step names its
+    /// packet: the direct framing of 400 and of 500 bytes.
+    fn framing(len: u32) -> Framing {
+        let m = [400, 500][len as usize - 2];
+        let framing = Framing::new(m, 48, 64);
+        assert_eq!(framing.packets(), len as usize);
+        framing
     }
 
+    /// A walk over targets `10, 11, 12` of `len`-packet messages.
+    fn walk(len: u32, k: u32) -> SendWalk {
+        SendWalk::new(vec![10, 11, 12], framing(len), k, 3.5)
+    }
+
+    /// Each step as (target, packet index within its message).
     fn order(w: SendWalk) -> Vec<(u32, u32)> {
-        w.map(|s| (s.target, s.shape.payload)).collect()
+        let packets: Vec<PacketShape> = w.framing().shapes().collect();
+        let index = |s: &Step| packets.iter().position(|p| *p == s.shape).unwrap() as u32;
+        w.map(|s| (s.target, index(&s))).collect()
     }
 
     #[test]
@@ -201,8 +213,9 @@ mod tests {
     #[test]
     fn alpha_rides_packet_zero_only() {
         for k in [1, 2, 5] {
-            for s in walk(5, k) {
-                let want = if s.shape.payload == 0 { 3.5 } else { 0.0 };
+            let first = framing(3).shape(0).unwrap();
+            for s in walk(3, k) {
+                let want = if s.shape == first { 3.5 } else { 0.0 };
                 assert_eq!(s.alpha, want, "k={k} {s:?}");
                 assert_eq!(
                     s.send(s.target, RoutingMode::Adaptive).cpu_cost_cycles,
@@ -224,11 +237,7 @@ mod tests {
 
     #[test]
     fn no_targets_is_done_at_once() {
-        let shapes = vec![PacketShape {
-            chunks: 8,
-            payload: 240,
-        }];
-        let mut w = SendWalk::new(vec![], shapes, 1, 3.5);
+        let mut w = SendWalk::new(vec![], Framing::new(192, 48, 64), 1, 3.5);
         assert!(w.is_done());
         assert_eq!(w.peek(), None);
         assert_eq!(w.next(), None);

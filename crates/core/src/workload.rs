@@ -134,12 +134,79 @@ pub fn packetize(
 /// `m`-byte message: the software header `h` rides in the first packet and
 /// no packet is shorter than the AA runtime's 64-byte floor.
 pub fn direct_shapes(m: u64, params: &MachineParams) -> Vec<PacketShape> {
-    packetize(
-        m,
-        params.software_header_bytes,
-        params.min_packet_bytes,
-        params,
-    )
+    Framing::direct(m, params).shapes().collect()
+}
+
+/// The packets of one message as a formula: what [`packetize`] lists, in
+/// 24 bytes. A message is a stream of `header` protocol bytes, then `m`
+/// application bytes, cut into packets of [`MAX_PACKET_PAYLOAD`] stream
+/// bytes, the last one short, so packet `i`'s share of the header and of
+/// the payload follow from `i` alone ([`shape`](Self::shape)). A node's
+/// send walk holds this instead of its own copy of the shape list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Framing {
+    /// Stream bytes: `m` plus the header.
+    total: u64,
+    header: u32,
+    /// Smallest packet on the wire, bytes.
+    floor: u32,
+    /// Packets per message, at least one.
+    packets: usize,
+}
+
+impl Framing {
+    /// The framing of `m` application bytes behind a `header`-byte
+    /// protocol header, no packet under `floor` bytes: the arguments of
+    /// [`packetize`], with its panics.
+    pub fn new(m: u64, header: u32, floor: u32) -> Framing {
+        assert!(
+            floor <= MAX_PACKET_BYTES,
+            "a {floor}-byte packet floor exceeds the {MAX_PACKET_BYTES}-byte packet"
+        );
+        let total = m.checked_add(header.into()).unwrap_or_else(|| {
+            panic!("a {m}-byte message plus its {header}-byte header overflows u64")
+        });
+        let packets = total.div_ceil(MAX_PACKET_PAYLOAD as u64).max(1) as usize;
+        Framing {
+            total,
+            header,
+            floor,
+            packets,
+        }
+    }
+
+    /// The direct runtime's framing ([`direct_shapes`]).
+    pub fn direct(m: u64, params: &MachineParams) -> Framing {
+        Framing::new(m, params.software_header_bytes, params.min_packet_bytes)
+    }
+
+    /// Packets per message.
+    pub fn packets(&self) -> usize {
+        self.packets
+    }
+
+    /// Packet `i`'s shape, `None` past the last: the header bytes it
+    /// carries ride in no payload, and its wire size is its stream bytes
+    /// plus the packet overhead, at least the floor, in whole chunks.
+    pub fn shape(&self, i: usize) -> Option<PacketShape> {
+        if i >= self.packets {
+            return None;
+        }
+        let cap = MAX_PACKET_PAYLOAD as u64;
+        let start = i as u64 * cap;
+        let bytes = (self.total - start).min(cap);
+        let header = u64::from(self.header).saturating_sub(start).min(cap);
+        let wire = (bytes + PACKET_OVERHEAD_BYTES as u64).max(self.floor.into());
+        Some(PacketShape {
+            chunks: wire.div_ceil(CHUNK_BYTES as u64) as u8,
+            payload: (bytes - header) as u32,
+        })
+    }
+
+    /// Every packet's shape, in order.
+    pub fn shapes(self) -> impl Iterator<Item = PacketShape> {
+        (0..self.packets).map_while(move |i| self.shape(i))
+    }
 }
 
 /// Total wire chunks of a packetized message.
@@ -281,6 +348,37 @@ mod tests {
         }
         let n = (4096u64 + 48).div_ceil(240);
         assert_eq!(shapes.len() as u64, n);
+    }
+
+    /// The formula is the list: for every message size up to 4 KiB, both
+    /// runtimes' headers (the direct `h`, the combining `proto`) and both
+    /// floors, packet `i` of the framing is packet `i` of `packetize`, and
+    /// there is no packet past the last.
+    #[test]
+    fn framing_shape_is_packetize() {
+        for m in 0..=4096u64 {
+            for (header, floor) in [(8, CHUNK_BYTES), (8, 64), (48, CHUNK_BYTES), (48, 64)] {
+                let (framing, list) = (
+                    Framing::new(m, header, floor),
+                    packetize(m, header, floor, &params()),
+                );
+                assert_eq!(
+                    framing.packets(),
+                    list.len(),
+                    "m={m} h={header} floor={floor}"
+                );
+                for (i, want) in list.iter().enumerate() {
+                    assert_eq!(
+                        framing.shape(i),
+                        Some(*want),
+                        "m={m} h={header} floor={floor} i={i}"
+                    );
+                }
+                assert_eq!(framing.shape(list.len()), None);
+            }
+        }
+        let p = params();
+        assert!((0..=4096).all(|m| direct_shapes(m, &p) == packetize(m, 48, 64, &p)));
     }
 
     #[test]

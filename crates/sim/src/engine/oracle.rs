@@ -115,9 +115,18 @@ impl Oracle {
         );
     }
 
-    /// Record the delivery of `pkt` (drained from a reception FIFO).
-    pub(super) fn on_deliver(&mut self, pkt: &Packet, t: u64) {
+    /// Record the delivery of `pkt`, drained from the reception FIFO of
+    /// node `node` with `dst_rank` the destination its slab body held: the
+    /// two must be one rank, since the drain rebuilds `pkt.dst` from the
+    /// draining node's own coordinate.
+    pub(super) fn on_deliver(&mut self, pkt: &Packet, dst_rank: u32, node: u32, t: u64) {
         let i = pkt.id as usize;
+        assert_eq!(
+            dst_rank, node,
+            "invariant violated: packet {} bound for rank {dst_rank} drained at node {node} \
+             (cycle {t})",
+            pkt.id
+        );
         assert!(
             i < self.delivered.len(),
             "invariant violated: delivery of unknown packet {} at cycle {t}",
@@ -385,7 +394,7 @@ impl Engine {
                 || st.fifos.reception(i).is_empty()
                     && !(queued
                         && (!node.inject_blocked
-                            || self.shared.inject_slot(node, st.fifos.inj(i)).is_some()))
+                            || self.shared.fitting_send(node, st.fifos.inj(i)).is_some()))
                     && !polls;
             assert!(
                 cpu_idle && (st.arb_at[i] <= t || !(0..sh.ports).any(open)),

@@ -13,15 +13,19 @@
 //! cycle the next one could do more than a blocked poll (`cpu_park`): the
 //! CPU is booked until then, or the rate window opens then, or nothing
 //! short of an event at the node can help — a sleeper's pure decline, or
-//! sends stuck on injection-FIFO space. An open poll the rate window will
-//! refuse once the CPU is free parks as a rate poll. A visit to arbitration
-//! leaves in `arb_at` the first release among the busy links its heads
-//! request, if no free one can take a head, and `u64::MAX` if it emptied
-//! the node, which leaves the set in that visit. Until then the scan passes
-//! the node over on one word, its mark untouched. The blocked polls it is
-//! passed over for still count: `State::owed_from` says since when, and the
-//! next visit, or any reader of the statistics, settles them
-//! (`State::settle_blocked`).
+//! sends stuck on injection-FIFO space. Sends are stuck when the visit's
+//! injector found no room for any of them, and also when a visit that ended
+//! on a booked CPU leaves sends the room scan (`Shared::fitting_send`) has
+//! no room for, no pull due and nothing to drain: the next visit would do
+//! nothing, so the node parks (`inject_blocked`) at `u64::MAX` instead of
+//! at its CPU's release. An open poll the rate window will refuse once the
+//! CPU is free parks as a rate poll. A visit to arbitration leaves in
+//! `arb_at` the first release among the busy links its heads request, if no
+//! free one can take a head, and `u64::MAX` if it emptied the node, which
+//! leaves the set in that visit. Until then the scan passes the node over
+//! on one word, its mark untouched. The blocked polls it is passed over for
+//! still count: `State::owed_from` says since when, and the next visit, or
+//! any reader of the statistics, settles them (`State::settle_blocked`).
 //!
 //! Whatever can change what a skipped visit would have found writes the
 //! cycle it enables, never "now" for its own sake. A new head — an arrival
@@ -29,16 +33,19 @@
 //! an empty injection FIFO — wakes arbitration when one of the links it
 //! requests is free (`State::wake_arb`); an arrival behind a queued head
 //! changes no head and writes nothing. A delivery into reception, an
-//! injection-FIFO pop that unblocks stuck sends, a fault drop and a fault
-//! transition wake the CPU when it is free (`State::wake_cpu`). A credit
-//! release giving a node's heads room wakes it at its link's release
-//! (`Shared::release`). The full scan writes both arrays and reads neither,
-//! so every comparison against it is parked against unparked, and the
-//! oracle's parking check covers both (DESIGN.md §6).
+//! injection-FIFO pop after which the room scan finds a stuck send room (a
+//! pop that frees too little, or a FIFO of another class, leaves the node
+//! parked), a fault drop and a fault transition wake the CPU when it is
+//! free (`State::wake_cpu`). A credit release giving a node's heads room
+//! wakes it at its link's release (`Shared::release`). The full scan writes
+//! both arrays and reads neither, so every comparison against it is parked
+//! against unparked, and the oracle's parking check covers both (DESIGN.md
+//! §6).
 //!
 //! Inside a visit, the two per-packet loops skip what cannot move. The
-//! injector plans a route only for a send that a FIFO of its class has room
-//! for (`Shared::inject_slot`). Arbitration walks only the free, live outputs
+//! injector plans a route only for the send the room scan picks
+//! (`Shared::inject_slot` over `Shared::fitting_send`); the park and the
+//! wake above plan none. Arbitration walks only the free, live outputs
 //! some head requests (`State::masks`, re-read after a win, under a
 //! mask of the node's free links read once per visit and its link mask).
 //!
@@ -72,11 +79,14 @@
 //! hold its `u32` handle. The slot is two records: the 20-byte [`Hop`]
 //! (plan, detour state, chunks, routing mode, VC, the id's parity), which
 //! every routing rule takes and `apply_win` writes each hop into in place,
-//! and the body, the rest of the [`Packet`]. The body is read in four
-//! places only: at the drain or a fault drop (`Slab::take` reassembles the
-//! packet), on a detour (its destination), by the oracle (its id) and by
-//! the tracer (its metadata). So a healthy run with the oracle off never
-//! reads it in `pick`, `apply_win`, `phase_arrivals` or `State::set_head`.
+//! and the body, the rest of the [`Packet`], its destination kept as a rank.
+//! The body is read in four places only: at the drain, which rebuilds the
+//! destination coordinate from its own node's, or a fault drop, which
+//! derives it from the rank (`Slab::take` reassembles the packet); on a
+//! detour (its destination); by the oracle (its id, and at the drain its
+//! destination, which must be the draining node) and by the tracer (its
+//! kind). So a healthy run with the oracle off never reads it in `pick`,
+//! `apply_win`, `phase_arrivals` or `State::set_head`.
 //! The engine copies a `Packet` in two places only: the injection into the
 //! slab, and out of it at the drain or a fault drop (DESIGN.md §6, "Memory
 //! layout").
@@ -209,52 +219,62 @@ impl Shared {
         (f < self.vc_cells).then_some(f / NUM_VCS / 2)
     }
 
-    /// The first queued send of `node` one of its injection FIFOs `inj`
-    /// accepts now — reactive queue first, [`INJECT_SCAN`] deep into each:
-    /// its scan index, the FIFO, its hop plan and destination. `None` when
-    /// every scanned send is stuck on injection-FIFO space, which only an
-    /// arbitration win at this node can free. A send no FIFO of its class
-    /// has room for is passed over before its route is planned.
+    /// The room scan: the first queued send of `node` that one of its
+    /// injection FIFOs `inj` has room for now — reactive queue first,
+    /// [`INJECT_SCAN`] deep into each — as its scan index, the send, and the
+    /// mask of its class's FIFOs with room. `None` when every scanned send
+    /// is stuck on injection-FIFO space, which only an arbitration win at
+    /// this node can free. It plans no route: the CPU's park and
+    /// `apply_win`'s wake ask it as well as the injector.
+    pub(super) fn fitting_send<'n>(
+        &self,
+        node: &'n NodeState,
+        inj: &[ChunkFifo],
+    ) -> Option<(usize, &'n SendSpec, u32)> {
+        let reactive = node.pending.iter().take(INJECT_SCAN);
+        let queued = reactive.chain(node.pulled.iter().take(INJECT_SCAN));
+        queued.enumerate().find_map(|(qi, spec)| {
+            let (eligible, chunks) = (self.class_fifos[spec.class as usize], spec.chunks as u32);
+            let bit =
+                |f: usize| u32::from(inj[f].occupied_chunks() + chunks <= INJ_FIFO_CHUNKS) << f;
+            let room = bits(eligible.into()).fold(0, |m, f| m | bit(f));
+            (room != 0).then_some((qi, spec, room))
+        })
+    }
+
+    /// The send the injector takes next ([`fitting_send`](Self::fitting_send))
+    /// and where it goes: its scan index, the FIFO, its hop plan and
+    /// destination. Only this send's route is planned.
     pub(super) fn inject_slot(
         &self,
         node: &NodeState,
         inj: &[ChunkFifo],
     ) -> Option<(usize, usize, HopPlan, Coord)> {
-        let reactive = node.pending.iter().take(INJECT_SCAN);
-        let queued = reactive.chain(node.pulled.iter().take(INJECT_SCAN));
-        for (qi, spec) in queued.enumerate() {
-            let (eligible, chunks) = (self.class_fifos[spec.class as usize], spec.chunks as u32);
-            let bit =
-                |f: usize| u32::from(inj[f].occupied_chunks() + chunks <= INJ_FIFO_CHUNKS) << f;
-            let room = bits(eligible.into()).fold(0, |m, f| m | bit(f));
-            if room == 0 {
-                continue;
-            }
-            // Direction-affine placement: BG/L messaging software binds
-            // injection FIFOs to link directions so one FIFO's blocked head
-            // never starves an idle link of a different direction. Map the
-            // packet's first route direction onto the FIFOs of its class,
-            // falling back to the lowest class FIFO with space.
-            let dst = self.part.coord_of(spec.dst_rank);
-            let plan = HopPlan::new(&self.part, node.coord, dst, TieBreak::SrcParity);
-            let primary = plan.dimension_order_next().map_or(0, |d| d.index());
-            // The `primary`-th (mod count) eligible FIFO, if it has room:
-            // the division only when the class has fewer FIFOs than ports.
-            let count = eligible.count_ones() as usize;
-            let skip = if primary < count {
-                primary
-            } else {
-                primary % count
-            };
-            let mut from_pref = eligible;
-            for _ in 0..skip {
-                from_pref &= from_pref - 1;
-            }
-            let pref = from_pref & from_pref.wrapping_neg();
-            let f = if room & pref != 0 { pref } else { room };
-            return Some((qi, f.trailing_zeros() as usize, plan, dst));
+        let (qi, spec, room) = self.fitting_send(node, inj)?;
+        let eligible = self.class_fifos[spec.class as usize];
+        // Direction-affine placement: BG/L messaging software binds
+        // injection FIFOs to link directions so one FIFO's blocked head
+        // never starves an idle link of a different direction. Map the
+        // packet's first route direction onto the FIFOs of its class,
+        // falling back to the lowest class FIFO with space.
+        let dst = self.part.coord_of(spec.dst_rank);
+        let plan = HopPlan::new(&self.part, node.coord, dst, TieBreak::SrcParity);
+        let primary = plan.dimension_order_next().map_or(0, |d| d.index());
+        // The `primary`-th (mod count) eligible FIFO, if it has room:
+        // the division only when the class has fewer FIFOs than ports.
+        let count = eligible.count_ones() as usize;
+        let skip = if primary < count {
+            primary
+        } else {
+            primary % count
+        };
+        let mut from_pref = eligible;
+        for _ in 0..skip {
+            from_pref &= from_pref - 1;
         }
-        None
+        let pref = from_pref & from_pref.wrapping_neg();
+        let f = if room & pref != 0 { pref } else { room };
+        Some((qi, f.trailing_zeros() as usize, plan, dst))
     }
 }
 
@@ -464,14 +484,25 @@ impl Phases<'_> {
     /// or the sleeper's decline stays pure. An open poll the rate window
     /// will refuse at `ready` is a rate poll from there, unless `prog` is
     /// already complete: that refusal latches its completion, so the visit
-    /// must happen. Outside the full scan, a done node with nothing queued
-    /// leaves the CPU set: a delivery re-marks it.
+    /// must happen. Queued sends the room scan finds no space for, with no
+    /// pull due and nothing to drain, leave the next visit nothing to do
+    /// until an injection FIFO pops: the node parks on `inject_blocked` for
+    /// `apply_win` to wake. Outside the full scan, a done node with nothing
+    /// queued leaves the CPU set: a delivery re-marks it.
     fn cpu_park(&mut self, i: usize, prog: &dyn NodeProgram, t: u64, prune: bool) {
         let (n, drain) = (&self.st.nodes[i], !self.st.fifos.reception(i).is_empty());
         let ready = (n.cpu_free as u64).max(t + 1);
         let queued = !n.pending.is_empty() || !n.pulled.is_empty();
+        // Stuck: the visit's injector found no room, or a visit that ended
+        // on a booked CPU leaves sends the room scan has no room for, and
+        // none of the CPU's other work is due.
+        let stuck = n.inject_blocked
+            || queued
+                && !drain
+                && !n.pull_due()
+                && self.shared.fitting_send(n, self.st.fifos.inj(i)).is_none();
         // A drain, or a queued send that fits, runs as soon as the CPU is free.
-        let work = if drain || queued && !n.inject_blocked {
+        let work = if drain || queued && !stuck {
             ready
         } else {
             u64::MAX
@@ -497,7 +528,7 @@ impl Phases<'_> {
         if prune && n.program_done && !queued && !drain {
             self.st.cpu_active.clear(i);
         }
-        self.st.nodes[i].poll = poll;
+        (self.st.nodes[i].poll, self.st.nodes[i].inject_blocked) = (poll, stuck);
         (self.st.cpu_at[i], self.st.owed_from[i]) = (wake, owed);
     }
 
@@ -630,9 +661,12 @@ impl Phases<'_> {
         let cpu = &self.shared.cfg.cpu;
         let node = &mut self.st.nodes[i];
         // The packet leaves the network here, and its slot with it: taken
-        // out before the hook runs, which borrows all of `self`.
+        // out before the hook runs, which borrows all of `self`. The body
+        // keeps the destination as a rank; this node is the destination, so
+        // its coordinate is the packet's.
         let h = self.st.fifos.reception_mut(i).pop(&self.st.slab);
-        let pkt = self.st.slab.take(h);
+        let dst_rank = self.st.slab.body(h).dst_rank;
+        let pkt = self.st.slab.take(h, node.coord);
         let cost = cpu.per_packet_receive_cycles + pkt.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
@@ -647,7 +681,7 @@ impl Phases<'_> {
             .min(crate::stats::LATENCY_BUCKETS - 1);
         stats.latency_histogram[bucket] += 1;
         if let Some(o) = self.oracle.as_deref_mut() {
-            o.on_deliver(&pkt, t);
+            o.on_deliver(&pkt, dst_rank, i as u32, t);
         }
         self.run_hook(i, prog, t, |p, api| {
             p.on_packet(api, &pkt);
@@ -696,7 +730,7 @@ impl Phases<'_> {
         let q = self.st.fifos.fifo_mut(i, f);
         let was_empty = q.is_empty();
         // The one write of the packet until it is drained.
-        let h = self.st.slab.alloc(pkt);
+        let h = self.st.slab.alloc(pkt, spec.dst_rank);
         q.push(&mut self.st.slab, h, spec.chunks as u32);
         if was_empty {
             let dirs = self.shared.request_dirs(&self.st.slab[h]);
@@ -880,9 +914,13 @@ impl Phases<'_> {
             // snapshot independent of node visit order.
             let chunks = self.st.slab[h].chunks;
             self.st.deferred.push((i as u32, win.fifo, chunks));
-        } else if std::mem::take(&mut self.st.nodes[i].inject_blocked) {
-            // Injection space opened: the CPU's stuck sends may fit now.
-            self.st.wake_cpu(i);
+        } else if self.st.nodes[i].inject_blocked {
+            // Injection space opened: wake the CPU if a stuck send fits now.
+            let (node, inj) = (&self.st.nodes[i], self.st.fifos.inj(i));
+            if self.shared.fitting_send(node, inj).is_some() {
+                self.st.nodes[i].inject_blocked = false;
+                self.st.wake_cpu(i);
+            }
         }
         let slab = &mut self.st.slab;
         // Spend downstream credit and launch: the hop is written into the
@@ -897,12 +935,8 @@ impl Phases<'_> {
             // downstream node and remember not to bounce straight back
             // through the link just crossed (port `d.opposite()` of `nb`).
             let part = &self.shared.part;
-            pkt.plan = HopPlan::new(
-                part,
-                part.coord_of(nb as u32),
-                body.dst,
-                TieBreak::SrcParity,
-            );
+            let (from, to) = (part.coord_of(nb as u32), part.coord_of(body.dst_rank));
+            pkt.plan = HopPlan::new(part, from, to, TieBreak::SrcParity);
             pkt.note_detour(d.opposite().index());
         } else {
             pkt.plan.advance(d.dim);
@@ -966,12 +1000,17 @@ mod tests {
         // layout"). A field routing reads belongs in `Hop`, and costs every
         // hop; one it does not, in the body.
         assert_eq!(size_of::<Hop>(), 20);
-        assert_eq!(size_of::<crate::packet::Body>(), 56);
+        // The body is 40 bytes, 60 a slot with its hop record: the 56 it was
+        // held a 12-byte destination coordinate the draining node already
+        // has (a rank now) and a `PacketMeta` with 3 bytes of padding of its
+        // own (flattened now). At the 4,096-node TPS row's 41,129 slots
+        // that is 0.66 MB.
+        assert_eq!(size_of::<crate::packet::Body>(), 40);
         // A 3-D node is its `NodeState`, its arbitration masks, its row of 18
         // transit, 6 injection and 1 reception header, and 6 entries in each
-        // per-link table (`want`, `rr`, `link_busy_until`): 674 bytes, 2.8 MB
+        // per-link table (`want`, `rr`, `link_busy_until`): 586 bytes, 2.4 MB
         // for the 4,096 nodes of 8x32x16. Row and table entries, 402 of the
-        // 674, are sized by the partition's arity — at `MAX_PORTS` they would
+        // 586, are sized by the partition's arity — at `MAX_PORTS` they would
         // be 720 for every shape.
         let part = Partition::torus(4, 4, 4);
         let idle = (0..64).map(|_| Box::new(ScriptedProgram::idle()) as _);
@@ -986,7 +1025,15 @@ mod tests {
         // the 264-byte `NodeState` they cost the scan a line of cold state
         // per node.
         assert_eq!(size_of_val(&st.masks[0]), 16);
-        assert_eq!(size_of::<NodeState>(), 256);
+        // The credit pacer's two maps are one pointer until it uses them: 96
+        // bytes of empty maps inline made a node state 256 bytes, 0.4 MB at
+        // 4,096 nodes, that every other pacing spec never read.
+        assert!(size_of::<NodeState>() <= 168, "{}", size_of::<NodeState>());
+        // One slot per cycle of the longest flight (8 chunks and a hop of
+        // latency), rounded up to a power of two. Each slot keeps its
+        // busiest cycle's capacity: at 64 slots the 4,096-node TPS row held
+        // room for 171,008 arrivals, 2.05 MB; at 16, for 45,056.
+        assert_eq!((RING, st.ring.len()), (16, 16));
         // The neighbour table is sized by arity too, and indexed like the
         // per-link tables: 24 bytes per 3-D node, where `MAX_PORTS` rows
         // cost 48 (98 KB more on 8x32x16).
@@ -1055,7 +1102,7 @@ mod tests {
                     let target = rng.gen_range(floor..=INJ_FIFO_CHUNKS);
                     while f.occupied_chunks() < target {
                         let chunks = rng.gen_range(1..=8u32).min(target - f.occupied_chunks());
-                        let h = slab.alloc(Packet::new(&part, src, (src + 1) % n));
+                        let h = slab.alloc(Packet::new(&part, src, (src + 1) % n), (src + 1) % n);
                         f.push(&mut slab, h, chunks);
                     }
                 }
@@ -1100,7 +1147,7 @@ mod tests {
                 let engine = Engine::new(cfg.clone(), idle.collect());
                 let router = &engine.shared;
                 for (src, dst) in (0..n * n).map(|k| (k / n, k % n)) {
-                    let (mut pkt, _) = Packet::new(&part, src, dst).split();
+                    let (mut pkt, _) = Packet::new(&part, src, dst).split(dst);
                     pkt.routing = routing;
                     let dirs = router.request_dirs(&pkt);
                     assert_eq!(dirs == 0, pkt.plan.is_done(), "{pkt:?}");

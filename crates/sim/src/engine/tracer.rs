@@ -199,14 +199,14 @@ impl Engine {
         for (i, masks) in st.masks.iter().enumerate() {
             let queued = bits(masks.occupied).flat_map(|f| st.fifos.row(i)[f].iter(&st.slab));
             for h in queued {
-                count_kind(st.slab.body(h).meta.kind);
+                count_kind(st.slab.body(h).kind);
             }
             for (f, head) in st.heads(i) {
                 hol += u64::from(self.stuck(i, f, head) == Some(Stuck::Hol));
             }
         }
         for arrival in st.ring.iter().flatten() {
-            count_kind(st.slab.body(arrival.h).meta.kind);
+            count_kind(st.slab.body(arrival.h).kind);
         }
         sample.phase1_in_flight = p1;
         sample.phase2_in_flight = p2;

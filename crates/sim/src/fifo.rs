@@ -15,10 +15,11 @@
 //! a vector of its own. The 20-byte [`Hop`] is everything routing
 //! reads and a hop writes — plan, detour state, chunks, routing mode, VC
 //! and the id's parity bit — and is what `slab[h]` yields. The [`Body`] is
-//! the rest of the [`Packet`], read through [`Slab::body`] only where a
-//! packet leaves the network ([`Slab::take`] reassembles it), detours (its
-//! destination), or is watched by the oracle (its id) or the tracer (its
-//! metadata). A healthy hop never touches it: at the 4,096-node scale,
+//! the rest of the [`Packet`], its destination kept as a rank, read
+//! through [`Slab::body`] only where a packet leaves the network
+//! ([`Slab::take`] reassembles it), detours (its destination), or is
+//! watched by the oracle (its id and destination) or the tracer (its
+//! kind). A healthy hop never touches it: at the 4,096-node scale,
 //! where the slab outgrows the cache, that is a cold miss per hop not
 //! taken.
 //!
@@ -33,6 +34,7 @@
 //! their own node, which gates on `capacity − occupied_chunks`.
 
 use crate::packet::{Body, Hop, Packet};
+use bgl_torus::{Coord, Partition};
 
 /// "No handle": the end of the free list.
 const NIL: u32 = u32::MAX;
@@ -43,8 +45,8 @@ const BLOCK: usize = 64;
 
 /// `BLOCK` consecutive slots' two records: their hop records side by side,
 /// then their bodies. A hop reads the same 20 bytes as from a vector of
-/// hop records, while the records stay one growing allocation, 76 bytes a
-/// slot, as the vector of whole packets was (72). As two vectors they hop
+/// hop records, while the records stay one growing allocation, 60 bytes a
+/// slot (the vector of whole packets was 72). As two vectors they hop
 /// no faster measurably, and the smaller allocations stay under glibc's
 /// mmap threshold longer, served from a heap the process's later engines
 /// do not get back: `paper_suite_quick`'s `peak_rss_mb` grew 10.9 %
@@ -88,11 +90,11 @@ impl Slab {
         }
     }
 
-    /// Store `pkt` and return its handle.
+    /// Store `pkt`, bound for rank `dst_rank`, and return its handle.
     #[inline]
-    pub(crate) fn alloc(&mut self, pkt: Packet) -> u32 {
+    pub(crate) fn alloc(&mut self, pkt: Packet, dst_rank: u32) -> u32 {
         self.live += 1;
-        let (hop, body) = pkt.split();
+        let (hop, body) = pkt.split(dst_rank);
         let h = self.free;
         if h == NIL {
             let h = self.next.len() as u32;
@@ -135,13 +137,22 @@ impl Slab {
         self.free = h;
     }
 
-    /// Reassemble the packet of slot `h` and release the slot: the packet
-    /// leaves the network (drained, or dropped by a fault).
+    /// Reassemble the packet of slot `h`, `dst` the coordinate of its
+    /// destination rank, and release the slot: the packet leaves the
+    /// network (drained, or dropped by a fault).
     #[inline]
-    pub(crate) fn take(&mut self, h: u32) -> Packet {
-        let pkt = Packet::join(&self[h], self.body(h));
+    pub(crate) fn take(&mut self, h: u32, dst: Coord) -> Packet {
+        let pkt = Packet::join(&self[h], self.body(h), dst);
         self.release(h);
         pkt
+    }
+
+    /// [`take`](Self::take) for a packet a fault drops: it leaves the
+    /// network short of its destination, so the coordinate is derived from
+    /// the rank its body holds. Only under a fault plan.
+    pub(crate) fn take_dropped(&mut self, h: u32, part: &Partition) -> Packet {
+        let dst = part.coord_of(self.body(h).dst_rank);
+        self.take(h, dst)
     }
 
     /// The cold part of slot `h`'s packet: off the hop path only.
@@ -328,7 +339,6 @@ impl FifoRows {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgl_torus::Partition;
 
     fn pkt(id: u64, chunks: u8) -> Packet {
         let mut pkt = Packet::new(&Partition::torus(4, 4, 4), 0, 1);
@@ -336,8 +346,11 @@ mod tests {
         pkt
     }
 
+    /// Where [`pkt`]'s packets are bound: rank 1 of `4x4x4`.
+    const DST: (u32, Coord) = (1, Coord::new(1, 0, 0));
+
     fn push(f: &mut ChunkFifo, slab: &mut Slab, id: u64, chunks: u8) -> u32 {
-        let h = slab.alloc(pkt(id, chunks));
+        let h = slab.alloc(pkt(id, chunks), DST.0);
         f.push(slab, h, chunks as u32);
         h
     }
@@ -375,12 +388,12 @@ mod tests {
     #[test]
     fn released_slots_are_reused_before_the_slab_grows() {
         let mut slab = Slab::new();
-        let hs: Vec<u32> = (0..3).map(|i| slab.alloc(pkt(i, 1))).collect();
+        let hs: Vec<u32> = (0..3).map(|i| slab.alloc(pkt(i, 1), DST.0)).collect();
         assert_eq!((slab.live(), slab.slots()), (3, 3));
-        assert_eq!(slab.take(hs[1]).id, 1);
+        assert_eq!(slab.take(hs[1], DST.1).id, 1);
         slab.release(hs[0]);
         assert_eq!(slab.live(), 1);
-        let again = [slab.alloc(pkt(7, 1)), slab.alloc(pkt(8, 1))];
+        let again = [slab.alloc(pkt(7, 1), DST.0), slab.alloc(pkt(8, 1), DST.0)];
         assert_eq!(again, [hs[0], hs[1]]);
         assert_eq!((slab.live(), slab.slots()), (3, 3));
         assert_eq!(slab.body(hs[0]).id, 7);
@@ -388,19 +401,20 @@ mod tests {
 
     /// Packets allocated, edited through their hop records as `apply_win`
     /// edits them (a plan advanced, a VC changed, a detour taken), their
-    /// slots released and reused: `take` gives back each injected packet
-    /// with exactly `plan`, `vc` and `detour` replaced, and every record
-    /// carries its id's parity.
+    /// slots released and reused: the body holds the destination's rank,
+    /// and `take_dropped`, which derives the coordinate from it, gives back
+    /// each injected packet with exactly `plan`, `vc` and `detour` replaced;
+    /// every record carries its id's parity.
     #[test]
     fn the_slab_reassembles_what_the_hops_wrote() {
         use crate::config::Vc;
         use crate::packet::PacketMeta;
-        use bgl_torus::{Coord, HopPlan, TieBreak};
+        use bgl_torus::{HopPlan, TieBreak};
         let part = Partition::torus(4, 4, 4);
+        let dst_of = |id: u64| (id as u32 * 7 + 3) % 64;
         let packet = |id: u64| {
             // 6 id + 3 is odd: never 0 mod 64, so never a self-send.
-            let (src, dst) = (id as u32 % 64, (id as u32 * 7 + 3) % 64);
-            let mut p = Packet::new(&part, src, dst);
+            let mut p = Packet::new(&part, id as u32 % 64, dst_of(id));
             (p.id, p.chunks, p.payload_bytes) = (id, 1 + (id % 8) as u8, 17 * id as u32);
             (p.class, p.injected_at) = ((id % 3) as u8, 1000 + id);
             p.meta = PacketMeta {
@@ -416,7 +430,7 @@ mod tests {
         for round in 0..6u64 {
             for _ in 0..100 {
                 let pkt = packet(id);
-                live.push((slab.alloc(pkt.clone()), pkt));
+                live.push((slab.alloc(pkt.clone(), dst_of(id)), pkt));
                 id += 1;
             }
             for (k, (h, want)) in live.iter_mut().enumerate() {
@@ -455,7 +469,8 @@ mod tests {
                     kept.push((h, want));
                     continue;
                 }
-                let got = slab.take(h);
+                assert_eq!(slab.body(h).dst_rank, dst_of(want.id));
+                let got = slab.take_dropped(h, &part);
                 assert_eq!(format!("{got:?}"), format!("{want:?}"));
             }
             live = kept;
@@ -465,7 +480,8 @@ mod tests {
         // ones were reused.
         assert!(slab.slots() <= 200, "{} slots", slab.slots());
         for (h, want) in live {
-            assert_eq!(format!("{:?}", slab.take(h)), format!("{want:?}"));
+            let got = slab.take_dropped(h, &part);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
         assert_eq!(slab.live(), 0);
     }

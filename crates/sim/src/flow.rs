@@ -85,15 +85,24 @@ impl FlowSpec {
 
 /// Per-node flow-control state, owned by the engine.
 ///
-/// `outstanding` and `recv_counts` are keyed by node rank (the
-/// intermediate being bounded, resp. the source being counted). Both are
-/// empty unless the spec is [`FlowSpec::Credit`].
+/// The credit pacer's two maps are keyed by node rank (the intermediate
+/// being bounded, resp. the source being counted) and are allocated the
+/// first time [`FlowSpec::Credit`] uses them: under every other spec a
+/// ledger is 32 bytes of the node's state, where two empty maps inline made
+/// it 120.
 #[derive(Debug, Clone)]
 pub struct FlowLedger {
     /// The policy in force (copied from `SimConfig::flow`).
     pub spec: FlowSpec,
     /// First cycle the next pull is allowed ([`FlowSpec::Rate`] only).
     pub next_allowed: f64,
+    /// The credit windows, `None` until the credit pacer first counts.
+    credit: Option<Box<CreditMaps>>,
+}
+
+/// The credit pacer's per-node state ([`FlowSpec::Credit`]).
+#[derive(Debug, Clone, Default)]
+struct CreditMaps {
     /// Unacknowledged packets per intermediate rank.
     outstanding: HashMap<u32, u32>,
     /// Receipts per source rank since the last acknowledgement.
@@ -106,8 +115,7 @@ impl FlowLedger {
         FlowLedger {
             spec,
             next_allowed: 0.0,
-            outstanding: HashMap::new(),
-            recv_counts: HashMap::new(),
+            credit: None,
         }
     }
 
@@ -118,7 +126,8 @@ impl FlowLedger {
         let FlowSpec::Credit { window_packets, .. } = self.spec else {
             return true;
         };
-        let out = self.outstanding.entry(intermediate).or_insert(0);
+        let maps = self.credit.get_or_insert_with(Box::default);
+        let out = maps.outstanding.entry(intermediate).or_insert(0);
         if *out >= window_packets {
             return false;
         }
@@ -132,14 +141,19 @@ impl FlowLedger {
         let FlowSpec::Credit { credit_every, .. } = self.spec else {
             return None;
         };
-        let c = self.recv_counts.entry(src).or_insert(0);
+        let maps = self.credit.get_or_insert_with(Box::default);
+        let c = maps.recv_counts.entry(src).or_insert(0);
         *c += 1;
         (*c).is_multiple_of(credit_every).then_some(credit_every)
     }
 
     /// Apply `n` returned credits from `intermediate`.
     pub(crate) fn apply_credit(&mut self, intermediate: u32, n: u32) {
-        if let Some(out) = self.outstanding.get_mut(&intermediate) {
+        let out = self
+            .credit
+            .as_mut()
+            .and_then(|m| m.outstanding.get_mut(&intermediate));
+        if let Some(out) = out {
             *out = out.saturating_sub(n);
         }
     }
@@ -147,13 +161,12 @@ impl FlowLedger {
     /// Number of intermediates whose credit window is currently full
     /// (stall diagnostics).
     pub(crate) fn closed_windows(&self) -> usize {
-        let FlowSpec::Credit { window_packets, .. } = self.spec else {
+        let (FlowSpec::Credit { window_packets, .. }, Some(maps)) = (self.spec, &self.credit)
+        else {
             return 0;
         };
-        self.outstanding
-            .values()
-            .filter(|&&out| out >= window_packets)
-            .count()
+        let full = |&&out: &&u32| out >= window_packets;
+        maps.outstanding.values().filter(full).count()
     }
 }
 
@@ -169,6 +182,30 @@ mod tests {
         }
         assert_eq!(l.receipt(3), None);
         assert_eq!(l.closed_windows(), 0);
+    }
+
+    /// Only the credit pacer's counting allocates its maps: a ledger of
+    /// every other spec, asked the same questions, holds none.
+    #[test]
+    fn only_the_credit_pacer_allocates_its_maps() {
+        let rate = FlowSpec::Rate {
+            chunks_per_cycle: 0.5,
+        };
+        for spec in [FlowSpec::Unpaced, rate] {
+            let mut l = FlowLedger::new(spec);
+            l.try_acquire(7);
+            l.receipt(3);
+            l.apply_credit(7, 1);
+            assert!(l.credit.is_none(), "{spec:?}");
+        }
+        let mut l = FlowLedger::new(FlowSpec::Credit {
+            window_packets: 2,
+            credit_every: 1,
+        });
+        assert!(l.credit.is_none());
+        assert_eq!(l.receipt(3), Some(1));
+        assert!(l.credit.is_some());
+        assert_eq!(std::mem::size_of::<FlowLedger>(), 32);
     }
 
     #[test]

@@ -84,8 +84,9 @@ pub struct NodeState {
     /// Wake hint, rewritten at each CPU visit.
     pub poll: PollState,
     /// The last CPU visit ended with queued sends that no injection FIFO
-    /// could take: pulling more is pointless until an arbitration win
-    /// drains an injection FIFO (which clears this).
+    /// could take, and no pull due if the CPU was booked: the next visit
+    /// could do nothing until an arbitration win drains an injection FIFO,
+    /// which clears this if a stuck send fits then.
     pub inject_blocked: bool,
 }
 

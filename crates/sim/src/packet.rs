@@ -131,11 +131,12 @@ impl Packet {
         }
     }
 
-    /// The packet as the slab stores it: the record every hop reads and
-    /// writes, and the body read only where the packet leaves the network,
-    /// detours, or is watched (the oracle, the tracer).
+    /// The packet as the slab stores it, bound for rank `dst_rank` (its
+    /// `dst`): the record every hop reads and writes, and the body read only
+    /// where the packet leaves the network, detours, or is watched (the
+    /// oracle, the tracer).
     #[inline]
-    pub(crate) fn split(self) -> (Hop, Body) {
+    pub(crate) fn split(self, dst_rank: u32) -> (Hop, Body) {
         let hop = Hop {
             plan: self.plan,
             detour: self.detour,
@@ -146,31 +147,39 @@ impl Packet {
         };
         let body = Body {
             id: self.id,
-            src_rank: self.src_rank,
-            dst: self.dst,
-            payload_bytes: self.payload_bytes,
-            class: self.class,
-            meta: self.meta,
             injected_at: self.injected_at,
+            src_rank: self.src_rank,
+            dst_rank,
+            payload_bytes: self.payload_bytes,
+            a: self.meta.a,
+            b: self.meta.b,
+            class: self.class,
+            kind: self.meta.kind,
         };
         (hop, body)
     }
 
     /// The packet [`split`](Self::split) made `hop` and `body` of, with
-    /// the route, VC and detour state its hops have written since.
+    /// the route, VC and detour state its hops have written since. `dst` is
+    /// the coordinate of `body.dst_rank`, which the caller has at hand: the
+    /// draining node's own, or one derived from the rank off the hot path.
     #[inline]
-    pub(crate) fn join(hop: &Hop, body: &Body) -> Packet {
+    pub(crate) fn join(hop: &Hop, body: &Body, dst: Coord) -> Packet {
         Packet {
             id: body.id,
             src_rank: body.src_rank,
-            dst: body.dst,
+            dst,
             chunks: hop.chunks,
             payload_bytes: body.payload_bytes,
             plan: hop.plan,
             routing: hop.routing,
             vc: hop.vc,
             class: body.class,
-            meta: body.meta,
+            meta: PacketMeta {
+                kind: body.kind,
+                a: body.a,
+                b: body.b,
+            },
             injected_at: body.injected_at,
             detour: hop.detour,
         }
@@ -229,17 +238,27 @@ impl Hop {
 }
 
 /// The rest of a stored packet, written at injection and read only at the
-/// drain or a fault drop ([`Packet::join`]), on a detour (`dst`), by the
-/// oracle (`id`) and by the tracer (`meta.kind`): never on a healthy hop.
+/// drain or a fault drop ([`Packet::join`]), on a detour (`dst_rank`), by
+/// the oracle (`id`, `dst_rank`) and by the tracer (`kind`): never on a
+/// healthy hop. 40 bytes: the [`PacketMeta`] is flattened into it (inline,
+/// its padding cost 3 bytes), and the destination is a rank, not the
+/// 12-byte coordinate — the node that drains the packet is its destination
+/// and has the coordinate already.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Body {
     pub(crate) id: u64,
-    pub(crate) src_rank: u32,
-    pub(crate) dst: Coord,
-    pub(crate) payload_bytes: u32,
-    pub(crate) class: u8,
-    pub(crate) meta: PacketMeta,
     pub(crate) injected_at: u64,
+    pub(crate) src_rank: u32,
+    /// Rank of [`Packet::dst`].
+    pub(crate) dst_rank: u32,
+    pub(crate) payload_bytes: u32,
+    /// [`PacketMeta::a`].
+    pub(crate) a: u32,
+    /// [`PacketMeta::b`].
+    pub(crate) b: u32,
+    pub(crate) class: u8,
+    /// [`PacketMeta::kind`].
+    pub(crate) kind: u8,
 }
 
 /// What a node program asks the runtime to send.
@@ -377,7 +396,7 @@ mod tests {
 
     #[test]
     fn detour_state_packs_and_unpacks() {
-        let (mut k, _) = Packet::new(&Partition::torus(2, 2, 2), 0, 1).split();
+        let (mut k, _) = Packet::new(&Partition::torus(2, 2, 2), 0, 1).split(1);
         assert_eq!(k.detour_from(), None);
         assert_eq!(k.detour_count(), 0);
         k.note_detour(3);

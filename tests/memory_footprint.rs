@@ -7,8 +7,9 @@
 //! the packet layout (DESIGN.md §6, "Memory layout"): with a buffer behind
 //! every FIFO, kept at its high-water capacity, this run grew the process
 //! by 39.6 MB; with one slab of packets and the FIFO headers in per-node
-//! rows it grows by 10.6 MB. The 20,480-node `32x32x20` check is
-//! manual (4 s in release; EXPERIMENTS.md, "packet layout").
+//! rows, 10.6 MB; holding only what the run reads (a 16-slot flight ring,
+//! no credit maps unless credit-paced, a 40-byte packet body), 8.0 MB. The
+//! 20,480-node `32x32x20` run is `tests/memory_footprint_32x32x20.rs`.
 
 use bgl_alltoall::prelude::*;
 
@@ -26,9 +27,10 @@ fn peak_rss_mb() -> Option<f64> {
 /// seed).
 #[test]
 fn tps_on_8x32x16_stays_within_its_memory_bound() {
-    /// 25 % above the 10.6 MB this layout measures (10.5 to 10.7 over
-    /// eight runs); the per-FIFO-buffer layout measured 39.6 MB.
-    const BOUND_MB: f64 = 13.3;
+    /// 25 % above the 8.0 MB this layout measures (7.96 to 8.02 over four
+    /// runs). The 64-slot ring, inline credit maps and 56-byte body measured
+    /// 10.5 and would fail it; the per-FIFO-buffer layout measured 39.6 MB.
+    const BOUND_MB: f64 = 10.0;
     let Some(before) = peak_rss_mb() else {
         eprintln!("no /proc/self/status: footprint not measured on this platform");
         return;
