@@ -176,11 +176,24 @@ impl Shared {
     /// The live outputs of node `n` a fault detour of `pkt` may take, credit
     /// and its minimal quadrant aside: none unless it is adaptive with
     /// [`DETOUR_BUDGET`] left, and never the link it last detoured in by.
+    /// While a live output perpendicular to every dead minimal direction
+    /// exists, only those are offered: the reverse of a dead `X-` is `X+`,
+    /// from whose far end the minimal route leads straight back, so the
+    /// packet would ping-pong on the one dimension until its budget is
+    /// spent. A ring (one dimension) has no perpendicular output and keeps
+    /// the reverse.
     pub(super) fn detour_dirs(&self, pkt: &Hop, n: usize) -> u16 {
         if pkt.routing != RoutingMode::Adaptive || pkt.detour_count() >= DETOUR_BUDGET {
             return 0;
         }
-        self.up[n] & !pkt.detour_from().map_or(0, |p| 1 << p)
+        let live = self.up[n] & !pkt.detour_from().map_or(0, |p| 1 << p);
+        // Both direction bits of every dimension with a dead minimal one.
+        let dead = pkt.plan.dirs() & !self.up[n];
+        let dims = (dead | dead >> 1) & 0x5555;
+        match live & !(dims | dims << 1) {
+            0 => live,
+            perpendicular => perpendicular,
+        }
     }
 
     /// The VC of a fault detour of `pkt` over the *non-minimal* output `d` of
