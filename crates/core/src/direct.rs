@@ -271,6 +271,7 @@ mod tests {
         let part: Partition = "16x16".parse().unwrap();
         let w = AaWorkload::sampled(100, 0.25);
         let prog = DirectProgram::new(0, &part, &w, &DirectConfig::ar(&params()), &params());
-        assert_eq!(prog.walk.targets().len(), 64);
+        // One packet per 100-byte message: a step per destination.
+        assert_eq!(prog.walk.count(), 64);
     }
 }

@@ -9,7 +9,7 @@
 //! through the simulator with the direct runtime.
 
 use crate::walk::SendWalk;
-use crate::workload::Framing;
+use crate::workload::{Framing, Shuffle};
 use bgl_model::MachineParams;
 use bgl_sim::{Engine, NodeProgram, RoutingMode, ScriptedProgram, SimConfig, SimError};
 use bgl_torus::{HopPlan, Partition, Rank, TieBreak};
@@ -177,13 +177,12 @@ pub fn run_pattern(
     let alpha = params.cpu_to_sim_cycles(params.alpha_direct_cycles);
     let programs: Vec<Box<dyn NodeProgram>> = (0..part.num_nodes())
         .map(|r| {
-            let mut dests = pattern.destinations(&part, r, seed);
-            // Randomized order, as the AR runtime does.
-            let mut rng = SmallRng::seed_from_u64(seed ^ (r as u64) << 1);
-            for i in (1..dests.len()).rev() {
-                let j = rng.gen_range(0..=i);
-                dests.swap(i, j);
-            }
+            let pairs = pattern.destinations(&part, r, seed);
+            // Randomized order, through the AR runtime's shuffle.
+            let order = Shuffle::new(pairs.len() as u32, seed ^ (r as u64) << 1);
+            let dests = (0..order.len())
+                .map(|i| pairs[order.at(i) as usize])
+                .collect();
             // The AR walk, scripted up front: round-major, α on packet 0.
             let sends = SendWalk::new(dests, framing, 1, alpha)
                 .map(|s| s.send(s.target, RoutingMode::Adaptive));

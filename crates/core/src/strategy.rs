@@ -399,7 +399,7 @@ fn dr_static_preflight(
     let mut stranded = 0u64;
     for src in 0..p {
         let here = part.coord_of(src);
-        for dst in destination_schedule(src, p, dests, workload.seed) {
+        for dst in destination_schedule(src, p, dests, workload.seed).iter() {
             let hit = DimensionOrder::first_blocked(
                 part,
                 here,

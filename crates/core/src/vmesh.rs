@@ -149,7 +149,7 @@ impl NodeProgram for VmeshProgram {
 
     fn is_complete(&self) -> bool {
         self.p1.is_done() && self.phase2_started && self.p2.is_done()
-            || (self.p1.targets().is_empty() && self.p2.targets().is_empty())
+            || (self.p1.targets().len() == 0 && self.p2.targets().len() == 0)
     }
 }
 
@@ -204,7 +204,7 @@ mod tests {
         let w = AaWorkload::full(8);
         let mut prog = VmeshProgram::new(0, &VirtualMesh::choose(part), &w, &params());
         while pull(&mut prog, &part, 0).is_some() {}
-        let sources: Vec<u32> = prog.p1.targets().to_vec();
+        let sources: Vec<u32> = prog.p1.targets().collect();
         let per_msg = prog.p1.framing().packets();
         let mut q = VecDeque::new();
         for (i, &src) in sources.iter().enumerate() {
@@ -247,7 +247,7 @@ mod tests {
         assert!(pull(&mut prog, &part, 0).is_some());
         assert!(!prog.is_complete());
         // Receive the row message.
-        let src = prog.p1.targets()[0];
+        let src = prog.p1.targets().next().unwrap();
         let n = prog.p1.framing().packets();
         let mut q = VecDeque::new();
         let mut api = NodeApi::new(0, part.coord_of(0), 1, &part, &mut q);
@@ -266,6 +266,6 @@ mod tests {
         let vm = VirtualMesh::choose(part);
         let a = VmeshProgram::new(0, &vm, &w, &params());
         let b = VmeshProgram::new(1, &vm, &w, &params());
-        assert_ne!(a.p1.targets().first(), b.p1.targets().first());
+        assert_ne!(a.p1.targets().next(), b.p1.targets().next());
     }
 }

@@ -1,14 +1,17 @@
 //! The send walk every scheme shares: which packet of which message a node
 //! hands the network next.
 //!
-//! A node's own traffic is plain data — a list of *targets* (final
-//! destinations, in visiting order), the [`Framing`] every message splits
-//! into packets by, and `k`, the packets sent to one target before moving
-//! to the next. The walk covers `targets × packets` visit by visit: packets
-//! `0..k` of every target in order, then `k..2k` of every target, and so
-//! on, charging the per-message startup α with packet 0. A packet's shape
-//! is computed from its index when it is sent, so a node holds its targets
-//! and 24 bytes of framing, not its own copy of a message's shape list.
+//! A node's own traffic is plain data — its *targets* (final destinations,
+//! in visiting order), the [`Framing`] every message splits into packets
+//! by, and `k`, the packets sent to one target before moving to the next.
+//! The walk covers `targets × packets` visit by visit: packets `0..k` of
+//! every target in order, then `k..2k` of every target, and so on,
+//! charging the per-message startup α with packet 0. Both halves are
+//! formulas where they can be: a packet's shape is computed from its index
+//! when it is sent, and the direct schemes' targets are a
+//! [`DestinationOrder`], whose visit `i` is computed once, when the cursor
+//! reaches it. Only a scheme with a short list of its own (VMesh's row and
+//! column, a pattern's pairs) hands the walk a list.
 //!
 //! * `k = 1` is the round-major interleave AR, DR, TPS and XYZ share
 //!   (packet `r` of every message before packet `r + 1` of any): a whole
@@ -22,7 +25,7 @@
 //! that finds its next hop credit-blocked [`peek`](SendWalk::peek)s, declines
 //! and sees the same packet again on the next poll.
 
-use crate::workload::{destination_schedule, AaWorkload, Framing, PacketShape};
+use crate::workload::{destination_schedule, AaWorkload, DestinationOrder, Framing, PacketShape};
 use bgl_model::MachineParams;
 use bgl_sim::{RoutingMode, SendSpec};
 use bgl_torus::Partition;
@@ -47,11 +50,45 @@ impl Step {
     }
 }
 
+/// Whom a [`SendWalk`] visits, by visit index.
+#[derive(Debug, Clone)]
+enum Targets {
+    /// A scheme's own list.
+    List(Vec<u32>),
+    /// A direct node's destination order.
+    Order(DestinationOrder),
+}
+
+impl Targets {
+    fn len(&self) -> usize {
+        match self {
+            Targets::List(list) => list.len(),
+            Targets::Order(order) => order.len() as usize,
+        }
+    }
+
+    /// The target of visit `i`, `i < len`.
+    fn at(&self, i: usize) -> u32 {
+        match self {
+            Targets::List(list) => list[i],
+            Targets::Order(order) => order.at(i as u32),
+        }
+    }
+
+    /// The target of visit `i`, `None` past the last.
+    fn get(&self, i: usize) -> Option<u32> {
+        (i < self.len()).then(|| self.at(i))
+    }
+}
+
 /// A cursor over `targets × packets`, `k` packets per visit (see the
 /// module docs). Iterating it yields every remaining [`Step`] in order.
 #[derive(Debug, Clone)]
 pub struct SendWalk {
-    targets: Vec<u32>,
+    targets: Targets,
+    /// The target of visit `idx`, computed when the cursor moves to it
+    /// rather than on every [`peek`](Self::peek); `None` with no targets.
+    target: Option<u32>,
     framing: Framing,
     /// Packets per visit, in `1..=framing.packets()`.
     k: usize,
@@ -69,8 +106,13 @@ impl SendWalk {
     /// per visit (clamped to `1..=framing.packets()`), with `alpha`
     /// simulator cycles on every message's packet 0.
     pub fn new(targets: Vec<u32>, framing: Framing, k: u32, alpha: f64) -> SendWalk {
+        SendWalk::over(Targets::List(targets), framing, k, alpha)
+    }
+
+    fn over(targets: Targets, framing: Framing, k: u32, alpha: f64) -> SendWalk {
         SendWalk {
             k: (k as usize).clamp(1, framing.packets()),
+            target: targets.get(0),
             targets,
             framing,
             alpha,
@@ -81,8 +123,9 @@ impl SendWalk {
     }
 
     /// The direct runtime's walk for `rank`: the workload's randomized
-    /// destination schedule, `m` bytes framed by [`Framing::direct`], and a
-    /// startup of `alpha_cpu_cycles` CPU cycles per destination.
+    /// destination order ([`destination_schedule`]), `m` bytes framed by
+    /// [`Framing::direct`], and a startup of `alpha_cpu_cycles` CPU cycles
+    /// per destination.
     pub fn direct(
         rank: u32,
         part: &Partition,
@@ -92,9 +135,9 @@ impl SendWalk {
         params: &MachineParams,
     ) -> SendWalk {
         let p = part.num_nodes();
-        let targets = destination_schedule(rank, p, workload.dests_per_node(p), workload.seed);
-        SendWalk::new(
-            targets,
+        let order = destination_schedule(rank, p, workload.dests_per_node(p), workload.seed);
+        SendWalk::over(
+            Targets::Order(order),
             Framing::direct(workload.m_bytes, params),
             k,
             params.cpu_to_sim_cycles(alpha_cpu_cycles),
@@ -102,8 +145,8 @@ impl SendWalk {
     }
 
     /// The targets, in visiting order.
-    pub fn targets(&self) -> &[u32] {
-        &self.targets
+    pub fn targets(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        (0..self.targets.len()).map(|i| self.targets.at(i))
     }
 
     /// How one message splits into packets.
@@ -115,7 +158,7 @@ impl SendWalk {
     pub fn peek(&self) -> Option<Step> {
         let packet = self.round + self.in_visit;
         Some(Step {
-            target: *self.targets.get(self.idx)?,
+            target: self.target?,
             shape: self.framing.shape(packet)?,
             alpha: if packet == 0 { self.alpha } else { 0.0 },
         })
@@ -131,12 +174,13 @@ impl SendWalk {
                 self.idx = 0;
                 self.round += self.k;
             }
+            self.target = self.targets.get(self.idx);
         }
     }
 
     /// Whether every packet has been walked (at once, with no targets).
     pub fn is_done(&self) -> bool {
-        self.targets.is_empty() || self.round >= self.framing.packets()
+        self.target.is_none() || self.round >= self.framing.packets()
     }
 }
 

@@ -89,18 +89,37 @@ proptest! {
         prop_assert!(total_chunks(&shapes) * 32 >= m + header as u64);
     }
 
-    /// Destination schedules are self-free, duplicate-free and within
-    /// range, at any coverage.
+    /// A destination order visits `dests` (clamped to `1..P`) distinct
+    /// peers, never itself, each in range, one per stratum of the offsets
+    /// (stratum `j` is `[⌊j·(P−1)/dests⌋, ⌊(j+1)·(P−1)/dests⌋)`, offset
+    /// `o` being peer `(rank + 1 + o) % P`), and at full coverage every
+    /// peer once.
     #[test]
     fn schedule_invariants(p in 2u32..600, rank in 0u32..600, dests in 1u32..600, seed in any::<u64>()) {
         let rank = rank % p;
-        let s = destination_schedule(rank, p, dests, seed);
-        prop_assert!(!s.is_empty());
-        prop_assert!((s.len() as u32) < p);
+        let order = destination_schedule(rank, p, dests, seed);
+        let dests = dests.min(p - 1);
+        prop_assert_eq!(order.len(), dests);
+        let s: Vec<u32> = order.iter().collect();
+        prop_assert_eq!(s.len() as u32, dests);
         let set: std::collections::HashSet<u32> = s.iter().copied().collect();
         prop_assert_eq!(set.len(), s.len(), "duplicates");
         prop_assert!(!set.contains(&rank), "self-send");
         prop_assert!(s.iter().all(|&d| d < p));
+        let start = |j: u32| (u64::from(j) * u64::from(p - 1) / u64::from(dests)) as u32;
+        let mut strata = vec![0u32; dests as usize];
+        for &d in &s {
+            let offset = (d + p - rank - 1) % p;
+            let j = (0..dests).rev().find(|&j| start(j) <= offset).unwrap();
+            strata[j as usize] += 1;
+        }
+        prop_assert!(strata.iter().all(|&n| n == 1), "{:?}", strata);
+        if dests == p - 1 {
+            let mut all: Vec<u32> = s.clone();
+            all.sort_unstable();
+            let peers: Vec<u32> = (0..p).filter(|&d| d != rank).collect();
+            prop_assert_eq!(all, peers);
+        }
     }
 
     /// The virtual mesh factorization always tiles the machine exactly.
