@@ -17,6 +17,7 @@
 //! is the differential suite's job (`crates/sim/tests/common/mod.rs`), not
 //! this one's.
 
+use super::golden::Snapshot;
 use super::{CheckResult, Tier};
 use crate::runner::{RunPoint, RunResult, Runner, Unit};
 use bgl_core::{Pacer, StrategyKind};
@@ -242,8 +243,9 @@ fn p1(x: f64) -> String {
 /// Some of a family's checks, declared with the grid runs they read.
 pub type Checks = Unit<Vec<CheckResult>>;
 
-/// Every family's checks at `tier`, in report order.
-pub fn units(runner: &Runner, tier: Tier) -> Vec<Checks> {
+/// Every family's checks at `tier`, in report order; `golden` holds the
+/// fingerprint F9's 3-D point must reproduce.
+pub fn units(runner: &Runner, tier: Tier, golden: &Snapshot) -> Vec<Checks> {
     let g = grid(tier);
     [
         f1_ar_efficiency(runner, &g, tier),
@@ -252,7 +254,7 @@ pub fn units(runner: &Runner, tier: Tier) -> Vec<Checks> {
         f4_tps(runner, &g, tier),
         f5_vmesh_crossover(runner, &g),
         f8_fault_injection(),
-        f9_ndim_generalization(),
+        f9_ndim_generalization(golden),
     ]
     .into_iter()
     .flatten()
@@ -654,22 +656,20 @@ fn f8_fault_injection() -> Vec<Checks> {
     ]
 }
 
-/// The n-dimensional generalization. The topology layer generalized from
-/// a hard-coded 3-D torus to k-ary n-dimensional shapes; this family pins
-/// both halves of that contract: (a) 3-D behavior did not move a byte —
-/// the committed golden fingerprint still reproduces — and (b) the
-/// generalized machinery is genuinely n-dimensional: full oracle-checked
-/// AR and DR exchanges on a 2-D torus and a 5-D mixed-extent shape.
-fn f9_ndim_generalization() -> Vec<Checks> {
-    const FAM: &str = "F9 ndim-generalization";
+const F9: &str = "F9 ndim-generalization";
+
+/// F9's 3-D pin: the 4x4x1 AR point reproduces its golden fingerprint,
+/// the one `golden` holds — the committed entry, or under a bless the one
+/// the run writes.
+pub(super) fn f9_golden_3d(golden: &Snapshot) -> Checks {
     let legacy = RunPoint::new("4x4x1".parse().expect("valid shape"), ar(), 240, 1.0);
-    let key = legacy.key.clone();
-    let mut units = vec![Unit::new([legacy], move |[run]| {
+    let (key, golden) = (legacy.key.clone(), golden.clone());
+    Unit::new([legacy], move |[run]| {
         let got = run
             .as_ref()
             .ok()
             .map(|r| format!("{:016x}", super::golden::fingerprint(&r.stats)));
-        let want = super::golden::committed_fingerprint(&key);
+        let want = golden.expected(&key, got.as_deref());
         let (passed, measured) = match (&got, &want) {
             (Some(g), Some(w)) if g == w => (true, g.clone()),
             (Some(g), Some(w)) => (false, format!("{g}, committed {w}")),
@@ -677,13 +677,25 @@ fn f9_ndim_generalization() -> Vec<Checks> {
             (None, _) => (false, "run failed".to_string()),
         };
         vec![CheckResult::new(
-            FAM,
+            F9,
             "4x4x1 AR reproduces the committed 3-D fingerprint",
             passed,
             measured,
             "n-dim refactor leaves 3-D behavior byte-identical",
         )]
-    })];
+    })
+}
+
+/// The n-dimensional generalization. The topology layer generalized from
+/// a hard-coded 3-D torus to k-ary n-dimensional shapes; this family pins
+/// both halves of that contract: (a) 3-D behavior did not move a byte —
+/// the golden fingerprint still reproduces ([`f9_golden_3d`]) — and (b)
+/// the generalized machinery is genuinely n-dimensional: full
+/// oracle-checked AR and DR exchanges on a 2-D torus and a 5-D
+/// mixed-extent shape.
+fn f9_ndim_generalization(golden: &Snapshot) -> Vec<Checks> {
+    const FAM: &str = F9;
+    let mut units = vec![f9_golden_3d(golden)];
     for shape in F9_SHAPES {
         let p = shape.parse::<Partition>().expect("valid shape").num_nodes() as u64;
         let want_payload = p * (p - 1) * F9_M;

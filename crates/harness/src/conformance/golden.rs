@@ -26,6 +26,7 @@ use bgl_sim::{FaultPlan, LinkFault, NetStats};
 use serde::Serialize;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// The committed fingerprint file (crate-relative, so the binary and the
 /// tests resolve the same path from any working directory).
@@ -156,26 +157,61 @@ fn load(path: &Path) -> Result<HashMap<String, String>, String> {
         .collect()
 }
 
-/// The committed fingerprint (hex) for `key`, if the golden file holds
-/// one. The F9 family uses this to pin that the n-dimensional topology
-/// refactor reproduces the stored 3-D fingerprints byte-for-byte.
-pub fn committed_fingerprint(key: &RunKey) -> Option<String> {
-    load(Path::new(GOLDEN_PATH)).ok()?.remove(&key_text(key))
+/// The golden file as one validation run sees it. It is read once, before
+/// any check renders, since a bless rewrites it while the checks render;
+/// under a bless, the fingerprints a key must reproduce are the ones the
+/// run measures, which are what it writes.
+#[derive(Clone)]
+pub struct Snapshot {
+    path: PathBuf,
+    bless: bool,
+    /// The committed file as rendered key text → hex fingerprint (not read
+    /// under a bless).
+    committed: Arc<Result<HashMap<String, String>, String>>,
+}
+
+impl Snapshot {
+    /// Read the golden file at `path`, or, with `bless`, prepare to rewrite
+    /// it from the measured runs.
+    pub fn read(path: impl Into<PathBuf>, bless: bool) -> Snapshot {
+        let path = path.into();
+        let committed = if bless {
+            Ok(HashMap::new())
+        } else {
+            load(&path)
+        };
+        Snapshot {
+            path,
+            bless,
+            committed: Arc::new(committed),
+        }
+    }
+
+    /// The fingerprint (hex) `key` must reproduce, `measured` the one this
+    /// run measured for it: that one under a bless, else the committed
+    /// entry, if the file holds one. The F9 family uses this to pin that the
+    /// n-dimensional topology refactor reproduces the stored 3-D
+    /// fingerprints byte-for-byte.
+    pub fn expected(&self, key: &RunKey, measured: Option<&str>) -> Option<String> {
+        if self.bless {
+            return measured.map(str::to_owned);
+        }
+        let committed = self.committed.as_ref().as_ref().ok()?;
+        committed.get(&key_text(key)).cloned()
+    }
 }
 
 /// The golden tier: compare the measured grid against the committed
-/// file — or, with `bless`, rewrite the file from the measured runs.
-pub fn unit(bless: bool) -> Checks {
-    unit_at(bless, GOLDEN_PATH.into())
-}
-
-fn unit_at(bless: bool, path: PathBuf) -> Checks {
+/// file — or, under a bless, rewrite the file from the measured runs.
+pub fn unit(golden: &Snapshot) -> Checks {
     let grid = grid();
     let keys = grid.each_ref().map(|p| p.key.clone());
-    Unit::new(grid, move |runs| evaluate(&keys, runs, bless, &path))
+    let golden = golden.clone();
+    Unit::new(grid, move |runs| evaluate(&keys, runs, &golden))
 }
 
-fn evaluate(keys: &[RunKey], runs: &[RunResult], bless: bool, path: &Path) -> Vec<CheckResult> {
+fn evaluate(keys: &[RunKey], runs: &[RunResult], golden: &Snapshot) -> Vec<CheckResult> {
+    let (bless, path) = (golden.bless, golden.path.as_path());
     const FAM: &str = "G golden-snapshot";
     let measured: Vec<(&RunKey, Option<u64>)> = keys
         .iter()
@@ -228,14 +264,14 @@ fn evaluate(keys: &[RunKey], runs: &[RunResult], bless: bool, path: &Path) -> Ve
         };
     }
 
-    let golden = match load(path) {
+    let golden = match golden.committed.as_ref() {
         Ok(map) => map,
         Err(e) => {
             return vec![CheckResult::new(
                 FAM,
                 "load golden file",
                 false,
-                e,
+                e.clone(),
                 "committed fingerprints (regenerate with --bless)",
             )]
         }
@@ -265,7 +301,9 @@ mod tests {
     use crate::runner::{Runner, Scale};
 
     fn evaluate_at(runner: &Runner, bless: bool, path: &Path) -> Vec<CheckResult> {
-        runner.render(vec![unit_at(bless, path.into())]).remove(0)
+        runner
+            .render(vec![unit(&Snapshot::read(path, bless))])
+            .remove(0)
     }
 
     #[test]
@@ -299,6 +337,44 @@ mod tests {
         let verified = evaluate_at(&runner, false, &path);
         assert_eq!(verified.len(), grid().len());
         assert!(verified.iter().all(|r| r.passed), "{verified:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A bless that moves F9's 4x4x1 AR entry passes F9 too: its 3-D pin
+    /// holds the run to the fingerprint the bless writes, not to the file
+    /// the same run rewrites. Without the bless, F9 and the grid's row both
+    /// read the stale entry and fail on it.
+    #[test]
+    fn f9_reads_the_fingerprint_a_bless_writes() {
+        let runner = Runner::new(Scale::Quick);
+        let run = |golden: &Snapshot| {
+            let units = vec![super::super::families::f9_golden_3d(golden), unit(golden)];
+            runner.render(units).concat()
+        };
+        let committed = std::fs::read_to_string(GOLDEN_PATH).unwrap();
+        let fp = run(&Snapshot::read(GOLDEN_PATH, false))[0].measured.clone();
+        // The point's entry as a change to its behaviour leaves it until the
+        // bless: the healthy 4x4x1 AR point is the grid's first.
+        let stale = committed.replacen(&fp, "0123456789abcdef", 1);
+        assert_ne!(stale, committed, "{fp} is not in the golden file");
+        let dir = std::env::temp_dir().join("bgl-golden-f9-test");
+        let path = dir.join("netstats.json");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&path, &stale).unwrap();
+        let checks = run(&Snapshot::read(&path, false));
+        let failed: Vec<_> = checks
+            .iter()
+            .filter(|c| !c.passed)
+            .map(|c| &c.name)
+            .collect();
+        let want = [
+            "4x4x1 AR reproduces the committed 3-D fingerprint",
+            "4x4x1 AR m=240",
+        ];
+        assert_eq!(failed, want, "{checks:?}");
+        let blessed = run(&Snapshot::read(&path, true));
+        assert!(blessed.iter().all(|c| c.passed), "{blessed:?}");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), committed);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

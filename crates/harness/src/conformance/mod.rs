@@ -206,10 +206,13 @@ impl ValidationReport {
 /// Run the whole suite at `tier` on `runner`: every family's units plus
 /// the golden grid's execute as one deduplicated parallel batch, then
 /// render their checks. With `bless`, the golden fingerprint file is
-/// rewritten from the measured runs instead of compared.
+/// rewritten from the measured runs instead of compared, and every check
+/// that reads a golden fingerprint reads the one written. The file is read
+/// once, before any check renders.
 pub fn run_validation(runner: &Runner, tier: Tier, bless: bool) -> ValidationReport {
-    let mut units = families::units(runner, tier);
-    units.push(golden::unit(bless));
+    let golden = golden::Snapshot::read(golden::GOLDEN_PATH, bless);
+    let mut units = families::units(runner, tier, &golden);
+    units.push(golden::unit(&golden));
     let results = runner.render(units).into_iter().flatten().collect();
     ValidationReport { tier, results }
 }

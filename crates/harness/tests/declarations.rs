@@ -3,6 +3,7 @@
 //! whole set of runs a tier costs.
 
 use bgl_core::StrategyKind;
+use bgl_harness::conformance::golden::{Snapshot, GOLDEN_PATH};
 use bgl_harness::conformance::{families, Tier};
 use bgl_harness::runner::{RunKey, RunPoint, Runner};
 use std::collections::HashSet;
@@ -11,7 +12,7 @@ use std::collections::HashSet;
 /// coverage blanked: which runs, not how the scale samples them.
 fn declared(tier: Tier) -> HashSet<RunKey> {
     let runner = Runner::new(tier.scale());
-    let units = families::units(&runner, tier);
+    let units = families::units(&runner, tier, &Snapshot::read(GOLDEN_PATH, false));
     assert_eq!(runner.cached_runs(), 0, "declaring simulates nothing");
     let keys = units.iter().flat_map(|unit| &unit.points);
     keys.map(|point| blank_coverage(point.key.clone()))
