@@ -57,6 +57,8 @@ pub fn render_perf_report(report: &AaReport) -> String {
     );
     let [(_, live), (_, slots)] = p.packet_totals();
     let _ = writeln!(out, "  packets: peak {live} live in {slots} slab slots");
+    let [(_, queued), (_, slots)] = p.send_totals();
+    let _ = writeln!(out, "  sends: peak {queued} queued in {slots} slots");
     out.push('\n');
     render_phase_breakdown(&mut out, p);
     render_event_counters(&mut out, &p.event);
@@ -180,6 +182,7 @@ mod tests {
         assert!(text.contains("perf profile: AR on 4x4"), "{text}");
         assert!(text.contains("  visits: cpu "), "{text}");
         assert!(text.contains(" slab slots\n"), "{text}");
+        assert!(text.contains("  sends: peak "), "{text}");
         assert!(text.contains("phase breakdown"), "{text}");
         assert!(text.contains("arbitration"), "{text}");
     }

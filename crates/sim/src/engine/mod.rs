@@ -51,7 +51,9 @@
 //! A packet is written into the slab at injection and stays in that slot,
 //! its 20-byte hop record advanced in place hop by hop and its body left
 //! cold, until it is drained or dropped by a fault; FIFOs and the ring hold
-//! `u32` handles (`fifo.rs`; DESIGN.md §6, "Memory layout").
+//! `u32` handles. A send waits for injection the same way, in a slot of one
+//! send slab on one of its node's two lists (`fifo.rs`; DESIGN.md §6,
+//! "Memory layout").
 //!
 //! Two accounting rules make a cycle's outcome independent of the order in
 //! which a phase visits nodes, which lets the marked-node scans, parking
@@ -78,9 +80,9 @@ mod tests;
 mod tracer;
 
 use crate::config::{EngineMode, SimConfig, Vc, NUM_VCS};
-use crate::fifo::{FifoRows, Slab};
+use crate::fifo::{FifoRows, SendSlab, Slab};
 use crate::node::{NodeState, PollState};
-use crate::packet::{Hop, MAX_PACKET_CHUNKS};
+use crate::packet::{Hop, SendSpec, MAX_PACKET_CHUNKS};
 use crate::program::NodeProgram;
 use crate::stats::{NetStats, LATENCY_BUCKETS};
 use bgl_torus::{Direction, MAX_PORTS};
@@ -88,6 +90,7 @@ use oracle::Oracle;
 use perf::{PerfState, ProgressState};
 use phases::{Phases, Shared, HOP_LATENCY_CYCLES};
 use router::Credits;
+use std::collections::VecDeque;
 use tracer::Tracer;
 
 /// In-flight ring size: the next power of two above the longest flight,
@@ -424,6 +427,12 @@ struct State {
     fifos: FifoRows,
     /// Every packet queued at, or in flight towards, a node.
     slab: Slab,
+    /// Every send queued at a node (its pending or pulled list), not yet
+    /// injected.
+    sends: SendSlab,
+    /// The queue a hook's [`NodeApi`](crate::NodeApi) sends into, emptied
+    /// onto the node's pending list after every hook (`Phases::run_hook`).
+    scratch: VecDeque<SendSpec>,
     programs: Vec<Box<dyn NodeProgram>>,
     /// `busy_until[node * ports + dir]`. This and the three tables below
     /// are per output link, `ports` entries per node: sized by the
@@ -446,8 +455,6 @@ struct State {
     stats: NetStats,
     /// Packets injected and neither drained nor dropped.
     live_packets: u64,
-    /// Sends queued at the nodes (pending or pulled), not yet injected.
-    pending_total: u64,
     /// Programs that have declared completion.
     done_programs: usize,
     /// Whether this cycle moved anything (a packet, a drain, an injection):
@@ -665,16 +672,17 @@ impl Engine {
         assert!(inj <= 32, "a class's injection FIFOs are a u32 bitmask");
         assert!(vc_cells + inj <= 64, "a node's FIFOs are a u64 bitmask");
         let links = p * ports;
-        // The per-node state is built before the shared tables on purpose:
-        // with the per-node allocations (one small block per node, the pulled
-        // queue) first, glibc keeps the heap across a drop-and-rebuild
-        // instead of trimming it and faulting every page back in, which a
-        // caller that builds many engines pays (DESIGN.md §6, "Memory
-        // layout"). The machine is one rank-order walk (`Partition::walk`): a
+        // The machine is one rank-order walk (`Partition::walk`): a
         // neighbour is `rank ± stride`, no coordinate round trip per link
         // (EXPERIMENTS.md, "Building the machine"). It runs twice, node
-        // states first, to keep that order. Programs with nothing to do are
-        // complete before cycle 0.
+        // states first and the neighbour table after the state's tables:
+        // that allocation order keeps glibc from trimming a dropped engine's
+        // heap and faulting its pages back in for the next one, which a
+        // caller that builds many engines pays (one walk, its tables
+        // allocated first, read 400 µs of `setup_s` on 16x8x8 where this
+        // order reads 120; DESIGN.md §6, "Memory layout"). A node state
+        // allocates nothing: its send queues are lists through the engine's
+        // send slab. Programs with nothing to do are complete before cycle 0.
         let mut done_programs = 0;
         let nodes = part.walk().zip(&programs).map(|(site, prog)| {
             let mut node = NodeState::new(site.coord, &cfg);
@@ -686,6 +694,8 @@ impl Engine {
             masks: vec![NodeMasks::default(); p],
             fifos: FifoRows::new(p, vc_cells, inj),
             slab: Slab::new(),
+            sends: SendSlab::new(),
+            scratch: VecDeque::new(),
             programs,
             link_busy_until: vec![0; links],
             want: vec![0; links],
@@ -698,7 +708,6 @@ impl Engine {
                 ..NetStats::default()
             },
             live_packets: 0,
-            pending_total: 0,
             done_programs,
             progress: false,
             ring: (0..RING).map(|_| Vec::new()).collect(),
@@ -820,7 +829,7 @@ impl Engine {
                 if !faults.is_empty() && !recovery {
                     return Err(SimError::Unreachable {
                         cycle: self.now,
-                        blocked_packets: st.live_packets + st.pending_total,
+                        blocked_packets: st.live_packets + st.sends.live() as u64,
                         faults,
                     });
                 }
@@ -831,7 +840,7 @@ impl Engine {
                     .unwrap_or_default();
                 return Err(SimError::Stalled {
                     cycle: self.now,
-                    live_packets: st.live_packets + st.pending_total,
+                    live_packets: st.live_packets + st.sends.live() as u64,
                     incomplete_programs: self.num_nodes() - st.done_programs,
                     breakdown,
                     trace_tail,
@@ -862,7 +871,7 @@ impl Engine {
     /// complete.
     fn is_complete(&self) -> bool {
         let st = &self.state;
-        st.live_packets == 0 && st.pending_total == 0 && st.done_programs == self.num_nodes()
+        st.live_packets == 0 && st.sends.live() == 0 && st.done_programs == self.num_nodes()
     }
 
     fn num_nodes(&self) -> usize {
@@ -957,15 +966,16 @@ impl Engine {
             }
         }
         for arr in dropped {
-            let st = &mut self.state;
+            let (st, part) = (&mut self.state, &self.shared.part);
             self.shared
                 .release(st, v, arr.fifo.into(), arr.chunks.into());
-            let dst = st.slab.body(arr.h).dst_rank;
-            let pkt = st.slab.take_dropped(arr.h, &self.shared.part);
+            // The hop was written at the win: the plan leads on from `v`.
+            let pkt = st.slab.take_dropped(arr.h, part, v as u32);
+            let dst = part.rank_of(pkt.dst);
             st.live_packets -= 1;
             st.stats.dropped_by_fault += 1;
             if let Some(o) = self.oracle.as_deref_mut() {
-                o.on_drop(&pkt);
+                o.on_drop(&pkt, dst);
             }
             let i = dst as usize;
             st.programs[i].on_packet_dropped(&pkt);

@@ -32,6 +32,9 @@ pub(super) struct Oracle {
     taken_hops: Vec<u32>,
     /// Per packet id: payload bytes recorded at injection.
     payload_bytes: Vec<u32>,
+    /// Per packet id: the rank its send named. The slab stores no
+    /// destination (the plan leads to it), so this is the independent one.
+    dst_rank: Vec<u32>,
     /// Per packet id: whether it has been drained from a reception FIFO.
     delivered: Vec<bool>,
     /// Per packet id: whether a link fault dropped it in flight.
@@ -49,6 +52,7 @@ impl Oracle {
             planned_hops: Vec::new(),
             taken_hops: Vec::new(),
             payload_bytes: Vec::new(),
+            dst_rank: Vec::new(),
             delivered: Vec::new(),
             dropped: Vec::new(),
             delivered_count: 0,
@@ -59,9 +63,10 @@ impl Oracle {
         }
     }
 
-    /// Record a freshly injected packet (plan not yet advanced): ids are
-    /// handed out at injection, dense and in injection order.
-    pub(super) fn on_inject(&mut self, pkt: &Packet) {
+    /// Record a freshly injected packet (plan not yet advanced), bound for
+    /// rank `dst_rank`: ids are handed out at injection, dense and in
+    /// injection order.
+    pub(super) fn on_inject(&mut self, pkt: &Packet, dst_rank: u32) {
         assert_eq!(
             pkt.id as usize,
             self.planned_hops.len(),
@@ -70,6 +75,7 @@ impl Oracle {
         self.planned_hops.push(pkt.plan.total_hops());
         self.taken_hops.push(0);
         self.payload_bytes.push(pkt.payload_bytes);
+        self.dst_rank.push(dst_rank);
         self.delivered.push(false);
         self.dropped.push(false);
         self.injected_payload += pkt.payload_bytes as u64;
@@ -85,9 +91,11 @@ impl Oracle {
         self.planned_hops[i] = self.taken_hops[i] + 1 + remaining;
     }
 
-    /// Record that a link fault dropped `pkt` in flight: it must be a
-    /// known packet that was neither delivered nor already dropped.
-    pub(super) fn on_drop(&mut self, pkt: &Packet) {
+    /// Record that a link fault dropped `pkt` in flight, its destination
+    /// derived as rank `dst` from where it was and its plan: it must be a
+    /// known packet that was neither delivered nor already dropped, and
+    /// `dst` the rank its send named.
+    pub(super) fn on_drop(&mut self, pkt: &Packet, dst: u32) {
         let i = pkt.id as usize;
         assert!(
             i < self.dropped.len(),
@@ -98,6 +106,11 @@ impl Oracle {
             !self.delivered[i] && !self.dropped[i],
             "invariant violated: packet {} dropped after delivery or twice",
             pkt.id
+        );
+        assert_eq!(
+            self.dst_rank[i], dst,
+            "invariant violated: packet {} bound for rank {} dropped on its way to rank {dst}",
+            pkt.id, self.dst_rank[i]
         );
         self.dropped[i] = true;
         self.dropped_count += 1;
@@ -116,21 +129,19 @@ impl Oracle {
     }
 
     /// Record the delivery of `pkt`, drained from the reception FIFO of
-    /// node `node` with `dst_rank` the destination its slab body held: the
-    /// two must be one rank, since the drain rebuilds `pkt.dst` from the
-    /// draining node's own coordinate.
-    pub(super) fn on_deliver(&mut self, pkt: &Packet, dst_rank: u32, node: u32, t: u64) {
+    /// node `node`: the node must be the rank its send named, since the
+    /// drain rebuilds `pkt.dst` from the draining node's own coordinate.
+    pub(super) fn on_deliver(&mut self, pkt: &Packet, node: u32, t: u64) {
         let i = pkt.id as usize;
-        assert_eq!(
-            dst_rank, node,
-            "invariant violated: packet {} bound for rank {dst_rank} drained at node {node} \
-             (cycle {t})",
-            pkt.id
-        );
         assert!(
             i < self.delivered.len(),
             "invariant violated: delivery of unknown packet {} at cycle {t}",
             pkt.id
+        );
+        assert_eq!(
+            self.dst_rank[i], node,
+            "invariant violated: packet {} bound for rank {} drained at node {node} (cycle {t})",
+            pkt.id, self.dst_rank[i]
         );
         assert!(
             !self.delivered[i],
@@ -311,7 +322,8 @@ impl Engine {
     /// list; and each ring record says of its packet what the packet says
     /// itself (phase 1 and the credit sum above trust the record). A slot
     /// leaked, released twice or queued twice shows at the boundary of the
-    /// cycle that did it.
+    /// cycle that did it. The send slab holds exactly the sends the nodes'
+    /// lists count.
     fn oracle_slab_check(&self, t: u64) {
         let st = &self.state;
         let mut seen = vec![false; st.slab.slots()];
@@ -361,6 +373,17 @@ impl Engine {
              (cycle {t})",
             st.slab.live()
         );
+        let queued: usize = st
+            .nodes
+            .iter()
+            .map(|n| n.pending.len() + n.pulled.len())
+            .sum();
+        assert_eq!(
+            queued,
+            st.sends.live(),
+            "invariant violated: {} live send slots, the nodes' lists hold {queued} (cycle {t})",
+            st.sends.live()
+        );
     }
 
     /// The parking rules, re-derived from the state at the end of cycle `t`.
@@ -394,7 +417,7 @@ impl Engine {
                 || st.fifos.reception(i).is_empty()
                     && !(queued
                         && (!node.inject_blocked
-                            || self.shared.fitting_send(node, st.fifos.inj(i)).is_some()))
+                            || sh.fitting_send(&st.sends, node, st.fifos.inj(i)).is_some()))
                     && !polls;
             assert!(
                 cpu_idle && (st.arb_at[i] <= t || !(0..sh.ports).any(open)),

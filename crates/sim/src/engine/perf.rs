@@ -59,6 +59,8 @@ impl Engine {
         let state = self.perf.take()?;
         let mut profile = state.profile;
         profile.slab_slots = self.state.slab.slots() as u64;
+        profile.peak_queued_sends = self.state.sends.peak() as u64;
+        profile.send_slots = self.state.sends.slots() as u64;
         if profile.stepped_cycles > 0 {
             profile.active_occupancy_mean =
                 state.occupancy_sum as f64 / profile.stepped_cycles as f64;

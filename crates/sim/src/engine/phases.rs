@@ -79,14 +79,19 @@
 //! hold its `u32` handle. The slot is two records: the 20-byte [`Hop`]
 //! (plan, detour state, chunks, routing mode, VC, the id's parity), which
 //! every routing rule takes and `apply_win` writes each hop into in place,
-//! and the body, the rest of the [`Packet`], its destination kept as a rank.
-//! The body is read in four places only: at the drain, which rebuilds the
-//! destination coordinate from its own node's, or a fault drop, which
-//! derives it from the rank (`Slab::take` reassembles the packet); on a
-//! detour (its destination); by the oracle (its id, and at the drain its
-//! destination, which must be the draining node) and by the tracer (its
-//! kind). So a healthy run with the oracle off never reads it in `pick`,
-//! `apply_win`, `phase_arrivals` or `State::set_head`.
+//! and the body, the rest of the [`Packet`] but its destination. The
+//! destination is where the plan leads from the node holding the packet
+//! (`HopPlan::destination`): the drain takes its own node's coordinate, and
+//! a detour and a fault drop derive it. The body is read in three places
+//! only: at the drain or a fault drop (`Slab::take` reassembles the
+//! packet), by the oracle (its id) and by the tracer (its kind). So a run
+//! with the oracle off never reads it in `pick`, `apply_win`,
+//! `phase_arrivals` or `State::set_head`.
+//!
+//! A send waits for injection in one slot of the send slab
+//! (`State::sends`), on its node's pending list (what a hook queued) or
+//! pulled list (what `next_send` returned), from the hook that made it to
+//! `cpu_inject_one`.
 //! The engine copies a `Packet` in two places only: the injection into the
 //! slab, and out of it at the drain or a fault drop (DESIGN.md §6, "Memory
 //! layout").
@@ -95,7 +100,7 @@ use super::oracle::Oracle;
 use super::router::Credits;
 use super::{bits, Arrival, State, Win, RING};
 use crate::config::{SimConfig, Vc, NUM_VCS};
-use crate::fifo::{ChunkFifo, Slab};
+use crate::fifo::{ChunkFifo, SendSlab, Slab};
 use crate::flow::FlowSpec;
 use crate::node::{NodeState, PollState};
 use crate::packet::{Hop, Packet, RoutingMode, SendSpec};
@@ -226,13 +231,14 @@ impl Shared {
     /// is stuck on injection-FIFO space, which only an arbitration win at
     /// this node can free. It plans no route: the CPU's park and
     /// `apply_win`'s wake ask it as well as the injector.
-    pub(super) fn fitting_send<'n>(
+    pub(super) fn fitting_send<'s>(
         &self,
-        node: &'n NodeState,
+        sends: &'s SendSlab,
+        node: &NodeState,
         inj: &[ChunkFifo],
-    ) -> Option<(usize, &'n SendSpec, u32)> {
-        let reactive = node.pending.iter().take(INJECT_SCAN);
-        let queued = reactive.chain(node.pulled.iter().take(INJECT_SCAN));
+    ) -> Option<(usize, &'s SendSpec, u32)> {
+        let reactive = sends.iter(&node.pending).take(INJECT_SCAN);
+        let queued = reactive.chain(sends.iter(&node.pulled).take(INJECT_SCAN));
         queued.enumerate().find_map(|(qi, spec)| {
             let (eligible, chunks) = (self.class_fifos[spec.class as usize], spec.chunks as u32);
             let bit =
@@ -247,10 +253,11 @@ impl Shared {
     /// destination. Only this send's route is planned.
     pub(super) fn inject_slot(
         &self,
+        sends: &SendSlab,
         node: &NodeState,
         inj: &[ChunkFifo],
     ) -> Option<(usize, usize, HopPlan, Coord)> {
-        let (qi, spec, room) = self.fitting_send(node, inj)?;
+        let (qi, spec, room) = self.fitting_send(sends, node, inj)?;
         let eligible = self.class_fifos[spec.class as usize];
         // Direction-affine placement: BG/L messaging software binds
         // injection FIFOs to link directions so one FIFO's blocked head
@@ -500,7 +507,10 @@ impl Phases<'_> {
             || queued
                 && !drain
                 && !n.pull_due()
-                && self.shared.fitting_send(n, self.st.fifos.inj(i)).is_none();
+                && self
+                    .shared
+                    .fitting_send(&self.st.sends, n, self.st.fifos.inj(i))
+                    .is_none();
         // A drain, or a queued send that fits, runs as soon as the CPU is free.
         let work = if drain || queued && !stuck {
             ready
@@ -566,8 +576,8 @@ impl Phases<'_> {
                     match spec {
                         Some(s) => {
                             self.rate_charge(i, t, s.chunks);
-                            self.st.nodes[i].pulled.push_back(s);
-                            self.st.pending_total += 1;
+                            let st = &mut *self.st;
+                            st.sends.push(&mut st.nodes[i].pulled, s);
                         }
                         None => {
                             declined = true;
@@ -598,13 +608,14 @@ impl Phases<'_> {
     }
 
     /// The one seam between the engine and a node program: build node
-    /// `i`'s [`NodeApi`] for cycle `t`, run `hook` on it, and settle what the
-    /// hook did — reactive sends it queued join the pending count, credit
-    /// denials the cycle's statistics, and a hook that hands back no send
-    /// may have finished the program, so its completion is latched (one that
-    /// does is polled again first; the goldens pin that order), and a send
-    /// `SendSpec::invalid` refuses drops the hook's sends and ends the run.
-    /// Returns the hook's send and its credit denials.
+    /// `i`'s [`NodeApi`] for cycle `t` over the engine's scratch queue, run
+    /// `hook` on it, and settle what the hook did — reactive sends it queued
+    /// join the node's pending list in order, credit denials the cycle's
+    /// statistics, and a hook that hands back no send may have finished the
+    /// program, so its completion is latched (one that does is polled again
+    /// first; the goldens pin that order), and a send `SendSpec::invalid`
+    /// refuses drops the hook's sends and ends the run. Returns the hook's
+    /// send and its credit denials.
     fn run_hook(
         &mut self,
         i: usize,
@@ -612,29 +623,25 @@ impl Phases<'_> {
         t: u64,
         hook: impl FnOnce(&mut dyn NodeProgram, &mut NodeApi<'_>) -> Option<SendSpec>,
     ) -> (Option<SendSpec>, u64) {
-        let node = &mut self.st.nodes[i];
-        let before = node.pending.len();
-        let mut api = NodeApi::new(
-            i as u32,
-            node.coord,
-            t,
-            &self.shared.part,
-            &mut node.pending,
-        )
-        .with_flow(&mut node.flow);
+        let (st, part) = (&mut *self.st, &self.shared.part);
+        let node = &mut st.nodes[i];
+        let mut api =
+            NodeApi::new(i as u32, node.coord, t, part, &mut st.scratch).with_flow(&mut node.flow);
         let mut spec = hook(prog.as_mut(), &mut api);
         let denials = api.take_credit_blocked();
-        let nodes = self.shared.part.num_nodes();
-        let mut sends = spec.iter().chain(node.pending.range(before..));
+        let nodes = part.num_nodes();
+        let mut sends = spec.iter().chain(&st.scratch);
         if let Some(e) = sends.find_map(|s| s.invalid(i as u32, nodes, t)) {
-            self.st.invalid_send.get_or_insert(e);
-            node.pending.truncate(before);
+            st.invalid_send.get_or_insert(e);
+            st.scratch.clear();
             spec = None;
         }
-        self.st.stats.credit_blocked_events += denials;
-        self.st.pending_total += (node.pending.len() - before) as u64;
+        for s in st.scratch.drain(..) {
+            st.sends.push(&mut node.pending, s);
+        }
+        st.stats.credit_blocked_events += denials;
         if spec.is_none() {
-            self.st.done_programs += usize::from(node.latch_done(prog.as_ref()));
+            st.done_programs += usize::from(node.latch_done(prog.as_ref()));
         }
         (spec, denials)
     }
@@ -661,11 +668,9 @@ impl Phases<'_> {
         let cpu = &self.shared.cfg.cpu;
         let node = &mut self.st.nodes[i];
         // The packet leaves the network here, and its slot with it: taken
-        // out before the hook runs, which borrows all of `self`. The body
-        // keeps the destination as a rank; this node is the destination, so
-        // its coordinate is the packet's.
+        // out before the hook runs, which borrows all of `self`. This node
+        // is the destination, so its coordinate is the packet's.
         let h = self.st.fifos.reception_mut(i).pop(&self.st.slab);
-        let dst_rank = self.st.slab.body(h).dst_rank;
         let pkt = self.st.slab.take(h, node.coord);
         let cost = cpu.per_packet_receive_cycles + pkt.chunks as f64 / cpu.chunks_per_cycle;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
@@ -681,7 +686,7 @@ impl Phases<'_> {
             .min(crate::stats::LATENCY_BUCKETS - 1);
         stats.latency_histogram[bucket] += 1;
         if let Some(o) = self.oracle.as_deref_mut() {
-            o.on_deliver(&pkt, dst_rank, i as u32, t);
+            o.on_deliver(&pkt, i as u32, t);
         }
         self.run_hook(i, prog, t, |p, api| {
             p.on_packet(api, &pkt);
@@ -699,19 +704,18 @@ impl Phases<'_> {
     /// Pay for and inject the first injectable pending send
     /// ([`Shared::inject_slot`]); false if there is none.
     fn cpu_inject_one(&mut self, i: usize, t: u64) -> bool {
+        let st = &mut *self.st;
         let slot = self
             .shared
-            .inject_slot(&self.st.nodes[i], self.st.fifos.inj(i));
+            .inject_slot(&st.sends, &st.nodes[i], st.fifos.inj(i));
         let Some((qi, f, plan, dst)) = slot else {
             return false;
         };
-        let node = &mut self.st.nodes[i];
+        let node = &mut st.nodes[i];
         let spec = match qi.checked_sub(node.pending.len().min(INJECT_SCAN)) {
-            None => node.pending.remove(qi),
-            Some(pi) => node.pulled.remove(pi),
-        }
-        .expect("scanned index exists");
-        self.st.pending_total -= 1;
+            None => st.sends.remove(&mut node.pending, qi),
+            Some(pi) => st.sends.remove(&mut node.pulled, pi),
+        };
         let cpu = &self.shared.cfg.cpu;
         let cost = spec.cpu_cost_cycles
             + cpu.per_packet_inject_cycles
@@ -724,13 +728,13 @@ impl Phases<'_> {
         self.st.next_packet_id += 1;
         let pkt = Packet::inject(&spec, i as u32, dst, plan, id, t);
         if let Some(o) = self.oracle.as_deref_mut() {
-            o.on_inject(&pkt);
+            o.on_inject(&pkt, spec.dst_rank);
         }
         let f = self.shared.vc_cells + f;
         let q = self.st.fifos.fifo_mut(i, f);
         let was_empty = q.is_empty();
         // The one write of the packet until it is drained.
-        let h = self.st.slab.alloc(pkt, spec.dst_rank);
+        let h = self.st.slab.alloc(pkt);
         q.push(&mut self.st.slab, h, spec.chunks as u32);
         if was_empty {
             let dirs = self.shared.request_dirs(&self.st.slab[h]);
@@ -917,15 +921,19 @@ impl Phases<'_> {
         } else if self.st.nodes[i].inject_blocked {
             // Injection space opened: wake the CPU if a stuck send fits now.
             let (node, inj) = (&self.st.nodes[i], self.st.fifos.inj(i));
-            if self.shared.fitting_send(node, inj).is_some() {
+            if self
+                .shared
+                .fitting_send(&self.st.sends, node, inj)
+                .is_some()
+            {
                 self.st.nodes[i].inject_blocked = false;
                 self.st.wake_cpu(i);
             }
         }
         let slab = &mut self.st.slab;
         // Spend downstream credit and launch: the hop is written into the
-        // packet's record where it lies. The body is read on a detour and
-        // by the oracle, never on a healthy, unwatched hop.
+        // packet's record where it lies. The body is read by the oracle
+        // alone, never on an unwatched hop.
         let (pkt, body) = slab.entry(h);
         let chunks = pkt.chunks as u32;
         let fifo = self.shared.debit(nb, d, win.vc, chunks);
@@ -934,8 +942,10 @@ impl Phases<'_> {
             // Non-minimal fault sidestep: re-plan the whole route from the
             // downstream node and remember not to bounce straight back
             // through the link just crossed (port `d.opposite()` of `nb`).
+            // The plan leads from this node to the destination.
             let part = &self.shared.part;
-            let (from, to) = (part.coord_of(nb as u32), part.coord_of(body.dst_rank));
+            let to = pkt.plan.destination(part, part.coord_of(i as u32));
+            let from = part.coord_of(nb as u32);
             pkt.plan = HopPlan::new(part, from, to, TieBreak::SrcParity);
             pkt.note_detour(d.opposite().index());
         } else {
@@ -993,24 +1003,26 @@ mod tests {
         // written at every hop; 18 bytes with a sign per dimension.
         assert_eq!(size_of::<HopPlan>(), 14);
         // A slab slot is the record routing reads and a hop writes, the cold
-        // body and a 4-byte `next` word: 80 bytes against the 76 of a whole
-        // `Packet` and its link, but a hop pulls 20 of them through the cache
-        // instead of 72 (-11.7 % per hop, 10/10 pairs, on the 4,096-node TPS
-        // row, whose 41k live packets outgrow the L2; EXPERIMENTS.md, "packet
-        // layout"). A field routing reads belongs in `Hop`, and costs every
-        // hop; one it does not, in the body.
+        // body and a 4-byte `next` word, and a hop pulls 20 of its bytes
+        // through the cache instead of a whole 72-byte `Packet` (-11.7 % per
+        // hop, 10/10 pairs, on the 4,096-node TPS row, whose 41k live packets
+        // outgrow the L2; EXPERIMENTS.md, "packet layout"). A field routing
+        // reads belongs in `Hop`, and costs every hop; one it does not, in
+        // the body.
         assert_eq!(size_of::<Hop>(), 20);
-        // The body is 40 bytes, 60 a slot with its hop record: the 56 it was
-        // held a 12-byte destination coordinate the draining node already
-        // has (a rank now) and a `PacketMeta` with 3 bytes of padding of its
-        // own (flattened now). At the 4,096-node TPS row's 41,129 slots
-        // that is 0.66 MB.
-        assert_eq!(size_of::<crate::packet::Body>(), 40);
+        // The body is 32 bytes, 52 a slot with its hop record. It was 56
+        // with a 12-byte destination coordinate and a `PacketMeta` carrying 3
+        // bytes of padding of its own, then 40 with the destination a rank
+        // and the meta flattened. Now no destination is stored (the node
+        // holding a packet and its plan name it, `HopPlan::destination`) and
+        // the payload count is 16 bits: at the 4,096-node TPS row's 41,129
+        // slots, 0.33 MB less than at 40.
+        assert_eq!(size_of::<crate::packet::Body>(), 32);
         // A 3-D node is its `NodeState`, its arbitration masks, its row of 18
         // transit, 6 injection and 1 reception header, and 6 entries in each
-        // per-link table (`want`, `rr`, `link_busy_until`): 586 bytes, 2.4 MB
+        // per-link table (`want`, `rr`, `link_busy_until`): 546 bytes, 2.2 MB
         // for the 4,096 nodes of 8x32x16. Row and table entries, 402 of the
-        // 586, are sized by the partition's arity — at `MAX_PORTS` they would
+        // 546, are sized by the partition's arity — at `MAX_PORTS` they would
         // be 720 for every shape.
         let part = Partition::torus(4, 4, 4);
         let idle = (0..64).map(|_| Box::new(ScriptedProgram::idle()) as _);
@@ -1027,8 +1039,10 @@ mod tests {
         assert_eq!(size_of_val(&st.masks[0]), 16);
         // The credit pacer's two maps are one pointer until it uses them: 96
         // bytes of empty maps inline made a node state 256 bytes, 0.4 MB at
-        // 4,096 nodes, that every other pacing spec never read.
-        assert!(size_of::<NodeState>() <= 168, "{}", size_of::<NodeState>());
+        // 4,096 nodes, that every other pacing spec never read. The two send
+        // queues are 12-byte list headers into the engine's send slab: as
+        // `VecDeque`s they were 32 bytes each and a buffer per sending node.
+        assert_eq!(size_of::<NodeState>(), 128);
         // One slot per cycle of the longest flight (8 chunks and a hop of
         // latency), rounded up to a power of two. Each slot keeps its
         // busiest cycle's capacity: at 64 slots the 4,096-node TPS row held
@@ -1046,11 +1060,12 @@ mod tests {
     /// affinity FIFO, else the lowest eligible one, whichever fits first.
     fn inject_slot_planning_every_send(
         sh: &Shared,
+        sends: &SendSlab,
         node: &NodeState,
         inj: &[ChunkFifo],
     ) -> Option<(usize, usize, HopPlan, Coord)> {
-        let reactive = node.pending.iter().take(INJECT_SCAN);
-        let queued = reactive.chain(node.pulled.iter().take(INJECT_SCAN));
+        let reactive = sends.iter(&node.pending).take(INJECT_SCAN);
+        let queued = reactive.chain(sends.iter(&node.pulled).take(INJECT_SCAN));
         for (qi, spec) in queued.enumerate() {
             let chunks = spec.chunks;
             let eligible = sh.class_fifos[spec.class as usize];
@@ -1097,12 +1112,13 @@ mod tests {
                 let src = rng.gen_range(0..n);
                 let mut node = NodeState::new(part.coord_of(src), &cfg);
                 let (mut slab, mut inj) = (Slab::new(), vec![ChunkFifo::default(); 6]);
+                let mut sends = SendSlab::new();
                 let floor = rng.gen_range(0..=INJ_FIFO_CHUNKS);
                 for f in &mut inj {
                     let target = rng.gen_range(floor..=INJ_FIFO_CHUNKS);
                     while f.occupied_chunks() < target {
                         let chunks = rng.gen_range(1..=8u32).min(target - f.occupied_chunks());
-                        let h = slab.alloc(Packet::new(&part, src, (src + 1) % n), (src + 1) % n);
+                        let h = slab.alloc(Packet::new(&part, src, (src + 1) % n));
                         f.push(&mut slab, h, chunks);
                     }
                 }
@@ -1110,11 +1126,12 @@ mod tests {
                     for _ in 0..rng.gen_range(0..=20usize) {
                         let dst = (src + rng.gen_range(1..n)) % n;
                         let spec = SendSpec::adaptive(dst, rng.gen_range(1..=8), 240);
-                        q.push_back(spec.with_class(rng.gen_range(0..=2)));
+                        sends.push(q, spec.with_class(rng.gen_range(0..=2)));
                     }
                 }
-                let slot = engine.shared.inject_slot(&node, &inj);
-                let reference = inject_slot_planning_every_send(&engine.shared, &node, &inj);
+                let slot = engine.shared.inject_slot(&sends, &node, &inj);
+                let reference =
+                    inject_slot_planning_every_send(&engine.shared, &sends, &node, &inj);
                 assert_eq!(slot, reference);
                 (found, none) = (
                     found + usize::from(slot.is_some()),
@@ -1147,7 +1164,7 @@ mod tests {
                 let engine = Engine::new(cfg.clone(), idle.collect());
                 let router = &engine.shared;
                 for (src, dst) in (0..n * n).map(|k| (k / n, k % n)) {
-                    let (mut pkt, _) = Packet::new(&part, src, dst).split(dst);
+                    let (mut pkt, _) = Packet::new(&part, src, dst).split();
                     pkt.routing = routing;
                     let dirs = router.request_dirs(&pkt);
                     assert_eq!(dirs == 0, pkt.plan.is_done(), "{pkt:?}");

@@ -300,7 +300,7 @@ fn a_refused_return_is_head_of_line_blocking() {
     let idle = (0..part.num_nodes()).map(|_| Box::new(ScriptedProgram::idle()) as _);
     let mut e = Engine::new(cfg, idle.collect());
     let (x_plus, y_minus) = (Direction::from_index(0), Direction::from_index(3));
-    let h = e.state.slab.alloc(Packet::new(&part, 5, 2), 2);
+    let h = e.state.slab.alloc(Packet::new(&part, 5, 2));
     e.state.slab[h].note_detour(y_minus.index());
     let (f, dirs) = (
         y_minus.index() * NUM_VCS,

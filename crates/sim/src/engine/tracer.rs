@@ -137,7 +137,7 @@ impl Engine {
             pacing_blocked_delta: now.pacing_blocked - last.pacing_blocked,
             credit_blocked_delta: now.credit_blocked - last.credit_blocked,
             packets_in_flight: st.live_packets,
-            pending_sends: st.pending_total,
+            pending_sends: st.sends.live() as u64,
             ..TraceSample::default()
         };
 

@@ -1,5 +1,6 @@
-//! Packet storage: one [`Slab`] per engine, and chunk-accounted FIFOs that
-//! thread `u32` handles through it.
+//! Queue storage: one packet [`Slab`] per engine and chunk-accounted FIFOs
+//! that thread `u32` handles through it, and one [`SendSlab`] whose lists
+//! hold the sends the nodes have queued but not yet injected.
 //!
 //! A packet is written once, where it is injected, and stays in that slot
 //! until it is drained (or dropped by a fault): VC FIFOs, injection FIFOs,
@@ -15,13 +16,21 @@
 //! a vector of its own. The 20-byte [`Hop`] is everything routing
 //! reads and a hop writes — plan, detour state, chunks, routing mode, VC
 //! and the id's parity bit — and is what `slab[h]` yields. The [`Body`] is
-//! the rest of the [`Packet`], its destination kept as a rank, read
-//! through [`Slab::body`] only where a packet leaves the network
-//! ([`Slab::take`] reassembles it), detours (its destination), or is
-//! watched by the oracle (its id and destination) or the tracer (its
-//! kind). A healthy hop never touches it: at the 4,096-node scale,
-//! where the slab outgrows the cache, that is a cold miss per hop not
-//! taken.
+//! the rest of the [`Packet`] but its destination, which the node holding
+//! the packet and its plan name, read through [`Slab::body`] only where a
+//! packet leaves the network ([`Slab::take`] reassembles it) or is watched
+//! by the oracle (its id) or the tracer (its kind). A hop never touches
+//! it: at the 4,096-node scale, where the slab outgrows the cache, that is
+//! a cold miss per hop not taken.
+//!
+//! ## Sends
+//!
+//! A send a node's program has handed the engine waits in a [`SendSlab`]
+//! slot until the node injects it, on one of the node's two [`SendList`]s
+//! (reactive, and pulled from its schedule). Slots recycle through a free
+//! list, as packet slots do, so the send slab is sized by the most sends
+//! queued at once over the whole machine, not by the sum of every node's
+//! longest queue, and a node that never sends holds no buffer.
 //!
 //! Capacity is in chunks, not packets, matching the byte-granular BG/L
 //! buffers, and is a property of the FIFO *kind* (transit, injection,
@@ -33,7 +42,7 @@
 //! reception FIFOs are only ever probed by
 //! their own node, which gates on `capacity − occupied_chunks`.
 
-use crate::packet::{Body, Hop, Packet};
+use crate::packet::{Body, Hop, Packet, SendSpec};
 use bgl_torus::{Coord, Partition};
 
 /// "No handle": the end of the free list.
@@ -45,7 +54,7 @@ const BLOCK: usize = 64;
 
 /// `BLOCK` consecutive slots' two records: their hop records side by side,
 /// then their bodies. A hop reads the same 20 bytes as from a vector of
-/// hop records, while the records stay one growing allocation, 60 bytes a
+/// hop records, while the records stay one growing allocation, 52 bytes a
 /// slot (the vector of whole packets was 72). As two vectors they hop
 /// no faster measurably, and the smaller allocations stay under glibc's
 /// mmap threshold longer, served from a heap the process's later engines
@@ -90,11 +99,11 @@ impl Slab {
         }
     }
 
-    /// Store `pkt`, bound for rank `dst_rank`, and return its handle.
+    /// Store `pkt` and return its handle.
     #[inline]
-    pub(crate) fn alloc(&mut self, pkt: Packet, dst_rank: u32) -> u32 {
+    pub(crate) fn alloc(&mut self, pkt: Packet) -> u32 {
         self.live += 1;
-        let (hop, body) = pkt.split(dst_rank);
+        let (hop, body) = pkt.split();
         let h = self.free;
         if h == NIL {
             let h = self.next.len() as u32;
@@ -138,8 +147,8 @@ impl Slab {
     }
 
     /// Reassemble the packet of slot `h`, `dst` the coordinate of its
-    /// destination rank, and release the slot: the packet leaves the
-    /// network (drained, or dropped by a fault).
+    /// destination, and release the slot: the packet leaves the network
+    /// (drained, or dropped by a fault).
     #[inline]
     pub(crate) fn take(&mut self, h: u32, dst: Coord) -> Packet {
         let pkt = Packet::join(&self[h], self.body(h), dst);
@@ -147,11 +156,12 @@ impl Slab {
         pkt
     }
 
-    /// [`take`](Self::take) for a packet a fault drops: it leaves the
-    /// network short of its destination, so the coordinate is derived from
-    /// the rank its body holds. Only under a fault plan.
-    pub(crate) fn take_dropped(&mut self, h: u32, part: &Partition) -> Packet {
-        let dst = part.coord_of(self.body(h).dst_rank);
+    /// [`take`](Self::take) for a packet a fault drops on its way to rank
+    /// `at`, whose plan is already the route from there: it leaves the
+    /// network short of its destination, which the plan names from `at`
+    /// (`HopPlan::destination`). Only under a fault plan.
+    pub(crate) fn take_dropped(&mut self, h: u32, part: &Partition, at: u32) -> Packet {
+        let dst = self[h].plan.destination(part, part.coord_of(at));
         self.take(h, dst)
     }
 
@@ -163,8 +173,8 @@ impl Slab {
     }
 
     /// Slot `h`'s record to write and its body to read: what a hop that
-    /// may need the body (a detour, the oracle) holds, without loading it
-    /// unless it does.
+    /// may need the body (the oracle) holds, without loading it unless it
+    /// does.
     #[inline]
     pub(crate) fn entry(&mut self, h: u32) -> (&mut Hop, &Body) {
         let (b, s) = at(h);
@@ -336,6 +346,127 @@ impl FifoRows {
     }
 }
 
+/// A node's queue of sends: the header of a list of [`SendSlab`] handles,
+/// oldest first. The default, all-zero header is the empty queue; `head`
+/// and `tail` mean something only when `len` is not 0.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SendList {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+impl SendList {
+    /// Sends queued.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+/// The engine's store of queued sends: a slot per send a node has queued
+/// and not yet injected, on one [`SendList`]. Slots are recycled through a
+/// free list and never returned to the allocator, so
+/// [`slots`](Self::slots) is the most sends ever queued at once,
+/// [`peak`](Self::peak).
+pub(crate) struct SendSlab {
+    specs: Vec<SendSpec>,
+    /// Per slot: the next handle in its list, or in the free list.
+    next: Vec<u32>,
+    free: u32,
+    live: usize,
+    peak: usize,
+}
+
+impl SendSlab {
+    pub(crate) fn new() -> SendSlab {
+        SendSlab {
+            specs: Vec::new(),
+            next: Vec::new(),
+            free: NIL,
+            live: 0,
+            peak: 0,
+        }
+    }
+
+    /// Queue `spec` at the back of `list`.
+    pub(crate) fn push(&mut self, list: &mut SendList, spec: SendSpec) {
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+        let h = self.free;
+        let h = if h == NIL {
+            self.specs.push(spec);
+            self.next.push(NIL);
+            self.next.len() as u32 - 1
+        } else {
+            self.free = self.next[h as usize];
+            self.specs[h as usize] = spec;
+            h
+        };
+        if list.is_empty() {
+            list.head = h;
+        } else {
+            self.next[list.tail as usize] = h;
+        }
+        list.tail = h;
+        list.len += 1;
+    }
+
+    /// `list`'s sends, oldest first.
+    pub(crate) fn iter<'a>(&'a self, list: &SendList) -> impl Iterator<Item = &'a SendSpec> {
+        let mut at = list.head;
+        (0..list.len).map(move |_| {
+            let h = at as usize;
+            at = self.next[h];
+            &self.specs[h]
+        })
+    }
+
+    /// Take `list`'s send at position `k` out of the queue, and its slot
+    /// back. `k` must be below the list's length.
+    pub(crate) fn remove(&mut self, list: &mut SendList, k: usize) -> SendSpec {
+        debug_assert!(k < list.len(), "send {k} of a {}-send list", list.len);
+        let (mut prev, mut h) = (NIL, list.head);
+        for _ in 0..k {
+            (prev, h) = (h, self.next[h as usize]);
+        }
+        let after = self.next[h as usize];
+        if prev == NIL {
+            list.head = after;
+        } else {
+            self.next[prev as usize] = after;
+        }
+        if h == list.tail {
+            list.tail = prev;
+        }
+        list.len -= 1;
+        self.live -= 1;
+        self.next[h as usize] = self.free;
+        self.free = h;
+        self.specs[h as usize].clone()
+    }
+
+    /// Sends queued now, over every list.
+    pub(crate) fn live(&self) -> usize {
+        self.live
+    }
+
+    /// The most sends queued at once so far.
+    pub(crate) fn peak(&self) -> usize {
+        self.peak
+    }
+
+    /// Slots ever allocated.
+    pub(crate) fn slots(&self) -> usize {
+        self.next.len()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,10 +478,10 @@ mod tests {
     }
 
     /// Where [`pkt`]'s packets are bound: rank 1 of `4x4x4`.
-    const DST: (u32, Coord) = (1, Coord::new(1, 0, 0));
+    const DST: Coord = Coord::new(1, 0, 0);
 
     fn push(f: &mut ChunkFifo, slab: &mut Slab, id: u64, chunks: u8) -> u32 {
-        let h = slab.alloc(pkt(id, chunks), DST.0);
+        let h = slab.alloc(pkt(id, chunks));
         f.push(slab, h, chunks as u32);
         h
     }
@@ -388,33 +519,33 @@ mod tests {
     #[test]
     fn released_slots_are_reused_before_the_slab_grows() {
         let mut slab = Slab::new();
-        let hs: Vec<u32> = (0..3).map(|i| slab.alloc(pkt(i, 1), DST.0)).collect();
+        let hs: Vec<u32> = (0..3).map(|i| slab.alloc(pkt(i, 1))).collect();
         assert_eq!((slab.live(), slab.slots()), (3, 3));
-        assert_eq!(slab.take(hs[1], DST.1).id, 1);
+        assert_eq!(slab.take(hs[1], DST).id, 1);
         slab.release(hs[0]);
         assert_eq!(slab.live(), 1);
-        let again = [slab.alloc(pkt(7, 1), DST.0), slab.alloc(pkt(8, 1), DST.0)];
+        let again = [slab.alloc(pkt(7, 1)), slab.alloc(pkt(8, 1))];
         assert_eq!(again, [hs[0], hs[1]]);
         assert_eq!((slab.live(), slab.slots()), (3, 3));
         assert_eq!(slab.body(hs[0]).id, 7);
     }
 
     /// Packets allocated, edited through their hop records as `apply_win`
-    /// edits them (a plan advanced, a VC changed, a detour taken), their
-    /// slots released and reused: the body holds the destination's rank,
-    /// and `take_dropped`, which derives the coordinate from it, gives back
-    /// each injected packet with exactly `plan`, `vc` and `detour` replaced;
-    /// every record carries its id's parity.
+    /// edits them (a plan advanced a hop, a VC changed, a detour taken to a
+    /// neighbour and the route re-planned from there), their slots released
+    /// and reused: `take_dropped`, which derives the destination from the
+    /// node each packet has reached and its plan, gives back each injected
+    /// packet with exactly `plan`, `vc` and `detour` replaced; every record
+    /// carries its id's parity.
     #[test]
     fn the_slab_reassembles_what_the_hops_wrote() {
         use crate::config::Vc;
         use crate::packet::PacketMeta;
-        use bgl_torus::{HopPlan, TieBreak};
+        use bgl_torus::{Direction, HopPlan, TieBreak};
         let part = Partition::torus(4, 4, 4);
-        let dst_of = |id: u64| (id as u32 * 7 + 3) % 64;
         let packet = |id: u64| {
             // 6 id + 3 is odd: never 0 mod 64, so never a self-send.
-            let mut p = Packet::new(&part, id as u32 % 64, dst_of(id));
+            let mut p = Packet::new(&part, id as u32 % 64, (id as u32 * 7 + 3) % 64);
             (p.id, p.chunks, p.payload_bytes) = (id, 1 + (id % 8) as u8, 17 * id as u32);
             (p.class, p.injected_at) = ((id % 3) as u8, 1000 + id);
             p.meta = PacketMeta {
@@ -424,19 +555,22 @@ mod tests {
             };
             p
         };
+        // Each live packet's handle, the packet expected back, and the
+        // rank its plan starts from.
         let mut slab = Slab::new();
-        let mut live: Vec<(u32, Packet)> = Vec::new();
+        let mut live: Vec<(u32, Packet, u32)> = Vec::new();
         let mut id = 0;
         for round in 0..6u64 {
             for _ in 0..100 {
                 let pkt = packet(id);
-                live.push((slab.alloc(pkt.clone(), dst_of(id)), pkt));
+                live.push((slab.alloc(pkt.clone()), pkt, id as u32 % 64));
                 id += 1;
             }
-            for (k, (h, want)) in live.iter_mut().enumerate() {
+            for (k, (h, want, at)) in live.iter_mut().enumerate() {
                 let k = k as u64 + round;
                 let hop = &mut slab[*h];
                 assert_eq!(u64::from(hop.parity), want.id & 1);
+                let here = part.coord_of(*at);
                 // The edit made through the record, and the same edit made
                 // by hand to the expected packet.
                 match k % 3 {
@@ -444,6 +578,7 @@ mod tests {
                         if let Some(d) = hop.plan.dimension_order_next() {
                             hop.plan.advance(d.dim);
                             want.plan.advance(d.dim);
+                            *at = part.rank_of(part.neighbor(here, d).expect("a torus"));
                         }
                     }
                     1 => {
@@ -451,26 +586,26 @@ mod tests {
                         (hop.vc, want.vc) = (vc, vc);
                     }
                     // A detour: one more non-minimal hop, the way back
-                    // barred, the route re-planned.
+                    // barred, the route re-planned from where it leads.
                     _ => {
-                        let back = (k % 6) as usize;
+                        let d = Direction::from_index((k % 6) as usize);
+                        let back = d.opposite().index();
                         hop.note_detour(back);
                         want.detour = ((want.detour >> 4) + 1) << 4 | back as u16;
-                        let (from, to) = (Coord::new(1, 2, 3), Coord::new(0, 0, 0));
-                        let plan = HopPlan::new(&part, from, to, TieBreak::SrcParity);
-                        (hop.plan, want.plan) = (plan, plan);
+                        let nb = part.neighbor(here, d).expect("a torus");
+                        let plan = HopPlan::new(&part, nb, want.dst, TieBreak::SrcParity);
+                        (hop.plan, want.plan, *at) = (plan, plan, part.rank_of(nb));
                     }
                 }
             }
             // Every other packet leaves; its slot is the next one reused.
             let mut kept = Vec::new();
-            for (k, (h, want)) in live.into_iter().enumerate() {
+            for (k, (h, want, at)) in live.into_iter().enumerate() {
                 if (k as u64 + round) % 2 == 1 {
-                    kept.push((h, want));
+                    kept.push((h, want, at));
                     continue;
                 }
-                assert_eq!(slab.body(h).dst_rank, dst_of(want.id));
-                let got = slab.take_dropped(h, &part);
+                let got = slab.take_dropped(h, &part, at);
                 assert_eq!(format!("{got:?}"), format!("{want:?}"));
             }
             live = kept;
@@ -479,11 +614,48 @@ mod tests {
         // Two hundred slots, four blocks, held every packet: the released
         // ones were reused.
         assert!(slab.slots() <= 200, "{} slots", slab.slots());
-        for (h, want) in live {
-            let got = slab.take_dropped(h, &part);
+        for (h, want, at) in live {
+            let got = slab.take_dropped(h, &part, at);
             assert_eq!(format!("{got:?}"), format!("{want:?}"));
         }
         assert_eq!(slab.live(), 0);
+    }
+
+    /// Sends pushed onto two lists, removed from the front, the middle and
+    /// the tail, and pushed again: each list keeps its order, a freed slot
+    /// is reused before the slab grows, and `slots` is the most sends
+    /// queued at once.
+    #[test]
+    fn send_lists_keep_order_and_reuse_slots() {
+        let (mut sends, mut a, mut b) = (SendSlab::new(), SendList::default(), SendList::default());
+        let spec = |dst: u32| SendSpec::adaptive(dst, 1, 32);
+        for dst in 0..5 {
+            sends.push(&mut a, spec(dst));
+        }
+        sends.push(&mut b, spec(9));
+        let dsts = |s: &SendSlab, l: &SendList| s.iter(l).map(|x| x.dst_rank).collect::<Vec<_>>();
+        assert_eq!(
+            (dsts(&sends, &a), dsts(&sends, &b)),
+            (vec![0, 1, 2, 3, 4], vec![9])
+        );
+        assert_eq!(sends.remove(&mut a, 0).dst_rank, 0);
+        assert_eq!(sends.remove(&mut a, 1).dst_rank, 2);
+        assert_eq!(sends.remove(&mut a, 2).dst_rank, 4);
+        assert_eq!(dsts(&sends, &a), [1, 3]);
+        // The tail moved back: a push lands behind the new one.
+        sends.push(&mut a, spec(5));
+        sends.push(&mut b, spec(10));
+        assert_eq!(
+            (dsts(&sends, &a), dsts(&sends, &b)),
+            (vec![1, 3, 5], vec![9, 10])
+        );
+        assert_eq!((sends.live(), sends.peak(), sends.slots()), (5, 6, 6));
+        assert_eq!(sends.remove(&mut b, 0).dst_rank, 9);
+        assert_eq!(sends.remove(&mut b, 0).dst_rank, 10);
+        assert!(b.is_empty());
+        sends.push(&mut b, spec(11));
+        assert_eq!((dsts(&sends, &b), a.len()), (vec![11], 3));
+        assert_eq!((sends.live(), sends.peak(), sends.slots()), (4, 6, 6));
     }
 
     #[test]

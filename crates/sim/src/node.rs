@@ -1,17 +1,17 @@
-//! Per-node simulator state: send queues, CPU accounting and flow control.
-//! The FIFO headers themselves are the node's row of the engine's
-//! [`FifoRows`](crate::fifo::FifoRows); its occupancy mask and requested
-//! outputs, which arbitration reads first, one entry of the engine's
-//! per-node mask array; and what the engine keeps per output link —
-//! request masks, round-robin pointer, busy-until — the node's rows of its
-//! per-link tables.
+//! Per-node simulator state: send queue headers, CPU accounting and flow
+//! control. The queued sends themselves live in the engine's
+//! [`SendSlab`](crate::fifo::SendSlab); the FIFO headers are the node's row
+//! of the engine's [`FifoRows`](crate::fifo::FifoRows); its occupancy mask
+//! and requested outputs, which arbitration reads first, one entry of the
+//! engine's per-node mask array; and what the engine keeps per output link
+//! — request masks, round-robin pointer, busy-until — the node's rows of
+//! its per-link tables. Building a node allocates nothing.
 
 use crate::config::{SimConfig, NUM_VCS};
+use crate::fifo::SendList;
 use crate::flow::FlowLedger;
-use crate::packet::SendSpec;
 use crate::program::NodeProgram;
 use bgl_torus::Coord;
-use std::collections::VecDeque;
 
 /// Index of the VC FIFO for (input port, VC). The number of ports — and so
 /// the number of VC FIFOs, `2n · NUM_VCS` — is the partition's, not a
@@ -59,12 +59,12 @@ pub struct NodeState {
     /// Node coordinate.
     pub coord: Coord,
     /// Reactive sends queued by the program (api.send from hooks), not yet
-    /// paid for / injected.
-    pub pending: VecDeque<SendSpec>,
+    /// paid for / injected: a list through the engine's send slab.
+    pub(crate) pending: SendList,
     /// Sends pulled from the program's own schedule (`next_send`), kept
     /// separate so a backlog of reactive forwards can never starve a
     /// node's proactive stream (and vice versa).
-    pub pulled: VecDeque<SendSpec>,
+    pub(crate) pulled: SendList,
     /// Absolute time (cycles, fractional) the CPU becomes free.
     pub cpu_free: f64,
     /// Total CPU-cycles this node has been charged so far. Kept per node
@@ -95,12 +95,8 @@ impl NodeState {
     pub fn new(coord: Coord, cfg: &SimConfig) -> NodeState {
         NodeState {
             coord,
-            pending: VecDeque::new(),
-            // Sized here, once, to the depth the engine tops it up to (a
-            // sending node would grow it there in two steps). It is also the
-            // engine's one allocation per node, and kept on purpose: see the
-            // allocation-order comment in `Engine::new`.
-            pulled: VecDeque::with_capacity(PULL_THRESHOLD),
+            pending: SendList::default(),
+            pulled: SendList::default(),
             cpu_free: 0.0,
             cpu_busy: 0.0,
             blocked_deliveries: Vec::new(),

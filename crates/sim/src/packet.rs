@@ -42,6 +42,10 @@ pub const NO_DETOUR: u16 = 15;
 /// slack.
 pub const MAX_PACKET_CHUNKS: u8 = 8;
 
+/// The most payload bytes a send may account: what a stored packet's 16-bit
+/// count holds, far above the 256 bytes of the largest BG/L packet.
+pub const MAX_PAYLOAD_BYTES: u32 = u16::MAX as u32;
+
 /// A packet in flight or in a FIFO.
 ///
 /// This is the packet a program receives. While it is in the network the
@@ -131,12 +135,14 @@ impl Packet {
         }
     }
 
-    /// The packet as the slab stores it, bound for rank `dst_rank` (its
-    /// `dst`): the record every hop reads and writes, and the body read only
-    /// where the packet leaves the network, detours, or is watched (the
-    /// oracle, the tracer).
+    /// The packet as the slab stores it: the record every hop reads and
+    /// writes, and the body read only where the packet leaves the network or
+    /// is watched (the oracle, the tracer). The destination is in neither:
+    /// the plan leads to it from wherever the packet is
+    /// ([`HopPlan::destination`]). The payload must fit the body's 16 bits,
+    /// which [`SendSpec::invalid`] holds every send to.
     #[inline]
-    pub(crate) fn split(self, dst_rank: u32) -> (Hop, Body) {
+    pub(crate) fn split(self) -> (Hop, Body) {
         let hop = Hop {
             plan: self.plan,
             detour: self.detour,
@@ -145,12 +151,12 @@ impl Packet {
             vc: self.vc,
             parity: (self.id & 1) as u8,
         };
+        debug_assert!(self.payload_bytes <= MAX_PAYLOAD_BYTES);
         let body = Body {
             id: self.id,
             injected_at: self.injected_at,
             src_rank: self.src_rank,
-            dst_rank,
-            payload_bytes: self.payload_bytes,
+            payload_bytes: self.payload_bytes as u16,
             a: self.meta.a,
             b: self.meta.b,
             class: self.class,
@@ -160,9 +166,9 @@ impl Packet {
     }
 
     /// The packet [`split`](Self::split) made `hop` and `body` of, with
-    /// the route, VC and detour state its hops have written since. `dst` is
-    /// the coordinate of `body.dst_rank`, which the caller has at hand: the
-    /// draining node's own, or one derived from the rank off the hot path.
+    /// the route, VC and detour state its hops have written since, bound for
+    /// `dst`: the draining node's own coordinate, or the one a fault drop
+    /// derives from where the packet was and its plan.
     #[inline]
     pub(crate) fn join(hop: &Hop, body: &Body, dst: Coord) -> Packet {
         Packet {
@@ -170,7 +176,7 @@ impl Packet {
             src_rank: body.src_rank,
             dst,
             chunks: hop.chunks,
-            payload_bytes: body.payload_bytes,
+            payload_bytes: body.payload_bytes.into(),
             plan: hop.plan,
             routing: hop.routing,
             vc: hop.vc,
@@ -238,24 +244,24 @@ impl Hop {
 }
 
 /// The rest of a stored packet, written at injection and read only at the
-/// drain or a fault drop ([`Packet::join`]), on a detour (`dst_rank`), by
-/// the oracle (`id`, `dst_rank`) and by the tracer (`kind`): never on a
-/// healthy hop. 40 bytes: the [`PacketMeta`] is flattened into it (inline,
-/// its padding cost 3 bytes), and the destination is a rank, not the
-/// 12-byte coordinate — the node that drains the packet is its destination
-/// and has the coordinate already.
+/// drain or a fault drop ([`Packet::join`]), by the oracle (`id`) and by
+/// the tracer (`kind`): never on a hop, a detour included. 32 bytes: the
+/// [`PacketMeta`] is flattened into it (inline, its padding cost 3 bytes),
+/// the payload count is 16 bits ([`MAX_PAYLOAD_BYTES`]), and the
+/// destination is not stored at all — the node that drains the packet is
+/// its destination, and a detour or a fault drop derives it from the node
+/// the packet is at and its plan ([`HopPlan::destination`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Body {
     pub(crate) id: u64,
     pub(crate) injected_at: u64,
     pub(crate) src_rank: u32,
-    /// Rank of [`Packet::dst`].
-    pub(crate) dst_rank: u32,
-    pub(crate) payload_bytes: u32,
     /// [`PacketMeta::a`].
     pub(crate) a: u32,
     /// [`PacketMeta::b`].
     pub(crate) b: u32,
+    /// [`Packet::payload_bytes`], at most [`MAX_PAYLOAD_BYTES`].
+    pub(crate) payload_bytes: u16,
     pub(crate) class: u8,
     /// [`PacketMeta::kind`].
     pub(crate) kind: u8,
@@ -340,8 +346,9 @@ impl SendSpec {
     /// The [`SimError::InvalidSend`] of rank `src` of a `nodes`-node
     /// partition handing the engine this send at `cycle`, or `None` if it
     /// may: a BG/L packet is 1 to 8 chunks, a class is one of the 8 a class
-    /// mask names, the destination is another rank of the partition, and
-    /// CPU time is a finite, non-negative charge.
+    /// mask names, the destination is another rank of the partition, the
+    /// payload is at most [`MAX_PAYLOAD_BYTES`], and CPU time is a finite,
+    /// non-negative charge.
     pub(crate) fn invalid(&self, src: u32, nodes: u32, cycle: u64) -> Option<SimError> {
         let (dst, class, cost) = (self.dst_rank, self.class, self.cpu_cost_cycles);
         let reason = if !(1..=MAX_PACKET_CHUNKS).contains(&self.chunks) {
@@ -355,6 +362,11 @@ impl SendSpec {
             format!("destination rank {dst} outside the {nodes}-node partition")
         } else if dst == src {
             format!("a send to itself (rank {dst})")
+        } else if self.payload_bytes > MAX_PAYLOAD_BYTES {
+            format!(
+                "a payload of {} bytes (at most {MAX_PAYLOAD_BYTES})",
+                self.payload_bytes
+            )
         } else if !(cost >= 0.0 && cost.is_finite()) {
             format!("a CPU cost of {cost} cycles")
         } else {
@@ -396,7 +408,7 @@ mod tests {
 
     #[test]
     fn detour_state_packs_and_unpacks() {
-        let (mut k, _) = Packet::new(&Partition::torus(2, 2, 2), 0, 1).split(1);
+        let (mut k, _) = Packet::new(&Partition::torus(2, 2, 2), 0, 1).split();
         assert_eq!(k.detour_from(), None);
         assert_eq!(k.detour_count(), 0);
         k.note_detour(3);

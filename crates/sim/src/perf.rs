@@ -200,6 +200,14 @@ pub struct PerfProfile {
     /// of packets queued or in flight — what the run's packet memory was
     /// sized by.
     pub slab_slots: u64,
+    /// Most sends queued at the nodes at once (injected by none yet, whole
+    /// machine), counted at every queueing.
+    pub peak_queued_sends: u64,
+    /// Length of the send slab at the end of the run: the slots that held
+    /// the queued sends, recycled like the packet slab's, so it is the
+    /// high-water mark of [`peak_queued_sends`](Self::peak_queued_sends) —
+    /// what the run's send memory was sized by.
+    pub send_slots: u64,
     /// Skipping-clock counters; all zero under
     /// [`EngineMode::FullScan`](crate::EngineMode).
     pub event: EventPerf,
@@ -235,6 +243,15 @@ impl PerfProfile {
         ]
     }
 
+    /// `[peak_queued_sends, send_slots]`: the most sends queued at once and
+    /// the send slab slots that held them.
+    pub fn send_totals(&self) -> [(&'static str, u64); 2] {
+        [
+            ("peak_queued_sends", self.peak_queued_sends),
+            ("send_slots", self.send_slots),
+        ]
+    }
+
     /// Cycles skipped by the skipping clock (0 under the full scan).
     pub fn skipped_cycles(&self) -> u64 {
         self.event.skipped_cycles
@@ -242,7 +259,7 @@ impl PerfProfile {
 
     /// RFC-4180 CSV rendering (CRLF rows, via the shared
     /// [`crate::csv::push_row`] writer): a `metric,value` pair per row —
-    /// run totals, visit/park and packet totals, per-phase times, and the
+    /// run totals, visit/park, packet and send totals, per-phase times, and the
     /// skip counters + skip histogram.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -260,7 +277,8 @@ impl PerfProfile {
             "active_occupancy_max".into(),
             self.active_occupancy_max.to_string(),
         );
-        for (label, count) in self.visit_totals().into_iter().chain(self.packet_totals()) {
+        let counts = self.visit_totals().into_iter().chain(self.packet_totals());
+        for (label, count) in counts.chain(self.send_totals()) {
             row(label.into(), count.to_string());
         }
         for (label, secs) in self.phase_totals().named() {
@@ -333,6 +351,7 @@ mod tests {
         assert!(rows.iter().any(|r| r[0] == "arb_parked" && r[1] == "0"));
         assert!(rows.iter().any(|r| r[0] == "arb_refused" && r[1] == "0"));
         assert!(rows.iter().any(|r| r[0] == "slab_slots" && r[1] == "0"));
+        assert!(rows.iter().any(|r| r[0] == "send_slots" && r[1] == "0"));
         assert!(rows
             .iter()
             .any(|r| r[0] == "phase_cpu_secs" && r[1] == "0.125"));

@@ -130,6 +130,15 @@ fn a_send_to_itself_is_refused() {
 }
 
 #[test]
+fn a_payload_beyond_sixteen_bits_is_refused() {
+    for bytes in [65_536, u32::MAX] {
+        let mut s = valid();
+        s.payload_bytes = bytes;
+        refused(s, &format!("a payload of {bytes} bytes (at most 65535)"));
+    }
+}
+
+#[test]
 fn a_cpu_cost_that_is_negative_or_not_finite_is_refused() {
     for cost in [-1.0, f64::NAN, f64::INFINITY] {
         refused(valid().with_cpu_cost(cost), "a CPU cost of");
@@ -143,9 +152,10 @@ fn the_edges_of_every_range_are_accepted() {
     let mut s = SendSpec::deterministic(last, 1, 0)
         .with_class(7)
         .with_cpu_cost(0.0);
-    for chunks in [1, 8] {
-        s.chunks = chunks;
+    for (chunks, bytes) in [(1, 0), (8, 65_535)] {
+        (s.chunks, s.payload_bytes) = (chunks, bytes);
         // Class 7 has an injection FIFO under the default masks.
-        run(s.clone(), false).expect("a valid send completes");
+        let stats = run(s.clone(), false).expect("a valid send completes");
+        assert_eq!(stats.payload_bytes_delivered, u64::from(bytes));
     }
 }

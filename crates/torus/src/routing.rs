@@ -71,6 +71,27 @@ impl HopPlan {
         plan
     }
 
+    /// Where this plan leads from `from`: the inverse of [`HopPlan::new`]
+    /// under every tie-break, since the plan carries the sign it chose. A
+    /// packet's plan is always the route from the node holding it, so that
+    /// node and the plan name its destination.
+    pub fn destination(&self, part: &Partition, from: Coord) -> Coord {
+        let mut to = from;
+        for d in part.dims() {
+            let h = u32::from(self.hops(d));
+            if h > 0 {
+                let (a, s) = (u32::from(from.get(d)), u32::from(part.size(d)));
+                // A mesh plan never wraps, so the same formula serves it.
+                let b = match self.sign(d) {
+                    Sign::Plus => (a + h) % s,
+                    Sign::Minus => (a + s - h) % s,
+                };
+                to.set(d, b as u16);
+            }
+        }
+        to
+    }
+
     /// Remaining hops along `dim`.
     #[inline]
     pub fn hops(&self, dim: Dim) -> u16 {
@@ -445,6 +466,39 @@ mod tests {
                             .expect("consecutive path nodes differ");
                         assert!(moved.index() >= max_started, "{shape}");
                         max_started = moved.index();
+                    }
+                }
+            }
+        }
+    }
+
+    /// `destination` inverts `new`: every source/destination pair of a 3-D
+    /// torus with even and odd sides (equator ties), a mixed mesh-and-torus
+    /// shape, one with a size-1 dimension and a 6-D torus, under every
+    /// tie-break, and again from every node along the plan's
+    /// dimension-ordered walk, where the advanced plan must still name the
+    /// same destination.
+    #[test]
+    fn destination_inverts_new_on_every_pair() {
+        let ties = [
+            TieBreak::SrcParity,
+            TieBreak::AlwaysPlus,
+            TieBreak::AlwaysMinus,
+        ];
+        for shape in ["4x3x2", "4Mx6x3M", "5x1x4", "2x2x3x2x2x2"] {
+            let p: Partition = shape.parse().unwrap();
+            for src in p.coords() {
+                for dst in p.coords() {
+                    for tie in ties {
+                        let mut plan = HopPlan::new(&p, src, dst, tie);
+                        let mut here = src;
+                        assert_eq!(plan.destination(&p, here), dst, "{shape} {tie:?}");
+                        while let Some(dir) = plan.dimension_order_next() {
+                            here = p.neighbor(here, dir).expect("a minimal hop");
+                            plan.advance(dir.dim);
+                            assert_eq!(plan.destination(&p, here), dst, "{shape} {tie:?}");
+                        }
+                        assert_eq!(here, dst);
                     }
                 }
             }

@@ -163,6 +163,36 @@ fn credit_acks_are_not_traced_as_a_phase() {
     assert!(trace.phase_span(1).is_some() && trace.phase_span(2).is_some());
 }
 
+/// The Two Phase Schedule queues sends at every node, its forwards
+/// included, and they wait in one send slab: a freed slot is reused before
+/// the slab grows, so its high-water is the most sends queued at once over
+/// the whole machine, never less than a traced sample's count of them.
+#[test]
+fn tps_send_slab_is_sized_by_the_most_sends_queued_at_once() {
+    let part: Partition = "4x4x4".parse().unwrap();
+    let mut cfg = SimConfig::new(part);
+    cfg.perf = Some(Default::default());
+    cfg.trace = Some(bgl_alltoall::sim::TraceConfig::every(16));
+    let tps = StrategyKind::tps();
+    let r = run_aa(
+        part,
+        &AaWorkload::full(240),
+        &tps,
+        &MachineParams::bgl(),
+        cfg,
+    )
+    .expect("simulation completes");
+    let perf = r.perf.expect("profiled");
+    let samples = r.trace.expect("traced").samples;
+    let sampled = samples.iter().map(|s| s.pending_sends).max().unwrap();
+    assert!(sampled > 0, "no sends were ever queued at a sample");
+    assert_eq!(perf.send_slots, perf.peak_queued_sends);
+    assert!(
+        perf.peak_queued_sends >= sampled,
+        "{perf:?} below {sampled}"
+    );
+}
+
 /// The same (partition, workload, strategy) is cycle-for-cycle
 /// reproducible across the whole stack.
 #[test]
