@@ -178,8 +178,8 @@ struct Grid {
 /// 8x32x16, where the full-coverage VMesh exchange needs the credit
 /// pacer to stay live — an earlier revision of this suite documented the
 /// unpaced stall (~390 k frozen packets) as a known limitation; the
-/// flow-control layer closed it (EXPERIMENTS.md §Flow control & pacing
-/// has the before/after).
+/// flow-control layer closed it (EXPERIMENTS.md, "Flow control: the
+/// 8x32x16 VMesh run", has the before/after).
 fn grid(tier: Tier) -> Grid {
     match tier {
         Tier::Quick => Grid {

@@ -17,8 +17,9 @@
 //!
 //! * [`Tier::Quick`] — the CI tier: small partitions, seconds-scale,
 //!   thresholds calibrated against the committed quick-scale results in
-//!   EXPERIMENTS.md. Quick scale inverts a few paper orderings (sampled
-//!   runs underestimate asymptotic efficiency), so quick checks assert
+//!   EXPERIMENTS.md. Quick scale inverts a few paper orderings (a sampled
+//!   run can read high or low, EXPERIMENTS.md, "Coverage sampling moves
+//!   the answer"), so quick checks assert
 //!   the orderings that are stable at that scale.
 //! * [`Tier::Full`] — paper-scale shapes (16×8×8 DR orientation sweep,
 //!   the 8×32×16 VMesh>TPS>AR ordering), minutes-scale; run on a

@@ -342,7 +342,8 @@ struct Win {
     fifo: u8,
     vc: Vc,
     /// Non-minimal fault sidestep: the winner re-plans its route from the
-    /// downstream node (see `apply_win`). Always false on a healthy run.
+    /// downstream node, minimally or the long way round a torus ring (see
+    /// `apply_win`). Always false on a healthy run.
     detour: bool,
 }
 

@@ -939,14 +939,21 @@ impl Phases<'_> {
         let fifo = self.shared.debit(nb, d, win.vc, chunks);
         pkt.vc = win.vc;
         if win.detour {
-            // Non-minimal fault sidestep: re-plan the whole route from the
+            // Non-minimal fault sidestep: re-plan the route from the
             // downstream node and remember not to bounce straight back
             // through the link just crossed (port `d.opposite()` of `nb`).
-            // The plan leads from this node to the destination.
+            // The reverse of a dead minimal direction on a torus dimension
+            // (a ring offers nothing else) goes on the long way round it,
+            // since the minimal route from `nb` leads straight back; any
+            // other detour re-plans minimally. The plan leads from this node.
             let part = &self.shared.part;
-            let to = pkt.plan.destination(part, part.coord_of(i as u32));
-            let from = part.coord_of(nb as u32);
-            pkt.plan = HopPlan::new(part, from, to, TieBreak::SrcParity);
+            pkt.plan =
+                if pkt.plan.dirs() >> d.opposite().index() & 1 != 0 && part.is_torus_dim(d.dim) {
+                    pkt.plan.long_way(part, d)
+                } else {
+                    let to = pkt.plan.destination(part, part.coord_of(i as u32));
+                    HopPlan::new(part, part.coord_of(nb as u32), to, TieBreak::SrcParity)
+                };
             pkt.note_detour(d.opposite().index());
         } else {
             pkt.plan.advance(d.dim);
@@ -987,8 +994,8 @@ mod tests {
     use crate::{Engine, ScriptedProgram};
 
     /// What a hop touches, pinned byte for byte: a field added to any of
-    /// these is a cost on the memory-bound rows (EXPERIMENTS.md, "packet
-    /// layout"), and this is the test that names it.
+    /// these is a cost on the memory-bound rows (EXPERIMENTS.md, "A hop
+    /// reads 20 bytes"), and this is the test that names it.
     #[test]
     fn hot_path_layout_is_pinned() {
         use std::mem::{size_of, size_of_val};
@@ -1006,7 +1013,7 @@ mod tests {
         // body and a 4-byte `next` word, and a hop pulls 20 of its bytes
         // through the cache instead of a whole 72-byte `Packet` (-11.7 % per
         // hop, 10/10 pairs, on the 4,096-node TPS row, whose 41k live packets
-        // outgrow the L2; EXPERIMENTS.md, "packet layout"). A field routing
+        // outgrow the L2; EXPERIMENTS.md, "A hop reads 20 bytes"). A field routing
         // reads belongs in `Hop`, and costs every hop; one it does not, in
         // the body.
         assert_eq!(size_of::<Hop>(), 20);

@@ -181,7 +181,8 @@ impl Shared {
     /// from whose far end the minimal route leads straight back, so the
     /// packet would ping-pong on the one dimension until its budget is
     /// spent. A ring (one dimension) has no perpendicular output and keeps
-    /// the reverse.
+    /// the reverse, which `apply_win` re-plans the long way round the ring
+    /// (`HopPlan::long_way`) on a torus dimension.
     pub(super) fn detour_dirs(&self, pkt: &Hop, n: usize) -> u16 {
         if pkt.routing != RoutingMode::Adaptive || pkt.detour_count() >= DETOUR_BUDGET {
             return 0;

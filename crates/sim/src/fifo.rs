@@ -59,7 +59,7 @@ const BLOCK: usize = 64;
 /// no faster measurably, and the smaller allocations stay under glibc's
 /// mmap threshold longer, served from a heap the process's later engines
 /// do not get back: `paper_suite_quick`'s `peak_rss_mb` grew 10.9 %
-/// (EXPERIMENTS.md, "packet layout").
+/// (EXPERIMENTS.md, "A hop reads 20 bytes").
 struct Block {
     hops: [Hop; BLOCK],
     bodies: [Body; BLOCK],

@@ -92,6 +92,19 @@ impl HopPlan {
         to
     }
 
+    /// The plan to the same destination from the neighbour one hop along
+    /// `dir` on a torus dimension this plan travels the other way: the rest
+    /// of the ring, `size - 1 - hops` hops in `dir`'s sign. It is not
+    /// minimal, and [`destination`](Self::destination) inverts it.
+    pub fn long_way(&self, part: &Partition, dir: Direction) -> HopPlan {
+        let i = dir.dim.index();
+        let h = part.size(dir.dim) - 1 - self.hops[i];
+        let mut plan = *self;
+        plan.hops[i] = h;
+        plan.dirs = plan.dirs & !(3 << (2 * i)) | u16::from(h > 0) << dir.index();
+        plan
+    }
+
     /// Remaining hops along `dim`.
     #[inline]
     pub fn hops(&self, dim: Dim) -> u16 {
@@ -500,6 +513,28 @@ mod tests {
                         }
                         assert_eq!(here, dst);
                     }
+                }
+            }
+        }
+    }
+
+    /// `long_way` from the neighbour behind the travel direction reaches
+    /// the same destination around the rest of the ring, on every pair of a
+    /// torus with an odd and an even ring.
+    #[test]
+    fn long_way_reaches_the_same_destination() {
+        let p: Partition = "5x4".parse().unwrap();
+        for src in p.coords() {
+            for dst in p.coords() {
+                let plan = HopPlan::new(&p, src, dst, TieBreak::SrcParity);
+                for dir in plan.minimal_directions() {
+                    let back = dir.opposite();
+                    let long = plan.long_way(&p, back);
+                    let from = p.neighbor(src, back).unwrap();
+                    assert_eq!(long.destination(&p, from), dst);
+                    let rest = p.size(dir.dim) - 1 - plan.hops(dir.dim);
+                    assert_eq!(long.hops(dir.dim), rest);
+                    assert_eq!(long.direction(dir.dim), (rest > 0).then_some(back));
                 }
             }
         }
