@@ -14,7 +14,7 @@ use crate::flow::{self, KIND_CREDIT};
 use crate::walk::SendWalk;
 use crate::workload::AaWorkload;
 use bgl_model::MachineParams;
-use bgl_sim::{NodeApi, NodeProgram, Packet, PollHint, RoutingMode, SendSpec};
+use bgl_sim::{NodeApi, NodeProgram, Packet, RoutingMode, SendSpec};
 use bgl_torus::Partition;
 
 /// Payload packet kind (the default [`bgl_sim::PacketMeta`]).
@@ -92,12 +92,6 @@ impl DirectProgram {
 }
 
 impl NodeProgram for DirectProgram {
-    /// Declines only while credit-blocked, and the credit ack arrives as
-    /// a delivered packet — so sleeping until the next delivery is exact.
-    fn poll_hint(&self) -> PollHint {
-        PollHint::SleepUntilDelivery
-    }
-
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
         let step = self.walk.peek()?;
         // Under credit-window pacing the destination is the bounded

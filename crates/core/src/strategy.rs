@@ -258,7 +258,7 @@ pub struct AaReport {
 
 /// Run an all-to-all of `workload` on `part` with `strategy`.
 ///
-/// `base` lets callers tweak the simulator (FIFO depths, CPU model,
+/// `base` lets callers tweak the simulator (FIFO depths, router rules,
 /// ablations); pass `SimConfig::new(part)` for the defaults. Strategy
 /// requirements (TPS injection-FIFO reservation, the strategy's pacer)
 /// are applied on top.

@@ -14,7 +14,7 @@ use crate::flow::{self, KIND_CREDIT};
 use crate::walk::SendWalk;
 use crate::workload::AaWorkload;
 use bgl_model::MachineParams;
-use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
+use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, RoutingMode, SendSpec};
 use bgl_torus::{Coord, Dim, Partition};
 
 pub use crate::flow::CreditConfig;
@@ -28,15 +28,13 @@ pub const CLASS_PLANAR: u8 = 1;
 const KIND_PHASE1: u8 = 1;
 const KIND_PHASE2: u8 = 2;
 
-/// TPS tuning. Credit-based flow control is no longer configured here:
-/// attach a [`Pacer::CreditWindow`](crate::Pacer) to the strategy and the
-/// engine enforces the window (see [`bgl_sim::flow`]).
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct TpsConfig {
-    /// Linear (phase-1) dimension; `None` picks automatically via
-    /// [`choose_linear_dim`].
-    pub linear: Option<Dim>,
-}
+/// TPS configuration; pass `TpsConfig::default()` to
+/// [`TpsProgram::new`]. Carries no knobs: the linear dimension is
+/// [`choose_linear_dim`]'s, and credit flow control is the strategy's
+/// [`Pacer::CreditWindow`](crate::Pacer), which the engine enforces (see
+/// [`bgl_sim::flow`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TpsConfig {}
 
 /// The paper's linear-dimension choice: prefer the dimension whose removal
 /// leaves a *symmetric* plane (the odd-one-out size); otherwise the longest
@@ -104,13 +102,13 @@ impl TpsProgram {
         rank: u32,
         part: &Partition,
         workload: &AaWorkload,
-        cfg: &TpsConfig,
+        _cfg: &TpsConfig,
         params: &MachineParams,
     ) -> TpsProgram {
         TpsProgram {
             rank,
             coord: part.coord_of(rank),
-            linear: cfg.linear.unwrap_or_else(|| choose_linear_dim(part)),
+            linear: choose_linear_dim(part),
             walk: SendWalk::direct(rank, part, workload, 1, params.alpha_direct_cycles, params),
             gamma_cycles_per_chunk: params.gamma_sim_cycles_per_chunk(),
         }
@@ -130,13 +128,6 @@ impl TpsProgram {
 }
 
 impl NodeProgram for TpsProgram {
-    /// Declines only when done sending or credit-blocked toward a linear
-    /// intermediate; the ack arrives as a delivered credit packet, so
-    /// sleeping until the next delivery is exact.
-    fn poll_hint(&self) -> PollHint {
-        PollHint::SleepUntilDelivery
-    }
-
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
         let step = self.walk.peek()?;
         let part = api.partition();
@@ -234,6 +225,9 @@ mod tests {
     #[test]
     fn linear_dim_low_dimensional() {
         assert_eq!(choose_linear_dim(&"16x1x1".parse().unwrap()), Dim::X);
+        // The shapes the program tests below read as "X is linear".
+        assert_eq!(choose_linear_dim(&"4x2x2".parse().unwrap()), Dim::X);
+        assert_eq!(choose_linear_dim(&"8x1x1".parse().unwrap()), Dim::X);
         assert_eq!(choose_linear_dim(&"8x32".parse().unwrap()), Dim::Y);
     }
 
@@ -251,9 +245,7 @@ mod tests {
     fn phase1_packets_travel_linear_dimension_only() {
         let part: Partition = "4x2x2".parse().unwrap();
         let w = AaWorkload::full(100);
-        let cfg = TpsConfig {
-            linear: Some(Dim::X),
-        };
+        let cfg = TpsConfig::default();
         let mut prog = TpsProgram::new(0, &part, &w, &cfg, &MachineParams::bgl());
         let mut q = std::collections::VecDeque::new();
         let mut api = NodeApi::new(0, part.coord_of(0), 0, &part, &mut q);
@@ -282,9 +274,7 @@ mod tests {
     fn intermediate_forwards_phase1() {
         let part: Partition = "4x2x2".parse().unwrap();
         let w = AaWorkload::full(64);
-        let cfg = TpsConfig {
-            linear: Some(Dim::X),
-        };
+        let cfg = TpsConfig::default();
         // Node 1 acts as intermediate for a packet whose final dest is 5.
         let mut prog = TpsProgram::new(1, &part, &w, &cfg, &MachineParams::bgl());
         let mut q = std::collections::VecDeque::new();
@@ -305,9 +295,7 @@ mod tests {
     fn phase1_to_final_destination_is_not_forwarded() {
         let part: Partition = "4x2x2".parse().unwrap();
         let w = AaWorkload::full(64);
-        let cfg = TpsConfig {
-            linear: Some(Dim::X),
-        };
+        let cfg = TpsConfig::default();
         let mut prog = TpsProgram::new(1, &part, &w, &cfg, &MachineParams::bgl());
         let mut q = std::collections::VecDeque::new();
         let mut api = NodeApi::new(1, part.coord_of(1), 10, &part, &mut q);
@@ -319,9 +307,7 @@ mod tests {
     fn credit_window_blocks_and_credits_reopen() {
         let part: Partition = "8x1x1".parse().unwrap();
         let w = AaWorkload::full(240 * 20); // many packets per destination
-        let cfg = TpsConfig {
-            linear: Some(Dim::X),
-        };
+        let cfg = TpsConfig::default();
         let mut prog = TpsProgram::new(0, &part, &w, &cfg, &MachineParams::bgl());
         // The credit window now lives in the engine's per-node ledger,
         // surfaced to the program through the NodeApi.

@@ -16,7 +16,7 @@ use crate::flow::{self, KIND_CREDIT};
 use crate::walk::SendWalk;
 use crate::workload::{AaWorkload, Framing};
 use bgl_model::{MachineParams, CHUNK_BYTES};
-use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
+use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, RoutingMode, SendSpec};
 use bgl_torus::VirtualMesh;
 
 /// Phase-1 (row) packet kind.
@@ -89,13 +89,6 @@ impl VmeshProgram {
 }
 
 impl NodeProgram for VmeshProgram {
-    /// Declines only when credit-blocked (the ack is a delivered credit
-    /// packet), waiting on row messages before phase 2 (delivery-driven),
-    /// or finished — sleeping until the next delivery is exact.
-    fn poll_hint(&self) -> PollHint {
-        PollHint::SleepUntilDelivery
-    }
-
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
         let meta = |kind| PacketMeta {
             kind,

@@ -15,7 +15,7 @@ use crate::flow::{self, KIND_CREDIT};
 use crate::walk::SendWalk;
 use crate::workload::AaWorkload;
 use bgl_model::MachineParams;
-use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, PollHint, RoutingMode, SendSpec};
+use bgl_sim::{NodeApi, NodeProgram, Packet, PacketMeta, RoutingMode, SendSpec};
 use bgl_torus::{Coord, Partition};
 
 /// Injection classes, one per software-routing dimension, so an X-phase
@@ -85,13 +85,6 @@ impl XyzProgram {
 }
 
 impl NodeProgram for XyzProgram {
-    /// Declines only when done sending or credit-blocked toward the
-    /// first-hop intermediate; the ack arrives as a delivered credit
-    /// packet, so sleeping until the next delivery is exact.
-    fn poll_hint(&self) -> PollHint {
-        PollHint::SleepUntilDelivery
-    }
-
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
         let step = self.walk.peek()?;
         let part = api.partition();

@@ -27,7 +27,7 @@ pub const MAX_PACKET_PAYLOAD: u32 = MAX_PACKET_BYTES - PACKET_OVERHEAD_BYTES;
 /// | torus packet                | 32-B multiples up to 256 B, 240 B max payload | [`CHUNK_BYTES`], [`MAX_PACKET_BYTES`], [`PACKET_OVERHEAD_BYTES`] |
 /// | minimum AA packet           | 64 B | [`min_packet_bytes`](Self::min_packet_bytes) |
 /// | CPU clock                   | 700 MHz | [`cpu_mhz`](Self::cpu_mhz) |
-/// | per-core link throughput    | ~4 links (data not in L1) | the simulator's `CpuConfig::chunks_per_cycle` |
+/// | per-core link throughput    | ~4 links (data not in L1) | the simulator's `bgl_sim::config::CPU_CHUNKS_PER_CYCLE` |
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineParams {
     /// Per-destination startup overhead of the packetized direct (AR)

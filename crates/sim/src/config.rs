@@ -1,5 +1,5 @@
-//! Simulator configuration: router microarchitecture, buffer geometry and
-//! the node CPU model.
+//! Simulator configuration: router microarchitecture and buffer geometry,
+//! and the node CPU model, which is fixed.
 //!
 //! Time is measured in *cycles*: one cycle is the time a 32-byte chunk takes
 //! to cross one link (~207 ns, ~145 CPU cycles on the real machine — see
@@ -85,31 +85,23 @@ impl std::fmt::Display for EngineMode {
     }
 }
 
-/// Node CPU model: the cores inject packets into injection FIFOs, drain
-/// reception FIFOs and perform software copies; BG/L has no DMA engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpuConfig {
-    /// Sustained CPU data bandwidth, in chunks per cycle, shared between
-    /// injection, reception and copies. The paper's "the processor can only
-    /// keep about four links busy" is 4.0.
-    pub chunks_per_cycle: f64,
-    /// Fixed CPU time per packet injected, cycles (FIFO descriptor writes
-    /// and bookkeeping, separate from the per-message α charged by
-    /// strategies).
-    pub per_packet_inject_cycles: f64,
-    /// Fixed CPU time per packet drained from the reception FIFO, cycles.
-    pub per_packet_receive_cycles: f64,
-}
+/// Sustained CPU data bandwidth of a node, in chunks per cycle, shared
+/// between injection, reception and copies. The cores do all of this
+/// themselves (BG/L has no DMA engine), and the paper's "the processor can
+/// only keep about four links busy" is 4.0.
+pub const CPU_CHUNKS_PER_CYCLE: f64 = 4.0;
 
-impl Default for CpuConfig {
-    fn default() -> Self {
-        CpuConfig {
-            chunks_per_cycle: 4.0,
-            per_packet_inject_cycles: 0.35,
-            per_packet_receive_cycles: 0.35,
-        }
-    }
-}
+/// Fixed CPU time per packet injected, cycles: FIFO descriptor writes and
+/// bookkeeping, separate from the per-message α a strategy charges.
+pub const CPU_INJECT_CYCLES_PER_PACKET: f64 = 0.35;
+
+/// Fixed CPU time per packet drained from the reception FIFO, cycles.
+pub const CPU_RECEIVE_CYCLES_PER_PACKET: f64 = 0.35;
+
+/// Reception FIFO capacity of a node, chunks (eight full packets). When it
+/// is full, arriving packets stall in their VC FIFOs and back-pressure the
+/// network.
+pub const RECEPTION_FIFO_CHUNKS: u32 = 64;
 
 /// Router microarchitecture knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -160,14 +152,9 @@ pub struct SimConfig {
     pub partition: Partition,
     /// Router knobs.
     pub router: RouterConfig,
-    /// CPU model.
-    pub cpu: CpuConfig,
     /// Number of injection FIFOs per node (BG/L has eight; six is enough
     /// for every strategy here and keeps state small).
     pub inj_fifo_count: u32,
-    /// Reception FIFO capacity, chunks. When full, arriving packets stall
-    /// in their VC FIFOs and back-pressure the network.
-    pub reception_fifo_chunks: u32,
     /// Per-injection-FIFO class masks: FIFO `f` accepts packets of class
     /// `c` iff `masks[f] & (1 << c) != 0`. Empty (the default) means every
     /// FIFO accepts every class. The Two Phase Schedule reserves disjoint
@@ -243,14 +230,12 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// Defaults for a given partition (BG/L-like router and CPU).
+    /// Defaults for a given partition (a BG/L-like router).
     pub fn new(partition: Partition) -> SimConfig {
         SimConfig {
             partition,
             router: RouterConfig::default(),
-            cpu: CpuConfig::default(),
             inj_fifo_count: 6,
-            reception_fifo_chunks: 64,
             inj_class_masks: Vec::new(),
             flow: FlowSpec::Unpaced,
             watchdog_cycles: 200_000,
@@ -298,7 +283,6 @@ mod tests {
         assert_eq!(c.router.vc_fifo_chunks, 64);
         assert!(c.router.transit_priority);
         assert!(c.router.adaptive_bubble_escape);
-        assert_eq!(c.cpu.chunks_per_cycle, 4.0);
         assert_eq!(c.inj_fifo_count, 6);
     }
 

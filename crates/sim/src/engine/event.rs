@@ -29,8 +29,8 @@
 //! - no deliveries (the gate found `deliver_q` empty, and a push onto it
 //!   comes only from an arrival, a drain re-queueing stalled deliveries,
 //!   or a win exposing an arrived head — each in a stepped cycle),
-//! - every CPU visit is a blocked poll — a rate-window check or a pure
-//!   `next_send` decline ([`PollHint::SleepUntilDelivery`]) — whose only
+//! - every CPU visit is a blocked poll — a rate-window check or a
+//!   `next_send` decline, which is pure until a delivery — whose only
 //!   effect is incrementing `pacing_blocked_cycles` /
 //!   `credit_blocked_events` by a per-cycle constant: the node's own
 //!   `owed_from` already counts those cycles, settled when it is next

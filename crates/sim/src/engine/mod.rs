@@ -659,10 +659,6 @@ impl Engine {
         let part = cfg.partition;
         let p = part.num_nodes() as usize;
         assert_eq!(programs.len(), p, "need exactly one program per node");
-        assert!(
-            cfg.cpu.chunks_per_cycle > 0.0,
-            "CPU bandwidth must be positive"
-        );
         cfg.flow.validate();
         if let Err(e) = cfg.fault.validate(&part) {
             panic!("invalid fault plan: {e}");

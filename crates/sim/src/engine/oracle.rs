@@ -12,7 +12,7 @@
 //! order with it on or off.
 
 use super::{phases::INJ_FIFO_CHUNKS, Engine};
-use crate::config::NUM_VCS;
+use crate::config::{NUM_VCS, RECEPTION_FIFO_CHUNKS};
 use crate::node::PollState;
 use crate::packet::Packet;
 
@@ -240,7 +240,7 @@ impl Engine {
                 );
             }
             let inj = st.fifos.inj(ni).iter().map(|f| (f, INJ_FIFO_CHUNKS));
-            for (f, capacity) in inj.chain([(st.fifos.reception(ni), cfg.reception_fifo_chunks)]) {
+            for (f, capacity) in inj.chain([(st.fifos.reception(ni), RECEPTION_FIFO_CHUNKS)]) {
                 assert!(
                     f.occupied_chunks() <= capacity,
                     "invariant violated: FIFO at node {ni} over capacity \

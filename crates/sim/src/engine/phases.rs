@@ -99,13 +99,16 @@
 use super::oracle::Oracle;
 use super::router::Credits;
 use super::{bits, Arrival, State, Win, RING};
-use crate::config::{SimConfig, Vc, NUM_VCS};
+use crate::config::{
+    SimConfig, Vc, CPU_CHUNKS_PER_CYCLE, CPU_INJECT_CYCLES_PER_PACKET,
+    CPU_RECEIVE_CYCLES_PER_PACKET, NUM_VCS, RECEPTION_FIFO_CHUNKS,
+};
 use crate::fifo::{ChunkFifo, SendSlab, Slab};
 use crate::flow::FlowSpec;
 use crate::node::{NodeState, PollState};
 use crate::packet::{Hop, Packet, RoutingMode, SendSpec};
 use crate::perf::{PerfProfile, PhaseSecs};
-use crate::program::{NodeApi, NodeProgram, PollHint};
+use crate::program::{NodeApi, NodeProgram};
 use bgl_torus::{Coord, Dim, Direction, HopPlan, Partition, TieBreak, MAX_DIMS};
 
 /// How far into the pending queue the injector looks for a packet whose
@@ -395,7 +398,6 @@ impl Phases<'_> {
     /// Move deliverable head packets of `fifo` of node `i` into the
     /// reception FIFO at cycle `t`.
     fn try_deliver(&mut self, i: usize, fifo: usize, t: u64) {
-        let capacity = self.shared.cfg.reception_fifo_chunks;
         loop {
             let (n, slab) = (&mut self.st.nodes[i], &mut self.st.slab);
             let Some(h) = self.st.fifos.vcs(i)[fifo].head() else {
@@ -405,7 +407,7 @@ impl Phases<'_> {
                 return;
             }
             let chunks = slab[h].chunks as u32;
-            if self.st.fifos.reception(i).occupied_chunks() + chunks > capacity {
+            if self.st.fifos.reception(i).occupied_chunks() + chunks > RECEPTION_FIFO_CHUNKS {
                 self.st.stats.reception_stall_events += 1;
                 if !n.blocked_deliveries.contains(&(fifo as u8)) {
                     n.blocked_deliveries.push(fifo as u8);
@@ -580,17 +582,15 @@ impl Phases<'_> {
                             st.sends.push(&mut st.nodes[i].pulled, s);
                         }
                         None => {
+                            // `next_send`'s contract: a decline is pure
+                            // (no send queued, the same denials when asked
+                            // again) until a delivery.
                             declined = true;
-                            if prog.poll_hint() == PollHint::SleepUntilDelivery {
-                                // The SleepUntilDelivery contract: a decline
-                                // is pure (frozen program state, repeatable
-                                // denial count) until a delivery.
-                                debug_assert!(
-                                    self.st.nodes[i].pending.len() == reactive,
-                                    "SleepUntilDelivery program mutated state on decline"
-                                );
-                                self.st.nodes[i].poll = PollState::Asleep { denials };
-                            }
+                            debug_assert!(
+                                self.st.nodes[i].pending.len() == reactive,
+                                "node {i}'s program queued a send while declining"
+                            );
+                            self.st.nodes[i].poll = PollState::Asleep { denials };
                         }
                     }
                 }
@@ -665,14 +665,13 @@ impl Phases<'_> {
 
     /// Drain one packet from the reception FIFO and run `on_packet`.
     fn cpu_drain_one(&mut self, i: usize, prog: &mut Box<dyn NodeProgram>, t: u64) {
-        let cpu = &self.shared.cfg.cpu;
         let node = &mut self.st.nodes[i];
         // The packet leaves the network here, and its slot with it: taken
         // out before the hook runs, which borrows all of `self`. This node
         // is the destination, so its coordinate is the packet's.
         let h = self.st.fifos.reception_mut(i).pop(&self.st.slab);
         let pkt = self.st.slab.take(h, node.coord);
-        let cost = cpu.per_packet_receive_cycles + pkt.chunks as f64 / cpu.chunks_per_cycle;
+        let cost = CPU_RECEIVE_CYCLES_PER_PACKET + pkt.chunks as f64 / CPU_CHUNKS_PER_CYCLE;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
         let stats = &mut self.st.stats;
@@ -716,10 +715,9 @@ impl Phases<'_> {
             None => st.sends.remove(&mut node.pending, qi),
             Some(pi) => st.sends.remove(&mut node.pulled, pi),
         };
-        let cpu = &self.shared.cfg.cpu;
         let cost = spec.cpu_cost_cycles
-            + cpu.per_packet_inject_cycles
-            + spec.chunks as f64 / cpu.chunks_per_cycle;
+            + CPU_INJECT_CYCLES_PER_PACKET
+            + spec.chunks as f64 / CPU_CHUNKS_PER_CYCLE;
         node.cpu_free = node.cpu_free.max(t as f64) + cost;
         node.cpu_busy += cost;
         // The plan is the one computed for FIFO affinity during the scan,

@@ -44,13 +44,13 @@ pub mod program;
 pub mod stats;
 pub mod trace;
 
-pub use config::{CpuConfig, EngineMode, RouterConfig, SimConfig, Vc, NUM_VCS};
+pub use config::{EngineMode, RouterConfig, SimConfig, Vc, NUM_VCS};
 pub use engine::{Engine, FaultBlock, SimError, StallBreakdown};
 pub use fault::{FaultPlan, LinkFault, LinkSchedule, NodeFault};
 pub use flow::{FlowLedger, FlowSpec};
 pub use packet::{Packet, PacketMeta, RoutingMode, SendSpec, NO_DETOUR};
 pub use perf::{EventPerf, PerfConfig, PerfProfile, PhaseSecs};
-pub use program::{NodeApi, NodeProgram, PollHint, ScriptedProgram};
+pub use program::{NodeApi, NodeProgram, ScriptedProgram};
 pub use stats::NetStats;
 pub use trace::{OccStat, Trace, TraceConfig, TraceSample};
 
@@ -320,30 +320,41 @@ mod tests {
         assert_eq!(stats.packets_delivered, 2);
     }
 
-    /// CPU bandwidth limits injection: starving the CPU visibly slows an
-    /// uncontended stream.
+    /// CPU bandwidth limits injection: a 4x4x4 node streaming to its six
+    /// neighbours has six links, 6 chunks per cycle, but a CPU that moves
+    /// 4, less its per-packet cost, so the run ends near the CPU's bound,
+    /// well past the links'.
     #[test]
     fn cpu_bandwidth_bounds_injection_rate() {
-        let time_with_bw = |bw: f64| {
-            let mut cfg = SimConfig::new("2x1x1".parse().unwrap());
-            cfg.cpu.chunks_per_cycle = bw;
-            cfg.cpu.per_packet_inject_cycles = 0.0;
-            cfg.cpu.per_packet_receive_cycles = 0.0;
-            let n = 400;
-            let programs = vec![
-                boxed(ScriptedProgram::new(
-                    (0..n).map(|_| SendSpec::adaptive(1, 8, 240)).collect(),
-                    0,
-                )),
-                boxed(ScriptedProgram::new(vec![], n)),
-            ];
-            Engine::new(cfg, programs).run().unwrap().completion_cycle as f64
-        };
-        // On a 2-node line only one +X link exists, so the wire needs 8
-        // cycles/packet; at 0.5 chunks/cycle the CPU needs 16 and becomes
-        // the bottleneck.
-        let fast = time_with_bw(4.0);
-        let slow = time_with_bw(0.5);
-        assert!(slow / fast > 1.6, "fast={fast} slow={slow}");
+        use config::{CPU_CHUNKS_PER_CYCLE, CPU_INJECT_CYCLES_PER_PACKET};
+        let part: Partition = "4x4x4".parse().unwrap();
+        let (per_link, chunks) = (100u64, 8u8);
+        let neighbours: Vec<u32> = bgl_torus::Direction::all(3)
+            .map(|dir| part.rank_of(part.neighbor(part.coord_of(0), dir).unwrap()))
+            .collect();
+        let mut programs: Vec<Box<dyn NodeProgram>> =
+            (0..64).map(|_| boxed(ScriptedProgram::idle())).collect();
+        let sends = (0..per_link).flat_map(|_| {
+            neighbours
+                .iter()
+                .map(|&d| SendSpec::adaptive(d, chunks, chunks as u32 * 30))
+        });
+        programs[0] = boxed(ScriptedProgram::new(sends.collect(), 0));
+        for &d in &neighbours {
+            programs[d as usize] = boxed(ScriptedProgram::new(vec![], per_link));
+        }
+        let cycles = Engine::new(SimConfig::new(part), programs)
+            .run()
+            .unwrap()
+            .completion_cycle as f64;
+        let packets = (per_link * 6) as f64;
+        let link_bound = packets * chunks as f64 / 6.0;
+        let per_packet = CPU_INJECT_CYCLES_PER_PACKET + chunks as f64 / CPU_CHUNKS_PER_CYCLE;
+        let cpu_bound = packets * per_packet;
+        assert!(cpu_bound > 1.5 * link_bound, "{cpu_bound} {link_bound}");
+        assert!(
+            cycles >= cpu_bound - per_packet && cycles < 1.02 * cpu_bound,
+            "completion {cycles}, CPU bound {cpu_bound}, link bound {link_bound}"
+        );
     }
 }

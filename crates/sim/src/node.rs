@@ -33,9 +33,7 @@ pub(crate) const PULL_THRESHOLD: usize = 8;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum PollState {
     /// No standing decline: the node may accept a pull whenever its CPU is
-    /// free (also the conservative state for programs that decline with
-    /// [`PollHint::EveryCycle`](crate::PollHint) — they force a wake every
-    /// cycle, trading skips for unconditional correctness).
+    /// free.
     #[default]
     Open,
     /// The engine-level rate window was closed; re-poll no earlier than
@@ -43,8 +41,8 @@ pub enum PollState {
     /// ends (a send it pulled first may have moved it). Every cycle until
     /// then counts one `pacing_blocked_cycles`.
     Rate,
-    /// The program declined with `SleepUntilDelivery`: no timed wake at
-    /// all. `denials` credit acquisitions failed during the declining
+    /// The program declined its pull (`NodeProgram::next_send`): no timed
+    /// wake at all, only a delivery re-arms the node. `denials` credit acquisitions failed during the declining
     /// poll; the decline is pure, so a cycle-stepped clock would repeat
     /// exactly that count every idle cycle — settled per node over the
     /// cycles it is passed over for.

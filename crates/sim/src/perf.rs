@@ -116,8 +116,9 @@ pub struct EventPerf {
     pub wake_open_poll: u64,
     /// Jumps bounded by a closed rate window's `next_allowed` boundary.
     pub wake_rate_window: u64,
-    /// Jumps bounded by a `SleepUntilDelivery` sleeper (typically a
-    /// credit-window-blocked program) whose reception FIFO has work.
+    /// Jumps bounded by a program asleep on a `next_send` decline
+    /// (typically a credit-window-blocked one) whose reception FIFO has
+    /// work.
     pub wake_credit_sleeper: u64,
     /// Jumps bounded by a busy output link's release cycle.
     pub wake_link_busy: u64,

@@ -23,26 +23,6 @@ use crate::packet::{Packet, SendSpec};
 use bgl_torus::{Coord, Partition};
 use std::collections::VecDeque;
 
-/// How the engine may schedule [`NodeProgram::next_send`] polls after a
-/// decline — the contract a program makes with the event-driven engine
-/// mode ([`crate::EngineMode::EventDriven`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum PollHint {
-    /// Poll again every cycle (the conservative default). A declined
-    /// program with this hint keeps its node awake, so the event-driven
-    /// engine cannot skip time while it is incomplete — correct for any
-    /// program, including ones whose readiness depends on wall-clock
-    /// cycle counts rather than deliveries.
-    #[default]
-    EveryCycle,
-    /// A decline is stable until something is delivered to this node:
-    /// `next_send` is pure on the decline path (no self-mutation beyond
-    /// credit-denial counting) and its answer can only change via
-    /// `on_packet`/`apply_credit`. The event-driven engine lets the node
-    /// sleep until the next delivery instead of re-polling every cycle.
-    SleepUntilDelivery,
-}
-
 /// Per-node software hooks. One boxed instance per node; all calls run "on"
 /// the node's simulated CPU.
 pub trait NodeProgram: Send {
@@ -54,10 +34,14 @@ pub trait NodeProgram: Send {
         let _ = (api, pkt);
     }
 
-    /// Pull the next packet to inject. Called whenever the node's pending
-    /// queue is empty and the CPU has injection capacity. Return `None` to
-    /// decline this cycle (the engine polls again next cycle), e.g. for
-    /// paced/throttled injection.
+    /// Pull the next packet to inject. Called whenever the node's pulled
+    /// queue has room and the CPU has injection capacity. Return `None` to
+    /// decline: the node sleeps until its next delivery, so the answer may
+    /// change only through [`on_packet`](Self::on_packet) (a forward
+    /// queued, a credit returned). A decline must be pure: it queues no
+    /// send, and asked again before a delivery the program would decline
+    /// again with the same credit denials. Pacing by time is the engine's
+    /// [`FlowSpec::Rate`](crate::FlowSpec::Rate) window, not the program's.
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
         let _ = api;
         None
@@ -78,15 +62,6 @@ pub trait NodeProgram: Send {
     /// anything further. The simulation ends when every program is complete
     /// *and* the network has fully drained.
     fn is_complete(&self) -> bool;
-
-    /// How a `None` from [`NodeProgram::next_send`] may be scheduled
-    /// around (see [`PollHint`]). The default keeps legacy programs
-    /// correct under every engine mode at the cost of event-skipping;
-    /// programs whose declines are delivery-driven should return
-    /// [`PollHint::SleepUntilDelivery`].
-    fn poll_hint(&self) -> PollHint {
-        PollHint::EveryCycle
-    }
 }
 
 /// The runtime interface a [`NodeProgram`] sees.
@@ -243,13 +218,6 @@ impl NodeProgram for ScriptedProgram {
 
     fn is_complete(&self) -> bool {
         self.to_send.is_empty() && self.received + self.dropped >= self.expect
-    }
-
-    /// `next_send` only declines once the script is exhausted, which no
-    /// delivery can undo — but the *completion* of the node is
-    /// delivery-driven, so sleeping until the next delivery is exact.
-    fn poll_hint(&self) -> PollHint {
-        PollHint::SleepUntilDelivery
     }
 }
 

@@ -1,14 +1,42 @@
-//! The one differential helper. Every test that claims "the clock mode
-//! and the observers cannot change a result" says so by calling
-//! [`run_modes`]: `engine_equivalence.rs` and
-//! `event_engine.rs` beside this file, and — through `#[path]` — the
-//! workspace fuzzer `tests/engine_equivalence.rs`.
+//! Helpers shared by the simulator's integration tests. The one
+//! differential helper: every test that claims "the clock mode and the
+//! observers cannot change a result" says so by calling [`run_modes`]:
+//! `engine_equivalence.rs` and `event_engine.rs` beside this file, and —
+//! through `#[path]` — the workspace fuzzer `tests/engine_equivalence.rs`.
+//! And the one uniform all-to-all program set, [`uniform`].
 #![allow(dead_code)] // each including test crate uses its own subset
 
 use bgl_sim::{
-    Engine, EngineMode, EventPerf, NetStats, NodeProgram, PerfConfig, PerfProfile, SimConfig,
-    SimError, Trace, TraceConfig,
+    Engine, EngineMode, EventPerf, NetStats, NodeProgram, PerfConfig, PerfProfile, ScriptedProgram,
+    SendSpec, SimConfig, SimError, Trace, TraceConfig,
 };
+use bgl_torus::Partition;
+
+/// A uniform all-to-all: every node sends `k` packets of `chunks` chunks
+/// (30 payload bytes each) to every other node, deterministically or
+/// adaptively routed, and expects as many from each.
+pub fn uniform(
+    part: &Partition,
+    k: u64,
+    chunks: u8,
+    deterministic: bool,
+) -> Vec<Box<dyn NodeProgram>> {
+    let p = part.num_nodes();
+    let send = if deterministic {
+        SendSpec::deterministic
+    } else {
+        SendSpec::adaptive
+    };
+    (0..p)
+        .map(|r| {
+            let sends = (0..p)
+                .filter(|&d| d != r)
+                .flat_map(|d| (0..k).map(move |_| send(d, chunks, chunks as u32 * 30)));
+            let expect = (p as u64 - 1) * k;
+            Box::new(ScriptedProgram::new(sends.collect(), expect)) as Box<dyn NodeProgram>
+        })
+        .collect()
+}
 
 /// The values each axis takes, beside the two engine modes; the helper
 /// runs their full cross product.

@@ -5,55 +5,42 @@
 //! `cpu_free` far in the past, and an unanchored `cpu_free += cost` lets it
 //! absorb new work retroactively — paying nothing in wall-clock.
 
-use bgl_sim::{Engine, NodeApi, NodeProgram, ScriptedProgram, SendSpec, SimConfig, SimError};
+use bgl_sim::{Engine, FlowSpec, NodeProgram, ScriptedProgram, SendSpec, SimConfig, SimError};
 use bgl_torus::Partition;
 
-/// Wakes up at cycle `release` after a long idle stretch, charges `charge`
-/// CPU cycles with the first of two sends (a paced sender paying a batch
-/// bookkeeping cost), then follows with an uncharged second send.
-struct LateCharger {
-    release: u64,
-    charge: f64,
-    sent: u8,
-}
-
-impl NodeProgram for LateCharger {
-    fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
-        if api.now < self.release || self.sent == 2 {
-            return None;
-        }
-        self.sent += 1;
-        let charge = if self.sent == 1 { self.charge } else { 0.0 };
-        Some(SendSpec::adaptive(1, 1, 32).with_cpu_cost(charge))
-    }
-
-    fn is_complete(&self) -> bool {
-        self.sent == 2
-    }
-}
-
 /// An idle node that charges CPU at cycle `t` must pay the full charge
-/// *from `t`*, not from its stale `cpu_free`. With the backdating bug,
-/// `cpu_free ≈ 0 + charge` lands in the past, the charge is absorbed
-/// entirely, and the follow-up send injects at `release` instead of
-/// `release + charge` — visible as an early completion cycle.
+/// *from `t`*, not from its stale `cpu_free`. Node 0's first send closes
+/// its rate window until `release`, idling the CPU; at `release` it pulls
+/// a send that charges `charge` CPU cycles, then an uncharged one. The
+/// window reopens well before the charge is served, so the CPU alone
+/// holds the third send back. With the backdating bug, `cpu_free ≈ 2 +
+/// charge` lands in the past, the charge is absorbed entirely, and the
+/// third send injects when the window reopens instead of at `release +
+/// charge` — visible as an early completion cycle.
 #[test]
 fn idle_node_cannot_absorb_a_late_cpu_charge_retroactively() {
     let part: Partition = "2x1x1".parse().unwrap();
-    let release = 500u64;
+    let (rate, first_chunks) = (1.0 / 64.0, 8u8);
+    let release = (first_chunks as f64 / rate) as u64; // 512
     let charge = 100.0;
-    let cfg = SimConfig::new(part);
+    let mut cfg = SimConfig::new(part);
+    cfg.flow = FlowSpec::Rate {
+        chunks_per_cycle: rate,
+    };
+    let sends = vec![
+        SendSpec::adaptive(1, first_chunks, 240),
+        SendSpec::adaptive(1, 1, 32).with_cpu_cost(charge),
+        SendSpec::adaptive(1, 1, 32),
+    ];
+    // The window after the charged 1-chunk send reopens at `release + 64`.
+    assert!(release as f64 + 1.0 / rate < release as f64 + charge);
     let programs: Vec<Box<dyn NodeProgram>> = vec![
-        Box::new(LateCharger {
-            release,
-            charge,
-            sent: 0,
-        }),
-        Box::new(ScriptedProgram::new(vec![], 2)),
+        Box::new(ScriptedProgram::new(sends, 0)),
+        Box::new(ScriptedProgram::new(vec![], 3)),
     ];
     let stats = Engine::new(cfg, programs).run().expect("completes");
-    // The second send cannot leave the CPU before the first send's
-    // 100-cycle charge is served: completion lands after cycle 600.
+    // The third send cannot leave the CPU before the second send's
+    // 100-cycle charge is served: completion lands after cycle 612.
     assert!(
         stats.completion_cycle >= release + charge as u64,
         "completion {} absorbed the late CPU charge",

@@ -8,29 +8,7 @@ mod common;
 
 use bgl_sim::{EngineMode, NodeProgram, ScriptedProgram, SendSpec, SimConfig};
 use bgl_torus::Partition;
-use common::{engine_cell, run_modes, Axes};
-
-fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box<dyn NodeProgram>> {
-    let p = part.num_nodes();
-    (0..p)
-        .map(|r| {
-            let sends: Vec<SendSpec> = (0..p)
-                .filter(|&d| d != r)
-                .flat_map(|d| {
-                    (0..k).map(move |_| {
-                        if deterministic {
-                            SendSpec::deterministic(d, chunks, chunks as u32 * 30)
-                        } else {
-                            SendSpec::adaptive(d, chunks, chunks as u32 * 30)
-                        }
-                    })
-                })
-                .collect();
-            let expect = (p as u64 - 1) * k;
-            Box::new(ScriptedProgram::new(sends, expect)) as Box<dyn NodeProgram>
-        })
-        .collect()
-}
+use common::{engine_cell, run_modes, uniform, Axes};
 
 /// The pinned grid of scripted all-to-alls: symmetric and asymmetric
 /// shapes, adaptive and deterministic routing, sparse and saturating load.
@@ -194,25 +172,27 @@ proptest::proptest! {
     }
 }
 
-/// Backpressure corner: a hot sink with a tiny reception FIFO exercises
-/// blocked-delivery retries and CPU re-activation; stats stay identical.
+/// Backpressure corner: a hot sink whose CPU one expensive send books
+/// fills its reception FIFO, which exercises blocked-delivery retries and
+/// CPU re-activation; stats stay identical.
 #[test]
 fn hotspot_backpressure_matches_across_modes() {
     let part: Partition = "4x4".parse().unwrap();
-    let mut cfg = SimConfig::new(part);
-    cfg.reception_fifo_chunks = 8;
-    cfg.cpu.chunks_per_cycle = 0.5;
+    let cfg = SimConfig::new(part);
     let programs = || {
         (0..16u32)
             .map(|r| {
-                if r == 0 {
-                    Box::new(ScriptedProgram::new(vec![], 15 * 10)) as Box<dyn NodeProgram>
-                } else {
-                    Box::new(ScriptedProgram::new(
+                let (sends, expect) = match r {
+                    0 => (
+                        vec![SendSpec::adaptive(1, 1, 1).with_cpu_cost(400.0)],
+                        15 * 10,
+                    ),
+                    _ => (
                         (0..10).map(|_| SendSpec::adaptive(0, 8, 240)).collect(),
-                        0,
-                    ))
-                }
+                        u64::from(r == 1),
+                    ),
+                };
+                Box::new(ScriptedProgram::new(sends, expect)) as Box<dyn NodeProgram>
             })
             .collect()
     };

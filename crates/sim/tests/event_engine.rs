@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 
 use bgl_sim::{
     Engine, EngineMode, FlowSpec, LinkFault, NetStats, NodeApi, NodeProgram, Packet, PacketMeta,
-    PerfConfig, PerfProfile, PollHint, ScriptedProgram, SendSpec, SimConfig, SimError,
+    PerfConfig, PerfProfile, ScriptedProgram, SendSpec, SimConfig, SimError,
 };
 use bgl_torus::{Coord, Dim, Direction, Partition, Sign};
 use common::{engine_cell, run_modes, Axes};
@@ -137,10 +137,6 @@ struct StopAndWaitSource {
 const KIND_ACK: u8 = 9;
 
 impl NodeProgram for StopAndWaitSource {
-    fn poll_hint(&self) -> PollHint {
-        PollHint::SleepUntilDelivery
-    }
-
     fn next_send(&mut self, api: &mut NodeApi<'_>) -> Option<SendSpec> {
         if self.sent >= self.total || !api.try_acquire_credit(self.dst) {
             return None;
@@ -170,10 +166,6 @@ struct AckingSink {
 }
 
 impl NodeProgram for AckingSink {
-    fn poll_hint(&self) -> PollHint {
-        PollHint::SleepUntilDelivery
-    }
-
     fn next_send(&mut self, _api: &mut NodeApi<'_>) -> Option<SendSpec> {
         self.pending.pop_front()
     }

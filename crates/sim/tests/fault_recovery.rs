@@ -4,29 +4,14 @@
 //! recovery — and pins the accounting identity `injected == delivered +
 //! dropped_by_fault` plus byte-equality across both engine modes.
 
+mod common;
+
 use bgl_sim::{
     Engine, EngineMode, FaultPlan, FlowSpec, LinkFault, NetStats, NodeProgram, PerfConfig,
     ScriptedProgram, SendSpec, SimConfig,
 };
 use bgl_torus::{Dim, Direction, Partition, Sign};
-
-/// Uniform adaptive all-to-all: every node sends `k` packets of `chunks`
-/// chunks to every other node.
-fn uniform(part: &Partition, k: u64, chunks: u8) -> Vec<Box<dyn NodeProgram>> {
-    let p = part.num_nodes();
-    (0..p)
-        .map(|r| {
-            let sends: Vec<SendSpec> = (0..p)
-                .filter(|&d| d != r)
-                .flat_map(|d| {
-                    (0..k).map(move |_| SendSpec::adaptive(d, chunks, chunks as u32 * 30))
-                })
-                .collect();
-            let expect = (p as u64 - 1) * k;
-            Box::new(ScriptedProgram::new(sends, expect)) as Box<dyn NodeProgram>
-        })
-        .collect()
-}
+use common::uniform;
 
 fn dir(dim: Dim, sign: Sign) -> Direction {
     Direction { dim, sign }
@@ -69,7 +54,7 @@ fn run(part: Partition, mode: EngineMode, plan: &FaultPlan, oracle: bool) -> Net
     cfg.engine = mode;
     cfg.fault = plan.clone();
     cfg.check_invariants = oracle;
-    Engine::new(cfg, uniform(&part, 4, 8))
+    Engine::new(cfg, uniform(&part, 4, 8, false))
         .run()
         .expect("soak run completes")
 }
@@ -115,7 +100,7 @@ fn fault_recovery_soak_oracle_green_and_accounting_telescopes() {
     let mut cfg = SimConfig::new(part);
     (cfg.fault, cfg.check_invariants) = (plan.clone(), true);
     cfg.perf = Some(PerfConfig::default());
-    let mut engine = Engine::new(cfg, uniform(&part, 4, 8));
+    let mut engine = Engine::new(cfg, uniform(&part, 4, 8, false));
     assert_eq!(full, engine.run().expect("soak run completes"));
     let perf = engine.take_perf().expect("profiling on");
     assert!(perf.arb_parked > 0, "{perf:?}");
@@ -138,7 +123,7 @@ fn node_fault_with_recovery_completes_and_accounts_drops() {
     let mut cfg = SimConfig::new(part);
     cfg.fault = plan;
     cfg.check_invariants = true;
-    let stats = Engine::new(cfg, uniform(&part, 2, 4))
+    let stats = Engine::new(cfg, uniform(&part, 2, 4, false))
         .run()
         .expect("traffic stranded at the dead node's edge drains after recovery");
     assert_eq!(
@@ -170,7 +155,7 @@ fn permanent_node_fault_is_reported_unreachable_with_breakdown() {
     // flight on a dying link can be neither delivered nor dropped: the
     // run must end in Unreachable, never a silent hang, and every
     // blocking link in the breakdown must be incident to the dead node.
-    match Engine::new(cfg, uniform(&part, 2, 4)).run() {
+    match Engine::new(cfg, uniform(&part, 2, 4, false)).run() {
         Err(SimError::Unreachable {
             blocked_packets,
             faults,

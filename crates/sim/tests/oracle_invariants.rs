@@ -3,32 +3,11 @@
 //! composes with tracing, and tolerates error paths (a stalled run
 //! reports its watchdog error rather than a spurious quiesce violation).
 
-use bgl_sim::{
-    Engine, EngineMode, NodeProgram, ScriptedProgram, SendSpec, SimConfig, SimError, TraceConfig,
-};
-use bgl_torus::Partition;
+mod common;
 
-fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box<dyn NodeProgram>> {
-    let p = part.num_nodes();
-    (0..p)
-        .map(|r| {
-            let sends: Vec<SendSpec> = (0..p)
-                .filter(|&d| d != r)
-                .flat_map(|d| {
-                    (0..k).map(move |_| {
-                        if deterministic {
-                            SendSpec::deterministic(d, chunks, chunks as u32 * 30)
-                        } else {
-                            SendSpec::adaptive(d, chunks, chunks as u32 * 30)
-                        }
-                    })
-                })
-                .collect();
-            let expect = (p as u64 - 1) * k;
-            Box::new(ScriptedProgram::new(sends, expect)) as Box<dyn NodeProgram>
-        })
-        .collect()
-}
+use bgl_sim::{Engine, EngineMode, NodeProgram, ScriptedProgram, SimConfig, SimError, TraceConfig};
+use bgl_torus::Partition;
+use common::uniform;
 
 proptest::proptest! {
     #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]

@@ -1,46 +1,33 @@
 //! Router microarchitecture behavior tests: bubble rule, escape usage,
 //! backpressure, shaping, and watchdog diagnostics.
 
+mod common;
+
 use bgl_sim::{Engine, NodeProgram, ScriptedProgram, SendSpec, SimConfig, SimError};
 use bgl_torus::{Coord, Partition};
+use common::uniform;
 
 fn boxed(p: ScriptedProgram) -> Box<dyn NodeProgram> {
     Box::new(p)
 }
 
-/// Build a uniform AA program set: every node sends `k` packets of
-/// `chunks` to every other node.
-fn uniform(part: &Partition, k: u64, chunks: u8) -> Vec<Box<dyn NodeProgram>> {
-    let p = part.num_nodes();
-    (0..p)
-        .map(|r| {
-            let sends: Vec<SendSpec> = (0..p)
-                .filter(|&d| d != r)
-                .flat_map(|d| {
-                    (0..k).map(move |_| SendSpec::adaptive(d, chunks, chunks as u32 * 30))
-                })
-                .collect();
-            boxed(ScriptedProgram::new(sends, (p as u64 - 1) * k))
-        })
-        .collect()
-}
-
-/// Tight reception FIFO throttles but never wedges: heavy fan-in to one
-/// node drains with a tiny reception buffer and a slow CPU.
+/// A full reception FIFO throttles but never wedges: heavy fan-in to one
+/// node whose CPU one expensive send books for 400 cycles, so the fan-in
+/// fills its reception FIFO and stalls in the VC FIFOs behind it, then
+/// drains.
 #[test]
 fn reception_backpressure_throttles_not_deadlocks() {
     let part: Partition = "4x4".parse().unwrap();
-    let mut cfg = SimConfig::new(part);
-    cfg.reception_fifo_chunks = 8; // one max packet
-    cfg.cpu.chunks_per_cycle = 0.5;
+    let cfg = SimConfig::new(part);
     let programs: Vec<Box<dyn NodeProgram>> = (0..16u32)
         .map(|r| {
             if r == 0 {
-                boxed(ScriptedProgram::new(vec![], 15 * 10))
+                let booking = SendSpec::adaptive(1, 1, 1).with_cpu_cost(400.0);
+                boxed(ScriptedProgram::new(vec![booking], 15 * 10))
             } else {
                 boxed(ScriptedProgram::new(
                     (0..10).map(|_| SendSpec::adaptive(0, 8, 240)).collect(),
-                    0,
+                    u64::from(r == 1),
                 ))
             }
         })
@@ -48,10 +35,14 @@ fn reception_backpressure_throttles_not_deadlocks() {
     let stats = Engine::new(cfg, programs)
         .run()
         .expect("drains under backpressure");
-    assert_eq!(stats.packets_delivered, 150);
+    assert_eq!(
+        stats.packets_delivered,
+        150 + 1,
+        "the fan-in and the booking"
+    );
     assert!(
-        stats.reception_stall_events > 0,
-        "backpressure must be visible"
+        stats.reception_stall_events > 0 && stats.completion_cycle > 400,
+        "backpressure must be visible: {stats:?}"
     );
 }
 
@@ -64,7 +55,7 @@ fn escape_vc_used_under_pressure() {
     // dynamic VCs to sustained fullness — the regime the escape exists for.
     let part: Partition = "8x4x4".parse().unwrap();
     let cfg = SimConfig::new(part);
-    let stats = Engine::new(cfg, uniform(&part, 4, 8))
+    let stats = Engine::new(cfg, uniform(&part, 4, 8, false))
         .run()
         .expect("drains");
     assert!(
@@ -85,7 +76,7 @@ fn sub_slack_fifos_close_the_escape() {
     let part: Partition = "8x1x1".parse().unwrap();
     let mut cfg = SimConfig::new(part);
     cfg.router.vc_fifo_chunks = 8;
-    let stats = Engine::new(cfg, uniform(&part, 8, 8))
+    let stats = Engine::new(cfg, uniform(&part, 8, 8, false))
         .run()
         .expect("drains");
     assert_eq!(stats.bubble_hops, 0);
@@ -223,7 +214,7 @@ fn shaping_override_preserves_delivery() {
     let run = |bias: bool| {
         let mut cfg = SimConfig::new(part);
         cfg.router.longest_first_bias = bias;
-        Engine::new(cfg, uniform(&part, 2, 8))
+        Engine::new(cfg, uniform(&part, 2, 8, false))
             .run()
             .expect("drains")
     };
@@ -270,7 +261,7 @@ fn escapeless_deadlock_reports_hol_blocked_heads() {
     let mut cfg = SimConfig::new(part);
     cfg.router.adaptive_bubble_escape = false;
     cfg.watchdog_cycles = 500;
-    match Engine::new(cfg, uniform(&part, 8, 8)).run() {
+    match Engine::new(cfg, uniform(&part, 8, 8, false)).run() {
         Err(SimError::Stalled {
             live_packets,
             breakdown,
@@ -292,7 +283,7 @@ fn cycle_limit_enforced() {
     cfg.max_cycles = 50;
     cfg.watchdog_cycles = 1_000_000;
     // Ensure there is more traffic than 50 cycles can drain.
-    match Engine::new(cfg, uniform(&part, 50, 8)).run() {
+    match Engine::new(cfg, uniform(&part, 50, 8, false)).run() {
         Err(SimError::CycleLimit { limit }) => assert_eq!(limit, 50),
         other => panic!("expected cycle limit, got {other:?}"),
     }
@@ -304,7 +295,7 @@ fn cycle_limit_enforced() {
 fn hop_statistics_match_minimal_routing() {
     let part: Partition = "4x3x2".parse().unwrap();
     let cfg = SimConfig::new(part);
-    let stats = Engine::new(cfg, uniform(&part, 1, 2))
+    let stats = Engine::new(cfg, uniform(&part, 1, 2, false))
         .run()
         .expect("drains");
     let mut want = [0u64; 3];

@@ -3,33 +3,14 @@
 //! occupancy snapshots respect the configured FIFO capacities, and the
 //! watchdog's stall error carries the trace tail.
 
+mod common;
+
+use bgl_sim::config::RECEPTION_FIFO_CHUNKS;
 use bgl_sim::{
-    Engine, EngineMode, NodeProgram, ScriptedProgram, SendSpec, SimConfig, SimError, Trace,
-    TraceConfig,
+    Engine, EngineMode, NodeProgram, ScriptedProgram, SimConfig, SimError, Trace, TraceConfig,
 };
 use bgl_torus::Partition;
-
-fn uniform(part: &Partition, k: u64, chunks: u8, deterministic: bool) -> Vec<Box<dyn NodeProgram>> {
-    let p = part.num_nodes();
-    (0..p)
-        .map(|r| {
-            let sends: Vec<SendSpec> = (0..p)
-                .filter(|&d| d != r)
-                .flat_map(|d| {
-                    (0..k).map(move |_| {
-                        if deterministic {
-                            SendSpec::deterministic(d, chunks, chunks as u32 * 30)
-                        } else {
-                            SendSpec::adaptive(d, chunks, chunks as u32 * 30)
-                        }
-                    })
-                })
-                .collect();
-            let expect = (p as u64 - 1) * k;
-            Box::new(ScriptedProgram::new(sends, expect)) as Box<dyn NodeProgram>
-        })
-        .collect()
-}
+use common::uniform;
 
 fn traced_run(cfg: &SimConfig, interval: u64) -> (bgl_sim::NetStats, Trace) {
     let mut cfg = cfg.clone();
@@ -87,7 +68,7 @@ fn check_invariants(cfg: &SimConfig, stats: &bgl_sim::NetStats, trace: &Trace) {
             s.inj_occupancy.max_chunks <= 16,
             "an injection FIFO holds 16 chunks"
         );
-        assert!(s.reception_occupancy.max_chunks <= cfg.reception_fifo_chunks);
+        assert!(s.reception_occupancy.max_chunks <= RECEPTION_FIFO_CHUNKS);
         // A quiesced network at the final sample: nothing left in flight.
         assert!(s.phase1_in_flight + s.phase2_in_flight <= s.packets_in_flight + s.pending_sends);
     }

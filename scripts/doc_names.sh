@@ -13,7 +13,8 @@
 #
 # Names: each backticked snake_case identifier (a whole backtick span of
 # lower-case letters, digits and at least one underscore) must occur as a
-# word in the code, the scripts, CI or BENCHMARK.json.
+# word in the tracked code, scripts, CI or BENCHMARK.json (not in what a
+# build leaves behind).
 #
 # Sections: every title quoted right after `EXPERIMENTS.md` in a tracked
 # file (`EXPERIMENTS.md, "Title"`, `EXPERIMENTS.md §"Title"`,
@@ -67,7 +68,7 @@ for path in $paths; do
 done
 
 names=$(grep -ohE '`[a-z_][a-z0-9_]*`' "$@" | tr -d '`' | grep _ | sort -u || true)
-found=$(grep -rhowF --exclude-dir=target -f <(printf '%s\n' $names "${allow_names[@]}") "${code[@]}" |
+found=$(git grep -howF -f <(printf '%s\n' $names "${allow_names[@]}") -- "${code[@]}" |
     sort -u || true)
 for name in $(comm -23 <(printf '%s\n' $names) <(printf '%s\n' $found "${allow_names[@]}" | sort -u)); do
     echo "names nothing in the code, scripts or CI: $name"
