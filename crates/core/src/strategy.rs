@@ -260,8 +260,9 @@ pub struct AaReport {
 ///
 /// `base` lets callers tweak the simulator (FIFO depths, router rules,
 /// ablations); pass `SimConfig::new(part)` for the defaults. Strategy
-/// requirements (TPS injection-FIFO reservation, the strategy's pacer)
-/// are applied on top.
+/// requirements are applied on top: the strategy's pacer, and the TPS or
+/// XYZ injection-FIFO reservation where `base` leaves
+/// `inj_class_masks` empty (masks the caller set are kept).
 ///
 /// # Panics
 /// With `base.check_invariants` set, panics where the oracle finds a
@@ -305,7 +306,9 @@ pub fn run_aa(
         Scheme::AdaptiveRandomized => direct(DirectConfig::ar(params)),
         Scheme::DeterministicRouted => direct(DirectConfig::dr(params)),
         Scheme::TwoPhaseSchedule => {
-            base.inj_class_masks = tps_inj_class_masks(base.inj_fifo_count);
+            if base.inj_class_masks.is_empty() {
+                base.inj_class_masks = tps_inj_class_masks(base.inj_fifo_count);
+            }
             let cfg = TpsConfig::default();
             per_node(p, |r| TpsProgram::new(r, &part, workload, &cfg, params))
         }
@@ -314,7 +317,9 @@ pub fn run_aa(
             per_node(p, |r| VmeshProgram::new(r, &vm, workload, params))
         }
         Scheme::XyzRouting => {
-            base.inj_class_masks = xyz_inj_class_masks(base.inj_fifo_count, part.ndims());
+            if base.inj_class_masks.is_empty() {
+                base.inj_class_masks = xyz_inj_class_masks(base.inj_fifo_count, part.ndims());
+            }
             per_node(p, |r| XyzProgram::new(r, &part, workload, params))
         }
         Scheme::Auto => unreachable!("Auto resolved above"),
@@ -514,6 +519,26 @@ mod tests {
             r.stats.credit_blocked_events > 0,
             "a 4-packet window on a 960-byte message must close at least once"
         );
+    }
+
+    /// Injection-FIFO masks the caller sets reach the engine: TPS and XYZ
+    /// reserve FIFOs per phase only where the masks are left empty. With
+    /// every FIFO refusing every class, no packet can be injected and the
+    /// run stalls; a reservation laid over the caller's masks completes.
+    #[test]
+    fn caller_injection_masks_are_kept() {
+        let part: Partition = "4x2x2".parse().unwrap();
+        for strategy in [StrategyKind::tps(), StrategyKind::xyz()] {
+            let mut cfg = SimConfig::new(part);
+            cfg.inj_class_masks = vec![0; cfg.inj_fifo_count as usize];
+            cfg.watchdog_cycles = 1_000;
+            let run = run_aa(part, &AaWorkload::full(240), &strategy, &params(), cfg);
+            assert!(
+                matches!(run, Err(SimError::Stalled { .. })),
+                "{}: {run:?}",
+                strategy.name()
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //!   paper): software hint-bit-style restriction of adaptive packets to
 //!   their longest remaining dimension largely removes the Section-3.2
 //!   tree saturation — a router-independent mitigation.
-//! * **TPS without reserved injection FIFOs** → phase-1 packets queue
-//!   behind phase-2 packets, breaking the pipelining argument.
+//! * **TPS without reserved injection FIFOs** → both phases share every
+//!   FIFO, which tests the pipelining argument for the reservation. On the
+//!   quick testbed sharing is the faster of the two (EXPERIMENTS.md,
+//!   "ablations (quick scale)").
 //! * **TPS credit-based flow control** → bounding intermediate memory
 //!   costs little bandwidth (the paper's future-work claim).
 
@@ -25,7 +27,6 @@ pub(super) const ABLATIONS: Experiment = Experiment {
     columns: &["variant", "strategy", "% of peak / outcome"],
     notes: &[
         "a Stalled outcome is the expected deadlock when the bubble machinery is disabled",
-        "tps-shared-inj-fifos removes the per-phase reservation that enables phase pipelining",
     ],
     rows,
 };
