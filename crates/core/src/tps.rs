@@ -33,7 +33,7 @@ const KIND_PHASE2: u8 = 2;
 /// [`choose_linear_dim`]'s, and credit flow control is the strategy's
 /// [`Pacer::CreditWindow`](crate::Pacer), which the engine enforces (see
 /// [`bgl_sim::flow`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TpsConfig {}
 
 /// The paper's linear-dimension choice: prefer the dimension whose removal

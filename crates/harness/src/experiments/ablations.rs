@@ -25,9 +25,7 @@ pub(super) const ABLATIONS: Experiment = Experiment {
     id: "ablations",
     title: "Design-choice ablations on an asymmetric torus",
     columns: &["variant", "strategy", "% of peak / outcome"],
-    notes: &[
-        "a Stalled outcome is the expected deadlock when the bubble machinery is disabled",
-    ],
+    notes: &["a Stalled outcome is the expected deadlock when the bubble machinery is disabled"],
     rows,
 };
 

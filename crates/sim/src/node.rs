@@ -42,10 +42,10 @@ pub enum PollState {
     /// then counts one `pacing_blocked_cycles`.
     Rate,
     /// The program declined its pull (`NodeProgram::next_send`): no timed
-    /// wake at all, only a delivery re-arms the node. `denials` credit acquisitions failed during the declining
-    /// poll; the decline is pure, so a cycle-stepped clock would repeat
-    /// exactly that count every idle cycle — settled per node over the
-    /// cycles it is passed over for.
+    /// wake at all, only a delivery re-arms the node. `denials` credit
+    /// acquisitions failed during the declining poll; the decline is pure,
+    /// so a cycle-stepped clock would repeat exactly that count every idle
+    /// cycle — settled per node over the cycles it is passed over for.
     Asleep {
         /// Failed credit acquisitions of the declining poll.
         denials: u64,

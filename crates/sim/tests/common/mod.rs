@@ -13,7 +13,7 @@ use bgl_sim::{
 use bgl_torus::Partition;
 
 /// A uniform all-to-all: every node sends `k` packets of `chunks` chunks
-/// (30 payload bytes each) to every other node, deterministically or
+/// (30 payload bytes per chunk) to every other node, deterministically or
 /// adaptively routed, and expects as many from each.
 pub fn uniform(
     part: &Partition,
